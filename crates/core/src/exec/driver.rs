@@ -12,8 +12,9 @@
 //! The skeleton owns everything engine-shaped so a family cannot get it
 //! wrong:
 //!
-//! * **block lookahead** — streaming sources get next-block selections
-//!   drawn early (same global RNG order) and handed to the prefetcher;
+//! * **block lookahead** — streaming sources get the next block's
+//!   selection drawn at block entry, right after `prepare` (same global
+//!   RNG order), and handed to the prefetcher before the Gram runs;
 //! * **the `--overlap` double buffer** — next-block sampling + tile
 //!   formation run inside the in-flight allreduce, swapped in at the next
 //!   block entry;
@@ -30,7 +31,9 @@
 //! window) → `after_exchange` → `inner` → `end_block` → `checkpoint` —
 //! and a family must keep every RNG draw and every backend charge inside
 //! the hook the original loops made it from, or the engine matrix's
-//! bitwise/charge-equality checks fail.
+//! bitwise/charge-equality checks fail. With block lookahead the next
+//! block's `sample` runs between this block's `sample` and `tile`, so
+//! `sample` may depend on nothing but the RNG and the family's shape.
 
 use super::{ExecBackend, Stage};
 use crate::workspace::KernelWorkspace;
@@ -219,6 +222,9 @@ where
     let mut h = 0usize;
     while h < sched.max_iters {
         let s_block = sched.s.min(sched.max_iters - h);
+        let h_next = h + s_block;
+        let want_overlap = B::OVERLAPS && sched.overlap && h_next < sched.max_iters;
+        let s_next = sched.s.min(sched.max_iters.saturating_sub(h_next));
         ws.begin_block(spec.deltas_len(s_block));
         if have_next {
             // This block's selection and local tile were produced (and
@@ -242,10 +248,24 @@ where
             // Residency barrier: pin this block's slices (no-op in
             // memory). Prefetched shards are hits; the rest load here.
             a.prepare(&ws.sel);
+            have_sel = a.lookahead() && !want_overlap && h_next < sched.max_iters;
+            if have_sel {
+                // Streaming without an overlap window: resolve the next
+                // block's selection now, at block entry, and hand it to
+                // the background loader, so the shards stream in behind
+                // this block's whole compute — Gram, cross products and
+                // inner iterations. Only `sample` consumes the RNG, so the
+                // draws land in the same global order as the in-memory
+                // solver's block-entry draws and the coordinate sequence
+                // is bitwise unchanged.
+                let _span = backend.span(Stage::Sampling);
+                ws.sel_next.clear();
+                spec.sample(rng, s_next, &mut ws.sel_next);
+                a.prefetch(&ws.sel_next);
+            }
             let _span = backend.span(Stage::Gram);
             spec.tile(Cx { bk: backend, a, ws }, s_block, false);
         }
-        have_sel = false;
         spec.prepare_block(ws, s_block);
         // The iterate-dependent products can never ride the overlap
         // window, so they always happen here, at block entry.
@@ -256,29 +276,13 @@ where
         let resid = spec.traced_scalar(Cx { bk: backend, a, ws }, Block { h, s: s_block });
         backend.charge_outer_overhead();
 
-        let h_next = h + s_block;
-        let want_overlap = B::OVERLAPS && sched.overlap && h_next < sched.max_iters;
-        let s_next = sched.s.min(sched.max_iters.saturating_sub(h_next));
-        if a.lookahead() && !want_overlap && h_next < sched.max_iters {
-            // Streaming without an overlap window: resolve the next
-            // block's selection now — the draws land in the same global
-            // RNG order as the in-memory solver's block-entry draws, so
-            // the coordinate sequence is bitwise unchanged — and hand it
-            // to the background loader. The shards stream in while this
-            // block's inner iterations run.
-            let _span = backend.span(Stage::Sampling);
-            ws.sel_next.clear();
-            spec.sample(rng, s_next, &mut ws.sel_next);
-            a.prefetch(&ws.sel_next);
-            have_sel = true;
-        }
         let payload = spec.payload(ws, s_block);
         let mut ov = |bk: &mut B, ws: &mut KernelWorkspace| {
             ws.sel_next.clear();
             spec.sample(rng, s_next, &mut ws.sel_next);
             // Streaming: loads for the next block happen inside the
             // in-flight allreduce — IO hides behind comm here, behind
-            // compute in the non-overlap lookahead above.
+            // compute in the non-overlap lookahead at block entry.
             a.prepare(&ws.sel_next);
             spec.tile(Cx { bk, a, ws }, s_next, true);
         };
@@ -327,6 +331,114 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::LassoConfig;
+    use crate::exec::{lasso_family, SeqBackend};
+    use crate::prox::Lasso;
+    use sparsela::{CscMatrix, MajorSlices, SparseSlice};
+    use std::sync::Mutex;
+
+    #[derive(Clone, Debug, PartialEq)]
+    enum Event {
+        Prepare(Vec<usize>),
+        Prefetch(Vec<usize>),
+        /// The first `slice` after a residency call (later ones collapse).
+        Slice,
+    }
+
+    /// A resident matrix that records the residency protocol it is driven
+    /// through, and asks for lookahead (or not) like a streaming source.
+    struct Recording<'a> {
+        a: &'a CscMatrix,
+        lookahead: bool,
+        events: Mutex<Vec<Event>>,
+    }
+
+    impl MajorSlices for Recording<'_> {
+        fn major_len(&self) -> usize {
+            self.a.major_len()
+        }
+        fn minor_len(&self) -> usize {
+            self.a.minor_len()
+        }
+        fn slice(&self, k: usize) -> SparseSlice<'_> {
+            let mut events = self.events.lock().unwrap();
+            if events.last() != Some(&Event::Slice) {
+                events.push(Event::Slice);
+            }
+            self.a.slice(k)
+        }
+    }
+
+    impl SliceSource for Recording<'_> {
+        fn prepare(&self, sel: &[usize]) {
+            self.events
+                .lock()
+                .unwrap()
+                .push(Event::Prepare(sel.to_vec()));
+        }
+        fn prefetch(&self, sel: &[usize]) {
+            self.events
+                .lock()
+                .unwrap()
+                .push(Event::Prefetch(sel.to_vec()));
+        }
+        fn lookahead(&self) -> bool {
+            self.lookahead
+        }
+    }
+
+    #[test]
+    fn lookahead_prefetches_at_block_entry_in_the_in_memory_draw_order() {
+        let a = datagen::powerlaw_sparse(160, 90, 0.08, 0.8, 3);
+        let ds = datagen::planted_regression(a, 6, 0.05, 3).dataset;
+        let csc = ds.a.to_csc();
+        // 100 = 12 full blocks of s = 8 and a last one of 4.
+        let cfg = LassoConfig {
+            mu: 3,
+            s: 8,
+            lambda: 0.05,
+            seed: 13,
+            max_iters: 100,
+            ..Default::default()
+        };
+        let run = |lookahead: bool| {
+            let rec = Recording {
+                a: &csc,
+                lookahead,
+                events: Mutex::new(Vec::new()),
+            };
+            let reg = Lasso::new(cfg.lambda);
+            let res = lasso_family(&rec, &ds.b, &reg, &cfg, true, &mut SeqBackend::new());
+            (rec.events.into_inner().unwrap(), res.final_value())
+        };
+        let (streamed, f_streamed) = run(true);
+        let (resident, f_resident) = run(false);
+        assert_eq!(f_streamed.to_bits(), f_resident.to_bits());
+
+        // The in-memory solver announces each block at its entry; those
+        // selections, in order, are the global draw sequence.
+        let blocks: Vec<&Vec<usize>> = resident
+            .iter()
+            .filter_map(|e| match e {
+                Event::Prepare(sel) => Some(sel),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(blocks.len(), 13);
+        assert!(!resident.iter().any(|e| matches!(e, Event::Prefetch(_))));
+
+        // Streamed, every block is: prepare(t), prefetch(t+1) — the whole
+        // block ahead of the first kernel — then the first slice.
+        let mut expect = Vec::new();
+        for (t, sel) in blocks.iter().enumerate() {
+            expect.push(Event::Prepare((*sel).clone()));
+            if let Some(next) = blocks.get(t + 1) {
+                expect.push(Event::Prefetch((*next).clone()));
+            }
+            expect.push(Event::Slice);
+        }
+        assert_eq!(streamed, expect);
+    }
 
     #[test]
     fn payload_words_match_sympack_layout() {

@@ -495,8 +495,20 @@ pub fn schedule_bound(weights: &[u64], workers: usize) -> u64 {
 mod tests {
     use super::*;
 
+    /// The pool counters and the thread count are process-global, and the
+    /// harness runs tests on parallel threads: every test that bumps, reads
+    /// or sets them holds this lock, so `stats_accumulate_and_reset` sees
+    /// its own region only, on any host at any `--test-threads`.
+    static GLOBALS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn globals() -> std::sync::MutexGuard<'static, ()> {
+        // A failed holder leaves the counters no worse than a finished one.
+        GLOBALS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn tiled_map_preserves_tile_order_at_any_thread_count() {
+        let _globals = globals();
         let serial = tiled_map(1, 40, || (), |_, i| i * i);
         for threads in [2usize, 3, 4, 7, 16, 64] {
             let par = tiled_map(threads, 40, || (), |_, i| i * i);
@@ -507,6 +519,7 @@ mod tests {
 
     #[test]
     fn tiled_map_worker_state_is_private_and_reused() {
+        let _globals = globals();
         // Each worker counts the tiles it ran through its state; the sum
         // over all tiles of "tiles seen so far by my worker" is only
         // consistent if states are never shared between workers.
@@ -546,6 +559,7 @@ mod tests {
 
     #[test]
     fn tiled_map_weighted_matches_tiled_map_at_any_work_hint() {
+        let _globals = globals();
         let serial = tiled_map(1, 24, || (), |_, i| 3 * i + 1);
         for work in [0, MIN_DISPATCH_WORK - 1, MIN_DISPATCH_WORK, u64::MAX] {
             let out = tiled_map_weighted(4, 24, work, || (), |_, i| 3 * i + 1);
@@ -555,6 +569,7 @@ mod tests {
 
     #[test]
     fn tiny_weighted_regions_run_on_one_worker() {
+        let _globals = globals();
         // A below-threshold region must not fan out: every tile then flows
         // through a single worker state, so the per-worker restart count
         // (tiles that saw a fresh state) is exactly 1.
@@ -573,6 +588,7 @@ mod tests {
 
     #[test]
     fn tiled_map_handles_degenerate_sizes() {
+        let _globals = globals();
         assert!(tiled_map(4, 0, || (), |_, i| i).is_empty());
         assert_eq!(tiled_map(0, 3, || (), |_, i| i), vec![0, 1, 2]);
         assert_eq!(tiled_map(9, 1, || (), |_, i| i + 7), vec![7]);
@@ -580,6 +596,7 @@ mod tests {
 
     #[test]
     fn scatter_consumes_every_item_exactly_once() {
+        let _globals = globals();
         use std::sync::atomic::AtomicU64;
         let hits: Vec<AtomicU64> = (0..50).map(|_| AtomicU64::new(0)).collect();
         let items: Vec<usize> = (0..50).collect();
@@ -593,6 +610,7 @@ mod tests {
 
     #[test]
     fn scatter_on_disjoint_mut_slices() {
+        let _globals = globals();
         let mut data = vec![0u64; 64];
         let chunks: Vec<(usize, &mut [u64])> = data.chunks_mut(16).enumerate().collect();
         scatter(3, chunks, |(c, chunk)| {
@@ -647,6 +665,7 @@ mod tests {
 
     #[test]
     fn stats_accumulate_and_reset() {
+        let _globals = globals();
         reset_stats();
         let _ = tiled_map(4, 32, || (), |_, i| i);
         let s = stats();
@@ -675,6 +694,7 @@ mod tests {
 
     #[test]
     fn thread_config_round_trips() {
+        let _globals = globals();
         set_threads(6);
         assert_eq!(threads(), 6);
         set_threads(0); // clamped

@@ -134,11 +134,17 @@ impl SliceSource for CscMatrix {}
 /// either per call costs an `O(minor_len)` zero-fill *and* an allocation;
 /// holding them across calls (both are restored to all-zeros by the
 /// kernels' un-scatter passes) makes repeated `sampled_gram` calls
-/// allocation-free.
+/// allocation-free. It also carries the *resolved-slice* scratch: each
+/// kernel call looks every selected slice up once ([`MajorSlices::slice`]
+/// may cost a search on an out-of-core source) and the triangle then runs
+/// on the borrowed slices alone.
 #[derive(Clone, Debug, Default)]
 pub struct GramWorkspace {
     scatter: Vec<f64>,
     interleaved: simd::AlignedBuf,
+    /// Allocation for the resolved slices; empty between calls, so the
+    /// `'static` is never the lifetime of a stored borrow.
+    resolved: Vec<SparseSlice<'static>>,
 }
 
 impl GramWorkspace {
@@ -165,23 +171,44 @@ impl GramWorkspace {
     fn interleaved_for(&mut self, minor_len: usize) -> &mut [f64] {
         self.interleaved.zeroed_to(simd::SPARSE_LANES * minor_len)
     }
+
+    /// Look up every selected slice once — `sel.len()` calls to
+    /// [`MajorSlices::slice`] per kernel call, however many pair-dots
+    /// follow — into the reusable buffer. Hand the buffer back with
+    /// [`Self::recycle`] to keep its allocation.
+    fn resolve<'m, M: MajorSlices>(&mut self, m: &'m M, sel: &[usize]) -> Vec<SparseSlice<'m>> {
+        // `SparseSlice` is covariant, so the empty `'static` buffer
+        // shortens to `'m` by plain subtyping.
+        let mut slices: Vec<SparseSlice<'m>> = std::mem::take(&mut self.resolved);
+        slices.extend(sel.iter().map(|&k| m.slice(k)));
+        slices
+    }
+
+    fn recycle(&mut self, mut slices: Vec<SparseSlice<'_>>) {
+        slices.clear();
+        // SAFETY: the vector is empty, so no borrow outlives its source —
+        // only the allocation is kept — and `SparseSlice<'a>` has the
+        // same layout for every `'a`.
+        self.resolved = unsafe {
+            std::mem::transmute::<Vec<SparseSlice<'_>>, Vec<SparseSlice<'static>>>(slices)
+        };
+    }
 }
 
 /// One upper-triangle row of the sampled Gram: scatter slice `a`, take
 /// its `norm_sq` for the diagonal and a sparse dot per later slice. This
 /// is THE per-entry arithmetic — serial and pooled paths both call it, so
 /// their outputs agree bitwise.
-fn gram_row<M: MajorSlices>(m: &M, sel: &[usize], a: usize, work: &mut [f64], row: &mut Vec<f64>) {
-    let k = sel.len();
-    let sa = m.slice(sel[a]);
+fn gram_row(slices: &[SparseSlice<'_>], a: usize, work: &mut [f64], row: &mut Vec<f64>) {
+    let sa = slices[a];
     for (&i, &v) in sa.indices.iter().zip(sa.values) {
         work[i] = v;
     }
     row.clear();
-    row.reserve(k - a);
+    row.reserve(slices.len() - a);
     row.push(sa.norm_sq());
-    for &sb in &sel[a + 1..] {
-        row.push(m.slice(sb).dot_dense_sparse(work));
+    for sb in &slices[a + 1..] {
+        row.push(sb.dot_dense_sparse(work));
     }
     for &i in sa.indices {
         work[i] = 0.0;
@@ -207,9 +234,8 @@ pub fn sampled_gram_with_workspace<M: MajorSlices>(
     sel: &[usize],
     ws: &mut GramWorkspace,
 ) -> DenseMatrix {
-    let k = sel.len();
-    let mut g = DenseMatrix::zeros(k, k);
-    gram_serial_core(m, sel, ws, &mut g);
+    let mut g = DenseMatrix::zeros(0, 0);
+    sampled_gram_into(m, sel, 1, ws, &mut g);
     g
 }
 
@@ -223,22 +249,16 @@ pub fn sampled_gram_with_workspace<M: MajorSlices>(
 /// variant still uses): each lane's accumulator follows exactly the
 /// single-chain order of `dot_dense` over slice `b`'s nonzeros, and
 /// diagonals are the same `norm_sq`. Only instruction scheduling differs.
-fn gram_serial_core<M: MajorSlices>(
-    m: &M,
-    sel: &[usize],
-    ws: &mut GramWorkspace,
-    out: &mut DenseMatrix,
-) {
+fn gram_serial_core(slices: &[SparseSlice<'_>], work: &mut [f64], out: &mut DenseMatrix) {
     const L: usize = simd::SPARSE_LANES;
-    let k = sel.len();
-    let work = ws.interleaved_for(m.minor_len());
+    let k = slices.len();
     let mut a0 = 0;
     while a0 < k {
         let aw = (k - a0).min(L);
         // Scatter the block's lanes and set its diagonal entries.
         // Duplicate selections land in distinct lanes, so they coexist.
         for l in 0..aw {
-            let sa = m.slice(sel[a0 + l]);
+            let sa = slices[a0 + l];
             for (&i, &v) in sa.indices.iter().zip(sa.values) {
                 work[L * i + l] = v;
             }
@@ -248,7 +268,7 @@ fn gram_serial_core<M: MajorSlices>(
         // strictly-upper entries (a0 + l, b), mirrored as we go.
         for b in a0 + 1..k {
             let lw = (b - a0).min(aw);
-            let sb = m.slice(sel[b]);
+            let sb = slices[b];
             let mut lanes = [0.0f64; L];
             simd::scatter_dot_lanes(sb.indices, sb.values, work, &mut lanes);
             for l in 0..lw {
@@ -258,7 +278,7 @@ fn gram_serial_core<M: MajorSlices>(
         }
         // Un-scatter: restore the workspace's all-zeros invariant.
         for l in 0..aw {
-            for &i in m.slice(sel[a0 + l]).indices {
+            for &i in slices[a0 + l].indices {
                 work[L * i + l] = 0.0;
             }
         }
@@ -272,15 +292,32 @@ fn gram_serial_core<M: MajorSlices>(
 /// in fixed row order. Bitwise identical to [`sampled_gram`] at any
 /// thread count — the pooled path computes every entry with the same
 /// [`gram_row`] arithmetic.
-pub fn sampled_gram_into<M: MajorSlices + Sync>(
+pub fn sampled_gram_into<M: MajorSlices>(
     m: &M,
     sel: &[usize],
     nthreads: usize,
     ws: &mut GramWorkspace,
     out: &mut DenseMatrix,
 ) {
-    let k = sel.len();
+    let slices = ws.resolve(m, sel);
+    gram_of_slices(&slices, m.minor_len(), nthreads, ws, out);
+    ws.recycle(slices);
+}
+
+/// [`sampled_gram_into`] on the resolved slices.
+fn gram_of_slices(
+    slices: &[SparseSlice<'_>],
+    minor: usize,
+    nthreads: usize,
+    ws: &mut GramWorkspace,
+    out: &mut DenseMatrix,
+) {
+    let k = slices.len();
     out.reshape_zeroed(k, k);
+    if k < 4 || nthreads <= 1 {
+        gram_serial_core(slices, ws.interleaved_for(minor), out);
+        return;
+    }
     // One tile per upper-triangle row: row a costs (k − a) pair-dots, so
     // fine-grained tiles plus the pool's dynamic claiming balance the
     // triangle without a static schedule. Row a scatters slice a then
@@ -291,20 +328,18 @@ pub fn sampled_gram_into<M: MajorSlices + Sync>(
     // the serial SIMD block kernel directly.
     let mut work = 0u64;
     let mut suffix = 0u64;
-    for &j in sel.iter().rev() {
-        let nnz = m.slice(j).nnz() as u64;
+    for s in slices.iter().rev() {
+        let nnz = s.nnz() as u64;
         suffix += 2 * nnz;
         work += nnz + suffix;
-    }
-    if k < 4 || nthreads <= 1 {
-        gram_serial_core(m, sel, ws, out);
-        return;
     }
     if saco_par::dispatch_width(nthreads, k, work) <= 1 {
         // Sub-dispatch-size with a pool requested: run the serial core
         // but count the region, like tiled_map_weighted's own fallback,
         // so `par.regions` keeps tracking pooled-kernel invocations.
-        saco_par::serial_region(k, || gram_serial_core(m, sel, ws, out));
+        saco_par::serial_region(k, || {
+            gram_serial_core(slices, ws.interleaved_for(minor), out)
+        });
         return;
     }
     let rows = saco_par::tiled_map_weighted(
@@ -313,7 +348,7 @@ pub fn sampled_gram_into<M: MajorSlices + Sync>(
         work,
         || (GramWorkspace::new(), Vec::new()),
         |(ws, row), a| {
-            gram_row(m, sel, a, ws.scatter_for(m.minor_len()), row);
+            gram_row(slices, a, ws.scatter_for(minor), row);
             std::mem::take(row)
         },
     );
@@ -336,11 +371,7 @@ pub fn sampled_gram_into<M: MajorSlices + Sync>(
 /// memory-bandwidth bound, so the realized speedup depends on the host's
 /// spare bandwidth, not its core count — benchmark before relying on it
 /// (`cargo bench -p saco-bench --bench kernels`, group `sampled_gram_256`).
-pub fn sampled_gram_parallel<M: MajorSlices + Sync>(
-    m: &M,
-    sel: &[usize],
-    nthreads: usize,
-) -> DenseMatrix {
+pub fn sampled_gram_parallel<M: MajorSlices>(m: &M, sel: &[usize], nthreads: usize) -> DenseMatrix {
     let mut g = DenseMatrix::zeros(0, 0);
     sampled_gram_into(m, sel, nthreads, &mut GramWorkspace::new(), &mut g);
     g
@@ -564,10 +595,11 @@ mod tests {
         let csc = random_sparse(80, 40, 0.2, 20).to_csc();
         let sel = vec![0usize, 3, 3, 7, 11, 12, 19, 25, 31, 39, 2];
         let g = sampled_gram(&csc, &sel);
+        let slices: Vec<SparseSlice<'_>> = sel.iter().map(|&j| csc.col(j)).collect();
         let mut work = vec![0.0; 80];
         let mut row = Vec::new();
         for a in 0..sel.len() {
-            gram_row(&csc, &sel, a, &mut work, &mut row);
+            gram_row(&slices, a, &mut work, &mut row);
             for (off, &v) in row.iter().enumerate() {
                 assert_eq!(
                     g.get(a, a + off).to_bits(),
@@ -576,6 +608,40 @@ mod tests {
                     a + off
                 );
             }
+        }
+    }
+
+    /// Counts `slice` calls on the matrix it wraps.
+    struct Counting<'a>(&'a CscMatrix, std::sync::atomic::AtomicUsize);
+
+    impl MajorSlices for Counting<'_> {
+        fn major_len(&self) -> usize {
+            self.0.major_len()
+        }
+        fn minor_len(&self) -> usize {
+            self.0.minor_len()
+        }
+        fn slice(&self, k: usize) -> SparseSlice<'_> {
+            self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.0.slice(k)
+        }
+    }
+
+    #[test]
+    fn kernels_look_each_selected_slice_up_once() {
+        // A lookup may cost a search on an out-of-core source, so a block
+        // pays for k of them per kernel, not one per pair-dot.
+        let csc = random_sparse(120, 300, 0.1, 21).to_csc();
+        let sel: Vec<usize> = (0..256).map(|i| (i * 7) % 300).collect();
+        let v = vec![1.0; 120];
+        for threads in [1usize, 4] {
+            let counted = Counting(&csc, Default::default());
+            let (mut g, mut c) = (DenseMatrix::zeros(0, 0), DenseMatrix::zeros(0, 0));
+            sampled_gram_into(&counted, &sel, threads, &mut GramWorkspace::new(), &mut g);
+            sampled_cross_into(&counted, &sel, &[&v], &mut c);
+            let calls = counted.1.into_inner();
+            assert!(calls <= 3 * sel.len(), "threads={threads}: {calls} lookups");
+            assert_eq!(g.as_slice(), sampled_gram(&csc, &sel).as_slice());
         }
     }
 

@@ -31,26 +31,34 @@
 //! result, regardless of cache hits, prefetch races, or the memory budget.
 //! I/O timing changes; output bits never do.
 //!
-//! # The two-epoch pin contract
+//! # The pin contract and the lock-free read
 //!
 //! [`SliceSource::prepare`] opens an *epoch*: the shards backing the
 //! selection are faulted in (or claimed from a prefetch) and pinned.
 //! Borrowed [`SparseSlice`]s stay valid until the **second** `prepare`
 //! call after the one that pinned them — two live epochs, because the
 //! overlap path computes the *next* block's Gram (epoch `e+1`) while the
-//! current block's slices (epoch `e`) are still in use. Eviction only ever
-//! touches unpinned shards; the budget must therefore hold two epochs'
-//! working sets (see `docs/PERFORMANCE.md`, "Out-of-core streaming").
+//! current block's slices (epoch `e`) are still in use; a `prefetch` pins
+//! a third, `e+1`, while it is in flight. The budget must hold the two
+//! (see `docs/PERFORMANCE.md`, "Out-of-core streaming").
+//!
+//! `slice` reads through a per-shard table of atomically published
+//! pointers and takes no lock on a resident, pinned shard. Three rules,
+//! all enforced under the cache mutex, make that sound: a pointer is
+//! published only for a shard that is decoded *and* pinned; it is cleared
+//! when the pin is released; and eviction takes victims only from the
+//! queue of unpinned shards — so no published pointer ever dangles. A
+//! `slice` that finds no pointer pins the shard for the current epoch
+//! before borrowing from it.
 
 use crate::gram::{MajorSlices, SliceSource};
 use crate::{CscMatrix, CsrMatrix, SparseSlice};
-use std::collections::HashMap;
 use std::fs::File;
-use std::io::{self, Read};
+use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Format magic for a shard payload file.
@@ -163,10 +171,12 @@ fn push_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn decode_u64s(bytes: &[u8]) -> Vec<u64> {
+/// Decode little-endian `u64` words straight into their in-memory type:
+/// one pass per array, no intermediate vector.
+fn decode_words<T>(bytes: &[u8], word: impl Fn(u64) -> T) -> Vec<T> {
     bytes
         .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
+        .map(|c| word(u64::from_le_bytes(c.try_into().expect("chunk of 8"))))
         .collect()
 }
 
@@ -461,6 +471,9 @@ impl DecodedShard {
 pub struct ShardStore {
     dir: PathBuf,
     manifest: ShardManifest,
+    /// Each shard's `hi`, packed: what `shard_of` searches on every
+    /// `slice` call.
+    his: Vec<usize>,
 }
 
 impl ShardStore {
@@ -526,6 +539,7 @@ impl ShardStore {
         }
         Ok(ShardStore {
             dir: dir.to_path_buf(),
+            his: shards.iter().map(|s| s.hi).collect(),
             manifest: ShardManifest {
                 axis,
                 major,
@@ -550,7 +564,7 @@ impl ShardStore {
     /// Index of the shard holding major slice `k`.
     pub fn shard_of(&self, k: usize) -> usize {
         debug_assert!(k < self.manifest.major);
-        self.manifest.shards.partition_point(|s| s.hi <= k)
+        self.his.partition_point(|&hi| hi <= k)
     }
 
     /// Decode shard `index` in full, validating header and invariants.
@@ -562,7 +576,7 @@ impl ShardStore {
         if &head[..8] != SHARD_MAGIC {
             return Err(bad(format!("shard {index}: bad magic")));
         }
-        let fields = decode_u64s(&head[8..]);
+        let fields = decode_words(&head[8..], |v| v);
         let expect = [
             self.manifest.axis.tag(),
             self.manifest.major as u64,
@@ -584,18 +598,9 @@ impl ShardStore {
         f.read_exact_at(&mut payload, HEADER_LEN)?;
         let indptr_end = (nslices + 1) * 8;
         let indices_end = indptr_end + nnz * 8;
-        let indptr: Vec<usize> = decode_u64s(&payload[..indptr_end])
-            .into_iter()
-            .map(|v| v as usize)
-            .collect();
-        let indices: Vec<usize> = decode_u64s(&payload[indptr_end..indices_end])
-            .into_iter()
-            .map(|v| v as usize)
-            .collect();
-        let values: Vec<f64> = decode_u64s(&payload[indices_end..])
-            .into_iter()
-            .map(f64::from_bits)
-            .collect();
+        let indptr = decode_words(&payload[..indptr_end], |v| v as usize);
+        let indices = decode_words(&payload[indptr_end..indices_end], |v| v as usize);
+        let values = decode_words(&payload[indices_end..], f64::from_bits);
         if indptr.first() != Some(&0) || indptr.last() != Some(&nnz) {
             return Err(bad(format!("shard {index}: indptr endpoints corrupt")));
         }
@@ -665,43 +670,44 @@ impl ShardStore {
             let f = File::open(shard_path(&self.dir, meta.index))?;
             let mut buf = vec![0u8; (meta.hi - meta.lo + 1) * 8];
             f.read_exact_at(&mut buf, HEADER_LEN)?;
-            let indptr = decode_u64s(&buf);
+            let indptr = decode_words(&buf, |v| v);
             out.extend(indptr.windows(2).map(|w| w[1] - w[0]));
         }
         Ok(out)
+    }
+
+    /// Read a sidecar file: magic, a `u64` word count, then the words.
+    fn sidecar<T>(
+        &self,
+        file: &str,
+        magic: &[u8; 8],
+        word: impl Fn(u64) -> T,
+    ) -> io::Result<Vec<T>> {
+        let bytes = std::fs::read(self.dir.join(file))?;
+        if bytes.len() < 16 || &bytes[..8] != magic {
+            return Err(bad(format!("{file}: bad magic")));
+        }
+        let len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
+        if (bytes.len() as u64 - 16) / 8 != len || bytes.len() % 8 != 0 {
+            return Err(bad(format!("{file}: length mismatch")));
+        }
+        Ok(decode_words(&bytes[16..], word))
     }
 
     /// The minor-axis nnz histogram sidecar: entry `i` counts stored
     /// entries with minor index `i`. Lets rank planners and the
     /// simulator's `gap_nnz` tables be computed without scanning data.
     pub fn minor_nnz(&self) -> io::Result<Vec<u64>> {
-        let bytes = std::fs::read(self.dir.join("minor_nnz.bin"))?;
-        if bytes.len() < 16 || &bytes[..8] != MINOR_MAGIC {
-            return Err(bad("minor_nnz.bin: bad magic"));
-        }
-        let len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
-        if bytes.len() != 16 + len * 8 || len != self.manifest.minor {
+        let counts = self.sidecar("minor_nnz.bin", MINOR_MAGIC, |v| v)?;
+        if counts.len() != self.manifest.minor {
             return Err(bad("minor_nnz.bin: length mismatch"));
         }
-        Ok(decode_u64s(&bytes[16..]))
+        Ok(counts)
     }
 
     /// Read the label sidecar (bitwise-exact `f64`s).
     pub fn read_labels(&self) -> io::Result<Vec<f64>> {
-        let mut f = File::open(self.dir.join("labels.bin"))?;
-        let mut bytes = Vec::new();
-        f.read_to_end(&mut bytes)?;
-        if bytes.len() < 16 || &bytes[..8] != LABEL_MAGIC {
-            return Err(bad("labels.bin: bad magic"));
-        }
-        let len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
-        if bytes.len() != 16 + len * 8 {
-            return Err(bad("labels.bin: length mismatch"));
-        }
-        Ok(decode_u64s(&bytes[16..])
-            .into_iter()
-            .map(f64::from_bits)
-            .collect())
+        self.sidecar("labels.bin", LABEL_MAGIC, f64::from_bits)
     }
 
     fn assemble(&self) -> io::Result<(Vec<usize>, Vec<usize>, Vec<f64>)> {
@@ -836,83 +842,197 @@ struct StatCells {
     resident_hwm: AtomicU64,
 }
 
-impl StatCells {
-    fn add_nanos(cell: &AtomicU64, d: std::time::Duration) {
-        cell.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-}
-
+#[derive(Default)]
 enum Slot {
+    /// Not resident and not being loaded.
+    #[default]
+    Absent,
     Loading,
-    Ready(Arc<DecodedShard>),
+    /// Boxed so the address published in [`CacheShared::slots`] is stable.
+    Ready(Box<DecodedShard>),
     Failed(String),
 }
 
+#[derive(Default)]
 struct Entry {
     slot: Slot,
     /// Epoch this shard is pinned for (0 = unpinned, evictable).
     pin_epoch: u64,
-    last_use: u64,
+    /// Neighbours (older, newer) in the eviction queue; meaningful only
+    /// while the shard is queued, i.e. unpinned and `Ready`.
+    queue: (u32, u32),
 }
 
+/// "No shard" in the eviction queue's links.
+const NIL: u32 = u32::MAX;
+
 struct CacheState {
-    entries: HashMap<usize, Entry>,
+    /// One entry per shard, indexed by shard id.
+    entries: Vec<Entry>,
+    /// The eviction queue: the unpinned `Ready` shards as a doubly linked
+    /// list through `Entry::queue`, in the order their pins were released
+    /// — least recently used first, every operation O(1).
+    oldest: u32,
+    newest: u32,
+    /// Shards with `pin_epoch != 0`: releasing old pins walks these, not
+    /// every resident entry.
+    pinned: Vec<usize>,
     epoch: u64,
-    tick: u64,
     resident: u64,
 }
 
-struct CacheShared {
-    state: Mutex<CacheState>,
-    loaded: Condvar,
-    stats: StatCells,
-}
-
-impl CacheShared {
-    /// Insert a finished load; evict unpinned LRU shards over `budget`.
-    fn finish_load(&self, sid: usize, result: io::Result<DecodedShard>, budget: u64) {
-        let mut st = self.state.lock().expect("shard cache poisoned");
-        let entry = st.entries.get_mut(&sid).expect("loading entry present");
-        match result {
-            Ok(d) => {
-                let bytes = d.heap_bytes();
-                entry.slot = Slot::Ready(Arc::new(d));
-                st.resident += bytes;
-                let hwm = &self.stats.resident_hwm;
-                hwm.fetch_max(st.resident, Ordering::Relaxed);
-                evict_over_budget(&mut st, &self.stats, budget);
-            }
-            Err(e) => entry.slot = Slot::Failed(e.to_string()),
+impl CacheState {
+    /// Queue `sid` for eviction as the most recently released.
+    fn enqueue(&mut self, sid: usize) {
+        let older = std::mem::replace(&mut self.newest, sid as u32);
+        self.entries[sid].queue = (older, NIL);
+        match older {
+            NIL => self.oldest = sid as u32,
+            o => self.entries[o as usize].queue.1 = sid as u32,
         }
-        self.loaded.notify_all();
+    }
+
+    /// Take `sid` out of the queue: it is being pinned, or evicted.
+    fn dequeue(&mut self, sid: usize) {
+        let (older, newer) = self.entries[sid].queue;
+        match older {
+            NIL => self.oldest = newer,
+            o => self.entries[o as usize].queue.1 = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            n => self.entries[n as usize].queue.0 = older,
+        }
     }
 }
 
-/// Drop unpinned shards, least-recently-used first, until the cache is
-/// under `budget`. Pinned shards are never touched — if the pinned set
-/// alone exceeds the budget, the caller (`prepare`) panics with sizing
-/// advice rather than silently unpinning live data.
-fn evict_over_budget(st: &mut CacheState, stats: &StatCells, budget: u64) {
-    while st.resident > budget {
-        let victim = st
-            .entries
-            .iter()
-            .filter(|(_, e)| e.pin_epoch == 0 && matches!(e.slot, Slot::Ready(_)))
-            .min_by_key(|(_, e)| e.last_use)
-            .map(|(&sid, _)| sid);
-        match victim {
-            Some(sid) => {
-                if let Some(Entry {
-                    slot: Slot::Ready(d),
-                    ..
-                }) = st.entries.remove(&sid)
-                {
-                    st.resident -= d.heap_bytes();
-                    stats.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            None => break, // everything resident is pinned or in flight
+/// What [`CacheShared::pin`] found.
+enum Pinned {
+    Ready,
+    Loading,
+    /// Was absent; now marked `Loading`, and the caller loads it.
+    Absent,
+}
+
+struct CacheShared {
+    store: ShardStore,
+    /// The minor-axis window served (the full axis unless a rank view).
+    window: (usize, usize),
+    /// Resident budget in decoded bytes.
+    budget: u64,
+    state: Mutex<CacheState>,
+    loaded: Condvar,
+    stats: StatCells,
+    /// The lock-free read path (module docs): `slots[sid]` points at the
+    /// decoded shard exactly while its entry is `Ready` *and* pinned.
+    /// Written only under `state`'s lock.
+    slots: Box<[AtomicPtr<DecodedShard>]>,
+}
+
+impl CacheShared {
+    fn lock(&self) -> MutexGuard<'_, CacheState> {
+        self.state.lock().expect("shard cache poisoned")
+    }
+
+    fn publish(&self, sid: usize, d: &DecodedShard) {
+        // Release pairs with the Acquire load in `slice`: a reader that
+        // sees the pointer sees the fully decoded shard behind it.
+        self.slots[sid].store(
+            d as *const DecodedShard as *mut DecodedShard,
+            Ordering::Release,
+        );
+    }
+
+    /// Pin `sid` through `epoch` (under the lock), marking an absent
+    /// shard `Loading` for the caller to load.
+    fn pin(&self, st: &mut CacheState, sid: usize, epoch: u64) -> Pinned {
+        let e = &mut st.entries[sid];
+        let newly_pinned = e.pin_epoch == 0;
+        e.pin_epoch = e.pin_epoch.max(epoch);
+        if newly_pinned {
+            st.pinned.push(sid);
         }
+        match &e.slot {
+            Slot::Ready(d) => {
+                if newly_pinned {
+                    self.publish(sid, d);
+                    st.dequeue(sid);
+                }
+                Pinned::Ready
+            }
+            Slot::Loading => Pinned::Loading,
+            Slot::Absent => {
+                e.slot = Slot::Loading;
+                Pinned::Absent
+            }
+            Slot::Failed(msg) => panic!("shard {sid} load failed: {msg}"),
+        }
+    }
+
+    /// Decode shard `sid` (windowed for a rank view), charging the time to
+    /// `nanos` — the foreground or background cell — and the byte/read
+    /// counters.
+    fn decode(&self, sid: usize, nanos: &AtomicU64) -> io::Result<DecodedShard> {
+        let t0 = Instant::now();
+        let d = if self.window == (0, self.store.manifest().minor) {
+            self.store.read_shard(sid)
+        } else {
+            self.store
+                .read_shard_window(sid, self.window.0, self.window.1)
+        };
+        nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let bytes = self.store.manifest().shards[sid].disk_bytes();
+        self.stats.bytes_read.fetch_add(bytes, Ordering::Relaxed);
+        self.stats.shard_reads.fetch_add(1, Ordering::Relaxed);
+        d
+    }
+
+    /// Load shard `sid` — marked `Loading` and pinned by the caller, under
+    /// the lock — and insert it, evicting unpinned shards over the budget.
+    fn load(&self, sid: usize, nanos: &AtomicU64) {
+        let result = self.decode(sid, nanos).map(Box::new);
+        let mut guard = self.lock();
+        let st = &mut *guard;
+        let evicted = match result {
+            Ok(d) => {
+                st.resident += d.heap_bytes();
+                let hwm = &self.stats.resident_hwm;
+                hwm.fetch_max(st.resident, Ordering::Relaxed);
+                match st.entries[sid].pin_epoch {
+                    0 => st.enqueue(sid),
+                    _ => self.publish(sid, &d),
+                }
+                st.entries[sid].slot = Slot::Ready(d);
+                self.evict_over_budget(st)
+            }
+            Err(e) => {
+                st.entries[sid].slot = Slot::Failed(e.to_string());
+                Vec::new()
+            }
+        };
+        self.loaded.notify_all();
+        drop(guard);
+        drop(evicted);
+    }
+
+    /// Remove unpinned shards, least recently released first, until the
+    /// cache is under budget, returning them for the caller to free outside
+    /// the lock. Pinned shards are never touched — if the pinned set alone
+    /// exceeds the budget, `prepare` panics with sizing advice instead.
+    #[must_use]
+    fn evict_over_budget(&self, st: &mut CacheState) -> Vec<DecodedShard> {
+        let mut evicted = Vec::new();
+        // An empty queue means everything resident is pinned or in flight.
+        while st.resident > self.budget && st.oldest != NIL {
+            let sid = st.oldest as usize;
+            st.dequeue(sid);
+            if let Slot::Ready(d) = std::mem::take(&mut st.entries[sid].slot) {
+                st.resident -= d.heap_bytes();
+                self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+                evicted.push(*d);
+            }
+        }
+        evicted
     }
 }
 
@@ -923,26 +1043,23 @@ fn evict_over_budget(st: &mut CacheState, stats: &StatCells, budget: u64) {
 ///
 /// Shards are cached decoded under a hard `budget` (bytes); a `saco-par`
 /// [`BackgroundWorker`](saco_par::BackgroundWorker) loads prefetched
-/// shards behind the solver's compute. See the module docs for the
-/// two-epoch pin contract that makes `slice`'s borrows sound.
+/// shards behind the solver's compute. See the module docs for the pin
+/// contract that makes `slice`'s lock-free borrows sound.
 ///
 /// A *windowed* view (`open_window`) restricts the minor axis to
 /// `wlo..whi` with indices rebased — the per-rank view for the dist/net
 /// engines. Each view owns an independent cache and loader.
 pub struct StreamingMatrix {
-    store: Arc<ShardStore>,
     shared: Arc<CacheShared>,
     loader: saco_par::BackgroundWorker,
-    window: (usize, usize),
-    budget: u64,
 }
 
 impl std::fmt::Debug for StreamingMatrix {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamingMatrix")
-            .field("dir", &self.store.dir())
-            .field("window", &self.window)
-            .field("budget", &self.budget)
+            .field("dir", &self.shared.store.dir())
+            .field("window", &self.shared.window)
+            .field("budget", &self.shared.budget)
             .finish_non_exhaustive()
     }
 }
@@ -965,41 +1082,45 @@ impl StreamingMatrix {
         whi: usize,
     ) -> io::Result<StreamingMatrix> {
         let store = ShardStore::open(dir)?;
-        assert!(
-            wlo <= whi && whi <= store.manifest().minor,
-            "window out of range"
-        );
         Ok(Self::from_store(store, budget_bytes, (wlo, whi)))
     }
 
-    /// Wrap an already-open store.
+    /// Wrap an already-open store; `window` must lie inside the minor axis.
     pub fn from_store(store: ShardStore, budget_bytes: u64, window: (usize, usize)) -> Self {
+        let (minor, shards) = (store.manifest().minor, store.manifest().shards.len());
+        assert!(
+            window.0 <= window.1 && window.1 <= minor && shards < NIL as usize,
+            "window (or shard count) out of range"
+        );
         StreamingMatrix {
-            store: Arc::new(store),
             shared: Arc::new(CacheShared {
+                store,
+                window,
+                budget: budget_bytes,
                 state: Mutex::new(CacheState {
-                    entries: HashMap::new(),
+                    entries: (0..shards).map(|_| Entry::default()).collect(),
+                    oldest: NIL,
+                    newest: NIL,
+                    pinned: Vec::new(),
                     epoch: 0,
-                    tick: 0,
                     resident: 0,
                 }),
                 loaded: Condvar::new(),
                 stats: StatCells::default(),
+                slots: (0..shards).map(|_| AtomicPtr::default()).collect(),
             }),
             loader: saco_par::BackgroundWorker::spawn("saco-shard-loader"),
-            window,
-            budget: budget_bytes,
         }
     }
 
     /// The underlying store.
     pub fn store(&self) -> &ShardStore {
-        &self.store
+        &self.shared.store
     }
 
     /// The configured resident budget in bytes.
     pub fn budget_bytes(&self) -> u64 {
-        self.budget
+        self.shared.budget
     }
 
     /// Snapshot the I/O counters.
@@ -1008,12 +1129,6 @@ impl StreamingMatrix {
         let fg = s.fg_read_nanos.load(Ordering::Relaxed) as f64 * 1e-9;
         let bg = s.bg_read_nanos.load(Ordering::Relaxed) as f64 * 1e-9;
         let wait = s.wait_nanos.load(Ordering::Relaxed) as f64 * 1e-9;
-        let resident = self
-            .shared
-            .state
-            .lock()
-            .expect("shard cache poisoned")
-            .resident;
         IoStats {
             bytes_read: s.bytes_read.load(Ordering::Relaxed),
             read_secs: fg + bg,
@@ -1024,64 +1139,65 @@ impl StreamingMatrix {
             prefetch_waits: s.prefetch_waits.load(Ordering::Relaxed),
             evictions: s.evictions.load(Ordering::Relaxed),
             shard_reads: s.shard_reads.load(Ordering::Relaxed),
-            resident_bytes: resident,
+            resident_bytes: self.shared.lock().resident,
             resident_hwm_bytes: s.resident_hwm.load(Ordering::Relaxed),
         }
     }
 
-    fn decode(store: &ShardStore, window: (usize, usize), sid: usize) -> io::Result<DecodedShard> {
-        if window == (0, store.manifest().minor) {
-            store.read_shard(sid)
-        } else {
-            store.read_shard_window(sid, window.0, window.1)
-        }
-    }
-
-    /// Timed decode, charging `nanos_cell` (fg or bg) and the byte/read
-    /// counters.
-    fn timed_decode(
-        &self,
-        sid: usize,
-        nanos_cell: fn(&StatCells) -> &AtomicU64,
-    ) -> io::Result<DecodedShard> {
-        let stats = &self.shared.stats;
-        let t0 = Instant::now();
-        let d = Self::decode(&self.store, self.window, sid);
-        StatCells::add_nanos(nanos_cell(stats), t0.elapsed());
-        stats.bytes_read.fetch_add(
-            self.store.manifest().shards[sid].disk_bytes(),
-            Ordering::Relaxed,
-        );
-        stats.shard_reads.fetch_add(1, Ordering::Relaxed);
-        d
-    }
-
     fn shard_ids(&self, sel: &[usize]) -> Vec<usize> {
-        let mut sids: Vec<usize> = sel.iter().map(|&k| self.store.shard_of(k)).collect();
+        let store = &self.shared.store;
+        let mut sids: Vec<usize> = sel.iter().map(|&k| store.shard_of(k)).collect();
         sids.sort_unstable();
         sids.dedup();
         sids
     }
 
-    /// Synchronously fault `sid` in (entry already marked `Loading` and
-    /// pinned by the caller under the lock).
-    fn sync_load(&self, sid: usize) {
-        let result = self.timed_decode(sid, |s| &s.fg_read_nanos);
-        self.shared.finish_load(sid, result, self.budget);
+    /// Block until `sid` is `Ready`, charging wait time as stall.
+    fn wait_ready(&self, sid: usize) -> *const DecodedShard {
+        let mut st = self.shared.lock();
+        loop {
+            match &st.entries[sid].slot {
+                Slot::Ready(d) => return &**d,
+                Slot::Failed(e) => panic!("shard {sid} load failed: {e}"),
+                Slot::Absent => unreachable!("waited shard {sid} is pinned, so never evicted"),
+                Slot::Loading => {
+                    let (t0, waited) = (Instant::now(), &self.shared.stats.wait_nanos);
+                    st = self.shared.loaded.wait(st).expect("shard cache poisoned");
+                    waited.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                }
+            }
+        }
     }
 
-    /// Block until `sid` is `Ready`, charging wait time as stall.
-    fn wait_ready(&self, sid: usize) -> Arc<DecodedShard> {
-        let mut st = self.shared.state.lock().expect("shard cache poisoned");
-        loop {
-            match &st.entries.get(&sid).expect("waited shard has entry").slot {
-                Slot::Ready(d) => return Arc::clone(d),
-                Slot::Failed(e) => panic!("shard {sid} load failed: {e}"),
-                Slot::Loading => {
-                    let t0 = Instant::now();
-                    st = self.shared.loaded.wait(st).expect("shard cache poisoned");
-                    StatCells::add_nanos(&self.shared.stats.wait_nanos, t0.elapsed());
-                }
+    /// The locked path of `slice`, for a shard that is not both resident
+    /// and pinned (e.g. a scan outside `prepare`): pins it for the current
+    /// epoch *before* handing it out, faulting it in synchronously on a
+    /// miss, so the loader cannot evict it under the borrow.
+    #[cold]
+    fn pin_now(&self, sid: usize) -> *const DecodedShard {
+        let found = {
+            let mut st = self.shared.lock();
+            let epoch = st.epoch.max(1);
+            self.shared.pin(&mut st, sid, epoch)
+        };
+        if let Pinned::Absent = found {
+            let misses = &self.shared.stats.prefetch_misses;
+            misses.fetch_add(1, Ordering::Relaxed);
+            self.shared.load(sid, &self.shared.stats.fg_read_nanos);
+        }
+        self.wait_ready(sid)
+    }
+
+    /// Visit every major slice by one bounded sequential pass over the
+    /// shards, decoding each transiently (never cached, never pinned).
+    fn scan(&self, mut visit: impl FnMut(usize, SparseSlice<'_>)) {
+        let shared = &*self.shared;
+        for meta in &shared.store.manifest().shards {
+            let d = shared
+                .decode(meta.index, &shared.stats.fg_read_nanos)
+                .unwrap_or_else(|e| panic!("shard {} read failed: {e}", meta.index));
+            for k in meta.lo..meta.hi {
+                visit(k, d.slice(k));
             }
         }
     }
@@ -1089,82 +1205,36 @@ impl StreamingMatrix {
 
 impl MajorSlices for StreamingMatrix {
     fn major_len(&self) -> usize {
-        self.store.manifest().major
+        self.shared.store.manifest().major
     }
 
     fn minor_len(&self) -> usize {
-        self.window.1 - self.window.0
+        self.shared.window.1 - self.shared.window.0
     }
 
-    /// Borrow global slice `k` from the resident cache, faulting its shard
-    /// in synchronously (and pinning it for the current epoch) on a miss.
+    /// Borrow global slice `k`. On a resident, pinned shard — every shard
+    /// a `prepare` covered — this takes no lock: one search for the shard
+    /// and one atomic load. Anything else goes through `pin_now`.
     ///
     /// The returned borrow is tied to `&self` but actually points into a
-    /// pinned [`DecodedShard`]; see the module docs for the two-epoch
-    /// contract under which that is sound.
+    /// pinned [`DecodedShard`]; see the module docs for the contract under
+    /// which that is sound.
     fn slice(&self, k: usize) -> SparseSlice<'_> {
-        enum Action {
-            Have(Arc<DecodedShard>),
-            Wait,
-            Fault,
+        let sid = self.shared.store.shard_of(k);
+        let mut shard = self.shared.slots[sid].load(Ordering::Acquire).cast_const();
+        if shard.is_null() {
+            shard = self.pin_now(sid);
         }
-        let sid = self.store.shard_of(k);
-        let arc = loop {
-            let action = {
-                let mut st = self.shared.state.lock().expect("shard cache poisoned");
-                st.tick += 1;
-                let tick = st.tick;
-                let epoch = st.epoch;
-                match st.entries.get_mut(&sid) {
-                    Some(e) => {
-                        e.last_use = tick;
-                        match &e.slot {
-                            Slot::Ready(d) => Action::Have(Arc::clone(d)),
-                            Slot::Failed(msg) => panic!("shard {sid} load failed: {msg}"),
-                            Slot::Loading => Action::Wait,
-                        }
-                    }
-                    None => {
-                        // Unplanned fault (e.g. a full scan outside
-                        // prepare/prefetch): load now, pinned to the
-                        // current epoch so the borrow below stays sound.
-                        self.shared
-                            .stats
-                            .prefetch_misses
-                            .fetch_add(1, Ordering::Relaxed);
-                        st.entries.insert(
-                            sid,
-                            Entry {
-                                slot: Slot::Loading,
-                                pin_epoch: epoch.max(1),
-                                last_use: tick,
-                            },
-                        );
-                        Action::Fault
-                    }
-                }
-            };
-            match action {
-                Action::Have(d) => break d,
-                Action::Wait => break self.wait_ready(sid),
-                Action::Fault => self.sync_load(sid),
-            }
-        };
-        let sl = arc.slice(k);
-        // SAFETY: `arc`'s DecodedShard is held by the cache entry for
-        // `sid`, which is pinned (by `prepare`/`prefetch`, or just above
-        // on the miss path) for at least the current epoch. Eviction
-        // skips pinned entries, and pins are only released by the second
-        // `prepare` call after the pinning one — by which point the
-        // solver contract (module docs) says no borrow from this epoch is
-        // still alive. The Vec storage inside a Ready shard is never
-        // mutated, so the pointers are stable for that whole window.
-        unsafe {
-            SparseSlice {
-                indices: std::slice::from_raw_parts(sl.indices.as_ptr(), sl.indices.len()),
-                values: std::slice::from_raw_parts(sl.values.as_ptr(), sl.values.len()),
-            }
-        }
+        // SAFETY: `shard` points at the boxed DecodedShard owned by the
+        // cache entry for `sid`, and that entry is pinned: a slot is only
+        // published for a pinned `Ready` entry, and `pin_now` pins before
+        // it returns. Eviction takes victims from the queue of unpinned
+        // entries alone, and the one place a pin is released (`prepare`,
+        // two epochs after it was taken) clears the slot first — by when
+        // the solver contract (module docs) says no borrow from that
+        // epoch is alive. A `Ready` shard is never mutated and its box
+        // never moves, so the pointers are stable for that whole window.
+        unsafe { (*shard).slice(k) }
     }
 }
 
@@ -1174,135 +1244,92 @@ impl SliceSource for StreamingMatrix {
     /// shards, and enforce the hard budget on the pinned set.
     fn prepare(&self, sel: &[usize]) {
         let sids = self.shard_ids(sel);
-        let mut need_sync: Vec<usize> = Vec::new();
-        let mut in_flight: Vec<usize> = Vec::new();
+        let stats = &self.shared.stats;
+        let (mut need_sync, mut in_flight) = (Vec::new(), Vec::new());
         let cur = {
-            let mut st = self.shared.state.lock().expect("shard cache poisoned");
+            let mut st = self.shared.lock();
             st.epoch += 1;
             let cur = st.epoch;
             for &sid in &sids {
-                st.tick += 1;
-                let tick = st.tick;
-                match st.entries.get_mut(&sid) {
-                    Some(e) => {
-                        e.pin_epoch = e.pin_epoch.max(cur);
-                        e.last_use = tick;
-                        match e.slot {
-                            Slot::Ready(_) => {
-                                self.shared
-                                    .stats
-                                    .prefetch_hits
-                                    .fetch_add(1, Ordering::Relaxed);
-                            }
-                            Slot::Loading => {
-                                self.shared
-                                    .stats
-                                    .prefetch_waits
-                                    .fetch_add(1, Ordering::Relaxed);
-                                in_flight.push(sid);
-                            }
-                            Slot::Failed(ref msg) => panic!("shard {sid} load failed: {msg}"),
-                        }
+                let counter = match self.shared.pin(&mut st, sid, cur) {
+                    Pinned::Ready => &stats.prefetch_hits,
+                    Pinned::Loading => {
+                        in_flight.push(sid);
+                        &stats.prefetch_waits
                     }
-                    None => {
-                        self.shared
-                            .stats
-                            .prefetch_misses
-                            .fetch_add(1, Ordering::Relaxed);
-                        st.entries.insert(
-                            sid,
-                            Entry {
-                                slot: Slot::Loading,
-                                pin_epoch: cur,
-                                last_use: tick,
-                            },
-                        );
+                    Pinned::Absent => {
                         need_sync.push(sid);
+                        &stats.prefetch_misses
                     }
-                }
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
             }
             cur
         };
         for sid in need_sync {
-            self.sync_load(sid);
+            self.shared.load(sid, &stats.fg_read_nanos);
         }
         for sid in in_flight {
             let _ = self.wait_ready(sid);
         }
-        let mut st = self.shared.state.lock().expect("shard cache poisoned");
+        let mut guard = self.shared.lock();
+        let st = &mut *guard;
         // Release pins two epochs old; the previous epoch's slices may
         // still be borrowed (overlap mode computes the next Gram while
-        // the current block is live), so only `cur` and `cur - 1` stay.
+        // the current block is live), so only `cur` and `cur - 1` stay —
+        // plus `cur + 1` while a prefetch is in flight. A released shard
+        // leaves the lock-free read path *before* it becomes evictable.
         let mut pinned_bytes = 0u64;
-        for e in st.entries.values_mut() {
-            if e.pin_epoch != 0 && e.pin_epoch + 2 <= cur {
+        let mut pinned = std::mem::take(&mut st.pinned);
+        pinned.retain(|&sid| {
+            let e = &mut st.entries[sid];
+            let keep = e.pin_epoch + 2 > cur;
+            if !keep {
                 e.pin_epoch = 0;
             }
-            if e.pin_epoch != 0 {
-                if let Slot::Ready(d) = &e.slot {
+            if let Slot::Ready(d) = &e.slot {
+                if keep {
                     pinned_bytes += d.heap_bytes();
+                } else {
+                    self.shared.slots[sid].store(std::ptr::null_mut(), Ordering::Release);
+                    st.enqueue(sid);
                 }
             }
-        }
-        evict_over_budget(&mut st, &self.shared.stats, self.budget);
+            keep
+        });
+        st.pinned = pinned;
+        let evicted = self.shared.evict_over_budget(st);
+        drop(guard);
+        drop(evicted);
         assert!(
-            pinned_bytes <= self.budget,
+            pinned_bytes <= self.shared.budget,
             "pinned shard set ({pinned_bytes} B across two epochs) exceeds the \
              resident budget ({} B); raise --mem-budget or re-shard with more, \
              smaller shards (shards touched per block ≈ s·µ)",
-            self.budget
+            self.shared.budget
         );
     }
 
     /// Queue background loads for the shards backing the *next* block's
     /// selection, pinned one epoch ahead so they survive until their
     /// `prepare` claims them. Returns immediately; the `saco-par`
-    /// background worker does the reads behind compute.
+    /// background worker does the reads, in one job, behind compute.
     fn prefetch(&self, sel: &[usize]) {
-        let sids = self.shard_ids(sel);
-        let mut to_load: Vec<usize> = Vec::new();
+        let mut to_load = self.shard_ids(sel);
         {
-            let mut st = self.shared.state.lock().expect("shard cache poisoned");
+            let mut st = self.shared.lock();
             let target = st.epoch + 1;
-            for &sid in &sids {
-                st.tick += 1;
-                let tick = st.tick;
-                match st.entries.get_mut(&sid) {
-                    Some(e) => {
-                        e.pin_epoch = e.pin_epoch.max(target);
-                        e.last_use = tick;
-                    }
-                    None => {
-                        st.entries.insert(
-                            sid,
-                            Entry {
-                                slot: Slot::Loading,
-                                pin_epoch: target,
-                                last_use: tick,
-                            },
-                        );
-                        to_load.push(sid);
-                    }
-                }
+            to_load.retain(|&sid| matches!(self.shared.pin(&mut st, sid, target), Pinned::Absent));
+        }
+        if to_load.is_empty() {
+            return;
+        }
+        let shared = Arc::clone(&self.shared);
+        self.loader.submit(move || {
+            for sid in to_load {
+                shared.load(sid, &shared.stats.bg_read_nanos);
             }
-        }
-        for sid in to_load {
-            let store = Arc::clone(&self.store);
-            let shared = Arc::clone(&self.shared);
-            let window = self.window;
-            let budget = self.budget;
-            self.loader.submit(move || {
-                let t0 = Instant::now();
-                let result = Self::decode(&store, window, sid);
-                StatCells::add_nanos(&shared.stats.bg_read_nanos, t0.elapsed());
-                shared
-                    .stats
-                    .bytes_read
-                    .fetch_add(store.manifest().shards[sid].disk_bytes(), Ordering::Relaxed);
-                shared.stats.shard_reads.fetch_add(1, Ordering::Relaxed);
-                shared.finish_load(sid, result, budget);
-            });
-        }
+        });
     }
 
     fn lookahead(&self) -> bool {
@@ -1310,47 +1337,20 @@ impl SliceSource for StreamingMatrix {
     }
 
     /// `y[k] = ⟨slice(k), x⟩` by one bounded sequential pass over the
-    /// shards, decoding each transiently (never cached, never pinned) —
-    /// the out-of-core replacement for a full-matrix `spmv`, bitwise
-    /// identical to it because the per-slice arithmetic is the same
-    /// `dot_dense` chain.
+    /// shards — the out-of-core replacement for a full-matrix `spmv`,
+    /// bitwise identical to it because the per-slice arithmetic is the
+    /// same `dot_dense` chain.
     fn major_spmv_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.minor_len(), "spmv input length");
         assert_eq!(y.len(), self.major_len(), "spmv output length");
-        let stats = &self.shared.stats;
-        for meta in &self.store.manifest().shards {
-            let t0 = Instant::now();
-            let d = Self::decode(&self.store, self.window, meta.index)
-                .unwrap_or_else(|e| panic!("shard {} read failed: {e}", meta.index));
-            StatCells::add_nanos(&stats.fg_read_nanos, t0.elapsed());
-            stats
-                .bytes_read
-                .fetch_add(meta.disk_bytes(), Ordering::Relaxed);
-            stats.shard_reads.fetch_add(1, Ordering::Relaxed);
-            for k in meta.lo..meta.hi {
-                y[k] = d.slice(k).dot_dense(x);
-            }
-        }
+        self.scan(|k, s| y[k] = s.dot_dense(x));
     }
 
     /// Row norms from one bounded sequential shard scan (same transient
     /// decode discipline as [`SliceSource::major_spmv_into`]).
     fn major_norms_into(&self, y: &mut [f64]) {
         assert_eq!(y.len(), self.major_len(), "norms output length");
-        let stats = &self.shared.stats;
-        for meta in &self.store.manifest().shards {
-            let t0 = Instant::now();
-            let d = Self::decode(&self.store, self.window, meta.index)
-                .unwrap_or_else(|e| panic!("shard {} read failed: {e}", meta.index));
-            StatCells::add_nanos(&stats.fg_read_nanos, t0.elapsed());
-            stats
-                .bytes_read
-                .fetch_add(meta.disk_bytes(), Ordering::Relaxed);
-            stats.shard_reads.fetch_add(1, Ordering::Relaxed);
-            for k in meta.lo..meta.hi {
-                y[k] = d.slice(k).norm_sq();
-            }
-        }
+        self.scan(|k, s| y[k] = s.norm_sq());
     }
 }
 
@@ -1537,6 +1537,143 @@ mod tests {
         assert!(
             s.resident_hwm_bytes <= budget + max_one,
             "resident high water {} beyond two pinned epochs + one incoming",
+            s.resident_hwm_bytes
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn slicing_an_unpinned_resident_shard_pins_it_against_eviction() {
+        let dir = tmp_dir("unpinned");
+        let a = random_csc(40, 40, 0.4, 9);
+        let bounds: Vec<usize> = (0..=5).map(|k| k * 8).collect();
+        write_csc(&dir, &a, &bounds, None).unwrap();
+        let store = ShardStore::open(&dir).unwrap();
+        let sizes: Vec<u64> = (0..5)
+            .map(|i| store.read_shard(i).unwrap().heap_bytes())
+            .collect();
+        // Room for any three shards: after three one-shard epochs shard 0
+        // is resident but its pin is released.
+        let mut top = sizes.clone();
+        top.sort_unstable();
+        let budget: u64 = top[2..].iter().sum();
+        let sm = StreamingMatrix::from_store(store, budget, (0, 40));
+        for shard in 0..3 {
+            sm.prepare(&[shard * 8]);
+        }
+        {
+            let st = sm.shared.lock();
+            assert!(matches!(st.entries[0].slot, Slot::Ready(_)));
+            assert_eq!(st.entries[0].pin_epoch, 0, "shard 0 resident, unpinned");
+        }
+        assert!(sm.shared.slots[0].load(Ordering::Acquire).is_null());
+        let borrowed = sm.slice(3);
+        // The next block's load pushes the cache over budget while the
+        // borrow is live and shard 0 is the oldest resident; `prepare`
+        // returns once the load is in and an eviction has made room.
+        sm.prefetch(&[24]);
+        sm.prepare(&[24]);
+        assert!(
+            sm.io_stats().evictions > 0,
+            "over budget, so something went"
+        );
+        let st = sm.shared.lock();
+        assert!(
+            matches!(st.entries[0].slot, Slot::Ready(_)) && st.entries[0].pin_epoch == 3,
+            "the sliced shard is pinned for the epoch that borrowed from it"
+        );
+        assert!(matches!(st.entries[1].slot, Slot::Absent), "shard 1 went");
+        assert_eq!(borrowed.indices, a.col(3).indices);
+        assert_eq!(borrowed.values, a.col(3).values);
+        drop(st);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// ≥ 200 driver-shaped blocks (`prepare`, `prefetch` the next, Gram +
+    /// cross) under the tightest budget the pin contract allows — any two
+    /// consecutive blocks' shards, nothing more — so the loader evicts
+    /// behind every block. On some blocks a helper thread holds the cache
+    /// mutex for the whole kernel call, which must still complete: `slice`
+    /// takes no lock on a pinned resident shard.
+    #[test]
+    fn stress_tiles_stay_bitwise_under_eviction_and_a_held_cache_lock() {
+        use crate::gram::{sampled_cross_into, sampled_gram_into, GramWorkspace};
+        use crate::DenseMatrix;
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        const SHARDS: usize = 32;
+        const BLOCKS: usize = 240;
+        let dir = tmp_dir("stress");
+        let a = random_csc(60, SHARDS * 8, 0.3, 10);
+        let bounds: Vec<usize> = (0..=SHARDS).map(|k| k * 8).collect();
+        write_csc(&dir, &a, &bounds, None).unwrap();
+        let store = ShardStore::open(&dir).unwrap();
+        let sizes: Vec<u64> = (0..SHARDS)
+            .map(|i| store.read_shard(i).unwrap().heap_bytes())
+            .collect();
+        // Each block draws three columns from each of two shards.
+        let mut rng = rng_from_seed(11);
+        let blocks: Vec<Vec<usize>> = (0..BLOCKS)
+            .map(|_| {
+                let (p, q) = (rng.next_index(SHARDS), rng.next_index(SHARDS));
+                let cols = [p, p, p, q, q, q].map(|sh| sh * 8 + rng.next_index(8));
+                cols.to_vec()
+            })
+            .collect();
+        let bytes_of = |pair: &[Vec<usize>]| {
+            let mut sids: Vec<usize> = pair.iter().flatten().map(|&c| c / 8).collect();
+            sids.sort_unstable();
+            sids.dedup();
+            sids.iter().map(|&sh| sizes[sh]).sum::<u64>()
+        };
+        let budget = blocks.windows(2).map(bytes_of).max().unwrap();
+        let sm = StreamingMatrix::from_store(store, budget, (0, 60));
+
+        let v: Vec<f64> = (0..60).map(|i| (i as f64 * 0.3).sin()).collect();
+        let (mut ws, mut ws_mem) = (GramWorkspace::new(), GramWorkspace::new());
+        let mut tiles = [(); 4].map(|_| DenseMatrix::zeros(0, 0));
+        for (t, block) in blocks.iter().enumerate() {
+            sm.prepare(block);
+            if let Some(next) = blocks.get(t + 1) {
+                sm.prefetch(next);
+            }
+            let held = (t % 40 == 7).then(|| {
+                let shared = Arc::clone(&sm.shared);
+                let (locked_tx, locked_rx) = mpsc::channel();
+                let (done_tx, done_rx) = mpsc::channel::<()>();
+                let holder = std::thread::spawn(move || {
+                    let _guard = shared.lock();
+                    locked_tx.send(()).unwrap();
+                    done_rx.recv_timeout(Duration::from_secs(60)).is_ok()
+                });
+                locked_rx.recv().unwrap();
+                (holder, done_tx)
+            });
+            let [g, c, g_mem, c_mem] = &mut tiles;
+            sampled_gram_into(&sm, block, 1, &mut ws, g);
+            sampled_cross_into(&sm, block, &[&v], c);
+            if let Some((holder, done_tx)) = held {
+                // A timed-out holder has hung up; the join reports it.
+                let _ = done_tx.send(());
+                assert!(
+                    holder.join().unwrap(),
+                    "block {t}: the kernels waited for the cache mutex"
+                );
+            }
+            sampled_gram_into(&a, block, 1, &mut ws_mem, g_mem);
+            sampled_cross_into(&a, block, &[&v], c_mem);
+            let bits =
+                |m: &DenseMatrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(g), bits(g_mem), "block {t}: Gram tile");
+            assert_eq!(bits(c), bits(c_mem), "block {t}: cross tile");
+        }
+        let s = sm.io_stats();
+        assert!(s.evictions > 0, "the tightest budget must evict");
+        let largest = *sizes.iter().max().unwrap();
+        assert!(
+            s.resident_hwm_bytes <= budget + 2 * largest,
+            "resident high water {} beyond budget {budget} + 2 shards of {largest}",
             s.resident_hwm_bytes
         );
         let _ = std::fs::remove_dir_all(&dir);
