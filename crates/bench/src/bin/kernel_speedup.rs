@@ -165,7 +165,7 @@ fn main() {
         fmt_secs(wall4)
     );
 
-    // -- Sparse sampled Gram over triangle row tiles ---------------------
+    // -- Sparse sampled Gram over lane-block tiles -----------------------
     let (rows, cols, width) = if quick {
         (4_000, 1_000, 64)
     } else {
@@ -174,11 +174,17 @@ fn main() {
     let csc = uniform_sparse(rows, cols, 0.01, 32).to_csc();
     let mut rng = rng_from_seed(33);
     let sel = sample_without_replacement(&mut rng, cols, width);
-    // Triangle row `a` scatters column sel[a] then dots it against every
-    // sel[b], b ≥ a: ~2·nnz_b flops per dot.
+    // The tile the kernel runs is one SPARSE_LANES-wide lane block of the
+    // triangle: block a0 scatters its (up to) 8 columns, then makes one
+    // pass over every partner sel[b], b > a0 — ~2·nnz_b per pass, all
+    // lanes at once.
     let nnz: Vec<u64> = sel.iter().map(|&j| csc.col_nnz(j) as u64).collect();
     let sparse_weights: Vec<u64> = (0..width)
-        .map(|r| nnz[r] + nnz[r..].iter().map(|&z| 2 * z).sum::<u64>())
+        .step_by(simd::SPARSE_LANES)
+        .map(|a0| {
+            let block = &nnz[a0..width.min(a0 + simd::SPARSE_LANES)];
+            block.iter().sum::<u64>() + nnz[a0 + 1..].iter().map(|&z| 2 * z).sum::<u64>()
+        })
         .collect();
     let sparse_ws = (rows + width * width) as u64;
     let s1 = modeled(
@@ -202,16 +208,21 @@ fn main() {
     let swall1 = wall_secs(reps, || {
         black_box(sampled_gram_parallel(&csc, &sel, 1));
     });
+    let swall2 = wall_secs(reps, || {
+        black_box(sampled_gram_parallel(&csc, &sel, 2));
+    });
     let swall4 = wall_secs(reps, || {
         black_box(sampled_gram_parallel(&csc, &sel, 4));
     });
     base.set("kernel.sparse_gram.wall_t1", swall1);
+    base.set("kernel.sparse_gram.wall_t2", swall2);
     base.set("kernel.sparse_gram.wall_t4", swall4);
     println!(
-        "sparse gram k={width}: modeled t1 {} t4 {} (speedup {sparse_speedup:.2}×); wall t1 {} t4 {}",
+        "sparse gram k={width}: modeled t1 {} t4 {} (speedup {sparse_speedup:.2}×); wall t1 {} t2 {} t4 {}",
         fmt_secs(s1),
         fmt_secs(s4),
         fmt_secs(swall1),
+        fmt_secs(swall2),
         fmt_secs(swall4)
     );
 

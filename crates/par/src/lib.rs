@@ -198,11 +198,13 @@ fn dispatch_width_for(nthreads: usize, ntiles: usize, work: u64, cpus: usize) ->
 /// Run `f` once per tile index in `0..ntiles` on up to `nthreads` scoped
 /// workers and return the results **in tile order**.
 ///
-/// `init` builds one scratch state per worker (e.g. a scatter workspace),
-/// reused across every tile that worker claims — per-worker state, never
-/// shared, so tiles cannot observe each other. Tiles are claimed
-/// dynamically (an atomic cursor) for load balance; determinism comes
-/// from the output being slotted by tile index, not completion order.
+/// `init` builds one scratch state per worker (e.g. a scatter workspace)
+/// when the worker claims its first tile — a worker that loses the race
+/// for every tile builds nothing — reused across every tile that worker
+/// claims: per-worker state, never shared, so tiles cannot observe each
+/// other. Tiles are claimed dynamically (an atomic cursor) for load
+/// balance; determinism comes from the output being slotted by tile
+/// index, not completion order.
 ///
 /// Falls back to a single in-place loop when `nthreads <= 1` or
 /// `ntiles <= 1` — the parallel and serial paths run the *same* `f`, so
@@ -238,8 +240,10 @@ where
     let workers = dispatch_width(nthreads, ntiles, work);
     if workers <= 1 || ntiles <= 1 {
         let t0 = Instant::now();
-        let mut state = init();
-        let out: Vec<T> = (0..ntiles).map(|idx| f(&mut state, idx)).collect();
+        let mut state = None;
+        let out: Vec<T> = (0..ntiles)
+            .map(|idx| f(state.get_or_insert_with(&init), idx))
+            .collect();
         let el = t0.elapsed().as_nanos() as u64;
         record_region(ntiles, el, el);
         return out;
@@ -252,14 +256,14 @@ where
             .map(|_| {
                 scope.spawn(|| {
                     let w0 = Instant::now();
-                    let mut state = init();
+                    let mut state = None;
                     let mut mine = Vec::new();
                     loop {
                         let idx = cursor.fetch_add(1, Ordering::Relaxed);
                         if idx >= ntiles {
                             break;
                         }
-                        mine.push((idx, f(&mut state, idx)));
+                        mine.push((idx, f(state.get_or_insert_with(&init), idx)));
                     }
                     (w0.elapsed().as_nanos() as u64, mine)
                 })
@@ -539,6 +543,34 @@ mod tests {
             (1..=4).contains(&total),
             "one restart per worker, got {total}"
         );
+    }
+
+    #[test]
+    fn init_runs_only_for_workers_that_claim_a_tile() {
+        let _globals = globals();
+        for (threads, ntiles) in [(4usize, 0usize), (4, 1), (4, 3), (2, 40), (64, 40)] {
+            let built = AtomicUsize::new(0);
+            let out = tiled_map(
+                threads,
+                ntiles,
+                || built.fetch_add(1, Ordering::Relaxed),
+                |state, i| (i, *state),
+            );
+            // Results slot in tile order whichever state computed them.
+            let order: Vec<usize> = out.iter().map(|&(i, _)| i).collect();
+            assert_eq!(order, (0..ntiles).collect::<Vec<_>>());
+            // No tiles, no scratch; never more states than workers or
+            // tiles; and every state built ran at least one tile.
+            let built = built.into_inner();
+            assert!(
+                built <= threads.min(ntiles),
+                "{built} inits, {ntiles} tiles"
+            );
+            let mut used: Vec<usize> = out.iter().map(|&(_, s)| s).collect();
+            used.sort_unstable();
+            used.dedup();
+            assert_eq!(used, (0..built).collect::<Vec<_>>());
+        }
     }
 
     #[test]

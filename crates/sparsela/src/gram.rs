@@ -8,20 +8,23 @@
 //! module computes the *local* contributions on one rank's block; the
 //! simulator's allreduce sums them across ranks.
 //!
-//! Two code paths:
-//! * sparse (scatter/dot over [`SparseSlice`]s) — for sparse datasets;
-//!   the serial kernel scatters [`simd::SPARSE_LANES`] selected slices
-//!   interleaved and streams each partner slice once per block, so the
-//!   per-entry gather becomes one cache-line-wide vector load;
+//! Two kernels, one body each at every thread count:
+//! * sparse (scatter/dot over [`SparseSlice`]s) — for sparse datasets. The
+//!   unit of work is one *lane block* of the upper triangle:
+//!   [`simd::SPARSE_LANES`] selected slices scattered interleaved, each
+//!   partner slice streamed once per block, so the per-entry gather is one
+//!   cache-line-wide vector load. One thread runs the blocks in place; a
+//!   `saco-par` pool claims them as tiles, heaviest first, one buffer of
+//!   the caller's [`GramWorkspace`] per worker, bands merged in block
+//!   order — same function, same per-lane chains, **bitwise identical**
+//!   by construction, ⌈k/LANES⌉ tiles wide (`docs/PERFORMANCE.md`);
 //! * dense (gather + blocked GEMM) — the BLAS-3 path for dense datasets,
 //!   which is also what makes computing `s` iterations of dot products at
-//!   once *faster per flop* than `s` separate BLAS-1 calls (Fig. 4e–h).
+//!   once *faster per flop* than `s` separate BLAS-1 calls (Fig. 4e–h);
+//!   pooled over row bands, bitwise identical likewise.
 //!
-//! Both paths have pool-parallel variants driven through `saco-par` whose
-//! results are **bitwise identical** to the serial kernels (fixed tile
-//! merge order, per-worker scatter workspaces — see `docs/PERFORMANCE.md`),
-//! and `_with_workspace`/`_into` variants that reuse caller-owned buffers
-//! so the SA hot loop allocates nothing per outer iteration.
+//! The `_with_workspace`/`_into` variants reuse caller-owned buffers so
+//! the SA hot loop allocates nothing per outer iteration.
 
 use crate::{simd, CscMatrix, CsrMatrix, DenseMatrix, SparseSlice};
 
@@ -127,21 +130,22 @@ pub trait SliceSource: MajorSlices {
 impl SliceSource for CsrMatrix {}
 impl SliceSource for CscMatrix {}
 
-/// Reusable scratch for the sparse Gram kernels: a dense scatter buffer
-/// of minor length (one column at a time — the pooled per-row path) and a
-/// 64-byte-aligned *interleaved* buffer holding [`simd::SPARSE_LANES`]
-/// scattered columns side by side (the serial SIMD block pass). Creating
-/// either per call costs an `O(minor_len)` zero-fill *and* an allocation;
-/// holding them across calls (both are restored to all-zeros by the
-/// kernels' un-scatter passes) makes repeated `sampled_gram` calls
-/// allocation-free. It also carries the *resolved-slice* scratch: each
-/// kernel call looks every selected slice up once ([`MajorSlices::slice`]
-/// may cost a search on an out-of-core source) and the triangle then runs
-/// on the borrowed slices alone.
+/// Reusable scratch for the sparse Gram kernel: one 64-byte-aligned
+/// *interleaved* buffer per worker, each holding [`simd::SPARSE_LANES`]
+/// scattered slices side by side. Creating one per call costs an
+/// `O(minor_len)` zero-fill *and* an allocation; holding them across calls
+/// (the kernel's un-scatter pass restores all-zeros) makes repeated
+/// `sampled_gram` calls allocation-free at any thread count. It also
+/// carries the *resolved-slice* scratch: a kernel call looks each selected
+/// slice up once ([`MajorSlices::slice`] may cost a search on an
+/// out-of-core source) and the triangle runs on the borrowed slices alone.
 #[derive(Clone, Debug, Default)]
 pub struct GramWorkspace {
-    scatter: Vec<f64>,
+    /// The serial path's buffer and the pool's first worker's. Inline, so
+    /// that a one-thread solve allocates the buffer and nothing beside it.
     interleaved: simd::AlignedBuf,
+    /// The further workers' buffers.
+    pooled: Vec<simd::AlignedBuf>,
     /// Allocation for the resolved slices; empty between calls, so the
     /// `'static` is never the lifetime of a stored borrow.
     resolved: Vec<SparseSlice<'static>>,
@@ -153,23 +157,15 @@ impl GramWorkspace {
         Self::default()
     }
 
-    /// The scatter buffer at length `minor_len`, all zeros. Grows (with a
-    /// zero fill of the new tail) when the matrix is larger than any seen
-    /// before; otherwise this is free — the kernels' un-scatter pass
-    /// maintains the all-zeros invariant between calls.
-    fn scatter_for(&mut self, minor_len: usize) -> &mut [f64] {
-        if self.scatter.len() < minor_len {
-            self.scatter.resize(minor_len, 0.0);
+    /// One interleaved buffer per worker, grow-only. A worker sizes its
+    /// own with [`lane_work`] when it claims a tile.
+    fn worker_bufs(&mut self, workers: usize) -> impl Iterator<Item = &mut simd::AlignedBuf> {
+        if self.pooled.len() + 1 < workers {
+            self.pooled.resize_with(workers - 1, Default::default);
         }
-        &mut self.scatter[..minor_len]
-    }
-
-    /// The interleaved scatter buffer at `SPARSE_LANES · minor_len`, all
-    /// zeros, 64-byte aligned (row `i` of all lanes is one cache line).
-    /// Same grow-only, zero-maintained contract as
-    /// [`Self::scatter_for`].
-    fn interleaved_for(&mut self, minor_len: usize) -> &mut [f64] {
-        self.interleaved.zeroed_to(simd::SPARSE_LANES * minor_len)
+        std::iter::once(&mut self.interleaved)
+            .chain(&mut self.pooled)
+            .take(workers)
     }
 
     /// Look up every selected slice once — `sel.len()` calls to
@@ -195,24 +191,10 @@ impl GramWorkspace {
     }
 }
 
-/// One upper-triangle row of the sampled Gram: scatter slice `a`, take
-/// its `norm_sq` for the diagonal and a sparse dot per later slice. This
-/// is THE per-entry arithmetic — serial and pooled paths both call it, so
-/// their outputs agree bitwise.
-fn gram_row(slices: &[SparseSlice<'_>], a: usize, work: &mut [f64], row: &mut Vec<f64>) {
-    let sa = slices[a];
-    for (&i, &v) in sa.indices.iter().zip(sa.values) {
-        work[i] = v;
-    }
-    row.clear();
-    row.reserve(slices.len() - a);
-    row.push(sa.norm_sq());
-    for sb in &slices[a + 1..] {
-        row.push(sb.dot_dense_sparse(work));
-    }
-    for &i in sa.indices {
-        work[i] = 0.0;
-    }
+/// `buf` at `SPARSE_LANES · minor_len`, all zeros, 64-byte aligned (row `i`
+/// of all lanes is one cache line). Free unless the matrix outgrew it.
+fn lane_work(buf: &mut simd::AlignedBuf, minor_len: usize) -> &mut [f64] {
+    buf.zeroed_to(simd::SPARSE_LANES * minor_len)
 }
 
 /// Compute the Gram matrix `G[a][b] = ⟨slice(sel[a]), slice(sel[b])⟩` of the
@@ -239,59 +221,85 @@ pub fn sampled_gram_with_workspace<M: MajorSlices>(
     g
 }
 
-/// Serial scatter-dot core: [`simd::SPARSE_LANES`] selected slices are
-/// scattered *interleaved* (lane `l` of row `i` at `work[LANES·i + l]`),
-/// then one streaming pass over each partner slice `b` produces up to
-/// `LANES` Gram entries at once — the old per-entry gather becomes one
-/// contiguous cache-line-wide load per nonzero.
+/// One lane block of the upper triangle — THE sampled-Gram kernel, the
+/// serial path's loop body and the pool's tile alike. The block's up to
+/// [`simd::SPARSE_LANES`] slices `a0..` are scattered *interleaved* (lane
+/// `l` of row `i` at `work[LANES·i + l]`), then one streaming pass over
+/// each partner slice `b > a0` yields the entries `(a0 + l, b)` of every
+/// lane at once — one contiguous cache-line-wide load per nonzero.
+/// Entries go to `put(a, b, v)`, `a ≤ b`, each exactly once.
 ///
-/// Bitwise identical to the per-row [`gram_row`] path (which the pooled
-/// variant still uses): each lane's accumulator follows exactly the
-/// single-chain order of `dot_dense` over slice `b`'s nonzeros, and
-/// diagonals are the same `norm_sq`. Only instruction scheduling differs.
-fn gram_serial_core(slices: &[SparseSlice<'_>], work: &mut [f64], out: &mut DenseMatrix) {
+/// Each lane's accumulator follows exactly the single-chain order of
+/// `dot_dense` over slice `b`'s nonzeros against slice `a` alone, and
+/// diagonals are `norm_sq`: an entry's bits depend on its two slices only,
+/// never on the block it sits in or the thread that computed it.
+fn gram_lane_block(
+    slices: &[SparseSlice<'_>],
+    a0: usize,
+    work: &mut [f64],
+    mut put: impl FnMut(usize, usize, f64),
+) {
     const L: usize = simd::SPARSE_LANES;
     let k = slices.len();
-    let mut a0 = 0;
-    while a0 < k {
-        let aw = (k - a0).min(L);
-        // Scatter the block's lanes and set its diagonal entries.
-        // Duplicate selections land in distinct lanes, so they coexist.
-        for l in 0..aw {
-            let sa = slices[a0 + l];
-            for (&i, &v) in sa.indices.iter().zip(sa.values) {
-                work[L * i + l] = v;
-            }
-            out.set(a0 + l, a0 + l, sa.norm_sq());
+    let aw = (k - a0).min(L);
+    // Scatter the block's lanes and emit its diagonal entries.
+    // Duplicate selections land in distinct lanes, so they coexist.
+    for l in 0..aw {
+        let sa = slices[a0 + l];
+        for (&i, &v) in sa.indices.iter().zip(sa.values) {
+            work[L * i + l] = v;
         }
-        // One pass per partner slice b > a0; lanes l < b − a0 are the
-        // strictly-upper entries (a0 + l, b), mirrored as we go.
-        for b in a0 + 1..k {
-            let lw = (b - a0).min(aw);
-            let sb = slices[b];
-            let mut lanes = [0.0f64; L];
-            simd::scatter_dot_lanes(sb.indices, sb.values, work, &mut lanes);
-            for l in 0..lw {
-                out.set(a0 + l, b, lanes[l]);
-                out.set(b, a0 + l, lanes[l]);
-            }
+        put(a0 + l, a0 + l, sa.norm_sq());
+    }
+    // Lanes l < b − a0 are the strictly-upper entries (a0 + l, b).
+    for b in a0 + 1..k {
+        let lw = (b - a0).min(aw);
+        let sb = slices[b];
+        let mut lanes = [0.0f64; L];
+        simd::scatter_dot_lanes(sb.indices, sb.values, work, &mut lanes);
+        for l in 0..lw {
+            put(a0 + l, b, lanes[l]);
         }
-        // Un-scatter: restore the workspace's all-zeros invariant.
-        for l in 0..aw {
-            for &i in slices[a0 + l].indices {
-                work[L * i + l] = 0.0;
-            }
+    }
+    // Un-scatter: restore the buffer's all-zeros invariant.
+    for l in 0..aw {
+        for &i in slices[a0 + l].indices {
+            work[L * i + l] = 0.0;
         }
-        a0 += L;
+    }
+}
+
+/// A pool tile: lane block `tile`'s band of the triangle — rows
+/// `a0..a0 + aw`, columns `a0..k`, row-major; below-diagonal slots unset.
+fn gram_tile(slices: &[SparseSlice<'_>], tile: usize, work: &mut [f64]) -> Vec<f64> {
+    let a0 = tile * simd::SPARSE_LANES;
+    let w = slices.len() - a0;
+    let mut band = vec![0.0; w.min(simd::SPARSE_LANES) * w];
+    gram_lane_block(slices, a0, work, |a, b, v| {
+        band[(a - a0) * w + (b - a0)] = v
+    });
+    band
+}
+
+/// Mirror tile `tile`'s band into `out`. Bands cover disjoint entries, so
+/// the merged matrix does not depend on the order tiles finished in.
+fn merge_band(tile: usize, band: &[f64], out: &mut DenseMatrix) {
+    let a0 = tile * simd::SPARSE_LANES;
+    let w = out.rows() - a0;
+    for (l, row) in band.chunks_exact(w).enumerate() {
+        for b in a0 + l..a0 + w {
+            out.set(a0 + l, b, row[b - a0]);
+            out.set(b, a0 + l, row[b - a0]);
+        }
     }
 }
 
 /// Fully workspace-reusing sampled Gram: writes into `out` (reshaped to
-/// `k×k` in place) and, when `nthreads > 1`, tiles the upper-triangle rows
-/// over the `saco-par` pool with one scatter workspace per worker, merged
-/// in fixed row order. Bitwise identical to [`sampled_gram`] at any
-/// thread count — the pooled path computes every entry with the same
-/// [`gram_row`] arithmetic.
+/// `k×k` in place) and, when `nthreads > 1`, hands the triangle's lane
+/// blocks to the `saco-par` pool as tiles — one interleaved buffer of `ws`
+/// per worker, bands merged in block order. Bitwise identical to
+/// [`sampled_gram`] at any thread count: every path runs
+/// [`gram_lane_block`].
 pub fn sampled_gram_into<M: MajorSlices>(
     m: &M,
     sel: &[usize],
@@ -313,19 +321,26 @@ fn gram_of_slices(
     out: &mut DenseMatrix,
 ) {
     let k = slices.len();
+    let ntiles = k.div_ceil(simd::SPARSE_LANES);
     out.reshape_zeroed(k, k);
+    let mut serial = || {
+        let work = lane_work(&mut ws.interleaved, minor);
+        for a0 in (0..k).step_by(simd::SPARSE_LANES) {
+            gram_lane_block(slices, a0, work, |a, b, v| {
+                out.set(a, b, v);
+                out.set(b, a, v);
+            });
+        }
+    };
     if k < 4 || nthreads <= 1 {
-        gram_serial_core(slices, ws.interleaved_for(minor), out);
-        return;
+        return serial();
     }
-    // One tile per upper-triangle row: row a costs (k − a) pair-dots, so
-    // fine-grained tiles plus the pool's dynamic claiming balance the
-    // triangle without a static schedule. Row a scatters slice a then
-    // dots it against every slice b ≥ a (~2·nnz_b each); the suffix-sum
-    // estimate below decides up front whether the whole triangle is
-    // cheaper than spawning workers — in which case we skip not just the
-    // pool but the tiled path's per-row buffers and merge copies, and run
-    // the serial SIMD block kernel directly.
+    // Block a0 costs its scatter plus one pass (~2·nnz_b) per partner
+    // b > a0, so the first tile is the heaviest and the pool's in-order
+    // dynamic claiming is longest-first. The suffix-sum estimate of the
+    // triangle's flops decides up front whether the Gram is cheaper than
+    // spawning workers — in which case the blocks run in place, without
+    // the pooled path's bands and merge copies.
     let mut work = 0u64;
     let mut suffix = 0u64;
     for s in slices.iter().rev() {
@@ -333,44 +348,39 @@ fn gram_of_slices(
         suffix += 2 * nnz;
         work += nnz + suffix;
     }
-    if saco_par::dispatch_width(nthreads, k, work) <= 1 {
-        // Sub-dispatch-size with a pool requested: run the serial core
-        // but count the region, like tiled_map_weighted's own fallback,
-        // so `par.regions` keeps tracking pooled-kernel invocations.
-        saco_par::serial_region(k, || {
-            gram_serial_core(slices, ws.interleaved_for(minor), out)
-        });
-        return;
+    let workers = saco_par::dispatch_width(nthreads, ntiles, work);
+    if workers <= 1 {
+        // Sub-dispatch-size with a pool requested: count the region, like
+        // tiled_map_weighted's own fallback, so `par.regions` keeps
+        // tracking pooled-kernel invocations.
+        return saco_par::serial_region(ntiles, serial);
     }
-    let rows = saco_par::tiled_map_weighted(
+    // Each worker draws its buffer when it claims its first tile.
+    let bufs = std::sync::Mutex::new(ws.worker_bufs(workers));
+    let bands = saco_par::tiled_map_weighted(
         nthreads,
-        k,
+        ntiles,
         work,
-        || (GramWorkspace::new(), Vec::new()),
-        |(ws, row), a| {
-            gram_row(slices, a, ws.scatter_for(minor), row);
-            std::mem::take(row)
+        || {
+            let buf = bufs.lock().expect("no tile runs under this lock").next();
+            lane_work(buf.expect("one buffer per worker"), minor)
         },
+        |buf, tile| gram_tile(slices, tile, buf),
     );
-    for (a, row) in rows.iter().enumerate() {
-        for (off, &v) in row.iter().enumerate() {
-            out.set(a, a + off, v);
-            out.set(a + off, a, v);
-        }
+    for (tile, band) in bands.iter().enumerate() {
+        merge_band(tile, band, out);
     }
 }
 
-/// Multi-threaded [`sampled_gram`] over the `saco-par` pool. Each entry
-/// is computed by exactly the same scatter-dot as the sequential kernel
-/// and rows merge in fixed order, so the result is **bitwise identical**
-/// — threading here is free parallelism, not a numerics change.
+/// Multi-threaded [`sampled_gram`] over the `saco-par` pool: the same
+/// lane-block kernel, tiles merged in fixed order, so the result is
+/// **bitwise identical** — threading here is free parallelism, not a
+/// numerics change.
 ///
 /// This is the shared-memory, within-rank parallelism a production rank
-/// would use on a multicore node; the deterministic-by-construction design
-/// keeps the SA equivalence guarantees intact. The kernel is
-/// memory-bandwidth bound, so the realized speedup depends on the host's
-/// spare bandwidth, not its core count — benchmark before relying on it
-/// (`cargo bench -p saco-bench --bench kernels`, group `sampled_gram_256`).
+/// would use on a multicore node. On the 2-vCPU reference host two workers
+/// deliver 14–15 Gflop/s (`lasso_par_dense`, k = 128 of 12 500 nonzeros) and
+/// the solve runs 1.6× the 1-thread one — `docs/PERFORMANCE.md`.
 pub fn sampled_gram_parallel<M: MajorSlices>(m: &M, sel: &[usize], nthreads: usize) -> DenseMatrix {
     let mut g = DenseMatrix::zeros(0, 0);
     sampled_gram_into(m, sel, nthreads, &mut GramWorkspace::new(), &mut g);
@@ -408,16 +418,6 @@ pub fn sampled_cross_into<M: MajorSlices>(
         for (j, v) in vs.iter().enumerate() {
             out.set(a, j, sl.dot_dense(v));
         }
-    }
-}
-
-impl SparseSlice<'_> {
-    /// Dot against a scattered dense workspace, iterating this (sparse)
-    /// slice. Same as `dot_dense` but named separately for clarity at the
-    /// Gram call site, where `work` holds another slice's scattered values.
-    #[inline]
-    fn dot_dense_sparse(&self, work: &[f64]) -> f64 {
-        self.dot_dense(work)
     }
 }
 
@@ -585,30 +585,89 @@ mod tests {
         assert_eq!(gram_flops(&uni, &sel), 40 * 8 * (8 + 1));
     }
 
-    #[test]
-    fn interleaved_serial_core_matches_gram_row_bitwise() {
-        // The serial core's SPARSE_LANES-interleaved pass must reproduce
-        // the per-row gram_row arithmetic bit for bit — that identity is
-        // what keeps the pooled path (which still uses gram_row) bitwise
-        // equal to the serial kernel. Selection includes a duplicate and
-        // a ragged tail (11 = 8 + 3 lanes).
-        let csc = random_sparse(80, 40, 0.2, 20).to_csc();
-        let sel = vec![0usize, 3, 3, 7, 11, 12, 19, 25, 31, 39, 2];
-        let g = sampled_gram(&csc, &sel);
-        let slices: Vec<SparseSlice<'_>> = sel.iter().map(|&j| csc.col(j)).collect();
-        let mut work = vec![0.0; 80];
-        let mut row = Vec::new();
-        for a in 0..sel.len() {
-            gram_row(&slices, a, &mut work, &mut row);
-            for (off, &v) in row.iter().enumerate() {
-                assert_eq!(
-                    g.get(a, a + off).to_bits(),
-                    v.to_bits(),
-                    "entry ({a},{})",
-                    a + off
+    /// The sampled Gram as the per-entry contract states it: entry (a, b)
+    /// is slice b's single `dot_dense` chain against slice a alone,
+    /// densified; diagonals are `norm_sq`.
+    fn reference_gram(slices: &[SparseSlice<'_>], minor: usize) -> DenseMatrix {
+        let k = slices.len();
+        let mut g = DenseMatrix::zeros(k, k);
+        for a in 0..k {
+            let mut dense = vec![0.0; minor];
+            for (&i, &v) in slices[a].indices.iter().zip(slices[a].values) {
+                dense[i] = v;
+            }
+            g.set(a, a, slices[a].norm_sq());
+            for b in a + 1..k {
+                let v = slices[b].dot_dense(&dense);
+                g.set(a, b, v);
+                g.set(b, a, v);
+            }
+        }
+        g
+    }
+
+    fn bits(g: &DenseMatrix) -> Vec<u64> {
+        g.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Runs the pooled path's two halves by hand — no work heuristic, no
+    /// CPU clamp, no threads: every lane block through [`gram_tile`] on
+    /// one of three worker buffers, the bands through [`merge_band`] in a
+    /// shuffled completion order.
+    fn tiles_and_merge_match_reference<M: MajorSlices>(m: &M, ws: &mut GramWorkspace, seed: u64) {
+        let mut rng = rng_from_seed(seed);
+        let minor = m.minor_len();
+        for k in 1..=40usize {
+            let mut sel: Vec<usize> = (0..k).map(|_| rng.next_index(m.major_len())).collect();
+            if k >= 2 {
+                sel[1] = sel[0]; // a duplicate inside a lane block …
+                sel[k - 1] = sel[0]; // … and, from k = 9, across blocks
+            }
+            let slices = ws.resolve(m, &sel);
+            let want = reference_gram(&slices, minor);
+            let mut bufs: Vec<_> = ws.worker_bufs(3).collect();
+            let mut bands: Vec<(usize, Vec<f64>)> = (0..k.div_ceil(simd::SPARSE_LANES))
+                .map(|t| (t, gram_tile(&slices, t, lane_work(bufs[t % 3], minor))))
+                .collect();
+            xrng::shuffle(&mut rng, &mut bands);
+            let mut got = DenseMatrix::zeros(k, k);
+            for (tile, band) in &bands {
+                merge_band(*tile, band, &mut got);
+            }
+            assert_eq!(bits(&got), bits(&want), "k={k}: tiles + merge");
+            ws.recycle(slices);
+            // The entry points run the same blocks; 4 threads at this
+            // size is the counted serial fallback.
+            for threads in [1usize, 4] {
+                sampled_gram_into(m, &sel, threads, ws, &mut got);
+                assert_eq!(bits(&got), bits(&want), "k={k} threads={threads}");
+            }
+            for (w, buf) in ws.worker_bufs(3).enumerate() {
+                assert!(
+                    buf.as_slice().iter().all(|&v| v.to_bits() == 0),
+                    "k={k}: worker buffer {w} not restored to zeros"
                 );
             }
         }
+    }
+
+    #[test]
+    fn lane_block_tiles_merge_to_the_single_chain_reference_bitwise() {
+        // Every fifth column and row is empty. One workspace serves both
+        // layouts, so its buffers shrink from minor 60 to 45 between them.
+        let mut coo = CooMatrix::new(60, 45);
+        let mut rng = rng_from_seed(20);
+        for i in (0..60).filter(|i| i % 5 != 2) {
+            for j in (0..45).filter(|j| j % 5 != 3) {
+                if rng.next_bool(0.3) {
+                    coo.push(i, j, rng.next_gaussian());
+                }
+            }
+        }
+        let mut ws = GramWorkspace::new();
+        tiles_and_merge_match_reference(&coo.to_csc(), &mut ws, 21);
+        tiles_and_merge_match_reference(&coo.to_csr(), &mut ws, 22);
+        assert_eq!(ws.pooled.len(), 2);
     }
 
     /// Counts `slice` calls on the matrix it wraps.

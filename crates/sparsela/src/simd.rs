@@ -582,9 +582,9 @@ pub fn scatter_dot_lanes(
 /// on a 64-byte boundary, so the sparse kernel's [`SPARSE_LANES`]-wide
 /// interleaved row loads are single-cache-line accesses.
 ///
-/// Semantics mirror `GramWorkspace`'s scatter buffer: [`Self::zeroed_to`]
-/// grows (zero-filled) and never shrinks, and kernels restore the
-/// all-zeros invariant with their un-scatter pass. Implemented as an
+/// `GramWorkspace` holds one per worker: [`Self::zeroed_to`] grows
+/// (zero-filled) and never shrinks, and kernels restore the all-zeros
+/// invariant with their un-scatter pass. Implemented as an
 /// over-allocated `Vec` plus an element offset — no `unsafe`.
 #[derive(Debug, Default)]
 pub struct AlignedBuf {
