@@ -9,10 +9,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datagen::{binary_classification, planted_regression, powerlaw_sparse};
-use mpisim::{CostModel, VirtualCluster};
+use mpisim::{CostModel, CostReport, VirtualCluster};
 use saco::prox::Lasso;
-use saco::sim::{sim_sa_accbcd, sim_sa_svm};
+use saco::run::Method;
 use saco::{LassoConfig, SvmConfig, SvmLoss};
+use saco_bench::simulate;
 use sparsela::io::Dataset;
 use std::hint::black_box;
 use std::sync::Once;
@@ -33,6 +34,18 @@ fn lasso_cfg(mu: usize, s: usize) -> LassoConfig {
         rel_tol: None,
         ..Default::default()
     }
+}
+
+/// Balanced accBCD on `p` virtual ranks of `model`.
+fn sim_accbcd(ds: &Dataset, cfg: &LassoConfig, p: usize, model: CostModel) -> CostReport {
+    let method = Method::Lasso {
+        reg: &Lasso::new(1.0),
+        cfg,
+        accel: true,
+    };
+    simulate(method, ds, p, model, true)
+        .report
+        .expect("sim reports costs")
 }
 
 static PRINT_ONCE: Once = Once::new();
@@ -72,8 +85,11 @@ fn print_simulated_summary() {
             gap_tol: None,
             overlap: true,
         };
-        let (_, naive) = sim_sa_svm(&svm_ds, &svm_cfg, 256, model, false);
-        let (_, bal) = sim_sa_svm(&svm_ds, &svm_cfg, 256, model, true);
+        let [naive, bal] = [false, true].map(|balanced| {
+            simulate(Method::svm(&svm_cfg), &svm_ds, 256, model, balanced)
+                .report
+                .expect("sim reports costs")
+        });
         println!(
             "  naive: comp+idle {:.2} ms | balanced: comp+idle {:.2} ms",
             (naive.critical.comp_time + naive.critical.idle_time) * 1e3,
@@ -82,7 +98,7 @@ fn print_simulated_summary() {
 
         println!("--- ablation: s-sweep total simulated time (accCD, P=1024) ---");
         for s in [1usize, 4, 16, 64, 256] {
-            let (_, rep) = sim_sa_accbcd(&ds, &Lasso::new(1.0), &lasso_cfg(1, s), p, model, true);
+            let rep = sim_accbcd(&ds, &lasso_cfg(1, s), p, model);
             println!("  s={s:>3}: {:.2} ms", rep.running_time() * 1e3);
         }
 
@@ -105,9 +121,7 @@ fn print_simulated_summary() {
             };
             let mut best = (0usize, f64::INFINITY);
             for s in [1usize, 8, 32, 128, 512] {
-                let (_, rep) =
-                    sim_sa_accbcd(&ds, &Lasso::new(1.0), &lasso_cfg(1, s), p_big, m, true);
-                let t = rep.running_time();
+                let t = sim_accbcd(&ds, &lasso_cfg(1, s), p_big, m).running_time();
                 if t < best.1 {
                     best = (s, t);
                 }
@@ -121,7 +135,7 @@ fn print_simulated_summary() {
 
         println!("--- ablation: µ-sweep total simulated time (s=16, P=1024) ---");
         for mu in [1usize, 2, 4, 8, 16] {
-            let (_, rep) = sim_sa_accbcd(&ds, &Lasso::new(1.0), &lasso_cfg(mu, 16), p, model, true);
+            let rep = sim_accbcd(&ds, &lasso_cfg(mu, 16), p, model);
             println!("  µ={mu:>2}: {:.2} ms", rep.running_time() * 1e3);
         }
         println!();
@@ -136,16 +150,7 @@ fn bench_sim_host_cost(c: &mut Criterion) {
     group.sample_size(10);
     for (label, s) in [("classic", 1usize), ("sa32", 32)] {
         group.bench_with_input(BenchmarkId::from_parameter(label), &s, |b, &s| {
-            b.iter(|| {
-                black_box(sim_sa_accbcd(
-                    &ds,
-                    &Lasso::new(1.0),
-                    &lasso_cfg(1, s),
-                    1024,
-                    model,
-                    true,
-                ))
-            });
+            b.iter(|| black_box(sim_accbcd(&ds, &lasso_cfg(1, s), 1024, model)));
         });
     }
     group.finish();

@@ -17,45 +17,31 @@
 //! effect. Results land in `BENCH_baseline.json` under `chaos.fig4.*`.
 
 use datagen::PaperDataset;
-use mpisim::{ChaosSpec, CostModel, CostReport};
-use saco::prox::Lasso;
-use saco::sim::{sim_sa_accbcd, sim_sa_accbcd_chaos};
-use saco::LassoConfig;
+use mpisim::{ChaosSpec, CostReport};
+use saco::run::RunOutcome;
 use saco_bench::baseline::Baseline;
-use saco_bench::{budget, fmt_secs, lambda_quantile, print_table, Csv};
+use saco_bench::{budget, fig4_point, fmt_secs, lambda_quantile, print_table, Csv};
 use sparsela::io::Dataset;
 
 /// Jitter amplitudes in seconds, spanning "quiet fabric" to "noisy cloud"
 /// relative to the Cray XC30 model's α = 8 µs latency term.
 const JITTER_LEVELS: [f64; 4] = [0.0, 2e-5, 1e-4, 5e-4];
 
-fn cfg(lambda: f64, s: usize, iters: usize) -> LassoConfig {
-    LassoConfig {
-        mu: 1,
-        s,
-        lambda,
-        seed: 4040,
-        max_iters: iters,
-        trace_every: 0,
-        rel_tol: None,
+/// One Fig. 4 point under `jitter` seconds of injected per-collective
+/// latency (0 = the clean cluster).
+fn solve(ds: &Dataset, lambda: f64, s: usize, iters: usize, p: usize, jitter: f64) -> RunOutcome {
+    let chaos = (jitter != 0.0).then(|| ChaosSpec {
+        seed: 99,
+        jitter,
         ..Default::default()
-    }
+    });
+    fig4_point(ds, lambda, s, iters, p, chaos)
 }
 
-fn run(ds: &Dataset, lambda: f64, s: usize, iters: usize, p: usize, jitter: f64) -> CostReport {
-    let c = cfg(lambda, s, iters);
-    let lasso = Lasso::new(lambda);
-    let model = CostModel::cray_xc30();
-    if jitter == 0.0 {
-        sim_sa_accbcd(ds, &lasso, &c, p, model, true).1
-    } else {
-        let spec = ChaosSpec {
-            seed: 99,
-            jitter,
-            ..Default::default()
-        };
-        sim_sa_accbcd_chaos(ds, &lasso, &c, p, model, true, &spec).1
-    }
+fn sim(ds: &Dataset, lambda: f64, s: usize, iters: usize, p: usize, jitter: f64) -> CostReport {
+    solve(ds, lambda, s, iters, p, jitter)
+        .report
+        .expect("sim reports costs")
 }
 
 /// Smallest s whose running time is within 2% of the sweep minimum — the
@@ -91,18 +77,7 @@ fn main() {
         eprintln!("chaos_sweep: {name} at P = {p} (H={iters}, λ={lambda:.3e})");
 
         // Bitwise reference: jitter must never change the numerics.
-        let reference = {
-            let c = cfg(lambda, s_sweep[0], iters);
-            sim_sa_accbcd(
-                &g.dataset,
-                &Lasso::new(lambda),
-                &c,
-                p,
-                CostModel::cray_xc30(),
-                true,
-            )
-            .0
-        };
+        let reference = solve(&g.dataset, lambda, s_sweep[0], iters, p, 0.0);
 
         let mut rows = Vec::new();
         let mut csv = Csv::create(
@@ -111,33 +86,20 @@ fn main() {
         );
         let mut prev_best = 0usize;
         for &jitter in &JITTER_LEVELS {
-            let classic = run(&g.dataset, lambda, 1, iters, p, jitter);
+            let classic = sim(&g.dataset, lambda, 1, iters, p, jitter);
             let sweep: Vec<(usize, CostReport)> = s_sweep
                 .iter()
                 .map(|&s| {
                     if s == s_sweep[0] && jitter > 0.0 {
-                        let c = cfg(lambda, s, iters);
-                        let spec = ChaosSpec {
-                            seed: 99,
-                            jitter,
-                            ..Default::default()
-                        };
-                        let (res, rep, _) = sim_sa_accbcd_chaos(
-                            &g.dataset,
-                            &Lasso::new(lambda),
-                            &c,
-                            p,
-                            CostModel::cray_xc30(),
-                            true,
-                            &spec,
-                        );
+                        let out = solve(&g.dataset, lambda, s, iters, p, jitter);
                         assert_eq!(
-                            res.x, reference.x,
+                            out.result().x,
+                            reference.result().x,
                             "chaos jitter changed the numerics at {name} s={s}"
                         );
-                        (s, rep)
+                        (s, out.report.expect("sim reports costs"))
                     } else {
-                        (s, run(&g.dataset, lambda, s, iters, p, jitter))
+                        (s, sim(&g.dataset, lambda, s, iters, p, jitter))
                     }
                 })
                 .collect();

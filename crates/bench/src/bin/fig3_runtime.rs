@@ -12,10 +12,10 @@
 use datagen::PaperDataset;
 use mpisim::CostModel;
 use saco::prox::Lasso;
-use saco::sim::{sim_sa_accbcd, sim_sa_bcd};
+use saco::run::Method;
 use saco::{LassoConfig, SolveResult};
 use saco_bench::baseline::{key_label, Baseline};
-use saco_bench::{budget, fmt_secs, lambda_quantile, print_table, Csv};
+use saco_bench::{budget, fmt_secs, lambda_quantile, print_table, simulate, Csv};
 use sparsela::io::Dataset;
 
 struct Panel {
@@ -33,7 +33,7 @@ struct Panel {
 fn run(
     ds: &Dataset,
     lambda: f64,
-    acc: bool,
+    accel: bool,
     mu: usize,
     s: usize,
     iters: usize,
@@ -49,13 +49,12 @@ fn run(
         rel_tol: None,
         ..Default::default()
     };
-    let model = CostModel::cray_xc30();
-    let reg = Lasso::new(lambda);
-    if acc {
-        sim_sa_accbcd(ds, &reg, &cfg, p, model, true).0
-    } else {
-        sim_sa_bcd(ds, &reg, &cfg, p, model, true).0
-    }
+    let reg = &Lasso::new(lambda);
+    let cfg = &cfg;
+    let method = Method::Lasso { reg, cfg, accel };
+    simulate(method, ds, p, CostModel::cray_xc30(), true)
+        .results
+        .swap_remove(0)
 }
 
 fn main() {

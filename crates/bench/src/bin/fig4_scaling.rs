@@ -11,34 +11,14 @@
 //! communication-reduction factors (paper: 4.2×–10.9×).
 
 use datagen::PaperDataset;
-use mpisim::{CostModel, CostReport};
-use saco::prox::Lasso;
-use saco::sim::sim_sa_accbcd;
-use saco::LassoConfig;
+use mpisim::CostReport;
 use saco_bench::baseline::Baseline;
-use saco_bench::{budget, fmt_secs, lambda_quantile, print_table, Csv};
+use saco_bench::{budget, fig4_point, fmt_secs, lambda_quantile, print_table, Csv};
 use sparsela::io::Dataset;
 
 fn run(ds: &Dataset, lambda: f64, s: usize, iters: usize, p: usize) -> CostReport {
-    let cfg = LassoConfig {
-        mu: 1,
-        s,
-        lambda,
-        seed: 4040,
-        max_iters: iters,
-        trace_every: 0,
-        rel_tol: None,
-        ..Default::default()
-    };
-    sim_sa_accbcd(
-        ds,
-        &Lasso::new(lambda),
-        &cfg,
-        p,
-        CostModel::cray_xc30(),
-        true,
-    )
-    .1
+    let out = fig4_point(ds, lambda, s, iters, p, None);
+    out.report.expect("sim reports costs")
 }
 
 fn main() {

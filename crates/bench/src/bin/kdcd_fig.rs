@@ -25,11 +25,11 @@
 
 use datagen::{binary_classification, dense_gaussian, powerlaw_sparse};
 use mpisim::CostModel;
+use saco::run::Method;
 use saco::seq::kdcd;
-use saco::sim::sim_kdcd;
 use saco::{KdcdConfig, KdcdTask, SvmLoss};
 use saco_bench::baseline::Baseline;
-use saco_bench::{fmt_secs, quick_mode};
+use saco_bench::{fmt_secs, quick_mode, simulate};
 use sparsela::io::Dataset;
 use sparsela::KernelFn;
 
@@ -119,7 +119,9 @@ fn run_shape(base: &mut Baseline, sh: &Shape, s_sweep: &[usize]) {
     let mut classic_time = None;
     for &s in s_sweep {
         let c = cfg(sh, s);
-        let (res, stats, rep) = sim_kdcd(&ds, &c, sh.p, CostModel::cray_xc30(), false);
+        let out = simulate(Method::kdcd(&c), &ds, sh.p, CostModel::cray_xc30(), false);
+        let (res, stats) = (out.result(), out.kdcd[0]);
+        let rep = out.report.expect("sim reports costs");
         assert!(res.final_value() < 0.0, "dual objective must move");
         let key = format!("kdcd_fig.{}.p{}.s{s}", sh.key, sh.p);
         base.record_report(&key, &rep);
@@ -156,9 +158,12 @@ fn smoke_bitwise(sh: &Shape) {
         let mut c = cfg(sh, 8);
         c.task = task;
         let (seq_res, seq_stats) = kdcd(&ds, &c);
-        let (sim_res, sim_stats, _) = sim_kdcd(&ds, &c, sh.p, CostModel::cray_xc30(), false);
-        assert_eq!(seq_res.x, sim_res.x, "{task:?}: seq vs sim iterates");
-        assert_eq!(seq_stats.cache, sim_stats.cache, "{task:?}: cache streams");
+        let sim = simulate(Method::kdcd(&c), &ds, sh.p, CostModel::cray_xc30(), false);
+        assert_eq!(seq_res.x, sim.result().x, "{task:?}: seq vs sim iterates");
+        assert_eq!(
+            seq_stats.cache, sim.kdcd[0].cache,
+            "{task:?}: cache streams"
+        );
     }
     println!("  smoke: seq ≡ sim bitwise on both tasks — ok");
 }

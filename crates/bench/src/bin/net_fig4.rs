@@ -20,7 +20,7 @@ use datagen::PaperDataset;
 use mpisim::CostModel;
 use saco::net::{net_sa_accbcd, LassoRankData, NetComm, NetConfig};
 use saco::prox::Lasso;
-use saco::sim::sim_sa_accbcd;
+use saco::run::Method;
 use saco::LassoConfig;
 use saco_bench::baseline::Baseline;
 use saco_bench::{budget, fmt_secs, print_table, Csv};
@@ -112,16 +112,15 @@ fn measured(exe: &Path, data: &Path, p: usize, s: usize, iters: usize, lambda: f
 /// Modeled running time for the same (P, s) point on the α-β-γ model.
 fn modeled(ds: &Dataset, lambda: f64, s: usize, iters: usize, p: usize) -> f64 {
     let cfg = lasso_cfg(lambda, s, iters);
-    sim_sa_accbcd(
-        ds,
-        &Lasso::new(lambda),
-        &cfg,
-        p,
-        CostModel::cray_xc30(),
-        false,
-    )
-    .1
-    .running_time()
+    let method = Method::Lasso {
+        reg: &Lasso::new(lambda),
+        cfg: &cfg,
+        accel: true,
+    };
+    saco_bench::simulate(method, ds, p, CostModel::cray_xc30(), false)
+        .report
+        .expect("sim reports costs")
+        .running_time()
 }
 
 fn main() {

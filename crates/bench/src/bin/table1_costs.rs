@@ -6,7 +6,7 @@ use datagen::{planted_regression, uniform_sparse};
 use mpisim::CostModel;
 use saco::costmodel::{accbcd_costs, sa_accbcd_costs, CostInputs};
 use saco::prox::Lasso;
-use saco::sim::sim_sa_accbcd;
+use saco::run::Method;
 use saco::LassoConfig;
 use saco_bench::{budget, print_table, Csv};
 
@@ -79,14 +79,14 @@ fn main() {
             rel_tol: None,
             ..Default::default()
         };
-        let (_, rep) = sim_sa_accbcd(
-            &ds,
-            &Lasso::new(0.1),
-            &cfg,
-            p,
-            CostModel::cray_xc30(),
-            false,
-        );
+        let method = Method::Lasso {
+            reg: &Lasso::new(0.1),
+            cfg: &cfg,
+            accel: true,
+        };
+        let rep = saco_bench::simulate(method, &ds, p, CostModel::cray_xc30(), false)
+            .report
+            .expect("sim reports costs");
         let c = rep.critical;
         csv.row_f64(&[
             s as f64,

@@ -11,7 +11,7 @@
 
 use datagen::{PaperDataset, Task};
 use mpisim::CostModel;
-use saco::sim::sim_sa_svm;
+use saco::run::Method;
 use saco::{SvmConfig, SvmLoss};
 use saco_bench::{budget, fmt_secs, print_table, Csv};
 
@@ -56,7 +56,10 @@ fn main() {
                     gap_tol: Some(tol),
                     overlap: true,
                 };
-                sim_sa_svm(&g.dataset, &cfg, p, CostModel::cray_xc30(), balanced).0
+                let model = CostModel::cray_xc30();
+                saco_bench::simulate(Method::svm(&cfg), &g.dataset, p, model, balanced)
+                    .results
+                    .swap_remove(0)
             };
             let classic = run(1);
             let sa = run(s);

@@ -25,6 +25,8 @@
 pub mod baseline;
 pub mod plot;
 
+use mpisim::{ChaosSpec, CostModel};
+use saco::run::{run, Engine, Method, RunOutcome, RunSpec, Source};
 use sparsela::io::Dataset;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -52,6 +54,53 @@ pub fn budget(iters: usize) -> usize {
     } else {
         iters
     }
+}
+
+/// Run `method` from memory on `p` virtual ranks of `model` — the
+/// `RunSpec` cell the paper's timing figures and tables are drawn from.
+pub fn simulate<R: saco::Regularizer>(
+    method: Method<'_, R>,
+    ds: &Dataset,
+    p: usize,
+    model: CostModel,
+    balanced: bool,
+) -> RunOutcome {
+    let engine = Engine::sim(p, model, balanced);
+    run(&RunSpec::new(method, engine, Source::InMemory(ds))).expect("simulated run")
+}
+
+/// One Fig. 4 point: (SA-)accCD (µ = 1, seed 4040, untraced) on `p`
+/// nnz-balanced virtual XC30 ranks, optionally under a chaos plan. Shared
+/// by `fig4_scaling`, `words_guard` and `chaos_sweep`, so the guard and
+/// the sweep re-simulate exactly the points the figure commits.
+pub fn fig4_point(
+    ds: &Dataset,
+    lambda: f64,
+    s: usize,
+    iters: usize,
+    p: usize,
+    chaos: Option<ChaosSpec>,
+) -> RunOutcome {
+    let cfg = saco::LassoConfig {
+        mu: 1,
+        s,
+        lambda,
+        seed: 4040,
+        max_iters: iters,
+        trace_every: 0,
+        rel_tol: None,
+        ..Default::default()
+    };
+    let (reg, cfg, accel) = (&saco::Lasso::new(lambda), &cfg, true);
+    let (model, balanced) = (CostModel::cray_xc30(), true);
+    let engine = Engine::Sim {
+        p,
+        model,
+        balanced,
+        chaos,
+    };
+    let method = Method::Lasso { reg, cfg, accel };
+    run(&RunSpec::new(method, engine, Source::InMemory(ds))).expect("simulated run")
 }
 
 /// A tiny CSV writer (plain text; no quoting needed for numeric series).

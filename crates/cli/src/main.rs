@@ -50,8 +50,10 @@
 //! the solver output is bitwise identical to the chaos-free run (see
 //! `docs/OBSERVABILITY.md` §"Fault injection & recovery").
 //!
-//! `--data shard:<dir>` (lasso, svm, info, simulate) streams the solve
-//! from a `saco shard` directory instead of loading the matrix: only the
+//! `--data shard:<dir>` (lasso, svm, ksvm, kridge, info, simulate) streams
+//! the solve from a `saco shard` directory instead of loading the matrix
+//! (`--axis csc` shards for lasso/simulate, `--axis csr` for the dual
+//! methods): only the
 //! sampled shards are resident, capped at `--mem-budget` bytes (default
 //! 256M, binary K/M/G suffixes), while the background loader prefetches
 //! the next block's shards behind the current block's compute. The
@@ -72,39 +74,28 @@
 //! requests over the netcomm framed transport, batching admissions by
 //! the Table-I α-β-γ cost model and publishing `serve.*` latency/SLO
 //! telemetry (see `docs/OBSERVABILITY.md` §"Serving").
-
 mod args;
 
 use args::{ArgError, Args};
 use datagen::{shard_plan, slice_nnz, PaperDataset};
 use mpisim::telemetry::report::parse_summary;
 use mpisim::telemetry::Registry;
-use mpisim::{CostModel, ThreadMachine};
-use saco::dist::{dist_kdcd, dist_sa_accbcd, dist_sa_bcd, LassoRankData, SvmRankData};
-use saco::net::{
-    net_kdcd, net_sa_accbcd, net_sa_bcd, record_net_stats, run_local_algo, Addr, Algo, Backoff,
-    NetComm, NetConfig,
-};
+use mpisim::CostModel;
+use saco::net::{Addr, Algo, Backoff, LassoRankData, NetComm, NetConfig};
 use saco::path::lasso_path;
 use saco::prox::Lasso;
-use saco::seq::{kdcd, sa_accbcd, sa_bcd, sa_svm};
+use saco::run::{
+    merge_rank_registries, net_rank_telemetry, open_store, run, run_rank, Engine, Method, RankComm,
+    RankData, RunError, RunOutcome, RunSpec, Source,
+};
 use saco::serve::{ModelArtifact, ServeConfig};
-use saco::sim::{
-    record_kdcd_stats, sim_kdcd_chaos, sim_kdcd_instrumented, sim_sa_accbcd_chaos,
-    sim_sa_accbcd_instrumented, sim_sa_bcd_chaos, sim_sa_bcd_instrumented,
-};
-use saco::stream::{
-    record_shard_stats, stream_dist_sa_accbcd, stream_dist_sa_bcd, stream_kdcd, stream_lasso_ranks,
-    stream_net_sa_accbcd, stream_net_sa_bcd, stream_sa_accbcd, stream_sa_bcd, stream_sa_svm,
-    stream_sim_sa_accbcd, stream_sim_sa_bcd, StreamRankData,
-};
 use saco::{KdcdConfig, KdcdStats, KdcdTask, LassoConfig, SvmConfig, SvmLoss};
 use sparsela::io::{read_libsvm, write_libsvm, Dataset};
 use sparsela::shard::{
     verify_store, write_csc, write_csr, IoStats, ShardAxis, ShardStore, StreamingMatrix,
 };
 use sparsela::vecops;
-use sparsela::{MajorSlices, SliceSource};
+use sparsela::SliceSource;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -201,14 +192,14 @@ pooled workers; results are bitwise identical at any thread count.
 next block's sampling + Gram formation; solver outputs are bitwise
 identical either way — only simulated comm/idle timing changes.
 
-`--chaos seed=S,skew=X,jitter=Y,straggle=F,fail=RANK@STEP` (simulate
+`--chaos seed=S,skew=X,jitter=Y,straggle=F,fail=RANK@STEP` (--engine sim
 only) injects a seeded, replayable straggler/jitter/failure plan into
 the virtual cluster. Chaos perturbs time, never values: the solver
 output stays bitwise identical to the chaos-free run, and the run
 report gains `chaos.*` counters and gauges.
 
-`--data shard:<dir>` (lasso, svm, info, simulate) streams the solve
-out-of-core from a `saco shard` directory under a `--mem-budget`
+`--data shard:<dir>` (lasso, svm, ksvm, kridge, info, simulate) streams
+the solve out-of-core from a `saco shard` directory under a `--mem-budget`
 resident cap (default 256M; binary K/M/G suffixes). The sampler runs
 one block ahead so the loader prefetches behind compute; the iterates
 stay bitwise identical to the in-memory run.
@@ -219,10 +210,10 @@ run `saco <subcommand>` without options to see its required flags."
 
 fn load(args: &Args) -> Result<Dataset, ArgError> {
     let path = args.require("data")?;
-    if path.starts_with("shard:") {
+    if shard_dir(args).is_some() {
         return Err(ArgError(format!(
-            "--data {path}: shard directories stream through lasso, svm, info, and \
-             simulate; this subcommand needs a LIBSVM file"
+            "--data {path}: shard directories stream through lasso, svm, ksvm, kridge, \
+             info, and simulate; this subcommand needs a LIBSVM file"
         )));
     }
     let file = File::open(path).map_err(|e| ArgError(format!("open {path}: {e}")))?;
@@ -247,18 +238,224 @@ fn write_weights(args: &Args, x: &[f64]) -> Result<(), ArgError> {
     Ok(())
 }
 
-fn resolve_lambda(args: &Args, ds: &Dataset) -> Result<f64, ArgError> {
+/// A count option that must be at least 1 (`--p`, `--s`, `--mu`,
+/// `--iters`): zero is a typed error naming the flag, not an assert deep
+/// in a solver or a partitioner.
+fn positive(args: &Args, name: &str, default: usize) -> Result<usize, ArgError> {
+    match args.get_or(name, default)? {
+        0 => Err(ArgError(format!("--{name} must be at least 1"))),
+        n => Ok(n),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The run surface: `--engine/--p/--balanced/--algo/--chaos` pick the engine,
+// `--data [shard:]…` + `--mem-budget` the source; `saco::run` does the rest.
+// ---------------------------------------------------------------------------
+
+/// The directory of a `--data shard:<dir>` argument.
+fn shard_dir(args: &Args) -> Option<&str> {
+    args.get("data")?.strip_prefix("shard:")
+}
+
+/// What `--data` named: a loaded LIBSVM file, or an open shard directory
+/// (the out-of-core path) with its labels sidecar and the `--mem-budget`
+/// resident byte cap (default 256M; per view — each rank of a dist/net
+/// run gets its own budget).
+enum Data {
+    Memory(Dataset),
+    Shards {
+        dir: PathBuf,
+        budget: u64,
+        store: ShardStore,
+        labels: Vec<f64>,
+    },
+}
+
+impl Data {
+    fn source(&self) -> Source<'_> {
+        match self {
+            Data::Memory(ds) => Source::InMemory(ds),
+            Data::Shards { dir, budget, .. } => Source::Shards {
+                dir,
+                budget: *budget,
+            },
+        }
+    }
+
+    fn dataset(&self) -> Option<&Dataset> {
+        match self {
+            Data::Memory(ds) => Some(ds),
+            Data::Shards { .. } => None,
+        }
+    }
+
+    /// `(points, features)`.
+    fn dims(&self) -> (usize, usize) {
+        match self {
+            Data::Memory(ds) => (ds.num_points(), ds.num_features()),
+            Data::Shards { store, .. } => manifest_dims(store),
+        }
+    }
+
+    fn labels(&self) -> &[f64] {
+        match self {
+            Data::Memory(ds) => &ds.b,
+            Data::Shards { labels, .. } => labels,
+        }
+    }
+
+    /// The marker streamed runs carry in their header line.
+    fn stream_tag(&self) -> String {
+        match self {
+            Data::Memory(_) => String::new(),
+            Data::Shards { budget, .. } => format!(" (streaming, budget {budget} bytes)"),
+        }
+    }
+}
+
+/// `(points, features)` of a shard store, whichever axis it chunks.
+fn manifest_dims(store: &ShardStore) -> (usize, usize) {
+    let man = store.manifest();
+    match man.axis {
+        ShardAxis::Csr => (man.major, man.minor),
+        ShardAxis::Csc => (man.minor, man.major),
+    }
+}
+
+/// `--p` (default 4, at most `max`: one endpoint per rank) and `--algo
+/// tree|ring` of a socket mesh, in-process or launched.
+fn parse_mesh(args: &Args, max: usize) -> Result<(usize, Algo), ArgError> {
+    let p = args.get_or("p", 4)?;
+    if p == 0 || p > max {
+        return Err(ArgError(format!(
+            "a socket mesh runs one endpoint per rank; --p must be 1..={max}, got {p}"
+        )));
+    }
+    let algo = Algo::parse(args.get("algo").unwrap_or("tree"))
+        .map_err(|e| ArgError(format!("--algo: {e}")))?;
+    Ok((p, algo))
+}
+
+/// `--engine` by name plus the flags that parameterize it.
+fn parse_engine(args: &Args, name: &str) -> Result<Engine, ArgError> {
+    if name != "sim" && args.get("chaos").is_some() {
+        return Err(ArgError(format!(
+            "--chaos injects faults into the *modeled* cluster; engine {name:?} runs real code (use --engine sim)"
+        )));
+    }
+    let balanced = args.flag("balanced");
+    let model = CostModel::cray_xc30();
+    Ok(match name {
+        "seq" => Engine::Seq,
+        "sim" => Engine::Sim {
+            p: positive(args, "p", 1024)?,
+            model,
+            balanced,
+            chaos: parse_chaos(args)?,
+        },
+        "dist" => Engine::Dist {
+            p: positive(args, "p", 4)?,
+            model,
+            balanced,
+        },
+        "net" => {
+            let (p, algo) = parse_mesh(args, 64)?;
+            Engine::Net { p, algo, balanced }
+        }
+        other => {
+            return Err(ArgError(format!(
+                "--engine must be seq|sim|dist|net, got {other:?}"
+            )))
+        }
+    })
+}
+
+/// `--chaos seed=S,skew=X,jitter=Y,straggle=F,fail=RANK@STEP`.
+fn parse_chaos(args: &Args) -> Result<Option<mpisim::ChaosSpec>, ArgError> {
+    args.get("chaos")
+        .map(|spec| mpisim::ChaosSpec::parse(spec).map_err(|e| ArgError(format!("--chaos: {e}"))))
+        .transpose()
+}
+
+/// The one place a command line becomes a run surface. `default_engine`
+/// is the subcommand's `--engine` default (`None`: the subcommand has no
+/// engine flag and runs sequentially); `axis` is what its method samples
+/// — a shard store of the other axis is rejected with re-shard advice.
+fn parse_run(
+    args: &Args,
+    default_engine: Option<&str>,
+    axis: ShardAxis,
+) -> Result<(Engine, Data), ArgError> {
+    let name = default_engine.map_or("seq", |d| args.get("engine").unwrap_or(d));
+    let engine = parse_engine(args, name)?;
+    let Some(dir) = shard_dir(args) else {
+        return Ok((engine, Data::Memory(load(args)?)));
+    };
+    if args.get("chaos").is_some() {
+        return Err(ArgError(
+            "--chaos perturbs the modeled cluster; the streaming path does real I/O \
+             (drop shard: or --chaos)"
+                .into(),
+        ));
+    }
+    if args.get("model-out").is_some() {
+        return Err(ArgError(
+            "--model-out fingerprints the in-memory dataset; drop shard: to write an artifact"
+                .into(),
+        ));
+    }
+    let budget = parse_bytes(args.get("mem-budget").unwrap_or("256M"))
+        .map_err(|e| ArgError(format!("--mem-budget: {e}")))?;
+    let store = open_store(Path::new(dir), axis)?;
+    let labels = store
+        .read_labels()
+        .map_err(|e| ArgError(format!("read labels from {dir}: {e}")))?;
+    let dir = PathBuf::from(dir);
+    Ok((
+        engine,
+        Data::Shards {
+            dir,
+            budget,
+            store,
+            labels,
+        },
+    ))
+}
+
+/// A typed run error, rendered for the terminal.
+impl From<RunError> for ArgError {
+    fn from(e: RunError) -> Self {
+        ArgError(e.to_string())
+    }
+}
+
+/// λ from `--lambda`, else `--lambda-frac` (default 0.1) of ‖Aᵀb‖∞. On a
+/// shard store (CSC axis: the major slices *are* the columns) one
+/// transient pass of [`SliceSource::major_spmv_into`] computes Aᵀb on a
+/// throwaway view, so the solve's I/O counters start clean.
+fn resolve_lambda(args: &Args, data: &Data) -> Result<f64, ArgError> {
     if let Some(l) = args.get_opt::<f64>("lambda")? {
         return Ok(l);
     }
     let frac = args.get_or("lambda-frac", 0.1)?;
-    let lmax = vecops::inf_norm(&ds.a.spmv_t(&ds.b));
-    Ok(frac * lmax)
+    let atb = match data {
+        Data::Memory(ds) => ds.a.spmv_t(&ds.b),
+        Data::Shards {
+            store,
+            budget,
+            labels,
+            ..
+        } => {
+            let man = store.manifest();
+            let view = StreamingMatrix::from_store(store.clone(), *budget, (0, man.minor));
+            let mut atb = vec![0.0; man.major];
+            view.major_spmv_into(labels, &mut atb);
+            atb
+        }
+    };
+    Ok(frac * vecops::inf_norm(&atb))
 }
-
-// ---------------------------------------------------------------------------
-// Out-of-core data sources (`saco shard`, `--data shard:<dir>`)
-// ---------------------------------------------------------------------------
 
 /// A byte count with an optional binary K/M/G suffix (`64M` = 64·2²⁰).
 fn parse_bytes(s: &str) -> Result<u64, String> {
@@ -275,66 +472,13 @@ fn parse_bytes(s: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("{s:?} overflows a u64 byte count"))
 }
 
-/// `--data shard:<dir>` selects the out-of-core path: returns the shard
-/// directory plus the `--mem-budget` resident byte cap (default 256M;
-/// per view — each rank of a dist/net run gets its own budget).
-fn shard_source(args: &Args) -> Result<Option<(PathBuf, u64)>, ArgError> {
-    let Some(data) = args.get("data") else {
-        return Ok(None);
-    };
-    let Some(dir) = data.strip_prefix("shard:") else {
-        return Ok(None);
-    };
-    let budget = parse_bytes(args.get("mem-budget").unwrap_or("256M"))
-        .map_err(|e| ArgError(format!("--mem-budget: {e}")))?;
-    Ok(Some((PathBuf::from(dir), budget)))
-}
-
-/// Open a shard directory as a budgeted streaming view, checking that its
-/// axis matches what the solver samples (Lasso columns, SVM rows).
-fn open_stream(
-    dir: &Path,
-    budget: u64,
-    axis: ShardAxis,
-    what: &str,
-) -> Result<StreamingMatrix, ArgError> {
-    let mat = StreamingMatrix::open(dir, budget)
-        .map_err(|e| ArgError(format!("open shard store {}: {e}", dir.display())))?;
-    let got = mat.store().manifest().axis;
-    if got != axis {
-        let want = if axis == ShardAxis::Csc { "csc" } else { "csr" };
-        return Err(ArgError(format!(
-            "{what} streams {want}-axis shards, but {} holds {got:?} — \
-             re-shard with `saco shard --axis {want}`",
-            dir.display()
-        )));
-    }
-    Ok(mat)
-}
-
-/// The labels sidecar of a streaming view's store.
-fn read_store_labels(mat: &StreamingMatrix, dir: &Path) -> Result<Vec<f64>, ArgError> {
-    mat.store()
-        .read_labels()
-        .map_err(|e| ArgError(format!("read labels from {}: {e}", dir.display())))
-}
-
-/// λ resolution against a CSC-axis streaming view: the major slices *are*
-/// the columns, so one transient pass of [`SliceSource::major_spmv_into`]
-/// computes Aᵀb without growing the resident set.
-fn resolve_lambda_stream(args: &Args, mat: &StreamingMatrix, b: &[f64]) -> Result<f64, ArgError> {
-    if let Some(l) = args.get_opt::<f64>("lambda")? {
-        return Ok(l);
-    }
-    let frac = args.get_or("lambda-frac", 0.1)?;
-    let mut atb = vec![0.0; mat.major_len()];
-    mat.major_spmv_into(b, &mut atb);
-    Ok(frac * vecops::inf_norm(&atb))
-}
-
-/// One human line summarizing streaming I/O across views: counters add,
-/// the resident high-water mark is the per-view maximum.
+/// One human line summarizing streaming I/O across views (none for an
+/// in-memory run): counters add, the resident high-water mark is the
+/// per-view maximum.
 fn print_io(stats: &[IoStats]) {
+    if stats.is_empty() {
+        return;
+    }
     let bytes: u64 = stats.iter().map(|s| s.bytes_read).sum();
     let hits: u64 = stats.iter().map(|s| s.prefetch_hits).sum();
     let misses: u64 = stats.iter().map(|s| s.prefetch_misses).sum();
@@ -350,23 +494,104 @@ fn print_io(stats: &[IoStats]) {
     );
 }
 
-/// Fold every rank view's `shard.*`/`io.*` stats into `telemetry`:
-/// counters add across ranks, gauges keep the per-rank maximum.
-fn merge_shard_stats(telemetry: &mut Registry, ranks: &[StreamRankData]) {
-    for r in ranks {
-        let mut one = Registry::new();
-        record_shard_stats(&mut one, &r.mat);
-        for (k, v) in one.counters() {
-            telemetry.counter_add(k, *v);
+/// The per-engine summary vocabulary, one row per engine: the title
+/// `simulate` prints, what the engine's clock is called, how its time is
+/// qualified, and its scale (rank count, allreduce) for summaries whose
+/// title line does not carry it.
+fn engine_view(
+    engine: &Engine,
+    streaming: bool,
+) -> (String, &'static str, &'static str, Vec<String>) {
+    let st = if streaming { ", streaming" } else { "" };
+    match engine {
+        Engine::Seq => {
+            let title = format!("sequential (engine seq{st})");
+            (title, "wall time", "measured", Vec::new())
         }
-        for (k, v) in one.gauges() {
-            if telemetry.gauge(k).is_none_or(|cur| *v > cur) {
-                telemetry.gauge_set(k, *v);
-            }
+        Engine::Sim { p, .. } => {
+            let st = if streaming { " (streaming)" } else { "" };
+            let title = format!("simulated {p} ranks{st}");
+            (
+                title,
+                "running time",
+                "simulated",
+                vec![format!("{p} ranks")],
+            )
+        }
+        Engine::Dist { p, .. } => {
+            let title = format!("thread machine (engine dist{st}), {p} ranks");
+            (title, "running time", "modeled", vec![format!("{p} ranks")])
+        }
+        Engine::Net { p, algo, .. } => {
+            let title = format!("socket mesh (engine net{st}), {p} ranks ({algo} allreduce)");
+            let scale = vec![format!("{p} ranks"), format!("{algo} allreduce")];
+            (title, "wall time", "measured", scale)
         }
     }
 }
 
+/// The per-engine run summary: the clock line, then the modeled
+/// critical-path costs (sim, dist) or the measured wire totals (net).
+/// `titled` summaries (`simulate`) already named the engine and its
+/// scale on a title line; the others qualify the clock line instead.
+fn print_engine_summary(engine: &Engine, out: &RunOutcome, titled: bool) {
+    let (_, clock, kind, scale) = engine_view(engine, false);
+    let mut tags = if titled { Vec::new() } else { scale };
+    // `simulate --engine sim` is the one summary that never qualified
+    // its clock: simulated time is that engine's whole point.
+    if !(titled && matches!(engine, Engine::Sim { .. })) {
+        tags.insert(0, kind.to_string());
+    }
+    let tags = match tags.is_empty() {
+        true => String::new(),
+        false => format!(" ({})", tags.join(", ")),
+    };
+    let secs = out.report.map_or(out.wall_secs, |rep| rep.running_time());
+    println!("  {clock}: {secs:.6} s{tags}");
+    if let Some(rep) = out.report {
+        let c = rep.critical;
+        println!(
+            "  compute {:.6} s | communicate {:.6} s | idle {:.6} s",
+            c.comp_time, c.comm_time, c.idle_time
+        );
+        println!(
+            "  messages {} | words {} | flops {}",
+            c.messages, c.words, c.flops
+        );
+    }
+    if matches!(engine, Engine::Net { .. }) {
+        print_wire_totals(&out.telemetry);
+    }
+}
+
+/// The measured `net.*` totals of a mesh run (in-process or launched).
+fn print_wire_totals(t: &Registry) {
+    println!(
+        "  wire {:.6} s | solver wait {:.6} s | hidden by overlap {:.6} s",
+        t.gauge("net.comm.wall_secs").unwrap_or(0.0),
+        t.gauge("net.wait.wall_secs").unwrap_or(0.0),
+        t.gauge("net.overlap.hidden_secs").unwrap_or(0.0),
+    );
+    println!(
+        "  bytes {} | frames {} | collectives {} | reconnects {}",
+        t.counter("net.bytes_tx"),
+        t.counter("net.frames_tx"),
+        t.counter("net.collectives"),
+        t.counter("net.reconnects"),
+    );
+}
+
+/// The one metrics tail: `--metrics <path>` writes the run's report.
+fn write_run_metrics(args: &Args, out: &RunOutcome) -> Result<(), ArgError> {
+    match args.get("metrics") {
+        Some(path) => write_metrics(args, &mut out.run_report(), path),
+        None => Ok(()),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Out-of-core data (`saco shard`)
+// ---------------------------------------------------------------------------
 /// Synthesize a paper stand-in by registry name (the `generate` source).
 fn synth_dataset(args: &Args, name: &str) -> Result<Dataset, ArgError> {
     let ds_enum = PaperDataset::ALL
@@ -463,99 +688,6 @@ fn cmd_shard(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// Streaming `saco lasso --data shard:<dir>`: bitwise the in-memory
-/// solve, bounded resident memory.
-fn lasso_from_shards(args: &Args, dir: &Path, budget: u64) -> Result<(), ArgError> {
-    let a = open_stream(dir, budget, ShardAxis::Csc, "lasso")?;
-    let b = read_store_labels(&a, dir)?;
-    let lambda = resolve_lambda_stream(args, &a, &b)?;
-    let cfg = lasso_cfg(args, lambda)?;
-    let reg = Lasso::new(lambda);
-    let accel = args.flag("acc");
-    println!(
-        "lasso (streaming, budget {budget} bytes): {} × {}, λ = {lambda:.6e}, µ = {}, s = {}, H = {}",
-        a.minor_len(),
-        a.major_len(),
-        cfg.mu,
-        cfg.s,
-        cfg.max_iters
-    );
-    let t0 = Instant::now();
-    let res = if accel {
-        stream_sa_accbcd(&a, &b, &reg, &cfg)
-    } else {
-        stream_sa_bcd(&a, &b, &reg, &cfg)
-    };
-    let wall = t0.elapsed().as_secs_f64();
-    println!(
-        "objective: {:.6e} (from {:.6e}); nonzeros: {}/{}",
-        res.final_value(),
-        res.trace.initial_value(),
-        vecops::nnz_count(&res.x, 1e-10),
-        res.x.len()
-    );
-    print_io(&[a.io_stats()]);
-    if let Some(path) = args.get("metrics") {
-        let mut telemetry = Registry::new();
-        telemetry.set_meta("engine", "sequential");
-        telemetry.set_meta("cli.engine", "seq");
-        telemetry.set_meta("data.source", "shard");
-        telemetry.set_meta(
-            "solver",
-            if accel {
-                "stream_sa_accbcd"
-            } else {
-                "stream_sa_bcd"
-            },
-        );
-        telemetry.gauge_set("objective.final", res.final_value());
-        telemetry.gauge_set("time.wall_secs", wall);
-        record_shard_stats(&mut telemetry, &a);
-        write_metrics(args, &mut telemetry, path)?;
-    }
-    write_weights(args, &res.x)
-}
-
-/// Streaming `saco svm --data shard:<dir>` (CSR-axis store).
-fn svm_from_shards(args: &Args, dir: &Path, budget: u64) -> Result<(), ArgError> {
-    let a = open_stream(dir, budget, ShardAxis::Csr, "svm")?;
-    let b = read_store_labels(&a, dir)?;
-    if !b.iter().all(|&v| v == 1.0 || v == -1.0) {
-        return Err(ArgError("svm needs ±1 labels".into()));
-    }
-    let cfg = svm_cfg(args)?;
-    println!(
-        "svm-{:?} (streaming, budget {budget} bytes): {} × {}, λ = {}, s = {}, H ≤ {}",
-        cfg.loss,
-        a.major_len(),
-        a.minor_len(),
-        cfg.lambda,
-        cfg.s,
-        cfg.max_iters
-    );
-    let t0 = Instant::now();
-    let res = stream_sa_svm(&a, &b, &cfg);
-    let wall = t0.elapsed().as_secs_f64();
-    println!(
-        "duality gap: {:.6e} after {} iterations",
-        res.final_value(),
-        res.iters
-    );
-    print_io(&[a.io_stats()]);
-    if let Some(path) = args.get("metrics") {
-        let mut telemetry = Registry::new();
-        telemetry.set_meta("engine", "sequential");
-        telemetry.set_meta("cli.engine", "seq");
-        telemetry.set_meta("data.source", "shard");
-        telemetry.set_meta("solver", "stream_sa_svm");
-        telemetry.gauge_set("objective.final", res.final_value());
-        telemetry.gauge_set("time.wall_secs", wall);
-        record_shard_stats(&mut telemetry, &a);
-        write_metrics(args, &mut telemetry, path)?;
-    }
-    write_weights(args, &res.x)
-}
-
 /// `--overlap on|off`: overlap the fused allreduce with next-block
 /// sampling + Gram formation (default on). Purely a scheduling knob — the
 /// solver output is bitwise identical either way; only the simulated
@@ -572,16 +704,43 @@ fn parse_overlap(args: &Args) -> Result<bool, ArgError> {
 
 fn lasso_cfg(args: &Args, lambda: f64) -> Result<LassoConfig, ArgError> {
     Ok(LassoConfig {
-        mu: args.get_or("mu", 8)?,
-        s: args.get_or("s", 16)?,
+        mu: positive(args, "mu", 8)?,
+        s: positive(args, "s", 16)?,
         lambda,
         seed: args.get_or("seed", 42)?,
-        max_iters: args.get_or("iters", 10_000)?,
+        max_iters: positive(args, "iters", 10_000)?,
         trace_every: args.get_or("trace-every", 0)?,
         rel_tol: args.get_opt("rel-tol")?,
         overlap: parse_overlap(args)?,
         ..Default::default()
     })
+}
+
+/// `--model-out` for a solution with no resumable training state: the
+/// iterate plus its sampling provenance (`prov.lambda` is the trained λ).
+fn save_solution(
+    args: &Args,
+    data: &Data,
+    family: &str,
+    prov: &LassoConfig,
+    iters: usize,
+    res: &saco::SolveResult,
+) -> Result<(), ArgError> {
+    let Some((mpath, ds)) = args.get("model-out").zip(data.dataset()) else {
+        return Ok(());
+    };
+    let (first, last) = (res.trace.initial_value(), res.final_value());
+    let art = ModelArtifact::from_solution(
+        family,
+        ds,
+        prov,
+        prov.lambda,
+        res.x.clone(),
+        iters,
+        first,
+        last,
+    );
+    save_artifact(&art, mpath)
 }
 
 /// Write a model artifact and say what the server can do with it.
@@ -601,32 +760,24 @@ fn save_artifact(art: &ModelArtifact, path: &str) -> Result<(), ArgError> {
 }
 
 fn cmd_lasso(args: &Args) -> Result<(), ArgError> {
-    if let Some((dir, budget)) = shard_source(args)? {
-        if args.get("model-out").is_some() {
-            return Err(ArgError(
-                "--model-out fingerprints the in-memory dataset; drop shard: to write an artifact"
-                    .into(),
-            ));
-        }
-        return lasso_from_shards(args, &dir, budget);
-    }
-    let ds = load(args)?;
-    let lambda = resolve_lambda(args, &ds)?;
+    let (engine, data) = parse_run(args, None, ShardAxis::Csc)?;
+    let lambda = resolve_lambda(args, &data)?;
     let cfg = lasso_cfg(args, lambda)?;
     let reg = Lasso::new(lambda);
+    let accel = args.flag("acc");
+    let (points, features) = data.dims();
     println!(
-        "lasso: {} × {}, λ = {lambda:.6e}, µ = {}, s = {}, H = {}",
-        ds.num_points(),
-        ds.num_features(),
+        "lasso{}: {points} × {features}, λ = {lambda:.6e}, µ = {}, s = {}, H = {}",
+        data.stream_tag(),
         cfg.mu,
         cfg.s,
         cfg.max_iters
     );
-    if args.get("model-out").is_some() && !args.flag("acc") {
+    if let (Some((mpath, ds)), false) = (args.get("model-out").zip(data.dataset()), accel) {
         // The artifact trainer is the same driver run as sa_bcd — bitwise
         // the same solve — but it also captures the residual bits and
         // sampling provenance the server needs to resume training.
-        let art = ModelArtifact::train_lasso(&ds, &reg, lambda, &cfg);
+        let art = ModelArtifact::train_lasso(ds, &reg, lambda, &cfg);
         println!(
             "objective: {:.6e} (from {:.6e}); nonzeros: {}/{}",
             art.final_obj,
@@ -634,14 +785,16 @@ fn cmd_lasso(args: &Args) -> Result<(), ArgError> {
             art.nonzeros(),
             art.x.len()
         );
-        save_artifact(&art, args.require("model-out")?)?;
+        save_artifact(&art, mpath)?;
         return write_weights(args, &art.x);
     }
-    let res = if args.flag("acc") {
-        sa_accbcd(&ds, &reg, &cfg)
-    } else {
-        sa_bcd(&ds, &reg, &cfg)
+    let method = Method::Lasso {
+        reg: &reg,
+        cfg: &cfg,
+        accel,
     };
+    let out = run(&RunSpec::new(method, engine, data.source()))?;
+    let res = out.result();
     println!(
         "objective: {:.6e} (from {:.6e}); nonzeros: {}/{}",
         res.final_value(),
@@ -649,21 +802,11 @@ fn cmd_lasso(args: &Args) -> Result<(), ArgError> {
         vecops::nnz_count(&res.x, 1e-10),
         res.x.len()
     );
-    if let Some(mpath) = args.get("model-out") {
-        // Accelerated iterates have no single warm-startable residual
-        // chain: persist the solution score-only.
-        let art = ModelArtifact::from_solution(
-            "lasso-acc",
-            &ds,
-            &cfg,
-            lambda,
-            res.x.clone(),
-            cfg.max_iters,
-            res.trace.initial_value(),
-            res.final_value(),
-        );
-        save_artifact(&art, mpath)?;
-    }
+    print_io(&out.io);
+    write_run_metrics(args, &out)?;
+    // Accelerated iterates have no single warm-startable residual chain:
+    // persist the solution score-only.
+    save_solution(args, &data, "lasso-acc", &cfg, cfg.max_iters, res)?;
     write_weights(args, &res.x)
 }
 
@@ -677,9 +820,9 @@ fn svm_cfg(args: &Args) -> Result<SvmConfig, ArgError> {
     Ok(SvmConfig {
         loss,
         lambda: args.get_or("lambda", 1.0)?,
-        s: args.get_or("s", 64)?,
+        s: positive(args, "s", 64)?,
         seed: args.get_or("seed", 42)?,
-        max_iters: args.get_or("iters", 100_000)?,
+        max_iters: positive(args, "iters", 100_000)?,
         trace_every: args.get_or("trace-every", 1_000)?,
         gap_tol: args.get_opt("gap-tol")?,
         overlap: parse_overlap(args)?,
@@ -687,60 +830,61 @@ fn svm_cfg(args: &Args) -> Result<SvmConfig, ArgError> {
 }
 
 fn cmd_svm(args: &Args) -> Result<(), ArgError> {
-    if let Some((dir, budget)) = shard_source(args)? {
-        return svm_from_shards(args, &dir, budget);
-    }
-    let ds = load(args)?;
-    if !ds.b.iter().all(|&b| b == 1.0 || b == -1.0) {
+    let (engine, data) = parse_run(args, None, ShardAxis::Csr)?;
+    if !data.labels().iter().all(|&b| b == 1.0 || b == -1.0) {
         return Err(ArgError("svm needs ±1 labels".into()));
     }
     let cfg = svm_cfg(args)?;
-    let loss = cfg.loss;
+    let (points, features) = data.dims();
     println!(
-        "svm-{loss:?}: {} × {}, λ = {}, s = {}, H ≤ {}",
-        ds.num_points(),
-        ds.num_features(),
+        "svm-{:?}{}: {points} × {features}, λ = {}, s = {}, H ≤ {}",
+        cfg.loss,
+        data.stream_tag(),
         cfg.lambda,
         cfg.s,
         cfg.max_iters
     );
-    let res = sa_svm(&ds, &cfg);
-    let prob = saco::problem::SvmProblem::new(cfg.loss, cfg.lambda);
-    println!(
-        "duality gap: {:.6e} after {} iterations; training accuracy: {:.4}",
+    let out = run(&RunSpec::new(Method::svm(&cfg), engine, data.source()))?;
+    let res = out.result();
+    print!(
+        "duality gap: {:.6e} after {} iterations",
         res.final_value(),
-        res.iters,
-        prob.accuracy(&ds.a, &ds.b, &res.x)
+        res.iters
     );
-    if let Some(mpath) = args.get("model-out") {
-        let prov = LassoConfig {
-            mu: 1,
-            s: cfg.s,
-            lambda: cfg.lambda,
-            seed: cfg.seed,
-            max_iters: cfg.max_iters,
-            trace_every: 0,
-            ..Default::default()
-        };
-        let art = ModelArtifact::from_solution(
-            "svm",
-            &ds,
-            &prov,
-            cfg.lambda,
-            res.x.clone(),
-            res.iters,
-            res.trace.initial_value(),
-            res.final_value(),
-        );
-        save_artifact(&art, mpath)?;
+    match data.dataset() {
+        Some(ds) => {
+            let prob = saco::problem::SvmProblem::new(cfg.loss, cfg.lambda);
+            println!(
+                "; training accuracy: {:.4}",
+                prob.accuracy(&ds.a, &ds.b, &res.x)
+            );
+        }
+        None => println!(),
     }
+    print_io(&out.io);
+    write_run_metrics(args, &out)?;
+    let prov = dual_provenance(cfg.s, cfg.lambda, cfg.seed, cfg.max_iters);
+    save_solution(args, &data, "svm", &prov, res.iters, res)?;
     write_weights(args, &res.x)
+}
+
+/// The sampling provenance a dual-method artifact records (µ = 1 row per
+/// step; the artifact format stores it as a `LassoConfig`).
+fn dual_provenance(s: usize, lambda: f64, seed: u64, max_iters: usize) -> LassoConfig {
+    LassoConfig {
+        mu: 1,
+        s,
+        lambda,
+        seed,
+        max_iters,
+        trace_every: 0,
+        ..Default::default()
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Kernel dual coordinate descent (`saco ksvm` / `saco kridge`)
 // ---------------------------------------------------------------------------
-
 /// `--kernel rbf:gamma=G | poly:d=D,gamma=G,coef0=C | linear` (default
 /// `rbf:gamma=1`), parsed by `sparsela::KernelFn`.
 fn kdcd_cfg(args: &Args, ksvm: bool) -> Result<KdcdConfig, ArgError> {
@@ -763,48 +907,13 @@ fn kdcd_cfg(args: &Args, ksvm: bool) -> Result<KdcdConfig, ArgError> {
         task,
         kernel,
         lambda: args.get_or("lambda", if ksvm { 1.0 } else { 0.5 })?,
-        s: args.get_or("s", 8)?,
+        s: positive(args, "s", 8)?,
         seed: args.get_or("seed", 42)?,
-        max_iters: args.get_or("iters", 10_000)?,
+        max_iters: positive(args, "iters", 10_000)?,
         trace_every: args.get_or("trace-every", 0)?,
         overlap: parse_overlap(args)?,
         cache_budget_bytes,
     })
-}
-
-/// `--model-out` for the kernel duals: the α vector with provenance,
-/// inspect-only (a kernel model cannot be scored linearly, and the
-/// server's score path refuses it with a typed error).
-fn save_kdcd_model(
-    args: &Args,
-    ds: &Dataset,
-    cfg: &KdcdConfig,
-    name: &str,
-    res: &saco::SolveResult,
-) -> Result<(), ArgError> {
-    let Some(mpath) = args.get("model-out") else {
-        return Ok(());
-    };
-    let prov = LassoConfig {
-        mu: 1,
-        s: cfg.s,
-        lambda: cfg.lambda,
-        seed: cfg.seed,
-        max_iters: cfg.max_iters,
-        trace_every: 0,
-        ..Default::default()
-    };
-    let art = ModelArtifact::from_solution(
-        name,
-        ds,
-        &prov,
-        cfg.lambda,
-        res.x.clone(),
-        res.iters,
-        res.trace.initial_value(),
-        res.final_value(),
-    );
-    save_artifact(&art, mpath)
 }
 
 fn print_kdcd_result(res: &saco::SolveResult, stats: &KdcdStats) {
@@ -838,177 +947,36 @@ fn print_kdcd_result(res: &saco::SolveResult, stats: &KdcdStats) {
 /// cache, and an all-hit block skips its allreduce on every rank.
 fn cmd_kdcd(args: &Args, ksvm: bool) -> Result<(), ArgError> {
     let name = if ksvm { "ksvm" } else { "kridge" };
-    let engine = args.get("engine").unwrap_or("seq");
     let cfg = kdcd_cfg(args, ksvm)?;
-    if engine != "sim" && args.get("chaos").is_some() {
-        return Err(ArgError(format!(
-            "--chaos injects faults into the *modeled* cluster; engine {engine:?} runs real code (use --engine sim)"
-        )));
-    }
-    if let Some((dir, budget)) = shard_source(args)? {
-        if engine != "seq" {
-            return Err(ArgError(format!(
-                "--data shard: streams {name} on the sequential engine only (got --engine {engine})"
-            )));
-        }
-        if args.get("model-out").is_some() {
-            return Err(ArgError(
-                "--model-out fingerprints the in-memory dataset; drop shard: to write an artifact"
-                    .into(),
-            ));
-        }
-        let a = open_stream(&dir, budget, ShardAxis::Csr, name)?;
-        let b = read_store_labels(&a, &dir)?;
-        if ksvm && !b.iter().all(|&v| v == 1.0 || v == -1.0) {
-            return Err(ArgError("ksvm needs ±1 labels".into()));
-        }
-        println!(
-            "{name}-{:?} (streaming, budget {budget} bytes): {} × {}, λ = {}, s = {}, H = {}",
-            cfg.kernel,
-            a.major_len(),
-            a.minor_len(),
-            cfg.lambda,
-            cfg.s,
-            cfg.max_iters
-        );
-        let (res, stats) = stream_kdcd(&a, &b, &cfg);
-        print_kdcd_result(&res, &stats);
-        print_io(&[a.io_stats()]);
-        return write_weights(args, &res.x);
-    }
-    let ds = load(args)?;
-    if ksvm && !ds.b.iter().all(|&v| v == 1.0 || v == -1.0) {
+    let (engine, data) = parse_run(args, Some("seq"), ShardAxis::Csr)?;
+    if ksvm && !data.labels().iter().all(|&v| v == 1.0 || v == -1.0) {
         return Err(ArgError("ksvm needs ±1 labels".into()));
     }
+    let (points, features) = data.dims();
+    let shape = match data {
+        Data::Memory(_) => format!(
+            " (engine {}): {points} points × {features} features",
+            engine.name()
+        ),
+        Data::Shards { .. } => format!("{}: {points} × {features}", data.stream_tag()),
+    };
     println!(
-        "{name}-{:?} (engine {engine}): {} points × {} features, λ = {}, s = {}, H = {}",
-        cfg.kernel,
-        ds.num_points(),
-        ds.num_features(),
-        cfg.lambda,
-        cfg.s,
-        cfg.max_iters
+        "{name}-{:?}{shape}, λ = {}, s = {}, H = {}",
+        cfg.kernel, cfg.lambda, cfg.s, cfg.max_iters
     );
-    match engine {
-        "seq" => {
-            let t0 = Instant::now();
-            let (res, stats) = kdcd(&ds, &cfg);
-            let wall = t0.elapsed().as_secs_f64();
-            println!("  wall time: {wall:.6} s (measured)");
-            print_kdcd_result(&res, &stats);
-            if let Some(path) = args.get("metrics") {
-                let mut telemetry = Registry::new();
-                telemetry.set_meta("engine", "sequential");
-                telemetry.set_meta("cli.engine", "seq");
-                telemetry.set_meta("solver", format!("seq_{name}"));
-                telemetry.gauge_set("objective.final", res.final_value());
-                telemetry.gauge_set("time.wall_secs", wall);
-                record_kdcd_stats(&mut telemetry, &stats);
-                write_metrics(args, &mut telemetry, path)?;
-            }
-            save_kdcd_model(args, &ds, &cfg, name, &res)?;
-            write_weights(args, &res.x)
-        }
-        "sim" => {
-            let p = args.get_or("p", 1024)?;
-            let model = CostModel::cray_xc30();
-            let balanced = args.flag("balanced");
-            let chaos = match args.get("chaos") {
-                Some(spec) => Some(
-                    mpisim::ChaosSpec::parse(spec)
-                        .map_err(|e| ArgError(format!("--chaos: {e}")))?,
-                ),
-                None => None,
-            };
-            let (res, stats, rep, mut telemetry) = match &chaos {
-                Some(spec) => sim_kdcd_chaos(&ds, &cfg, p, model, balanced, spec),
-                None => sim_kdcd_instrumented(&ds, &cfg, p, model, balanced),
-            };
-            let c = rep.critical;
-            println!(
-                "  running time: {:.6} s (simulated, {p} ranks)",
-                rep.running_time()
-            );
-            println!(
-                "  compute {:.6} s | communicate {:.6} s | idle {:.6} s",
-                c.comp_time, c.comm_time, c.idle_time
-            );
-            println!(
-                "  messages {} | words {} | flops {}",
-                c.messages, c.words, c.flops
-            );
-            print_kdcd_result(&res, &stats);
-            if let Some(path) = args.get("metrics") {
-                telemetry.set_meta("cli.engine", "sim");
-                telemetry.gauge_set("objective.final", res.final_value());
-                telemetry.gauge_set("time.running", rep.running_time());
-                write_metrics(args, &mut telemetry, path)?;
-            }
-            save_kdcd_model(args, &ds, &cfg, name, &res)?;
-            write_weights(args, &res.x)
-        }
-        "dist" => {
-            let p = args.get_or("p", 4)?;
-            let (_, blocks) = SvmRankData::split(&ds, p, args.flag("balanced"));
-            let (results, rep, mut telemetry) =
-                ThreadMachine::run_report_telemetry(p, CostModel::cray_xc30(), |comm| {
-                    dist_kdcd(comm, &blocks[comm.rank()], &cfg)
-                });
-            let (res, stats) = &results[0];
-            println!(
-                "  running time: {:.6} s (modeled, {p} ranks)",
-                rep.running_time()
-            );
-            print_kdcd_result(res, stats);
-            if let Some(path) = args.get("metrics") {
-                telemetry.set_meta("cli.engine", "dist");
-                telemetry.set_meta("solver", format!("dist_{name}"));
-                telemetry.gauge_set("objective.final", res.final_value());
-                telemetry.gauge_set("time.running", rep.running_time());
-                record_kdcd_stats(&mut telemetry, stats);
-                write_metrics(args, &mut telemetry, path)?;
-            }
-            save_kdcd_model(args, &ds, &cfg, name, res)?;
-            write_weights(args, &res.x)
-        }
-        "net" => {
-            let p = args.get_or("p", 4)?;
-            if p == 0 || p > 64 {
-                return Err(ArgError(format!(
-                    "--engine net runs a full in-process socket mesh; --p must be 1..=64, got {p}"
-                )));
-            }
-            let algo = parse_algo(args)?;
-            let (_, blocks) = SvmRankData::split(&ds, p, args.flag("balanced"));
-            let t0 = Instant::now();
-            let per_rank = run_local_algo(p, algo, |rank, comm| {
-                let t0 = Instant::now();
-                let out = net_kdcd(comm, &blocks[rank], &cfg);
-                let mut r = Registry::new();
-                record_net_stats(&mut r, comm, t0.elapsed().as_secs_f64());
-                (out, r)
-            });
-            let wall = t0.elapsed().as_secs_f64();
-            let mut telemetry = merge_rank_registries(per_rank.iter().map(|(_, r)| r));
-            let (res, stats) = &per_rank[0].0;
-            println!("  wall time: {wall:.6} s (measured, {p} ranks, {algo} allreduce)");
-            print_kdcd_result(res, stats);
-            if let Some(path) = args.get("metrics") {
-                telemetry.set_meta("engine", "socket_mesh");
-                telemetry.set_meta("cli.engine", "net");
-                telemetry.set_meta("solver", format!("net_{name}"));
-                telemetry.gauge_set("objective.final", res.final_value());
-                telemetry.gauge_set("time.wall_secs", wall);
-                record_kdcd_stats(&mut telemetry, stats);
-                write_metrics(args, &mut telemetry, path)?;
-            }
-            save_kdcd_model(args, &ds, &cfg, name, res)?;
-            write_weights(args, &res.x)
-        }
-        other => Err(ArgError(format!(
-            "--engine must be seq|sim|dist|net, got {other:?}"
-        ))),
-    }
+    let out = run(&RunSpec::new(Method::kdcd(&cfg), engine, data.source()))?;
+    print_engine_summary(&engine, &out, false);
+    print_kdcd_result(out.result(), &out.kdcd[0]);
+    print_io(&out.io);
+    write_run_metrics(args, &out)?;
+    // The α vector with provenance, inspect-only: a kernel model cannot be
+    // scored linearly, and the server's score path refuses it.
+    let (res, prov) = (
+        out.result(),
+        dual_provenance(cfg.s, cfg.lambda, cfg.seed, cfg.max_iters),
+    );
+    save_solution(args, &data, name, &prov, res.iters, res)?;
+    write_weights(args, &res.x)
 }
 
 fn cmd_path(args: &Args) -> Result<(), ArgError> {
@@ -1053,15 +1021,12 @@ fn cmd_generate(args: &Args) -> Result<(), ArgError> {
 }
 
 fn cmd_info(args: &Args) -> Result<(), ArgError> {
-    if let Some((dir, _)) = shard_source(args)? {
-        let store = ShardStore::open(&dir)
-            .map_err(|e| ArgError(format!("open shard store {}: {e}", dir.display())))?;
+    if let Some(dir) = shard_dir(args) {
+        let store = ShardStore::open(Path::new(dir))
+            .map_err(|e| ArgError(format!("open shard store {dir}: {e}")))?;
         let man = store.manifest();
-        let (rows, cols) = match man.axis {
-            ShardAxis::Csr => (man.major, man.minor),
-            ShardAxis::Csc => (man.minor, man.major),
-        };
-        println!("shard store: {}", dir.display());
+        let (rows, cols) = manifest_dims(&store);
+        println!("shard store: {dir}");
         println!("axis:      {:?}", man.axis);
         println!("points:    {rows}");
         println!("features:  {cols}");
@@ -1109,14 +1074,9 @@ fn cmd_info(args: &Args) -> Result<(), ArgError> {
 /// simulate-flavored defaults (`mu` 1, `iters` 2000).
 fn sim_lasso_cfg(args: &Args, lambda: f64) -> Result<LassoConfig, ArgError> {
     let mut cfg = lasso_cfg(args, lambda)?;
-    cfg.mu = args.get_or("mu", 1)?;
-    cfg.max_iters = args.get_or("iters", 2_000)?;
+    cfg.mu = positive(args, "mu", 1)?;
+    cfg.max_iters = positive(args, "iters", 2_000)?;
     Ok(cfg)
-}
-
-/// `--algo tree|ring` for the socket engines (default tree).
-fn parse_algo(args: &Args) -> Result<Algo, ArgError> {
-    Algo::parse(args.get("algo").unwrap_or("tree")).map_err(|e| ArgError(format!("--algo: {e}")))
 }
 
 /// Stamp the host-pool gauges and write the run report to `path`.
@@ -1138,444 +1098,38 @@ fn write_metrics(args: &Args, telemetry: &mut Registry, path: &str) -> Result<()
 }
 
 fn cmd_simulate(args: &Args) -> Result<(), ArgError> {
-    let engine = args.get("engine").unwrap_or("sim");
-    if engine != "sim" && args.get("chaos").is_some() {
-        return Err(ArgError(format!(
-            "--chaos injects faults into the *modeled* cluster; engine {engine:?} runs real code (use --engine sim)"
-        )));
-    }
-    if let Some((dir, budget)) = shard_source(args)? {
-        if args.get("chaos").is_some() {
-            return Err(ArgError(
-                "--chaos perturbs the modeled cluster; the streaming path does real I/O \
-                 (drop shard: or --chaos)"
-                    .into(),
-            ));
-        }
-        return simulate_stream(args, engine, &dir, budget);
-    }
-    match engine {
-        "sim" => simulate_sim(args),
-        "seq" => simulate_seq(args),
-        "dist" => simulate_dist(args),
-        "net" => simulate_net(args),
-        other => Err(ArgError(format!(
-            "--engine must be seq|sim|dist|net, got {other:?}"
-        ))),
-    }
-}
-
-/// `saco simulate --data shard:<dir>`: the Lasso solvers on any of the
-/// four engines, streamed from a CSC-axis shard store. Rank engines
-/// (dist/net) give every rank its own windowed view and `--mem-budget`.
-fn simulate_stream(args: &Args, engine: &str, dir: &Path, budget: u64) -> Result<(), ArgError> {
-    let a = open_stream(dir, budget, ShardAxis::Csc, "simulate")?;
-    let b = read_store_labels(&a, dir)?;
-    let lambda = resolve_lambda_stream(args, &a, &b)?;
+    let (engine, data) = parse_run(args, Some("sim"), ShardAxis::Csc)?;
+    let lambda = resolve_lambda(args, &data)?;
     let cfg = sim_lasso_cfg(args, lambda)?;
-    let reg = Lasso::new(lambda);
-    let accel = args.flag("acc");
-    let ioerr = |e: std::io::Error| ArgError(format!("stream {}: {e}", dir.display()));
-    match engine {
-        "seq" => {
-            let t0 = Instant::now();
-            let res = if accel {
-                stream_sa_accbcd(&a, &b, &reg, &cfg)
-            } else {
-                stream_sa_bcd(&a, &b, &reg, &cfg)
-            };
-            let wall = t0.elapsed().as_secs_f64();
-            println!(
-                "sequential (engine seq, streaming), s = {}, µ = {}, H = {}:",
-                cfg.s, cfg.mu, cfg.max_iters
-            );
-            println!("  wall time: {wall:.6} s (measured)");
-            print_io(&[a.io_stats()]);
-            println!("  final objective {:.6e}", res.final_value());
-            if let Some(path) = args.get("metrics") {
-                let mut telemetry = Registry::new();
-                telemetry.set_meta("engine", "sequential");
-                telemetry.set_meta("cli.engine", "seq");
-                telemetry.set_meta("data.source", "shard");
-                telemetry.set_meta(
-                    "solver",
-                    if accel {
-                        "stream_sa_accbcd"
-                    } else {
-                        "stream_sa_bcd"
-                    },
-                );
-                telemetry.gauge_set("objective.final", res.final_value());
-                telemetry.gauge_set("time.wall_secs", wall);
-                record_shard_stats(&mut telemetry, &a);
-                write_metrics(args, &mut telemetry, path)?;
-            }
-            Ok(())
-        }
-        "sim" => {
-            let p = args.get_or("p", 1024)?;
-            let balanced = args.flag("balanced");
-            let model = CostModel::cray_xc30();
-            let (res, rep) = if accel {
-                stream_sim_sa_accbcd(&a, &b, &reg, &cfg, p, model, balanced)
-            } else {
-                stream_sim_sa_bcd(&a, &b, &reg, &cfg, p, model, balanced)
-            }
-            .map_err(ioerr)?;
-            println!(
-                "simulated {} ranks (streaming), s = {}, µ = {}, H = {}:",
-                p, cfg.s, cfg.mu, cfg.max_iters
-            );
-            let c = rep.critical;
-            println!("  running time: {:.6} s", rep.running_time());
-            println!(
-                "  compute {:.6} s | communicate {:.6} s | idle {:.6} s",
-                c.comp_time, c.comm_time, c.idle_time
-            );
-            println!(
-                "  messages {} | words {} | flops {}",
-                c.messages, c.words, c.flops
-            );
-            print_io(&[a.io_stats()]);
-            println!("  final objective {:.6e}", res.final_value());
-            if let Some(path) = args.get("metrics") {
-                let mut telemetry = Registry::new();
-                telemetry.set_meta("cli.engine", "sim");
-                telemetry.set_meta("data.source", "shard");
-                telemetry.set_meta(
-                    "solver",
-                    if accel {
-                        "stream_sim_sa_accbcd"
-                    } else {
-                        "stream_sim_sa_bcd"
-                    },
-                );
-                telemetry.gauge_set("objective.final", res.final_value());
-                telemetry.gauge_set("time.running", rep.running_time());
-                record_shard_stats(&mut telemetry, &a);
-                write_metrics(args, &mut telemetry, path)?;
-            }
-            Ok(())
-        }
-        "dist" => {
-            drop(a);
-            let p = args.get_or("p", 4)?;
-            let (_, ranks) =
-                stream_lasso_ranks(dir, p, args.flag("balanced"), budget).map_err(ioerr)?;
-            let (results, rep, mut telemetry) =
-                ThreadMachine::run_report_telemetry(p, CostModel::cray_xc30(), |comm| {
-                    let data = &ranks[comm.rank()];
-                    if accel {
-                        stream_dist_sa_accbcd(comm, data, &reg, &cfg)
-                    } else {
-                        stream_dist_sa_bcd(comm, data, &reg, &cfg)
-                    }
-                });
-            println!(
-                "thread machine (engine dist, streaming), {} ranks, s = {}, µ = {}, H = {}:",
-                p, cfg.s, cfg.mu, cfg.max_iters
-            );
-            println!("  running time: {:.6} s (modeled)", rep.running_time());
-            let stats: Vec<IoStats> = ranks.iter().map(|r| r.mat.io_stats()).collect();
-            print_io(&stats);
-            println!("  final objective {:.6e}", results[0].final_value());
-            if let Some(path) = args.get("metrics") {
-                telemetry.set_meta("cli.engine", "dist");
-                telemetry.set_meta("data.source", "shard");
-                telemetry.set_meta(
-                    "solver",
-                    if accel {
-                        "stream_dist_sa_accbcd"
-                    } else {
-                        "stream_dist_sa_bcd"
-                    },
-                );
-                telemetry.gauge_set("objective.final", results[0].final_value());
-                telemetry.gauge_set("time.running", rep.running_time());
-                merge_shard_stats(&mut telemetry, &ranks);
-                write_metrics(args, &mut telemetry, path)?;
-            }
-            Ok(())
-        }
-        "net" => {
-            drop(a);
-            let p = args.get_or("p", 4)?;
-            if p == 0 || p > 64 {
-                return Err(ArgError(format!(
-                    "--engine net runs a full in-process socket mesh; --p must be 1..=64, got {p}"
-                )));
-            }
-            let algo = parse_algo(args)?;
-            let (_, ranks) =
-                stream_lasso_ranks(dir, p, args.flag("balanced"), budget).map_err(ioerr)?;
-            let t0 = Instant::now();
-            let per_rank = run_local_algo(p, algo, |rank, comm| {
-                let t0 = Instant::now();
-                let res = if accel {
-                    stream_net_sa_accbcd(comm, &ranks[rank], &reg, &cfg)
-                } else {
-                    stream_net_sa_bcd(comm, &ranks[rank], &reg, &cfg)
-                };
-                let mut r = Registry::new();
-                record_net_stats(&mut r, comm, t0.elapsed().as_secs_f64());
-                (res, r)
-            });
-            let wall = t0.elapsed().as_secs_f64();
-            let mut telemetry = merge_rank_registries(per_rank.iter().map(|(_, r)| r));
-            println!(
-                "socket mesh (engine net, streaming), {p} ranks ({algo} allreduce), s = {}, µ = {}, H = {}:",
-                cfg.s, cfg.mu, cfg.max_iters
-            );
-            println!("  wall time: {wall:.6} s (measured)");
-            let stats: Vec<IoStats> = ranks.iter().map(|r| r.mat.io_stats()).collect();
-            print_io(&stats);
-            println!("  final objective {:.6e}", per_rank[0].0.final_value());
-            if let Some(path) = args.get("metrics") {
-                telemetry.set_meta("engine", "socket_mesh");
-                telemetry.set_meta("cli.engine", "net");
-                telemetry.set_meta("data.source", "shard");
-                telemetry.set_meta(
-                    "solver",
-                    if accel {
-                        "stream_net_sa_accbcd"
-                    } else {
-                        "stream_net_sa_bcd"
-                    },
-                );
-                telemetry.gauge_set("objective.final", per_rank[0].0.final_value());
-                telemetry.gauge_set("time.wall_secs", wall);
-                merge_shard_stats(&mut telemetry, &ranks);
-                write_metrics(args, &mut telemetry, path)?;
-            }
-            Ok(())
-        }
-        other => Err(ArgError(format!(
-            "--engine must be seq|sim|dist|net, got {other:?}"
-        ))),
-    }
-}
-
-fn simulate_sim(args: &Args) -> Result<(), ArgError> {
-    let ds = load(args)?;
-    let lambda = resolve_lambda(args, &ds)?;
-    let cfg = sim_lasso_cfg(args, lambda)?;
-    let p = args.get_or("p", 1024)?;
-    let reg = Lasso::new(lambda);
-    let model = CostModel::cray_xc30();
-    let balanced = args.flag("balanced");
-    let chaos = match args.get("chaos") {
-        Some(spec) => {
-            Some(mpisim::ChaosSpec::parse(spec).map_err(|e| ArgError(format!("--chaos: {e}")))?)
-        }
-        None => None,
+    let method = Method::Lasso {
+        reg: &Lasso::new(lambda),
+        cfg: &cfg,
+        accel: args.flag("acc"),
     };
-    let (res, rep, mut telemetry) = match (&chaos, args.flag("acc")) {
-        (Some(spec), true) => sim_sa_accbcd_chaos(&ds, &reg, &cfg, p, model, balanced, spec),
-        (Some(spec), false) => sim_sa_bcd_chaos(&ds, &reg, &cfg, p, model, balanced, spec),
-        (None, true) => sim_sa_accbcd_instrumented(&ds, &reg, &cfg, p, model, balanced),
-        (None, false) => sim_sa_bcd_instrumented(&ds, &reg, &cfg, p, model, balanced),
-    };
+    let out = run(&RunSpec::new(method, engine, data.source()))?;
     println!(
-        "simulated {} ranks, s = {}, µ = {}, H = {}:",
-        p, cfg.s, cfg.mu, cfg.max_iters
+        "{}, s = {}, µ = {}, H = {}:",
+        engine_view(&engine, data.dataset().is_none()).0,
+        cfg.s,
+        cfg.mu,
+        cfg.max_iters
     );
-    let c = rep.critical;
-    println!("  running time: {:.6} s", rep.running_time());
-    println!(
-        "  compute {:.6} s | communicate {:.6} s | idle {:.6} s",
-        c.comp_time, c.comm_time, c.idle_time
-    );
-    println!(
-        "  messages {} | words {} | flops {}",
-        c.messages, c.words, c.flops
-    );
-    println!("  final objective {:.6e}", res.final_value());
-    if chaos.is_some() {
+    print_engine_summary(&engine, &out, true);
+    print_io(&out.io);
+    println!("  final objective {:.6e}", out.result().final_value());
+    if matches!(engine, Engine::Sim { chaos: Some(_), .. }) {
+        let t = &out.telemetry;
         println!(
             "  chaos: {} stalls ({:.6} s) | jitter {:.6} s | skew {:.6} s | {} failures (recovery {:.6} s)",
-            telemetry.counter("chaos.stalls"),
-            telemetry.gauge("chaos.stall_time").unwrap_or(0.0),
-            telemetry.gauge("chaos.jitter_time").unwrap_or(0.0),
-            telemetry.gauge("chaos.skew_time").unwrap_or(0.0),
-            telemetry.counter("chaos.failures"),
-            telemetry.gauge("chaos.recovery_time").unwrap_or(0.0),
+            t.counter("chaos.stalls"),
+            t.gauge("chaos.stall_time").unwrap_or(0.0),
+            t.gauge("chaos.jitter_time").unwrap_or(0.0),
+            t.gauge("chaos.skew_time").unwrap_or(0.0),
+            t.counter("chaos.failures"),
+            t.gauge("chaos.recovery_time").unwrap_or(0.0),
         );
     }
-    if let Some(path) = args.get("metrics") {
-        telemetry.set_meta("cli.engine", "sim");
-        telemetry.gauge_set("objective.final", res.final_value());
-        telemetry.gauge_set("time.running", rep.running_time());
-        write_metrics(args, &mut telemetry, path)?;
-    }
-    Ok(())
-}
-
-fn simulate_seq(args: &Args) -> Result<(), ArgError> {
-    let ds = load(args)?;
-    let lambda = resolve_lambda(args, &ds)?;
-    let cfg = sim_lasso_cfg(args, lambda)?;
-    let reg = Lasso::new(lambda);
-    let accel = args.flag("acc");
-    let t0 = Instant::now();
-    let res = if accel {
-        sa_accbcd(&ds, &reg, &cfg)
-    } else {
-        sa_bcd(&ds, &reg, &cfg)
-    };
-    let wall = t0.elapsed().as_secs_f64();
-    println!(
-        "sequential (engine seq), s = {}, µ = {}, H = {}:",
-        cfg.s, cfg.mu, cfg.max_iters
-    );
-    println!("  wall time: {wall:.6} s (measured)");
-    println!("  final objective {:.6e}", res.final_value());
-    if let Some(path) = args.get("metrics") {
-        let mut telemetry = Registry::new();
-        telemetry.set_meta("engine", "sequential");
-        telemetry.set_meta("cli.engine", "seq");
-        telemetry.set_meta("solver", if accel { "sa_accbcd" } else { "sa_bcd" });
-        telemetry.gauge_set("objective.final", res.final_value());
-        telemetry.gauge_set("time.wall_secs", wall);
-        write_metrics(args, &mut telemetry, path)?;
-    }
-    Ok(())
-}
-
-fn simulate_dist(args: &Args) -> Result<(), ArgError> {
-    let ds = load(args)?;
-    let lambda = resolve_lambda(args, &ds)?;
-    let cfg = sim_lasso_cfg(args, lambda)?;
-    let p = args.get_or("p", 4)?;
-    let reg = Lasso::new(lambda);
-    let accel = args.flag("acc");
-    let (_, blocks) = LassoRankData::split(&ds, p, args.flag("balanced"));
-    let (results, rep, mut telemetry) =
-        ThreadMachine::run_report_telemetry(p, CostModel::cray_xc30(), |comm| {
-            let data = &blocks[comm.rank()];
-            if accel {
-                dist_sa_accbcd(comm, data, &reg, &cfg)
-            } else {
-                dist_sa_bcd(comm, data, &reg, &cfg)
-            }
-        });
-    println!(
-        "thread machine (engine dist), {} ranks, s = {}, µ = {}, H = {}:",
-        p, cfg.s, cfg.mu, cfg.max_iters
-    );
-    let c = rep.critical;
-    println!("  running time: {:.6} s (modeled)", rep.running_time());
-    println!(
-        "  compute {:.6} s | communicate {:.6} s | idle {:.6} s",
-        c.comp_time, c.comm_time, c.idle_time
-    );
-    println!(
-        "  messages {} | words {} | flops {}",
-        c.messages, c.words, c.flops
-    );
-    println!("  final objective {:.6e}", results[0].final_value());
-    if let Some(path) = args.get("metrics") {
-        telemetry.set_meta("cli.engine", "dist");
-        telemetry.set_meta(
-            "solver",
-            if accel {
-                "dist_sa_accbcd"
-            } else {
-                "dist_sa_bcd"
-            },
-        );
-        telemetry.gauge_set("objective.final", results[0].final_value());
-        telemetry.gauge_set("time.running", rep.running_time());
-        write_metrics(args, &mut telemetry, path)?;
-    }
-    Ok(())
-}
-
-/// Fold per-rank registries into one run-level registry: counters and
-/// phase tables add, gauges keep the per-rank maximum (the critical
-/// rank's view of each measured time), meta comes from rank 0 with
-/// `net.rank` widened to `all`.
-fn merge_rank_registries<'a>(regs: impl Iterator<Item = &'a Registry>) -> Registry {
-    let mut merged = Registry::new();
-    for (i, r) in regs.enumerate() {
-        if i == 0 {
-            for (k, v) in r.meta() {
-                merged.set_meta(k, v);
-            }
-        }
-        for (k, v) in r.counters() {
-            merged.counter_add(k, *v);
-        }
-        for (k, v) in r.gauges() {
-            if merged.gauge(k).is_none_or(|cur| *v > cur) {
-                merged.gauge_set(k, *v);
-            }
-        }
-        for (&rank, table) in r.rank_tables() {
-            merged.phases_mut(rank).merge(table);
-        }
-    }
-    merged.set_meta("net.rank", "all");
-    merged
-}
-
-fn simulate_net(args: &Args) -> Result<(), ArgError> {
-    let ds = load(args)?;
-    let lambda = resolve_lambda(args, &ds)?;
-    let cfg = sim_lasso_cfg(args, lambda)?;
-    let p = args.get_or("p", 4)?;
-    if p == 0 || p > 64 {
-        return Err(ArgError(format!(
-            "--engine net runs a full in-process socket mesh; --p must be 1..=64, got {p} \
-             (use `saco launch` for real multi-process runs)"
-        )));
-    }
-    let algo = parse_algo(args)?;
-    let reg = Lasso::new(lambda);
-    let accel = args.flag("acc");
-    let (_, blocks) = LassoRankData::split(&ds, p, args.flag("balanced"));
-    let t0 = Instant::now();
-    let per_rank = run_local_algo(p, algo, |rank, comm| {
-        let t0 = Instant::now();
-        let res = if accel {
-            net_sa_accbcd(comm, &blocks[rank], &reg, &cfg)
-        } else {
-            net_sa_bcd(comm, &blocks[rank], &reg, &cfg)
-        };
-        let mut r = Registry::new();
-        record_net_stats(&mut r, comm, t0.elapsed().as_secs_f64());
-        (res, r)
-    });
-    let wall = t0.elapsed().as_secs_f64();
-    let mut telemetry = merge_rank_registries(per_rank.iter().map(|(_, r)| r));
-    let res = &per_rank[0].0;
-    println!(
-        "socket mesh (engine net), {p} ranks ({algo} allreduce), s = {}, µ = {}, H = {}:",
-        cfg.s, cfg.mu, cfg.max_iters
-    );
-    println!("  wall time: {wall:.6} s (measured)");
-    println!(
-        "  wire {:.6} s | solver wait {:.6} s | hidden by overlap {:.6} s",
-        telemetry.gauge("net.comm.wall_secs").unwrap_or(0.0),
-        telemetry.gauge("net.wait.wall_secs").unwrap_or(0.0),
-        telemetry.gauge("net.overlap.hidden_secs").unwrap_or(0.0),
-    );
-    println!(
-        "  bytes {} | frames {} | collectives {} | reconnects {}",
-        telemetry.counter("net.bytes_tx"),
-        telemetry.counter("net.frames_tx"),
-        telemetry.counter("net.collectives"),
-        telemetry.counter("net.reconnects"),
-    );
-    println!("  final objective {:.6e}", res.final_value());
-    if let Some(path) = args.get("metrics") {
-        telemetry.set_meta("engine", "socket_mesh");
-        telemetry.set_meta("cli.engine", "net");
-        telemetry.set_meta("solver", if accel { "net_sa_accbcd" } else { "net_sa_bcd" });
-        telemetry.gauge_set("objective.final", res.final_value());
-        telemetry.gauge_set("time.wall_secs", wall);
-        write_metrics(args, &mut telemetry, path)?;
-    }
-    Ok(())
+    write_run_metrics(args, &out)
 }
 
 /// `saco launch`: spawn `--p` real rank processes (each re-executing this
@@ -1590,15 +1144,12 @@ fn cmd_launch(args: &Args) -> Result<(), ArgError> {
             )));
         }
     }
-    let ds = load(args)?;
-    let lambda = resolve_lambda(args, &ds)?;
+    let data = Data::Memory(load(args)?);
+    let lambda = resolve_lambda(args, &data)?;
+    let (points, features) = data.dims();
     let cfg = sim_lasso_cfg(args, lambda)?;
-    let p = args.get_or("p", 4)?;
-    if p == 0 || p > 256 {
-        return Err(ArgError(format!("--p must be 1..=256, got {p}")));
-    }
-    parse_algo(args)?;
-    let algo = args.get("algo").unwrap_or("tree");
+    let (p, algo) = parse_mesh(args, 256)?;
+    let algo = algo.to_string();
     let rundir = match args.get("rundir") {
         Some(d) => PathBuf::from(d),
         None => std::env::temp_dir().join(format!("saco-launch-{}", std::process::id())),
@@ -1612,16 +1163,14 @@ fn cmd_launch(args: &Args) -> Result<(), ArgError> {
     Addr::parse(&rendezvous).map_err(|e| ArgError(format!("--rendezvous: {e}")))?;
     let exe = std::env::current_exe().map_err(|e| ArgError(format!("current_exe: {e}")))?;
     println!(
-        "launching {p} rank processes ({} × {}, rendezvous {rendezvous}, {algo} allreduce)",
-        ds.num_points(),
-        ds.num_features()
+        "launching {p} rank processes ({points} × {features}, rendezvous {rendezvous}, {algo} allreduce)"
     );
     let mut children = Vec::with_capacity(p);
     for rank in 0..p {
         let mut cmd = std::process::Command::new(&exe);
         cmd.arg("_netrank")
             .args(["--rank", &rank.to_string(), "--p", &p.to_string()])
-            .args(["--rendezvous", &rendezvous, "--algo", algo])
+            .args(["--rendezvous", &rendezvous, "--algo", &algo])
             .args(["--data", args.require("data")?])
             // f64 Display is shortest-roundtrip, so the resolved λ
             // survives the argv hop losslessly.
@@ -1668,49 +1217,24 @@ fn cmd_launch(args: &Args) -> Result<(), ArgError> {
             rundir.display()
         )));
     }
-    // Merge the per-rank reports: counters add across ranks, gauges keep
-    // the per-rank maximum, meta comes from rank 0.
-    let mut merged = Registry::new();
+    let mut ranks = Vec::with_capacity(p);
     for rank in 0..p {
         let path = rundir.join(format!("rank{rank}.json"));
         let doc = std::fs::read_to_string(&path)
             .map_err(|e| ArgError(format!("read {}: {e}", path.display())))?;
         let summary = parse_summary(&doc)
             .ok_or_else(|| ArgError(format!("malformed run report {}", path.display())))?;
-        if rank == 0 {
-            for (k, v) in &summary.meta {
-                merged.set_meta(k, v);
-            }
-        }
-        for (k, v) in &summary.counters {
-            merged.counter_add(k, *v);
-        }
-        for (k, v) in &summary.gauges {
-            if merged.gauge(k).is_none_or(|cur| *v > cur) {
-                merged.gauge_set(k, *v);
-            }
-        }
+        let mut reg = Registry::new();
+        summary.apply_to(&mut reg);
+        ranks.push(reg);
     }
-    merged.set_meta("net.rank", "all");
-    merged.set_meta("cli.engine", "net");
+    let mut merged = merge_rank_registries(&ranks);
     println!("all {p} ranks finished:");
     println!(
         "  wall time: {:.6} s (measured, max over ranks)",
         merged.gauge("time.wall_secs").unwrap_or(0.0)
     );
-    println!(
-        "  wire {:.6} s | solver wait {:.6} s | hidden by overlap {:.6} s",
-        merged.gauge("net.comm.wall_secs").unwrap_or(0.0),
-        merged.gauge("net.wait.wall_secs").unwrap_or(0.0),
-        merged.gauge("net.overlap.hidden_secs").unwrap_or(0.0),
-    );
-    println!(
-        "  bytes {} | frames {} | collectives {} | reconnects {}",
-        merged.counter("net.bytes_tx"),
-        merged.counter("net.frames_tx"),
-        merged.counter("net.collectives"),
-        merged.counter("net.reconnects"),
-    );
+    print_wire_totals(&merged);
     println!(
         "  final objective {:.6e}",
         merged.gauge("objective.final").unwrap_or(f64::NAN)
@@ -1730,25 +1254,26 @@ fn cmd_netrank(args: &Args) -> Result<(), ArgError> {
         .require("rank")?
         .parse()
         .map_err(|_| ArgError("--rank: not a rank index".into()))?;
-    let p: usize = args
-        .require("p")?
-        .parse()
-        .map_err(|_| ArgError("--p: not a rank count".into()))?;
+    let ((p, algo), balanced) = (parse_mesh(args, 256)?, args.flag("balanced"));
+    let engine = Engine::Net { p, algo, balanced };
     let rendezvous = Addr::parse(args.require("rendezvous")?)
         .map_err(|e| ArgError(format!("--rendezvous: {e}")))?;
-    let algo = parse_algo(args)?;
     let report = args.require("report")?;
     let ds = load(args)?;
     let lambda = args
         .get_opt::<f64>("lambda")?
         .ok_or_else(|| ArgError("missing required option --lambda".into()))?;
     let cfg = sim_lasso_cfg(args, lambda)?;
-    let reg = Lasso::new(lambda);
-    let accel = args.flag("acc");
+    let method = Method::Lasso {
+        reg: &Lasso::new(lambda),
+        cfg: &cfg,
+        accel: args.flag("acc"),
+    };
+    let spec = RunSpec::new(method, engine, Source::InMemory(&ds));
     // Every rank loads the shared file and takes its own row block — the
     // same deterministic split the in-process engines use, so `launch`
     // reproduces their iterates exactly.
-    let (_, blocks) = LassoRankData::split(&ds, p, args.flag("balanced"));
+    let (_, blocks) = LassoRankData::split(&ds, p, balanced);
     let net_cfg = NetConfig {
         rank,
         size: p,
@@ -1760,18 +1285,14 @@ fn cmd_netrank(args: &Args) -> Result<(), ArgError> {
     let mut comm = NetComm::establish(net_cfg)
         .map_err(|e| ArgError(format!("rank {rank}/{p}: mesh establish: {e}")))?;
     let t0 = Instant::now();
-    let res = if accel {
-        net_sa_accbcd(&mut comm, &blocks[rank], &reg, &cfg)
-    } else {
-        net_sa_bcd(&mut comm, &blocks[rank], &reg, &cfg)
-    };
+    let (res, _) = run_rank(
+        &spec.method,
+        RankComm::Net(&mut comm),
+        RankData::Lasso(&blocks[rank]),
+    )?;
     let wall = t0.elapsed().as_secs_f64();
-    let mut telemetry = Registry::new();
-    telemetry.set_meta("engine", "socket_mesh");
-    telemetry.set_meta("cli.engine", "net");
-    telemetry.set_meta("solver", if accel { "net_sa_accbcd" } else { "net_sa_bcd" });
+    let mut telemetry = net_rank_telemetry(&spec.solver_name(), &comm, wall);
     telemetry.set_meta("dataset", args.require("data")?);
-    record_net_stats(&mut telemetry, &comm, wall);
     telemetry.gauge_set("objective.final", res.final_value());
     telemetry.gauge_set("time.wall_secs", wall);
     mpisim::telemetry::write_run_report(&telemetry, Path::new(report))
@@ -1834,18 +1355,12 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
     let ds = load(args)?;
     let listen = args.require("listen")?;
     let addr = Addr::parse(listen).map_err(|e| ArgError(format!("--listen: {e}")))?;
-    let chaos = match args.get("chaos") {
-        Some(spec) => {
-            Some(mpisim::ChaosSpec::parse(spec).map_err(|e| ArgError(format!("--chaos: {e}")))?)
-        }
-        None => None,
-    };
     let scfg = ServeConfig {
         slo_ms: args.get_or("slo-ms", 250.0)?,
         batch_max: args.get_or("batch-max", 64)?,
         default_iters: args.get_or("train-iters", 512)?,
         cost: CostModel::cray_xc30(),
-        chaos,
+        chaos: parse_chaos(args)?,
         max_requests: args.get_opt("max-requests")?,
     };
     let listener =

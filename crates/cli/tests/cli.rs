@@ -64,13 +64,7 @@ fn generate_info_lasso_roundtrip() {
 
 #[test]
 fn svm_trains_on_generated_classification_data() {
-    let data = tmpfile("w1a.svm");
-    assert!(saco()
-        .args(["generate", "--dataset", "w1a", "--out"])
-        .arg(&data)
-        .status()
-        .expect("generate")
-        .success());
+    let data = generated("w1a.svm", &["w1a"]);
     let out = saco()
         .args(["svm", "--data"])
         .arg(&data)
@@ -90,20 +84,7 @@ fn svm_trains_on_generated_classification_data() {
 
 #[test]
 fn path_lists_lambdas_and_selects_support() {
-    let data = tmpfile("path.svm");
-    assert!(saco()
-        .args([
-            "generate",
-            "--dataset",
-            "covtype",
-            "--scale",
-            "0.02",
-            "--out"
-        ])
-        .arg(&data)
-        .status()
-        .expect("generate")
-        .success());
+    let data = generated("path.svm", &["covtype", "--scale", "0.02"]);
     let out = saco()
         .args(["path", "--data"])
         .arg(&data)
@@ -132,20 +113,7 @@ fn path_lists_lambdas_and_selects_support() {
 
 #[test]
 fn simulate_reports_costs() {
-    let data = tmpfile("sim.svm");
-    assert!(saco()
-        .args([
-            "generate",
-            "--dataset",
-            "news20",
-            "--scale",
-            "0.05",
-            "--out"
-        ])
-        .arg(&data)
-        .status()
-        .expect("generate")
-        .success());
+    let data = generated("sim.svm", &["news20", "--scale", "0.05"]);
     let out = saco()
         .args(["simulate", "--data"])
         .arg(&data)
@@ -165,20 +133,7 @@ fn simulate_reports_costs() {
 
 #[test]
 fn simulate_writes_deterministic_metrics_report() {
-    let data = tmpfile("simmetrics.svm");
-    assert!(saco()
-        .args([
-            "generate",
-            "--dataset",
-            "news20",
-            "--scale",
-            "0.05",
-            "--out"
-        ])
-        .arg(&data)
-        .status()
-        .expect("generate")
-        .success());
+    let data = generated("simmetrics.svm", &["news20", "--scale", "0.05"]);
     let run = |metrics: &PathBuf| {
         let out = saco()
             .args(["simulate", "--data"])
@@ -230,46 +185,44 @@ fn simulate_writes_deterministic_metrics_report() {
     let _ = std::fs::remove_file(&m2);
 }
 
-/// Drop the `par.*` gauges from a metrics report: they record host pool
-/// activity (thread count, wall-clock utilization) and are the only
-/// fields allowed to vary with `--threads`.
-fn strip_par_gauges(report: &str) -> String {
+/// Remove every `"<prefix>…": <value>` entry (string or number) from a
+/// `saco-telemetry/v1` document.
+fn strip_entries(report: &str, prefixes: &[&str]) -> String {
     let mut out = report.to_string();
-    for key in ["par.threads", "par.regions", "par.tiles", "par.utilization"] {
-        let pat = format!("\"{key}\":");
-        if let Some(i) = out.find(&pat) {
-            let end_rel = out[i..].find([',', '}']).expect("gauge value terminated");
-            if out.as_bytes()[i + end_rel] == b',' {
-                out.replace_range(i..i + end_rel + 1, "");
+    for prefix in prefixes {
+        let pat = format!("\"{prefix}");
+        while let Some(i) = out.find(&pat) {
+            let colon = i + out[i..].find("\":").expect("a key") + 2;
+            let end = if out.as_bytes()[colon] == b'"' {
+                colon + 1 + out[colon + 1..].find('"').expect("closing quote") + 1
             } else {
-                let start = if i > 0 && out.as_bytes()[i - 1] == b',' {
+                colon + out[colon..].find([',', '}']).expect("value terminated")
+            };
+            if out.as_bytes()[end] == b',' {
+                out.replace_range(i..=end, "");
+            } else {
+                let start = if out.as_bytes()[i - 1] == b',' {
                     i - 1
                 } else {
                     i
                 };
-                out.replace_range(start..i + end_rel, "");
+                out.replace_range(start..end, "");
             }
         }
     }
     out
 }
 
+/// Drop the `par.*` gauges from a metrics report: they record host pool
+/// activity (thread count, wall-clock utilization) and are the only
+/// fields allowed to vary with `--threads`.
+fn strip_par_gauges(report: &str) -> String {
+    strip_entries(report, &["par."])
+}
+
 #[test]
 fn thread_count_never_changes_the_simulated_report() {
-    let data = tmpfile("simthreads.svm");
-    assert!(saco()
-        .args([
-            "generate",
-            "--dataset",
-            "news20",
-            "--scale",
-            "0.05",
-            "--out"
-        ])
-        .arg(&data)
-        .status()
-        .expect("generate")
-        .success());
+    let data = generated("simthreads.svm", &["news20", "--scale", "0.05"]);
     let run = |threads: &str, metrics: &PathBuf| {
         let out = saco()
             .args(["simulate", "--data"])
@@ -340,20 +293,7 @@ fn objective_line(out: &std::process::Output) -> String {
 
 #[test]
 fn engine_flag_runs_every_backend_to_the_same_objective() {
-    let data = tmpfile("engines.svm");
-    assert!(saco()
-        .args([
-            "generate",
-            "--dataset",
-            "news20",
-            "--scale",
-            "0.05",
-            "--out"
-        ])
-        .arg(&data)
-        .status()
-        .expect("generate")
-        .success());
+    let data = generated("engines.svm", &["news20", "--scale", "0.05"]);
     let run = |engine: &str| {
         objective_line(
             &saco()
@@ -386,20 +326,7 @@ fn engine_flag_runs_every_backend_to_the_same_objective() {
 
 #[test]
 fn launch_spawns_real_rank_processes_and_merges_reports() {
-    let data = tmpfile("launch.svm");
-    assert!(saco()
-        .args([
-            "generate",
-            "--dataset",
-            "news20",
-            "--scale",
-            "0.05",
-            "--out"
-        ])
-        .arg(&data)
-        .status()
-        .expect("generate")
-        .success());
+    let data = generated("launch.svm", &["news20", "--scale", "0.05"]);
     // Reference: the same solve on the in-process socket mesh.
     let reference = objective_line(
         &saco()
@@ -451,20 +378,7 @@ fn launch_spawns_real_rank_processes_and_merges_reports() {
 
 #[test]
 fn shard_streaming_lasso_matches_in_memory_bitwise() {
-    let data = tmpfile("shardsrc.svm");
-    assert!(saco()
-        .args([
-            "generate",
-            "--dataset",
-            "news20",
-            "--scale",
-            "0.05",
-            "--out"
-        ])
-        .arg(&data)
-        .status()
-        .expect("generate")
-        .success());
+    let data = generated("shardsrc.svm", &["news20", "--scale", "0.05"]);
     // Convert to a CSC shard directory and round-trip bitwise.
     let dir = tmpfile("sharddir_csc");
     let out = saco()
@@ -537,13 +451,7 @@ fn shard_streaming_lasso_matches_in_memory_bitwise() {
 
 #[test]
 fn shard_svm_and_streamed_simulate_agree_with_in_memory() {
-    let data = tmpfile("shardsvm.svm");
-    assert!(saco()
-        .args(["generate", "--dataset", "w1a", "--out"])
-        .arg(&data)
-        .status()
-        .expect("generate")
-        .success());
+    let data = generated("shardsvm.svm", &["w1a"]);
     // SVM needs a CSR-axis store.
     let dir = tmpfile("sharddir_csr");
     let out = saco()
@@ -615,20 +523,7 @@ fn shard_svm_and_streamed_simulate_agree_with_in_memory() {
 
 #[test]
 fn streamed_simulate_objective_matches_every_engine() {
-    let data = tmpfile("shardsim.svm");
-    assert!(saco()
-        .args([
-            "generate",
-            "--dataset",
-            "news20",
-            "--scale",
-            "0.05",
-            "--out"
-        ])
-        .arg(&data)
-        .status()
-        .expect("generate")
-        .success());
+    let data = generated("shardsim.svm", &["news20", "--scale", "0.05"]);
     let dir = tmpfile("sharddir_sim");
     assert!(saco()
         .args(["shard", "--data"])
@@ -674,6 +569,114 @@ fn streamed_simulate_objective_matches_every_engine() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Run `saco <args…>` to success and return its stdout.
+fn saco_ok(args: &[&str]) -> String {
+    let out = saco().args(args).output().expect("run saco");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "saco {args:?}: {err}");
+    String::from_utf8_lossy(&out.stdout).to_string()
+}
+
+/// `saco generate --dataset <spec…>` into a fresh temp file.
+fn generated(name: &str, spec: &[&str]) -> PathBuf {
+    let data = tmpfile(name);
+    let out = data.display().to_string();
+    saco_ok(&[&["generate", "--out", &out, "--dataset"], spec].concat());
+    data
+}
+
+/// Generate `dataset` and shard it `--axis axis`; returns `(file, dir)`.
+fn generated_shards(tag: &str, dataset: &[&str], axis: &str) -> (String, String) {
+    let data = generated(&format!("{tag}.svm"), dataset)
+        .display()
+        .to_string();
+    let dir = tmpfile(&format!("{tag}_dir")).display().to_string();
+    saco_ok(&[
+        "shard", "--data", &data, "--out", &dir, "--axis", axis, "--shards", "6",
+    ]);
+    (data, dir)
+}
+
+/// The streamed virtual-cluster run is the in-memory run: once the
+/// source-specific keys are set aside, the two reports are the same
+/// document — rank tables, critical rank, collective counts, packed
+/// words, solver counters, objective and modeled time included.
+#[test]
+fn streamed_sim_report_is_the_in_memory_report() {
+    let (data, dir) = generated_shards("shardrep", &["news20", "--scale", "0.05"], "csc");
+    let report = |source: &str, tag: &str| {
+        let metrics = tmpfile(tag).display().to_string();
+        let run = "--engine sim --p 4 --s 8 --acc --iters 200 --lambda 0.1 --balanced";
+        let mut args = vec!["simulate", "--mem-budget", "4M", "--metrics", &metrics];
+        args.extend(["--data", source]);
+        args.extend(run.split(' '));
+        saco_ok(&args);
+        let doc = std::fs::read_to_string(&metrics).expect("metrics file written");
+        let _ = std::fs::remove_file(&metrics);
+        doc
+    };
+    let mem = report(&data, "rep_mem.json");
+    let streamed = report(&format!("shard:{dir}"), "rep_st.json");
+    for key in [
+        "\"ranks\":\"4\"",
+        "\"critical_rank\":",
+        "\"collectives.allreduce\":",
+        "\"comm.words_packed\":",
+        "\"solver.iterations\":200",
+        "\"solver.trace_points\":",
+        "\"data.source\":\"shard\"",
+        "\"shard.reads\":",
+        "\"io.bytes_read\":",
+    ] {
+        assert!(streamed.contains(key), "{key} missing: {streamed}");
+    }
+    let source_keys = ["shard.", "io.", "data.source", "dataset", "par."];
+    let streamed =
+        strip_entries(&streamed, &source_keys).replace("\"solver\":\"stream_", "\"solver\":\"");
+    assert_eq!(streamed, strip_entries(&mem, &source_keys));
+    let _ = std::fs::remove_file(&data);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `ksvm`/`kridge --data shard:<dir> --metrics` writes the report (it
+/// used to exit 0 with no file): source, kernel-method and I/O blocks.
+#[test]
+fn streamed_kernel_methods_write_their_report() {
+    let (data, dir) = generated_shards("shardk", &["duke"], "csr");
+    for (cmd, solver) in [("ksvm", "stream_seq_ksvm"), ("kridge", "stream_seq_kridge")] {
+        let metrics = tmpfile(&format!("{cmd}_stream.json")).display().to_string();
+        let text = saco_ok(&[
+            cmd,
+            "--data",
+            &format!("shard:{dir}"),
+            "--metrics",
+            &metrics,
+            "--s",
+            "8",
+            "--iters",
+            "128",
+            "--kernel",
+            "rbf:gamma=0.05",
+        ]);
+        assert!(text.contains("dual objective"), "{text}");
+        assert!(text.contains("io:"), "{text}");
+        let report = std::fs::read_to_string(&metrics).expect("report written");
+        for key in [
+            "\"data.source\":\"shard\"".to_string(),
+            format!("\"solver\":\"{solver}\""),
+            "\"kmethod.cache.hits\":".to_string(),
+            "\"kmethod.exchange.skipped\":".to_string(),
+            "\"shard.reads\":".to_string(),
+            "\"io.bytes_read\":".to_string(),
+        ] {
+            assert!(report.contains(&key), "{cmd}: {key} missing: {report}");
+        }
+        let _ = std::fs::remove_file(&metrics);
+    }
+    let _ = std::fs::remove_file(&data);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn helpful_errors() {
     // unknown subcommand
@@ -691,24 +694,47 @@ fn helpful_errors() {
         .expect("run");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("choose from"));
+    // Zero counts are typed errors naming the flag at the one place the
+    // run surface is parsed — never a partitioner or solver panic.
+    let data = generated("errors.svm", &["duke"]);
+    for (cmd, engine, flag) in [
+        ("simulate", "sim", "--p"),
+        ("simulate", "dist", "--p"),
+        ("simulate", "net", "--p"),
+        ("ksvm", "dist", "--p"),
+        ("simulate", "seq", "--s"),
+        ("simulate", "sim", "--mu"),
+        ("simulate", "dist", "--iters"),
+        ("lasso", "seq", "--mu"),
+        ("svm", "seq", "--s"),
+        ("kridge", "seq", "--iters"),
+    ] {
+        let out = saco()
+            .args([cmd, "--data"])
+            .arg(&data)
+            .args(["--engine", engine, flag, "0"])
+            .output()
+            .expect("run");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd} {engine} {flag} 0: {err}");
+        assert!(err.contains(flag), "{cmd} {engine} {flag} 0: {err}");
+        assert!(!err.contains("panicked"), "{err}");
+    }
+    // A block wider than the data is the library's typed config error.
+    let out = saco()
+        .args(["lasso", "--mu", "100000", "--data"])
+        .arg(&data)
+        .output()
+        .expect("run");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("exceeds feature count"), "{err}");
+    let _ = std::fs::remove_file(&data);
 }
 
 #[test]
 fn cv_prints_lambda_table() {
-    let data = tmpfile("cv.svm");
-    assert!(saco()
-        .args([
-            "generate",
-            "--dataset",
-            "covtype",
-            "--scale",
-            "0.02",
-            "--out"
-        ])
-        .arg(&data)
-        .status()
-        .expect("generate")
-        .success());
+    let data = generated("cv.svm", &["covtype", "--scale", "0.02"]);
     let out = saco()
         .args(["cv", "--data"])
         .arg(&data)
@@ -733,30 +759,10 @@ fn cv_prints_lambda_table() {
 /// volumes, phase event counts, objective, critical rank — must be
 /// byte-identical between `--overlap on` and `--overlap off`.
 fn strip_timing(report: &str) -> String {
-    let mut out = report.to_string();
-    for key in [
-        "time.running",
-        "comm.overlap_hidden_time",
-        "par.threads",
-        "par.regions",
-        "par.tiles",
-        "par.utilization",
-    ] {
-        let pat = format!("\"{key}\":");
-        if let Some(i) = out.find(&pat) {
-            let end_rel = out[i..].find([',', '}']).expect("gauge value terminated");
-            if out.as_bytes()[i + end_rel] == b',' {
-                out.replace_range(i..i + end_rel + 1, "");
-            } else {
-                let start = if i > 0 && out.as_bytes()[i - 1] == b',' {
-                    i - 1
-                } else {
-                    i
-                };
-                out.replace_range(start..i + end_rel, "");
-            }
-        }
-    }
+    let mut out = strip_entries(
+        report,
+        &["time.running", "comm.overlap_hidden_time", "par."],
+    );
     // Zero the value after every "…time…": key (rank phase tables and the
     // totals block) — comm/idle attribution shifts when comm hides behind
     // the overlap window, but only the *times* may move.
@@ -783,20 +789,7 @@ fn strip_timing(report: &str) -> String {
 
 #[test]
 fn overlap_knob_never_changes_solver_results() {
-    let data = tmpfile("overlap.svm");
-    assert!(saco()
-        .args([
-            "generate",
-            "--dataset",
-            "news20",
-            "--scale",
-            "0.05",
-            "--out"
-        ])
-        .arg(&data)
-        .status()
-        .expect("generate")
-        .success());
+    let data = generated("overlap.svm", &["news20", "--scale", "0.05"]);
     let run = |overlap: &str, metrics: &PathBuf| {
         let out = saco()
             .args(["simulate", "--data"])

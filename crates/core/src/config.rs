@@ -26,6 +26,26 @@ pub enum BlockSampling {
     },
 }
 
+fn ensure(ok: bool, msg: impl FnOnce() -> String) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(msg())
+    }
+}
+
+/// The two conditions every family shares.
+fn check_budget(s: usize, max_iters: usize) -> Result<(), String> {
+    ensure(s >= 1, || "unrolling parameter s must be ≥ 1".into())?;
+    ensure(max_iters >= 1, || "need at least one iteration".into())
+}
+
+/// The dual families' invariants: λ > 0 and a valid budget.
+fn check_dual(lambda: f64, s: usize, max_iters: usize) -> Result<(), String> {
+    ensure(lambda > 0.0, || "lambda must be positive".into())?;
+    check_budget(s, max_iters)
+}
+
 /// Configuration for the proximal least-squares solvers (CD/BCD/accCD/
 /// accBCD and their SA variants).
 #[derive(Clone, Debug)]
@@ -75,32 +95,36 @@ impl Default for LassoConfig {
 }
 
 impl LassoConfig {
-    /// Validate invariants against a problem of `n` features.
+    /// Check invariants against a problem of `n` features: µ in `1..=n`,
+    /// `s ≥ 1`, a nonzero budget, and group-aligned sampling compatible
+    /// with µ and `n`. The message names the violated condition.
+    pub fn check(&self, n: usize) -> Result<(), String> {
+        ensure(self.mu >= 1, || "block size µ must be ≥ 1".into())?;
+        ensure(self.mu <= n, || {
+            format!("block size µ = {} exceeds feature count {n}", self.mu)
+        })?;
+        check_budget(self.s, self.max_iters)?;
+        if let BlockSampling::AlignedGroups { group_size } = self.sampling {
+            ensure(group_size >= 1, || "group size must be ≥ 1".into())?;
+            ensure(self.mu.is_multiple_of(group_size), || {
+                format!(
+                    "µ = {} is not a multiple of the group size {group_size}",
+                    self.mu
+                )
+            })?;
+            ensure(n.is_multiple_of(group_size), || {
+                format!("feature count {n} is not a multiple of the group size {group_size}")
+            })?;
+        }
+        Ok(())
+    }
+
+    /// [`Self::check`] for callers whose config is program-built.
     ///
     /// # Panics
-    /// Panics if µ = 0, µ > n, s = 0, or group-aligned sampling is
-    /// requested with incompatible µ / n.
+    /// Panics with the `check` message on a violated invariant.
     pub fn validate(&self, n: usize) {
-        assert!(self.mu >= 1, "block size µ must be ≥ 1");
-        assert!(
-            self.mu <= n,
-            "block size µ = {} exceeds feature count {n}",
-            self.mu
-        );
-        assert!(self.s >= 1, "unrolling parameter s must be ≥ 1");
-        assert!(self.max_iters >= 1, "need at least one iteration");
-        if let BlockSampling::AlignedGroups { group_size } = self.sampling {
-            assert!(group_size >= 1, "group size must be ≥ 1");
-            assert!(
-                self.mu.is_multiple_of(group_size),
-                "µ = {} is not a multiple of the group size {group_size}",
-                self.mu
-            );
-            assert!(
-                n.is_multiple_of(group_size),
-                "feature count {n} is not a multiple of the group size {group_size}"
-            );
-        }
+        self.check(n).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// The paper's `q = ⌈n/µ⌉` (Alg. 1 line 3).
@@ -149,14 +173,17 @@ impl Default for SvmConfig {
 }
 
 impl SvmConfig {
-    /// Validate invariants.
+    /// Check invariants: λ > 0, `s ≥ 1`, a nonzero iteration budget.
+    pub fn check(&self) -> Result<(), String> {
+        check_dual(self.lambda, self.s, self.max_iters)
+    }
+
+    /// [`Self::check`] for callers whose config is program-built.
     ///
     /// # Panics
-    /// Panics if λ ≤ 0 or s = 0.
+    /// Panics with the `check` message on a violated invariant.
     pub fn validate(&self) {
-        assert!(self.lambda > 0.0, "lambda must be positive");
-        assert!(self.s >= 1, "unrolling parameter s must be ≥ 1");
-        assert!(self.max_iters >= 1, "need at least one iteration");
+        self.check().unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
@@ -219,14 +246,17 @@ impl Default for KdcdConfig {
 }
 
 impl KdcdConfig {
-    /// Validate invariants.
+    /// Check invariants: λ > 0, `s ≥ 1`, a nonzero iteration budget.
+    pub fn check(&self) -> Result<(), String> {
+        check_dual(self.lambda, self.s, self.max_iters)
+    }
+
+    /// [`Self::check`] for callers whose config is program-built.
     ///
     /// # Panics
-    /// Panics if λ ≤ 0, s = 0, or the iteration budget is zero.
+    /// Panics with the `check` message on a violated invariant.
     pub fn validate(&self) {
-        assert!(self.lambda > 0.0, "lambda must be positive");
-        assert!(self.s >= 1, "unrolling parameter s must be ≥ 1");
-        assert!(self.max_iters >= 1, "need at least one iteration");
+        self.check().unwrap_or_else(|e| panic!("{e}"));
     }
 }
 

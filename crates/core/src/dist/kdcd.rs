@@ -1,10 +1,11 @@
-//! Distributed K-DCD/K-BDCD: kernel dual coordinate descent over
+//! K-DCD/K-BDCD on the SPMD engines: kernel dual coordinate descent over
 //! 1D-column-partitioned data.
 //!
 //! Same layout as the linear SVM ([`super::SvmRankData`]): each rank
 //! holds all `m` rows restricted to a contiguous feature block, stored
-//! CSR. The dual iterate `α`, the margins `z`, the labels, and the
-//! kernel-row cache are replicated — so every rank computes the same
+//! CSR. The dual iterate `α` (the full `SolveResult::x` on every rank),
+//! the margins `z`, the labels, the objective trace and the kernel-row
+//! cache are replicated — so every rank computes the same
 //! miss set, and the one fused allreduce per outer iteration carries the
 //! `misses × m` block of *local* dot-product rows (no packed triangle:
 //! kernel transforms are nonlinear, so only raw dots can be summed).
@@ -12,37 +13,17 @@
 //! every rank — the kernel family's extra synchronization saving.
 //!
 //! The recurrence and the kernel tile live in
-//! `crate::exec::{kdcd_family, DistBackend}`; this entry point binds a
-//! rank's local column block to the SPMD engine.
-
-use crate::config::KdcdConfig;
-use crate::dist::SvmRankData;
-use crate::exec::{kdcd_family, DistBackend, KdcdStats};
-use crate::trace::SolveResult;
-use mpisim::Comm;
-
-/// Distributed s-step kernel dual coordinate descent (`cfg.s = 1` is
-/// classical K-DCD/K-BDCD).
-///
-/// `α` is replicated, so `SolveResult::x` is the full dual iterate on
-/// every rank; the trace (dual objective) is replicated and identical on
-/// all ranks.
-pub fn dist_kdcd(
-    comm: &mut Comm,
-    data: &SvmRankData,
-    cfg: &KdcdConfig,
-) -> (SolveResult, KdcdStats) {
-    let mut backend = DistBackend::new(comm, &data.csr, data.csr.rows());
-    kdcd_family(&data.csr, &data.b, cfg, &mut backend)
-}
+//! `crate::exec::{kdcd_family, DistBackend}`.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::config::{KdcdTask, SvmLoss};
+    use crate::config::{KdcdConfig, KdcdTask, SvmLoss};
+    use crate::exec::KdcdStats;
+    use crate::run::{run, Engine, Method, RunSpec, Source};
     use crate::seq;
+    use crate::trace::SolveResult;
     use datagen::{binary_classification, dense_gaussian};
-    use mpisim::{CostModel, ThreadMachine};
+    use mpisim::CostModel;
     use sparsela::io::Dataset;
     use sparsela::KernelFn;
 
@@ -66,13 +47,11 @@ mod tests {
     }
 
     fn run_dist(ds: &Dataset, p: usize, c: &KdcdConfig) -> Vec<(SolveResult, KdcdStats)> {
-        let (_, blocks) = SvmRankData::split(ds, p, false);
-        ThreadMachine::run(p, CostModel::cray_xc30(), |comm| {
-            dist_kdcd(comm, &blocks[comm.rank()], c)
-        })
-        .into_iter()
-        .map(|(r, _)| r)
-        .collect()
+        let (model, balanced) = (CostModel::cray_xc30(), false);
+        let engine = Engine::Dist { p, model, balanced };
+        let spec = RunSpec::new(Method::kdcd(c), engine, Source::InMemory(ds));
+        let out = run(&spec).expect("dist run");
+        out.results.into_iter().zip(out.kdcd).collect()
     }
 
     #[test]

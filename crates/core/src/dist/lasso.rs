@@ -1,4 +1,5 @@
-//! Distributed (SA-)accBCD and (SA-)BCD for proximal least-squares.
+//! The Lasso rank layout for the SPMD engines (`Engine::Dist`,
+//! `Engine::Net`).
 //!
 //! Layout (§IV-B / Fig. 1): `A` is 1D-row partitioned — each rank holds a
 //! contiguous block of data points, stored CSC so that gathering sampled
@@ -13,15 +14,12 @@
 //! iterates are bitwise identical with overlap on or off).
 //!
 //! The recurrence and the fused exchange live in
-//! `crate::exec::{lasso_family, DistBackend}`; these entry points bind a
-//! rank's local row block to the SPMD engine.
+//! `crate::exec::{lasso_family, DistBackend}`; [`crate::run`] binds a
+//! rank's local row block to the engine. Every rank returns the same
+//! replicated result, up to the bit: the reductions are deterministic
+//! trees.
 
-use crate::config::LassoConfig;
-use crate::exec::{lasso_family, DistBackend};
-use crate::prox::Regularizer;
-use crate::trace::SolveResult;
 use datagen::Partition;
-use mpisim::Comm;
 use sparsela::io::Dataset;
 use sparsela::CscMatrix;
 
@@ -53,42 +51,16 @@ impl LassoRankData {
     }
 }
 
-/// Distributed SA-accBCD (Algorithm 2 over MPI-style ranks). `cfg.s = 1`
-/// is classical accBCD (Algorithm 1); µ = 1 gives (SA-)accCD.
-///
-/// Every rank returns the same replicated result (up to the bit: the
-/// reductions are deterministic trees).
-pub fn dist_sa_accbcd<R: Regularizer>(
-    comm: &mut Comm,
-    data: &LassoRankData,
-    reg: &R,
-    cfg: &LassoConfig,
-) -> SolveResult {
-    assert_eq!(data.b.len(), data.csc.rows(), "local label slice mismatch");
-    let mut backend = DistBackend::new(comm, &data.csc, data.csc.rows());
-    lasso_family(&data.csc, &data.b, reg, cfg, true, &mut backend)
-}
-
-/// Distributed SA-BCD (non-accelerated). `cfg.s = 1` is classical BCD;
-/// µ = 1 gives (SA-)CD.
-pub fn dist_sa_bcd<R: Regularizer>(
-    comm: &mut Comm,
-    data: &LassoRankData,
-    reg: &R,
-    cfg: &LassoConfig,
-) -> SolveResult {
-    assert_eq!(data.b.len(), data.csc.rows(), "local label slice mismatch");
-    let mut backend = DistBackend::new(comm, &data.csc, data.csc.rows());
-    lasso_family(&data.csc, &data.b, reg, cfg, false, &mut backend)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::LassoConfig;
     use crate::prox::Lasso;
+    use crate::run::{run, Engine, Method, RunOutcome, RunSpec, Source};
     use crate::seq;
+    use crate::trace::SolveResult;
     use datagen::{planted_regression, uniform_sparse};
-    use mpisim::{CostModel, ThreadMachine};
+    use mpisim::CostModel;
 
     fn problem(seed: u64) -> Dataset {
         let a = uniform_sparse(120, 60, 0.15, seed);
@@ -108,20 +80,15 @@ mod tests {
         }
     }
 
-    fn run_dist(ds: &Dataset, p: usize, c: &LassoConfig, acc: bool) -> Vec<SolveResult> {
-        let (_, blocks) = LassoRankData::split(ds, p, false);
-        let reg = Lasso::new(c.lambda);
-        ThreadMachine::run(p, CostModel::cray_xc30(), |comm| {
-            let data = &blocks[comm.rank()];
-            if acc {
-                dist_sa_accbcd(comm, data, &reg, c)
-            } else {
-                dist_sa_bcd(comm, data, &reg, c)
-            }
-        })
-        .into_iter()
-        .map(|(r, _)| r)
-        .collect()
+    fn dist(ds: &Dataset, p: usize, c: &LassoConfig, accel: bool) -> RunOutcome {
+        let (reg, cfg, model, balanced) = (&Lasso::new(c.lambda), c, CostModel::cray_xc30(), false);
+        let method = Method::Lasso { reg, cfg, accel };
+        let engine = Engine::Dist { p, model, balanced };
+        run(&RunSpec::new(method, engine, Source::InMemory(ds))).expect("dist run")
+    }
+
+    fn run_dist(ds: &Dataset, p: usize, c: &LassoConfig, accel: bool) -> Vec<SolveResult> {
+        dist(ds, p, c, accel).results
     }
 
     #[test]
@@ -167,17 +134,12 @@ mod tests {
     fn sa_uses_fewer_messages_and_less_time() {
         let ds = problem(4);
         let p = 8;
-        let (_, blocks) = LassoRankData::split(&ds, p, false);
         let run = |s: usize| {
             let c = LassoConfig {
                 trace_every: 0,
                 ..cfg(1, s, 128)
             };
-            let reg = Lasso::new(c.lambda);
-            let (_, report) = ThreadMachine::run_report(p, CostModel::cray_xc30(), |comm| {
-                dist_sa_accbcd(comm, &blocks[comm.rank()], &reg, &c)
-            });
-            report
+            dist(&ds, p, &c, true).report.expect("report")
         };
         let classic = run(1);
         let sa = run(16);

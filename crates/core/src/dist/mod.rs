@@ -7,10 +7,12 @@
 //! sampling from the shared seed — the synchronization-avoiding trick of
 //! the paper.
 //!
-//! Each solver is implemented once with general unrolling depth `s ≥ 1`;
+//! Each family is implemented once with general unrolling depth `s ≥ 1`;
 //! `s = 1` *is* the classical per-iteration algorithm (Alg. 2 with `s = 1`
 //! coincides with Alg. 1 line for line), so the classical/SA comparison is
-//! a parameter sweep, not two code paths.
+//! a parameter sweep, not two code paths. This module holds the rank-data
+//! layouts and the shared charge formulas; `crate::run` with
+//! `Engine::Dist` spawns the ranks.
 //!
 //! Cost accounting: solvers charge the machine's cost model for the flops
 //! they execute via the shared formulas in [`charges`] — the
@@ -22,47 +24,5 @@ mod kdcd;
 mod lasso;
 mod svm;
 
-pub use kdcd::dist_kdcd;
-pub use lasso::{dist_sa_accbcd, dist_sa_bcd, LassoRankData};
-pub use svm::{dist_sa_svm, SvmRankData};
-
-use sparsela::DenseMatrix;
-
-// The triangle wire format lives with the other communication kernels in
-// `sparsela::sympack`; these re-exports keep the historical `dist` paths
-// working.
-pub use sparsela::sympack::{unpack_symmetric, unpack_symmetric_into};
-
-/// Pack the upper triangle (including diagonal) of a symmetric `k × k`
-/// matrix into `k(k+1)/2` words — the paper's footnote 3: "G is symmetric
-/// so computing just the upper/lower triangular part reduces flops and
-/// message size by 2×". Alias of [`sparsela::sympack::pack_upper_into`].
-pub fn pack_symmetric(g: &DenseMatrix, buf: &mut Vec<f64>) {
-    sparsela::sympack::pack_upper_into(g, buf);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn symmetric_pack_roundtrip() {
-        let g = DenseMatrix::from_rows(&[&[1.0, 2.0, 3.0], &[2.0, 5.0, 6.0], &[3.0, 6.0, 9.0]]);
-        let mut buf = vec![99.0]; // pre-existing content preserved
-        pack_symmetric(&g, &mut buf);
-        assert_eq!(buf.len(), 1 + 6);
-        let (g2, next) = unpack_symmetric(&buf, 1, 3);
-        assert_eq!(next, 7);
-        assert_eq!(g2.as_slice(), g.as_slice());
-    }
-
-    #[test]
-    fn packed_size_is_half_plus_diagonal() {
-        let k = 16;
-        let g = DenseMatrix::identity(k);
-        let mut buf = Vec::new();
-        pack_symmetric(&g, &mut buf);
-        assert_eq!(buf.len(), k * (k + 1) / 2);
-        assert!(buf.len() < k * k);
-    }
-}
+pub use lasso::LassoRankData;
+pub use svm::SvmRankData;

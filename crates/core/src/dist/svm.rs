@@ -1,24 +1,21 @@
-//! Distributed (SA-)SVM: dual coordinate descent over 1D-column-partitioned
-//! data.
+//! The SVM / K-DCD rank layout for the SPMD engines (`Engine::Dist`,
+//! `Engine::Net`).
 //!
 //! Layout (§V): "unlike Lasso, SVM requires 1D-column partitioning in
 //! order to compute dot-products in parallel" — each rank holds all `m`
 //! rows restricted to a contiguous block of features, stored CSR so that
 //! gathering sampled *rows* is cheap. The primal iterate `x ∈ Rⁿ` is
-//! partitioned conformally; the dual iterate `α ∈ Rᵐ`, the labels, and all
+//! partitioned conformally — a rank's `SolveResult::x` is its local
+//! slice; the dual iterate `α ∈ Rᵐ`, the labels, the gap trace and all
 //! scalars are replicated. One allreduce per outer iteration carries the
 //! packed symmetric `s × s` Gram block (whose diagonal is the step sizes
 //! `η`, Alg. 4 line 11) and the cross products `Yᵀx`.
 //!
 //! The recurrence and the fused exchange live in
-//! `crate::exec::{svm_family, DistBackend}`; this entry point binds a
-//! rank's local column block to the SPMD engine.
+//! `crate::exec::{svm_family, DistBackend}`; [`crate::run`] binds a
+//! rank's local column block to the engine.
 
-use crate::config::SvmConfig;
-use crate::exec::{svm_family, DistBackend};
-use crate::trace::SolveResult;
 use datagen::Partition;
-use mpisim::Comm;
 use sparsela::io::Dataset;
 use sparsela::CsrMatrix;
 
@@ -53,24 +50,15 @@ impl SvmRankData {
     }
 }
 
-/// Distributed SA-SVM (Algorithm 4 over MPI-style ranks). `cfg.s = 1` is
-/// classical dual coordinate descent (Algorithm 3).
-///
-/// Returns the rank-local slice of `x` in `SolveResult::x` (callers can
-/// allgather if they need the full vector); the trace (duality gap) is
-/// replicated and identical on all ranks.
-pub fn dist_sa_svm(comm: &mut Comm, data: &SvmRankData, cfg: &SvmConfig) -> SolveResult {
-    let mut backend = DistBackend::new(comm, &data.csr, data.csr.rows());
-    svm_family(&data.csr, &data.b, cfg, &mut backend)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SvmLoss;
+    use crate::config::{SvmConfig, SvmLoss};
+    use crate::run::{run, Engine, Method, RunOutcome, RunSpec, Source};
     use crate::seq;
+    use crate::trace::SolveResult;
     use datagen::{binary_classification, dense_gaussian, powerlaw_sparse};
-    use mpisim::{CostModel, ThreadMachine};
+    use mpisim::CostModel;
 
     fn problem(seed: u64) -> Dataset {
         let a = dense_gaussian(60, 24, seed);
@@ -90,14 +78,14 @@ mod tests {
         }
     }
 
+    fn dist(ds: &Dataset, p: usize, c: &SvmConfig, balanced: bool) -> RunOutcome {
+        let model = CostModel::cray_xc30();
+        let engine = Engine::Dist { p, model, balanced };
+        run(&RunSpec::new(Method::svm(c), engine, Source::InMemory(ds))).expect("dist run")
+    }
+
     fn run_dist(ds: &Dataset, p: usize, c: &SvmConfig) -> Vec<SolveResult> {
-        let (_, blocks) = SvmRankData::split(ds, p, false);
-        ThreadMachine::run(p, CostModel::cray_xc30(), |comm| {
-            dist_sa_svm(comm, &blocks[comm.rank()], c)
-        })
-        .into_iter()
-        .map(|(r, _)| r)
-        .collect()
+        dist(ds, p, c, false).results
     }
 
     #[test]
@@ -150,16 +138,12 @@ mod tests {
         let a = powerlaw_sparse(400, 120, 0.05, 1.0, 4);
         let ds = binary_classification(a, 0.05, 4).dataset;
         let p = 8;
-        let (_, blocks) = SvmRankData::split(&ds, p, true);
         let run = |s: usize| {
             let c = SvmConfig {
                 trace_every: 0,
                 ..cfg(SvmLoss::L1, s, 256)
             };
-            ThreadMachine::run_report(p, CostModel::cray_xc30(), |comm| {
-                dist_sa_svm(comm, &blocks[comm.rank()], &c)
-            })
-            .1
+            dist(&ds, p, &c, true).report.expect("report")
         };
         let classic = run(1);
         let sa = run(32);

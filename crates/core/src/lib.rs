@@ -13,10 +13,12 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`seq`] | sequential reference implementations: BCD/CD, accelerated BCD/CD (paper Alg. 1), their SA variants (Alg. 2, eqs. 3–9), dual CD for linear SVM (Alg. 3) and SA-SVM (Alg. 4, eqs. 14–15) |
-//! | [`dist`] | SPMD distributed implementations over the thread-backed message-passing machine in `mpisim` |
-//! | [`sim`]  | the same algorithms instrumented against `mpisim`'s virtual cluster for paper-scale rank counts (up to 12,288) |
-//! | [`net`]  | the same SPMD solvers over a real TCP/Unix-socket mesh (`netcomm`) — measured wall-clock time instead of modeled time |
+//! | [`run`] | the one entry point: `run(RunSpec { method, engine, source })` executes any method on any engine (`Seq`, `Sim`, `Dist`, `Net`) from memory or from shards |
+//! | [`seq`] | the paper's algorithms by name on the sequential engine: BCD/CD, accelerated BCD/CD (Alg. 1), their SA variants (Alg. 2, eqs. 3–9), dual CD for linear SVM (Alg. 3) and SA-SVM (Alg. 4, eqs. 14–15), kernel DCD |
+//! | [`dist`] | the SPMD rank layouts (row blocks for Lasso, column blocks for SVM/K-DCD) and the shared charge formulas |
+//! | [`sim`]  | virtual-cluster charging helpers for paper-scale rank counts (up to 12,288), and the simulated λ path |
+//! | [`net`]  | the socket-mesh engine's telemetry and the per-rank entry `saco launch` uses — measured wall-clock time instead of modeled time |
+//! | [`stream`] | out-of-core shard directories as a data source |
 //!
 //! # Problems
 //!
@@ -59,6 +61,7 @@ pub mod net;
 pub mod path;
 pub mod problem;
 pub mod prox;
+pub mod run;
 pub mod seq;
 pub mod serve;
 pub mod sim;

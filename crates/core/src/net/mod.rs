@@ -1,76 +1,50 @@
-//! Solvers over a real socket mesh: the measured counterpart of [`crate::dist`].
+//! The socket mesh as an engine: the measured counterpart of [`crate::dist`].
 //!
 //! Same layouts, same recurrences, same rank-data splits as the
-//! thread-machine solvers — [`LassoRankData`] 1D-row partitions for
-//! Lasso, [`SvmRankData`] 1D-column partitions for SVM — but the fused
-//! allreduce crosses actual TCP/Unix-socket links between OS processes
-//! (or thread-ranks in `netcomm::cluster`). The mesh's tree allreduce
+//! thread-machine runs — [`LassoRankData`] 1D-row partitions for
+//! Lasso, [`SvmRankData`] 1D-column partitions for SVM and K-DCD — but the
+//! fused allreduce crosses actual TCP/Unix-socket links between OS
+//! processes (`saco launch`) or thread-ranks (`Engine::Net`, over
+//! `netcomm::cluster`). The mesh's tree allreduce
 //! reproduces `mpisim`'s combine order bit for bit, so for identical
-//! partitioned inputs these entry points return **bitwise** the same
-//! iterates as their `dist_*` twins; what changes is that time, bytes and
-//! overlap are measured off the wire instead of charged to a model
+//! partitioned inputs a net run returns **bitwise** the iterates of its
+//! `Engine::Dist` twin — including which K-DCD blocks skip the collective
+//! (all-hit kernel caches are replicated, so every rank skips the same
+//! rounds and the mesh never deadlocks); what changes is that time, bytes
+//! and overlap are measured off the wire instead of charged to a model
 //! (`tests/engine_matrix.rs` pins the first claim, the `net_fig4` bench
 //! reports the second).
 //!
 //! Telemetry: [`record_net_stats`] turns a mesh's counters into the
 //! `net.*` namespace documented in OBSERVABILITY.md.
 
-use crate::config::{KdcdConfig, LassoConfig, SvmConfig};
-use crate::exec::{kdcd_family, lasso_family, svm_family, KdcdStats, NetBackend};
+use crate::config::LassoConfig;
 use crate::prox::Regularizer;
+use crate::run::{run_rank, Method, RankComm, RankData};
 use crate::trace::SolveResult;
 use saco_telemetry::{Phase, Registry};
 
 pub use crate::dist::{LassoRankData, SvmRankData};
-pub use netcomm::cluster::{run_local, run_local_algo};
 pub use netcomm::{Addr, Algo, Backoff, NetComm, NetConfig};
 
 /// SA-accBCD over the socket mesh (Algorithm 2; `cfg.s = 1` is classical
-/// accBCD). Bitwise-identical to [`crate::dist::dist_sa_accbcd`] on the
-/// same rank data. Panics (fail-stop) if the mesh fails mid-solve.
+/// accBCD) on a communicator the caller established: [`run_rank`] for the
+/// accelerated Lasso method. Panics (fail-stop) if the mesh fails
+/// mid-solve.
 pub fn net_sa_accbcd<R: Regularizer>(
     comm: &mut NetComm,
     data: &LassoRankData,
     reg: &R,
     cfg: &LassoConfig,
 ) -> SolveResult {
-    assert_eq!(data.b.len(), data.csc.rows(), "local label slice mismatch");
-    let mut backend = NetBackend::new(comm);
-    lasso_family(&data.csc, &data.b, reg, cfg, true, &mut backend)
-}
-
-/// SA-BCD (non-accelerated) over the socket mesh; `cfg.s = 1` is
-/// classical BCD.
-pub fn net_sa_bcd<R: Regularizer>(
-    comm: &mut NetComm,
-    data: &LassoRankData,
-    reg: &R,
-    cfg: &LassoConfig,
-) -> SolveResult {
-    assert_eq!(data.b.len(), data.csc.rows(), "local label slice mismatch");
-    let mut backend = NetBackend::new(comm);
-    lasso_family(&data.csc, &data.b, reg, cfg, false, &mut backend)
-}
-
-/// SA-SVM over the socket mesh (Algorithm 4; `cfg.s = 1` is classical
-/// dual CD). Returns the rank-local slice of `x`, like its `dist` twin.
-pub fn net_sa_svm(comm: &mut NetComm, data: &SvmRankData, cfg: &SvmConfig) -> SolveResult {
-    let mut backend = NetBackend::new(comm);
-    svm_family(&data.csr, &data.b, cfg, &mut backend)
-}
-
-/// S-step kernel dual coordinate descent (K-DCD/K-BDCD) over the socket
-/// mesh; `cfg.s = 1` is classical kernel CD. Bitwise-identical to
-/// [`crate::dist::dist_kdcd`] on the same rank data — including which
-/// blocks skip the collective (all-hit kernel caches are replicated, so
-/// every rank skips the same rounds and the mesh never deadlocks).
-pub fn net_kdcd(
-    comm: &mut NetComm,
-    data: &SvmRankData,
-    cfg: &KdcdConfig,
-) -> (SolveResult, KdcdStats) {
-    let mut backend = NetBackend::new(comm);
-    kdcd_family(&data.csr, &data.b, cfg, &mut backend)
+    let method = Method::Lasso {
+        reg,
+        cfg,
+        accel: true,
+    };
+    run_rank(&method, RankComm::Net(comm), RankData::Lasso(data))
+        .expect("row blocks are the Lasso layout")
+        .0
 }
 
 /// Record a mesh's wire counters into `registry` under the `net.*`
@@ -106,8 +80,10 @@ pub fn record_net_stats(registry: &mut Registry, comm: &NetComm, wall_secs: f64)
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::prox::Lasso;
+    use crate::run::{run, Engine, Method, RunSpec, Source};
+    use crate::LassoConfig;
+    use netcomm::Algo;
     use sparsela::io::Dataset;
 
     fn problem(seed: u64) -> Dataset {
@@ -115,8 +91,8 @@ mod tests {
         datagen::planted_regression(a, 5, 0.05, seed).dataset
     }
 
-    fn cfg(s: usize) -> LassoConfig {
-        LassoConfig {
+    fn solve(ds: &Dataset, s: usize, p: usize) -> crate::run::RunOutcome {
+        let cfg = LassoConfig {
             mu: 4,
             s,
             lambda: 0.05,
@@ -125,42 +101,36 @@ mod tests {
             trace_every: 16,
             rel_tol: None,
             ..Default::default()
-        }
+        };
+        let (reg, cfg, accel) = (&Lasso::new(cfg.lambda), &cfg, true);
+        let (algo, balanced) = (Algo::Tree, false);
+        let method = Method::Lasso { reg, cfg, accel };
+        let engine = Engine::Net { p, algo, balanced };
+        run(&RunSpec::new(method, engine, Source::InMemory(ds))).expect("net run")
     }
 
     /// Smoke: four socket ranks solve and agree bitwise; the full engine
     /// matrix (vs seq/sim/dist) lives in `tests/engine_matrix.rs`.
     #[test]
     fn four_socket_ranks_agree_bitwise() {
-        let ds = problem(1);
-        let c = cfg(8);
-        let (_, blocks) = LassoRankData::split(&ds, 4, false);
-        let reg = Lasso::new(c.lambda);
-        let results = run_local(4, |rank, comm| net_sa_accbcd(comm, &blocks[rank], &reg, &c));
-        for r in &results[1..] {
-            assert_eq!(r.x, results[0].x, "replicated iterates must agree");
+        let out = solve(&problem(1), 8, 4);
+        for r in &out.results[1..] {
+            assert_eq!(r.x, out.results[0].x, "replicated iterates must agree");
         }
-        assert!(results[0].final_value() < results[0].trace.initial_value());
+        assert!(out.result().final_value() < out.result().trace.initial_value());
     }
 
     #[test]
     fn net_stats_land_in_registry() {
-        let ds = problem(2);
-        let c = cfg(4);
-        let (_, blocks) = LassoRankData::split(&ds, 2, false);
-        let reg = Lasso::new(c.lambda);
-        let registries = run_local(2, |rank, comm| {
-            let _ = net_sa_accbcd(comm, &blocks[rank], &reg, &c);
-            let mut r = Registry::new();
-            record_net_stats(&mut r, comm, 1.0);
-            r
-        });
-        for (rank, r) in registries.iter().enumerate() {
-            assert!(r.counter("net.bytes_tx") > 0, "rank {rank} sent nothing");
-            assert_eq!(r.counter("net.reconnects"), 0, "rank {rank}");
-            assert!(r.counter("net.collectives") > 0, "rank {rank}");
-            assert!(r.gauge("net.comm.wall_secs").expect("gauge") > 0.0);
-            assert_eq!(r.meta().get("net.size").map(String::as_str), Some("2"));
-        }
+        let out = solve(&problem(2), 4, 2);
+        let r = &out.telemetry;
+        // Counters sum over the two ranks; both must have sent.
+        assert!(r.counter("net.bytes_tx") > 0);
+        assert_eq!(r.counter("net.reconnects"), 0);
+        assert!(r.counter("net.collectives") > 0);
+        assert!(r.gauge("net.comm.wall_secs").expect("gauge") > 0.0);
+        assert_eq!(r.meta().get("net.size").map(String::as_str), Some("2"));
+        assert_eq!(r.meta().get("net.rank").map(String::as_str), Some("all"));
+        assert_eq!(r.rank_tables().len(), 2, "one phase table per rank");
     }
 }

@@ -27,7 +27,7 @@ pub(crate) mod svm;
 pub use accbcd::acc_bcd;
 pub use bcd::bcd;
 pub use kdcd::kdcd;
-pub use sa_accbcd::{sa_accbcd, sa_accbcd_instrumented};
+pub use sa_accbcd::sa_accbcd;
 pub use sa_bcd::sa_bcd;
 pub use sa_svm::sa_svm;
 pub use svm::svm;

@@ -17,13 +17,15 @@
 //!
 //! The recurrence itself lives in `crate::exec::lasso_family`; this module
 //! is the sequential entry point (`SeqBackend`: no communication, exact
-//! per-iteration traces, optional wall-span instrumentation).
+//! per-iteration traces). `crate::run` with `Engine::Seq` is the same
+//! solve with per-stage wall spans recorded in the returned registry:
+//! `seq.sa_accbcd.{sampling,gram,inner}`, the gram span firing twice per
+//! outer iteration (Gram, then cross products).
 
 use crate::config::LassoConfig;
 use crate::exec::{lasso_family, SeqBackend};
 use crate::prox::Regularizer;
 use crate::trace::SolveResult;
-use saco_telemetry::Registry;
 use sparsela::io::Dataset;
 
 /// Solve `min_x ½‖Ax − b‖² + g(x)` with Algorithm 2 (SA-accBCD;
@@ -31,35 +33,6 @@ use sparsela::io::Dataset;
 pub fn sa_accbcd<R: Regularizer>(ds: &Dataset, reg: &R, cfg: &LassoConfig) -> SolveResult {
     let csc = ds.a.to_csc();
     lasso_family(&csc, &ds.b, reg, cfg, true, &mut SeqBackend::new())
-}
-
-/// [`sa_accbcd`] with per-stage wall-clock attribution: each outer
-/// iteration's sampling, Gram/cross formation, and inner prox loop are
-/// timed with RAII spans recorded in `registry`'s wall section
-/// (`seq.sa_accbcd.{sampling,gram,inner}` — the gram span covers the Gram
-/// and cross products separately, so it fires twice per outer iteration),
-/// plus summary counters. The numerics are bit-identical to the
-/// uninstrumented solver.
-pub fn sa_accbcd_instrumented<R: Regularizer>(
-    ds: &Dataset,
-    reg: &R,
-    cfg: &LassoConfig,
-    registry: &mut Registry,
-) -> SolveResult {
-    let csc = ds.a.to_csc();
-    let mut backend = SeqBackend::instrumented(
-        registry,
-        [
-            "seq.sa_accbcd.sampling",
-            "seq.sa_accbcd.gram",
-            "seq.sa_accbcd.inner",
-        ],
-    );
-    let res = lasso_family(&csc, &ds.b, reg, cfg, true, &mut backend);
-    registry.set_meta("solver", "seq_sa_accbcd");
-    registry.counter_add("solver.iterations", res.iters as u64);
-    registry.counter_add("solver.trace_points", res.trace.len() as u64);
-    res
 }
 
 #[cfg(test)]
@@ -159,8 +132,15 @@ mod tests {
         let c = cfg(2, 8, 64, 12);
         let lasso = Lasso::new(c.lambda);
         let plain = sa_accbcd(&reg.dataset, &lasso, &c);
-        let mut registry = Registry::new();
-        let inst = sa_accbcd_instrumented(&reg.dataset, &lasso, &c, &mut registry);
+        use crate::run::{run, Engine, Method, RunSpec, Source};
+        let method = Method::Lasso {
+            reg: &lasso,
+            cfg: &c,
+            accel: true,
+        };
+        let spec = RunSpec::new(method, Engine::Seq, Source::InMemory(&reg.dataset));
+        let out = run(&spec).expect("seq run");
+        let (inst, registry) = (out.result(), &out.telemetry);
         assert_eq!(plain.x, inst.x, "instrumentation must not perturb numerics");
         let wall = registry.wall();
         // 64 iterations at s = 8 → 8 outer iterations: one sampling and

@@ -1,119 +1,31 @@
-//! Virtual-cluster K-DCD/K-BDCD: sequential numerics, exact per-rank
-//! cost attribution over a 1D-column (feature) partition. These are
-//! `crate::exec::kdcd_family` runs on a [`SimBackend`] — the kernel-row
-//! tiles are charged per rank from the partition's nnz counts, and the
-//! fused exchange is the same `misses × m` allreduce the thread engine
-//! moves, word for word.
-
-use crate::config::KdcdConfig;
-use crate::exec::{kdcd_family, KdcdStats, SimBackend};
-use crate::trace::SolveResult;
-use mpisim::telemetry::Registry;
-use mpisim::{ChaosSpec, CostModel, CostReport, VirtualCluster};
-use sparsela::io::Dataset;
-
-fn sim_kdcd_core(
-    ds: &Dataset,
-    cfg: &KdcdConfig,
-    p: usize,
-    model: CostModel,
-    balanced: bool,
-    chaos: Option<&ChaosSpec>,
-) -> (SolveResult, KdcdStats, VirtualCluster) {
-    let part = datagen::col_partition(&ds.a, p, balanced);
-    let mut backend = SimBackend::new(p, model, &ds.a, part);
-    if let Some(spec) = chaos {
-        backend.enable_chaos(spec);
-    }
-    let (res, stats) = kdcd_family(&ds.a, &ds.b, cfg, &mut backend);
-    (res, stats, backend.into_cluster())
-}
-
-/// Simulated distributed K-DCD/K-BDCD on `p` virtual ranks (column
-/// partition). Numerically identical to [`crate::seq::kdcd`]; returns
-/// the solve result (trace times are simulated seconds), the kernel
-/// counters, and the cost report.
-pub fn sim_kdcd(
-    ds: &Dataset,
-    cfg: &KdcdConfig,
-    p: usize,
-    model: CostModel,
-    balanced: bool,
-) -> (SolveResult, KdcdStats, CostReport) {
-    let (res, stats, cluster) = sim_kdcd_core(ds, cfg, p, model, balanced, None);
-    let report = cluster.report();
-    (res, stats, report)
-}
-
-/// Record a solve's [`KdcdStats`] into `registry` under the `kmethod.*`
-/// namespace (see OBSERVABILITY.md — distinct from the SIMD gauges under
-/// `kernel.simd.*`). Call once, after the solve.
-pub fn record_kdcd_stats(registry: &mut Registry, stats: &KdcdStats) {
-    registry.counter_add("kmethod.cache.hits", stats.cache.hits);
-    registry.counter_add("kmethod.cache.misses", stats.cache.misses);
-    registry.counter_add("kmethod.cache.evictions", stats.cache.evictions);
-    registry.gauge_set(
-        "kmethod.cache.resident_bytes",
-        stats.cache_resident_bytes as f64,
-    );
-    registry.counter_add("kmethod.tile.rows", stats.tile_rows);
-    registry.counter_add("kmethod.eval.entries", stats.eval_entries);
-    registry.counter_add("kmethod.eval.flops", stats.eval_flops);
-    registry.counter_add("kmethod.exchange.words", stats.exchange_words);
-    registry.counter_add("kmethod.exchange.skipped", stats.exchange_skipped);
-}
-
-/// [`sim_kdcd`] plus the full telemetry [`Registry`]: per-rank phase
-/// tables, collective counts, solver metadata, and the `kmethod.*`
-/// kernel-cache/exchange counters.
-pub fn sim_kdcd_instrumented(
-    ds: &Dataset,
-    cfg: &KdcdConfig,
-    p: usize,
-    model: CostModel,
-    balanced: bool,
-) -> (SolveResult, KdcdStats, CostReport, Registry) {
-    let (res, stats, cluster) = sim_kdcd_core(ds, cfg, p, model, balanced, None);
-    let report = cluster.report();
-    let mut telemetry = cluster.telemetry();
-    telemetry.set_meta("solver", "sim_kdcd");
-    telemetry.set_meta("s", cfg.s);
-    telemetry.set_meta("kernel", format!("{:?}", cfg.kernel));
-    telemetry.counter_add("solver.iterations", res.iters as u64);
-    telemetry.counter_add("solver.trace_points", res.trace.len() as u64);
-    record_kdcd_stats(&mut telemetry, &stats);
-    (res, stats, report, telemetry)
-}
-
-/// [`sim_kdcd`] under a deterministic chaos plan: per-rank compute
-/// jitter and fail-stop/recover events, with block-boundary checkpoints
-/// driven by the shared driver. The iterates stay bitwise identical to
-/// the chaos-free run; the [`Registry`] carries the `chaos.*` counters.
-pub fn sim_kdcd_chaos(
-    ds: &Dataset,
-    cfg: &KdcdConfig,
-    p: usize,
-    model: CostModel,
-    balanced: bool,
-    chaos: &ChaosSpec,
-) -> (SolveResult, KdcdStats, CostReport, Registry) {
-    let (res, stats, cluster) = sim_kdcd_core(ds, cfg, p, model, balanced, Some(chaos));
-    let report = cluster.report();
-    let mut telemetry = cluster.telemetry();
-    telemetry.set_meta("solver", "sim_kdcd");
-    telemetry.set_meta("s", cfg.s);
-    telemetry.set_meta("chaos.seed", chaos.seed);
-    record_kdcd_stats(&mut telemetry, &stats);
-    (res, stats, report, telemetry)
-}
+//! Virtual-cluster K-DCD/K-BDCD (`Engine::Sim` × K-DCD): sequential
+//! numerics, exact per-rank cost attribution over a 1D-column (feature)
+//! partition. The run is `crate::exec::kdcd_family` on a `SimBackend` —
+//! the kernel-row tiles are charged per rank from the partition's nnz
+//! counts, and the fused exchange is the same `misses × m` allreduce the
+//! thread engine moves, word for word. Under a chaos plan the shared
+//! driver checkpoints at block boundaries; iterates stay bitwise.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::config::{KdcdTask, SvmLoss};
+    use crate::config::{KdcdConfig, KdcdTask, SvmLoss};
+    use crate::run::{run, Engine, Method, RunOutcome, RunSpec, Source};
     use crate::seq;
     use datagen::{binary_classification, dense_gaussian};
+    use mpisim::{ChaosSpec, CostModel};
+    use sparsela::io::Dataset;
     use sparsela::KernelFn;
+
+    fn sim(ds: &Dataset, c: &KdcdConfig, p: usize, chaos: Option<ChaosSpec>) -> RunOutcome {
+        let (model, balanced) = (CostModel::cray_xc30(), false);
+        let engine = Engine::Sim {
+            p,
+            model,
+            balanced,
+            chaos,
+        };
+        run(&RunSpec::new(Method::kdcd(c), engine, Source::InMemory(ds))).expect("sim run")
+    }
 
     fn problem(seed: u64) -> Dataset {
         let a = dense_gaussian(48, 16, seed);
@@ -139,8 +51,9 @@ mod tests {
         let ds = problem(1);
         let c = cfg(8);
         let (seq_res, seq_stats) = seq::kdcd(&ds, &c);
-        let (sim_res, sim_stats, _) = sim_kdcd(&ds, &c, 16, CostModel::cray_xc30(), false);
-        assert_eq!(seq_res.x, sim_res.x);
+        let out = sim(&ds, &c, 16, None);
+        let sim_stats = out.kdcd[0];
+        assert_eq!(seq_res.x, out.result().x);
         // Replicated cache ⇒ replicated hit/miss/eviction stream.
         assert_eq!(seq_stats.cache, sim_stats.cache);
         assert_eq!(seq_stats.exchange_skipped, sim_stats.exchange_skipped);
@@ -155,8 +68,8 @@ mod tests {
         let ds = binary_classification(a, 0.05, 2).dataset;
         let mut c = cfg(4);
         c.max_iters = 200;
-        let (_, stats, rep, telemetry) =
-            sim_kdcd_instrumented(&ds, &c, 4, CostModel::cray_xc30(), false);
+        let out = sim(&ds, &c, 4, None);
+        let (stats, rep, telemetry) = (out.kdcd[0], out.report.expect("report"), &out.telemetry);
         assert!(stats.exchange_skipped > 0, "expected all-hit blocks");
         let rounds = 200 / 4;
         assert!(
@@ -176,8 +89,9 @@ mod tests {
     fn instrumented_run_reconciles_with_cost_report() {
         let ds = problem(5);
         let c = cfg(8);
-        let (res, stats, rep, telemetry) =
-            sim_kdcd_instrumented(&ds, &c, 8, CostModel::cray_xc30(), false);
+        let out = sim(&ds, &c, 8, None);
+        let (res, stats) = (out.result(), out.kdcd[0]);
+        let (rep, telemetry) = (out.report.expect("report"), &out.telemetry);
         let crit = telemetry.critical_rank().expect("per-rank tables recorded");
         let t = telemetry.phases(crit).expect("critical rank table");
         assert!((t.comm_time() - rep.critical.comm_time).abs() < 1e-9);
@@ -194,7 +108,7 @@ mod tests {
     fn chaos_recovery_preserves_iterates() {
         let ds = problem(7);
         let c = cfg(8);
-        let clean = sim_kdcd(&ds, &c, 8, CostModel::cray_xc30(), false).0;
+        let clean = sim(&ds, &c, 8, None);
         let spec = ChaosSpec {
             seed: 9,
             skew: 0.2,
@@ -202,9 +116,12 @@ mod tests {
             straggle: 0.05,
             fail: Some((3, 2)),
         };
-        let (chaotic, _, _, telemetry) =
-            sim_kdcd_chaos(&ds, &c, 8, CostModel::cray_xc30(), false, &spec);
-        assert_eq!(clean.x, chaotic.x, "chaos must not perturb numerics");
-        assert!(telemetry.meta().contains_key("chaos.seed"));
+        let chaotic = sim(&ds, &c, 8, Some(spec));
+        assert_eq!(
+            clean.result().x,
+            chaotic.result().x,
+            "chaos must not perturb numerics"
+        );
+        assert!(chaotic.telemetry.meta().contains_key("chaos.seed"));
     }
 }

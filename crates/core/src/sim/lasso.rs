@@ -1,182 +1,27 @@
-//! Virtual-cluster (SA-)accBCD and (SA-)BCD: sequential numerics, exact
-//! per-rank cost attribution. These are `crate::exec::lasso_family` runs
-//! on a [`SimBackend`] — by construction the numerics are the sequential
-//! engine's and the charge sequence is the thread engine's, call for call
-//! (see the cross-engine tests in `tests/engine_matrix.rs`).
-
-use crate::config::LassoConfig;
-use crate::exec::{lasso_family, SimBackend};
-use crate::prox::Regularizer;
-use crate::trace::SolveResult;
-use mpisim::telemetry::Registry;
-use mpisim::{ChaosSpec, CostModel, CostReport, VirtualCluster};
-use sparsela::io::Dataset;
-
-fn sim_lasso_core<R: Regularizer>(
-    ds: &Dataset,
-    reg: &R,
-    cfg: &LassoConfig,
-    p: usize,
-    model: CostModel,
-    balanced: bool,
-    accel: bool,
-) -> (SolveResult, VirtualCluster) {
-    sim_lasso_core_chaos(ds, reg, cfg, p, model, balanced, accel, None)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn sim_lasso_core_chaos<R: Regularizer>(
-    ds: &Dataset,
-    reg: &R,
-    cfg: &LassoConfig,
-    p: usize,
-    model: CostModel,
-    balanced: bool,
-    accel: bool,
-    chaos: Option<&ChaosSpec>,
-) -> (SolveResult, VirtualCluster) {
-    let csc = ds.a.to_csc();
-    let part = datagen::row_partition(&ds.a, p, balanced);
-    let mut backend = SimBackend::new(p, model, &csc, part);
-    if let Some(spec) = chaos {
-        backend.enable_chaos(spec);
-    }
-    let res = lasso_family(&csc, &ds.b, reg, cfg, accel, &mut backend);
-    (res, backend.into_cluster())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn sim_lasso_chaos<R: Regularizer>(
-    ds: &Dataset,
-    reg: &R,
-    cfg: &LassoConfig,
-    p: usize,
-    model: CostModel,
-    balanced: bool,
-    accel: bool,
-    chaos: &ChaosSpec,
-) -> (SolveResult, CostReport, Registry) {
-    let (res, cluster) = sim_lasso_core_chaos(ds, reg, cfg, p, model, balanced, accel, Some(chaos));
-    let report = cluster.report();
-    let mut telemetry = cluster.telemetry();
-    telemetry.set_meta("solver", if accel { "sim_sa_accbcd" } else { "sim_sa_bcd" });
-    telemetry.set_meta("s", cfg.s);
-    telemetry.set_meta("mu", cfg.mu);
-    telemetry.set_meta("chaos.seed", chaos.seed);
-    telemetry.counter_add("solver.iterations", res.iters as u64);
-    telemetry.counter_add("solver.trace_points", res.trace.len() as u64);
-    (res, report, telemetry)
-}
-
-/// [`sim_sa_accbcd`] under a deterministic chaos plan: per-rank compute
-/// skew, collective jitter, transient stalls, and optional fail-stop
-/// faults perturb *time only* — the returned iterate is bitwise identical
-/// to the chaos-free run. The [`Registry`] carries the `chaos.*` counters
-/// and gauges alongside the usual per-rank phase tables.
-pub fn sim_sa_accbcd_chaos<R: Regularizer>(
-    ds: &Dataset,
-    reg: &R,
-    cfg: &LassoConfig,
-    p: usize,
-    model: CostModel,
-    balanced: bool,
-    chaos: &ChaosSpec,
-) -> (SolveResult, CostReport, Registry) {
-    sim_lasso_chaos(ds, reg, cfg, p, model, balanced, true, chaos)
-}
-
-/// [`sim_sa_bcd`] under a deterministic chaos plan (see
-/// [`sim_sa_accbcd_chaos`]).
-pub fn sim_sa_bcd_chaos<R: Regularizer>(
-    ds: &Dataset,
-    reg: &R,
-    cfg: &LassoConfig,
-    p: usize,
-    model: CostModel,
-    balanced: bool,
-    chaos: &ChaosSpec,
-) -> (SolveResult, CostReport, Registry) {
-    sim_lasso_chaos(ds, reg, cfg, p, model, balanced, false, chaos)
-}
-
-/// Simulated distributed SA-accBCD on `p` virtual ranks (row partition).
-/// Numerically identical to [`crate::seq::sa_accbcd`]; returns the solve
-/// result (trace times are simulated seconds) and the cost report.
-pub fn sim_sa_accbcd<R: Regularizer>(
-    ds: &Dataset,
-    reg: &R,
-    cfg: &LassoConfig,
-    p: usize,
-    model: CostModel,
-    balanced: bool,
-) -> (SolveResult, CostReport) {
-    let (res, cluster) = sim_lasso_core(ds, reg, cfg, p, model, balanced, true);
-    let report = cluster.report();
-    (res, report)
-}
-
-/// [`sim_sa_accbcd`] plus the full telemetry [`Registry`]: per-rank phase
-/// tables, collective counts, and solver metadata — ready for an emitter
-/// or [`mpisim::telemetry::run_report_json`].
-pub fn sim_sa_accbcd_instrumented<R: Regularizer>(
-    ds: &Dataset,
-    reg: &R,
-    cfg: &LassoConfig,
-    p: usize,
-    model: CostModel,
-    balanced: bool,
-) -> (SolveResult, CostReport, Registry) {
-    let (res, cluster) = sim_lasso_core(ds, reg, cfg, p, model, balanced, true);
-    let report = cluster.report();
-    let mut telemetry = cluster.telemetry();
-    telemetry.set_meta("solver", "sim_sa_accbcd");
-    telemetry.set_meta("s", cfg.s);
-    telemetry.set_meta("mu", cfg.mu);
-    telemetry.counter_add("solver.iterations", res.iters as u64);
-    telemetry.counter_add("solver.trace_points", res.trace.len() as u64);
-    (res, report, telemetry)
-}
-
-/// Simulated distributed SA-BCD (non-accelerated) on `p` virtual ranks.
-pub fn sim_sa_bcd<R: Regularizer>(
-    ds: &Dataset,
-    reg: &R,
-    cfg: &LassoConfig,
-    p: usize,
-    model: CostModel,
-    balanced: bool,
-) -> (SolveResult, CostReport) {
-    let (res, cluster) = sim_lasso_core(ds, reg, cfg, p, model, balanced, false);
-    let report = cluster.report();
-    (res, report)
-}
-
-/// [`sim_sa_bcd`] plus the full telemetry [`Registry`].
-pub fn sim_sa_bcd_instrumented<R: Regularizer>(
-    ds: &Dataset,
-    reg: &R,
-    cfg: &LassoConfig,
-    p: usize,
-    model: CostModel,
-    balanced: bool,
-) -> (SolveResult, CostReport, Registry) {
-    let (res, cluster) = sim_lasso_core(ds, reg, cfg, p, model, balanced, false);
-    let report = cluster.report();
-    let mut telemetry = cluster.telemetry();
-    telemetry.set_meta("solver", "sim_sa_bcd");
-    telemetry.set_meta("s", cfg.s);
-    telemetry.set_meta("mu", cfg.mu);
-    telemetry.counter_add("solver.iterations", res.iters as u64);
-    telemetry.counter_add("solver.trace_points", res.trace.len() as u64);
-    (res, report, telemetry)
-}
+//! Virtual-cluster (SA-)accBCD and (SA-)BCD (`Engine::Sim` × Lasso):
+//! sequential numerics, exact per-rank cost attribution over a 1D-row
+//! partition. The run is `crate::exec::lasso_family` on a `SimBackend` —
+//! by construction the numerics are the sequential engine's and the
+//! charge sequence is the thread engine's, call for call (see the
+//! cross-engine tests in `tests/engine_matrix.rs`). Trace times are
+//! simulated seconds; a chaos plan perturbs *time only*, never values.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::config::LassoConfig;
     use crate::prox::Lasso;
+    use crate::run::{run, Engine, Method, RunOutcome, RunSpec, Source};
     use crate::seq;
     use datagen::{planted_regression, uniform_sparse};
+    use mpisim::CostModel;
+    use sparsela::io::Dataset;
+
+    fn sim(ds: &Dataset, c: &LassoConfig, accel: bool, p: usize, balanced: bool) -> RunOutcome {
+        let (reg, cfg) = (&Lasso::new(c.lambda), c);
+        let engine = Engine::sim(p, CostModel::cray_xc30(), balanced);
+        let method = Method::Lasso { reg, cfg, accel };
+        run(&RunSpec::new(method, engine, Source::InMemory(ds))).expect("sim run")
+    }
 
     fn problem(seed: u64) -> Dataset {
         let a = uniform_sparse(120, 60, 0.15, seed);
@@ -202,9 +47,8 @@ mod tests {
         let c = cfg(4, 8, 128);
         let lasso = Lasso::new(c.lambda);
         let seq_res = seq::sa_accbcd(&ds, &lasso, &c);
-        let (sim_res, _) = sim_sa_accbcd(&ds, &lasso, &c, 64, CostModel::cray_xc30(), false);
         // bit-identical: the simulated solver runs the same global numerics
-        assert_eq!(seq_res.x, sim_res.x);
+        assert_eq!(seq_res.x, sim(&ds, &c, true, 64, false).result().x);
     }
 
     #[test]
@@ -213,19 +57,17 @@ mod tests {
         let c = cfg(2, 16, 128);
         let lasso = Lasso::new(c.lambda);
         let seq_res = seq::sa_bcd(&ds, &lasso, &c);
-        let (sim_res, _) = sim_sa_bcd(&ds, &lasso, &c, 256, CostModel::cray_xc30(), true);
-        assert_eq!(seq_res.x, sim_res.x);
+        assert_eq!(seq_res.x, sim(&ds, &c, false, 256, true).result().x);
     }
 
     #[test]
     fn sa_is_faster_in_simulated_time() {
         let ds = problem(3);
-        let lasso = Lasso::new(0.05);
         let mut c = cfg(1, 1, 256);
         c.trace_every = 0;
-        let (_, classic) = sim_sa_accbcd(&ds, &lasso, &c, 1024, CostModel::cray_xc30(), false);
+        let classic = sim(&ds, &c, true, 1024, false).report.expect("report");
         c.s = 16;
-        let (_, sa) = sim_sa_accbcd(&ds, &lasso, &c, 1024, CostModel::cray_xc30(), false);
+        let sa = sim(&ds, &c, true, 1024, false).report.expect("report");
         assert!(
             sa.running_time() < classic.running_time(),
             "SA {} vs classic {}",
@@ -242,11 +84,10 @@ mod tests {
         // L = (H/s)·⌈log₂P⌉ collectives-rounds, plus the 2 bookkeeping
         // reductions (initial + final objective).
         let ds = problem(4);
-        let lasso = Lasso::new(0.05);
         let mut c = cfg(1, 8, 256);
         c.trace_every = 0;
         let p = 512; // log2 = 9
-        let (_, rep) = sim_sa_accbcd(&ds, &lasso, &c, p, CostModel::cray_xc30(), false);
+        let rep = sim(&ds, &c, true, p, false).report.expect("report");
         let expected = (256 / 8 + 2) * 9;
         assert_eq!(rep.critical.messages, expected as u64);
     }
@@ -255,9 +96,8 @@ mod tests {
     fn instrumented_run_reconciles_with_cost_report() {
         let ds = problem(6);
         let c = cfg(2, 8, 96);
-        let lasso = Lasso::new(c.lambda);
-        let (res, rep, telemetry) =
-            sim_sa_accbcd_instrumented(&ds, &lasso, &c, 16, CostModel::cray_xc30(), false);
+        let out = sim(&ds, &c, true, 16, false);
+        let (res, rep, telemetry) = (out.result(), out.report.expect("report"), &out.telemetry);
         let crit = telemetry.critical_rank().expect("per-rank tables recorded");
         let t = telemetry.phases(crit).expect("critical rank table");
         assert!((t.comm_time() - rep.critical.comm_time).abs() < 1e-9);
@@ -279,10 +119,10 @@ mod tests {
     #[test]
     fn large_p_runs_fast_enough_to_use() {
         let ds = problem(5);
-        let lasso = Lasso::new(0.05);
         let mut c = cfg(1, 32, 512);
         c.trace_every = 128;
-        let (res, rep) = sim_sa_accbcd(&ds, &lasso, &c, 12_288, CostModel::cray_xc30(), false);
+        let out = sim(&ds, &c, true, 12_288, false);
+        let (res, rep) = (out.result(), out.report.expect("report"));
         assert_eq!(res.iters, 512);
         assert_eq!(rep.ranks, 12_288);
         assert!(res.trace.final_time() > 0.0);

@@ -1,9 +1,10 @@
-//! Paper-scale simulated runs: the algorithms of [`crate::seq`] with
-//! exact per-rank cost attribution on `mpisim`'s [`VirtualCluster`].
+//! Paper-scale simulated runs (`Engine::Sim`): the algorithms of
+//! [`crate::seq`] with exact per-rank cost attribution on `mpisim`'s
+//! [`VirtualCluster`].
 //!
 //! The strong-scaling and speedup experiments (Figures 3–4, Table V) use
 //! up to P = 12,288 ranks. The thread engine cannot usefully run that many
-//! OS threads, so these solvers compute the numerics once — globally,
+//! OS threads, so these runs compute the numerics once — globally,
 //! bit-identically to the sequential reference — while charging each
 //! virtual rank the flops *it* would have executed (its partition's share
 //! of the sampled nonzeros, so data-skew stragglers are modeled) and
@@ -18,13 +19,7 @@ mod lasso;
 mod path;
 mod svm;
 
-pub use kdcd::{record_kdcd_stats, sim_kdcd, sim_kdcd_chaos, sim_kdcd_instrumented};
-pub use lasso::{
-    sim_sa_accbcd, sim_sa_accbcd_chaos, sim_sa_accbcd_instrumented, sim_sa_bcd, sim_sa_bcd_chaos,
-    sim_sa_bcd_instrumented,
-};
 pub use path::sim_lasso_path;
-pub use svm::{sim_sa_svm, sim_sa_svm_instrumented};
 
 use datagen::{bucket_counts, Partition};
 use mpisim::telemetry::PhaseTimes;

@@ -1,69 +1,22 @@
-//! Virtual-cluster (SA-)SVM: sequential numerics, exact per-rank cost
-//! attribution over a 1D-column partition. These are
-//! `crate::exec::svm_family` runs on a [`SimBackend`] — by construction
-//! the numerics are the sequential engine's and the charge sequence is
-//! the thread engine's, call for call.
-
-use crate::config::SvmConfig;
-use crate::exec::{svm_family, SimBackend};
-use crate::trace::SolveResult;
-use mpisim::telemetry::Registry;
-use mpisim::{CostModel, CostReport, VirtualCluster};
-use sparsela::io::Dataset;
-
-fn sim_sa_svm_core(
-    ds: &Dataset,
-    cfg: &SvmConfig,
-    p: usize,
-    model: CostModel,
-    balanced: bool,
-) -> (SolveResult, VirtualCluster) {
-    let part = datagen::col_partition(&ds.a, p, balanced);
-    let mut backend = SimBackend::new(p, model, &ds.a, part);
-    let res = svm_family(&ds.a, &ds.b, cfg, &mut backend);
-    (res, backend.into_cluster())
-}
-
-/// Simulated distributed SA-SVM on `p` virtual ranks (column partition).
-/// Numerically identical to [`crate::seq::sa_svm`]; returns the solve
-/// result (trace times are simulated seconds) and the cost report.
-pub fn sim_sa_svm(
-    ds: &Dataset,
-    cfg: &SvmConfig,
-    p: usize,
-    model: CostModel,
-    balanced: bool,
-) -> (SolveResult, CostReport) {
-    let (res, cluster) = sim_sa_svm_core(ds, cfg, p, model, balanced);
-    let report = cluster.report();
-    (res, report)
-}
-
-/// [`sim_sa_svm`] plus the full telemetry [`Registry`]: per-rank phase
-/// tables, collective counts, and solver metadata.
-pub fn sim_sa_svm_instrumented(
-    ds: &Dataset,
-    cfg: &SvmConfig,
-    p: usize,
-    model: CostModel,
-    balanced: bool,
-) -> (SolveResult, CostReport, Registry) {
-    let (res, cluster) = sim_sa_svm_core(ds, cfg, p, model, balanced);
-    let report = cluster.report();
-    let mut telemetry = cluster.telemetry();
-    telemetry.set_meta("solver", "sim_sa_svm");
-    telemetry.set_meta("s", cfg.s);
-    telemetry.counter_add("solver.iterations", res.iters as u64);
-    telemetry.counter_add("solver.trace_points", res.trace.len() as u64);
-    (res, report, telemetry)
-}
+//! Virtual-cluster (SA-)SVM (`Engine::Sim` × SVM): sequential numerics,
+//! exact per-rank cost attribution over a 1D-column partition. The run is
+//! `crate::exec::svm_family` on a `SimBackend` — by construction the
+//! numerics are the sequential engine's and the charge sequence is the
+//! thread engine's, call for call. Trace times are simulated seconds.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::config::SvmLoss;
+    use crate::config::{SvmConfig, SvmLoss};
+    use crate::run::{run, Engine, Method, RunOutcome, RunSpec, Source};
     use crate::seq;
     use datagen::{binary_classification, dense_gaussian, powerlaw_sparse};
+    use mpisim::CostModel;
+    use sparsela::io::Dataset;
+
+    fn sim(ds: &Dataset, c: &SvmConfig, p: usize, balanced: bool) -> RunOutcome {
+        let engine = Engine::sim(p, CostModel::cray_xc30(), balanced);
+        run(&RunSpec::new(Method::svm(c), engine, Source::InMemory(ds))).expect("sim run")
+    }
 
     fn problem(seed: u64) -> Dataset {
         let a = dense_gaussian(60, 24, seed);
@@ -88,8 +41,7 @@ mod tests {
         let ds = problem(1);
         let c = cfg(SvmLoss::L1, 8, 256);
         let seq_res = seq::sa_svm(&ds, &c);
-        let (sim_res, _) = sim_sa_svm(&ds, &c, 64, CostModel::cray_xc30(), false);
-        assert_eq!(seq_res.x, sim_res.x);
+        assert_eq!(seq_res.x, sim(&ds, &c, 64, false).result().x);
     }
 
     #[test]
@@ -99,7 +51,7 @@ mod tests {
         let run = |s: usize| {
             let mut c = cfg(SvmLoss::L1, s, 512);
             c.trace_every = 0;
-            sim_sa_svm(&ds, &c, 3072, CostModel::cray_xc30(), true).1
+            sim(&ds, &c, 3072, true).report.expect("report")
         };
         let classic = run(1);
         let sa = run(64);
@@ -121,8 +73,8 @@ mod tests {
         let ds = binary_classification(a, 0.05, 3).dataset;
         let mut c = cfg(SvmLoss::L1, 16, 256);
         c.trace_every = 0;
-        let (_, naive) = sim_sa_svm(&ds, &c, 64, CostModel::cray_xc30(), false);
-        let (_, balanced) = sim_sa_svm(&ds, &c, 64, CostModel::cray_xc30(), true);
+        let naive = sim(&ds, &c, 64, false).report.expect("report");
+        let balanced = sim(&ds, &c, 64, true).report.expect("report");
         assert!(
             balanced.critical.comp_time + balanced.critical.idle_time
                 <= naive.critical.comp_time + naive.critical.idle_time + 1e-12,
@@ -136,8 +88,8 @@ mod tests {
     fn instrumented_run_reconciles_with_cost_report() {
         let ds = problem(5);
         let c = cfg(SvmLoss::L1, 8, 128);
-        let (res, rep, telemetry) =
-            sim_sa_svm_instrumented(&ds, &c, 8, CostModel::cray_xc30(), false);
+        let out = sim(&ds, &c, 8, false);
+        let (res, rep, telemetry) = (out.result(), out.report.expect("report"), &out.telemetry);
         let crit = telemetry.critical_rank().expect("per-rank tables recorded");
         let t = telemetry.phases(crit).expect("critical rank table");
         assert!((t.comm_time() - rep.critical.comm_time).abs() < 1e-9);
@@ -151,7 +103,8 @@ mod tests {
         let ds = problem(4);
         let mut c = cfg(SvmLoss::L2, 16, 500_000);
         c.gap_tol = Some(1e-1);
-        let (res, _) = sim_sa_svm(&ds, &c, 16, CostModel::cray_xc30(), false);
+        let out = sim(&ds, &c, 16, false);
+        let res = out.result();
         assert!(res.iters < 500_000);
         assert!(res.final_value() <= 1e-1);
     }

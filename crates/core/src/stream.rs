@@ -1,6 +1,5 @@
-//! Out-of-core solver entry points: the `seq`/`sim`/`dist`/`net`
-//! recurrences fed from a `sparsela::shard` directory instead of an
-//! in-memory matrix.
+//! Out-of-core data for the solvers: a `sparsela::shard` directory as the
+//! matrix behind any [`crate::run`] engine.
 //!
 //! An s-step outer block touches only the `s·µ` sampled slices, so a
 //! [`StreamingMatrix`] keeps just those shards (plus the previous block's,
@@ -9,46 +8,36 @@
 //! current block's compute (non-overlap engines) or behind the in-flight
 //! fused allreduce (`cfg.overlap` engines). The streaming hooks change
 //! residency, never values, and the lookahead draws consume the replicated
-//! RNG stream in the same global order as the in-memory solvers — so every
-//! entry point here returns **bitwise** the iterates of its in-memory twin
-//! (pinned by `tests/engine_matrix.rs`).
+//! RNG stream in the same global order as the in-memory solvers — so a
+//! `Source::Shards` run returns **bitwise** the iterates of its
+//! `Source::InMemory` twin (pinned by `tests/engine_matrix.rs`).
+//!
+//! Layouts: the replicated engines (seq, sim) stream one full-minor-axis
+//! view; the rank engines (dist, net) give every rank a *windowed* view
+//! ([`StreamRankData::split`]) with its own cache, loader and budget — the
+//! Lasso layout windows rows of a CSC store and slices the labels
+//! conformally, the SVM/K-DCD layout windows columns of a CSR store and
+//! replicates them.
 //!
 //! Telemetry: [`record_shard_stats`] turns a view's I/O counters into the
 //! `shard.*`/`io.*` namespaces documented in OBSERVABILITY.md.
 
 use std::io;
-use std::ops::Range;
-use std::path::Path;
 
-use crate::config::{KdcdConfig, LassoConfig, SvmConfig};
-use crate::exec::{
-    kdcd_family, lasso_family, svm_family, DistBackend, KdcdStats, NetBackend, SeqBackend,
-    SimBackend,
-};
+use crate::config::LassoConfig;
+use crate::exec::{lasso_family, SeqBackend};
 use crate::prox::Regularizer;
 use crate::trace::SolveResult;
 use datagen::{balanced_partition, block_partition, Partition};
-use mpisim::{Comm, CostModel, CostReport};
-use netcomm::NetComm;
 use saco_telemetry::Registry;
-use sparsela::MajorSlices;
 
 pub use sparsela::shard::{IoStats, ShardAxis, ShardManifest, ShardStore, StreamingMatrix};
-
-fn expect_axis(mat: &StreamingMatrix, axis: ShardAxis, solver: &str) {
-    assert_eq!(
-        mat.store().manifest().axis,
-        axis,
-        "{solver} needs a {axis:?}-axis shard store (Lasso samples columns, SVM rows); \
-         re-shard with `saco shard --axis`"
-    );
-}
 
 /// Partition the store's minor axis across `p` ranks — by minor-slice nnz
 /// (the sidecar histogram; identical integers to the in-memory
 /// `row_partition`/`col_partition` weights) when `balanced`, else by
 /// count — and return each rank's total nnz alongside.
-fn minor_partition(
+pub(crate) fn minor_partition(
     store: &ShardStore,
     p: usize,
     balanced: bool,
@@ -65,286 +54,80 @@ fn minor_partition(
     Ok((part, gap_nnz))
 }
 
-// ---------------------------------------------------------------------------
-// Sequential engine
-// ---------------------------------------------------------------------------
-
-/// Streaming SA-accBCD (Algorithm 2), bitwise [`crate::seq::sa_accbcd`].
-/// `a` must be a CSC-axis view; `b` the full labels.
+/// Streaming SA-accBCD (Algorithm 2), bitwise [`crate::seq::sa_accbcd`]:
+/// the sequential engine on an already-open view, span-free like the
+/// paper-named `seq` entry points. `a` must be a CSC-axis view; `b` the
+/// full labels. Every other streamed cell goes through [`crate::run`].
+///
+/// # Panics
+/// Panics with re-shard advice if `a` is not a CSC-axis view.
 pub fn stream_sa_accbcd<R: Regularizer>(
     a: &StreamingMatrix,
     b: &[f64],
     reg: &R,
     cfg: &LassoConfig,
 ) -> SolveResult {
-    expect_axis(a, ShardAxis::Csc, "stream_sa_accbcd");
+    assert_eq!(
+        a.store().manifest().axis,
+        ShardAxis::Csc,
+        "stream_sa_accbcd needs a Csc-axis shard store (Lasso samples columns); \
+         re-shard with `saco shard --axis`"
+    );
     lasso_family(a, b, reg, cfg, true, &mut SeqBackend::new())
 }
 
-/// Streaming SA-BCD (non-accelerated), bitwise [`crate::seq::sa_bcd`].
-pub fn stream_sa_bcd<R: Regularizer>(
-    a: &StreamingMatrix,
-    b: &[f64],
-    reg: &R,
-    cfg: &LassoConfig,
-) -> SolveResult {
-    expect_axis(a, ShardAxis::Csc, "stream_sa_bcd");
-    lasso_family(a, b, reg, cfg, false, &mut SeqBackend::new())
-}
-
-/// Streaming SA-SVM (Algorithm 4), bitwise [`crate::seq::sa_svm`]. `a`
-/// must be a CSR-axis view; `b` the full ±1 labels.
-pub fn stream_sa_svm(a: &StreamingMatrix, b: &[f64], cfg: &SvmConfig) -> SolveResult {
-    expect_axis(a, ShardAxis::Csr, "stream_sa_svm");
-    svm_family(a, b, cfg, &mut SeqBackend::new())
-}
-
-/// Streaming K-DCD/K-BDCD, bitwise [`crate::seq::kdcd`]. `a` must be a
-/// CSR-axis view (kernel methods sample rows); `b` the full labels. The
-/// kernel-row cache sits *above* the shard window: a cache hit reads no
-/// shard at all, so a small trailing working set streams for free.
-pub fn stream_kdcd(a: &StreamingMatrix, b: &[f64], cfg: &KdcdConfig) -> (SolveResult, KdcdStats) {
-    expect_axis(a, ShardAxis::Csr, "stream_kdcd");
-    kdcd_family(a, b, cfg, &mut SeqBackend::new())
-}
-
-// ---------------------------------------------------------------------------
-// Virtual-cluster engine
-// ---------------------------------------------------------------------------
-
-/// Streaming [`crate::sim::sim_sa_accbcd`]: same numerics and identical
-/// per-rank charges (the partition weights come from the minor-nnz
-/// sidecar, integer-equal to the in-memory row scan).
-pub fn stream_sim_sa_accbcd<R: Regularizer>(
-    a: &StreamingMatrix,
-    b: &[f64],
-    reg: &R,
-    cfg: &LassoConfig,
-    p: usize,
-    model: CostModel,
-    balanced: bool,
-) -> io::Result<(SolveResult, CostReport)> {
-    expect_axis(a, ShardAxis::Csc, "stream_sim_sa_accbcd");
-    stream_sim_lasso(a, b, reg, cfg, p, model, balanced, true)
-}
-
-/// Streaming [`crate::sim::sim_sa_bcd`] (non-accelerated).
-pub fn stream_sim_sa_bcd<R: Regularizer>(
-    a: &StreamingMatrix,
-    b: &[f64],
-    reg: &R,
-    cfg: &LassoConfig,
-    p: usize,
-    model: CostModel,
-    balanced: bool,
-) -> io::Result<(SolveResult, CostReport)> {
-    expect_axis(a, ShardAxis::Csc, "stream_sim_sa_bcd");
-    stream_sim_lasso(a, b, reg, cfg, p, model, balanced, false)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn stream_sim_lasso<R: Regularizer>(
-    a: &StreamingMatrix,
-    b: &[f64],
-    reg: &R,
-    cfg: &LassoConfig,
-    p: usize,
-    model: CostModel,
-    balanced: bool,
-    accel: bool,
-) -> io::Result<(SolveResult, CostReport)> {
-    let (part, gap_nnz) = minor_partition(a.store(), p, balanced)?;
-    let mut backend = SimBackend::with_gap_nnz(p, model, a, part, gap_nnz);
-    let res = lasso_family(a, b, reg, cfg, accel, &mut backend);
-    Ok((res, backend.into_cluster().report()))
-}
-
-/// Streaming [`crate::sim::sim_sa_svm`] (column partition from the
-/// minor-nnz sidecar).
-pub fn stream_sim_sa_svm(
-    a: &StreamingMatrix,
-    b: &[f64],
-    cfg: &SvmConfig,
-    p: usize,
-    model: CostModel,
-    balanced: bool,
-) -> io::Result<(SolveResult, CostReport)> {
-    expect_axis(a, ShardAxis::Csr, "stream_sim_sa_svm");
-    let (part, gap_nnz) = minor_partition(a.store(), p, balanced)?;
-    let mut backend = SimBackend::with_gap_nnz(p, model, a, part, gap_nnz);
-    let res = svm_family(a, b, cfg, &mut backend);
-    Ok((res, backend.into_cluster().report()))
-}
-
-// ---------------------------------------------------------------------------
-// Distributed engines (thread machine and socket mesh)
-// ---------------------------------------------------------------------------
-
 /// One rank's share of a shard-backed problem: a windowed streaming view
 /// of the store (its own cache, loader, and budget) plus this rank's
-/// labels. The Lasso layout windows rows and slices `b` conformally; the
-/// SVM layout windows columns and replicates `b`.
+/// labels.
 #[derive(Debug)]
 pub struct StreamRankData {
     /// This rank's windowed view of the shard directory.
     pub mat: StreamingMatrix,
-    /// Rank-local labels (Lasso: the window's rows; SVM: all rows).
+    /// Rank-local labels (CSC store: the window's rows; CSR: all rows).
     pub b: Vec<f64>,
     /// Local nnz, from the sidecar (the SVM gap-SpMV charge).
-    gap_nnz: u64,
+    pub(crate) gap_nnz: u64,
 }
 
-fn window_ranks(
-    dir: &Path,
-    axis: ShardAxis,
-    p: usize,
-    balanced: bool,
-    budget_per_rank: u64,
-    label_window: impl Fn(&[f64], Range<usize>) -> Vec<f64>,
-) -> io::Result<(Partition, Vec<StreamRankData>)> {
-    let store = ShardStore::open(dir)?;
-    assert_eq!(
-        store.manifest().axis,
-        axis,
-        "rank split needs a {axis:?}-axis shard store"
-    );
-    let weights = store.minor_nnz()?;
-    let part = if balanced {
-        balanced_partition(&weights, p)
-    } else {
-        block_partition(store.manifest().minor, p)
-    };
-    let labels = store.read_labels()?;
-    let ranks = (0..p)
-        .map(|r| {
-            let range = part.range(r);
-            Ok(StreamRankData {
-                mat: StreamingMatrix::open_window(dir, budget_per_rank, range.start, range.end)?,
-                b: label_window(&labels, range.clone()),
-                gap_nnz: range.map(|i| weights[i]).sum(),
+impl StreamRankData {
+    /// Split a shard store into `p` minor-axis-windowed rank views — the
+    /// streaming [`crate::dist::LassoRankData::split`] for a CSC store
+    /// (row windows, labels sliced conformally) and
+    /// [`crate::dist::SvmRankData::split`] for a CSR one (column windows,
+    /// labels replicated). Each rank gets its own `budget_per_rank` bytes
+    /// of resident cache.
+    pub fn split(
+        store: &ShardStore,
+        p: usize,
+        balanced: bool,
+        budget_per_rank: u64,
+    ) -> io::Result<(Partition, Vec<StreamRankData>)> {
+        let (part, gap_nnz) = minor_partition(store, p, balanced)?;
+        let labels = store.read_labels()?;
+        let rows_windowed = store.manifest().axis == ShardAxis::Csc;
+        let ranks = gap_nnz
+            .into_iter()
+            .enumerate()
+            .map(|(r, gap_nnz)| {
+                let range = part.range(r);
+                StreamRankData {
+                    mat: StreamingMatrix::from_store(
+                        store.clone(),
+                        budget_per_rank,
+                        (range.start, range.end),
+                    ),
+                    b: if rows_windowed {
+                        labels[range].to_vec()
+                    } else {
+                        labels.clone()
+                    },
+                    gap_nnz,
+                }
             })
-        })
-        .collect::<io::Result<Vec<_>>>()?;
-    Ok((part, ranks))
+            .collect();
+        Ok((part, ranks))
+    }
 }
-
-/// Split a CSC shard directory into `p` row-windowed rank views (the
-/// Lasso layout — the streaming [`crate::dist::LassoRankData::split`]).
-/// Each rank gets its own `budget_per_rank` bytes of resident cache.
-pub fn stream_lasso_ranks(
-    dir: &Path,
-    p: usize,
-    balanced: bool,
-    budget_per_rank: u64,
-) -> io::Result<(Partition, Vec<StreamRankData>)> {
-    window_ranks(dir, ShardAxis::Csc, p, balanced, budget_per_rank, |b, r| {
-        b[r].to_vec()
-    })
-}
-
-/// Split a CSR shard directory into `p` column-windowed rank views (the
-/// SVM layout — the streaming [`crate::dist::SvmRankData::split`]).
-pub fn stream_svm_ranks(
-    dir: &Path,
-    p: usize,
-    balanced: bool,
-    budget_per_rank: u64,
-) -> io::Result<(Partition, Vec<StreamRankData>)> {
-    window_ranks(dir, ShardAxis::Csr, p, balanced, budget_per_rank, |b, _| {
-        b.to_vec()
-    })
-}
-
-/// Streaming [`crate::dist::dist_sa_accbcd`]: bitwise the same iterates
-/// from this rank's windowed view.
-pub fn stream_dist_sa_accbcd<R: Regularizer>(
-    comm: &mut Comm,
-    data: &StreamRankData,
-    reg: &R,
-    cfg: &LassoConfig,
-) -> SolveResult {
-    let mut backend =
-        DistBackend::with_gap_nnz(comm, &data.mat, data.mat.minor_len(), data.gap_nnz);
-    lasso_family(&data.mat, &data.b, reg, cfg, true, &mut backend)
-}
-
-/// Streaming [`crate::dist::dist_sa_bcd`] (non-accelerated).
-pub fn stream_dist_sa_bcd<R: Regularizer>(
-    comm: &mut Comm,
-    data: &StreamRankData,
-    reg: &R,
-    cfg: &LassoConfig,
-) -> SolveResult {
-    let mut backend =
-        DistBackend::with_gap_nnz(comm, &data.mat, data.mat.minor_len(), data.gap_nnz);
-    lasso_family(&data.mat, &data.b, reg, cfg, false, &mut backend)
-}
-
-/// Streaming [`crate::dist::dist_sa_svm`]: returns the rank-local slice
-/// of `x`, like its in-memory twin.
-pub fn stream_dist_sa_svm(comm: &mut Comm, data: &StreamRankData, cfg: &SvmConfig) -> SolveResult {
-    let mut backend =
-        DistBackend::with_gap_nnz(comm, &data.mat, data.mat.major_len(), data.gap_nnz);
-    svm_family(&data.mat, &data.b, cfg, &mut backend)
-}
-
-/// Streaming [`crate::dist::dist_kdcd`]: the replicated dual iterate
-/// from this rank's windowed column block.
-pub fn stream_dist_kdcd(
-    comm: &mut Comm,
-    data: &StreamRankData,
-    cfg: &KdcdConfig,
-) -> (SolveResult, KdcdStats) {
-    let mut backend =
-        DistBackend::with_gap_nnz(comm, &data.mat, data.mat.major_len(), data.gap_nnz);
-    kdcd_family(&data.mat, &data.b, cfg, &mut backend)
-}
-
-/// Streaming [`crate::net::net_sa_accbcd`] over the socket mesh.
-pub fn stream_net_sa_accbcd<R: Regularizer>(
-    comm: &mut NetComm,
-    data: &StreamRankData,
-    reg: &R,
-    cfg: &LassoConfig,
-) -> SolveResult {
-    let mut backend = NetBackend::new(comm);
-    lasso_family(&data.mat, &data.b, reg, cfg, true, &mut backend)
-}
-
-/// Streaming [`crate::net::net_sa_bcd`] (non-accelerated).
-pub fn stream_net_sa_bcd<R: Regularizer>(
-    comm: &mut NetComm,
-    data: &StreamRankData,
-    reg: &R,
-    cfg: &LassoConfig,
-) -> SolveResult {
-    let mut backend = NetBackend::new(comm);
-    lasso_family(&data.mat, &data.b, reg, cfg, false, &mut backend)
-}
-
-/// Streaming [`crate::net::net_sa_svm`] over the socket mesh.
-pub fn stream_net_sa_svm(
-    comm: &mut NetComm,
-    data: &StreamRankData,
-    cfg: &SvmConfig,
-) -> SolveResult {
-    let mut backend = NetBackend::new(comm);
-    svm_family(&data.mat, &data.b, cfg, &mut backend)
-}
-
-/// Streaming [`crate::net::net_kdcd`] over the socket mesh.
-pub fn stream_net_kdcd(
-    comm: &mut NetComm,
-    data: &StreamRankData,
-    cfg: &KdcdConfig,
-) -> (SolveResult, KdcdStats) {
-    let mut backend = NetBackend::new(comm);
-    kdcd_family(&data.mat, &data.b, cfg, &mut backend)
-}
-
-// ---------------------------------------------------------------------------
-// Telemetry
-// ---------------------------------------------------------------------------
 
 /// Record a streaming view's I/O counters into `registry` under the
 /// `shard.*` / `io.*` namespaces (see OBSERVABILITY.md). Call once, after
@@ -372,13 +155,15 @@ pub fn record_shard_stats(registry: &mut Registry, mat: &StreamingMatrix) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SvmConfig;
     use crate::prox::Lasso;
-    use crate::{seq, sim};
+    use crate::run::{run, Engine, Method, RunError, RunOutcome, RunSpec, Source};
+    use crate::seq;
     use datagen::{binary_classification, planted_regression, powerlaw_sparse, shard_plan};
-    use mpisim::ThreadMachine;
+    use mpisim::CostModel;
     use sparsela::io::Dataset;
     use sparsela::shard::{write_csc, write_csr};
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
 
     fn tmp_dir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("saco_stream_{}_{name}", std::process::id()));
@@ -410,6 +195,23 @@ mod tests {
         write_csc(dir, &csc, &shard_plan(&weights, nshards), Some(&ds.b)).expect("write shards");
     }
 
+    const BUDGET: u64 = 1 << 20;
+
+    fn sim(p: usize) -> Engine {
+        Engine::sim(p, CostModel::cray_xc30(), true)
+    }
+
+    fn dist(p: usize) -> Engine {
+        let (model, balanced) = (CostModel::cray_xc30(), false);
+        Engine::Dist { p, model, balanced }
+    }
+
+    fn lasso(cfg: &LassoConfig, engine: Engine, source: Source<'_>) -> RunOutcome {
+        let (reg, accel) = (&Lasso::new(cfg.lambda), true);
+        let method = Method::Lasso { reg, cfg, accel };
+        run(&RunSpec::new(method, engine, source)).expect("lasso run")
+    }
+
     #[test]
     fn streaming_seq_lasso_is_bitwise_identical_and_prefetches() {
         let ds = lasso_problem(1);
@@ -418,7 +220,7 @@ mod tests {
         let cfg = lasso_cfg(8);
         let reg = Lasso::new(cfg.lambda);
         let seq_res = seq::sa_accbcd(&ds, &reg, &cfg);
-        let a = StreamingMatrix::open(&dir, 1 << 20).expect("open");
+        let a = StreamingMatrix::open(&dir, BUDGET).expect("open");
         let res = stream_sa_accbcd(&a, &ds.b, &reg, &cfg);
         assert_eq!(res.x, seq_res.x, "streamed iterate must be bitwise equal");
         let s = a.io_stats();
@@ -431,6 +233,11 @@ mod tests {
         record_shard_stats(&mut registry, &a);
         assert_eq!(registry.counter("io.bytes_read"), s.bytes_read);
         assert!(registry.gauge("shard.plan.imbalance").expect("gauge") >= 1.0);
+        // The same cell through `run` reports the same I/O namespaces.
+        let budget = BUDGET;
+        let out = lasso(&cfg, Engine::Seq, Source::Shards { dir: &dir, budget });
+        assert_eq!(out.result().x, seq_res.x);
+        assert_eq!(out.telemetry.counter("io.bytes_read"), out.io[0].bytes_read);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -440,16 +247,13 @@ mod tests {
         let dir = tmp_dir("sim_lasso");
         shard_lasso(&ds, &dir, 8);
         let cfg = lasso_cfg(6);
-        let reg = Lasso::new(cfg.lambda);
-        let (mem_res, mem_rep) =
-            sim::sim_sa_accbcd(&ds, &reg, &cfg, 16, CostModel::cray_xc30(), true);
-        let a = StreamingMatrix::open(&dir, 1 << 20).expect("open");
-        let (res, rep) =
-            stream_sim_sa_accbcd(&a, &ds.b, &reg, &cfg, 16, CostModel::cray_xc30(), true)
-                .expect("sim");
-        assert_eq!(res.x, mem_res.x);
+        let budget = BUDGET;
+        let mem = lasso(&cfg, sim(16), Source::InMemory(&ds));
+        let st = lasso(&cfg, sim(16), Source::Shards { dir: &dir, budget });
+        assert_eq!(st.result().x, mem.result().x);
         // The sidecar-derived partition and charges must be *identical*,
         // not just close: same weights, same greedy cuts, same clock.
+        let (rep, mem_rep) = (st.report.expect("report"), mem.report.expect("report"));
         assert_eq!(rep.critical.messages, mem_rep.critical.messages);
         assert_eq!(rep.running_time(), mem_rep.running_time());
         std::fs::remove_dir_all(&dir).ok();
@@ -461,17 +265,11 @@ mod tests {
         let dir = tmp_dir("dist_lasso");
         shard_lasso(&ds, &dir, 8);
         let cfg = lasso_cfg(4);
-        let reg = Lasso::new(cfg.lambda);
-        let p = 3;
-        let (_, mem_blocks) = crate::dist::LassoRankData::split(&ds, p, false);
-        let mem = ThreadMachine::run(p, CostModel::cray_xc30(), |comm| {
-            crate::dist::dist_sa_accbcd(comm, &mem_blocks[comm.rank()], &reg, &cfg)
-        });
-        let (_, ranks) = stream_lasso_ranks(&dir, p, false, 1 << 20).expect("split");
-        let streamed = ThreadMachine::run(p, CostModel::cray_xc30(), |comm| {
-            stream_dist_sa_accbcd(comm, &ranks[comm.rank()], &reg, &cfg)
-        });
-        for ((sr, _), (mr, _)) in streamed.iter().zip(&mem) {
+        let budget = BUDGET;
+        let mem = lasso(&cfg, dist(3), Source::InMemory(&ds));
+        let streamed = lasso(&cfg, dist(3), Source::Shards { dir: &dir, budget });
+        assert_eq!(streamed.io.len(), 3, "one windowed view per rank");
+        for (sr, mr) in streamed.results.iter().zip(&mem.results) {
             assert_eq!(sr.x, mr.x, "windowed rank view must be bitwise equal");
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -494,38 +292,50 @@ mod tests {
             gap_tol: None,
             overlap: true,
         };
+        let svm = |engine, source| {
+            run(&RunSpec::new(Method::svm(&cfg), engine, source)).expect("svm run")
+        };
+        let budget = BUDGET;
+        let shards = Source::Shards { dir: &dir, budget };
         let seq_res = seq::sa_svm(&ds, &cfg);
-        let mat = StreamingMatrix::open(&dir, 1 << 20).expect("open");
-        let res = stream_sa_svm(&mat, &ds.b, &cfg);
-        assert_eq!(res.x, seq_res.x);
-        let p = 2;
-        let (_, mem_blocks) = crate::dist::SvmRankData::split(&ds, p, false);
-        let mem = ThreadMachine::run(p, CostModel::cray_xc30(), |comm| {
-            crate::dist::dist_sa_svm(comm, &mem_blocks[comm.rank()], &cfg)
-        });
-        let (_, ranks) = stream_svm_ranks(&dir, p, false, 1 << 20).expect("split");
-        let streamed = ThreadMachine::run(p, CostModel::cray_xc30(), |comm| {
-            stream_dist_sa_svm(comm, &ranks[comm.rank()], &cfg)
-        });
-        for ((sr, _), (mr, _)) in streamed.iter().zip(&mem) {
+        assert_eq!(svm(Engine::Seq, shards).result().x, seq_res.x);
+        let mem = svm(dist(2), Source::InMemory(&ds));
+        let streamed = svm(dist(2), shards);
+        for (sr, mr) in streamed.results.iter().zip(&mem.results) {
             assert_eq!(sr.x, mr.x);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn axis_mismatch_panics_with_advice() {
+    fn axis_mismatch_is_advice_not_a_wrong_answer() {
         let ds = lasso_problem(5);
         let dir = tmp_dir("axis");
         let weights = datagen::slice_nnz(&ds.a);
         write_csr(&dir, &ds.a, &shard_plan(&weights, 4), Some(&ds.b)).expect("write shards");
-        let mat = StreamingMatrix::open(&dir, 1 << 20).expect("open");
+        // The frozen wrapper takes an open view, so it can only panic…
+        let mat = StreamingMatrix::open(&dir, BUDGET).expect("open");
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             stream_sa_accbcd(&mat, &ds.b, &Lasso::new(0.1), &lasso_cfg(2))
         }))
         .expect_err("wrong axis must panic");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("saco shard --axis"), "got: {msg}");
+        // …while `run` owns the path and returns the typed error, on every
+        // engine.
+        let budget = BUDGET;
+        for engine in [Engine::Seq, sim(4), dist(2)] {
+            let (reg, cfg, accel) = (&Lasso::new(0.1), &lasso_cfg(2), true);
+            let method = Method::Lasso { reg, cfg, accel };
+            let err = run(&RunSpec::new(
+                method,
+                engine,
+                Source::Shards { dir: &dir, budget },
+            ))
+            .expect_err("wrong axis must be an error");
+            assert!(matches!(err, RunError::WrongAxis { .. }), "{err:?}");
+            assert!(err.to_string().contains("saco shard --axis csc"), "{err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,18 +1,18 @@
-//! A miniature version of the paper's performance study that runs on a
-//! real (thread-backed) message-passing machine: distribute a Lasso
-//! problem over P ranks, compare classical accCD with SA-accCD for several
-//! s, and print the measured virtual-time and counter breakdown. Then
-//! repeat at paper-scale P on the virtual cluster.
+//! A miniature version of the paper's performance study. The engine is a
+//! loop variable: the same `RunSpec` runs on a real (thread-backed)
+//! message-passing machine and on the virtual cluster, comparing classical
+//! accCD with SA-accCD for several s and printing the modeled time and
+//! counter breakdown; then the virtual cluster repeats the comparison at
+//! paper-scale P, where OS threads cannot follow.
 //!
 //! ```sh
 //! cargo run --release -p saco --example scaling_study
 //! ```
 
 use datagen::{planted_regression, powerlaw_sparse};
-use mpisim::{CostModel, ThreadMachine};
-use saco::dist::{dist_sa_accbcd, LassoRankData};
+use mpisim::{CostModel, CostReport};
 use saco::prox::Lasso;
-use saco::sim::sim_sa_accbcd;
+use saco::run::{run, Engine, Method, RunSpec, Source};
 use saco::LassoConfig;
 
 fn main() {
@@ -30,44 +30,55 @@ fn main() {
         ..Default::default()
     };
     let model = CostModel::cray_xc30();
+    let solve = |engine: Engine, s: usize| -> (f64, CostReport) {
+        let (reg, cfg, accel) = (&Lasso::new(lambda), &cfg_for(s), true);
+        let method = Method::Lasso { reg, cfg, accel };
+        let out = run(&RunSpec::new(method, engine, Source::InMemory(&ds))).expect("run");
+        let report = out.report.expect("modeled engines report costs");
+        (out.result().final_value(), report)
+    };
+    let (p, balanced) = (8, true);
+    let thread_machine = Engine::Dist { p, model, balanced };
+    let engines = [
+        ("thread machine (real SPMD ranks)", thread_machine),
+        (
+            "virtual cluster (same charges, no threads)",
+            Engine::sim(p, model, balanced),
+        ),
+    ];
 
-    // --- Part 1: real SPMD execution on 8 thread-backed ranks -----------
-    let p = 8;
-    let (_, blocks) = LassoRankData::split(&ds, p, true);
-    println!("thread machine: P = {p}, H = 2000, µ = 1 (accCD family)\n");
-    println!("  s     simulated time   messages   words        flops (critical rank)");
+    // --- Part 1: the same spec on two engines at P = 8 -------------------
     let mut base_final = None;
-    for s in [1usize, 4, 16, 64, 256] {
-        let cfg = cfg_for(s);
-        let reg = Lasso::new(lambda);
-        let (results, report) = ThreadMachine::run_report(p, model, |comm| {
-            dist_sa_accbcd(comm, &blocks[comm.rank()], &reg, &cfg)
-        });
-        let c = report.critical;
-        println!(
-            "  {s:>3}   {:>11.3} ms   {:>8}   {:>9}    {}",
-            report.running_time() * 1e3,
-            c.messages,
-            c.words,
-            c.flops
-        );
-        // all ranks agree, and all s agree with s = 1 numerically
-        let f = results[0].final_value();
-        let base = *base_final.get_or_insert(f);
-        assert!(
-            (f - base).abs() <= 1e-9 * base.abs(),
-            "SA changed the result: {f} vs {base}"
-        );
+    for (name, engine) in engines {
+        println!("{name}: P = {p}, H = 2000, µ = 1 (accCD family)\n");
+        println!("  s     simulated time   messages   words        flops (critical rank)");
+        for s in [1usize, 4, 16, 64, 256] {
+            let (f, report) = solve(engine, s);
+            let c = report.critical;
+            println!(
+                "  {s:>3}   {:>11.3} ms   {:>8}   {:>9}    {}",
+                report.running_time() * 1e3,
+                c.messages,
+                c.words,
+                c.flops
+            );
+            // every engine and every s agree with s = 1 numerically
+            let base = *base_final.get_or_insert(f);
+            assert!(
+                (f - base).abs() <= 1e-9 * base.abs(),
+                "SA changed the result: {f} vs {base}"
+            );
+        }
+        println!();
     }
-    println!("\n(the assertion just passed: every s produced the same objective)");
+    println!("(the assertion just passed: every engine and every s gave the same objective)");
 
     // --- Part 2: paper-scale virtual cluster ----------------------------
     println!("\nvirtual cluster: strong scaling at paper-scale P\n");
     println!("  P        accCD        SA-accCD s=32   speedup");
     for p in [768usize, 3072, 12_288] {
-        let reg = Lasso::new(lambda);
-        let (_, classic) = sim_sa_accbcd(&ds, &reg, &cfg_for(1), p, model, true);
-        let (_, sa) = sim_sa_accbcd(&ds, &reg, &cfg_for(32), p, model, true);
+        let (_, classic) = solve(Engine::sim(p, model, balanced), 1);
+        let (_, sa) = solve(Engine::sim(p, model, balanced), 32);
         println!(
             "  {p:>6}   {:>8.2} ms   {:>11.2} ms   {:>6.2}×",
             classic.running_time() * 1e3,

@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # Guard the execution-backend refactor: the solver recurrences live ONLY in
-# crates/core/src/exec/. The seq/sim/dist/net modules are thin shims that
-# bind data to an engine — if an iteration loop or a sampled-kernel call
-# creeps back into one of them, the one-recurrence-four-engines invariant
-# (and with it the cross-engine equivalence the engine matrix asserts) is
-# gone. The same split holds one layer down: crates/netcomm is a pure
-# message/collective layer and must never learn about the solvers it
-# carries, and the CLI launch path must stay a spawner, not a solver.
+# crates/core/src/exec/. `run.rs` binds a method to an engine and a data
+# source (it may name lasso_family/svm_family/kdcd_family — that is its
+# job); the seq/sim/dist/net/stream modules hold the paper-named wrappers,
+# the rank-data layouts and their docs. If an iteration loop or a
+# sampled-kernel call creeps into any of them, the
+# one-recurrence-four-engines invariant (and with it the cross-engine
+# equivalence the engine matrix asserts) is gone. The same split holds one
+# layer down: crates/netcomm is a pure message/collective layer and must
+# never learn about the solvers it carries, and the CLI must stay a
+# frontend, not a solver.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,12 +30,25 @@ patterns=(
 
 status=0
 for pat in "${patterns[@]}"; do
-    if hits=$(grep -rnE "$pat" crates/core/src/seq crates/core/src/sim crates/core/src/dist crates/core/src/net); then
+    if hits=$(grep -rnE "$pat" crates/core/src/seq crates/core/src/sim crates/core/src/dist \
+            crates/core/src/net crates/core/src/stream.rs crates/core/src/run.rs); then
         echo "shim_guard: solver-loop pattern '$pat' found outside crates/core/src/exec/:" >&2
         echo "$hits" >&2
         status=1
     fi
 done
+
+# The run surface is one function over a value (`RunSpec`), not a function
+# per family × engine × source cell: the concatenated names must not grow
+# back. The only solver-named `pub fn`s allowed under sim/dist/net/stream
+# are the two frozen wrappers the benchmark package compiles against.
+if hits=$(grep -rnE 'pub fn \w*(_sa_|_kdcd)\w*' crates/core/src/sim crates/core/src/dist \
+        crates/core/src/net crates/core/src/stream.rs \
+        | grep -vE 'pub fn (net_sa_accbcd|stream_sa_accbcd)\b'); then
+    echo "shim_guard: a family × engine shim is back — add a RunSpec cell, not a function:" >&2
+    echo "$hits" >&2
+    status=1
+fi
 
 # The path/CV/serve layers ride the driver through lasso_family_warm —
 # they may sweep λ and carry warm state, but the solver recurrence itself
@@ -130,14 +146,14 @@ for pat in "${io_patterns[@]}"; do
     fi
 done
 
-# The launch path spawns ranks and merges reports; the solve itself must
-# route through the saco::net entry points, never the recurrence kernels.
+# The CLI parses flags, prints summaries, spawns ranks and merges reports;
+# every solve must route through saco::run, never the recurrence kernels.
 # (`KernelFn::parse` for --kernel is fine — building or transforming
 # kernel rows is not.)
 for pat in 'lasso_family' 'svm_family' 'kdcd_family' 'sampled_gram' 'sampled_cross' \
         'KernelCache' 'begin_epoch' '\.eval\('; do
     if hits=$(grep -rnE "$pat" crates/cli/src); then
-        echo "shim_guard: solver-loop pattern '$pat' found in the CLI launch path:" >&2
+        echo "shim_guard: solver-loop pattern '$pat' found in the CLI:" >&2
         echo "$hits" >&2
         status=1
     fi
@@ -146,6 +162,6 @@ done
 if [ "$status" -ne 0 ]; then
     echo "shim_guard: FAILED — move recurrence logic into crates/core/src/exec/" >&2
 else
-    echo "shim_guard: OK — shims are shims, netcomm/CLI are solver-free, inner loops live in sparsela::simd"
+    echo "shim_guard: OK — one run surface, netcomm/CLI are solver-free, inner loops live in sparsela::simd"
 fi
 exit "$status"

@@ -18,10 +18,10 @@ use datagen::{planted_regression, uniform_sparse};
 use mpisim::telemetry::Registry;
 use mpisim::{ChaosSpec, CostModel, ThreadMachine};
 use proptest::prelude::*;
-use saco::dist::{dist_sa_accbcd, LassoRankData};
+use saco::dist::LassoRankData;
 use saco::prox::Lasso;
+use saco::run::{run, run_rank, Engine, Method, RankComm, RankData, RunOutcome, RunSpec, Source};
 use saco::seq::sa_accbcd;
-use saco::sim::{sim_sa_accbcd, sim_sa_accbcd_chaos, sim_sa_bcd_chaos};
 use saco::{LassoConfig, SolveResult};
 use sparsela::io::Dataset;
 
@@ -42,6 +42,27 @@ fn cfg(s: usize, iters: usize, overlap: bool) -> LassoConfig {
         overlap,
         ..Default::default()
     }
+}
+
+/// (SA-)accBCD (or plain BCD) on `p` virtual ranks, optionally under a
+/// chaos plan.
+fn sim(
+    ds: &Dataset,
+    c: &LassoConfig,
+    accel: bool,
+    p: usize,
+    chaos: Option<ChaosSpec>,
+) -> RunOutcome {
+    let (reg, cfg) = (&Lasso::new(0.05), c);
+    let method = Method::Lasso { reg, cfg, accel };
+    let (model, balanced) = (CostModel::cray_xc30(), false);
+    let engine = Engine::Sim {
+        p,
+        model,
+        balanced,
+        chaos,
+    };
+    run(&RunSpec::new(method, engine, Source::InMemory(ds))).expect("sim run")
 }
 
 fn full_spec() -> ChaosSpec {
@@ -110,19 +131,20 @@ fn chaos_preserves_numerics_across_threads_and_overlap() {
         saco_par::set_threads(threads);
         for overlap in [true, false] {
             let c = cfg(8, 96, overlap);
-            let (off, _) = sim_sa_accbcd(&ds, &lasso, &c, 8, CostModel::cray_xc30(), false);
-            let (on, rep, reg) =
-                sim_sa_accbcd_chaos(&ds, &lasso, &c, 8, CostModel::cray_xc30(), false, &spec);
+            let off = sim(&ds, &c, true, 8, None);
+            let chaotic = sim(&ds, &c, true, 8, Some(spec));
+            let (off, on) = (off.result(), chaotic.result());
+            let (rep, reg) = (chaotic.report.expect("report"), &chaotic.telemetry);
             let what = format!("threads={threads} overlap={overlap}");
-            assert_bitwise(&on, &off, &format!("chaos-on vs chaos-off ({what})"));
-            assert_bitwise(&on, &clean, &format!("chaos-on vs sequential ({what})"));
+            assert_bitwise(on, off, &format!("chaos-on vs chaos-off ({what})"));
+            assert_bitwise(on, &clean, &format!("chaos-on vs sequential ({what})"));
             assert_eq!(reg.counter("chaos.failures"), 1, "fault fired ({what})");
             assert!(
                 reg.gauge("chaos.recovery_time").expect("recovery gauge") > 0.0,
                 "recovery charged ({what})"
             );
             assert!(rep.running_time() > 0.0);
-            fingerprints.push((what, schedule_fingerprint(&reg), skew_time(&reg)));
+            fingerprints.push((what, schedule_fingerprint(reg), skew_time(reg)));
         }
     }
     saco_par::set_threads(1);
@@ -148,8 +170,7 @@ fn thread_engine_chaos_matches_virtual_cluster() {
         ..spec
     };
 
-    let (_, _, sim_reg) =
-        sim_sa_accbcd_chaos(&ds, &lasso, &c, p, CostModel::cray_xc30(), false, &fixed);
+    let sim_reg = sim(&ds, &c, true, p, Some(fixed)).telemetry;
 
     let (_, blocks) = LassoRankData::split(&ds, p, false);
     let run_dist = |spec: Option<&ChaosSpec>| {
@@ -157,8 +178,17 @@ fn thread_engine_chaos_matches_virtual_cluster() {
             if let Some(spec) = spec {
                 comm.enable_chaos(spec);
             }
-            let data = &blocks[comm.rank()];
-            dist_sa_accbcd(comm, data, &lasso, &c)
+            // `run` owns its communicators; a caller that must configure one
+            // first enters the same per-rank solve through `run_rank`.
+            let data = RankData::Lasso(&blocks[comm.rank()]);
+            let method = Method::Lasso {
+                reg: &lasso,
+                cfg: &c,
+                accel: true,
+            };
+            run_rank(&method, RankComm::Thread(comm), data)
+                .expect("row blocks are the Lasso layout")
+                .0
         })
     };
     // At p > 1 the reduction tree re-associates sums, so dist matches seq
@@ -217,24 +247,22 @@ proptest! {
             fail: inject_fail.then_some((fail_rank, fail_step)),
         };
         let ds = problem(9);
-        let lasso = Lasso::new(0.05);
         let p = 6;
         let c_on = cfg(8, 48, true);
         let c_off = cfg(8, 48, false);
 
-        let (base, _) = sim_sa_accbcd(&ds, &lasso, &c_on, p, CostModel::cray_xc30(), false);
-        let (r1, _, g1) =
-            sim_sa_accbcd_chaos(&ds, &lasso, &c_on, p, CostModel::cray_xc30(), false, &spec);
-        let (r2, _, g2) =
-            sim_sa_accbcd_chaos(&ds, &lasso, &c_on, p, CostModel::cray_xc30(), false, &spec);
-        let (r3, _, g3) =
-            sim_sa_accbcd_chaos(&ds, &lasso, &c_off, p, CostModel::cray_xc30(), false, &spec);
+        let solve = |c, accel, chaos| {
+            let mut out = sim(&ds, c, accel, p, chaos);
+            (out.results.swap_remove(0), out.telemetry)
+        };
+        let (base, _) = solve(&c_on, true, None);
+        let (r1, g1) = solve(&c_on, true, Some(spec));
+        let (r2, g2) = solve(&c_on, true, Some(spec));
+        let (r3, g3) = solve(&c_off, true, Some(spec));
         // The non-accelerated family shares the plan machinery; spot-check
         // it stays numerics-preserving too.
-        let (b1, _, _) =
-            sim_sa_bcd_chaos(&ds, &lasso, &c_on, p, CostModel::cray_xc30(), false, &spec);
-        let (b0, _) =
-            saco::sim::sim_sa_bcd(&ds, &lasso, &c_on, p, CostModel::cray_xc30(), false);
+        let (b1, _) = solve(&c_on, false, Some(spec));
+        let (b0, _) = solve(&c_on, false, None);
 
         for (i, (va, vb)) in r1.x.iter().zip(&base.x).enumerate() {
             prop_assert_eq!(va.to_bits(), vb.to_bits(), "chaos moved x[{}]", i);

@@ -6,7 +6,7 @@ use datagen::{planted_regression, uniform_sparse};
 use mpisim::{CostModel, CostReport};
 use saco::costmodel::{accbcd_costs, predicted_comm_speedup, sa_accbcd_costs, CostInputs};
 use saco::prox::Lasso;
-use saco::sim::sim_sa_accbcd;
+use saco::run::Method;
 use saco::LassoConfig;
 use sparsela::io::Dataset;
 
@@ -26,7 +26,14 @@ fn run(ds: &Dataset, mu: usize, s: usize, h: usize, p: usize) -> CostReport {
         rel_tol: None,
         ..Default::default()
     };
-    sim_sa_accbcd(ds, &Lasso::new(0.5), &cfg, p, CostModel::cray_xc30(), false).1
+    let method = Method::Lasso {
+        reg: &Lasso::new(0.5),
+        cfg: &cfg,
+        accel: true,
+    };
+    saco_bench::simulate(method, ds, p, CostModel::cray_xc30(), false)
+        .report
+        .expect("sim reports costs")
 }
 
 #[test]

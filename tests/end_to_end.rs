@@ -2,9 +2,9 @@
 //! solve → evaluate, the way a downstream user would drive the library.
 
 use datagen::{imbalance_factor, PaperDataset, Task};
-use mpisim::{CostModel, ThreadMachine};
-use saco::dist::{dist_sa_svm, SvmRankData};
+use mpisim::CostModel;
 use saco::prox::Lasso;
+use saco::run::{run, Engine, Method, RunSpec, Source};
 use saco::seq::sa_accbcd;
 use saco::{LassoConfig, SvmConfig, SvmLoss};
 use sparsela::io::{read_libsvm, write_libsvm};
@@ -104,8 +104,6 @@ fn balanced_partitioning_reduces_imbalance_on_skewed_data() {
 #[test]
 fn distributed_svm_runs_on_a_registry_dataset() {
     let g = PaperDataset::Rcv1Binary.generate(0.03, 104);
-    let p = 4;
-    let (_, blocks) = SvmRankData::split(&g.dataset, p, true);
     let c = SvmConfig {
         loss: SvmLoss::L1,
         lambda: 1.0,
@@ -116,18 +114,20 @@ fn distributed_svm_runs_on_a_registry_dataset() {
         gap_tol: None,
         overlap: true,
     };
-    let results = ThreadMachine::run(p, CostModel::cray_xc30(), |comm| {
-        dist_sa_svm(comm, &blocks[comm.rank()], &c)
-    });
-    let gap0 = results[0].0.trace.initial_value();
-    let gap_end = results[0].0.final_value();
+    let (p, model, balanced) = (4, CostModel::cray_xc30(), true);
+    let engine = Engine::Dist { p, model, balanced };
+    let spec = RunSpec::new(Method::svm(&c), engine, Source::InMemory(&g.dataset));
+    let out = run(&spec).expect("dist run");
+    let gap0 = out.result().trace.initial_value();
+    let gap_end = out.result().final_value();
     assert!(
         gap_end < gap0,
         "duality gap did not shrink: {gap0} -> {gap_end}"
     );
     // cost counters populated
-    assert!(results[0].1.messages > 0);
-    assert!(results[0].1.flops > 0);
+    let critical = out.report.expect("dist reports costs").critical;
+    assert!(critical.messages > 0);
+    assert!(critical.flops > 0);
 }
 
 #[test]
@@ -148,10 +148,15 @@ fn quick_paper_pipeline_smoke() {
         ..Default::default()
     };
     let model = CostModel::cray_xc30();
-    let (classic, rep_classic) =
-        saco::sim::sim_sa_accbcd(&g.dataset, &Lasso::new(lambda), &mk(1), 3072, model, true);
-    let (sa, rep_sa) =
-        saco::sim::sim_sa_accbcd(&g.dataset, &Lasso::new(lambda), &mk(16), 3072, model, true);
+    let [(classic, rep_classic), (sa, rep_sa)] = [1, 16].map(|s| {
+        let method = Method::Lasso {
+            reg: &Lasso::new(lambda),
+            cfg: &mk(s),
+            accel: true,
+        };
+        let mut out = saco_bench::simulate(method, &g.dataset, 3072, model, true);
+        (out.results.swap_remove(0), out.report.expect("sim report"))
+    });
     let rel = (classic.final_value() - sa.final_value()).abs() / classic.final_value();
     assert!(rel < 1e-10, "SA changed the objective: rel {rel}");
     assert!(

@@ -24,21 +24,55 @@
 //!   bitwise; overlap on ≡ off bitwise on the real wire too.
 
 use datagen::{binary_classification, dense_gaussian, planted_regression, uniform_sparse};
-use datagen::{shard_plan, slice_nnz, PaperDataset, Task};
-use mpisim::{CostModel, CostReport, ThreadMachine};
-use saco::dist::{dist_kdcd, dist_sa_accbcd, dist_sa_bcd, dist_sa_svm, LassoRankData, SvmRankData};
-use saco::net::{net_kdcd, net_sa_accbcd, net_sa_bcd, net_sa_svm, run_local};
+use datagen::{col_partition, shard_plan, slice_nnz, PaperDataset, Task};
+use mpisim::{CostModel, CostReport};
+use saco::net::Algo;
 use saco::prox::{ElasticNet, GroupLasso, Lasso, Regularizer};
+use saco::run::{run, Engine, Method, RunError, RunOutcome, RunSpec, Source};
 use saco::seq::{acc_bcd, bcd, kdcd, sa_accbcd, sa_bcd, sa_svm, svm};
-use saco::sim::{sim_kdcd, sim_sa_accbcd, sim_sa_bcd, sim_sa_svm};
-use saco::stream::{
-    stream_dist_kdcd, stream_kdcd, stream_sa_accbcd, stream_sa_bcd, stream_sa_svm,
-    stream_sim_sa_accbcd, stream_sim_sa_bcd, stream_sim_sa_svm, stream_svm_ranks, StreamingMatrix,
-};
 use saco::{KdcdConfig, KdcdStats, KdcdTask, LassoConfig, SolveResult, SvmConfig, SvmLoss};
 use sparsela::io::Dataset;
 use sparsela::shard::{write_csc, write_csr};
 use sparsela::KernelFn;
+use std::path::Path;
+
+// The engine axis: every rank engine on the paper's machine model, by
+// count (`balanced = false`), tree allreduce on the mesh.
+
+fn sim(p: usize) -> Engine {
+    Engine::sim(p, CostModel::cray_xc30(), false)
+}
+
+fn dist(p: usize) -> Engine {
+    let (model, balanced) = (CostModel::cray_xc30(), false);
+    Engine::Dist { p, model, balanced }
+}
+
+fn net(p: usize) -> Engine {
+    let (algo, balanced) = (Algo::Tree, false);
+    Engine::Net { p, algo, balanced }
+}
+
+fn mem(ds: &Dataset) -> Source<'_> {
+    Source::InMemory(ds)
+}
+
+/// A streamed source under a budget tight enough to evict.
+fn shards(dir: &Path) -> Source<'_> {
+    Source::Shards {
+        dir,
+        budget: 64 * 1024,
+    }
+}
+
+/// One cell of the product; panics only where the cell must exist.
+fn cell<R: Regularizer>(method: Method<'_, R>, engine: Engine, source: Source<'_>) -> RunOutcome {
+    run(&RunSpec::new(method, engine, source)).expect("this cell of the product exists")
+}
+
+fn lasso<'a, R: Regularizer>(reg: &'a R, cfg: &'a LassoConfig, accel: bool) -> Method<'a, R> {
+    Method::Lasso { reg, cfg, accel }
+}
 
 fn lasso_ds(seed: u64) -> Dataset {
     let a = uniform_sparse(120, 60, 0.15, seed);
@@ -48,6 +82,21 @@ fn lasso_ds(seed: u64) -> Dataset {
 fn svm_ds(seed: u64) -> Dataset {
     let a = uniform_sparse(90, 30, 0.3, seed);
     binary_classification(a, 0.08, seed).dataset
+}
+
+/// An SVM config (λ = 1, no gap tolerance) with `iters` iterations traced
+/// every `trace` of them.
+fn svm_cfg(loss: SvmLoss, s: usize, seed: u64, iters: usize, trace: usize, on: bool) -> SvmConfig {
+    SvmConfig {
+        loss,
+        lambda: 1.0,
+        s,
+        seed,
+        max_iters: iters,
+        trace_every: trace,
+        gap_tol: None,
+        overlap: on,
+    }
 }
 
 fn lasso_cfg(mu: usize, s: usize, overlap: bool) -> LassoConfig {
@@ -80,42 +129,24 @@ fn run_seq_lasso<R: Regularizer>(
     }
 }
 
-fn run_dist_lasso<R: Regularizer + Sync>(
+fn run_dist_lasso<R: Regularizer>(
     ds: &Dataset,
     reg: &R,
     c: &LassoConfig,
     accel: bool,
     p: usize,
 ) -> Vec<SolveResult> {
-    let (_, blocks) = LassoRankData::split(ds, p, false);
-    ThreadMachine::run(p, CostModel::cray_xc30(), |comm| {
-        let data = &blocks[comm.rank()];
-        if accel {
-            dist_sa_accbcd(comm, data, reg, c)
-        } else {
-            dist_sa_bcd(comm, data, reg, c)
-        }
-    })
-    .into_iter()
-    .map(|(r, _)| r)
-    .collect()
+    cell(lasso(reg, c, accel), dist(p), mem(ds)).results
 }
 
-fn run_net_lasso<R: Regularizer + Sync>(
+fn run_net_lasso<R: Regularizer>(
     ds: &Dataset,
     reg: &R,
     c: &LassoConfig,
     accel: bool,
     p: usize,
 ) -> Vec<SolveResult> {
-    let (_, blocks) = LassoRankData::split(ds, p, false);
-    run_local(p, |rank, comm| {
-        if accel {
-            net_sa_accbcd(comm, &blocks[rank], reg, c)
-        } else {
-            net_sa_bcd(comm, &blocks[rank], reg, c)
-        }
-    })
+    cell(lasso(reg, c, accel), net(p), mem(ds)).results
 }
 
 /// The net column of the Lasso matrix: real loopback sockets, P thread-
@@ -167,26 +198,11 @@ fn net_engine_matches_dist_bitwise_lasso() {
 fn net_engine_matches_dist_bitwise_svm() {
     let ds = svm_ds(2);
     for overlap in [false, true] {
-        let c = SvmConfig {
-            loss: SvmLoss::L1,
-            lambda: 1.0,
-            s: 16,
-            seed: 71,
-            max_iters: 192,
-            trace_every: 48,
-            gap_tol: None,
-            overlap,
-        };
+        let c = svm_cfg(SvmLoss::L1, 16, 71, 192, 48, overlap);
         for p in [1usize, 2, 4] {
             let what = format!("svm overlap={overlap} p={p}");
-            let (_, blocks) = SvmRankData::split(&ds, p, false);
-            let dist: Vec<SolveResult> = ThreadMachine::run(p, CostModel::cray_xc30(), |comm| {
-                dist_sa_svm(comm, &blocks[comm.rank()], &c)
-            })
-            .into_iter()
-            .map(|(r, _)| r)
-            .collect();
-            let net = run_local(p, |rank, comm| net_sa_svm(comm, &blocks[rank], &c));
+            let dist = cell(Method::svm(&c), dist(p), mem(&ds)).results;
+            let net = cell(Method::svm(&c), net(p), mem(&ds)).results;
             for (rank, (n, d)) in net.iter().zip(&dist).enumerate() {
                 assert_eq!(n.x, d.x, "{what} rank {rank}: local x slices");
                 assert_eq!(n.trace.len(), d.trace.len(), "{what} rank {rank}");
@@ -211,22 +227,10 @@ fn net_overlap_does_not_change_iterates() {
         on[0].x, off[0].x,
         "overlap changed iterates on the socket mesh"
     );
-    let svm_cfg = |overlap| SvmConfig {
-        loss: SvmLoss::L2,
-        lambda: 1.0,
-        s: 8,
-        seed: 72,
-        max_iters: 96,
-        trace_every: 24,
-        gap_tol: None,
-        overlap,
-    };
+    let c = |overlap| svm_cfg(SvmLoss::L2, 8, 72, 96, 24, overlap);
     let svm_ds = svm_ds(2);
-    let (_, blocks) = SvmRankData::split(&svm_ds, 4, false);
-    let c_on = svm_cfg(true);
-    let on = run_local(4, |rank, comm| net_sa_svm(comm, &blocks[rank], &c_on));
-    let c_off = svm_cfg(false);
-    let off = run_local(4, |rank, comm| net_sa_svm(comm, &blocks[rank], &c_off));
+    let on = cell(Method::svm(&c(true)), net(4), mem(&svm_ds)).results;
+    let off = cell(Method::svm(&c(false)), net(4), mem(&svm_ds)).results;
     for (a, b) in on.iter().zip(&off) {
         assert_eq!(a.x, b.x, "overlap changed SVM iterates on the socket mesh");
     }
@@ -244,7 +248,7 @@ fn lasso_engine_matrix() {
     lasso_matrix_for_reg(&ds, &GroupLasso::uniform(0.05, 60, 4), "glasso");
 }
 
-fn lasso_matrix_for_reg<R: Regularizer + Sync>(ds: &Dataset, reg: &R, reg_name: &str) {
+fn lasso_matrix_for_reg<R: Regularizer>(ds: &Dataset, reg: &R, reg_name: &str) {
     for (variant, accel, s) in [
         ("bcd", false, 1usize),
         ("acc_bcd", true, 1),
@@ -256,12 +260,12 @@ fn lasso_matrix_for_reg<R: Regularizer + Sync>(ds: &Dataset, reg: &R, reg_name: 
             let c = lasso_cfg(4, s, overlap);
             let seq_res = run_seq_lasso(ds, reg, &c, accel);
             // seq ≡ sim, bitwise.
-            let (sim_res, _) = if accel {
-                sim_sa_accbcd(ds, reg, &c, 4, CostModel::cray_xc30(), false)
-            } else {
-                sim_sa_bcd(ds, reg, &c, 4, CostModel::cray_xc30(), false)
-            };
-            assert_eq!(seq_res.x, sim_res.x, "{what} overlap={overlap}: seq vs sim");
+            let sim_out = cell(lasso(reg, &c, accel), sim(4), mem(ds));
+            assert_eq!(
+                seq_res.x,
+                sim_out.result().x,
+                "{what} overlap={overlap}: seq vs sim"
+            );
             for p in [1usize, 4] {
                 let dist = run_dist_lasso(ds, reg, &c, accel, p);
                 // Replicated recurrences: all ranks agree bitwise.
@@ -294,33 +298,18 @@ fn svm_engine_matrix() {
     for loss in [SvmLoss::L1, SvmLoss::L2] {
         for s in [1usize, 16] {
             for overlap in [false, true] {
-                let c = SvmConfig {
-                    loss,
-                    lambda: 1.0,
-                    s,
-                    seed: 71,
-                    max_iters: 192,
-                    trace_every: 48,
-                    gap_tol: None,
-                    overlap,
-                };
+                let c = svm_cfg(loss, s, 71, 192, 48, overlap);
                 let what = format!("{loss:?} s={s} overlap={overlap}");
                 let seq_res = if s == 1 {
                     svm(&ds, &c)
                 } else {
                     sa_svm(&ds, &c)
                 };
-                let (sim_res, _) = sim_sa_svm(&ds, &c, 4, CostModel::cray_xc30(), false);
-                assert_eq!(seq_res.x, sim_res.x, "{what}: seq vs sim");
+                let sim_out = cell(Method::svm(&c), sim(4), mem(&ds));
+                assert_eq!(seq_res.x, sim_out.result().x, "{what}: seq vs sim");
                 for p in [1usize, 4] {
-                    let (part, blocks) = SvmRankData::split(&ds, p, false);
-                    let dist: Vec<SolveResult> =
-                        ThreadMachine::run(p, CostModel::cray_xc30(), |comm| {
-                            dist_sa_svm(comm, &blocks[comm.rank()], &c)
-                        })
-                        .into_iter()
-                        .map(|(r, _)| r)
-                        .collect();
+                    let part = col_partition(&ds.a, p, false);
+                    let dist = cell(Method::svm(&c), dist(p), mem(&ds)).results;
                     // The gap trace is replicated bitwise on every rank.
                     for r in &dist[1..] {
                         assert_eq!(r.trace.len(), dist[0].trace.len());
@@ -365,10 +354,11 @@ fn simd_mode_is_unobservable_across_engines() {
         let run = |mode: Mode| {
             simd::set_mode(mode);
             let seq = run_seq_lasso(&ds, &reg, &c, true);
-            let (sim, _) = sim_sa_accbcd(&ds, &reg, &c, 2, CostModel::cray_xc30(), false);
+            let mut sim = cell(lasso(&reg, &c, true), sim(2), mem(&ds));
             let dist = run_dist_lasso(&ds, &reg, &c, true, 2);
             let net = run_net_lasso(&ds, &reg, &c, true, 2);
-            (seq.x, sim.x, dist[0].x.clone(), net[0].x.clone())
+            let sim_x = sim.results.swap_remove(0).x;
+            (seq.x, sim_x, dist[0].x.clone(), net[0].x.clone())
         };
         let scalar = run(Mode::Scalar);
         let wide = run(Mode::Wide);
@@ -380,23 +370,15 @@ fn simd_mode_is_unobservable_across_engines() {
     simd::set_mode(ambient);
 }
 
+fn report(out: RunOutcome) -> CostReport {
+    out.report.expect("sim and dist report modeled costs")
+}
+
 fn lasso_reports(c: &LassoConfig, accel: bool, p: usize) -> (CostReport, CostReport) {
     let ds = lasso_ds(3);
     let reg = Lasso::new(c.lambda);
-    let (_, blocks) = LassoRankData::split(&ds, p, false);
-    let (_, thread_rep) = ThreadMachine::run_report(p, CostModel::cray_xc30(), |comm| {
-        let data = &blocks[comm.rank()];
-        if accel {
-            dist_sa_accbcd(comm, data, &reg, c)
-        } else {
-            dist_sa_bcd(comm, data, &reg, c)
-        }
-    });
-    let (_, sim_rep) = if accel {
-        sim_sa_accbcd(&ds, &reg, c, p, CostModel::cray_xc30(), false)
-    } else {
-        sim_sa_bcd(&ds, &reg, c, p, CostModel::cray_xc30(), false)
-    };
+    let thread_rep = report(cell(lasso(&reg, c, accel), dist(p), mem(&ds)));
+    let sim_rep = report(cell(lasso(&reg, c, accel), sim(p), mem(&ds)));
     (thread_rep, sim_rep)
 }
 
@@ -445,22 +427,9 @@ fn sim_and_dist_charges_agree_exactly_lasso() {
 fn sim_and_dist_charges_agree_exactly_svm() {
     let ds = svm_ds(4);
     for overlap in [false, true] {
-        let c = SvmConfig {
-            loss: SvmLoss::L1,
-            lambda: 1.0,
-            s: 8,
-            seed: 49,
-            max_iters: 64,
-            trace_every: 16,
-            gap_tol: None,
-            overlap,
-        };
-        let p = 4;
-        let (_, blocks) = SvmRankData::split(&ds, p, false);
-        let (_, thread_rep) = ThreadMachine::run_report(p, CostModel::cray_xc30(), |comm| {
-            dist_sa_svm(comm, &blocks[comm.rank()], &c)
-        });
-        let (_, sim_rep) = sim_sa_svm(&ds, &c, p, CostModel::cray_xc30(), false);
+        let c = svm_cfg(SvmLoss::L1, 8, 49, 64, 16, overlap);
+        let thread_rep = report(cell(Method::svm(&c), dist(4), mem(&ds)));
+        let sim_rep = report(cell(Method::svm(&c), sim(4), mem(&ds)));
         assert_reports_match(&thread_rep, &sim_rep, &format!("svm overlap={overlap}"));
     }
 }
@@ -506,11 +475,8 @@ fn rank_count_does_not_change_results() {
     let reg = Lasso::new(cfg.lambda);
     let mut finals = Vec::new();
     for p in [1usize, 2, 3, 8] {
-        let (_, blocks) = LassoRankData::split(&ds, p, false);
-        let res = ThreadMachine::run(p, CostModel::cray_xc30(), |comm| {
-            dist_sa_accbcd(comm, &blocks[comm.rank()], &reg, &cfg)
-        });
-        finals.push(res[0].0.final_value());
+        let out = cell(lasso(&reg, &cfg, true), dist(p), mem(&ds));
+        finals.push(out.result().final_value());
     }
     for f in &finals[1..] {
         let rel = (f - finals[0]).abs() / finals[0];
@@ -601,16 +567,7 @@ fn svm_sa_equivalence_on_registry_structures() {
     ] {
         let g = ds.generate_for_task(Task::Classification, 0.1, 11);
         for loss in [SvmLoss::L1, SvmLoss::L2] {
-            let c = SvmConfig {
-                loss,
-                lambda: 1.0,
-                s: 48,
-                seed: 77,
-                max_iters: 960,
-                trace_every: 120,
-                gap_tol: None,
-                overlap: true,
-            };
+            let c = svm_cfg(loss, 48, 77, 960, 120, true);
             let classic = svm(&g.dataset, &c);
             let sa = sa_svm(&g.dataset, &c);
             assert_eq!(classic.trace.len(), sa.trace.len());
@@ -702,36 +659,24 @@ fn streamed_lasso_is_bitwise_in_memory_on_seq_and_sim() {
             let what = format!("stream lasso accel={accel} overlap={overlap}");
 
             // Sequential: lookahead prefetch behind compute, tight budget.
-            let mem = run_seq_lasso(&ds, &reg, &c, accel);
-            let a = StreamingMatrix::open(&dir, 64 * 1024).expect("open stream");
-            let streamed = if accel {
-                stream_sa_accbcd(&a, &ds.b, &reg, &c)
-            } else {
-                stream_sa_bcd(&a, &ds.b, &reg, &c)
-            };
-            assert_bitwise(&streamed, &mem, &what);
-            let st = a.io_stats();
+            let seq_mem = run_seq_lasso(&ds, &reg, &c, accel);
+            let streamed = cell(lasso(&reg, &c, accel), Engine::Seq, shards(&dir));
+            assert_bitwise(streamed.result(), &seq_mem, &what);
+            let st = streamed.io[0];
             assert!(
                 st.prefetch_hits + st.prefetch_waits > 0,
                 "{what}: lookahead prefetch never engaged"
             );
 
             // Virtual cluster: same iterates and the identical charges.
-            let model = CostModel::cray_xc30();
-            let (sim_mem, mem_rep) = if accel {
-                sim_sa_accbcd(&ds, &reg, &c, 4, model, false)
-            } else {
-                sim_sa_bcd(&ds, &reg, &c, 4, model, false)
-            };
-            let a = StreamingMatrix::open(&dir, 64 * 1024).expect("open stream");
-            let (sim_st, st_rep) = if accel {
-                stream_sim_sa_accbcd(&a, &ds.b, &reg, &c, 4, model, false)
-            } else {
-                stream_sim_sa_bcd(&a, &ds.b, &reg, &c, 4, model, false)
-            }
-            .expect("stream sim");
-            assert_bitwise(&sim_st, &sim_mem, &format!("{what} (sim)"));
-            assert_reports_match(&st_rep, &mem_rep, &format!("{what} (sim charges)"));
+            let sim_mem = cell(lasso(&reg, &c, accel), sim(4), mem(&ds));
+            let sim_st = cell(lasso(&reg, &c, accel), sim(4), shards(&dir));
+            assert_bitwise(sim_st.result(), sim_mem.result(), &format!("{what} (sim)"));
+            assert_reports_match(
+                &report(sim_st),
+                &report(sim_mem),
+                &format!("{what} (sim charges)"),
+            );
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -745,30 +690,21 @@ fn streamed_svm_is_bitwise_in_memory_on_seq_and_sim() {
     write_csr(&dir, &ds.a, &bounds, Some(&ds.b)).expect("write shard dir");
     for loss in [SvmLoss::L1, SvmLoss::L2] {
         for overlap in [false, true] {
-            let c = SvmConfig {
-                loss,
-                lambda: 1.0,
-                s: 16,
-                seed: 71,
-                max_iters: 192,
-                trace_every: 48,
-                gap_tol: None,
-                overlap,
-            };
+            let c = svm_cfg(loss, 16, 71, 192, 48, overlap);
             let what = format!("stream svm {loss:?} overlap={overlap}");
 
-            let mem = sa_svm(&ds, &c);
-            let a = StreamingMatrix::open(&dir, 64 * 1024).expect("open stream");
-            let streamed = stream_sa_svm(&a, &ds.b, &c);
-            assert_bitwise(&streamed, &mem, &what);
+            let seq_mem = sa_svm(&ds, &c);
+            let streamed = cell(Method::svm(&c), Engine::Seq, shards(&dir));
+            assert_bitwise(streamed.result(), &seq_mem, &what);
 
-            let model = CostModel::cray_xc30();
-            let (sim_mem, mem_rep) = sim_sa_svm(&ds, &c, 4, model, false);
-            let a = StreamingMatrix::open(&dir, 64 * 1024).expect("open stream");
-            let (sim_st, st_rep) =
-                stream_sim_sa_svm(&a, &ds.b, &c, 4, model, false).expect("stream sim");
-            assert_bitwise(&sim_st, &sim_mem, &format!("{what} (sim)"));
-            assert_reports_match(&st_rep, &mem_rep, &format!("{what} (sim charges)"));
+            let sim_mem = cell(Method::svm(&c), sim(4), mem(&ds));
+            let sim_st = cell(Method::svm(&c), sim(4), shards(&dir));
+            assert_bitwise(sim_st.result(), sim_mem.result(), &format!("{what} (sim)"));
+            assert_reports_match(
+                &report(sim_st),
+                &report(sim_mem),
+                &format!("{what} (sim charges)"),
+            );
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -780,16 +716,7 @@ fn sa_solvers_with_s_1_are_bitwise_classical_shapes() {
     // extremely tight tolerance (identical computation graph modulo benign
     // reassociation in the Gram kernel).
     let g = PaperDataset::Rcv1Binary.generate(0.05, 17);
-    let c = SvmConfig {
-        loss: SvmLoss::L1,
-        lambda: 1.0,
-        s: 1,
-        seed: 5,
-        max_iters: 400,
-        trace_every: 50,
-        gap_tol: None,
-        overlap: true,
-    };
+    let c = svm_cfg(SvmLoss::L1, 1, 5, 400, 50, true);
     let a = svm(&g.dataset, &c);
     let b = sa_svm(&g.dataset, &c);
     for (p, q) in a.trace.points().iter().zip(b.trace.points()) {
@@ -825,45 +752,27 @@ fn golden_check(name: &str, doc: &str) {
 
 #[test]
 fn registry_reports_match_pre_refactor_goldens() {
-    use saco::sim::{sim_sa_accbcd_instrumented, sim_sa_bcd_instrumented, sim_sa_svm_instrumented};
     use saco_telemetry::run_report_json;
 
     let ds = lasso_ds(77);
     let reg = Lasso::new(0.05);
     // Overlapped accelerated run: exercises the double-buffered block
     // entry, the overlap closure, and the piggybacked trace scalar.
-    let (_, _, t) = sim_sa_accbcd_instrumented(
-        &ds,
-        &reg,
-        &lasso_cfg(2, 8, true),
-        8,
-        CostModel::cray_xc30(),
-        false,
-    );
+    let t = cell(lasso(&reg, &lasso_cfg(2, 8, true), true), sim(8), mem(&ds)).telemetry;
     golden_check("sim_lasso_report.json", &run_report_json(&t));
     // Non-overlapped plain BCD: the sample-at-entry path and the
     // single-sequence update charges.
-    let (_, _, t) = sim_sa_bcd_instrumented(
-        &ds,
-        &reg,
-        &lasso_cfg(3, 4, false),
-        4,
-        CostModel::cray_xc30(),
-        true,
-    );
+    let balanced4 = Engine::sim(4, CostModel::cray_xc30(), true);
+    let t = cell(
+        lasso(&reg, &lasso_cfg(3, 4, false), false),
+        balanced4,
+        mem(&ds),
+    )
+    .telemetry;
     golden_check("sim_bcd_report.json", &run_report_json(&t));
     let sds = svm_ds(78);
-    let sc = SvmConfig {
-        loss: SvmLoss::L2,
-        lambda: 1.0,
-        s: 8,
-        seed: 5,
-        max_iters: 96,
-        trace_every: 24,
-        gap_tol: None,
-        overlap: true,
-    };
-    let (_, _, t) = sim_sa_svm_instrumented(&sds, &sc, 8, CostModel::cray_xc30(), false);
+    let sc = svm_cfg(SvmLoss::L2, 8, 5, 96, 24, true);
+    let t = cell(Method::svm(&sc), sim(8), mem(&sds)).telemetry;
     golden_check("sim_svm_report.json", &run_report_json(&t));
 }
 
@@ -917,14 +826,10 @@ fn kdcd_cfg(kernel: KernelFn, task: KdcdTask, overlap: bool) -> KdcdConfig {
     }
 }
 
-fn run_dist_kdcd(ds: &Dataset, p: usize, c: &KdcdConfig) -> Vec<(SolveResult, KdcdStats)> {
-    let (_, blocks) = SvmRankData::split(ds, p, false);
-    ThreadMachine::run(p, CostModel::cray_xc30(), |comm| {
-        dist_kdcd(comm, &blocks[comm.rank()], c)
-    })
-    .into_iter()
-    .map(|(r, _)| r)
-    .collect()
+/// A kernel-family cell, unzipped into per-rank `(result, stats)` pairs.
+fn run_kdcd(c: &KdcdConfig, engine: Engine, source: Source<'_>) -> Vec<(SolveResult, KdcdStats)> {
+    let out = cell(Method::kdcd(c), engine, source);
+    out.results.into_iter().zip(out.kdcd).collect()
 }
 
 /// The full kernel-family matrix: {rbf × K-SVM, poly × K-BDCD ridge} ×
@@ -942,11 +847,11 @@ fn kdcd_engine_matrix() {
                 let (seq_res, seq_stats) = kdcd(&ds, &c);
                 // seq ≡ sim bitwise — iterates and the replicated
                 // hit/miss/eviction stream.
-                let (sim_res, sim_stats, _) = sim_kdcd(&ds, &c, 4, CostModel::cray_xc30(), false);
+                let (sim_res, sim_stats) = run_kdcd(&c, sim(4), mem(&ds)).remove(0);
                 assert_eq!(seq_res.x, sim_res.x, "{what}: seq vs sim");
                 assert_eq!(seq_stats.cache, sim_stats.cache, "{what}: cache streams");
                 for p in [1usize, 4] {
-                    let dist = run_dist_kdcd(&ds, p, &c);
+                    let dist = run_kdcd(&c, dist(p), mem(&ds));
                     for (rank, (res, stats)) in dist.iter().enumerate().skip(1) {
                         assert_eq!(res.x, dist[0].0.x, "{what} p={p} rank {rank}");
                         assert_eq!(stats.cache, dist[0].1.cache, "{what} p={p} rank {rank}");
@@ -994,15 +899,8 @@ fn net_engine_matches_dist_bitwise_kdcd() {
         let (seq_res, _) = kdcd(&ds, &c);
         for p in [1usize, 2, 4] {
             let what = format!("kdcd overlap={overlap} p={p}");
-            let (_, blocks) = SvmRankData::split(&ds, p, false);
-            let dist: Vec<(SolveResult, KdcdStats)> =
-                ThreadMachine::run(p, CostModel::cray_xc30(), |comm| {
-                    dist_kdcd(comm, &blocks[comm.rank()], &c)
-                })
-                .into_iter()
-                .map(|(r, _)| r)
-                .collect();
-            let net = run_local(p, |rank, comm| net_kdcd(comm, &blocks[rank], &c));
+            let dist = run_kdcd(&c, dist(p), mem(&ds));
+            let net = run_kdcd(&c, net(p), mem(&ds));
             for (n, _) in &net[1..] {
                 assert_eq!(n.x, net[0].0.x, "{what}: net ranks disagree");
             }
@@ -1048,12 +946,8 @@ fn sim_and_dist_charges_agree_exactly_kdcd() {
     for (kernel, task, name) in kdcd_kernels() {
         for overlap in [false, true] {
             let c = kdcd_cfg(kernel, task, overlap);
-            let p = 4;
-            let (_, blocks) = SvmRankData::split(&ds, p, false);
-            let (_, thread_rep) = ThreadMachine::run_report(p, CostModel::cray_xc30(), |comm| {
-                dist_kdcd(comm, &blocks[comm.rank()], &c)
-            });
-            let (_, _, sim_rep) = sim_kdcd(&ds, &c, p, CostModel::cray_xc30(), false);
+            let thread_rep = report(cell(Method::kdcd(&c), dist(4), mem(&ds)));
+            let sim_rep = report(cell(Method::kdcd(&c), sim(4), mem(&ds)));
             assert_reports_match(
                 &thread_rep,
                 &sim_rep,
@@ -1063,9 +957,9 @@ fn sim_and_dist_charges_agree_exactly_kdcd() {
     }
 }
 
-/// The streamed column for the kernel family: a CSR shard directory run
-/// through `stream_kdcd` (and, windowed, through `stream_dist_kdcd` on
-/// the thread machine) is bitwise the in-memory run.
+/// The streamed column for the kernel family: a CSR shard directory on
+/// the sequential engine (and, windowed per rank, on the thread machine)
+/// is bitwise the in-memory run.
 #[test]
 fn streamed_kdcd_is_bitwise_in_memory() {
     let ds = kdcd_ds(9);
@@ -1076,23 +970,15 @@ fn streamed_kdcd_is_bitwise_in_memory() {
         for overlap in [false, true] {
             let c = kdcd_cfg(kernel, task, overlap);
             let what = format!("stream kdcd {name} overlap={overlap}");
-            let (mem, mem_stats) = kdcd(&ds, &c);
-            let a = StreamingMatrix::open(&dir, 64 * 1024).expect("open stream");
-            let (streamed, st_stats) = stream_kdcd(&a, &ds.b, &c);
-            assert_bitwise(&streamed, &mem, &what);
+            let (seq_mem, mem_stats) = kdcd(&ds, &c);
+            let (streamed, st_stats) = run_kdcd(&c, Engine::Seq, shards(&dir)).remove(0);
+            assert_bitwise(&streamed, &seq_mem, &what);
             assert_eq!(st_stats.cache, mem_stats.cache, "{what}: cache streams");
 
             let p = 2;
-            let (_, mem_blocks) = SvmRankData::split(&ds, p, false);
-            let mem_dist = ThreadMachine::run(p, CostModel::cray_xc30(), |comm| {
-                dist_kdcd(comm, &mem_blocks[comm.rank()], &c)
-            });
-            let (_, ranks) = stream_svm_ranks(&dir, p, false, 1 << 20).expect("rank split");
-            let st_dist = ThreadMachine::run(p, CostModel::cray_xc30(), |comm| {
-                stream_dist_kdcd(comm, &ranks[comm.rank()], &c)
-            });
-            for (rank, (((sr, ss), _), ((mr, ms), _))) in st_dist.iter().zip(&mem_dist).enumerate()
-            {
+            let mem_dist = run_kdcd(&c, dist(p), mem(&ds));
+            let st_dist = run_kdcd(&c, dist(p), shards(&dir));
+            for (rank, ((sr, ss), (mr, ms))) in st_dist.iter().zip(&mem_dist).enumerate() {
                 assert_eq!(sr.x, mr.x, "{what} p={p} rank {rank}: streamed dist");
                 assert_eq!(ss.cache, ms.cache, "{what} p={p} rank {rank}");
             }
@@ -1205,4 +1091,171 @@ fn kdcd_converges_on_url_shape_subsample() {
         );
         assert!(stats.cache.misses > 0 && stats.tile_rows > 0, "{name}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// The product, stated once as data: every method × engine × source ×
+// overlap cell at p ∈ {1, 4} either matches the seq/in-memory reference
+// under its engine's relation, or returns the documented `RunError`. No
+// cell may panic.
+// ---------------------------------------------------------------------------
+
+/// How a cell must relate to the seq/in-memory reference iterate.
+#[derive(Clone, Copy, Debug)]
+enum Relation {
+    Bitwise,
+    /// `|a − b| ≤ tol·max(1, |a|)` per coordinate (the allreduce tree
+    /// re-associates sums).
+    Close(f64),
+}
+
+/// One row per engine: name, constructor, and the relation its cells hold
+/// to the reference at p = 1 and at p > 1.
+type EngineRow = (&'static str, fn(usize) -> Engine, Relation, Relation);
+
+const ENGINE_TABLE: [EngineRow; 4] = [
+    ("seq", |_| Engine::Seq, Relation::Bitwise, Relation::Bitwise),
+    ("sim", sim, Relation::Bitwise, Relation::Bitwise),
+    ("dist", dist, Relation::Bitwise, Relation::Close(1e-9)),
+    ("net", net, Relation::Bitwise, Relation::Close(1e-9)),
+];
+
+/// The iterate a cell computed, reassembled to the global vector: the
+/// linear SVM partitions `x` across ranks, everything else replicates it
+/// (and every replica must agree bitwise).
+fn global_x(out: &RunOutcome, partitioned: bool, what: &str) -> Vec<f64> {
+    if partitioned {
+        return out.results.iter().flat_map(|r| r.x.clone()).collect();
+    }
+    for r in &out.results[1..] {
+        assert_eq!(r.x, out.results[0].x, "{what}: ranks disagree");
+    }
+    out.results[0].x.clone()
+}
+
+fn assert_related(x: &[f64], reference: &[f64], rel: Relation, what: &str) {
+    assert_eq!(x.len(), reference.len(), "{what}: length");
+    match rel {
+        Relation::Bitwise => assert_eq!(x, reference, "{what}: must be bitwise the reference"),
+        Relation::Close(tol) => {
+            for (a, b) in x.iter().zip(reference) {
+                assert!(
+                    (a - b).abs() <= tol * a.abs().max(1.0),
+                    "{what}: {a} vs {b}"
+                );
+            }
+        }
+    }
+}
+
+/// The method axis of the walk.
+#[derive(Clone, Copy, Debug)]
+enum Family {
+    Lasso { accel: bool },
+    Svm,
+    Kdcd(KernelFn, KdcdTask),
+}
+
+fn try_cell(
+    family: Family,
+    overlap: bool,
+    engine: Engine,
+    source: Source<'_>,
+) -> Result<RunOutcome, RunError> {
+    match family {
+        Family::Lasso { accel } => {
+            let (reg, c) = (Lasso::new(0.05), lasso_cfg(4, 8, overlap));
+            run(&RunSpec::new(lasso(&reg, &c, accel), engine, source))
+        }
+        Family::Svm => {
+            let c = svm_cfg(SvmLoss::L1, 8, 71, 96, 24, overlap);
+            run(&RunSpec::new(Method::svm(&c), engine, source))
+        }
+        Family::Kdcd(kernel, task) => {
+            let c = kdcd_cfg(kernel, task, overlap);
+            run(&RunSpec::new(Method::kdcd(&c), engine, source))
+        }
+    }
+}
+
+/// Walk one method over every engine × source × overlap × p. Each shard
+/// directory is tagged with whether the method can stream it; the other
+/// one must be `RunError::WrongAxis` on every engine.
+fn walk_cells(family: Family, ds: &Dataset, dirs: [(&Path, bool); 2]) {
+    // The linear SVM partitions `x` across ranks; the rest replicate it.
+    let partitioned = matches!(family, Family::Svm);
+    for overlap in [false, true] {
+        let reference = try_cell(family, overlap, Engine::Seq, mem(ds)).expect("reference cell");
+        let reference = global_x(&reference, false, "reference");
+        for (name, engine, at_one, beyond) in ENGINE_TABLE {
+            for p in [1usize, 4] {
+                let rel = if p == 1 { at_one } else { beyond };
+                let what = format!("{family:?} overlap={overlap} {name} p={p}");
+                let in_memory = try_cell(family, overlap, engine(p), mem(ds)).expect(&what);
+                let split = partitioned && in_memory.results.len() > 1;
+                let x_mem = global_x(&in_memory, split, &what);
+                assert_related(&x_mem, &reference, rel, &what);
+                for (dir, streams) in dirs {
+                    let what = format!("{what} shard:{}", dir.display());
+                    match try_cell(family, overlap, engine(p), shards(dir)) {
+                        Ok(out) if streams => {
+                            // Streamed ≡ in-memory is bitwise on every
+                            // engine, whatever the engine's own relation
+                            // to seq.
+                            assert_eq!(global_x(&out, split, &what), x_mem, "{what}");
+                            assert_eq!(out.io.len(), out.results.len(), "{what}: io views");
+                        }
+                        Err(RunError::WrongAxis { .. }) if !streams => {}
+                        other => panic!("{what}: unexpected cell outcome {other:?}"),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Every cell, including the ones no other test reaches: streamed SVM and
+/// streamed K-DCD on the socket mesh, streamed K-DCD on the virtual
+/// cluster, and every wrong-axis cell as a typed error.
+#[test]
+fn product_walk_covers_streamed_net_kdcd_cells() {
+    let lasso_data = lasso_ds(11);
+    let dual_data = kdcd_ds(12);
+    let csc_dir = shard_dir("product_csc");
+    let csc = lasso_data.a.to_csc();
+    let bounds = shard_plan(&slice_nnz(&csc), 6);
+    write_csc(&csc_dir, &csc, &bounds, Some(&lasso_data.b)).expect("write csc shards");
+    let csr_dir = shard_dir("product_csr");
+    let bounds = shard_plan(&slice_nnz(&dual_data.a), 5);
+    write_csr(&csr_dir, &dual_data.a, &bounds, Some(&dual_data.b)).expect("write csr shards");
+    let for_lasso = [(csc_dir.as_path(), true), (csr_dir.as_path(), false)];
+    let for_duals = [(csc_dir.as_path(), false), (csr_dir.as_path(), true)];
+
+    for accel in [false, true] {
+        walk_cells(Family::Lasso { accel }, &lasso_data, for_lasso);
+    }
+    walk_cells(Family::Svm, &dual_data, for_duals);
+    for (kernel, task, _) in kdcd_kernels() {
+        walk_cells(Family::Kdcd(kernel, task), &dual_data, for_duals);
+    }
+
+    // The rest of the documented error surface.
+    let accbcd = Family::Lasso { accel: true };
+    for engine in [sim(0), dist(0), net(0)] {
+        let err = try_cell(accbcd, true, engine, mem(&lasso_data));
+        assert!(matches!(err, Err(RunError::ZeroRanks)), "{err:?}");
+    }
+    let (reg, zero_s) = (Lasso::new(0.05), lasso_cfg(4, 0, true));
+    let zero_s = RunSpec::new(lasso(&reg, &zero_s, true), Engine::Seq, mem(&lasso_data));
+    let err = run(&zero_s);
+    assert!(matches!(err, Err(RunError::Config(_))), "{err:?}");
+    let err = try_cell(
+        accbcd,
+        true,
+        sim(4),
+        shards(Path::new("/nonexistent/shards")),
+    );
+    assert!(matches!(err, Err(RunError::Io { .. })), "{err:?}");
+    let _ = std::fs::remove_dir_all(&csc_dir);
+    let _ = std::fs::remove_dir_all(&csr_dir);
 }

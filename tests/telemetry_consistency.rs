@@ -6,9 +6,9 @@
 
 use datagen::PaperDataset;
 use mpisim::telemetry::{run_report_json, Registry};
-use mpisim::{CostModel, CostReport, ThreadMachine};
-use saco::dist::{dist_sa_accbcd, LassoRankData};
+use mpisim::{CostModel, CostReport};
 use saco::prox::Lasso;
+use saco::run::{run, Engine, Method, RunSpec, Source};
 use saco::LassoConfig;
 use sparsela::io::Dataset;
 
@@ -33,13 +33,12 @@ fn config() -> LassoConfig {
 
 fn run_instrumented(ds: &Dataset) -> (CostReport, Registry) {
     let cfg = config();
-    let reg = Lasso::new(cfg.lambda);
-    let (_, blocks) = LassoRankData::split(ds, P, false);
-    let (_, rep, registry) =
-        ThreadMachine::run_report_telemetry(P, CostModel::cray_xc30(), |comm| {
-            dist_sa_accbcd(comm, &blocks[comm.rank()], &reg, &cfg)
-        });
-    (rep, registry)
+    let (reg, cfg, accel) = (&Lasso::new(cfg.lambda), &cfg, true);
+    let method = Method::Lasso { reg, cfg, accel };
+    let (p, model, balanced) = (P, CostModel::cray_xc30(), false);
+    let engine = Engine::Dist { p, model, balanced };
+    let out = run(&RunSpec::new(method, engine, Source::InMemory(ds))).expect("dist run");
+    (out.report.expect("dist reports costs"), out.telemetry)
 }
 
 #[test]
