@@ -102,37 +102,6 @@ fn print_simulated_summary() {
             println!("  s={s:>3}: {:.2} ms", rep.running_time() * 1e3);
         }
 
-        println!("--- ablation: allreduce algorithm vs s (accCD, P=12288) ---");
-        use mpisim::AllreduceAlgo;
-        let p_big = 12_288;
-        for (name, algo) in [
-            ("tree", AllreduceAlgo::Tree),
-            ("rabenseifner", AllreduceAlgo::Rabenseifner),
-            (
-                "auto@4096",
-                AllreduceAlgo::Auto {
-                    threshold_words: 4096,
-                },
-            ),
-        ] {
-            let m = CostModel {
-                allreduce_algo: algo,
-                ..model
-            };
-            let mut best = (0usize, f64::INFINITY);
-            for s in [1usize, 8, 32, 128, 512] {
-                let t = sim_accbcd(&ds, &lasso_cfg(1, s), p_big, m).running_time();
-                if t < best.1 {
-                    best = (s, t);
-                }
-            }
-            println!(
-                "  {name:<13} best s = {:>3} at {:.2} ms",
-                best.0,
-                best.1 * 1e3
-            );
-        }
-
         println!("--- ablation: µ-sweep total simulated time (s=16, P=1024) ---");
         for mu in [1usize, 2, 4, 8, 16] {
             let rep = sim_accbcd(&ds, &lasso_cfg(mu, 16), p, model);

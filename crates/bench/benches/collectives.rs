@@ -4,6 +4,7 @@
 //! simulated operation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mpisim::telemetry::Phase;
 use mpisim::{CostModel, KernelClass, ThreadMachine, VirtualCluster};
 use std::hint::black_box;
 
@@ -33,7 +34,9 @@ fn bench_virtual_cluster(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(p), &p, |b, &p| {
             let mut vc = VirtualCluster::new(p, CostModel::cray_xc30());
             b.iter(|| {
-                vc.charge_per_rank_ws(KernelClass::Dot, |r| ((r % 7) as u64 * 100, 64));
+                vc.charge(KernelClass::Dot, Phase::Comp, |r| {
+                    ((r % 7) as u64 * 100, 64)
+                });
                 vc.allreduce(64);
                 black_box(vc.time())
             });

@@ -2,13 +2,30 @@
 //!
 //! Both execution engines must charge identical costs for identical work,
 //! or the cross-engine validation tests (and the credibility of the
-//! paper-scale figures) collapse. Every formula lives here once.
+//! paper-scale figures) collapse. Every formula lives here once, and so
+//! does every charge *site*: a `Site` states what one of the solver
+//! families' charge points costs — kernel class, telemetry phase, and
+//! `(flops, working set)` as a function of the charged rank's nonzeros.
+//! The engines only decide where that nnz comes from and which ledger(s)
+//! receive the charge (`SimBackend::charge` / `DistBackend::charge` in
+//! `exec/backends.rs`).
 //!
 //! Conventions: `nnz` arguments are the *local* (per-rank) nonzero counts
 //! of the sampled columns/rows; `width` is the total sampled block width
 //! (`µ` per iteration classically, `sµ` for an SA outer iteration).
 
+use mpisim::telemetry::Phase;
 use mpisim::KernelClass;
+
+/// One charge site of the solver families: the kernel class it is priced
+/// under, the telemetry phase it is attributed to, and what a rank
+/// holding `nnz` of the site's nonzeros pays, as
+/// `(flops, working-set words)`.
+pub(crate) struct Site<F: Fn(u64) -> (u64, u64)> {
+    pub class: KernelClass,
+    pub phase: Phase,
+    pub cost: F,
+}
 
 /// Flops a rank spends building its local contribution to the `width ×
 /// width` Gram matrix by scatter-dot over the sampled slices, upper
@@ -93,6 +110,65 @@ pub fn gram_class(width: u64) -> KernelClass {
 /// effect of §IV-B.
 pub fn gram_working_set(width: u64, local_nnz: u64) -> u64 {
     width * width + 2 * local_nnz
+}
+
+impl<F: Fn(u64) -> (u64, u64)> Site<F> {
+    fn new(class: KernelClass, phase: Phase, cost: F) -> Self {
+        Self { class, phase, cost }
+    }
+}
+
+/// Local Gram formation over sampled slices holding `nnz` local nonzeros.
+pub(crate) fn gram(width: u64) -> Site<impl Fn(u64) -> (u64, u64)> {
+    Site::new(gram_class(width), Phase::Gram, move |nnz| {
+        (gram_flops(nnz, width), gram_working_set(width, nnz))
+    })
+}
+
+/// The cross products `Yᵀ[v₁ … v_nvecs]` over the same sampled slices.
+pub(crate) fn cross(width: u64, nvecs: u64) -> Site<impl Fn(u64) -> (u64, u64)> {
+    Site::new(gram_class(width), Phase::Gram, move |nnz| {
+        (cross_flops(nnz, nvecs), gram_working_set(width, nnz))
+    })
+}
+
+/// Replicated vector-class work every rank executes identically (the
+/// subproblem solve, objective assembly, fixed software overheads): the
+/// cost is independent of the rank's data.
+pub(crate) fn replicated(phase: Phase, flops: u64, ws: u64) -> Site<impl Fn(u64) -> (u64, u64)> {
+    Site::new(KernelClass::Vector, phase, move |_| (flops, ws))
+}
+
+/// The residual-norm contribution at a trace boundary: `factor` flops per
+/// row of the rank's partition (the site's "nnz" is its row count).
+pub(crate) fn trace_prep(factor: u64) -> Site<impl Fn(u64) -> (u64, u64)> {
+    Site::new(KernelClass::Vector, Phase::Comp, move |rows| {
+        (factor * rows, rows)
+    })
+}
+
+/// The Lasso vector updates over an inner block's columns (`halve` for
+/// the non-accelerated single-sequence update).
+pub(crate) fn lasso_update(mu: u64, halve: bool) -> Site<impl Fn(u64) -> (u64, u64)> {
+    let div = if halve { 2 } else { 1 };
+    Site::new(KernelClass::Vector, Phase::Comp, move |nnz| {
+        (lasso_update_flops(nnz, mu) / div, nnz + mu)
+    })
+}
+
+/// The SVM `x` axpy over the sampled row's local nonzeros.
+pub(crate) fn svm_update() -> Site<impl Fn(u64) -> (u64, u64)> {
+    Site::new(KernelClass::Vector, Phase::Comp, |nnz| {
+        (svm_update_flops(nnz), nnz)
+    })
+}
+
+/// `passes` SpMVs over the rank's whole block (`2·nnz` flops each) against
+/// a replicated length-`m` vector, attributed to `phase`: the kernel
+/// family's tile pass (one per cache miss, `gram`), the SVM duality-gap
+/// margins and the RBF row norms (one pass, `comp`).
+pub(crate) fn block_spmv(phase: Phase, passes: u64, m: u64) -> Site<impl Fn(u64) -> (u64, u64)> {
+    Site::new(KernelClass::Dot, phase, move |nnz| (2 * passes * nnz, m))
 }
 
 #[cfg(test)]

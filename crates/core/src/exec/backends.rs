@@ -2,12 +2,12 @@
 //! analytic virtual cluster, and SPMD thread machine.
 
 use super::{ExecBackend, Payload, Stage};
-use crate::dist::charges;
+use crate::dist::charges::{self, Site};
 use crate::sim::{per_rank_sel_nnz, phase_snapshot};
 use crate::workspace::KernelWorkspace;
 use datagen::{bucket_counts, Partition};
 use mpisim::telemetry::{Phase, PhaseTimes};
-use mpisim::{Comm, CostModel, KernelClass, VirtualCluster};
+use mpisim::{Comm, CostModel, VirtualCluster};
 use saco_telemetry::{Registry, WallSpan};
 use sparsela::gram::MajorSlices;
 use sparsela::sympack;
@@ -118,6 +118,79 @@ impl<'r> ExecBackend<'r> for SeqBackend<'r> {
     }
 }
 
+/// Which of a rank's nonzeros a charge [`Site`] is a function of. The
+/// replicated engine resolves it per rank against its partition, the SPMD
+/// engine against the rank's local block.
+enum Nnz<'s> {
+    /// Stored entries of the selected major slices.
+    Sel(&'s [usize]),
+    /// Stored entries of the rank's whole block.
+    Whole,
+    /// Rows of the rank's partition (residual trace contributions).
+    Rows,
+    /// Nothing: replicated work, the same on every rank.
+    Replicated,
+}
+
+/// The charge hooks of [`ExecBackend`], stated once for both engines that
+/// model time: each names its site's nnz source and its `dist::charges`
+/// formula. The engine supplies `charge` — where that nnz comes from and
+/// which ledger(s) receive the charge — and `reduce`, the blocking fused
+/// allreduce of a buffer.
+macro_rules! charge_hooks {
+    () => {
+        fn charge_gram(&mut self, sel: &[usize], width: usize) {
+            self.charge(Nnz::Sel(sel), charges::gram(width as u64));
+        }
+
+        fn charge_cross(&mut self, sel: &[usize], width: usize, nvecs: usize) {
+            self.charge(Nnz::Sel(sel), charges::cross(width as u64, nvecs as u64));
+        }
+
+        fn charge_trace_prep(&mut self, factor: u64) {
+            self.charge(Nnz::Rows, charges::trace_prep(factor));
+        }
+
+        fn charge_outer_overhead(&mut self) {
+            self.charge_obj(charges::OUTER_OVERHEAD_FLOPS, 64);
+        }
+
+        fn charge_prox(&mut self, flops: u64, ws_words: u64) {
+            let site = charges::replicated(Phase::Prox, flops, ws_words);
+            self.charge(Nnz::Replicated, site);
+        }
+
+        fn charge_lasso_update(&mut self, coords: &[usize], mu: usize, halve: bool) {
+            self.charge(Nnz::Sel(coords), charges::lasso_update(mu as u64, halve));
+        }
+
+        fn charge_svm_update(&mut self, row: usize) {
+            self.charge(Nnz::Sel(&[row]), charges::svm_update());
+        }
+
+        fn charge_obj(&mut self, flops: u64, ws_words: u64) {
+            let site = charges::replicated(Phase::Comp, flops, ws_words);
+            self.charge(Nnz::Replicated, site);
+        }
+
+        fn charge_kdcd_tile(&mut self, misses: usize, m: usize) {
+            let site = charges::block_spmv(Phase::Gram, misses as u64, m as u64);
+            self.charge(Nnz::Whole, site);
+        }
+
+        fn norm_reduce(&mut self, buf: &mut Vec<f64>, m: usize) {
+            self.charge(Nnz::Whole, charges::block_spmv(Phase::Comp, 1, m as u64));
+            self.reduce(buf);
+        }
+
+        fn gap_reduce(&mut self, buf: &mut Vec<f64>, m: usize) {
+            self.charge(Nnz::Whole, charges::block_spmv(Phase::Comp, 1, m as u64));
+            self.reduce(buf);
+            self.charge_obj(4 * m as u64, m as u64);
+        }
+    };
+}
+
 /// Virtual-cluster engine: runs the global numerics once while charging
 /// each rank its analytic share of flops/bytes/words, so the clock and
 /// counters predict the SPMD engine exactly.
@@ -126,7 +199,6 @@ pub(crate) struct SimBackend<'a, M: MajorSlices + Sync> {
     mat: &'a M,
     part: Partition,
     rank_nnz: Vec<u64>,
-    block_nnz: Vec<u64>,
     gap_nnz: Vec<u64>,
 }
 
@@ -160,7 +232,6 @@ impl<'a, M: MajorSlices + Sync> SimBackend<'a, M> {
             mat,
             part,
             rank_nnz: vec![0; p],
-            block_nnz: vec![0; p],
             gap_nnz,
         }
     }
@@ -175,108 +246,35 @@ impl<'a, M: MajorSlices + Sync> SimBackend<'a, M> {
     pub(crate) fn enable_chaos(&mut self, spec: &mpisim::ChaosSpec) {
         self.cluster.enable_chaos(spec);
     }
+
+    /// Every virtual rank's ledger receives the site, at that rank's
+    /// share of the nonzeros under the partition.
+    fn charge<F: Fn(u64) -> (u64, u64)>(&mut self, of: Nnz<'_>, site: Site<F>) {
+        let Site { class, phase, cost } = site;
+        let (part, sel_nnz, gap_nnz) = (&self.part, &mut self.rank_nnz, &self.gap_nnz);
+        match of {
+            Nnz::Sel(sel) => {
+                per_rank_sel_nnz(self.mat, sel, part, sel_nnz);
+                self.cluster.charge(class, phase, |r| cost(sel_nnz[r]));
+            }
+            Nnz::Whole => self.cluster.charge(class, phase, |r| cost(gap_nnz[r])),
+            Nnz::Rows => self
+                .cluster
+                .charge(class, phase, |r| cost(part.range(r).len() as u64)),
+            Nnz::Replicated => self.cluster.charge(class, phase, |_| cost(0)),
+        }
+    }
+
+    fn reduce(&mut self, buf: &[f64]) {
+        self.cluster.iallreduce(buf.len() as u64);
+    }
 }
 
 impl<'r, 'a, M: MajorSlices + Sync> ExecBackend<'r> for SimBackend<'a, M> {
     const TRACE_INNER: bool = false;
     const OVERLAPS: bool = true;
 
-    fn charge_gram(&mut self, sel: &[usize], width: usize) {
-        per_rank_sel_nnz(self.mat, sel, &self.part, &mut self.rank_nnz);
-        let w = width as u64;
-        let nnz = &self.rank_nnz;
-        self.cluster.charge_per_rank_ws_phase(
-            charges::gram_class(w),
-            |r| {
-                (
-                    charges::gram_flops(nnz[r], w),
-                    charges::gram_working_set(w, nnz[r]),
-                )
-            },
-            Phase::Gram,
-        );
-    }
-
-    fn charge_cross(&mut self, sel: &[usize], width: usize, nvecs: usize) {
-        per_rank_sel_nnz(self.mat, sel, &self.part, &mut self.rank_nnz);
-        let w = width as u64;
-        let nv = nvecs as u64;
-        let nnz = &self.rank_nnz;
-        self.cluster.charge_per_rank_ws_phase(
-            charges::gram_class(w),
-            |r| {
-                (
-                    charges::cross_flops(nnz[r], nv),
-                    charges::gram_working_set(w, nnz[r]),
-                )
-            },
-            Phase::Gram,
-        );
-    }
-
-    fn charge_trace_prep(&mut self, factor: u64) {
-        let part = &self.part;
-        self.cluster.charge_per_rank_ws(KernelClass::Vector, |r| {
-            let rows = part.range(r).len() as u64;
-            (factor * rows, rows)
-        });
-    }
-
-    fn charge_outer_overhead(&mut self) {
-        self.cluster
-            .charge_uniform(KernelClass::Vector, charges::OUTER_OVERHEAD_FLOPS, 64);
-    }
-
-    fn charge_prox(&mut self, flops: u64, ws_words: u64) {
-        self.cluster
-            .charge_uniform_phase(KernelClass::Vector, flops, ws_words, Phase::Prox);
-    }
-
-    fn charge_lasso_update(&mut self, coords: &[usize], mu: usize, halve: bool) {
-        per_rank_sel_nnz(self.mat, coords, &self.part, &mut self.block_nnz);
-        let div = if halve { 2 } else { 1 };
-        let mu = mu as u64;
-        let nnz = &self.block_nnz;
-        self.cluster.charge_per_rank_ws(KernelClass::Vector, |r| {
-            (charges::lasso_update_flops(nnz[r], mu) / div, nnz[r] + mu)
-        });
-    }
-
-    fn charge_svm_update(&mut self, row: usize) {
-        per_rank_sel_nnz(
-            self.mat,
-            std::slice::from_ref(&row),
-            &self.part,
-            &mut self.block_nnz,
-        );
-        let nnz = &self.block_nnz;
-        self.cluster.charge_per_rank_ws(KernelClass::Vector, |r| {
-            (charges::svm_update_flops(nnz[r]), nnz[r])
-        });
-    }
-
-    fn charge_obj(&mut self, flops: u64, ws_words: u64) {
-        self.cluster
-            .charge_uniform(KernelClass::Vector, flops, ws_words);
-    }
-
-    fn charge_kdcd_tile(&mut self, misses: usize, m: usize) {
-        let (mi, mw) = (misses as u64, m as u64);
-        let nnz = &self.gap_nnz;
-        self.cluster.charge_per_rank_ws_phase(
-            KernelClass::Dot,
-            |r| (2 * mi * nnz[r], mw),
-            Phase::Gram,
-        );
-    }
-
-    fn norm_reduce(&mut self, _buf: &mut Vec<f64>, m: usize) {
-        let m = m as u64;
-        let nnz = &self.gap_nnz;
-        self.cluster
-            .charge_per_rank_ws(KernelClass::Dot, |r| (2 * nnz[r], m));
-        self.cluster.iallreduce(m);
-    }
+    charge_hooks!();
 
     fn exchange<F: FnOnce(&mut Self, &mut KernelWorkspace)>(
         &mut self,
@@ -305,15 +303,6 @@ impl<'r, 'a, M: MajorSlices + Sync> ExecBackend<'r> for SimBackend<'a, M> {
 
     fn checkpoint(&mut self) {
         self.cluster.checkpoint();
-    }
-
-    fn gap_reduce(&mut self, _buf: &mut Vec<f64>, m: usize) {
-        let m = m as u64;
-        let nnz = &self.gap_nnz;
-        self.cluster
-            .charge_per_rank_ws(KernelClass::Dot, |r| (2 * nnz[r], m));
-        self.cluster.iallreduce(m + 1);
-        self.cluster.charge_uniform(KernelClass::Vector, 4 * m, m);
     }
 
     fn clock(&self) -> f64 {
@@ -362,8 +351,20 @@ impl<'c, 'a, M: MajorSlices + Sync> DistBackend<'c, 'a, M> {
         }
     }
 
-    fn sel_nnz(&self, sel: &[usize]) -> u64 {
-        sel.iter().map(|&k| self.mat.slice(k).nnz() as u64).sum()
+    /// This rank's ledger receives the site, at the local block's count.
+    fn charge<F: Fn(u64) -> (u64, u64)>(&mut self, of: Nnz<'_>, site: Site<F>) {
+        let nnz = match of {
+            Nnz::Sel(sel) => sel.iter().map(|&k| self.mat.slice(k).nnz() as u64).sum(),
+            Nnz::Whole => self.gap_nnz,
+            Nnz::Rows => self.trace_rows,
+            Nnz::Replicated => 0,
+        };
+        let (flops, ws_words) = (site.cost)(nnz);
+        self.comm.charge(site.class, flops, ws_words, site.phase);
+    }
+
+    fn reduce(&mut self, buf: &mut Vec<f64>) {
+        self.comm.iallreduce_sum(buf);
     }
 }
 
@@ -371,81 +372,7 @@ impl<'r, 'c, 'a, M: MajorSlices + Sync> ExecBackend<'r> for DistBackend<'c, 'a, 
     const TRACE_INNER: bool = false;
     const OVERLAPS: bool = true;
 
-    fn charge_gram(&mut self, sel: &[usize], width: usize) {
-        let nnz = self.sel_nnz(sel);
-        let w = width as u64;
-        self.comm.charge_flops_phase(
-            charges::gram_class(w),
-            charges::gram_flops(nnz, w),
-            charges::gram_working_set(w, nnz),
-            Phase::Gram,
-        );
-    }
-
-    fn charge_cross(&mut self, sel: &[usize], width: usize, nvecs: usize) {
-        let nnz = self.sel_nnz(sel);
-        let w = width as u64;
-        self.comm.charge_flops_phase(
-            charges::gram_class(w),
-            charges::cross_flops(nnz, nvecs as u64),
-            charges::gram_working_set(w, nnz),
-            Phase::Gram,
-        );
-    }
-
-    fn charge_trace_prep(&mut self, factor: u64) {
-        self.comm.charge_flops(
-            KernelClass::Vector,
-            factor * self.trace_rows,
-            self.trace_rows,
-        );
-    }
-
-    fn charge_outer_overhead(&mut self) {
-        self.comm
-            .charge_flops(KernelClass::Vector, charges::OUTER_OVERHEAD_FLOPS, 64);
-    }
-
-    fn charge_prox(&mut self, flops: u64, ws_words: u64) {
-        self.comm
-            .charge_flops_phase(KernelClass::Vector, flops, ws_words, Phase::Prox);
-    }
-
-    fn charge_lasso_update(&mut self, coords: &[usize], mu: usize, halve: bool) {
-        let nnz = self.sel_nnz(coords);
-        let div = if halve { 2 } else { 1 };
-        let mu = mu as u64;
-        self.comm.charge_flops(
-            KernelClass::Vector,
-            charges::lasso_update_flops(nnz, mu) / div,
-            nnz + mu,
-        );
-    }
-
-    fn charge_svm_update(&mut self, row: usize) {
-        let nnz = self.mat.slice(row).nnz() as u64;
-        self.comm
-            .charge_flops(KernelClass::Vector, charges::svm_update_flops(nnz), nnz);
-    }
-
-    fn charge_obj(&mut self, flops: u64, ws_words: u64) {
-        self.comm.charge_flops(KernelClass::Vector, flops, ws_words);
-    }
-
-    fn charge_kdcd_tile(&mut self, misses: usize, m: usize) {
-        self.comm.charge_flops_phase(
-            KernelClass::Dot,
-            2 * misses as u64 * self.gap_nnz,
-            m as u64,
-            Phase::Gram,
-        );
-    }
-
-    fn norm_reduce(&mut self, buf: &mut Vec<f64>, m: usize) {
-        self.comm
-            .charge_flops(KernelClass::Dot, 2 * self.gap_nnz, m as u64);
-        self.comm.iallreduce_sum(buf);
-    }
+    charge_hooks!();
 
     fn exchange<F: FnOnce(&mut Self, &mut KernelWorkspace)>(
         &mut self,
@@ -469,14 +396,6 @@ impl<'r, 'c, 'a, M: MajorSlices + Sync> ExecBackend<'r> for DistBackend<'c, 'a, 
 
     fn checkpoint(&mut self) {
         self.comm.checkpoint();
-    }
-
-    fn gap_reduce(&mut self, buf: &mut Vec<f64>, m: usize) {
-        let m = m as u64;
-        self.comm
-            .charge_flops(KernelClass::Dot, 2 * self.gap_nnz, m);
-        self.comm.iallreduce_sum(buf);
-        self.comm.charge_flops(KernelClass::Vector, 4 * m, m);
     }
 
     fn clock(&self) -> f64 {

@@ -659,11 +659,10 @@ fn ranked<'d, R: Regularizer, D: Sync>(
     let t0 = Instant::now();
     match spec.engine {
         Engine::Dist { p, model, .. } => {
-            let (solved, report, telemetry) =
-                ThreadMachine::run_report_telemetry(p, model, |comm| {
-                    let rank = comm.rank();
-                    solve(RankComm::Thread(comm), rank)
-                });
+            let (solved, report, telemetry) = ThreadMachine::run(p, model, |comm| {
+                let rank = comm.rank();
+                solve(RankComm::Thread(comm), rank)
+            });
             outcome(spec, t0, solved, Some(report), telemetry)
         }
         Engine::Net { p, algo, .. } => {
@@ -880,8 +879,8 @@ mod tests {
             let data = RankData::Lasso(&blocks[0]);
             run_rank(&Method::svm(&scfg), RankComm::Thread(comm), data).map(|_| ())
         })
-        .remove(0)
         .0
+        .remove(0)
         .expect_err("row blocks cannot feed a row-sampling method");
         assert!(matches!(err, RunError::WrongAxis { .. }), "{err}");
     }

@@ -5,38 +5,23 @@
 //! `W` (words moved). This module turns those counts into simulated seconds
 //! and keeps the counters the experiment harness reports.
 
-/// Which collective operation a cost is charged for. All of the paper's
-/// solvers communicate exclusively through `Allreduce` (Fig. 1 step 4); the
-/// rest exist for completeness of the machine abstraction and for the
-/// collectives microbenchmarks.
+/// Which collective operation a cost is charged for — the ones an engine
+/// can emit. All of the paper's solvers communicate exclusively through
+/// `Allreduce` (Fig. 1 step 4); `Barrier` is its empty-payload form.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CollectiveKind {
     /// Reduce-to-all (tree reduce + tree broadcast, or recursive doubling).
     Allreduce,
-    /// Reduce to a root.
-    Reduce,
-    /// Broadcast from a root.
-    Bcast,
-    /// Concatenate contributions on all ranks.
-    Allgather,
-    /// Concatenate contributions on a root.
-    Gather,
     /// Pure synchronization.
     Barrier,
-    /// Point-to-point message.
-    PointToPoint,
 }
 
 /// Number of communication rounds a tree-based collective needs on `p`
 /// ranks: `⌈log₂ p⌉` (1 rank ⇒ 0 rounds). Allreduce is reduce+bcast but on
 /// a torus-class network the two trees pipeline; like the paper (Table I:
 /// latency `O(log P)` per iteration) we charge one `⌈log₂ p⌉` factor.
-pub fn collective_rounds(kind: CollectiveKind, p: usize) -> u64 {
-    let lg = (usize::BITS - p.max(1).next_power_of_two().leading_zeros() - 1) as u64;
-    match kind {
-        CollectiveKind::PointToPoint => 1,
-        _ => lg,
-    }
+pub fn collective_rounds(p: usize) -> u64 {
+    (usize::BITS - p.max(1).next_power_of_two().leading_zeros() - 1) as u64
 }
 
 /// Kernel classes with distinct achievable flop rates. The distinction is
@@ -226,7 +211,7 @@ impl CostModel {
         p: usize,
         words: u64,
     ) -> CollectiveCharge {
-        let lg = collective_rounds(kind, p);
+        let lg = collective_rounds(p);
         if lg == 0 {
             return CollectiveCharge {
                 rounds: 0,
@@ -236,7 +221,7 @@ impl CostModel {
         }
         if let Some(h) = self.hierarchy {
             if h.cores_per_node > 1 && p > 1 {
-                return self.hierarchical_charge(kind, p, words, h);
+                return self.hierarchical_charge(p, words, h);
             }
         }
         let algo = if kind == CollectiveKind::Allreduce {
@@ -290,7 +275,7 @@ impl CostModel {
     /// `P = 2`, where `2(P−1)/P = ⌈log₂P⌉ = 1`). With a [`Hierarchy`],
     /// each level pipelines independently at its own α/β.
     pub fn fused_allreduce_charge(&self, p: usize, words: u64) -> CollectiveCharge {
-        let lg = collective_rounds(CollectiveKind::Allreduce, p);
+        let lg = collective_rounds(p);
         if lg == 0 {
             return CollectiveCharge {
                 rounds: 0,
@@ -302,8 +287,8 @@ impl CostModel {
             if h.cores_per_node > 1 && p > 1 {
                 let local = p.min(h.cores_per_node);
                 let nodes = p.div_ceil(h.cores_per_node);
-                let lg_local = collective_rounds(CollectiveKind::Allreduce, local);
-                let lg_nodes = collective_rounds(CollectiveKind::Allreduce, nodes);
+                let lg_local = collective_rounds(local);
+                let lg_nodes = collective_rounds(nodes);
                 let w_local = pipelined_words(local, words);
                 let w_nodes = pipelined_words(nodes, words);
                 let time = lg_local as f64 * h.alpha_intra
@@ -328,17 +313,11 @@ impl CostModel {
     /// Two-level collective: an intra-node tree phase at shared-memory
     /// rates plus an inter-node tree phase at network rates. Counters
     /// report total rounds and total words across both phases.
-    fn hierarchical_charge(
-        &self,
-        kind: CollectiveKind,
-        p: usize,
-        words: u64,
-        h: Hierarchy,
-    ) -> CollectiveCharge {
+    fn hierarchical_charge(&self, p: usize, words: u64, h: Hierarchy) -> CollectiveCharge {
         let local = p.min(h.cores_per_node);
         let nodes = p.div_ceil(h.cores_per_node);
-        let lg_local = collective_rounds(kind, local);
-        let lg_nodes = collective_rounds(kind, nodes);
+        let lg_local = collective_rounds(local);
+        let lg_nodes = collective_rounds(nodes);
         let time = lg_local as f64 * (h.alpha_intra + h.beta_intra * words as f64)
             + lg_nodes as f64 * (self.alpha + self.beta * words as f64);
         CollectiveCharge {
@@ -358,19 +337,6 @@ fn pipelined_words(p: usize, words: u64) -> u64 {
     (2.0 * words as f64 * (p as f64 - 1.0) / p as f64).round() as u64
 }
 
-/// Index of a kernel class in per-class breakdown arrays.
-pub fn class_index(class: KernelClass) -> usize {
-    match class {
-        KernelClass::Gemm => 0,
-        KernelClass::SparseGemm => 1,
-        KernelClass::Dot => 2,
-        KernelClass::Vector => 3,
-    }
-}
-
-/// Names aligned with [`class_index`] for reporting.
-pub const CLASS_NAMES: [&str; 4] = ["gemm", "sparse-gemm", "dot", "vector"];
-
 /// Least-squares fit of (α, β) from measured collectives: given samples of
 /// `(ranks, payload_words, seconds)` for tree allreduces, solve
 /// `t ≈ ⌈log₂P⌉·α + ⌈log₂P⌉·w·β` in closed form (2×2 normal equations).
@@ -385,7 +351,7 @@ pub fn fit_alpha_beta(samples: &[(usize, u64, f64)]) -> (f64, f64) {
     // design rows: x1 = log2(P) rounds, x2 = rounds·w
     let (mut s11, mut s12, mut s22, mut b1, mut b2) = (0.0f64, 0.0, 0.0, 0.0, 0.0);
     for &(p, w, t) in samples {
-        let r = collective_rounds(CollectiveKind::Allreduce, p) as f64;
+        let r = collective_rounds(p) as f64;
         let x1 = r;
         let x2 = r * w as f64;
         s11 += x1 * x1;
@@ -444,9 +410,9 @@ impl CostCounters {
 pub struct CostReport {
     /// Number of ranks.
     pub ranks: usize,
-    /// Critical-path counters (max-clock rank for times; totals for F/W/L
-    /// are per-rank critical-path values, matching Table I's "costs along
-    /// the critical path").
+    /// Counters of the critical rank — the computational straggler
+    /// (maximum comp time, ties toward the highest rank); F/W/L are that
+    /// rank's values, matching Table I's "costs along the critical path".
     pub critical: CostCounters,
 }
 
@@ -478,12 +444,11 @@ mod tests {
 
     #[test]
     fn rounds_are_ceil_log2() {
-        assert_eq!(collective_rounds(CollectiveKind::Allreduce, 1), 0);
-        assert_eq!(collective_rounds(CollectiveKind::Allreduce, 2), 1);
-        assert_eq!(collective_rounds(CollectiveKind::Allreduce, 3), 2);
-        assert_eq!(collective_rounds(CollectiveKind::Allreduce, 4), 2);
-        assert_eq!(collective_rounds(CollectiveKind::Allreduce, 12288), 14);
-        assert_eq!(collective_rounds(CollectiveKind::PointToPoint, 12288), 1);
+        assert_eq!(collective_rounds(1), 0);
+        assert_eq!(collective_rounds(2), 1);
+        assert_eq!(collective_rounds(3), 2);
+        assert_eq!(collective_rounds(4), 2);
+        assert_eq!(collective_rounds(12288), 14);
     }
 
     #[test]
@@ -602,7 +567,7 @@ mod allreduce_algo_tests {
             allreduce_algo: AllreduceAlgo::Rabenseifner,
             ..CostModel::cray_xc30()
         };
-        let c = rab.collective_charge(CollectiveKind::Bcast, 1024, 50);
+        let c = rab.collective_charge(CollectiveKind::Barrier, 1024, 50);
         assert_eq!(c.rounds, 10);
         assert_eq!(c.words_moved, 500);
     }
@@ -746,7 +711,7 @@ mod calibration_tests {
             .iter()
             .flat_map(|&p| {
                 [1u64, 100, 10_000].map(move |w| {
-                    let r = collective_rounds(CollectiveKind::Allreduce, p) as f64;
+                    let r = collective_rounds(p) as f64;
                     (p, w, r * alpha_true + r * w as f64 * beta_true)
                 })
             })
@@ -769,7 +734,7 @@ mod calibration_tests {
             .iter()
             .flat_map(|&p| {
                 [1u64, 50, 1000, 50_000].map(|w| {
-                    let r = collective_rounds(CollectiveKind::Allreduce, p) as f64;
+                    let r = collective_rounds(p) as f64;
                     (p, w, (r * alpha_true + r * w as f64 * beta_true))
                 })
             })
@@ -790,25 +755,32 @@ mod calibration_tests {
 
     #[test]
     fn class_breakdown_sums_to_comp_time() {
+        use crate::telemetry::Phase;
         use crate::{ThreadMachine, VirtualCluster};
         let model = CostModel::cray_xc30();
-        let results = ThreadMachine::run(2, model, |comm| {
-            comm.charge_flops(KernelClass::Gemm, 1_000_000, 10);
-            comm.charge_flops(KernelClass::Dot, 500_000, 10);
-            comm.charge_flops(KernelClass::Vector, 200_000, 10);
-            (comm.comp_by_class(), comm.counters().comp_time)
+        let classes = [
+            (KernelClass::Gemm, 1_000_000),
+            (KernelClass::Dot, 500_000),
+            (KernelClass::Vector, 200_000),
+        ];
+        let by_class: f64 = classes
+            .iter()
+            .map(|&(class, flops)| model.compute_time(class, flops, 10))
+            .sum();
+        let (totals, _, _) = ThreadMachine::run(2, model, |comm| {
+            for (class, flops) in classes {
+                comm.charge(class, flops, 10, Phase::Comp);
+            }
+            comm.counters().comp_time
         });
-        for ((by_class, total), _) in &results {
-            let sum: f64 = by_class.iter().sum();
-            assert!((sum - total).abs() < 1e-15);
-            assert!(by_class[class_index(KernelClass::Gemm)] > 0.0);
-            assert_eq!(by_class[class_index(KernelClass::SparseGemm)], 0.0);
+        for total in &totals {
+            assert!((by_class - total).abs() < 1e-15);
         }
         let mut vc = VirtualCluster::new(2, model);
-        vc.charge_uniform(KernelClass::Gemm, 1_000_000, 10);
-        vc.charge_uniform(KernelClass::Dot, 500_000, 10);
-        vc.charge_uniform(KernelClass::Vector, 200_000, 10);
-        let bc = vc.comp_by_class();
-        assert_eq!(bc, results[0].0 .0, "engines agree on the breakdown");
+        for (class, flops) in classes {
+            vc.charge(class, Phase::Comp, |_| (flops, 10));
+        }
+        let comp = vc.report().critical.comp_time;
+        assert_eq!(comp, totals[0], "engines agree on the breakdown");
     }
 }

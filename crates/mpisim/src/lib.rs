@@ -7,16 +7,25 @@
 //! with two interchangeable execution engines.
 //!
 //! * [`ThreadMachine`] — a *real* SPMD message-passing machine: one OS
-//!   thread per rank, typed channels, deterministic tree collectives
-//!   (allreduce / reduce / bcast / allgather / gather / barrier and
-//!   point-to-point send/recv). Data physically moves between ranks exactly
-//!   as it would under MPI. Used for modest `P` (tests, examples, and
-//!   validating the virtual engine).
+//!   thread per rank, typed channels, and the one collective the paper's
+//!   solvers use — a deterministic binomial-tree sum-allreduce, blocking
+//!   or nonblocking and fused, plus its empty-payload form, the barrier.
+//!   Data physically moves between ranks exactly as it would under MPI.
+//!   Used for modest `P` (tests, examples, and validating the virtual
+//!   engine).
 //! * [`VirtualCluster`] — an analytic engine for paper-scale `P`: per-rank
 //!   virtual clocks advanced by the same cost formulas, with *exact*
 //!   per-rank flop attribution (so load imbalance / stragglers are modeled,
 //!   matching the paper's §VI observation) but without spawning threads.
 //!   The solvers compute numerics once and charge costs as they go.
+//!
+//! Neither engine accounts time itself: every rule — compute charge and
+//! chaos skew, stall and jitter at collective entry, blocking and fused
+//! (`max(comp, comm)`) settlement, checkpoint recovery, critical-rank
+//! selection — is written once in the private rank ledger. A thread-
+//! machine rank is a ledger plus channels and the tree; the virtual
+//! cluster is a vector of ledgers and a loop, so the engines agree
+//! bitwise, per rank, by construction (see docs/SIMULATOR.md).
 //!
 //! Both engines share [`CostModel`]: latency `α` per message round,
 //! inverse bandwidth `β` per 8-byte word, and per-kernel-class flop rates
@@ -35,14 +44,15 @@
 
 pub mod chaos;
 pub mod cost;
+pub(crate) mod ledger;
 pub(crate) mod telemetry_support;
 pub mod thread_machine;
 pub mod virtual_cluster;
 
 pub use chaos::{ChaosPlan, ChaosSpec};
 pub use cost::{
-    class_index, collective_rounds, fit_alpha_beta, AllreduceAlgo, CollectiveCharge,
-    CollectiveKind, CostCounters, CostModel, CostReport, Hierarchy, KernelClass, CLASS_NAMES,
+    collective_rounds, fit_alpha_beta, AllreduceAlgo, CollectiveCharge, CollectiveKind,
+    CostCounters, CostModel, CostReport, Hierarchy, KernelClass,
 };
 pub use thread_machine::{Comm, IallreduceRequest, ThreadMachine};
 pub use virtual_cluster::VirtualCluster;

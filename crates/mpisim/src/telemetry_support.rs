@@ -1,48 +1,30 @@
-//! Glue between the engines' cost accounting and `saco-telemetry`.
+//! Glue between the rank ledger's accounting and `saco-telemetry`.
 //!
-//! Both engines charge time through the same [`CostModel`] formulas; this
-//! module gives them one shared way to mirror those charges into phase
-//! tables and to assemble a run-level [`Registry`] afterwards, so the
-//! thread machine and the virtual cluster feed the same sink and their
-//! reports are directly comparable.
-//!
-//! [`CostModel`]: crate::CostModel
+//! What a [`RankLedger`](crate::ledger::RankLedger) mirrors into
+//! telemetry while it runs, and the one assembly of a run-level
+//! [`Registry`] from those per-rank records, so the thread machine and
+//! the virtual cluster feed the same sink under the same key names.
 
 use crate::cost::CollectiveKind;
 use saco_telemetry::{PhaseTable, Registry};
 
 /// Stable names for [`CollectiveKind`] counters, indexed by [`kind_slot`].
-pub(crate) const KIND_NAMES: [&str; 7] = [
-    "allreduce",
-    "reduce",
-    "bcast",
-    "allgather",
-    "gather",
-    "barrier",
-    "point_to_point",
-];
+pub(crate) const KIND_NAMES: [&str; 2] = ["allreduce", "barrier"];
 
 /// Dense index for per-kind collective counters.
 pub(crate) fn kind_slot(kind: CollectiveKind) -> usize {
     match kind {
         CollectiveKind::Allreduce => 0,
-        CollectiveKind::Reduce => 1,
-        CollectiveKind::Bcast => 2,
-        CollectiveKind::Allgather => 3,
-        CollectiveKind::Gather => 4,
-        CollectiveKind::Barrier => 5,
-        CollectiveKind::PointToPoint => 6,
+        CollectiveKind::Barrier => 1,
     }
 }
 
 /// Per-rank accounting of injected chaos (see [`crate::chaos`]): how much
 /// time each perturbation class added, plus checkpoint/failure counts.
-/// All zeros (and `enabled = false`) on a clean run, so the `chaos.*`
-/// registry entries appear only when chaos was actually switched on.
+/// Kept with the rank's injection state, so it exists only once chaos is
+/// switched on — and the `chaos.*` registry entries with it.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub(crate) struct ChaosStats {
-    /// Chaos was enabled on this rank (even if all intensities were zero).
-    pub enabled: bool,
     /// Transient stalls injected at collective entries.
     pub stalls: u64,
     /// Seconds lost to injected stalls.
@@ -58,10 +40,6 @@ pub(crate) struct ChaosStats {
     pub recovery_time: f64,
     /// Block-boundary checkpoints taken (program-order).
     pub checkpoints: u64,
-    /// Idle seconds attributable to chaos: this rank's idle under chaos
-    /// minus its idle on the clean counterfactual timeline (virtual
-    /// cluster only; the thread engine reports 0).
-    pub induced_idle_time: f64,
 }
 
 /// What one rank accumulates for telemetry while it runs: a phase table
@@ -70,15 +48,13 @@ pub(crate) struct ChaosStats {
 #[derive(Clone, Debug, Default)]
 pub(crate) struct RankTelemetry {
     pub phases: PhaseTable,
-    pub collectives: [u64; 7],
+    pub collectives: [u64; 2],
     /// Payload words this rank handed to fused (`iallreduce`) collectives
     /// — the packed on-the-wire size, before the `words_moved` charge.
     pub words_packed: u64,
     /// Seconds of in-flight `iallreduce` time this rank hid behind local
     /// computation between `start` and `wait`.
     pub hidden_time: f64,
-    /// Injected-chaos accounting (all zeros on a clean run).
-    pub chaos: ChaosStats,
 }
 
 /// Assemble the run-level registry from per-rank telemetry.
@@ -86,9 +62,17 @@ pub(crate) struct RankTelemetry {
 /// Phase tables stay per-rank (keyed by rank index, merging into the sink
 /// associatively). Collective counters are program-order counts: in an
 /// SPMD run every rank enters each collective, so rank 0's counts stand
-/// for the program — except point-to-point messages, which differ per
-/// rank and are summed.
-pub(crate) fn registry_from_ranks(engine: &str, ranks: &[RankTelemetry]) -> Registry {
+/// for the program. `chaos` holds every rank's injection accounting when
+/// chaos was enabled (empty on a clean run) and `induced_idle` the idle
+/// time attributable to it, summed over ranks: their idle under chaos
+/// minus their idle on the clean counterfactual timeline (virtual cluster
+/// only; the thread engine keeps no counterfactual and passes 0).
+pub(crate) fn registry_from_ranks(
+    engine: &str,
+    ranks: &[&RankTelemetry],
+    chaos: &[&ChaosStats],
+    induced_idle: f64,
+) -> Registry {
     let mut reg = Registry::new();
     reg.set_meta("engine", engine);
     reg.set_meta("ranks", ranks.len());
@@ -99,11 +83,7 @@ pub(crate) fn registry_from_ranks(engine: &str, ranks: &[RankTelemetry]) -> Regi
     }
     if let Some(first) = ranks.first() {
         for (slot, &name) in KIND_NAMES.iter().enumerate() {
-            let count = if slot == kind_slot(CollectiveKind::PointToPoint) {
-                ranks.iter().map(|rt| rt.collectives[slot]).sum()
-            } else {
-                first.collectives[slot]
-            };
+            let count = first.collectives[slot];
             if count > 0 {
                 reg.counter_add(&format!("collectives.{name}"), count);
             }
@@ -119,37 +99,25 @@ pub(crate) fn registry_from_ranks(engine: &str, ranks: &[RankTelemetry]) -> Regi
             let hidden = ranks.get(critical).map_or(0.0, |rt| rt.hidden_time);
             reg.gauge_set("comm.overlap_hidden_time", hidden);
         }
-        // Chaos accounting (see `crate::chaos`): emitted only when chaos
-        // was enabled, so clean runs keep their exact report shape. The
-        // full set is emitted even at zero values so a chaos report's key
-        // set is independent of which perturbations happened to fire.
-        if ranks.iter().any(|rt| rt.chaos.enabled) {
-            reg.counter_add("chaos.stalls", ranks.iter().map(|rt| rt.chaos.stalls).sum());
-            reg.counter_add(
-                "chaos.failures",
-                ranks.iter().map(|rt| rt.chaos.failures).sum(),
-            );
-            // Checkpoints are program-order: every rank takes the same ones.
-            reg.counter_add("chaos.checkpoints", first.chaos.checkpoints);
-            reg.gauge_set(
-                "chaos.stall_time",
-                ranks.iter().map(|rt| rt.chaos.stall_time).sum(),
-            );
-            reg.gauge_set(
-                "chaos.skew_time",
-                ranks.iter().map(|rt| rt.chaos.skew_time).sum(),
-            );
-            // Jitter is identical on every rank (program-order draws).
-            reg.gauge_set("chaos.jitter_time", first.chaos.jitter_time);
-            reg.gauge_set(
-                "chaos.recovery_time",
-                ranks.iter().map(|rt| rt.chaos.recovery_time).sum(),
-            );
-            reg.gauge_set(
-                "chaos.induced_idle_time",
-                ranks.iter().map(|rt| rt.chaos.induced_idle_time).sum(),
-            );
-        }
+    }
+    // Chaos accounting (see `crate::chaos`): emitted only when chaos was
+    // enabled, so clean runs keep their exact report shape. The full set
+    // is emitted even at zero values so a chaos report's key set is
+    // independent of which perturbations happened to fire.
+    if let Some(first) = chaos.first() {
+        reg.counter_add("chaos.stalls", chaos.iter().map(|c| c.stalls).sum());
+        reg.counter_add("chaos.failures", chaos.iter().map(|c| c.failures).sum());
+        // Checkpoints are program-order: every rank takes the same ones.
+        reg.counter_add("chaos.checkpoints", first.checkpoints);
+        reg.gauge_set("chaos.stall_time", chaos.iter().map(|c| c.stall_time).sum());
+        reg.gauge_set("chaos.skew_time", chaos.iter().map(|c| c.skew_time).sum());
+        // Jitter is identical on every rank (program-order draws).
+        reg.gauge_set("chaos.jitter_time", first.jitter_time);
+        reg.gauge_set(
+            "chaos.recovery_time",
+            chaos.iter().map(|c| c.recovery_time).sum(),
+        );
+        reg.gauge_set("chaos.induced_idle_time", induced_idle);
     }
     reg
 }
@@ -161,18 +129,8 @@ mod tests {
 
     #[test]
     fn kind_slots_are_distinct_and_named() {
-        use CollectiveKind::*;
-        let kinds = [
-            Allreduce,
-            Reduce,
-            Bcast,
-            Allgather,
-            Gather,
-            Barrier,
-            PointToPoint,
-        ];
-        let mut seen = [false; 7];
-        for k in kinds {
+        let mut seen = [false; 2];
+        for k in [CollectiveKind::Allreduce, CollectiveKind::Barrier] {
             let s = kind_slot(k);
             assert!(!seen[s], "duplicate slot {s}");
             seen[s] = true;
@@ -181,19 +139,17 @@ mod tests {
     }
 
     #[test]
-    fn registry_sums_p2p_but_not_collectives() {
+    fn registry_counts_collectives_once_not_per_rank() {
         let mut a = RankTelemetry::default();
         a.phases.record(Phase::Comm, 1.0);
         a.collectives[kind_slot(CollectiveKind::Allreduce)] = 3;
-        a.collectives[kind_slot(CollectiveKind::PointToPoint)] = 2;
         let mut b = RankTelemetry::default();
         b.phases.record(Phase::Comm, 2.0);
         b.collectives[kind_slot(CollectiveKind::Allreduce)] = 3;
-        b.collectives[kind_slot(CollectiveKind::PointToPoint)] = 5;
 
-        let reg = registry_from_ranks("thread_machine", &[a, b]);
+        let reg = registry_from_ranks("thread_machine", &[&a, &b], &[], 0.0);
         assert_eq!(reg.counter("collectives.allreduce"), 3);
-        assert_eq!(reg.counter("collectives.point_to_point"), 7);
+        assert_eq!(reg.counter("collectives.barrier"), 0);
         assert_eq!(reg.phases(0).unwrap().comm_time(), 1.0);
         assert_eq!(reg.phases(1).unwrap().comm_time(), 2.0);
         assert_eq!(reg.meta()["engine"], "thread_machine");

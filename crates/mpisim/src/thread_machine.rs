@@ -2,68 +2,45 @@
 //!
 //! One OS thread per rank, a dedicated crossbeam channel per ordered rank
 //! pair (so message matching is trivially deterministic: per-pair FIFO),
-//! and binomial-tree collectives that combine contributions in a fixed
+//! and a binomial-tree allreduce that combines contributions in a fixed
 //! order — repeated runs are bit-identical.
 //!
-//! Each rank carries a virtual clock and cost counters. Data movement is
-//! physical; *time* is simulated with the same [`CostModel`] formulas the
-//! virtual engine uses, so small thread-machine runs validate the
-//! large-scale virtual runs.
+//! Data movement is physical; *time* is simulated. Each rank's [`Comm`] is
+//! a `RankLedger` plus the channels and the tree: the tree carries every
+//! rank's entry clock up and the latest one back down, and the ledger —
+//! the same code the virtual engine loops over — does all the accounting,
+//! so small thread-machine runs validate the large-scale virtual runs.
 
-use crate::chaos::{ChaosPlan, ChaosSpec, RESTART_OVERHEAD_SECS};
-use crate::cost::{CollectiveKind, CostCounters, CostModel, KernelClass};
-use crate::telemetry_support::{kind_slot, registry_from_ranks, RankTelemetry};
+use crate::chaos::ChaosSpec;
+use crate::cost::{CollectiveKind, CostCounters, CostModel, CostReport, KernelClass};
+use crate::ledger::{self, Collective, RankLedger};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use saco_telemetry::{Phase, PhaseTable, Registry};
 
-/// A message carrying payload and the sender's virtual clock.
+/// A message carrying payload and a virtual clock: the sender's latest
+/// known entry clock on the way up the tree, the global one on the way
+/// down.
 struct Packet {
     clock: f64,
     data: Vec<f64>,
 }
 
 /// Handle to an in-flight nonblocking allreduce started with
-/// [`Comm::iallreduce_sum_start`]. Carries the virtual-time bookkeeping
-/// (entry clock, latest participant, payload size) needed to settle the
-/// charge at [`Comm::iallreduce_wait`]; until then the reduction is
-/// logically in flight and its buffer must not be read.
+/// [`Comm::iallreduce_sum_start`]: the priced collective, settled on the
+/// rank's ledger at [`Comm::iallreduce_wait`]. Until then the reduction
+/// is logically in flight and its buffer must not be read.
 #[must_use = "an iallreduce must be completed with iallreduce_wait"]
-pub struct IallreduceRequest {
-    entry: f64,
-    max_entry: f64,
-    words: u64,
-    /// Injected latency jitter drawn at start (0 without chaos), settled
-    /// into the charge at wait.
-    jitter: f64,
-}
+pub struct IallreduceRequest(Option<Collective>);
 
-/// This rank's live chaos-injection state (see [`crate::chaos`]): its
-/// fixed skew multiplier plus the per-rank counters that key the
-/// stateless schedule draws. Every rank counts its own collectives in
-/// program order, so identical SPMD code yields identical indices — the
-/// same schedule the virtual cluster replays.
-struct CommChaos {
-    plan: ChaosPlan,
-    skew: f64,
-    collective_idx: u64,
-    ckpt_idx: usize,
-    last_ckpt_clock: f64,
-    failed: bool,
-}
-
-/// One rank's handle to the machine: rank id, channels to every peer, a
-/// virtual clock and cost counters.
+/// One rank's handle to the machine: rank id, channels to every peer and
+/// the rank's ledger (virtual clock, cost counters, telemetry, chaos).
 pub struct Comm {
     rank: usize,
     size: usize,
     model: CostModel,
     to: Vec<Sender<Packet>>,
     from: Vec<Receiver<Packet>>,
-    clock: f64,
-    counters: CostCounters,
-    comp_by_class: [f64; 4],
-    telemetry: RankTelemetry,
-    chaos: Option<CommChaos>,
+    ledger: RankLedger,
 }
 
 impl Comm {
@@ -84,7 +61,17 @@ impl Comm {
 
     /// Current virtual time on this rank.
     pub fn clock(&self) -> f64 {
-        self.clock
+        self.ledger.clock()
+    }
+
+    /// Cost counters accumulated so far on this rank.
+    pub fn counters(&self) -> CostCounters {
+        self.ledger.counters()
+    }
+
+    /// This rank's per-phase time attribution so far.
+    pub fn phase_table(&self) -> &PhaseTable {
+        self.ledger.phases()
     }
 
     /// Switch on deterministic chaos injection for this rank (see
@@ -94,21 +81,7 @@ impl Comm {
     /// schedule is identical to the virtual cluster's for the same spec.
     /// Chaos perturbs charged *time* only; payload data is untouched.
     pub fn enable_chaos(&mut self, spec: &ChaosSpec) {
-        let plan = ChaosPlan::new(spec);
-        self.chaos = Some(CommChaos {
-            skew: plan.skew_mult(self.rank),
-            plan,
-            collective_idx: 0,
-            ckpt_idx: 0,
-            last_ckpt_clock: self.clock,
-            failed: false,
-        });
-        self.telemetry.chaos.enabled = true;
-    }
-
-    /// Whether chaos injection is enabled on this rank.
-    pub fn chaos_enabled(&self) -> bool {
-        self.chaos.is_some()
+        self.ledger.enable_chaos(spec, self.rank);
     }
 
     /// Block-boundary checkpoint: a free no-op on clean runs. With chaos
@@ -118,276 +91,98 @@ impl Comm {
     /// [`RESTART_OVERHEAD_SECS`](crate::chaos::RESTART_OVERHEAD_SECS).
     /// Recovery recomputes deterministic work, so numerics are untouched.
     pub fn checkpoint(&mut self) {
-        let Some(ch) = &mut self.chaos else {
-            return;
-        };
-        let step = ch.ckpt_idx;
-        ch.ckpt_idx += 1;
-        self.telemetry.chaos.checkpoints += 1;
-        if !ch.failed && ch.plan.fails_at(self.rank, step) {
-            ch.failed = true;
-            let redo = self.clock - ch.last_ckpt_clock;
-            let recovery = redo + RESTART_OVERHEAD_SECS;
-            self.clock += recovery;
-            self.counters.idle_time += recovery;
-            self.telemetry.phases.record(Phase::Idle, recovery);
-            self.telemetry.chaos.failures += 1;
-            self.telemetry.chaos.recovery_time += recovery;
-        }
-        ch.last_ckpt_clock = self.clock;
-    }
-
-    /// Per-collective chaos injection for the next collective in this
-    /// rank's program order: a transient stall advances the clock (as
-    /// idle) *before* the entry snapshot — so it propagates through the
-    /// tree's entry-clock piggyback exactly like any late arrival — and
-    /// the returned jitter joins the collective's charged cost (identical
-    /// on every rank: the draw is program-order keyed). 0 when chaos is
-    /// off.
-    fn chaos_collective_entry(&mut self) -> f64 {
-        let Some(ch) = &mut self.chaos else {
-            return 0.0;
-        };
-        let idx = ch.collective_idx;
-        ch.collective_idx += 1;
-        let stall = ch.plan.stall(self.rank, idx);
-        if stall > 0.0 {
-            self.clock += stall;
-            self.counters.idle_time += stall;
-            self.telemetry.phases.record(Phase::Idle, stall);
-            self.telemetry.chaos.stalls += 1;
-            self.telemetry.chaos.stall_time += stall;
-        }
-        ch.plan.jitter(idx)
-    }
-
-    /// Cost counters accumulated so far on this rank.
-    pub fn counters(&self) -> CostCounters {
-        self.counters
+        self.ledger.checkpoint();
     }
 
     /// Charge local computation: `flops` of `class` with a working set of
-    /// `working_set_words`. Advances this rank's clock only. Attributed to
-    /// the generic `comp` phase; use
-    /// [`charge_flops_phase`](Self::charge_flops_phase) for a finer label.
-    pub fn charge_flops(&mut self, class: KernelClass, flops: u64, working_set_words: u64) {
-        self.charge_flops_phase(class, flops, working_set_words, Phase::Comp);
+    /// `working_set_words`, attributed to telemetry phase `phase`
+    /// (`comp`, `gram`, `prox`, `sampling`, …). Advances this rank's clock
+    /// only. The phase is an attribution label — the cost is the same
+    /// under any — so phase totals always reconcile with [`CostCounters`].
+    pub fn charge(&mut self, class: KernelClass, flops: u64, working_set_words: u64, phase: Phase) {
+        self.ledger
+            .charge(&self.model, class, flops, working_set_words, phase);
     }
 
-    /// Like [`charge_flops`](Self::charge_flops), attributing the time to
-    /// a specific telemetry phase (`gram`, `prox`, `sampling`, …). The
-    /// cost charged is identical; only the attribution label differs, so
-    /// phase totals always reconcile with [`CostCounters`].
-    pub fn charge_flops_phase(
-        &mut self,
-        class: KernelClass,
-        flops: u64,
-        working_set_words: u64,
-        phase: Phase,
-    ) {
-        let t = self.model.compute_time(class, flops, working_set_words);
-        let t = match &self.chaos {
-            Some(ch) => {
-                let tr = t * ch.skew;
-                self.telemetry.chaos.skew_time += tr - t;
-                tr
-            }
-            None => t,
-        };
-        self.clock += t;
-        self.counters.comp_time += t;
-        self.comp_by_class[crate::cost::class_index(class)] += t;
-        self.counters.flops += flops;
-        self.telemetry.phases.record_full(phase, t, 0, flops);
-    }
-
-    /// This rank's per-phase time attribution so far.
-    pub fn phase_table(&self) -> &PhaseTable {
-        &self.telemetry.phases
-    }
-
-    /// Compute time per kernel class (indexed by [`crate::cost::class_index`]).
-    pub fn comp_by_class(&self) -> [f64; 4] {
-        self.comp_by_class
-    }
-
-    /// Point-to-point send. Transfer cost is charged on the receiving side
-    /// (the receive completes at `sender_clock + α + β·w`).
-    pub fn send(&mut self, dst: usize, data: &[f64]) {
-        assert!(dst < self.size && dst != self.rank, "bad destination {dst}");
-        self.counters.messages += 1;
-        self.counters.words += data.len() as u64;
-        self.telemetry.collectives[kind_slot(CollectiveKind::PointToPoint)] += 1;
-        // the transfer's time lands on the receiving side; only volume here
-        self.telemetry
-            .phases
-            .record_full(Phase::Comm, 0.0, data.len() as u64, 0);
-        self.to[dst]
-            .send(Packet {
-                clock: self.clock,
-                data: data.to_vec(),
-            })
-            .expect("peer rank hung up");
-    }
-
-    /// Blocking point-to-point receive from `src` (per-pair FIFO order).
-    pub fn recv(&mut self, src: usize) -> Vec<f64> {
-        assert!(src < self.size && src != self.rank, "bad source {src}");
-        let pkt = self.from[src].recv().expect("peer rank hung up");
-        let cost = self.model.alpha + self.model.beta * pkt.data.len() as f64;
-        let arrival = pkt.clock + cost;
-        if arrival > self.clock {
-            let comm = cost.min(arrival - self.clock);
-            let idle = arrival - self.clock - comm;
-            self.counters.idle_time += idle;
-            self.counters.comm_time += comm;
-            self.telemetry.phases.record_full(Phase::Comm, comm, 0, 0);
-            if idle > 0.0 {
-                self.telemetry.phases.record(Phase::Idle, idle);
-            }
-            self.clock = arrival;
-        }
-        pkt.data
-    }
-
-    // --- internal tree plumbing (no cost charging; collectives charge the
-    //     analytic formula so both engines agree exactly) -----------------
-
-    fn tree_send(&mut self, dst: usize, clock: f64, data: Vec<f64>) {
+    fn send(&self, dst: usize, clock: f64, data: Vec<f64>) {
         self.to[dst]
             .send(Packet { clock, data })
             .expect("peer rank hung up");
     }
 
-    fn tree_recv(&mut self, src: usize) -> Packet {
+    fn recv(&self, src: usize) -> Packet {
         self.from[src].recv().expect("peer rank hung up")
     }
 
-    /// Reduce `buf` by summation onto rank 0, also computing the max entry
-    /// clock of the participants. Fixed binomial-tree order: at distance
-    /// `d`, rank `r` with `r % 2d == 0` receives from `r + d` and adds the
-    /// partner's partial sum *after* its own (deterministic association).
-    fn tree_reduce_sum(&mut self, buf: &mut [f64], entry_clock: f64) -> f64 {
-        let mut max_clock = entry_clock;
+    /// The one data exchange behind every collective: sum `buf` across
+    /// ranks in place and return the latest entry clock of any
+    /// participant (this rank joined at the ledger's entry clock).
+    ///
+    /// Reduce up a fixed binomial tree — at distance `d`, rank `r` with
+    /// `r % 2d == 0` receives from `r + d` and adds the partner's partial
+    /// sum *after* its own (deterministic association); every other rank
+    /// sends its partial sum to `r − d` and is done — then broadcast the
+    /// root's result back down the same tree. No cost is charged here:
+    /// the ledger settles the analytic formula, so both engines agree.
+    fn tree_allreduce(&self, buf: &mut Vec<f64>) -> f64 {
+        let (rank, size) = (self.rank, self.size);
+        let mut max_entry = self.ledger.entry();
         let mut d = 1;
-        while d < self.size {
-            if self.rank.is_multiple_of(2 * d) {
-                let partner = self.rank + d;
-                if partner < self.size {
-                    let pkt = self.tree_recv(partner);
-                    max_clock = max_clock.max(pkt.clock);
-                    for (b, v) in buf.iter_mut().zip(&pkt.data) {
-                        *b += v;
-                    }
+        while d < size && rank.is_multiple_of(2 * d) {
+            if rank + d < size {
+                let pkt = self.recv(rank + d);
+                max_entry = max_entry.max(pkt.clock);
+                for (b, v) in buf.iter_mut().zip(&pkt.data) {
+                    *b += v;
                 }
-            } else if self.rank % (2 * d) == d {
-                let partner = self.rank - d;
-                self.tree_send(partner, max_clock, buf.to_vec());
-                return max_clock; // non-roots are done after sending up
             }
             d *= 2;
         }
-        max_clock
-    }
-
-    /// Broadcast `buf` (and a clock value) down the same binomial tree.
-    fn tree_bcast(&mut self, buf: &mut Vec<f64>) -> f64 {
-        // Find the highest power-of-two distance.
-        let mut top = 1;
-        while top < self.size {
-            top *= 2;
-        }
-        let mut clock = self.clock;
-        // Non-roots first receive from their parent.
-        if self.rank != 0 {
-            // parent strips the lowest set bit
-            let parent = self.rank & (self.rank - 1);
-            let pkt = self.tree_recv(parent);
-            clock = pkt.clock;
+        // Rank 0 left the loop holding the global sum with `d` the first
+        // power of two ≥ size; any other rank with `d` its lowest set bit,
+        // the distance to its parent.
+        if rank != 0 {
+            self.send(rank - d, max_entry, std::mem::take(buf));
+            let pkt = self.recv(rank - d);
+            max_entry = pkt.clock;
             *buf = pkt.data;
         }
-        // Then forward to children: rank r owns children r + d for d
-        // descending below the lowest set bit of r (or below top for 0).
-        let lowest = if self.rank == 0 {
-            top
-        } else {
-            self.rank & self.rank.wrapping_neg()
-        };
-        let mut d = lowest / 2;
-        while d >= 1 {
-            let child = self.rank + d;
-            if child < self.size {
-                self.tree_send(child, clock, buf.clone());
-            }
-            if d == 0 {
-                break;
-            }
+        // Children sit at every power-of-two distance below `d`.
+        while d > 1 {
             d /= 2;
+            if rank + d < size {
+                self.send(rank + d, max_entry, buf.clone());
+            }
         }
-        clock
+        max_entry
     }
 
-    /// Account a finished collective: everyone leaves at
-    /// `max_entry + cost`, having waited `max_entry − entry` and paid
-    /// `cost` of communication. `jitter` is the injected extra latency
-    /// from [`chaos_collective_entry`](Self::chaos_collective_entry)
-    /// (0 on clean runs); it is identical on every rank, so all ranks
-    /// still leave at the same clock.
-    fn account_collective(
-        &mut self,
-        kind: CollectiveKind,
-        words: u64,
-        entry_clock: f64,
-        max_entry: f64,
-        jitter: f64,
-    ) {
-        let charge = self.model.collective_charge(kind, self.size, words);
-        let cost = charge.time + jitter;
-        self.telemetry.chaos.jitter_time += jitter;
-        self.counters.messages += charge.rounds;
-        self.counters.words += charge.words_moved;
-        self.counters.idle_time += max_entry - entry_clock;
-        self.counters.comm_time += cost;
-        self.clock = max_entry + cost;
-        self.telemetry.collectives[kind_slot(kind)] += 1;
-        self.telemetry
-            .phases
-            .record_full(Phase::Comm, cost, charge.words_moved, 0);
-        self.telemetry
-            .phases
-            .record(Phase::Idle, max_entry - entry_clock);
+    fn blocking(&mut self, kind: CollectiveKind, buf: &mut Vec<f64>) {
+        if self.size == 1 {
+            return;
+        }
+        let jitter = self.ledger.enter_collective();
+        let max_entry = self.tree_allreduce(buf);
+        let words = buf.len() as u64;
+        self.ledger.settle_blocking(&Collective::blocking(
+            &self.model,
+            kind,
+            self.size,
+            words,
+            max_entry,
+            jitter,
+        ));
     }
 
     /// Allreduce with summation, in place. Deterministic: the result is
     /// identical on all ranks and across runs.
     pub fn allreduce_sum(&mut self, buf: &mut Vec<f64>) {
-        if self.size == 1 {
-            return;
-        }
-        let jitter = self.chaos_collective_entry();
-        let entry = self.clock;
-        let max_up = self.tree_reduce_sum(buf, entry);
-        // Root now has the sum and the max entry clock; broadcast both.
-        let mut payload = if self.rank == 0 {
-            let mut p = buf.clone();
-            p.push(max_up);
-            p
-        } else {
-            Vec::new()
-        };
-        if self.rank == 0 {
-            self.clock = max_up; // so tree_bcast sends the right clock
-        }
-        let _ = self.tree_bcast(&mut payload);
-        let max_entry = payload.pop().expect("clock element present");
-        *buf = payload;
-        self.account_collective(
-            CollectiveKind::Allreduce,
-            buf.len() as u64,
-            entry,
-            max_entry,
-            jitter,
-        );
+        self.blocking(CollectiveKind::Allreduce, buf);
+    }
+
+    /// Barrier: an empty allreduce.
+    pub fn barrier(&mut self) {
+        self.blocking(CollectiveKind::Barrier, &mut Vec::new());
     }
 
     /// Start a **nonblocking fused allreduce** of `buf` (summation, in
@@ -398,11 +193,12 @@ impl Comm {
     /// same `⌈log₂P⌉` latency rounds as the blocking tree, but only
     /// `2·w·(P−1)/P` words on the critical path.
     ///
-    /// The reduced values are not valid until [`iallreduce_wait`]
-    /// consumes the returned request; computation charged between start
-    /// and wait overlaps the in-flight reduction (virtual time advances
-    /// by `max(comp, comm)`, not their sum). Deterministic: the data
-    /// exchange is the same fixed binomial tree as
+    /// The data is physically exchanged now (the payload is fixed at
+    /// start) but is not valid until [`iallreduce_wait`] consumes the
+    /// returned request and settles the virtual-time charge; computation
+    /// charged between start and wait overlaps the in-flight reduction
+    /// (virtual time advances by `max(comp, comm)`, not their sum).
+    /// Deterministic: the exchange is the same fixed binomial tree as
     /// [`allreduce_sum`](Self::allreduce_sum), so results are bitwise
     /// identical to the blocking path, on every rank, with any amount of
     /// overlapped work.
@@ -410,40 +206,18 @@ impl Comm {
     /// [`iallreduce_wait`]: Self::iallreduce_wait
     pub fn iallreduce_sum_start(&mut self, buf: &mut Vec<f64>) -> IallreduceRequest {
         if self.size == 1 {
-            let entry = self.clock;
-            return IallreduceRequest {
-                entry,
-                max_entry: entry,
-                words: 0,
-                jitter: 0.0,
-            };
+            return IallreduceRequest(None);
         }
-        // Stall + jitter draw at start — entry is when ranks join — so a
-        // stalled rank's late entry piggybacks through the tree exactly
-        // like any straggler's.
-        let jitter = self.chaos_collective_entry();
-        let entry = self.clock;
+        let jitter = self.ledger.enter_collective();
         let words = buf.len() as u64;
-        // Physically exchange now (the payload is fixed at start); the
-        // virtual-time charge settles at wait. Same tree, same order, same
-        // clock piggyback as the blocking allreduce.
-        let max_up = self.tree_reduce_sum(buf, entry);
-        let mut payload = if self.rank == 0 {
-            let mut p = buf.clone();
-            p.push(max_up);
-            p
-        } else {
-            Vec::new()
-        };
-        let _ = self.tree_bcast(&mut payload);
-        let max_entry = payload.pop().expect("clock element present");
-        *buf = payload;
-        IallreduceRequest {
-            entry,
-            max_entry,
+        let max_entry = self.tree_allreduce(buf);
+        IallreduceRequest(Some(Collective::fused(
+            &self.model,
+            self.size,
             words,
+            max_entry,
             jitter,
-        }
+        )))
     }
 
     /// Complete a nonblocking allreduce: the collective finishes at
@@ -453,30 +227,9 @@ impl Comm {
     /// rest is idle), and the portion that computation already covered is
     /// recorded as hidden time — the `comm.overlap_hidden_time` gauge.
     pub fn iallreduce_wait(&mut self, req: IallreduceRequest) {
-        if self.size == 1 {
-            return;
+        if let Some(collective) = req.0 {
+            self.ledger.settle_fused(&collective);
         }
-        let charge = self.model.fused_allreduce_charge(self.size, req.words);
-        let cost = charge.time + req.jitter;
-        self.telemetry.chaos.jitter_time += req.jitter;
-        let completion = req.max_entry + cost;
-        let arrival = self.clock;
-        let visible = (completion - arrival).max(0.0);
-        let comm = cost.min(visible);
-        let idle = visible - comm;
-        let hidden = (arrival.min(completion) - req.entry).max(0.0);
-        self.counters.messages += charge.rounds;
-        self.counters.words += charge.words_moved;
-        self.counters.comm_time += comm;
-        self.counters.idle_time += idle;
-        self.clock = arrival.max(completion);
-        self.telemetry.collectives[kind_slot(CollectiveKind::Allreduce)] += 1;
-        self.telemetry
-            .phases
-            .record_full(Phase::Comm, comm, charge.words_moved, 0);
-        self.telemetry.phases.record(Phase::Idle, idle);
-        self.telemetry.words_packed += req.words;
-        self.telemetry.hidden_time += hidden;
     }
 
     /// Blocking fused allreduce: [`iallreduce_sum_start`] immediately
@@ -490,139 +243,13 @@ impl Comm {
         self.iallreduce_wait(req);
     }
 
-    /// Allreduce of a single scalar by summation.
-    pub fn allreduce_scalar(&mut self, v: f64) -> f64 {
-        let mut buf = vec![v];
-        self.allreduce_sum(&mut buf);
-        buf[0]
-    }
-
-    /// Scalar summation on the fused comm path (same wire values as
-    /// [`allreduce_scalar`](Self::allreduce_scalar), fused pipelined
-    /// charge). The solvers route their bookkeeping reductions through
-    /// this so every collective in a solve scales words uniformly.
+    /// Scalar summation on the fused comm path. The solvers route their
+    /// bookkeeping reductions through this so every collective in a solve
+    /// scales words uniformly.
     pub fn iallreduce_scalar(&mut self, v: f64) -> f64 {
         let mut buf = vec![v];
         self.iallreduce_sum(&mut buf);
         buf[0]
-    }
-
-    /// Allreduce with max.
-    pub fn allreduce_max(&mut self, v: f64) -> f64 {
-        if self.size == 1 {
-            return v;
-        }
-        let jitter = self.chaos_collective_entry();
-        // Encode max-reduction as a sum-reduction on a 1-hot basis is not
-        // possible; do a dedicated tree pass: reduce max to root, bcast.
-        let entry = self.clock;
-        let mut d = 1;
-        let mut m = v;
-        let mut max_clock = entry;
-        let mut is_root_path = true;
-        while d < self.size {
-            if self.rank.is_multiple_of(2 * d) {
-                let partner = self.rank + d;
-                if partner < self.size {
-                    let pkt = self.tree_recv(partner);
-                    max_clock = max_clock.max(pkt.clock);
-                    m = m.max(pkt.data[0]);
-                }
-            } else if self.rank % (2 * d) == d {
-                self.tree_send(self.rank - d, max_clock, vec![m]);
-                is_root_path = false;
-                break;
-            }
-            d *= 2;
-        }
-        let _ = is_root_path;
-        let mut payload = if self.rank == 0 {
-            vec![m, max_clock]
-        } else {
-            Vec::new()
-        };
-        if self.rank == 0 {
-            self.clock = max_clock;
-        }
-        let _ = self.tree_bcast(&mut payload);
-        let max_entry = payload[1];
-        self.account_collective(CollectiveKind::Allreduce, 1, entry, max_entry, jitter);
-        payload[0]
-    }
-
-    /// Barrier: an empty allreduce.
-    pub fn barrier(&mut self) {
-        if self.size == 1 {
-            return;
-        }
-        let jitter = self.chaos_collective_entry();
-        let entry = self.clock;
-        let max_up = self.tree_reduce_sum(&mut [], entry);
-        let mut payload = if self.rank == 0 {
-            vec![max_up]
-        } else {
-            Vec::new()
-        };
-        if self.rank == 0 {
-            self.clock = max_up;
-        }
-        let _ = self.tree_bcast(&mut payload);
-        let max_entry = payload[0];
-        self.account_collective(CollectiveKind::Barrier, 0, entry, max_entry, jitter);
-    }
-
-    /// Broadcast `buf` from `root` to all ranks (rank-rotated tree).
-    pub fn bcast(&mut self, buf: &mut Vec<f64>, root: usize) {
-        assert!(root < self.size, "bad root {root}");
-        if self.size == 1 {
-            return;
-        }
-        assert_eq!(
-            root, 0,
-            "this machine implements root-0 broadcast; rotate ranks if needed"
-        );
-        let jitter = self.chaos_collective_entry();
-        let entry = self.clock;
-        let mut payload = if self.rank == 0 {
-            let mut p = buf.clone();
-            p.push(self.clock);
-            p
-        } else {
-            Vec::new()
-        };
-        let _ = self.tree_bcast(&mut payload);
-        let root_clock = payload.pop().expect("clock element present");
-        if self.rank != 0 {
-            *buf = payload;
-        }
-        // For a bcast the completion time is root_clock + cost, but a rank
-        // that entered later leaves at max(entry, ...); account idle
-        // relative to the root's clock.
-        let max_entry = root_clock.max(entry);
-        self.account_collective(
-            CollectiveKind::Bcast,
-            buf.len() as u64,
-            entry,
-            max_entry,
-            jitter,
-        );
-    }
-
-    /// Gather every rank's (equal-length) contribution onto all ranks,
-    /// concatenated in rank order.
-    pub fn allgather(&mut self, local: &[f64]) -> Vec<f64> {
-        if self.size == 1 {
-            return local.to_vec();
-        }
-        // Implemented as a sum-allreduce of a rank-strided buffer: simple,
-        // deterministic, and the cost charged matches an allgather of the
-        // full concatenated payload (Table I charges word counts, and the
-        // concatenated size is what crosses the top of the tree).
-        let k = local.len();
-        let mut buf = vec![0.0; k * self.size];
-        buf[self.rank * k..(self.rank + 1) * k].copy_from_slice(local);
-        self.allreduce_sum(&mut buf);
-        buf
     }
 }
 
@@ -630,177 +257,71 @@ impl Comm {
 pub struct ThreadMachine;
 
 impl ThreadMachine {
-    /// Run `f(rank_comm)` on `p` ranks; returns the per-rank results in
-    /// rank order along with each rank's cost counters.
+    /// Run `f(rank_comm)` on `p` ranks. Returns the per-rank results in
+    /// rank order, the critical-path cost report — the counters of the
+    /// computational straggler: maximum comp time, ties toward the
+    /// highest rank — and the merged telemetry registry (per-rank phase
+    /// tables keyed by rank plus program-order collective counters, with
+    /// `meta.engine = "thread_machine"`), whose
+    /// [`critical_rank`](Registry::critical_rank) names the same rank.
     ///
     /// ```
     /// use mpisim::{CostModel, ThreadMachine};
-    /// let results = ThreadMachine::run(4, CostModel::cray_xc30(), |comm| {
+    /// let (results, report, _) = ThreadMachine::run(4, CostModel::cray_xc30(), |comm| {
     ///     let mut buf = vec![comm.rank() as f64];
     ///     comm.allreduce_sum(&mut buf);
     ///     buf[0]
     /// });
     /// // 0 + 1 + 2 + 3, replicated on every rank
-    /// assert!(results.iter().all(|(v, _)| *v == 6.0));
+    /// assert!(results.iter().all(|v| *v == 6.0));
+    /// assert_eq!(report.critical.messages, 2); // ⌈log₂ 4⌉ rounds
     /// ```
     ///
     /// # Panics
     /// Panics if `p == 0` or if any rank panics.
-    pub fn run<T, F>(p: usize, model: CostModel, f: F) -> Vec<(T, CostCounters)>
-    where
-        T: Send,
-        F: Fn(&mut Comm) -> T + Send + Sync,
-    {
-        Self::run_full(p, model, f)
-            .into_iter()
-            .map(|(t, c, _)| (t, c))
-            .collect()
-    }
-
-    /// Like [`run`](Self::run), additionally returning the merged
-    /// telemetry registry: per-rank phase tables (keyed by rank) plus
-    /// program-order collective counters, with
-    /// `meta.engine = "thread_machine"`.
-    pub fn run_telemetry<T, F>(
-        p: usize,
-        model: CostModel,
-        f: F,
-    ) -> (Vec<(T, CostCounters)>, Registry)
-    where
-        T: Send,
-        F: Fn(&mut Comm) -> T + Send + Sync,
-    {
-        let full = Self::run_full(p, model, f);
-        let rank_telemetry: Vec<RankTelemetry> = full.iter().map(|(_, _, rt)| rt.clone()).collect();
-        let registry = registry_from_ranks("thread_machine", &rank_telemetry);
-        (full.into_iter().map(|(t, c, _)| (t, c)).collect(), registry)
-    }
-
-    fn run_full<T, F>(p: usize, model: CostModel, f: F) -> Vec<(T, CostCounters, RankTelemetry)>
+    pub fn run<T, F>(p: usize, model: CostModel, f: F) -> (Vec<T>, CostReport, Registry)
     where
         T: Send,
         F: Fn(&mut Comm) -> T + Send + Sync,
     {
         assert!(p > 0, "need at least one rank");
-        // Channel matrix: chans[src][dst].
+        // Channel matrix: senders[src][dst], receivers[dst][src].
         let mut senders: Vec<Vec<Sender<Packet>>> = Vec::with_capacity(p);
-        let mut receivers: Vec<Vec<Option<Receiver<Packet>>>> = (0..p)
-            .map(|_| (0..p).map(|_| None).collect::<Vec<_>>())
-            .collect();
-        for src in 0..p {
+        let mut receivers: Vec<Vec<Receiver<Packet>>> =
+            (0..p).map(|_| Vec::with_capacity(p)).collect();
+        for _ in 0..p {
             let mut row = Vec::with_capacity(p);
-            for dst in 0..p {
+            for to_dst in &mut receivers {
                 let (tx, rx) = unbounded();
                 row.push(tx);
-                receivers[dst][src] = Some(rx);
+                to_dst.push(rx);
             }
             senders.push(row);
         }
-        let mut comms: Vec<Comm> = senders
+        let comms: Vec<Comm> = senders
             .into_iter()
             .zip(receivers)
             .enumerate()
-            .map(|(rank, (to, from_opts))| Comm {
+            .map(|(rank, (to, from))| Comm {
                 rank,
                 size: p,
                 model,
                 to,
-                from: from_opts
-                    .into_iter()
-                    .map(|r| r.expect("receiver wired"))
-                    .collect(),
-                clock: 0.0,
-                counters: CostCounters::default(),
-                comp_by_class: [0.0; 4],
-                telemetry: RankTelemetry::default(),
-                chaos: None,
+                from,
+                ledger: RankLedger::default(),
             })
             .collect();
-
-        if p == 1 {
-            let mut c = comms.pop().expect("one comm");
-            let out = f(&mut c);
-            // Snap the comp counter to the phase-table sum so the report
-            // and the telemetry registry read bitwise-identical numbers
-            // and therefore always pick the same critical rank, even when
-            // two ranks tie at ulp distance.
-            c.counters.comp_time = c.telemetry.phases.comp_time();
-            return vec![(out, c.counters, c.telemetry)];
-        }
-
         // Each SPMD rank blocks on its channels mid-collective, so ranks
         // can never share a pooled worker: `scoped_map` gives every rank
         // its own OS thread (it is the pool crate's one explicitly
         // non-pooled primitive, kept there so all thread-spawning in the
-        // workspace routes through `saco-par`).
-        saco_par::scoped_map(comms, |_, mut c| {
-            let out = f(&mut c);
-            c.counters.comp_time = c.telemetry.phases.comp_time();
-            (out, c.counters, c.telemetry)
-        })
-    }
-
-    /// Convenience: run and return the critical-path cost report (the
-    /// maximum-total-time rank's counters).
-    pub fn run_report<T, F>(p: usize, model: CostModel, f: F) -> (Vec<T>, crate::CostReport)
-    where
-        T: Send,
-        F: Fn(&mut Comm) -> T + Send + Sync,
-    {
-        let results = Self::run(p, model, f);
-        // The critical path is the computational straggler's: all ranks
-        // leave the final collective at the same clock, so totals tie at
-        // ulp noise; comp_time identifies the rank everyone waited for.
-        let critical = results
-            .iter()
-            .map(|(_, c)| *c)
-            .enumerate()
-            .max_by(|(i, a), (j, b)| {
-                a.comp_time
-                    .partial_cmp(&b.comp_time)
-                    .expect("finite times")
-                    .then(i.cmp(j))
-            })
-            .map(|(_, c)| c)
-            .unwrap_or_default();
-        (
-            results.into_iter().map(|(t, _)| t).collect(),
-            crate::CostReport { ranks: p, critical },
-        )
-    }
-
-    /// Like [`run_report`](Self::run_report), additionally returning the
-    /// merged telemetry registry. The registry's
-    /// [`critical_rank`](Registry::critical_rank) picks the same rank as
-    /// the report's critical path (both maximize comp time with ties
-    /// toward the highest rank).
-    pub fn run_report_telemetry<T, F>(
-        p: usize,
-        model: CostModel,
-        f: F,
-    ) -> (Vec<T>, crate::CostReport, Registry)
-    where
-        T: Send,
-        F: Fn(&mut Comm) -> T + Send + Sync,
-    {
-        let (results, registry) = Self::run_telemetry(p, model, f);
-        let critical = results
-            .iter()
-            .map(|(_, c)| *c)
-            .enumerate()
-            .max_by(|(i, a), (j, b)| {
-                a.comp_time
-                    .partial_cmp(&b.comp_time)
-                    .expect("finite times")
-                    .then(i.cmp(j))
-            })
-            .map(|(_, c)| c)
-            .unwrap_or_default();
-        (
-            results.into_iter().map(|(t, _)| t).collect(),
-            crate::CostReport { ranks: p, critical },
-            registry,
-        )
+        // workspace routes through `saco-par`; a lone rank runs inline).
+        let (results, ledgers): (Vec<T>, Vec<RankLedger>) =
+            saco_par::scoped_map(comms, |_, mut c| (f(&mut c), c.ledger))
+                .into_iter()
+                .unzip();
+        let registry = ledger::registry("thread_machine", &ledgers, None);
+        (results, ledger::report(&ledgers), registry)
     }
 }
 
@@ -811,13 +332,13 @@ mod tests {
     #[test]
     fn allreduce_sums_across_ranks() {
         for p in [1, 2, 3, 4, 5, 8, 13] {
-            let results = ThreadMachine::run(p, CostModel::cray_xc30(), |comm| {
+            let (results, _, _) = ThreadMachine::run(p, CostModel::cray_xc30(), |comm| {
                 let mut buf = vec![comm.rank() as f64 + 1.0, 1.0];
                 comm.allreduce_sum(&mut buf);
                 buf
             });
             let expect0 = (p * (p + 1) / 2) as f64;
-            for (r, _) in &results {
+            for r in &results {
                 assert_eq!(r[0], expect0, "p={p}");
                 assert_eq!(r[1], p as f64);
             }
@@ -832,76 +353,38 @@ mod tests {
                 comm.allreduce_sum(&mut buf);
                 buf
             })
+            .0
         };
         let a = run();
         let b = run();
-        for ((x, _), (y, _)) in a.iter().zip(&b) {
-            assert_eq!(x, y, "bitwise identical across runs");
-        }
+        assert_eq!(a, b, "bitwise identical across runs");
         // and identical across ranks within one run
-        for (x, _) in &a {
-            assert_eq!(x, &a[0].0);
-        }
-    }
-
-    #[test]
-    fn allreduce_max_works() {
-        let results = ThreadMachine::run(6, CostModel::cray_xc30(), |comm| {
-            comm.allreduce_max((comm.rank() as f64 - 2.5).abs())
-        });
-        for (r, _) in &results {
-            assert_eq!(*r, 2.5);
-        }
-    }
-
-    #[test]
-    fn bcast_from_root() {
-        let results = ThreadMachine::run(5, CostModel::cray_xc30(), |comm| {
-            let mut buf = if comm.rank() == 0 {
-                vec![3.0, 1.0, 4.0]
-            } else {
-                Vec::new()
-            };
-            comm.bcast(&mut buf, 0);
-            buf
-        });
-        for (r, _) in &results {
-            assert_eq!(r, &vec![3.0, 1.0, 4.0]);
-        }
-    }
-
-    #[test]
-    fn allgather_concatenates_in_rank_order() {
-        let results = ThreadMachine::run(4, CostModel::cray_xc30(), |comm| {
-            comm.allgather(&[comm.rank() as f64, 10.0 * comm.rank() as f64])
-        });
-        for (r, _) in &results {
-            assert_eq!(r, &vec![0.0, 0.0, 1.0, 10.0, 2.0, 20.0, 3.0, 30.0]);
+        for x in &a {
+            assert_eq!(x, &a[0]);
         }
     }
 
     #[test]
     fn point_to_point_ring() {
-        let results = ThreadMachine::run(4, CostModel::cray_xc30(), |comm| {
+        // The channel mesh under the tree: one FIFO per ordered rank pair,
+        // wired so `send(dst)` on rank r arrives at `recv(r)` on rank dst.
+        let (results, _, _) = ThreadMachine::run(4, CostModel::cray_xc30(), |comm| {
             let next = (comm.rank() + 1) % comm.size();
             let prev = (comm.rank() + comm.size() - 1) % comm.size();
-            comm.send(next, &[comm.rank() as f64]);
-            comm.recv(prev)[0]
+            comm.send(next, 0.0, vec![comm.rank() as f64]);
+            comm.recv(prev).data[0]
         });
-        assert_eq!(
-            results.iter().map(|(v, _)| *v).collect::<Vec<_>>(),
-            vec![3.0, 0.0, 1.0, 2.0]
-        );
+        assert_eq!(results, vec![3.0, 0.0, 1.0, 2.0]);
     }
 
     #[test]
     fn clocks_advance_with_collectives_and_flops() {
         let model = CostModel::cray_xc30();
-        let results = ThreadMachine::run(4, model, |comm| {
-            comm.charge_flops(KernelClass::Dot, 1_200_000, 100);
+        let (results, _, _) = ThreadMachine::run(4, model, |comm| {
+            comm.charge(KernelClass::Dot, 1_200_000, 100, Phase::Comp);
             let mut buf = vec![1.0; 8];
             comm.allreduce_sum(&mut buf);
-            comm.clock()
+            (comm.clock(), comm.counters())
         });
         let expect =
             1_200_000.0 / model.dot_rate + model.collective_time(CollectiveKind::Allreduce, 4, 8);
@@ -916,15 +399,15 @@ mod tests {
     #[test]
     fn straggler_shows_up_as_idle_time() {
         let model = CostModel::cray_xc30();
-        let results = ThreadMachine::run(2, model, |comm| {
+        let (results, _, _) = ThreadMachine::run(2, model, |comm| {
             if comm.rank() == 1 {
-                comm.charge_flops(KernelClass::Dot, 12_000_000, 100); // 10 ms straggler
+                comm.charge(KernelClass::Dot, 12_000_000, 100, Phase::Comp); // 10 ms straggler
             }
             let mut buf = vec![0.0];
             comm.allreduce_sum(&mut buf);
             comm.counters()
         });
-        let (fast, slow) = (&results[0].0, &results[1].0);
+        let (fast, slow) = (&results[0], &results[1]);
         assert!(fast.idle_time > 9e-3, "rank 0 waited: {}", fast.idle_time);
         assert!(
             slow.idle_time < 1e-9,
@@ -932,43 +415,47 @@ mod tests {
             slow.idle_time
         );
         // both leave the collective at the same clock
-        let t0 = results[0].0.total_time();
-        let t1 = results[1].0.total_time();
+        let t0 = results[0].total_time();
+        let t1 = results[1].total_time();
         assert!((t0 - t1).abs() < 1e-12);
     }
 
     #[test]
     fn barrier_synchronizes_clocks() {
-        let results = ThreadMachine::run(3, CostModel::cray_xc30(), |comm| {
-            comm.charge_flops(
+        let (clocks, _, _) = ThreadMachine::run(3, CostModel::cray_xc30(), |comm| {
+            comm.charge(
                 KernelClass::Vector,
                 (comm.rank() as u64 + 1) * 2_000_000,
                 10,
+                Phase::Comp,
             );
             comm.barrier();
             comm.clock()
         });
-        let clocks: Vec<f64> = results.iter().map(|(t, _)| *t).collect();
         assert!((clocks[0] - clocks[1]).abs() < 1e-12);
         assert!((clocks[1] - clocks[2]).abs() < 1e-12);
     }
 
     #[test]
     fn single_rank_degenerates_gracefully() {
-        let results = ThreadMachine::run(1, CostModel::cray_xc30(), |comm| {
+        let (results, _, _) = ThreadMachine::run(1, CostModel::cray_xc30(), |comm| {
             let mut buf = vec![5.0];
             comm.allreduce_sum(&mut buf);
             comm.barrier();
             (buf[0], comm.clock())
         });
-        assert_eq!(results[0].0 .0, 5.0);
-        assert_eq!(results[0].0 .1, 0.0);
+        assert_eq!(results[0], (5.0, 0.0));
     }
 
     #[test]
     fn run_report_picks_critical_path() {
-        let (_, report) = ThreadMachine::run_report(4, CostModel::cray_xc30(), |comm| {
-            comm.charge_flops(KernelClass::Dot, (comm.rank() as u64 + 1) * 1_000_000, 10);
+        let (_, report, _) = ThreadMachine::run(4, CostModel::cray_xc30(), |comm| {
+            comm.charge(
+                KernelClass::Dot,
+                (comm.rank() as u64 + 1) * 1_000_000,
+                10,
+                Phase::Comp,
+            );
             let mut b = vec![0.0];
             comm.allreduce_sum(&mut b);
         });
@@ -980,20 +467,21 @@ mod tests {
 
     #[test]
     fn telemetry_phases_reconcile_with_counters() {
-        let (results, registry) = ThreadMachine::run_telemetry(4, CostModel::cray_xc30(), |comm| {
-            comm.charge_flops_phase(KernelClass::SparseGemm, 500_000, 256, Phase::Gram);
-            comm.charge_flops_phase(
+        let (results, _, registry) = ThreadMachine::run(4, CostModel::cray_xc30(), |comm| {
+            comm.charge(KernelClass::SparseGemm, 500_000, 256, Phase::Gram);
+            comm.charge(
                 KernelClass::Gemm,
                 (comm.rank() as u64 + 1) * 200_000,
                 128,
                 Phase::Prox,
             );
-            comm.charge_flops(KernelClass::Vector, 50_000, 64);
+            comm.charge(KernelClass::Vector, 50_000, 64, Phase::Comp);
             let mut buf = vec![1.0; 8];
             comm.allreduce_sum(&mut buf);
             comm.barrier();
+            comm.counters()
         });
-        for (rank, (_, counters)) in results.iter().enumerate() {
+        for (rank, counters) in results.iter().enumerate() {
             let table = registry.phases(rank).expect("rank attributed");
             assert!(
                 (table.comm_time() - counters.comm_time).abs() < 1e-12,
@@ -1019,12 +507,16 @@ mod tests {
 
     #[test]
     fn telemetry_critical_rank_matches_report() {
-        let (_, report, registry) =
-            ThreadMachine::run_report_telemetry(4, CostModel::cray_xc30(), |comm| {
-                comm.charge_flops(KernelClass::Dot, (comm.rank() as u64 + 1) * 1_000_000, 10);
-                let mut b = vec![0.0];
-                comm.allreduce_sum(&mut b);
-            });
+        let (_, report, registry) = ThreadMachine::run(4, CostModel::cray_xc30(), |comm| {
+            comm.charge(
+                KernelClass::Dot,
+                (comm.rank() as u64 + 1) * 1_000_000,
+                10,
+                Phase::Comp,
+            );
+            let mut b = vec![0.0];
+            comm.allreduce_sum(&mut b);
+        });
         let critical = registry.critical_rank().expect("nonempty run");
         assert_eq!(critical, 3);
         let table = registry.phases(critical).unwrap();
@@ -1038,21 +530,19 @@ mod tests {
         // path must produce bit-identical sums on every rank, with any
         // amount of work overlapped in flight.
         for p in [1, 2, 3, 4, 7, 8] {
-            let blocking = ThreadMachine::run(p, CostModel::cray_xc30(), |comm| {
+            let (blocking, _, _) = ThreadMachine::run(p, CostModel::cray_xc30(), |comm| {
                 let mut buf = vec![0.1 * (comm.rank() as f64 + 1.0); 5];
                 comm.allreduce_sum(&mut buf);
                 buf
             });
-            let fused = ThreadMachine::run(p, CostModel::cray_xc30(), |comm| {
+            let (fused, _, _) = ThreadMachine::run(p, CostModel::cray_xc30(), |comm| {
                 let mut buf = vec![0.1 * (comm.rank() as f64 + 1.0); 5];
                 let req = comm.iallreduce_sum_start(&mut buf);
-                comm.charge_flops(KernelClass::Vector, 10_000, 10); // overlapped work
+                comm.charge(KernelClass::Vector, 10_000, 10, Phase::Comp); // overlapped work
                 comm.iallreduce_wait(req);
                 buf
             });
-            for ((b, _), (f, _)) in blocking.iter().zip(&fused) {
-                assert_eq!(b, f, "p={p}");
-            }
+            assert_eq!(blocking, fused, "p={p}");
         }
     }
 
@@ -1064,39 +554,25 @@ mod tests {
                 let mut buf = vec![1.0; 1000];
                 if overlap {
                     let req = comm.iallreduce_sum_start(&mut buf);
-                    comm.charge_flops(KernelClass::Dot, 6_000, 10);
+                    comm.charge(KernelClass::Dot, 6_000, 10, Phase::Comp);
                     comm.iallreduce_wait(req);
                 } else {
                     comm.iallreduce_sum(&mut buf);
-                    comm.charge_flops(KernelClass::Dot, 6_000, 10);
+                    comm.charge(KernelClass::Dot, 6_000, 10, Phase::Comp);
                 }
                 (comm.clock(), comm.counters())
             })
+            .0
         };
         let off = run(false);
         let on = run(true);
         for ((co, c_off), (cn, c_on)) in off.iter().zip(&on) {
-            assert!(cn.0 < co.0, "overlap must shorten the clock");
+            assert!(cn < co, "overlap must shorten the clock");
             // same wire traffic either way
             assert_eq!(c_off.messages, c_on.messages);
             assert_eq!(c_off.words, c_on.words);
             // the hidden portion came out of visible comm time
             assert!(c_on.comm_time < c_off.comm_time);
         }
-    }
-
-    #[test]
-    fn telemetry_p2p_attributes_volume_and_time() {
-        let (_, registry) = ThreadMachine::run_telemetry(2, CostModel::cray_xc30(), |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, &[1.0; 32]);
-            } else {
-                comm.recv(0);
-            }
-        });
-        assert_eq!(registry.counter("collectives.point_to_point"), 1);
-        // sender logs the words; receiver logs the transfer time
-        assert_eq!(registry.phases(0).unwrap().get(Phase::Comm).words, 32);
-        assert!(registry.phases(1).unwrap().comm_time() > 0.0);
     }
 }

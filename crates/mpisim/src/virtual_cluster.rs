@@ -7,78 +7,29 @@
 //! of the distributed execution here: per-rank flop attribution (so a rank
 //! holding more nonzeros of the sampled columns is a straggler, exactly as
 //! on the real machine) and collective costs from the shared
-//! [`CostModel`] formulas. The thread engine and this engine agree by
-//! construction — a property checked by the cross-engine tests.
+//! [`CostModel`] formulas. The cluster is a vector of the same
+//! `RankLedger`s the thread engine's ranks carry, and a loop over them,
+//! so the two engines agree by construction.
 
-use crate::chaos::{ChaosPlan, ChaosSpec, RESTART_OVERHEAD_SECS};
-use crate::cost::{
-    CollectiveCharge, CollectiveKind, CostCounters, CostModel, CostReport, KernelClass,
-};
-use crate::telemetry_support::{kind_slot, registry_from_ranks, RankTelemetry};
+use crate::chaos::ChaosSpec;
+use crate::cost::{CollectiveKind, CostCounters, CostModel, CostReport, KernelClass};
+use crate::ledger::{self, Collective, RankLedger};
 use saco_telemetry::{Phase, Registry};
-
-/// Bookkeeping for an in-flight fused allreduce: the charge was fixed at
-/// start (payload size and every rank's entry clock were known), the
-/// accounting settles at wait.
-#[derive(Clone, Copy, Debug)]
-struct PendingFused {
-    completion: f64,
-    charge: CollectiveCharge,
-    /// On-path cost: `charge.time` plus any injected jitter.
-    cost: f64,
-    /// Jitter drawn at start (0 without chaos), recorded at wait.
-    jitter: f64,
-    /// Completion on the chaos-free counterfactual timeline.
-    clean_completion: f64,
-    words: u64,
-}
-
-/// Live injection state for an enabled chaos plan (see [`crate::chaos`]).
-/// Alongside the schedule itself, it maintains a *clean counterfactual*
-/// timeline — per-rank clocks and idle as they would evolve with no
-/// skew/jitter/stalls/faults — so the cluster can report exactly how much
-/// idle time the injected perturbations caused (`chaos.induced_idle_time`).
-#[derive(Clone, Debug)]
-struct ChaosState {
-    plan: ChaosPlan,
-    /// Per-rank compute-rate multipliers, fixed at enable time.
-    skew: Vec<f64>,
-    /// Program-order collective counter (identical on every rank).
-    collective_idx: u64,
-    /// Outer-block checkpoint counter.
-    ckpt_idx: usize,
-    /// Per-rank clock at the last checkpoint — a failed rank redoes the
-    /// work since this point.
-    last_ckpt_clocks: Vec<f64>,
-    /// Counterfactual clocks: same charges, no chaos.
-    clean_clocks: Vec<f64>,
-    /// Counterfactual idle accumulation.
-    clean_idle: Vec<f64>,
-    /// The fail-stop fault fired already (at most one per run).
-    failed: bool,
-}
 
 /// A simulated cluster of `p` ranks with individual virtual clocks.
 #[derive(Clone, Debug)]
 pub struct VirtualCluster {
-    p: usize,
     model: CostModel,
-    clocks: Vec<f64>,
-    comp: Vec<f64>,
-    comm: Vec<f64>,
-    idle: Vec<f64>,
-    flops: Vec<u64>,
-    comp_by_class: Vec<[f64; 4]>,
-    messages: u64,
-    words: u64,
-    telemetry: Vec<RankTelemetry>,
-    pending: Option<PendingFused>,
-    /// Per-rank entry clocks of the pending fused allreduce — a reusable
-    /// buffer so starting one allocates nothing after the first outer loop.
-    pending_entry: Vec<f64>,
-    /// Injection state when chaos is enabled; `None` on clean runs, which
-    /// then take exactly the pre-chaos code paths.
-    chaos: Option<ChaosState>,
+    ranks: Vec<RankLedger>,
+    /// The chaos-free counterfactual, kept once chaos is enabled: the same
+    /// ledgers receiving the same charges and collectives without a plan —
+    /// no skew, jitter, stalls or faults — so the cluster can report
+    /// exactly how much idle time the injected perturbations caused
+    /// (`chaos.induced_idle_time`). `None` on clean runs.
+    clean: Option<Vec<RankLedger>>,
+    /// The fused allreduce in flight, priced at start on the perturbed
+    /// timeline and (under chaos) on the clean one.
+    pending: Option<(Collective, Option<Collective>)>,
 }
 
 impl VirtualCluster {
@@ -89,20 +40,10 @@ impl VirtualCluster {
     pub fn new(p: usize, model: CostModel) -> Self {
         assert!(p > 0, "need at least one rank");
         Self {
-            p,
             model,
-            clocks: vec![0.0; p],
-            comp: vec![0.0; p],
-            comm: vec![0.0; p],
-            idle: vec![0.0; p],
-            flops: vec![0; p],
-            comp_by_class: vec![[0.0; 4]; p],
-            messages: 0,
-            words: 0,
-            telemetry: vec![RankTelemetry::default(); p],
+            ranks: vec![RankLedger::default(); p],
+            clean: None,
             pending: None,
-            pending_entry: Vec::new(),
-            chaos: None,
         }
     }
 
@@ -113,30 +54,15 @@ impl VirtualCluster {
     /// only — the caller's numerics are untouched. Call before charging
     /// anything; enabling mid-run would split the counterfactual timeline.
     pub fn enable_chaos(&mut self, spec: &ChaosSpec) {
-        let plan = ChaosPlan::new(spec);
-        self.chaos = Some(ChaosState {
-            skew: (0..self.p).map(|r| plan.skew_mult(r)).collect(),
-            plan,
-            collective_idx: 0,
-            ckpt_idx: 0,
-            last_ckpt_clocks: self.clocks.clone(),
-            clean_clocks: self.clocks.clone(),
-            clean_idle: self.idle.clone(),
-            failed: false,
-        });
-        for rt in &mut self.telemetry {
-            rt.chaos.enabled = true;
+        self.clean = Some(self.ranks.clone());
+        for (rank, l) in self.ranks.iter_mut().enumerate() {
+            l.enable_chaos(spec, rank);
         }
-    }
-
-    /// Whether chaos injection is enabled.
-    pub fn chaos_enabled(&self) -> bool {
-        self.chaos.is_some()
     }
 
     /// Number of ranks.
     pub fn size(&self) -> usize {
-        self.p
+        self.ranks.len()
     }
 
     /// The cost model in force.
@@ -144,239 +70,40 @@ impl VirtualCluster {
         &self.model
     }
 
-    /// Charge every rank the same local computation (replicated work, e.g.
-    /// the subproblem solve and scalar updates of Fig. 1 step 5).
-    /// Attributed to the generic `comp` phase.
-    pub fn charge_uniform(&mut self, class: KernelClass, flops: u64, working_set_words: u64) {
-        self.charge_uniform_phase(class, flops, working_set_words, Phase::Comp);
-    }
-
-    /// Like [`charge_uniform`](Self::charge_uniform) with an explicit
-    /// telemetry phase label. Cost is identical; only attribution differs.
-    pub fn charge_uniform_phase(
-        &mut self,
-        class: KernelClass,
-        flops: u64,
-        working_set_words: u64,
-        phase: Phase,
-    ) {
-        let t = self.model.compute_time(class, flops, working_set_words);
-        let ci = crate::cost::class_index(class);
-        if let Some(ch) = &mut self.chaos {
-            // Rank-rate skew: rank r runs its compute `skew[r]`× slower.
-            // The clean counterfactual clock advances by the unskewed t.
-            for r in 0..self.p {
-                let tr = t * ch.skew[r];
-                self.clocks[r] += tr;
-                self.comp[r] += tr;
-                self.comp_by_class[r][ci] += tr;
-                self.flops[r] += flops;
-                self.telemetry[r].phases.record_full(phase, tr, 0, flops);
-                self.telemetry[r].chaos.skew_time += tr - t;
-                ch.clean_clocks[r] += t;
-            }
-            return;
-        }
-        for r in 0..self.p {
-            self.clocks[r] += t;
-            self.comp[r] += t;
-            self.comp_by_class[r][ci] += t;
-            self.flops[r] += flops;
-            self.telemetry[r].phases.record_full(phase, t, 0, flops);
-        }
-    }
-
-    /// Charge rank-dependent local computation; `flops_of(rank)` returns
-    /// the flops rank `rank` executes. This is how data-dependent load
-    /// imbalance (stragglers) enters the simulation.
-    pub fn charge_per_rank<F: Fn(usize) -> u64 + Sync>(
-        &mut self,
-        class: KernelClass,
-        working_set_words: u64,
-        flops_of: F,
-    ) {
-        self.charge_per_rank_phase(class, working_set_words, flops_of, Phase::Comp);
-    }
-
-    /// Like [`charge_per_rank`](Self::charge_per_rank) with an explicit
-    /// telemetry phase label.
-    pub fn charge_per_rank_phase<F: Fn(usize) -> u64 + Sync>(
-        &mut self,
-        class: KernelClass,
-        working_set_words: u64,
-        flops_of: F,
-        phase: Phase,
-    ) {
-        self.charge_ranks(class, |r| (flops_of(r), working_set_words), phase);
-    }
-
-    /// Below this rank count the per-rank charge loop runs serially even
-    /// when the pool is enabled: fanning microseconds of arithmetic out
-    /// to OS threads costs more than the loop itself.
-    const PAR_RANK_MIN: usize = 2048;
-
-    /// The per-rank local-contribution loop behind every `charge_per_rank*`
-    /// entry point. Each rank's update reads only `f(r)` and writes only
-    /// rank `r`'s slots, so the loop fans out over `saco-par` in disjoint
-    /// rank chunks when the pool is enabled and `p` is paper-scale (up to
-    /// 12,288 ranks). Per-rank arithmetic is unchanged and no value
-    /// crosses a chunk boundary, so the charge is bitwise identical to
-    /// the serial loop at any thread count.
-    fn charge_ranks<F: Fn(usize) -> (u64, u64) + Sync>(
-        &mut self,
-        class: KernelClass,
-        f: F,
-        phase: Phase,
-    ) {
-        let ci = crate::cost::class_index(class);
-        if let Some(ch) = &mut self.chaos {
-            // One code path under chaos (the counterfactual bookkeeping
-            // would complicate the scatter fan-out for no gain: the loop
-            // is O(p) trivial arithmetic). Skew multiplies each rank's
-            // compute time; the clean clocks advance unskewed.
-            for r in 0..self.p {
-                let (fl, ws) = f(r);
-                let t = self.model.compute_time(class, fl, ws);
-                let tr = t * ch.skew[r];
-                self.clocks[r] += tr;
-                self.comp[r] += tr;
-                self.comp_by_class[r][ci] += tr;
-                self.flops[r] += fl;
-                self.telemetry[r].phases.record_full(phase, tr, 0, fl);
-                self.telemetry[r].chaos.skew_time += tr - t;
-                ch.clean_clocks[r] += t;
-            }
-            return;
-        }
-        let nthreads = saco_par::threads();
-        if nthreads > 1 && self.p >= Self::PAR_RANK_MIN {
-            let model = self.model;
-            let chunk = self.p.div_ceil(4 * nthreads);
-            let items: Vec<_> = self
-                .clocks
-                .chunks_mut(chunk)
-                .zip(self.comp.chunks_mut(chunk))
-                .zip(self.comp_by_class.chunks_mut(chunk))
-                .zip(self.flops.chunks_mut(chunk))
-                .zip(self.telemetry.chunks_mut(chunk))
-                .enumerate()
-                .collect();
-            saco_par::scatter(
-                nthreads,
-                items,
-                |(c, ((((clocks, comp), comp_by_class), flops), telemetry))| {
-                    for i in 0..clocks.len() {
-                        let (fl, ws) = f(c * chunk + i);
-                        let t = model.compute_time(class, fl, ws);
-                        clocks[i] += t;
-                        comp[i] += t;
-                        comp_by_class[i][ci] += t;
-                        flops[i] += fl;
-                        telemetry[i].phases.record_full(phase, t, 0, fl);
-                    }
-                },
-            );
-            return;
-        }
-        for r in 0..self.p {
-            let (fl, ws) = f(r);
-            let t = self.model.compute_time(class, fl, ws);
-            self.clocks[r] += t;
-            self.comp[r] += t;
-            self.comp_by_class[r][ci] += t;
-            self.flops[r] += fl;
-            self.telemetry[r].phases.record_full(phase, t, 0, fl);
-        }
-    }
-
-    /// Like [`charge_per_rank`](Self::charge_per_rank) but with a
-    /// rank-dependent working set as well: `f(rank)` returns
-    /// `(flops, working_set_words)`. Needed to mirror the thread engine
-    /// exactly, where each rank's kernel sees its own working set (and may
-    /// therefore land on a different side of the cache cliff).
-    pub fn charge_per_rank_ws<F: Fn(usize) -> (u64, u64) + Sync>(
-        &mut self,
-        class: KernelClass,
-        f: F,
-    ) {
-        self.charge_per_rank_ws_phase(class, f, Phase::Comp);
-    }
-
-    /// Like [`charge_per_rank_ws`](Self::charge_per_rank_ws) with an
-    /// explicit telemetry phase label.
-    pub fn charge_per_rank_ws_phase<F: Fn(usize) -> (u64, u64) + Sync>(
-        &mut self,
-        class: KernelClass,
-        f: F,
-        phase: Phase,
-    ) {
-        self.charge_ranks(class, f, phase);
-    }
-
-    /// Inject the per-collective perturbations for the next collective in
-    /// program order: transient stalls advance stalled ranks' clocks (as
-    /// idle — stalled time is neither compute nor transfer) before the
-    /// entry-clock max is taken, and the returned jitter is added to the
-    /// collective's cost (identical on every rank). Returns 0 when chaos
-    /// is off.
-    fn chaos_collective_entry(&mut self) -> f64 {
-        let Some(ch) = &mut self.chaos else {
-            return 0.0;
-        };
-        let idx = ch.collective_idx;
-        ch.collective_idx += 1;
-        for r in 0..self.p {
-            let stall = ch.plan.stall(r, idx);
-            if stall > 0.0 {
-                self.clocks[r] += stall;
-                self.idle[r] += stall;
-                self.telemetry[r].phases.record(Phase::Idle, stall);
-                self.telemetry[r].chaos.stalls += 1;
-                self.telemetry[r].chaos.stall_time += stall;
+    /// Charge local computation of `class`, attributed to telemetry phase
+    /// `phase`: `f(rank)` returns the `(flops, working_set_words)` rank
+    /// `rank` executes. A constant `f` is replicated work (the subproblem
+    /// solve and scalar updates of Fig. 1 step 5); a rank-dependent one is
+    /// how data-dependent load imbalance (stragglers) enters the
+    /// simulation — each rank's kernel sees its own working set and may
+    /// land on a different side of the cache cliff, as on the thread
+    /// engine.
+    pub fn charge<F: Fn(usize) -> (u64, u64)>(&mut self, class: KernelClass, phase: Phase, f: F) {
+        for side in std::iter::once(&mut self.ranks).chain(&mut self.clean) {
+            for (rank, l) in side.iter_mut().enumerate() {
+                let (flops, working_set_words) = f(rank);
+                l.charge(&self.model, class, flops, working_set_words, phase);
             }
         }
-        ch.plan.jitter(idx)
     }
 
     /// Charge a collective of `words` payload: all ranks synchronize to the
     /// latest participant, wait out stragglers, then pay the α-β tree cost.
     pub fn collective(&mut self, kind: CollectiveKind, words: u64) {
-        if self.p == 1 {
+        let (p, model) = (self.size(), self.model);
+        if p == 1 {
             return;
         }
-        let jitter = self.chaos_collective_entry();
-        let max_entry = self
-            .clocks
-            .iter()
-            .cloned()
-            .fold(f64::NEG_INFINITY, f64::max);
-        let charge = self.model.collective_charge(kind, self.p, words);
-        let cost = charge.time + jitter;
-        self.messages += charge.rounds;
-        self.words += charge.words_moved;
-        for r in 0..self.p {
-            let idle = max_entry - self.clocks[r];
-            self.idle[r] += idle;
-            self.comm[r] += cost;
-            self.clocks[r] = max_entry + cost;
-            self.telemetry[r].collectives[kind_slot(kind)] += 1;
-            self.telemetry[r]
-                .phases
-                .record_full(Phase::Comm, cost, charge.words_moved, 0);
-            self.telemetry[r].phases.record(Phase::Idle, idle);
-        }
-        if let Some(ch) = &mut self.chaos {
-            // Counterfactual: the same collective on the clean timeline.
-            let clean_max = ch
-                .clean_clocks
-                .iter()
-                .cloned()
-                .fold(f64::NEG_INFINITY, f64::max);
-            for r in 0..self.p {
-                ch.clean_idle[r] += clean_max - ch.clean_clocks[r];
-                ch.clean_clocks[r] = clean_max + charge.time;
-                self.telemetry[r].chaos.jitter_time += jitter;
-            }
+        // The clean counterfactual runs the same collective, and draws no
+        // stall or jitter because it has no plan.
+        let run = |side: &mut [RankLedger]| {
+            let (max_entry, jitter) = ledger::enter_collective(side);
+            let c = Collective::blocking(&model, kind, p, words, max_entry, jitter);
+            side.iter_mut().for_each(|l| l.settle_blocking(&c));
+        };
+        run(&mut self.ranks);
+        if let Some(clean) = &mut self.clean {
+            run(clean);
         }
     }
 
@@ -398,40 +125,19 @@ impl VirtualCluster {
             self.pending.is_none(),
             "one fused allreduce may be in flight at a time"
         );
+        let (p, model) = (self.size(), self.model);
         // Stalls and the jitter draw happen at start — entry is when ranks
         // join the collective — so the perturbed entry clocks feed the
-        // completion time exactly as in the blocking path.
-        let jitter = if self.p > 1 {
-            self.chaos_collective_entry()
-        } else {
-            0.0
+        // completion time exactly as in the blocking path. A lone rank
+        // joins nothing: its request only keeps start and wait paired.
+        let start = |side: &mut [RankLedger]| {
+            let (max_entry, jitter) = match p {
+                1 => (0.0, 0.0),
+                _ => ledger::enter_collective(side),
+            };
+            Collective::fused(&model, p, words, max_entry, jitter)
         };
-        let max_entry = self
-            .clocks
-            .iter()
-            .cloned()
-            .fold(f64::NEG_INFINITY, f64::max);
-        let charge = self.model.fused_allreduce_charge(self.p, words);
-        let clean_completion = match &self.chaos {
-            Some(ch) => {
-                ch.clean_clocks
-                    .iter()
-                    .cloned()
-                    .fold(f64::NEG_INFINITY, f64::max)
-                    + charge.time
-            }
-            None => 0.0,
-        };
-        self.pending_entry.resize(self.p, 0.0);
-        self.pending_entry.copy_from_slice(&self.clocks);
-        self.pending = Some(PendingFused {
-            completion: max_entry + charge.time + jitter,
-            charge,
-            cost: charge.time + jitter,
-            jitter,
-            clean_completion,
-            words,
-        });
+        self.pending = Some((start(&mut self.ranks), self.clean.as_deref_mut().map(start)));
     }
 
     /// Complete the in-flight fused allreduce: each rank leaves at
@@ -443,42 +149,16 @@ impl VirtualCluster {
     /// # Panics
     /// Panics if no fused allreduce is outstanding.
     pub fn iallreduce_wait(&mut self) {
-        let pending = self
+        let (c, clean) = self
             .pending
             .take()
             .expect("iallreduce_wait without iallreduce_start");
-        if self.p == 1 {
+        if self.size() == 1 {
             return;
         }
-        let cost = pending.cost;
-        self.messages += pending.charge.rounds;
-        self.words += pending.charge.words_moved;
-        for r in 0..self.p {
-            let arrival = self.clocks[r];
-            let visible = (pending.completion - arrival).max(0.0);
-            let comm = cost.min(visible);
-            let idle = visible - comm;
-            let hidden = (arrival.min(pending.completion) - self.pending_entry[r]).max(0.0);
-            self.comm[r] += comm;
-            self.idle[r] += idle;
-            self.clocks[r] = arrival.max(pending.completion);
-            self.telemetry[r].collectives[kind_slot(CollectiveKind::Allreduce)] += 1;
-            self.telemetry[r]
-                .phases
-                .record_full(Phase::Comm, comm, pending.charge.words_moved, 0);
-            self.telemetry[r].phases.record(Phase::Idle, idle);
-            self.telemetry[r].words_packed += pending.words;
-            self.telemetry[r].hidden_time += hidden;
-        }
-        if let Some(ch) = &mut self.chaos {
-            // Counterfactual completion of the same fused collective.
-            for r in 0..self.p {
-                let arrival = ch.clean_clocks[r];
-                let visible = (pending.clean_completion - arrival).max(0.0);
-                ch.clean_idle[r] += visible - pending.charge.time.min(visible);
-                ch.clean_clocks[r] = arrival.max(pending.clean_completion);
-                self.telemetry[r].chaos.jitter_time += pending.jitter;
-            }
+        self.ranks.iter_mut().for_each(|l| l.settle_fused(&c));
+        if let (Some(side), Some(c)) = (&mut self.clean, clean) {
+            side.iter_mut().for_each(|l| l.settle_fused(&c));
         }
     }
 
@@ -500,92 +180,47 @@ impl VirtualCluster {
     /// Recovery is pure recomputation of deterministic work, so the
     /// caller's numerics need no rollback — only time is charged.
     pub fn checkpoint(&mut self) {
-        let Some(ch) = &mut self.chaos else {
-            return;
-        };
-        let step = ch.ckpt_idx;
-        ch.ckpt_idx += 1;
-        for rt in &mut self.telemetry {
-            rt.chaos.checkpoints += 1;
-        }
-        if !ch.failed {
-            if let Some((rank, _)) = ch.plan.spec().fail {
-                if rank < self.p && ch.plan.fails_at(rank, step) {
-                    ch.failed = true;
-                    let redo = self.clocks[rank] - ch.last_ckpt_clocks[rank];
-                    let recovery = redo + RESTART_OVERHEAD_SECS;
-                    self.clocks[rank] += recovery;
-                    self.idle[rank] += recovery;
-                    self.telemetry[rank].phases.record(Phase::Idle, recovery);
-                    self.telemetry[rank].chaos.failures += 1;
-                    self.telemetry[rank].chaos.recovery_time += recovery;
-                }
-            }
-        }
-        ch.last_ckpt_clocks.copy_from_slice(&self.clocks);
+        self.ranks.iter_mut().for_each(RankLedger::checkpoint);
+    }
+
+    /// Current virtual time on rank `rank` (the thread engine's
+    /// [`Comm::clock`](crate::Comm::clock)).
+    pub fn clock(&self, rank: usize) -> f64 {
+        self.ranks[rank].clock()
+    }
+
+    /// Cost counters accumulated so far on rank `rank` (the thread
+    /// engine's [`Comm::counters`](crate::Comm::counters)).
+    pub fn counters(&self, rank: usize) -> CostCounters {
+        self.ranks[rank].counters()
     }
 
     /// Current simulated time (max over rank clocks).
     pub fn time(&self) -> f64 {
-        self.clocks.iter().cloned().fold(0.0, f64::max)
-    }
-
-    /// The critical rank: the computational straggler, selected on the
-    /// telemetry phase-table comp sum (ties toward the highest rank).
-    /// Reading the *same* accumulators as
-    /// [`Registry::critical_rank`](saco_telemetry::Registry::critical_rank)
-    /// guarantees the cost report and the telemetry registry name the
-    /// same rank even when two ranks tie at ulp distance — the raw
-    /// `comp` running totals group additions differently and can break
-    /// such ties the other way.
-    fn critical_rank(&self) -> usize {
-        (0..self.p)
-            .max_by(|&a, &b| {
-                self.telemetry[a]
-                    .phases
-                    .comp_time()
-                    .partial_cmp(&self.telemetry[b].phases.comp_time())
-                    .expect("finite clocks")
-                    .then(a.cmp(&b))
-            })
-            .expect("at least one rank")
+        self.ranks.iter().map(RankLedger::clock).fold(0.0, f64::max)
     }
 
     /// Critical-path cost report: the counters of the computational
-    /// straggler (max `comp_time`, tie broken towards the highest rank —
-    /// the same rule as the thread engine), plus the message/word counts
-    /// (identical on all ranks).
+    /// straggler (max comp time, tie broken towards the highest rank —
+    /// the same rule as the thread engine and as
+    /// [`Registry::critical_rank`]).
     pub fn report(&self) -> CostReport {
-        let critical_rank = self.critical_rank();
-        CostReport {
-            ranks: self.p,
-            critical: CostCounters {
-                messages: self.messages,
-                words: self.words,
-                flops: self.flops[critical_rank],
-                comp_time: self.telemetry[critical_rank].phases.comp_time(),
-                comm_time: self.comm[critical_rank],
-                idle_time: self.idle[critical_rank],
-            },
-        }
-    }
-
-    /// Compute time per kernel class on the critical (max-comp) rank.
-    pub fn comp_by_class(&self) -> [f64; 4] {
-        self.comp_by_class[self.critical_rank()]
+        ledger::report(&self.ranks)
     }
 
     /// Total payload words handed to fused allreduces so far. Program-
     /// order: identical on every rank, so this is rank 0's count.
     pub fn words_packed(&self) -> u64 {
-        self.telemetry.first().map_or(0, |t| t.words_packed)
+        self.ranks[0].telemetry().words_packed
     }
 
     /// In-flight fused-allreduce time hidden behind computation on the
     /// critical (max-comp) rank — the overlap that shortened the
     /// reported timeline.
     pub fn overlap_hidden_time(&self) -> f64 {
-        self.telemetry[self.critical_rank()].hidden_time
+        self.ranks[ledger::critical_rank(&self.ranks)]
+            .telemetry()
+            .hidden_time
     }
 
     /// Merged telemetry registry for the run so far: per-rank phase
@@ -595,59 +230,20 @@ impl VirtualCluster {
     /// comm counter and `comp + gram + prox + sampling` equals the comp
     /// counter.
     pub fn telemetry(&self) -> Registry {
-        if let Some(ch) = &self.chaos {
-            // The analytic engine can attribute idle time exactly: it kept
-            // a clean counterfactual timeline alongside the perturbed one,
-            // so per rank the chaos-induced idle is the (clamped) excess
-            // over what the clean run would have idled anyway.
-            let mut ranks = self.telemetry.clone();
-            for (r, rt) in ranks.iter_mut().enumerate() {
-                rt.chaos.induced_idle_time = (self.idle[r] - ch.clean_idle[r]).max(0.0);
-            }
-            return registry_from_ranks("virtual_cluster", &ranks);
-        }
-        registry_from_ranks("virtual_cluster", &self.telemetry)
-    }
-
-    /// Reset all clocks and counters to zero (reuse between experiments).
-    pub fn reset(&mut self) {
-        self.clocks.iter_mut().for_each(|c| *c = 0.0);
-        self.comp.iter_mut().for_each(|c| *c = 0.0);
-        self.comm.iter_mut().for_each(|c| *c = 0.0);
-        self.idle.iter_mut().for_each(|c| *c = 0.0);
-        self.flops.iter_mut().for_each(|c| *c = 0);
-        self.comp_by_class.iter_mut().for_each(|c| *c = [0.0; 4]);
-        self.messages = 0;
-        self.words = 0;
-        self.telemetry
-            .iter_mut()
-            .for_each(|t| *t = RankTelemetry::default());
-        self.pending = None;
-        if let Some(ch) = &mut self.chaos {
-            // The plan (and its per-rank skew) survives a reset; only the
-            // run-scoped state rewinds to time zero.
-            ch.collective_idx = 0;
-            ch.ckpt_idx = 0;
-            ch.failed = false;
-            ch.last_ckpt_clocks.iter_mut().for_each(|c| *c = 0.0);
-            ch.clean_clocks.iter_mut().for_each(|c| *c = 0.0);
-            ch.clean_idle.iter_mut().for_each(|c| *c = 0.0);
-            for rt in &mut self.telemetry {
-                rt.chaos.enabled = true;
-            }
-        }
+        ledger::registry("virtual_cluster", &self.ranks, self.clean.as_deref())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{ChaosSpec, RESTART_OVERHEAD_SECS};
     use crate::thread_machine::ThreadMachine;
 
     #[test]
     fn uniform_charges_advance_all_clocks() {
         let mut vc = VirtualCluster::new(8, CostModel::cray_xc30());
-        vc.charge_uniform(KernelClass::Dot, 1_200_000, 10);
+        vc.charge(KernelClass::Dot, Phase::Comp, |_| (1_200_000, 10));
         let expect = 1_200_000.0 / vc.model().dot_rate;
         assert!((vc.time() - expect).abs() < 1e-15);
     }
@@ -655,7 +251,9 @@ mod tests {
     #[test]
     fn imbalanced_charges_create_idle_time() {
         let mut vc = VirtualCluster::new(4, CostModel::cray_xc30());
-        vc.charge_per_rank(KernelClass::Dot, 10, |r| (r as u64 + 1) * 1_200_000);
+        vc.charge(KernelClass::Dot, Phase::Comp, |r| {
+            ((r as u64 + 1) * 1_200_000, 10)
+        });
         vc.allreduce(4);
         let rep = vc.report();
         // critical rank (3) did 4.8 Mflops and waited for nobody
@@ -674,20 +272,27 @@ mod tests {
         let model = CostModel::cray_xc30();
         let p = 8;
 
-        let (_, thread_report) = ThreadMachine::run_report(p, model, |comm| {
+        let (_, thread_report, _) = ThreadMachine::run(p, model, |comm| {
             for _ in 0..5 {
-                comm.charge_flops(KernelClass::Dot, (comm.rank() as u64 + 1) * 100_000, 64);
+                comm.charge(
+                    KernelClass::Dot,
+                    (comm.rank() as u64 + 1) * 100_000,
+                    64,
+                    Phase::Comp,
+                );
                 let mut buf = vec![1.0; 16];
                 comm.allreduce_sum(&mut buf);
-                comm.charge_flops(KernelClass::Vector, 50_000, 64);
+                comm.charge(KernelClass::Vector, 50_000, 64, Phase::Comp);
             }
         });
 
         let mut vc = VirtualCluster::new(p, model);
         for _ in 0..5 {
-            vc.charge_per_rank(KernelClass::Dot, 64, |r| (r as u64 + 1) * 100_000);
+            vc.charge(KernelClass::Dot, Phase::Comp, |r| {
+                ((r as u64 + 1) * 100_000, 64)
+            });
             vc.allreduce(16);
-            vc.charge_uniform(KernelClass::Vector, 50_000, 64);
+            vc.charge(KernelClass::Vector, Phase::Comp, |_| (50_000, 64));
         }
         let virtual_report = vc.report();
 
@@ -713,7 +318,6 @@ mod tests {
         // must produce identical perturbed times: the schedule draws are
         // pure functions of (seed, rank, program-order index), shared by
         // both engines.
-        use crate::chaos::ChaosSpec;
         let model = CostModel::cray_xc30();
         let p = 8;
         let spec = ChaosSpec {
@@ -724,25 +328,31 @@ mod tests {
             fail: Some((2, 1)),
         };
 
-        let (_, thread_report, thread_reg) =
-            ThreadMachine::run_report_telemetry(p, model, |comm| {
-                comm.enable_chaos(&spec);
-                for _ in 0..4 {
-                    comm.charge_flops(KernelClass::Dot, (comm.rank() as u64 + 1) * 100_000, 64);
-                    let mut buf = vec![1.0; 16];
-                    let req = comm.iallreduce_sum_start(&mut buf);
-                    comm.charge_flops(KernelClass::Vector, 50_000, 64);
-                    comm.iallreduce_wait(req);
-                    comm.checkpoint();
-                }
-            });
+        let (_, thread_report, thread_reg) = ThreadMachine::run(p, model, |comm| {
+            comm.enable_chaos(&spec);
+            for _ in 0..4 {
+                comm.charge(
+                    KernelClass::Dot,
+                    (comm.rank() as u64 + 1) * 100_000,
+                    64,
+                    Phase::Comp,
+                );
+                let mut buf = vec![1.0; 16];
+                let req = comm.iallreduce_sum_start(&mut buf);
+                comm.charge(KernelClass::Vector, 50_000, 64, Phase::Comp);
+                comm.iallreduce_wait(req);
+                comm.checkpoint();
+            }
+        });
 
         let mut vc = VirtualCluster::new(p, model);
         vc.enable_chaos(&spec);
         for _ in 0..4 {
-            vc.charge_per_rank(KernelClass::Dot, 64, |r| (r as u64 + 1) * 100_000);
+            vc.charge(KernelClass::Dot, Phase::Comp, |r| {
+                ((r as u64 + 1) * 100_000, 64)
+            });
             vc.iallreduce_start(16);
-            vc.charge_uniform(KernelClass::Vector, 50_000, 64);
+            vc.charge(KernelClass::Vector, Phase::Comp, |_| (50_000, 64));
             vc.iallreduce_wait();
             vc.checkpoint();
         }
@@ -791,7 +401,7 @@ mod tests {
         let mut a = VirtualCluster::new(4, model);
         let mut b = VirtualCluster::new(4, model);
         for vc in [&mut a, &mut b] {
-            vc.charge_uniform(KernelClass::Dot, 500_000, 64);
+            vc.charge(KernelClass::Dot, Phase::Comp, |_| (500_000, 64));
             vc.allreduce(8);
         }
         b.checkpoint();
@@ -801,11 +411,12 @@ mod tests {
 
     #[test]
     fn zero_intensity_chaos_changes_no_times() {
-        use crate::chaos::ChaosSpec;
         let model = CostModel::cray_xc30();
         let script = |vc: &mut VirtualCluster| {
             for _ in 0..3 {
-                vc.charge_per_rank(KernelClass::Dot, 64, |r| (r as u64 + 1) * 80_000);
+                vc.charge(KernelClass::Dot, Phase::Comp, |r| {
+                    ((r as u64 + 1) * 80_000, 64)
+                });
                 vc.iallreduce(16);
                 vc.checkpoint();
             }
@@ -826,39 +437,11 @@ mod tests {
     fn large_p_is_cheap_to_simulate() {
         let mut vc = VirtualCluster::new(12_288, CostModel::cray_xc30());
         for _ in 0..100 {
-            vc.charge_uniform(KernelClass::Dot, 1000, 10);
+            vc.charge(KernelClass::Dot, Phase::Comp, |_| (1000, 10));
             vc.allreduce(64);
         }
         assert_eq!(vc.report().critical.messages, 100 * 14);
         assert!(vc.time() > 0.0);
-    }
-
-    #[test]
-    fn pooled_per_rank_charges_are_bitwise_identical_to_serial() {
-        // Above PAR_RANK_MIN ranks the charge loop fans out over the
-        // saco-par pool; each rank's arithmetic is untouched and writes
-        // stay within its chunk, so every simulated quantity must match
-        // the serial loop to the last bit at any thread count.
-        let p = VirtualCluster::PAR_RANK_MIN * 2;
-        let run = |threads: usize| {
-            saco_par::set_threads(threads);
-            let mut vc = VirtualCluster::new(p, CostModel::cray_xc30());
-            vc.charge_per_rank(KernelClass::SparseGemm, 512, |r| (r as u64 % 97) * 1000);
-            vc.charge_per_rank_ws(KernelClass::Dot, |r| ((r as u64 % 13) * 400, 64 + r as u64));
-            vc.allreduce(256);
-            saco_par::set_threads(1);
-            (vc.clocks.clone(), vc.comp.clone(), vc.flops.clone(), {
-                let mut t = saco_telemetry::PhaseTable::new();
-                for rt in &vc.telemetry {
-                    t.merge(&rt.phases);
-                }
-                t
-            })
-        };
-        let serial = run(1);
-        for threads in [2, 4, 7] {
-            assert_eq!(run(threads), serial, "threads={threads}");
-        }
     }
 
     #[test]
@@ -870,28 +453,13 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_state() {
-        let mut vc = VirtualCluster::new(4, CostModel::cray_xc30());
-        vc.charge_uniform(KernelClass::Gemm, 1_000_000, 10);
-        vc.allreduce(10);
-        vc.reset();
-        assert_eq!(vc.time(), 0.0);
-        assert_eq!(vc.report().critical, CostCounters::default());
-        assert!(vc.telemetry().rank_tables().is_empty());
-    }
-
-    #[test]
     fn telemetry_reconciles_with_report() {
-        use saco_telemetry::Phase;
         let mut vc = VirtualCluster::new(4, CostModel::cray_xc30());
-        vc.charge_per_rank_phase(
-            KernelClass::SparseGemm,
-            256,
-            |r| (r as u64 + 1) * 300_000,
-            Phase::Gram,
-        );
-        vc.charge_uniform_phase(KernelClass::Gemm, 200_000, 128, Phase::Prox);
-        vc.charge_uniform_phase(KernelClass::Dot, 40_000, 64, Phase::Sampling);
+        vc.charge(KernelClass::SparseGemm, Phase::Gram, |r| {
+            ((r as u64 + 1) * 300_000, 256)
+        });
+        vc.charge(KernelClass::Gemm, Phase::Prox, |_| (200_000, 128));
+        vc.charge(KernelClass::Dot, Phase::Sampling, |_| (40_000, 64));
         vc.allreduce(16);
         let reg = vc.telemetry();
         let rep = vc.report();
@@ -910,11 +478,10 @@ mod tests {
 
     #[test]
     fn both_engines_feed_the_same_sink_identically() {
-        use saco_telemetry::Phase;
         let model = CostModel::cray_xc30();
         let p = 4;
-        let (_, thread_reg) = ThreadMachine::run_telemetry(p, model, |comm| {
-            comm.charge_flops_phase(
+        let (_, _, thread_reg) = ThreadMachine::run(p, model, |comm| {
+            comm.charge(
                 KernelClass::Dot,
                 (comm.rank() as u64 + 1) * 100_000,
                 64,
@@ -924,12 +491,9 @@ mod tests {
             comm.allreduce_sum(&mut buf);
         });
         let mut vc = VirtualCluster::new(p, model);
-        vc.charge_per_rank_phase(
-            KernelClass::Dot,
-            64,
-            |r| (r as u64 + 1) * 100_000,
-            Phase::Gram,
-        );
+        vc.charge(KernelClass::Dot, Phase::Gram, |r| {
+            ((r as u64 + 1) * 100_000, 64)
+        });
         vc.allreduce(16);
         let virtual_reg = vc.telemetry();
         for rank in 0..p {
@@ -971,7 +535,7 @@ mod tests {
         vc.iallreduce_start(words);
         let comp = cost / 2.0;
         let flops = (comp * model.dot_rate).round() as u64;
-        vc.charge_uniform(KernelClass::Dot, flops, 10);
+        vc.charge(KernelClass::Dot, Phase::Comp, |_| (flops, 10));
         vc.iallreduce_wait();
         let rep = vc.report();
         assert!((vc.time() - cost).abs() < 1e-12, "time = max(comp, comm)");
@@ -982,7 +546,7 @@ mod tests {
         // Comp longer than the collective: comm is fully hidden.
         let mut vc = VirtualCluster::new(4, model);
         vc.iallreduce_start(words);
-        vc.charge_uniform(KernelClass::Dot, 4 * flops, 10);
+        vc.charge(KernelClass::Dot, Phase::Comp, |_| (4 * flops, 10));
         vc.iallreduce_wait();
         let rep = vc.report();
         assert!((vc.time() - rep.critical.comp_time).abs() < 1e-12);
@@ -997,7 +561,9 @@ mod tests {
         // collective; only the charge formula differs.
         let model = CostModel::cray_xc30();
         let mut vc = VirtualCluster::new(4, model);
-        vc.charge_per_rank(KernelClass::Dot, 10, |r| (r as u64 + 1) * 1_200_000);
+        vc.charge(KernelClass::Dot, Phase::Comp, |r| {
+            ((r as u64 + 1) * 1_200_000, 10)
+        });
         vc.iallreduce(64);
         let rep = vc.report();
         let charge = model.fused_allreduce_charge(4, 64);
@@ -1015,21 +581,27 @@ mod tests {
         // on both engines must produce identical counters and telemetry.
         let model = CostModel::cray_xc30();
         let p = 8;
-        let (_, thread_report, thread_reg) =
-            ThreadMachine::run_report_telemetry(p, model, |comm| {
-                for _ in 0..5 {
-                    comm.charge_flops(KernelClass::Dot, (comm.rank() as u64 + 1) * 100_000, 64);
-                    let mut buf = vec![1.0; 16];
-                    let req = comm.iallreduce_sum_start(&mut buf);
-                    comm.charge_flops(KernelClass::Vector, 50_000, 64);
-                    comm.iallreduce_wait(req);
-                }
-            });
+        let (_, thread_report, thread_reg) = ThreadMachine::run(p, model, |comm| {
+            for _ in 0..5 {
+                comm.charge(
+                    KernelClass::Dot,
+                    (comm.rank() as u64 + 1) * 100_000,
+                    64,
+                    Phase::Comp,
+                );
+                let mut buf = vec![1.0; 16];
+                let req = comm.iallreduce_sum_start(&mut buf);
+                comm.charge(KernelClass::Vector, 50_000, 64, Phase::Comp);
+                comm.iallreduce_wait(req);
+            }
+        });
         let mut vc = VirtualCluster::new(p, model);
         for _ in 0..5 {
-            vc.charge_per_rank(KernelClass::Dot, 64, |r| (r as u64 + 1) * 100_000);
+            vc.charge(KernelClass::Dot, Phase::Comp, |r| {
+                ((r as u64 + 1) * 100_000, 64)
+            });
             vc.iallreduce_start(16);
-            vc.charge_uniform(KernelClass::Vector, 50_000, 64);
+            vc.charge(KernelClass::Vector, Phase::Comp, |_| (50_000, 64));
             vc.iallreduce_wait();
         }
         let virtual_report = vc.report();

@@ -1,9 +1,11 @@
 //! Property-based cross-engine tests: for *any* SPMD program made of
-//! compute charges and collectives, the thread machine and the virtual
-//! cluster must report identical simulated times and counters, and
-//! allreduce must actually sum.
+//! compute charges, blocking and fused (overlapped) collectives and
+//! checkpoints, with or without chaos, the thread machine and the virtual
+//! cluster must report bitwise-identical simulated times and counters on
+//! every rank, and allreduce must actually sum.
 
-use mpisim::{AllreduceAlgo, CostModel, KernelClass, ThreadMachine, VirtualCluster};
+use mpisim::telemetry::Phase;
+use mpisim::{AllreduceAlgo, ChaosSpec, CostModel, KernelClass, ThreadMachine, VirtualCluster};
 use proptest::prelude::*;
 
 /// One step of a random SPMD program.
@@ -12,6 +14,7 @@ enum Step {
     /// Per-rank flops = base + rank·slope (deterministic imbalance).
     Compute {
         class: KernelClass,
+        phase: Phase,
         base: u64,
         slope: u64,
         ws: u64,
@@ -20,6 +23,11 @@ enum Step {
     Allreduce { words: usize },
     /// Barrier.
     Barrier,
+    /// Fused allreduce overlapped with rank-dependent work:
+    /// start → charge → wait.
+    Fused { words: usize, overlapped_flops: u64 },
+    /// Block-boundary checkpoint (where an injected fault recovers).
+    Checkpoint,
 }
 
 fn class_strategy() -> impl Strategy<Value = KernelClass> {
@@ -31,22 +39,39 @@ fn class_strategy() -> impl Strategy<Value = KernelClass> {
     ]
 }
 
+fn phase_strategy() -> impl Strategy<Value = Phase> {
+    prop_oneof![
+        Just(Phase::Comp),
+        Just(Phase::Gram),
+        Just(Phase::Prox),
+        Just(Phase::Sampling),
+    ]
+}
+
 fn step_strategy() -> impl Strategy<Value = Step> {
     prop_oneof![
         (
             class_strategy(),
+            phase_strategy(),
             0u64..2_000_000,
             0u64..300_000,
             1u64..100_000
         )
-            .prop_map(|(class, base, slope, ws)| Step::Compute {
+            .prop_map(|(class, phase, base, slope, ws)| Step::Compute {
                 class,
+                phase,
                 base,
                 slope,
                 ws
             }),
         (1usize..2000).prop_map(|words| Step::Allreduce { words }),
         Just(Step::Barrier),
+        // From nothing overlapped, through partly hidden, to fully hidden.
+        (1usize..2000, 0u64..400_000).prop_map(|(words, overlapped_flops)| Step::Fused {
+            words,
+            overlapped_flops
+        }),
+        Just(Step::Checkpoint),
     ]
 }
 
@@ -58,16 +83,46 @@ fn algo_strategy() -> impl Strategy<Value = AllreduceAlgo> {
     ]
 }
 
+/// No chaos, or every perturbation at once: skew, jitter, stalls and a
+/// fail-stop fault on one of the first ranks at one of the first blocks.
+fn chaos_strategy() -> impl Strategy<Value = Option<ChaosSpec>> {
+    prop_oneof![
+        Just(None),
+        (
+            any::<u64>(),
+            0.0f64..0.3,
+            0.0f64..1e-4,
+            0.0f64..0.5,
+            0usize..3,
+            0usize..4
+        )
+            .prop_map(
+                |(seed, skew, jitter, straggle, rank, step)| Some(ChaosSpec {
+                    seed,
+                    skew,
+                    jitter,
+                    straggle,
+                    fail: (rank < 2).then_some((rank, step)),
+                })
+            ),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any program, any rank count, any allreduce algorithm: the two
-    /// engines agree on time and on every counter.
+    /// Any program, any rank count, any allreduce algorithm, any chaos
+    /// spec: the two engines agree **bitwise, on every rank** — clock,
+    /// counters and the whole phase table. Both run the one rank ledger;
+    /// the thread engine finds the latest entry clock through its tree,
+    /// the cluster by a fold, and `max` is exact either way, so no field
+    /// needs a tolerance.
     #[test]
     fn engines_agree_on_random_programs(
         steps in proptest::collection::vec(step_strategy(), 1..20),
         p in 2usize..9,
         algo in algo_strategy(),
+        chaos in chaos_strategy(),
     ) {
         let model = CostModel {
             allreduce_algo: algo,
@@ -75,54 +130,83 @@ proptest! {
         };
 
         let steps_ref = &steps;
-        let (_, thread_rep) = ThreadMachine::run_report(p, model, move |comm| {
+        let (thread_ranks, thread_rep, thread_reg) = ThreadMachine::run(p, model, move |comm| {
+            if let Some(spec) = &chaos {
+                comm.enable_chaos(spec);
+            }
+            let rank = comm.rank() as u64;
             for step in steps_ref {
                 match *step {
-                    Step::Compute { class, base, slope, ws } => {
-                        comm.charge_flops(class, base + comm.rank() as u64 * slope, ws);
+                    Step::Compute { class, phase, base, slope, ws } => {
+                        comm.charge(class, base + rank * slope, ws, phase);
                     }
                     Step::Allreduce { words } => {
                         let mut buf = vec![1.0; words];
                         comm.allreduce_sum(&mut buf);
                     }
                     Step::Barrier => comm.barrier(),
+                    Step::Fused { words, overlapped_flops } => {
+                        let mut buf = vec![1.0; words];
+                        let req = comm.iallreduce_sum_start(&mut buf);
+                        let flops = rank * overlapped_flops;
+                        comm.charge(KernelClass::Vector, flops, 64, Phase::Gram);
+                        comm.iallreduce_wait(req);
+                    }
+                    Step::Checkpoint => comm.checkpoint(),
                 }
             }
+            (comm.clock(), comm.counters())
         });
 
         let mut vc = VirtualCluster::new(p, model);
+        if let Some(spec) = &chaos {
+            vc.enable_chaos(spec);
+        }
         for step in &steps {
             match *step {
-                Step::Compute { class, base, slope, ws } => {
-                    vc.charge_per_rank_ws(class, |r| (base + r as u64 * slope, ws));
+                Step::Compute { class, phase, base, slope, ws } => {
+                    vc.charge(class, phase, |r| (base + r as u64 * slope, ws));
                 }
                 Step::Allreduce { words } => vc.allreduce(words as u64),
                 Step::Barrier => vc.collective(mpisim::CollectiveKind::Barrier, 0),
+                Step::Fused { words, overlapped_flops } => {
+                    vc.iallreduce_start(words as u64);
+                    vc.charge(KernelClass::Vector, Phase::Gram, |r| {
+                        (r as u64 * overlapped_flops, 64)
+                    });
+                    vc.iallreduce_wait();
+                }
+                Step::Checkpoint => vc.checkpoint(),
             }
         }
-        let virtual_rep = vc.report();
+        let (virtual_rep, virtual_reg) = (vc.report(), vc.telemetry());
 
-        let (t, v) = (thread_rep.critical, virtual_rep.critical);
-        prop_assert_eq!(t.messages, v.messages, "messages");
-        prop_assert_eq!(t.words, v.words, "words");
-        prop_assert_eq!(t.flops, v.flops, "flops");
-        let scale = virtual_rep.running_time().abs().max(1e-12);
-        prop_assert!(
-            (thread_rep.running_time() - virtual_rep.running_time()).abs() < 1e-9 * scale,
-            "time: thread {} vs virtual {}",
-            thread_rep.running_time(),
-            virtual_rep.running_time()
-        );
-        prop_assert!((t.comp_time - v.comp_time).abs() < 1e-9 * scale);
-        prop_assert!((t.comm_time - v.comm_time).abs() < 1e-9 * scale);
-        prop_assert!((t.idle_time - v.idle_time).abs() < 1e-9 * scale);
+        let bits = |c: &mpisim::CostCounters| {
+            let times = [c.comp_time, c.comm_time, c.idle_time].map(f64::to_bits);
+            (c.messages, c.words, c.flops, times)
+        };
+        for (rank, (clock, counters)) in thread_ranks.iter().enumerate() {
+            prop_assert_eq!(clock.to_bits(), vc.clock(rank).to_bits(), "rank {} clock", rank);
+            prop_assert_eq!(bits(counters), bits(&vc.counters(rank)), "rank {} counters", rank);
+            let (t, v) = (thread_reg.phases(rank), virtual_reg.phases(rank));
+            prop_assert_eq!(t.is_some(), v.is_some(), "rank {} attributed", rank);
+            for phase in Phase::ALL {
+                let stat = |table: Option<&mpisim::telemetry::PhaseTable>| {
+                    let s = *table?.get(phase);
+                    Some((s.time.to_bits(), s.events, s.words, s.flops))
+                };
+                prop_assert_eq!(stat(t), stat(v), "rank {} phase {}", rank, phase);
+            }
+        }
+        prop_assert_eq!(bits(&thread_rep.critical), bits(&virtual_rep.critical), "critical rank");
+        prop_assert_eq!(thread_reg.critical_rank(), virtual_reg.critical_rank());
     }
 
     /// Allreduce really sums, for any payload and rank count, and the
     /// result is identical on every rank.
     #[test]
     fn allreduce_sums_correctly(p in 1usize..10, words in 1usize..200, seed in any::<u64>()) {
-        let results = ThreadMachine::run(p, CostModel::cray_xc30(), move |comm| {
+        let (results, _, _) = ThreadMachine::run(p, CostModel::cray_xc30(), move |comm| {
             let mut rng = xrng::rng_from_seed(seed ^ comm.rank() as u64);
             let buf: Vec<f64> = (0..words).map(|_| rng.next_gaussian()).collect();
             let mut reduced = buf.clone();
@@ -131,13 +215,13 @@ proptest! {
         });
         // expected: element-wise sum of all rank contributions
         let mut expect = vec![0.0f64; words];
-        for (buf, _) in results.iter().map(|(r, _)| r) {
+        for (buf, _) in &results {
             for (e, b) in expect.iter_mut().zip(buf) {
                 *e += b;
             }
         }
-        let first = &results[0].0 .1;
-        for ((_, reduced), _) in &results {
+        let first = &results[0].1;
+        for (_, reduced) in &results {
             prop_assert_eq!(reduced, first, "ranks disagree");
         }
         for (r, e) in first.iter().zip(&expect) {
@@ -158,7 +242,7 @@ proptest! {
         for p in [1usize, 2, 4] {
             let total: usize = lens.iter().sum();
             let lens_ref = &lens;
-            let results = ThreadMachine::run(p, CostModel::cray_xc30(), move |comm| {
+            let (results, _, _) = ThreadMachine::run(p, CostModel::cray_xc30(), move |comm| {
                 let mut rng = xrng::rng_from_seed(seed ^ (comm.rank() as u64) << 8);
                 let data: Vec<f64> = (0..total).map(|_| rng.next_gaussian()).collect();
                 // Fused: one contiguous buffer through the nonblocking path.
@@ -175,7 +259,7 @@ proptest! {
                 }
                 (fused, separate)
             });
-            for (r, (fused, separate)) in results.iter().map(|(r, _)| r).enumerate() {
+            for (r, (fused, separate)) in results.iter().enumerate() {
                 for (i, (f, s)) in fused.iter().zip(separate).enumerate() {
                     prop_assert_eq!(
                         f.to_bits(), s.to_bits(),
@@ -183,21 +267,6 @@ proptest! {
                     );
                 }
             }
-        }
-    }
-
-    /// Allgather concatenates in rank order for any chunk size.
-    #[test]
-    fn allgather_orders_chunks(p in 1usize..8, chunk in 1usize..32) {
-        let results = ThreadMachine::run(p, CostModel::cray_xc30(), move |comm| {
-            let local: Vec<f64> = (0..chunk)
-                .map(|k| (comm.rank() * chunk + k) as f64)
-                .collect();
-            comm.allgather(&local)
-        });
-        let expect: Vec<f64> = (0..p * chunk).map(|i| i as f64).collect();
-        for (r, _) in &results {
-            prop_assert_eq!(r, &expect);
         }
     }
 

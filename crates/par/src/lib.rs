@@ -297,55 +297,6 @@ where
         .collect()
 }
 
-/// Fan disjoint work items out over up to `nthreads` workers, round-robin.
-///
-/// Each item is consumed exactly once; `f` returns nothing, so this is
-/// the primitive for updating pre-partitioned *disjoint* mutable state
-/// (e.g. per-rank slices of the virtual cluster's clock arrays). Item `i`
-/// goes to worker `i % workers`, so for a fixed item list the
-/// item→worker assignment is deterministic too.
-pub fn scatter<I, F>(nthreads: usize, items: Vec<I>, f: F)
-where
-    I: Send,
-    F: Fn(I) + Sync,
-{
-    let n = items.len();
-    let workers = nthreads.max(1).min(n.max(1));
-    if workers <= 1 || n <= 1 {
-        let t0 = Instant::now();
-        for item in items {
-            f(item);
-        }
-        let el = t0.elapsed().as_nanos() as u64;
-        record_region(n, el, el);
-        return;
-    }
-    let t0 = Instant::now();
-    let mut queues: Vec<Vec<I>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        queues[i % workers].push(item);
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = queues
-            .into_iter()
-            .map(|queue| {
-                scope.spawn(|| {
-                    let w0 = Instant::now();
-                    for item in queue {
-                        f(item);
-                    }
-                    w0.elapsed().as_nanos() as u64
-                })
-            })
-            .collect();
-        let busy: u64 = handles
-            .into_iter()
-            .map(|h| h.join().expect("saco-par worker panicked"))
-            .sum();
-        record_region(n, busy, t0.elapsed().as_nanos() as u64);
-    });
-}
-
 /// Run `f(index, item)` on one dedicated scoped thread **per item** and
 /// return results in item order.
 ///
@@ -624,33 +575,6 @@ mod tests {
         assert!(tiled_map(4, 0, || (), |_, i| i).is_empty());
         assert_eq!(tiled_map(0, 3, || (), |_, i| i), vec![0, 1, 2]);
         assert_eq!(tiled_map(9, 1, || (), |_, i| i + 7), vec![7]);
-    }
-
-    #[test]
-    fn scatter_consumes_every_item_exactly_once() {
-        let _globals = globals();
-        use std::sync::atomic::AtomicU64;
-        let hits: Vec<AtomicU64> = (0..50).map(|_| AtomicU64::new(0)).collect();
-        let items: Vec<usize> = (0..50).collect();
-        scatter(4, items, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        for (i, h) in hits.iter().enumerate() {
-            assert_eq!(h.load(Ordering::Relaxed), 1, "item {i}");
-        }
-    }
-
-    #[test]
-    fn scatter_on_disjoint_mut_slices() {
-        let _globals = globals();
-        let mut data = vec![0u64; 64];
-        let chunks: Vec<(usize, &mut [u64])> = data.chunks_mut(16).enumerate().collect();
-        scatter(3, chunks, |(c, chunk)| {
-            for (i, v) in chunk.iter_mut().enumerate() {
-                *v = (c * 16 + i) as u64;
-            }
-        });
-        assert_eq!(data, (0..64).collect::<Vec<u64>>());
     }
 
     #[test]

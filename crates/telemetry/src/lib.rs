@@ -20,8 +20,8 @@
 //! `PhaseTable::comm_time()` equals `CostCounters::comm_time` and
 //! `PhaseTable::comp_time()` (= comp + gram + prox + sampling) equals
 //! `CostCounters::comp_time` for the same run, and
-//! [`Registry::critical_rank`] picks the same rank as
-//! `mpisim::ThreadMachine::run_report`.
+//! [`Registry::critical_rank`] picks the same rank as `mpisim`'s cost
+//! reports (`ThreadMachine::run`, `VirtualCluster::report`).
 
 #![warn(missing_docs)]
 

@@ -238,7 +238,7 @@ impl Registry {
     }
 
     /// The critical rank: highest `comp_time`, ties toward the highest
-    /// rank index — the same rule `mpisim::run_report` uses to pick the
+    /// rank index — the same rule `mpisim`'s cost reports use to pick the
     /// critical path, so the two reports name the same rank.
     pub fn critical_rank(&self) -> Option<usize> {
         self.ranks

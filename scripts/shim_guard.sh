@@ -159,9 +159,28 @@ for pat in 'lasso_family' 'svm_family' 'kdcd_family' 'sampled_gram' 'sampled_cro
     fi
 done
 
+# mpisim accounts simulated time in exactly one place, the rank ledger:
+# both engines are a ledger (or a vector of them) plus their own way of
+# finding the latest entry clock. Pricing a kernel or a collective, or
+# writing a phase-table row, anywhere else in the crate is the second copy
+# of the accounting rules growing back (cost.rs holds the formulas
+# themselves; code under the first `#[cfg(test)]` and comments are free).
+for f in crates/mpisim/src/*.rs; do
+    case "$f" in */ledger.rs | */cost.rs) continue ;; esac
+    hits=$(awk '/#\[cfg\(test\)\]/ { exit }
+        !/^[[:space:]]*\/\// && /compute_time\(|collective_charge\(|fused_allreduce_charge\(|\.record_full\(/ {
+            print FILENAME ":" FNR ": " $0
+        }' "$f")
+    if [ -n "$hits" ]; then
+        echo "shim_guard: cost accounting outside mpisim's rank ledger:" >&2
+        echo "$hits" >&2
+        status=1
+    fi
+done
+
 if [ "$status" -ne 0 ]; then
     echo "shim_guard: FAILED — move recurrence logic into crates/core/src/exec/" >&2
 else
-    echo "shim_guard: OK — one run surface, netcomm/CLI are solver-free, inner loops live in sparsela::simd"
+    echo "shim_guard: OK — one run surface, one rank ledger, netcomm/CLI are solver-free, inner loops live in sparsela::simd"
 fi
 exit "$status"

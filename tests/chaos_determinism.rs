@@ -174,7 +174,7 @@ fn thread_engine_chaos_matches_virtual_cluster() {
 
     let (_, blocks) = LassoRankData::split(&ds, p, false);
     let run_dist = |spec: Option<&ChaosSpec>| {
-        ThreadMachine::run_report_telemetry(p, CostModel::cray_xc30(), |comm| {
+        ThreadMachine::run(p, CostModel::cray_xc30(), |comm| {
             if let Some(spec) = spec {
                 comm.enable_chaos(spec);
             }
