@@ -567,10 +567,9 @@ fn print_engine_summary(engine: &Engine, out: &RunOutcome, titled: bool) {
 /// The measured `net.*` totals of a mesh run (in-process or launched).
 fn print_wire_totals(t: &Registry) {
     println!(
-        "  wire {:.6} s | solver wait {:.6} s | hidden by overlap {:.6} s",
+        "  in collectives {:.6} s | of which wait {:.6} s",
         t.gauge("net.comm.wall_secs").unwrap_or(0.0),
         t.gauge("net.wait.wall_secs").unwrap_or(0.0),
-        t.gauge("net.overlap.hidden_secs").unwrap_or(0.0),
     );
     println!(
         "  bytes {} | frames {} | collectives {} | reconnects {}",

@@ -72,8 +72,8 @@ impl<'r, 'c> ExecBackend<'r> for NetBackend<'c> {
         let wire = std::mem::take(&mut ws.pack);
         ws.pack = match overlap {
             Some(f) => {
-                // Real overlap: the comm worker moves bytes while this
-                // thread forms the next block.
+                // Start puts a reduce-leaf's partial on the wire; it and
+                // the peers' progress overlap with forming the next block.
                 let pending = match self.comm.iallreduce_start(wire) {
                     Ok(p) => p,
                     Err(e) => self.fail("fused allreduce start", e),

@@ -62,10 +62,6 @@ pub fn record_net_stats(registry: &mut Registry, comm: &NetComm, wall_secs: f64)
     registry.counter_add("net.reordered", s.reordered);
     registry.gauge_set("net.comm.wall_secs", s.comm_secs);
     registry.gauge_set("net.wait.wall_secs", s.wait_secs);
-    registry.gauge_set(
-        "net.overlap.hidden_secs",
-        (s.comm_secs - s.wait_secs).max(0.0),
-    );
     registry.set_meta("net.rank", comm.rank());
     registry.set_meta("net.size", comm.size());
     registry.set_meta("net.algo", comm.algo());

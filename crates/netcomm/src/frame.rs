@@ -33,6 +33,10 @@ pub const HEADER_LEN: usize = 24;
 /// fails immediately instead of driving a multi-gigabyte allocation.
 pub const MAX_PAYLOAD_BYTES: u32 = 1 << 28;
 
+/// How far a payload buffer may grow ahead of the bytes that have
+/// arrived, and the size of each link's read buffer.
+pub(crate) const READ_CHUNK: usize = 64 << 10;
+
 /// What a frame carries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
@@ -102,13 +106,14 @@ impl Frame {
     /// Serialize into `out` (appended).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.reserve(self.wire_len());
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.push(self.kind as u8);
-        out.push(0);
-        out.extend_from_slice(&self.rank.to_le_bytes());
-        out.extend_from_slice(&self.tag.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&(self.bytes.len() as u32).to_le_bytes());
+        encode_header(
+            out,
+            self.kind,
+            self.rank,
+            self.tag,
+            self.seq,
+            self.bytes.len(),
+        );
         out.extend_from_slice(&self.bytes);
     }
 
@@ -127,6 +132,19 @@ impl Frame {
     /// `io::Error`; the link layer maps them to typed [`NetError`]s with
     /// peer context.
     pub fn read_from<R: Read>(r: &mut R) -> std::io::Result<Result<Frame, NetError>> {
+        let mut f = Frame::data(0, 0, 0, &[]);
+        Ok(f.read_over(r)?.map(|()| f))
+    }
+
+    /// [`Frame::read_from`] into this frame, reusing its payload buffer.
+    /// The buffer grows one [`READ_CHUNK`] at a time as bytes arrive — the
+    /// length prefix is the peer's claim, so a peer that names a large
+    /// payload and goes away has cost one chunk — and a payload up to one
+    /// chunk is a single `read_exact`.
+    pub(crate) fn read_over<R: Read>(
+        &mut self,
+        r: &mut R,
+    ) -> std::io::Result<Result<(), NetError>> {
         let mut header = [0u8; HEADER_LEN];
         r.read_exact(&mut header)?;
         let magic = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
@@ -141,25 +159,43 @@ impl Frame {
                 header[4]
             ))));
         };
-        let rank = u16::from_le_bytes(header[6..8].try_into().expect("2 bytes"));
-        let tag = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-        let seq = u64::from_le_bytes(header[12..20].try_into().expect("8 bytes"));
         let len = u32::from_le_bytes(header[20..24].try_into().expect("4 bytes"));
         if len > MAX_PAYLOAD_BYTES {
             return Ok(Err(NetError::Protocol(format!(
                 "frame payload of {len} bytes exceeds the {MAX_PAYLOAD_BYTES}-byte bound"
             ))));
         }
-        let mut bytes = vec![0u8; len as usize];
-        r.read_exact(&mut bytes)?;
-        Ok(Ok(Frame {
-            kind,
-            rank,
-            tag,
-            seq,
-            bytes,
-        }))
+        self.kind = kind;
+        self.rank = u16::from_le_bytes(header[6..8].try_into().expect("2 bytes"));
+        self.tag = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
+        self.seq = u64::from_le_bytes(header[12..20].try_into().expect("8 bytes"));
+        let len = len as usize;
+        self.bytes.clear();
+        while self.bytes.len() < len {
+            let at = self.bytes.len();
+            self.bytes.resize(at + (len - at).min(READ_CHUNK), 0);
+            r.read_exact(&mut self.bytes[at..])?;
+        }
+        Ok(Ok(()))
     }
+}
+
+/// Append the 24 header bytes of a frame with a `len`-byte payload.
+pub(crate) fn encode_header(
+    out: &mut Vec<u8>,
+    kind: FrameKind,
+    rank: u16,
+    tag: u32,
+    seq: u64,
+    len: usize,
+) {
+    out.extend_from_slice(&MAGIC.to_le_bytes());
+    out.push(kind as u8);
+    out.push(0);
+    out.extend_from_slice(&rank.to_le_bytes());
+    out.extend_from_slice(&tag.to_le_bytes());
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&(len as u32).to_le_bytes());
 }
 
 /// Append `vals` to `out` as `to_bits()` little-endian words.
@@ -232,6 +268,41 @@ mod tests {
         wire[20..24].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = Frame::read_from(&mut wire.as_slice()).unwrap().unwrap_err();
         assert!(matches!(err, NetError::Protocol(_)), "{err}");
+    }
+
+    #[test]
+    fn claimed_length_is_not_allocated_before_bytes_arrive() {
+        // 24 valid header bytes claiming the largest legal payload, then
+        // EOF: the typed error the link layer maps to `Closed`, and no
+        // more than one chunk reserved on the way to it.
+        let mut wire = Vec::new();
+        Frame::data(0, 0, 0, &[]).encode_into(&mut wire);
+        wire[20..24].copy_from_slice(&MAX_PAYLOAD_BYTES.to_le_bytes());
+        let err = Frame::read_from(&mut wire.as_slice()).expect_err("EOF mid-payload");
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        let typed = NetError::from_io(err, Some(1), "recv frame", Default::default());
+        assert!(
+            matches!(typed, NetError::Closed { peer: Some(1) }),
+            "{typed}"
+        );
+
+        let mut f = Frame::data(0, 0, 0, &[]);
+        f.read_over(&mut wire.as_slice())
+            .expect_err("EOF mid-payload");
+        assert!(
+            f.bytes.capacity() <= READ_CHUNK,
+            "reserved {} bytes for a payload that never arrived",
+            f.bytes.capacity()
+        );
+        // …and a payload that does arrive in full still grows past a chunk.
+        let big = Frame {
+            bytes: vec![7u8; 3 * READ_CHUNK + 5],
+            ..f.clone()
+        };
+        let mut wire = Vec::new();
+        big.encode_into(&mut wire);
+        f.read_over(&mut wire.as_slice()).expect("io").expect("ok");
+        assert_eq!(f, big);
     }
 
     #[test]

@@ -27,9 +27,11 @@
 //!   deterministic collectives: a binomial-tree allreduce whose combine
 //!   order is **identical to `mpisim`'s** (so the net engine is bitwise
 //!   reproducible against the thread machine at any rank count), plus a
-//!   bandwidth-optimal ring variant. The nonblocking allreduce runs in a
-//!   background comm worker thread, which is what lets a solver hide the
-//!   real wire time behind its overlap window.
+//!   bandwidth-optimal ring variant. Collectives run on the calling
+//!   thread: the nonblocking allreduce does at `start` what needs no peer
+//!   (a reduce-leaf's send) and the rest at `wait`, so what a solver's
+//!   overlap window hides is the time its partial spends in the socket
+//!   buffer and its peers spend getting to their own `wait`.
 //! * [`cluster`] — an in-process harness running P thread-ranks over real
 //!   loopback sockets, for tests and `saco simulate --engine net`.
 //!
@@ -174,9 +176,9 @@ impl NetError {
     }
 }
 
-/// Wire/activity counters shared by every link of a [`NetComm`]: plain
-/// atomics so the background comm worker and the solver thread update
-/// them without locks. Snapshot with [`NetStats::snapshot`].
+/// Wire/activity counters shared by every link of a [`NetComm`] (plain
+/// atomics: a handshake helper or a telemetry reader may hold the `Arc`
+/// on another thread). Snapshot with [`NetStats::snapshot`].
 #[derive(Debug, Default)]
 pub struct NetStats {
     /// Payload + header bytes written to sockets.
@@ -195,11 +197,12 @@ pub struct NetStats {
     pub reconnects: AtomicU64,
     /// Collectives completed (allreduces + barriers).
     pub collectives: AtomicU64,
-    /// Wall nanoseconds the comm worker spent inside collective
-    /// operations (wire time, whether or not the solver overlapped it).
+    /// Wall nanoseconds this rank's thread spent inside collective code:
+    /// the start part (tag, eager send) plus the wait part.
     pub comm_nanos: AtomicU64,
-    /// Wall nanoseconds the solver thread spent *blocked* waiting on
-    /// collective results — the visible (un-hidden) communication time.
+    /// The wait part of `comm_nanos`: running a collective to completion
+    /// once the solver has nothing left to overlap with it — receives,
+    /// combines, the remaining sends, and all the blocking in between.
     pub wait_nanos: AtomicU64,
     /// Frames that arrived ahead of sequence and were buffered for
     /// in-order release.
@@ -250,9 +253,10 @@ pub struct StatsSnapshot {
     pub reconnects: u64,
     /// Collectives completed.
     pub collectives: u64,
-    /// Wall seconds the comm worker spent on the wire.
+    /// Wall seconds this rank's thread spent inside collective code
+    /// (start + wait).
     pub comm_secs: f64,
-    /// Wall seconds the solver thread was blocked on collectives.
+    /// The wait part of `comm_secs`.
     pub wait_secs: f64,
     /// Frames buffered for in-order release.
     pub reordered: u64,

@@ -23,10 +23,16 @@
 //! is the bandwidth-optimal alternative (still deterministic, different
 //! association).
 //!
-//! All collectives run on a dedicated comm worker thread; the solver
-//! talks to it through a channel. A blocking allreduce is just
-//! start-then-wait, and the nonblocking form is real overlap: the worker
-//! moves bytes while the solver computes.
+//! Collectives run on the thread that calls them — no thread is spawned
+//! and nothing is handed off. [`NetComm::iallreduce_start`] runs the tree
+//! up to its first receive, which for a reduce-leaf means writing its
+//! partial to its parent; [`NetComm::iallreduce_wait`] runs the rest. A
+//! blocking allreduce is start-then-wait over the same code. What overlaps
+//! with the solver's next block is therefore the kernel's socket buffer
+//! and the peers' own progress, not a local helper: a leaf's data is
+//! already at its parent when the parent reaches `wait`, while an interior
+//! rank makes no progress between `start` and `wait`. One collective is
+//! in flight per rank at a time; starting a second is a protocol error.
 
 use crate::backoff::Backoff;
 use crate::frame::{Frame, FrameKind};
@@ -35,7 +41,7 @@ use crate::transport::{self, Addr, Listener, Stream};
 use crate::{NetError, NetStats, StatsSnapshot};
 use std::path::Path;
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Which allreduce algorithm the mesh runs.
@@ -132,95 +138,104 @@ impl NetConfig {
 }
 
 /// The per-rank links plus the collective algorithms that run over them.
-/// Owned by the comm worker thread once the mesh is up.
 struct Links {
     rank: usize,
     size: usize,
     algo: Algo,
-    /// Indexed by peer rank; `None` at `self.rank` and for peers this
-    /// rank never exchanges tree/ring traffic with is still populated —
-    /// the mesh is full, only `links[rank]` is `None`.
+    /// Indexed by peer rank: the mesh is full, only `links[rank]` is
+    /// `None` — until [`Links::close`] drops them all.
     links: Vec<Option<OrderedLink>>,
     next_tag: u32,
     stats: Arc<NetStats>,
 }
 
+/// Where an allreduce stands between start and wait. A tree resumes at
+/// reduce distance `at`; the ring has no step that needs no peer, so it
+/// runs wholly inside `finish`.
+#[derive(Debug)]
+struct Progress {
+    algo: Algo,
+    tag: u32,
+    at: usize,
+}
+
 impl Links {
-    fn link(&mut self, peer: usize) -> &mut OrderedLink {
-        self.links[peer]
-            .as_mut()
-            .expect("mesh is full: every peer except self has a link")
+    fn link(&mut self, peer: usize) -> Result<&mut OrderedLink, NetError> {
+        self.links
+            .get_mut(peer)
+            .and_then(Option::as_mut)
+            .ok_or(NetError::Closed { peer: Some(peer) })
     }
 
-    /// One in-place allreduce (sum) over all ranks, timed into
-    /// `stats.comm_nanos`.
-    fn allreduce(&mut self, buf: &mut [f64]) -> Result<(), NetError> {
+    /// Take the next collective tag and run `algo` as far as it goes
+    /// without waiting on a peer, timed into `stats.comm_nanos`.
+    fn start(&mut self, algo: Algo, buf: &mut [f64]) -> Result<Progress, NetError> {
         let tag = self.next_tag;
         self.next_tag = self.next_tag.wrapping_add(1);
         let t0 = Instant::now();
-        let r = match self.algo {
-            Algo::Tree => self.tree_allreduce(tag, buf),
-            Algo::Ring => self.ring_allreduce(tag, buf),
+        let at = match algo {
+            Algo::Tree => self.tree_allreduce(tag, buf, 1, false),
+            Algo::Ring => Ok(0),
         };
         NetStats::add_nanos(&self.stats.comm_nanos, t0.elapsed());
-        self.stats.collectives.fetch_add(1, Ordering::Relaxed);
-        r
+        Ok(Progress { algo, tag, at: at? })
     }
 
-    /// A barrier is a tree allreduce of an empty payload: it crosses
-    /// exactly the tree edges, so it synchronizes without arithmetic.
-    fn barrier(&mut self) -> Result<(), NetError> {
-        let tag = self.next_tag;
-        self.next_tag = self.next_tag.wrapping_add(1);
+    /// Run a started collective to completion, timed into both
+    /// `stats.comm_nanos` and `stats.wait_nanos`.
+    fn finish(&mut self, p: Progress, buf: &mut [f64]) -> Result<(), NetError> {
         let t0 = Instant::now();
-        let mut empty = Vec::new();
-        let r = self.tree_allreduce(tag, &mut empty);
-        NetStats::add_nanos(&self.stats.comm_nanos, t0.elapsed());
-        self.stats.collectives.fetch_add(1, Ordering::Relaxed);
-        r
+        let out = match p.algo {
+            Algo::Tree => self.tree_allreduce(p.tag, buf, p.at, true).map(drop),
+            Algo::Ring => self.ring_allreduce(p.tag, buf),
+        };
+        let spent = t0.elapsed();
+        NetStats::add_nanos(&self.stats.comm_nanos, spent);
+        NetStats::add_nanos(&self.stats.wait_nanos, spent);
+        out
     }
 
     /// Binomial-tree reduce-to-0 + broadcast, combine order identical to
     /// `mpisim::thread_machine`: at distance d the receiving rank
     /// (`rank % 2d == 0`) adds its partner's partial **after** its own.
-    fn tree_allreduce(&mut self, tag: u32, buf: &mut [f64]) -> Result<(), NetError> {
+    ///
+    /// Resumable at a receive: entered at reduce distance `from`, and
+    /// with `may_wait` false it returns the distance it stopped at instead
+    /// of receiving. A rank with nothing to receive before its send up
+    /// (every odd rank) has then already sent; resuming from the returned
+    /// distance with `may_wait` true runs the remaining steps.
+    fn tree_allreduce(
+        &mut self,
+        tag: u32,
+        buf: &mut [f64],
+        from: usize,
+        may_wait: bool,
+    ) -> Result<usize, NetError> {
         let (rank, size) = (self.rank, self.size);
         // Reduce toward rank 0.
-        let mut d = 1;
+        let mut d = from;
         while d < size {
             if rank % (2 * d) == d {
-                let parent = rank - d;
-                self.link(parent).send_f64(tag, buf)?;
-                break; // this rank's partial has been absorbed upstream
+                self.link(rank - d)?.send_f64(tag, buf)?;
+                d = size; // this rank's partial has been absorbed upstream
+                break;
             }
             if rank % (2 * d) == 0 && rank + d < size {
-                let partner = rank + d;
-                let v = self.link(partner).recv_f64(tag)?;
-                if v.len() != buf.len() {
-                    return Err(NetError::Protocol(format!(
-                        "rank {partner} reduced {} words into a {}-word collective",
-                        v.len(),
-                        buf.len()
-                    )));
+                if !may_wait {
+                    return Ok(d);
                 }
-                for (b, v) in buf.iter_mut().zip(v) {
-                    *b += v;
-                }
+                self.link(rank + d)?
+                    .recv_f64_with(tag, buf, |b, v| *b += v)?;
             }
             d *= 2;
+        }
+        if !may_wait {
+            return Ok(d);
         }
         // Broadcast the total down the mirror tree.
         if rank != 0 {
             let parent = rank & (rank - 1);
-            let v = self.link(parent).recv_f64(tag)?;
-            if v.len() != buf.len() {
-                return Err(NetError::Protocol(format!(
-                    "rank {parent} broadcast {} words into a {}-word collective",
-                    v.len(),
-                    buf.len()
-                )));
-            }
-            buf.copy_from_slice(&v);
+            self.link(parent)?.recv_f64_with(tag, buf, |b, v| *b = v)?;
         }
         let top = size.next_power_of_two();
         let lowest = if rank == 0 {
@@ -228,14 +243,14 @@ impl Links {
         } else {
             rank & rank.wrapping_neg()
         };
-        let mut d = lowest / 2;
-        while d >= 1 {
-            if rank + d < size {
-                self.link(rank + d).send_f64(tag, buf)?;
+        let mut down = lowest / 2;
+        while down >= 1 {
+            if rank + down < size {
+                self.link(rank + down)?.send_f64(tag, buf)?;
             }
-            d /= 2;
+            down /= 2;
         }
-        Ok(())
+        Ok(d)
     }
 
     /// Reduce-scatter + allgather ring. Each step sends one chunk to
@@ -259,58 +274,28 @@ impl Links {
         for t in 0..size - 1 {
             let send_c = (rank + size - t) % size;
             let recv_c = (rank + size - t - 1) % size;
-            let out = buf[range(send_c)].to_vec();
-            self.link(next).send_f64(tag, &out)?;
-            let v = self.link(prev).recv_f64(tag)?;
-            let dst = &mut buf[range(recv_c)];
-            if v.len() != dst.len() {
-                return Err(NetError::Protocol(format!(
-                    "ring step {t}: got {} words for a {}-word chunk",
-                    v.len(),
-                    dst.len()
-                )));
-            }
-            for (b, v) in dst.iter_mut().zip(v) {
-                *b += v;
-            }
+            self.link(next)?.send_f64(tag, &buf[range(send_c)])?;
+            self.link(prev)?
+                .recv_f64_with(tag, &mut buf[range(recv_c)], |b, v| *b += v)?;
         }
         // Allgather: circulate the finished chunks.
         for t in 0..size - 1 {
             let send_c = (rank + 1 + size - t) % size;
             let recv_c = (rank + size - t) % size;
-            let out = buf[range(send_c)].to_vec();
-            self.link(next).send_f64(tag, &out)?;
-            let v = self.link(prev).recv_f64(tag)?;
-            let dst = &mut buf[range(recv_c)];
-            if v.len() != dst.len() {
-                return Err(NetError::Protocol(format!(
-                    "ring gather step {t}: got {} words for a {}-word chunk",
-                    v.len(),
-                    dst.len()
-                )));
-            }
-            dst.copy_from_slice(&v);
+            self.link(next)?.send_f64(tag, &buf[range(send_c)])?;
+            self.link(prev)?
+                .recv_f64_with(tag, &mut buf[range(recv_c)], |b, v| *b = v)?;
         }
         Ok(())
     }
 
+    /// Bye every link and drop it; a collective after this is `Closed`.
     fn close(&mut self) {
         for l in self.links.iter_mut().flatten() {
             l.close();
         }
+        self.links.clear();
     }
-}
-
-/// What the solver thread asks the comm worker to do.
-enum Cmd {
-    Allreduce {
-        buf: Vec<f64>,
-        reply: mpsc::Sender<Result<Vec<f64>, NetError>>,
-    },
-    Barrier {
-        reply: mpsc::Sender<Result<(), NetError>>,
-    },
-    Shutdown,
 }
 
 /// A nonblocking allreduce in flight; redeem with
@@ -319,35 +304,33 @@ enum Cmd {
 pub enum PendingReduce {
     /// Single-rank fast path: the reduction of one partial is itself.
     Immediate(Vec<f64>),
-    /// The comm worker is moving bytes; the result arrives on this
-    /// channel.
-    Inflight(mpsc::Receiver<Result<Vec<f64>, NetError>>),
+    /// Started on the wire; `wait` runs the remaining steps.
+    Inflight(InflightReduce),
+}
+
+/// The partial being reduced and how far its collective has got.
+pub struct InflightReduce {
+    buf: Vec<f64>,
+    progress: Progress,
 }
 
 /// A rank's connection to the mesh: the public API of this crate.
 ///
-/// All collectives are issued in program order through the comm worker,
-/// so every rank must call them in the same order — the same contract as
-/// MPI communicators and `mpisim`'s virtual cluster.
+/// Collectives run in program order on the calling thread, one in flight
+/// at a time, so every rank must call them in the same order — the same
+/// contract as MPI communicators and `mpisim`'s virtual cluster.
 pub struct NetComm {
-    rank: usize,
-    size: usize,
     rendezvous: Addr,
-    algo: Algo,
-    io_timeout: Duration,
-    stats: Arc<NetStats>,
-    worker: Option<WorkerHandle>,
-}
-
-struct WorkerHandle {
-    tx: mpsc::Sender<Cmd>,
-    join: Option<std::thread::JoinHandle<()>>,
+    mesh: Links,
+    /// A started collective has not been waited for yet. A second one
+    /// would interleave its tag with the first's on the wire.
+    in_flight: bool,
 }
 
 impl NetComm {
     /// Join the mesh described by `cfg`: bind, rendezvous, form all P−1
-    /// links, run the initial barrier, and start the comm worker.
-    /// Single-rank meshes open no sockets at all.
+    /// links and run the initial barrier. Single-rank meshes open no
+    /// sockets at all.
     pub fn establish(cfg: NetConfig) -> Result<NetComm, NetError> {
         if cfg.size == 0 || cfg.rank >= cfg.size {
             return Err(NetError::Protocol(format!(
@@ -362,51 +345,38 @@ impl NetComm {
             )));
         }
         let stats = Arc::new(NetStats::default());
-        if cfg.size == 1 {
-            return Ok(NetComm {
-                rank: 0,
-                size: 1,
-                rendezvous: cfg.rendezvous,
-                algo: cfg.algo,
-                io_timeout: cfg.io_timeout,
-                stats,
-                worker: None,
-            });
-        }
-        let mut links = form_mesh(&cfg, &stats)?;
-        // A half-formed mesh must fail at startup, not deadlock later.
-        links.barrier()?;
-        let (tx, rx) = mpsc::channel::<Cmd>();
-        let join = std::thread::Builder::new()
-            .name(format!("netcomm-r{}", cfg.rank))
-            .spawn(move || worker_loop(links, rx))
-            .map_err(|e| NetError::Io {
-                peer: None,
-                during: "spawn comm worker",
-                source: e,
-            })?;
-        Ok(NetComm {
-            rank: cfg.rank,
-            size: cfg.size,
+        let links = if cfg.size == 1 {
+            vec![None]
+        } else {
+            form_mesh(&cfg, &stats)?
+        };
+        let mut comm = NetComm {
             rendezvous: cfg.rendezvous,
-            algo: cfg.algo,
-            io_timeout: cfg.io_timeout,
-            stats,
-            worker: Some(WorkerHandle {
-                tx,
-                join: Some(join),
-            }),
-        })
+            mesh: Links {
+                rank: cfg.rank,
+                size: cfg.size,
+                algo: cfg.algo,
+                links,
+                next_tag: 1, // tag 0 is reserved for the handshake frames
+                stats,
+            },
+            in_flight: false,
+        };
+        if cfg.size > 1 {
+            // A half-formed mesh must fail at startup, not deadlock later.
+            comm.barrier()?;
+        }
+        Ok(comm)
     }
 
     /// This rank.
     pub fn rank(&self) -> usize {
-        self.rank
+        self.mesh.rank
     }
 
     /// Mesh size P.
     pub fn size(&self) -> usize {
-        self.size
+        self.mesh.size
     }
 
     /// The rendezvous address (recorded in run-report headers).
@@ -416,50 +386,48 @@ impl NetComm {
 
     /// The collective algorithm in use.
     pub fn algo(&self) -> Algo {
-        self.algo
+        self.mesh.algo
     }
 
     /// Counters at this instant.
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        self.mesh.stats.snapshot()
     }
 
-    /// Start a nonblocking sum-allreduce of `buf` across all ranks. The
-    /// comm worker does the wire work; compute until
-    /// [`NetComm::iallreduce_wait`].
+    /// Start a nonblocking sum-allreduce of `buf` across all ranks: the
+    /// steps that need no peer run now (a reduce-leaf's partial is on the
+    /// wire when this returns), the rest in [`NetComm::iallreduce_wait`].
+    /// Errors, with nothing written, while another collective is pending.
     pub fn iallreduce_start(&mut self, buf: Vec<f64>) -> Result<PendingReduce, NetError> {
-        match &self.worker {
-            None => {
-                self.stats.collectives.fetch_add(1, Ordering::Relaxed);
-                Ok(PendingReduce::Immediate(buf))
-            }
-            Some(w) => {
-                let (reply, rx) = mpsc::channel();
-                w.tx.send(Cmd::Allreduce { buf, reply })
-                    .map_err(|_| worker_gone())?;
-                Ok(PendingReduce::Inflight(rx))
-            }
-        }
+        self.start(self.mesh.algo, buf)
     }
 
-    /// Block until a pending allreduce completes; the blocked time is the
-    /// *visible* communication cost, counted in `stats.wait_nanos`.
+    fn start(&mut self, algo: Algo, mut buf: Vec<f64>) -> Result<PendingReduce, NetError> {
+        if self.in_flight {
+            return Err(NetError::Protocol(
+                "a collective is already in flight on this rank: wait for it first".into(),
+            ));
+        }
+        let pending = if self.mesh.size == 1 {
+            PendingReduce::Immediate(buf)
+        } else {
+            let progress = self.mesh.start(algo, &mut buf)?;
+            PendingReduce::Inflight(InflightReduce { buf, progress })
+        };
+        self.in_flight = true;
+        Ok(pending)
+    }
+
+    /// Run a pending allreduce to completion and return the total. The
+    /// time spent here is the *visible* communication cost, counted in
+    /// `stats.wait_nanos` (and, like the start, in `stats.comm_nanos`).
     pub fn iallreduce_wait(&mut self, pending: PendingReduce) -> Result<Vec<f64>, NetError> {
+        self.in_flight = false;
+        self.mesh.stats.collectives.fetch_add(1, Ordering::Relaxed);
         match pending {
             PendingReduce::Immediate(v) => Ok(v),
-            PendingReduce::Inflight(rx) => {
-                let t0 = Instant::now();
-                let out = match rx.recv_timeout(self.reply_budget()) {
-                    Ok(res) => res,
-                    Err(mpsc::RecvTimeoutError::Timeout) => Err(NetError::Timeout {
-                        peer: None,
-                        during: "allreduce wait",
-                        waited: t0.elapsed(),
-                    }),
-                    Err(mpsc::RecvTimeoutError::Disconnected) => Err(worker_gone()),
-                };
-                NetStats::add_nanos(&self.stats.wait_nanos, t0.elapsed());
-                out
+            PendingReduce::Inflight(InflightReduce { mut buf, progress }) => {
+                self.mesh.finish(progress, &mut buf).map(|()| buf)
             }
         }
     }
@@ -476,49 +444,17 @@ impl NetComm {
         Ok(self.allreduce_sum(vec![x])?[0])
     }
 
-    /// Synchronize all ranks.
+    /// Synchronize all ranks: a tree allreduce of an empty payload, which
+    /// crosses exactly the tree edges and does no arithmetic.
     pub fn barrier(&mut self) -> Result<(), NetError> {
-        match &self.worker {
-            None => {
-                self.stats.collectives.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Some(w) => {
-                let (reply, rx) = mpsc::channel();
-                w.tx.send(Cmd::Barrier { reply })
-                    .map_err(|_| worker_gone())?;
-                let t0 = Instant::now();
-                let out = match rx.recv_timeout(self.reply_budget()) {
-                    Ok(res) => res,
-                    Err(mpsc::RecvTimeoutError::Timeout) => Err(NetError::Timeout {
-                        peer: None,
-                        during: "barrier",
-                        waited: t0.elapsed(),
-                    }),
-                    Err(mpsc::RecvTimeoutError::Disconnected) => Err(worker_gone()),
-                };
-                NetStats::add_nanos(&self.stats.wait_nanos, t0.elapsed());
-                out
-            }
-        }
+        let p = self.start(Algo::Tree, Vec::new())?;
+        self.iallreduce_wait(p).map(drop)
     }
 
-    /// Orderly teardown: stop the worker, Bye every link. Also runs on
-    /// drop; calling it twice is a no-op.
+    /// Orderly teardown: Bye every link. Also runs on drop; calling it
+    /// twice is a no-op.
     pub fn shutdown(&mut self) {
-        if let Some(mut w) = self.worker.take() {
-            let _ = w.tx.send(Cmd::Shutdown);
-            if let Some(j) = w.join.take() {
-                let _ = j.join();
-            }
-        }
-    }
-
-    /// How long a solver waits on the worker before declaring the mesh
-    /// dead: every collective is at most ~2·P sequential link operations,
-    /// each bounded by the socket I/O timeout.
-    fn reply_budget(&self) -> Duration {
-        self.io_timeout.saturating_mul(2 * self.size as u32 + 4)
+        self.mesh.close();
     }
 }
 
@@ -528,33 +464,8 @@ impl Drop for NetComm {
     }
 }
 
-fn worker_gone() -> NetError {
-    NetError::Protocol("comm worker terminated unexpectedly".into())
-}
-
-fn worker_loop(mut links: Links, rx: mpsc::Receiver<Cmd>) {
-    loop {
-        match rx.recv() {
-            Ok(Cmd::Allreduce { mut buf, reply }) => {
-                let out = match links.allreduce(&mut buf) {
-                    Ok(()) => Ok(buf),
-                    Err(e) => Err(e),
-                };
-                let _ = reply.send(out);
-            }
-            Ok(Cmd::Barrier { reply }) => {
-                let _ = reply.send(links.barrier());
-            }
-            Ok(Cmd::Shutdown) | Err(_) => {
-                links.close();
-                return;
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
-// Mesh formation (runs on the solver thread, before the worker exists).
+// Mesh formation.
 // ---------------------------------------------------------------------
 
 /// Raw (pre-ordering) handshake send: the frame layer directly, counted.
@@ -591,7 +502,7 @@ fn hello(rank: usize, addr: &str) -> Frame {
     }
 }
 
-fn form_mesh(cfg: &NetConfig, stats: &Arc<NetStats>) -> Result<Links, NetError> {
+fn form_mesh(cfg: &NetConfig, stats: &Arc<NetStats>) -> Result<Vec<Option<OrderedLink>>, NetError> {
     let deadline = Instant::now() + cfg.connect.total_wait() + cfg.io_timeout;
     let mut slots: Vec<Option<OrderedLink>> = (0..cfg.size).map(|_| None).collect();
     if cfg.rank == 0 {
@@ -736,20 +647,21 @@ fn form_mesh(cfg: &NetConfig, stats: &Arc<NetStats>) -> Result<Links, NetError> 
         // file) can go.
         drop(my_listener);
     }
-    Ok(Links {
-        rank: cfg.rank,
-        size: cfg.size,
-        algo: cfg.algo,
-        links: slots,
-        next_tag: 1, // tag 0 is reserved for the handshake frames
-        stats: Arc::clone(stats),
-    })
+    Ok(slots)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::os::unix::net::UnixStream;
+
+    impl Links {
+        /// One in-place blocking allreduce (sum) over all ranks.
+        fn allreduce(&mut self, buf: &mut [f64]) -> Result<(), NetError> {
+            let p = self.start(self.algo, buf)?;
+            self.finish(p, buf)
+        }
+    }
 
     /// A size-2 `Links` pair over a real socketpair, bypassing rendezvous
     /// — lets the collectives be unit-tested without process spawning.

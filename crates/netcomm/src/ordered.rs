@@ -10,11 +10,12 @@
 //! deterministic over any transport that preserves frames at all — and
 //! loudly broken over one that does not.
 
-use crate::frame::{Frame, FrameKind};
+use crate::frame::{self, Frame, FrameKind, READ_CHUNK};
 use crate::transport::Stream;
 use crate::{NetError, NetStats};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
+use std::io::{BufReader, Write};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -43,20 +44,36 @@ impl Reorderer {
                 f.seq, f.rank, self.next
             )));
         }
-        let mut buffered = 0;
         if f.seq == self.next {
-            self.next += 1;
             self.ready.push_back(f);
-            // Release any earlier arrivals that are now contiguous.
-            while let Some(g) = self.pending.remove(&self.next) {
-                self.next += 1;
-                self.ready.push_back(g);
-            }
+            self.advance();
+            Ok(0)
         } else {
-            buffered = 1;
             self.pending.insert(f.seq, f);
+            Ok(1)
         }
-        Ok(buffered)
+    }
+
+    /// Step past the expected sequence number and release any earlier
+    /// arrivals that are now contiguous.
+    fn advance(&mut self) {
+        self.next += 1;
+        while let Some(g) = self.pending.remove(&self.next) {
+            self.next += 1;
+            self.ready.push_back(g);
+        }
+    }
+
+    /// The healthy-link fast path: `true` if `seq` is the frame expected
+    /// next and nothing is queued ahead of it, in which case it counts as
+    /// delivered and the caller keeps its payload where it is. Otherwise
+    /// nothing changes and the frame must go through [`Reorderer::accept`].
+    pub(crate) fn passes(&mut self, seq: u64) -> bool {
+        let in_order = seq == self.next && self.ready.is_empty();
+        if in_order {
+            self.advance();
+        }
+        in_order
     }
 
     /// Next in-order frame, if one is ready.
@@ -72,15 +89,23 @@ impl Reorderer {
 
 /// One fully-formed link to a peer rank: a stream plus send-side sequence
 /// stamping and receive-side order checking, with every byte accounted to
-/// the shared [`NetStats`].
+/// the shared [`NetStats`]. A data frame costs one `write` going out and
+/// (up to the read buffer's size) one `read` coming in, through buffers
+/// the link keeps across frames.
 #[derive(Debug)]
 pub struct OrderedLink {
-    stream: Stream,
+    /// Reads go through a `READ_CHUNK` buffer, so the header and payload
+    /// of a small frame arrive together; writes go to the socket directly.
+    stream: BufReader<Stream>,
     /// The peer's rank.
     pub peer: usize,
     local_rank: u16,
     send_seq: u64,
     reorder: Reorderer,
+    /// The outgoing frame being encoded.
+    wire: Vec<u8>,
+    /// The frame last received.
+    frame: Frame,
     stats: Arc<NetStats>,
 }
 
@@ -93,69 +118,73 @@ impl OrderedLink {
         stats: Arc<NetStats>,
     ) -> OrderedLink {
         OrderedLink {
-            stream,
+            stream: BufReader::with_capacity(READ_CHUNK, stream),
             peer,
             local_rank: local_rank as u16,
             send_seq: 0,
             reorder: Reorderer::new(),
+            wire: Vec::new(),
+            frame: Frame::data(0, 0, 0, &[]),
             stats,
         }
     }
 
     /// Send `payload` as the next data frame on this link.
     pub fn send_f64(&mut self, tag: u32, payload: &[f64]) -> Result<(), NetError> {
-        let f = Frame::data(self.local_rank, tag, self.send_seq, payload);
-        self.send_frame(f)
+        self.send(FrameKind::Data, tag, payload)
     }
 
-    /// Send a payload-free frame of the given kind (barrier token, Bye…).
-    pub fn send_signal(&mut self, kind: FrameKind, tag: u32) -> Result<(), NetError> {
-        let f = Frame {
-            kind,
-            rank: self.local_rank,
-            tag,
-            seq: self.send_seq,
-            bytes: Vec::new(),
-        };
-        self.send_frame(f)
-    }
-
-    fn send_frame(&mut self, f: Frame) -> Result<(), NetError> {
+    /// Encode header and payload into the link's buffer and hand them to
+    /// the socket as one write — frame latency is the α the SA methods
+    /// avoid, so a frame is never split across syscalls by this layer.
+    fn send(&mut self, kind: FrameKind, tag: u32, payload: &[f64]) -> Result<(), NetError> {
         let t0 = Instant::now();
-        let wire = f.wire_len() as u64;
-        f.write_to(&mut self.stream)
+        self.wire.clear();
+        let (rank, seq) = (self.local_rank, self.send_seq);
+        frame::encode_header(&mut self.wire, kind, rank, tag, seq, payload.len() * 8);
+        frame::encode_f64s(payload, &mut self.wire);
+        self.stream
+            .get_mut()
+            .write_all(&self.wire)
             .map_err(|e| NetError::from_io(e, Some(self.peer), "send frame", t0.elapsed()))?;
         self.send_seq += 1;
-        self.stats.bytes_tx.fetch_add(wire, Ordering::Relaxed);
+        self.stats
+            .bytes_tx
+            .fetch_add(self.wire.len() as u64, Ordering::Relaxed);
         self.stats.frames_tx.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Receive the next in-order frame. Blocks at most the stream's
-    /// configured I/O timeout; a dead peer yields `Timeout`/`Closed`.
-    pub fn recv(&mut self) -> Result<Frame, NetError> {
+    /// Receive the next in-order frame into `self.frame`. Blocks at most
+    /// the stream's configured I/O timeout; a dead peer yields
+    /// `Timeout`/`Closed`.
+    fn recv(&mut self) -> Result<(), NetError> {
         loop {
             if let Some(f) = self.reorder.pop_ready() {
-                return Ok(f);
+                self.frame = f;
+                return Ok(());
             }
             let t0 = Instant::now();
-            let f = Frame::read_from(&mut self.stream)
+            self.frame
+                .read_over(&mut self.stream)
                 .map_err(|e| NetError::from_io(e, Some(self.peer), "recv frame", t0.elapsed()))??;
             self.stats
                 .bytes_rx
-                .fetch_add(f.wire_len() as u64, Ordering::Relaxed);
+                .fetch_add(self.frame.wire_len() as u64, Ordering::Relaxed);
             self.stats.frames_rx.fetch_add(1, Ordering::Relaxed);
-            let buffered = self.reorder.accept(f)?;
-            if buffered > 0 {
-                self.stats.reordered.fetch_add(buffered, Ordering::Relaxed);
+            if self.reorder.passes(self.frame.seq) {
+                return Ok(());
             }
+            let buffered = self.reorder.accept(self.frame.clone())?;
+            self.stats.reordered.fetch_add(buffered, Ordering::Relaxed);
         }
     }
 
-    /// Receive the next in-order frame and decode it as `f64` words,
-    /// checking that it belongs to collective `tag`.
-    pub fn recv_f64(&mut self, tag: u32) -> Result<Vec<f64>, NetError> {
-        let f = self.recv()?;
+    /// The wire bytes of the next in-order data frame, checked to belong
+    /// to collective `tag`.
+    fn recv_data(&mut self, tag: u32) -> Result<&[u8], NetError> {
+        self.recv()?;
+        let f = &self.frame;
         if f.kind == FrameKind::Bye {
             return Err(NetError::Closed {
                 peer: Some(self.peer),
@@ -167,25 +196,44 @@ impl OrderedLink {
                 f.rank, f.tag
             )));
         }
-        f.payload_f64()
+        Ok(&f.bytes)
     }
 
-    /// Receive a payload-free signal frame for collective `tag`.
-    pub fn recv_signal(&mut self, tag: u32) -> Result<FrameKind, NetError> {
-        let f = self.recv()?;
-        if f.tag != tag {
+    /// Receive the next in-order frame and decode it as `f64` words,
+    /// checking that it belongs to collective `tag`.
+    pub fn recv_f64(&mut self, tag: u32) -> Result<Vec<f64>, NetError> {
+        frame::decode_f64s(self.recv_data(tag)?)
+    }
+
+    /// Receive the next in-order frame of collective `tag` straight into
+    /// `buf`: `combine(&mut buf[i], word i)` for each decoded word. A
+    /// frame of any other length than `buf`'s is a protocol error.
+    pub fn recv_f64_with(
+        &mut self,
+        tag: u32,
+        buf: &mut [f64],
+        combine: impl Fn(&mut f64, f64),
+    ) -> Result<(), NetError> {
+        let peer = self.peer;
+        let bytes = self.recv_data(tag)?;
+        if bytes.len() != buf.len() * 8 {
             return Err(NetError::Protocol(format!(
-                "rank {} answered tag {} while this rank is in collective {tag}",
-                f.rank, f.tag
+                "rank {peer} sent {} bytes into a {}-word collective",
+                bytes.len(),
+                buf.len()
             )));
         }
-        Ok(f.kind)
+        for (b, w) in buf.iter_mut().zip(bytes.chunks_exact(8)) {
+            let bits = u64::from_le_bytes(w.try_into().expect("8 bytes"));
+            combine(b, f64::from_bits(bits));
+        }
+        Ok(())
     }
 
     /// Best-effort orderly close: send Bye, shut the socket down.
     pub fn close(&mut self) {
-        let _ = self.send_signal(FrameKind::Bye, u32::MAX);
-        self.stream.shutdown();
+        let _ = self.send(FrameKind::Bye, u32::MAX, &[]);
+        self.stream.get_ref().shutdown();
     }
 }
 

@@ -1,5 +1,8 @@
 //! Crate-level tests of the real socket mesh: frame fuzz, allreduce vs
-//! serial references (bitwise), timeout and retry behaviour, overlap.
+//! serial references (bitwise), timeout and retry behaviour, overlap,
+//! and what running collectives on the caller's thread changes — one
+//! collective in flight, eager sends that block, peers lost mid-run, no
+//! helper thread.
 
 use netcomm::cluster::{run_local, run_local_algo};
 use netcomm::frame::Frame;
@@ -134,7 +137,7 @@ fn overlapped_allreduce_matches_blocking() {
         let mine: Vec<f64> = (0..40).map(|i| 0.7 * (rank * 40 + i) as f64).collect();
         let blocking = comm.allreduce_sum(mine.clone()).expect("blocking");
         let pending = comm.iallreduce_start(mine).expect("start");
-        // "Compute" while the worker moves bytes.
+        // "Compute" while the leaves' partials sit in the socket buffers.
         let busy: f64 = (0..1000).map(|i| (i as f64).sqrt()).sum();
         assert!(busy > 0.0);
         let overlapped = comm.iallreduce_wait(pending).expect("wait");
@@ -262,7 +265,8 @@ fn tcp_loopback_mesh_reduces() {
     }
 }
 
-/// The worker accounts wire time and the solver accounts blocked time.
+/// `comm_secs` is the time inside collective code (start + wait),
+/// `wait_secs` the wait part of it.
 #[test]
 fn stats_account_comm_and_wait_time() {
     let snaps = run_local(2, |rank, comm| {
@@ -289,4 +293,229 @@ fn single_rank_pending_reduce_is_identity() {
     let pending = c.iallreduce_start(vec![9.0, -9.0]).expect("start");
     assert!(matches!(pending, PendingReduce::Immediate(_)));
     assert_eq!(c.iallreduce_wait(pending).expect("wait"), vec![9.0, -9.0]);
+}
+
+/// A P-rank Unix-socket mesh on threads this test owns. Each rank holds
+/// its `NetComm` by value, so it can drop it mid-run, and the I/O timeout
+/// is the caller's, so a lost peer is noticed in test time.
+fn owned_mesh<R: Send>(
+    name: &str,
+    p: usize,
+    io_timeout: Duration,
+    f: impl Fn(usize, NetComm) -> R + Sync,
+) -> Vec<R> {
+    let dir = std::env::temp_dir().join(format!("saco-net-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let outs = std::thread::scope(|sc| {
+        let ranks: Vec<_> = (0..p)
+            .map(|rank| {
+                let mut cfg = NetConfig::unix(rank, p, &dir);
+                cfg.io_timeout = io_timeout;
+                let f = &f;
+                sc.spawn(move || {
+                    let comm = NetComm::establish(cfg)
+                        .unwrap_or_else(|e| panic!("rank {rank}: failed to join mesh: {e}"));
+                    f(rank, comm)
+                })
+            })
+            .collect();
+        ranks
+            .into_iter()
+            .map(|h| h.join().expect("rank thread"))
+            .collect()
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    outs
+}
+
+/// Collectives run inline, so a second one started before the first is
+/// waited for would interleave tags on the wire. It is refused with
+/// nothing sent, and the pending one still redeems.
+#[test]
+fn second_collective_while_one_is_pending_is_refused_unsent() {
+    let partials: Vec<Vec<f64>> = (0..4)
+        .map(|r| (0..7).map(|i| 0.3 * r as f64 + 0.1 * i as f64).collect())
+        .collect();
+    let expect = tree_reference(&partials);
+    let outs = run_local(4, |rank, comm| {
+        let pending = comm
+            .iallreduce_start(partials[rank].clone())
+            .expect("start");
+        let sent = comm.stats().frames_tx;
+        assert!(matches!(
+            comm.iallreduce_start(vec![1.0]),
+            Err(NetError::Protocol(_))
+        ));
+        assert!(matches!(
+            comm.allreduce_sum(vec![1.0]),
+            Err(NetError::Protocol(_))
+        ));
+        assert!(matches!(comm.barrier(), Err(NetError::Protocol(_))));
+        assert_eq!(
+            comm.stats().frames_tx,
+            sent,
+            "rank {rank}: a refused collective reached the wire"
+        );
+        let out = comm.iallreduce_wait(pending).expect("wait");
+        comm.barrier().expect("still in step");
+        out
+    });
+    for (rank, got) in outs.iter().enumerate() {
+        assert_eq!(got, &expect, "rank {rank}");
+    }
+}
+
+/// Payloads the socket buffer cannot hold: a tree leaf's eager send at
+/// `start` blocks until its parent reads (800 KB per frame), and the
+/// ring's send-before-receive exchange stays inside its documented limit
+/// (20 KB chunks). start → compute → wait must still equal the blocking
+/// result bitwise, well inside the harness's 10 s I/O timeout.
+#[test]
+fn overlapped_allreduce_survives_payloads_larger_than_the_socket_buffer() {
+    for (algo, words) in [(Algo::Tree, 100_000usize), (Algo::Ring, 10_000)] {
+        let t0 = Instant::now();
+        let outs = run_local_algo(4, algo, |rank, comm| {
+            let mine: Vec<f64> = (0..words)
+                .map(|i| 0.7 * (rank + 1) as f64 + 1e-3 * i as f64)
+                .collect();
+            let blocking = comm.allreduce_sum(mine.clone()).expect("blocking");
+            let pending = comm.iallreduce_start(mine).expect("start");
+            let busy: f64 = (0..100_000).map(|i| (i as f64).sqrt()).sum();
+            assert!(busy > 0.0);
+            let overlapped = comm.iallreduce_wait(pending).expect("wait");
+            comm.barrier().expect("still in step");
+            (blocking, overlapped)
+        });
+        for (rank, (blocking, overlapped)) in outs.iter().enumerate() {
+            assert_eq!(blocking.len(), words);
+            assert!(
+                blocking
+                    .iter()
+                    .zip(overlapped)
+                    .all(|(b, o)| b.to_bits() == o.to_bits()),
+                "{algo} rank {rank}: overlap changed the bits"
+            );
+            assert!(
+                blocking
+                    .iter()
+                    .zip(&outs[0].0)
+                    .all(|(b, o)| b.to_bits() == o.to_bits()),
+                "{algo} rank {rank}: ranks disagree"
+            );
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "{algo}: {words}-word collectives took {:?}",
+            t0.elapsed()
+        );
+    }
+}
+
+/// A peer lost *after* the mesh formed — its `NetComm` dropped, or alive
+/// but no longer calling collectives — is a typed error naming it on the
+/// survivor, on the blocking and on the start/wait form, from either end
+/// of the link, within two I/O timeouts. Nothing waits forever.
+#[test]
+fn peer_lost_after_establish_is_a_typed_error_naming_it() {
+    const HEALTHY: usize = 3;
+    let io_timeout = Duration::from_millis(300);
+    for survivor in [0usize, 1] {
+        for nonblocking in [false, true] {
+            for dropped in [true, false] {
+                let lost = 1 - survivor;
+                // The survivor moves only once the peer is gone (or has
+                // decided to stall); the staller holds its links open
+                // until the survivor has its answer.
+                let (gone, done) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+                let outs = owned_mesh("lost", 2, io_timeout, |rank, mut comm| {
+                    for k in 0..HEALTHY {
+                        let sum = comm.allreduce_scalar((rank + k) as f64).expect("healthy");
+                        assert_eq!(sum, (2 * k + 1) as f64);
+                    }
+                    if rank == lost {
+                        if dropped {
+                            drop(comm);
+                            gone.wait();
+                            done.wait();
+                        } else {
+                            gone.wait();
+                            done.wait();
+                            drop(comm);
+                        }
+                        return None;
+                    }
+                    gone.wait();
+                    let t0 = Instant::now();
+                    let res = if nonblocking {
+                        comm.iallreduce_start(vec![1.0; 5])
+                            .and_then(|p| comm.iallreduce_wait(p))
+                    } else {
+                        comm.allreduce_sum(vec![1.0; 5])
+                    };
+                    let took = t0.elapsed();
+                    done.wait();
+                    Some((res.expect_err("the peer is gone"), took))
+                });
+                let (err, took) = outs[survivor].as_ref().expect("survivor reports");
+                let case = format!(
+                    "survivor {survivor}, {}, peer {}",
+                    if nonblocking {
+                        "start/wait"
+                    } else {
+                        "blocking"
+                    },
+                    if dropped { "dropped" } else { "stalled" }
+                );
+                if dropped {
+                    assert!(
+                        matches!(err, NetError::Closed { peer: Some(r) } if *r == lost),
+                        "{case}: {err}"
+                    );
+                } else {
+                    assert!(
+                        matches!(err, NetError::Timeout { peer: Some(r), .. } if *r == lost),
+                        "{case}: {err}"
+                    );
+                }
+                assert!(*took < 2 * io_timeout, "{case}: took {took:?}");
+            }
+        }
+    }
+}
+
+fn process_threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    let line = status
+        .lines()
+        .find_map(|l| l.strip_prefix("Threads:"))
+        .expect("Threads: line");
+    line.trim().parse().expect("thread count")
+}
+
+/// `establish` and a thousand allreduces start no thread: with both ranks
+/// alive the process has exactly the two rank threads this test spawned
+/// more than before. Other tests of this binary start and stop threads
+/// of their own meanwhile, so a reading can be off in either direction;
+/// a helper thread per rank would be a surplus of two in *every* round.
+#[test]
+fn collectives_start_no_thread() {
+    let mut surplus = Vec::new();
+    for _ in 0..10 {
+        let before = process_threads();
+        let hold = std::sync::Barrier::new(2);
+        let during = owned_mesh("threads", 2, Duration::from_secs(10), |rank, mut comm| {
+            for _ in 0..1000 {
+                comm.allreduce_scalar(rank as f64).expect("reduce");
+            }
+            let n = process_threads();
+            hold.wait(); // both ranks (and their meshes) alive at both readings
+            n
+        });
+        let extra = during.iter().map(|&n| n as i64 - before as i64 - 2);
+        surplus.push(extra.min().expect("two ranks"));
+        if surplus.last() == Some(&0) {
+            return;
+        }
+    }
+    panic!("threads beyond the two rank threads, per round: {surplus:?}");
 }

@@ -95,6 +95,22 @@ for pat in "${solver_patterns[@]}"; do
     fi
 done
 
+# Collectives run on the thread that calls them: netcomm spawns no thread
+# and builds no channel (cluster.rs, the in-process test harness, gets its
+# rank threads from saco-par). A comm worker coming back would put two
+# thread hand-offs into every allreduce — the α the net engine measures.
+for f in crates/netcomm/src/*.rs; do
+    hits=$(awk '/#\[cfg\(test\)\]/ { exit }
+        !/^[[:space:]]*\/\// && /thread::(spawn|Builder|scope)|mpsc::/ {
+            print FILENAME ":" FNR ": " $0
+        }' "$f")
+    if [ -n "$hits" ]; then
+        echo "shim_guard: netcomm spawns a thread or opens a channel outside its tests:" >&2
+        echo "$hits" >&2
+        status=1
+    fi
+done
+
 # The SIMD contract: every multiply-accumulate inner loop lives in
 # sparsela::simd, where the lane schedule is pinned. `mul_add` is banned
 # everywhere numeric code runs — a hardware FMA rounds once where the

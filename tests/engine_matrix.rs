@@ -215,8 +215,8 @@ fn net_engine_matches_dist_bitwise_svm() {
 }
 
 /// Overlap must not perturb numerics on the real wire either: with
-/// overlap the comm worker races the solver thread, and the bits must
-/// not care.
+/// overlap a leaf's partial is sent before the next block is formed and
+/// combined after it, and the bits must not care.
 #[test]
 fn net_overlap_does_not_change_iterates() {
     let ds = lasso_ds(1);
