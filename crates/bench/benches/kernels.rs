@@ -215,15 +215,12 @@ fn bench_vecops(c: &mut Criterion) {
 }
 
 fn bench_simd_modes(c: &mut Criterion) {
-    // The SACO_SIMD=scalar|wide sweep over every rewritten kernel — the
-    // same arithmetic either way (bitwise identical, see the sparsela
-    // proptests); what differs is only the ISA of the build dispatched.
-    // `wide` forces the widest detected build even for the BLAS-1
-    // reductions, whose Auto preference is the portable build (the fixed
-    // 4-chain association serializes when packed into one wide register)
-    // — so expect dot/wide ≤ dot/scalar on AVX hosts while the gram and
-    // axpy rows show the win.
-    let modes = [(simd::Mode::Scalar, "scalar"), (simd::Mode::Wide, "wide")];
+    // The SACO_SIMD=scalar|auto sweep over every kernel with more than
+    // one build — the same arithmetic either way (bitwise identical, see
+    // the sparsela proptests); what differs is only the ISA of the build
+    // dispatched. The BLAS-1 reductions (dot, nrm2) have the portable
+    // build only and are timed once, in `bench_vecops`.
+    let modes = [(simd::Mode::Scalar, "scalar"), (simd::Mode::Auto, "auto")];
     let ambient = simd::mode();
 
     let mut rng = rng_from_seed(41);
@@ -256,10 +253,6 @@ fn bench_simd_modes(c: &mut Criterion) {
     let mut group = c.benchmark_group("simd_vecops_100k");
     group.throughput(Throughput::Elements(100_000));
     for (mode, label) in modes {
-        group.bench_function(&format!("dot/{label}"), |b| {
-            simd::set_mode(mode);
-            b.iter(|| black_box(vecops::dot(&x, &y)));
-        });
         group.bench_function(&format!("axpy/{label}"), |b| {
             simd::set_mode(mode);
             let mut z = y.clone();

@@ -30,7 +30,7 @@ impl std::error::Error for ArgError {}
 /// else — including `--metrics <path>`, which dumps a
 /// `saco-telemetry/v1` run report from `simulate` — takes a value.
 /// `verify` is `saco shard`'s round-trip bitwise check.
-const FLAG_KEYS: &[&str] = &["acc", "balanced", "quiet", "help", "verify"];
+const FLAG_KEYS: &[&str] = &["acc", "balanced", "help", "verify"];
 
 impl Args {
     /// Parse a token stream (without the program name).
@@ -73,6 +73,12 @@ impl Args {
             }
         }
         Ok(args)
+    }
+
+    /// Every option and flag name given, without the `--`.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        let given = self.options.keys().chain(&self.flags);
+        given.map(String::as_str)
     }
 
     /// Whether a boolean flag was given.

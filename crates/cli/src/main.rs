@@ -1,29 +1,8 @@
 //! `saco` — command-line frontend for the synchronization-avoiding solvers.
 //!
-//! ```text
-//! saco lasso    --data train.svm [--lambda X | --lambda-frac F] [--mu 8]
-//!               [--s 16] [--iters 10000] [--seed 42] [--acc] [--out w.txt]
-//! saco svm      --data train.svm [--loss l1|l2] [--lambda 1] [--s 64]
-//!               [--iters 100000] [--gap-tol 0.1] [--seed 42] [--out w.txt]
-//! saco ksvm     --data train.svm [--kernel rbf:gamma=G|poly:d=D|linear]
-//!               [--loss l1|l2] [--lambda 1] [--s 8] [--iters 10000]
-//!               [--cache-budget 64M] [--engine seq|sim|dist|net] [--p 4]
-//!               [--overlap on|off] [--chaos spec] [--out alpha.txt]
-//! saco kridge   --data train.svm (same options, ridge dual — no --loss)
-//! saco path     --data train.svm [--num 16] [--ratio 0.01] [--mu 8] [--s 16]
-//! saco generate --dataset url --out file.svm [--scale 1.0] [--seed 42]
-//! saco shard    --data file.svm | --dataset url [--scale F] --out DIR
-//!               [--axis csc|csr] [--shards 64] [--verify]
-//! saco info     --data file.svm | --data shard:DIR
-//! saco simulate --data train.svm --p 1024 [--engine seq|sim|dist|net]
-//!               [--s 16] [--mu 1] [--iters 2000]
-//!               [--acc] [--balanced] [--overlap on|off] [--algo tree|ring]
-//!               [--chaos seed=7,skew=0.2,jitter=1e-4,straggle=0.05,fail=3@10]
-//!               [--metrics report.json] [--threads 4]
-//! saco launch   --data train.svm --p 4 [--s 16] [--mu 1] [--iters 2000]
-//!               [--acc] [--balanced] [--overlap on|off] [--algo tree|ring]
-//!               [--rendezvous tcp:HOST:PORT] [--rundir DIR]
-//!               [--metrics merged.json]
+//! `saco help` prints every subcommand with its synopsis; both come from
+//! the [`SUBCOMMANDS`] table below, which is also what rejects an option a
+//! subcommand does not read.
 //!
 //! `--engine` picks the execution backend for `simulate` (default `sim`,
 //! so existing invocations are unchanged): `seq` runs the sequential
@@ -59,12 +38,6 @@
 //! the next block's shards behind the current block's compute. The
 //! iterates are bitwise identical to the in-memory run (see
 //! `docs/PERFORMANCE.md` §"Out-of-core streaming").
-//! saco cv       --data train.svm [--folds 5] [--num 12] [--ratio 0.01]
-//!               [--metrics report.json]
-//! saco serve    --model m.saco --data train.svm --listen unix:/tmp/s.sock
-//!               [--slo-ms 250] [--batch-max 64] [--train-iters 512]
-//!               [--chaos spec] [--max-requests N] [--metrics report.json]
-//! ```
 //!
 //! `--model-out <path>` (lasso, svm, ksvm, kridge) writes the trained
 //! model as a `saco-model/v1` artifact. Lasso (non-`--acc`) artifacts
@@ -81,7 +54,7 @@ use datagen::{shard_plan, slice_nnz, PaperDataset};
 use mpisim::telemetry::report::parse_summary;
 use mpisim::telemetry::Registry;
 use mpisim::CostModel;
-use saco::net::{Addr, Algo, Backoff, LassoRankData, NetComm, NetConfig};
+use saco::net::{Addr, Backoff, LassoRankData, NetComm, NetConfig};
 use saco::path::lasso_path;
 use saco::prox::Lasso;
 use saco::run::{
@@ -101,6 +74,158 @@ use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+/// A `saco` subcommand: where it dispatches, its line in `saco help`, and
+/// its synopsis. The synopsis is also the option whitelist — a subcommand
+/// accepts exactly the `--name`s written there (plus the process-wide
+/// `--threads`), so a misspelt or retired option fails before any file is
+/// opened instead of being silently ignored.
+struct Subcommand {
+    name: &'static str,
+    /// Empty for the hidden `_netrank` child.
+    about: &'static str,
+    synopsis: &'static str,
+    run: fn(&Args) -> Result<(), ArgError>,
+}
+
+impl Subcommand {
+    fn accepts(&self, option: &str) -> bool {
+        option == "threads"
+            || self
+                .synopsis
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .any(|tok| tok.strip_prefix("--") == Some(option))
+    }
+}
+
+const SUBCOMMANDS: &[Subcommand] = &[
+    Subcommand {
+        name: "lasso",
+        about: "train a Lasso model on a LIBSVM file",
+        synopsis: "--data train.svm|shard:DIR [--lambda X | --lambda-frac 0.1] [--mu 8]
+                [--s 16] [--iters 10000] [--seed 42] [--acc] [--rel-tol T]
+                [--trace-every 0] [--overlap on|off] [--mem-budget 256M]
+                [--metrics report.json] [--model-out m.saco] [--out w.txt]",
+        run: cmd_lasso,
+    },
+    Subcommand {
+        name: "svm",
+        about: "train a linear SVM (dual coordinate descent)",
+        synopsis: "--data train.svm|shard:DIR [--loss l1|l2] [--lambda 1] [--s 64]
+                [--iters 100000] [--seed 42] [--gap-tol 0.1] [--trace-every 1000]
+                [--overlap on|off] [--mem-budget 256M] [--metrics report.json]
+                [--model-out m.saco] [--out w.txt]",
+        run: cmd_svm,
+    },
+    Subcommand {
+        name: "ksvm",
+        about: "train a kernel SVM (K-DCD: cached on-demand kernel rows,
+            any --engine; all-hit blocks skip the allreduce)",
+        synopsis: "--data train.svm|shard:DIR [--kernel rbf:gamma=G|poly:d=D|linear]
+                [--loss l1|l2] [--lambda 1] [--s 8] [--iters 10000] [--seed 42]
+                [--trace-every 0] [--cache-budget 64M] [--engine seq|sim|dist|net]
+                [--p 4] [--balanced] [--overlap on|off] [--chaos spec]
+                [--mem-budget 256M] [--metrics report.json] [--model-out m.saco]
+                [--out alpha.txt]",
+        run: |args| cmd_kdcd(args, true),
+    },
+    Subcommand {
+        name: "kridge",
+        about: "kernel ridge regression in the dual (K-BDCD)",
+        synopsis: "--data train.svm|shard:DIR [--kernel rbf:gamma=G|poly:d=D|linear]
+                [--lambda 0.5] [--s 8] [--iters 10000] [--seed 42] [--trace-every 0]
+                [--cache-budget 64M] [--engine seq|sim|dist|net] [--p 4] [--balanced]
+                [--overlap on|off] [--chaos spec] [--mem-budget 256M]
+                [--metrics report.json] [--model-out m.saco] [--out alpha.txt]",
+        run: |args| cmd_kdcd(args, false),
+    },
+    Subcommand {
+        name: "path",
+        about: "compute a warm-started regularization path",
+        synopsis: "--data train.svm [--num 16] [--ratio 0.01] [--mu 8] [--s 16]
+                [--iters 10000] [--seed 42] [--rel-tol T] [--trace-every 0]
+                [--overlap on|off] [--select-support K [--out w.txt]]",
+        run: cmd_path,
+    },
+    Subcommand {
+        name: "generate",
+        about: "write a synthetic stand-in for a paper dataset",
+        synopsis: "--dataset url --out file.svm [--scale 1.0] [--seed 42]",
+        run: cmd_generate,
+    },
+    Subcommand {
+        name: "shard",
+        about: "convert a dataset into an on-disk shard directory for
+            out-of-core streaming (--verify round-trips bitwise)",
+        synopsis: "--data file.svm | --dataset url [--scale 1.0] [--seed 42] --out DIR
+                [--axis csc|csr] [--shards 64] [--verify]",
+        run: cmd_shard,
+    },
+    Subcommand {
+        name: "info",
+        about: "print dataset statistics",
+        synopsis: "--data file.svm|shard:DIR",
+        run: cmd_info,
+    },
+    Subcommand {
+        name: "simulate",
+        about: "run a solver on a chosen execution engine and report costs
+            (--metrics <path> writes a saco-telemetry/v1 JSON run report)",
+        synopsis: "--data train.svm|shard:DIR [--engine seq|sim|dist|net] [--p P]
+                [--lambda X | --lambda-frac 0.1] [--s 16] [--mu 1] [--iters 2000]
+                [--seed 42] [--acc] [--balanced] [--rel-tol T] [--trace-every 0]
+                [--overlap on|off] [--mem-budget 256M] [--metrics report.json]
+                [--chaos seed=7,skew=0.2,jitter=1e-4,straggle=0.05,fail=3@10]",
+        run: cmd_simulate,
+    },
+    Subcommand {
+        name: "launch",
+        about: "spawn --p real OS rank processes over a TCP/Unix socket mesh,
+            solve, and merge the per-rank run reports (measured time)",
+        synopsis: "--data train.svm [--p 4] [--engine net] [--lambda X | --lambda-frac 0.1]
+                [--s 16] [--mu 1] [--iters 2000] [--seed 42] [--acc] [--balanced]
+                [--rel-tol T] [--trace-every 0] [--overlap on|off]
+                [--rendezvous tcp:HOST:PORT] [--rundir DIR] [--io-timeout 30]
+                [--metrics merged.json]",
+        run: cmd_launch,
+    },
+    Subcommand {
+        name: "_netrank",
+        about: "",
+        synopsis: "--rank R --p P --rendezvous ADDR --report rank.json --data train.svm
+                --lambda X [--s 16] [--mu 1] [--iters 2000] [--seed 42] [--acc]
+                [--balanced] [--rel-tol T] [--trace-every 0] [--overlap on|off]
+                [--io-timeout 30]",
+        run: cmd_netrank,
+    },
+    Subcommand {
+        name: "cv",
+        about: "k-fold cross-validated λ path",
+        synopsis: "--data train.svm [--folds 5] [--num 12] [--ratio 0.01] [--mu 8]
+                [--s 16] [--iters 10000] [--seed 42] [--rel-tol T] [--trace-every 0]
+                [--overlap on|off] [--metrics report.json]",
+        run: cmd_cv,
+    },
+    Subcommand {
+        name: "serve",
+        about: "answer score/train-delta/λ-path requests for a trained
+            --model artifact over a TCP/Unix socket (--listen), with
+            cost-model batching and serve.* SLO telemetry",
+        synopsis: "--model m.saco --data train.svm --listen unix:/tmp/s.sock
+                [--slo-ms 250] [--batch-max 64] [--train-iters 512] [--chaos spec]
+                [--max-requests N] [--metrics report.json]",
+        run: cmd_serve,
+    },
+    Subcommand {
+        name: "help",
+        about: "this message",
+        synopsis: "",
+        run: |_| {
+            print_usage();
+            Ok(())
+        },
+    },
+];
+
 fn main() {
     let args = match Args::parse(std::env::args().skip(1)) {
         Ok(a) => a,
@@ -110,6 +235,19 @@ fn main() {
             std::process::exit(2);
         }
     };
+    let fail = |e: String| -> ! {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    };
+    let Some(sub) = SUBCOMMANDS.iter().find(|c| c.name == args.command) else {
+        fail(format!("unknown subcommand {:?}", args.command));
+    };
+    if let Some(bad) = args.names().find(|name| !sub.accepts(name)) {
+        fail(format!(
+            "unknown option --{bad} for {}\n\nusage:\n  saco {:<9}{}",
+            sub.name, sub.name, sub.synopsis
+        ));
+    }
     match args.get_opt::<usize>("threads") {
         Ok(Some(t)) => saco_par::set_threads(t),
         Ok(None) => {}
@@ -118,57 +256,23 @@ fn main() {
             std::process::exit(2);
         }
     }
-    let result = match args.command.as_str() {
-        "lasso" => cmd_lasso(&args),
-        "svm" => cmd_svm(&args),
-        "ksvm" => cmd_kdcd(&args, true),
-        "kridge" => cmd_kdcd(&args, false),
-        "path" => cmd_path(&args),
-        "generate" => cmd_generate(&args),
-        "shard" => cmd_shard(&args),
-        "info" => cmd_info(&args),
-        "simulate" => cmd_simulate(&args),
-        "launch" => cmd_launch(&args),
-        "_netrank" => cmd_netrank(&args),
-        "cv" => cmd_cv(&args),
-        "serve" => cmd_serve(&args),
-        "help" => {
-            print_usage();
-            Ok(())
-        }
-        other => Err(ArgError(format!("unknown subcommand {other:?}"))),
-    };
-    if let Err(e) = result {
-        eprintln!("error: {e}");
-        std::process::exit(1);
+    if let Err(e) = (sub.run)(&args) {
+        fail(e.to_string());
     }
 }
 
 fn print_usage() {
+    eprintln!("saco — synchronization-avoiding sparse convex optimization\n\nsubcommands:");
+    let shown = || SUBCOMMANDS.iter().filter(|c| !c.about.is_empty());
+    for c in shown() {
+        eprintln!("  {:<10}{}", c.name, c.about);
+    }
+    eprintln!("\nsynopsis (a subcommand rejects any option not listed for it):");
+    for c in shown().filter(|c| !c.synopsis.is_empty()) {
+        eprintln!("  saco {:<9}{}", c.name, c.synopsis);
+    }
     eprintln!(
-        "saco — synchronization-avoiding sparse convex optimization
-
-subcommands:
-  lasso     train a Lasso model on a LIBSVM file
-  svm       train a linear SVM (dual coordinate descent)
-  ksvm      train a kernel SVM (K-DCD: cached on-demand kernel rows,
-            any --engine; all-hit blocks skip the allreduce)
-  kridge    kernel ridge regression in the dual (K-BDCD)
-  path      compute a warm-started regularization path
-  generate  write a synthetic stand-in for a paper dataset
-  shard     convert a dataset into an on-disk shard directory for
-            out-of-core streaming (--verify round-trips bitwise)
-  info      print dataset statistics
-  simulate  run a solver on a chosen execution engine and report costs
-            (--metrics <path> writes a saco-telemetry/v1 JSON run report)
-  launch    spawn --p real OS rank processes over a TCP/Unix socket mesh,
-            solve, and merge the per-rank run reports (measured time)
-  cv        k-fold cross-validated λ path
-  serve     answer score/train-delta/λ-path requests for a trained
-            --model artifact over a TCP/Unix socket (--listen), with
-            cost-model batching and serve.* SLO telemetry
-  help      this message
-
+        "
 `--model-out <path>` (lasso, svm, ksvm, kridge) writes a saco-model/v1
 artifact. A non---acc lasso artifact is resumable: it stores the
 residual bits + sampling provenance, so `saco serve` continues training
@@ -180,10 +284,6 @@ seq = sequential reference, sim = modeled virtual cluster (α-β-γ cost
 model), dist = thread-backed message-passing machine, net = in-process
 socket mesh with measured wall-clock time. All engines produce the same
 iterates; `saco launch` runs engine net across real processes.
-
-`--algo tree|ring` (net engines; default tree) picks the allreduce: the
-binomial tree reproduces the simulator's combine order bitwise; the ring
-is bandwidth-optimal with a different (still deterministic) association.
 
 `--threads N` (or SACO_THREADS=N) runs the shared-memory kernels on N
 pooled workers; results are bitwise identical at any thread count.
@@ -202,9 +302,7 @@ report gains `chaos.*` counters and gauges.
 the solve out-of-core from a `saco shard` directory under a `--mem-budget`
 resident cap (default 256M; binary K/M/G suffixes). The sampler runs
 one block ahead so the loader prefetches behind compute; the iterates
-stay bitwise identical to the in-memory run.
-
-run `saco <subcommand>` without options to see its required flags."
+stay bitwise identical to the in-memory run."
     );
 }
 
@@ -249,7 +347,7 @@ fn positive(args: &Args, name: &str, default: usize) -> Result<usize, ArgError> 
 }
 
 // ---------------------------------------------------------------------------
-// The run surface: `--engine/--p/--balanced/--algo/--chaos` pick the engine,
+// The run surface: `--engine/--p/--balanced/--chaos` pick the engine,
 // `--data [shard:]…` + `--mem-budget` the source; `saco::run` does the rest.
 // ---------------------------------------------------------------------------
 
@@ -323,18 +421,15 @@ fn manifest_dims(store: &ShardStore) -> (usize, usize) {
     }
 }
 
-/// `--p` (default 4, at most `max`: one endpoint per rank) and `--algo
-/// tree|ring` of a socket mesh, in-process or launched.
-fn parse_mesh(args: &Args, max: usize) -> Result<(usize, Algo), ArgError> {
-    let p = args.get_or("p", 4)?;
-    if p == 0 || p > max {
-        return Err(ArgError(format!(
+/// `--p` of a socket mesh, in-process or launched (default 4, at most
+/// `max`: one endpoint per rank).
+fn parse_mesh(args: &Args, max: usize) -> Result<usize, ArgError> {
+    match args.get_or("p", 4)? {
+        p if p == 0 || p > max => Err(ArgError(format!(
             "a socket mesh runs one endpoint per rank; --p must be 1..={max}, got {p}"
-        )));
+        ))),
+        p => Ok(p),
     }
-    let algo = Algo::parse(args.get("algo").unwrap_or("tree"))
-        .map_err(|e| ArgError(format!("--algo: {e}")))?;
-    Ok((p, algo))
 }
 
 /// `--engine` by name plus the flags that parameterize it.
@@ -359,10 +454,10 @@ fn parse_engine(args: &Args, name: &str) -> Result<Engine, ArgError> {
             model,
             balanced,
         },
-        "net" => {
-            let (p, algo) = parse_mesh(args, 64)?;
-            Engine::Net { p, algo, balanced }
-        }
+        "net" => Engine::Net {
+            p: parse_mesh(args, 64)?,
+            balanced,
+        },
         other => {
             return Err(ArgError(format!(
                 "--engine must be seq|sim|dist|net, got {other:?}"
@@ -495,37 +590,27 @@ fn print_io(stats: &[IoStats]) {
 }
 
 /// The per-engine summary vocabulary, one row per engine: the title
-/// `simulate` prints, what the engine's clock is called, how its time is
-/// qualified, and its scale (rank count, allreduce) for summaries whose
-/// title line does not carry it.
-fn engine_view(
-    engine: &Engine,
-    streaming: bool,
-) -> (String, &'static str, &'static str, Vec<String>) {
+/// `simulate` prints, what the engine's clock is called, and how its time
+/// is qualified.
+fn engine_view(engine: &Engine, streaming: bool) -> (String, &'static str, &'static str) {
     let st = if streaming { ", streaming" } else { "" };
     match engine {
         Engine::Seq => {
             let title = format!("sequential (engine seq{st})");
-            (title, "wall time", "measured", Vec::new())
+            (title, "wall time", "measured")
         }
         Engine::Sim { p, .. } => {
             let st = if streaming { " (streaming)" } else { "" };
             let title = format!("simulated {p} ranks{st}");
-            (
-                title,
-                "running time",
-                "simulated",
-                vec![format!("{p} ranks")],
-            )
+            (title, "running time", "simulated")
         }
         Engine::Dist { p, .. } => {
             let title = format!("thread machine (engine dist{st}), {p} ranks");
-            (title, "running time", "modeled", vec![format!("{p} ranks")])
+            (title, "running time", "modeled")
         }
-        Engine::Net { p, algo, .. } => {
-            let title = format!("socket mesh (engine net{st}), {p} ranks ({algo} allreduce)");
-            let scale = vec![format!("{p} ranks"), format!("{algo} allreduce")];
-            (title, "wall time", "measured", scale)
+        Engine::Net { p, .. } => {
+            let title = format!("socket mesh (engine net{st}), {p} ranks");
+            (title, "wall time", "measured")
         }
     }
 }
@@ -533,14 +618,17 @@ fn engine_view(
 /// The per-engine run summary: the clock line, then the modeled
 /// critical-path costs (sim, dist) or the measured wire totals (net).
 /// `titled` summaries (`simulate`) already named the engine and its
-/// scale on a title line; the others qualify the clock line instead.
+/// rank count on a title line; the others qualify the clock line instead.
 fn print_engine_summary(engine: &Engine, out: &RunOutcome, titled: bool) {
-    let (_, clock, kind, scale) = engine_view(engine, false);
-    let mut tags = if titled { Vec::new() } else { scale };
+    let (_, clock, kind) = engine_view(engine, false);
+    let mut tags = Vec::new();
     // `simulate --engine sim` is the one summary that never qualified
     // its clock: simulated time is that engine's whole point.
     if !(titled && matches!(engine, Engine::Sim { .. })) {
-        tags.insert(0, kind.to_string());
+        tags.push(kind.to_string());
+    }
+    if !titled {
+        tags.extend(engine.ranks().map(|p| format!("{p} ranks")));
     }
     let tags = match tags.is_empty() {
         true => String::new(),
@@ -1147,8 +1235,7 @@ fn cmd_launch(args: &Args) -> Result<(), ArgError> {
     let lambda = resolve_lambda(args, &data)?;
     let (points, features) = data.dims();
     let cfg = sim_lasso_cfg(args, lambda)?;
-    let (p, algo) = parse_mesh(args, 256)?;
-    let algo = algo.to_string();
+    let p = parse_mesh(args, 256)?;
     let rundir = match args.get("rundir") {
         Some(d) => PathBuf::from(d),
         None => std::env::temp_dir().join(format!("saco-launch-{}", std::process::id())),
@@ -1161,15 +1248,13 @@ fn cmd_launch(args: &Args) -> Result<(), ArgError> {
     };
     Addr::parse(&rendezvous).map_err(|e| ArgError(format!("--rendezvous: {e}")))?;
     let exe = std::env::current_exe().map_err(|e| ArgError(format!("current_exe: {e}")))?;
-    println!(
-        "launching {p} rank processes ({points} × {features}, rendezvous {rendezvous}, {algo} allreduce)"
-    );
+    println!("launching {p} rank processes ({points} × {features}, rendezvous {rendezvous})");
     let mut children = Vec::with_capacity(p);
     for rank in 0..p {
         let mut cmd = std::process::Command::new(&exe);
         cmd.arg("_netrank")
             .args(["--rank", &rank.to_string(), "--p", &p.to_string()])
-            .args(["--rendezvous", &rendezvous, "--algo", &algo])
+            .args(["--rendezvous", &rendezvous])
             .args(["--data", args.require("data")?])
             // f64 Display is shortest-roundtrip, so the resolved λ
             // survives the argv hop losslessly.
@@ -1253,8 +1338,8 @@ fn cmd_netrank(args: &Args) -> Result<(), ArgError> {
         .require("rank")?
         .parse()
         .map_err(|_| ArgError("--rank: not a rank index".into()))?;
-    let ((p, algo), balanced) = (parse_mesh(args, 256)?, args.flag("balanced"));
-    let engine = Engine::Net { p, algo, balanced };
+    let (p, balanced) = (parse_mesh(args, 256)?, args.flag("balanced"));
+    let engine = Engine::Net { p, balanced };
     let rendezvous = Addr::parse(args.require("rendezvous")?)
         .map_err(|e| ArgError(format!("--rendezvous: {e}")))?;
     let report = args.require("report")?;
@@ -1279,7 +1364,6 @@ fn cmd_netrank(args: &Args) -> Result<(), ArgError> {
         rendezvous,
         io_timeout: Duration::from_secs(args.get_or("io-timeout", 30)?),
         connect: Backoff::default(),
-        algo,
     };
     let mut comm = NetComm::establish(net_cfg)
         .map_err(|e| ArgError(format!("rank {rank}/{p}: mesh establish: {e}")))?;

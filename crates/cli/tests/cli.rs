@@ -698,28 +698,77 @@ fn helpful_errors() {
     // run surface is parsed — never a partitioner or solver panic.
     let data = generated("errors.svm", &["duke"]);
     for (cmd, engine, flag) in [
-        ("simulate", "sim", "--p"),
-        ("simulate", "dist", "--p"),
-        ("simulate", "net", "--p"),
-        ("ksvm", "dist", "--p"),
-        ("simulate", "seq", "--s"),
-        ("simulate", "sim", "--mu"),
-        ("simulate", "dist", "--iters"),
-        ("lasso", "seq", "--mu"),
-        ("svm", "seq", "--s"),
-        ("kridge", "seq", "--iters"),
+        ("simulate", &["--engine", "sim"][..], "--p"),
+        ("simulate", &["--engine", "dist"], "--p"),
+        ("simulate", &["--engine", "net"], "--p"),
+        ("ksvm", &["--engine", "dist"], "--p"),
+        ("simulate", &["--engine", "seq"], "--s"),
+        ("simulate", &["--engine", "sim"], "--mu"),
+        ("simulate", &["--engine", "dist"], "--iters"),
+        ("lasso", &[], "--mu"),
+        ("svm", &[], "--s"),
+        ("kridge", &["--engine", "seq"], "--iters"),
     ] {
         let out = saco()
             .args([cmd, "--data"])
             .arg(&data)
-            .args(["--engine", engine, flag, "0"])
+            .args(engine)
+            .args([flag, "0"])
             .output()
             .expect("run");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{cmd} {engine} {flag} 0: {err}");
-        assert!(err.contains(flag), "{cmd} {engine} {flag} 0: {err}");
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{cmd} {engine:?} {flag} 0: {err}"
+        );
+        assert!(
+            err.contains(&format!("{flag} must be")),
+            "{cmd} {engine:?} {flag} 0: {err}"
+        );
         assert!(!err.contains("panicked"), "{err}");
     }
+    // An option the subcommand does not read — retired (`--algo`), misspelt
+    // (`--itres`) or another subcommand's (`--engine` on lasso) — is an
+    // error naming it, raised before `--data` is opened (the file named
+    // here does not exist) and before anything is written.
+    let written = tmpfile("never_written.json");
+    for (cmd, option, value) in [
+        ("simulate", "--algo", "ring"),
+        ("launch", "--algo", "ring"),
+        ("lasso", "--itres", "5"),
+        ("lasso", "--engine", "net"),
+    ] {
+        let out = saco()
+            .args([cmd, "--data", "/nonexistent/f.svm", "--metrics"])
+            .arg(&written)
+            .args([option, value])
+            .output()
+            .expect("run");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd} {option}: {err}");
+        assert!(
+            err.contains(&format!("unknown option {option} for {cmd}")),
+            "{cmd} {option}: {err}"
+        );
+        assert!(!err.contains("nonexistent"), "{cmd} opened --data: {err}");
+        assert!(!written.exists(), "{cmd} {option} wrote a report");
+    }
+    // Non-finite data is rejected at the door, naming line and token.
+    let poisoned = tmpfile("nan.svm");
+    std::fs::write(&poisoned, "1 1:1 2:0.5\n-1 3:nan\n").expect("write");
+    let out = saco()
+        .args(["lasso", "--data"])
+        .arg(&poisoned)
+        .output()
+        .expect("run");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("line 2: non-finite feature value \"nan\""),
+        "{err}"
+    );
+    let _ = std::fs::remove_file(&poisoned);
     // A block wider than the data is the library's typed config error.
     let out = saco()
         .args(["lasso", "--mu", "100000", "--data"])

@@ -25,7 +25,7 @@ use crate::trace::SolveResult;
 use saco_telemetry::{Phase, Registry};
 
 pub use crate::dist::{LassoRankData, SvmRankData};
-pub use netcomm::{Addr, Algo, Backoff, NetComm, NetConfig};
+pub use netcomm::{Addr, Backoff, NetComm, NetConfig};
 
 /// SA-accBCD over the socket mesh (Algorithm 2; `cfg.s = 1` is classical
 /// accBCD) on a communicator the caller established: [`run_rank`] for the
@@ -64,7 +64,6 @@ pub fn record_net_stats(registry: &mut Registry, comm: &NetComm, wall_secs: f64)
     registry.gauge_set("net.wait.wall_secs", s.wait_secs);
     registry.set_meta("net.rank", comm.rank());
     registry.set_meta("net.size", comm.size());
-    registry.set_meta("net.algo", comm.algo());
     registry.set_meta("net.rendezvous", comm.rendezvous());
     // Phase attribution for the run report: visible comm is what the
     // solver waited; everything else on this rank is computation.
@@ -79,7 +78,6 @@ mod tests {
     use crate::prox::Lasso;
     use crate::run::{run, Engine, Method, RunSpec, Source};
     use crate::LassoConfig;
-    use netcomm::Algo;
     use sparsela::io::Dataset;
 
     fn problem(seed: u64) -> Dataset {
@@ -99,9 +97,8 @@ mod tests {
             ..Default::default()
         };
         let (reg, cfg, accel) = (&Lasso::new(cfg.lambda), &cfg, true);
-        let (algo, balanced) = (Algo::Tree, false);
         let method = Method::Lasso { reg, cfg, accel };
-        let engine = Engine::Net { p, algo, balanced };
+        let engine = Engine::Net { p, balanced: false };
         run(&RunSpec::new(method, engine, Source::InMemory(ds))).expect("net run")
     }
 

@@ -25,7 +25,6 @@ use crate::config::LassoConfig;
 use crate::exec::{ExecBackend, SeqBackend};
 use crate::problem::lasso_objective_from_residual;
 use crate::prox::Regularizer;
-use crate::trace::{ConvergenceTrace, SolveResult};
 use crate::workspace::KernelWorkspace;
 use sparsela::io::Dataset;
 use sparsela::{vecops, SliceSource};
@@ -181,21 +180,6 @@ pub fn lasso_path<R: Regularizer, F: Fn(f64) -> R>(
     )
 }
 
-/// Convenience: turn the last path point into a [`SolveResult`]-shaped
-/// answer (objective trace over λ segments instead of iterations).
-pub fn path_as_result(path: &RegularizationPath) -> SolveResult {
-    let mut trace = ConvergenceTrace::new();
-    for (k, p) in path.points.iter().enumerate() {
-        trace.push(k, p.objective, 0.0);
-    }
-    let last = path.points.last().expect("nonempty path");
-    SolveResult {
-        x: last.x.clone(),
-        trace,
-        iters: path.points.len(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,15 +258,6 @@ mod tests {
         let path = lasso_path(&ds, &cfg(), 1, 0.5, Lasso::new);
         assert_eq!(path.points.len(), 1);
         assert_eq!(path.points[0].nonzeros, 0);
-    }
-
-    #[test]
-    fn path_as_result_shape() {
-        let ds = problem(5);
-        let path = lasso_path(&ds, &cfg(), 5, 0.1, Lasso::new);
-        let res = path_as_result(&path);
-        assert_eq!(res.trace.len(), 5);
-        assert_eq!(res.x.len(), ds.a.cols());
     }
 
     #[test]

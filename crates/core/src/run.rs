@@ -48,8 +48,8 @@ use crate::stream::{
 use crate::trace::SolveResult;
 use datagen::Partition;
 use mpisim::{ChaosSpec, Comm, CostModel, CostReport, ThreadMachine};
-use netcomm::cluster::run_local_algo;
-use netcomm::{Algo, NetComm};
+use netcomm::cluster::run_local;
+use netcomm::NetComm;
 use saco_telemetry::Registry;
 use sparsela::io::Dataset;
 use sparsela::SliceSource;
@@ -191,8 +191,6 @@ pub enum Engine {
     Net {
         /// Rank (OS thread + socket endpoint) count.
         p: usize,
-        /// Allreduce algorithm (`Tree` is bitwise ≡ `Dist`).
-        algo: Algo,
         /// Partition by nnz instead of by count.
         balanced: bool,
     },
@@ -665,9 +663,9 @@ fn ranked<'d, R: Regularizer, D: Sync>(
             });
             outcome(spec, t0, solved, Some(report), telemetry)
         }
-        Engine::Net { p, algo, .. } => {
+        Engine::Net { p, .. } => {
             let solver = spec.solver_name();
-            let per_rank = run_local_algo(p, algo, |rank, comm| {
+            let per_rank = run_local(p, |rank, comm| {
                 let rank_t0 = Instant::now();
                 let solved = solve(RankComm::Net(comm), rank);
                 let wall = rank_t0.elapsed().as_secs_f64();
@@ -819,10 +817,10 @@ mod tests {
             let (reg, cfg) = (&reg, &lcfg);
             Method::Lasso { reg, cfg, accel }
         };
-        let (p, model, balanced, algo) = (2, CostModel::cray_xc30(), false, Algo::Tree);
+        let (p, model, balanced) = (2, CostModel::cray_xc30(), false);
         let sim = Engine::sim(p, model, balanced);
         let dist = Engine::Dist { p, model, balanced };
-        let net = Engine::Net { p, algo, balanced };
+        let net = Engine::Net { p, balanced };
         let (mem, dir) = (Source::InMemory(&ds), Path::new("unused"));
         let shards = Source::Shards { dir, budget: 0 };
         for (method, engine, source, want) in [

@@ -165,16 +165,6 @@ impl CostModel {
         }
     }
 
-    /// A zero-communication-cost machine (useful in tests to isolate
-    /// computation accounting).
-    pub fn free_network() -> Self {
-        Self {
-            alpha: 0.0,
-            beta: 0.0,
-            ..Self::cray_xc30()
-        }
-    }
-
     /// Flop rate for a kernel class given its working-set size in words.
     pub fn rate(&self, class: KernelClass, working_set_words: u64) -> f64 {
         let base = match class {
@@ -492,15 +482,6 @@ mod tests {
         let fast = m.compute_time(KernelClass::SparseGemm, 1_000_000, 1_000);
         let slow = m.compute_time(KernelClass::SparseGemm, 1_000_000, m.cache_words + 1);
         assert!((slow / fast - m.cache_penalty).abs() < 1e-12);
-    }
-
-    #[test]
-    fn free_network_has_no_comm_cost() {
-        let m = CostModel::free_network();
-        assert_eq!(
-            m.collective_time(CollectiveKind::Allreduce, 4096, 1_000_000),
-            0.0
-        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! inherited from the mesh: each thread-rank owns its `NetComm`, and the
 //! tree association is fixed regardless of OS scheduling.
 
-use crate::mesh::{Algo, NetComm, NetConfig};
+use crate::mesh::{NetComm, NetConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -21,11 +21,10 @@ fn mesh_dir() -> PathBuf {
 }
 
 /// Run `f(rank, comm)` on `p` concurrent thread-ranks joined into one
-/// Unix-socket mesh with the given collective algorithm; returns the
-/// rank-indexed results. Panics (fail-stop, with the rank in the
-/// message) if any rank cannot join the mesh — a harness for tests and
-/// `--engine net`, not a supervisor.
-pub fn run_local_algo<R, F>(p: usize, algo: Algo, f: F) -> Vec<R>
+/// Unix-socket mesh; returns the rank-indexed results. Panics (fail-stop,
+/// with the rank in the message) if any rank cannot join the mesh — a
+/// harness for tests and `--engine net`, not a supervisor.
+pub fn run_local<R, F>(p: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize, &mut NetComm) -> R + Sync,
@@ -36,7 +35,6 @@ where
     let configs: Vec<NetConfig> = (0..p)
         .map(|r| {
             let mut c = NetConfig::unix(r, p, &dir);
-            c.algo = algo;
             // Loopback between live threads: anything slower than this
             // is a real bug, so fail fast instead of the 30 s default.
             c.io_timeout = Duration::from_secs(10);
@@ -52,15 +50,6 @@ where
     });
     let _ = std::fs::remove_dir_all(&dir);
     out
-}
-
-/// [`run_local_algo`] with the default tree allreduce.
-pub fn run_local<R, F>(p: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, &mut NetComm) -> R + Sync,
-{
-    run_local_algo(p, Algo::Tree, f)
 }
 
 #[cfg(test)]

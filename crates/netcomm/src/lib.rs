@@ -23,13 +23,13 @@
 //!   datagram transport — into a deterministic reorder or a protocol
 //!   error instead of silent corruption).
 //! * [`mesh`] — rendezvous (rank 0 collects every rank's listener address
-//!   and broadcasts the table), full-mesh link formation, and the
-//!   deterministic collectives: a binomial-tree allreduce whose combine
-//!   order is **identical to `mpisim`'s** (so the net engine is bitwise
-//!   reproducible against the thread machine at any rank count), plus a
-//!   bandwidth-optimal ring variant. Collectives run on the calling
-//!   thread: the nonblocking allreduce does at `start` what needs no peer
-//!   (a reduce-leaf's send) and the rest at `wait`, so what a solver's
+//!   and broadcasts the table), full-mesh link formation, and the one
+//!   deterministic allreduce: a binomial tree whose combine order is
+//!   **identical to `mpisim`'s** (so the net engine is bitwise
+//!   reproducible against the thread machine at any rank count).
+//!   Collectives run on the calling thread: the nonblocking allreduce
+//!   does at `start` what needs no peer (a reduce-leaf's send) and the
+//!   rest at `wait`, so what a solver's
 //!   overlap window hides is the time its partial spends in the socket
 //!   buffer and its peers spend getting to their own `wait`.
 //! * [`cluster`] — an in-process harness running P thread-ranks over real
@@ -49,7 +49,7 @@ pub mod ordered;
 pub mod transport;
 
 pub use backoff::Backoff;
-pub use mesh::{Algo, NetComm, NetConfig, PendingReduce};
+pub use mesh::{NetComm, NetConfig, PendingReduce};
 pub use transport::{Addr, Listener, Stream};
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -14,14 +14,14 @@
 //! 4. an initial barrier crosses every tree edge, so a half-formed mesh
 //!    fails loudly at startup instead of deadlocking mid-solve.
 //!
-//! The default allreduce is a binomial tree whose combine order is
-//! copied from `mpisim`'s thread machine — receive the partner's partial
-//! and add it **after** the local one, reducing toward rank 0, then
-//! broadcast down the mirror tree. Floating-point addition is not
-//! associative, so sharing the association is what makes the net engine
-//! bitwise-identical to the simulator at every rank count. [`Algo::Ring`]
-//! is the bandwidth-optimal alternative (still deterministic, different
-//! association).
+//! The allreduce is a binomial tree whose combine order is copied from
+//! `mpisim`'s thread machine — receive the partner's partial and add it
+//! **after** the local one, reducing toward rank 0, then broadcast down
+//! the mirror tree. Floating-point addition is not associative, so
+//! sharing the association is what makes the net engine bitwise-identical
+//! to the simulator at every rank count. It is the only allreduce: on
+//! every tree edge one side sends while the other receives, so no payload
+//! size can block both ends of a link in `send`.
 //!
 //! Collectives run on the thread that calls them — no thread is spawned
 //! and nothing is handed off. [`NetComm::iallreduce_start`] runs the tree
@@ -44,42 +44,6 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Which allreduce algorithm the mesh runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Algo {
-    /// Binomial tree with `mpisim`'s combine order — latency-optimal
-    /// (2·⌈log₂P⌉ link steps) and bitwise-reproducible against the
-    /// thread machine. The default.
-    #[default]
-    Tree,
-    /// Reduce-scatter + allgather ring — bandwidth-optimal
-    /// (2·(P−1)/P·n words per link), deterministic, but a different
-    /// summation association than the tree.
-    Ring,
-}
-
-impl Algo {
-    /// Parse `tree` / `ring`.
-    pub fn parse(s: &str) -> Result<Algo, NetError> {
-        match s {
-            "tree" => Ok(Algo::Tree),
-            "ring" => Ok(Algo::Ring),
-            other => Err(NetError::Protocol(format!(
-                "unknown allreduce algorithm {other:?} (expected tree|ring)"
-            ))),
-        }
-    }
-}
-
-impl std::fmt::Display for Algo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Algo::Tree => "tree",
-            Algo::Ring => "ring",
-        })
-    }
-}
-
 /// Everything a rank needs to join a mesh.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
@@ -93,8 +57,6 @@ pub struct NetConfig {
     pub io_timeout: Duration,
     /// Connect retry schedule (covers ranks racing the rendezvous bind).
     pub connect: Backoff,
-    /// Collective algorithm.
-    pub algo: Algo,
 }
 
 impl NetConfig {
@@ -107,7 +69,6 @@ impl NetConfig {
             rendezvous: Addr::Unix(dir.join("rendezvous.sock")),
             io_timeout: Duration::from_secs(30),
             connect: Backoff::default(),
-            algo: Algo::Tree,
         }
     }
 
@@ -120,7 +81,6 @@ impl NetConfig {
             rendezvous: Addr::Tcp(host_port.to_string()),
             io_timeout: Duration::from_secs(30),
             connect: Backoff::default(),
-            algo: Algo::Tree,
         }
     }
 
@@ -137,11 +97,10 @@ impl NetConfig {
     }
 }
 
-/// The per-rank links plus the collective algorithms that run over them.
+/// The per-rank links plus the tree allreduce that runs over them.
 struct Links {
     rank: usize,
     size: usize,
-    algo: Algo,
     /// Indexed by peer rank: the mesh is full, only `links[rank]` is
     /// `None` — until [`Links::close`] drops them all.
     links: Vec<Option<OrderedLink>>,
@@ -149,12 +108,10 @@ struct Links {
     stats: Arc<NetStats>,
 }
 
-/// Where an allreduce stands between start and wait. A tree resumes at
-/// reduce distance `at`; the ring has no step that needs no peer, so it
-/// runs wholly inside `finish`.
+/// Where an allreduce stands between start and wait: the tree resumes at
+/// reduce distance `at`.
 #[derive(Debug)]
 struct Progress {
-    algo: Algo,
     tag: u32,
     at: usize,
 }
@@ -167,28 +124,22 @@ impl Links {
             .ok_or(NetError::Closed { peer: Some(peer) })
     }
 
-    /// Take the next collective tag and run `algo` as far as it goes
+    /// Take the next collective tag and run the tree as far as it goes
     /// without waiting on a peer, timed into `stats.comm_nanos`.
-    fn start(&mut self, algo: Algo, buf: &mut [f64]) -> Result<Progress, NetError> {
+    fn start(&mut self, buf: &mut [f64]) -> Result<Progress, NetError> {
         let tag = self.next_tag;
         self.next_tag = self.next_tag.wrapping_add(1);
         let t0 = Instant::now();
-        let at = match algo {
-            Algo::Tree => self.tree_allreduce(tag, buf, 1, false),
-            Algo::Ring => Ok(0),
-        };
+        let at = self.tree_allreduce(tag, buf, 1, false);
         NetStats::add_nanos(&self.stats.comm_nanos, t0.elapsed());
-        Ok(Progress { algo, tag, at: at? })
+        Ok(Progress { tag, at: at? })
     }
 
     /// Run a started collective to completion, timed into both
     /// `stats.comm_nanos` and `stats.wait_nanos`.
     fn finish(&mut self, p: Progress, buf: &mut [f64]) -> Result<(), NetError> {
         let t0 = Instant::now();
-        let out = match p.algo {
-            Algo::Tree => self.tree_allreduce(p.tag, buf, p.at, true).map(drop),
-            Algo::Ring => self.ring_allreduce(p.tag, buf),
-        };
+        let out = self.tree_allreduce(p.tag, buf, p.at, true).map(drop);
         let spent = t0.elapsed();
         NetStats::add_nanos(&self.stats.comm_nanos, spent);
         NetStats::add_nanos(&self.stats.wait_nanos, spent);
@@ -251,42 +202,6 @@ impl Links {
             down /= 2;
         }
         Ok(d)
-    }
-
-    /// Reduce-scatter + allgather ring. Each step sends one chunk to
-    /// `rank+1` and receives one from `rank−1`; chunks are small enough
-    /// (≤ payload/P words) that send-before-receive cannot fill a
-    /// loopback socket buffer, so the blocking exchange cannot deadlock.
-    fn ring_allreduce(&mut self, tag: u32, buf: &mut [f64]) -> Result<(), NetError> {
-        let (rank, size) = (self.rank, self.size);
-        if size == 1 {
-            return Ok(());
-        }
-        let n = buf.len();
-        // Balanced chunk ranges: chunk i = [bounds[i], bounds[i+1]).
-        let bounds: Vec<usize> = (0..=size).map(|i| i * n / size).collect();
-        let range = |i: usize| bounds[i]..bounds[i + 1];
-        let next = (rank + 1) % size;
-        let prev = (rank + size - 1) % size;
-        // Reduce-scatter: after step t, chunk (rank−t−1 mod P) holds the
-        // partial sum of t+2 ranks; after P−1 steps each rank owns the
-        // full sum of chunk (rank+1 mod P).
-        for t in 0..size - 1 {
-            let send_c = (rank + size - t) % size;
-            let recv_c = (rank + size - t - 1) % size;
-            self.link(next)?.send_f64(tag, &buf[range(send_c)])?;
-            self.link(prev)?
-                .recv_f64_with(tag, &mut buf[range(recv_c)], |b, v| *b += v)?;
-        }
-        // Allgather: circulate the finished chunks.
-        for t in 0..size - 1 {
-            let send_c = (rank + 1 + size - t) % size;
-            let recv_c = (rank + size - t) % size;
-            self.link(next)?.send_f64(tag, &buf[range(send_c)])?;
-            self.link(prev)?
-                .recv_f64_with(tag, &mut buf[range(recv_c)], |b, v| *b = v)?;
-        }
-        Ok(())
     }
 
     /// Bye every link and drop it; a collective after this is `Closed`.
@@ -355,7 +270,6 @@ impl NetComm {
             mesh: Links {
                 rank: cfg.rank,
                 size: cfg.size,
-                algo: cfg.algo,
                 links,
                 next_tag: 1, // tag 0 is reserved for the handshake frames
                 stats,
@@ -384,11 +298,6 @@ impl NetComm {
         self.rendezvous.to_string()
     }
 
-    /// The collective algorithm in use.
-    pub fn algo(&self) -> Algo {
-        self.mesh.algo
-    }
-
     /// Counters at this instant.
     pub fn stats(&self) -> StatsSnapshot {
         self.mesh.stats.snapshot()
@@ -398,11 +307,7 @@ impl NetComm {
     /// steps that need no peer run now (a reduce-leaf's partial is on the
     /// wire when this returns), the rest in [`NetComm::iallreduce_wait`].
     /// Errors, with nothing written, while another collective is pending.
-    pub fn iallreduce_start(&mut self, buf: Vec<f64>) -> Result<PendingReduce, NetError> {
-        self.start(self.mesh.algo, buf)
-    }
-
-    fn start(&mut self, algo: Algo, mut buf: Vec<f64>) -> Result<PendingReduce, NetError> {
+    pub fn iallreduce_start(&mut self, mut buf: Vec<f64>) -> Result<PendingReduce, NetError> {
         if self.in_flight {
             return Err(NetError::Protocol(
                 "a collective is already in flight on this rank: wait for it first".into(),
@@ -411,7 +316,7 @@ impl NetComm {
         let pending = if self.mesh.size == 1 {
             PendingReduce::Immediate(buf)
         } else {
-            let progress = self.mesh.start(algo, &mut buf)?;
+            let progress = self.mesh.start(&mut buf)?;
             PendingReduce::Inflight(InflightReduce { buf, progress })
         };
         self.in_flight = true;
@@ -438,17 +343,16 @@ impl NetComm {
         self.iallreduce_wait(p)
     }
 
-    /// Sum one scalar across ranks (a 1-word tree allreduce, so the
-    /// association matches `mpisim`'s scalar reductions too).
+    /// Sum one scalar across ranks (a 1-word allreduce, so the association
+    /// matches `mpisim`'s scalar reductions too).
     pub fn allreduce_scalar(&mut self, x: f64) -> Result<f64, NetError> {
         Ok(self.allreduce_sum(vec![x])?[0])
     }
 
-    /// Synchronize all ranks: a tree allreduce of an empty payload, which
+    /// Synchronize all ranks: an allreduce of an empty payload, which
     /// crosses exactly the tree edges and does no arithmetic.
     pub fn barrier(&mut self) -> Result<(), NetError> {
-        let p = self.start(Algo::Tree, Vec::new())?;
-        self.iallreduce_wait(p).map(drop)
+        self.allreduce_sum(Vec::new()).map(drop)
     }
 
     /// Orderly teardown: Bye every link. Also runs on drop; calling it
@@ -658,14 +562,14 @@ mod tests {
     impl Links {
         /// One in-place blocking allreduce (sum) over all ranks.
         fn allreduce(&mut self, buf: &mut [f64]) -> Result<(), NetError> {
-            let p = self.start(self.algo, buf)?;
+            let p = self.start(buf)?;
             self.finish(p, buf)
         }
     }
 
     /// A size-2 `Links` pair over a real socketpair, bypassing rendezvous
     /// — lets the collectives be unit-tested without process spawning.
-    fn pair(algo: Algo) -> (Links, Links) {
+    fn pair() -> (Links, Links) {
         let (a, b) = UnixStream::pair().expect("socketpair");
         for s in [&a, &b] {
             s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -676,7 +580,6 @@ mod tests {
         let l0 = Links {
             rank: 0,
             size: 2,
-            algo,
             links: vec![
                 None,
                 Some(OrderedLink::new(Stream::Unix(a), 0, 1, Arc::clone(&stats0))),
@@ -687,7 +590,6 @@ mod tests {
         let l1 = Links {
             rank: 1,
             size: 2,
-            algo,
             links: vec![
                 Some(OrderedLink::new(Stream::Unix(b), 1, 0, Arc::clone(&stats1))),
                 None,
@@ -698,8 +600,8 @@ mod tests {
         (l0, l1)
     }
 
-    fn run_pair(algo: Algo, x0: Vec<f64>, x1: Vec<f64>) -> (Vec<f64>, Vec<f64>) {
-        let (mut l0, mut l1) = pair(algo);
+    fn run_pair(x0: Vec<f64>, x1: Vec<f64>) -> (Vec<f64>, Vec<f64>) {
+        let (mut l0, mut l1) = pair();
         let t = std::thread::spawn(move || {
             let mut b = x1;
             l1.allreduce(&mut b).expect("rank 1");
@@ -712,7 +614,7 @@ mod tests {
 
     #[test]
     fn two_rank_tree_sum_is_exact_and_symmetric() {
-        let (a, b) = run_pair(Algo::Tree, vec![1.0, 2.0, 3.0], vec![10.0, 20.0, 30.0]);
+        let (a, b) = run_pair(vec![1.0, 2.0, 3.0], vec![10.0, 20.0, 30.0]);
         assert_eq!(a, vec![11.0, 22.0, 33.0]);
         assert_eq!(a, b, "both ranks must hold bitwise the same total");
     }
@@ -722,18 +624,8 @@ mod tests {
         // 0.1 + 0.2 ≠ 0.2 + 0.1 is false for addition of two values, but
         // the *order* matters once more terms appear; with two ranks the
         // check is that rank 0's value is the left operand.
-        let (a, b) = run_pair(Algo::Tree, vec![0.1], vec![0.2]);
+        let (a, b) = run_pair(vec![0.1], vec![0.2]);
         assert_eq!(a[0].to_bits(), (0.1f64 + 0.2f64).to_bits());
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn two_rank_ring_matches_tree_totals() {
-        let x0: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let x1: Vec<f64> = (0..10).map(|i| (10 * i) as f64).collect();
-        let (a, b) = run_pair(Algo::Ring, x0.clone(), x1.clone());
-        let expect: Vec<f64> = x0.iter().zip(&x1).map(|(p, q)| p + q).collect();
-        assert_eq!(a, expect);
         assert_eq!(a, b);
     }
 
@@ -751,13 +643,5 @@ mod tests {
         c.barrier().expect("trivial");
         assert_eq!(c.stats().collectives, 3);
         assert_eq!(c.stats().bytes_tx, 0);
-    }
-
-    #[test]
-    fn algo_parse_roundtrip() {
-        assert_eq!(Algo::parse("tree").unwrap(), Algo::Tree);
-        assert_eq!(Algo::parse("ring").unwrap(), Algo::Ring);
-        assert!(Algo::parse("butterfly").is_err());
-        assert_eq!(Algo::Ring.to_string(), "ring");
     }
 }

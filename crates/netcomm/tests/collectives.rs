@@ -4,9 +4,9 @@
 //! collective in flight, eager sends that block, peers lost mid-run, no
 //! helper thread.
 
-use netcomm::cluster::{run_local, run_local_algo};
+use netcomm::cluster::run_local;
 use netcomm::frame::Frame;
-use netcomm::mesh::{Algo, NetComm, NetConfig};
+use netcomm::mesh::{NetComm, NetConfig};
 use netcomm::{Addr, Backoff, Listener, NetError, PendingReduce};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
@@ -65,34 +65,32 @@ proptest! {
 
 /// Integer-valued partials sum exactly, so *any* association must equal
 /// the plain serial sum bitwise — for every fused payload width the SA
-/// solvers produce (sb ∈ 1..=64), both algorithms, P up to 4.
+/// solvers produce (sb ∈ 1..=64), P up to 4.
 #[test]
 fn allreduce_matches_serial_reduction_bitwise_for_all_block_sizes() {
     for &p in &[1usize, 2, 3, 4] {
-        for &algo in &[Algo::Tree, Algo::Ring] {
-            let outs = run_local_algo(p, algo, |rank, comm| {
-                let mut got = Vec::new();
-                for sb in 1..=64usize {
-                    let n = sympack_words(sb);
-                    let mine: Vec<f64> = (0..n)
-                        .map(|i| (((rank + 1) * (i + 3)) % 97) as f64)
-                        .collect();
-                    got.push(comm.allreduce_sum(mine).expect("reduce"));
-                }
-                got
-            });
+        let outs = run_local(p, |rank, comm| {
+            let mut got = Vec::new();
             for sb in 1..=64usize {
                 let n = sympack_words(sb);
-                let serial: Vec<f64> = (0..n)
-                    .map(|i| (0..p).map(|r| (((r + 1) * (i + 3)) % 97) as f64).sum())
+                let mine: Vec<f64> = (0..n)
+                    .map(|i| (((rank + 1) * (i + 3)) % 97) as f64)
                     .collect();
-                for (rank, per_rank) in outs.iter().enumerate() {
-                    let got = &per_rank[sb - 1];
-                    assert_eq!(
-                        got, &serial,
-                        "p={p} algo={algo} sb={sb} rank={rank}: wire sum diverged from serial"
-                    );
-                }
+                got.push(comm.allreduce_sum(mine).expect("reduce"));
+            }
+            got
+        });
+        for sb in 1..=64usize {
+            let n = sympack_words(sb);
+            let serial: Vec<f64> = (0..n)
+                .map(|i| (0..p).map(|r| (((r + 1) * (i + 3)) % 97) as f64).sum())
+                .collect();
+            for (rank, per_rank) in outs.iter().enumerate() {
+                let got = &per_rank[sb - 1];
+                assert_eq!(
+                    got, &serial,
+                    "p={p} sb={sb} rank={rank}: wire sum diverged from serial"
+                );
             }
         }
     }
@@ -365,50 +363,48 @@ fn second_collective_while_one_is_pending_is_refused_unsent() {
     }
 }
 
-/// Payloads the socket buffer cannot hold: a tree leaf's eager send at
-/// `start` blocks until its parent reads (800 KB per frame), and the
-/// ring's send-before-receive exchange stays inside its documented limit
-/// (20 KB chunks). start → compute → wait must still equal the blocking
-/// result bitwise, well inside the harness's 10 s I/O timeout.
+/// A payload the socket buffer cannot hold: a tree leaf's eager send at
+/// `start` blocks until its parent reads (800 KB per frame). start →
+/// compute → wait must still equal the blocking result bitwise, well
+/// inside the harness's 10 s I/O timeout.
 #[test]
 fn overlapped_allreduce_survives_payloads_larger_than_the_socket_buffer() {
-    for (algo, words) in [(Algo::Tree, 100_000usize), (Algo::Ring, 10_000)] {
-        let t0 = Instant::now();
-        let outs = run_local_algo(4, algo, |rank, comm| {
-            let mine: Vec<f64> = (0..words)
-                .map(|i| 0.7 * (rank + 1) as f64 + 1e-3 * i as f64)
-                .collect();
-            let blocking = comm.allreduce_sum(mine.clone()).expect("blocking");
-            let pending = comm.iallreduce_start(mine).expect("start");
-            let busy: f64 = (0..100_000).map(|i| (i as f64).sqrt()).sum();
-            assert!(busy > 0.0);
-            let overlapped = comm.iallreduce_wait(pending).expect("wait");
-            comm.barrier().expect("still in step");
-            (blocking, overlapped)
-        });
-        for (rank, (blocking, overlapped)) in outs.iter().enumerate() {
-            assert_eq!(blocking.len(), words);
-            assert!(
-                blocking
-                    .iter()
-                    .zip(overlapped)
-                    .all(|(b, o)| b.to_bits() == o.to_bits()),
-                "{algo} rank {rank}: overlap changed the bits"
-            );
-            assert!(
-                blocking
-                    .iter()
-                    .zip(&outs[0].0)
-                    .all(|(b, o)| b.to_bits() == o.to_bits()),
-                "{algo} rank {rank}: ranks disagree"
-            );
-        }
+    let words = 100_000usize;
+    let t0 = Instant::now();
+    let outs = run_local(4, |rank, comm| {
+        let mine: Vec<f64> = (0..words)
+            .map(|i| 0.7 * (rank + 1) as f64 + 1e-3 * i as f64)
+            .collect();
+        let blocking = comm.allreduce_sum(mine.clone()).expect("blocking");
+        let pending = comm.iallreduce_start(mine).expect("start");
+        let busy: f64 = (0..100_000).map(|i| (i as f64).sqrt()).sum();
+        assert!(busy > 0.0);
+        let overlapped = comm.iallreduce_wait(pending).expect("wait");
+        comm.barrier().expect("still in step");
+        (blocking, overlapped)
+    });
+    for (rank, (blocking, overlapped)) in outs.iter().enumerate() {
+        assert_eq!(blocking.len(), words);
         assert!(
-            t0.elapsed() < Duration::from_secs(10),
-            "{algo}: {words}-word collectives took {:?}",
-            t0.elapsed()
+            blocking
+                .iter()
+                .zip(overlapped)
+                .all(|(b, o)| b.to_bits() == o.to_bits()),
+            "rank {rank}: overlap changed the bits"
+        );
+        assert!(
+            blocking
+                .iter()
+                .zip(&outs[0].0)
+                .all(|(b, o)| b.to_bits() == o.to_bits()),
+            "rank {rank}: ranks disagree"
         );
     }
+    assert!(
+        t0.elapsed() < Duration::from_secs(10),
+        "{words}-word collectives took {:?}",
+        t0.elapsed()
+    );
 }
 
 /// A peer lost *after* the mesh formed — its `NetComm` dropped, or alive

@@ -96,14 +96,6 @@ impl Cholesky {
         }
         x
     }
-
-    /// log-determinant of `A` (2·Σ log Lᵢᵢ).
-    pub fn log_det(&self) -> f64 {
-        (0..self.l.rows())
-            .map(|i| self.l.get(i, i).ln())
-            .sum::<f64>()
-            * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -140,12 +132,6 @@ mod tests {
         let x = ch.solve(&b);
         let r = vecops::sub(&a.gemv(&x), &b);
         assert!(vecops::nrm2(&r) < 1e-9, "residual {}", vecops::nrm2(&r));
-    }
-
-    #[test]
-    fn log_det_of_identity_is_zero() {
-        let ch = Cholesky::factor(&DenseMatrix::identity(5)).unwrap();
-        assert!(ch.log_det().abs() < 1e-14);
     }
 
     #[test]

@@ -214,11 +214,6 @@ impl CscMatrix {
         CscMatrix::from_parts(hi - lo, self.cols, indptr, indices, values)
     }
 
-    /// Squared Euclidean norm of every column (CD Lipschitz constants).
-    pub fn col_norms_sq(&self) -> Vec<f64> {
-        (0..self.cols).map(|j| self.col(j).norm_sq()).collect()
-    }
-
     /// Gather the sampled columns `sel` into a dense `rows × sel.len()`
     /// matrix (Alg. 1 line 7: `Aₕ = A·Iₕ` as an explicit dense block, used
     /// when the sampled block is dense enough for BLAS-3).
@@ -294,7 +289,8 @@ mod tests {
     #[test]
     fn col_norms() {
         let a = fixture();
-        assert_eq!(a.col_norms_sq(), vec![10.0, 16.0, 4.0]);
+        let norms: Vec<f64> = (0..a.cols()).map(|j| a.col(j).norm_sq()).collect();
+        assert_eq!(norms, vec![10.0, 16.0, 4.0]);
     }
 
     #[test]

@@ -87,16 +87,6 @@ impl DenseMatrix {
         &self.data
     }
 
-    /// Mutably borrow the row-major backing storage.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    /// Consume into the row-major backing storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Element access.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f64 {
@@ -367,28 +357,16 @@ impl DenseMatrix {
         vecops::inf_norm(&self.data)
     }
 
-    /// `self += alpha * other` (same shape).
-    pub fn add_scaled(&mut self, alpha: f64, other: &DenseMatrix) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        vecops::axpy(alpha, &other.data, &mut self.data);
-    }
-
     /// Extract the square diagonal as a vector.
     pub fn diagonal(&self) -> Vec<f64> {
         let n = self.rows.min(self.cols);
         (0..n).map(|i| self.get(i, i)).collect()
     }
 
-    /// Extract a contiguous square diagonal block `[lo, hi) × [lo, hi)`.
-    pub fn diag_block(&self, lo: usize, hi: usize) -> DenseMatrix {
-        let mut b = DenseMatrix::zeros(0, 0);
-        self.diag_block_into(lo, hi, &mut b);
-        b
-    }
-
-    /// [`diag_block`](Self::diag_block) into a caller-owned matrix
-    /// (reshaped in place), so per-iteration Lipschitz-block extraction in
-    /// the SA inner loops reuses one allocation.
+    /// Extract the contiguous square diagonal block `[lo, hi) × [lo, hi)`
+    /// into a caller-owned matrix (reshaped in place), so per-iteration
+    /// Lipschitz-block extraction in the SA inner loops reuses one
+    /// allocation.
     pub fn diag_block_into(&self, lo: usize, hi: usize, out: &mut DenseMatrix) {
         assert!(lo <= hi && hi <= self.rows && hi <= self.cols);
         let k = hi - lo;
@@ -503,19 +481,16 @@ mod tests {
     fn diag_block_and_diagonal() {
         let a = DenseMatrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0], &[7.0, 8.0, 9.0]]);
         assert_eq!(a.diagonal(), vec![1.0, 5.0, 9.0]);
-        let b = a.diag_block(1, 3);
+        let mut b = DenseMatrix::zeros(0, 0);
+        a.diag_block_into(1, 3, &mut b);
         assert_eq!(b.as_slice(), &[5.0, 6.0, 8.0, 9.0]);
     }
 
     #[test]
     fn add_scaled_and_norms() {
-        let mut a = DenseMatrix::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]);
+        let a = DenseMatrix::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]);
         assert_eq!(a.fro_norm(), 5.0);
         assert_eq!(a.max_abs(), 4.0);
-        let b = DenseMatrix::identity(2);
-        a.add_scaled(2.0, &b);
-        assert_eq!(a.get(0, 0), 5.0);
-        assert_eq!(a.get(1, 1), 6.0);
     }
 
     #[test]

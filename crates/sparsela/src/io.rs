@@ -67,6 +67,18 @@ impl From<std::io::Error> for ParseError {
     }
 }
 
+/// One number of a LIBSVM line. `nan` and `inf` parse as `f64`, but no
+/// solver survives them (every objective turns NaN), so they are rejected
+/// here, naming the token.
+fn parse_finite(tok: &str, what: &str, line: usize) -> Result<f64, ParseError> {
+    let what = match tok.parse::<f64>() {
+        Ok(v) if v.is_finite() => return Ok(v),
+        Ok(_) => format!("non-finite {what} {tok:?}"),
+        Err(_) => format!("bad {what} {tok:?}"),
+    };
+    Err(ParseError::Malformed { line, what })
+}
+
 /// Read a LIBSVM-format dataset.
 ///
 /// `min_features` lets callers force the feature-dimension (LIBSVM files
@@ -85,11 +97,7 @@ pub fn read_libsvm<R: BufRead>(reader: R, min_features: usize) -> Result<Dataset
         }
         let mut parts = content.split_ascii_whitespace();
         let label_tok = parts.next().expect("non-empty line has a first token");
-        let label: f64 = label_tok.parse().map_err(|_| ParseError::Malformed {
-            line: lineno + 1,
-            what: format!("bad label {label_tok:?}"),
-        })?;
-        labels.push(label);
+        labels.push(parse_finite(label_tok, "label", lineno + 1)?);
         for tok in parts {
             let (idx_s, val_s) = tok.split_once(':').ok_or_else(|| ParseError::Malformed {
                 line: lineno + 1,
@@ -105,10 +113,7 @@ pub fn read_libsvm<R: BufRead>(reader: R, min_features: usize) -> Result<Dataset
                     what: "LIBSVM feature indices are 1-based; got 0".into(),
                 });
             }
-            let val: f64 = val_s.parse().map_err(|_| ParseError::Malformed {
-                line: lineno + 1,
-                what: format!("bad feature value {val_s:?}"),
-            })?;
+            let val = parse_finite(val_s, "feature value", lineno + 1)?;
             let col = idx - 1;
             max_col = max_col.max(col + 1);
             triplets.push((row, col, val));
@@ -192,6 +197,26 @@ mod tests {
     fn bad_label_reports_line() {
         let err = read_libsvm(Cursor::new("1 1:1\nxyz 1:1\n"), 0).unwrap_err();
         assert!(err.to_string().starts_with("line 2"), "{err}");
+    }
+
+    #[test]
+    fn non_finite_label_rejected() {
+        for tok in ["nan", "inf", "-inf", "NaN", "+infinity"] {
+            let err = read_libsvm(Cursor::new(format!("1 1:1\n{tok} 1:1\n")), 0).unwrap_err();
+            let msg = err.to_string();
+            assert!(msg.starts_with("line 2: non-finite label"), "{msg}");
+            assert!(msg.contains(tok), "{msg}");
+        }
+    }
+
+    #[test]
+    fn non_finite_value_rejected() {
+        for tok in ["nan", "inf", "-inf"] {
+            let err = read_libsvm(Cursor::new(format!("1 1:1\n1 2:0.5 3:{tok}\n")), 0).unwrap_err();
+            let msg = err.to_string();
+            assert!(msg.starts_with("line 2: non-finite feature value"), "{msg}");
+            assert!(msg.contains(tok), "{msg}");
+        }
     }
 
     #[test]

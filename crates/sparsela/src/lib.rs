@@ -14,7 +14,7 @@
 //!   Sparse Row format (3-array variant)".
 //! * [`vecops`] — BLAS-1 style slice kernels (dot, axpy, norms, …).
 //! * [`simd`] — explicit-width microkernels behind the hot paths
-//!   (runtime `SACO_SIMD=auto|scalar|wide` dispatch, register-blocked
+//!   (runtime `SACO_SIMD=auto|scalar` dispatch, register-blocked
 //!   dense Gram, interleaved sparse scatter-dot) under a deterministic
 //!   lane-reduction contract: every width is bitwise identical.
 //! * [`gram`] — sampled Gram matrices `Aₛᵀ Aₛ` and cross products

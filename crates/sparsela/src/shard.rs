@@ -661,21 +661,6 @@ impl ShardStore {
         })
     }
 
-    /// Per-major-slice nnz, read from the shard *indptr sections only*
-    /// (one small pread per shard — no index/value bytes touched). This is
-    /// what planners and cost models need without a data scan.
-    pub fn major_nnz(&self) -> io::Result<Vec<u64>> {
-        let mut out = Vec::with_capacity(self.manifest.major);
-        for meta in &self.manifest.shards {
-            let f = File::open(shard_path(&self.dir, meta.index))?;
-            let mut buf = vec![0u8; (meta.hi - meta.lo + 1) * 8];
-            f.read_exact_at(&mut buf, HEADER_LEN)?;
-            let indptr = decode_words(&buf, |v| v);
-            out.extend(indptr.windows(2).map(|w| w[1] - w[0]));
-        }
-        Ok(out)
-    }
-
     /// Read a sidecar file: magic, a `u64` word count, then the words.
     fn sidecar<T>(
         &self,
@@ -708,54 +693,6 @@ impl ShardStore {
     /// Read the label sidecar (bitwise-exact `f64`s).
     pub fn read_labels(&self) -> io::Result<Vec<f64>> {
         self.sidecar("labels.bin", LABEL_MAGIC, f64::from_bits)
-    }
-
-    fn assemble(&self) -> io::Result<(Vec<usize>, Vec<usize>, Vec<f64>)> {
-        let mut indptr = Vec::with_capacity(self.manifest.major + 1);
-        let mut indices = Vec::with_capacity(self.manifest.nnz as usize);
-        let mut values = Vec::with_capacity(self.manifest.nnz as usize);
-        indptr.push(0);
-        for meta in &self.manifest.shards {
-            let d = self.read_shard(meta.index)?;
-            for w in d.indptr.windows(2) {
-                indices.extend_from_slice(&d.indices[w[0]..w[1]]);
-                values.extend_from_slice(&d.values[w[0]..w[1]]);
-                indptr.push(indices.len());
-            }
-        }
-        Ok((indptr, indices, values))
-    }
-
-    /// Reassemble the full matrix in memory as CSC (axis must be
-    /// [`ShardAxis::Csc`]) — for verification and small datasets only.
-    pub fn assemble_csc(&self) -> io::Result<CscMatrix> {
-        if self.manifest.axis != ShardAxis::Csc {
-            return Err(bad("store axis is csr, not csc"));
-        }
-        let (indptr, indices, values) = self.assemble()?;
-        Ok(CscMatrix::from_parts(
-            self.manifest.minor,
-            self.manifest.major,
-            indptr,
-            indices,
-            values,
-        ))
-    }
-
-    /// Reassemble the full matrix in memory as CSR (axis must be
-    /// [`ShardAxis::Csr`]).
-    pub fn assemble_csr(&self) -> io::Result<CsrMatrix> {
-        if self.manifest.axis != ShardAxis::Csr {
-            return Err(bad("store axis is csc, not csr"));
-        }
-        let (indptr, indices, values) = self.assemble()?;
-        Ok(CsrMatrix::from_parts(
-            self.manifest.major,
-            self.manifest.minor,
-            indptr,
-            indices,
-            values,
-        ))
     }
 }
 
@@ -1046,9 +983,9 @@ impl CacheShared {
 /// shards behind the solver's compute. See the module docs for the pin
 /// contract that makes `slice`'s lock-free borrows sound.
 ///
-/// A *windowed* view (`open_window`) restricts the minor axis to
-/// `wlo..whi` with indices rebased — the per-rank view for the dist/net
-/// engines. Each view owns an independent cache and loader.
+/// A *windowed* view ([`Self::from_store`] with a proper sub-range)
+/// restricts the minor axis to `wlo..whi` with indices rebased — the
+/// per-rank view for the dist/net engines. Each view owns an independent cache and loader.
 pub struct StreamingMatrix {
     shared: Arc<CacheShared>,
     loader: saco_par::BackgroundWorker,
@@ -1071,18 +1008,6 @@ impl StreamingMatrix {
         let store = ShardStore::open(dir)?;
         let minor = store.manifest().minor;
         Ok(Self::from_store(store, budget_bytes, (0, minor)))
-    }
-
-    /// Open a minor-axis window `wlo..whi` (a dist/net rank's share) with
-    /// its own budget, cache, and loader.
-    pub fn open_window(
-        dir: &Path,
-        budget_bytes: u64,
-        wlo: usize,
-        whi: usize,
-    ) -> io::Result<StreamingMatrix> {
-        let store = ShardStore::open(dir)?;
-        Ok(Self::from_store(store, budget_bytes, (wlo, whi)))
     }
 
     /// Wrap an already-open store; `window` must lie inside the minor axis.
@@ -1392,17 +1317,6 @@ mod tests {
         let store = ShardStore::open(&dir).unwrap();
         assert_eq!(store.manifest().axis, ShardAxis::Csc);
         verify_store(&store, &a).unwrap();
-        let back = store.assemble_csc().unwrap();
-        for j in 0..23 {
-            let (x, y) = (a.col(j), back.col(j));
-            assert_eq!(x.indices, y.indices);
-            let same = x
-                .values
-                .iter()
-                .zip(y.values)
-                .all(|(p, q)| p.to_bits() == q.to_bits());
-            assert!(same, "col {j} values differ");
-        }
         assert_eq!(
             store
                 .read_labels()
@@ -1422,8 +1336,6 @@ mod tests {
         let bounds = [0usize, 4, 17];
         write_csc(&dir, &a, &bounds, None).unwrap();
         let store = ShardStore::open(&dir).unwrap();
-        let major: Vec<u64> = (0..17).map(|j| a.col(j).nnz() as u64).collect();
-        assert_eq!(store.major_nnz().unwrap(), major);
         let mut minor = vec![0u64; 31];
         for j in 0..17 {
             for &i in a.col(j).indices {

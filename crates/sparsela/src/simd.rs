@@ -3,10 +3,13 @@
 //!
 //! Every kernel here is written once, as a *portable* Rust function with a
 //! **fixed** lane structure — a fixed number of partial accumulators,
-//! combined in a fixed left-to-right order — and then compiled a second and
-//! third time behind `#[target_feature(enable = "avx2"/"avx512f")]`
-//! wrappers. Runtime dispatch picks the widest instruction set the host
-//! supports (overridable via `SACO_SIMD`, see [`Mode`]).
+//! combined in a fixed left-to-right order. The elementwise, dense-Gram and
+//! sparse scatter kernels are then compiled a second and third time behind
+//! `#[target_feature(enable = "avx2"/"avx512f")]` wrappers, and runtime
+//! dispatch picks the widest instruction set the host supports (`SACO_SIMD`
+//! can force the portable builds, see [`Mode`]). The two BLAS-1 reductions
+//! ([`dot`], [`nrm2_sq`]) have the portable build only: their wide builds
+//! measured 0.6–0.9× of it at every length.
 //!
 //! # The determinism contract
 //!
@@ -66,60 +69,53 @@ pub const TILE_NR: usize = 8;
 ///
 /// A pure throughput knob: all modes produce bitwise-identical results
 /// (the lane-reduction contract above). `Scalar` forces the portable
-/// build of every kernel; `Wide`/`Auto` use the widest detected ISA.
+/// build of every kernel; `Auto` uses the widest detected ISA.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mode {
     /// Use the widest instruction set the host supports (default).
     Auto,
     /// Force the portable (baseline-codegen) build of every kernel.
     Scalar,
-    /// Explicitly request the wide build (same behavior as `Auto`; the
-    /// distinct name exists so CI can pin both sides of the identity).
-    Wide,
 }
 
-// 0 = unresolved, 1 = Auto, 2 = Scalar, 3 = Wide.
+// 0 = unresolved, 1 = Auto, 2 = Scalar.
 static MODE: AtomicU8 = AtomicU8::new(0);
 // 0 = unresolved, 1 = Portable, 2 = Avx2, 3 = Avx512.
 static DETECTED: AtomicU8 = AtomicU8::new(0);
 
 /// The active execution-width policy (cached; first call reads
-/// `SACO_SIMD=auto|scalar|wide`, unknown values fall back to `auto`).
+/// `SACO_SIMD=auto|scalar`, unknown values fall back to `auto`).
 pub fn mode() -> Mode {
     match MODE.load(Ordering::Relaxed) {
         0 => {
             let m = match std::env::var("SACO_SIMD").as_deref() {
                 Ok("scalar") => Mode::Scalar,
-                Ok("wide") => Mode::Wide,
                 _ => Mode::Auto,
             };
             set_mode(m);
             m
         }
         2 => Mode::Scalar,
-        3 => Mode::Wide,
         _ => Mode::Auto,
     }
 }
 
 /// Override the execution-width policy in-process (tests and benchmarks
-/// compare `Scalar` vs `Wide` without re-execing). Safe to flip at any
+/// compare `Scalar` vs `Auto` without re-execing). Safe to flip at any
 /// time: the mode never changes results, only instruction selection.
 pub fn set_mode(m: Mode) {
     let v = match m {
         Mode::Auto => 1,
         Mode::Scalar => 2,
-        Mode::Wide => 3,
     };
     MODE.store(v, Ordering::Relaxed);
 }
 
-/// Label for telemetry/gauges: `"auto"`, `"scalar"` or `"wide"`.
+/// Label for telemetry/gauges: `"auto"` or `"scalar"`.
 pub fn mode_label() -> &'static str {
     match mode() {
         Mode::Auto => "auto",
         Mode::Scalar => "scalar",
-        Mode::Wide => "wide",
     }
 }
 
@@ -146,13 +142,6 @@ fn detected() -> Isa {
                 } else if std::arch::is_x86_feature_detected!("avx2") {
                     isa = Isa::Avx2;
                 }
-                // Undocumented tuning cap (benchmarking aid): never
-                // *enables* anything detection didn't confirm.
-                match std::env::var("SACO_SIMD_ISA").as_deref() {
-                    Ok("avx2") if isa == Isa::Avx512 => isa = Isa::Avx2,
-                    Ok("portable") => isa = Isa::Portable,
-                    _ => {}
-                }
             }
             DETECTED.store(
                 match isa {
@@ -174,7 +163,7 @@ fn detected() -> Isa {
 pub fn active_isa() -> Isa {
     match mode() {
         Mode::Scalar => Isa::Portable,
-        Mode::Auto | Mode::Wide => detected(),
+        Mode::Auto => detected(),
     }
 }
 
@@ -187,22 +176,6 @@ fn sparse_isa() -> Isa {
     match active_isa() {
         Isa::Avx512 => Isa::Avx2,
         isa => isa,
-    }
-}
-
-/// ISA preference of the BLAS-1 *reduction* kernels ([`dot`],
-/// [`nrm2_sq`]): portable, even on AVX hosts, under `Auto`. The fixed
-/// 4-chain association is latency-bound, and packing the four
-/// accumulator chains into one wide register fuses them into a single
-/// dependency chain — measurably slower at every vector size than the
-/// portable build's two independent SSE chains. A wider schedule would
-/// need more chains, which the determinism contract forbids. Explicit
-/// `Wide` still dispatches the wide builds (bitwise identical — that
-/// path is how CI pins the identity).
-fn reduce_isa() -> Isa {
-    match mode() {
-        Mode::Wide => detected(),
-        Mode::Auto | Mode::Scalar => Isa::Portable,
     }
 }
 
@@ -264,46 +237,6 @@ macro_rules! dispatch {
 // ---------------------------------------------------------------------------
 
 widened! {
-    fn dot_kernel / dot_avx2 / dot_avx512(x: &[f64], y: &[f64]) -> f64 {
-        // Fixed 4-lane partials reduced (0+1)+(2+3)+tail — the historic
-        // vecops::dot order, now also the contract every build honors.
-        let mut acc = [0.0f64; LANES];
-        let chunks = x.len() / LANES;
-        for c in 0..chunks {
-            let i = LANES * c;
-            acc[0] += x[i] * y[i];
-            acc[1] += x[i + 1] * y[i + 1];
-            acc[2] += x[i + 2] * y[i + 2];
-            acc[3] += x[i + 3] * y[i + 3];
-        }
-        let mut tail = 0.0;
-        for i in LANES * chunks..x.len() {
-            tail += x[i] * y[i];
-        }
-        (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-    }
-}
-
-widened! {
-    fn nrm2_sq_kernel / nrm2_sq_avx2 / nrm2_sq_avx512(x: &[f64]) -> f64 {
-        let mut acc = [0.0f64; LANES];
-        let chunks = x.len() / LANES;
-        for c in 0..chunks {
-            let i = LANES * c;
-            acc[0] += x[i] * x[i];
-            acc[1] += x[i + 1] * x[i + 1];
-            acc[2] += x[i + 2] * x[i + 2];
-            acc[3] += x[i + 3] * x[i + 3];
-        }
-        let mut tail = 0.0;
-        for i in LANES * chunks..x.len() {
-            tail += x[i] * x[i];
-        }
-        (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-    }
-}
-
-widened! {
     fn axpy_kernel / axpy_avx2 / axpy_avx512(alpha: f64, x: &[f64], y: &mut [f64]) {
         // Elementwise: no reduction, so width cannot matter even in
         // principle — the wide builds exist purely for codegen.
@@ -329,22 +262,51 @@ widened! {
     }
 }
 
-/// Dot product `xᵀy` with the fixed 4-lane reduction order. Caller
-/// validates lengths (`vecops::dot` is the public entry point).
+/// Dot product `xᵀy`: fixed 4-lane partials reduced `(0+1)+(2+3)+tail`.
+/// Caller validates lengths (`vecops::dot` is the public entry point).
+///
+/// One portable build in every mode. The 4-chain association is
+/// latency-bound, and packing the four chains into one wide register
+/// fuses them into a single dependency chain — slower at every vector
+/// size than this build's two independent SSE chains. A wider schedule
+/// would need more chains, which the determinism contract forbids.
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len());
-    dispatch!(reduce_isa(), dot_kernel / dot_avx2 / dot_avx512(x, y))
+    let mut acc = [0.0f64; LANES];
+    let chunks = x.len() / LANES;
+    for c in 0..chunks {
+        let i = LANES * c;
+        acc[0] += x[i] * y[i];
+        acc[1] += x[i + 1] * y[i + 1];
+        acc[2] += x[i + 2] * y[i + 2];
+        acc[3] += x[i + 3] * y[i + 3];
+    }
+    let mut tail = 0.0;
+    for i in LANES * chunks..x.len() {
+        tail += x[i] * y[i];
+    }
+    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
 }
 
 /// Squared Euclidean norm with the fixed 4-lane reduction order
-/// (bitwise equal to `dot(x, x)`).
+/// (bitwise equal to `dot(x, x)`; portable in every mode, like [`dot`]).
 #[inline]
 pub fn nrm2_sq(x: &[f64]) -> f64 {
-    dispatch!(
-        reduce_isa(),
-        nrm2_sq_kernel / nrm2_sq_avx2 / nrm2_sq_avx512(x)
-    )
+    let mut acc = [0.0f64; LANES];
+    let chunks = x.len() / LANES;
+    for c in 0..chunks {
+        let i = LANES * c;
+        acc[0] += x[i] * x[i];
+        acc[1] += x[i + 1] * x[i + 1];
+        acc[2] += x[i + 2] * x[i + 2];
+        acc[3] += x[i + 3] * x[i + 3];
+    }
+    let mut tail = 0.0;
+    for i in LANES * chunks..x.len() {
+        tail += x[i] * x[i];
+    }
+    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
 }
 
 /// `y ← alpha·x + y` (elementwise; lengths validated by the caller).
@@ -671,10 +633,9 @@ mod tests {
     fn with_modes<F: FnMut() -> T, T: PartialEq + std::fmt::Debug>(mut f: F) {
         set_mode(Mode::Scalar);
         let scalar = f();
-        set_mode(Mode::Wide);
-        let wide = f();
         set_mode(Mode::Auto);
-        assert_eq!(scalar, wide, "scalar and wide builds disagree");
+        let auto = f();
+        assert_eq!(scalar, auto, "scalar and auto builds disagree");
     }
 
     #[test]
@@ -832,8 +793,6 @@ mod tests {
         assert_eq!(mode_label(), "scalar");
         assert_eq!(active_isa(), Isa::Portable);
         assert_eq!(effective_lanes(), 2);
-        set_mode(Mode::Wide);
-        assert_eq!(mode_label(), "wide");
         set_mode(Mode::Auto);
         assert_eq!(mode_label(), "auto");
         assert!(effective_lanes() >= 2);

@@ -98,12 +98,6 @@ pub fn nrm2_sq(x: &[f64]) -> f64 {
     simd::nrm2_sq(x)
 }
 
-/// ℓ₁ norm `‖x‖₁`.
-#[inline]
-pub fn asum(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
 /// ℓ∞ norm `max |xᵢ|`.
 #[inline]
 pub fn inf_norm(x: &[f64]) -> f64 {
@@ -212,7 +206,6 @@ mod tests {
         let x = vec![3.0, -4.0];
         assert_eq!(nrm2(&x), 5.0);
         assert_eq!(nrm2_sq(&x), 25.0);
-        assert_eq!(asum(&x), 7.0);
         assert_eq!(inf_norm(&x), 4.0);
     }
 

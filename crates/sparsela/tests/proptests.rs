@@ -268,7 +268,7 @@ proptest! {
 
     /// Every SIMD microkernel build is bitwise identical: running the
     /// whole rewritten kernel set under `SACO_SIMD=scalar` and
-    /// `SACO_SIMD=wide` produces the same bits — BLAS-1 kernels at random
+    /// `SACO_SIMD=auto` produces the same bits — BLAS-1 kernels at random
     /// lengths including ragged 4-lane tails, the register-blocked dense
     /// Gram including ragged 64-row chunk edges and sub-tile column
     /// remainders, and the interleaved sampled Gram including ragged
@@ -321,9 +321,9 @@ proptest! {
         };
         let ambient = simd::mode();
         let scalar = run(Mode::Scalar);
-        let wide = run(Mode::Wide);
+        let auto = run(Mode::Auto);
         simd::set_mode(ambient);
-        prop_assert_eq!(scalar, wide);
+        prop_assert_eq!(scalar, auto);
     }
 
     /// On-disk shard directories round-trip arbitrary matrices **bitwise**

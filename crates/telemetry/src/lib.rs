@@ -12,9 +12,9 @@
 //!   [`PhaseTable`]s whose `merge` is associative and commutative —
 //!   per-rank registries combine in any order;
 //! * RAII wall-clock spans ([`Registry::wall_span`]) kept in a separate
-//!   nondeterministic section that emitters exclude by default;
-//! * pluggable emitters ([`JsonLines`], [`Csv`], [`Table`]) and a stable
-//!   machine-readable run-report schema ([`report::SCHEMA`]).
+//!   nondeterministic section that the run report never serializes;
+//! * one stable machine-readable run-report schema ([`report::SCHEMA`],
+//!   written by [`write_run_report`]).
 //!
 //! The accounting identities the rest of the workspace relies on:
 //! `PhaseTable::comm_time()` equals `CostCounters::comm_time` and
@@ -25,13 +25,11 @@
 
 #![warn(missing_docs)]
 
-mod emit;
 mod json;
 mod phase;
 mod registry;
 pub mod report;
 
-pub use emit::{Csv, Emitter, JsonLines, Table};
 pub use phase::{Phase, PhaseStat, PhaseTable, PhaseTimes};
 pub use registry::{Histogram, Registry, WallSpan, WallStat};
 pub use report::{run_report_json, write_run_report};

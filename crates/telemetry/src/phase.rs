@@ -65,11 +65,6 @@ impl Phase {
             Phase::Idle => 6,
         }
     }
-
-    /// Parse a stable name back into a phase.
-    pub fn from_name(name: &str) -> Option<Phase> {
-        Phase::ALL.iter().copied().find(|p| p.name() == name)
-    }
 }
 
 impl std::fmt::Display for Phase {
@@ -224,14 +219,6 @@ impl PhaseTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names_round_trip() {
-        for p in Phase::ALL {
-            assert_eq!(Phase::from_name(p.name()), Some(p));
-        }
-        assert_eq!(Phase::from_name("nope"), None);
-    }
 
     #[test]
     fn indices_match_all_order() {

@@ -119,12 +119,6 @@ impl Xoshiro256StarStar {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform `f64` in `[lo, hi)`.
-    #[inline]
-    pub fn next_range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.next_f64()
-    }
-
     /// Standard normal variate (Marsaglia polar method).
     pub fn next_gaussian(&mut self) -> f64 {
         loop {

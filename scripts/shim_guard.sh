@@ -194,9 +194,24 @@ for f in crates/mpisim/src/*.rs; do
     fi
 done
 
+# Every switch means one thing (PR 20): the mesh has one allreduce (the
+# ring broke net ≡ dist and deadlocked once a chunk outgrew the socket
+# buffer), SACO_SIMD has two values (the wide dot/nrm2 builds lost to the
+# portable one at every length), and run reports have one writer
+# (telemetry's emitters had no caller). A fork growing back needs a
+# workload on each side of it and a predicate the code can observe, not
+# a user-set switch.
+# (`\bAlgo::` leaves mpisim's cost-model `AllreduceAlgo::` alone.)
+if hits=$(grep -rnE '\bAlgo::|ring_allreduce|run_local_algo|Mode::Wide|SACO_SIMD_ISA|mod emit' \
+        crates/*/src); then
+    echo "shim_guard: a deleted fork is back (ring allreduce / SACO_SIMD=wide / emitters):" >&2
+    echo "$hits" >&2
+    status=1
+fi
+
 if [ "$status" -ne 0 ]; then
     echo "shim_guard: FAILED — move recurrence logic into crates/core/src/exec/" >&2
 else
-    echo "shim_guard: OK — one run surface, one rank ledger, netcomm/CLI are solver-free, inner loops live in sparsela::simd"
+    echo "shim_guard: OK — one run surface, one rank ledger, one allreduce, netcomm/CLI are solver-free, inner loops live in sparsela::simd"
 fi
 exit "$status"

@@ -26,7 +26,6 @@
 use datagen::{binary_classification, dense_gaussian, planted_regression, uniform_sparse};
 use datagen::{col_partition, shard_plan, slice_nnz, PaperDataset, Task};
 use mpisim::{CostModel, CostReport};
-use saco::net::Algo;
 use saco::prox::{ElasticNet, GroupLasso, Lasso, Regularizer};
 use saco::run::{run, Engine, Method, RunError, RunOutcome, RunSpec, Source};
 use saco::seq::{acc_bcd, bcd, kdcd, sa_accbcd, sa_bcd, sa_svm, svm};
@@ -37,7 +36,7 @@ use sparsela::KernelFn;
 use std::path::Path;
 
 // The engine axis: every rank engine on the paper's machine model, by
-// count (`balanced = false`), tree allreduce on the mesh.
+// count (`balanced = false`).
 
 fn sim(p: usize) -> Engine {
     Engine::sim(p, CostModel::cray_xc30(), false)
@@ -49,8 +48,7 @@ fn dist(p: usize) -> Engine {
 }
 
 fn net(p: usize) -> Engine {
-    let (algo, balanced) = (Algo::Tree, false);
-    Engine::Net { p, algo, balanced }
+    Engine::Net { p, balanced: false }
 }
 
 fn mem(ds: &Dataset) -> Source<'_> {
@@ -154,37 +152,41 @@ fn run_net_lasso<R: Regularizer>(
 /// p {1, 2, 4}. The socket engine must agree with the thread machine
 /// **bitwise at every p** (shared tree association + lossless wire);
 /// p = 1 is then bitwise-equal to seq, and p > 1 inherits dist's 1e-9
-/// agreement with seq, both asserted explicitly.
+/// agreement with seq, both asserted explicitly. The second input
+/// (µ = 16, s = 32 at p = 2) is a 1 MB fused payload, several times a
+/// default socket buffer: the exchange must complete whatever the size.
 #[test]
 fn net_engine_matches_dist_bitwise_lasso() {
     let ds = lasso_ds(1);
     let reg = Lasso::new(0.05);
     for accel in [false, true] {
         for overlap in [false, true] {
-            let c = lasso_cfg(4, 8, overlap);
-            let seq_res = run_seq_lasso(&ds, &reg, &c, accel);
-            for p in [1usize, 2, 4] {
-                let what = format!("accel={accel} overlap={overlap} p={p}");
-                let dist = run_dist_lasso(&ds, &reg, &c, accel, p);
-                let net = run_net_lasso(&ds, &reg, &c, accel, p);
-                for r in &net[1..] {
-                    assert_eq!(r.x, net[0].x, "{what}: net ranks disagree");
-                }
-                for (rank, (n, d)) in net.iter().zip(&dist).enumerate() {
-                    assert_eq!(n.x, d.x, "{what} rank {rank}: net vs dist iterates");
-                    // Traced objective values reduce through the same
-                    // tree, so they are bitwise equal too (times differ:
-                    // wall-measured vs modeled).
-                    assert_eq!(n.trace.len(), d.trace.len(), "{what} rank {rank}");
-                    for (a, b) in n.trace.points().iter().zip(d.trace.points()) {
-                        assert_eq!(a.value, b.value, "{what} rank {rank}: trace values");
+            for (mu, s, ranks) in [(4, 8, &[1usize, 2, 4][..]), (16, 32, &[2][..])] {
+                let c = lasso_cfg(mu, s, overlap);
+                let seq_res = run_seq_lasso(&ds, &reg, &c, accel);
+                for &p in ranks {
+                    let what = format!("accel={accel} overlap={overlap} µ={mu} s={s} p={p}");
+                    let dist = run_dist_lasso(&ds, &reg, &c, accel, p);
+                    let net = run_net_lasso(&ds, &reg, &c, accel, p);
+                    for r in &net[1..] {
+                        assert_eq!(r.x, net[0].x, "{what}: net ranks disagree");
                     }
-                }
-                if p == 1 {
-                    assert_eq!(net[0].x, seq_res.x, "{what}: net p=1 vs seq");
-                } else {
-                    for (a, b) in net[0].x.iter().zip(&seq_res.x) {
-                        assert!((a - b).abs() < 1e-9, "{what}: net vs seq: {a} vs {b}");
+                    for (rank, (n, d)) in net.iter().zip(&dist).enumerate() {
+                        assert_eq!(n.x, d.x, "{what} rank {rank}: net vs dist iterates");
+                        // Traced objective values reduce through the same
+                        // tree, so they are bitwise equal too (times differ:
+                        // wall-measured vs modeled).
+                        assert_eq!(n.trace.len(), d.trace.len(), "{what} rank {rank}");
+                        for (a, b) in n.trace.points().iter().zip(d.trace.points()) {
+                            assert_eq!(a.value, b.value, "{what} rank {rank}: trace values");
+                        }
+                    }
+                    if p == 1 {
+                        assert_eq!(net[0].x, seq_res.x, "{what}: net p=1 vs seq");
+                    } else {
+                        for (a, b) in net[0].x.iter().zip(&seq_res.x) {
+                            assert!((a - b).abs() < 1e-9, "{what}: net vs seq: {a} vs {b}");
+                        }
                     }
                 }
             }
@@ -337,8 +339,8 @@ fn svm_engine_matrix() {
 }
 
 /// `SACO_SIMD` must be unobservable end to end: the same solve run under
-/// the scalar and wide microkernel builds yields bitwise-identical
-/// iterates on every engine — seq, the virtual cluster, the thread
+/// the scalar and the auto (widest-ISA) microkernel builds yields
+/// bitwise-identical iterates on every engine — seq, the virtual cluster, the thread
 /// machine (p = 2) and the socket mesh (p = 2), in both overlap modes.
 /// The lane schedule, not the ISA, is the numerics contract; CI runs the
 /// whole matrix again under each `SACO_SIMD` value to pin the same
@@ -361,9 +363,9 @@ fn simd_mode_is_unobservable_across_engines() {
             (seq.x, sim_x, dist[0].x.clone(), net[0].x.clone())
         };
         let scalar = run(Mode::Scalar);
-        let wide = run(Mode::Wide);
+        let auto = run(Mode::Auto);
         assert_eq!(
-            scalar, wide,
+            scalar, auto,
             "overlap={overlap}: SACO_SIMD changed engine iterates"
         );
     }
