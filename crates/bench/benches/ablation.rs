@@ -62,9 +62,9 @@ fn print_simulated_summary() {
             let packed = s * (s + 1) / 2 + 2 * s;
             let full = s * s + 2 * s;
             let mut vc_packed = VirtualCluster::new(p, model);
-            vc_packed.allreduce(packed);
+            vc_packed.iallreduce(packed);
             let mut vc_full = VirtualCluster::new(p, model);
-            vc_full.allreduce(full);
+            vc_full.iallreduce(full);
             println!(
                 "  s={s}: packed {packed} words ({:.1} µs) vs full {full} words ({:.1} µs)",
                 vc_packed.time() * 1e6,

@@ -17,7 +17,7 @@ fn bench_thread_allreduce(c: &mut Criterion) {
                 let results = ThreadMachine::run(p, CostModel::cray_xc30(), |comm| {
                     let mut buf = vec![1.0; 256];
                     for _ in 0..50 {
-                        comm.allreduce_sum(&mut buf);
+                        comm.iallreduce_sum(&mut buf);
                     }
                     buf[0]
                 });
@@ -37,7 +37,7 @@ fn bench_virtual_cluster(c: &mut Criterion) {
                 vc.charge(KernelClass::Dot, Phase::Comp, |r| {
                     ((r % 7) as u64 * 100, 64)
                 });
-                vc.allreduce(64);
+                vc.iallreduce(64);
                 black_box(vc.time())
             });
         });

@@ -3,50 +3,6 @@
 //! `saco help` prints every subcommand with its synopsis; both come from
 //! the [`SUBCOMMANDS`] table below, which is also what rejects an option a
 //! subcommand does not read.
-//!
-//! `--engine` picks the execution backend for `simulate` (default `sim`,
-//! so existing invocations are unchanged): `seq` runs the sequential
-//! reference, `sim` the modeled virtual cluster, `dist` the thread-backed
-//! message-passing machine, and `net` an in-process TCP/Unix socket mesh
-//! with *measured* wall-clock time. `launch` is the real thing: it spawns
-//! `--p` OS rank processes that rendezvous over sockets, solve, and each
-//! write a `saco-telemetry/v1` report the parent merges.
-//!
-//! `--threads N` (or `SACO_THREADS=N`) sets the intra-process worker pool
-//! used by the Gram/GEMM kernels. It is a pure throughput knob: every
-//! numeric output and every simulated cost is bitwise identical at any
-//! thread count (see `docs/PERFORMANCE.md`).
-//!
-//! `--overlap on|off` (default on) toggles the nonblocking comm/comp
-//! overlap on the fused allreduce path. Also purely a scheduling knob:
-//! solver outputs are bitwise identical either way; only the simulated
-//! timeline and the `comm.overlap_hidden_time` gauge change.
-//!
-//! `--chaos <spec>` injects a seeded, replayable fault/perturbation plan
-//! into the simulated cluster: per-rank compute-rate skew, per-collective
-//! latency jitter, transient rank stalls, and optional fail-stop faults
-//! recovered from the last block checkpoint. Chaos perturbs *time only*:
-//! the solver output is bitwise identical to the chaos-free run (see
-//! `docs/OBSERVABILITY.md` §"Fault injection & recovery").
-//!
-//! `--data shard:<dir>` (lasso, svm, ksvm, kridge, info, simulate) streams
-//! the solve from a `saco shard` directory instead of loading the matrix
-//! (`--axis csc` shards for lasso/simulate, `--axis csr` for the dual
-//! methods): only the
-//! sampled shards are resident, capped at `--mem-budget` bytes (default
-//! 256M, binary K/M/G suffixes), while the background loader prefetches
-//! the next block's shards behind the current block's compute. The
-//! iterates are bitwise identical to the in-memory run (see
-//! `docs/PERFORMANCE.md` §"Out-of-core streaming").
-//!
-//! `--model-out <path>` (lasso, svm, ksvm, kridge) writes the trained
-//! model as a `saco-model/v1` artifact. Lasso (non-`--acc`) artifacts
-//! carry the residual bits and sampling provenance, so `saco serve` can
-//! resume training bitwise; the rest are score/inspect-only. `saco serve`
-//! answers score batches, train-delta, and warm-started λ-path-point
-//! requests over the netcomm framed transport, batching admissions by
-//! the Table-I α-β-γ cost model and publishing `serve.*` latency/SLO
-//! telemetry (see `docs/OBSERVABILITY.md` §"Serving").
 mod args;
 
 use args::{ArgError, Args};
@@ -103,8 +59,8 @@ const SUBCOMMANDS: &[Subcommand] = &[
         about: "train a Lasso model on a LIBSVM file",
         synopsis: "--data train.svm|shard:DIR [--lambda X | --lambda-frac 0.1] [--mu 8]
                 [--s 16] [--iters 10000] [--seed 42] [--acc] [--rel-tol T]
-                [--trace-every 0] [--overlap on|off] [--mem-budget 256M]
-                [--metrics report.json] [--model-out m.saco] [--out w.txt]",
+                [--trace-every 0] [--mem-budget 256M] [--metrics report.json]
+                [--model-out m.saco] [--out w.txt]",
         run: cmd_lasso,
     },
     Subcommand {
@@ -112,8 +68,8 @@ const SUBCOMMANDS: &[Subcommand] = &[
         about: "train a linear SVM (dual coordinate descent)",
         synopsis: "--data train.svm|shard:DIR [--loss l1|l2] [--lambda 1] [--s 64]
                 [--iters 100000] [--seed 42] [--gap-tol 0.1] [--trace-every 1000]
-                [--overlap on|off] [--mem-budget 256M] [--metrics report.json]
-                [--model-out m.saco] [--out w.txt]",
+                [--mem-budget 256M] [--metrics report.json] [--model-out m.saco]
+                [--out w.txt]",
         run: cmd_svm,
     },
     Subcommand {
@@ -123,9 +79,8 @@ const SUBCOMMANDS: &[Subcommand] = &[
         synopsis: "--data train.svm|shard:DIR [--kernel rbf:gamma=G|poly:d=D|linear]
                 [--loss l1|l2] [--lambda 1] [--s 8] [--iters 10000] [--seed 42]
                 [--trace-every 0] [--cache-budget 64M] [--engine seq|sim|dist|net]
-                [--p 4] [--balanced] [--overlap on|off] [--chaos spec]
-                [--mem-budget 256M] [--metrics report.json] [--model-out m.saco]
-                [--out alpha.txt]",
+                [--p 4] [--balanced] [--chaos spec] [--mem-budget 256M]
+                [--metrics report.json] [--model-out m.saco] [--out alpha.txt]",
         run: |args| cmd_kdcd(args, true),
     },
     Subcommand {
@@ -134,8 +89,8 @@ const SUBCOMMANDS: &[Subcommand] = &[
         synopsis: "--data train.svm|shard:DIR [--kernel rbf:gamma=G|poly:d=D|linear]
                 [--lambda 0.5] [--s 8] [--iters 10000] [--seed 42] [--trace-every 0]
                 [--cache-budget 64M] [--engine seq|sim|dist|net] [--p 4] [--balanced]
-                [--overlap on|off] [--chaos spec] [--mem-budget 256M]
-                [--metrics report.json] [--model-out m.saco] [--out alpha.txt]",
+                [--chaos spec] [--mem-budget 256M] [--metrics report.json]
+                [--model-out m.saco] [--out alpha.txt]",
         run: |args| cmd_kdcd(args, false),
     },
     Subcommand {
@@ -143,7 +98,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
         about: "compute a warm-started regularization path",
         synopsis: "--data train.svm [--num 16] [--ratio 0.01] [--mu 8] [--s 16]
                 [--iters 10000] [--seed 42] [--rel-tol T] [--trace-every 0]
-                [--overlap on|off] [--select-support K [--out w.txt]]",
+                [--select-support K [--out w.txt]]",
         run: cmd_path,
     },
     Subcommand {
@@ -173,7 +128,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
         synopsis: "--data train.svm|shard:DIR [--engine seq|sim|dist|net] [--p P]
                 [--lambda X | --lambda-frac 0.1] [--s 16] [--mu 1] [--iters 2000]
                 [--seed 42] [--acc] [--balanced] [--rel-tol T] [--trace-every 0]
-                [--overlap on|off] [--mem-budget 256M] [--metrics report.json]
+                [--mem-budget 256M] [--metrics report.json]
                 [--chaos seed=7,skew=0.2,jitter=1e-4,straggle=0.05,fail=3@10]",
         run: cmd_simulate,
     },
@@ -183,9 +138,8 @@ const SUBCOMMANDS: &[Subcommand] = &[
             solve, and merge the per-rank run reports (measured time)",
         synopsis: "--data train.svm [--p 4] [--engine net] [--lambda X | --lambda-frac 0.1]
                 [--s 16] [--mu 1] [--iters 2000] [--seed 42] [--acc] [--balanced]
-                [--rel-tol T] [--trace-every 0] [--overlap on|off]
-                [--rendezvous tcp:HOST:PORT] [--rundir DIR] [--io-timeout 30]
-                [--metrics merged.json]",
+                [--rel-tol T] [--trace-every 0] [--rendezvous tcp:HOST:PORT]
+                [--rundir DIR] [--io-timeout 30] [--metrics merged.json]",
         run: cmd_launch,
     },
     Subcommand {
@@ -193,8 +147,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
         about: "",
         synopsis: "--rank R --p P --rendezvous ADDR --report rank.json --data train.svm
                 --lambda X [--s 16] [--mu 1] [--iters 2000] [--seed 42] [--acc]
-                [--balanced] [--rel-tol T] [--trace-every 0] [--overlap on|off]
-                [--io-timeout 30]",
+                [--balanced] [--rel-tol T] [--trace-every 0] [--io-timeout 30]",
         run: cmd_netrank,
     },
     Subcommand {
@@ -202,7 +155,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
         about: "k-fold cross-validated λ path",
         synopsis: "--data train.svm [--folds 5] [--num 12] [--ratio 0.01] [--mu 8]
                 [--s 16] [--iters 10000] [--seed 42] [--rel-tol T] [--trace-every 0]
-                [--overlap on|off] [--metrics report.json]",
+                [--metrics report.json]",
         run: cmd_cv,
     },
     Subcommand {
@@ -287,10 +240,6 @@ iterates; `saco launch` runs engine net across real processes.
 
 `--threads N` (or SACO_THREADS=N) runs the shared-memory kernels on N
 pooled workers; results are bitwise identical at any thread count.
-
-`--overlap on|off` (default on) overlaps the fused allreduce with the
-next block's sampling + Gram formation; solver outputs are bitwise
-identical either way — only simulated comm/idle timing changes.
 
 `--chaos seed=S,skew=X,jitter=Y,straggle=F,fail=RANK@STEP` (--engine sim
 only) injects a seeded, replayable straggler/jitter/failure plan into
@@ -775,20 +724,6 @@ fn cmd_shard(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// `--overlap on|off`: overlap the fused allreduce with next-block
-/// sampling + Gram formation (default on). Purely a scheduling knob — the
-/// solver output is bitwise identical either way; only the simulated
-/// comm/idle timeline and the `comm.overlap_hidden_time` gauge change.
-fn parse_overlap(args: &Args) -> Result<bool, ArgError> {
-    match args.get("overlap").unwrap_or("on") {
-        "on" => Ok(true),
-        "off" => Ok(false),
-        other => Err(ArgError(format!(
-            "--overlap must be on or off, got {other:?}"
-        ))),
-    }
-}
-
 fn lasso_cfg(args: &Args, lambda: f64) -> Result<LassoConfig, ArgError> {
     Ok(LassoConfig {
         mu: positive(args, "mu", 8)?,
@@ -798,7 +733,6 @@ fn lasso_cfg(args: &Args, lambda: f64) -> Result<LassoConfig, ArgError> {
         max_iters: positive(args, "iters", 10_000)?,
         trace_every: args.get_or("trace-every", 0)?,
         rel_tol: args.get_opt("rel-tol")?,
-        overlap: parse_overlap(args)?,
         ..Default::default()
     })
 }
@@ -912,7 +846,7 @@ fn svm_cfg(args: &Args) -> Result<SvmConfig, ArgError> {
         max_iters: positive(args, "iters", 100_000)?,
         trace_every: args.get_or("trace-every", 1_000)?,
         gap_tol: args.get_opt("gap-tol")?,
-        overlap: parse_overlap(args)?,
+        ..Default::default()
     })
 }
 
@@ -998,8 +932,8 @@ fn kdcd_cfg(args: &Args, ksvm: bool) -> Result<KdcdConfig, ArgError> {
         seed: args.get_or("seed", 42)?,
         max_iters: positive(args, "iters", 10_000)?,
         trace_every: args.get_or("trace-every", 0)?,
-        overlap: parse_overlap(args)?,
         cache_budget_bytes,
+        ..Default::default()
     })
 }
 
@@ -1263,7 +1197,6 @@ fn cmd_launch(args: &Args) -> Result<(), ArgError> {
             .args(["--iters", &cfg.max_iters.to_string()])
             .args(["--seed", &cfg.seed.to_string()])
             .args(["--trace-every", &cfg.trace_every.to_string()])
-            .args(["--overlap", if cfg.overlap { "on" } else { "off" }])
             .arg("--report")
             .arg(rundir.join(format!("rank{rank}.json")));
         if args.flag("acc") {

@@ -728,14 +728,16 @@ fn helpful_errors() {
         );
         assert!(!err.contains("panicked"), "{err}");
     }
-    // An option the subcommand does not read — retired (`--algo`), misspelt
-    // (`--itres`) or another subcommand's (`--engine` on lasso) — is an
-    // error naming it, raised before `--data` is opened (the file named
-    // here does not exist) and before anything is written.
+    // An option the subcommand does not read — retired (`--algo`,
+    // `--overlap`), misspelt (`--itres`) or another subcommand's
+    // (`--engine` on lasso) — is an error naming it, raised before `--data`
+    // is opened (the file named here does not exist) and before anything
+    // is written.
     let written = tmpfile("never_written.json");
     for (cmd, option, value) in [
         ("simulate", "--algo", "ring"),
         ("launch", "--algo", "ring"),
+        ("simulate", "--overlap", "off"),
         ("lasso", "--itres", "5"),
         ("lasso", "--engine", "net"),
     ] {
@@ -799,118 +801,4 @@ fn cv_prints_lambda_table() {
     assert!(text.contains("best λ"), "{text}");
     assert!(text.contains("1-SE λ"), "{text}");
     let _ = std::fs::remove_file(&data);
-}
-
-/// Normalize a run report for the overlap-identity comparison: zero every
-/// simulated-time field and drop the gauges that legitimately move with
-/// the overlap schedule (`time.running`, `comm.overlap_hidden_time`) or
-/// with the host (`par.*`). Everything left — counters, message/word/flop
-/// volumes, phase event counts, objective, critical rank — must be
-/// byte-identical between `--overlap on` and `--overlap off`.
-fn strip_timing(report: &str) -> String {
-    let mut out = strip_entries(
-        report,
-        &["time.running", "comm.overlap_hidden_time", "par."],
-    );
-    // Zero the value after every "…time…": key (rank phase tables and the
-    // totals block) — comm/idle attribution shifts when comm hides behind
-    // the overlap window, but only the *times* may move.
-    for key in [
-        "\"time\":",
-        "\"comm_time\":",
-        "\"comp_time\":",
-        "\"idle_time\":",
-        "\"total_time\":",
-    ] {
-        let mut from = 0;
-        while let Some(rel) = out[from..].find(key) {
-            let vstart = from + rel + key.len();
-            let vend = vstart
-                + out[vstart..]
-                    .find([',', '}'])
-                    .expect("time value terminated");
-            out.replace_range(vstart..vend, "0");
-            from = vstart + 1;
-        }
-    }
-    out
-}
-
-#[test]
-fn overlap_knob_never_changes_solver_results() {
-    let data = generated("overlap.svm", &["news20", "--scale", "0.05"]);
-    let run = |overlap: &str, metrics: &PathBuf| {
-        let out = saco()
-            .args(["simulate", "--data"])
-            .arg(&data)
-            .args([
-                "--p",
-                "64",
-                "--s",
-                "8",
-                "--acc",
-                "--iters",
-                "200",
-                "--overlap",
-                overlap,
-                "--metrics",
-            ])
-            .arg(metrics)
-            .output()
-            .expect("run simulate");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-        (stdout, std::fs::read_to_string(metrics).expect("metrics"))
-    };
-    let m_on = tmpfile("overlap_on.json");
-    let m_off = tmpfile("overlap_off.json");
-    let (out_on, rep_on) = run("on", &m_on);
-    let (out_off, rep_off) = run("off", &m_off);
-
-    // The solver trace itself is bitwise identical: same objective, same
-    // message/word/flop volumes. Only the timing lines may differ.
-    let solver_lines = |s: &str| -> Vec<String> {
-        s.lines()
-            .filter(|l| l.contains("objective") || l.contains("messages"))
-            .map(str::to_string)
-            .collect()
-    };
-    assert_eq!(
-        solver_lines(&out_on),
-        solver_lines(&out_off),
-        "--overlap changed a solver result"
-    );
-    assert!(!solver_lines(&out_on).is_empty(), "{out_on}");
-
-    // Reports agree byte-for-byte once timing attribution is masked.
-    assert_eq!(
-        strip_timing(&rep_on),
-        strip_timing(&rep_off),
-        "--overlap changed a non-timing report field"
-    );
-    // The overlap run actually hid communication behind the window; the
-    // blocking run hid none. Both packed the same fused payload volume.
-    let hidden = |rep: &str| -> f64 {
-        rep.split("\"comm.overlap_hidden_time\":")
-            .nth(1)
-            .and_then(|rest| rest.split([',', '}']).next())
-            .and_then(|v| v.parse().ok())
-            .expect("overlap_hidden_time gauge present")
-    };
-    assert!(hidden(&rep_on) > 0.0, "overlap never engaged: {rep_on}");
-    assert_eq!(hidden(&rep_off), 0.0, "blocking run hid time: {rep_off}");
-    assert!(rep_on.contains("\"comm.words_packed\":"), "{rep_on}");
-    assert!(rep_off.contains("\"comm.words_packed\":"), "{rep_off}");
-
-    // The knob is advertised.
-    let help = saco().arg("help").output().expect("help");
-    assert!(String::from_utf8_lossy(&help.stderr).contains("--overlap"));
-
-    let _ = std::fs::remove_file(&data);
-    let _ = std::fs::remove_file(&m_on);
-    let _ = std::fs::remove_file(&m_off);
 }

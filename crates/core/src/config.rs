@@ -72,9 +72,10 @@ pub struct LassoConfig {
     pub sampling: BlockSampling,
     /// Overlap the in-flight fused allreduce with next-step sampling and
     /// local Gram formation (double-buffered payload, nonblocking
-    /// `iallreduce`). Purely a scheduling knob: results are bitwise
-    /// identical either way; only the simulated comm/idle timeline and
-    /// the `comm.overlap_hidden_time` gauge change.
+    /// `iallreduce`). Every run surface leaves this `true`; `false` is
+    /// the reference schedule for the equivalence tests: results are
+    /// bitwise identical either way, only the simulated comm/idle
+    /// timeline and the `comm.overlap_hidden_time` gauge change.
     pub overlap: bool,
 }
 
@@ -152,7 +153,8 @@ pub struct SvmConfig {
     /// Optional termination on duality gap (Table V uses 1e-1).
     pub gap_tol: Option<f64>,
     /// Overlap the in-flight fused allreduce with next-step sampling and
-    /// local Gram formation (see [`LassoConfig::overlap`]). Bitwise
+    /// local Gram formation; `false` is the reference schedule for the
+    /// equivalence tests (see [`LassoConfig::overlap`]). Bitwise
     /// identical either way.
     pub overlap: bool,
 }
@@ -221,7 +223,8 @@ pub struct KdcdConfig {
     /// block boundaries (0 = only first and last).
     pub trace_every: usize,
     /// Overlap the in-flight fused allreduce of missed kernel rows with
-    /// next-block sampling and the local dot tile. Bitwise identical
+    /// next-block sampling and the local dot tile; `false` is the
+    /// reference schedule for the equivalence tests. Bitwise identical
     /// either way (see [`LassoConfig::overlap`]).
     pub overlap: bool,
     /// Byte budget for the kernel-row cache (`sparsela::KernelCache`);

@@ -15,7 +15,7 @@
 //! * **block lookahead** — streaming sources get the next block's
 //!   selection drawn at block entry, right after `prepare` (same global
 //!   RNG order), and handed to the prefetcher before the Gram runs;
-//! * **the `--overlap` double buffer** — next-block sampling + tile
+//! * **the overlap double buffer** — next-block sampling + tile
 //!   formation run inside the in-flight allreduce, swapped in at the next
 //!   block entry;
 //! * **chaos checkpoints** — `backend.checkpoint()` at every block
@@ -76,7 +76,8 @@ impl Payload {
 
 /// The outer-loop schedule: how many inner iterations total, how many per
 /// block, and whether the engine may hide the allreduce behind next-block
-/// work.
+/// work (`overlap: false` is the reference schedule for the equivalence
+/// tests).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Schedule {
     pub max_iters: usize,

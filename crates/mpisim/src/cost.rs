@@ -5,17 +5,6 @@
 //! `W` (words moved). This module turns those counts into simulated seconds
 //! and keeps the counters the experiment harness reports.
 
-/// Which collective operation a cost is charged for — the ones an engine
-/// can emit. All of the paper's solvers communicate exclusively through
-/// `Allreduce` (Fig. 1 step 4); `Barrier` is its empty-payload form.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum CollectiveKind {
-    /// Reduce-to-all (tree reduce + tree broadcast, or recursive doubling).
-    Allreduce,
-    /// Pure synchronization.
-    Barrier,
-}
-
 /// Number of communication rounds a tree-based collective needs on `p`
 /// ranks: `⌈log₂ p⌉` (1 rank ⇒ 0 rounds). Allreduce is reduce+bcast but on
 /// a torus-class network the two trees pipeline; like the paper (Table I:
@@ -43,26 +32,6 @@ pub enum KernelClass {
     Vector,
 }
 
-/// Which allreduce algorithm the machine models. Real MPI libraries switch
-/// by message size; the choice moves the point where the SA methods'
-/// `s²µ²`-word payloads start to hurt.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum AllreduceAlgo {
-    /// Binomial tree (reduce + pipelined broadcast): `⌈log₂P⌉` rounds,
-    /// each moving the full payload — latency-optimal, bandwidth-poor.
-    /// The default, and what the thread engine physically executes.
-    Tree,
-    /// Rabenseifner (reduce-scatter + allgather): `2⌈log₂P⌉` rounds but
-    /// only `≈2w` total words — bandwidth-optimal for large payloads.
-    Rabenseifner,
-    /// Switch from `Tree` to `Rabenseifner` above a payload threshold,
-    /// like production MPI implementations.
-    Auto {
-        /// Payload size (words) at which the switch happens.
-        threshold_words: u64,
-    },
-}
-
 /// Cost breakdown of one collective under the model.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CollectiveCharge {
@@ -74,21 +43,6 @@ pub struct CollectiveCharge {
     pub time: f64,
 }
 
-/// Optional two-level network hierarchy: ranks within a node communicate
-/// over shared memory (cheap), nodes over the interconnect (expensive).
-/// A collective then costs an intra-node phase over `⌈log₂ cores⌉` rounds
-/// plus an inter-node phase over `⌈log₂ nodes⌉` rounds — the structure of
-/// a real Cray XC30 with 24 cores per node.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Hierarchy {
-    /// Ranks per node.
-    pub cores_per_node: usize,
-    /// Intra-node latency per round (seconds); typically ~100× below α.
-    pub alpha_intra: f64,
-    /// Intra-node inverse bandwidth (seconds/word).
-    pub beta_intra: f64,
-}
-
 /// Machine parameters. Times are seconds; `words` are 8-byte `f64`s.
 #[derive(Clone, Copy, Debug)]
 pub struct CostModel {
@@ -96,11 +50,6 @@ pub struct CostModel {
     pub alpha: f64,
     /// Inverse bandwidth (seconds per word).
     pub beta: f64,
-    /// Allreduce algorithm (see [`AllreduceAlgo`]).
-    pub allreduce_algo: AllreduceAlgo,
-    /// Optional two-level network (see [`Hierarchy`]); `None` models a
-    /// flat machine where every round pays the full α.
-    pub hierarchy: Option<Hierarchy>,
     /// Achievable flop rate for BLAS-3 class kernels (flops/second).
     pub gemm_rate: f64,
     /// Achievable flop rate for batched sparse Gram kernels.
@@ -127,41 +76,12 @@ impl CostModel {
         Self {
             alpha: 8.0e-6,
             beta: 1.0e-8,
-            allreduce_algo: AllreduceAlgo::Tree,
-            hierarchy: None,
             gemm_rate: 8.0e9,
             sparse_gemm_rate: 2.4e9,
             dot_rate: 1.2e9,
             vector_rate: 2.0e9,
             cache_words: 32 * 1024, // 256 KiB of f64s (L2-class)
             cache_penalty: 3.0,
-        }
-    }
-
-    /// A "cloud / Spark-like" machine: the paper's §VII notes the SA
-    /// methods "would attain greater speedups on frameworks like Spark due
-    /// to the large latency costs". Two orders of magnitude more latency,
-    /// similar bandwidth.
-    pub fn cloud() -> Self {
-        Self {
-            alpha: 1.0e-3,
-            beta: 2.0e-7,
-            ..Self::cray_xc30()
-        }
-    }
-
-    /// The Cray XC30 with its node structure made explicit: 24 ranks per
-    /// node over shared memory (~80 ns rounds), nodes over the Aries
-    /// interconnect. Collectives get cheaper at fixed P than under the
-    /// flat model because only `⌈log₂(P/24)⌉` rounds pay the network α.
-    pub fn cray_xc30_hierarchical() -> Self {
-        Self {
-            hierarchy: Some(Hierarchy {
-                cores_per_node: 24,
-                alpha_intra: 8.0e-8,
-                beta_intra: 1.0e-9,
-            }),
-            ..Self::cray_xc30()
         }
     }
 
@@ -186,74 +106,13 @@ impl CostModel {
         flops as f64 / self.rate(class, working_set_words)
     }
 
-    /// Seconds for one collective of `words` payload on `p` ranks.
-    pub fn collective_time(&self, kind: CollectiveKind, p: usize, words: u64) -> f64 {
-        self.collective_charge(kind, p, words).time
-    }
-
-    /// Full cost breakdown (rounds, words moved, seconds) of one
-    /// collective — the single source both engines charge from. Allreduce
-    /// honours [`CostModel::allreduce_algo`]; every other collective uses
-    /// the tree model.
-    pub fn collective_charge(
-        &self,
-        kind: CollectiveKind,
-        p: usize,
-        words: u64,
-    ) -> CollectiveCharge {
-        let lg = collective_rounds(p);
-        if lg == 0 {
-            return CollectiveCharge {
-                rounds: 0,
-                words_moved: 0,
-                time: 0.0,
-            };
-        }
-        if let Some(h) = self.hierarchy {
-            if h.cores_per_node > 1 && p > 1 {
-                return self.hierarchical_charge(p, words, h);
-            }
-        }
-        let algo = if kind == CollectiveKind::Allreduce {
-            self.allreduce_algo
-        } else {
-            AllreduceAlgo::Tree
-        };
-        let use_rabenseifner = match algo {
-            AllreduceAlgo::Tree => false,
-            AllreduceAlgo::Rabenseifner => true,
-            AllreduceAlgo::Auto { threshold_words } => words >= threshold_words,
-        };
-        if use_rabenseifner {
-            // reduce-scatter + allgather: 2·log₂P rounds, ≈2w words total.
-            let rounds = 2 * lg;
-            let frac = (p as f64 - 1.0) / p as f64;
-            let words_moved = (2.0 * words as f64 * frac).round() as u64;
-            let time = rounds as f64 * self.alpha + self.beta * words_moved as f64;
-            CollectiveCharge {
-                rounds,
-                words_moved,
-                time,
-            }
-        } else {
-            let words_moved = lg * words;
-            CollectiveCharge {
-                rounds: lg,
-                words_moved,
-                time: lg as f64 * (self.alpha + self.beta * words as f64),
-            }
-        }
-    }
-
-    /// Cost breakdown of the **fused, segment-pipelined nonblocking
-    /// allreduce** — the charge behind `iallreduce`. The payload is one
-    /// contiguous buffer (packed Gram triangle + cross terms + scalars),
-    /// so the engine can cut it into segments and pipeline them down the
-    /// binomial tree: the tree still costs `⌈log₂P⌉` latency rounds
-    /// (latency is unchanged — the paper's Table I message counts hold),
-    /// but each word crosses the network only during the reduce-scatter /
-    /// allgather-style sweep, moving `2·w·(P−1)/P` words on the critical
-    /// path instead of the blocking tree's `⌈log₂P⌉·w`:
+    /// Cost breakdown of the one collective the machine has: the **fused,
+    /// segment-pipelined allreduce** behind `iallreduce`. The payload is
+    /// one contiguous buffer (packed Gram triangle + cross terms +
+    /// scalars), cut into segments and pipelined down the binomial tree:
+    /// `⌈log₂P⌉` latency rounds (the paper's Table I message counts), and
+    /// each word crosses the network only during the reduce-scatter /
+    /// allgather-style sweep, `2·w·(P−1)/P` words on the critical path:
     ///
     /// ```text
     /// rounds      = ⌈log₂P⌉
@@ -261,59 +120,15 @@ impl CostModel {
     /// time        = rounds·α + β·words_moved
     /// ```
     ///
-    /// Strictly no slower than the blocking tree for `P ≥ 2` (equal at
-    /// `P = 2`, where `2(P−1)/P = ⌈log₂P⌉ = 1`). With a [`Hierarchy`],
-    /// each level pipelines independently at its own α/β.
+    /// A lone rank pays nothing (0 rounds, 0 words, 0 s); an empty payload
+    /// is a barrier, pure latency.
     pub fn fused_allreduce_charge(&self, p: usize, words: u64) -> CollectiveCharge {
         let lg = collective_rounds(p);
-        if lg == 0 {
-            return CollectiveCharge {
-                rounds: 0,
-                words_moved: 0,
-                time: 0.0,
-            };
-        }
-        if let Some(h) = self.hierarchy {
-            if h.cores_per_node > 1 && p > 1 {
-                let local = p.min(h.cores_per_node);
-                let nodes = p.div_ceil(h.cores_per_node);
-                let lg_local = collective_rounds(local);
-                let lg_nodes = collective_rounds(nodes);
-                let w_local = pipelined_words(local, words);
-                let w_nodes = pipelined_words(nodes, words);
-                let time = lg_local as f64 * h.alpha_intra
-                    + h.beta_intra * w_local as f64
-                    + lg_nodes as f64 * self.alpha
-                    + self.beta * w_nodes as f64;
-                return CollectiveCharge {
-                    rounds: lg_local + lg_nodes,
-                    words_moved: w_local + w_nodes,
-                    time,
-                };
-            }
-        }
         let words_moved = pipelined_words(p, words);
         CollectiveCharge {
             rounds: lg,
             words_moved,
             time: lg as f64 * self.alpha + self.beta * words_moved as f64,
-        }
-    }
-
-    /// Two-level collective: an intra-node tree phase at shared-memory
-    /// rates plus an inter-node tree phase at network rates. Counters
-    /// report total rounds and total words across both phases.
-    fn hierarchical_charge(&self, p: usize, words: u64, h: Hierarchy) -> CollectiveCharge {
-        let local = p.min(h.cores_per_node);
-        let nodes = p.div_ceil(h.cores_per_node);
-        let lg_local = collective_rounds(local);
-        let lg_nodes = collective_rounds(nodes);
-        let time = lg_local as f64 * (h.alpha_intra + h.beta_intra * words as f64)
-            + lg_nodes as f64 * (self.alpha + self.beta * words as f64);
-        CollectiveCharge {
-            rounds: lg_local + lg_nodes,
-            words_moved: (lg_local + lg_nodes) * words,
-            time,
         }
     }
 }
@@ -328,22 +143,23 @@ fn pipelined_words(p: usize, words: u64) -> u64 {
 }
 
 /// Least-squares fit of (α, β) from measured collectives: given samples of
-/// `(ranks, payload_words, seconds)` for tree allreduces, solve
-/// `t ≈ ⌈log₂P⌉·α + ⌈log₂P⌉·w·β` in closed form (2×2 normal equations).
-/// This is how a real machine would be calibrated into a [`CostModel`] —
-/// run a collectives microbenchmark, fit, simulate.
+/// `(ranks, payload_words, seconds)` for allreduces, solve
+/// `t ≈ ⌈log₂P⌉·α + (2w(P−1)/P)·β` — the formula
+/// [`CostModel::fused_allreduce_charge`] charges, so fitting the model's
+/// own charges returns its α and β — in closed form (2×2 normal
+/// equations). This is how a real machine would be calibrated into a
+/// [`CostModel`]: run a collectives microbenchmark, fit, simulate.
 ///
 /// # Panics
-/// Panics with fewer than 2 samples or a singular design (all samples at
-/// the same payload).
+/// Panics with fewer than 2 samples or a singular design (every sample at
+/// the same rank count and payload).
 pub fn fit_alpha_beta(samples: &[(usize, u64, f64)]) -> (f64, f64) {
     assert!(samples.len() >= 2, "need at least two samples");
-    // design rows: x1 = log2(P) rounds, x2 = rounds·w
+    // design rows: x1 = ⌈log₂P⌉ rounds, x2 = words on the critical path
     let (mut s11, mut s12, mut s22, mut b1, mut b2) = (0.0f64, 0.0, 0.0, 0.0, 0.0);
     for &(p, w, t) in samples {
-        let r = collective_rounds(p) as f64;
-        let x1 = r;
-        let x2 = r * w as f64;
+        let x1 = collective_rounds(p) as f64;
+        let x2 = pipelined_words(p, w) as f64;
         s11 += x1 * x1;
         s12 += x1 * x2;
         s22 += x2 * x2;
@@ -442,11 +258,11 @@ mod tests {
     }
 
     #[test]
-    fn collective_time_scales_with_p_and_words() {
+    fn allreduce_time_scales_with_p_and_words() {
         let m = CostModel::cray_xc30();
-        let t1 = m.collective_time(CollectiveKind::Allreduce, 64, 10);
-        let t2 = m.collective_time(CollectiveKind::Allreduce, 4096, 10);
-        let t3 = m.collective_time(CollectiveKind::Allreduce, 64, 100_000);
+        let t1 = m.fused_allreduce_charge(64, 10).time;
+        let t2 = m.fused_allreduce_charge(4096, 10).time;
+        let t3 = m.fused_allreduce_charge(64, 100_000).time;
         assert!(t2 > t1, "more ranks, more rounds");
         assert!(t3 > t1, "more words, more time");
     }
@@ -457,10 +273,8 @@ mod tests {
         // s-sized collective is far cheaper than s unit collectives.
         let m = CostModel::cray_xc30();
         let s = 64u64;
-        let one_big = m.collective_time(CollectiveKind::Allreduce, 1024, s * s);
-        let many_small: f64 = (0..s)
-            .map(|_| m.collective_time(CollectiveKind::Allreduce, 1024, 1))
-            .sum();
+        let one_big = m.fused_allreduce_charge(1024, s * s).time;
+        let many_small: f64 = (0..s).map(|_| m.fused_allreduce_charge(1024, 1).time).sum();
         assert!(
             one_big < many_small / 2.0,
             "big {one_big} vs many {many_small}"
@@ -504,115 +318,40 @@ mod tests {
 }
 
 #[cfg(test)]
-mod allreduce_algo_tests {
-    use super::*;
-
-    #[test]
-    fn rabenseifner_beats_tree_for_large_payloads() {
-        let tree = CostModel::cray_xc30();
-        let rab = CostModel {
-            allreduce_algo: AllreduceAlgo::Rabenseifner,
-            ..tree
-        };
-        let p = 4096;
-        let large = 100_000;
-        assert!(
-            rab.collective_time(CollectiveKind::Allreduce, p, large)
-                < tree.collective_time(CollectiveKind::Allreduce, p, large)
-        );
-        // ...but loses on latency for tiny payloads (2× the rounds)
-        assert!(
-            rab.collective_time(CollectiveKind::Allreduce, p, 1)
-                > tree.collective_time(CollectiveKind::Allreduce, p, 1)
-        );
-    }
-
-    #[test]
-    fn auto_switches_at_threshold() {
-        let auto = CostModel {
-            allreduce_algo: AllreduceAlgo::Auto {
-                threshold_words: 1000,
-            },
-            ..CostModel::cray_xc30()
-        };
-        let p = 1024;
-        let small = auto.collective_charge(CollectiveKind::Allreduce, p, 999);
-        let big = auto.collective_charge(CollectiveKind::Allreduce, p, 1000);
-        assert_eq!(small.rounds, 10, "tree below threshold");
-        assert_eq!(big.rounds, 20, "rabenseifner at/above threshold");
-    }
-
-    #[test]
-    fn non_allreduce_collectives_always_use_tree() {
-        let rab = CostModel {
-            allreduce_algo: AllreduceAlgo::Rabenseifner,
-            ..CostModel::cray_xc30()
-        };
-        let c = rab.collective_charge(CollectiveKind::Barrier, 1024, 50);
-        assert_eq!(c.rounds, 10);
-        assert_eq!(c.words_moved, 500);
-    }
-
-    #[test]
-    fn rabenseifner_word_count_is_bandwidth_optimal() {
-        let rab = CostModel {
-            allreduce_algo: AllreduceAlgo::Rabenseifner,
-            ..CostModel::cray_xc30()
-        };
-        let c = rab.collective_charge(CollectiveKind::Allreduce, 1 << 20, 10_000);
-        // ≈ 2w(P−1)/P ≈ 2w
-        assert!((c.words_moved as i64 - 20_000).abs() < 10);
-    }
-
-    #[test]
-    fn single_rank_charges_nothing() {
-        let m = CostModel::cray_xc30();
-        let c = m.collective_charge(CollectiveKind::Allreduce, 1, 1000);
-        assert_eq!(
-            c,
-            CollectiveCharge {
-                rounds: 0,
-                words_moved: 0,
-                time: 0.0
-            }
-        );
-    }
-}
-
-#[cfg(test)]
 mod fused_allreduce_tests {
     use super::*;
 
     #[test]
     fn fused_keeps_tree_latency_but_moves_pipelined_words() {
+        // Against a tree that resends the whole payload every round
+        // (⌈log₂P⌉·(α + βw)): same rounds, never more words, never slower.
         let m = CostModel::cray_xc30();
         for p in [2usize, 3, 192, 1024, 12_288] {
             let w = 592u64;
-            let tree = m.collective_charge(CollectiveKind::Allreduce, p, w);
+            let lg = collective_rounds(p);
             let fused = m.fused_allreduce_charge(p, w);
-            assert_eq!(fused.rounds, tree.rounds, "p={p}: latency is unchanged");
+            assert_eq!(fused.rounds, lg, "p={p}: latency is unchanged");
             let expect = (2.0 * w as f64 * (p as f64 - 1.0) / p as f64).round() as u64;
             assert_eq!(fused.words_moved, expect, "p={p}");
             assert!(
-                fused.words_moved <= tree.words_moved,
+                fused.words_moved <= lg * w,
                 "p={p}: pipelining must never move more words"
             );
-            assert!(fused.time <= tree.time + 1e-18, "p={p}: never slower");
+            let tree_time = lg as f64 * (m.alpha + m.beta * w as f64);
+            assert!(fused.time <= tree_time + 1e-18, "p={p}: never slower");
         }
     }
 
     #[test]
     fn fused_words_reduction_is_at_least_half_log_p() {
-        // The factor that drives the fig4 regeneration: at ≥ 192 ranks the
-        // blocking tree moves ⌈log₂P⌉·w while the fused sweep moves < 2w,
-        // so the reduction is ≥ ⌈log₂P⌉/2 ≥ 4× — comfortably above the
-        // 1.8× acceptance bar on every fig4 dataset/p point.
+        // The factor that drives the fig4 regeneration: at ≥ 192 ranks a
+        // whole-payload tree would move ⌈log₂P⌉·w while the fused sweep
+        // moves < 2w, so the reduction is ≥ ⌈log₂P⌉/2 ≥ 4× — comfortably
+        // above the 1.8× acceptance bar on every fig4 dataset/p point.
         let m = CostModel::cray_xc30();
         for p in [192usize, 384, 768, 1536, 3072, 6144, 12_288] {
             let w = 10_000u64;
-            let tree = m
-                .collective_charge(CollectiveKind::Allreduce, p, w)
-                .words_moved;
+            let tree = collective_rounds(p) * w;
             let fused = m.fused_allreduce_charge(p, w).words_moved;
             let factor = tree as f64 / fused as f64;
             assert!(factor >= 1.8, "p={p}: words reduction only {factor}");
@@ -628,78 +367,38 @@ mod fused_allreduce_tests {
         assert_eq!(c.words_moved, 0);
         assert!((c.time - 6.0 * m.alpha).abs() < 1e-18, "pure latency");
     }
-
-    #[test]
-    fn fused_hierarchical_pipelines_each_level() {
-        let m = CostModel::cray_xc30_hierarchical();
-        let c = m.fused_allreduce_charge(48, 10);
-        // 24-core nodes: 5 intra rounds + 1 inter round, words pipelined
-        // per level: 2·10·23/24 ≈ 19 intra + 2·10·1/2 = 10 inter.
-        assert_eq!(c.rounds, 6);
-        assert_eq!(c.words_moved, 19 + 10);
-        let flat = CostModel::cray_xc30().fused_allreduce_charge(48, 10);
-        assert!(c.time < flat.time, "shared-memory rounds are cheaper");
-    }
-}
-
-#[cfg(test)]
-mod hierarchy_tests {
-    use super::*;
-
-    #[test]
-    fn hierarchical_collectives_are_cheaper_at_scale() {
-        let flat = CostModel::cray_xc30();
-        let hier = CostModel::cray_xc30_hierarchical();
-        let p = 12_288; // 512 nodes × 24 cores
-        let flat_t = flat.collective_time(CollectiveKind::Allreduce, p, 16);
-        let hier_t = hier.collective_time(CollectiveKind::Allreduce, p, 16);
-        assert!(
-            hier_t < flat_t,
-            "only inter-node rounds should pay the network α: {hier_t} vs {flat_t}"
-        );
-        // 14 flat rounds vs 5 intra + 9 inter: inter-node α dominates
-        let expect = 5.0 * (8.0e-8 + 1.0e-9 * 16.0) + 9.0 * (8.0e-6 + 1.0e-8 * 16.0);
-        assert!((hier_t - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hierarchy_within_one_node_is_shared_memory_only() {
-        let hier = CostModel::cray_xc30_hierarchical();
-        let c = hier.collective_charge(CollectiveKind::Allreduce, 16, 8);
-        // 16 ranks on one 24-core node: log2(16)=4 intra rounds, 0 inter
-        assert_eq!(c.rounds, 4);
-        assert!(c.time < 1e-6, "pure shared-memory collective: {}", c.time);
-    }
-
-    #[test]
-    fn hierarchy_counts_rounds_across_both_levels() {
-        let hier = CostModel::cray_xc30_hierarchical();
-        let c = hier.collective_charge(CollectiveKind::Allreduce, 48, 10);
-        // 24 local (5 rounds) + 2 nodes (1 round)
-        assert_eq!(c.rounds, 6);
-        assert_eq!(c.words_moved, 60);
-    }
 }
 
 #[cfg(test)]
 mod calibration_tests {
     use super::*;
 
+    /// The model's own charges for every (P, payload) pair, as
+    /// calibration samples.
+    fn charged_samples(m: &CostModel, ps: &[usize], ws: &[u64]) -> Vec<(usize, u64, f64)> {
+        ps.iter()
+            .flat_map(|&p| {
+                ws.iter()
+                    .map(move |&w| (p, w, m.fused_allreduce_charge(p, w).time))
+            })
+            .collect()
+    }
+
     #[test]
     fn fit_recovers_known_parameters() {
-        let (alpha_true, beta_true) = (5.0e-6, 2.0e-8);
-        let samples: Vec<(usize, u64, f64)> = [64usize, 256, 1024, 4096]
-            .iter()
-            .flat_map(|&p| {
-                [1u64, 100, 10_000].map(move |w| {
-                    let r = collective_rounds(p) as f64;
-                    (p, w, r * alpha_true + r * w as f64 * beta_true)
-                })
-            })
-            .collect();
-        let (alpha, beta) = fit_alpha_beta(&samples);
-        assert!((alpha - alpha_true).abs() < 1e-12, "alpha {alpha}");
-        assert!((beta - beta_true).abs() < 1e-14, "beta {beta}");
+        // fit ∘ fused_allreduce_charge is the identity: the fit's design
+        // is the formula the simulator charges.
+        for (alpha, beta) in [(5.0e-6, 2.0e-8), (1.0e-3, 2.0e-7)] {
+            let m = CostModel {
+                alpha,
+                beta,
+                ..CostModel::cray_xc30()
+            };
+            let samples = charged_samples(&m, &[2, 4, 64, 12_288], &[1, 100, 10_000]);
+            let (a, b) = fit_alpha_beta(&samples);
+            assert!((a / alpha - 1.0).abs() < 1e-12, "alpha {a} vs {alpha}");
+            assert!((b / beta - 1.0).abs() < 1e-12, "beta {b} vs {beta}");
+        }
     }
 
     #[test]
@@ -710,20 +409,15 @@ mod calibration_tests {
             rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
             0.95 + 0.1 * ((rng >> 33) as f64 / (1u64 << 31) as f64)
         };
-        let (alpha_true, beta_true) = (8.0e-6, 1.0e-8);
-        let samples: Vec<(usize, u64, f64)> = [128usize, 512, 2048, 8192]
-            .iter()
-            .flat_map(|&p| {
-                [1u64, 50, 1000, 50_000].map(|w| {
-                    let r = collective_rounds(p) as f64;
-                    (p, w, (r * alpha_true + r * w as f64 * beta_true))
-                })
-            })
-            .map(|(p, w, t)| (p, w, t * next()))
-            .collect();
+        let m = CostModel::cray_xc30();
+        let samples: Vec<(usize, u64, f64)> =
+            charged_samples(&m, &[128, 512, 2048, 8192], &[1, 50, 1000, 50_000])
+                .into_iter()
+                .map(|(p, w, t)| (p, w, t * next()))
+                .collect();
         let (alpha, beta) = fit_alpha_beta(&samples);
-        assert!((alpha / alpha_true - 1.0).abs() < 0.2, "alpha {alpha}");
-        assert!((beta / beta_true - 1.0).abs() < 0.2, "beta {beta}");
+        assert!((alpha / m.alpha - 1.0).abs() < 0.2, "alpha {alpha}");
+        assert!((beta / m.beta - 1.0).abs() < 0.2, "beta {beta}");
     }
 
     #[test]

@@ -17,10 +17,8 @@
 //! telemetry registry can never disagree.
 
 use crate::chaos::{ChaosPlan, ChaosSpec, RESTART_OVERHEAD_SECS};
-use crate::cost::{
-    CollectiveCharge, CollectiveKind, CostCounters, CostModel, CostReport, KernelClass,
-};
-use crate::telemetry_support::{kind_slot, registry_from_ranks, ChaosStats, RankTelemetry};
+use crate::cost::{CollectiveCharge, CostCounters, CostModel, CostReport, KernelClass};
+use crate::telemetry_support::{registry_from_ranks, ChaosStats, RankTelemetry};
 use saco_telemetry::{Phase, PhaseTable, Registry};
 
 /// One rank's live chaos-injection state (see [`crate::chaos`]): its
@@ -40,12 +38,11 @@ struct RankChaos {
     stats: ChaosStats,
 }
 
-/// One collective as every participant sees it: priced once (payload
+/// One fused allreduce as every participant sees it: priced once (payload
 /// size, rank count and the latest entry clock are known when the last
 /// rank joins), then settled on each rank's ledger.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Collective {
-    kind: CollectiveKind,
     charge: CollectiveCharge,
     /// Payload words handed in, before the `words_moved` charge.
     payload: u64,
@@ -55,25 +52,8 @@ pub(crate) struct Collective {
 }
 
 impl Collective {
-    /// A blocking tree collective of `words` payload on `p` ranks.
-    pub(crate) fn blocking(
-        model: &CostModel,
-        kind: CollectiveKind,
-        p: usize,
-        words: u64,
-        max_entry: f64,
-        jitter: f64,
-    ) -> Self {
-        Self {
-            kind,
-            charge: model.collective_charge(kind, p, words),
-            payload: words,
-            max_entry,
-            jitter,
-        }
-    }
-
-    /// The fused, segment-pipelined nonblocking allreduce.
+    /// The fused, segment-pipelined allreduce of `words` payload on `p`
+    /// ranks.
     pub(crate) fn fused(
         model: &CostModel,
         p: usize,
@@ -82,7 +62,6 @@ impl Collective {
         jitter: f64,
     ) -> Self {
         Self {
-            kind: CollectiveKind::Allreduce,
             charge: model.fused_allreduce_charge(p, words),
             payload: words,
             max_entry,
@@ -208,16 +187,6 @@ impl RankLedger {
         jitter
     }
 
-    /// Settle a blocking collective: everyone leaves at
-    /// `max_entry + cost`, having waited `max_entry − entry` for the
-    /// latest participant and paid `cost` of communication.
-    pub(crate) fn settle_blocking(&mut self, c: &Collective) {
-        let cost = c.charge.time + c.jitter;
-        let idle = c.max_entry - self.entry;
-        self.clock = c.max_entry + cost;
-        self.record_collective(c, cost, idle);
-    }
-
     /// Settle a fused allreduce joined at [`entry`](Self::entry), with
     /// whatever was charged since overlapping it: the collective
     /// completes at `max_entry + cost` and this rank leaves at
@@ -233,19 +202,15 @@ impl RankLedger {
         let comm = cost.min(visible);
         let hidden = (arrival.min(completion) - self.entry).max(0.0);
         self.clock = arrival.max(completion);
-        self.record_collective(c, comm, visible - comm);
-        self.telemetry.words_packed += c.payload;
-        self.telemetry.hidden_time += hidden;
-    }
-
-    fn record_collective(&mut self, c: &Collective, comm: f64, idle: f64) {
         self.messages += c.charge.rounds;
         self.words += c.charge.words_moved;
         let t = &mut self.telemetry;
-        t.collectives[kind_slot(c.kind)] += 1;
+        t.collectives += 1;
         t.phases
             .record_full(Phase::Comm, comm, c.charge.words_moved, 0);
-        t.phases.record(Phase::Idle, idle);
+        t.phases.record(Phase::Idle, visible - comm);
+        t.words_packed += c.payload;
+        t.hidden_time += hidden;
     }
 
     /// Block-boundary checkpoint: a free no-op on clean runs. With chaos
@@ -364,18 +329,23 @@ mod tests {
         let m = model();
         let (mut a, mut b) = (RankLedger::default(), RankLedger::default());
 
-        // Late entry: a works 3 s, b 7 s, then a blocking 4-word allreduce
-        // (1 round: α + 4β = 4 s). a waits 4 s for b; both leave at 11.
+        // Late entry: a works 3 s, b 7 s, then a 4-word allreduce settled
+        // at once (1 round: α + β·2·4·½ = 4 s). a waits 4 s for b; both
+        // leave at 11, nothing hidden.
         work(&mut a, 3);
         work(&mut b, 7);
         assert_eq!((a.enter_collective(), b.enter_collective()), (0.0, 0.0));
-        let c = Collective::blocking(&m, CollectiveKind::Allreduce, 2, 4, 7.0, 0.0);
-        a.settle_blocking(&c);
-        b.settle_blocking(&c);
+        let c = Collective::fused(&m, 2, 4, 7.0, 0.0);
+        a.settle_fused(&c);
+        b.settle_fused(&c);
         assert_eq!(times(&a), (11.0, 3.0, 4.0, 4.0));
         assert_eq!(times(&b), (11.0, 7.0, 4.0, 0.0));
+        assert_eq!(
+            (a.telemetry.hidden_time, b.telemetry.hidden_time),
+            (0.0, 0.0)
+        );
 
-        // Fused 2-word allreduce (α + β·2·2·½ = 3 s) joined by both at 11,
+        // A 2-word allreduce (α + β·2·2·½ = 3 s) joined by both at 11,
         // complete at 14. a overlaps 5 s of work: arrives at 16, the
         // collective is fully hidden (3 s) and costs nothing visible.
         // b overlaps 1 s: arrives at 12, 1 s hidden, 2 s visible comm.
@@ -392,16 +362,13 @@ mod tests {
             (a.telemetry.hidden_time, b.telemetry.hidden_time),
             (3.0, 1.0)
         );
-        assert_eq!((a.telemetry.words_packed, b.telemetry.words_packed), (2, 2));
+        assert_eq!((a.telemetry.words_packed, b.telemetry.words_packed), (6, 6));
 
         // Program-order counts: 2 collectives, 1 round each, 4 + 2 words.
         for l in [&a, &b] {
             let c = l.counters();
             assert_eq!((c.messages, c.words, c.flops), (2, 6, c.comp_time as u64));
-            assert_eq!(
-                l.telemetry.collectives[kind_slot(CollectiveKind::Allreduce)],
-                2
-            );
+            assert_eq!(l.telemetry.collectives, 2);
         }
         // Equal comp time: the tie goes to the highest rank.
         assert_eq!(critical_rank(&[a.clone(), b.clone()]), 1);
@@ -430,11 +397,13 @@ mod tests {
         // The stall lands before the entry snapshot: ranks join at 2 + s.
         let (e0, e1) = (2.0 + s0, 2.0 + s1);
         assert_eq!((ranks[0].entry(), ranks[1].entry()), (e0, e1));
-        let c = Collective::blocking(&m, CollectiveKind::Barrier, 2, 0, e0.max(e1), 0.0);
-        ranks.iter_mut().for_each(|l| l.settle_blocking(&c));
-        // A barrier is pure latency (α = 2 s); stalled time is idle.
+        let c = Collective::fused(&m, 2, 0, e0.max(e1), 0.0);
+        ranks.iter_mut().for_each(|l| l.settle_fused(&c));
+        // An empty allreduce is a barrier, pure latency (α = 2 s); stalled
+        // time and the wait for the later rank are idle.
         let leave = e0.max(e1) + 2.0;
-        assert_eq!(times(&ranks[0]), (leave, 2.0, 2.0, s0 + (e0.max(e1) - e0)));
+        let wait = |entry: f64| (leave - entry) - 2.0;
+        assert_eq!(times(&ranks[0]), (leave, 2.0, 2.0, s0 + wait(e0)));
 
         // Block 0 ends: rank 1 redoes everything since time 0 and pays
         // the restart overhead, as idle; rank 0 is untouched.
@@ -443,12 +412,7 @@ mod tests {
         assert_eq!(times(&ranks[0]).0, leave);
         assert_eq!(
             times(&ranks[1]),
-            (
-                leave + recovery,
-                2.0,
-                2.0,
-                s1 + (e0.max(e1) - e1) + recovery
-            )
+            (leave + recovery, 2.0, 2.0, s1 + wait(e1) + recovery)
         );
         let chaos = |l: &RankLedger| l.chaos.as_ref().expect("enabled").stats;
         let chaos = chaos(&ranks[1]);

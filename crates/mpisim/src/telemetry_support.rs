@@ -5,19 +5,7 @@
 //! [`Registry`] from those per-rank records, so the thread machine and
 //! the virtual cluster feed the same sink under the same key names.
 
-use crate::cost::CollectiveKind;
 use saco_telemetry::{PhaseTable, Registry};
-
-/// Stable names for [`CollectiveKind`] counters, indexed by [`kind_slot`].
-pub(crate) const KIND_NAMES: [&str; 2] = ["allreduce", "barrier"];
-
-/// Dense index for per-kind collective counters.
-pub(crate) fn kind_slot(kind: CollectiveKind) -> usize {
-    match kind {
-        CollectiveKind::Allreduce => 0,
-        CollectiveKind::Barrier => 1,
-    }
-}
 
 /// Per-rank accounting of injected chaos (see [`crate::chaos`]): how much
 /// time each perturbation class added, plus checkpoint/failure counts.
@@ -43,14 +31,15 @@ pub(crate) struct ChaosStats {
 }
 
 /// What one rank accumulates for telemetry while it runs: a phase table
-/// plus per-kind collective entry counts. Plain arrays, so recording adds
-/// no allocation to the engines' hot charge paths.
+/// plus its allreduce count. Plain values, so recording adds no
+/// allocation to the engines' hot charge paths.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct RankTelemetry {
     pub phases: PhaseTable,
-    pub collectives: [u64; 2],
-    /// Payload words this rank handed to fused (`iallreduce`) collectives
-    /// — the packed on-the-wire size, before the `words_moved` charge.
+    /// Allreduces this rank joined (a lone rank joins none).
+    pub collectives: u64,
+    /// Payload words this rank handed to its allreduces — the packed
+    /// on-the-wire size, before the `words_moved` charge.
     pub words_packed: u64,
     /// Seconds of in-flight `iallreduce` time this rank hid behind local
     /// computation between `start` and `wait`.
@@ -82,17 +71,14 @@ pub(crate) fn registry_from_ranks(
         }
     }
     if let Some(first) = ranks.first() {
-        for (slot, &name) in KIND_NAMES.iter().enumerate() {
-            let count = first.collectives[slot];
-            if count > 0 {
-                reg.counter_add(&format!("collectives.{name}"), count);
-            }
+        if first.collectives > 0 {
+            reg.counter_add("collectives.allreduce", first.collectives);
         }
-        // Fused-collective extras: the packed payload volume is
-        // program-order (identical on every rank), the hidden time is the
-        // critical rank's — the overlap that actually shortened the
-        // reported timeline. Only emitted once a fused collective ran, so
-        // runs on the blocking path keep their exact report shape.
+        // The packed payload volume is program-order (identical on every
+        // rank), the hidden time is the critical rank's — the overlap
+        // that actually shortened the reported timeline. Only emitted
+        // once a payload was reduced, so runs without one keep their
+        // exact report shape.
         if first.words_packed > 0 {
             reg.counter_add("comm.words_packed", first.words_packed);
             let critical = reg.critical_rank().unwrap_or(0);
@@ -128,28 +114,16 @@ mod tests {
     use saco_telemetry::Phase;
 
     #[test]
-    fn kind_slots_are_distinct_and_named() {
-        let mut seen = [false; 2];
-        for k in [CollectiveKind::Allreduce, CollectiveKind::Barrier] {
-            let s = kind_slot(k);
-            assert!(!seen[s], "duplicate slot {s}");
-            seen[s] = true;
-            assert!(!KIND_NAMES[s].is_empty());
-        }
-    }
-
-    #[test]
     fn registry_counts_collectives_once_not_per_rank() {
         let mut a = RankTelemetry::default();
         a.phases.record(Phase::Comm, 1.0);
-        a.collectives[kind_slot(CollectiveKind::Allreduce)] = 3;
+        a.collectives = 3;
         let mut b = RankTelemetry::default();
         b.phases.record(Phase::Comm, 2.0);
-        b.collectives[kind_slot(CollectiveKind::Allreduce)] = 3;
+        b.collectives = 3;
 
         let reg = registry_from_ranks("thread_machine", &[&a, &b], &[], 0.0);
         assert_eq!(reg.counter("collectives.allreduce"), 3);
-        assert_eq!(reg.counter("collectives.barrier"), 0);
         assert_eq!(reg.phases(0).unwrap().comm_time(), 1.0);
         assert_eq!(reg.phases(1).unwrap().comm_time(), 2.0);
         assert_eq!(reg.meta()["engine"], "thread_machine");

@@ -12,7 +12,7 @@
 //! so small thread-machine runs validate the large-scale virtual runs.
 
 use crate::chaos::ChaosSpec;
-use crate::cost::{CollectiveKind, CostCounters, CostModel, CostReport, KernelClass};
+use crate::cost::{CostCounters, CostModel, CostReport, KernelClass};
 use crate::ledger::{self, Collective, RankLedger};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use saco_telemetry::{Phase, PhaseTable, Registry};
@@ -25,7 +25,7 @@ struct Packet {
     data: Vec<f64>,
 }
 
-/// Handle to an in-flight nonblocking allreduce started with
+/// Handle to an in-flight allreduce started with
 /// [`Comm::iallreduce_sum_start`]: the priced collective, settled on the
 /// rank's ledger at [`Comm::iallreduce_wait`]. Until then the reduction
 /// is logically in flight and its buffer must not be read.
@@ -114,9 +114,9 @@ impl Comm {
         self.from[src].recv().expect("peer rank hung up")
     }
 
-    /// The one data exchange behind every collective: sum `buf` across
-    /// ranks in place and return the latest entry clock of any
-    /// participant (this rank joined at the ledger's entry clock).
+    /// The data exchange behind the allreduce: sum `buf` across ranks in
+    /// place and return the latest entry clock of any participant (this
+    /// rank joined at the ledger's entry clock).
     ///
     /// Reduce up a fixed binomial tree — at distance `d`, rank `r` with
     /// `r % 2d == 0` receives from `r + d` and adds the partner's partial
@@ -157,51 +157,22 @@ impl Comm {
         max_entry
     }
 
-    fn blocking(&mut self, kind: CollectiveKind, buf: &mut Vec<f64>) {
-        if self.size == 1 {
-            return;
-        }
-        let jitter = self.ledger.enter_collective();
-        let max_entry = self.tree_allreduce(buf);
-        let words = buf.len() as u64;
-        self.ledger.settle_blocking(&Collective::blocking(
-            &self.model,
-            kind,
-            self.size,
-            words,
-            max_entry,
-            jitter,
-        ));
-    }
-
-    /// Allreduce with summation, in place. Deterministic: the result is
-    /// identical on all ranks and across runs.
-    pub fn allreduce_sum(&mut self, buf: &mut Vec<f64>) {
-        self.blocking(CollectiveKind::Allreduce, buf);
-    }
-
-    /// Barrier: an empty allreduce.
-    pub fn barrier(&mut self) {
-        self.blocking(CollectiveKind::Barrier, &mut Vec::new());
-    }
-
-    /// Start a **nonblocking fused allreduce** of `buf` (summation, in
-    /// place). The payload is one contiguous buffer — the solvers pack
-    /// Gram triangle + cross terms + scalars into it — so the machine
-    /// charges the segment-pipelined
+    /// Start the machine's one collective, a **nonblocking fused
+    /// allreduce** of `buf` (summation, in place). The payload is one
+    /// contiguous buffer — the solvers pack Gram triangle + cross terms +
+    /// scalars into it — priced by the segment-pipelined
     /// [`fused_allreduce_charge`](CostModel::fused_allreduce_charge):
-    /// same `⌈log₂P⌉` latency rounds as the blocking tree, but only
-    /// `2·w·(P−1)/P` words on the critical path.
+    /// `⌈log₂P⌉` latency rounds and `2·w·(P−1)/P` words on the critical
+    /// path.
     ///
     /// The data is physically exchanged now (the payload is fixed at
     /// start) but is not valid until [`iallreduce_wait`] consumes the
     /// returned request and settles the virtual-time charge; computation
     /// charged between start and wait overlaps the in-flight reduction
     /// (virtual time advances by `max(comp, comm)`, not their sum).
-    /// Deterministic: the exchange is the same fixed binomial tree as
-    /// [`allreduce_sum`](Self::allreduce_sum), so results are bitwise
-    /// identical to the blocking path, on every rank, with any amount of
-    /// overlapped work.
+    /// Deterministic: the exchange is a fixed binomial tree, so the
+    /// result is bitwise identical on every rank and across runs, with
+    /// any amount of overlapped work.
     ///
     /// [`iallreduce_wait`]: Self::iallreduce_wait
     pub fn iallreduce_sum_start(&mut self, buf: &mut Vec<f64>) -> IallreduceRequest {
@@ -220,7 +191,7 @@ impl Comm {
         )))
     }
 
-    /// Complete a nonblocking allreduce: the collective finishes at
+    /// Complete an allreduce: the collective finishes at
     /// `max_entry + cost`; this rank leaves at
     /// `max(arrival, completion)`. Of the remaining in-flight window only
     /// `min(cost, completion − arrival)` is charged as communication (the
@@ -232,9 +203,10 @@ impl Comm {
         }
     }
 
-    /// Blocking fused allreduce: [`iallreduce_sum_start`] immediately
-    /// completed by [`iallreduce_wait`] — the `--overlap off` comm path.
-    /// Identical wire format and charge; zero overlap.
+    /// Blocking form: [`iallreduce_sum_start`] immediately completed by
+    /// [`iallreduce_wait`] — the reference schedule the overlapped one is
+    /// tested against. Identical wire format and charge; zero overlap. An
+    /// empty `buf` is a barrier.
     ///
     /// [`iallreduce_sum_start`]: Self::iallreduce_sum_start
     /// [`iallreduce_wait`]: Self::iallreduce_wait
@@ -243,9 +215,7 @@ impl Comm {
         self.iallreduce_wait(req);
     }
 
-    /// Scalar summation on the fused comm path. The solvers route their
-    /// bookkeeping reductions through this so every collective in a solve
-    /// scales words uniformly.
+    /// Scalar summation, the solvers' bookkeeping reductions.
     pub fn iallreduce_scalar(&mut self, v: f64) -> f64 {
         let mut buf = vec![v];
         self.iallreduce_sum(&mut buf);
@@ -269,7 +239,7 @@ impl ThreadMachine {
     /// use mpisim::{CostModel, ThreadMachine};
     /// let (results, report, _) = ThreadMachine::run(4, CostModel::cray_xc30(), |comm| {
     ///     let mut buf = vec![comm.rank() as f64];
-    ///     comm.allreduce_sum(&mut buf);
+    ///     comm.iallreduce_sum(&mut buf);
     ///     buf[0]
     /// });
     /// // 0 + 1 + 2 + 3, replicated on every rank
@@ -334,7 +304,7 @@ mod tests {
         for p in [1, 2, 3, 4, 5, 8, 13] {
             let (results, _, _) = ThreadMachine::run(p, CostModel::cray_xc30(), |comm| {
                 let mut buf = vec![comm.rank() as f64 + 1.0, 1.0];
-                comm.allreduce_sum(&mut buf);
+                comm.iallreduce_sum(&mut buf);
                 buf
             });
             let expect0 = (p * (p + 1) / 2) as f64;
@@ -350,7 +320,7 @@ mod tests {
         let run = || {
             ThreadMachine::run(7, CostModel::cray_xc30(), |comm| {
                 let mut buf = vec![0.1 * (comm.rank() as f64 + 1.0); 3];
-                comm.allreduce_sum(&mut buf);
+                comm.iallreduce_sum(&mut buf);
                 buf
             })
             .0
@@ -383,16 +353,16 @@ mod tests {
         let (results, _, _) = ThreadMachine::run(4, model, |comm| {
             comm.charge(KernelClass::Dot, 1_200_000, 100, Phase::Comp);
             let mut buf = vec![1.0; 8];
-            comm.allreduce_sum(&mut buf);
+            comm.iallreduce_sum(&mut buf);
             (comm.clock(), comm.counters())
         });
-        let expect =
-            1_200_000.0 / model.dot_rate + model.collective_time(CollectiveKind::Allreduce, 4, 8);
+        let charge = model.fused_allreduce_charge(4, 8);
+        let expect = 1_200_000.0 / model.dot_rate + charge.time;
         for (t, c) in &results {
             assert!((t - expect).abs() < 1e-12, "clock {t} vs {expect}");
             assert_eq!(c.flops, 1_200_000);
             assert_eq!(c.messages, 2); // 2 rounds on 4 ranks
-            assert_eq!(c.words, 16);
+            assert_eq!(c.words, charge.words_moved);
         }
     }
 
@@ -404,7 +374,7 @@ mod tests {
                 comm.charge(KernelClass::Dot, 12_000_000, 100, Phase::Comp); // 10 ms straggler
             }
             let mut buf = vec![0.0];
-            comm.allreduce_sum(&mut buf);
+            comm.iallreduce_sum(&mut buf);
             comm.counters()
         });
         let (fast, slow) = (&results[0], &results[1]);
@@ -429,7 +399,7 @@ mod tests {
                 10,
                 Phase::Comp,
             );
-            comm.barrier();
+            comm.iallreduce_sum(&mut Vec::new()); // an empty allreduce is a barrier
             comm.clock()
         });
         assert!((clocks[0] - clocks[1]).abs() < 1e-12);
@@ -440,8 +410,7 @@ mod tests {
     fn single_rank_degenerates_gracefully() {
         let (results, _, _) = ThreadMachine::run(1, CostModel::cray_xc30(), |comm| {
             let mut buf = vec![5.0];
-            comm.allreduce_sum(&mut buf);
-            comm.barrier();
+            comm.iallreduce_sum(&mut buf);
             (buf[0], comm.clock())
         });
         assert_eq!(results[0], (5.0, 0.0));
@@ -457,7 +426,7 @@ mod tests {
                 Phase::Comp,
             );
             let mut b = vec![0.0];
-            comm.allreduce_sum(&mut b);
+            comm.iallreduce_sum(&mut b);
         });
         assert_eq!(report.ranks, 4);
         assert!(report.running_time() > 0.0);
@@ -477,8 +446,8 @@ mod tests {
             );
             comm.charge(KernelClass::Vector, 50_000, 64, Phase::Comp);
             let mut buf = vec![1.0; 8];
-            comm.allreduce_sum(&mut buf);
-            comm.barrier();
+            comm.iallreduce_sum(&mut buf);
+            comm.iallreduce_sum(&mut Vec::new());
             comm.counters()
         });
         for (rank, counters) in results.iter().enumerate() {
@@ -500,8 +469,7 @@ mod tests {
             let phase_flops: u64 = table.iter().map(|(_, s)| s.flops).sum();
             assert_eq!(phase_flops, counters.flops);
         }
-        assert_eq!(registry.counter("collectives.allreduce"), 1);
-        assert_eq!(registry.counter("collectives.barrier"), 1);
+        assert_eq!(registry.counter("collectives.allreduce"), 2);
         assert_eq!(registry.meta()["engine"], "thread_machine");
     }
 
@@ -515,35 +483,13 @@ mod tests {
                 Phase::Comp,
             );
             let mut b = vec![0.0];
-            comm.allreduce_sum(&mut b);
+            comm.iallreduce_sum(&mut b);
         });
         let critical = registry.critical_rank().expect("nonempty run");
         assert_eq!(critical, 3);
         let table = registry.phases(critical).unwrap();
         assert!((table.comp_time() - report.critical.comp_time).abs() < 1e-12);
         assert!((table.comm_time() - report.critical.comm_time).abs() < 1e-12);
-    }
-
-    #[test]
-    fn iallreduce_result_is_bitwise_the_blocking_allreduce() {
-        // Same binomial tree, same combine order: the fused nonblocking
-        // path must produce bit-identical sums on every rank, with any
-        // amount of work overlapped in flight.
-        for p in [1, 2, 3, 4, 7, 8] {
-            let (blocking, _, _) = ThreadMachine::run(p, CostModel::cray_xc30(), |comm| {
-                let mut buf = vec![0.1 * (comm.rank() as f64 + 1.0); 5];
-                comm.allreduce_sum(&mut buf);
-                buf
-            });
-            let (fused, _, _) = ThreadMachine::run(p, CostModel::cray_xc30(), |comm| {
-                let mut buf = vec![0.1 * (comm.rank() as f64 + 1.0); 5];
-                let req = comm.iallreduce_sum_start(&mut buf);
-                comm.charge(KernelClass::Vector, 10_000, 10, Phase::Comp); // overlapped work
-                comm.iallreduce_wait(req);
-                buf
-            });
-            assert_eq!(blocking, fused, "p={p}");
-        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Property-based cross-engine tests: for *any* SPMD program made of
-//! compute charges, blocking and fused (overlapped) collectives and
-//! checkpoints, with or without chaos, the thread machine and the virtual
-//! cluster must report bitwise-identical simulated times and counters on
-//! every rank, and allreduce must actually sum.
+//! compute charges, blocking and overlapped allreduces and checkpoints,
+//! with or without chaos, the thread machine and the virtual cluster must
+//! report bitwise-identical simulated times and counters on every rank,
+//! and allreduce must actually sum.
 
 use mpisim::telemetry::Phase;
-use mpisim::{AllreduceAlgo, ChaosSpec, CostModel, KernelClass, ThreadMachine, VirtualCluster};
+use mpisim::{ChaosSpec, CostModel, KernelClass, ThreadMachine, VirtualCluster};
 use proptest::prelude::*;
 
 /// One step of a random SPMD program.
@@ -19,11 +19,9 @@ enum Step {
         slope: u64,
         ws: u64,
     },
-    /// Allreduce of the given payload.
+    /// Allreduce of the given payload, waited on at once.
     Allreduce { words: usize },
-    /// Barrier.
-    Barrier,
-    /// Fused allreduce overlapped with rank-dependent work:
+    /// Allreduce overlapped with rank-dependent work:
     /// start → charge → wait.
     Fused { words: usize, overlapped_flops: u64 },
     /// Block-boundary checkpoint (where an injected fault recovers).
@@ -65,21 +63,12 @@ fn step_strategy() -> impl Strategy<Value = Step> {
                 ws
             }),
         (1usize..2000).prop_map(|words| Step::Allreduce { words }),
-        Just(Step::Barrier),
         // From nothing overlapped, through partly hidden, to fully hidden.
         (1usize..2000, 0u64..400_000).prop_map(|(words, overlapped_flops)| Step::Fused {
             words,
             overlapped_flops
         }),
         Just(Step::Checkpoint),
-    ]
-}
-
-fn algo_strategy() -> impl Strategy<Value = AllreduceAlgo> {
-    prop_oneof![
-        Just(AllreduceAlgo::Tree),
-        Just(AllreduceAlgo::Rabenseifner),
-        (1u64..3000).prop_map(|t| AllreduceAlgo::Auto { threshold_words: t }),
     ]
 }
 
@@ -111,9 +100,9 @@ fn chaos_strategy() -> impl Strategy<Value = Option<ChaosSpec>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any program, any rank count, any allreduce algorithm, any chaos
-    /// spec: the two engines agree **bitwise, on every rank** — clock,
-    /// counters and the whole phase table. Both run the one rank ledger;
+    /// Any program, any rank count, any chaos spec: the two engines agree
+    /// **bitwise, on every rank** — clock, counters and the whole phase
+    /// table. Both run the one rank ledger;
     /// the thread engine finds the latest entry clock through its tree,
     /// the cluster by a fold, and `max` is exact either way, so no field
     /// needs a tolerance.
@@ -121,13 +110,9 @@ proptest! {
     fn engines_agree_on_random_programs(
         steps in proptest::collection::vec(step_strategy(), 1..20),
         p in 2usize..9,
-        algo in algo_strategy(),
         chaos in chaos_strategy(),
     ) {
-        let model = CostModel {
-            allreduce_algo: algo,
-            ..CostModel::cray_xc30()
-        };
+        let model = CostModel::cray_xc30();
 
         let steps_ref = &steps;
         let (thread_ranks, thread_rep, thread_reg) = ThreadMachine::run(p, model, move |comm| {
@@ -142,9 +127,8 @@ proptest! {
                     }
                     Step::Allreduce { words } => {
                         let mut buf = vec![1.0; words];
-                        comm.allreduce_sum(&mut buf);
+                        comm.iallreduce_sum(&mut buf);
                     }
-                    Step::Barrier => comm.barrier(),
                     Step::Fused { words, overlapped_flops } => {
                         let mut buf = vec![1.0; words];
                         let req = comm.iallreduce_sum_start(&mut buf);
@@ -167,8 +151,7 @@ proptest! {
                 Step::Compute { class, phase, base, slope, ws } => {
                     vc.charge(class, phase, |r| (base + r as u64 * slope, ws));
                 }
-                Step::Allreduce { words } => vc.allreduce(words as u64),
-                Step::Barrier => vc.collective(mpisim::CollectiveKind::Barrier, 0),
+                Step::Allreduce { words } => vc.iallreduce(words as u64),
                 Step::Fused { words, overlapped_flops } => {
                     vc.iallreduce_start(words as u64);
                     vc.charge(KernelClass::Vector, Phase::Gram, |r| {
@@ -210,7 +193,7 @@ proptest! {
             let mut rng = xrng::rng_from_seed(seed ^ comm.rank() as u64);
             let buf: Vec<f64> = (0..words).map(|_| rng.next_gaussian()).collect();
             let mut reduced = buf.clone();
-            comm.allreduce_sum(&mut reduced);
+            comm.iallreduce_sum(&mut reduced);
             (buf, reduced)
         });
         // expected: element-wise sum of all rank contributions
@@ -230,7 +213,7 @@ proptest! {
     }
 
     /// The fused single-buffer allreduce is **bitwise** equal to reducing
-    /// each segment with its own blocking allreduce, for any segment
+    /// each segment with its own allreduce, for any segment
     /// split, at every rank count the solvers use — so packing the Gram
     /// triangle, cross terms, and scalars into one payload can never
     /// change a solver result.
@@ -245,15 +228,15 @@ proptest! {
             let (results, _, _) = ThreadMachine::run(p, CostModel::cray_xc30(), move |comm| {
                 let mut rng = xrng::rng_from_seed(seed ^ (comm.rank() as u64) << 8);
                 let data: Vec<f64> = (0..total).map(|_| rng.next_gaussian()).collect();
-                // Fused: one contiguous buffer through the nonblocking path.
+                // Fused: one contiguous buffer.
                 let mut fused = data.clone();
                 comm.iallreduce_sum(&mut fused);
-                // Separate: one blocking allreduce per segment.
+                // Separate: one allreduce per segment.
                 let mut separate = Vec::with_capacity(total);
                 let mut at = 0;
                 for &len in lens_ref {
                     let mut seg = data[at..at + len].to_vec();
-                    comm.allreduce_sum(&mut seg);
+                    comm.iallreduce_sum(&mut seg);
                     separate.extend_from_slice(&seg);
                     at += len;
                 }

@@ -19,7 +19,7 @@
 //! once per block in block order on every engine and in both overlap
 //! modes. Hit/miss patterns — and therefore every float that travels or
 //! is computed — are identical across `seq`/`sim`/`dist`/`net` and
-//! across `--overlap` on/off.
+//! across both overlap schedules.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -150,7 +150,7 @@ struct Entry {
 /// A bounded cache of transformed kernel rows `K(i, ·) ∈ ℝᵐ`, keyed by
 /// row index, with FIFO-by-admission eviction and a two-epoch pin
 /// contract (an epoch = one sampled block): rows selected in epoch `e`
-/// stay resident through epoch `e + 1`, because with `--overlap` the
+/// stay resident through epoch `e + 1`, because with overlap on the
 /// next block's misses are resolved while the current block's rows are
 /// still feeding the inner recurrence and the rank-1 margin updates.
 ///

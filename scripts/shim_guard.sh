@@ -184,7 +184,7 @@ done
 for f in crates/mpisim/src/*.rs; do
     case "$f" in */ledger.rs | */cost.rs) continue ;; esac
     hits=$(awk '/#\[cfg\(test\)\]/ { exit }
-        !/^[[:space:]]*\/\// && /compute_time\(|collective_charge\(|fused_allreduce_charge\(|\.record_full\(/ {
+        !/^[[:space:]]*\/\// && /compute_time\(|fused_allreduce_charge\(|\.record_full\(/ {
             print FILENAME ":" FNR ": " $0
         }' "$f")
     if [ -n "$hits" ]; then
@@ -201,10 +201,22 @@ done
 # (telemetry's emitters had no caller). A fork growing back needs a
 # workload on each side of it and a predicate the code can observe, not
 # a user-set switch.
-# (`\bAlgo::` leaves mpisim's cost-model `AllreduceAlgo::` alone.)
 if hits=$(grep -rnE '\bAlgo::|ring_allreduce|run_local_algo|Mode::Wide|SACO_SIMD_ISA|mod emit' \
         crates/*/src); then
     echo "shim_guard: a deleted fork is back (ring allreduce / SACO_SIMD=wide / emitters):" >&2
+    echo "$hits" >&2
+    status=1
+fi
+
+# One collective in the simulator (PR 23): mpisim prices exactly the
+# fused allreduce the solvers issue. The blocking tree / Rabenseifner /
+# Auto / two-level-hierarchy charges, the cloud preset and the CLI's
+# --overlap switch reached no solve, figure or committed number; a second
+# charge needs a figure that uses it, and `fit_alpha_beta` must fit
+# whatever formula is charged.
+if hits=$(grep -rnE 'AllreduceAlgo|Hierarchy|CollectiveKind|collective_charge|collective_time|settle_blocking|Collective::blocking|fn cloud\b|hierarchical|parse_overlap' \
+        crates/*/src); then
+    echo "shim_guard: a deleted pricing fork is back (blocking / Rabenseifner / hierarchy charge, cloud preset, --overlap):" >&2
     echo "$hits" >&2
     status=1
 fi
