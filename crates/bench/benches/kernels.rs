@@ -4,8 +4,10 @@
 //! products (BLAS-1) over the same data.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use datagen::{powerlaw_sparse, uniform_sparse};
-use sparsela::gram::{sampled_cross, sampled_gram, sampled_gram_into, sampled_gram_parallel};
+use datagen::{dense_gaussian, powerlaw_sparse, uniform_sparse};
+use sparsela::gram::{
+    gram_flops, sampled_cross, sampled_gram, sampled_gram_into, sampled_gram_parallel,
+};
 use sparsela::{simd, vecops, DenseMatrix, GramWorkspace};
 use std::hint::black_box;
 use xrng::{rng_from_seed, sample_without_replacement};
@@ -32,6 +34,26 @@ fn bench_sampled_gram(c: &mut Criterion) {
                     }
                 }
                 black_box(acc)
+            });
+        });
+    }
+    group.finish();
+}
+
+fn bench_sampled_gram_full(c: &mut Criterion) {
+    // Dense rows: every selected slice stores every coordinate, so the
+    // call takes the full-slice lane block (interleave by copy, four
+    // partner chains per pass). k = 16 is `svm_seq_dense`'s block.
+    let a = dense_gaussian(16, 1_500, 3);
+    let (mut ws, mut out) = (GramWorkspace::new(), DenseMatrix::zeros(0, 0));
+    let mut group = c.benchmark_group("sampled_gram_full");
+    for k in [1usize, 2, 4, 8, 16] {
+        let sel: Vec<usize> = (0..k).collect();
+        group.throughput(Throughput::Elements(gram_flops(&a, &sel)));
+        group.bench_with_input(BenchmarkId::from_parameter(k), &sel, |b, sel| {
+            b.iter(|| {
+                sampled_gram_into(&a, sel, 1, &mut ws, &mut out);
+                black_box(out.get(0, 0))
             });
         });
     }
@@ -269,6 +291,7 @@ fn bench_simd_modes(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_sampled_gram,
+    bench_sampled_gram_full,
     bench_parallel_gram,
     bench_dense_gram_parallel,
     bench_workspace_reuse,

@@ -24,16 +24,16 @@
 //! What fails this bin is deterministic: the modeled dense-Gram speedup
 //! dropping below 1.5× and the rewrite disagreeing with the pre-SIMD
 //! reference kernels (round-off on the dense path, bitwise on the sparse
-//! one). Walls are printed and recorded, never asserted — a shared host
-//! moves them by 30 % between runs; wall claims go through `benchmark/`'s
-//! alternating-pair protocol.
+//! one — on sparse columns and on full slices alike). Walls are printed
+//! and recorded, never asserted — a shared host moves them by 30 % between
+//! runs; wall claims go through `benchmark/`'s alternating-pair protocol.
 
-use datagen::uniform_sparse;
+use datagen::{dense_gaussian, uniform_sparse};
 use mpisim::{CostModel, KernelClass};
 use saco_bench::baseline::Baseline;
 use saco_bench::fmt_secs;
-use sparsela::gram::{sampled_gram, sampled_gram_into, sampled_gram_parallel};
-use sparsela::{simd, vecops, CscMatrix, DenseMatrix, GramWorkspace};
+use sparsela::gram::{gram_flops, sampled_gram, sampled_gram_into, sampled_gram_parallel};
+use sparsela::{simd, vecops, DenseMatrix, GramWorkspace, MajorSlices};
 use std::hint::black_box;
 use std::time::Instant;
 use xrng::{rng_from_seed, sample_without_replacement};
@@ -99,20 +99,20 @@ fn dense_gram_reference(a: &DenseMatrix) -> DenseMatrix {
     DenseMatrix::from_vec(n, n, g)
 }
 
-/// The pre-SIMD sampled Gram kernel: one scattered column at a time, one
+/// The pre-SIMD sampled Gram kernel: one scattered slice at a time, one
 /// gathered single-chain dot per pair.
-fn sparse_gram_reference(m: &CscMatrix, sel: &[usize]) -> DenseMatrix {
+fn sparse_gram_reference<M: MajorSlices>(m: &M, sel: &[usize]) -> DenseMatrix {
     let k = sel.len();
     let mut g = vec![0.0f64; k * k];
-    let mut work = vec![0.0f64; m.rows()];
+    let mut work = vec![0.0f64; m.minor_len()];
     for a in 0..k {
-        let sa = m.col(sel[a]);
+        let sa = m.slice(sel[a]);
         for (&i, &v) in sa.indices.iter().zip(sa.values) {
             work[i] = v;
         }
         g[a * k + a] = sa.norm_sq();
         for b in a + 1..k {
-            let sb = m.col(sel[b]);
+            let sb = m.slice(sel[b]);
             let mut acc = 0.0;
             for (&i, &x) in sb.indices.iter().zip(sb.values) {
                 acc += x * work[i];
@@ -125,6 +125,49 @@ fn sparse_gram_reference(m: &CscMatrix, sel: &[usize]) -> DenseMatrix {
         }
     }
     DenseMatrix::from_vec(k, k, g)
+}
+
+/// One dense sampled-Gram point: the first `k` slices of `m`, every one
+/// of them full, through the kernel and through the pre-SIMD reference.
+/// Bitwise equality is asserted; the walls (seconds per call, alternated)
+/// are printed with their flop rates and returned as reference ÷ kernel.
+fn full_gram_point<M: MajorSlices>(m: &M, k: usize, reps: usize) -> f64 {
+    let sel: Vec<usize> = (0..k).collect();
+    let (mut ws, mut out) = (GramWorkspace::new(), DenseMatrix::zeros(0, 0));
+    sampled_gram_into(m, &sel, 1, &mut ws, &mut out);
+    assert_eq!(
+        out.as_slice(),
+        sparse_gram_reference(m, &sel).as_slice(),
+        "full-slice gram (k = {k}) must be bitwise the per-pair reference"
+    );
+    // Enough calls per timing that a microsecond kernel outlasts the clock.
+    let flops = gram_flops(m, &sel) as f64;
+    let calls = (2e7 / flops) as usize + 1;
+    let (old, new) = wall_pair(
+        reps,
+        || {
+            for _ in 0..calls {
+                black_box(sparse_gram_reference(m, &sel));
+            }
+        },
+        || {
+            for _ in 0..calls {
+                sampled_gram_into(m, &sel, 1, &mut ws, &mut out);
+                black_box(out.as_slice());
+            }
+        },
+    );
+    let (old, new) = (old / calls as f64, new / calls as f64);
+    println!(
+        "full-slice gram k={k} × {}: ref {} ({:.1} Gflop/s) → {} ({:.1} Gflop/s), {:.2}×",
+        m.minor_len(),
+        fmt_secs(old),
+        flops / old / 1e9,
+        fmt_secs(new),
+        flops / new / 1e9,
+        old / new
+    );
+    old / new
 }
 
 fn main() {
@@ -334,6 +377,18 @@ fn main() {
         s_sc / s_wd,
         axpy_sc / axpy_wd,
     );
+
+    // -- Full slices: dense rows (svm_seq_dense's shape) and dense columns
+    // (lasso_par_dense's) take the full-slice lane block. k = 1 is one
+    // `norm_sq`, k = 2 one padded four-partner pass: small stays cheap.
+    let dense_rows = dense_gaussian(16, 1_500, 34);
+    for k in [1usize, 2, 4, 8] {
+        full_gram_point(&dense_rows, k, reps);
+    }
+    let k16 = full_gram_point(&dense_rows, 16, reps);
+    let k128 = full_gram_point(&dense_gaussian(12_500, 128, 35).to_csc(), 128, reps);
+    base.set("kernel.simd.full_gram.vs_ref.k16", k16);
+    base.set("kernel.simd.full_gram.vs_ref.k128", k128);
 
     // -- Workspace reuse vs fresh allocation (wall only) -----------------
     let iters = if quick { 20 } else { 100 };

@@ -213,20 +213,6 @@ impl CscMatrix {
         }
         CscMatrix::from_parts(hi - lo, self.cols, indptr, indices, values)
     }
-
-    /// Gather the sampled columns `sel` into a dense `rows × sel.len()`
-    /// matrix (Alg. 1 line 7: `Aₕ = A·Iₕ` as an explicit dense block, used
-    /// when the sampled block is dense enough for BLAS-3).
-    pub fn gather_columns_dense(&self, sel: &[usize]) -> DenseMatrix {
-        let mut d = DenseMatrix::zeros(self.rows, sel.len());
-        for (k, &j) in sel.iter().enumerate() {
-            let c = self.col(j);
-            for (&i, &v) in c.indices.iter().zip(c.values) {
-                d.set(i, k, v);
-            }
-        }
-        d
-    }
 }
 
 #[cfg(test)]
@@ -275,15 +261,6 @@ mod tests {
         assert_eq!(b.get(0, 0), 3.0);
         assert_eq!(b.get(0, 1), 4.0);
         assert_eq!(b.nnz(), 2);
-    }
-
-    #[test]
-    fn gather_columns_dense_matches() {
-        let a = fixture();
-        let g = a.gather_columns_dense(&[2, 0]);
-        assert_eq!((g.rows(), g.cols()), (3, 2));
-        assert_eq!(g.get(0, 0), 2.0);
-        assert_eq!(g.get(2, 1), 3.0);
     }
 
     #[test]

@@ -8,20 +8,36 @@
 //! module computes the *local* contributions on one rank's block; the
 //! simulator's allreduce sums them across ranks.
 //!
-//! Two kernels, one body each at every thread count:
-//! * sparse (scatter/dot over [`SparseSlice`]s) — for sparse datasets. The
-//!   unit of work is one *lane block* of the upper triangle:
-//!   [`simd::SPARSE_LANES`] selected slices scattered interleaved, each
-//!   partner slice streamed once per block, so the per-entry gather is one
-//!   cache-line-wide vector load. One thread runs the blocks in place; a
-//!   `saco-par` pool claims them as tiles, heaviest first, one buffer of
-//!   the caller's [`GramWorkspace`] per worker, bands merged in block
-//!   order — same function, same per-lane chains, **bitwise identical**
-//!   by construction, ⌈k/LANES⌉ tiles wide (`docs/PERFORMANCE.md`);
-//! * dense (gather + blocked GEMM) — the BLAS-3 path for dense datasets,
-//!   which is also what makes computing `s` iterations of dot products at
-//!   once *faster per flop* than `s` separate BLAS-1 calls (Fig. 4e–h);
-//!   pooled over row bands, bitwise identical likewise.
+//! One kernel, one entry point ([`sampled_gram_into`]), one body at every
+//! thread count. The unit of work is a *lane block* of the upper triangle:
+//! [`simd::SPARSE_LANES`] selected slices held interleaved, every partner
+//! slice streamed against all of them at once, so the per-entry gather is
+//! one cache-line-wide vector load. One thread runs the blocks in place; a
+//! `saco-par` pool claims them as tiles, heaviest first, one buffer of the
+//! caller's [`GramWorkspace`] per worker, bands merged in block order —
+//! same function, same per-lane chains, **bitwise identical** by
+//! construction, ⌈k/LANES⌉ tiles wide (`docs/PERFORMANCE.md`).
+//!
+//! A lane block has two schedules of the same per-entry arithmetic, and
+//! the data picks between them once per call — a throughput choice like
+//! the ISA, never a numerics one:
+//! * **sparse** — slices are scattered into a zero-maintained buffer
+//!   through their index arrays, each partner's nonzeros make one pass,
+//!   and the scatter is undone. Any data.
+//! * **full-slice** — when every selected slice stores every coordinate
+//!   (dense datasets: rows of gisette, columns of epsilon, and any rank's
+//!   local block of them) the slices share one index set, so the block
+//!   interleaves their values by contiguous copy, streams the partners
+//!   [`simd::FULL_PARTNERS`] at a time with independent accumulator sets,
+//!   and reads the diagonal off the slice's own pass. No index loads, no
+//!   scatter, nothing to undo: 5–10× the sparse schedule's flop rate on
+//!   such data. This is also what makes computing `s` iterations of dot
+//!   products at once *faster per flop* than `s` separate BLAS-1 calls
+//!   (Fig. 4e–h) — four chains in flight where a lone dot has one.
+//!
+//! [`sampled_cross_into`] draws the same line per group of
+//! [`simd::FULL_PARTNERS`] slices: full ones run their `dot_dense` chains
+//! side by side.
 //!
 //! The `_with_workspace`/`_into` variants reuse caller-owned buffers so
 //! the SA hot loop allocates nothing per outer iteration.
@@ -130,22 +146,48 @@ pub trait SliceSource: MajorSlices {
 impl SliceSource for CsrMatrix {}
 impl SliceSource for CscMatrix {}
 
-/// Reusable scratch for the sparse Gram kernel: one 64-byte-aligned
-/// *interleaved* buffer per worker, each holding [`simd::SPARSE_LANES`]
-/// scattered slices side by side. Creating one per call costs an
-/// `O(minor_len)` zero-fill *and* an allocation; holding them across calls
-/// (the kernel's un-scatter pass restores all-zeros) makes repeated
+/// One worker's lane-block scratch, both 64-byte aligned at
+/// [`simd::SPARSE_LANES`] `· minor_len` (row `i` of all lanes is one cache
+/// line) and grow-only; a call sizes only the one its data selects.
+#[derive(Clone, Debug, Default)]
+struct LaneBufs {
+    /// Where a sparse lane block scatters. All zeros between calls: the
+    /// block's un-scatter pass restores what its scatter wrote.
+    scattered: simd::AlignedBuf,
+    /// Where a full lane block interleaves. Every row of every lane it
+    /// reads was written by the same block's copy, so nothing is restored
+    /// and the contents between calls are stale.
+    full: simd::AlignedBuf,
+}
+
+impl LaneBufs {
+    /// The buffer a lane block of this call works in. Free unless the
+    /// matrix outgrew it.
+    fn work(&mut self, full: bool, minor_len: usize) -> &mut [f64] {
+        let buf = if full {
+            &mut self.full
+        } else {
+            &mut self.scattered
+        };
+        buf.zeroed_to(simd::SPARSE_LANES * minor_len)
+    }
+}
+
+/// Reusable scratch for the sampled-Gram kernel: per worker, the
+/// *interleaved* buffers holding [`simd::SPARSE_LANES`] selected slices
+/// side by side. Creating them per call costs an `O(minor_len)` zero-fill
+/// *and* an allocation; holding them across calls makes repeated
 /// `sampled_gram` calls allocation-free at any thread count. It also
 /// carries the *resolved-slice* scratch: a kernel call looks each selected
 /// slice up once ([`MajorSlices::slice`] may cost a search on an
 /// out-of-core source) and the triangle runs on the borrowed slices alone.
 #[derive(Clone, Debug, Default)]
 pub struct GramWorkspace {
-    /// The serial path's buffer and the pool's first worker's. Inline, so
-    /// that a one-thread solve allocates the buffer and nothing beside it.
-    interleaved: simd::AlignedBuf,
+    /// The serial path's buffers and the pool's first worker's. Inline, so
+    /// that a one-thread solve allocates its buffer and nothing beside it.
+    interleaved: LaneBufs,
     /// The further workers' buffers.
-    pooled: Vec<simd::AlignedBuf>,
+    pooled: Vec<LaneBufs>,
     /// Allocation for the resolved slices; empty between calls, so the
     /// `'static` is never the lifetime of a stored borrow.
     resolved: Vec<SparseSlice<'static>>,
@@ -157,9 +199,9 @@ impl GramWorkspace {
         Self::default()
     }
 
-    /// One interleaved buffer per worker, grow-only. A worker sizes its
-    /// own with [`lane_work`] when it claims a tile.
-    fn worker_bufs(&mut self, workers: usize) -> impl Iterator<Item = &mut simd::AlignedBuf> {
+    /// One set of lane buffers per worker, grow-only. A worker sizes its
+    /// own with [`LaneBufs::work`] when it claims a tile.
+    fn worker_bufs(&mut self, workers: usize) -> impl Iterator<Item = &mut LaneBufs> {
         if self.pooled.len() + 1 < workers {
             self.pooled.resize_with(workers - 1, Default::default);
         }
@@ -191,10 +233,15 @@ impl GramWorkspace {
     }
 }
 
-/// `buf` at `SPARSE_LANES · minor_len`, all zeros, 64-byte aligned (row `i`
-/// of all lanes is one cache line). Free unless the matrix outgrew it.
-fn lane_work(buf: &mut simd::AlignedBuf, minor_len: usize) -> &mut [f64] {
-    buf.zeroed_to(simd::SPARSE_LANES * minor_len)
+/// Whether `s` stores every coordinate of the minor axis. Indices are
+/// strictly increasing and in range (checked by every matrix constructor
+/// and at shard decode), so `minor_len` of them are exactly `0..minor_len`;
+/// the two ends are compared as well because it costs nothing.
+fn is_full(s: &SparseSlice<'_>, minor_len: usize) -> bool {
+    minor_len > 0
+        && s.nnz() == minor_len
+        && s.indices[0] == 0
+        && s.indices[minor_len - 1] == minor_len - 1
 }
 
 /// Compute the Gram matrix `G[a][b] = ⟨slice(sel[a]), slice(sel[b])⟩` of the
@@ -222,18 +269,35 @@ pub fn sampled_gram_with_workspace<M: MajorSlices>(
 }
 
 /// One lane block of the upper triangle — THE sampled-Gram kernel, the
-/// serial path's loop body and the pool's tile alike. The block's up to
-/// [`simd::SPARSE_LANES`] slices `a0..` are scattered *interleaved* (lane
-/// `l` of row `i` at `work[LANES·i + l]`), then one streaming pass over
-/// each partner slice `b > a0` yields the entries `(a0 + l, b)` of every
-/// lane at once — one contiguous cache-line-wide load per nonzero.
+/// serial path's loop body and the pool's tile alike: rows `a0..a0 + aw`
+/// (`aw ≤` [`simd::SPARSE_LANES`]) against every partner `b ≥ a0`.
 /// Entries go to `put(a, b, v)`, `a ≤ b`, each exactly once.
 ///
-/// Each lane's accumulator follows exactly the single-chain order of
-/// `dot_dense` over slice `b`'s nonzeros against slice `a` alone, and
-/// diagonals are `norm_sq`: an entry's bits depend on its two slices only,
-/// never on the block it sits in or the thread that computed it.
+/// `full` — every selected slice stores every coordinate — picks between
+/// two schedules of the *same* per-entry arithmetic: entry `(a, b)` is the
+/// single left-to-right chain of `dot_dense` over slice `b`'s stored
+/// coordinates against slice `a` alone, diagonals are `norm_sq`. An
+/// entry's bits depend on its two slices only, never on the block it sits
+/// in, the schedule that ran it or the thread that computed it.
 fn gram_lane_block(
+    slices: &[SparseSlice<'_>],
+    a0: usize,
+    full: bool,
+    work: &mut [f64],
+    put: impl FnMut(usize, usize, f64),
+) {
+    if full {
+        full_lane_block(slices, a0, work, put)
+    } else {
+        sparse_lane_block(slices, a0, work, put)
+    }
+}
+
+/// The sparse schedule: the block's slices are scattered *interleaved*
+/// (lane `l` of row `i` at `work[LANES·i + l]`), then one streaming pass
+/// over each partner slice `b > a0` yields the entries `(a0 + l, b)` of
+/// every lane at once — one contiguous cache-line-wide load per nonzero.
+fn sparse_lane_block(
     slices: &[SparseSlice<'_>],
     a0: usize,
     work: &mut [f64],
@@ -269,13 +333,51 @@ fn gram_lane_block(
     }
 }
 
+/// The full-slice schedule. All slices share the index set `0..n`, so the
+/// block's `values` are interleaved by contiguous copy — no index loads,
+/// nothing to restore — and the partners `b ≥ a0` stream
+/// [`simd::FULL_PARTNERS`] at a time, their chains independent. A slice of
+/// the block is its own partner: lane `b − a0` of its pass is the chain of
+/// `v·v` from `0.0`, which is `norm_sq` bit for bit.
+fn full_lane_block(
+    slices: &[SparseSlice<'_>],
+    a0: usize,
+    work: &mut [f64],
+    mut put: impl FnMut(usize, usize, f64),
+) {
+    const P: usize = simd::FULL_PARTNERS;
+    let k = slices.len();
+    let aw = (k - a0).min(simd::SPARSE_LANES);
+    if aw == 1 {
+        // One slice, its own only partner (k = 1 is every classical
+        // iteration): not worth an interleave and a four-partner pass.
+        return put(a0, a0, slices[a0].norm_sq());
+    }
+    // Lanes past `aw` repeat slice k − 1; no entry reads them.
+    simd::interleave_lanes(
+        std::array::from_fn(|l| slices[(a0 + l).min(k - 1)].values),
+        work,
+    );
+    for b0 in (a0..k).step_by(P) {
+        // A ragged last group repeats slice k − 1; its lanes are dropped.
+        let x = std::array::from_fn(|p| slices[(b0 + p).min(k - 1)].values);
+        let dots = simd::full_dot_lanes(work, x);
+        for (b, lanes) in (b0..k).zip(&dots) {
+            // Lanes l ≤ b − a0 are the entries (a0 + l, b), diagonal included.
+            for l in 0..(b - a0 + 1).min(aw) {
+                put(a0 + l, b, lanes[l]);
+            }
+        }
+    }
+}
+
 /// A pool tile: lane block `tile`'s band of the triangle — rows
 /// `a0..a0 + aw`, columns `a0..k`, row-major; below-diagonal slots unset.
-fn gram_tile(slices: &[SparseSlice<'_>], tile: usize, work: &mut [f64]) -> Vec<f64> {
+fn gram_tile(slices: &[SparseSlice<'_>], tile: usize, full: bool, work: &mut [f64]) -> Vec<f64> {
     let a0 = tile * simd::SPARSE_LANES;
     let w = slices.len() - a0;
     let mut band = vec![0.0; w.min(simd::SPARSE_LANES) * w];
-    gram_lane_block(slices, a0, work, |a, b, v| {
+    gram_lane_block(slices, a0, full, work, |a, b, v| {
         band[(a - a0) * w + (b - a0)] = v
     });
     band
@@ -322,11 +424,15 @@ fn gram_of_slices(
 ) {
     let k = slices.len();
     let ntiles = k.div_ceil(simd::SPARSE_LANES);
+    // Decided by the data alone, once per call, on the slices already
+    // looked up — so every engine, source and thread count decides alike;
+    // either way the bits are the same.
+    let full = slices.iter().all(|s| is_full(s, minor));
     out.reshape_zeroed(k, k);
     let mut serial = || {
-        let work = lane_work(&mut ws.interleaved, minor);
+        let work = ws.interleaved.work(full, minor);
         for a0 in (0..k).step_by(simd::SPARSE_LANES) {
-            gram_lane_block(slices, a0, work, |a, b, v| {
+            gram_lane_block(slices, a0, full, work, |a, b, v| {
                 out.set(a, b, v);
                 out.set(b, a, v);
             });
@@ -363,9 +469,9 @@ fn gram_of_slices(
         work,
         || {
             let buf = bufs.lock().expect("no tile runs under this lock").next();
-            lane_work(buf.expect("one buffer per worker"), minor)
+            buf.expect("one buffer per worker").work(full, minor)
         },
-        |buf, tile| gram_tile(slices, tile, buf),
+        |buf, tile| gram_tile(slices, tile, full, buf),
     );
     for (tile, band) in bands.iter().enumerate() {
         merge_band(tile, band, out);
@@ -379,8 +485,10 @@ fn gram_of_slices(
 ///
 /// This is the shared-memory, within-rank parallelism a production rank
 /// would use on a multicore node. On the 2-vCPU reference host two workers
-/// deliver 14–15 Gflop/s (`lasso_par_dense`, k = 128 of 12 500 nonzeros) and
-/// the solve runs 1.6× the 1-thread one — `docs/PERFORMANCE.md`.
+/// deliver 40 Gflop/s on full slices (`lasso_par_dense`, k = 128 columns of
+/// 12 500 stored entries; one worker 24–31) and the solve runs 1.2–1.3× the
+/// 1-thread one, whose cross products and recurrence stay serial —
+/// `docs/PERFORMANCE.md`.
 pub fn sampled_gram_parallel<M: MajorSlices>(m: &M, sel: &[usize], nthreads: usize) -> DenseMatrix {
     let mut g = DenseMatrix::zeros(0, 0);
     sampled_gram_into(m, sel, nthreads, &mut GramWorkspace::new(), &mut g);
@@ -413,22 +521,33 @@ pub fn sampled_cross_into<M: MajorSlices>(
         );
     }
     out.reshape_zeroed(sel.len(), vs.len());
-    for (a, &s) in sel.iter().enumerate() {
-        let sl = m.slice(s);
-        for (j, v) in vs.iter().enumerate() {
-            out.set(a, j, sl.dot_dense(v));
+    const P: usize = simd::FULL_PARTNERS;
+    let minor = m.minor_len();
+    for (g, group) in sel.chunks(P).enumerate() {
+        // Each selected slice is looked up once; a ragged group's spare
+        // seats repeat its first slice and their dots are dropped.
+        let mut seats = [m.slice(group[0]); P];
+        for (seat, &s) in seats.iter_mut().zip(group).skip(1) {
+            *seat = m.slice(s);
+        }
+        let rows = g * P..g * P + group.len();
+        if group.len() > 1 && seats.iter().all(|s| is_full(s, minor)) {
+            // Full slices share the index set `0..minor`: their
+            // `dot_dense` chains run side by side, no index loads.
+            let x = seats.map(|s| s.values);
+            for (j, v) in vs.iter().enumerate() {
+                for (a, dot) in rows.clone().zip(simd::multi_dot(x, v)) {
+                    out.set(a, j, dot);
+                }
+            }
+        } else {
+            for (a, sl) in rows.zip(&seats) {
+                for (j, v) in vs.iter().enumerate() {
+                    out.set(a, j, sl.dot_dense(v));
+                }
+            }
         }
     }
-}
-
-/// Dense-path Gram: gather sampled columns into a dense block and use the
-/// cache-blocked symmetric GEMM (pool-parallel over `saco-par` when the
-/// global thread count is raised). Numerically equivalent to
-/// [`sampled_gram`] (same pairwise products, different summation order →
-/// agreement to round-off), but runs at BLAS-3 rates for dense data.
-pub fn sampled_gram_dense(m: &CscMatrix, sel: &[usize]) -> DenseMatrix {
-    m.gather_columns_dense(sel)
-        .gram_parallel(saco_par::threads())
 }
 
 /// Flop count of the sampled Gram kernel as executed: for the slice at
@@ -481,11 +600,12 @@ mod tests {
         let csc = coo.to_csc();
         let sel = vec![3, 17, 0, 9, 24];
         let g = sampled_gram(&csc, &sel);
-        let dense_ref = sampled_gram_dense(&csc, &sel);
+        let d = csc.to_dense();
         for a in 0..5 {
             for b in 0..5 {
+                let expect: f64 = (0..40).map(|i| d.get(i, sel[a]) * d.get(i, sel[b])).sum();
                 assert!(
-                    (g.get(a, b) - dense_ref.get(a, b)).abs() < 1e-10,
+                    (g.get(a, b) - expect).abs() < 1e-10,
                     "mismatch at ({a},{b})"
                 );
             }
@@ -625,9 +745,15 @@ mod tests {
             }
             let slices = ws.resolve(m, &sel);
             let want = reference_gram(&slices, minor);
+            let full = slices.iter().all(|s| is_full(s, minor));
             let mut bufs: Vec<_> = ws.worker_bufs(3).collect();
             let mut bands: Vec<(usize, Vec<f64>)> = (0..k.div_ceil(simd::SPARSE_LANES))
-                .map(|t| (t, gram_tile(&slices, t, lane_work(bufs[t % 3], minor))))
+                .map(|t| {
+                    (
+                        t,
+                        gram_tile(&slices, t, full, bufs[t % 3].work(full, minor)),
+                    )
+                })
                 .collect();
             xrng::shuffle(&mut rng, &mut bands);
             let mut got = DenseMatrix::zeros(k, k);
@@ -644,7 +770,7 @@ mod tests {
             }
             for (w, buf) in ws.worker_bufs(3).enumerate() {
                 assert!(
-                    buf.as_slice().iter().all(|&v| v.to_bits() == 0),
+                    buf.scattered.as_slice().iter().all(|&v| v.to_bits() == 0),
                     "k={k}: worker buffer {w} not restored to zeros"
                 );
             }
@@ -666,6 +792,12 @@ mod tests {
         }
         let mut ws = GramWorkspace::new();
         tiles_and_merge_match_reference(&coo.to_csc(), &mut ws, 21);
+        // A matrix of full slices in between runs the full-slice schedule
+        // in buffers of its own; the scatter buffers stay all zeros under
+        // it and serve the sparse matrix again afterwards.
+        let dense = random_sparse(37, 12, 1.0, 23).to_csc();
+        tiles_and_merge_match_reference(&dense, &mut ws, 24);
+        assert_eq!(ws.interleaved.full.len(), simd::SPARSE_LANES * 37);
         tiles_and_merge_match_reference(&coo.to_csr(), &mut ws, 22);
         assert_eq!(ws.pooled.len(), 2);
     }
@@ -689,18 +821,20 @@ mod tests {
     #[test]
     fn kernels_look_each_selected_slice_up_once() {
         // A lookup may cost a search on an out-of-core source, so a block
-        // pays for k of them per kernel, not one per pair-dot.
-        let csc = random_sparse(120, 300, 0.1, 21).to_csc();
+        // pays for k of them per kernel, not one per pair-dot — and the
+        // full-slice predicate reads the slices already looked up.
+        let sparse = random_sparse(120, 300, 0.1, 21).to_csc();
+        let dense = random_sparse(120, 300, 1.0, 22).to_csc();
         let sel: Vec<usize> = (0..256).map(|i| (i * 7) % 300).collect();
         let v = vec![1.0; 120];
-        for threads in [1usize, 4] {
-            let counted = Counting(&csc, Default::default());
+        for (csc, threads) in [(&sparse, 1usize), (&sparse, 4), (&dense, 1), (&dense, 4)] {
+            let counted = Counting(csc, Default::default());
             let (mut g, mut c) = (DenseMatrix::zeros(0, 0), DenseMatrix::zeros(0, 0));
             sampled_gram_into(&counted, &sel, threads, &mut GramWorkspace::new(), &mut g);
             sampled_cross_into(&counted, &sel, &[&v], &mut c);
             let calls = counted.1.into_inner();
             assert!(calls <= 3 * sel.len(), "threads={threads}: {calls} lookups");
-            assert_eq!(g.as_slice(), sampled_gram(&csc, &sel).as_slice());
+            assert_eq!(g.as_slice(), sampled_gram(csc, &sel).as_slice());
         }
     }
 
@@ -772,16 +906,20 @@ mod parallel_tests {
         // (~2.6M estimated ops): on multi-core hosts the pool genuinely
         // engages (on 1-CPU hosts dispatch_width still serializes — also
         // a valid data point).
-        let csc = random_csc(600, 120, 0.3, 41);
-        let sel: Vec<usize> = (0..120).collect();
-        let seq = sampled_gram(&csc, &sel);
-        for threads in [1usize, 2, 3, 7, 64] {
-            let par = sampled_gram_parallel(&csc, &sel, threads);
-            assert_eq!(
-                par.as_slice(),
-                seq.as_slice(),
-                "threads={threads}: parallel gram must be bitwise identical"
-            );
+        // At density 1 every slice is full and the tiles are full-slice
+        // lane blocks.
+        for density in [0.3, 1.0] {
+            let csc = random_csc(600, 120, density, 41);
+            let sel: Vec<usize> = (0..120).collect();
+            let seq = sampled_gram(&csc, &sel);
+            for threads in [1usize, 2, 3, 7, 64] {
+                let par = sampled_gram_parallel(&csc, &sel, threads);
+                assert_eq!(
+                    par.as_slice(),
+                    seq.as_slice(),
+                    "threads={threads}: parallel gram must be bitwise identical"
+                );
+            }
         }
     }
 

@@ -15,7 +15,8 @@
 //! * [`vecops`] — BLAS-1 style slice kernels (dot, axpy, norms, …).
 //! * [`simd`] — explicit-width microkernels behind the hot paths
 //!   (runtime `SACO_SIMD=auto|scalar` dispatch, register-blocked
-//!   dense Gram, interleaved sparse scatter-dot) under a deterministic
+//!   dense Gram, interleaved sparse scatter-dot and its full-slice
+//!   twin for dense data) under a deterministic
 //!   lane-reduction contract: every width is bitwise identical.
 //! * [`gram`] — sampled Gram matrices `Aₛᵀ Aₛ` and cross products
 //!   `Aₛᵀ [v w]`, the two reductions at the heart of Algorithms 1–4.

@@ -3,13 +3,14 @@
 //!
 //! Every kernel here is written once, as a *portable* Rust function with a
 //! **fixed** lane structure — a fixed number of partial accumulators,
-//! combined in a fixed left-to-right order. The elementwise, dense-Gram and
-//! sparse scatter kernels are then compiled a second and third time behind
-//! `#[target_feature(enable = "avx2"/"avx512f")]` wrappers, and runtime
-//! dispatch picks the widest instruction set the host supports (`SACO_SIMD`
-//! can force the portable builds, see [`Mode`]). The two BLAS-1 reductions
-//! ([`dot`], [`nrm2_sq`]) have the portable build only: their wide builds
-//! measured 0.6–0.9× of it at every length.
+//! combined in a fixed left-to-right order. The elementwise, dense-Gram,
+//! sparse scatter and full-slice kernels are then compiled a second and
+//! third time behind `#[target_feature(enable = "avx2"/"avx512f")]`
+//! wrappers, and runtime dispatch picks the widest instruction set the
+//! host supports (`SACO_SIMD` can force the portable builds, see
+//! [`Mode`]). The two BLAS-1 reductions ([`dot`], [`nrm2_sq`]) have the
+//! portable build only: their wide builds measured 0.6–0.9× of it at every
+//! length.
 //!
 //! # The determinism contract
 //!
@@ -18,10 +19,11 @@
 //! reduced as `(acc0 + acc1) + (acc2 + acc3) + tail`, a dense Gram entry is
 //! always the left-to-right fold of [`CHUNK`] = 64-row partial sums, and the
 //! sparse scatter-dot always keeps one accumulator chain per scattered
-//! column. Because the AVX2/AVX-512 builds execute the *same* IEEE-754
-//! operations in the *same* association (vectorization only reschedules
-//! independent lanes, it never reassociates a chain, and fused
-//! multiply-add is banned repo-wide — `scripts/shim_guard.sh`), the
+//! column — as do the full-slice kernels, which only put several such
+//! chains in flight at once. Because the AVX2/AVX-512 builds execute the
+//! *same* IEEE-754 operations in the *same* association (vectorization
+//! only reschedules independent lanes, it never reassociates a chain, and
+//! fused multiply-add is banned repo-wide — `scripts/shim_guard.sh`), the
 //! scalar and wide paths are **bitwise identical** by construction. The
 //! proptests in `tests/proptests.rs` pin this for every kernel, including
 //! ragged tails.
@@ -537,16 +539,119 @@ pub fn scatter_dot_lanes(
 }
 
 // ---------------------------------------------------------------------------
+// Full slices: interleave by copy, several partner chains per lane block
+// ---------------------------------------------------------------------------
+
+/// Partner slices one pass of the full-slice lane block streams together
+/// (and full slices one pass of the cross product keeps in flight): that
+/// many independent accumulator sets share each interleaved row load, so
+/// the add latency of one chain hides behind the other three.
+pub const FULL_PARTNERS: usize = 4;
+
+widened! {
+    fn full_dot_kernel / full_dot_avx2 / full_dot_avx512(
+        work: &[f64],
+        x: [&[f64]; FULL_PARTNERS],
+    ) -> [[f64; SPARSE_LANES]; FULL_PARTNERS] {
+        // acc[p][l] is the single left-to-right chain of partner p against
+        // lane l from 0.0 over every row — dot_dense's order on a full
+        // slice — and the four partners' chains are independent.
+        let n = work.len() / SPARSE_LANES;
+        let [x0, x1, x2, x3] = x.map(|p| &p[..n]);
+        let mut acc = [[0.0f64; SPARSE_LANES]; FULL_PARTNERS];
+        for (i, w) in work.chunks_exact(SPARSE_LANES).enumerate() {
+            for l in 0..SPARSE_LANES {
+                acc[0][l] += x0[i] * w[l];
+            }
+            for l in 0..SPARSE_LANES {
+                acc[1][l] += x1[i] * w[l];
+            }
+            for l in 0..SPARSE_LANES {
+                acc[2][l] += x2[i] * w[l];
+            }
+            for l in 0..SPARSE_LANES {
+                acc[3][l] += x3[i] * w[l];
+            }
+        }
+        acc
+    }
+}
+
+/// Dense dots of [`FULL_PARTNERS`] full slices against the interleaved
+/// lanes at once: `out[p][l] = Σᵢ x[p][i] · work[SPARSE_LANES·i + l]`, each
+/// entry one left-to-right chain from `0.0` over `i = 0..n`
+/// (`n = work.len() / SPARSE_LANES`, every `x[p]` at least that long).
+/// Callers with fewer partners repeat one and discard its lanes.
+#[inline]
+pub fn full_dot_lanes(
+    work: &[f64],
+    x: [&[f64]; FULL_PARTNERS],
+) -> [[f64; SPARSE_LANES]; FULL_PARTNERS] {
+    // The widest ISA, unlike the scatter kernel: four partners' 8-lane
+    // accumulators are exactly four 512-bit registers, one multiply and
+    // one add each per row — measured 37 Gflop/s against AVX2's 30 on the
+    // reference host (docs/PERFORMANCE.md §"Full slices").
+    dispatch!(
+        active_isa(),
+        full_dot_kernel / full_dot_avx2 / full_dot_avx512(work, x)
+    )
+}
+
+widened! {
+    fn multi_dot_kernel / multi_dot_avx2 / multi_dot_avx512(
+        x: [&[f64]; FULL_PARTNERS],
+        v: &[f64],
+    ) -> [f64; FULL_PARTNERS] {
+        let [x0, x1, x2, x3] = x.map(|p| &p[..v.len()]);
+        let mut acc = [0.0f64; FULL_PARTNERS];
+        for (i, &vi) in v.iter().enumerate() {
+            acc[0] += x0[i] * vi;
+            acc[1] += x1[i] * vi;
+            acc[2] += x2[i] * vi;
+            acc[3] += x3[i] * vi;
+        }
+        acc
+    }
+}
+
+/// Dense dots of [`FULL_PARTNERS`] full slices against one vector:
+/// `out[p] = Σᵢ x[p][i] · v[i]`, each a single chain from `0.0` over
+/// `i = 0..v.len()` — `SparseSlice::dot_dense` on a slice storing every
+/// coordinate, four of them in flight.
+#[inline]
+pub fn multi_dot(x: [&[f64]; FULL_PARTNERS], v: &[f64]) -> [f64; FULL_PARTNERS] {
+    dispatch!(
+        active_isa(),
+        multi_dot_kernel / multi_dot_avx2 / multi_dot_avx512(x, v)
+    )
+}
+
+/// Interleave [`SPARSE_LANES`] rows by contiguous copy, no index loads:
+/// `work[SPARSE_LANES·i + l] = rows[l][i]` for `i < work.len() /
+/// SPARSE_LANES`. Eight read streams and one write stream — a sixth of
+/// the time of eight strided passes. Callers with fewer rows repeat one.
+pub fn interleave_lanes(rows: [&[f64]; SPARSE_LANES], work: &mut [f64]) {
+    let n = work.len() / SPARSE_LANES;
+    let rows = rows.map(|r| &r[..n]);
+    for (i, w) in work.chunks_exact_mut(SPARSE_LANES).enumerate() {
+        for l in 0..SPARSE_LANES {
+            w[l] = rows[l][i];
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Aligned scratch
 // ---------------------------------------------------------------------------
 
-/// A grow-only, zero-maintained `f64` scratch buffer whose payload starts
-/// on a 64-byte boundary, so the sparse kernel's [`SPARSE_LANES`]-wide
-/// interleaved row loads are single-cache-line accesses.
+/// A grow-only `f64` scratch buffer whose payload starts on a 64-byte
+/// boundary, so the lane blocks' [`SPARSE_LANES`]-wide interleaved row
+/// loads are single-cache-line accesses.
 ///
-/// `GramWorkspace` holds one per worker: [`Self::zeroed_to`] grows
-/// (zero-filled) and never shrinks, and kernels restore the all-zeros
-/// invariant with their un-scatter pass. Implemented as an
+/// `GramWorkspace` holds them per worker: [`Self::zeroed_to`] grows
+/// (zero-filled) and never shrinks. The sparse lane block keeps its buffer
+/// all zeros between calls with its un-scatter pass; the full-slice block
+/// overwrites everything it reads and restores nothing. Implemented as an
 /// over-allocated `Vec` plus an element offset — no `unsafe`.
 #[derive(Debug, Default)]
 pub struct AlignedBuf {
@@ -561,8 +666,9 @@ impl AlignedBuf {
         Self::default()
     }
 
-    /// The buffer at exactly `len` elements, 64-byte aligned, preserving
-    /// the all-zeros invariant (growth allocates fresh zeroed storage).
+    /// The buffer at exactly `len` elements, 64-byte aligned. Growth
+    /// allocates fresh zeroed storage, so a caller that leaves the buffer
+    /// all zeros finds it all zeros.
     pub fn zeroed_to(&mut self, len: usize) -> &mut [f64] {
         if self.len < len {
             // 64 bytes = 8 f64s: over-allocate one vector's worth for
@@ -754,6 +860,40 @@ mod tests {
                 want += x * work[SPARSE_LANES * i + l];
             }
             assert_eq!(acc[l].to_bits(), want.to_bits(), "lane {l}");
+        }
+    }
+
+    #[test]
+    fn full_slice_kernels_match_per_entry_chains() {
+        // Ragged against the 8-row unroll the compiler may pick.
+        for n in [1usize, 7, 8, 61] {
+            let rows: Vec<Vec<f64>> = (0..SPARSE_LANES + FULL_PARTNERS)
+                .map(|r| vec_of(n, r as f64))
+                .collect();
+            let mut work = vec![f64::NAN; SPARSE_LANES * n];
+            interleave_lanes(std::array::from_fn(|l| &rows[l][..]), &mut work);
+            let x: [&[f64]; FULL_PARTNERS] = std::array::from_fn(|p| &rows[SPARSE_LANES + p][..]);
+            let v = vec_of(n, 9.5);
+            with_modes(|| {
+                let lanes = full_dot_lanes(&work, x);
+                let dots = multi_dot(x, &v);
+                (lanes.map(|p| p.map(f64::to_bits)), dots.map(f64::to_bits))
+            });
+            let (lanes, dots) = (full_dot_lanes(&work, x), multi_dot(x, &v));
+            for p in 0..FULL_PARTNERS {
+                let mut want = 0.0f64;
+                for i in 0..n {
+                    want += x[p][i] * v[i];
+                }
+                assert_eq!(dots[p].to_bits(), want.to_bits(), "n={n} partner {p}");
+                for l in 0..SPARSE_LANES {
+                    let mut want = 0.0f64;
+                    for i in 0..n {
+                        want += x[p][i] * rows[l][i];
+                    }
+                    assert_eq!(lanes[p][l].to_bits(), want.to_bits(), "n={n} ({p},{l})");
+                }
+            }
         }
     }
 

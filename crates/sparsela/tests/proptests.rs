@@ -10,8 +10,8 @@ use sparsela::gram::{
 };
 use sparsela::io::{read_libsvm, write_libsvm, Dataset};
 use sparsela::shard::{verify_store, write_csc, write_csr, ShardStore, StreamingMatrix};
-use sparsela::GramWorkspace;
-use sparsela::{vecops, CooMatrix, DenseMatrix};
+use sparsela::{vecops, CooMatrix, CscMatrix, CsrMatrix, DenseMatrix};
+use sparsela::{GramWorkspace, MajorSlices};
 use std::io::Cursor;
 
 /// Per-case counter so concurrent proptest cases get distinct shard dirs.
@@ -41,7 +41,113 @@ fn sparse_matrix() -> impl Strategy<Value = CooMatrix> {
     })
 }
 
+/// The sampled Gram and cross product as the per-entry contract states
+/// them, one chain at a time: Gram entry `(a, b)`, `a < b`, is slice `b`'s
+/// `dot_dense` against slice `a` densified, diagonals are `norm_sq`; cross
+/// entry `(a, j)` is slice `a`'s `dot_dense` against vector `j`.
+fn single_chain_reference<M: MajorSlices>(
+    m: &M,
+    sel: &[usize],
+    vs: &[&[f64]],
+) -> (Vec<u64>, Vec<u64>) {
+    let k = sel.len();
+    let mut g = vec![0u64; k * k];
+    let mut c = Vec::new();
+    for a in 0..k {
+        let sa = m.slice(sel[a]);
+        let mut dense = vec![0.0; m.minor_len()];
+        for (&i, &v) in sa.indices.iter().zip(sa.values) {
+            dense[i] = v;
+        }
+        g[a * k + a] = sa.norm_sq().to_bits();
+        for b in a + 1..k {
+            let v = m.slice(sel[b]).dot_dense(&dense).to_bits();
+            g[a * k + b] = v;
+            g[b * k + a] = v;
+        }
+        c.extend(vs.iter().map(|v| sa.dot_dense(v).to_bits()));
+    }
+    (g, c)
+}
+
+fn bits(m: &DenseMatrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
+    /// Slices that store every coordinate take the full-slice lane block
+    /// (interleave by copy, four partner chains per pass, diagonal from
+    /// the slice's own pass) and the side-by-side cross chains — and every
+    /// entry is still BITWISE the single-chain reference's, on both
+    /// layouts and at every thread count: ragged against 8 lanes and 4
+    /// partners, duplicate selections inside and across lane blocks,
+    /// stored `0.0`, `-0.0` and subnormals. One slice lacking one
+    /// coordinate sends the call down the sparse block, to the same bits;
+    /// and one workspace alternated between the two keeps serving both
+    /// (a scatter buffer the full block had dirtied would show here).
+    #[test]
+    fn full_slices_match_the_single_chain_reference_bitwise(
+        seed in any::<u64>(),
+        minor in 1usize..=130,
+        k in 1usize..=40,
+    ) {
+        let mut rng = xrng::rng_from_seed(seed);
+        let major = 1 + rng.next_index(12);
+        let values: Vec<f64> = (0..major * minor)
+            .map(|_| match rng.next_index(16) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f64::from_bits(1 + rng.next_index(1 << 20) as u64),
+                3 => -f64::MIN_POSITIVE / 4.0,
+                _ => rng.next_gaussian(),
+            })
+            .collect();
+        let indptr: Vec<usize> = (0..=major).map(|r| r * minor).collect();
+        let indices: Vec<usize> = (0..major * minor).map(|e| e % minor).collect();
+        // The same slices as rows of a CSR and as columns of a CSC.
+        let csr = CsrMatrix::from_parts(major, minor, indptr.clone(), indices.clone(), values.clone());
+        let csc = CscMatrix::from_parts(minor, major, indptr.clone(), indices.clone(), values.clone());
+        // …and a copy whose slice `hole` lacks one coordinate.
+        let hole = rng.next_index(major);
+        let gone = hole * minor + rng.next_index(minor);
+        let keep = |e: &usize| *e != gone;
+        let holey = CsrMatrix::from_parts(
+            major,
+            minor,
+            (0..=major).map(|r| r * minor - usize::from(r > hole)).collect(),
+            (0..major * minor).filter(keep).map(|e| e % minor).collect(),
+            (0..major * minor).filter(keep).map(|e| values[e]).collect(),
+        );
+
+        let mut sel: Vec<usize> = (0..k).map(|_| rng.next_index(major)).collect();
+        sel[rng.next_index(k)] = hole;
+        let v: Vec<f64> = (0..minor).map(|_| rng.next_gaussian()).collect();
+        let w: Vec<f64> = (0..minor).map(|_| rng.next_gaussian()).collect();
+        let two: [&[f64]; 2] = [&v, &w];
+
+        let (want_g, want_c2) = single_chain_reference(&csr, &sel, &two);
+        let (holey_g, holey_c1) = single_chain_reference(&holey, &sel, &two[..1]);
+        let mut ws = GramWorkspace::new();
+        let (mut g, mut c) = (DenseMatrix::zeros(0, 0), DenseMatrix::zeros(0, 0));
+        for threads in [1usize, 4] {
+            sampled_gram_into(&csr, &sel, threads, &mut ws, &mut g);
+            prop_assert_eq!(&bits(&g), &want_g, "csr, threads = {}", threads);
+            sampled_gram_into(&holey, &sel, threads, &mut ws, &mut g);
+            prop_assert_eq!(&bits(&g), &holey_g, "one coordinate short, threads = {}", threads);
+            sampled_gram_into(&csc, &sel, threads, &mut ws, &mut g);
+            prop_assert_eq!(&bits(&g), &want_g, "csc, threads = {}", threads);
+        }
+        sampled_cross_into(&csr, &sel, &two, &mut c);
+        prop_assert_eq!(&bits(&c), &want_c2);
+        sampled_cross_into(&csc, &sel, &two, &mut c);
+        prop_assert_eq!(&bits(&c), &want_c2);
+        sampled_cross_into(&csc, &sel, &two[..1], &mut c);
+        let want_c1: Vec<u64> = want_c2.iter().copied().step_by(2).collect();
+        prop_assert_eq!(&bits(&c), &want_c1);
+        sampled_cross_into(&holey, &sel, &two[..1], &mut c);
+        prop_assert_eq!(&bits(&c), &holey_c1);
+    }
+
     /// CSR ↔ CSC ↔ dense conversions are lossless.
     #[test]
     fn format_conversions_roundtrip(coo in sparse_matrix()) {

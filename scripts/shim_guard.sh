@@ -221,6 +221,17 @@ if hits=$(grep -rnE 'AllreduceAlgo|Hierarchy|CollectiveKind|collective_charge|co
     status=1
 fi
 
+# One sampled-Gram entry point (PR 24): dense data is served by the
+# full-slice lane block inside `sampled_gram_into`, chosen from the
+# resolved slices. The gather + blocked-GEMM side path had no caller and a
+# different summation order; a second Gram function growing back would
+# need every engine to agree on when to call it.
+if hits=$(grep -rnE 'sampled_gram_dense|gather_columns_dense' crates/*/src); then
+    echo "shim_guard: the dead dense-Gram side path is back (sampled_gram_into is the one entry point):" >&2
+    echo "$hits" >&2
+    status=1
+fi
+
 if [ "$status" -ne 0 ]; then
     echo "shim_guard: FAILED — move recurrence logic into crates/core/src/exec/" >&2
 else

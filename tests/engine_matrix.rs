@@ -77,6 +77,14 @@ fn lasso_ds(seed: u64) -> Dataset {
     planted_regression(a, 5, 0.05, seed).dataset
 }
 
+/// A Lasso problem whose every column stores every row, so its sampled
+/// Gram and cross products run the full-slice lane block — in local
+/// coordinates too: each rank's row block of a dense matrix is dense.
+fn dense_lasso_ds(seed: u64) -> Dataset {
+    let a = dense_gaussian(48, 16, seed);
+    planted_regression(a, 5, 0.05, seed).dataset
+}
+
 fn svm_ds(seed: u64) -> Dataset {
     let a = uniform_sparse(90, 30, 0.3, seed);
     binary_classification(a, 0.08, seed).dataset
@@ -348,26 +356,29 @@ fn svm_engine_matrix() {
 #[test]
 fn simd_mode_is_unobservable_across_engines() {
     use sparsela::simd::{self, Mode};
-    let ds = lasso_ds(1);
     let reg = Lasso::new(0.05);
     let ambient = simd::mode();
-    for overlap in [false, true] {
-        let c = lasso_cfg(4, 8, overlap);
-        let run = |mode: Mode| {
-            simd::set_mode(mode);
-            let seq = run_seq_lasso(&ds, &reg, &c, true);
-            let mut sim = cell(lasso(&reg, &c, true), sim(2), mem(&ds));
-            let dist = run_dist_lasso(&ds, &reg, &c, true, 2);
-            let net = run_net_lasso(&ds, &reg, &c, true, 2);
-            let sim_x = sim.results.swap_remove(0).x;
-            (seq.x, sim_x, dist[0].x.clone(), net[0].x.clone())
-        };
-        let scalar = run(Mode::Scalar);
-        let auto = run(Mode::Auto);
-        assert_eq!(
-            scalar, auto,
-            "overlap={overlap}: SACO_SIMD changed engine iterates"
-        );
+    // Sparse columns take the scatter lane block, dense ones the
+    // full-slice block; each has its own AVX2 / AVX-512 builds.
+    for ds in [lasso_ds(1), dense_lasso_ds(1)] {
+        for overlap in [false, true] {
+            let c = lasso_cfg(4, 8, overlap);
+            let run = |mode: Mode| {
+                simd::set_mode(mode);
+                let seq = run_seq_lasso(&ds, &reg, &c, true);
+                let mut sim = cell(lasso(&reg, &c, true), sim(2), mem(&ds));
+                let dist = run_dist_lasso(&ds, &reg, &c, true, 2);
+                let net = run_net_lasso(&ds, &reg, &c, true, 2);
+                let sim_x = sim.results.swap_remove(0).x;
+                (seq.x, sim_x, dist[0].x.clone(), net[0].x.clone())
+            };
+            let scalar = run(Mode::Scalar);
+            let auto = run(Mode::Auto);
+            assert_eq!(
+                scalar, auto,
+                "overlap={overlap}: SACO_SIMD changed engine iterates"
+            );
+        }
     }
     simd::set_mode(ambient);
 }
@@ -1230,12 +1241,21 @@ fn product_walk_covers_streamed_net_kdcd_cells() {
     let csr_dir = shard_dir("product_csr");
     let bounds = shard_plan(&slice_nnz(&dual_data.a), 5);
     write_csr(&csr_dir, &dual_data.a, &bounds, Some(&dual_data.b)).expect("write csr shards");
+    let dense_data = dense_lasso_ds(13);
+    let dense_dir = shard_dir("product_dense_csc");
+    let dense_csc = dense_data.a.to_csc();
+    let bounds = shard_plan(&slice_nnz(&dense_csc), 4);
+    write_csc(&dense_dir, &dense_csc, &bounds, Some(&dense_data.b)).expect("write dense shards");
     let for_lasso = [(csc_dir.as_path(), true), (csr_dir.as_path(), false)];
     let for_duals = [(csc_dir.as_path(), false), (csr_dir.as_path(), true)];
+    let for_dense = [(dense_dir.as_path(), true), (csr_dir.as_path(), false)];
 
     for accel in [false, true] {
         walk_cells(Family::Lasso { accel }, &lasso_data, for_lasso);
     }
+    // Full slices through every cell. The dual families below already walk
+    // them: `kdcd_ds` is `dense_gaussian(48, 16)`, every row full.
+    walk_cells(Family::Lasso { accel: true }, &dense_data, for_dense);
     walk_cells(Family::Svm, &dual_data, for_duals);
     for (kernel, task, _) in kdcd_kernels() {
         walk_cells(Family::Kdcd(kernel, task), &dual_data, for_duals);
@@ -1258,6 +1278,7 @@ fn product_walk_covers_streamed_net_kdcd_cells() {
         shards(Path::new("/nonexistent/shards")),
     );
     assert!(matches!(err, Err(RunError::Io { .. })), "{err:?}");
-    let _ = std::fs::remove_dir_all(&csc_dir);
-    let _ = std::fs::remove_dir_all(&csr_dir);
+    for dir in [csc_dir, csr_dir, dense_dir] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }
