@@ -78,24 +78,6 @@ fn bench_parallel_gram(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_dense_gram_parallel(c: &mut Criterion) {
-    // Blocked dense Gram over the pool: bitwise identical at any thread
-    // count, so this measures pure throughput. Compute-bound (unlike the
-    // sparse kernel), so it scales with spare cores, not bandwidth.
-    let mut rng = rng_from_seed(13);
-    let (m, n) = (512, 256);
-    let a = DenseMatrix::from_vec(m, n, (0..m * n).map(|_| rng.next_gaussian()).collect());
-    let mut group = c.benchmark_group("dense_gram_512x256");
-    group.throughput(Throughput::Elements((m * n * n) as u64));
-    group.sample_size(10);
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            b.iter(|| black_box(a.gram_parallel(t)));
-        });
-    }
-    group.finish();
-}
-
 fn bench_workspace_reuse(c: &mut Criterion) {
     // The zero-alloc hot path: `sampled_gram_into` reusing one scatter
     // workspace and one output matrix vs a fresh allocation per call —
@@ -190,28 +172,11 @@ fn bench_spmv(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_gemm(c: &mut Criterion) {
-    let mut rng = rng_from_seed(6);
-    let n = 192;
-    let a = DenseMatrix::from_vec(n, n, (0..n * n).map(|_| rng.next_gaussian()).collect());
-    let b = DenseMatrix::from_vec(n, n, (0..n * n).map(|_| rng.next_gaussian()).collect());
-    let mut group = c.benchmark_group("gemm_192");
-    group.throughput(Throughput::Elements((2 * n * n * n) as u64));
-    group.bench_function("blocked", |bch| bch.iter(|| black_box(a.matmul(&b))));
-    group.bench_function("naive", |bch| bch.iter(|| black_box(a.matmul_naive(&b))));
-    group.finish();
-}
-
 fn bench_eig(c: &mut Criterion) {
-    let mut rng = rng_from_seed(7);
     let mut group = c.benchmark_group("max_eigenvalue");
     for n in [2usize, 8, 32] {
-        let m = DenseMatrix::from_vec(
-            n + 4,
-            n,
-            (0..(n + 4) * n).map(|_| rng.next_gaussian()).collect(),
-        )
-        .gram();
+        let all: Vec<usize> = (0..n).collect();
+        let m = sampled_gram(&dense_gaussian(n + 4, n, 7).to_csc(), &all);
         group.bench_with_input(BenchmarkId::from_parameter(n), &m, |b, m| {
             b.iter(|| black_box(sparsela::eig::max_eigenvalue(m)));
         });
@@ -244,19 +209,6 @@ fn bench_simd_modes(c: &mut Criterion) {
     // build only and are timed once, in `bench_vecops`.
     let modes = [(simd::Mode::Scalar, "scalar"), (simd::Mode::Auto, "auto")];
     let ambient = simd::mode();
-
-    let mut rng = rng_from_seed(41);
-    let (m, n) = (256, 128);
-    let a = DenseMatrix::from_vec(m, n, (0..m * n).map(|_| rng.next_gaussian()).collect());
-    let mut group = c.benchmark_group("simd_dense_gram_256x128");
-    group.throughput(Throughput::Elements((m * n * n) as u64));
-    for (mode, label) in modes {
-        group.bench_function(label, |b| {
-            simd::set_mode(mode);
-            b.iter(|| black_box(a.gram()));
-        });
-    }
-    group.finish();
 
     let csc = uniform_sparse(20_000, 4_000, 0.01, 42).to_csc();
     let mut rng = rng_from_seed(43);
@@ -293,12 +245,10 @@ criterion_group!(
     bench_sampled_gram,
     bench_sampled_gram_full,
     bench_parallel_gram,
-    bench_dense_gram_parallel,
     bench_workspace_reuse,
     bench_group_prox,
     bench_sampled_cross,
     bench_spmv,
-    bench_gemm,
     bench_eig,
     bench_vecops,
     bench_simd_modes

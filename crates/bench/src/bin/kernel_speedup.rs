@@ -1,9 +1,9 @@
 //! Single-node kernel parallelism + SIMD gauges → `BENCH_baseline.json`.
 //!
 //! Records, under `kernel.*`, the speedup of the `saco-par` kernel layer
-//! on the dense-Gram and sparse-Gram hot paths, the measured gain of the
+//! on the sampled-Gram hot path, the measured gain of the
 //! `sparsela::simd` microkernels (scalar-vs-auto per kernel, and the
-//! rewrite vs. the pre-SIMD reference kernels kept in this bin), plus the
+//! rewrite vs. the pre-SIMD reference kernel kept in this bin), plus the
 //! allocation saving of the workspace-reuse API.
 //!
 //! Three kinds of numbers land in the baseline:
@@ -18,15 +18,15 @@
 //!   is ~1×, which is exactly why the modeled numbers exist; see
 //!   docs/PERFORMANCE.md.
 //! * **SIMD gauges** (`kernel.simd.*`): the active lane width, `SACO_SIMD`
-//!   mode, Gram tile shape, and per-kernel scalar→auto wall speedups —
-//!   see docs/OBSERVABILITY.md for the taxonomy.
+//!   mode, and per-kernel scalar→auto wall speedups — see
+//!   docs/OBSERVABILITY.md for the taxonomy.
 //!
-//! What fails this bin is deterministic: the modeled dense-Gram speedup
-//! dropping below 1.5× and the rewrite disagreeing with the pre-SIMD
-//! reference kernels (round-off on the dense path, bitwise on the sparse
-//! one — on sparse columns and on full slices alike). Walls are printed
-//! and recorded, never asserted — a shared host moves them by 30 % between
-//! runs; wall claims go through `benchmark/`'s alternating-pair protocol.
+//! What fails this bin is deterministic: the modeled sparse-Gram speedup
+//! dropping below 1.5× and the sampled Gram disagreeing bitwise with the
+//! pre-SIMD reference kernel, on sparse columns and on full slices alike.
+//! Walls are printed and recorded, never asserted — a shared host moves
+//! them by 30 % between runs; wall claims go through `benchmark/`'s
+//! alternating-pair protocol.
 
 use datagen::{dense_gaussian, uniform_sparse};
 use mpisim::{CostModel, KernelClass};
@@ -70,33 +70,6 @@ fn wall_pair<F: FnMut(), G: FnMut()>(reps: usize, mut f: F, mut g: G) -> (f64, f
 /// Modeled comp_time of tile `weights` on `t` workers under `model`.
 fn modeled(model: &CostModel, class: KernelClass, weights: &[u64], ws: u64, t: usize) -> f64 {
     model.compute_time(class, saco_par::schedule_bound(weights, t), ws)
-}
-
-/// The pre-SIMD dense Gram kernel (row-wise outer products over the upper
-/// triangle, no register blocking) — the reference the rewrite is
-/// measured (and checked to round-off) against on the same host, same run.
-fn dense_gram_reference(a: &DenseMatrix) -> DenseMatrix {
-    let (m, n) = (a.rows(), a.cols());
-    let data = a.as_slice();
-    let mut g = vec![0.0f64; n * n];
-    for i in 0..m {
-        let row = &data[i * n..(i + 1) * n];
-        for x in 0..n {
-            let rx = row[x];
-            if rx == 0.0 {
-                continue;
-            }
-            for y in x..n {
-                g[x * n + y] += rx * row[y];
-            }
-        }
-    }
-    for x in 0..n {
-        for y in (x + 1)..n {
-            g[y * n + x] = g[x * n + y];
-        }
-    }
-    DenseMatrix::from_vec(n, n, g)
 }
 
 /// The pre-SIMD sampled Gram kernel: one scattered slice at a time, one
@@ -180,35 +153,6 @@ fn main() {
     base.set("kernel.host_cpus", host_cpus as f64);
     let reps = if quick { 9 } else { 5 };
 
-    // -- Dense Gram: G = AᵀA over triangle row tiles ---------------------
-    let (m, n) = if quick { (128, 64) } else { (512, 256) };
-    let mut rng = rng_from_seed(31);
-    let a = DenseMatrix::from_vec(m, n, (0..m * n).map(|_| rng.next_gaussian()).collect());
-    // Triangle row `a` computes the n − a entries G[a][b..], 2m flops each.
-    let dense_weights: Vec<u64> = (0..n).map(|r| 2 * m as u64 * (n - r) as u64).collect();
-    let ws_words = (m * n + n * n) as u64;
-    let t1 = modeled(&model, KernelClass::Gemm, &dense_weights, ws_words, 1);
-    let t4 = modeled(&model, KernelClass::Gemm, &dense_weights, ws_words, 4);
-    let dense_speedup = t1 / t4;
-    base.set("kernel.dense_gram.modeled_comp_time.t1", t1);
-    base.set("kernel.dense_gram.modeled_comp_time.t4", t4);
-    base.set("kernel.dense_gram.modeled_speedup.t4", dense_speedup);
-    let wall1 = wall_secs(reps, || {
-        black_box(a.gram_parallel(1));
-    });
-    let wall4 = wall_secs(reps, || {
-        black_box(a.gram_parallel(4));
-    });
-    base.set("kernel.dense_gram.wall_t1", wall1);
-    base.set("kernel.dense_gram.wall_t4", wall4);
-    println!(
-        "dense gram {m}×{n}: modeled t1 {} t4 {} (speedup {dense_speedup:.2}×); wall t1 {} t4 {}",
-        fmt_secs(t1),
-        fmt_secs(t4),
-        fmt_secs(wall1),
-        fmt_secs(wall4)
-    );
-
     // -- Sparse sampled Gram over lane-block tiles -----------------------
     let (rows, cols, width) = if quick {
         (4_000, 1_000, 64)
@@ -271,18 +215,8 @@ fn main() {
     );
 
     // -- SIMD microkernels: vs the pre-SIMD kernels, and scalar vs auto --
-    // The references live in this bin (dense_gram_reference /
-    // sparse_gram_reference): same host, same run, same shapes,
-    // interleaved reps — measured, not modeled.
-    let (old_dense, new_dense) = wall_pair(
-        reps,
-        || {
-            black_box(dense_gram_reference(&a));
-        },
-        || {
-            black_box(a.gram());
-        },
-    );
+    // The reference lives in this bin (sparse_gram_reference): same host,
+    // same run, same shapes, interleaved reps — measured, not modeled.
     let (old_sparse, new_sparse) = wall_pair(
         reps,
         || {
@@ -292,34 +226,13 @@ fn main() {
             black_box(sampled_gram(&csc, &sel));
         },
     );
-    // Numerical sanity: the rewrite re-chunked the dense accumulation
-    // (canonical 64-row partials), so agreement is to round-off, not bits.
-    {
-        let g_new = a.gram();
-        let g_old = dense_gram_reference(&a);
-        let scale = g_old.max_abs().max(1.0);
-        let max_diff = g_new
-            .as_slice()
-            .iter()
-            .zip(g_old.as_slice())
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0f64, f64::max);
-        assert!(
-            max_diff <= 1e-9 * scale,
-            "dense SIMD gram deviates from reference: {max_diff:.3e}"
-        );
-        // The sparse rewrite preserves every per-entry chain exactly.
-        let s_new = sampled_gram(&csc, &sel);
-        let s_old = sparse_gram_reference(&csc, &sel);
-        assert_eq!(
-            s_new.as_slice(),
-            s_old.as_slice(),
-            "sparse SIMD gram must be bitwise the per-pair reference"
-        );
-    }
-    let dense_vs_ref = old_dense / new_dense;
+    // The rewrite preserves every per-entry chain exactly.
+    assert_eq!(
+        sampled_gram(&csc, &sel).as_slice(),
+        sparse_gram_reference(&csc, &sel).as_slice(),
+        "sparse SIMD gram must be bitwise the per-pair reference"
+    );
     let sparse_vs_ref = old_sparse / new_sparse;
-    base.set("kernel.simd.dense_gram.speedup_vs_ref", dense_vs_ref);
     base.set("kernel.simd.sparse_gram.speedup_vs_ref", sparse_vs_ref);
 
     // Scalar-vs-auto sweep: identical kernels, SACO_SIMD pinned per side
@@ -330,9 +243,6 @@ fn main() {
     let mut vz = vec![0.0f64; vlen];
     let mut sweep = |mode: simd::Mode| {
         simd::set_mode(mode);
-        let d = wall_secs(reps, || {
-            black_box(a.gram());
-        });
         let s = wall_secs(reps, || {
             black_box(sampled_gram(&csc, &sel));
         });
@@ -342,12 +252,11 @@ fn main() {
             }
             black_box(vz[0]);
         });
-        (d, s, ax)
+        (s, ax)
     };
-    let (d_sc, s_sc, axpy_sc) = sweep(simd::Mode::Scalar);
-    let (d_wd, s_wd, axpy_wd) = sweep(simd::Mode::Auto);
+    let (s_sc, axpy_sc) = sweep(simd::Mode::Scalar);
+    let (s_wd, axpy_wd) = sweep(simd::Mode::Auto);
     simd::set_mode(ambient);
-    base.set("kernel.simd.dense_gram.speedup", d_sc / d_wd);
     base.set("kernel.simd.sparse_gram.speedup", s_sc / s_wd);
     base.set("kernel.simd.axpy.speedup", axpy_sc / axpy_wd);
     base.set("kernel.simd.lanes", simd::effective_lanes() as f64);
@@ -358,22 +267,13 @@ fn main() {
             simd::Mode::Auto => 2.0,
         },
     );
-    base.set("kernel.simd.tile.mr", simd::TILE_MR as f64);
-    base.set("kernel.simd.tile.nr", simd::TILE_NR as f64);
-    base.set(
-        "kernel.simd.tile.panel_rows",
-        simd::gram_tile_rows(n) as f64,
-    );
     println!(
-        "simd ({}, {} lanes): dense gram ref {} → {} ({dense_vs_ref:.2}×), sparse ref {} → {} \
-         ({sparse_vs_ref:.2}×); scalar→auto dense {:.2}× sparse {:.2}× axpy {:.2}×",
+        "simd ({}, {} lanes): sparse gram ref {} → {} ({sparse_vs_ref:.2}×); \
+         scalar→auto sparse {:.2}× axpy {:.2}×",
         simd::mode_label(),
         simd::effective_lanes(),
-        fmt_secs(old_dense),
-        fmt_secs(new_dense),
         fmt_secs(old_sparse),
         fmt_secs(new_sparse),
-        d_sc / d_wd,
         s_sc / s_wd,
         axpy_sc / axpy_wd,
     );
@@ -419,10 +319,10 @@ fn main() {
     base.set("kernel.par.tiles", pool.tiles as f64);
 
     // The acceptance bar for the parallel kernel layer: ≥1.5× modeled
-    // comp_time at 4 workers on the dense-Gram path.
+    // comp_time at 4 workers on the sampled-Gram path every solve runs.
     assert!(
-        dense_speedup >= 1.5,
-        "modeled dense-Gram speedup at 4 threads is {dense_speedup:.2}×, want ≥ 1.5×"
+        sparse_speedup >= 1.5,
+        "modeled sparse-Gram speedup at 4 threads is {sparse_speedup:.2}×, want ≥ 1.5×"
     );
 
     let path = base.write();

@@ -405,27 +405,8 @@ impl std::fmt::Debug for BackgroundWorker {
 }
 
 // ---------------------------------------------------------------------------
-// Tiling and schedule modelling helpers
+// Schedule modelling
 // ---------------------------------------------------------------------------
-
-/// Split `0..len` into at most `max_tiles` contiguous half-open ranges of
-/// near-equal length (the first `len % tiles` ranges are one longer).
-pub fn tile_ranges(len: usize, max_tiles: usize) -> Vec<(usize, usize)> {
-    if len == 0 {
-        return Vec::new();
-    }
-    let tiles = max_tiles.max(1).min(len);
-    let base = len / tiles;
-    let extra = len % tiles;
-    let mut out = Vec::with_capacity(tiles);
-    let mut start = 0;
-    for t in 0..tiles {
-        let width = base + usize::from(t < extra);
-        out.push((start, start + width));
-        start += width;
-    }
-    out
-}
 
 /// Deterministic makespan bound for `weights` list-scheduled in order onto
 /// `workers` workers (each tile goes to the currently least-loaded worker,
@@ -583,21 +564,6 @@ mod tests {
         assert_eq!(out, vec![(0, 10), (1, 2), (2, 18), (3, 6)]);
         let empty: Vec<u64> = scoped_map(Vec::<u64>::new(), |_, v| v);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn tile_ranges_cover_exactly() {
-        for (len, tiles) in [(10, 3), (3, 10), (64, 8), (7, 1), (1, 1)] {
-            let ranges = tile_ranges(len, tiles);
-            assert!(ranges.len() <= tiles.max(1));
-            assert_eq!(ranges[0].0, 0);
-            assert_eq!(ranges.last().unwrap().1, len);
-            for w in ranges.windows(2) {
-                assert_eq!(w[0].1, w[1].0, "contiguous");
-                assert!(w[0].1 > w[0].0, "nonempty");
-            }
-        }
-        assert!(tile_ranges(0, 4).is_empty());
     }
 
     #[test]

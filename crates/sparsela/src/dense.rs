@@ -1,12 +1,13 @@
-//! Row-major dense matrices with GEMV and cache-blocked GEMM.
+//! Row-major dense matrices with GEMV.
 //!
 //! The µ×µ (and sµ×sµ) Gram matrices of Algorithms 1–4 are dense regardless
 //! of the sparsity of `A` (Table I footnote: "we assume that the µ×µ Gram
 //! matrix computed at each iteration [is] dense"), so the solvers need a
-//! small dense-matrix type with multiplication, transpose and symmetric
-//! rank-k updates.
+//! small dense-matrix type to hold them: element access, GEMV, diagonal
+//! blocks and in-place reshaping for workspace reuse. The Gram itself is
+//! formed by [`crate::gram`], never by a dense product.
 
-use crate::{simd, vecops};
+use crate::vecops;
 
 /// A row-major dense `rows × cols` matrix of `f64`.
 #[derive(Clone, Debug, PartialEq)]
@@ -118,17 +119,6 @@ impl DenseMatrix {
         (0..self.rows).map(|i| self.get(i, j)).collect()
     }
 
-    /// Transposed copy.
-    pub fn transpose(&self) -> DenseMatrix {
-        let mut t = DenseMatrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t.set(j, i, self.get(i, j));
-            }
-        }
-        t
-    }
-
     /// Matrix–vector product `y = A x`.
     pub fn gemv(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols, "gemv: dimension mismatch");
@@ -145,206 +135,6 @@ impl DenseMatrix {
             vecops::axpy(x[i], self.row(i), &mut y);
         }
         y
-    }
-
-    /// Naive triple-loop GEMM `C = A·B` (reference implementation; the
-    /// blocked variant below is validated against this).
-    pub fn matmul_naive(&self, b: &DenseMatrix) -> DenseMatrix {
-        assert_eq!(self.cols, b.rows, "matmul: inner dimension mismatch");
-        let mut c = DenseMatrix::zeros(self.rows, b.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self.get(i, k);
-                if aik == 0.0 {
-                    continue;
-                }
-                let brow = b.row(k);
-                let crow = c.row_mut(i);
-                vecops::axpy(aik, brow, crow);
-            }
-        }
-        c
-    }
-
-    /// Cache-blocked GEMM `C = A·B`.
-    ///
-    /// Blocks of `BLOCK × BLOCK` keep the working set in L1/L2; this is the
-    /// BLAS-3 kernel whose superior flop rate over repeated BLAS-1 dot
-    /// products gives the SA methods their computation speedup (paper
-    /// Fig. 4e–h discussion).
-    pub fn matmul(&self, b: &DenseMatrix) -> DenseMatrix {
-        assert_eq!(self.cols, b.rows, "matmul: inner dimension mismatch");
-        let (m, k, n) = (self.rows, self.cols, b.cols);
-        let mut c = DenseMatrix::zeros(m, n);
-        for ii in (0..m).step_by(Self::BLOCK) {
-            let iend = (ii + Self::BLOCK).min(m);
-            for kk in (0..k).step_by(Self::BLOCK) {
-                let kend = (kk + Self::BLOCK).min(k);
-                for jj in (0..n).step_by(Self::BLOCK) {
-                    let jend = (jj + Self::BLOCK).min(n);
-                    for i in ii..iend {
-                        for p in kk..kend {
-                            let aip = self.get(i, p);
-                            if aip == 0.0 {
-                                continue;
-                            }
-                            let brow = &b.data[p * n + jj..p * n + jend];
-                            let crow = &mut c.data[i * n + jj..i * n + jend];
-                            for (cv, bv) in crow.iter_mut().zip(brow) {
-                                *cv += aip * bv;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        c
-    }
-
-    /// Symmetric product `AᵀA`, computing only the upper triangle and
-    /// mirroring it (the paper's footnote 3 trick: "G is symmetric so
-    /// computing just the upper/lower triangular part reduces flops and
-    /// message size by 2×").
-    ///
-    /// The triangle is produced by [`simd::gram_upper_rows`] — a
-    /// register-blocked 4×8 microkernel accumulating over canonical
-    /// 64-row chunks with L2-sized row panels — so every entry has one
-    /// fixed association at any `SACO_SIMD` mode, panel size, or (via
-    /// [`Self::gram_parallel`]) thread count.
-    pub fn gram(&self) -> DenseMatrix {
-        let n = self.cols;
-        let mut g = DenseMatrix::zeros(n, n);
-        simd::gram_upper_rows(&self.data, self.rows, n, 0, n, &mut g.data);
-        // Mirror overwrites every below-diagonal slot, including the few
-        // the kernel's diagonal-straddling tiles touched.
-        for a in 0..n {
-            for b in (a + 1)..n {
-                g.data[b * n + a] = g.data[a * n + b];
-            }
-        }
-        g
-    }
-
-    /// Multi-threaded [`matmul`](Self::matmul) over `saco-par`: output
-    /// rows are split into cache-block tiles, each computed by the same
-    /// blocked kernel. Rows of `C` are independent and each keeps the
-    /// serial `kk`/`jj` block traversal, so the result is **bitwise
-    /// identical** to the serial product at any thread count.
-    pub fn matmul_parallel(&self, b: &DenseMatrix, nthreads: usize) -> DenseMatrix {
-        assert_eq!(self.cols, b.rows, "matmul: inner dimension mismatch");
-        let (m, n) = (self.rows, b.cols);
-        if nthreads <= 1 || m < 2 * Self::BLOCK {
-            return self.matmul(b);
-        }
-        let tiles = saco_par::tile_ranges(m, 4 * nthreads);
-        let parts = saco_par::tiled_map_weighted(
-            nthreads,
-            tiles.len(),
-            2 * (m * self.cols * n) as u64,
-            || (),
-            |_, t| {
-                let (lo, hi) = tiles[t];
-                self.matmul_rows(b, lo, hi)
-            },
-        );
-        let mut data = Vec::with_capacity(m * n);
-        for part in parts {
-            data.extend_from_slice(&part);
-        }
-        DenseMatrix::from_vec(m, n, data)
-    }
-
-    const BLOCK: usize = 64;
-
-    /// Blocked GEMM restricted to output rows `[lo, hi)`; returns that
-    /// row band. Per output entry the accumulation order over the inner
-    /// dimension is exactly [`matmul`](Self::matmul)'s (`kk` blocks
-    /// ascending, then `p` within each block), which is what makes the
-    /// row-tiled parallel product bitwise identical.
-    fn matmul_rows(&self, b: &DenseMatrix, lo: usize, hi: usize) -> Vec<f64> {
-        let (k, n) = (self.cols, b.cols);
-        let mut band = vec![0.0; (hi - lo) * n];
-        for kk in (0..k).step_by(Self::BLOCK) {
-            let kend = (kk + Self::BLOCK).min(k);
-            for jj in (0..n).step_by(Self::BLOCK) {
-                let jend = (jj + Self::BLOCK).min(n);
-                for i in lo..hi {
-                    for p in kk..kend {
-                        let aip = self.get(i, p);
-                        if aip == 0.0 {
-                            continue;
-                        }
-                        let brow = &b.data[p * n + jj..p * n + jend];
-                        let crow = &mut band[(i - lo) * n + jj..(i - lo) * n + jend];
-                        for (cv, bv) in crow.iter_mut().zip(brow) {
-                            *cv += aip * bv;
-                        }
-                    }
-                }
-            }
-        }
-        band
-    }
-
-    /// Multi-threaded [`gram`](Self::gram) over `saco-par`: the upper
-    /// triangle's output rows are split into band tiles, each produced by
-    /// the same [`simd::gram_upper_rows`] microkernel. Band splits cannot
-    /// change the canonical-chunk fold behind any entry, so the result is
-    /// **bitwise identical** at any thread count. Tiles are sized
-    /// unevenly (row `a` of the triangle costs `n − a` updates) via many
-    /// small tiles plus the pool's dynamic claiming.
-    ///
-    /// Small problems short-circuit to the serial kernel through
-    /// `saco_par::dispatch_width` — the µ×µ Gram of a quick-mode solve is
-    /// far below `MIN_DISPATCH_WORK`, and the tiled path's per-tile
-    /// buffers and merge copies were what made `kernel.dense_gram.wall_t4`
-    /// slower than `wall_t1` in the PR-2 gauges.
-    pub fn gram_parallel(&self, nthreads: usize) -> DenseMatrix {
-        let n = self.cols;
-        // Triangle row a costs 2·m·(n − a) flops: n(n+1)·m over the block.
-        let work = (n * (n + 1) * self.rows) as u64;
-        if n < 8 || nthreads <= 1 {
-            return self.gram();
-        }
-        if saco_par::dispatch_width(nthreads, n, work) <= 1 {
-            // Sub-dispatch-size with a pool requested: serial kernel, but
-            // counted as a region (like tiled_map_weighted's fallback) so
-            // `par.regions` keeps tracking pooled-kernel invocations.
-            return saco_par::serial_region(n, || self.gram());
-        }
-        // Cap the tile count so every band keeps at least TILE_MR rows:
-        // thinner bands would degrade the microkernel to its scalar edge
-        // path. Band boundaries never affect bits (see gram_upper_rows).
-        let ntiles = (n / simd::TILE_MR).max(1).min(8 * nthreads);
-        let tiles = saco_par::tile_ranges(n, ntiles);
-        let parts = saco_par::tiled_map_weighted(
-            nthreads,
-            tiles.len(),
-            work,
-            || (),
-            |_, t| {
-                let (lo, hi) = tiles[t];
-                let mut band = vec![0.0; (hi - lo) * n];
-                simd::gram_upper_rows(&self.data, self.rows, n, lo, hi, &mut band);
-                band
-            },
-        );
-        let mut g = DenseMatrix::zeros(n, n);
-        for (t, part) in parts.into_iter().enumerate() {
-            let (lo, hi) = tiles[t];
-            for a in lo..hi {
-                // Keep only each band row's upper-triangle span; the
-                // mirror below fills (and overwrites) the rest.
-                g.data[a * n + a..(a + 1) * n]
-                    .copy_from_slice(&part[(a - lo) * n + a..(a - lo + 1) * n]);
-            }
-        }
-        for a in 0..n {
-            for b in (a + 1)..n {
-                g.data[b * n + a] = g.data[a * n + b];
-            }
-        }
-        g
     }
 
     /// Frobenius norm.
@@ -408,43 +198,19 @@ mod tests {
 
     #[test]
     fn identity_is_neutral() {
-        let a = random_matrix(7, 7, 1);
-        let i = DenseMatrix::identity(7);
-        let ai = a.matmul(&i);
-        assert!((0..49).all(|k| (ai.as_slice()[k] - a.as_slice()[k]).abs() < 1e-15));
-    }
-
-    #[test]
-    fn blocked_matmul_matches_naive() {
-        for (m, k, n, seed) in [
-            (3, 4, 5, 2),
-            (65, 70, 67, 3),
-            (128, 32, 130, 4),
-            (1, 200, 1, 5),
-        ] {
-            let a = random_matrix(m, k, seed);
-            let b = random_matrix(k, n, seed + 100);
-            let c1 = a.matmul_naive(&b);
-            let c2 = a.matmul(&b);
-            let diff: f64 = c1
-                .as_slice()
-                .iter()
-                .zip(c2.as_slice())
-                .map(|(x, y)| (x - y).abs())
-                .fold(0.0, f64::max);
-            assert!(diff < 1e-10, "blocked vs naive diff {diff} at {m}x{k}x{n}");
-        }
+        let x = random_matrix(1, 7, 1).row(0).to_vec();
+        assert_eq!(DenseMatrix::identity(7).gemv(&x), x);
     }
 
     #[test]
     fn gemv_matches_matmul() {
         let a = random_matrix(9, 6, 6);
         let x: Vec<f64> = (0..6).map(|i| i as f64 - 2.5).collect();
-        let bx = DenseMatrix::from_vec(6, 1, x.clone());
-        let via_mm = a.matmul(&bx);
         let via_gemv = a.gemv(&x);
         for i in 0..9 {
-            assert!((via_mm.get(i, 0) - via_gemv[i]).abs() < 1e-12);
+            // The textbook product (A·x)ᵢ = Σₖ aᵢₖ·xₖ, written out.
+            let want: f64 = (0..6).map(|k| a.get(i, k) * x[k]).sum();
+            assert!((want - via_gemv[i]).abs() < 1e-12);
         }
     }
 
@@ -452,29 +218,12 @@ mod tests {
     fn gemv_t_matches_transpose_gemv() {
         let a = random_matrix(9, 6, 7);
         let x: Vec<f64> = (0..9).map(|i| (i as f64).cos()).collect();
-        let t = a.transpose();
+        let t = DenseMatrix::from_vec(6, 9, (0..54).map(|k| a.get(k % 9, k / 9)).collect());
         let y1 = a.gemv_t(&x);
         let y2 = t.gemv(&x);
         for (u, v) in y1.iter().zip(&y2) {
             assert!((u - v).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn gram_matches_explicit_ata() {
-        let a = random_matrix(20, 8, 8);
-        let g1 = a.gram();
-        let g2 = a.transpose().matmul(&a);
-        for k in 0..64 {
-            assert!((g1.as_slice()[k] - g2.as_slice()[k]).abs() < 1e-10);
-        }
-        assert!(g1.is_symmetric(1e-14));
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let a = random_matrix(5, 11, 9);
-        assert_eq!(a.transpose().transpose(), a);
     }
 
     #[test]
@@ -491,14 +240,6 @@ mod tests {
         let a = DenseMatrix::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]);
         assert_eq!(a.fro_norm(), 5.0);
         assert_eq!(a.max_abs(), 4.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "inner dimension mismatch")]
-    fn matmul_shape_mismatch_panics() {
-        let a = DenseMatrix::zeros(2, 3);
-        let b = DenseMatrix::zeros(2, 3);
-        let _ = a.matmul(&b);
     }
 
     #[test]

@@ -130,12 +130,21 @@ pub fn power_iteration(a: &DenseMatrix, max_iter: usize, tol: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gram::sampled_gram;
+    use crate::CscMatrix;
     use xrng::rng_from_seed;
+
+    /// `AᵀA` of a Gaussian `m × n` matrix, formed by the production kernel
+    /// over all of its columns.
+    fn gram_of(a: &DenseMatrix) -> DenseMatrix {
+        let all: Vec<usize> = (0..a.cols()).collect();
+        sampled_gram(&CscMatrix::from_dense(a), &all)
+    }
 
     fn random_gram(n: usize, m: usize, seed: u64) -> DenseMatrix {
         let mut rng = rng_from_seed(seed);
         let data: Vec<f64> = (0..m * n).map(|_| rng.next_gaussian()).collect();
-        DenseMatrix::from_vec(m, n, data).gram()
+        gram_of(&DenseMatrix::from_vec(m, n, data))
     }
 
     #[test]
@@ -198,8 +207,7 @@ mod tests {
     #[test]
     fn rank_one_gram() {
         // aaᵀ-style Gram from a 1-row matrix: λmax = ‖a‖², rest 0.
-        let a = DenseMatrix::from_rows(&[&[1.0, 2.0, 2.0]]);
-        let g = a.gram();
+        let g = gram_of(&DenseMatrix::from_rows(&[&[1.0, 2.0, 2.0]]));
         let eigs = jacobi_eigenvalues(&g);
         assert!((eigs[0] - 9.0).abs() < 1e-12);
         assert!(eigs[1].abs() < 1e-12 && eigs[2].abs() < 1e-12);

@@ -931,34 +931,4 @@ mod parallel_tests {
         let empty = sampled_gram_parallel(&csc, &[], 4);
         assert_eq!((empty.rows(), empty.cols()), (0, 0));
     }
-
-    #[test]
-    fn dense_gram_parallel_is_bitwise_identical() {
-        // 80·81·200 ≈ 1.3M estimated ops — above MIN_DISPATCH_WORK, so
-        // multi-core hosts exercise the genuinely pooled band path.
-        let mut rng = rng_from_seed(43);
-        let data: Vec<f64> = (0..200 * 80).map(|_| rng.next_gaussian()).collect();
-        let a = DenseMatrix::from_vec(200, 80, data);
-        let seq = a.gram();
-        for threads in [1usize, 2, 4, 7, 16] {
-            let par = a.gram_parallel(threads);
-            assert_eq!(par.as_slice(), seq.as_slice(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn matmul_parallel_is_bitwise_identical() {
-        let mut rng = rng_from_seed(44);
-        let a = DenseMatrix::from_vec(
-            150,
-            70,
-            (0..150 * 70).map(|_| rng.next_gaussian()).collect(),
-        );
-        let b = DenseMatrix::from_vec(70, 90, (0..70 * 90).map(|_| rng.next_gaussian()).collect());
-        let seq = a.matmul(&b);
-        for threads in [1usize, 2, 4, 7] {
-            let par = a.matmul_parallel(&b, threads);
-            assert_eq!(par.as_slice(), seq.as_slice(), "threads={threads}");
-        }
-    }
 }

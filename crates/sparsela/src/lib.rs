@@ -6,30 +6,26 @@
 //! this crate provides the kernels the solvers actually need, built from
 //! scratch:
 //!
-//! * [`DenseMatrix`] — row-major dense storage with GEMM/GEMV/transpose,
-//!   including a cache-blocked GEMM (the BLAS-3 path whose higher flop rate
-//!   is the source of the SA methods' *computation* speedup, Fig. 4e–h).
+//! * [`DenseMatrix`] — row-major dense storage for the small Gram and
+//!   cross-product matrices the solvers hold, with GEMV.
 //! * [`CooMatrix`] / [`CsrMatrix`] / [`CscMatrix`] — the three classic
 //!   sparse formats with conversions; the paper stores data in "Compressed
 //!   Sparse Row format (3-array variant)".
 //! * [`vecops`] — BLAS-1 style slice kernels (dot, axpy, norms, …).
 //! * [`simd`] — explicit-width microkernels behind the hot paths
-//!   (runtime `SACO_SIMD=auto|scalar` dispatch, register-blocked
-//!   dense Gram, interleaved sparse scatter-dot and its full-slice
-//!   twin for dense data) under a deterministic
-//!   lane-reduction contract: every width is bitwise identical.
+//!   (runtime `SACO_SIMD=auto|scalar` dispatch, interleaved sparse
+//!   scatter-dot and its full-slice twin for dense data) under a
+//!   deterministic lane-reduction contract: every width is bitwise
+//!   identical.
 //! * [`gram`] — sampled Gram matrices `Aₛᵀ Aₛ` and cross products
-//!   `Aₛᵀ [v w]`, the two reductions at the heart of Algorithms 1–4.
+//!   `Aₛᵀ [v w]`, the two reductions at the heart of Algorithms 1–4, in
+//!   one batched kernel (the source of the SA methods' *computation*
+//!   speedup, Fig. 4e–h).
 //! * [`kernel`] — kernel functions (linear/polynomial/RBF) and the
 //!   bounded kernel-row cache behind the K-DCD/K-BDCD family; the
 //!   `m × m` kernel matrix is never materialized.
 //! * [`eig`] — Jacobi eigensolver and power iteration for the small
 //!   symmetric matrices whose largest eigenvalue sets the step size.
-//! * [`chol`] — small dense Cholesky (used for SPD validation and ridge
-//!   subproblems).
-//! * [`qr`] — Householder QR and exact dense least squares (reference
-//!   optima for validating the iterative solvers).
-//! * [`scale`] — sparsity-preserving column normalization.
 //! * [`io`] — LIBSVM text-format reader/writer.
 //! * [`svdest`] — extreme singular-value estimation (for the paper's
 //!   `λ = 100·σ_min` rule).
@@ -47,7 +43,6 @@
 #![allow(clippy::needless_range_loop)]
 #![warn(missing_docs)]
 
-pub mod chol;
 pub mod coo;
 pub mod csc;
 pub mod csr;
@@ -56,8 +51,6 @@ pub mod eig;
 pub mod gram;
 pub mod io;
 pub mod kernel;
-pub mod qr;
-pub mod scale;
 pub mod shard;
 pub mod simd;
 pub mod svdest;
@@ -70,7 +63,7 @@ pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use gram::{GramWorkspace, MajorSlices, SliceSource};
 pub use kernel::{KernelCache, KernelCacheStats, KernelFn};
-pub use sympack::{pack_upper_into, packed_len, unpack_symmetric, unpack_symmetric_into};
+pub use sympack::{pack_upper_into, packed_len, unpack_symmetric_into};
 
 /// A borrowed view of one sparse row (CSR) or column (CSC): parallel slices
 /// of strictly increasing indices and their values.

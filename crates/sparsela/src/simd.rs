@@ -3,9 +3,9 @@
 //!
 //! Every kernel here is written once, as a *portable* Rust function with a
 //! **fixed** lane structure — a fixed number of partial accumulators,
-//! combined in a fixed left-to-right order. The elementwise, dense-Gram,
-//! sparse scatter and full-slice kernels are then compiled a second and
-//! third time behind `#[target_feature(enable = "avx2"/"avx512f")]`
+//! combined in a fixed left-to-right order. The elementwise, sparse
+//! scatter and full-slice kernels are then compiled a second and third
+//! time behind `#[target_feature(enable = "avx2"/"avx512f")]`
 //! wrappers, and runtime dispatch picks the widest instruction set the
 //! host supports (`SACO_SIMD` can force the portable builds, see
 //! [`Mode`]). The two BLAS-1 reductions ([`dot`], [`nrm2_sq`]) have the
@@ -16,9 +16,8 @@
 //!
 //! The lane structure is part of the kernel's *definition*, not its
 //! execution width: a dot product always uses [`LANES`] = 4 partial sums
-//! reduced as `(acc0 + acc1) + (acc2 + acc3) + tail`, a dense Gram entry is
-//! always the left-to-right fold of [`CHUNK`] = 64-row partial sums, and the
-//! sparse scatter-dot always keeps one accumulator chain per scattered
+//! reduced as `(acc0 + acc1) + (acc2 + acc3) + tail`, and the sparse
+//! scatter-dot always keeps one accumulator chain per scattered
 //! column — as do the full-slice kernels, which only put several such
 //! chains in flight at once. Because the AVX2/AVX-512 builds execute the
 //! *same* IEEE-754 operations in the *same* association (vectorization
@@ -28,40 +27,24 @@
 //! proptests in `tests/proptests.rs` pin this for every kernel, including
 //! ragged tails.
 //!
-//! The same argument makes the cache-tile size a pure throughput knob: any
-//! row-panel height that is a multiple of [`CHUNK`] folds the identical
-//! chunk partials in the identical order, so the L2-probed panel height
-//! ([`gram_tile_rows`], override `SACO_L2_KB`) cannot change a bit.
-//!
 //! This module is the only place in the numeric crates allowed to spell
-//! out raw product-accumulate inner loops; `vecops`, `dense::gram*` and
-//! `gram` route through it (enforced by `scripts/shim_guard.sh`). One
-//! deliberate exception: [`crate::SparseSlice::dot_dense`] stays a single
+//! out raw product-accumulate inner loops; `vecops` and `gram` route
+//! through it (enforced by `scripts/shim_guard.sh`). One deliberate
+//! exception: [`crate::SparseSlice::dot_dense`] stays a single
 //! scalar chain — its gather pattern defeats vectorization (measured
 //! slower with lane splitting), and its single-accumulator order is what
 //! the interleaved kernel below reproduces per lane.
 
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Accumulator lanes of the BLAS-1 reductions ([`dot`], [`nrm2_sq`]).
 pub const LANES: usize = 4;
-
-/// Canonical row-chunk length of the dense Gram kernel: every `G[a][b]`
-/// is the left-to-right fold of per-64-row partial sums, whatever the
-/// cache tiling. Tile heights are constrained to multiples of this.
-pub const CHUNK: usize = 64;
 
 /// Interleaved scatter lanes of the sparse sampled-Gram kernel: that many
 /// selected columns are scattered side by side so one streaming pass over
 /// a partner column's nonzeros produces that many Gram entries with
 /// contiguous (cache-line-wide) loads instead of gathers.
 pub const SPARSE_LANES: usize = 8;
-
-/// Dense Gram micro-tile height (rows of `G` per register block).
-pub const TILE_MR: usize = 4;
-
-/// Dense Gram micro-tile width (columns of `G` per register block).
-pub const TILE_NR: usize = 8;
 
 // ---------------------------------------------------------------------------
 // Mode / ISA selection
@@ -249,14 +232,6 @@ widened! {
 }
 
 widened! {
-    fn axpby_kernel / axpby_avx2 / axpby_avx512(alpha: f64, x: &[f64], beta: f64, y: &mut [f64]) {
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi = alpha * xi + beta * *yi;
-        }
-    }
-}
-
-widened! {
     fn scale_kernel / scale_avx2 / scale_avx512(alpha: f64, x: &mut [f64]) {
         for xi in x {
             *xi *= alpha;
@@ -321,175 +296,12 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     )
 }
 
-/// `y ← alpha·x + beta·y` (elementwise; lengths validated by the caller).
-#[inline]
-pub fn axpby(alpha: f64, x: &[f64], beta: f64, y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    dispatch!(
-        active_isa(),
-        axpby_kernel / axpby_avx2 / axpby_avx512(alpha, x, beta, y)
-    )
-}
-
 /// `x ← alpha·x` (elementwise).
 #[inline]
 pub fn scale(alpha: f64, x: &mut [f64]) {
     dispatch!(
         active_isa(),
         scale_kernel / scale_avx2 / scale_avx512(alpha, x)
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Dense Gram: register-blocked 4×8 micro-tiles over canonical row chunks
-// ---------------------------------------------------------------------------
-
-static L2_BYTES: AtomicUsize = AtomicUsize::new(0);
-
-/// The L2 working-set target for dense-Gram row panels, in bytes.
-/// Resolution order: `SACO_L2_KB` env override, the sysfs L2 size of
-/// cpu0, then a conservative 256 KiB. Cached after the first call.
-pub fn l2_target_bytes() -> usize {
-    match L2_BYTES.load(Ordering::Relaxed) {
-        0 => {
-            let bytes = std::env::var("SACO_L2_KB")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .map(|kb| kb * 1024)
-                .or_else(probe_l2_bytes)
-                .unwrap_or(256 * 1024);
-            L2_BYTES.store(bytes.max(1), Ordering::Relaxed);
-            bytes.max(1)
-        }
-        b => b,
-    }
-}
-
-/// Parse `/sys/devices/system/cpu/cpu0/cache/index2/size` (e.g. `"2048K"`).
-fn probe_l2_bytes() -> Option<usize> {
-    let s = std::fs::read_to_string("/sys/devices/system/cpu/cpu0/cache/index2/size").ok()?;
-    let s = s.trim();
-    let (num, mult) = match s.as_bytes().last()? {
-        b'K' => (&s[..s.len() - 1], 1024),
-        b'M' => (&s[..s.len() - 1], 1024 * 1024),
-        _ => (s, 1),
-    };
-    num.parse::<usize>().ok().map(|n| n * mult)
-}
-
-/// Row-panel height for the dense Gram kernel: as many rows of `A` as fit
-/// the L2 target, rounded **down to a multiple of [`CHUNK`]** (floored at
-/// one chunk) — the constraint that makes the probed tile size incapable
-/// of changing results.
-pub fn gram_tile_rows(n: usize) -> usize {
-    let rows = l2_target_bytes() / (8 * n.max(1));
-    let rows = rows.max(CHUNK);
-    rows - rows % CHUNK
-}
-
-widened! {
-    fn gram_upper_kernel / gram_upper_avx2 / gram_upper_avx512(
-        data: &[f64],
-        m: usize,
-        n: usize,
-        lo: usize,
-        hi: usize,
-        out: &mut [f64],
-    ) {
-        let panel = gram_tile_rows(n);
-        let mut p0 = 0;
-        while p0 < m {
-            let pend = (p0 + panel).min(m);
-            let mut a0 = lo;
-            while a0 < hi {
-                let aw = (hi - a0).min(TILE_MR);
-                let mut b0 = a0;
-                while b0 < n {
-                    let bw = (n - b0).min(TILE_NR);
-                    if aw == TILE_MR && bw == TILE_NR {
-                        // Full 4×8 register tile: 32 accumulators live in
-                        // registers while the panel's rows stream through.
-                        let mut c0 = p0;
-                        while c0 < pend {
-                            let cend = (c0 + CHUNK).min(pend);
-                            let mut acc = [[0.0f64; TILE_NR]; TILE_MR];
-                            for i in c0..cend {
-                                let row = &data[i * n..(i + 1) * n];
-                                let va: [f64; TILE_MR] =
-                                    row[a0..a0 + TILE_MR].try_into().unwrap();
-                                let vb: [f64; TILE_NR] =
-                                    row[b0..b0 + TILE_NR].try_into().unwrap();
-                                for r in 0..TILE_MR {
-                                    for c in 0..TILE_NR {
-                                        acc[r][c] += va[r] * vb[c];
-                                    }
-                                }
-                            }
-                            for r in 0..TILE_MR {
-                                let base = (a0 + r - lo) * n + b0;
-                                let dst = &mut out[base..base + TILE_NR];
-                                for c in 0..TILE_NR {
-                                    dst[c] += acc[r][c];
-                                }
-                            }
-                            c0 = cend;
-                        }
-                    } else {
-                        // Ragged edge: per-entry scalar chains over the
-                        // same canonical chunks.
-                        let mut c0 = p0;
-                        while c0 < pend {
-                            let cend = (c0 + CHUNK).min(pend);
-                            for r in 0..aw {
-                                let a = a0 + r;
-                                for c in 0..bw {
-                                    let b = b0 + c;
-                                    if b < a {
-                                        continue;
-                                    }
-                                    let mut acc = 0.0;
-                                    for i in c0..cend {
-                                        acc += data[i * n + a] * data[i * n + b];
-                                    }
-                                    out[(a - lo) * n + b] += acc;
-                                }
-                            }
-                            c0 = cend;
-                        }
-                    }
-                    b0 += bw;
-                }
-                a0 += aw;
-            }
-            p0 = pend;
-        }
-    }
-}
-
-/// Accumulate the upper-triangle rows `[lo, hi)` of `G = AᵀA` into the
-/// full-width row band `out` (`(hi − lo) × n`, row-major; `out[(a−lo)·n +
-/// b] += G[a][b]` for `a ≤ b`). `data` is row-major `m × n`.
-///
-/// Every entry is the left-to-right fold of canonical [`CHUNK`]-row
-/// partial sums, so this is bitwise identical at any band split `[lo,
-/// hi)`, any L2 panel height, and any ISA — the property `gram_parallel`
-/// and the serial `gram` both rest on. Tiles that straddle the diagonal
-/// also touch a few below-diagonal slots of the band; callers read only
-/// `b ≥ a` (the mirror pass owns the rest).
-pub fn gram_upper_rows(data: &[f64], m: usize, n: usize, lo: usize, hi: usize, out: &mut [f64]) {
-    assert!(lo <= hi && hi <= n, "gram_upper_rows: band out of range");
-    assert_eq!(data.len(), m * n, "gram_upper_rows: data shape mismatch");
-    assert_eq!(
-        out.len(),
-        (hi - lo) * n,
-        "gram_upper_rows: band shape mismatch"
-    );
-    if lo == hi || n == 0 || m == 0 {
-        return;
-    }
-    dispatch!(
-        active_isa(),
-        gram_upper_kernel / gram_upper_avx2 / gram_upper_avx512(data, m, n, lo, hi, out)
     )
 }
 
@@ -716,26 +528,6 @@ mod tests {
         (0..n).map(|i| ((i as f64) + seed).sin() * 3.0).collect()
     }
 
-    /// Reference dense Gram: per-entry canonical-chunk fold, no blocking.
-    fn gram_ref(data: &[f64], m: usize, n: usize) -> Vec<f64> {
-        let mut g = vec![0.0f64; n * n];
-        for a in 0..n {
-            for b in a..n {
-                let mut c0 = 0;
-                while c0 < m {
-                    let cend = (c0 + CHUNK).min(m);
-                    let mut acc = 0.0;
-                    for i in c0..cend {
-                        acc += data[i * n + a] * data[i * n + b];
-                    }
-                    g[a * n + b] += acc;
-                    c0 = cend;
-                }
-            }
-        }
-        g
-    }
-
     fn with_modes<F: FnMut() -> T, T: PartialEq + std::fmt::Debug>(mut f: F) {
         set_mode(Mode::Scalar);
         let scalar = f();
@@ -762,75 +554,9 @@ mod tests {
             with_modes(|| {
                 let mut y = y0.clone();
                 axpy(0.3, &x, &mut y);
-                axpby(-1.25, &x, 0.5, &mut y);
                 scale(1.0 / 3.0, &mut y);
                 y.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             });
-        }
-    }
-
-    #[test]
-    fn gram_upper_rows_matches_canonical_reference_bitwise() {
-        for (m, n) in [
-            (1usize, 1usize),
-            (7, 5),
-            (64, 8),
-            (65, 9),
-            (130, 23),
-            (200, 40),
-        ] {
-            let data = vec_of(m * n, 0.5);
-            let reference = gram_ref(&data, m, n);
-            with_modes(|| {
-                let mut g = vec![0.0f64; n * n];
-                gram_upper_rows(&data, m, n, 0, n, &mut g);
-                // Compare the upper triangle only (diagonal tiles also
-                // touch below-diagonal slots).
-                let mut upper = Vec::new();
-                for a in 0..n {
-                    for b in a..n {
-                        upper.push(g[a * n + b].to_bits());
-                    }
-                }
-                upper
-            });
-            let mut g = vec![0.0f64; n * n];
-            gram_upper_rows(&data, m, n, 0, n, &mut g);
-            for a in 0..n {
-                for b in a..n {
-                    assert_eq!(
-                        g[a * n + b].to_bits(),
-                        reference[a * n + b].to_bits(),
-                        "entry ({a},{b}) of {m}x{n}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gram_upper_rows_band_split_is_bitwise_whole() {
-        let (m, n) = (97usize, 19usize);
-        let data = vec_of(m * n, 3.3);
-        let mut whole = vec![0.0f64; n * n];
-        gram_upper_rows(&data, m, n, 0, n, &mut whole);
-        for split in [1usize, 4, 7, 18] {
-            let mut lo = 0;
-            while lo < n {
-                let hi = (lo + split).min(n);
-                let mut band = vec![0.0f64; (hi - lo) * n];
-                gram_upper_rows(&data, m, n, lo, hi, &mut band);
-                for a in lo..hi {
-                    for b in a..n {
-                        assert_eq!(
-                            band[(a - lo) * n + b].to_bits(),
-                            whole[a * n + b].to_bits(),
-                            "split {split}, entry ({a},{b})"
-                        );
-                    }
-                }
-                lo = hi;
-            }
         }
     }
 
@@ -894,15 +620,6 @@ mod tests {
                     assert_eq!(lanes[p][l].to_bits(), want.to_bits(), "n={n} ({p},{l})");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn tile_rows_is_a_chunk_multiple() {
-        for n in [1usize, 8, 64, 256, 4096, 1 << 20] {
-            let rows = gram_tile_rows(n);
-            assert!(rows >= CHUNK);
-            assert_eq!(rows % CHUNK, 0, "n={n}: rows={rows}");
         }
     }
 

@@ -69,13 +69,6 @@ pub fn unpack_symmetric_into(buf: &[f64], at: usize, k: usize, out: &mut DenseMa
     pos
 }
 
-/// Allocating convenience form of [`unpack_symmetric_into`].
-pub fn unpack_symmetric(buf: &[f64], at: usize, k: usize) -> (DenseMatrix, usize) {
-    let mut g = DenseMatrix::zeros(0, 0);
-    let pos = unpack_symmetric_into(buf, at, k, &mut g);
-    (g, pos)
-}
-
 /// Total word count of the fused SA payload for a `width × width` Gram
 /// block, `nvecs` cross-term vectors, and an optional traced scalar:
 /// `width(width+1)/2 + nvecs·width + (traced ? 1 : 0)`.
@@ -98,7 +91,8 @@ mod tests {
         let mut buf = vec![99.0]; // pre-existing content preserved
         pack_upper_into(&g, &mut buf);
         assert_eq!(buf.len(), 1 + packed_len(3));
-        let (g2, next) = unpack_symmetric(&buf, 1, 3);
+        let mut g2 = DenseMatrix::identity(5); // reshaped and overwritten
+        let next = unpack_symmetric_into(&buf, 1, 3, &mut g2);
         assert_eq!(next, 7);
         assert_eq!(g2.as_slice(), g.as_slice());
     }
@@ -127,7 +121,8 @@ mod tests {
         let mut buf = Vec::new();
         pack_upper_into(&g, &mut buf);
         assert_eq!(buf, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let (full, _) = unpack_symmetric(&buf, 0, 3);
+        let mut full = DenseMatrix::zeros(0, 0);
+        unpack_symmetric_into(&buf, 0, 3, &mut full);
         assert!(full.is_symmetric(0.0));
         assert_eq!(full.get(2, 0), 3.0);
     }
@@ -152,7 +147,8 @@ mod tests {
         let mut buf = Vec::new();
         pack_upper_into(&g, &mut buf);
         assert!(buf.is_empty());
-        let (g2, next) = unpack_symmetric(&buf, 0, 0);
+        let mut g2 = DenseMatrix::identity(2);
+        let next = unpack_symmetric_into(&buf, 0, 0, &mut g2);
         assert_eq!(next, 0);
         assert_eq!((g2.rows(), g2.cols()), (0, 0));
     }

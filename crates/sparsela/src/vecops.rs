@@ -2,7 +2,7 @@
 //!
 //! These are the per-iteration scalar/vector updates of the coordinate
 //! descent methods (Fig. 1 step 5). The hot kernels (`dot`, `axpy`,
-//! `axpby`, `scale`, `nrm2_sq`) dispatch through [`crate::simd`], which
+//! `scale`, `nrm2_sq`) dispatch through [`crate::simd`], which
 //! compiles one fixed-lane-order definition per kernel for the portable,
 //! AVX2 and AVX-512 builds — so results are bitwise identical at every
 //! `SACO_SIMD` setting (the lane-reduction contract; see
@@ -42,19 +42,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
         y.len()
     );
     simd::axpy(alpha, x, y);
-}
-
-/// `y ← alpha·x + beta·y`.
-#[inline]
-pub fn axpby(alpha: f64, x: &[f64], beta: f64, y: &mut [f64]) {
-    assert_eq!(
-        x.len(),
-        y.len(),
-        "axpby: length mismatch (x has {}, y has {})",
-        x.len(),
-        y.len()
-    );
-    simd::axpby(alpha, x, beta, y);
 }
 
 /// `x ← alpha·x`.
@@ -104,12 +91,6 @@ pub fn inf_norm(x: &[f64]) -> f64 {
     x.iter().fold(0.0, |m, v| m.max(v.abs()))
 }
 
-/// Elementwise difference `x − y` into a fresh vector.
-pub fn sub(x: &[f64], y: &[f64]) -> Vec<f64> {
-    assert_eq!(x.len(), y.len(), "sub: length mismatch");
-    x.iter().zip(y).map(|(a, b)| a - b).collect()
-}
-
 /// `‖x − y‖₂` without materialising the difference.
 pub fn dist2(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "dist2: length mismatch");
@@ -123,38 +104,6 @@ pub fn dist2(x: &[f64], y: &[f64]) -> f64 {
 /// Number of entries with `|xᵢ| > tol` (solution sparsity reporting).
 pub fn nnz_count(x: &[f64], tol: f64) -> usize {
     x.iter().filter(|v| v.abs() > tol).count()
-}
-
-/// Gather `x[idx[k]]` for all `k` into a fresh vector.
-///
-/// # Panics
-/// Panics (in release builds too) if any index is out of bounds — checked
-/// up front so a bad selection fails loudly before partial work, the
-/// `bucket_counts` precedent.
-pub fn gather(x: &[f64], idx: &[usize]) -> Vec<f64> {
-    if let Some(&bad) = idx.iter().find(|&&i| i >= x.len()) {
-        panic!("gather: index {bad} out of bounds for length {}", x.len());
-    }
-    idx.iter().map(|&i| x[i]).collect()
-}
-
-/// Scatter-add: `x[idx[k]] += vals[k]`.
-///
-/// # Panics
-/// Panics if `idx` and `vals` differ in length, or (in release builds
-/// too, checked up front) if any index is out of bounds — a bad index
-/// must not leave `x` partially updated.
-pub fn scatter_add(x: &mut [f64], idx: &[usize], vals: &[f64]) {
-    assert_eq!(idx.len(), vals.len(), "scatter_add: length mismatch");
-    if let Some(&bad) = idx.iter().find(|&&i| i >= x.len()) {
-        panic!(
-            "scatter_add: index {bad} out of bounds for length {}",
-            x.len()
-        );
-    }
-    for (&i, &v) in idx.iter().zip(vals) {
-        x[i] += v;
-    }
 }
 
 #[cfg(test)]
@@ -192,13 +141,11 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_axpby() {
+    fn axpy_in_place() {
         let x = vec![1.0, 2.0, 3.0];
         let mut y = vec![10.0, 20.0, 30.0];
         axpy(2.0, &x, &mut y);
         assert_eq!(y, vec![12.0, 24.0, 36.0]);
-        axpby(1.0, &x, 0.5, &mut y);
-        assert_eq!(y, vec![7.0, 14.0, 21.0]);
     }
 
     #[test]
@@ -235,19 +182,11 @@ mod tests {
     }
 
     #[test]
-    fn sub_dist_nnz() {
+    fn dist_nnz() {
         let x = vec![1.0, 0.0, 2.0];
         let y = vec![1.0, 1.0, 0.0];
-        assert_eq!(sub(&x, &y), vec![0.0, -1.0, 2.0]);
         assert!((dist2(&x, &y) - 5.0f64.sqrt()).abs() < 1e-15);
         assert_eq!(nnz_count(&x, 1e-12), 2);
-    }
-
-    #[test]
-    fn gather_scatter_roundtrip() {
-        let mut x = vec![0.0; 6];
-        scatter_add(&mut x, &[1, 4], &[2.0, 3.0]);
-        assert_eq!(gather(&x, &[1, 4, 0]), vec![2.0, 3.0, 0.0]);
     }
 
     #[test]
@@ -261,28 +200,5 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn dot_length_mismatch_panics() {
         dot(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "gather: index 6 out of bounds")]
-    fn gather_bounds_panic_in_release_too() {
-        gather(&[0.0; 6], &[1, 6]);
-    }
-
-    #[test]
-    #[should_panic(expected = "scatter_add: index 9 out of bounds")]
-    fn scatter_add_bounds_panic_before_partial_update() {
-        let mut x = vec![0.0; 4];
-        scatter_add(&mut x, &[0, 9], &[1.0, 1.0]);
-    }
-
-    #[test]
-    fn scatter_add_does_not_partially_update_on_bad_index() {
-        let mut x = vec![0.0; 4];
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            scatter_add(&mut x, &[0, 99], &[1.0, 1.0]);
-        }));
-        assert!(r.is_err());
-        assert_eq!(x, vec![0.0; 4], "bounds must be checked up front");
     }
 }

@@ -1,6 +1,6 @@
-//! Model selection the way a practitioner would do it: normalize the
-//! features, cross-validate λ over a warm-started path, refit at the
-//! chosen λ, and report held-out error — all on SA solvers.
+//! Model selection the way a practitioner would do it: cross-validate λ
+//! over a warm-started path, refit at the chosen λ, and report held-out
+//! error — all on SA solvers.
 //!
 //! ```sh
 //! cargo run --release -p saco --example cross_validation
@@ -11,8 +11,6 @@ use saco::crossval::{cross_validate_lasso, mse, split_fold};
 use saco::path::lasso_path;
 use saco::prox::Lasso;
 use saco::LassoConfig;
-use sparsela::io::Dataset;
-use sparsela::scale::{ColumnScaler, ScaleNorm};
 
 fn main() {
     // Power-law sparse data (news20-style) with a planted 12-sparse model;
@@ -20,14 +18,12 @@ fn main() {
     let a_raw = powerlaw_sparse(1500, 400, 0.03, 1.1, 77);
     let reg_data = planted_regression(a_raw, 12, 0.3, 77);
 
-    // 1. Normalize columns to unit ℓ₂ norm (sparsity-preserving).
-    let (a_scaled, scaler) = ColumnScaler::fit_transform(&reg_data.dataset.a, ScaleNorm::L2);
-    let ds = Dataset {
-        a: a_scaled,
-        b: reg_data.dataset.b.clone(),
-    };
+    // 1. No column normalization: each block step is sized by the sampled
+    //    block's own Gram (its Lipschitz constant), so scaling columns
+    //    would only re-weight λ across features.
+    let ds = &reg_data.dataset;
     println!(
-        "problem: {} × {}, {} nnz (columns ℓ₂-normalized)",
+        "problem: {} × {}, {} nnz",
         ds.num_points(),
         ds.num_features(),
         ds.a.nnz()
@@ -42,7 +38,7 @@ fn main() {
         trace_every: 0,
         ..Default::default()
     };
-    let cv = cross_validate_lasso(&ds, &cfg, 5, 12, 0.005, Lasso::new);
+    let cv = cross_validate_lasso(ds, &cfg, 5, 12, 0.005, Lasso::new);
     println!("\n  λ             mean held-out MSE   ± std err");
     for p in &cv.points {
         println!(
@@ -54,10 +50,10 @@ fn main() {
     let one_se = cv.lambda_1se();
     println!("\nbest λ = {best:.4e}; 1-SE λ = {one_se:.4e} (sparser, within noise of best)");
 
-    // 3. Refit at the 1-SE λ on a train split, evaluate on the held-out
-    //    part, and map coefficients back to the raw feature scale.
+    // 3. Refit at the 1-SE λ on a train split and evaluate on the
+    //    held-out part.
     let fold_of = saco::crossval::assign_folds(ds.num_points(), 5, 99);
-    let (train, test) = split_fold(&ds, &fold_of, 0);
+    let (train, test) = split_fold(ds, &fold_of, 0);
     let path = lasso_path(&train, &cfg, 12, 0.005, Lasso::new);
     let chosen = path
         .points
@@ -76,7 +72,6 @@ fn main() {
         mse(&test, &chosen.x),
         mse(&test, &vec![0.0; ds.num_features()])
     );
-    let x_raw = scaler.unscale_solution(&chosen.x);
     let true_support: Vec<usize> = reg_data
         .x_star
         .iter()
@@ -86,7 +81,7 @@ fn main() {
         .collect();
     let hits = true_support
         .iter()
-        .filter(|&&j| x_raw[j].abs() > 1e-8)
+        .filter(|&&j| chosen.x[j].abs() > 1e-8)
         .count();
     println!(
         "planted-support recovery at the chosen λ: {hits}/{} features found",

@@ -232,6 +232,19 @@ if hits=$(grep -rnE 'sampled_gram_dense|gather_columns_dense' crates/*/src); the
     status=1
 fi
 
+# Sparsela keeps only the numerics a solver reaches: the blocked dense
+# GEMM / Gram (with its L2-probed panel height, the L2_BYTES static and
+# the SACO_L2_KB variable), QR, Cholesky and column scaling served no
+# solve once every Gram went through `sampled_gram_into`. A dense kernel
+# coming back needs a solve that calls it; a test reference stays in
+# the test that needs it.
+if hits=$(grep -rnE 'gram_upper_rows|gram_tile_rows|l2_target_bytes|L2_BYTES|SACO_L2_KB|\bmatmul|fn gram_parallel|\.gram_parallel\(|mod (qr|chol|scale)\b' \
+        crates/*/src); then
+    echo "shim_guard: deleted dense numerics are back (dense GEMM/Gram, L2 probe, QR, Cholesky, scaling):" >&2
+    echo "$hits" >&2
+    status=1
+fi
+
 if [ "$status" -ne 0 ]; then
     echo "shim_guard: FAILED — move recurrence logic into crates/core/src/exec/" >&2
 else
