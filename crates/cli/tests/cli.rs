@@ -756,20 +756,32 @@ fn helpful_errors() {
         assert!(!err.contains("nonexistent"), "{cmd} opened --data: {err}");
         assert!(!written.exists(), "{cmd} {option} wrote a report");
     }
-    // Non-finite data is rejected at the door, naming line and token.
-    let poisoned = tmpfile("nan.svm");
-    std::fs::write(&poisoned, "1 1:1 2:0.5\n-1 3:nan\n").expect("write");
-    let out = saco()
-        .args(["lasso", "--data"])
-        .arg(&poisoned)
-        .output()
-        .expect("run");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{err}");
-    assert!(
-        err.contains("line 2: non-finite feature value \"nan\""),
-        "{err}"
-    );
+    // Non-finite data is rejected at the door, naming line and token — and
+    // so is a feature index repeated within a line, which would otherwise
+    // be summed (here into `inf`).
+    let poisoned = tmpfile("poisoned.svm");
+    for (cmd, text, want) in [
+        (
+            "lasso",
+            "1 1:1 2:0.5\n-1 3:nan\n",
+            "line 2: non-finite feature value \"nan\"",
+        ),
+        (
+            "info",
+            "1 1:1e308 1:1e308\n",
+            "line 1: feature index 1 repeated",
+        ),
+    ] {
+        std::fs::write(&poisoned, text).expect("write");
+        let out = saco()
+            .args([cmd, "--data"])
+            .arg(&poisoned)
+            .output()
+            .expect("run");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {err}");
+        assert!(err.contains(want), "{cmd}: {err}");
+    }
     let _ = std::fs::remove_file(&poisoned);
     // A block wider than the data is the library's typed config error.
     let out = saco()

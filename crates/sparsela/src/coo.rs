@@ -3,8 +3,12 @@
 //! COO is the assembly format: dataset generators and the LIBSVM reader
 //! push `(row, col, value)` triplets, then convert once to CSR or CSC for
 //! the compute kernels. Duplicate entries are summed on conversion (the
-//! usual finite-element convention).
+//! usual finite-element convention). The crate's one COO compression
+//! builds the CSR and a transpose makes the CSC, so the two agree bitwise;
+//! the result passes `from_parts`'s validation, so a value that is not
+//! finite, pushed or made by a duplicate sum, stops at the conversion.
 
+use crate::compressed::Compressed;
 use crate::{CscMatrix, CsrMatrix};
 
 /// A sparse matrix in coordinate (triplet) format.
@@ -61,56 +65,22 @@ impl CooMatrix {
         &self.entries
     }
 
-    /// Convert to CSR, summing duplicates.
+    /// Convert to CSR, summing duplicates in insertion order.
+    ///
+    /// # Panics
+    /// Panics, naming the row as `slice i`, if a pushed value or a
+    /// duplicate sum is not finite.
     pub fn to_csr(&self) -> CsrMatrix {
-        let merged = self.merged(/*row_major=*/ true);
-        let mut indptr = vec![0usize; self.rows + 1];
-        for &(r, _, _) in &merged {
-            indptr[r + 1] += 1;
-        }
-        for i in 0..self.rows {
-            indptr[i + 1] += indptr[i];
-        }
-        let indices: Vec<usize> = merged.iter().map(|&(_, c, _)| c).collect();
-        let values: Vec<f64> = merged.iter().map(|&(_, _, v)| v).collect();
-        CsrMatrix::from_parts(self.rows, self.cols, indptr, indices, values)
+        let core = Compressed::compress(self.rows, self.cols, self.entries.clone());
+        CsrMatrix(core.unwrap_or_else(|e| panic!("CooMatrix::to_csr: {e}")))
     }
 
-    /// Convert to CSC, summing duplicates.
+    /// Convert to CSC, summing duplicates: [`Self::to_csr`], transposed.
+    ///
+    /// # Panics
+    /// As [`Self::to_csr`].
     pub fn to_csc(&self) -> CscMatrix {
-        let merged = self.merged(/*row_major=*/ false);
-        let mut indptr = vec![0usize; self.cols + 1];
-        for &(_, c, _) in &merged {
-            indptr[c + 1] += 1;
-        }
-        for j in 0..self.cols {
-            indptr[j + 1] += indptr[j];
-        }
-        let indices: Vec<usize> = merged.iter().map(|&(r, _, _)| r).collect();
-        let values: Vec<f64> = merged.iter().map(|&(_, _, v)| v).collect();
-        CscMatrix::from_parts(self.rows, self.cols, indptr, indices, values)
-    }
-
-    /// Sort triplets (row-major or column-major) and sum duplicates,
-    /// dropping entries that cancel to exactly zero. The sort is *stable*
-    /// so duplicates accumulate in insertion order — CSR and CSC
-    /// conversions of the same builder then agree bitwise.
-    fn merged(&self, row_major: bool) -> Vec<(usize, usize, f64)> {
-        let mut sorted = self.entries.clone();
-        if row_major {
-            sorted.sort_by_key(|&(r, c, _)| (r, c));
-        } else {
-            sorted.sort_by_key(|&(r, c, _)| (c, r));
-        }
-        let mut merged: Vec<(usize, usize, f64)> = Vec::with_capacity(sorted.len());
-        for (r, c, v) in sorted {
-            match merged.last_mut() {
-                Some(last) if last.0 == r && last.1 == c => last.2 += v,
-                _ => merged.push((r, c, v)),
-            }
-        }
-        merged.retain(|&(_, _, v)| v != 0.0);
-        merged
+        self.to_csr().to_csc()
     }
 }
 

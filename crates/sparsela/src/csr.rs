@@ -5,27 +5,28 @@
 //! which is what the SVM solvers need: the dual coordinate descent of
 //! Algorithm 3 samples *rows* `Aᵢ` of the (locally column-partitioned) data
 //! matrix.
+//!
+//! The arrays, their invariant and every operation on them belong to the
+//! crate's compressed-slice core, shared with [`CscMatrix`] and the shard
+//! files; this type names the axes — slices are rows, the minor axis is
+//! columns.
 
+use crate::compressed::Compressed;
 use crate::{CooMatrix, CscMatrix, DenseMatrix, SparseSlice};
 
 /// A sparse matrix in CSR format: `indptr` (length `rows+1`), `indices`
-/// (column ids, strictly increasing within a row), `values`.
+/// (column ids, strictly increasing within a row), finite `values`.
 #[derive(Clone, Debug, PartialEq)]
-pub struct CsrMatrix {
-    rows: usize,
-    cols: usize,
-    indptr: Vec<usize>,
-    indices: Vec<usize>,
-    values: Vec<f64>,
-}
+pub struct CsrMatrix(pub(crate) Compressed);
 
 impl CsrMatrix {
     /// Assemble from raw parts, validating the invariants.
     ///
     /// # Panics
-    /// Panics if `indptr` is not monotone of length `rows+1`, if
-    /// `indices`/`values` lengths disagree, or if column ids are out of
-    /// range or unsorted within a row.
+    /// Panics, naming the row as `slice i`, if `indptr` is not `rows+1`
+    /// monotone offsets from 0 to nnz, if `indices`/`values` lengths
+    /// disagree, if column ids are out of range or unsorted within a row,
+    /// or if a value is not finite.
     pub fn from_parts(
         rows: usize,
         cols: usize,
@@ -33,48 +34,15 @@ impl CsrMatrix {
         indices: Vec<usize>,
         values: Vec<f64>,
     ) -> Self {
-        assert_eq!(indptr.len(), rows + 1, "indptr length must be rows+1");
-        assert_eq!(
-            indices.len(),
-            values.len(),
-            "indices/values length mismatch"
-        );
-        assert_eq!(
-            *indptr.last().unwrap_or(&0),
-            indices.len(),
-            "indptr end must equal nnz"
-        );
-        for r in 0..rows {
-            assert!(indptr[r] <= indptr[r + 1], "indptr must be monotone");
-            let row = &indices[indptr[r]..indptr[r + 1]];
-            for w in row.windows(2) {
-                assert!(
-                    w[0] < w[1],
-                    "column indices must be strictly increasing in row {r}"
-                );
-            }
-            if let Some(&last) = row.last() {
-                assert!(last < cols, "column index {last} out of range in row {r}");
-            }
-        }
-        Self {
-            rows,
-            cols,
-            indptr,
-            indices,
-            values,
-        }
+        Self(
+            Compressed::new(rows, cols, indptr, indices, values)
+                .unwrap_or_else(|e| panic!("CsrMatrix::from_parts: {e}")),
+        )
     }
 
     /// Zero matrix with no stored entries.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            indptr: vec![0; rows + 1],
-            indices: Vec::new(),
-            values: Vec::new(),
-        }
+        Self::from_parts(rows, cols, vec![0; rows + 1], Vec::new(), Vec::new())
     }
 
     /// Build from a dense matrix, dropping zeros.
@@ -82,62 +50,48 @@ impl CsrMatrix {
         let mut coo = CooMatrix::new(d.rows(), d.cols());
         for i in 0..d.rows() {
             for j in 0..d.cols() {
-                let v = d.get(i, j);
-                if v != 0.0 {
-                    coo.push(i, j, v);
-                }
+                coo.push(i, j, d.get(i, j));
             }
         }
         coo.to_csr()
     }
 
     /// Number of rows.
+    #[inline]
     pub fn rows(&self) -> usize {
-        self.rows
+        self.0.major()
     }
 
     /// Number of columns.
+    #[inline]
     pub fn cols(&self) -> usize {
-        self.cols
+        self.0.minor()
     }
 
     /// Number of stored entries.
     pub fn nnz(&self) -> usize {
-        self.values.len()
+        self.0.nnz()
     }
 
     /// Fraction of entries stored: `nnz / (rows·cols)` (the paper's `f`).
     pub fn density(&self) -> f64 {
-        if self.rows == 0 || self.cols == 0 {
-            0.0
-        } else {
-            self.nnz() as f64 / (self.rows as f64 * self.cols as f64)
-        }
+        self.0.density()
     }
 
     /// Number of stored entries in row `i`.
     pub fn row_nnz(&self, i: usize) -> usize {
-        self.indptr[i + 1] - self.indptr[i]
+        self.row(i).nnz()
     }
 
     /// Borrow row `i` as a [`SparseSlice`].
     #[inline]
     pub fn row(&self, i: usize) -> SparseSlice<'_> {
-        let lo = self.indptr[i];
-        let hi = self.indptr[i + 1];
-        SparseSlice {
-            indices: &self.indices[lo..hi],
-            values: &self.values[lo..hi],
-        }
+        self.0.slice(i)
     }
 
     /// Random (binary-searched) element access; O(log row_nnz).
     pub fn get(&self, i: usize, j: usize) -> f64 {
-        let r = self.row(i);
-        match r.indices.binary_search(&j) {
-            Ok(k) => r.values[k],
-            Err(_) => 0.0,
-        }
+        self.0.get(i, j)
     }
 
     /// Sparse matrix–vector product `y = A x`.
@@ -151,52 +105,25 @@ impl CsrMatrix {
     /// assert_eq!(a.spmv(&[1.0, 1.0]), vec![2.0, 3.0]);
     /// ```
     pub fn spmv(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "spmv: dimension mismatch");
-        (0..self.rows).map(|i| self.row(i).dot_dense(x)).collect()
+        assert_eq!(x.len(), self.cols(), "spmv: dimension mismatch");
+        self.0.dot_slices(x)
     }
 
     /// Transposed product `y = Aᵀ x` without materialising the transpose.
     pub fn spmv_t(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.rows, "spmv_t: dimension mismatch");
-        let mut y = vec![0.0; self.cols];
-        for i in 0..self.rows {
-            if x[i] != 0.0 {
-                self.row(i).axpy_into(x[i], &mut y);
-            }
-        }
-        y
+        assert_eq!(x.len(), self.rows(), "spmv_t: dimension mismatch");
+        self.0.axpy_slices(x)
     }
 
     /// Convert to CSC.
     pub fn to_csc(&self) -> CscMatrix {
-        // Counting sort by column: O(nnz + cols).
-        let mut counts = vec![0usize; self.cols + 1];
-        for &c in &self.indices {
-            counts[c + 1] += 1;
-        }
-        for j in 0..self.cols {
-            counts[j + 1] += counts[j];
-        }
-        let indptr = counts.clone();
-        let mut indices = vec![0usize; self.nnz()];
-        let mut values = vec![0.0; self.nnz()];
-        let mut next = counts;
-        for i in 0..self.rows {
-            let r = self.row(i);
-            for (&c, &v) in r.indices.iter().zip(r.values) {
-                let slot = next[c];
-                indices[slot] = i;
-                values[slot] = v;
-                next[c] += 1;
-            }
-        }
-        CscMatrix::from_parts(self.rows, self.cols, indptr, indices, values)
+        CscMatrix(self.0.transpose())
     }
 
     /// Dense copy (tests and small fixtures only).
     pub fn to_dense(&self) -> DenseMatrix {
-        let mut d = DenseMatrix::zeros(self.rows, self.cols);
-        for i in 0..self.rows {
+        let mut d = DenseMatrix::zeros(self.rows(), self.cols());
+        for i in 0..self.rows() {
             let r = self.row(i);
             for (&j, &v) in r.indices.iter().zip(r.values) {
                 d.set(i, j, v);
@@ -208,45 +135,25 @@ impl CsrMatrix {
     /// Extract the submatrix of rows `[lo, hi)` (the 1D-row-partition
     /// splitter used to place a block of `A` on each rank).
     pub fn row_block(&self, lo: usize, hi: usize) -> CsrMatrix {
-        assert!(lo <= hi && hi <= self.rows, "row_block out of range");
-        let base = self.indptr[lo];
-        let indptr: Vec<usize> = self.indptr[lo..=hi].iter().map(|p| p - base).collect();
-        let indices = self.indices[self.indptr[lo]..self.indptr[hi]].to_vec();
-        let values = self.values[self.indptr[lo]..self.indptr[hi]].to_vec();
-        CsrMatrix::from_parts(hi - lo, self.cols, indptr, indices, values)
+        Self(self.0.major_range(lo, hi))
     }
 
     /// Extract the submatrix of columns `[lo, hi)` with column ids
     /// renumbered to `[0, hi-lo)` (the 1D-column-partition splitter used by
     /// the SVM solvers).
     pub fn col_block(&self, lo: usize, hi: usize) -> CsrMatrix {
-        assert!(lo <= hi && hi <= self.cols, "col_block out of range");
-        let mut indptr = Vec::with_capacity(self.rows + 1);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        indptr.push(0);
-        for i in 0..self.rows {
-            let r = self.row(i);
-            let start = r.indices.partition_point(|&c| c < lo);
-            let end = r.indices.partition_point(|&c| c < hi);
-            for k in start..end {
-                indices.push(r.indices[k] - lo);
-                values.push(r.values[k]);
-            }
-            indptr.push(indices.len());
-        }
-        CsrMatrix::from_parts(self.rows, hi - lo, indptr, indices, values)
+        Self(self.0.minor_window(lo, hi))
     }
 
     /// Squared Euclidean norm of every row (the SVM step sizes `ηᵢ = AᵢAᵢᵀ`).
     pub fn row_norms_sq(&self) -> Vec<f64> {
-        (0..self.rows).map(|i| self.row(i).norm_sq()).collect()
+        (0..self.rows()).map(|i| self.row(i).norm_sq()).collect()
     }
 
     /// Per-row nnz histogram support: nnz of each row (load-balance
     /// diagnostics for the partitioners).
     pub fn row_nnz_counts(&self) -> Vec<usize> {
-        (0..self.rows).map(|i| self.row_nnz(i)).collect()
+        (0..self.rows()).map(|i| self.row_nnz(i)).collect()
     }
 }
 
@@ -345,5 +252,11 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_column_panics() {
         CsrMatrix::from_parts(1, 2, vec![0, 1], vec![5], vec![1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "slice 1: non-finite value NaN")]
+    fn nan_value_panics_naming_the_row() {
+        CsrMatrix::from_parts(2, 2, vec![0, 1, 2], vec![0, 1], vec![1.0, f64::NAN]);
     }
 }

@@ -63,6 +63,7 @@ impl MajorSlices for CsrMatrix {
     fn minor_len(&self) -> usize {
         self.cols()
     }
+    #[inline]
     fn slice(&self, k: usize) -> SparseSlice<'_> {
         self.row(k)
     }
@@ -75,6 +76,7 @@ impl MajorSlices for CscMatrix {
     fn minor_len(&self) -> usize {
         self.rows()
     }
+    #[inline]
     fn slice(&self, k: usize) -> SparseSlice<'_> {
         self.col(k)
     }

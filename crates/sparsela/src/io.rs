@@ -98,6 +98,7 @@ pub fn read_libsvm<R: BufRead>(reader: R, min_features: usize) -> Result<Dataset
         let mut parts = content.split_ascii_whitespace();
         let label_tok = parts.next().expect("non-empty line has a first token");
         labels.push(parse_finite(label_tok, "label", lineno + 1)?);
+        let first = triplets.len();
         for tok in parts {
             let (idx_s, val_s) = tok.split_once(':').ok_or_else(|| ParseError::Malformed {
                 line: lineno + 1,
@@ -115,6 +116,17 @@ pub fn read_libsvm<R: BufRead>(reader: R, min_features: usize) -> Result<Dataset
             }
             let val = parse_finite(val_s, "feature value", lineno + 1)?;
             let col = idx - 1;
+            // COO sums duplicates, which would turn `1:1e308 1:1e308` into
+            // `inf`; LIBSVM's own reader wants ascending indices. Only a
+            // line that is not ascending pays for the scan.
+            let line_cols = &triplets[first..];
+            let out_of_order = line_cols.last().is_some_and(|t| t.1 >= col);
+            if out_of_order && line_cols.iter().any(|t| t.1 == col) {
+                return Err(ParseError::Malformed {
+                    line: lineno + 1,
+                    what: format!("feature index {idx} repeated"),
+                });
+            }
             max_col = max_col.max(col + 1);
             triplets.push((row, col, val));
         }
@@ -217,6 +229,25 @@ mod tests {
             assert!(msg.starts_with("line 2: non-finite feature value"), "{msg}");
             assert!(msg.contains(tok), "{msg}");
         }
+    }
+
+    #[test]
+    fn repeated_feature_index_rejected() {
+        // Summed, the first would be `inf`; the second is out of order but
+        // still a repeat.
+        for (text, want) in [
+            ("1 1:1e308 1:1e308\n", "line 1: feature index 1 repeated"),
+            (
+                "1 2:1\n-1 3:1 5:2 3:4\n",
+                "line 2: feature index 3 repeated",
+            ),
+        ] {
+            let err = read_libsvm(Cursor::new(text), 0).unwrap_err();
+            assert_eq!(err.to_string(), want);
+        }
+        // Unsorted but distinct indices are still accepted.
+        let ds = read_libsvm(Cursor::new("1 3:1 1:2\n"), 0).unwrap();
+        assert_eq!((ds.a.get(0, 0), ds.a.get(0, 2)), (2.0, 1.0));
     }
 
     #[test]

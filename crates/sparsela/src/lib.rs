@@ -10,7 +10,11 @@
 //!   cross-product matrices the solvers hold, with GEMV.
 //! * [`CooMatrix`] / [`CsrMatrix`] / [`CscMatrix`] — the three classic
 //!   sparse formats with conversions; the paper stores data in "Compressed
-//!   Sparse Row format (3-array variant)".
+//!   Sparse Row format (3-array variant)". All three, and the [`shard`]
+//!   files, share one crate-private compressed-slice core: the slice
+//!   invariant (finite values included), the minor window, the transpose
+//!   and the COO compression are each written once, and CSR / CSC only
+//!   name the axes.
 //! * [`vecops`] — BLAS-1 style slice kernels (dot, axpy, norms, …).
 //! * [`simd`] — explicit-width microkernels behind the hot paths
 //!   (runtime `SACO_SIMD=auto|scalar` dispatch, interleaved sparse
@@ -43,6 +47,7 @@
 #![allow(clippy::needless_range_loop)]
 #![warn(missing_docs)]
 
+mod compressed;
 pub mod coo;
 pub mod csc;
 pub mod csr;

@@ -29,7 +29,13 @@
 //! [`MajorSlices`] — so a streamed run computes with *the same bits* as an
 //! in-memory run on the same matrix: same sample → same kernel → same
 //! result, regardless of cache hits, prefetch races, or the memory budget.
-//! I/O timing changes; output bits never do.
+//! I/O timing changes; output bits never do. A decoded shard *is* the
+//! crate's compressed-slice core, validated by the check `from_parts`
+//! runs (a NaN in a file is `InvalidData`, never a solver input), and a
+//! windowed rank view is that core's minor window — the function
+//! [`CscMatrix::row_block`] and [`CsrMatrix::col_block`] call — so the
+//! dist/net engines' streamed blocks are their in-memory blocks bit for
+//! bit, by construction.
 //!
 //! # The pin contract and the lock-free read
 //!
@@ -51,6 +57,7 @@
 //! `slice` that finds no pointer pins the shard for the current epoch
 //! before borrowing from it.
 
+use crate::compressed::{check_slice, Compressed};
 use crate::gram::{MajorSlices, SliceSource};
 use crate::{CscMatrix, CsrMatrix, SparseSlice};
 use std::fs::File;
@@ -119,9 +126,16 @@ pub struct ShardMeta {
 }
 
 impl ShardMeta {
-    /// Exact on-disk byte size of this shard's file.
+    /// Exact on-disk byte size of this shard's file; `u64::MAX` when the
+    /// counts overflow it, which no file matches, so
+    /// [`ShardStore::read_shard`] rejects such a shard before allocating.
     pub fn disk_bytes(&self) -> u64 {
-        HEADER_LEN + (self.hi - self.lo + 1) as u64 * 8 + self.nnz * 16
+        let words = (self.hi as u64)
+            .checked_sub(self.lo as u64)
+            .and_then(|n| n.checked_add(1)?.checked_add(self.nnz.checked_mul(2)?));
+        words
+            .and_then(|w| w.checked_mul(8)?.checked_add(HEADER_LEN))
+            .unwrap_or(u64::MAX)
     }
 }
 
@@ -144,9 +158,11 @@ pub struct ShardManifest {
 }
 
 impl ShardManifest {
-    /// Total on-disk bytes of all shard payload files (excluding sidecars).
+    /// Total on-disk bytes of all shard payload files (excluding sidecars),
+    /// saturating at `u64::MAX` like [`ShardMeta::disk_bytes`].
     pub fn disk_bytes(&self) -> u64 {
-        self.shards.iter().map(ShardMeta::disk_bytes).sum()
+        let bytes = self.shards.iter().map(ShardMeta::disk_bytes);
+        bytes.fold(0, u64::saturating_add)
     }
 
     /// Max/min shard-nnz ratio — the planner balance figure exported as
@@ -254,27 +270,16 @@ impl ShardWriter {
     }
 
     /// Append the next major slice (`indices` strictly increasing,
-    /// `< minor`). Flushes the current shard file when its planned
-    /// boundary is reached.
+    /// `< minor`, values finite — the check every matrix constructor runs;
+    /// a slice that fails it is `InvalidData` and nothing is written).
+    /// Flushes the current shard file when its planned boundary is reached.
     pub fn append_slice(&mut self, indices: &[usize], values: &[f64]) -> io::Result<()> {
         if self.next_major >= self.major {
             return Err(bad(format!("more than {} slices appended", self.major)));
         }
-        if indices.len() != values.len() {
-            return Err(bad("indices/values length mismatch"));
-        }
-        let mut prev = None;
+        check_slice(self.next_major, indices, values, self.minor)
+            .map_err(|e| bad(e.to_string()))?;
         for &i in indices {
-            if i >= self.minor {
-                return Err(bad(format!(
-                    "index {i} out of range (minor axis {})",
-                    self.minor
-                )));
-            }
-            if prev.is_some_and(|p| p >= i) {
-                return Err(bad("slice indices must be strictly increasing"));
-            }
-            prev = Some(i);
             self.minor_nnz[i] += 1;
         }
         self.indices.extend(indices.iter().map(|&i| i as u64));
@@ -430,37 +435,32 @@ pub fn write_csr(
 // ---------------------------------------------------------------------------
 
 /// A fully decoded shard: the exact sub-CSR/CSC arrays that were written,
-/// addressable by *global* major index.
+/// validated like any matrix, addressable by *global* major index.
 #[derive(Clone, Debug)]
 pub struct DecodedShard {
     /// First global major slice held.
     pub lo: usize,
     /// One past the last global major slice held.
     pub hi: usize,
-    indptr: Vec<usize>,
-    indices: Vec<usize>,
-    values: Vec<f64>,
+    slices: Compressed,
 }
 
 impl DecodedShard {
     /// Borrow global slice `k` (`lo <= k < hi`).
+    #[inline]
     pub fn slice(&self, k: usize) -> SparseSlice<'_> {
-        let l = k - self.lo;
-        let (s, e) = (self.indptr[l], self.indptr[l + 1]);
-        SparseSlice {
-            indices: &self.indices[s..e],
-            values: &self.values[s..e],
-        }
+        self.slices.slice(k - self.lo)
     }
 
     /// Stored entries.
     pub fn nnz(&self) -> usize {
-        self.indices.len()
+        self.slices.nnz()
     }
 
-    /// Approximate decoded heap footprint — what the cache budget charges.
+    /// Approximate decoded heap footprint — what the cache budget charges:
+    /// 8 bytes per `indptr` entry, 16 per stored entry.
     pub fn heap_bytes(&self) -> u64 {
-        (self.indptr.len() * 8 + self.indices.len() * 16) as u64
+        ((self.slices.major() + 1) * 8 + self.nnz() * 16) as u64
     }
 }
 
@@ -571,8 +571,22 @@ impl ShardStore {
     pub fn read_shard(&self, index: usize) -> io::Result<DecodedShard> {
         let meta = self.manifest.shards[index];
         let f = File::open(shard_path(&self.dir, index))?;
-        let mut head = [0u8; HEADER_LEN as usize];
-        f.read_exact_at(&mut head, 0)?;
+        // Size nothing from the manifest until the file shows it holds that
+        // much: a header and manifest agreeing on a huge nnz must not drive
+        // the allocation below.
+        let (len, want) = (f.metadata()?.len(), meta.disk_bytes());
+        if len != want {
+            return Err(bad(format!(
+                "shard {index}: file holds {len} bytes, its manifest says {want}"
+            )));
+        }
+        // One pread for the whole file, header included: pread-windowed
+        // access means the window is this shard — never the rest of the
+        // dataset — and a decode stays at four system calls (open, fstat,
+        // pread, close); the loader pays them on every shard it fetches.
+        let mut bytes = vec![0u8; len as usize];
+        f.read_exact_at(&mut bytes, 0)?;
+        let (head, payload) = bytes.split_at(HEADER_LEN as usize);
         if &head[..8] != SHARD_MAGIC {
             return Err(bad(format!("shard {index}: bad magic")));
         }
@@ -591,73 +605,20 @@ impl ShardStore {
             )));
         }
         let nslices = meta.hi - meta.lo;
-        let nnz = meta.nnz as usize;
-        // One pread for the whole payload: pread-windowed access means the
-        // window is this shard — never the rest of the dataset.
-        let mut payload = vec![0u8; (nslices + 1) * 8 + nnz * 16];
-        f.read_exact_at(&mut payload, HEADER_LEN)?;
         let indptr_end = (nslices + 1) * 8;
-        let indices_end = indptr_end + nnz * 8;
-        let indptr = decode_words(&payload[..indptr_end], |v| v as usize);
-        let indices = decode_words(&payload[indptr_end..indices_end], |v| v as usize);
-        let values = decode_words(&payload[indices_end..], f64::from_bits);
-        if indptr.first() != Some(&0) || indptr.last() != Some(&nnz) {
-            return Err(bad(format!("shard {index}: indptr endpoints corrupt")));
-        }
-        for w in indptr.windows(2) {
-            if w[0] > w[1] {
-                return Err(bad(format!("shard {index}: indptr not monotone")));
-            }
-            let sl = &indices[w[0]..w[1]];
-            for p in sl.windows(2) {
-                if p[0] >= p[1] {
-                    return Err(bad(format!(
-                        "shard {index}: slice indices not strictly increasing"
-                    )));
-                }
-            }
-            if sl.last().is_some_and(|&i| i >= self.manifest.minor) {
-                return Err(bad(format!("shard {index}: index out of minor range")));
-            }
-        }
+        let indices_end = indptr_end + meta.nnz as usize * 8;
+        let slices = Compressed::new(
+            nslices,
+            self.manifest.minor,
+            decode_words(&payload[..indptr_end], |v| v as usize),
+            decode_words(&payload[indptr_end..indices_end], |v| v as usize),
+            decode_words(&payload[indices_end..], f64::from_bits),
+        )
+        .map_err(|e| bad(format!("shard {index}: {e}")))?;
         Ok(DecodedShard {
             lo: meta.lo,
             hi: meta.hi,
-            indptr,
-            indices,
-            values,
-        })
-    }
-
-    /// Decode shard `index` restricted to minor window `wlo..whi`, with
-    /// indices rebased by `-wlo` — exactly the arithmetic of
-    /// [`CscMatrix::row_block`]/[`CsrMatrix::col_block`], so a windowed
-    /// rank view computes with the same bits as an in-memory block split.
-    pub fn read_shard_window(
-        &self,
-        index: usize,
-        wlo: usize,
-        whi: usize,
-    ) -> io::Result<DecodedShard> {
-        let full = self.read_shard(index)?;
-        let mut indptr = Vec::with_capacity(full.indptr.len());
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        indptr.push(0);
-        for w in full.indptr.windows(2) {
-            let sl = &full.indices[w[0]..w[1]];
-            let a = w[0] + sl.partition_point(|&i| i < wlo);
-            let b = w[0] + sl.partition_point(|&i| i < whi);
-            indices.extend(full.indices[a..b].iter().map(|&i| i - wlo));
-            values.extend_from_slice(&full.values[a..b]);
-            indptr.push(indices.len());
-        }
-        Ok(DecodedShard {
-            lo: full.lo,
-            hi: full.hi,
-            indptr,
-            indices,
-            values,
+            slices,
         })
     }
 
@@ -911,12 +872,13 @@ impl CacheShared {
     /// counters.
     fn decode(&self, sid: usize, nanos: &AtomicU64) -> io::Result<DecodedShard> {
         let t0 = Instant::now();
-        let d = if self.window == (0, self.store.manifest().minor) {
-            self.store.read_shard(sid)
-        } else {
-            self.store
-                .read_shard_window(sid, self.window.0, self.window.1)
-        };
+        let (lo, hi) = self.window;
+        let d = self.store.read_shard(sid).map(|mut d| {
+            if (lo, hi) != (0, self.store.manifest().minor) {
+                d.slices = d.slices.minor_window(lo, hi);
+            }
+            d
+        });
         nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         let bytes = self.store.manifest().shards[sid].disk_bytes();
         self.stats.bytes_read.fetch_add(bytes, Ordering::Relaxed);
@@ -1354,17 +1316,16 @@ mod tests {
         write_csc(&dir, &a, &[0, 7, 12], None).unwrap();
         let store = ShardStore::open(&dir).unwrap();
         let blk = a.row_block(10, 30);
-        for (sid, meta) in store.manifest().shards.clone().iter().enumerate() {
-            let d = store.read_shard_window(sid, 10, 30).unwrap();
-            for k in meta.lo..meta.hi {
-                let (x, y) = (d.slice(k), blk.col(k));
-                assert_eq!(x.indices, y.indices, "col {k}");
-                assert!(x
-                    .values
-                    .iter()
-                    .zip(y.values)
-                    .all(|(p, q)| p.to_bits() == q.to_bits()));
-            }
+        let sm = StreamingMatrix::from_store(store, u64::MAX, (10, 30));
+        assert_eq!(sm.minor_len(), 20);
+        for k in 0..12 {
+            let (x, y) = (sm.slice(k), blk.col(k));
+            assert_eq!(x.indices, y.indices, "col {k}");
+            assert!(x
+                .values
+                .iter()
+                .zip(y.values)
+                .all(|(p, q)| p.to_bits() == q.to_bits()));
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1652,6 +1613,38 @@ mod tests {
     }
 
     #[test]
+    fn read_shard_allocates_no_more_than_the_file_holds() {
+        let dir = tmp_dir("huge");
+        let man = write_csc(&dir, &random_csc(20, 8, 0.3, 12), &[0, 4, 8], None).unwrap();
+        let manifest = std::fs::read_to_string(dir.join("manifest.txt")).unwrap();
+        let (nnz1, rest) = (man.shards[1].nnz, man.nnz - man.shards[1].nnz);
+        // Header and manifest agree on a huge nnz — 16 TiB of payload, or
+        // more than `disk_bytes` can count — so only the file length can
+        // tell.
+        for huge in [1u64 << 40, u64::MAX / 4] {
+            let edited = manifest
+                .replace(
+                    &format!("nnz {}\n", man.nnz),
+                    &format!("nnz {}\n", rest + huge),
+                )
+                .replace(
+                    &format!("shard 1 4 8 {nnz1}\n"),
+                    &format!("shard 1 4 8 {huge}\n"),
+                );
+            std::fs::write(dir.join("manifest.txt"), edited).unwrap();
+            let mut bytes = std::fs::read(shard_path(&dir, 1)).unwrap();
+            bytes[48..56].copy_from_slice(&huge.to_le_bytes());
+            std::fs::write(shard_path(&dir, 1), bytes).unwrap();
+            let store = ShardStore::open(&dir).unwrap();
+            let e = store.read_shard(1).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            assert!(e.to_string().starts_with("shard 1: file holds"), "{e}");
+            assert!(store.read_shard(0).is_ok());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn writer_rejects_bad_input() {
         let dir = tmp_dir("reject");
         assert!(ShardWriter::create(&dir, ShardAxis::Csc, 4, 5, &[0, 4, 4]).is_err());
@@ -1660,6 +1653,11 @@ mod tests {
         assert!(w.append_slice(&[2, 1], &[1.0, 2.0]).is_err()); // not increasing
         assert!(w.append_slice(&[5], &[1.0]).is_err()); // out of range
         assert!(w.append_slice(&[1], &[1.0, 2.0]).is_err()); // len mismatch
+        for v in [f64::NAN, f64::INFINITY] {
+            let e = w.append_slice(&[1, 3], &[1.0, v]).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(e.to_string(), format!("slice 0: non-finite value {v}"));
+        }
         w.append_slice(&[0, 4], &[1.0, 2.0]).unwrap();
         assert!(w.finish().is_err()); // one slice short
         let _ = std::fs::remove_dir_all(&dir);

@@ -499,4 +499,86 @@ proptest! {
             std::fs::remove_dir_all(&dir).expect("cleanup");
         }
     }
+
+    /// Shard decode is a door a file walks through: one mutation of a
+    /// valid shard file — a random byte anywhere, or a whole `indptr`,
+    /// index or value word, value words including NaN and ±inf patterns —
+    /// reads back as `InvalidData` or as slices that pass the slice
+    /// invariant, and never panics. A non-finite value is always refused.
+    #[test]
+    fn mutated_shard_files_are_refused_or_valid(coo in sparse_matrix(), seed in any::<u64>()) {
+        let csc = coo.to_csc();
+        let mut rng = xrng::rng_from_seed(seed);
+        let major = csc.cols();
+        let mut bounds = vec![0usize];
+        if major > 1 {
+            bounds.push(1 + rng.next_index(major - 1));
+        }
+        bounds.push(major);
+        let dir = shard_case_dir("mutate");
+        let _ = std::fs::remove_dir_all(&dir);
+        write_csc(&dir, &csc, &bounds, None).expect("write csc shards");
+        let store = ShardStore::open(&dir).expect("open shard store");
+        let meta = store.manifest().shards[rng.next_index(bounds.len() - 1)];
+        let path = dir.join(format!("shard-{:05}.bin", meta.index));
+        let mut bytes = std::fs::read(&path).expect("read shard file");
+
+        // Word offsets of the three arrays after the 56-byte header.
+        let indices_at = 56 + (meta.hi - meta.lo + 1) * 8;
+        let values_at = indices_at + meta.nnz as usize * 8;
+        let nnz = meta.nnz as usize;
+        let mut word_at = |at: usize, rng: &mut xrng::Rng, patterns: &[u64]| {
+            let old = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+            let new = match rng.next_index(patterns.len() + 3) {
+                0 => old.wrapping_add(1),
+                1 => old.wrapping_sub(1),
+                2 => rng.next_u64(),
+                p => patterns[p - 3],
+            };
+            bytes[at..at + 8].copy_from_slice(&new.to_le_bytes());
+            new
+        };
+        let mut non_finite = false;
+        match rng.next_index(4) {
+            1 => {
+                let at = 56 + 8 * rng.next_index(meta.hi - meta.lo + 1);
+                word_at(at, &mut rng, &[0, u64::MAX]);
+            }
+            2 if nnz > 0 => {
+                let at = indices_at + 8 * rng.next_index(nnz);
+                word_at(at, &mut rng, &[store.manifest().minor as u64, u64::MAX]);
+            }
+            3 if nnz > 0 => {
+                let at = values_at + 8 * rng.next_index(nnz);
+                let patterns = [
+                    f64::NAN.to_bits(),
+                    (-f64::NAN).to_bits(),
+                    0x7ff0_0000_0000_0001, // a signalling NaN
+                    f64::INFINITY.to_bits(),
+                    f64::NEG_INFINITY.to_bits(),
+                ];
+                non_finite = !f64::from_bits(word_at(at, &mut rng, &patterns)).is_finite();
+            }
+            _ => {
+                let p = rng.next_index(bytes.len());
+                bytes[p] = rng.next_u64() as u8;
+            }
+        }
+        std::fs::write(&path, &bytes).expect("write mutated shard");
+
+        match store.read_shard(meta.index) {
+            Err(e) => prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{}", e),
+            Ok(d) => {
+                prop_assert!(!non_finite, "a non-finite value was decoded");
+                for k in meta.lo..meta.hi {
+                    let s = d.slice(k);
+                    prop_assert_eq!(s.indices.len(), s.values.len());
+                    prop_assert!(s.indices.windows(2).all(|w| w[0] < w[1]), "slice {}", k);
+                    prop_assert!(s.indices.iter().all(|&i| i < store.manifest().minor));
+                    prop_assert!(s.values.iter().all(|v| v.is_finite()), "slice {}", k);
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
 }

@@ -245,9 +245,28 @@ if hits=$(grep -rnE 'gram_upper_rows|gram_tile_rows|l2_target_bytes|L2_BYTES|SAC
     status=1
 fi
 
+# One compressed-slice core: CSR, CSC, COO conversion and the shard files
+# share crates/sparsela/src/compressed.rs, where the slice invariant
+# (finite values included), the major range and minor window, the
+# transpose and the COO compression are each one function. The windowed
+# shard decode used to be a hand-kept copy of the block splitters, and
+# each type validated its own arrays (none checked finiteness); a copy
+# growing back has to be kept in step by hand again.
+if hits=$(grep -rnE 'read_shard_window' crates/*/src); then
+    echo "shim_guard: the windowed shard decode copy is back (call Compressed::minor_window):" >&2
+    echo "$hits" >&2
+    status=1
+fi
+if hits=$(grep -rnE 'strictly increasing in (row|column)|slice indices (must be|not) strictly increasing' \
+        crates/*/src | grep -v '^crates/sparsela/src/compressed\.rs:'); then
+    echo "shim_guard: a per-type slice validation is back outside the compressed-slice core:" >&2
+    echo "$hits" >&2
+    status=1
+fi
+
 if [ "$status" -ne 0 ]; then
     echo "shim_guard: FAILED — move recurrence logic into crates/core/src/exec/" >&2
 else
-    echo "shim_guard: OK — one run surface, one rank ledger, one allreduce, netcomm/CLI are solver-free, inner loops live in sparsela::simd"
+    echo "shim_guard: OK — one run surface, one rank ledger, one allreduce, netcomm/CLI are solver-free, inner loops live in sparsela::simd, one compressed-slice core"
 fi
 exit "$status"
