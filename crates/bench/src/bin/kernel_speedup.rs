@@ -21,14 +21,18 @@
 //!   mode, and per-kernel scalar→auto wall speedups — see
 //!   docs/OBSERVABILITY.md for the taxonomy.
 //!
+//! It also prints the sparse-shape table: on each sparse shape the entry
+//! point, which picks scatter or row intersection per call, against the
+//! pre-SIMD reference.
+//!
 //! What fails this bin is deterministic: the modeled sparse-Gram speedup
 //! dropping below 1.5× and the sampled Gram disagreeing bitwise with the
-//! pre-SIMD reference kernel, on sparse columns and on full slices alike.
-//! Walls are printed and recorded, never asserted — a shared host moves
-//! them by 30 % between runs; wall claims go through `benchmark/`'s
-//! alternating-pair protocol.
+//! pre-SIMD reference kernel — on sparse columns, on full slices and on
+//! every draw of every sparse-shape table row. Walls are printed and
+//! recorded, never asserted — a shared host moves them by 30 % between
+//! runs; wall claims go through `benchmark/`'s alternating-pair protocol.
 
-use datagen::{dense_gaussian, uniform_sparse};
+use datagen::{dense_gaussian, powerlaw_sparse, uniform_sparse, PaperDataset};
 use mpisim::{CostModel, KernelClass};
 use saco_bench::baseline::Baseline;
 use saco_bench::fmt_secs;
@@ -143,6 +147,61 @@ fn full_gram_point<M: MajorSlices>(m: &M, k: usize, reps: usize) -> f64 {
     old / new
 }
 
+/// One row of the sparse-shape table: 64 random draws (16 in quick mode)
+/// of `k` slices of `m` through the entry point — the data picks scatter or row
+/// intersection per call — each asserted bitwise equal to the pre-SIMD
+/// reference. Prints `N` (the mean selected nonzeros) and µs per call of
+/// the reference and the entry point (alternated), with the entry point's
+/// rate in the model's `F` (`gram_flops`) per second.
+fn sparse_shape_point<M: MajorSlices>(name: &str, m: &M, k: usize, reps: usize, quick: bool) {
+    let draws = if quick { 16 } else { 64 };
+    let mut rng = rng_from_seed(36);
+    let sels: Vec<Vec<usize>> = (0..draws)
+        .map(|_| sample_without_replacement(&mut rng, m.major_len(), k))
+        .collect();
+    let (mut ws, mut out) = (GramWorkspace::new(), DenseMatrix::zeros(0, 0));
+    let (mut nnz, mut flops) = (0usize, 0u64);
+    for sel in &sels {
+        sampled_gram_into(m, sel, 1, &mut ws, &mut out);
+        assert_eq!(
+            out.as_slice(),
+            sparse_gram_reference(m, sel).as_slice(),
+            "{name}: sampled_gram_into must be bitwise the per-pair reference"
+        );
+        nnz += sel.iter().map(|&s| m.slice(s).nnz()).sum::<usize>();
+        flops += gram_flops(m, sel);
+    }
+    // Enough passes over the draws that the reference runs a few ms.
+    let passes = ((if quick { 1e7 } else { 4e7 }) / flops as f64).ceil() as usize;
+    let (reference, entry) = wall_pair(
+        reps,
+        || {
+            for _ in 0..passes {
+                for sel in &sels {
+                    black_box(sparse_gram_reference(m, sel));
+                }
+            }
+        },
+        || {
+            for _ in 0..passes {
+                for sel in &sels {
+                    sampled_gram_into(m, sel, 1, &mut ws, &mut out);
+                    black_box(out.as_slice());
+                }
+            }
+        },
+    );
+    let calls = (passes * draws) as f64;
+    println!(
+        "| {name} | {k} | {} | {} | {} | {:.2}× | {:.1} |",
+        nnz / draws,
+        fmt_secs(reference / calls),
+        fmt_secs(entry / calls),
+        reference / entry,
+        flops as f64 * passes as f64 / entry / 1e9,
+    );
+}
+
 fn main() {
     let quick = saco_bench::quick_mode();
     let model = CostModel::cray_xc30();
@@ -236,7 +295,13 @@ fn main() {
     base.set("kernel.simd.sparse_gram.speedup_vs_ref", sparse_vs_ref);
 
     // Scalar-vs-auto sweep: identical kernels, SACO_SIMD pinned per side
-    // (the BLAS-1 reductions have one build, so they are not swept).
+    // (the BLAS-1 reductions have one build, so they are not swept). The
+    // sparse Gram is timed on uniform 10 % columns, which take the scatter
+    // schedule (sparsela's `the_data_picks_the_schedule` pins that): row
+    // intersection has one build, so a shape that takes it would read ≈ 1
+    // and measure no SIMD at all.
+    let csc10 = uniform_sparse(4_000, 1_000, 0.1, 37).to_csc();
+    let sel10 = sample_without_replacement(&mut rng, 1_000, 64);
     let ambient = simd::mode();
     let vlen = 100_000usize;
     let vx: Vec<f64> = (0..vlen).map(|i| (i as f64 * 1e-3).sin()).collect();
@@ -244,7 +309,7 @@ fn main() {
     let mut sweep = |mode: simd::Mode| {
         simd::set_mode(mode);
         let s = wall_secs(reps, || {
-            black_box(sampled_gram(&csc, &sel));
+            black_box(sampled_gram(&csc10, &sel10));
         });
         let ax = wall_secs(reps, || {
             for _ in 0..50 {
@@ -289,6 +354,36 @@ fn main() {
     let k128 = full_gram_point(&dense_gaussian(12_500, 128, 35).to_csc(), 128, reps);
     base.set("kernel.simd.full_gram.vs_ref.k16", k16);
     base.set("kernel.simd.full_gram.vs_ref.k128", k128);
+
+    // -- Sparse slices, per shape: the data's schedule vs the reference --
+    // The benchmark's sparse shapes (news20 columns at s·µ = 16·8 and
+    // 32·8, lasso_net_sa's s = 32, lasso_stream's power-law 256), rcv1
+    // rows, and shapes on both sides of the scatter / row-intersection
+    // choice: uniform 1 % and the 256 × 10-nnz micro-shape near it, uniform
+    // 10 % and covtype rows well past it. The choice's own calibration
+    // table, both schedules forced, is sparsela's ignored
+    // `calibrate_intersection_cost` test (docs/PERFORMANCE.md).
+    println!("\n| shape | k | N | reference | entry | ratio | entry F Gflop/s |\n|---|---|---|---|---|---|---|");
+    let news20 = PaperDataset::News20.generate_matrix(4.0, 808);
+    let half = news20.row_block(0, news20.rows() / 2).to_csc();
+    let news20 = news20.to_csc();
+    sparse_shape_point("news20 ×4 cols", &news20, 128, reps, quick);
+    sparse_shape_point("news20 ×4 cols", &news20, 256, reps, quick);
+    sparse_shape_point("news20 ×4 cols", &news20, 32, reps, quick);
+    sparse_shape_point("news20 ×4 rank-0 half", &half, 32, reps, quick);
+    drop((news20, half));
+    let stream = powerlaw_sparse(100_000, 200_000, 2e-4, 1.0, 808).to_csc();
+    sparse_shape_point("lasso_stream cols", &stream, 256, reps, quick);
+    drop(stream);
+    let rcv1 = PaperDataset::Rcv1Binary.generate_matrix(1.0, 808);
+    sparse_shape_point("rcv1.binary rows", &rcv1, 128, reps, quick);
+    let uniform1 = uniform_sparse(20_000, 4_000, 0.01, 32).to_csc();
+    sparse_shape_point("uniform 1 % cols", &uniform1, 256, reps, quick);
+    let tens = uniform_sparse(10_000, 4_000, 0.001, 38).to_csc();
+    sparse_shape_point("10-nnz cols", &tens, 256, reps, quick);
+    sparse_shape_point("uniform 10 % cols", &csc10, 64, reps, quick);
+    let covtype = PaperDataset::Covtype.generate_matrix(0.1, 808);
+    sparse_shape_point("covtype rows", &covtype, 128, reps, quick);
 
     // -- Workspace reuse vs fresh allocation (wall only) -----------------
     let iters = if quick { 20 } else { 100 };

@@ -18,11 +18,13 @@
 //! | `fig5_svm_gap` | Fig. 5 (duality gap vs iteration) |
 //! | `table5_svm_speedup` | Table V (SA-SVM time-to-tolerance speedups) |
 //! | `words_guard` | CI check: fig4 `sa_best.words` vs committed baseline |
+//! | `ledger_check` | CI check: two `ledger/` trace files agree on every exact count |
 //! | `run_all` | everything above, in order |
 
 #![warn(missing_docs)]
 
 pub mod baseline;
+pub mod ledger;
 pub mod plot;
 
 use mpisim::{ChaosSpec, CostModel};

@@ -27,9 +27,12 @@ pub(crate) struct Site<F: Fn(u64) -> (u64, u64)> {
     pub cost: F,
 }
 
-/// Flops a rank spends building its local contribution to the `width ×
-/// width` Gram matrix by scatter-dot over the sampled slices, upper
-/// triangle only (footnote 3).
+/// Flops a rank is charged for its local contribution to the `width ×
+/// width` Gram matrix: the model's `F`, priced as the scatter-dot over the
+/// sampled slices, upper triangle only (footnote 3) — not the operations
+/// the kernel executes, which pick a cheaper schedule where the data allows
+/// (row intersection does far fewer on sparse slices). The charge stays
+/// this formula so every modeled number is independent of that choice.
 ///
 /// Derivation: the slice at triangle position `b` pays `2·nnz_b` for its
 /// `norm_sq` diagonal plus `2·nnz_b` per pair-dot against each of the `b`

@@ -88,6 +88,11 @@ impl DenseMatrix {
         &self.data
     }
 
+    /// Mutably borrow the row-major backing storage.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Element access.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f64 {

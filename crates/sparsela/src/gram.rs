@@ -8,34 +8,85 @@
 //! module computes the *local* contributions on one rank's block; the
 //! simulator's allreduce sums them across ranks.
 //!
-//! One kernel, one entry point ([`sampled_gram_into`]), one body at every
-//! thread count. The unit of work is a *lane block* of the upper triangle:
-//! [`simd::SPARSE_LANES`] selected slices held interleaved, every partner
-//! slice streamed against all of them at once, so the per-entry gather is
-//! one cache-line-wide vector load. One thread runs the blocks in place; a
-//! `saco-par` pool claims them as tiles, heaviest first, one buffer of the
-//! caller's [`GramWorkspace`] per worker, bands merged in block order —
-//! same function, same per-lane chains, **bitwise identical** by
-//! construction, ⌈k/LANES⌉ tiles wide (`docs/PERFORMANCE.md`).
-//!
-//! A lane block has two schedules of the same per-entry arithmetic, and
-//! the data picks between them once per call — a throughput choice like
-//! the ISA, never a numerics one:
-//! * **sparse** — slices are scattered into a zero-maintained buffer
-//!   through their index arrays, each partner's nonzeros make one pass,
-//!   and the scatter is undone. Any data.
+//! One entry point ([`sampled_gram_into`]) and one per-entry contract:
+//! entry `(a, b)`, `a < b`, is the single left-to-right chain of
+//! `dot_dense` — from `+0.0`, over slice `b`'s stored coordinates in
+//! ascending order, multiply then add — against slice `a`; the diagonal is
+//! `norm_sq`. Three *schedules* compute exactly those entries, and the data
+//! picks one per call — a throughput choice like the ISA, never a numerics
+//! one:
 //! * **full-slice** — when every selected slice stores every coordinate
 //!   (dense datasets: rows of gisette, columns of epsilon, and any rank's
-//!   local block of them) the slices share one index set, so the block
-//!   interleaves their values by contiguous copy, streams the partners
-//!   [`simd::FULL_PARTNERS`] at a time with independent accumulator sets,
-//!   and reads the diagonal off the slice's own pass. No index loads, no
-//!   scatter, nothing to undo: 5–10× the sparse schedule's flop rate on
-//!   such data. This is also what makes computing `s` iterations of dot
-//!   products at once *faster per flop* than `s` separate BLAS-1 calls
-//!   (Fig. 4e–h) — four chains in flight where a lone dot has one.
+//!   local block of them) the slices share one index set, so a *lane
+//!   block* of [`simd::SPARSE_LANES`] slices interleaves their values by
+//!   contiguous copy, streams the partners [`simd::FULL_PARTNERS`] at a
+//!   time with independent accumulator sets, and reads the diagonal off the
+//!   slice's own pass. No index loads, no scatter, nothing to undo. This is
+//!   also what makes computing `s` iterations of dot products at once
+//!   *faster per flop* than `s` separate BLAS-1 calls (Fig. 4e–h) — four
+//!   chains in flight where a lone dot has one.
+//! * **scatter** — a lane block's slices are scattered interleaved into a
+//!   zero-maintained buffer through their index arrays, each partner's
+//!   nonzeros make one pass that yields all lanes' entries with one
+//!   cache-line-wide load per nonzero, and the scatter is undone. It does
+//!   [`simd::SPARSE_LANES`] multiply-adds per partner nonzero whatever the
+//!   overlap, which streams well where the slices share most rows (uniform
+//!   10 %, covtype).
+//! * **row intersection** — the slices are visited in order `b = 0..k`;
+//!   each nonzero `(i, x_b)` walks the list of earlier slices `a < b` that
+//!   hold row `i`, adds `x_b·x_a[i]` to both `G[a][b]` and `G[b][a]`, then
+//!   joins row `i`'s list. Its work is `N + E` — `N = Σ nnz_b` list pushes
+//!   and `E` pairs of selected nonzeros sharing a row — so on power-law
+//!   data (news20, rcv1, url), where almost every product of the scatter
+//!   schedule multiplies a scattered zero, it is several times faster. No
+//!   lane blocks, no sort, no mirror pass; its scratch is 4 B per minor row
+//!   plus `O(N)` list nodes.
 //!
-//! [`sampled_cross_into`] draws the same line per group of
+//! **Why row intersection gives the same bits.** The lane blocks compute
+//! entry `(a, b)` as the chain itself: `x_b[i]·w_a[i]` added for every `i`
+//! of slice `b`, with `w_a[i] = +0.0` wherever slice `a` stores nothing.
+//! With finite data — every door a matrix enters through rejects anything
+//! else — such a product is `±0`. The accumulator starts at `+0.0`, a
+//! round-to-nearest addition never makes it `−0.0`, and `v + (±0) = v` for
+//! every `v ≠ −0.0`; so the chain equals the chain over the rows both
+//! slices store, in `b`'s ascending order. That is exactly the order in
+//! which row intersection delivers the addends of `(a, b)` (IEEE
+//! multiplication commutes), and both halves of `G` start at `+0.0` and
+//! receive the same addends, so they stay equal. The diagonal is never
+//! accumulated: it is `norm_sq` in every schedule, whose `.sum()` folds
+//! from `−0.0`, so an empty slice's diagonal is `−0.0`, not `+0.0`.
+//!
+//! **How the data chooses**, once per call: full slices take the
+//! full-slice schedule. Otherwise, from `nnz` values already known, the
+//! common-row pairs are estimated as if rows were hit uniformly,
+//! `E ≈ (N² − Σ nnz_b²) / (2·minor_len)`, and row intersection is a
+//! candidate when `c·(N + E)` is below the scatter schedule's lane
+//! multiply-adds, `Σ_b LANES·nnz_b·⌈b/LANES⌉`; `c` (`INTERSECTION_COST`)
+//! is the measured cost of one list push or pair update — scattered scalar
+//! loads and stores — in streamed lane multiply-adds. The estimate holds
+//! on columns (within 15 % on the measured power-law shapes) but not on
+//! rows of power-law data, where a few popular features lie in almost
+//! every row and the exact count can be 50× the estimate. So a candidate
+//! builds its lists counting the exact pairs and runs only if `c·(N + E)`
+//! with the exact `E` still wins; otherwise the call runs scatter, having
+//! paid one build. A build that is kept is the schedule's first phase, not
+//! extra work. `c` is a constant, not an option: every engine, source and
+//! thread count decides alike, and it would not matter if they did not.
+//!
+//! The lane-block schedules have one body at every thread count: one thread
+//! runs the blocks in place; a `saco-par` pool claims them as tiles,
+//! heaviest first, one buffer of the caller's [`GramWorkspace`] per worker,
+//! bands merged in block order — same per-lane chains, **bitwise
+//! identical** by construction, ⌈k/LANES⌉ tiles wide
+//! (`docs/PERFORMANCE.md`). Row intersection has no tiles and always runs
+//! in place. The choice weighs it against the *one-thread* scatter cost:
+//! with a pool requested, a scatter triangle above the dispatch threshold
+//! would have been spread over the pool's workers, and the choice does not
+//! discount it for that. No workload runs sparse data on a pool;
+//! docs/PERFORMANCE.md §"Sparse slices" measures the one shape where it
+//! would matter.
+//!
+//! [`sampled_cross_into`] draws the full-slice line per group of
 //! [`simd::FULL_PARTNERS`] slices: full ones run their `dot_dense` chains
 //! side by side.
 //!
@@ -150,7 +201,8 @@ impl SliceSource for CscMatrix {}
 
 /// One worker's lane-block scratch, both 64-byte aligned at
 /// [`simd::SPARSE_LANES`] `· minor_len` (row `i` of all lanes is one cache
-/// line) and grow-only; a call sizes only the one its data selects.
+/// line) and grow-only; a call sizes only the one its schedule uses, and a
+/// call that runs row intersection sizes neither.
 #[derive(Clone, Debug, Default)]
 struct LaneBufs {
     /// Where a sparse lane block scatters. All zeros between calls: the
@@ -175,14 +227,109 @@ impl LaneBufs {
     }
 }
 
+/// The end of a row's list in [`RowLists`].
+const NO_NODE: u32 = u32::MAX;
+
+/// One selected nonzero on its row's list.
+#[derive(Clone, Copy, Debug)]
+struct Node {
+    /// Position of its slice in the selection.
+    slice: u32,
+    /// The next older node on the same row, or [`NO_NODE`].
+    older: u32,
+    value: f64,
+}
+
+/// The row-intersection schedule's scratch, grow-only: for each minor row,
+/// the list of selected slices that store it, newest first.
+#[derive(Clone, Debug, Default)]
+struct RowLists {
+    /// Per minor row, its newest node — trusted only when that node names
+    /// the row back (a sparse set), so no call ever clears it.
+    head: Vec<u32>,
+    /// Per node: its row, and how many older nodes lie on that row.
+    tag: Vec<(u32, u32)>,
+    /// Per node, in push order: slice by slice, each slice's rows
+    /// ascending.
+    nodes: Vec<Node>,
+}
+
+impl RowLists {
+    /// Put every selected nonzero on its row's list and return the pairs
+    /// of selected nonzeros that share a row — `Σᵢ rᵢ(rᵢ−1)/2`, the pair
+    /// updates [`Self::gram_into`] will make. The slices' `u32` fields must
+    /// fit ([`SparseCost::of`] rules out data where they would not).
+    fn build(&mut self, slices: &[SparseSlice<'_>], minor: usize) -> u64 {
+        if self.head.len() < minor {
+            self.head.resize(minor, NO_NODE);
+        }
+        self.tag.clear();
+        self.nodes.clear();
+        let mut pairs = 0u64;
+        for (b, s) in slices.iter().enumerate() {
+            for (&i, &value) in s.indices.iter().zip(s.values) {
+                let h = self.head[i];
+                // A head left by an earlier call names a node that is gone
+                // or lies on another row: had this call pushed a node on
+                // row `i`, that push would have rewritten the head.
+                let (older, depth) = match self.tag.get(h as usize) {
+                    Some(&(r, d)) if r as usize == i => (h, d + 1),
+                    _ => (NO_NODE, 0),
+                };
+                pairs += u64::from(depth);
+                self.head[i] = self.nodes.len() as u32;
+                self.tag.push((i as u32, depth));
+                self.nodes.push(Node {
+                    slice: b as u32,
+                    older,
+                    value,
+                });
+            }
+        }
+        pairs
+    }
+
+    /// The row-intersection schedule on the lists [`Self::build`] made of
+    /// `slices`, into `g` (`k×k`, row-major, all `+0.0`): each node, in push
+    /// order, meets every older node on its row and adds the product to
+    /// both halves of that pair. A pair's addends therefore arrive in the
+    /// later slice's ascending row order — the module doc's argument — and
+    /// every entry is the lane blocks' bit for bit. One scalar chain per
+    /// entry and one build: there are no lanes to widen.
+    fn gram_into(&self, slices: &[SparseSlice<'_>], g: &mut [f64]) {
+        let k = slices.len();
+        debug_assert_eq!(
+            self.nodes.len(),
+            slices.iter().map(|s| s.nnz()).sum::<usize>(),
+            "lists built from other slices"
+        );
+        for (b, s) in slices.iter().enumerate() {
+            g[b * k + b] = s.norm_sq();
+        }
+        for node in &self.nodes {
+            let b = node.slice as usize;
+            let mut n = node.older;
+            while n != NO_NODE {
+                let partner = self.nodes[n as usize];
+                let a = partner.slice as usize;
+                let p = node.value * partner.value;
+                g[a * k + b] += p;
+                g[b * k + a] += p;
+                n = partner.older;
+            }
+        }
+    }
+}
+
 /// Reusable scratch for the sampled-Gram kernel: per worker, the
 /// *interleaved* buffers holding [`simd::SPARSE_LANES`] selected slices
-/// side by side. Creating them per call costs an `O(minor_len)` zero-fill
-/// *and* an allocation; holding them across calls makes repeated
-/// `sampled_gram` calls allocation-free at any thread count. It also
-/// carries the *resolved-slice* scratch: a kernel call looks each selected
-/// slice up once ([`MajorSlices::slice`] may cost a search on an
-/// out-of-core source) and the triangle runs on the borrowed slices alone.
+/// side by side, and the row-intersection lists. Creating them per call
+/// costs an `O(minor_len)` zero-fill *and* an allocation; holding them
+/// across calls makes repeated `sampled_gram` calls allocation-free at any
+/// thread count. It also carries the *resolved-slice* scratch: a kernel
+/// call looks each selected slice up once ([`MajorSlices::slice`] may cost
+/// a search on an out-of-core source) and the triangle runs on the
+/// borrowed slices alone.
 #[derive(Clone, Debug, Default)]
 pub struct GramWorkspace {
     /// The serial path's buffers and the pool's first worker's. Inline, so
@@ -190,6 +337,8 @@ pub struct GramWorkspace {
     interleaved: LaneBufs,
     /// The further workers' buffers.
     pooled: Vec<LaneBufs>,
+    /// The row-intersection schedule's lists (it runs on one thread).
+    rows: RowLists,
     /// Allocation for the resolved slices; empty between calls, so the
     /// `'static` is never the lifetime of a stored borrow.
     resolved: Vec<SparseSlice<'static>>,
@@ -246,11 +395,95 @@ fn is_full(s: &SparseSlice<'_>, minor_len: usize) -> bool {
         && s.indices[minor_len - 1] == minor_len - 1
 }
 
+/// The cost of one row-intersection step — a list push or a pair update,
+/// scattered scalar loads and stores — in scatter-schedule lane
+/// multiply-adds, which stream. Calibrated by the ignored test
+/// `calibrate_intersection_cost` (table in docs/PERFORMANCE.md §"Sparse
+/// slices"): per-shape fits spread 6–33, and 14 sits in the window where
+/// the choice picks the faster schedule on every shape measured (rcv1
+/// rows need more than 10.7, `lasso_net_sa`'s k = 32 columns less than
+/// 17). Either schedule gives the same bits, so this only decides speed.
+const INTERSECTION_COST: u64 = 14;
+
+/// What the choice between the sparse schedules reads first, from the
+/// selected slices' `nnz` and the minor length alone.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct SparseCost {
+    /// `N = Σ nnz_b`: the nodes row intersection pushes.
+    nnz: u64,
+    /// `E ≈ (N² − Σ nnz_b²) / (2·minor_len)`: its pair updates, were rows
+    /// hit uniformly. Saturated where its nodes would not fit their `u32`
+    /// fields, which rules it out before any list is built.
+    pairs: u64,
+    /// The scatter schedule's lane multiply-adds: slice `b` streams against
+    /// each of the `⌈b/LANES⌉` earlier lane blocks, all
+    /// [`simd::SPARSE_LANES`] lanes at once.
+    lane_macs: u64,
+}
+
+impl SparseCost {
+    fn of(slices: &[SparseSlice<'_>], minor: usize) -> Self {
+        const L: u64 = simd::SPARSE_LANES as u64;
+        let (mut nnz, mut squares, mut lane_macs) = (0u64, 0u128, 0u64);
+        for (b, s) in slices.iter().enumerate() {
+            let z = s.nnz() as u64;
+            nnz += z;
+            squares += u128::from(z) * u128::from(z);
+            lane_macs += L * z * (b as u64).div_ceil(L);
+        }
+        let fits = minor < NO_NODE as usize && nnz < u64::from(NO_NODE);
+        let pairs = if fits {
+            let n = u128::from(nnz);
+            ((n * n - squares) / (2 * minor.max(1) as u128)) as u64
+        } else {
+            u64::MAX
+        };
+        Self {
+            nnz,
+            pairs,
+            lane_macs,
+        }
+    }
+
+    /// Whether row intersection beats the scatter schedule if it makes
+    /// `pairs` pair updates: `c·(N + pairs)` below the lane multiply-adds.
+    fn intersection_wins(&self, pairs: u64) -> bool {
+        INTERSECTION_COST.saturating_mul(self.nnz.saturating_add(pairs)) < self.lane_macs
+    }
+}
+
+/// The schedule one call runs (module doc).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Schedule {
+    Full,
+    Scatter,
+    Intersection,
+}
+
+impl Schedule {
+    /// The data's choice (module doc): full slices take the full-slice
+    /// schedule; other data row intersection when the estimated pairs say
+    /// it wins *and* the exact count `rows` meets while building its lists
+    /// agrees — so a call that picks it leaves the lists built.
+    fn of(slices: &[SparseSlice<'_>], minor: usize, rows: &mut RowLists) -> Self {
+        if slices.iter().all(|s| is_full(s, minor)) {
+            return Schedule::Full;
+        }
+        let cost = SparseCost::of(slices, minor);
+        if cost.intersection_wins(cost.pairs) && cost.intersection_wins(rows.build(slices, minor)) {
+            Schedule::Intersection
+        } else {
+            Schedule::Scatter
+        }
+    }
+}
+
 /// Compute the Gram matrix `G[a][b] = ⟨slice(sel[a]), slice(sel[b])⟩` of the
 /// sampled slices, exploiting symmetry (upper triangle computed, mirrored —
 /// the paper's footnote-3 2× flop saving).
 ///
-/// Cost: O(k · nnz(selected)) via a dense scatter workspace of minor length.
+/// Cost: O(k · nnz(selected)) via a dense scatter workspace of minor length
+/// at worst, O(nnz(selected) + common-row pairs) on power-law data.
 /// Allocates the workspace and output; the SA hot loop should prefer
 /// [`sampled_gram_into`] (or [`sampled_gram_with_workspace`]) to reuse both.
 pub fn sampled_gram<M: MajorSlices>(m: &M, sel: &[usize]) -> DenseMatrix {
@@ -270,17 +503,16 @@ pub fn sampled_gram_with_workspace<M: MajorSlices>(
     g
 }
 
-/// One lane block of the upper triangle — THE sampled-Gram kernel, the
-/// serial path's loop body and the pool's tile alike: rows `a0..a0 + aw`
-/// (`aw ≤` [`simd::SPARSE_LANES`]) against every partner `b ≥ a0`.
-/// Entries go to `put(a, b, v)`, `a ≤ b`, each exactly once.
+/// One lane block of the upper triangle — the lane-block schedules' loop
+/// body, serial path and pool tile alike: rows `a0..a0 + aw` (`aw ≤`
+/// [`simd::SPARSE_LANES`]) against every partner `b ≥ a0`. Entries go to
+/// `put(a, b, v)`, `a ≤ b`, each exactly once.
 ///
-/// `full` — every selected slice stores every coordinate — picks between
-/// two schedules of the *same* per-entry arithmetic: entry `(a, b)` is the
-/// single left-to-right chain of `dot_dense` over slice `b`'s stored
-/// coordinates against slice `a` alone, diagonals are `norm_sq`. An
-/// entry's bits depend on its two slices only, never on the block it sits
-/// in, the schedule that ran it or the thread that computed it.
+/// `full` — every selected slice stores every coordinate — picks the
+/// full-slice schedule over the scatter one; the per-entry arithmetic is
+/// the module doc's contract either way. An entry's bits depend on its two
+/// slices only, never on the block it sits in, the schedule that ran it or
+/// the thread that computed it.
 fn gram_lane_block(
     slices: &[SparseSlice<'_>],
     a0: usize,
@@ -295,7 +527,7 @@ fn gram_lane_block(
     }
 }
 
-/// The sparse schedule: the block's slices are scattered *interleaved*
+/// The scatter schedule: the block's slices are scattered *interleaved*
 /// (lane `l` of row `i` at `work[LANES·i + l]`), then one streaming pass
 /// over each partner slice `b > a0` yields the entries `(a0 + l, b)` of
 /// every lane at once — one contiguous cache-line-wide load per nonzero.
@@ -399,11 +631,11 @@ fn merge_band(tile: usize, band: &[f64], out: &mut DenseMatrix) {
 }
 
 /// Fully workspace-reusing sampled Gram: writes into `out` (reshaped to
-/// `k×k` in place) and, when `nthreads > 1`, hands the triangle's lane
-/// blocks to the `saco-par` pool as tiles — one interleaved buffer of `ws`
-/// per worker, bands merged in block order. Bitwise identical to
-/// [`sampled_gram`] at any thread count: every path runs
-/// [`gram_lane_block`].
+/// `k×k` in place) and, when `nthreads > 1` and the data takes a lane-block
+/// schedule, hands the triangle's lane blocks to the `saco-par` pool as
+/// tiles — one interleaved buffer of `ws` per worker, bands merged in block
+/// order. Bitwise identical to [`sampled_gram`] at any thread count and on
+/// every schedule (module doc).
 pub fn sampled_gram_into<M: MajorSlices>(
     m: &M,
     sel: &[usize],
@@ -412,12 +644,16 @@ pub fn sampled_gram_into<M: MajorSlices>(
     out: &mut DenseMatrix,
 ) {
     let slices = ws.resolve(m, sel);
-    gram_of_slices(&slices, m.minor_len(), nthreads, ws, out);
+    let minor = m.minor_len();
+    let schedule = Schedule::of(&slices, minor, &mut ws.rows);
+    gram_by(schedule, &slices, minor, nthreads, ws, out);
     ws.recycle(slices);
 }
 
-/// [`sampled_gram_into`] on the resolved slices.
-fn gram_of_slices(
+/// [`sampled_gram_into`] on the resolved slices, on `schedule` — for row
+/// intersection, on the lists [`RowLists::build`] made of them.
+fn gram_by(
+    schedule: Schedule,
     slices: &[SparseSlice<'_>],
     minor: usize,
     nthreads: usize,
@@ -426,11 +662,23 @@ fn gram_of_slices(
 ) {
     let k = slices.len();
     let ntiles = k.div_ceil(simd::SPARSE_LANES);
-    // Decided by the data alone, once per call, on the slices already
-    // looked up — so every engine, source and thread count decides alike;
-    // either way the bits are the same.
-    let full = slices.iter().all(|s| is_full(s, minor));
     out.reshape_zeroed(k, k);
+    let full = match schedule {
+        Schedule::Full => true,
+        Schedule::Scatter => false,
+        Schedule::Intersection => {
+            let (rows, g) = (&ws.rows, out.as_mut_slice());
+            if nthreads <= 1 {
+                rows.gram_into(slices, g);
+            } else {
+                // No tiles: a pool request counts one serial region, as
+                // the lane blocks' own sub-dispatch fallback does, so
+                // `par.*` keep counting pooled-kernel invocations.
+                saco_par::serial_region(ntiles, || rows.gram_into(slices, g));
+            }
+            return;
+        }
+    };
     let mut serial = || {
         let work = ws.interleaved.work(full, minor);
         for a0 in (0..k).step_by(simd::SPARSE_LANES) {
@@ -552,11 +800,15 @@ pub fn sampled_cross_into<M: MajorSlices>(
     }
 }
 
-/// Flop count of the sampled Gram kernel as executed: for the slice at
-/// triangle position `b` (0-based), `norm_sq` on the diagonal costs
-/// `2·nnz_b` and each of the `b` pair-dots against an earlier scattered
-/// slice iterates *this* slice's nonzeros (`2·nnz_b` each) — so position
-/// `b` is charged `2·nnz_b·(b + 1)`.
+/// The model's flop count `F` of one sampled Gram, as the scatter schedule
+/// is priced — not the operations any schedule executes (row intersection
+/// does far fewer on sparse data, the full-slice block the same number
+/// faster). For the slice at triangle position `b` (0-based), `norm_sq` on
+/// the diagonal costs `2·nnz_b` and each of the `b` pair-dots against an
+/// earlier scattered slice iterates *this* slice's nonzeros (`2·nnz_b`
+/// each) — so position `b` is charged `2·nnz_b·(b + 1)`. The ledger's
+/// `gram.flops` and `gram.gflops` are this count, so a rate can exceed the
+/// hardware's.
 ///
 /// For uniform slice density this sums to `nnz(selected)·(k + 1)`,
 /// matching the aggregate per-rank charge in `saco::dist::charges`
@@ -804,6 +1056,255 @@ mod tests {
         assert_eq!(ws.pooled.len(), 2);
     }
 
+    /// `major` slices over `minor` coordinates, each coordinate stored with
+    /// probability `density`, every seventh slice empty (`norm_sq`'s `−0.0`
+    /// diagonal); stored values include `0.0`, `−0.0` and subnormals.
+    fn odd_values_csr(major: usize, minor: usize, density: f64, seed: u64) -> CsrMatrix {
+        let mut rng = rng_from_seed(seed);
+        let (mut indptr, mut indices, mut values) = (vec![0], Vec::new(), Vec::new());
+        for r in 0..major {
+            for i in 0..minor {
+                if r % 7 != 3 && rng.next_bool(density) {
+                    indices.push(i);
+                    values.push(match rng.next_index(8) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => f64::from_bits(1 + rng.next_index(1 << 20) as u64),
+                        _ => rng.next_gaussian(),
+                    });
+                }
+            }
+            indptr.push(indices.len());
+        }
+        CsrMatrix::from_parts(major, minor, indptr, indices, values)
+    }
+
+    #[test]
+    fn both_sparse_schedules_match_the_single_chain_reference_bitwise() {
+        // Each selection through scatter and through row intersection,
+        // forced; duplicates inside and across lane blocks. One workspace
+        // serves a long minor axis, then a short one, then the long one
+        // again, so row lists meet heads left by earlier calls.
+        let long = odd_values_csr(90, 400, 0.02, 30);
+        let short = odd_values_csr(60, 50, 0.3, 32);
+        let mut ws = GramWorkspace::new();
+        for (m, seed) in [(&long, 31), (&short, 33), (&long, 34)] {
+            let mut rng = rng_from_seed(seed);
+            for k in [1usize, 2, 9, 40, 130] {
+                let mut sel: Vec<usize> = (0..k).map(|_| rng.next_index(m.major_len())).collect();
+                sel[k / 2] = sel[0];
+                sel[k - 1] = 3; // an empty slice
+                let slices = ws.resolve(m, &sel);
+                let want = bits(&reference_gram(&slices, m.minor_len()));
+                ws.rows.build(&slices, m.minor_len());
+                for schedule in [Schedule::Scatter, Schedule::Intersection] {
+                    let mut got = DenseMatrix::zeros(0, 0);
+                    gram_by(schedule, &slices, m.minor_len(), 1, &mut ws, &mut got);
+                    assert_eq!(bits(&got), want, "k={k} {schedule:?}");
+                    let empty = got.get(k - 1, k - 1).to_bits();
+                    assert_eq!(empty, slices[k - 1].norm_sq().to_bits(), "{schedule:?}");
+                }
+                ws.recycle(slices);
+            }
+        }
+    }
+
+    /// `datagen` builds its matrices against its own build of this crate,
+    /// whose types these tests cannot name: copy one over, row by row.
+    macro_rules! from_datagen {
+        ($m:expr) => {{
+            let m = $m;
+            let (mut indptr, mut indices, mut values) = (vec![0], Vec::new(), Vec::new());
+            for r in 0..m.rows() {
+                let s = m.row(r);
+                indices.extend_from_slice(s.indices);
+                values.extend_from_slice(s.values);
+                indptr.push(indices.len());
+            }
+            CsrMatrix::from_parts(m.rows(), m.cols(), indptr, indices, values)
+        }};
+    }
+
+    #[test]
+    fn the_data_picks_the_schedule() {
+        let mut rows = RowLists::default();
+        let mut pick = |m: &CsrMatrix, sel: &[usize]| {
+            let slices: Vec<_> = sel.iter().map(|&k| m.slice(k)).collect();
+            Schedule::of(&slices, m.minor_len(), &mut rows)
+        };
+        let wide: Vec<usize> = (0..128).collect();
+        // Few nonzeros on a long minor axis: few shared rows.
+        let rare = odd_values_csr(128, 4000, 0.002, 40);
+        assert_eq!(pick(&rare, &wide), Schedule::Intersection);
+        // Dense-ish: most products meet a stored partner.
+        assert_eq!(
+            pick(&odd_values_csr(128, 60, 0.3, 41), &wide),
+            Schedule::Scatter
+        );
+        // The same slices plus forty rows that every slice stores, as
+        // popular features are in rows of power-law data: the estimate
+        // still says intersection, the exact count the build meets does
+        // not.
+        let mut shared = CooMatrix::new(128, 4001);
+        for r in 0..128 {
+            let s = rare.slice(r);
+            for (&i, &v) in s.indices.iter().zip(s.values) {
+                if v != 0.0 {
+                    shared.push(r, i, v);
+                }
+            }
+            for i in 0..40 {
+                shared.push(r, 4000 - i, 1.0);
+            }
+        }
+        let shared = shared.to_csr();
+        let slices: Vec<_> = wide.iter().map(|&k| shared.slice(k)).collect();
+        let cost = SparseCost::of(&slices, shared.minor_len());
+        assert!(cost.intersection_wins(cost.pairs), "{cost:?}");
+        assert_eq!(pick(&shared, &wide), Schedule::Scatter);
+        // One slice has no partner to stream against.
+        assert_eq!(
+            pick(&odd_values_csr(8, 4000, 0.002, 42), &[0]),
+            Schedule::Scatter
+        );
+        let full = random_sparse(4, 30, 1.0, 43).to_csr();
+        assert_eq!(pick(&full, &[0, 1, 2, 3]), Schedule::Full);
+        // kernel_speedup's scalar → auto gauge must time the scatter
+        // schedule: row intersection has one build.
+        let gauge = from_datagen!(datagen::uniform_sparse(4_000, 1_000, 0.1, 37)).to_csc();
+        let mut rng = rng_from_seed(44);
+        for _ in 0..8 {
+            let sel = xrng::sample_without_replacement(&mut rng, 1_000, 64);
+            let slices: Vec<_> = sel.iter().map(|&k| gauge.slice(k)).collect();
+            let schedule = Schedule::of(&slices, gauge.minor_len(), &mut rows);
+            assert_eq!(schedule, Schedule::Scatter);
+        }
+    }
+
+    /// One row of [`calibrate_intersection_cost`]'s table.
+    fn calibration_row<M: MajorSlices>(name: &str, m: &M, k: usize) {
+        const DRAWS: usize = 64;
+        let minor = m.minor_len();
+        let mut rng = rng_from_seed(36);
+        let sels: Vec<Vec<usize>> = (0..DRAWS)
+            .map(|_| xrng::sample_without_replacement(&mut rng, m.major_len(), k))
+            .collect();
+        // `None` is the entry point; a schedule is forced.
+        let run = |sel: &[usize], on: Option<(Schedule, usize)>, ws: &mut GramWorkspace| {
+            let mut out = DenseMatrix::zeros(0, 0);
+            let Some((schedule, threads)) = on else {
+                sampled_gram_into(m, sel, 1, ws, &mut out);
+                return out;
+            };
+            let slices = ws.resolve(m, sel);
+            if schedule == Schedule::Intersection {
+                ws.rows.build(&slices, minor);
+            }
+            gram_by(schedule, &slices, minor, threads, ws, &mut out);
+            ws.recycle(slices);
+            out
+        };
+        let mut ws = GramWorkspace::new();
+        let (mut nnz, mut est, mut exact, mut macs, mut picks) = (0u64, 0u64, 0u64, 0u64, 0usize);
+        for sel in &sels {
+            let want = bits(&run(sel, Some((Schedule::Scatter, 1)), &mut ws));
+            let got = run(sel, Some((Schedule::Intersection, 1)), &mut ws);
+            assert_eq!(bits(&got), want, "{name}: row intersection ≢ scatter");
+            assert_eq!(bits(&run(sel, None, &mut ws)), want, "{name}: entry point");
+            let slices = ws.resolve(m, sel);
+            let cost = SparseCost::of(&slices, minor);
+            nnz += cost.nnz;
+            est += cost.pairs;
+            macs += cost.lane_macs;
+            exact += ws.rows.build(&slices, minor);
+            let schedule = Schedule::of(&slices, minor, &mut ws.rows);
+            picks += usize::from(schedule == Schedule::Intersection);
+            ws.recycle(slices);
+        }
+        // Enough passes over the draws that scatter runs ~20 ms; best of
+        // five, the four sides alternated within every rep.
+        let passes = (2e7 / macs as f64).ceil() as usize;
+        let sides = [
+            Some((Schedule::Scatter, 1)),
+            Some((Schedule::Intersection, 1)),
+            None,
+            Some((Schedule::Scatter, 4)),
+        ];
+        let mut wss: [GramWorkspace; 4] = Default::default();
+        let mut walls = [f64::INFINITY; 4];
+        for _ in 0..5 {
+            for ((wall, ws), on) in walls.iter_mut().zip(&mut wss).zip(sides) {
+                let t0 = std::time::Instant::now();
+                for _ in 0..passes {
+                    for sel in &sels {
+                        std::hint::black_box(run(sel, on, ws));
+                    }
+                }
+                *wall = wall.min(t0.elapsed().as_secs_f64());
+            }
+        }
+        let [scatter, inter, entry, pooled] = walls.map(|w| w * 1e6 / (passes * DRAWS) as f64);
+        let mean = |x: u64| x as f64 / DRAWS as f64;
+        let c_fit = (inter / (mean(nnz) + mean(exact))) / (scatter / mean(macs));
+        let choice = match picks {
+            0 => "scatter".to_string(),
+            DRAWS => "intersection".to_string(),
+            p => format!("intersection {p}/{DRAWS}"),
+        };
+        println!(
+            "| {name} | {k} | {:.0} | {:.0} | {:.0} | {:.0} | {choice} | {scatter:.1} | {inter:.1} | {:.2}× | {:.2}× | {pooled:.1} | {c_fit:.0} |",
+            mean(nnz),
+            mean(est),
+            mean(exact),
+            mean(macs),
+            inter / scatter,
+            entry / scatter,
+        );
+    }
+
+    /// The table `INTERSECTION_COST` is calibrated from
+    /// (docs/PERFORMANCE.md §"Sparse slices"): the benchmark's sparse
+    /// shapes and shapes on both sides of the choice, 64 random selections
+    /// each, one thread. Per shape: the means of `N`, the estimated and the
+    /// exact pairs and the scatter schedule's lane multiply-adds; the
+    /// choice; µs per call of scatter and of row intersection forced, of
+    /// the entry point (choice included) and of scatter on a four-thread
+    /// pool; and "c fit", the `c` that would make the choice exact there —
+    /// intersection time per `N + E` step over scatter time per lane
+    /// multiply-add. Every side is asserted bitwise equal to forced
+    /// scatter. It measures walls, so it is not part of the suite:
+    /// `cargo test --release -p sparsela --lib calibrate -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "wall-clock calibration table, run by hand"]
+    fn calibrate_intersection_cost() {
+        use datagen::{powerlaw_sparse, uniform_sparse, PaperDataset};
+        println!(
+            "\n| shape | k | N | E est. | E exact | lane MACs | choice | scatter | intersection | ratio | entry ÷ scatter | scatter, pool of 4 | c fit |\n\
+             |---|---|---|---|---|---|---|---|---|---|---|---|---|"
+        );
+        let news20 = from_datagen!(PaperDataset::News20.generate_matrix(4.0, 808));
+        let half = news20.row_block(0, news20.rows() / 2).to_csc();
+        let news20 = news20.to_csc();
+        calibration_row("news20 ×4 cols", &news20, 128);
+        calibration_row("news20 ×4 cols", &news20, 256);
+        calibration_row("news20 ×4 cols", &news20, 32);
+        calibration_row("news20 ×4 rank-0 half", &half, 32);
+        drop((news20, half));
+        let stream = from_datagen!(powerlaw_sparse(100_000, 200_000, 2e-4, 1.0, 808)).to_csc();
+        calibration_row("lasso_stream cols", &stream, 256);
+        drop(stream);
+        let rcv1 = from_datagen!(PaperDataset::Rcv1Binary.generate_matrix(1.0, 808));
+        calibration_row("rcv1.binary rows", &rcv1, 128);
+        let uniform1 = from_datagen!(uniform_sparse(20_000, 4_000, 0.01, 32)).to_csc();
+        calibration_row("uniform 1 % cols", &uniform1, 256);
+        let tens = from_datagen!(uniform_sparse(10_000, 4_000, 0.001, 38)).to_csc();
+        calibration_row("10-nnz cols", &tens, 256);
+        let uniform10 = from_datagen!(uniform_sparse(4_000, 1_000, 0.1, 37)).to_csc();
+        calibration_row("uniform 10 % cols", &uniform10, 64);
+        let covtype = from_datagen!(PaperDataset::Covtype.generate_matrix(0.1, 808));
+        calibration_row("covtype rows", &covtype, 128);
+    }
+
     /// Counts `slice` calls on the matrix it wraps.
     struct Counting<'a>(&'a CscMatrix, std::sync::atomic::AtomicUsize);
 
@@ -824,19 +1325,24 @@ mod tests {
     fn kernels_look_each_selected_slice_up_once() {
         // A lookup may cost a search on an out-of-core source, so a block
         // pays for k of them per kernel, not one per pair-dot — and the
-        // full-slice predicate reads the slices already looked up.
+        // schedule choice reads the slices already looked up. The three
+        // matrices take the scatter, full-slice and row-intersection
+        // schedules.
         let sparse = random_sparse(120, 300, 0.1, 21).to_csc();
         let dense = random_sparse(120, 300, 1.0, 22).to_csc();
+        let rare = random_sparse(2000, 300, 0.003, 23).to_csc();
         let sel: Vec<usize> = (0..256).map(|i| (i * 7) % 300).collect();
-        let v = vec![1.0; 120];
-        for (csc, threads) in [(&sparse, 1usize), (&sparse, 4), (&dense, 1), (&dense, 4)] {
-            let counted = Counting(csc, Default::default());
-            let (mut g, mut c) = (DenseMatrix::zeros(0, 0), DenseMatrix::zeros(0, 0));
-            sampled_gram_into(&counted, &sel, threads, &mut GramWorkspace::new(), &mut g);
-            sampled_cross_into(&counted, &sel, &[&v], &mut c);
-            let calls = counted.1.into_inner();
-            assert!(calls <= 3 * sel.len(), "threads={threads}: {calls} lookups");
-            assert_eq!(g.as_slice(), sampled_gram(csc, &sel).as_slice());
+        for csc in [&sparse, &dense, &rare] {
+            let v = vec![1.0; csc.rows()];
+            for threads in [1usize, 4] {
+                let counted = Counting(csc, Default::default());
+                let (mut g, mut c) = (DenseMatrix::zeros(0, 0), DenseMatrix::zeros(0, 0));
+                sampled_gram_into(&counted, &sel, threads, &mut GramWorkspace::new(), &mut g);
+                sampled_cross_into(&counted, &sel, &[&v], &mut c);
+                let calls = counted.1.into_inner();
+                assert!(calls <= 3 * sel.len(), "threads={threads}: {calls} lookups");
+                assert_eq!(g.as_slice(), sampled_gram(csc, &sel).as_slice());
+            }
         }
     }
 

@@ -29,11 +29,13 @@
 //!
 //! This module is the only place in the numeric crates allowed to spell
 //! out raw product-accumulate inner loops; `vecops` and `gram` route
-//! through it (enforced by `scripts/shim_guard.sh`). One deliberate
-//! exception: [`crate::SparseSlice::dot_dense`] stays a single
-//! scalar chain — its gather pattern defeats vectorization (measured
-//! slower with lane splitting), and its single-accumulator order is what
-//! the interleaved kernel below reproduces per lane.
+//! through it (enforced by `scripts/shim_guard.sh`). Two deliberate
+//! exceptions, both single scalar chains with one build, so no ISA can
+//! reach them: [`crate::SparseSlice::dot_dense`] — its gather pattern
+//! defeats vectorization (measured slower with lane splitting), and its
+//! single-accumulator order is what the interleaved kernel below
+//! reproduces per lane — and the sampled Gram's row-intersection schedule,
+//! whose pair updates are scattered scalar stores with no lanes to widen.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 

@@ -147,6 +147,54 @@ proptest! {
         prop_assert_eq!(&bits(&c), &holey_c1);
     }
 
+    /// Sparse slices take the scatter or the row-intersection schedule, as
+    /// the data decides; either way every entry is BITWISE the single-chain
+    /// reference's — on both layouts, at 1 and 4 threads, with empty slices
+    /// (`norm_sq`'s `−0.0` diagonal), duplicate selections and stored
+    /// `0.0`, `−0.0` and subnormals. Slice densities span both sides of the
+    /// choice: a few nonzeros on a long minor axis (row intersection) to a
+    /// third of a short one (scatter).
+    #[test]
+    fn sparse_schedules_match_the_single_chain_reference_bitwise(
+        seed in any::<u64>(),
+        k in 1usize..=160,
+        minor in 1usize..=3000,
+        per_slice in 0usize..=40,
+    ) {
+        let mut rng = xrng::rng_from_seed(seed);
+        let major = 1 + rng.next_index(200);
+        let (mut indptr, mut indices, mut values) = (vec![0], Vec::new(), Vec::new());
+        for _ in 0..major {
+            let nnz = rng.next_index(2 * per_slice + 1).min(minor);
+            let mut rows = xrng::sample_without_replacement(&mut rng, minor, nnz);
+            rows.sort_unstable();
+            for i in rows {
+                indices.push(i);
+                values.push(match rng.next_index(12) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f64::from_bits(1 + rng.next_index(1 << 20) as u64),
+                    _ => rng.next_gaussian(),
+                });
+            }
+            indptr.push(indices.len());
+        }
+        // The same slices as rows of a CSR and as columns of a CSC.
+        let csr = CsrMatrix::from_parts(major, minor, indptr.clone(), indices.clone(), values.clone());
+        let csc = CscMatrix::from_parts(minor, major, indptr, indices, values);
+        let sel: Vec<usize> = (0..k).map(|_| rng.next_index(major)).collect();
+        let (want, _) = single_chain_reference(&csr, &sel, &[]);
+
+        let mut ws = GramWorkspace::new();
+        let mut g = DenseMatrix::zeros(0, 0);
+        for threads in [1usize, 4] {
+            sampled_gram_into(&csr, &sel, threads, &mut ws, &mut g);
+            prop_assert_eq!(&bits(&g), &want, "csr, threads = {}", threads);
+            sampled_gram_into(&csc, &sel, threads, &mut ws, &mut g);
+            prop_assert_eq!(&bits(&g), &want, "csc, threads = {}", threads);
+        }
+    }
+
     /// CSR ↔ CSC ↔ dense conversions are lossless.
     #[test]
     fn format_conversions_roundtrip(coo in sparse_matrix()) {

@@ -216,27 +216,36 @@ pub fn parse_summary(doc: &str) -> Option<Summary> {
     schema_ok.then_some(summary)
 }
 
-/// A tiny recursive-descent JSON reader, just enough for
-/// [`parse_summary`].
-mod parse {
-    // `parse_summary` only consumes Str/Num/Obj, but the reader must
-    // still recognise the other shapes to skip past them.
-    #[allow(dead_code)]
+/// A tiny recursive-descent JSON reader: enough for [`parse_summary`] and
+/// for tools that read the other JSON documents this workspace writes
+/// (`ledger_check` reads the benchmark's trace files). Not a general JSON
+/// parser: numbers are `f64`, and objects keep their fields in document
+/// order, duplicates included.
+pub mod parse {
+    /// One JSON value.
     pub enum Val {
+        /// `null`.
         Null,
+        /// `true` or `false`.
         Bool(bool),
+        /// A number.
         Num(f64),
+        /// A string, escapes resolved.
         Str(String),
+        /// An array.
         Arr(Vec<Val>),
+        /// An object's fields, in document order.
         Obj(Vec<(String, Val)>),
     }
 
+    /// A read position in a document.
     pub struct Cursor<'a> {
         b: &'a [u8],
         i: usize,
     }
 
     impl<'a> Cursor<'a> {
+        /// A cursor at the start of `s`.
         pub fn new(s: &'a str) -> Self {
             Cursor {
                 b: s.as_bytes(),
@@ -266,6 +275,8 @@ mod parse {
         }
     }
 
+    /// Read one value at the cursor, leading whitespace skipped; `None` on
+    /// malformed input.
     pub fn value(c: &mut Cursor) -> Option<Val> {
         match c.peek()? {
             b'{' => {
