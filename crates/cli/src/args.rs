@@ -81,6 +81,16 @@ impl Args {
         given.map(String::as_str)
     }
 
+    /// The options and flags given, minus the names in `drop`, as the
+    /// tokens a child process re-parses into the same values.
+    pub fn forward(&self, drop: &[&str]) -> Vec<String> {
+        let kept = |name: &&String| !drop.contains(&name.as_str());
+        let options = self.options.iter().filter(|(k, _)| kept(k));
+        let options = options.flat_map(|(k, v)| [format!("--{k}"), v.clone()]);
+        let flags = self.flags.iter().filter(kept).map(|f| format!("--{f}"));
+        options.chain(flags).collect()
+    }
+
     /// Whether a boolean flag was given.
     pub fn flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
@@ -195,6 +205,19 @@ mod tests {
         let a = Args::parse(toks("shard --data x.svm --out d --verify --shards 8")).expect("parse");
         assert!(a.flag("verify"));
         assert_eq!(a.get("shards"), Some("8"));
+    }
+
+    #[test]
+    fn forward_reparses_to_the_same_options_minus_the_dropped() {
+        let given = "launch --data x.svm --rel-tol 1e-3 --acc --rundir d --metrics m.json --p 2";
+        let a = Args::parse(toks(given)).expect("parse");
+        let fwd = a.forward(&["rundir", "metrics"]);
+        let b = Args::parse([String::from("_netrank")].into_iter().chain(fwd)).expect("reparse");
+        assert_eq!(b.get("rel-tol"), Some("1e-3"));
+        assert_eq!((b.get("data"), b.get("p")), (Some("x.svm"), Some("2")));
+        assert!(b.flag("acc"));
+        assert_eq!((b.get("rundir"), b.get("metrics")), (None, None));
+        assert_eq!(b.names().count(), 4);
     }
 
     #[test]

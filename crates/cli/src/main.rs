@@ -2,14 +2,15 @@
 //!
 //! `saco help` prints every subcommand with its synopsis; both come from
 //! the [`SUBCOMMANDS`] table below, which is also what rejects an option a
-//! subcommand does not read.
+//! subcommand does not read. A solving subcommand's row also carries its
+//! family and defaults, and every solve runs through the one [`solve`] body.
 mod args;
 
 use args::{ArgError, Args};
 use datagen::{shard_plan, slice_nnz, PaperDataset};
 use mpisim::telemetry::report::parse_summary;
 use mpisim::telemetry::Registry;
-use mpisim::CostModel;
+use mpisim::{CostModel, CostReport};
 use saco::net::{Addr, Backoff, LassoRankData, NetComm, NetConfig};
 use saco::path::lasso_path;
 use saco::prox::Lasso;
@@ -18,7 +19,7 @@ use saco::run::{
     RankData, RunError, RunOutcome, RunSpec, Source,
 };
 use saco::serve::{ModelArtifact, ServeConfig};
-use saco::{KdcdConfig, KdcdStats, KdcdTask, LassoConfig, SvmConfig, SvmLoss};
+use saco::{ConvergenceTrace, KdcdConfig, KdcdTask, LassoConfig, SolveResult, SvmConfig, SvmLoss};
 use sparsela::io::{read_libsvm, write_libsvm, Dataset};
 use sparsela::shard::{
     verify_store, write_csc, write_csr, IoStats, ShardAxis, ShardStore, StreamingMatrix,
@@ -30,17 +31,18 @@ use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-/// A `saco` subcommand: where it dispatches, its line in `saco help`, and
-/// its synopsis. The synopsis is also the option whitelist — a subcommand
+/// A `saco` subcommand: what it runs, its line in `saco help`, and its
+/// synopsis. The synopsis is also the option whitelist — a subcommand
 /// accepts exactly the `--name`s written there (plus the process-wide
-/// `--threads`), so a misspelt or retired option fails before any file is
-/// opened instead of being silently ignored.
+/// `--threads`) — and the default table: a solve reads `--mu`, `--s`,
+/// `--iters`, `--trace-every` and `--lambda` defaults where `saco help`
+/// shows them.
 struct Subcommand {
     name: &'static str,
     /// Empty for the hidden `_netrank` child.
     about: &'static str,
     synopsis: &'static str,
-    run: fn(&Args) -> Result<(), ArgError>,
+    run: Run,
 }
 
 impl Subcommand {
@@ -51,6 +53,44 @@ impl Subcommand {
                 .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
                 .any(|tok| tok.strip_prefix("--") == Some(option))
     }
+
+    /// The default the synopsis states for `--name` (`[--s 16]`: 16);
+    /// `None` where it names a placeholder (`--lambda X`) or no option.
+    fn default<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        let flag = format!("--{name}");
+        let mut toks = self.synopsis.split_whitespace();
+        toks.find(|t| t.trim_start_matches('[') == flag)?;
+        toks.next()?.trim_end_matches(']').parse().ok()
+    }
+}
+
+/// What a subcommand runs.
+enum Run {
+    /// A body of its own.
+    Cmd(fn(&Args) -> Result<(), ArgError>),
+    /// The one solve body, [`solve`], for a family, with the `--engine`
+    /// default (`None`: no `--engine`, the solve is sequential).
+    Solve(Family, Option<&'static str>),
+}
+
+/// The solver family of a solving subcommand.
+#[derive(Clone, Copy)]
+enum Family {
+    Lasso,
+    Svm,
+    Ksvm,
+    Kridge,
+}
+
+/// `saco launch`'s synopsis; its `_netrank` child accepts the same
+/// options, with the same defaults, plus the two the parent adds per rank.
+macro_rules! launch_synopsis {
+    () => {
+        "--data train.svm [--p 4] [--engine net] [--lambda X | --lambda-frac 0.1]
+                [--s 16] [--mu 1] [--iters 2000] [--seed 42] [--acc] [--balanced]
+                [--rel-tol T] [--trace-every 0] [--rendezvous tcp:HOST:PORT]
+                [--rundir DIR] [--io-timeout 30] [--metrics merged.json]"
+    };
 }
 
 const SUBCOMMANDS: &[Subcommand] = &[
@@ -61,7 +101,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
                 [--s 16] [--iters 10000] [--seed 42] [--acc] [--rel-tol T]
                 [--trace-every 0] [--mem-budget 256M] [--metrics report.json]
                 [--model-out m.saco] [--out w.txt]",
-        run: cmd_lasso,
+        run: Run::Solve(Family::Lasso, None),
     },
     Subcommand {
         name: "svm",
@@ -70,7 +110,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
                 [--iters 100000] [--seed 42] [--gap-tol 0.1] [--trace-every 1000]
                 [--mem-budget 256M] [--metrics report.json] [--model-out m.saco]
                 [--out w.txt]",
-        run: cmd_svm,
+        run: Run::Solve(Family::Svm, None),
     },
     Subcommand {
         name: "ksvm",
@@ -81,7 +121,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
                 [--trace-every 0] [--cache-budget 64M] [--engine seq|sim|dist|net]
                 [--p 4] [--balanced] [--chaos spec] [--mem-budget 256M]
                 [--metrics report.json] [--model-out m.saco] [--out alpha.txt]",
-        run: |args| cmd_kdcd(args, true),
+        run: Run::Solve(Family::Ksvm, Some("seq")),
     },
     Subcommand {
         name: "kridge",
@@ -91,7 +131,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
                 [--cache-budget 64M] [--engine seq|sim|dist|net] [--p 4] [--balanced]
                 [--chaos spec] [--mem-budget 256M] [--metrics report.json]
                 [--model-out m.saco] [--out alpha.txt]",
-        run: |args| cmd_kdcd(args, false),
+        run: Run::Solve(Family::Kridge, Some("seq")),
     },
     Subcommand {
         name: "path",
@@ -99,13 +139,13 @@ const SUBCOMMANDS: &[Subcommand] = &[
         synopsis: "--data train.svm [--num 16] [--ratio 0.01] [--mu 8] [--s 16]
                 [--iters 10000] [--seed 42] [--rel-tol T] [--trace-every 0]
                 [--select-support K [--out w.txt]]",
-        run: cmd_path,
+        run: Run::Cmd(cmd_path),
     },
     Subcommand {
         name: "generate",
         about: "write a synthetic stand-in for a paper dataset",
         synopsis: "--dataset url --out file.svm [--scale 1.0] [--seed 42]",
-        run: cmd_generate,
+        run: Run::Cmd(cmd_generate),
     },
     Subcommand {
         name: "shard",
@@ -113,13 +153,13 @@ const SUBCOMMANDS: &[Subcommand] = &[
             out-of-core streaming (--verify round-trips bitwise)",
         synopsis: "--data file.svm | --dataset url [--scale 1.0] [--seed 42] --out DIR
                 [--axis csc|csr] [--shards 64] [--verify]",
-        run: cmd_shard,
+        run: Run::Cmd(cmd_shard),
     },
     Subcommand {
         name: "info",
         about: "print dataset statistics",
         synopsis: "--data file.svm|shard:DIR",
-        run: cmd_info,
+        run: Run::Cmd(cmd_info),
     },
     Subcommand {
         name: "simulate",
@@ -130,25 +170,20 @@ const SUBCOMMANDS: &[Subcommand] = &[
                 [--seed 42] [--acc] [--balanced] [--rel-tol T] [--trace-every 0]
                 [--mem-budget 256M] [--metrics report.json]
                 [--chaos seed=7,skew=0.2,jitter=1e-4,straggle=0.05,fail=3@10]",
-        run: cmd_simulate,
+        run: Run::Solve(Family::Lasso, Some("sim")),
     },
     Subcommand {
         name: "launch",
         about: "spawn --p real OS rank processes over a TCP/Unix socket mesh,
             solve, and merge the per-rank run reports (measured time)",
-        synopsis: "--data train.svm [--p 4] [--engine net] [--lambda X | --lambda-frac 0.1]
-                [--s 16] [--mu 1] [--iters 2000] [--seed 42] [--acc] [--balanced]
-                [--rel-tol T] [--trace-every 0] [--rendezvous tcp:HOST:PORT]
-                [--rundir DIR] [--io-timeout 30] [--metrics merged.json]",
-        run: cmd_launch,
+        synopsis: launch_synopsis!(),
+        run: Run::Solve(Family::Lasso, Some("net")),
     },
     Subcommand {
         name: "_netrank",
         about: "",
-        synopsis: "--rank R --p P --rendezvous ADDR --report rank.json --data train.svm
-                --lambda X [--s 16] [--mu 1] [--iters 2000] [--seed 42] [--acc]
-                [--balanced] [--rel-tol T] [--trace-every 0] [--io-timeout 30]",
-        run: cmd_netrank,
+        synopsis: concat!(launch_synopsis!(), " --rank R --report rank.json"),
+        run: Run::Solve(Family::Lasso, Some("net")),
     },
     Subcommand {
         name: "cv",
@@ -156,7 +191,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
         synopsis: "--data train.svm [--folds 5] [--num 12] [--ratio 0.01] [--mu 8]
                 [--s 16] [--iters 10000] [--seed 42] [--rel-tol T] [--trace-every 0]
                 [--metrics report.json]",
-        run: cmd_cv,
+        run: Run::Cmd(cmd_cv),
     },
     Subcommand {
         name: "serve",
@@ -166,18 +201,25 @@ const SUBCOMMANDS: &[Subcommand] = &[
         synopsis: "--model m.saco --data train.svm --listen unix:/tmp/s.sock
                 [--slo-ms 250] [--batch-max 64] [--train-iters 512] [--chaos spec]
                 [--max-requests N] [--metrics report.json]",
-        run: cmd_serve,
+        run: Run::Cmd(cmd_serve),
     },
     Subcommand {
         name: "help",
         about: "this message",
         synopsis: "",
-        run: |_| {
+        run: Run::Cmd(|_| {
             print_usage();
             Ok(())
-        },
+        }),
     },
 ];
+
+/// The table row of the subcommand `args` runs.
+fn row(args: &Args) -> &'static Subcommand {
+    let mut rows = SUBCOMMANDS.iter();
+    rows.find(|c| c.name == args.command)
+        .expect("dispatched from the table")
+}
 
 fn main() {
     let args = match Args::parse(std::env::args().skip(1)) {
@@ -209,7 +251,11 @@ fn main() {
             std::process::exit(2);
         }
     }
-    if let Err(e) = (sub.run)(&args) {
+    let done = match sub.run {
+        Run::Cmd(cmd) => cmd(&args),
+        Run::Solve(family, engine) => solve(&args, sub, family, engine),
+    };
+    if let Err(e) = done {
         fail(e.to_string());
     }
 }
@@ -226,13 +272,14 @@ fn print_usage() {
     }
     eprintln!(
         "
-`--model-out <path>` (lasso, svm, ksvm, kridge) writes a saco-model/v1
+`--model-out <path>` ({}) writes a saco-model/v1
 artifact. A non---acc lasso artifact is resumable: it stores the
 residual bits + sampling provenance, so `saco serve` continues training
 bitwise identically to an uncut run. Other families are score-only
 (kernel duals are inspect-only — they cannot be scored linearly).
 
-`--engine seq|sim|dist|net` (simulate; default sim) picks the backend:
+`--engine seq|sim|dist|net` picks the backend of
+{}:
 seq = sequential reference, sim = modeled virtual cluster (α-β-γ cost
 model), dist = thread-backed message-passing machine, net = in-process
 socket mesh with measured wall-clock time. All engines produce the same
@@ -247,20 +294,38 @@ the virtual cluster. Chaos perturbs time, never values: the solver
 output stays bitwise identical to the chaos-free run, and the run
 report gains `chaos.*` counters and gauges.
 
-`--data shard:<dir>` (lasso, svm, ksvm, kridge, info, simulate) streams
+`--data shard:<dir>` ({}) streams
 the solve out-of-core from a `saco shard` directory under a `--mem-budget`
 resident cap (default 256M; binary K/M/G suffixes). The sampler runs
 one block ahead so the loader prefetches behind compute; the iterates
-stay bitwise identical to the in-memory run."
+stay bitwise identical to the in-memory run.",
+        naming("--model-out"),
+        naming("--engine"),
+        naming("shard:DIR"),
     );
+}
+
+/// The listed subcommands whose synopsis names `token`, comma-separated;
+/// for `--engine`, each with its default.
+fn naming(token: &str) -> String {
+    let rows = SUBCOMMANDS.iter().filter(|c| !c.about.is_empty());
+    let names: Vec<String> = rows
+        .filter(|c| c.synopsis.contains(token))
+        .map(|c| match c.run {
+            Run::Solve(_, Some(e)) if token == "--engine" => format!("{} (default {e})", c.name),
+            _ => c.name.to_string(),
+        })
+        .collect();
+    names.join(", ")
 }
 
 fn load(args: &Args) -> Result<Dataset, ArgError> {
     let path = args.require("data")?;
     if shard_dir(args).is_some() {
         return Err(ArgError(format!(
-            "--data {path}: shard directories stream through lasso, svm, ksvm, kridge, \
-             info, and simulate; this subcommand needs a LIBSVM file"
+            "--data {path}: shard directories stream through {}; this subcommand \
+             needs a LIBSVM file",
+            naming("shard:DIR")
         )));
     }
     let file = File::open(path).map_err(|e| ArgError(format!("open {path}: {e}")))?;
@@ -351,14 +416,6 @@ impl Data {
             Data::Shards { labels, .. } => labels,
         }
     }
-
-    /// The marker streamed runs carry in their header line.
-    fn stream_tag(&self) -> String {
-        match self {
-            Data::Memory(_) => String::new(),
-            Data::Shards { budget, .. } => format!(" (streaming, budget {budget} bytes)"),
-        }
-    }
 }
 
 /// `(points, features)` of a shard store, whichever axis it chunks.
@@ -370,19 +427,9 @@ fn manifest_dims(store: &ShardStore) -> (usize, usize) {
     }
 }
 
-/// `--p` of a socket mesh, in-process or launched (default 4, at most
-/// `max`: one endpoint per rank).
-fn parse_mesh(args: &Args, max: usize) -> Result<usize, ArgError> {
-    match args.get_or("p", 4)? {
-        p if p == 0 || p > max => Err(ArgError(format!(
-            "a socket mesh runs one endpoint per rank; --p must be 1..={max}, got {p}"
-        ))),
-        p => Ok(p),
-    }
-}
-
-/// `--engine` by name plus the flags that parameterize it.
-fn parse_engine(args: &Args, name: &str) -> Result<Engine, ArgError> {
+/// `--engine` by name plus the flags that parameterize it; `mesh` is the
+/// most ranks engine net may run.
+fn parse_engine(args: &Args, name: &str, mesh: usize) -> Result<Engine, ArgError> {
     if name != "sim" && args.get("chaos").is_some() {
         return Err(ArgError(format!(
             "--chaos injects faults into the *modeled* cluster; engine {name:?} runs real code (use --engine sim)"
@@ -403,9 +450,14 @@ fn parse_engine(args: &Args, name: &str) -> Result<Engine, ArgError> {
             model,
             balanced,
         },
-        "net" => Engine::Net {
-            p: parse_mesh(args, 64)?,
-            balanced,
+        // One socket endpoint per rank (default 4, at most `mesh`).
+        "net" => match args.get_or("p", 4)? {
+            p if p == 0 || p > mesh => {
+                return Err(ArgError(format!(
+                    "a socket mesh runs one endpoint per rank; --p must be 1..={mesh}, got {p}"
+                )))
+            }
+            p => Engine::Net { p, balanced },
         },
         other => {
             return Err(ArgError(format!(
@@ -422,18 +474,29 @@ fn parse_chaos(args: &Args) -> Result<Option<mpisim::ChaosSpec>, ArgError> {
         .transpose()
 }
 
-/// The one place a command line becomes a run surface. `default_engine`
-/// is the subcommand's `--engine` default (`None`: the subcommand has no
-/// engine flag and runs sequentially); `axis` is what its method samples
-/// — a shard store of the other axis is rejected with re-shard advice.
+/// The one place a command line becomes a run surface: the engine
+/// (`--engine`, else the row's default; rows without one run
+/// sequentially) and the data. Only rows whose synopsis names `shard:DIR`
+/// stream, and a store of the other axis than the family samples is
+/// rejected with re-shard advice.
 fn parse_run(
     args: &Args,
+    sub: &Subcommand,
+    family: Family,
     default_engine: Option<&str>,
-    axis: ShardAxis,
 ) -> Result<(Engine, Data), ArgError> {
-    let name = default_engine.map_or("seq", |d| args.get("engine").unwrap_or(d));
-    let engine = parse_engine(args, name)?;
-    let Some(dir) = shard_dir(args) else {
+    let name = default_engine.map_or("seq", |e| args.get("engine").unwrap_or(e));
+    // A launched mesh runs one process per rank, an in-process one a thread.
+    let launched = matches!(sub.name, "launch" | "_netrank");
+    if launched && name != "net" {
+        return Err(ArgError(format!(
+            "launch spawns real rank processes, which only the net engine supports; \
+             got --engine {name:?} (run `saco simulate --engine {name}` instead)"
+        )));
+    }
+    let engine = parse_engine(args, name, if launched { 256 } else { 64 })?;
+    let streams = sub.synopsis.contains("shard:DIR");
+    let Some(dir) = shard_dir(args).filter(|_| streams) else {
         return Ok((engine, Data::Memory(load(args)?)));
     };
     if args.get("chaos").is_some() {
@@ -451,20 +514,22 @@ fn parse_run(
     }
     let budget = parse_bytes(args.get("mem-budget").unwrap_or("256M"))
         .map_err(|e| ArgError(format!("--mem-budget: {e}")))?;
+    let axis = match family {
+        Family::Lasso => ShardAxis::Csc,
+        Family::Svm | Family::Ksvm | Family::Kridge => ShardAxis::Csr,
+    };
     let store = open_store(Path::new(dir), axis)?;
     let labels = store
         .read_labels()
         .map_err(|e| ArgError(format!("read labels from {dir}: {e}")))?;
     let dir = PathBuf::from(dir);
-    Ok((
-        engine,
-        Data::Shards {
-            dir,
-            budget,
-            store,
-            labels,
-        },
-    ))
+    let data = Data::Shards {
+        dir,
+        budget,
+        store,
+        labels,
+    };
+    Ok((engine, data))
 }
 
 /// A typed run error, rendered for the terminal.
@@ -474,12 +539,16 @@ impl From<RunError> for ArgError {
     }
 }
 
-/// λ from `--lambda`, else `--lambda-frac` (default 0.1) of ‖Aᵀb‖∞. On a
-/// shard store (CSC axis: the major slices *are* the columns) one
-/// transient pass of [`SliceSource::major_spmv_into`] computes Aᵀb on a
-/// throwaway view, so the solve's I/O counters start clean.
+/// λ from `--lambda`, else the synopsis default, else `--lambda-frac`
+/// (default 0.1) of ‖Aᵀb‖∞. On a shard store (CSC axis: the major slices
+/// *are* the columns) one transient pass of
+/// [`SliceSource::major_spmv_into`] computes Aᵀb on a throwaway view, so
+/// the solve's I/O counters start clean.
 fn resolve_lambda(args: &Args, data: &Data) -> Result<f64, ArgError> {
-    if let Some(l) = args.get_opt::<f64>("lambda")? {
+    if let Some(l) = args
+        .get_opt::<f64>("lambda")?
+        .or(row(args).default("lambda"))
+    {
         return Ok(l);
     }
     let frac = args.get_or("lambda-frac", 0.1)?;
@@ -516,6 +585,318 @@ fn parse_bytes(s: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("{s:?} overflows a u64 byte count"))
 }
 
+// ---------------------------------------------------------------------------
+// The one solve body: parse → run → report.
+// ---------------------------------------------------------------------------
+
+/// A solve's configuration. `cfg` holds the options every family reads
+/// (λ, `--s`, `--seed`, `--iters`, `--trace-every`; µ = 1 on the dual rows,
+/// which sample one row per step): the Lasso config itself, and the
+/// sampling provenance a `--model-out` artifact records.
+struct Task {
+    cfg: LassoConfig,
+    reg: Lasso,
+    kind: Kind,
+}
+
+/// What a [`Task`] runs beyond its shared options.
+enum Kind {
+    Lasso { accel: bool },
+    Svm(SvmConfig),
+    Kdcd(KdcdConfig),
+}
+
+/// The Lasso options, with the running subcommand's defaults. Every
+/// solving row's synopsis states its `--s`, `--iters` and `--trace-every`
+/// defaults; the dual rows take no `--mu` (one row per step: µ = 1).
+fn lasso_cfg(args: &Args, lambda: f64) -> Result<LassoConfig, ArgError> {
+    let sub = row(args);
+    let stated = |name| {
+        let missing = || panic!("saco {}: the synopsis states no --{name} default", sub.name);
+        sub.default(name).unwrap_or_else(missing)
+    };
+    Ok(LassoConfig {
+        mu: positive(args, "mu", sub.default("mu").unwrap_or(1))?,
+        s: positive(args, "s", stated("s"))?,
+        lambda,
+        seed: args.get_or("seed", 42)?,
+        max_iters: positive(args, "iters", stated("iters"))?,
+        trace_every: args.get_or("trace-every", stated("trace-every"))?,
+        rel_tol: args.get_opt("rel-tol")?,
+        ..Default::default()
+    })
+}
+
+impl Task {
+    fn parse(args: &Args, data: &Data, family: Family) -> Result<Task, ArgError> {
+        let lambda = resolve_lambda(args, data)?;
+        let cfg = lasso_cfg(args, lambda)?;
+        let loss = || match args.get("loss").unwrap_or("l1") {
+            "l1" | "L1" => Ok(SvmLoss::L1),
+            "l2" | "L2" => Ok(SvmLoss::L2),
+            other => Err(ArgError(format!("--loss must be l1 or l2, got {other:?}"))),
+        };
+        let (s, seed, max_iters, trace_every) = (cfg.s, cfg.seed, cfg.max_iters, cfg.trace_every);
+        let kind = match family {
+            Family::Lasso => Kind::Lasso {
+                accel: args.flag("acc"),
+            },
+            Family::Svm => Kind::Svm(SvmConfig {
+                loss: loss()?,
+                lambda,
+                s,
+                seed,
+                max_iters,
+                trace_every,
+                gap_tol: args.get_opt("gap-tol")?,
+                ..Default::default()
+            }),
+            // `--kernel rbf:gamma=G | poly:d=D,gamma=G,coef0=C | linear`
+            // (default `rbf:gamma=1`), parsed by `sparsela::KernelFn`.
+            Family::Ksvm | Family::Kridge => Kind::Kdcd(KdcdConfig {
+                task: match family {
+                    Family::Ksvm => KdcdTask::Svm(loss()?),
+                    _ => KdcdTask::Ridge,
+                },
+                kernel: sparsela::KernelFn::parse(args.get("kernel").unwrap_or("rbf:gamma=1"))
+                    .map_err(|e| ArgError(format!("--kernel: {e}")))?,
+                lambda,
+                s,
+                seed,
+                max_iters,
+                trace_every,
+                cache_budget_bytes: parse_bytes(args.get("cache-budget").unwrap_or("64M"))
+                    .map_err(|e| ArgError(format!("--cache-budget: {e}")))?
+                    as usize,
+                ..Default::default()
+            }),
+        };
+        let reg = Lasso::new(lambda);
+        Ok(Task { cfg, reg, kind })
+    }
+
+    fn method(&self) -> Method<'_> {
+        match &self.kind {
+            &Kind::Lasso { accel } => Method::Lasso {
+                reg: &self.reg,
+                cfg: &self.cfg,
+                accel,
+            },
+            Kind::Svm(cfg) => Method::Svm(cfg),
+            Kind::Kdcd(cfg) => Method::Kdcd(cfg),
+        }
+    }
+
+    /// The header every solve prints first: the subcommand with its loss
+    /// or kernel; the engine and its ranks (rows with `--engine`) and the
+    /// streaming budget; the shape, λ, µ, s and the iteration budget.
+    fn print_header(&self, name: &str, engine: &Engine, data: &Data, engine_row: bool) {
+        let variant = match &self.kind {
+            Kind::Lasso { .. } => String::new(),
+            Kind::Svm(c) => format!("-{:?}", c.loss),
+            Kind::Kdcd(c) => format!("-{:?}", c.kernel),
+        };
+        let mut tags = Vec::new();
+        if engine_row {
+            tags.push(format!("engine {}", engine.name()));
+            tags.extend(engine.ranks().map(|p| format!("{p} ranks")));
+        }
+        if let Data::Shards { budget, .. } = data {
+            tags.push(format!("streaming, budget {budget} bytes"));
+        }
+        let tags = match tags.is_empty() {
+            true => String::new(),
+            false => format!(" ({})", tags.join(", ")),
+        };
+        let ((points, features), c) = (data.dims(), &self.cfg);
+        println!(
+            "{name}{variant}{tags}: {points} × {features}, λ = {:.6e}, µ = {}, s = {}, H = {}",
+            c.lambda, c.mu, c.s, c.max_iters
+        );
+    }
+
+    /// The result lines: the final objective under an engine summary,
+    /// else the Lasso objective and support, the SVM duality gap and
+    /// training accuracy, or the kernel dual objective with its cache and
+    /// exchange counters.
+    fn print_result(&self, out: &RunOutcome, data: &Data, engine_row: bool) {
+        let res = out.result();
+        let (value, iters) = (res.final_value(), res.iters);
+        match &self.kind {
+            Kind::Lasso { .. } if engine_row => println!("  final objective {value:.6e}"),
+            Kind::Lasso { .. } => println!(
+                "objective: {value:.6e} (from {:.6e}); nonzeros: {}/{}",
+                res.trace.initial_value(),
+                vecops::nnz_count(&res.x, 1e-10),
+                res.x.len()
+            ),
+            Kind::Svm(cfg) => {
+                let prob = saco::problem::SvmProblem::new(cfg.loss, cfg.lambda);
+                let acc = data.dataset().map_or(String::new(), |ds| {
+                    let acc = prob.accuracy(&ds.a, &ds.b, &res.x);
+                    format!("; training accuracy: {acc:.4}")
+                });
+                println!("duality gap: {value:.6e} after {iters} iterations{acc}");
+            }
+            Kind::Kdcd(_) => {
+                println!("dual objective: {value:.6e} after {iters} iterations");
+                let (k, c) = (&out.kdcd[0], &out.kdcd[0].cache);
+                let rate = 100.0 * c.hits as f64 / (c.hits + c.misses).max(1) as f64;
+                println!(
+                    "kernel cache: {} hits / {} misses ({rate:.1}% hit) | {} evictions | {} resident bytes",
+                    c.hits, c.misses, c.evictions, k.cache_resident_bytes
+                );
+                println!(
+                    "exchanges: {} words moved | {} all-hit rounds skipped the allreduce",
+                    k.exchange_words, k.exchange_skipped
+                );
+            }
+        }
+    }
+}
+
+/// The one solve body: parse the row's engine, data and [`Task`], then run
+/// it — in this process, as one rank of `saco launch` (`_netrank`), or
+/// across launched rank processes (`launch`) — and report: header, engine
+/// summary (rows with `--engine`), result, I/O, then the output tail.
+fn solve(
+    args: &Args,
+    sub: &Subcommand,
+    family: Family,
+    default_engine: Option<&str>,
+) -> Result<(), ArgError> {
+    let (engine, data) = parse_run(args, sub, family, default_engine)?;
+    let pm1 = data.labels().iter().all(|&b| b == 1.0 || b == -1.0);
+    if matches!(family, Family::Svm | Family::Ksvm) && !pm1 {
+        return Err(ArgError(format!("{} needs ±1 labels", sub.name)));
+    }
+    let task = Task::parse(args, &data, family)?;
+    let resumable = matches!(task.kind, Kind::Lasso { accel: false });
+    let resumable = resumable && args.get("model-out").is_some();
+    if resumable && args.get("rel-tol").is_some() {
+        let why = "a resumable artifact trains exactly --iters; drop --rel-tol or add --acc";
+        return Err(ArgError(format!(
+            "--rel-tol cannot stop a --model-out solve: {why}"
+        )));
+    }
+    let spec = RunSpec::new(task.method(), engine, data.source());
+    if sub.name == "_netrank" {
+        return solve_rank(args, &spec, &data);
+    }
+    let engine_row = default_engine.is_some();
+    task.print_header(sub.name, &engine, &data, engine_row);
+    if sub.name == "launch" {
+        return launch(args, &engine);
+    }
+    let (out, trained) = match data.dataset().filter(|_| resumable) {
+        Some(ds) => train_resumable(&spec, ds)?,
+        None => (run(&spec)?, None),
+    };
+    if engine_row {
+        let secs = out.report.map_or(out.wall_secs, |rep| rep.running_time());
+        print_summary(&engine, secs, out.report, &out.telemetry, "");
+    }
+    task.print_result(&out, &data, engine_row);
+    print_io(&out.io);
+    // Score-only unless trained resumable: an accelerated Lasso iterate has
+    // no single warm-startable residual chain, and kernel duals are
+    // inspect-only (the server's score path refuses them).
+    let res = out.result();
+    let model = data.dataset().filter(|_| args.get("model-out").is_some());
+    let model = model.map(|ds| {
+        trained.unwrap_or_else(|| {
+            let family = match sub.name {
+                "lasso" => "lasso-acc",
+                dual => dual,
+            };
+            let (first, last) = (res.trace.initial_value(), res.final_value());
+            let (x, lambda) = (res.x.clone(), task.cfg.lambda);
+            ModelArtifact::from_solution(family, ds, &task.cfg, lambda, x, res.iters, first, last)
+        })
+    });
+    finish(args, out.run_report(), model, &res.x)
+}
+
+/// A non-`--acc` Lasso with `--model-out`: `ModelArtifact::train_lasso`
+/// runs the same driver as `sa_bcd` — bitwise the same solve — but also
+/// captures the residual bits and sampling provenance `saco serve` needs
+/// to resume training. Returned with the outcome the report reads.
+fn train_resumable(
+    spec: &RunSpec<'_>,
+    ds: &Dataset,
+) -> Result<(RunOutcome, Option<ModelArtifact>), ArgError> {
+    let Method::Lasso { reg, cfg, .. } = spec.method else {
+        unreachable!("only the Lasso family trains a resumable artifact");
+    };
+    cfg.check(ds.num_features()).map_err(RunError::Config)?;
+    let t0 = Instant::now();
+    let art = ModelArtifact::train_lasso(ds, reg, cfg.lambda, cfg);
+    let mut trace = ConvergenceTrace::new();
+    trace.push(0, art.initial_obj, 0.0);
+    trace.push(art.iters, art.final_obj, 0.0);
+    let mut telemetry = Registry::new();
+    telemetry.set_meta("solver", spec.solver_name());
+    telemetry.counter_add("solver.iterations", art.iters as u64);
+    let (x, iters) = (art.x.clone(), art.iters);
+    let out = RunOutcome {
+        results: vec![SolveResult { x, trace, iters }],
+        kdcd: Vec::new(),
+        report: None,
+        telemetry,
+        io: Vec::new(),
+        wall_secs: t0.elapsed().as_secs_f64(),
+        engine: spec.engine.name(),
+    };
+    Ok((out, Some(art)))
+}
+
+/// The engine summary under the header of a row with `--engine`: the
+/// clock line (`note` qualifies it), then the modeled critical-path costs
+/// (sim, dist), the measured wire totals (net) and the injected chaos.
+fn print_summary(engine: &Engine, secs: f64, costs: Option<CostReport>, t: &Registry, note: &str) {
+    let (clock, kind) = match engine {
+        Engine::Sim { .. } => ("running time", "simulated"),
+        Engine::Dist { .. } => ("running time", "modeled"),
+        Engine::Seq | Engine::Net { .. } => ("wall time", "measured"),
+    };
+    println!("  {clock}: {secs:.6} s ({kind}{note})");
+    if let Some(c) = costs.map(|rep| rep.critical) {
+        println!(
+            "  compute {:.6} s | communicate {:.6} s | idle {:.6} s",
+            c.comp_time, c.comm_time, c.idle_time
+        );
+        println!(
+            "  messages {} | words {} | flops {}",
+            c.messages, c.words, c.flops
+        );
+    }
+    if matches!(engine, Engine::Net { .. }) {
+        println!(
+            "  in collectives {:.6} s | of which wait {:.6} s",
+            t.gauge("net.comm.wall_secs").unwrap_or(0.0),
+            t.gauge("net.wait.wall_secs").unwrap_or(0.0),
+        );
+        println!(
+            "  bytes {} | frames {} | collectives {} | reconnects {}",
+            t.counter("net.bytes_tx"),
+            t.counter("net.frames_tx"),
+            t.counter("net.collectives"),
+            t.counter("net.reconnects"),
+        );
+    }
+    if matches!(engine, Engine::Sim { chaos: Some(_), .. }) {
+        println!(
+            "  chaos: {} stalls ({:.6} s) | jitter {:.6} s | skew {:.6} s | {} failures (recovery {:.6} s)",
+            t.counter("chaos.stalls"),
+            t.gauge("chaos.stall_time").unwrap_or(0.0),
+            t.gauge("chaos.jitter_time").unwrap_or(0.0),
+            t.gauge("chaos.skew_time").unwrap_or(0.0),
+            t.counter("chaos.failures"),
+            t.gauge("chaos.recovery_time").unwrap_or(0.0),
+        );
+    }
+}
+
 /// One human line summarizing streaming I/O across views (none for an
 /// in-memory run): counters add, the resident high-water mark is the
 /// per-view maximum.
@@ -538,91 +919,154 @@ fn print_io(stats: &[IoStats]) {
     );
 }
 
-/// The per-engine summary vocabulary, one row per engine: the title
-/// `simulate` prints, what the engine's clock is called, and how its time
-/// is qualified.
-fn engine_view(engine: &Engine, streaming: bool) -> (String, &'static str, &'static str) {
-    let st = if streaming { ", streaming" } else { "" };
-    match engine {
-        Engine::Seq => {
-            let title = format!("sequential (engine seq{st})");
-            (title, "wall time", "measured")
-        }
-        Engine::Sim { p, .. } => {
-            let st = if streaming { " (streaming)" } else { "" };
-            let title = format!("simulated {p} ranks{st}");
-            (title, "running time", "simulated")
-        }
-        Engine::Dist { p, .. } => {
-            let title = format!("thread machine (engine dist{st}), {p} ranks");
-            (title, "running time", "modeled")
-        }
-        Engine::Net { p, .. } => {
-            let title = format!("socket mesh (engine net{st}), {p} ranks");
-            (title, "wall time", "measured")
-        }
+/// The one output tail: `--metrics` writes the run report (stamped with
+/// the dataset and the host-pool gauges), `--model-out` the artifact,
+/// `--out` the iterate.
+fn finish(
+    args: &Args,
+    mut report: Registry,
+    model: Option<ModelArtifact>,
+    x: &[f64],
+) -> Result<(), ArgError> {
+    if let Some(path) = args.get("metrics") {
+        report.set_meta("dataset", args.require("data")?);
+        // Pool activity gauges are host measurements: they vary with
+        // --threads (and machine load) while the deterministic sections of
+        // the report stay bitwise identical.
+        let (nthreads, pool) = (saco_par::threads(), saco_par::stats());
+        report.gauge_set("par.threads", nthreads as f64);
+        report.gauge_set("par.regions", pool.regions as f64);
+        report.gauge_set("par.tiles", pool.tiles as f64);
+        report.gauge_set("par.utilization", pool.utilization(nthreads));
+        mpisim::telemetry::write_run_report(&report, Path::new(path))
+            .map_err(|e| ArgError(format!("write {path}: {e}")))?;
+        println!("metrics written to {path}");
     }
+    if let Some((art, path)) = model.zip(args.get("model-out")) {
+        art.save(Path::new(path))
+            .map_err(|e| ArgError(format!("write model {path}: {e}")))?;
+        let kind = match art.resumable() {
+            true => "resumable",
+            false => "score-only",
+        };
+        println!(
+            "model artifact ({kind}, {} iters) written to {path}",
+            art.iters
+        );
+    }
+    write_weights(args, x)
 }
 
-/// The per-engine run summary: the clock line, then the modeled
-/// critical-path costs (sim, dist) or the measured wire totals (net).
-/// `titled` summaries (`simulate`) already named the engine and its
-/// rank count on a title line; the others qualify the clock line instead.
-fn print_engine_summary(engine: &Engine, out: &RunOutcome, titled: bool) {
-    let (_, clock, kind) = engine_view(engine, false);
-    let mut tags = Vec::new();
-    // `simulate --engine sim` is the one summary that never qualified
-    // its clock: simulated time is that engine's whole point.
-    if !(titled && matches!(engine, Engine::Sim { .. })) {
-        tags.push(kind.to_string());
-    }
-    if !titled {
-        tags.extend(engine.ranks().map(|p| format!("{p} ranks")));
-    }
-    let tags = match tags.is_empty() {
-        true => String::new(),
-        false => format!(" ({})", tags.join(", ")),
+/// `saco launch`: spawn `--p` rank processes, each this binary's hidden
+/// `_netrank` given this command line minus what only the parent reads
+/// (`--rundir`, `--metrics`) plus its `--rank`, its `--report` and the
+/// resolved `--rendezvous`; wait for all of them and merge their reports.
+fn launch(args: &Args, engine: &Engine) -> Result<(), ArgError> {
+    let p = engine.ranks().expect("launch runs engine net");
+    let rundir = match args.get("rundir") {
+        Some(d) => PathBuf::from(d),
+        None => std::env::temp_dir().join(format!("saco-launch-{}", std::process::id())),
     };
-    let secs = out.report.map_or(out.wall_secs, |rep| rep.running_time());
-    println!("  {clock}: {secs:.6} s{tags}");
-    if let Some(rep) = out.report {
-        let c = rep.critical;
-        println!(
-            "  compute {:.6} s | communicate {:.6} s | idle {:.6} s",
-            c.comp_time, c.comm_time, c.idle_time
-        );
-        println!(
-            "  messages {} | words {} | flops {}",
-            c.messages, c.words, c.flops
-        );
+    std::fs::create_dir_all(&rundir)
+        .map_err(|e| ArgError(format!("create {}: {e}", rundir.display())))?;
+    let rendezvous = match args.get("rendezvous") {
+        Some(r) => r.to_string(),
+        None => format!("unix:{}", rundir.join("rendezvous.sock").display()),
+    };
+    Addr::parse(&rendezvous).map_err(|e| ArgError(format!("--rendezvous: {e}")))?;
+    let exe = std::env::current_exe().map_err(|e| ArgError(format!("current_exe: {e}")))?;
+    println!("launching {p} rank processes (rendezvous {rendezvous})");
+    let forwarded = args.forward(&["rundir", "metrics", "rendezvous"]);
+    let mut children = Vec::with_capacity(p);
+    for rank in 0..p {
+        let child = std::process::Command::new(&exe)
+            .arg("_netrank")
+            .args(&forwarded)
+            .args(["--rank", &rank.to_string(), "--rendezvous", &rendezvous])
+            .arg("--report")
+            .arg(rundir.join(format!("rank{rank}.json")))
+            .spawn()
+            .map_err(|e| ArgError(format!("spawn rank {rank}: {e}")))?;
+        children.push((rank, child));
     }
-    if matches!(engine, Engine::Net { .. }) {
-        print_wire_totals(&out.telemetry);
+    // Fail-stop: a dead rank closes its sockets, so surviving ranks see
+    // typed Closed/Timeout errors and exit instead of hanging — waiting
+    // in rank order cannot deadlock.
+    let failed: Vec<usize> = children
+        .into_iter()
+        .filter_map(|(rank, mut child)| (!child.wait().is_ok_and(|s| s.success())).then_some(rank))
+        .collect();
+    if !failed.is_empty() {
+        return Err(ArgError(format!(
+            "ranks {failed:?} exited nonzero (see stderr above); per-rank reports in {}",
+            rundir.display()
+        )));
     }
+    let mut ranks = Vec::with_capacity(p);
+    for rank in 0..p {
+        let path = rundir.join(format!("rank{rank}.json"));
+        let doc = std::fs::read_to_string(&path)
+            .map_err(|e| ArgError(format!("read {}: {e}", path.display())))?;
+        let summary = parse_summary(&doc)
+            .ok_or_else(|| ArgError(format!("malformed run report {}", path.display())))?;
+        let mut reg = Registry::new();
+        summary.apply_to(&mut reg);
+        ranks.push(reg);
+    }
+    let merged = merge_rank_registries(&ranks);
+    println!("all {p} ranks finished:");
+    let wall = merged.gauge("time.wall_secs").unwrap_or(0.0);
+    print_summary(engine, wall, None, &merged, ", max over ranks");
+    println!(
+        "  final objective {:.6e}",
+        merged.gauge("objective.final").unwrap_or(f64::NAN)
+    );
+    println!("per-rank reports in {}", rundir.display());
+    finish(args, merged, None, &[])
 }
 
-/// The measured `net.*` totals of a mesh run (in-process or launched).
-fn print_wire_totals(t: &Registry) {
-    println!(
-        "  in collectives {:.6} s | of which wait {:.6} s",
-        t.gauge("net.comm.wall_secs").unwrap_or(0.0),
-        t.gauge("net.wait.wall_secs").unwrap_or(0.0),
-    );
-    println!(
-        "  bytes {} | frames {} | collectives {} | reconnects {}",
-        t.counter("net.bytes_tx"),
-        t.counter("net.frames_tx"),
-        t.counter("net.collectives"),
-        t.counter("net.reconnects"),
-    );
-}
-
-/// The one metrics tail: `--metrics <path>` writes the run's report.
-fn write_run_metrics(args: &Args, out: &RunOutcome) -> Result<(), ArgError> {
-    match args.get("metrics") {
-        Some(path) => write_metrics(args, &mut out.run_report(), path),
-        None => Ok(()),
-    }
+/// `_netrank`, one rank process of `saco launch`: joins the mesh at
+/// `--rendezvous`, solves its `--rank`-th partition of the parent's
+/// command line, and writes its `saco-telemetry/v1` report to `--report`.
+fn solve_rank(args: &Args, spec: &RunSpec<'_>, data: &Data) -> Result<(), ArgError> {
+    let (Engine::Net { p, balanced }, Some(ds)) = (spec.engine, data.dataset()) else {
+        unreachable!("launch rows run engine net on a LIBSVM file");
+    };
+    let rank: usize = args
+        .require("rank")?
+        .parse()
+        .map_err(|_| ArgError("--rank: not a rank index".into()))?;
+    let rendezvous = Addr::parse(args.require("rendezvous")?)
+        .map_err(|e| ArgError(format!("--rendezvous: {e}")))?;
+    let report = args.require("report")?;
+    // Every rank loads the shared file and takes its own row block — the
+    // same deterministic split the in-process engines use, so `launch`
+    // reproduces their iterates exactly.
+    let (_, blocks) = LassoRankData::split(ds, p, balanced);
+    let net_cfg = NetConfig {
+        rank,
+        size: p,
+        rendezvous,
+        io_timeout: Duration::from_secs(args.get_or("io-timeout", 30)?),
+        connect: Backoff::default(),
+    };
+    let mut comm = NetComm::establish(net_cfg)
+        .map_err(|e| ArgError(format!("rank {rank}/{p}: mesh establish: {e}")))?;
+    let t0 = Instant::now();
+    let (res, _) = run_rank(
+        &spec.method,
+        RankComm::Net(&mut comm),
+        RankData::Lasso(&blocks[rank]),
+    )?;
+    let wall = t0.elapsed().as_secs_f64();
+    let mut telemetry = net_rank_telemetry(&spec.solver_name(), &comm, wall);
+    telemetry.set_meta("dataset", args.require("data")?);
+    telemetry.gauge_set("objective.final", res.final_value());
+    telemetry.gauge_set("time.wall_secs", wall);
+    mpisim::telemetry::write_run_report(&telemetry, Path::new(report))
+        .map_err(|e| ArgError(format!("write {report}: {e}")))?;
+    comm.shutdown();
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -724,282 +1168,6 @@ fn cmd_shard(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-fn lasso_cfg(args: &Args, lambda: f64) -> Result<LassoConfig, ArgError> {
-    Ok(LassoConfig {
-        mu: positive(args, "mu", 8)?,
-        s: positive(args, "s", 16)?,
-        lambda,
-        seed: args.get_or("seed", 42)?,
-        max_iters: positive(args, "iters", 10_000)?,
-        trace_every: args.get_or("trace-every", 0)?,
-        rel_tol: args.get_opt("rel-tol")?,
-        ..Default::default()
-    })
-}
-
-/// `--model-out` for a solution with no resumable training state: the
-/// iterate plus its sampling provenance (`prov.lambda` is the trained λ).
-fn save_solution(
-    args: &Args,
-    data: &Data,
-    family: &str,
-    prov: &LassoConfig,
-    iters: usize,
-    res: &saco::SolveResult,
-) -> Result<(), ArgError> {
-    let Some((mpath, ds)) = args.get("model-out").zip(data.dataset()) else {
-        return Ok(());
-    };
-    let (first, last) = (res.trace.initial_value(), res.final_value());
-    let art = ModelArtifact::from_solution(
-        family,
-        ds,
-        prov,
-        prov.lambda,
-        res.x.clone(),
-        iters,
-        first,
-        last,
-    );
-    save_artifact(&art, mpath)
-}
-
-/// Write a model artifact and say what the server can do with it.
-fn save_artifact(art: &ModelArtifact, path: &str) -> Result<(), ArgError> {
-    art.save(Path::new(path))
-        .map_err(|e| ArgError(format!("write model {path}: {e}")))?;
-    println!(
-        "model artifact ({}, {} iters) written to {path}",
-        if art.resumable() {
-            "resumable"
-        } else {
-            "score-only"
-        },
-        art.iters
-    );
-    Ok(())
-}
-
-fn cmd_lasso(args: &Args) -> Result<(), ArgError> {
-    let (engine, data) = parse_run(args, None, ShardAxis::Csc)?;
-    let lambda = resolve_lambda(args, &data)?;
-    let cfg = lasso_cfg(args, lambda)?;
-    let reg = Lasso::new(lambda);
-    let accel = args.flag("acc");
-    let (points, features) = data.dims();
-    println!(
-        "lasso{}: {points} × {features}, λ = {lambda:.6e}, µ = {}, s = {}, H = {}",
-        data.stream_tag(),
-        cfg.mu,
-        cfg.s,
-        cfg.max_iters
-    );
-    if let (Some((mpath, ds)), false) = (args.get("model-out").zip(data.dataset()), accel) {
-        // The artifact trainer is the same driver run as sa_bcd — bitwise
-        // the same solve — but it also captures the residual bits and
-        // sampling provenance the server needs to resume training.
-        let art = ModelArtifact::train_lasso(ds, &reg, lambda, &cfg);
-        println!(
-            "objective: {:.6e} (from {:.6e}); nonzeros: {}/{}",
-            art.final_obj,
-            art.initial_obj,
-            art.nonzeros(),
-            art.x.len()
-        );
-        save_artifact(&art, mpath)?;
-        return write_weights(args, &art.x);
-    }
-    let method = Method::Lasso {
-        reg: &reg,
-        cfg: &cfg,
-        accel,
-    };
-    let out = run(&RunSpec::new(method, engine, data.source()))?;
-    let res = out.result();
-    println!(
-        "objective: {:.6e} (from {:.6e}); nonzeros: {}/{}",
-        res.final_value(),
-        res.trace.initial_value(),
-        vecops::nnz_count(&res.x, 1e-10),
-        res.x.len()
-    );
-    print_io(&out.io);
-    write_run_metrics(args, &out)?;
-    // Accelerated iterates have no single warm-startable residual chain:
-    // persist the solution score-only.
-    save_solution(args, &data, "lasso-acc", &cfg, cfg.max_iters, res)?;
-    write_weights(args, &res.x)
-}
-
-/// The SVM solver options shared by the in-memory and streaming paths.
-fn svm_cfg(args: &Args) -> Result<SvmConfig, ArgError> {
-    let loss = match args.get("loss").unwrap_or("l1") {
-        "l1" | "L1" => SvmLoss::L1,
-        "l2" | "L2" => SvmLoss::L2,
-        other => return Err(ArgError(format!("--loss must be l1 or l2, got {other:?}"))),
-    };
-    Ok(SvmConfig {
-        loss,
-        lambda: args.get_or("lambda", 1.0)?,
-        s: positive(args, "s", 64)?,
-        seed: args.get_or("seed", 42)?,
-        max_iters: positive(args, "iters", 100_000)?,
-        trace_every: args.get_or("trace-every", 1_000)?,
-        gap_tol: args.get_opt("gap-tol")?,
-        ..Default::default()
-    })
-}
-
-fn cmd_svm(args: &Args) -> Result<(), ArgError> {
-    let (engine, data) = parse_run(args, None, ShardAxis::Csr)?;
-    if !data.labels().iter().all(|&b| b == 1.0 || b == -1.0) {
-        return Err(ArgError("svm needs ±1 labels".into()));
-    }
-    let cfg = svm_cfg(args)?;
-    let (points, features) = data.dims();
-    println!(
-        "svm-{:?}{}: {points} × {features}, λ = {}, s = {}, H ≤ {}",
-        cfg.loss,
-        data.stream_tag(),
-        cfg.lambda,
-        cfg.s,
-        cfg.max_iters
-    );
-    let out = run(&RunSpec::new(Method::svm(&cfg), engine, data.source()))?;
-    let res = out.result();
-    print!(
-        "duality gap: {:.6e} after {} iterations",
-        res.final_value(),
-        res.iters
-    );
-    match data.dataset() {
-        Some(ds) => {
-            let prob = saco::problem::SvmProblem::new(cfg.loss, cfg.lambda);
-            println!(
-                "; training accuracy: {:.4}",
-                prob.accuracy(&ds.a, &ds.b, &res.x)
-            );
-        }
-        None => println!(),
-    }
-    print_io(&out.io);
-    write_run_metrics(args, &out)?;
-    let prov = dual_provenance(cfg.s, cfg.lambda, cfg.seed, cfg.max_iters);
-    save_solution(args, &data, "svm", &prov, res.iters, res)?;
-    write_weights(args, &res.x)
-}
-
-/// The sampling provenance a dual-method artifact records (µ = 1 row per
-/// step; the artifact format stores it as a `LassoConfig`).
-fn dual_provenance(s: usize, lambda: f64, seed: u64, max_iters: usize) -> LassoConfig {
-    LassoConfig {
-        mu: 1,
-        s,
-        lambda,
-        seed,
-        max_iters,
-        trace_every: 0,
-        ..Default::default()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Kernel dual coordinate descent (`saco ksvm` / `saco kridge`)
-// ---------------------------------------------------------------------------
-/// `--kernel rbf:gamma=G | poly:d=D,gamma=G,coef0=C | linear` (default
-/// `rbf:gamma=1`), parsed by `sparsela::KernelFn`.
-fn kdcd_cfg(args: &Args, ksvm: bool) -> Result<KdcdConfig, ArgError> {
-    let task = if ksvm {
-        let loss = match args.get("loss").unwrap_or("l1") {
-            "l1" | "L1" => SvmLoss::L1,
-            "l2" | "L2" => SvmLoss::L2,
-            other => return Err(ArgError(format!("--loss must be l1 or l2, got {other:?}"))),
-        };
-        KdcdTask::Svm(loss)
-    } else {
-        KdcdTask::Ridge
-    };
-    let kernel = sparsela::KernelFn::parse(args.get("kernel").unwrap_or("rbf:gamma=1"))
-        .map_err(|e| ArgError(format!("--kernel: {e}")))?;
-    let cache_budget_bytes = parse_bytes(args.get("cache-budget").unwrap_or("64M"))
-        .map_err(|e| ArgError(format!("--cache-budget: {e}")))?
-        as usize;
-    Ok(KdcdConfig {
-        task,
-        kernel,
-        lambda: args.get_or("lambda", if ksvm { 1.0 } else { 0.5 })?,
-        s: positive(args, "s", 8)?,
-        seed: args.get_or("seed", 42)?,
-        max_iters: positive(args, "iters", 10_000)?,
-        trace_every: args.get_or("trace-every", 0)?,
-        cache_budget_bytes,
-        ..Default::default()
-    })
-}
-
-fn print_kdcd_result(res: &saco::SolveResult, stats: &KdcdStats) {
-    println!(
-        "dual objective: {:.6e} after {} iterations",
-        res.final_value(),
-        res.iters
-    );
-    let total = stats.cache.hits + stats.cache.misses;
-    println!(
-        "kernel cache: {} hits / {} misses ({:.1}% hit) | {} evictions | {} resident bytes",
-        stats.cache.hits,
-        stats.cache.misses,
-        if total > 0 {
-            100.0 * stats.cache.hits as f64 / total as f64
-        } else {
-            0.0
-        },
-        stats.cache.evictions,
-        stats.cache_resident_bytes
-    );
-    println!(
-        "exchanges: {} words moved | {} all-hit rounds skipped the allreduce",
-        stats.exchange_words, stats.exchange_skipped
-    );
-}
-
-/// `saco ksvm` / `saco kridge`: s-step kernel dual coordinate descent
-/// (K-DCD / K-BDCD) on any of the four engines. The kernel matrix never
-/// materializes — rows are built on demand and held in a byte-budgeted
-/// cache, and an all-hit block skips its allreduce on every rank.
-fn cmd_kdcd(args: &Args, ksvm: bool) -> Result<(), ArgError> {
-    let name = if ksvm { "ksvm" } else { "kridge" };
-    let cfg = kdcd_cfg(args, ksvm)?;
-    let (engine, data) = parse_run(args, Some("seq"), ShardAxis::Csr)?;
-    if ksvm && !data.labels().iter().all(|&v| v == 1.0 || v == -1.0) {
-        return Err(ArgError("ksvm needs ±1 labels".into()));
-    }
-    let (points, features) = data.dims();
-    let shape = match data {
-        Data::Memory(_) => format!(
-            " (engine {}): {points} points × {features} features",
-            engine.name()
-        ),
-        Data::Shards { .. } => format!("{}: {points} × {features}", data.stream_tag()),
-    };
-    println!(
-        "{name}-{:?}{shape}, λ = {}, s = {}, H = {}",
-        cfg.kernel, cfg.lambda, cfg.s, cfg.max_iters
-    );
-    let out = run(&RunSpec::new(Method::kdcd(&cfg), engine, data.source()))?;
-    print_engine_summary(&engine, &out, false);
-    print_kdcd_result(out.result(), &out.kdcd[0]);
-    print_io(&out.io);
-    write_run_metrics(args, &out)?;
-    // The α vector with provenance, inspect-only: a kernel model cannot be
-    // scored linearly, and the server's score path refuses it.
-    let (res, prov) = (
-        out.result(),
-        dual_provenance(cfg.s, cfg.lambda, cfg.seed, cfg.max_iters),
-    );
-    save_solution(args, &data, name, &prov, res.iters, res)?;
-    write_weights(args, &res.x)
-}
-
 fn cmd_path(args: &Args) -> Result<(), ArgError> {
     let ds = load(args)?;
     let cfg = lasso_cfg(args, 0.0)?;
@@ -1091,232 +1259,6 @@ fn cmd_info(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// Shared `simulate`/`launch` solver options: the Lasso config with the
-/// simulate-flavored defaults (`mu` 1, `iters` 2000).
-fn sim_lasso_cfg(args: &Args, lambda: f64) -> Result<LassoConfig, ArgError> {
-    let mut cfg = lasso_cfg(args, lambda)?;
-    cfg.mu = positive(args, "mu", 1)?;
-    cfg.max_iters = positive(args, "iters", 2_000)?;
-    Ok(cfg)
-}
-
-/// Stamp the host-pool gauges and write the run report to `path`.
-fn write_metrics(args: &Args, telemetry: &mut Registry, path: &str) -> Result<(), ArgError> {
-    telemetry.set_meta("dataset", args.require("data")?);
-    // Pool activity gauges are host measurements: they vary with
-    // --threads (and machine load) while the deterministic sections of
-    // the report stay bitwise identical.
-    let nthreads = saco_par::threads();
-    let pool = saco_par::stats();
-    telemetry.gauge_set("par.threads", nthreads as f64);
-    telemetry.gauge_set("par.regions", pool.regions as f64);
-    telemetry.gauge_set("par.tiles", pool.tiles as f64);
-    telemetry.gauge_set("par.utilization", pool.utilization(nthreads));
-    mpisim::telemetry::write_run_report(telemetry, Path::new(path))
-        .map_err(|e| ArgError(format!("write {path}: {e}")))?;
-    println!("metrics written to {path}");
-    Ok(())
-}
-
-fn cmd_simulate(args: &Args) -> Result<(), ArgError> {
-    let (engine, data) = parse_run(args, Some("sim"), ShardAxis::Csc)?;
-    let lambda = resolve_lambda(args, &data)?;
-    let cfg = sim_lasso_cfg(args, lambda)?;
-    let method = Method::Lasso {
-        reg: &Lasso::new(lambda),
-        cfg: &cfg,
-        accel: args.flag("acc"),
-    };
-    let out = run(&RunSpec::new(method, engine, data.source()))?;
-    println!(
-        "{}, s = {}, µ = {}, H = {}:",
-        engine_view(&engine, data.dataset().is_none()).0,
-        cfg.s,
-        cfg.mu,
-        cfg.max_iters
-    );
-    print_engine_summary(&engine, &out, true);
-    print_io(&out.io);
-    println!("  final objective {:.6e}", out.result().final_value());
-    if matches!(engine, Engine::Sim { chaos: Some(_), .. }) {
-        let t = &out.telemetry;
-        println!(
-            "  chaos: {} stalls ({:.6} s) | jitter {:.6} s | skew {:.6} s | {} failures (recovery {:.6} s)",
-            t.counter("chaos.stalls"),
-            t.gauge("chaos.stall_time").unwrap_or(0.0),
-            t.gauge("chaos.jitter_time").unwrap_or(0.0),
-            t.gauge("chaos.skew_time").unwrap_or(0.0),
-            t.counter("chaos.failures"),
-            t.gauge("chaos.recovery_time").unwrap_or(0.0),
-        );
-    }
-    write_run_metrics(args, &out)
-}
-
-/// `saco launch`: spawn `--p` real rank processes (each re-executing this
-/// binary with the hidden `_netrank` subcommand), wait for all of them,
-/// and merge their per-rank run reports into one summary.
-fn cmd_launch(args: &Args) -> Result<(), ArgError> {
-    if let Some(engine) = args.get("engine") {
-        if engine != "net" {
-            return Err(ArgError(format!(
-                "launch spawns real rank processes, which only the net engine supports; \
-                 got --engine {engine:?} (run `saco simulate --engine {engine}` instead)"
-            )));
-        }
-    }
-    let data = Data::Memory(load(args)?);
-    let lambda = resolve_lambda(args, &data)?;
-    let (points, features) = data.dims();
-    let cfg = sim_lasso_cfg(args, lambda)?;
-    let p = parse_mesh(args, 256)?;
-    let rundir = match args.get("rundir") {
-        Some(d) => PathBuf::from(d),
-        None => std::env::temp_dir().join(format!("saco-launch-{}", std::process::id())),
-    };
-    std::fs::create_dir_all(&rundir)
-        .map_err(|e| ArgError(format!("create {}: {e}", rundir.display())))?;
-    let rendezvous = match args.get("rendezvous") {
-        Some(r) => r.to_string(),
-        None => format!("unix:{}", rundir.join("rendezvous.sock").display()),
-    };
-    Addr::parse(&rendezvous).map_err(|e| ArgError(format!("--rendezvous: {e}")))?;
-    let exe = std::env::current_exe().map_err(|e| ArgError(format!("current_exe: {e}")))?;
-    println!("launching {p} rank processes ({points} × {features}, rendezvous {rendezvous})");
-    let mut children = Vec::with_capacity(p);
-    for rank in 0..p {
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.arg("_netrank")
-            .args(["--rank", &rank.to_string(), "--p", &p.to_string()])
-            .args(["--rendezvous", &rendezvous])
-            .args(["--data", args.require("data")?])
-            // f64 Display is shortest-roundtrip, so the resolved λ
-            // survives the argv hop losslessly.
-            .args(["--lambda", &format!("{lambda}")])
-            .args(["--s", &cfg.s.to_string(), "--mu", &cfg.mu.to_string()])
-            .args(["--iters", &cfg.max_iters.to_string()])
-            .args(["--seed", &cfg.seed.to_string()])
-            .args(["--trace-every", &cfg.trace_every.to_string()])
-            .arg("--report")
-            .arg(rundir.join(format!("rank{rank}.json")));
-        if args.flag("acc") {
-            cmd.arg("--acc");
-        }
-        if args.flag("balanced") {
-            cmd.arg("--balanced");
-        }
-        if let Some(t) = args.get("threads") {
-            cmd.args(["--threads", t]);
-        }
-        if let Some(t) = args.get("io-timeout") {
-            cmd.args(["--io-timeout", t]);
-        }
-        let child = cmd
-            .spawn()
-            .map_err(|e| ArgError(format!("spawn rank {rank}: {e}")))?;
-        children.push((rank, child));
-    }
-    // Fail-stop: a dead rank closes its sockets, so surviving ranks see
-    // typed Closed/Timeout errors and exit instead of hanging — waiting
-    // in rank order cannot deadlock.
-    let mut failed = Vec::new();
-    for (rank, mut child) in children {
-        let status = child
-            .wait()
-            .map_err(|e| ArgError(format!("wait rank {rank}: {e}")))?;
-        if !status.success() {
-            failed.push(rank);
-        }
-    }
-    if !failed.is_empty() {
-        return Err(ArgError(format!(
-            "ranks {failed:?} exited nonzero (see stderr above); per-rank reports in {}",
-            rundir.display()
-        )));
-    }
-    let mut ranks = Vec::with_capacity(p);
-    for rank in 0..p {
-        let path = rundir.join(format!("rank{rank}.json"));
-        let doc = std::fs::read_to_string(&path)
-            .map_err(|e| ArgError(format!("read {}: {e}", path.display())))?;
-        let summary = parse_summary(&doc)
-            .ok_or_else(|| ArgError(format!("malformed run report {}", path.display())))?;
-        let mut reg = Registry::new();
-        summary.apply_to(&mut reg);
-        ranks.push(reg);
-    }
-    let mut merged = merge_rank_registries(&ranks);
-    println!("all {p} ranks finished:");
-    println!(
-        "  wall time: {:.6} s (measured, max over ranks)",
-        merged.gauge("time.wall_secs").unwrap_or(0.0)
-    );
-    print_wire_totals(&merged);
-    println!(
-        "  final objective {:.6e}",
-        merged.gauge("objective.final").unwrap_or(f64::NAN)
-    );
-    println!("per-rank reports in {}", rundir.display());
-    if let Some(path) = args.get("metrics") {
-        write_metrics(args, &mut merged, path)?;
-    }
-    Ok(())
-}
-
-/// Hidden child subcommand behind `saco launch`: one rank process. Joins
-/// the mesh at `--rendezvous`, solves its `--rank`-th partition, and
-/// writes its `saco-telemetry/v1` report to `--report`.
-fn cmd_netrank(args: &Args) -> Result<(), ArgError> {
-    let rank: usize = args
-        .require("rank")?
-        .parse()
-        .map_err(|_| ArgError("--rank: not a rank index".into()))?;
-    let (p, balanced) = (parse_mesh(args, 256)?, args.flag("balanced"));
-    let engine = Engine::Net { p, balanced };
-    let rendezvous = Addr::parse(args.require("rendezvous")?)
-        .map_err(|e| ArgError(format!("--rendezvous: {e}")))?;
-    let report = args.require("report")?;
-    let ds = load(args)?;
-    let lambda = args
-        .get_opt::<f64>("lambda")?
-        .ok_or_else(|| ArgError("missing required option --lambda".into()))?;
-    let cfg = sim_lasso_cfg(args, lambda)?;
-    let method = Method::Lasso {
-        reg: &Lasso::new(lambda),
-        cfg: &cfg,
-        accel: args.flag("acc"),
-    };
-    let spec = RunSpec::new(method, engine, Source::InMemory(&ds));
-    // Every rank loads the shared file and takes its own row block — the
-    // same deterministic split the in-process engines use, so `launch`
-    // reproduces their iterates exactly.
-    let (_, blocks) = LassoRankData::split(&ds, p, balanced);
-    let net_cfg = NetConfig {
-        rank,
-        size: p,
-        rendezvous,
-        io_timeout: Duration::from_secs(args.get_or("io-timeout", 30)?),
-        connect: Backoff::default(),
-    };
-    let mut comm = NetComm::establish(net_cfg)
-        .map_err(|e| ArgError(format!("rank {rank}/{p}: mesh establish: {e}")))?;
-    let t0 = Instant::now();
-    let (res, _) = run_rank(
-        &spec.method,
-        RankComm::Net(&mut comm),
-        RankData::Lasso(&blocks[rank]),
-    )?;
-    let wall = t0.elapsed().as_secs_f64();
-    let mut telemetry = net_rank_telemetry(&spec.solver_name(), &comm, wall);
-    telemetry.set_meta("dataset", args.require("data")?);
-    telemetry.gauge_set("objective.final", res.final_value());
-    telemetry.gauge_set("time.wall_secs", wall);
-    mpisim::telemetry::write_run_report(&telemetry, Path::new(report))
-        .map_err(|e| ArgError(format!("write {report}: {e}")))?;
-    comm.shutdown();
-    Ok(())
-}
-
 fn cmd_cv(args: &Args) -> Result<(), ArgError> {
     let ds = load(args)?;
     let cfg = lasso_cfg(args, 0.0)?;
@@ -1348,15 +1290,12 @@ fn cmd_cv(args: &Args) -> Result<(), ArgError> {
             cv.nan_folds
         );
     }
-    if let Some(path) = args.get("metrics") {
-        let mut telemetry = Registry::new();
-        telemetry.set_meta("engine", "sequential");
-        telemetry.set_meta("cli.engine", "seq");
-        telemetry.set_meta("solver", "cv_lasso");
-        saco::crossval::record_cv_stats(&mut telemetry, &cv, k);
-        write_metrics(args, &mut telemetry, path)?;
-    }
-    Ok(())
+    let mut telemetry = Registry::new();
+    telemetry.set_meta("engine", "sequential");
+    telemetry.set_meta("cli.engine", "seq");
+    telemetry.set_meta("solver", "cv_lasso");
+    saco::crossval::record_cv_stats(&mut telemetry, &cv, k);
+    finish(args, telemetry, None, &[])
 }
 
 /// `saco serve`: load a `saco-model/v1` artifact plus the dataset it was
@@ -1402,11 +1341,8 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
         "served {} requests | p99 {:.3} ms | {} SLO breaches | {} protocol errors",
         report.requests, report.p99_ms, report.slo_breaches, report.protocol_errors
     );
-    if let Some(path) = args.get("metrics") {
-        telemetry.set_meta("engine", "serve");
-        telemetry.set_meta("cli.engine", "serve");
-        telemetry.set_meta("solver", "serve");
-        write_metrics(args, &mut telemetry, path)?;
-    }
-    Ok(())
+    telemetry.set_meta("engine", "serve");
+    telemetry.set_meta("cli.engine", "serve");
+    telemetry.set_meta("solver", "serve");
+    finish(args, telemetry, None, &[])
 }

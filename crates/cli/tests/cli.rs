@@ -795,6 +795,108 @@ fn helpful_errors() {
     let _ = std::fs::remove_file(&data);
 }
 
+/// `launch` forwards its own command line to the rank children, so an
+/// option the parent accepts reaches every rank: with `--rel-tol` the
+/// launched solve and the in-process mesh print the same objective.
+#[test]
+fn launch_forwards_rel_tol_like_the_in_process_mesh() {
+    let data = generated("launch_reltol.svm", &["news20", "--scale", "0.05"])
+        .display()
+        .to_string();
+    let rundir = tmpfile("launch_reltol_dir").display().to_string();
+    let solve = "--p 4 --balanced --lambda-frac 0.2 --rel-tol 1e-3 --trace-every 20 --iters 400";
+    let line = |cmd: &[&str]| {
+        let mut args = cmd.to_vec();
+        args.extend(["--data", &data]);
+        args.extend(solve.split(' '));
+        objective_line(&saco().args(&args).output().expect("run"))
+    };
+    let launched = line(&["launch", "--rundir", &rundir]);
+    assert_eq!(launched, line(&["simulate", "--engine", "net"]));
+    let _ = std::fs::remove_file(&data);
+    let _ = std::fs::remove_dir_all(&rundir);
+}
+
+/// `lasso --model-out` without `--acc` trains the resumable artifact and
+/// still writes its `--metrics` report; `--rel-tol` cannot stop that
+/// solve, so asking for both is a typed error, not a silently full run.
+#[test]
+fn resumable_model_out_writes_metrics_and_rejects_rel_tol() {
+    let data = generated("modelout.svm", &["news20", "--scale", "0.02"])
+        .display()
+        .to_string();
+    let (model, metrics) = (tmpfile("modelout.saco"), tmpfile("modelout.json"));
+    let (model, metrics) = (model.display().to_string(), metrics.display().to_string());
+    let train = [
+        "lasso",
+        "--data",
+        &data,
+        "--iters",
+        "64",
+        "--model-out",
+        &model,
+    ];
+    let text = saco_ok(&[&train[..], &["--metrics", &metrics]].concat());
+    assert!(
+        text.contains("model artifact (resumable, 64 iters)"),
+        "{text}"
+    );
+    assert!(text.contains("metrics written"), "{text}");
+    let report = std::fs::read_to_string(&metrics).expect("metrics written");
+    for key in [
+        "\"solver\":\"sa_bcd\"",
+        "\"objective.final\":",
+        "\"solver.iterations\":64",
+        "\"dataset\":",
+    ] {
+        assert!(report.contains(key), "{key} missing: {report}");
+    }
+    let _ = std::fs::remove_file(&model);
+    let out = saco()
+        .args(train)
+        .args(["--rel-tol", "1e-3"])
+        .output()
+        .expect("run");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("--rel-tol") && err.contains("exactly --iters"),
+        "{err}"
+    );
+    assert!(
+        !std::path::Path::new(&model).exists(),
+        "artifact written: {err}"
+    );
+    let _ = std::fs::remove_file(&data);
+    let _ = std::fs::remove_file(&metrics);
+}
+
+/// The `--engine` paragraph of `saco help` names every subcommand whose
+/// synopsis takes `--engine`.
+#[test]
+fn help_names_every_subcommand_that_takes_engine() {
+    let help = saco().arg("help").output().expect("help");
+    let help = String::from_utf8_lossy(&help.stderr).to_string();
+    let (synopses, notes) = help
+        .split_once("\n\n`")
+        .expect("notes follow the synopsis block");
+    let mut with_engine = Vec::new();
+    for row in synopses.split("\n  saco ").skip(1) {
+        let name = row.split_whitespace().next().expect("a name");
+        if row.contains("--engine") {
+            with_engine.push(name);
+        }
+    }
+    assert!(with_engine.contains(&"simulate") && with_engine.contains(&"ksvm"));
+    let paragraph = notes
+        .split("\n\n")
+        .find(|p| p.starts_with("--engine") || p.starts_with("`--engine"))
+        .expect("an --engine paragraph");
+    for name in with_engine {
+        assert!(paragraph.contains(name), "{name} missing: {paragraph}");
+    }
+}
+
 #[test]
 fn cv_prints_lambda_table() {
     let data = generated("cv.svm", &["covtype", "--scale", "0.02"]);

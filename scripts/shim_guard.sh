@@ -264,9 +264,29 @@ if hits=$(grep -rnE 'strictly increasing in (row|column)|slice indices (must be|
     status=1
 fi
 
+# One solve path in the CLI: lasso, svm, ksvm, kridge, simulate, launch
+# and launch's `_netrank` child share one parse → run → report body, with
+# each subcommand's family and defaults in its SUBCOMMANDS row. A second
+# RunSpec or rank call, or a per-family command body growing back, is a
+# copy that drifts (launch once dropped --rel-tol on its hand-built child
+# argv; lasso --model-out once dropped --metrics).
+for call in 'RunSpec::new\(' 'run_rank\('; do
+    hits=$(grep -rnE "$call" crates/cli/src || true)
+    if [ "$(printf '%s' "$hits" | grep -c .)" -gt 1 ]; then
+        echo "shim_guard: more than one ${call%\\(} call in the CLI (one solve body builds and runs every spec):" >&2
+        echo "$hits" >&2
+        status=1
+    fi
+done
+if hits=$(grep -rnE 'fn (cmd_lasso|cmd_svm|cmd_kdcd|cmd_simulate|engine_view|sim_lasso_cfg)\b' crates/cli/src); then
+    echo "shim_guard: a per-family CLI body is back (add a SUBCOMMANDS row that runs solve):" >&2
+    echo "$hits" >&2
+    status=1
+fi
+
 if [ "$status" -ne 0 ]; then
     echo "shim_guard: FAILED — move recurrence logic into crates/core/src/exec/" >&2
 else
-    echo "shim_guard: OK — one run surface, one rank ledger, one allreduce, netcomm/CLI are solver-free, inner loops live in sparsela::simd, one compressed-slice core"
+    echo "shim_guard: OK — one run surface, one rank ledger, one allreduce, netcomm/CLI are solver-free, inner loops live in sparsela::simd, one compressed-slice core, one CLI solve body"
 fi
 exit "$status"
