@@ -4,7 +4,7 @@
 //! products (BLAS-1) over the same data.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use datagen::{dense_gaussian, powerlaw_sparse, uniform_sparse};
+use datagen::{dense_gaussian, powerlaw_sparse, uniform_sparse, PaperDataset};
 use sparsela::gram::{
     gram_flops, sampled_cross, sampled_gram, sampled_gram_into, sampled_gram_parallel,
 };
@@ -174,11 +174,41 @@ fn bench_spmv(c: &mut Criterion) {
 
 fn bench_eig(c: &mut Criterion) {
     let mut group = c.benchmark_group("max_eigenvalue");
+    // Timed as the solver runs it: copy the block out, λmax in place on
+    // the copy.
+    let mut scratch = DenseMatrix::zeros(0, 0);
     for n in [2usize, 8, 32] {
         let all: Vec<usize> = (0..n).collect();
         let m = sampled_gram(&dense_gaussian(n + 4, n, 7).to_csc(), &all);
         group.bench_with_input(BenchmarkId::from_parameter(n), &m, |b, m| {
-            b.iter(|| black_box(sparsela::eig::max_eigenvalue(m)));
+            b.iter(|| {
+                m.diag_block_into(0, n, &mut scratch);
+                black_box(sparsela::eig::max_eigenvalue(&mut scratch))
+            });
+        });
+    }
+    // The blocks `lasso_seq_sparse` sends (µ = 8 columns of news20): most
+    // selections share no row, so the Gram is exactly diagonal and the
+    // first convergence scan ends the call; the rest rotate.
+    let a = PaperDataset::News20.generate_matrix(1.0, 808).to_csc();
+    let mut rng = rng_from_seed(8);
+    let (mut diagonal, mut rotating) = (None, None);
+    while diagonal.is_none() || rotating.is_none() {
+        let g = sampled_gram(&a, &sample_without_replacement(&mut rng, a.cols(), 8));
+        let off = (0..8).any(|i| (0..8).any(|j| i != j && g.get(i, j) != 0.0));
+        let slot = if off { &mut rotating } else { &mut diagonal };
+        slot.get_or_insert(g);
+    }
+    for (name, g) in [
+        ("news20_diagonal_8", diagonal),
+        ("news20_rotating_8", rotating),
+    ] {
+        let g = g.expect("found above");
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                g.diag_block_into(0, 8, &mut scratch);
+                black_box(sparsela::eig::max_eigenvalue(&mut scratch))
+            });
         });
     }
     group.finish();

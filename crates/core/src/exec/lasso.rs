@@ -40,6 +40,161 @@ fn implicit_x(y: &[f64], z: &[f64], t2: f64) -> Vec<f64> {
     y.iter().zip(z).map(|(yi, zi)| t2 * yi + zi).collect()
 }
 
+/// `0..mu` cut into lane groups `(first row, width)`, widest first: eights,
+/// then at most one 4, one 2 and one single row — the binary digits of
+/// `mu % 8`.
+fn lane_groups(mu: usize) -> impl Iterator<Item = (usize, usize)> {
+    let tail = mu % 8;
+    let mut a0 = mu - tail;
+    let eights = (0..a0).step_by(8).map(|a| (a, 8));
+    let rest = [4, 2, 1]
+        .into_iter()
+        .filter(move |w| tail & w != 0)
+        .map(move |w| {
+            let group = (a0, w);
+            a0 += w;
+            group
+        });
+    eights.chain(rest)
+}
+
+/// The contiguous run `G[bi][col .. col + L]` — by `G`'s bitwise symmetry,
+/// lane `l`'s addend `G[col + l][bi]` for every lane of the group.
+#[inline]
+fn gram_lanes<const L: usize>(gram: &sparsela::DenseMatrix, bi: usize, col: usize) -> &[f64; L] {
+    gram.row(bi)[col..col + L]
+        .try_into()
+        .expect("a lane group lies inside the block")
+}
+
+/// eq. (3)'s residual for all µ rows of sub-block `j` (1-based) of the
+/// block: `out[ai] = θ²·ỹ′ + z̃′ − Σ_t coef_t·corr_t[ai]` over the earlier
+/// sub-blocks `t < j`, where `corr_t[ai] = Σ_bi G[row][toff + bi]·Δ[toff + bi]`
+/// from `+0.0`, `bi` ascending, and a `t` with `coef_t == 0` adds nothing.
+///
+/// Each row keeps exactly that chain; what changes is how the chains are
+/// walked. `coef_t` depends on `t` alone, so it is computed once per `t`
+/// (into `coefs`) rather than once per row, and the rows advance side by
+/// side in lane groups of 8, 4, 2 and 1 ([`lane_groups`]): `G` is bitwise
+/// symmetric (the sampled Gram mirrors its upper triangle, the exchange
+/// unpacks one), so one contiguous run of `G` per `bi` feeds every lane's
+/// chain, and the lanes are independent chains held in registers. µ = 1
+/// has no rows to interleave and runs its one chain with no set-up.
+fn accel_residuals(
+    gram: &sparsela::DenseMatrix,
+    cross: &sparsela::DenseMatrix,
+    deltas: &[f64],
+    thetas: &[f64],
+    (q, j, mu): (f64, usize, usize),
+    out: &mut Vec<f64>,
+    coefs: &mut Vec<f64>,
+) {
+    let off = (j - 1) * mu;
+    let t2 = thetas[j - 1] * thetas[j - 1];
+    let coef = |tp: f64| t2 * (1.0 - q * tp) / (tp * tp) - 1.0;
+    out.clear();
+    if mu == 1 {
+        let g = gram.row(off);
+        let mut r = t2 * cross.get(off, 0) + cross.get(off, 1);
+        for t in 1..j {
+            let c = coef(thetas[t - 1]);
+            if c != 0.0 {
+                r -= c * (0.0 + g[t - 1] * deltas[t - 1]);
+            }
+        }
+        out.push(r);
+        return;
+    }
+    out.extend((off..off + mu).map(|row| t2 * cross.get(row, 0) + cross.get(row, 1)));
+    coefs.clear();
+    coefs.extend(thetas[..j - 1].iter().map(|&tp| coef(tp)));
+    fn lanes<const L: usize>(
+        gram: &sparsela::DenseMatrix,
+        deltas: &[f64],
+        coefs: &[f64],
+        (col, mu): (usize, usize),
+        r: &mut [f64],
+    ) {
+        let mut acc: [f64; L] = (&*r).try_into().expect("one lane per row");
+        for (toff, &c) in (0..).step_by(mu).zip(coefs) {
+            if c == 0.0 {
+                continue;
+            }
+            let mut corr = [0.0; L];
+            for (bi, &d) in (toff..).zip(&deltas[toff..toff + mu]) {
+                let g = gram_lanes::<L>(gram, bi, col);
+                for l in 0..L {
+                    corr[l] += g[l] * d;
+                }
+            }
+            for l in 0..L {
+                acc[l] -= c * corr[l];
+            }
+        }
+        r.copy_from_slice(&acc);
+    }
+    for (a0, w) in lane_groups(mu) {
+        let (at, r) = ((off + a0, mu), &mut out[a0..a0 + w]);
+        match w {
+            8 => lanes::<8>(gram, deltas, coefs, at, r),
+            4 => lanes::<4>(gram, deltas, coefs, at, r),
+            2 => lanes::<2>(gram, deltas, coefs, at, r),
+            _ => lanes::<1>(gram, deltas, coefs, at, r),
+        }
+    }
+}
+
+/// Plain SA-BCD's gradient for all µ rows of sub-block `j` (1-based):
+/// `out[ai] = z̃′[row] + Σ_col G[row][col]·Δ[col]` over every earlier
+/// column of the block, ascending — one chain per row, walked in lane
+/// groups through `G`'s bitwise symmetry as in [`accel_residuals`].
+fn plain_gradients(
+    gram: &sparsela::DenseMatrix,
+    cross: &sparsela::DenseMatrix,
+    deltas: &[f64],
+    j: usize,
+    mu: usize,
+    out: &mut Vec<f64>,
+) {
+    let off = (j - 1) * mu;
+    out.clear();
+    if mu == 1 {
+        let g = gram.row(off);
+        let mut grad = cross.get(off, 0);
+        for (col, &d) in deltas[..off].iter().enumerate() {
+            grad += g[col] * d;
+        }
+        out.push(grad);
+        return;
+    }
+    out.extend((off..off + mu).map(|row| cross.get(row, 0)));
+    fn lanes<const L: usize>(
+        gram: &sparsela::DenseMatrix,
+        deltas: &[f64],
+        col: usize,
+        r: &mut [f64],
+    ) {
+        let mut acc: [f64; L] = (&*r).try_into().expect("one lane per row");
+        for (bi, &d) in deltas.iter().enumerate() {
+            let g = gram_lanes::<L>(gram, bi, col);
+            for l in 0..L {
+                acc[l] += g[l] * d;
+            }
+        }
+        r.copy_from_slice(&acc);
+    }
+    let deltas = &deltas[..off];
+    for (a0, w) in lane_groups(mu) {
+        let (col, r) = (off + a0, &mut out[a0..a0 + w]);
+        match w {
+            8 => lanes::<8>(gram, deltas, col, r),
+            4 => lanes::<4>(gram, deltas, col, r),
+            2 => lanes::<2>(gram, deltas, col, r),
+            _ => lanes::<1>(gram, deltas, col, r),
+        }
+    }
+}
+
 /// Per-solve Lasso state: the recurrence sequences, the θ carried across
 /// blocks, and the convergence trace.
 struct LassoSpec<'p, R: Regularizer> {
@@ -162,7 +317,7 @@ where
             let off = (j - 1) * mu;
             let coords = &ws.sel[off..off + mu];
             ws.gram.diag_block_into(off, off + mu, &mut ws.gjj);
-            let v = block_lipschitz(&ws.gjj);
+            let v = block_lipschitz(&mut ws.gjj);
             *h += 1;
             cx.bk.charge_prox(
                 charges::subproblem_flops(mu as u64)
@@ -175,23 +330,17 @@ where
                 if v > 0.0 {
                     let eta = 1.0 / (q * theta_prev * v);
                     // eq. (3): r from ỹ′, z̃′ and Gram corrections.
-                    ws.cand.clear();
-                    for (ai, &c) in coords.iter().enumerate() {
-                        let row = off + ai;
-                        let mut r = t2 * ws.cross.get(row, 0) + ws.cross.get(row, 1);
-                        for t in 1..j {
-                            let tp = ws.thetas[t - 1];
-                            let coef = t2 * (1.0 - q * tp) / (tp * tp) - 1.0;
-                            if coef != 0.0 {
-                                let toff = (t - 1) * mu;
-                                let mut corr = 0.0;
-                                for bi in 0..mu {
-                                    corr += ws.gram.get(row, toff + bi) * ws.deltas[toff + bi];
-                                }
-                                r -= coef * corr;
-                            }
-                        }
-                        ws.cand.push(self.z[c] - eta * r);
+                    accel_residuals(
+                        &ws.gram,
+                        &ws.cross,
+                        &ws.deltas,
+                        &ws.thetas,
+                        (q, j, mu),
+                        &mut ws.cand,
+                        &mut ws.coefs,
+                    );
+                    for (r, &c) in ws.cand.iter_mut().zip(coords) {
+                        *r = self.z[c] - eta * *r;
                     }
                     self.reg.prox_block(&mut ws.cand, coords, eta);
                     let ycoef = (1.0 - q * theta_prev) / t2;
@@ -201,26 +350,21 @@ where
                         if dz != 0.0 {
                             self.z[c] += dz;
                             self.y[c] -= ycoef * dz;
-                            let col = cx.a.slice(c);
-                            col.axpy_into(dz, &mut self.ztilde);
-                            col.axpy_into(-ycoef * dz, &mut self.ytilde);
+                            cx.a.slice(c).axpy2_into(
+                                dz,
+                                &mut self.ztilde,
+                                -ycoef * dz,
+                                &mut self.ytilde,
+                            );
                         }
                     }
                     cx.bk.charge_lasso_update(coords, mu, false);
                 }
             } else if v > 0.0 {
                 let eta = 1.0 / v;
-                ws.cand.clear();
-                for (ai, &c) in coords.iter().enumerate() {
-                    let row = off + ai;
-                    let mut grad = ws.cross.get(row, 0);
-                    for t in 1..j {
-                        let toff = (t - 1) * mu;
-                        for bi in 0..mu {
-                            grad += ws.gram.get(row, toff + bi) * ws.deltas[toff + bi];
-                        }
-                    }
-                    ws.cand.push(self.z[c] - eta * grad);
+                plain_gradients(&ws.gram, &ws.cross, &ws.deltas, j, mu, &mut ws.cand);
+                for (grad, &c) in ws.cand.iter_mut().zip(coords) {
+                    *grad = self.z[c] - eta * *grad;
                 }
                 self.reg.prox_block(&mut ws.cand, coords, eta);
                 for (ai, &c) in coords.iter().enumerate() {
@@ -465,4 +609,149 @@ pub(crate) fn lasso_family<'r, B: ExecBackend<'r>, R: Regularizer, M: SliceSourc
         z
     };
     SolveResult { x, trace, iters: h }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sparsela::gram::sampled_gram;
+    use sparsela::{CooMatrix, DenseMatrix};
+
+    /// eq. (3)'s residual as the inner loop computed it before the rows ran
+    /// side by side: one row at a time, `coef` per row and `t`, `G` read
+    /// along the row. The bitwise reference for [`accel_residuals`].
+    fn per_row_accel_residuals(
+        gram: &DenseMatrix,
+        cross: &DenseMatrix,
+        deltas: &[f64],
+        thetas: &[f64],
+        (q, j, mu): (f64, usize, usize),
+    ) -> Vec<f64> {
+        let off = (j - 1) * mu;
+        let theta_prev = thetas[j - 1];
+        let t2 = theta_prev * theta_prev;
+        (0..mu)
+            .map(|ai| {
+                let row = off + ai;
+                let mut r = t2 * cross.get(row, 0) + cross.get(row, 1);
+                for t in 1..j {
+                    let tp = thetas[t - 1];
+                    let coef = t2 * (1.0 - q * tp) / (tp * tp) - 1.0;
+                    if coef != 0.0 {
+                        let toff = (t - 1) * mu;
+                        let mut corr = 0.0;
+                        for bi in 0..mu {
+                            corr += gram.get(row, toff + bi) * deltas[toff + bi];
+                        }
+                        r -= coef * corr;
+                    }
+                }
+                r
+            })
+            .collect()
+    }
+
+    /// Plain SA-BCD's gradient as computed before, one row at a time: the
+    /// bitwise reference for [`plain_gradients`].
+    fn per_row_plain_gradients(
+        gram: &DenseMatrix,
+        cross: &DenseMatrix,
+        deltas: &[f64],
+        j: usize,
+        mu: usize,
+    ) -> Vec<f64> {
+        let off = (j - 1) * mu;
+        (0..mu)
+            .map(|ai| {
+                let row = off + ai;
+                let mut grad = cross.get(row, 0);
+                for t in 1..j {
+                    let toff = (t - 1) * mu;
+                    for bi in 0..mu {
+                        grad += gram.get(row, toff + bi) * deltas[toff + bi];
+                    }
+                }
+                grad
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The lane-parallel corrections are the per-row chains BIT FOR BIT at
+    /// every sub-block of blocks of µ ∈ {1, 2, 3, 8, 13} and s ≤ 64: the
+    /// Gram comes from `sampled_gram` over sub-blocks drawn from only
+    /// µ + 2 sparse columns (so coordinates repeat across a block's
+    /// sub-blocks and some columns are empty), the Δs include exact zeros
+    /// and `−0.0`, and the θ sequences are both the solver's recurrence
+    /// and an alternating one with q = 0, whose `coef` is exactly 0 on
+    /// every other `t`.
+    #[test]
+    fn lane_corrections_match_the_per_row_chains_bitwise() {
+        let mut rng = xrng::rng_from_seed(30);
+        for mu in [1usize, 2, 3, 8, 13] {
+            let (n, m) = (mu + 2, 24);
+            let mut coo = CooMatrix::new(m, n);
+            for c in 1..n {
+                for i in 0..m {
+                    if rng.next_index(3) == 0 {
+                        coo.push(i, c, rng.next_gaussian());
+                    }
+                }
+            }
+            let a = coo.to_csc();
+            for s in [1usize, 2, 7, 64] {
+                let mut sel = Vec::new();
+                for _ in 0..s {
+                    xrng::sample_without_replacement_into(&mut rng, n, mu, &mut sel);
+                }
+                let gram = sampled_gram(&a, &sel);
+                let w = s * mu;
+                let cross =
+                    DenseMatrix::from_vec(w, 2, (0..2 * w).map(|_| rng.next_gaussian()).collect());
+                let deltas: Vec<f64> = (0..w)
+                    .map(|_| match rng.next_index(5) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => rng.next_gaussian(),
+                    })
+                    .collect();
+                let mut recurrence = vec![mu as f64 / n as f64];
+                for t in 0..s {
+                    recurrence.push(crate::seq::theta_next(recurrence[t]));
+                }
+                let alternating: Vec<f64> = (0..=s)
+                    .map(|t| if t % 2 == 0 { 0.25 } else { 0.5 })
+                    .collect();
+                let (mut out, mut corr) = (Vec::new(), Vec::new());
+                for (thetas, q) in [(&recurrence, 0.3), (&alternating, 0.0)] {
+                    for j in 1..=s {
+                        let want =
+                            per_row_accel_residuals(&gram, &cross, &deltas, thetas, (q, j, mu));
+                        accel_residuals(
+                            &gram,
+                            &cross,
+                            &deltas,
+                            thetas,
+                            (q, j, mu),
+                            &mut out,
+                            &mut corr,
+                        );
+                        assert_eq!(
+                            bits(&out),
+                            bits(&want),
+                            "accel µ = {mu}, s = {s}, j = {j}, q = {q}"
+                        );
+                    }
+                }
+                for j in 1..=s {
+                    let want = per_row_plain_gradients(&gram, &cross, &deltas, j, mu);
+                    plain_gradients(&gram, &cross, &deltas, j, mu, &mut out);
+                    assert_eq!(bits(&out), bits(&want), "plain µ = {mu}, s = {s}, j = {j}");
+                }
+            }
+        }
+    }
 }

@@ -96,9 +96,10 @@ pub(crate) fn theta_next(theta: f64) -> f64 {
 
 /// Largest eigenvalue of a sampled µ×µ Gram block — the "optimal Lipschitz
 /// constant" of Alg. 1 line 10 — with the µ = 1 fast path (the Gram matrix
-/// is the scalar ‖column‖²).
+/// is the scalar ‖column‖²). The block is scratch: Jacobi rotates it in
+/// place.
 #[inline]
-pub(crate) fn block_lipschitz(g: &sparsela::DenseMatrix) -> f64 {
+pub(crate) fn block_lipschitz(g: &mut sparsela::DenseMatrix) -> f64 {
     if g.rows() == 1 {
         g.get(0, 0)
     } else {

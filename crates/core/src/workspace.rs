@@ -32,7 +32,8 @@ pub struct KernelWorkspace {
     pub(crate) gram_global: DenseMatrix,
     /// The cross products `Yᵀ[v …]`.
     pub(crate) cross: DenseMatrix,
-    /// The µ×µ diagonal Lipschitz block of the inner loop.
+    /// The µ×µ diagonal Lipschitz block of the inner loop — scratch: λmax
+    /// rotates it in place.
     pub(crate) gjj: DenseMatrix,
     /// The s·µ selected coordinates of the outer iteration.
     pub(crate) sel: Vec<usize>,
@@ -42,6 +43,9 @@ pub struct KernelWorkspace {
     pub(crate) thetas: Vec<f64>,
     /// The µ-wide proximal candidate block.
     pub(crate) cand: Vec<f64>,
+    /// The eq. (3) correction coefficients of one inner iteration, one per
+    /// earlier sub-block.
+    pub(crate) coefs: Vec<f64>,
     /// Packed symmetric-Gram + cross allreduce payload (dist solvers).
     pub(crate) pack: Vec<f64>,
     /// Double-buffered selection for the *next* outer iteration, sampled
@@ -75,6 +79,7 @@ impl KernelWorkspace {
             deltas: Vec::new(),
             thetas: Vec::new(),
             cand: Vec::new(),
+            coefs: Vec::new(),
             pack: Vec::new(),
             sel_next: Vec::new(),
             gram_next: DenseMatrix::zeros(0, 0),

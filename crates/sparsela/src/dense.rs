@@ -147,11 +147,6 @@ impl DenseMatrix {
         vecops::nrm2(&self.data)
     }
 
-    /// Maximum absolute entry.
-    pub fn max_abs(&self) -> f64 {
-        vecops::inf_norm(&self.data)
-    }
-
     /// Extract the square diagonal as a vector.
     pub fn diagonal(&self) -> Vec<f64> {
         let n = self.rows.min(self.cols);
@@ -165,28 +160,12 @@ impl DenseMatrix {
     pub fn diag_block_into(&self, lo: usize, hi: usize, out: &mut DenseMatrix) {
         assert!(lo <= hi && hi <= self.rows && hi <= self.cols);
         let k = hi - lo;
-        out.reshape_zeroed(k, k);
-        for i in 0..k {
-            for j in 0..k {
-                out.set(i, j, self.get(lo + i, lo + j));
-            }
+        out.rows = k;
+        out.cols = k;
+        out.data.clear();
+        for i in lo..hi {
+            out.data.extend_from_slice(&self.row(i)[lo..hi]);
         }
-    }
-
-    /// Check symmetry to tolerance `tol` (relative to the largest entry).
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        if self.rows != self.cols {
-            return false;
-        }
-        let scale = self.max_abs().max(1.0);
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                if (self.get(i, j) - self.get(j, i)).abs() > tol * scale {
-                    return false;
-                }
-            }
-        }
-        true
     }
 }
 
@@ -244,7 +223,6 @@ mod tests {
     fn add_scaled_and_norms() {
         let a = DenseMatrix::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]);
         assert_eq!(a.fro_norm(), 5.0);
-        assert_eq!(a.max_abs(), 4.0);
     }
 
     #[test]

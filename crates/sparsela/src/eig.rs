@@ -16,59 +16,8 @@ use crate::{vecops, DenseMatrix};
 /// Panics if the matrix is not square or not symmetric to 1e-10 relative
 /// tolerance.
 pub fn jacobi_eigenvalues(a: &DenseMatrix) -> Vec<f64> {
-    assert_eq!(a.rows(), a.cols(), "eigenvalues of a non-square matrix");
-    assert!(
-        a.is_symmetric(1e-10),
-        "jacobi_eigenvalues requires a symmetric matrix"
-    );
-    let n = a.rows();
-    if n == 0 {
-        return Vec::new();
-    }
     let mut m = a.clone();
-    // Cyclic Jacobi: annihilate each off-diagonal entry with a Givens
-    // rotation; quadratic convergence, ~6 sweeps suffice in f64 for the
-    // sizes we see.
-    for _sweep in 0..50 {
-        let mut off = 0.0f64;
-        for p in 0..n {
-            for q in (p + 1)..n {
-                off = off.max(m.get(p, q).abs());
-            }
-        }
-        let scale = m.max_abs().max(1e-300);
-        if off <= 1e-14 * scale {
-            break;
-        }
-        for p in 0..n {
-            for q in (p + 1)..n {
-                let apq = m.get(p, q);
-                if apq.abs() <= 1e-300 {
-                    continue;
-                }
-                let app = m.get(p, p);
-                let aqq = m.get(q, q);
-                let theta = (aqq - app) / (2.0 * apq);
-                // stable tangent of the rotation angle
-                let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
-                let c = 1.0 / (t * t + 1.0).sqrt();
-                let s = t * c;
-                // apply rotation J(p,q,θ)ᵀ M J(p,q,θ)
-                for k in 0..n {
-                    let mkp = m.get(k, p);
-                    let mkq = m.get(k, q);
-                    m.set(k, p, c * mkp - s * mkq);
-                    m.set(k, q, s * mkp + c * mkq);
-                }
-                for k in 0..n {
-                    let mpk = m.get(p, k);
-                    let mqk = m.get(q, k);
-                    m.set(p, k, c * mpk - s * mqk);
-                    m.set(q, k, s * mpk + c * mqk);
-                }
-            }
-        }
-    }
+    jacobi_sweeps(&mut m);
     let mut eigs = m.diagonal();
     eigs.sort_by(|a, b| b.partial_cmp(a).unwrap());
     eigs
@@ -77,9 +26,18 @@ pub fn jacobi_eigenvalues(a: &DenseMatrix) -> Vec<f64> {
 /// Largest eigenvalue of a symmetric positive-semidefinite matrix.
 ///
 /// For order ≤ 2 uses closed forms; for order ≤ 32 (every Gram block the
-/// solvers build) uses Jacobi; beyond that a power iteration with a
-/// deterministic start vector and Rayleigh-quotient convergence test.
-pub fn max_eigenvalue(a: &DenseMatrix) -> f64 {
+/// solvers build) uses Jacobi, which rotates `a` itself — `a` holds its
+/// eigenvalues on the diagonal afterwards and is otherwise scratch (the
+/// solvers pass a fresh copy of a Gram diagonal block); beyond that a
+/// power iteration with a deterministic start vector and Rayleigh-quotient
+/// convergence test.
+///
+/// The Jacobi result is `jacobi_eigenvalues(a)[0]` bit for bit: the same
+/// rotations in the same order, and the first diagonal entry that no later
+/// one exceeds is exactly what the stable descending sort puts first
+/// (`−0.0` and `+0.0` tie there as here). Inputs are finite — every
+/// matrix door rejects anything else.
+pub fn max_eigenvalue(a: &mut DenseMatrix) -> f64 {
     assert_eq!(a.rows(), a.cols(), "max_eigenvalue of a non-square matrix");
     let n = a.rows();
     match n {
@@ -91,8 +49,114 @@ pub fn max_eigenvalue(a: &DenseMatrix) -> f64 {
             let disc = (0.25 * (p - r) * (p - r) + q * q).sqrt();
             mean + disc
         }
-        _ if n <= 32 => jacobi_eigenvalues(a)[0],
+        _ if n <= 32 => {
+            jacobi_sweeps(a);
+            let d = a.as_slice();
+            let mut best = d[0];
+            for i in 1..n {
+                let v = d[i * (n + 1)];
+                if v > best {
+                    best = v;
+                }
+            }
+            best
+        }
         _ => power_iteration(a, 10_000, 1e-12),
+    }
+}
+
+/// One pass over the strict upper triangle of the row-major order-`n`
+/// matrix `m` and its mirror: the largest |·| above the diagonal, the
+/// largest |·| on or below it, and the largest asymmetry |m_pq − m_qp|.
+///
+/// Each is a max of non-negative values, so it does not depend on the
+/// order it is taken in, and the three are independent chains. `max_abs`
+/// is a compare-and-select, not `f64::max`: on values that are never
+/// `−0.0` and an accumulator that is never NaN the two agree bit for bit
+/// (a NaN operand loses either way), and the select is what the loop
+/// measured fast with — `f64::max` spends most of the scan on its NaN
+/// handling.
+fn scan(m: &[f64], n: usize) -> (f64, f64, f64) {
+    #[inline(always)]
+    fn max_abs(acc: f64, v: f64) -> f64 {
+        let v = v.abs();
+        if v > acc {
+            v
+        } else {
+            acc
+        }
+    }
+    let (mut off, mut low, mut asym) = (0.0, 0.0, 0.0);
+    for p in 0..n {
+        low = max_abs(low, m[p * n + p]);
+        for q in p + 1..n {
+            let (u, l) = (m[p * n + q], m[q * n + p]);
+            off = max_abs(off, u);
+            low = max_abs(low, l);
+            asym = max_abs(asym, u - l);
+        }
+    }
+    (off, low, asym)
+}
+
+/// The cyclic Jacobi sweeps, in place: on return `m`'s diagonal holds its
+/// eigenvalues (unsorted) — the one sweep body behind
+/// [`jacobi_eigenvalues`] and [`max_eigenvalue`].
+///
+/// # Panics
+/// Panics if `m` is not square or not symmetric to 1e-10 relative to its
+/// largest entry (at least 1) — checked in the first sweep's convergence
+/// scan.
+fn jacobi_sweeps(m: &mut DenseMatrix) {
+    assert_eq!(m.rows(), m.cols(), "eigenvalues of a non-square matrix");
+    let n = m.rows();
+    let m = m.as_mut_slice();
+    // Cyclic Jacobi: annihilate each off-diagonal entry with a Givens
+    // rotation; quadratic convergence, ~6 sweeps suffice in f64 for the
+    // sizes we see.
+    for sweep in 0..50 {
+        let (off, low, asym) = scan(m, n);
+        let max_abs = off.max(low);
+        if sweep == 0 {
+            assert!(
+                asym <= 1e-10 * max_abs.max(1.0),
+                "jacobi_eigenvalues requires a symmetric matrix"
+            );
+        }
+        if off <= 1e-14 * max_abs.max(1e-300) {
+            break;
+        }
+        for p in 0..n {
+            for q in (p + 1)..n {
+                let apq = m[p * n + q];
+                if apq.abs() <= 1e-300 {
+                    continue;
+                }
+                let app = m[p * n + p];
+                let aqq = m[q * n + q];
+                let theta = (aqq - app) / (2.0 * apq);
+                // stable tangent of the rotation angle
+                let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
+                let c = 1.0 / (t * t + 1.0).sqrt();
+                let s = t * c;
+                // apply rotation J(p,q,θ)ᵀ M J(p,q,θ): columns p and q for
+                // every row, then rows p and q — each entry's update reads
+                // only its own pair, so any order of k is the same bits.
+                for k in 0..n {
+                    let (kp, kq) = (k * n + p, k * n + q);
+                    let (mkp, mkq) = (m[kp], m[kq]);
+                    m[kp] = c * mkp - s * mkq;
+                    m[kq] = s * mkp + c * mkq;
+                }
+                let (head, tail) = m.split_at_mut(q * n);
+                let rp = &mut head[p * n..(p + 1) * n];
+                for (mp, mq) in rp.iter_mut().zip(&mut tail[..n]) {
+                    let (mpk, mqk) = (*mp, *mq);
+                    *mp = c * mpk - s * mqk;
+                    *mq = s * mpk + c * mqk;
+                }
+            }
+        }
     }
 }
 
@@ -155,7 +219,7 @@ mod tests {
         }
         let eigs = jacobi_eigenvalues(&d);
         assert_eq!(eigs, vec![7.0, 3.0, 2.0, -1.0]);
-        assert_eq!(max_eigenvalue(&d), 7.0);
+        assert_eq!(max_eigenvalue(&mut d), 7.0);
     }
 
     #[test]
@@ -165,7 +229,7 @@ mod tests {
         let eigs = jacobi_eigenvalues(&a);
         assert!((eigs[0] - 3.0).abs() < 1e-12);
         assert!((eigs[1] - 1.0).abs() < 1e-12);
-        assert!((max_eigenvalue(&a) - 3.0).abs() < 1e-12);
+        assert!((max_eigenvalue(&mut a.clone()) - 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -199,7 +263,7 @@ mod tests {
     #[test]
     fn max_eigenvalue_large_path_uses_power() {
         let g = random_gram(40, 80, 4);
-        let m = max_eigenvalue(&g);
+        let m = max_eigenvalue(&mut g.clone());
         let j = jacobi_eigenvalues(&g)[0];
         assert!((m - j).abs() < 1e-5 * j, "power-path {m} vs jacobi {j}");
     }
@@ -217,7 +281,7 @@ mod tests {
     fn empty_and_single() {
         assert!(jacobi_eigenvalues(&DenseMatrix::zeros(0, 0)).is_empty());
         let one = DenseMatrix::from_rows(&[&[5.0]]);
-        assert_eq!(max_eigenvalue(&one), 5.0);
+        assert_eq!(max_eigenvalue(&mut one.clone()), 5.0);
     }
 
     #[test]

@@ -384,17 +384,6 @@ impl GramWorkspace {
     }
 }
 
-/// Whether `s` stores every coordinate of the minor axis. Indices are
-/// strictly increasing and in range (checked by every matrix constructor
-/// and at shard decode), so `minor_len` of them are exactly `0..minor_len`;
-/// the two ends are compared as well because it costs nothing.
-fn is_full(s: &SparseSlice<'_>, minor_len: usize) -> bool {
-    minor_len > 0
-        && s.nnz() == minor_len
-        && s.indices[0] == 0
-        && s.indices[minor_len - 1] == minor_len - 1
-}
-
 /// The cost of one row-intersection step — a list push or a pair update,
 /// scattered scalar loads and stores — in scatter-schedule lane
 /// multiply-adds, which stream. Calibrated by the ignored test
@@ -466,7 +455,7 @@ impl Schedule {
     /// it wins *and* the exact count `rows` meets while building its lists
     /// agrees — so a call that picks it leaves the lists built.
     fn of(slices: &[SparseSlice<'_>], minor: usize, rows: &mut RowLists) -> Self {
-        if slices.iter().all(|s| is_full(s, minor)) {
+        if slices.iter().all(|s| s.is_full(minor)) {
             return Schedule::Full;
         }
         let cost = SparseCost::of(slices, minor);
@@ -781,7 +770,7 @@ pub fn sampled_cross_into<M: MajorSlices>(
             *seat = m.slice(s);
         }
         let rows = g * P..g * P + group.len();
-        if group.len() > 1 && seats.iter().all(|s| is_full(s, minor)) {
+        if group.len() > 1 && seats.iter().all(|s| s.is_full(minor)) {
             // Full slices share the index set `0..minor`: their
             // `dot_dense` chains run side by side, no index loads.
             let x = seats.map(|s| s.values);
@@ -792,8 +781,15 @@ pub fn sampled_cross_into<M: MajorSlices>(
             }
         } else {
             for (a, sl) in rows.zip(&seats) {
-                for (j, v) in vs.iter().enumerate() {
-                    out.set(a, j, sl.dot_dense(v));
+                if let [u, v] = vs {
+                    // Lasso's `[ỹ, z̃]`: both chains in one index pass.
+                    let (du, dv) = sl.dot_dense2(u, v);
+                    out.set(a, 0, du);
+                    out.set(a, 1, dv);
+                } else {
+                    for (j, v) in vs.iter().enumerate() {
+                        out.set(a, j, sl.dot_dense(v));
+                    }
                 }
             }
         }
@@ -864,7 +860,8 @@ mod tests {
                 );
             }
         }
-        assert!(g.is_symmetric(1e-14));
+        // Bitwise symmetric: the upper triangle is mirrored, not recomputed.
+        assert!((0..5).all(|a| (0..5).all(|b| g.get(a, b).to_bits() == g.get(b, a).to_bits())));
     }
 
     #[test]
@@ -999,7 +996,7 @@ mod tests {
             }
             let slices = ws.resolve(m, &sel);
             let want = reference_gram(&slices, minor);
-            let full = slices.iter().all(|s| is_full(s, minor));
+            let full = slices.iter().all(|s| s.is_full(minor));
             let mut bufs: Vec<_> = ws.worker_bufs(3).collect();
             let mut bands: Vec<(usize, Vec<f64>)> = (0..k.div_ceil(simd::SPARSE_LANES))
                 .map(|t| {

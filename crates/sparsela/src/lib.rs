@@ -129,10 +129,56 @@ impl SparseSlice<'_> {
         self.values.iter().map(|v| v * v).sum()
     }
 
-    /// `y[indices] += alpha * values` — scatter-add into a dense vector.
-    pub fn axpy_into(&self, alpha: f64, y: &mut [f64]) {
+    /// Dot products with two dense vectors in one pass over the indices:
+    /// `(self.dot_dense(u), self.dot_dense(v))`, each the same single
+    /// chain, bit for bit.
+    pub(crate) fn dot_dense2(&self, u: &[f64], v: &[f64]) -> (f64, f64) {
+        let (mut acc_u, mut acc_v) = (0.0, 0.0);
         for (&i, &x) in self.indices.iter().zip(self.values) {
-            y[i] += alpha * x;
+            acc_u += x * u[i];
+            acc_v += x * v[i];
+        }
+        (acc_u, acc_v)
+    }
+
+    /// Whether the slice stores every coordinate of a length-`n` axis.
+    /// Matrix slices hold the invariant (indices strictly increasing, in
+    /// range — checked at every door a matrix comes in by), so `n` of them
+    /// are exactly `0..n`; both ends are compared as well, so a hand-built
+    /// slice whose indices leave the axis is never taken for full.
+    pub(crate) fn is_full(&self, n: usize) -> bool {
+        n > 0 && self.nnz() == n && self.indices[0] == 0 && self.indices[n - 1] == n - 1
+    }
+
+    /// `y[indices] += alpha * values` — scatter-add into a dense vector.
+    /// A full slice (`indices` = `0..y.len()`) runs without index loads,
+    /// contiguously; every entry gets the same one multiply and one add.
+    pub fn axpy_into(&self, alpha: f64, y: &mut [f64]) {
+        if self.is_full(y.len()) {
+            for (yi, &x) in y.iter_mut().zip(self.values) {
+                *yi += alpha * x;
+            }
+        } else {
+            for (&i, &x) in self.indices.iter().zip(self.values) {
+                y[i] += alpha * x;
+            }
+        }
+    }
+
+    /// `axpy_into(alpha, y)` then `axpy_into(beta, z)` in one pass over the
+    /// slice — the two vectors' entries get exactly the updates the two
+    /// calls make, with the full-slice path of [`Self::axpy_into`].
+    pub fn axpy2_into(&self, alpha: f64, y: &mut [f64], beta: f64, z: &mut [f64]) {
+        if y.len() == z.len() && self.is_full(y.len()) {
+            for ((yi, zi), &x) in y.iter_mut().zip(z.iter_mut()).zip(self.values) {
+                *yi += alpha * x;
+                *zi += beta * x;
+            }
+        } else {
+            for (&i, &x) in self.indices.iter().zip(self.values) {
+                y[i] += alpha * x;
+                z[i] += beta * x;
+            }
         }
     }
 }
@@ -184,5 +230,19 @@ mod tests {
         };
         assert_eq!(s.norm_sq(), 25.0);
         assert_eq!(s.nnz(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn hand_built_slice_with_a_full_count_but_foreign_indices_panics() {
+        // nnz == y.len() and the first index is 0, but the last is not
+        // n − 1: not the full-slice path, so the indexed loop reaches
+        // index 3 of a length-3 vector and panics, as it always did.
+        let s = SparseSlice {
+            indices: &[0, 1, 3],
+            values: &[1.0, 2.0, 3.0],
+        };
+        assert!(!s.is_full(3));
+        s.axpy_into(1.0, &mut [0.0; 3]);
     }
 }

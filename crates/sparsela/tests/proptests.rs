@@ -9,7 +9,7 @@ use sparsela::gram::{
 };
 use sparsela::io::{read_libsvm, write_libsvm, Dataset};
 use sparsela::shard::{verify_store, write_csc, write_csr, ShardStore, StreamingMatrix};
-use sparsela::{vecops, CooMatrix, CscMatrix, CsrMatrix, DenseMatrix};
+use sparsela::{vecops, CooMatrix, CscMatrix, CsrMatrix, DenseMatrix, SparseSlice};
 use sparsela::{GramWorkspace, MajorSlices};
 use std::io::Cursor;
 
@@ -71,6 +71,13 @@ fn single_chain_reference<M: MajorSlices>(
 
 fn bits(m: &DenseMatrix) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// `G[a][b]` and `G[b][a]` are the same bits — what the solvers' lane
+/// corrections read `G` through.
+fn bitwise_symmetric(g: &DenseMatrix) -> bool {
+    let k = g.rows();
+    (0..k).all(|a| (0..k).all(|b| g.get(a, b).to_bits() == g.get(b, a).to_bits()))
 }
 
 proptest! {
@@ -183,16 +190,25 @@ proptest! {
         let csr = CsrMatrix::from_parts(major, minor, indptr.clone(), indices.clone(), values.clone());
         let csc = CscMatrix::from_parts(minor, major, indptr, indices, values);
         let sel: Vec<usize> = (0..k).map(|_| rng.next_index(major)).collect();
-        let (want, _) = single_chain_reference(&csr, &sel, &[]);
+        let v: Vec<f64> = (0..minor).map(|_| rng.next_gaussian()).collect();
+        let w: Vec<f64> = (0..minor).map(|_| rng.next_gaussian()).collect();
+        let two: [&[f64]; 2] = [&v, &w];
+        let (want, want_c2) = single_chain_reference(&csr, &sel, &two);
 
         let mut ws = GramWorkspace::new();
-        let mut g = DenseMatrix::zeros(0, 0);
+        let (mut g, mut c) = (DenseMatrix::zeros(0, 0), DenseMatrix::zeros(0, 0));
         for threads in [1usize, 4] {
             sampled_gram_into(&csr, &sel, threads, &mut ws, &mut g);
             prop_assert_eq!(&bits(&g), &want, "csr, threads = {}", threads);
             sampled_gram_into(&csc, &sel, threads, &mut ws, &mut g);
             prop_assert_eq!(&bits(&g), &want, "csc, threads = {}", threads);
         }
+        // Two vectors share one index pass per slice: still each vector's
+        // own `dot_dense` chain.
+        sampled_cross_into(&csr, &sel, &two, &mut c);
+        prop_assert_eq!(&bits(&c), &want_c2);
+        sampled_cross_into(&csc, &sel, &two, &mut c);
+        prop_assert_eq!(&bits(&c), &want_c2);
     }
 
     /// CSR ↔ CSC ↔ dense conversions are lossless.
@@ -254,7 +270,7 @@ proptest! {
         let k = 1 + rng.next_index(n.min(6));
         let sel = xrng::sample_without_replacement(&mut rng, n, k);
         let g = sampled_gram(&csc, &sel);
-        prop_assert!(g.is_symmetric(1e-12));
+        prop_assert!(bitwise_symmetric(&g));
         // PSD via random quadratic forms
         for _ in 0..8 {
             let x: Vec<f64> = (0..k).map(|_| rng.next_gaussian()).collect();
@@ -299,7 +315,7 @@ proptest! {
         let trace: f64 = (0..n).map(|i| g.get(i, i)).sum();
         let esum: f64 = eigs.iter().sum();
         prop_assert!((trace - esum).abs() < 1e-7 * trace.abs().max(1.0));
-        let lmax = max_eigenvalue(&g);
+        let lmax = max_eigenvalue(&mut g.clone());
         for _ in 0..4 {
             let x: Vec<f64> = (0..n).map(|_| rng.next_gaussian()).collect();
             let nx = vecops::nrm2_sq(&x);
@@ -628,5 +644,180 @@ proptest! {
             }
         }
         std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+}
+
+/// The Jacobi eigenvalues as computed before the sweeps ran in place:
+/// clone, sweep through `get`/`set`, sort the diagonal descending (the
+/// symmetry check is the caller's). Kept as the bitwise reference for the in-place sweep and
+/// its first-max diagonal scan; its element [0] is what `max_eigenvalue`
+/// returned for orders 3..=32.
+fn clone_and_sort_eigenvalues(a: &DenseMatrix) -> Vec<f64> {
+    let n = a.rows();
+    let mut m = a.clone();
+    for _sweep in 0..50 {
+        let mut off = 0.0f64;
+        for p in 0..n {
+            for q in (p + 1)..n {
+                off = off.max(m.get(p, q).abs());
+            }
+        }
+        let scale = vecops::inf_norm(m.as_slice()).max(1e-300);
+        if off <= 1e-14 * scale {
+            break;
+        }
+        for p in 0..n {
+            for q in (p + 1)..n {
+                let apq = m.get(p, q);
+                if apq.abs() <= 1e-300 {
+                    continue;
+                }
+                let app = m.get(p, p);
+                let aqq = m.get(q, q);
+                let theta = (aqq - app) / (2.0 * apq);
+                let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
+                let c = 1.0 / (t * t + 1.0).sqrt();
+                let s = t * c;
+                for k in 0..n {
+                    let mkp = m.get(k, p);
+                    let mkq = m.get(k, q);
+                    m.set(k, p, c * mkp - s * mkq);
+                    m.set(k, q, s * mkp + c * mkq);
+                }
+                for k in 0..n {
+                    let mpk = m.get(p, k);
+                    let mqk = m.get(q, k);
+                    m.set(p, k, c * mpk - s * mqk);
+                    m.set(q, k, s * mpk + c * mqk);
+                }
+            }
+        }
+    }
+    let mut eigs = m.diagonal();
+    eigs.sort_by(|a, b| b.partial_cmp(a).unwrap());
+    eigs
+}
+
+/// A sampled Gram block of order `n` of the shapes the solvers send the
+/// Jacobi: `kind` 0 — Gaussian columns, some selected twice (rotating);
+/// 1 — disjoint supports, so exactly diagonal; 2 — disjoint supports that
+/// share one row at `tiny` relative size (off-diagonal ≤ 1e-14·scale when
+/// `tiny` is 1e-9, a few small rotations when it is 1e-6); 3 — every
+/// column empty, an all-zero block with a `−0.0` diagonal; 4 — kinds 0
+/// and 1 with some columns empty (`−0.0` diagonal entries among others).
+fn solver_shaped_gram(rng: &mut xrng::Rng, n: usize, kind: usize) -> DenseMatrix {
+    let tiny = if rng.next_index(2) == 0 { 1e-9 } else { 1e-6 };
+    let (m, shared) = (2 * n + 1, 2 * n);
+    let mut coo = CooMatrix::new(m, n);
+    for j in 0..n {
+        let empty = kind == 3 || (kind == 4 && rng.next_index(3) == 0);
+        if empty {
+            continue;
+        }
+        match kind {
+            0 => {
+                for i in 0..m {
+                    coo.push(i, j, rng.next_gaussian());
+                }
+            }
+            2 => {
+                coo.push(j, j, rng.next_gaussian());
+                coo.push(n + j, j, rng.next_gaussian());
+                coo.push(shared, j, tiny * rng.next_gaussian());
+            }
+            _ => {
+                coo.push(j, j, rng.next_gaussian());
+                if kind == 4 && rng.next_index(2) == 0 {
+                    coo.push(shared, j, rng.next_gaussian());
+                }
+            }
+        }
+    }
+    let csc = coo.to_csc();
+    let sel: Vec<usize> = (0..n)
+        .map(|j| {
+            if kind == 0 && rng.next_index(4) == 0 {
+                rng.next_index(n)
+            } else {
+                j
+            }
+        })
+        .collect();
+    sampled_gram(&csc, &sel)
+}
+
+proptest! {
+    /// λmax in place is the clone-and-sort Jacobi's first eigenvalue BIT
+    /// FOR BIT, through both doors (`max_eigenvalue` and
+    /// `jacobi_eigenvalues(a)[0]`), on every order the solvers hand to
+    /// Jacobi and every block shape they send: rotating, exactly diagonal,
+    /// diagonal to 1e-14, all-zero and `−0.0`-diagonal. The full sorted
+    /// spectrum must match too.
+    #[test]
+    fn in_place_jacobi_matches_clone_and_sort_bitwise(
+        seed in any::<u64>(),
+        n in 3usize..=32,
+        kind in 0usize..5,
+    ) {
+        let mut rng = xrng::rng_from_seed(seed);
+        let g = solver_shaped_gram(&mut rng, n, kind);
+        prop_assert!(bitwise_symmetric(&g));
+        let want = clone_and_sort_eigenvalues(&g);
+        let all: Vec<u64> = jacobi_eigenvalues(&g).iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(&all, &want.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        let mut scratch = g.clone();
+        prop_assert_eq!(max_eigenvalue(&mut scratch).to_bits(), want[0].to_bits(), "kind {}", kind);
+        // The rotated block holds the spectrum on its diagonal.
+        let mut diag = scratch.diagonal();
+        diag.sort_by(|a, b| b.partial_cmp(a).unwrap());
+        prop_assert_eq!(diag.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), all);
+    }
+
+    /// `axpy_into`'s full-slice path and the fused two-vector
+    /// `axpy2_into` are BITWISE the indexed scatter-add loop, on full and
+    /// sparse slices, with stored `0.0`, `−0.0` and subnormals.
+    #[test]
+    fn axpy_paths_match_the_indexed_loop_bitwise(
+        seed in any::<u64>(),
+        n in 1usize..70,
+        full in any::<bool>(),
+    ) {
+        let mut rng = xrng::rng_from_seed(seed);
+        let indices: Vec<usize> = if full {
+            (0..n).collect()
+        } else {
+            let nnz = rng.next_index(n + 1);
+            let mut rows = xrng::sample_without_replacement(&mut rng, n, nnz);
+            rows.sort_unstable();
+            rows
+        };
+        let values: Vec<f64> = indices
+            .iter()
+            .map(|_| match rng.next_index(8) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f64::from_bits(1 + rng.next_index(1 << 20) as u64),
+                _ => rng.next_gaussian(),
+            })
+            .collect();
+        let slice = SparseSlice { indices: &indices, values: &values };
+        let (alpha, beta) = (rng.next_gaussian(), -rng.next_gaussian());
+        let y0: Vec<f64> = (0..n).map(|_| rng.next_gaussian()).collect();
+        let z0: Vec<f64> = (0..n).map(|_| rng.next_gaussian()).collect();
+        let indexed = |a: f64, v: &[f64]| {
+            let mut v = v.to_vec();
+            for (&i, &x) in indices.iter().zip(&values) {
+                v[i] += a * x;
+            }
+            v.iter().map(|e| e.to_bits()).collect::<Vec<_>>()
+        };
+        let bits_of = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        let (mut y, mut z) = (y0.clone(), z0.clone());
+        slice.axpy_into(alpha, &mut y);
+        prop_assert_eq!(bits_of(&y), indexed(alpha, &y0));
+        let mut y = y0.clone();
+        slice.axpy2_into(alpha, &mut y, beta, &mut z);
+        prop_assert_eq!(bits_of(&y), indexed(alpha, &y0));
+        prop_assert_eq!(bits_of(&z), indexed(beta, &z0));
     }
 }
