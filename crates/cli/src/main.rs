@@ -1052,14 +1052,14 @@ fn solve_rank(args: &Args, spec: &RunSpec<'_>, data: &Data) -> Result<(), ArgErr
     };
     let mut comm = NetComm::establish(net_cfg)
         .map_err(|e| ArgError(format!("rank {rank}/{p}: mesh establish: {e}")))?;
-    let t0 = Instant::now();
+    let (setup, t0) = (comm.stats(), Instant::now());
     let (res, _) = run_rank(
         &spec.method,
         RankComm::Net(&mut comm),
         RankData::Lasso(&blocks[rank]),
     )?;
     let wall = t0.elapsed().as_secs_f64();
-    let mut telemetry = net_rank_telemetry(&spec.solver_name(), &comm, wall);
+    let mut telemetry = net_rank_telemetry(&spec.solver_name(), &comm, &setup, wall);
     telemetry.set_meta("dataset", args.require("data")?);
     telemetry.gauge_set("objective.final", res.final_value());
     telemetry.gauge_set("time.wall_secs", wall);

@@ -25,7 +25,7 @@ use crate::trace::SolveResult;
 use saco_telemetry::{Phase, Registry};
 
 pub use crate::dist::{LassoRankData, SvmRankData};
-pub use netcomm::{Addr, Backoff, NetComm, NetConfig};
+pub use netcomm::{Addr, Backoff, NetComm, NetConfig, StatsSnapshot};
 
 /// SA-accBCD over the socket mesh (Algorithm 2; `cfg.s = 1` is classical
 /// accBCD) on a communicator the caller established: [`run_rank`] for the
@@ -49,9 +49,18 @@ pub fn net_sa_accbcd<R: Regularizer>(
 
 /// Record a mesh's wire counters into `registry` under the `net.*`
 /// namespace (see OBSERVABILITY.md), attributing measured comm/wait wall
-/// time to this rank's phase table. Call once, after the solve.
-pub fn record_net_stats(registry: &mut Registry, comm: &NetComm, wall_secs: f64) {
+/// time to this rank's phase table. Call once, after the solve; `setup`
+/// is the snapshot taken just before it, so `net.solve.*` counts the
+/// solve's own frames without the handshake and the set-up barrier.
+pub fn record_net_stats(
+    registry: &mut Registry,
+    comm: &NetComm,
+    setup: &StatsSnapshot,
+    wall_secs: f64,
+) {
     let s = comm.stats();
+    registry.counter_add("net.solve.frames_tx", s.frames_tx - setup.frames_tx);
+    registry.counter_add("net.solve.bytes_tx", s.bytes_tx - setup.bytes_tx);
     registry.counter_add("net.bytes_tx", s.bytes_tx);
     registry.counter_add("net.bytes_rx", s.bytes_rx);
     registry.counter_add("net.frames_tx", s.frames_tx);

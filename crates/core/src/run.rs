@@ -49,7 +49,7 @@ use crate::trace::SolveResult;
 use datagen::Partition;
 use mpisim::{ChaosSpec, Comm, CostModel, CostReport, ThreadMachine};
 use netcomm::cluster::run_local;
-use netcomm::NetComm;
+use netcomm::{NetComm, StatsSnapshot};
 use saco_telemetry::Registry;
 use sparsela::io::Dataset;
 use sparsela::SliceSource;
@@ -666,10 +666,10 @@ fn ranked<'d, R: Regularizer, D: Sync>(
         Engine::Net { p, .. } => {
             let solver = spec.solver_name();
             let per_rank = run_local(p, |rank, comm| {
-                let rank_t0 = Instant::now();
+                let (setup, rank_t0) = (comm.stats(), Instant::now());
                 let solved = solve(RankComm::Net(comm), rank);
                 let wall = rank_t0.elapsed().as_secs_f64();
-                (solved, net_rank_telemetry(&solver, comm, wall))
+                (solved, net_rank_telemetry(&solver, comm, &setup, wall))
             });
             let telemetry = merge_rank_registries(per_rank.iter().map(|(_, t)| t));
             let solved = per_rank.into_iter().map(|(s, _)| s).collect();
@@ -704,12 +704,18 @@ fn outcome<R: Regularizer>(
 /// [`record_net_stats`]) under the meta a run report is keyed by. The
 /// in-process mesh and `saco launch`'s rank processes both build their
 /// per-rank reports here, so [`merge_rank_registries`] sees one shape.
-pub fn net_rank_telemetry(solver: &str, comm: &NetComm, wall_secs: f64) -> Registry {
+/// `setup` is the mesh's counters just before the solve.
+pub fn net_rank_telemetry(
+    solver: &str,
+    comm: &NetComm,
+    setup: &StatsSnapshot,
+    wall_secs: f64,
+) -> Registry {
     let mut t = Registry::new();
     t.set_meta("engine", "socket_mesh");
     t.set_meta("cli.engine", "net");
     t.set_meta("solver", solver);
-    record_net_stats(&mut t, comm, wall_secs);
+    record_net_stats(&mut t, comm, setup, wall_secs);
     t
 }
 

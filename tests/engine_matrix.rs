@@ -25,6 +25,7 @@
 
 use datagen::{binary_classification, dense_gaussian, planted_regression, uniform_sparse};
 use datagen::{col_partition, shard_plan, slice_nnz, PaperDataset, Task};
+use mpisim::telemetry::Registry;
 use mpisim::{CostModel, CostReport};
 use saco::prox::{ElasticNet, GroupLasso, Lasso, Regularizer};
 use saco::run::{run, Engine, Method, RunError, RunOutcome, RunSpec, Source};
@@ -1191,20 +1192,78 @@ fn try_cell(
     }
 }
 
-/// Walk one method over every engine × source × overlap × p. Each shard
-/// directory is tagged with whether the method can stream it; the other
-/// one must be `RunError::WrongAxis` on every engine.
-fn walk_cells(family: Family, ds: &Dataset, dirs: [(&Path, bool); 2]) {
+/// The cell's wire counts as `(allreduces, payload words)` in program
+/// order — what one rank joined and handed in. The modeled engines count
+/// them on the ledger; the socket mesh's are inverted from the frames and
+/// bytes its ranks sent during the solve by the tree identity: an
+/// allreduce of `w` words crosses `2(P−1)` tree edges, each one frame of
+/// `HEADER_LEN + 8w` bytes. A lone rank sends nothing and counts none.
+fn wire_counts(engine: Engine, t: &Registry) -> (u64, u64) {
+    let Engine::Net { p, .. } = engine else {
+        return (
+            t.counter("collectives.allreduce"),
+            t.counter("comm.words_packed"),
+        );
+    };
+    let (frames, bytes) = (
+        t.counter("net.solve.frames_tx"),
+        t.counter("net.solve.bytes_tx"),
+    );
+    let edges = 2 * (p as u64 - 1);
+    if edges == 0 {
+        assert_eq!((frames, bytes), (0, 0), "a lone rank sent frames");
+        return (0, 0);
+    }
+    let payload = bytes - frames * netcomm::frame::HEADER_LEN as u64;
+    assert_eq!(payload % 8, 0, "payload bytes are whole words");
+    assert_eq!(frames % edges, 0, "{frames} frames over {edges} tree edges");
+    assert_eq!(
+        payload / 8 % edges,
+        0,
+        "{payload} payload bytes over {edges} edges"
+    );
+    (frames / edges, payload / 8 / edges)
+}
+
+/// One line of `tests/goldens/cells.txt`: the cell, its objective's bits
+/// and iterations, and on the rank engines its [`wire_counts`].
+fn cell_line(what: &str, engine: Engine, out: &RunOutcome) -> String {
+    let r = out.result();
+    let bits = r.final_value().to_bits();
+    let mut line = format!("{what} obj={bits:016x} iters={}", r.iters);
+    if engine.ranks().is_some() {
+        let (coll, words) = wire_counts(engine, &out.telemetry);
+        line += &format!(" coll={coll} words={words}");
+    }
+    line
+}
+
+/// Walk one method over every engine × source × overlap × p, appending
+/// one [`cell_line`] per cell that runs to `lines`. Each shard directory
+/// is tagged with whether the method can stream it; the other one must be
+/// `RunError::WrongAxis` on every engine.
+fn walk_cells(
+    name: &str,
+    family: Family,
+    ds: &Dataset,
+    dirs: [(&Path, bool); 2],
+    lines: &mut Vec<String>,
+) {
     // The linear SVM partitions `x` across ranks; the rest replicate it.
     let partitioned = matches!(family, Family::Svm);
     for overlap in [false, true] {
         let reference = try_cell(family, overlap, Engine::Seq, mem(ds)).expect("reference cell");
         let reference = global_x(&reference, false, "reference");
-        for (name, engine, at_one, beyond) in ENGINE_TABLE {
-            for p in [1usize, 4] {
+        for (engine_name, engine, at_one, beyond) in ENGINE_TABLE {
+            for p in [1usize, 2, 4] {
+                if engine(p).ranks().is_none() && p > 1 {
+                    continue; // `seq` has no ranks: p = 1 is its one cell
+                }
                 let rel = if p == 1 { at_one } else { beyond };
-                let what = format!("{family:?} overlap={overlap} {name} p={p}");
+                let what = format!("{family:?} overlap={overlap} {engine_name} p={p}");
+                let cell_id = format!("{name} overlap={overlap} {engine_name} p={p}");
                 let in_memory = try_cell(family, overlap, engine(p), mem(ds)).expect(&what);
+                lines.push(cell_line(&format!("{cell_id} mem"), engine(p), &in_memory));
                 let split = partitioned && in_memory.results.len() > 1;
                 let x_mem = global_x(&in_memory, split, &what);
                 assert_related(&x_mem, &reference, rel, &what);
@@ -1217,6 +1276,7 @@ fn walk_cells(family: Family, ds: &Dataset, dirs: [(&Path, bool); 2]) {
                             // to seq.
                             assert_eq!(global_x(&out, split, &what), x_mem, "{what}");
                             assert_eq!(out.io.len(), out.results.len(), "{what}: io views");
+                            lines.push(cell_line(&format!("{cell_id} shard"), engine(p), &out));
                         }
                         Err(RunError::WrongAxis { .. }) if !streams => {}
                         other => panic!("{what}: unexpected cell outcome {other:?}"),
@@ -1229,7 +1289,10 @@ fn walk_cells(family: Family, ds: &Dataset, dirs: [(&Path, bool); 2]) {
 
 /// Every cell, including the ones no other test reaches: streamed SVM and
 /// streamed K-DCD on the socket mesh, streamed K-DCD on the virtual
-/// cluster, and every wrong-axis cell as a typed error.
+/// cluster, and every wrong-axis cell as a typed error. Every cell that
+/// runs is pinned in `tests/goldens/cells.txt`, so a change that moved
+/// the bits consistently across engines still fails here, naming the
+/// cells it moved.
 #[test]
 fn product_walk_covers_streamed_net_kdcd_cells() {
     let lasso_data = lasso_ds(11);
@@ -1250,16 +1313,27 @@ fn product_walk_covers_streamed_net_kdcd_cells() {
     let for_duals = [(csc_dir.as_path(), false), (csr_dir.as_path(), true)];
     let for_dense = [(dense_dir.as_path(), true), (csr_dir.as_path(), false)];
 
-    for accel in [false, true] {
-        walk_cells(Family::Lasso { accel }, &lasso_data, for_lasso);
+    let mut lines = Vec::new();
+    for (name, accel) in [("bcd", false), ("accbcd", true)] {
+        walk_cells(
+            name,
+            Family::Lasso { accel },
+            &lasso_data,
+            for_lasso,
+            &mut lines,
+        );
     }
     // Full slices through every cell. The dual families below already walk
     // them: `kdcd_ds` is `dense_gaussian(48, 16)`, every row full.
-    walk_cells(Family::Lasso { accel: true }, &dense_data, for_dense);
-    walk_cells(Family::Svm, &dual_data, for_duals);
-    for (kernel, task, _) in kdcd_kernels() {
-        walk_cells(Family::Kdcd(kernel, task), &dual_data, for_duals);
+    let dense = Family::Lasso { accel: true };
+    walk_cells("accbcd-dense", dense, &dense_data, for_dense, &mut lines);
+    walk_cells("svm-l1", Family::Svm, &dual_data, for_duals, &mut lines);
+    for (kernel, task, name) in kdcd_kernels() {
+        let family = Family::Kdcd(kernel, task);
+        walk_cells(name, family, &dual_data, for_duals, &mut lines);
     }
+    lines.push(String::new());
+    golden_check("cells.txt", &lines.join("\n"));
 
     // The rest of the documented error surface.
     let accbcd = Family::Lasso { accel: true };
