@@ -15,8 +15,8 @@ use saco::net::{Addr, Backoff, LassoRankData, NetComm, NetConfig};
 use saco::path::lasso_path;
 use saco::prox::Lasso;
 use saco::run::{
-    merge_rank_registries, net_rank_telemetry, open_store, run, run_rank, Engine, Method, RankComm,
-    RankData, RunError, RunOutcome, RunSpec, Source,
+    merge_rank_registries, net_rank_telemetry, open_store, run, run_rank, Engine, Method, RankData,
+    RunError, RunOutcome, RunSpec, Source,
 };
 use saco::serve::{ModelArtifact, ServeConfig};
 use saco::{ConvergenceTrace, KdcdConfig, KdcdTask, LassoConfig, SolveResult, SvmConfig, SvmLoss};
@@ -118,7 +118,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
             any --engine; all-hit blocks skip the allreduce)",
         synopsis: "--data train.svm|shard:DIR [--kernel rbf:gamma=G|poly:d=D|linear]
                 [--loss l1|l2] [--lambda 1] [--s 8] [--iters 10000] [--seed 42]
-                [--trace-every 0] [--cache-budget 64M] [--engine seq|sim|dist|net]
+                [--trace-every 0] [--cache-budget 64M] [--engine seq|sim|net]
                 [--p 4] [--balanced] [--chaos spec] [--mem-budget 256M]
                 [--metrics report.json] [--model-out m.saco] [--out alpha.txt]",
         run: Run::Solve(Family::Ksvm, Some("seq")),
@@ -128,7 +128,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
         about: "kernel ridge regression in the dual (K-BDCD)",
         synopsis: "--data train.svm|shard:DIR [--kernel rbf:gamma=G|poly:d=D|linear]
                 [--lambda 0.5] [--s 8] [--iters 10000] [--seed 42] [--trace-every 0]
-                [--cache-budget 64M] [--engine seq|sim|dist|net] [--p 4] [--balanced]
+                [--cache-budget 64M] [--engine seq|sim|net] [--p 4] [--balanced]
                 [--chaos spec] [--mem-budget 256M] [--metrics report.json]
                 [--model-out m.saco] [--out alpha.txt]",
         run: Run::Solve(Family::Kridge, Some("seq")),
@@ -165,7 +165,7 @@ const SUBCOMMANDS: &[Subcommand] = &[
         name: "simulate",
         about: "run a solver on a chosen execution engine and report costs
             (--metrics <path> writes a saco-telemetry/v1 JSON run report)",
-        synopsis: "--data train.svm|shard:DIR [--engine seq|sim|dist|net] [--p P]
+        synopsis: "--data train.svm|shard:DIR [--engine seq|sim|net] [--p P]
                 [--lambda X | --lambda-frac 0.1] [--s 16] [--mu 1] [--iters 2000]
                 [--seed 42] [--acc] [--balanced] [--rel-tol T] [--trace-every 0]
                 [--mem-budget 256M] [--metrics report.json]
@@ -278,12 +278,12 @@ residual bits + sampling provenance, so `saco serve` continues training
 bitwise identically to an uncut run. Other families are score-only
 (kernel duals are inspect-only — they cannot be scored linearly).
 
-`--engine seq|sim|dist|net` picks the backend of
+`--engine seq|sim|net` picks the backend of
 {}:
 seq = sequential reference, sim = modeled virtual cluster (α-β-γ cost
-model), dist = thread-backed message-passing machine, net = in-process
-socket mesh with measured wall-clock time. All engines produce the same
-iterates; `saco launch` runs engine net across real processes.
+model), net = in-process socket mesh with measured wall-clock time. All
+engines produce the same iterates; `saco launch` runs engine net across
+real processes.
 
 `--threads N` (or SACO_THREADS=N) runs the shared-memory kernels on N
 pooled workers; results are bitwise identical at any thread count.
@@ -372,7 +372,7 @@ fn shard_dir(args: &Args) -> Option<&str> {
 
 /// What `--data` named: a loaded LIBSVM file, or an open shard directory
 /// (the out-of-core path) with its labels sidecar and the `--mem-budget`
-/// resident byte cap (default 256M; per view — each rank of a dist/net
+/// resident byte cap (default 256M; per view — each rank of a net
 /// run gets its own budget).
 enum Data {
     Memory(Dataset),
@@ -445,11 +445,6 @@ fn parse_engine(args: &Args, name: &str, mesh: usize) -> Result<Engine, ArgError
             balanced,
             chaos: parse_chaos(args)?,
         },
-        "dist" => Engine::Dist {
-            p: positive(args, "p", 4)?,
-            model,
-            balanced,
-        },
         // One socket endpoint per rank (default 4, at most `mesh`).
         "net" => match args.get_or("p", 4)? {
             p if p == 0 || p > mesh => {
@@ -461,7 +456,7 @@ fn parse_engine(args: &Args, name: &str, mesh: usize) -> Result<Engine, ArgError
         },
         other => {
             return Err(ArgError(format!(
-                "--engine must be seq|sim|dist|net, got {other:?}"
+                "--engine must be seq|sim|net, got {other:?}"
             )))
         }
     })
@@ -852,11 +847,10 @@ fn train_resumable(
 
 /// The engine summary under the header of a row with `--engine`: the
 /// clock line (`note` qualifies it), then the modeled critical-path costs
-/// (sim, dist), the measured wire totals (net) and the injected chaos.
+/// (sim), the measured wire totals (net) and the injected chaos.
 fn print_summary(engine: &Engine, secs: f64, costs: Option<CostReport>, t: &Registry, note: &str) {
     let (clock, kind) = match engine {
         Engine::Sim { .. } => ("running time", "simulated"),
-        Engine::Dist { .. } => ("running time", "modeled"),
         Engine::Seq | Engine::Net { .. } => ("wall time", "measured"),
     };
     println!("  {clock}: {secs:.6} s ({kind}{note})");
@@ -1053,11 +1047,7 @@ fn solve_rank(args: &Args, spec: &RunSpec<'_>, data: &Data) -> Result<(), ArgErr
     let mut comm = NetComm::establish(net_cfg)
         .map_err(|e| ArgError(format!("rank {rank}/{p}: mesh establish: {e}")))?;
     let (setup, t0) = (comm.stats(), Instant::now());
-    let (res, _) = run_rank(
-        &spec.method,
-        RankComm::Net(&mut comm),
-        RankData::Lasso(&blocks[rank]),
-    )?;
+    let (res, _) = run_rank(&spec.method, &mut comm, RankData::Lasso(&blocks[rank]))?;
     let wall = t0.elapsed().as_secs_f64();
     let mut telemetry = net_rank_telemetry(&spec.solver_name(), &comm, &setup, wall);
     telemetry.set_meta("dataset", args.require("data")?);

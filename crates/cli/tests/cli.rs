@@ -306,10 +306,10 @@ fn engine_flag_runs_every_backend_to_the_same_objective() {
                 .expect("run simulate"),
         )
     };
-    // seq/sim/dist replicate, dist/net share the allreduce association:
-    // every engine must print the identical objective.
+    // seq and sim replicate, and the printed digits hide net's last-ulp
+    // reassociation: every engine must print the identical objective.
     let seq = run("seq");
-    for engine in ["sim", "dist", "net"] {
+    for engine in ["sim", "net"] {
         assert_eq!(run(engine), seq, "engine {engine} diverged from seq");
     }
     // --chaos is modeled-cluster-only.
@@ -545,7 +545,7 @@ fn streamed_simulate_objective_matches_every_engine() {
             .output()
             .expect("simulate mem"),
     );
-    for engine in ["seq", "sim", "dist", "net"] {
+    for engine in ["seq", "sim", "net"] {
         let out = saco()
             .arg("simulate")
             .arg("--data")
@@ -699,12 +699,11 @@ fn helpful_errors() {
     let data = generated("errors.svm", &["duke"]);
     for (cmd, engine, flag) in [
         ("simulate", &["--engine", "sim"][..], "--p"),
-        ("simulate", &["--engine", "dist"], "--p"),
         ("simulate", &["--engine", "net"], "--p"),
-        ("ksvm", &["--engine", "dist"], "--p"),
+        ("ksvm", &["--engine", "net"], "--p"),
         ("simulate", &["--engine", "seq"], "--s"),
         ("simulate", &["--engine", "sim"], "--mu"),
-        ("simulate", &["--engine", "dist"], "--iters"),
+        ("simulate", &["--engine", "net"], "--iters"),
         ("lasso", &[], "--mu"),
         ("svm", &[], "--s"),
         ("kridge", &["--engine", "seq"], "--iters"),
@@ -728,6 +727,18 @@ fn helpful_errors() {
         );
         assert!(!err.contains("panicked"), "{err}");
     }
+    // The retired thread engine is an engine-name error naming the two
+    // that replace it: sim prices, net executes.
+    let out = saco()
+        .args(["simulate", "--data"])
+        .arg(&data)
+        .args(["--engine", "dist"])
+        .output()
+        .expect("run");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("sim") && err.contains("net"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
     // An option the subcommand does not read — retired (`--algo`,
     // `--overlap`), misspelt (`--itres`) or another subcommand's
     // (`--engine` on lasso) — is an error naming it, raised before `--data`

@@ -1,67 +1,16 @@
-//! The three engines behind [`ExecBackend`]: sequential ground truth,
-//! analytic virtual cluster, and SPMD thread machine.
+//! The two in-process engines behind [`ExecBackend`]: the sequential
+//! ground truth and the analytic virtual cluster. The socket mesh's
+//! backend lives in `exec/net.rs`.
 
+use super::charges::{self, Site};
 use super::{ExecBackend, Payload, Stage};
-use crate::dist::charges::{self, Site};
 use crate::sim::{per_rank_sel_nnz, phase_snapshot};
 use crate::workspace::KernelWorkspace;
 use datagen::{bucket_counts, Partition};
 use mpisim::telemetry::{Phase, PhaseTimes};
-use mpisim::{Comm, CostModel, VirtualCluster};
+use mpisim::{CostModel, VirtualCluster};
 use saco_telemetry::{Registry, WallSpan};
 use sparsela::gram::MajorSlices;
-use sparsela::sympack;
-
-/// Assemble the fused allreduce payload in `ws.pack` per the family's
-/// [`Payload`] descriptor: packed Gram upper triangle (if any), cross
-/// terms interleaved per block row, then the optional traced residual
-/// contribution. Shared by every engine that actually moves the payload
-/// (thread machine and socket mesh), so the wire layout cannot drift
-/// between them; the length assert keeps a family's descriptor honest
-/// against what it actually put in the workspace.
-pub(crate) fn pack_fused(ws: &mut KernelWorkspace, p: Payload, resid: Option<f64>) {
-    let base = ws.pack.len();
-    if p.tri > 0 {
-        assert_eq!(
-            (ws.gram.rows(), ws.gram.cols()),
-            (p.tri, p.tri),
-            "payload descriptor disagrees with the workspace Gram block"
-        );
-        sympack::pack_upper_into(&ws.gram, &mut ws.pack);
-    }
-    for k in 0..p.rows {
-        for v in 0..p.cols {
-            ws.pack.push(ws.cross.get(k, v));
-        }
-    }
-    if let Some(rc) = resid {
-        ws.pack.push(rc);
-    }
-    assert_eq!(
-        ws.pack.len() - base,
-        p.words(resid.is_some()),
-        "packed payload length disagrees with its descriptor"
-    );
-}
-
-/// Inverse of [`pack_fused`] after the reduction: scatter the global
-/// triangle and cross terms back into the workspace (handing the
-/// recurrence the global Gram block under the same name the replicated
-/// engines use) and return the reduced residual iff one was packed.
-pub(crate) fn unpack_fused(ws: &mut KernelWorkspace, p: Payload, traced: bool) -> Option<f64> {
-    let mut pos = 0;
-    if p.tri > 0 {
-        pos = sympack::unpack_symmetric_into(&ws.pack, 0, p.tri, &mut ws.gram_global);
-        std::mem::swap(&mut ws.gram, &mut ws.gram_global);
-    }
-    for k in 0..p.rows {
-        for v in 0..p.cols {
-            ws.cross.set(k, v, ws.pack[pos]);
-            pos += 1;
-        }
-    }
-    traced.then(|| ws.pack[pos])
-}
 
 /// Sequential engine: no communication, zero-cost charges, exact
 /// per-iteration traces. Optionally instrumented with wall-clock spans.
@@ -118,9 +67,8 @@ impl<'r> ExecBackend<'r> for SeqBackend<'r> {
     }
 }
 
-/// Which of a rank's nonzeros a charge [`Site`] is a function of. The
-/// replicated engine resolves it per rank against its partition, the SPMD
-/// engine against the rank's local block.
+/// Which of a rank's nonzeros a charge [`Site`] is a function of,
+/// resolved per virtual rank against the partition.
 enum Nnz<'s> {
     /// Stored entries of the selected major slices.
     Sel(&'s [usize]),
@@ -132,68 +80,9 @@ enum Nnz<'s> {
     Replicated,
 }
 
-/// The charge hooks of [`ExecBackend`], stated once for both engines that
-/// model time: each names its site's nnz source and its `dist::charges`
-/// formula. The engine supplies `charge` — where that nnz comes from and
-/// which ledger(s) receive the charge — and `reduce`, the blocking fused
-/// allreduce of a buffer.
-macro_rules! charge_hooks {
-    () => {
-        fn charge_gram(&mut self, sel: &[usize], width: usize) {
-            self.charge(Nnz::Sel(sel), charges::gram(width as u64));
-        }
-
-        fn charge_cross(&mut self, sel: &[usize], width: usize, nvecs: usize) {
-            self.charge(Nnz::Sel(sel), charges::cross(width as u64, nvecs as u64));
-        }
-
-        fn charge_trace_prep(&mut self, factor: u64) {
-            self.charge(Nnz::Rows, charges::trace_prep(factor));
-        }
-
-        fn charge_outer_overhead(&mut self) {
-            self.charge_obj(charges::OUTER_OVERHEAD_FLOPS, 64);
-        }
-
-        fn charge_prox(&mut self, flops: u64, ws_words: u64) {
-            let site = charges::replicated(Phase::Prox, flops, ws_words);
-            self.charge(Nnz::Replicated, site);
-        }
-
-        fn charge_lasso_update(&mut self, coords: &[usize], mu: usize, halve: bool) {
-            self.charge(Nnz::Sel(coords), charges::lasso_update(mu as u64, halve));
-        }
-
-        fn charge_svm_update(&mut self, row: usize) {
-            self.charge(Nnz::Sel(&[row]), charges::svm_update());
-        }
-
-        fn charge_obj(&mut self, flops: u64, ws_words: u64) {
-            let site = charges::replicated(Phase::Comp, flops, ws_words);
-            self.charge(Nnz::Replicated, site);
-        }
-
-        fn charge_kdcd_tile(&mut self, misses: usize, m: usize) {
-            let site = charges::block_spmv(Phase::Gram, misses as u64, m as u64);
-            self.charge(Nnz::Whole, site);
-        }
-
-        fn norm_reduce(&mut self, buf: &mut Vec<f64>, m: usize) {
-            self.charge(Nnz::Whole, charges::block_spmv(Phase::Comp, 1, m as u64));
-            self.reduce(buf);
-        }
-
-        fn gap_reduce(&mut self, buf: &mut Vec<f64>, m: usize) {
-            self.charge(Nnz::Whole, charges::block_spmv(Phase::Comp, 1, m as u64));
-            self.reduce(buf);
-            self.charge_obj(4 * m as u64, m as u64);
-        }
-    };
-}
-
 /// Virtual-cluster engine: runs the global numerics once while charging
-/// each rank its analytic share of flops/bytes/words, so the clock and
-/// counters predict the SPMD engine exactly.
+/// each rank its analytic share of flops/bytes/words — the share of the
+/// data that rank would hold in a partitioned execution.
 pub(crate) struct SimBackend<'a, M: MajorSlices + Sync> {
     cluster: VirtualCluster,
     mat: &'a M,
@@ -264,17 +153,62 @@ impl<'a, M: MajorSlices + Sync> SimBackend<'a, M> {
             Nnz::Replicated => self.cluster.charge(class, phase, |_| cost(0)),
         }
     }
-
-    fn reduce(&mut self, buf: &[f64]) {
-        self.cluster.iallreduce(buf.len() as u64);
-    }
 }
 
 impl<'r, 'a, M: MajorSlices + Sync> ExecBackend<'r> for SimBackend<'a, M> {
     const TRACE_INNER: bool = false;
     const OVERLAPS: bool = true;
 
-    charge_hooks!();
+    // Each hook names its site's nnz source and its `charges` formula.
+    fn charge_gram(&mut self, sel: &[usize], width: usize) {
+        self.charge(Nnz::Sel(sel), charges::gram(width as u64));
+    }
+
+    fn charge_cross(&mut self, sel: &[usize], width: usize, nvecs: usize) {
+        self.charge(Nnz::Sel(sel), charges::cross(width as u64, nvecs as u64));
+    }
+
+    fn charge_trace_prep(&mut self, factor: u64) {
+        self.charge(Nnz::Rows, charges::trace_prep(factor));
+    }
+
+    fn charge_outer_overhead(&mut self) {
+        self.charge_obj(charges::OUTER_OVERHEAD_FLOPS, 64);
+    }
+
+    fn charge_prox(&mut self, flops: u64, ws_words: u64) {
+        let site = charges::replicated(Phase::Prox, flops, ws_words);
+        self.charge(Nnz::Replicated, site);
+    }
+
+    fn charge_lasso_update(&mut self, coords: &[usize], mu: usize, halve: bool) {
+        self.charge(Nnz::Sel(coords), charges::lasso_update(mu as u64, halve));
+    }
+
+    fn charge_svm_update(&mut self, row: usize) {
+        self.charge(Nnz::Sel(&[row]), charges::svm_update());
+    }
+
+    fn charge_obj(&mut self, flops: u64, ws_words: u64) {
+        let site = charges::replicated(Phase::Comp, flops, ws_words);
+        self.charge(Nnz::Replicated, site);
+    }
+
+    fn charge_kdcd_tile(&mut self, misses: usize, m: usize) {
+        let site = charges::block_spmv(Phase::Gram, misses as u64, m as u64);
+        self.charge(Nnz::Whole, site);
+    }
+
+    fn norm_reduce(&mut self, buf: &mut Vec<f64>, m: usize) {
+        self.charge(Nnz::Whole, charges::block_spmv(Phase::Comp, 1, m as u64));
+        self.cluster.iallreduce(buf.len() as u64);
+    }
+
+    fn gap_reduce(&mut self, buf: &mut Vec<f64>, m: usize) {
+        self.charge(Nnz::Whole, charges::block_spmv(Phase::Comp, 1, m as u64));
+        self.cluster.iallreduce(buf.len() as u64);
+        self.charge_obj(4 * m as u64, m as u64);
+    }
 
     fn exchange<F: FnOnce(&mut Self, &mut KernelWorkspace)>(
         &mut self,
@@ -285,7 +219,7 @@ impl<'r, 'a, M: MajorSlices + Sync> ExecBackend<'r> for SimBackend<'a, M> {
     ) -> Option<f64> {
         // Numerics are already global; only the cost of the fused payload
         // moves across the (virtual) wire — its word count comes from the
-        // same descriptor the packing engines consume, so the modeled and
+        // same descriptor the socket mesh packs, so the modeled and
         // measured wires cannot drift apart.
         self.cluster
             .iallreduce_start(payload.words(resid.is_some()) as u64);
@@ -314,95 +248,100 @@ impl<'r, 'a, M: MajorSlices + Sync> ExecBackend<'r> for SimBackend<'a, M> {
     }
 }
 
-/// SPMD thread-machine engine: each rank owns a minor-axis block of the
-/// design matrix, forms local Gram/cross contributions, and fuses them
-/// into one (nonblocking) allreduce per outer iteration.
-pub(crate) struct DistBackend<'c, 'a, M: MajorSlices + Sync> {
-    comm: &'c mut Comm,
-    mat: &'a M,
-    trace_rows: u64,
-    gap_nnz: u64,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::net::{LassoRankData, SvmRankData};
+    use sparsela::io::Dataset;
 
-impl<'c, 'a, M: MajorSlices + Sync> DistBackend<'c, 'a, M> {
-    /// `mat` is this rank's local block; `trace_rows` the local row count
-    /// entering residual trace contributions.
-    pub(crate) fn new(comm: &'c mut Comm, mat: &'a M, trace_rows: usize) -> Self {
-        let gap_nnz = (0..mat.major_len())
-            .map(|k| mat.slice(k).nnz() as u64)
-            .sum();
-        Self::with_gap_nnz(comm, mat, trace_rows, gap_nnz)
+    /// Per-rank flops of one hook call on a fresh `p`-rank cluster.
+    fn flops_of<M: MajorSlices + Sync>(
+        mat: &M,
+        part: &Partition,
+        hook: impl FnOnce(&mut SimBackend<'_, M>),
+    ) -> Vec<u64> {
+        let p = part.parts();
+        let mut backend = SimBackend::new(p, CostModel::cray_xc30(), mat, part.clone());
+        hook(&mut backend);
+        let cluster = backend.into_cluster();
+        (0..p).map(|r| cluster.counters(r).flops).collect()
     }
 
-    /// [`Self::new`] with this rank's local nnz already known (from a
-    /// shard store's minor-axis sidecar), skipping the slice scan that a
-    /// streaming source must not run eagerly.
-    pub(crate) fn with_gap_nnz(
-        comm: &'c mut Comm,
-        mat: &'a M,
-        trace_rows: usize,
-        gap_nnz: u64,
-    ) -> Self {
-        Self {
-            comm,
-            mat,
-            trace_rows: trace_rows as u64,
-            gap_nnz,
-        }
+    /// Stored entries of `sel` in one rank's local block.
+    fn local_nnz<M: MajorSlices>(block: &M, sel: &[usize]) -> u64 {
+        sel.iter().map(|&k| block.slice(k).nnz() as u64).sum()
     }
 
-    /// This rank's ledger receives the site, at the local block's count.
-    fn charge<F: Fn(u64) -> (u64, u64)>(&mut self, of: Nnz<'_>, site: Site<F>) {
-        let nnz = match of {
-            Nnz::Sel(sel) => sel.iter().map(|&k| self.mat.slice(k).nnz() as u64).sum(),
-            Nnz::Whole => self.gap_nnz,
-            Nnz::Rows => self.trace_rows,
-            Nnz::Replicated => 0,
+    fn whole<M: MajorSlices>(block: &M) -> u64 {
+        local_nnz(block, &(0..block.major_len()).collect::<Vec<_>>())
+    }
+
+    /// The pricing half the engines never shared: where a charge site's
+    /// nonzeros come from. For every source — the selected slices, the
+    /// whole block, the partition's rows, nothing — the virtual cluster
+    /// charges rank r exactly what the site costs at the local counts of
+    /// rank r's block under the split an SPMD run holds (row blocks for
+    /// Lasso, column blocks for SVM and K-DCD), balanced or not.
+    #[test]
+    fn sim_charges_each_rank_the_local_counts_of_its_split_block() {
+        let a = datagen::powerlaw_sparse(60, 24, 0.2, 1.1, 5);
+        let ds = Dataset {
+            b: (0..60).map(|i| (i % 3) as f64 - 1.0).collect(),
+            a,
         };
-        let (flops, ws_words) = (site.cost)(nnz);
-        self.comm.charge(site.class, flops, ws_words, site.phase);
-    }
+        let (csc, m) = (ds.a.to_csc(), 60u64);
+        let (sel, row) = ([2usize, 5, 11, 17, 23], 7usize);
+        for p in [1usize, 2, 3, 4] {
+            for balanced in [false, true] {
+                let what = format!("p={p} balanced={balanced}");
+                let expect = |f: &dyn Fn(usize) -> u64| (0..p).map(f).collect::<Vec<u64>>();
 
-    fn reduce(&mut self, buf: &mut Vec<f64>) {
-        self.comm.iallreduce_sum(buf);
-    }
-}
+                // Lasso: columns sampled from row blocks.
+                let (part, blocks) = LassoRankData::split(&ds, p, balanced);
+                let sel_nnz = |r: usize| local_nnz(&blocks[r].csc, &sel);
+                let rows = |r: usize| blocks[r].b.len() as u64;
+                let got = flops_of(&csc, &part, |b| b.charge_gram(&sel, 5));
+                let want = expect(&|r| charges::gram_flops(sel_nnz(r), 5));
+                assert_eq!(got, want, "{what}: gram (selected slices)");
+                let got = flops_of(&csc, &part, |b| b.charge_cross(&sel, 5, 2));
+                let want = expect(&|r| charges::cross_flops(sel_nnz(r), 2));
+                assert_eq!(got, want, "{what}: cross (selected slices)");
+                let got = flops_of(&csc, &part, |b| b.charge_lasso_update(&sel, 5, true));
+                let want = expect(&|r| charges::lasso_update_flops(sel_nnz(r), 5) / 2);
+                assert_eq!(got, want, "{what}: lasso update (selected slices)");
+                let got = flops_of(&csc, &part, |b| b.charge_trace_prep(3));
+                assert_eq!(got, expect(&|r| 3 * rows(r)), "{what}: trace (rows)");
+                let got = flops_of(&csc, &part, |b| b.charge_prox(900, 8));
+                assert_eq!(got, vec![900; p], "{what}: prox (replicated)");
+                let got = flops_of(&csc, &part, |b| b.charge_outer_overhead());
+                let want = vec![charges::OUTER_OVERHEAD_FLOPS; p];
+                assert_eq!(got, want, "{what}: outer overhead (replicated)");
 
-impl<'r, 'c, 'a, M: MajorSlices + Sync> ExecBackend<'r> for DistBackend<'c, 'a, M> {
-    const TRACE_INNER: bool = false;
-    const OVERLAPS: bool = true;
-
-    charge_hooks!();
-
-    fn exchange<F: FnOnce(&mut Self, &mut KernelWorkspace)>(
-        &mut self,
-        ws: &mut KernelWorkspace,
-        payload: Payload,
-        resid: Option<f64>,
-        overlap: Option<F>,
-    ) -> Option<f64> {
-        pack_fused(ws, payload, resid);
-        let req = self.comm.iallreduce_sum_start(&mut ws.pack);
-        if let Some(f) = overlap {
-            f(self, ws);
+                // SVM and K-DCD: rows sampled from column blocks.
+                let (part, blocks) = SvmRankData::split(&ds, p, balanced);
+                let local = |r: usize| &blocks[r].csr;
+                let got = flops_of(&ds.a, &part, |b| b.charge_svm_update(row));
+                let want = expect(&|r| charges::svm_update_flops(local_nnz(local(r), &[row])));
+                assert_eq!(got, want, "{what}: svm update (selected row)");
+                let got = flops_of(&ds.a, &part, |b| b.charge_cross(&sel, 5, 1));
+                let want = expect(&|r| charges::cross_flops(local_nnz(local(r), &sel), 1));
+                assert_eq!(got, want, "{what}: svm cross (selected rows)");
+                let got = flops_of(&ds.a, &part, |b| b.charge_kdcd_tile(3, 60));
+                assert_eq!(
+                    got,
+                    expect(&|r| 6 * whole(local(r))),
+                    "{what}: tile (block)"
+                );
+                let got = flops_of(&ds.a, &part, |b| b.norm_reduce(&mut vec![0.0; 60], 60));
+                assert_eq!(
+                    got,
+                    expect(&|r| 2 * whole(local(r))),
+                    "{what}: norms (block)"
+                );
+                let got = flops_of(&ds.a, &part, |b| b.gap_reduce(&mut vec![0.0; 61], 60));
+                let want = expect(&|r| 2 * whole(local(r)) + 4 * m);
+                assert_eq!(got, want, "{what}: gap (block + replicated)");
+            }
         }
-        self.comm.iallreduce_wait(req);
-        unpack_fused(ws, payload, resid.is_some())
-    }
-
-    fn reduce_scalar(&mut self, v: f64) -> f64 {
-        self.comm.iallreduce_scalar(v)
-    }
-
-    fn checkpoint(&mut self) {
-        self.comm.checkpoint();
-    }
-
-    fn clock(&self) -> f64 {
-        self.comm.clock()
-    }
-
-    fn phases(&self) -> PhaseTimes {
-        PhaseTimes::from(self.comm.phase_table())
     }
 }

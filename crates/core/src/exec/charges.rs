@@ -1,14 +1,12 @@
-//! Shared flop-charging formulas for the distributed and simulated solvers.
+//! The flop-charging formulas the virtual cluster prices the solvers with.
 //!
-//! Both execution engines must charge identical costs for identical work,
-//! or the cross-engine validation tests (and the credibility of the
-//! paper-scale figures) collapse. Every formula lives here once, and so
-//! does every charge *site*: a `Site` states what one of the solver
-//! families' charge points costs — kernel class, telemetry phase, and
-//! `(flops, working set)` as a function of the charged rank's nonzeros.
-//! The engines only decide where that nnz comes from and which ledger(s)
-//! receive the charge (`SimBackend::charge` / `DistBackend::charge` in
-//! `exec/backends.rs`).
+//! Every formula lives here once, and so does every charge *site*: a
+//! `Site` states what one of the solver families' charge points costs —
+//! kernel class, telemetry phase, and `(flops, working set)` as a function
+//! of the charged rank's nonzeros. `SimBackend::charge` (in
+//! `exec/backends.rs`) only decides whose nonzeros those are: each
+//! virtual rank's share of the sampled slices, of its whole block or of
+//! its rows — the counts a partitioned execution holds locally.
 //!
 //! Conventions: `nnz` arguments are the *local* (per-rank) nonzero counts
 //! of the sampled columns/rows; `width` is the total sampled block width

@@ -26,10 +26,10 @@
 //! overlap mode bitwise identical; the two symmetric reads need not
 //! round identically).
 
+use super::charges;
 use super::driver::{drive, Block, Cx, FamilySpec, Payload, Schedule};
 use super::ExecBackend;
 use crate::config::{KdcdConfig, KdcdTask};
-use crate::dist::charges;
 use crate::problem::SvmProblem;
 use crate::seq::svm::projected_step;
 use crate::trace::{ConvergenceTrace, SolveResult};

@@ -7,10 +7,10 @@
 //! [`super::driver::drive`]; every float expression below is transcribed
 //! verbatim from the original per-engine solvers (bitwise-neutral).
 
+use super::charges;
 use super::driver::{drive, Block, Cx, FamilySpec, Schedule};
 use super::ExecBackend;
 use crate::config::LassoConfig;
-use crate::dist::charges;
 use crate::problem::lasso_objective_from_residual;
 use crate::prox::Regularizer;
 use crate::seq::accbcd::implicit_objective;
@@ -555,7 +555,7 @@ pub(crate) fn lasso_family<'r, B: ExecBackend<'r>, R: Regularizer, M: SliceSourc
         };
         spec.trace.push(0, f0, 0.0);
     } else {
-        // ½‖b‖² on every engine: z̃ starts at −b (locally for dist, whose
+        // ½‖b‖² on every engine: z̃ starts at −b (locally on a mesh rank, whose
         // scalar reduction makes the squared norm global).
         let b_sq = backend.reduce_scalar(sparsela::vecops::nrm2_sq(&spec.ztilde));
         spec.trace

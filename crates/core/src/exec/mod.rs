@@ -8,14 +8,14 @@
 //! `LassoConfig` plus an `accel` flag; [`svm_family`] covers SVM/SA-SVM),
 //! and an [`ExecBackend`] supplies exactly what differs between engines:
 //!
-//! * **cost/phase charging** — the `charge_*` hooks (no-ops sequentially,
-//!   per-rank analytic charges on the virtual cluster, per-rank real
-//!   charges on the thread machine);
+//! * **cost/phase charging** — the `charge_*` hooks (no-ops sequentially
+//!   and on the socket mesh, whose time is measured; per-rank analytic
+//!   charges on the virtual cluster);
 //! * **the fused triangle allreduce** — [`ExecBackend::exchange`] turns
 //!   the workspace's local Gram/cross blocks into global ones (identity
 //!   for the replicated engines, pack → nonblocking allreduce → unpack
-//!   for the distributed one), running the caller's overlap closure while
-//!   the payload is in flight;
+//!   on the mesh), running the caller's overlap closure while the payload
+//!   is in flight;
 //! * **trace-boundary piggybacking** — the optional residual scalar rides
 //!   the same payload, and [`ExecBackend::clock`]/[`ExecBackend::phases`]
 //!   stamp each trace point;
@@ -24,19 +24,21 @@
 //!
 //! The backend contract (what must be charged when, what may overlap, and
 //! what determinism it must preserve) is documented in DESIGN.md
-//! §"Execution backends". The invariant the contract buys: all three
-//! backends produce bitwise-identical iterates for the same config, and
-//! the simulated engine's clock/counters equal the thread engine's by
-//! shared-code construction (see `tests/engine_matrix.rs`).
+//! §"Execution backends". The invariant the contract buys: the sequential
+//! and simulated backends produce bitwise-identical iterates for the same
+//! config, the mesh agrees with them bitwise at one rank and to round-off
+//! beyond, and the simulated engine's collectives and words are what the
+//! mesh sends (see `tests/engine_matrix.rs`).
 
 mod backends;
+pub mod charges;
 mod driver;
 mod kdcd;
 mod lasso;
 mod net;
 mod svm;
 
-pub(crate) use backends::{pack_fused, unpack_fused, DistBackend, SeqBackend, SimBackend};
+pub(crate) use backends::{SeqBackend, SimBackend};
 pub(crate) use driver::Payload;
 pub(crate) use kdcd::kdcd_family;
 pub use kdcd::KdcdStats;

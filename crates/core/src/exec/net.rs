@@ -1,15 +1,15 @@
 //! The socket-mesh engine: real processes, real wires, measured time.
 //!
-//! [`NetBackend`] is the fourth [`ExecBackend`]: it runs the same
-//! backend-generic recurrences as the other three, but its `exchange`
+//! [`NetBackend`] is the third [`ExecBackend`]: it runs the same
+//! backend-generic recurrences as the other two, but its `exchange`
 //! moves the fused `sympack` payload over an actual TCP/Unix-socket mesh
-//! (`netcomm`). Because the mesh's tree allreduce replicates `mpisim`'s
-//! combine order exactly and the wire is bit-lossless, a net solve is
-//! **bitwise identical** to the thread-machine solve on the same
-//! partitioned inputs — the engine matrix enforces it. What differs is
-//! the clock: `charge_*` hooks stay no-ops and [`ExecBackend::clock`]
-//! reads wall time, because here communication costs what the OS says it
-//! costs, not what the α-β-γ model predicts.
+//! (`netcomm`). The mesh's tree allreduce has one fixed combine order and
+//! the wire is bit-lossless, so a net solve is bitwise reproducible at
+//! every rank count, bitwise the sequential solve at one rank, and the
+//! same to round-off beyond — the engine matrix and
+//! `tests/goldens/cells.txt` pin both. `charge_*` hooks stay no-ops and
+//! [`ExecBackend::clock`] reads wall time, because here communication
+//! costs what the OS says it costs, not what the α-β-γ model predicts.
 //!
 //! Failure semantics are fail-stop: the solvers' recurrences cannot
 //! continue without the reduction, so a [`netcomm::NetError`] (timeout,
@@ -18,11 +18,62 @@
 //! Nothing blocks forever — every wire operation is bounded by the mesh's
 //! I/O timeout.
 
-use super::{pack_fused, unpack_fused, ExecBackend, Payload};
+use super::{ExecBackend, Payload};
 use crate::workspace::KernelWorkspace;
 use mpisim::telemetry::PhaseTimes;
 use netcomm::NetComm;
+use sparsela::sympack;
 use std::time::Instant;
+
+/// Assemble the fused allreduce payload in `ws.pack` per the family's
+/// [`Payload`] descriptor: packed Gram upper triangle (if any), cross
+/// terms interleaved per block row, then the optional traced residual
+/// contribution. The length assert keeps a family's descriptor honest
+/// against what it actually put in the workspace — the descriptor the
+/// virtual cluster prices, so the modeled wire is this one.
+fn pack_fused(ws: &mut KernelWorkspace, p: Payload, resid: Option<f64>) {
+    let base = ws.pack.len();
+    if p.tri > 0 {
+        assert_eq!(
+            (ws.gram.rows(), ws.gram.cols()),
+            (p.tri, p.tri),
+            "payload descriptor disagrees with the workspace Gram block"
+        );
+        sympack::pack_upper_into(&ws.gram, &mut ws.pack);
+    }
+    for k in 0..p.rows {
+        for v in 0..p.cols {
+            ws.pack.push(ws.cross.get(k, v));
+        }
+    }
+    if let Some(rc) = resid {
+        ws.pack.push(rc);
+    }
+    assert_eq!(
+        ws.pack.len() - base,
+        p.words(resid.is_some()),
+        "packed payload length disagrees with its descriptor"
+    );
+}
+
+/// Inverse of [`pack_fused`] after the reduction: scatter the global
+/// triangle and cross terms back into the workspace (handing the
+/// recurrence the global Gram block under the same name the replicated
+/// engines use) and return the reduced residual iff one was packed.
+fn unpack_fused(ws: &mut KernelWorkspace, p: Payload, traced: bool) -> Option<f64> {
+    let mut pos = 0;
+    if p.tri > 0 {
+        pos = sympack::unpack_symmetric_into(&ws.pack, 0, p.tri, &mut ws.gram_global);
+        std::mem::swap(&mut ws.gram, &mut ws.gram_global);
+    }
+    for k in 0..p.rows {
+        for v in 0..p.cols {
+            ws.cross.set(k, v, ws.pack[pos]);
+            pos += 1;
+        }
+    }
+    traced.then(|| ws.pack[pos])
+}
 
 /// Engine over a [`NetComm`] mesh. One instance per rank per solve; the
 /// borrow keeps the mesh alive across the run and hands it back for

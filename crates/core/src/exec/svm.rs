@@ -6,10 +6,10 @@
 //! The block skeleton lives in [`super::driver::drive`]; every float
 //! expression below is verbatim from the per-engine solvers (bitwise).
 
+use super::charges;
 use super::driver::{drive, Block, Cx, FamilySpec, Schedule};
 use super::ExecBackend;
 use crate::config::{SvmConfig, SvmLoss};
-use crate::dist::charges;
 use crate::problem::SvmProblem;
 use crate::seq::svm::projected_step;
 use crate::trace::{ConvergenceTrace, SolveResult};

@@ -13,11 +13,10 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`run`] | the one entry point: `run(RunSpec { method, engine, source })` executes any method on any engine (`Seq`, `Sim`, `Dist`, `Net`) from memory or from shards |
+//! | [`run`] | the one entry point: `run(RunSpec { method, engine, source })` executes any method on any engine (`Seq`, `Sim`, `Net`) from memory or from shards |
 //! | [`seq`] | the paper's algorithms by name on the sequential engine: BCD/CD, accelerated BCD/CD (Alg. 1), their SA variants (Alg. 2, eqs. 3–9), dual CD for linear SVM (Alg. 3) and SA-SVM (Alg. 4, eqs. 14–15), kernel DCD |
-//! | [`dist`] | the SPMD rank layouts (row blocks for Lasso, column blocks for SVM/K-DCD) and the shared charge formulas |
-//! | [`sim`]  | virtual-cluster charging helpers for paper-scale rank counts (up to 12,288), and the simulated λ path |
-//! | [`net`]  | the socket-mesh engine's telemetry and the per-rank entry `saco launch` uses — measured wall-clock time instead of modeled time |
+//! | [`sim`]  | virtual-cluster charging helpers for paper-scale rank counts (up to 12,288), and the simulated λ path; [`charges`] holds its flop formulas |
+//! | [`net`]  | the socket-mesh engine: the SPMD rank layouts (row blocks for Lasso, column blocks for SVM/K-DCD), its telemetry and the per-rank entry `saco launch` uses — measured wall-clock time instead of modeled time |
 //! | [`stream`] | out-of-core shard directories as a data source |
 //!
 //! # Problems
@@ -55,7 +54,6 @@
 pub mod config;
 pub mod costmodel;
 pub mod crossval;
-pub mod dist;
 pub(crate) mod exec;
 pub mod net;
 pub mod path;
@@ -70,6 +68,7 @@ pub mod trace;
 pub mod workspace;
 
 pub use config::{KdcdConfig, KdcdTask, LassoConfig, SvmConfig, SvmLoss};
+pub use exec::charges;
 pub use exec::KdcdStats;
 pub use problem::{lasso_objective, SvmProblem};
 pub use prox::{ElasticNet, GroupLasso, Lasso, Regularizer};

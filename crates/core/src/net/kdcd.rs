@@ -1,4 +1,4 @@
-//! K-DCD/K-BDCD on the SPMD engines: kernel dual coordinate descent over
+//! K-DCD/K-BDCD on the socket mesh: kernel dual coordinate descent over
 //! 1D-column-partitioned data.
 //!
 //! Same layout as the linear SVM ([`super::SvmRankData`]): each rank
@@ -12,8 +12,7 @@
 //! A block whose sampled rows all hit the cache skips the collective on
 //! every rank — the kernel family's extra synchronization saving.
 //!
-//! The recurrence and the kernel tile live in
-//! `crate::exec::{kdcd_family, DistBackend}`.
+//! The recurrence and the kernel tile live in `crate::exec::kdcd_family`.
 
 #[cfg(test)]
 mod tests {
@@ -23,7 +22,6 @@ mod tests {
     use crate::seq;
     use crate::trace::SolveResult;
     use datagen::{binary_classification, dense_gaussian};
-    use mpisim::CostModel;
     use sparsela::io::Dataset;
     use sparsela::KernelFn;
 
@@ -46,11 +44,10 @@ mod tests {
         }
     }
 
-    fn run_dist(ds: &Dataset, p: usize, c: &KdcdConfig) -> Vec<(SolveResult, KdcdStats)> {
-        let (model, balanced) = (CostModel::cray_xc30(), false);
-        let engine = Engine::Dist { p, model, balanced };
+    fn run_net(ds: &Dataset, p: usize, c: &KdcdConfig) -> Vec<(SolveResult, KdcdStats)> {
+        let engine = Engine::Net { p, balanced: false };
         let spec = RunSpec::new(Method::kdcd(c), engine, Source::InMemory(ds));
-        let out = run(&spec).expect("dist run");
+        let out = run(&spec).expect("net run");
         out.results.into_iter().zip(out.kdcd).collect()
     }
 
@@ -62,15 +59,15 @@ mod tests {
         // last-ulp differences in the raw dots are expected (and reach
         // the iterate through the kernel transform), so the cross-engine
         // guarantee is agreement to round-off. Bitwise contracts at
-        // p > 1 are *within* the engine: every rank replicated, and
-        // net ≡ dist (same reduction order).
+        // p > 1 are *within* the engine: every rank replicated, and the
+        // same bits on every run (one fixed reduction order).
         let ds = problem(1);
         for p in [1usize, 2, 4] {
             for (task, s) in [(KdcdTask::Svm(SvmLoss::L1), 8usize), (KdcdTask::Ridge, 4)] {
                 let c = cfg(task, s);
                 let (seq_res, _) = seq::kdcd(&ds, &c);
-                let dist = run_dist(&ds, p, &c);
-                for (rank, (res, _)) in dist.iter().enumerate() {
+                let net = run_net(&ds, p, &c);
+                for (rank, (res, _)) in net.iter().enumerate() {
                     if p == 1 {
                         assert_eq!(seq_res.x, res.x, "rank={rank} {task:?} s={s}");
                     } else {
@@ -82,8 +79,8 @@ mod tests {
                         }
                     }
                 }
-                for (rank, (res, _)) in dist.iter().enumerate().skip(1) {
-                    assert_eq!(dist[0].0.x, res.x, "rank {rank} must replicate rank 0");
+                for (rank, (res, _)) in net.iter().enumerate().skip(1) {
+                    assert_eq!(net[0].0.x, res.x, "rank {rank} must replicate rank 0");
                 }
             }
         }
@@ -92,7 +89,7 @@ mod tests {
     #[test]
     fn objective_trace_is_replicated_across_ranks() {
         let ds = problem(2);
-        let results = run_dist(&ds, 4, &cfg(KdcdTask::Svm(SvmLoss::L2), 8));
+        let results = run_net(&ds, 4, &cfg(KdcdTask::Svm(SvmLoss::L2), 8));
         for (r, _) in &results[1..] {
             assert_eq!(r.trace.len(), results[0].0.trace.len());
             for (p, q) in r.trace.points().iter().zip(results[0].0.trace.points()) {
@@ -107,7 +104,7 @@ mod tests {
         // so every rank's cache statistics agree exactly — that is what
         // lets all ranks skip the same collectives.
         let ds = problem(3);
-        let results = run_dist(&ds, 4, &cfg(KdcdTask::Svm(SvmLoss::L1), 8));
+        let results = run_net(&ds, 4, &cfg(KdcdTask::Svm(SvmLoss::L1), 8));
         for (_, stats) in &results[1..] {
             assert_eq!(stats.cache, results[0].1.cache);
             assert_eq!(stats.exchange_skipped, results[0].1.exchange_skipped);

@@ -1,5 +1,4 @@
-//! The Lasso rank layout for the SPMD engines (`Engine::Dist`,
-//! `Engine::Net`).
+//! The Lasso rank layout of the socket mesh.
 //!
 //! Layout (§IV-B / Fig. 1): `A` is 1D-row partitioned — each rank holds a
 //! contiguous block of data points, stored CSC so that gathering sampled
@@ -13,11 +12,10 @@
 //! flight (they depend only on the replicated RNG stream and `A`, so the
 //! iterates are bitwise identical with overlap on or off).
 //!
-//! The recurrence and the fused exchange live in
-//! `crate::exec::{lasso_family, DistBackend}`; [`crate::run`] binds a
-//! rank's local row block to the engine. Every rank returns the same
-//! replicated result, up to the bit: the reductions are deterministic
-//! trees.
+//! The recurrence lives in `crate::exec::lasso_family`; [`crate::run`]
+//! binds a rank's local row block to the mesh. Every rank returns the
+//! same replicated result, up to the bit: the reduction is one fixed
+//! tree.
 
 use datagen::Partition;
 use sparsela::io::Dataset;
@@ -60,7 +58,6 @@ mod tests {
     use crate::seq;
     use crate::trace::SolveResult;
     use datagen::{planted_regression, uniform_sparse};
-    use mpisim::CostModel;
 
     fn problem(seed: u64) -> Dataset {
         let a = uniform_sparse(120, 60, 0.15, seed);
@@ -80,21 +77,21 @@ mod tests {
         }
     }
 
-    fn dist(ds: &Dataset, p: usize, c: &LassoConfig, accel: bool) -> RunOutcome {
-        let (reg, cfg, model, balanced) = (&Lasso::new(c.lambda), c, CostModel::cray_xc30(), false);
+    fn net(ds: &Dataset, p: usize, c: &LassoConfig, accel: bool) -> RunOutcome {
+        let (reg, cfg) = (&Lasso::new(c.lambda), c);
         let method = Method::Lasso { reg, cfg, accel };
-        let engine = Engine::Dist { p, model, balanced };
-        run(&RunSpec::new(method, engine, Source::InMemory(ds))).expect("dist run")
+        let engine = Engine::Net { p, balanced: false };
+        run(&RunSpec::new(method, engine, Source::InMemory(ds))).expect("net run")
     }
 
-    fn run_dist(ds: &Dataset, p: usize, c: &LassoConfig, accel: bool) -> Vec<SolveResult> {
-        dist(ds, p, c, accel).results
+    fn run_net(ds: &Dataset, p: usize, c: &LassoConfig, accel: bool) -> Vec<SolveResult> {
+        net(ds, p, c, accel).results
     }
 
     #[test]
     fn all_ranks_agree_bitwise() {
         let ds = problem(1);
-        let results = run_dist(&ds, 4, &cfg(4, 8, 96), true);
+        let results = run_net(&ds, 4, &cfg(4, 8, 96), true);
         for r in &results[1..] {
             assert_eq!(r.x, results[0].x, "replicated iterates must agree");
         }
@@ -107,9 +104,9 @@ mod tests {
             for s in [1usize, 8] {
                 let c = cfg(4, s, 160);
                 let seq_res = seq::sa_accbcd(&ds, &Lasso::new(c.lambda), &c);
-                let dist_res = &run_dist(&ds, p, &c, true)[0];
+                let net_res = &run_net(&ds, p, &c, true)[0];
                 let rel =
-                    (seq_res.final_value() - dist_res.final_value()).abs() / seq_res.final_value();
+                    (seq_res.final_value() - net_res.final_value()).abs() / seq_res.final_value();
                 assert!(rel < 1e-10, "p={p} s={s}: rel err {rel}");
             }
         }
@@ -122,16 +119,19 @@ mod tests {
             for s in [1usize, 16] {
                 let c = cfg(2, s, 128);
                 let seq_res = seq::sa_bcd(&ds, &Lasso::new(c.lambda), &c);
-                let dist_res = &run_dist(&ds, p, &c, false)[0];
+                let net_res = &run_net(&ds, p, &c, false)[0];
                 let rel =
-                    (seq_res.final_value() - dist_res.final_value()).abs() / seq_res.final_value();
+                    (seq_res.final_value() - net_res.final_value()).abs() / seq_res.final_value();
                 assert!(rel < 1e-10, "p={p} s={s}: rel err {rel}");
             }
         }
     }
 
+    /// Table I's trade on the wire: s-step sends s× fewer frames, each
+    /// carrying more bytes (the modeled running time is the virtual
+    /// cluster's to compare, and `sim::lasso` does).
     #[test]
-    fn sa_uses_fewer_messages_and_less_time() {
+    fn sa_sends_fewer_and_larger_frames() {
         let ds = problem(4);
         let p = 8;
         let run = |s: usize| {
@@ -139,27 +139,21 @@ mod tests {
                 trace_every: 0,
                 ..cfg(1, s, 128)
             };
-            dist(&ds, p, &c, true).report.expect("report")
+            let t = net(&ds, p, &c, true).telemetry;
+            (
+                t.counter("net.solve.frames_tx"),
+                t.counter("net.solve.bytes_tx"),
+            )
         };
-        let classic = run(1);
-        let sa = run(16);
+        let (classic_frames, classic_bytes) = run(1);
+        let (sa_frames, sa_bytes) = run(16);
         assert!(
-            sa.critical.messages < classic.critical.messages / 8,
-            "SA messages {} vs classic {}",
-            sa.critical.messages,
-            classic.critical.messages
+            sa_frames < classic_frames / 8,
+            "SA frames {sa_frames} vs classic {classic_frames}"
         );
         assert!(
-            sa.running_time() < classic.running_time(),
-            "SA time {} vs classic {}",
-            sa.running_time(),
-            classic.running_time()
-        );
-        assert!(
-            sa.critical.words > classic.critical.words,
-            "SA must move more words ({} vs {})",
-            sa.critical.words,
-            classic.critical.words
+            sa_bytes / sa_frames > classic_bytes / classic_frames,
+            "SA must send larger frames"
         );
     }
 
@@ -177,11 +171,11 @@ mod tests {
     #[test]
     fn trace_times_are_monotone() {
         let ds = problem(6);
-        let results = run_dist(&ds, 4, &cfg(2, 4, 64), true);
+        let results = run_net(&ds, 4, &cfg(2, 4, 64), true);
         for r in &results {
             let pts = r.trace.points();
             for w in pts.windows(2) {
-                assert!(w[1].time >= w[0].time, "simulated time must not regress");
+                assert!(w[1].time >= w[0].time, "wall time must not regress");
             }
             assert!(pts.last().expect("nonempty").time > 0.0);
         }

@@ -1,31 +1,36 @@
-//! The socket mesh as an engine: the measured counterpart of [`crate::dist`].
+//! The socket mesh as an engine: real ranks, real wires, measured time.
 //!
-//! Same layouts, same recurrences, same rank-data splits as the
-//! thread-machine runs — [`LassoRankData`] 1D-row partitions for
-//! Lasso, [`SvmRankData`] 1D-column partitions for SVM and K-DCD — but the
-//! fused allreduce crosses actual TCP/Unix-socket links between OS
-//! processes (`saco launch`) or thread-ranks (`Engine::Net`, over
-//! `netcomm::cluster`). The mesh's tree allreduce
-//! reproduces `mpisim`'s combine order bit for bit, so for identical
-//! partitioned inputs a net run returns **bitwise** the iterates of its
-//! `Engine::Dist` twin — including which K-DCD blocks skip the collective
-//! (all-hit kernel caches are replicated, so every rank skips the same
-//! rounds and the mesh never deadlocks); what changes is that time, bytes
-//! and overlap are measured off the wire instead of charged to a model
-//! (`tests/engine_matrix.rs` pins the first claim, the `net_fig4` bench
-//! reports the second).
+//! Each rank holds only its block of `A` — [`LassoRankData`] 1D-row
+//! partitions for Lasso, [`SvmRankData`] 1D-column partitions for SVM and
+//! K-DCD, exactly as in §IV-B/§V — and contributions cross ranks only
+//! through the fused allreduce, over actual TCP/Unix-socket links between
+//! OS processes (`saco launch`) or thread-ranks (`Engine::Net`, over
+//! `netcomm::cluster`). Every rank replays the same coordinate sampling
+//! from the shared seed — the synchronization-avoiding trick of the
+//! paper — so the replicated state agrees bitwise on every rank, and all
+//! ranks skip the same all-hit K-DCD rounds (the mesh never deadlocks).
+//! The tree's one combine order makes a net run bitwise reproducible at
+//! every P; time, bytes and overlap are measured off the wire instead of
+//! charged to a model, and the virtual cluster's modeled collectives and
+//! words equal the frames and bytes this engine sends
+//! (`tests/engine_matrix.rs`).
 //!
 //! Telemetry: [`record_net_stats`] turns a mesh's counters into the
 //! `net.*` namespace documented in OBSERVABILITY.md.
 
 use crate::config::LassoConfig;
 use crate::prox::Regularizer;
-use crate::run::{run_rank, Method, RankComm, RankData};
+use crate::run::{run_rank, Method, RankData};
 use crate::trace::SolveResult;
 use saco_telemetry::{Phase, Registry};
 
-pub use crate::dist::{LassoRankData, SvmRankData};
+mod kdcd;
+mod lasso;
+mod svm;
+
+pub use lasso::LassoRankData;
 pub use netcomm::{Addr, Backoff, NetComm, NetConfig, StatsSnapshot};
+pub use svm::SvmRankData;
 
 /// SA-accBCD over the socket mesh (Algorithm 2; `cfg.s = 1` is classical
 /// accBCD) on a communicator the caller established: [`run_rank`] for the
@@ -42,7 +47,7 @@ pub fn net_sa_accbcd<R: Regularizer>(
         cfg,
         accel: true,
     };
-    run_rank(&method, RankComm::Net(comm), RankData::Lasso(data))
+    run_rank(&method, comm, RankData::Lasso(data))
         .expect("row blocks are the Lasso layout")
         .0
 }
@@ -112,7 +117,7 @@ mod tests {
     }
 
     /// Smoke: four socket ranks solve and agree bitwise; the full engine
-    /// matrix (vs seq/sim/dist) lives in `tests/engine_matrix.rs`.
+    /// matrix (vs seq/sim) lives in `tests/engine_matrix.rs`.
     #[test]
     fn four_socket_ranks_agree_bitwise() {
         let out = solve(&problem(1), 8, 4);

@@ -1,5 +1,4 @@
-//! The SVM / K-DCD rank layout for the SPMD engines (`Engine::Dist`,
-//! `Engine::Net`).
+//! The SVM / K-DCD rank layout of the socket mesh.
 //!
 //! Layout (§V): "unlike Lasso, SVM requires 1D-column partitioning in
 //! order to compute dot-products in parallel" — each rank holds all `m`
@@ -11,9 +10,8 @@
 //! packed symmetric `s × s` Gram block (whose diagonal is the step sizes
 //! `η`, Alg. 4 line 11) and the cross products `Yᵀx`.
 //!
-//! The recurrence and the fused exchange live in
-//! `crate::exec::{svm_family, DistBackend}`; [`crate::run`] binds a
-//! rank's local column block to the engine.
+//! The recurrence lives in `crate::exec::svm_family`; [`crate::run`]
+//! binds a rank's local column block to the mesh.
 
 use datagen::Partition;
 use sparsela::io::Dataset;
@@ -58,7 +56,6 @@ mod tests {
     use crate::seq;
     use crate::trace::SolveResult;
     use datagen::{binary_classification, dense_gaussian, powerlaw_sparse};
-    use mpisim::CostModel;
 
     fn problem(seed: u64) -> Dataset {
         let a = dense_gaussian(60, 24, seed);
@@ -78,14 +75,13 @@ mod tests {
         }
     }
 
-    fn dist(ds: &Dataset, p: usize, c: &SvmConfig, balanced: bool) -> RunOutcome {
-        let model = CostModel::cray_xc30();
-        let engine = Engine::Dist { p, model, balanced };
-        run(&RunSpec::new(Method::svm(c), engine, Source::InMemory(ds))).expect("dist run")
+    fn net(ds: &Dataset, p: usize, c: &SvmConfig, balanced: bool) -> RunOutcome {
+        let engine = Engine::Net { p, balanced };
+        run(&RunSpec::new(Method::svm(c), engine, Source::InMemory(ds))).expect("net run")
     }
 
-    fn run_dist(ds: &Dataset, p: usize, c: &SvmConfig) -> Vec<SolveResult> {
-        dist(ds, p, c, false).results
+    fn run_net(ds: &Dataset, p: usize, c: &SvmConfig) -> Vec<SolveResult> {
+        net(ds, p, c, false).results
     }
 
     #[test]
@@ -95,9 +91,9 @@ mod tests {
             for (loss, s) in [(SvmLoss::L1, 1usize), (SvmLoss::L1, 16), (SvmLoss::L2, 8)] {
                 let c = cfg(loss, s, 256);
                 let seq_res = seq::sa_svm(&ds, &c);
-                let dist_res = &run_dist(&ds, p, &c)[0];
+                let net_res = &run_net(&ds, p, &c)[0];
                 let denom = seq_res.trace.initial_value();
-                let rel = (seq_res.final_value() - dist_res.final_value()).abs() / denom;
+                let rel = (seq_res.final_value() - net_res.final_value()).abs() / denom;
                 assert!(rel < 1e-10, "p={p} {loss:?} s={s}: rel err {rel}");
             }
         }
@@ -106,7 +102,7 @@ mod tests {
     #[test]
     fn gap_trace_is_replicated_across_ranks() {
         let ds = problem(2);
-        let results = run_dist(&ds, 4, &cfg(SvmLoss::L2, 8, 128));
+        let results = run_net(&ds, 4, &cfg(SvmLoss::L2, 8, 128));
         for r in &results[1..] {
             assert_eq!(r.trace.len(), results[0].trace.len());
             for (p, q) in r.trace.points().iter().zip(results[0].trace.points()) {
@@ -121,7 +117,7 @@ mod tests {
         let p = 3;
         let c = cfg(SvmLoss::L1, 4, 200);
         let (part, _) = SvmRankData::split(&ds, p, false);
-        let results = run_dist(&ds, p, &c);
+        let results = run_net(&ds, p, &c);
         let mut x_global = Vec::new();
         for (r, res) in results.iter().enumerate() {
             assert_eq!(res.x.len(), part.range(r).len());
@@ -138,17 +134,17 @@ mod tests {
         let a = powerlaw_sparse(400, 120, 0.05, 1.0, 4);
         let ds = binary_classification(a, 0.05, 4).dataset;
         let p = 8;
-        let run = |s: usize| {
+        let frames = |s: usize| {
             let c = SvmConfig {
                 trace_every: 0,
                 ..cfg(SvmLoss::L1, s, 256)
             };
-            dist(&ds, p, &c, true).report.expect("report")
+            net(&ds, p, &c, true)
+                .telemetry
+                .counter("net.solve.frames_tx")
         };
-        let classic = run(1);
-        let sa = run(32);
-        assert!(sa.critical.messages < classic.critical.messages / 8);
-        assert!(sa.running_time() < classic.running_time());
+        let (classic, sa) = (frames(1), frames(32));
+        assert!(sa < classic / 8, "SA frames {sa} vs classic {classic}");
     }
 
     #[test]
@@ -157,7 +153,7 @@ mod tests {
         let mut c = cfg(SvmLoss::L2, 16, 100_000);
         c.gap_tol = Some(1e-1);
         c.trace_every = 64;
-        let results = run_dist(&ds, 2, &c);
+        let results = run_net(&ds, 2, &c);
         assert!(results[0].iters < 100_000);
         assert!(results[0].final_value() <= 1e-1);
     }

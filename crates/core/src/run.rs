@@ -10,8 +10,9 @@
 //!
 //! Every method runs in every cell, from either source; DESIGN.md §6 "The
 //! run surface" tabulates the relation each cell holds to the `Seq` /
-//! `InMemory` reference (`Sim` bitwise; `Dist` bitwise at p = 1 and ≤ 1e-9
-//! beyond; `Net` bitwise ≡ `Dist`; `Shards` bitwise ≡ `InMemory`). Lasso
+//! `InMemory` reference (`Sim` bitwise; `Net` bitwise at p = 1 and ≤ 1e-9
+//! beyond; `Shards` bitwise ≡ `InMemory`), and `tests/goldens/cells.txt`
+//! pins every cell's objective bits. Lasso
 //! samples columns, so it streams CSC-axis shards and splits rows across
 //! ranks; SVM and K-DCD sample rows, stream CSR-axis shards and split
 //! columns. What does not exist is a typed [`RunError`], never a panic: a
@@ -34,12 +35,11 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use crate::config::{KdcdConfig, KdcdTask, LassoConfig, SvmConfig};
-use crate::dist::{LassoRankData, SvmRankData};
 use crate::exec::{
-    kdcd_family, lasso_family, svm_family, DistBackend, ExecBackend, KdcdStats, NetBackend,
-    SeqBackend, SimBackend,
+    kdcd_family, lasso_family, svm_family, ExecBackend, KdcdStats, NetBackend, SeqBackend,
+    SimBackend,
 };
-use crate::net::record_net_stats;
+use crate::net::{record_net_stats, LassoRankData, SvmRankData};
 use crate::prox::{Lasso, Regularizer};
 use crate::stream::{
     minor_partition, record_shard_stats, IoStats, ShardAxis, ShardStore, StreamRankData,
@@ -47,7 +47,7 @@ use crate::stream::{
 };
 use crate::trace::SolveResult;
 use datagen::Partition;
-use mpisim::{ChaosSpec, Comm, CostModel, CostReport, ThreadMachine};
+use mpisim::{ChaosSpec, CostModel, CostReport};
 use netcomm::cluster::run_local;
 use netcomm::{NetComm, StatsSnapshot};
 use saco_telemetry::Registry;
@@ -178,15 +178,6 @@ pub enum Engine {
         /// A deterministic perturbation plan: time moves, values never.
         chaos: Option<ChaosSpec>,
     },
-    /// `mpisim`'s thread machine: real SPMD ranks, modeled time.
-    Dist {
-        /// Rank (OS thread) count.
-        p: usize,
-        /// The α-β-γ machine.
-        model: CostModel,
-        /// Partition by nnz instead of by count.
-        balanced: bool,
-    },
     /// An in-process `netcomm` socket mesh: real wires, measured time.
     Net {
         /// Rank (OS thread + socket endpoint) count.
@@ -207,12 +198,11 @@ impl Engine {
         }
     }
 
-    /// `seq`, `sim`, `dist` or `net`.
+    /// `seq`, `sim` or `net`.
     pub fn name(&self) -> &'static str {
         match self {
             Engine::Seq => "seq",
             Engine::Sim { .. } => "sim",
-            Engine::Dist { .. } => "dist",
             Engine::Net { .. } => "net",
         }
     }
@@ -221,7 +211,7 @@ impl Engine {
     pub fn ranks(&self) -> Option<usize> {
         match *self {
             Engine::Seq => None,
-            Engine::Sim { p, .. } | Engine::Dist { p, .. } | Engine::Net { p, .. } => Some(p),
+            Engine::Sim { p, .. } | Engine::Net { p, .. } => Some(p),
         }
     }
 }
@@ -232,7 +222,7 @@ pub enum Source<'a> {
     /// A loaded dataset.
     InMemory(&'a Dataset),
     /// A `saco shard` directory streamed under `budget` resident bytes per
-    /// view (each rank of a dist/net run gets its own budget).
+    /// view (each rank of a net run gets its own budget).
     Shards {
         /// The shard directory.
         dir: &'a Path,
@@ -263,7 +253,7 @@ impl<'a, R: Regularizer> RunSpec<'a, R> {
     }
 
     /// The `solver` meta string of this cell — the historical function
-    /// names (`sim_sa_accbcd`, `stream_dist_sa_bcd`, `net_ksvm`, …), kept
+    /// names (`sim_sa_accbcd`, `stream_net_sa_bcd`, `net_ksvm`, …), kept
     /// because committed reports and goldens carry them. Sequential
     /// Lasso/SVM never had an engine prefix; `sim` never split K-DCD by
     /// task.
@@ -337,21 +327,21 @@ impl std::error::Error for RunError {}
 #[derive(Debug)]
 pub struct RunOutcome {
     /// The solve result: one entry on `Seq`/`Sim`, one per rank (in rank
-    /// order) on `Dist`/`Net`. Lasso and K-DCD iterates are replicated;
-    /// SVM ranks hold their local slice of `x`.
+    /// order) on `Net`. Lasso and K-DCD iterates are replicated; SVM ranks
+    /// hold their local slice of `x`.
     pub results: Vec<SolveResult>,
     /// Kernel-cache/exchange counters, parallel to `results`
     /// ([`Method::Kdcd`] only, else empty).
     pub kdcd: Vec<KdcdStats>,
-    /// The modeled critical-path cost (`Sim`, `Dist`).
+    /// The modeled critical-path cost (`Sim`).
     pub report: Option<CostReport>,
     /// The run's telemetry: per-rank phase tables and collective counts
-    /// (`Sim`, `Dist`), `seq.*` wall spans (`Seq`), `net.*` (`Net`),
+    /// (`Sim`), `seq.*` wall spans (`Seq`), `net.*` (`Net`),
     /// `kmethod.*` (K-DCD), `shard.*`/`io.*` (`Source::Shards`), plus
     /// the `solver`/`s`/`mu` meta and `solver.*` counters.
     pub telemetry: Registry,
     /// I/O counters of every streaming view (`Source::Shards`): one on
-    /// `Seq`/`Sim`, one per rank on `Dist`/`Net`.
+    /// `Seq`/`Sim`, one per rank on `Net`.
     pub io: Vec<IoStats>,
     /// Measured wall seconds of the engine's run — rank spawn and solve;
     /// loading, splitting and opening the data are not on this clock.
@@ -384,14 +374,6 @@ impl RunOutcome {
     }
 }
 
-/// A communicator a caller already holds.
-pub enum RankComm<'c> {
-    /// A thread-machine rank.
-    Thread(&'c mut Comm),
-    /// A socket-mesh rank.
-    Net(&'c mut NetComm),
-}
-
 /// One rank's share of the problem, in any of the three layouts.
 #[derive(Clone, Copy, Debug)]
 pub enum RankData<'d> {
@@ -403,9 +385,9 @@ pub enum RankData<'d> {
     Stream(&'d StreamRankData),
 }
 
-/// Run `method` as one SPMD rank on a communicator the caller already
-/// holds (`saco launch`'s rank processes, a thread machine configured by
-/// hand). [`run`] executes exactly this on every rank it spawns.
+/// Run `method` as one SPMD rank on a mesh the caller already joined
+/// (`saco launch`'s rank processes). [`run`] executes exactly this on
+/// every rank it spawns.
 ///
 /// Fails with [`RunError::WrongAxis`] when `data` is laid out for the
 /// other family.
@@ -414,7 +396,7 @@ pub enum RankData<'d> {
 /// Fail-stop on a mesh error mid-solve (see `exec::net`).
 pub fn run_rank<R: Regularizer>(
     method: &Method<'_, R>,
-    comm: RankComm<'_>,
+    comm: &mut NetComm,
     data: RankData<'_>,
 ) -> Result<(SolveResult, Option<KdcdStats>), RunError> {
     let (axis, dir) = match data {
@@ -427,9 +409,9 @@ pub fn run_rank<R: Regularizer>(
     };
     check_axis(method.axis(), axis, dir)?;
     Ok(match data {
-        RankData::Lasso(d) => on_rank(method, comm, &d.csc, &d.b, None),
-        RankData::Svm(d) => on_rank(method, comm, &d.csr, &d.b, None),
-        RankData::Stream(d) => on_rank(method, comm, &d.mat, &d.b, Some(d.gap_nnz)),
+        RankData::Lasso(d) => on_rank(method, comm, &d.csc, &d.b),
+        RankData::Svm(d) => on_rank(method, comm, &d.csr, &d.b),
+        RankData::Stream(d) => on_rank(method, comm, &d.mat, &d.b),
     })
 }
 
@@ -437,26 +419,16 @@ pub fn run_rank<R: Regularizer>(
 /// samples) with local labels `b`.
 fn on_rank<R: Regularizer, M: SliceSource + Sync>(
     method: &Method<'_, R>,
-    comm: RankComm<'_>,
+    comm: &mut NetComm,
     a: &M,
     b: &[f64],
-    gap_nnz: Option<u64>,
 ) -> (SolveResult, Option<KdcdStats>) {
     let rows = match method.axis() {
         ShardAxis::Csc => a.minor_len(),
         ShardAxis::Csr => a.major_len(),
     };
     assert_eq!(b.len(), rows, "local label slice mismatch");
-    match comm {
-        RankComm::Thread(comm) => {
-            let mut backend = match gap_nnz {
-                Some(nnz) => DistBackend::with_gap_nnz(comm, a, rows, nnz),
-                None => DistBackend::new(comm, a, rows),
-            };
-            method.solve(a, b, &mut backend)
-        }
-        RankComm::Net(comm) => method.solve(a, b, &mut NetBackend::new(comm)),
-    }
+    method.solve(a, b, &mut NetBackend::new(comm))
 }
 
 /// Open `dir` and check it is sharded along `axis` (see [`Method::axis`]):
@@ -546,14 +518,12 @@ fn in_memory<R: Regularizer>(spec: &RunSpec<'_, R>, ds: &Dataset) -> RunOutcome 
             let part = |p, balanced| (datagen::col_partition(&ds.a, p, balanced), None);
             replicated(spec, &ds.a, &ds.b, part)
         }
-        (Engine::Dist { p, balanced, .. } | Engine::Net { p, balanced, .. }, ShardAxis::Csc) => {
-            ranked(
-                spec,
-                &LassoRankData::split(ds, p, balanced).1,
-                RankData::Lasso,
-            )
-        }
-        (Engine::Dist { p, balanced, .. } | Engine::Net { p, balanced, .. }, ShardAxis::Csr) => {
+        (Engine::Net { p, balanced }, ShardAxis::Csc) => ranked(
+            spec,
+            &LassoRankData::split(ds, p, balanced).1,
+            RankData::Lasso,
+        ),
+        (Engine::Net { p, balanced }, ShardAxis::Csr) => {
             ranked(spec, &SvmRankData::split(ds, p, balanced).1, RankData::Svm)
         }
     }
@@ -582,7 +552,7 @@ fn streamed<R: Regularizer>(
             record_shard_stats(&mut out.telemetry, &mat);
             out
         }
-        Engine::Dist { p, balanced, .. } | Engine::Net { p, balanced, .. } => {
+        Engine::Net { p, balanced } => {
             let (_, ranks) = StreamRankData::split(&store, p, balanced, budget)?;
             let mut out = ranked(spec, &ranks, RankData::Stream);
             for r in &ranks {
@@ -637,48 +607,29 @@ fn replicated<R: Regularizer, M: SliceSource + Sync>(
             let report = cluster.report();
             outcome(spec, t0, vec![solved], Some(report), cluster.telemetry())
         }
-        Engine::Dist { .. } | Engine::Net { .. } => {
-            unreachable!("rank engines split the data; see `ranked`")
-        }
+        Engine::Net { .. } => unreachable!("the mesh splits the data; see `ranked`"),
     }
 }
 
-/// The rank engines: spawn `ranks.len()` SPMD ranks, each running
-/// [`run_rank`] on its share.
+/// The socket mesh: spawn one in-process rank per share of `ranks`, each
+/// running [`run_rank`] on its share.
 fn ranked<'d, R: Regularizer, D: Sync>(
     spec: &RunSpec<'_, R>,
     ranks: &'d [D],
     view: impl Fn(&'d D) -> RankData<'d> + Sync,
 ) -> RunOutcome {
-    let solve = |comm: RankComm<'_>, rank: usize| {
-        run_rank(&spec.method, comm, view(&ranks[rank]))
-            .expect("the split laid the data out for this method")
-    };
+    let solver = spec.solver_name();
     let t0 = Instant::now();
-    match spec.engine {
-        Engine::Dist { p, model, .. } => {
-            let (solved, report, telemetry) = ThreadMachine::run(p, model, |comm| {
-                let rank = comm.rank();
-                solve(RankComm::Thread(comm), rank)
-            });
-            outcome(spec, t0, solved, Some(report), telemetry)
-        }
-        Engine::Net { p, .. } => {
-            let solver = spec.solver_name();
-            let per_rank = run_local(p, |rank, comm| {
-                let (setup, rank_t0) = (comm.stats(), Instant::now());
-                let solved = solve(RankComm::Net(comm), rank);
-                let wall = rank_t0.elapsed().as_secs_f64();
-                (solved, net_rank_telemetry(&solver, comm, &setup, wall))
-            });
-            let telemetry = merge_rank_registries(per_rank.iter().map(|(_, t)| t));
-            let solved = per_rank.into_iter().map(|(s, _)| s).collect();
-            outcome(spec, t0, solved, None, telemetry)
-        }
-        Engine::Seq | Engine::Sim { .. } => {
-            unreachable!("replicated engines take the whole matrix; see `replicated`")
-        }
-    }
+    let per_rank = run_local(ranks.len(), |rank, comm| {
+        let (setup, rank_t0) = (comm.stats(), Instant::now());
+        let solved = run_rank(&spec.method, comm, view(&ranks[rank]))
+            .expect("the split laid the data out for this method");
+        let wall = rank_t0.elapsed().as_secs_f64();
+        (solved, net_rank_telemetry(&solver, comm, &setup, wall))
+    });
+    let telemetry = merge_rank_registries(per_rank.iter().map(|(_, t)| t));
+    let solved = per_rank.into_iter().map(|(s, _)| s).collect();
+    outcome(spec, t0, solved, None, telemetry)
 }
 
 fn outcome<R: Regularizer>(
@@ -825,7 +776,6 @@ mod tests {
         };
         let (p, model, balanced) = (2, CostModel::cray_xc30(), false);
         let sim = Engine::sim(p, model, balanced);
-        let dist = Engine::Dist { p, model, balanced };
         let net = Engine::Net { p, balanced };
         let (mem, dir) = (Source::InMemory(&ds), Path::new("unused"));
         let shards = Source::Shards { dir, budget: 0 };
@@ -833,18 +783,18 @@ mod tests {
             (lasso(true), Engine::Seq, mem, "sa_accbcd"),
             (lasso(false), Engine::Seq, mem, "sa_bcd"),
             (lasso(true), sim, mem, "sim_sa_accbcd"),
-            (lasso(false), dist, mem, "dist_sa_bcd"),
+            (lasso(false), net, mem, "net_sa_bcd"),
             (lasso(true), net, mem, "net_sa_accbcd"),
             (lasso(true), Engine::Seq, shards, "stream_sa_accbcd"),
             (lasso(false), sim, shards, "stream_sim_sa_bcd"),
-            (lasso(false), dist, shards, "stream_dist_sa_bcd"),
+            (lasso(false), net, shards, "stream_net_sa_bcd"),
             (lasso(true), net, shards, "stream_net_sa_accbcd"),
             (Method::svm(&scfg), Engine::Seq, shards, "stream_sa_svm"),
             (Method::svm(&scfg), sim, mem, "sim_sa_svm"),
             (Method::kdcd(&ksvm), Engine::Seq, mem, "seq_ksvm"),
             (Method::kdcd(&ridge), Engine::Seq, mem, "seq_kridge"),
             (Method::kdcd(&ksvm), sim, mem, "sim_kdcd"),
-            (Method::kdcd(&ridge), dist, mem, "dist_kridge"),
+            (Method::kdcd(&ridge), net, mem, "net_kridge"),
             (Method::kdcd(&ksvm), net, mem, "net_ksvm"),
         ] {
             assert_eq!(RunSpec::new(method, engine, source).solver_name(), want);
@@ -863,8 +813,10 @@ mod tests {
             let method = Method::Lasso { reg, cfg, accel };
             run(&RunSpec::new(method, engine, Source::InMemory(&ds)))
         };
-        let (p, model, balanced) = (0, CostModel::cray_xc30(), false);
-        let zero = Engine::Dist { p, model, balanced };
+        let zero = Engine::Net {
+            p: 0,
+            balanced: false,
+        };
         let err = run_lasso(&LassoConfig::default(), zero).expect_err("p = 0");
         assert!(matches!(err, RunError::ZeroRanks), "{err}");
         let wide = LassoConfig {
@@ -879,11 +831,10 @@ mod tests {
 
         let scfg = SvmConfig::default();
         let (_, blocks) = LassoRankData::split(&ds, 1, false);
-        let err = ThreadMachine::run(1, CostModel::cray_xc30(), |comm| {
+        let err = run_local(1, |_, comm| {
             let data = RankData::Lasso(&blocks[0]);
-            run_rank(&Method::svm(&scfg), RankComm::Thread(comm), data).map(|_| ())
+            run_rank(&Method::svm(&scfg), comm, data).map(|_| ())
         })
-        .0
         .remove(0)
         .expect_err("row blocks cannot feed a row-sampling method");
         assert!(matches!(err, RunError::WrongAxis { .. }), "{err}");

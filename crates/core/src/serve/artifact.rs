@@ -266,7 +266,9 @@ impl ModelArtifact {
         out
     }
 
-    /// Parse an encoded artifact, validating magic and payload length.
+    /// Parse an encoded artifact, validating magic and payload length and
+    /// rejecting a non-finite `lambda`, `x` or `residual` word. Every
+    /// failure is an `Err` naming the key or the word, never a panic.
     pub fn decode(bytes: &[u8]) -> Result<ModelArtifact, String> {
         let split = bytes
             .windows(2)
@@ -311,21 +313,39 @@ impl ModelArtifact {
         };
         let xlen = usize_of("xlen")?;
         let rlen = usize_of("rlen")?;
-        if payload.len() != (xlen + rlen) * 8 {
+        let expected = xlen
+            .checked_add(rlen)
+            .and_then(|words| words.checked_mul(8))
+            .ok_or_else(|| format!("xlen {xlen} + rlen {rlen} words overflow the payload size"))?;
+        if payload.len() != expected {
             return Err(format!(
-                "payload is {} bytes, expected {}",
-                payload.len(),
-                (xlen + rlen) * 8
+                "payload is {} bytes, expected {expected}",
+                payload.len()
             ));
         }
-        let mut words = payload
+        let lambda = bits_of("lambda")?;
+        if !lambda.is_finite() {
+            return Err(format!("non-finite \"lambda\" {lambda}"));
+        }
+        let mut x: Vec<f64> = payload
             .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")));
-        let x: Vec<f64> = words.by_ref().take(xlen).collect();
-        let residual: Vec<f64> = words.collect();
+            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
+            .collect();
+        if let Some(i) = x.iter().position(|v| !v.is_finite()) {
+            let (name, at) = if i < xlen {
+                ("x", i)
+            } else {
+                ("residual", i - xlen)
+            };
+            return Err(format!(
+                "non-finite {name}[{at}] (payload word {i}): {}",
+                x[i]
+            ));
+        }
+        let residual = x.split_off(xlen);
         Ok(ModelArtifact {
             family: get("family")?,
-            lambda: bits_of("lambda")?,
+            lambda,
             m: usize_of("m")?,
             n: usize_of("n")?,
             fingerprint: hex_of("fingerprint")?,
@@ -409,6 +429,73 @@ mod tests {
         let mut ds2 = ds.clone();
         ds2.b[0] += 1e-12;
         assert_ne!(f1, dataset_fingerprint(&ds2));
+    }
+
+    /// A valid encoding with one header value replaced.
+    fn with_header(bytes: &[u8], key: &str, value: &str) -> Vec<u8> {
+        let split = bytes.windows(2).position(|w| w == b"\n\n").unwrap();
+        let head = std::str::from_utf8(&bytes[..split]).unwrap();
+        let prefix = format!("{key}=");
+        let head: Vec<String> = head
+            .lines()
+            .map(|l| match l.starts_with(&prefix) {
+                true => format!("{prefix}{value}"),
+                false => l.to_string(),
+            })
+            .collect();
+        let mut out = head.join("\n").into_bytes();
+        out.extend_from_slice(&bytes[split..]);
+        out
+    }
+
+    fn trained() -> ModelArtifact {
+        ModelArtifact::train_lasso(&problem(5), &Lasso::new(0.2), 0.2, &cfg())
+    }
+
+    #[test]
+    fn decode_rejects_payload_lengths_that_overflow() {
+        let bytes = trained().encode();
+        for (key, value) in [
+            ("xlen", usize::MAX),
+            ("rlen", usize::MAX),
+            ("xlen", usize::MAX / 8),
+        ] {
+            let err = ModelArtifact::decode(&with_header(&bytes, key, &value.to_string()))
+                .expect_err("overflowing length");
+            assert!(err.contains("overflow"), "{key}={value}: {err}");
+        }
+    }
+
+    #[test]
+    fn decode_rejects_a_non_finite_lambda() {
+        let bytes = trained().encode();
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let bad = with_header(&bytes, "lambda", &format!("{:016x}", v.to_bits()));
+            let err = ModelArtifact::decode(&bad).expect_err("non-finite lambda");
+            assert!(err.contains("\"lambda\""), "{err}");
+        }
+    }
+
+    #[test]
+    fn decode_rejects_a_non_finite_x_word() {
+        let mut art = trained();
+        art.x[3] = f64::INFINITY;
+        let err = ModelArtifact::decode(&art.encode()).expect_err("non-finite x");
+        assert!(
+            err.contains("x[3]") && err.contains("payload word 3"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn decode_rejects_a_non_finite_residual_word() {
+        let mut art = trained();
+        assert!(art.resumable(), "the residual is carried");
+        art.residual[5] = f64::NAN;
+        let err = ModelArtifact::decode(&art.encode()).expect_err("non-finite residual");
+        let word = art.x.len() + 5;
+        assert!(err.contains("residual[5]"), "{err}");
+        assert!(err.contains(&format!("payload word {word}")), "{err}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! partition. The run is `crate::exec::kdcd_family` on a `SimBackend` —
 //! the kernel-row tiles are charged per rank from the partition's nnz
 //! counts, and the fused exchange is the same `misses × m` allreduce the
-//! thread engine moves, word for word. Under a chaos plan the shared
+//! socket mesh moves, word for word. Under a chaos plan the shared
 //! driver checkpoints at block boundaries; iterates stay bitwise.
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Virtual-cluster (SA-)accBCD and (SA-)BCD (`Engine::Sim` × Lasso):
 //! sequential numerics, exact per-rank cost attribution over a 1D-row
 //! partition. The run is `crate::exec::lasso_family` on a `SimBackend` —
-//! by construction the numerics are the sequential engine's and the
-//! charge sequence is the thread engine's, call for call (see the
+//! by construction the numerics are the sequential engine's, and its
+//! collectives and words are what the socket mesh sends (see the
 //! cross-engine tests in `tests/engine_matrix.rs`). Trace times are
 //! simulated seconds; a chaos plan perturbs *time only*, never values.
 

@@ -3,16 +3,17 @@
 //! [`VirtualCluster`].
 //!
 //! The strong-scaling and speedup experiments (Figures 3–4, Table V) use
-//! up to P = 12,288 ranks. The thread engine cannot usefully run that many
-//! OS threads, so these runs compute the numerics once — globally,
-//! bit-identically to the sequential reference — while charging each
-//! virtual rank the flops *it* would have executed (its partition's share
-//! of the sampled nonzeros, so data-skew stragglers are modeled) and
-//! charging every collective with the shared α-β formulas.
+//! up to P = 12,288 ranks, far more than any host can run as real ranks,
+//! so these runs compute the numerics once — globally, bit-identically to
+//! the sequential reference — while charging each virtual rank the flops
+//! *it* would have executed (its partition's share of the sampled
+//! nonzeros, so data-skew stragglers are modeled) and charging every
+//! collective with the α-β formulas.
 //!
-//! The charge sequences mirror `crate::dist` call for call; the
-//! `dist ≡ sim` consistency tests run both engines at the same small `P`
-//! and require the virtual times to agree to round-off.
+//! Two tests hold the pricing to a partitioned execution: the per-rank
+//! nonzero shares equal the local counts of the blocks the socket mesh
+//! splits (`exec::backends`), and the modeled collectives and words equal
+//! the frames and bytes the mesh sends (`tests/engine_matrix.rs`).
 
 mod kdcd;
 mod lasso;

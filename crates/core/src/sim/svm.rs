@@ -1,8 +1,8 @@
 //! Virtual-cluster (SA-)SVM (`Engine::Sim` × SVM): sequential numerics,
 //! exact per-rank cost attribution over a 1D-column partition. The run is
 //! `crate::exec::svm_family` on a `SimBackend` — by construction the
-//! numerics are the sequential engine's and the charge sequence is the
-//! thread engine's, call for call. Trace times are simulated seconds.
+//! numerics are the sequential engine's, and its collectives and words
+//! are what the socket mesh sends. Trace times are simulated seconds.
 
 #[cfg(test)]
 mod tests {

@@ -13,7 +13,7 @@
 //! `Source::InMemory` twin (pinned by `tests/engine_matrix.rs`).
 //!
 //! Layouts: the replicated engines (seq, sim) stream one full-minor-axis
-//! view; the rank engines (dist, net) give every rank a *windowed* view
+//! view; the socket mesh (net) gives every rank a *windowed* view
 //! ([`StreamRankData::split`]) with its own cache, loader and budget — the
 //! Lasso layout windows rows of a CSC store and slices the labels
 //! conformally, the SVM/K-DCD layout windows columns of a CSR store and
@@ -85,15 +85,13 @@ pub struct StreamRankData {
     pub mat: StreamingMatrix,
     /// Rank-local labels (CSC store: the window's rows; CSR: all rows).
     pub b: Vec<f64>,
-    /// Local nnz, from the sidecar (the SVM gap-SpMV charge).
-    pub(crate) gap_nnz: u64,
 }
 
 impl StreamRankData {
     /// Split a shard store into `p` minor-axis-windowed rank views — the
-    /// streaming [`crate::dist::LassoRankData::split`] for a CSC store
+    /// streaming [`crate::net::LassoRankData::split`] for a CSC store
     /// (row windows, labels sliced conformally) and
-    /// [`crate::dist::SvmRankData::split`] for a CSR one (column windows,
+    /// [`crate::net::SvmRankData::split`] for a CSR one (column windows,
     /// labels replicated). Each rank gets its own `budget_per_rank` bytes
     /// of resident cache.
     pub fn split(
@@ -102,13 +100,11 @@ impl StreamRankData {
         balanced: bool,
         budget_per_rank: u64,
     ) -> io::Result<(Partition, Vec<StreamRankData>)> {
-        let (part, gap_nnz) = minor_partition(store, p, balanced)?;
+        let (part, _) = minor_partition(store, p, balanced)?;
         let labels = store.read_labels()?;
         let rows_windowed = store.manifest().axis == ShardAxis::Csc;
-        let ranks = gap_nnz
-            .into_iter()
-            .enumerate()
-            .map(|(r, gap_nnz)| {
+        let ranks = (0..p)
+            .map(|r| {
                 let range = part.range(r);
                 StreamRankData {
                     mat: StreamingMatrix::from_store(
@@ -121,7 +117,6 @@ impl StreamRankData {
                     } else {
                         labels.clone()
                     },
-                    gap_nnz,
                 }
             })
             .collect();
@@ -201,9 +196,8 @@ mod tests {
         Engine::sim(p, CostModel::cray_xc30(), true)
     }
 
-    fn dist(p: usize) -> Engine {
-        let (model, balanced) = (CostModel::cray_xc30(), false);
-        Engine::Dist { p, model, balanced }
+    fn net(p: usize) -> Engine {
+        Engine::Net { p, balanced: false }
     }
 
     fn lasso(cfg: &LassoConfig, engine: Engine, source: Source<'_>) -> RunOutcome {
@@ -260,14 +254,14 @@ mod tests {
     }
 
     #[test]
-    fn streaming_dist_ranks_agree_with_in_memory_dist() {
+    fn streaming_net_ranks_agree_with_in_memory_net() {
         let ds = lasso_problem(3);
-        let dir = tmp_dir("dist_lasso");
+        let dir = tmp_dir("net_lasso");
         shard_lasso(&ds, &dir, 8);
         let cfg = lasso_cfg(4);
         let budget = BUDGET;
-        let mem = lasso(&cfg, dist(3), Source::InMemory(&ds));
-        let streamed = lasso(&cfg, dist(3), Source::Shards { dir: &dir, budget });
+        let mem = lasso(&cfg, net(3), Source::InMemory(&ds));
+        let streamed = lasso(&cfg, net(3), Source::Shards { dir: &dir, budget });
         assert_eq!(streamed.io.len(), 3, "one windowed view per rank");
         for (sr, mr) in streamed.results.iter().zip(&mem.results) {
             assert_eq!(sr.x, mr.x, "windowed rank view must be bitwise equal");
@@ -276,7 +270,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_svm_seq_and_dist_are_bitwise_identical() {
+    fn streaming_svm_seq_and_net_are_bitwise_identical() {
         let a = powerlaw_sparse(120, 70, 0.09, 0.8, 4);
         let ds = binary_classification(a, 0.05, 4).dataset;
         let dir = tmp_dir("svm");
@@ -299,8 +293,8 @@ mod tests {
         let shards = Source::Shards { dir: &dir, budget };
         let seq_res = seq::sa_svm(&ds, &cfg);
         assert_eq!(svm(Engine::Seq, shards).result().x, seq_res.x);
-        let mem = svm(dist(2), Source::InMemory(&ds));
-        let streamed = svm(dist(2), shards);
+        let mem = svm(net(2), Source::InMemory(&ds));
+        let streamed = svm(net(2), shards);
         for (sr, mr) in streamed.results.iter().zip(&mem.results) {
             assert_eq!(sr.x, mr.x);
         }
@@ -324,7 +318,7 @@ mod tests {
         // …while `run` owns the path and returns the typed error, on every
         // engine.
         let budget = BUDGET;
-        for engine in [Engine::Seq, sim(4), dist(2)] {
+        for engine in [Engine::Seq, sim(4), net(2)] {
             let (reg, cfg, accel) = (&Lasso::new(0.1), &lasso_cfg(2), true);
             let method = Method::Lasso { reg, cfg, accel };
             let err = run(&RunSpec::new(

@@ -5,7 +5,7 @@
 //! the cross-product matrix, the θ/Δ recurrence vectors, the µ-wide
 //! proximal candidate block, and (in the distributed solvers) the packed
 //! allreduce payload. Allocating them fresh each iteration costs ~22
-//! `vec!`/`with_capacity` sites across the seq/sim/dist solvers; a
+//! `vec!`/`with_capacity` sites across the seq/sim/net solvers; a
 //! [`KernelWorkspace`] owns all of them once per solve, and the `_into`
 //! kernel variants in `sparsela` reuse them across iterations.
 //!
@@ -26,9 +26,9 @@ pub struct KernelWorkspace {
     /// Gram scatters into, so the SA hot loop's SIMD path gets aligned
     /// scratch for free by carrying this workspace across iterations.
     pub(crate) gram_ws: GramWorkspace,
-    /// The sampled Gram matrix `G = YᵀY` (local contribution in dist).
+    /// The sampled Gram matrix `G = YᵀY` (local contribution on the mesh).
     pub(crate) gram: DenseMatrix,
-    /// The allreduced global Gram block (dist solvers only).
+    /// The allreduced global Gram block (mesh ranks only).
     pub(crate) gram_global: DenseMatrix,
     /// The cross products `Yᵀ[v …]`.
     pub(crate) cross: DenseMatrix,
@@ -46,7 +46,7 @@ pub struct KernelWorkspace {
     /// The eq. (3) correction coefficients of one inner iteration, one per
     /// earlier sub-block.
     pub(crate) coefs: Vec<f64>,
-    /// Packed symmetric-Gram + cross allreduce payload (dist solvers).
+    /// Packed symmetric-Gram + cross allreduce payload (mesh ranks).
     pub(crate) pack: Vec<f64>,
     /// Double-buffered selection for the *next* outer iteration, sampled
     /// while the current fused allreduce is in flight (`cfg.overlap`).

@@ -99,8 +99,8 @@ pub fn balanced_partition(weights: &[u64], p: usize) -> Partition {
 /// partitions `A` row-wise for Lasso, §V). `balanced` splits by per-row
 /// nnz to fix the §VI stragglers; otherwise an equal-row-count split.
 ///
-/// Single home for the helper the simulated and distributed engines both
-/// use, so the two engines cannot drift apart on data placement.
+/// Single home for the helper the simulated engine and the socket mesh
+/// both use, so they cannot drift apart on data placement.
 pub fn row_partition(a: &sparsela::CsrMatrix, p: usize, balanced: bool) -> Partition {
     if balanced {
         let weights: Vec<u64> = a.row_nnz_counts().iter().map(|&c| c as u64).collect();

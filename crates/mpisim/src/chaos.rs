@@ -11,7 +11,7 @@
 //! Chaos perturbs **time, never values**. Every injected quantity is a
 //! pure function of `(seed, stream, rank, index)` — a counter-based
 //! [`SplitMix64`] hash with no shared mutable generator — so the schedule
-//! is identical across engines, thread counts, and overlap settings, and a
+//! is identical across runs, thread counts, and overlap settings, and a
 //! chaos run's solution is bitwise identical to the unperturbed run's.
 
 use xrng::SplitMix64;

@@ -1,4 +1,4 @@
-//! The α-β-γ cost model shared by both execution engines.
+//! The α-β-γ cost model the virtual cluster prices runs with.
 //!
 //! The paper's Table I counts four quantities along the critical path:
 //! flops `F`, memory `M`, latency `L` (number of messages) and bandwidth
@@ -176,8 +176,7 @@ pub fn fit_alpha_beta(samples: &[(usize, u64, f64)]) -> (f64, f64) {
     (alpha, beta)
 }
 
-/// Raw counters accumulated by one rank (thread engine) or by the critical
-/// path (virtual engine).
+/// Raw counters accumulated by one rank, or by the critical path.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CostCounters {
     /// Messages on the critical path (the paper's `L`, counted in rounds).
@@ -211,7 +210,7 @@ impl CostCounters {
     }
 }
 
-/// A finished run's cost summary, as reported by either engine.
+/// A finished run's cost summary.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CostReport {
     /// Number of ranks.
@@ -431,7 +430,7 @@ mod calibration_tests {
     #[test]
     fn class_breakdown_sums_to_comp_time() {
         use crate::telemetry::Phase;
-        use crate::{ThreadMachine, VirtualCluster};
+        use crate::VirtualCluster;
         let model = CostModel::cray_xc30();
         let classes = [
             (KernelClass::Gemm, 1_000_000),
@@ -442,20 +441,13 @@ mod calibration_tests {
             .iter()
             .map(|&(class, flops)| model.compute_time(class, flops, 10))
             .sum();
-        let (totals, _, _) = ThreadMachine::run(2, model, |comm| {
-            for (class, flops) in classes {
-                comm.charge(class, flops, 10, Phase::Comp);
-            }
-            comm.counters().comp_time
-        });
-        for total in &totals {
-            assert!((by_class - total).abs() < 1e-15);
-        }
         let mut vc = VirtualCluster::new(2, model);
         for (class, flops) in classes {
             vc.charge(class, Phase::Comp, |_| (flops, 10));
         }
-        let comp = vc.report().critical.comp_time;
-        assert_eq!(comp, totals[0], "engines agree on the breakdown");
+        for rank in 0..2 {
+            let total = vc.counters(rank).comp_time;
+            assert!((by_class - total).abs() < 1e-15, "rank {rank}: {total}");
+        }
     }
 }

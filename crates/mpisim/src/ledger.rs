@@ -1,14 +1,11 @@
 //! The rank ledger: the one place simulated time is accounted.
 //!
-//! Both engines model the same α-β-γ machine, so every accounting rule —
-//! how a compute charge advances a clock, what a rank pays at a
-//! collective, how overlap hides an in-flight reduction, what chaos
-//! injects, which rank is critical — is written here once, per rank. The
-//! thread machine's [`Comm`](crate::Comm) is *a ledger + channels + the
-//! binomial tree*; the [`VirtualCluster`](crate::VirtualCluster) is *a
-//! vector of ledgers + a loop*. The engines differ only in how they find
-//! the latest entry clock of a collective (through the tree / by a fold),
-//! and `max` is exact either way, so they agree bitwise on every rank.
+//! Every accounting rule of the α-β-γ machine — how a compute charge
+//! advances a clock, what a rank pays at a collective, how overlap hides
+//! an in-flight reduction, what chaos injects, which rank is critical —
+//! is written here once, per rank. The
+//! [`VirtualCluster`](crate::VirtualCluster) is *a vector of ledgers + a
+//! loop*: it finds a collective's latest entry clock by a fold over them.
 //!
 //! A ledger keeps its clock, the critical-path message/word counts, the
 //! telemetry phase table and, when chaos is enabled, that rank's
@@ -24,8 +21,8 @@ use saco_telemetry::{Phase, PhaseTable, Registry};
 /// One rank's live chaos-injection state (see [`crate::chaos`]): its
 /// fixed skew multiplier plus the program-order counters that key the
 /// stateless schedule draws. Every rank counts its own collectives and
-/// checkpoints, so identical SPMD code yields identical indices on both
-/// engines.
+/// checkpoints, so identical SPMD code yields identical indices on every
+/// rank.
 #[derive(Clone, Debug)]
 struct RankChaos {
     plan: ChaosPlan,
@@ -88,11 +85,6 @@ impl RankLedger {
     /// Current virtual time on this rank.
     pub(crate) fn clock(&self) -> f64 {
         self.clock
-    }
-
-    /// Clock at which this rank joined its most recent collective.
-    pub(crate) fn entry(&self) -> f64 {
-        self.entry
     }
 
     /// This rank's per-phase time attribution so far.
@@ -396,7 +388,7 @@ mod tests {
         }
         // The stall lands before the entry snapshot: ranks join at 2 + s.
         let (e0, e1) = (2.0 + s0, 2.0 + s1);
-        assert_eq!((ranks[0].entry(), ranks[1].entry()), (e0, e1));
+        assert_eq!((ranks[0].entry, ranks[1].entry), (e0, e1));
         let c = Collective::fused(&m, 2, 0, e0.max(e1), 0.0);
         ranks.iter_mut().for_each(|l| l.settle_fused(&c));
         // An empty allreduce is a barrier, pure latency (α = 2 s); stalled

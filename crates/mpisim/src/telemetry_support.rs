@@ -2,8 +2,7 @@
 //!
 //! What a [`RankLedger`](crate::ledger::RankLedger) mirrors into
 //! telemetry while it runs, and the one assembly of a run-level
-//! [`Registry`] from those per-rank records, so the thread machine and
-//! the virtual cluster feed the same sink under the same key names.
+//! [`Registry`] from those per-rank records.
 
 use saco_telemetry::{PhaseTable, Registry};
 
@@ -54,8 +53,7 @@ pub(crate) struct RankTelemetry {
 /// for the program. `chaos` holds every rank's injection accounting when
 /// chaos was enabled (empty on a clean run) and `induced_idle` the idle
 /// time attributable to it, summed over ranks: their idle under chaos
-/// minus their idle on the clean counterfactual timeline (virtual cluster
-/// only; the thread engine keeps no counterfactual and passes 0).
+/// minus their idle on the clean counterfactual timeline (0 without one).
 pub(crate) fn registry_from_ranks(
     engine: &str,
     ranks: &[&RankTelemetry],
@@ -122,11 +120,11 @@ mod tests {
         b.phases.record(Phase::Comm, 2.0);
         b.collectives = 3;
 
-        let reg = registry_from_ranks("thread_machine", &[&a, &b], &[], 0.0);
+        let reg = registry_from_ranks("virtual_cluster", &[&a, &b], &[], 0.0);
         assert_eq!(reg.counter("collectives.allreduce"), 3);
         assert_eq!(reg.phases(0).unwrap().comm_time(), 1.0);
         assert_eq!(reg.phases(1).unwrap().comm_time(), 2.0);
-        assert_eq!(reg.meta()["engine"], "thread_machine");
+        assert_eq!(reg.meta()["engine"], "virtual_cluster");
         assert_eq!(reg.meta()["ranks"], "2");
     }
 }

@@ -7,9 +7,9 @@
 //! of the distributed execution here: per-rank flop attribution (so a rank
 //! holding more nonzeros of the sampled columns is a straggler, exactly as
 //! on the real machine) and collective costs from the shared
-//! [`CostModel`] formulas. The cluster is a vector of the same
-//! `RankLedger`s the thread engine's ranks carry, and a loop over them,
-//! so the two engines agree by construction.
+//! [`CostModel`] formulas. The cluster is a vector of `RankLedger`s —
+//! each holding the one statement of every per-rank accounting rule — and
+//! a loop over them.
 
 use crate::chaos::ChaosSpec;
 use crate::cost::{CostCounters, CostModel, CostReport, KernelClass};
@@ -76,8 +76,7 @@ impl VirtualCluster {
     /// solve and scalar updates of Fig. 1 step 5); a rank-dependent one is
     /// how data-dependent load imbalance (stragglers) enters the
     /// simulation — each rank's kernel sees its own working set and may
-    /// land on a different side of the cache cliff, as on the thread
-    /// engine.
+    /// land on a different side of the cache cliff.
     pub fn charge<F: Fn(usize) -> (u64, u64)>(&mut self, class: KernelClass, phase: Phase, f: F) {
         for side in std::iter::once(&mut self.ranks).chain(&mut self.clean) {
             for (rank, l) in side.iter_mut().enumerate() {
@@ -150,8 +149,8 @@ impl VirtualCluster {
         self.iallreduce_wait();
     }
 
-    /// Block-boundary checkpoint: a free no-op on clean runs (so the
-    /// strict cross-engine equality invariants are untouched). With chaos
+    /// Block-boundary checkpoint: a free no-op on clean runs (so clean
+    /// timelines are untouched). With chaos
     /// enabled it marks a recovery point, and if the plan's fail-stop
     /// fault fires at this block the failed rank pays the redo time back
     /// to the previous checkpoint plus
@@ -162,14 +161,12 @@ impl VirtualCluster {
         self.ranks.iter_mut().for_each(RankLedger::checkpoint);
     }
 
-    /// Current virtual time on rank `rank` (the thread engine's
-    /// [`Comm::clock`](crate::Comm::clock)).
+    /// Current virtual time on rank `rank`.
     pub fn clock(&self, rank: usize) -> f64 {
         self.ranks[rank].clock()
     }
 
-    /// Cost counters accumulated so far on rank `rank` (the thread
-    /// engine's [`Comm::counters`](crate::Comm::counters)).
+    /// Cost counters accumulated so far on rank `rank`.
     pub fn counters(&self, rank: usize) -> CostCounters {
         self.ranks[rank].counters()
     }
@@ -181,8 +178,7 @@ impl VirtualCluster {
 
     /// Critical-path cost report: the counters of the computational
     /// straggler (max comp time, tie broken towards the highest rank —
-    /// the same rule as the thread engine and as
-    /// [`Registry::critical_rank`]).
+    /// the same rule as [`Registry::critical_rank`]).
     pub fn report(&self) -> CostReport {
         ledger::report(&self.ranks)
     }
@@ -216,8 +212,7 @@ impl VirtualCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::{ChaosSpec, RESTART_OVERHEAD_SECS};
-    use crate::thread_machine::ThreadMachine;
+    use crate::chaos::{ChaosPlan, ChaosSpec, RESTART_OVERHEAD_SECS};
 
     #[test]
     fn uniform_charges_advance_all_clocks() {
@@ -244,27 +239,14 @@ mod tests {
         assert!((vc.time() - expect).abs() < 1e-12);
     }
 
+    /// Five rounds of rank-skewed dot work, a 16-word allreduce and
+    /// replicated vector work on 8 ranks, against the closed form: the
+    /// last rank is always the latest entrant, so each round costs its
+    /// dot work, the allreduce and the vector work, and it never idles.
     #[test]
-    fn matches_thread_machine_on_scripted_run() {
-        // The same SPMD script on both engines must produce identical
-        // virtual times and counters.
+    fn scripted_run_matches_closed_form() {
         let model = CostModel::cray_xc30();
         let p = 8;
-
-        let (_, thread_report, _) = ThreadMachine::run(p, model, |comm| {
-            for _ in 0..5 {
-                comm.charge(
-                    KernelClass::Dot,
-                    (comm.rank() as u64 + 1) * 100_000,
-                    64,
-                    Phase::Comp,
-                );
-                let mut buf = vec![1.0; 16];
-                comm.iallreduce_sum(&mut buf);
-                comm.charge(KernelClass::Vector, 50_000, 64, Phase::Comp);
-            }
-        });
-
         let mut vc = VirtualCluster::new(p, model);
         for _ in 0..5 {
             vc.charge(KernelClass::Dot, Phase::Comp, |r| {
@@ -273,30 +255,25 @@ mod tests {
             vc.iallreduce(16);
             vc.charge(KernelClass::Vector, Phase::Comp, |_| (50_000, 64));
         }
-        let virtual_report = vc.report();
-
-        let t = thread_report.critical;
-        let v = virtual_report.critical;
-        assert!(
-            (t.total_time() - v.total_time()).abs() < 1e-12,
-            "thread {} vs virtual {}",
-            t.total_time(),
-            v.total_time()
-        );
-        assert_eq!(t.messages, v.messages);
-        assert_eq!(t.words, v.words);
-        assert_eq!(t.flops, v.flops);
-        assert!((t.comm_time - v.comm_time).abs() < 1e-12);
-        assert!((t.comp_time - v.comp_time).abs() < 1e-12);
-        assert!((t.idle_time - v.idle_time).abs() < 1e-12);
+        let c = model.fused_allreduce_charge(p, 16);
+        let comp = model.compute_time(KernelClass::Dot, 800_000, 64)
+            + model.compute_time(KernelClass::Vector, 50_000, 64);
+        let v = vc.report().critical;
+        assert!((v.total_time() - 5.0 * (comp + c.time)).abs() < 1e-12);
+        assert!((v.comp_time - 5.0 * comp).abs() < 1e-12);
+        assert!((v.comm_time - 5.0 * c.time).abs() < 1e-12);
+        assert!(v.idle_time.abs() < 1e-12, "the last rank waits for nobody");
+        assert_eq!(v.messages, 5 * c.rounds);
+        assert_eq!(v.words, 5 * c.words_moved);
+        assert_eq!(v.flops, 5 * 850_000);
+        assert!((vc.time() - v.total_time()).abs() < 1e-12);
     }
 
+    /// Chaos on a scripted run: every injection the plan draws is
+    /// recorded, the fault fires once and is recovered, and the run idles
+    /// more than its clean counterfactual.
     #[test]
-    fn chaos_engines_agree_on_scripted_run() {
-        // The same SPMD script with the same chaos spec on both engines
-        // must produce identical perturbed times: the schedule draws are
-        // pure functions of (seed, rank, program-order index), shared by
-        // both engines.
+    fn chaos_scripted_run_records_its_injections() {
         let model = CostModel::cray_xc30();
         let p = 8;
         let spec = ChaosSpec {
@@ -306,24 +283,6 @@ mod tests {
             straggle: 0.3,
             fail: Some((2, 1)),
         };
-
-        let (_, thread_report, thread_reg) = ThreadMachine::run(p, model, |comm| {
-            comm.enable_chaos(&spec);
-            for _ in 0..4 {
-                comm.charge(
-                    KernelClass::Dot,
-                    (comm.rank() as u64 + 1) * 100_000,
-                    64,
-                    Phase::Comp,
-                );
-                let mut buf = vec![1.0; 16];
-                let req = comm.iallreduce_sum_start(&mut buf);
-                comm.charge(KernelClass::Vector, 50_000, 64, Phase::Comp);
-                comm.iallreduce_wait(req);
-                comm.checkpoint();
-            }
-        });
-
         let mut vc = VirtualCluster::new(p, model);
         vc.enable_chaos(&spec);
         for _ in 0..4 {
@@ -335,43 +294,21 @@ mod tests {
             vc.iallreduce_wait();
             vc.checkpoint();
         }
-        let virtual_report = vc.report();
-        let virtual_reg = vc.telemetry();
-
-        let t = thread_report.critical;
-        let v = virtual_report.critical;
-        assert!(
-            (t.total_time() - v.total_time()).abs() < 1e-12,
-            "thread {} vs virtual {}",
-            t.total_time(),
-            v.total_time()
-        );
-        assert_eq!(t.messages, v.messages);
-        assert_eq!(t.words, v.words);
-        assert!((t.comp_time - v.comp_time).abs() < 1e-12);
-        assert!((t.comm_time - v.comm_time).abs() < 1e-12);
-        assert!((t.idle_time - v.idle_time).abs() < 1e-12);
-        // The injected schedules (not just the totals) agree.
-        for key in ["chaos.stalls", "chaos.failures", "chaos.checkpoints"] {
-            assert_eq!(thread_reg.counter(key), virtual_reg.counter(key), "{key}");
-        }
-        for key in [
-            "chaos.stall_time",
-            "chaos.skew_time",
-            "chaos.jitter_time",
-            "chaos.recovery_time",
-        ] {
-            let a = thread_reg.gauge(key).expect(key);
-            let b = virtual_reg.gauge(key).expect(key);
-            assert!((a - b).abs() < 1e-12, "{key}: thread {a} vs virtual {b}");
-        }
-        assert_eq!(virtual_reg.counter("chaos.failures"), 1, "the fault fired");
-        assert_eq!(virtual_reg.counter("chaos.checkpoints"), 4);
-        assert!(virtual_reg.gauge("chaos.recovery_time").unwrap() > RESTART_OVERHEAD_SECS);
-        // Exact induced-idle attribution exists only on the analytic
-        // engine; the chaos run idles more than its clean counterfactual.
-        assert!(virtual_reg.gauge("chaos.induced_idle_time").unwrap() > 0.0);
-        assert_eq!(thread_reg.gauge("chaos.induced_idle_time"), Some(0.0));
+        let reg = vc.telemetry();
+        let plan = ChaosPlan::new(&spec);
+        let draws = (0..p).flat_map(|r| (0..4).map(move |i| plan.stall(r, i)));
+        let stalls: Vec<f64> = draws.filter(|&s| s > 0.0).collect();
+        assert_eq!(reg.counter("chaos.stalls"), stalls.len() as u64);
+        let stall_time = reg.gauge("chaos.stall_time").unwrap();
+        assert!((stall_time - stalls.iter().sum::<f64>()).abs() < 1e-15);
+        let jitter: f64 = (0..4).map(|i| plan.jitter(i)).sum();
+        assert!((reg.gauge("chaos.jitter_time").unwrap() - jitter).abs() < 1e-15);
+        assert!(reg.gauge("chaos.skew_time").unwrap() > 0.0);
+        assert_eq!(reg.counter("chaos.failures"), 1, "the fault fired");
+        assert_eq!(reg.counter("chaos.checkpoints"), 4);
+        assert!(reg.gauge("chaos.recovery_time").unwrap() > RESTART_OVERHEAD_SECS);
+        // The chaos run idles more than its clean counterfactual.
+        assert!(reg.gauge("chaos.induced_idle_time").unwrap() > 0.0);
     }
 
     #[test]
@@ -455,52 +392,31 @@ mod tests {
         assert!(table.time(Phase::Sampling) > 0.0);
     }
 
+    /// Each rank's phase table holds exactly what the script charged it:
+    /// its own gram work, the allreduce's comm time and words, and the
+    /// wait for the slowest rank as idle.
     #[test]
-    fn both_engines_feed_the_same_sink_identically() {
+    fn phase_tables_hold_each_ranks_own_charges() {
         let model = CostModel::cray_xc30();
         let p = 4;
-        let (_, _, thread_reg) = ThreadMachine::run(p, model, |comm| {
-            comm.charge(
-                KernelClass::Dot,
-                (comm.rank() as u64 + 1) * 100_000,
-                64,
-                Phase::Gram,
-            );
-            let mut buf = vec![1.0; 16];
-            comm.iallreduce_sum(&mut buf);
-        });
         let mut vc = VirtualCluster::new(p, model);
-        vc.charge(KernelClass::Dot, Phase::Gram, |r| {
-            ((r as u64 + 1) * 100_000, 64)
-        });
+        let flops = |r: usize| (r as u64 + 1) * 100_000;
+        vc.charge(KernelClass::Dot, Phase::Gram, |r| (flops(r), 64));
         vc.iallreduce(16);
-        let virtual_reg = vc.telemetry();
+        let reg = vc.telemetry();
+        let c = model.fused_allreduce_charge(p, 16);
+        let slowest = model.compute_time(KernelClass::Dot, flops(p - 1), 64);
         for rank in 0..p {
-            let t = thread_reg.phases(rank).unwrap();
-            let v = virtual_reg.phases(rank).unwrap();
-            for phase in Phase::ALL {
-                assert!(
-                    (t.time(phase) - v.time(phase)).abs() < 1e-12,
-                    "rank {rank} phase {phase}: thread {} vs virtual {}",
-                    t.time(phase),
-                    v.time(phase)
-                );
-                assert_eq!(
-                    t.get(phase).words,
-                    v.get(phase).words,
-                    "rank {rank} {phase}"
-                );
-                assert_eq!(
-                    t.get(phase).flops,
-                    v.get(phase).flops,
-                    "rank {rank} {phase}"
-                );
-            }
+            let t = reg.phases(rank).unwrap();
+            let gram = model.compute_time(KernelClass::Dot, flops(rank), 64);
+            assert_eq!(t.time(Phase::Gram), gram, "rank {rank}");
+            assert_eq!(t.get(Phase::Gram).flops, flops(rank), "rank {rank}");
+            assert!((t.time(Phase::Comm) - c.time).abs() < 1e-15, "rank {rank}");
+            assert_eq!(t.get(Phase::Comm).words, c.words_moved, "rank {rank}");
+            assert!((t.time(Phase::Idle) - (slowest - gram)).abs() < 1e-15);
         }
-        assert_eq!(
-            thread_reg.counter("collectives.allreduce"),
-            virtual_reg.counter("collectives.allreduce")
-        );
+        assert_eq!(reg.counter("collectives.allreduce"), 1);
+        assert_eq!(reg.counter("comm.words_packed"), 16);
     }
 
     #[test]
@@ -554,56 +470,43 @@ mod tests {
         assert_eq!(vc.overlap_hidden_time(), 0.0, "nothing overlapped");
     }
 
+    /// The same script with the vector work overlapping each allreduce
+    /// or after it: identical counts, and per round the overlapped run
+    /// saves exactly what its critical rank hid, `min(comp, comm)`.
     #[test]
-    fn fused_engines_agree_with_overlap() {
-        // The same SPMD script — including overlapped fused allreduces —
-        // on both engines must produce identical counters and telemetry.
+    fn overlap_saves_exactly_the_hidden_time() {
         let model = CostModel::cray_xc30();
         let p = 8;
-        let (_, thread_report, thread_reg) = ThreadMachine::run(p, model, |comm| {
+        let run = |overlap: bool| {
+            let mut vc = VirtualCluster::new(p, model);
             for _ in 0..5 {
-                comm.charge(
-                    KernelClass::Dot,
-                    (comm.rank() as u64 + 1) * 100_000,
-                    64,
-                    Phase::Comp,
-                );
-                let mut buf = vec![1.0; 16];
-                let req = comm.iallreduce_sum_start(&mut buf);
-                comm.charge(KernelClass::Vector, 50_000, 64, Phase::Comp);
-                comm.iallreduce_wait(req);
+                vc.charge(KernelClass::Dot, Phase::Comp, |r| {
+                    ((r as u64 + 1) * 100_000, 64)
+                });
+                vc.iallreduce_start(16);
+                if !overlap {
+                    vc.iallreduce_wait();
+                }
+                vc.charge(KernelClass::Vector, Phase::Comp, |_| (50_000, 64));
+                if overlap {
+                    vc.iallreduce_wait();
+                }
             }
-        });
-        let mut vc = VirtualCluster::new(p, model);
-        for _ in 0..5 {
-            vc.charge(KernelClass::Dot, Phase::Comp, |r| {
-                ((r as u64 + 1) * 100_000, 64)
-            });
-            vc.iallreduce_start(16);
-            vc.charge(KernelClass::Vector, Phase::Comp, |_| (50_000, 64));
-            vc.iallreduce_wait();
-        }
-        let virtual_report = vc.report();
-        let t = thread_report.critical;
-        let v = virtual_report.critical;
-        assert!((t.total_time() - v.total_time()).abs() < 1e-12);
-        assert_eq!(t.messages, v.messages);
-        assert_eq!(t.words, v.words);
-        assert!((t.comm_time - v.comm_time).abs() < 1e-12);
-        assert!((t.comp_time - v.comp_time).abs() < 1e-12);
-        assert!((t.idle_time - v.idle_time).abs() < 1e-12);
-        let virtual_reg = vc.telemetry();
+            vc
+        };
+        let (on, off) = (run(true), run(false));
+        let (a, b) = (on.report().critical, off.report().critical);
         assert_eq!(
-            thread_reg.counter("comm.words_packed"),
-            virtual_reg.counter("comm.words_packed")
+            (a.messages, a.words, a.flops),
+            (b.messages, b.words, b.flops)
         );
-        assert_eq!(thread_reg.counter("comm.words_packed"), 5 * 16);
-        let th = thread_reg.gauge("comm.overlap_hidden_time").expect("gauge");
-        let vh = virtual_reg
-            .gauge("comm.overlap_hidden_time")
-            .expect("gauge");
-        assert!((th - vh).abs() < 1e-12, "hidden time: {th} vs {vh}");
-        assert!(th > 0.0, "overlap actually hid time");
+        assert_eq!((on.words_packed(), off.words_packed()), (5 * 16, 5 * 16));
+        let comm = model.fused_allreduce_charge(p, 16).time;
+        let comp = model.compute_time(KernelClass::Vector, 50_000, 64);
+        let hidden = 5.0 * comm.min(comp);
+        assert_eq!(off.overlap_hidden_time(), 0.0, "nothing overlapped");
+        assert!((on.overlap_hidden_time() - hidden).abs() < 1e-12);
+        assert!((off.time() - on.time() - hidden).abs() < 1e-12);
     }
 
     #[test]

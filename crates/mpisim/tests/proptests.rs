@@ -1,11 +1,12 @@
-//! Property-based cross-engine tests: for *any* SPMD program made of
-//! compute charges, blocking and overlapped allreduces and checkpoints,
-//! with or without chaos, the thread machine and the virtual cluster must
-//! report bitwise-identical simulated times and counters on every rank,
-//! and allreduce must actually sum.
+//! Property-based tests of the virtual cluster: for *any* SPMD program
+//! made of compute charges, blocking and overlapped allreduces and
+//! checkpoints, with or without chaos, a replay reports bitwise-identical
+//! times and counters on every rank, every rank's counters reconcile with
+//! its phase table, and the collectives are counted and priced by the
+//! closed form. The merge laws of the accounting types close the file.
 
 use mpisim::telemetry::Phase;
-use mpisim::{ChaosSpec, CostModel, KernelClass, ThreadMachine, VirtualCluster};
+use mpisim::{ChaosSpec, CostModel, KernelClass, VirtualCluster};
 use proptest::prelude::*;
 
 /// One step of a random SPMD program.
@@ -100,157 +101,75 @@ fn chaos_strategy() -> impl Strategy<Value = Option<ChaosSpec>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any program, any rank count, any chaos spec: the two engines agree
-    /// **bitwise, on every rank** — clock, counters and the whole phase
-    /// table. Both run the one rank ledger;
-    /// the thread engine finds the latest entry clock through its tree,
-    /// the cluster by a fold, and `max` is exact either way, so no field
-    /// needs a tolerance.
+    /// Any program, any rank count, any chaos spec: replaying it gives
+    /// the same bits on every rank — clock, counters and the whole phase
+    /// table — each rank's counters are its phase table's totals, and
+    /// every rank joined every allreduce at the closed-form price.
     #[test]
-    fn engines_agree_on_random_programs(
+    fn random_programs_replay_and_reconcile(
         steps in proptest::collection::vec(step_strategy(), 1..20),
         p in 2usize..9,
         chaos in chaos_strategy(),
     ) {
         let model = CostModel::cray_xc30();
-
-        let steps_ref = &steps;
-        let (thread_ranks, thread_rep, thread_reg) = ThreadMachine::run(p, model, move |comm| {
+        let run = || {
+            let mut vc = VirtualCluster::new(p, model);
             if let Some(spec) = &chaos {
-                comm.enable_chaos(spec);
+                vc.enable_chaos(spec);
             }
-            let rank = comm.rank() as u64;
-            for step in steps_ref {
+            for step in &steps {
                 match *step {
                     Step::Compute { class, phase, base, slope, ws } => {
-                        comm.charge(class, base + rank * slope, ws, phase);
+                        vc.charge(class, phase, |r| (base + r as u64 * slope, ws));
                     }
-                    Step::Allreduce { words } => {
-                        let mut buf = vec![1.0; words];
-                        comm.iallreduce_sum(&mut buf);
-                    }
+                    Step::Allreduce { words } => vc.iallreduce(words as u64),
                     Step::Fused { words, overlapped_flops } => {
-                        let mut buf = vec![1.0; words];
-                        let req = comm.iallreduce_sum_start(&mut buf);
-                        let flops = rank * overlapped_flops;
-                        comm.charge(KernelClass::Vector, flops, 64, Phase::Gram);
-                        comm.iallreduce_wait(req);
+                        vc.iallreduce_start(words as u64);
+                        vc.charge(KernelClass::Vector, Phase::Gram, |r| {
+                            (r as u64 * overlapped_flops, 64)
+                        });
+                        vc.iallreduce_wait();
                     }
-                    Step::Checkpoint => comm.checkpoint(),
+                    Step::Checkpoint => vc.checkpoint(),
                 }
             }
-            (comm.clock(), comm.counters())
-        });
-
-        let mut vc = VirtualCluster::new(p, model);
-        if let Some(spec) = &chaos {
-            vc.enable_chaos(spec);
-        }
-        for step in &steps {
-            match *step {
-                Step::Compute { class, phase, base, slope, ws } => {
-                    vc.charge(class, phase, |r| (base + r as u64 * slope, ws));
-                }
-                Step::Allreduce { words } => vc.iallreduce(words as u64),
-                Step::Fused { words, overlapped_flops } => {
-                    vc.iallreduce_start(words as u64);
-                    vc.charge(KernelClass::Vector, Phase::Gram, |r| {
-                        (r as u64 * overlapped_flops, 64)
-                    });
-                    vc.iallreduce_wait();
-                }
-                Step::Checkpoint => vc.checkpoint(),
-            }
-        }
-        let (virtual_rep, virtual_reg) = (vc.report(), vc.telemetry());
+            vc
+        };
+        let (vc, again) = (run(), run());
+        let (reg, reg_again) = (vc.telemetry(), again.telemetry());
 
         let bits = |c: &mpisim::CostCounters| {
             let times = [c.comp_time, c.comm_time, c.idle_time].map(f64::to_bits);
             (c.messages, c.words, c.flops, times)
         };
-        for (rank, (clock, counters)) in thread_ranks.iter().enumerate() {
-            prop_assert_eq!(clock.to_bits(), vc.clock(rank).to_bits(), "rank {} clock", rank);
-            prop_assert_eq!(bits(counters), bits(&vc.counters(rank)), "rank {} counters", rank);
-            let (t, v) = (thread_reg.phases(rank), virtual_reg.phases(rank));
-            prop_assert_eq!(t.is_some(), v.is_some(), "rank {} attributed", rank);
+        let (mut messages, mut words) = (0, 0);
+        for step in &steps {
+            if let Step::Allreduce { words: w } | Step::Fused { words: w, .. } = *step {
+                let charge = model.fused_allreduce_charge(p, w as u64);
+                messages += charge.rounds;
+                words += charge.words_moved;
+            }
+        }
+        for rank in 0..p {
+            let c = vc.counters(rank);
+            prop_assert_eq!(vc.clock(rank).to_bits(), again.clock(rank).to_bits(), "rank {} clock", rank);
+            prop_assert_eq!(bits(&c), bits(&again.counters(rank)), "rank {} counters", rank);
+            prop_assert_eq!((c.messages, c.words), (messages, words), "rank {} wire", rank);
+            let empty = mpisim::telemetry::PhaseTable::new();
+            let table = reg.phases(rank).unwrap_or(&empty);
+            prop_assert_eq!(c.comm_time.to_bits(), table.comm_time().to_bits(), "rank {}", rank);
+            prop_assert_eq!(c.comp_time.to_bits(), table.comp_time().to_bits(), "rank {}", rank);
+            prop_assert_eq!(c.idle_time.to_bits(), table.idle_time().to_bits(), "rank {}", rank);
             for phase in Phase::ALL {
                 let stat = |table: Option<&mpisim::telemetry::PhaseTable>| {
                     let s = *table?.get(phase);
                     Some((s.time.to_bits(), s.events, s.words, s.flops))
                 };
-                prop_assert_eq!(stat(t), stat(v), "rank {} phase {}", rank, phase);
+                prop_assert_eq!(stat(reg.phases(rank)), stat(reg_again.phases(rank)), "rank {} phase {}", rank, phase);
             }
         }
-        prop_assert_eq!(bits(&thread_rep.critical), bits(&virtual_rep.critical), "critical rank");
-        prop_assert_eq!(thread_reg.critical_rank(), virtual_reg.critical_rank());
-    }
-
-    /// Allreduce really sums, for any payload and rank count, and the
-    /// result is identical on every rank.
-    #[test]
-    fn allreduce_sums_correctly(p in 1usize..10, words in 1usize..200, seed in any::<u64>()) {
-        let (results, _, _) = ThreadMachine::run(p, CostModel::cray_xc30(), move |comm| {
-            let mut rng = xrng::rng_from_seed(seed ^ comm.rank() as u64);
-            let buf: Vec<f64> = (0..words).map(|_| rng.next_gaussian()).collect();
-            let mut reduced = buf.clone();
-            comm.iallreduce_sum(&mut reduced);
-            (buf, reduced)
-        });
-        // expected: element-wise sum of all rank contributions
-        let mut expect = vec![0.0f64; words];
-        for (buf, _) in &results {
-            for (e, b) in expect.iter_mut().zip(buf) {
-                *e += b;
-            }
-        }
-        let first = &results[0].1;
-        for (_, reduced) in &results {
-            prop_assert_eq!(reduced, first, "ranks disagree");
-        }
-        for (r, e) in first.iter().zip(&expect) {
-            prop_assert!((r - e).abs() < 1e-9 * (1.0 + e.abs()), "{r} vs {e}");
-        }
-    }
-
-    /// The fused single-buffer allreduce is **bitwise** equal to reducing
-    /// each segment with its own allreduce, for any segment
-    /// split, at every rank count the solvers use — so packing the Gram
-    /// triangle, cross terms, and scalars into one payload can never
-    /// change a solver result.
-    #[test]
-    fn fused_allreduce_is_bitwise_separate_reductions(
-        seed in any::<u64>(),
-        lens in proptest::collection::vec(1usize..40, 1..5),
-    ) {
-        for p in [1usize, 2, 4] {
-            let total: usize = lens.iter().sum();
-            let lens_ref = &lens;
-            let (results, _, _) = ThreadMachine::run(p, CostModel::cray_xc30(), move |comm| {
-                let mut rng = xrng::rng_from_seed(seed ^ (comm.rank() as u64) << 8);
-                let data: Vec<f64> = (0..total).map(|_| rng.next_gaussian()).collect();
-                // Fused: one contiguous buffer.
-                let mut fused = data.clone();
-                comm.iallreduce_sum(&mut fused);
-                // Separate: one allreduce per segment.
-                let mut separate = Vec::with_capacity(total);
-                let mut at = 0;
-                for &len in lens_ref {
-                    let mut seg = data[at..at + len].to_vec();
-                    comm.iallreduce_sum(&mut seg);
-                    separate.extend_from_slice(&seg);
-                    at += len;
-                }
-                (fused, separate)
-            });
-            for (r, (fused, separate)) in results.iter().enumerate() {
-                for (i, (f, s)) in fused.iter().zip(separate).enumerate() {
-                    prop_assert_eq!(
-                        f.to_bits(), s.to_bits(),
-                        "p={} rank={} word {}: {} vs {}", p, r, i, f, s
-                    );
-                }
-            }
-        }
+        prop_assert_eq!(bits(&vc.report().critical), bits(&again.report().critical), "critical rank");
+        prop_assert_eq!(reg.critical_rank(), reg_again.critical_rank());
     }
 
     /// `CostCounters::merge` commutes: integer fields exactly, float
@@ -328,7 +247,7 @@ proptest! {
         prop_assert_eq!(folded.critical.flops, ra.critical.flops);
     }
 
-    /// `PhaseTable::merge` (the telemetry sink both engines feed)
+    /// `PhaseTable::merge` (the telemetry sink every engine feeds)
     /// commutes and associates the same way.
     #[test]
     fn phase_table_merge_laws(

@@ -14,8 +14,8 @@
 //!
 //! `f64` payloads are encoded value-by-value as `to_bits()` little-endian
 //! — a bijection on bit patterns, so the wire preserves signed zeros,
-//! subnormals and NaN payloads exactly. That is what lets the net engine
-//! promise *bitwise* agreement with the thread machine: the only
+//! subnormals and NaN payloads exactly. That is what lets the mesh
+//! promise *bitwise* agreement with its serial tree reference: the only
 //! arithmetic in a reduction is the summation itself, never the
 //! transport.
 

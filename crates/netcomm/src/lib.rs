@@ -24,9 +24,10 @@
 //!   error instead of silent corruption).
 //! * [`mesh`] — rendezvous (rank 0 collects every rank's listener address
 //!   and broadcasts the table), full-mesh link formation, and the one
-//!   deterministic allreduce: a binomial tree whose combine order is
-//!   **identical to `mpisim`'s** (so the net engine is bitwise
-//!   reproducible against the thread machine at any rank count).
+//!   deterministic allreduce: a binomial tree with one fixed combine
+//!   order (so the net engine is bitwise reproducible at any rank count,
+//!   and bitwise equal to the serial `tree_reference` of
+//!   `tests/collectives.rs`).
 //!   Collectives run on the calling thread: the nonblocking allreduce
 //!   does at `start` what needs no peer (a reduce-leaf's send) and the
 //!   rest at `wait`, so what a solver's

@@ -14,12 +14,13 @@
 //! 4. an initial barrier crosses every tree edge, so a half-formed mesh
 //!    fails loudly at startup instead of deadlocking mid-solve.
 //!
-//! The allreduce is a binomial tree whose combine order is copied from
-//! `mpisim`'s thread machine — receive the partner's partial and add it
-//! **after** the local one, reducing toward rank 0, then broadcast down
-//! the mirror tree. Floating-point addition is not associative, so
-//! sharing the association is what makes the net engine bitwise-identical
-//! to the simulator at every rank count. It is the only allreduce: on
+//! The allreduce is a binomial tree with one fixed combine order —
+//! receive the partner's partial and add it **after** the local one,
+//! reducing toward rank 0, then broadcast down the mirror tree.
+//! Floating-point addition is not associative, so fixing the association
+//! is what makes a net run bitwise reproducible at every rank count (and
+//! bitwise a serial replay of the same tree, `tests/collectives.rs`'s
+//! `tree_reference`). It is the only allreduce: on
 //! every tree edge one side sends while the other receives, so no payload
 //! size can block both ends of a link in `send`.
 //!
@@ -146,9 +147,9 @@ impl Links {
         out
     }
 
-    /// Binomial-tree reduce-to-0 + broadcast, combine order identical to
-    /// `mpisim::thread_machine`: at distance d the receiving rank
-    /// (`rank % 2d == 0`) adds its partner's partial **after** its own.
+    /// Binomial-tree reduce-to-0 + broadcast in one fixed combine order:
+    /// at distance d the receiving rank (`rank % 2d == 0`) adds its
+    /// partner's partial **after** its own.
     ///
     /// Resumable at a receive: entered at reduce distance `from`, and
     /// with `may_wait` false it returns the distance it stopped at instead

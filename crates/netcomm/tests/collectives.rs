@@ -13,8 +13,8 @@ use std::time::{Duration, Instant};
 
 /// The exact combine order of the binomial-tree allreduce, replicated
 /// serially: at distance d, rank r (r % 2d == 0) adds rank r+d's partial
-/// AFTER its own — the same order `mpisim::thread_machine` uses, which is
-/// what the wire implementation must reproduce bit for bit.
+/// AFTER its own — what the wire implementation must reproduce bit for
+/// bit, and so the reference its bitwise claims are stated against.
 fn tree_reference(partials: &[Vec<f64>]) -> Vec<f64> {
     let size = partials.len();
     let mut vals: Vec<Vec<f64>> = partials.to_vec();

@@ -1,9 +1,9 @@
 //! `saco-par`: a zero-dependency scoped worker pool with a deterministic
 //! tiled-reduction API.
 //!
-//! The SA solvers' equivalence guarantees (SA ≡ classical, thread engine ≡
-//! virtual cluster) rest on *bitwise* reproducibility, so intra-rank
-//! parallelism must never perturb numerics. Every primitive here enforces
+//! The SA solvers' equivalence guarantees (SA ≡ classical, seq ≡ virtual
+//! cluster, streamed ≡ in-memory) rest on *bitwise* reproducibility, so
+//! intra-rank parallelism must never perturb numerics. Every primitive here enforces
 //! the same contract:
 //!
 //! 1. work is split into **tiles** whose per-entry arithmetic is exactly
@@ -16,8 +16,7 @@
 //! `nthreads` (including 1) produces byte-identical output, which is what
 //! the proptests in `sparsela` pin. See `docs/PERFORMANCE.md`.
 //!
-//! Like the vendored `crossbeam` shim, this crate depends only on `std`
-//! (the build environment is offline).
+//! This crate depends only on `std` (the build environment is offline).
 
 #![warn(missing_docs)]
 

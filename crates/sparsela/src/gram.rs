@@ -807,7 +807,7 @@ pub fn sampled_cross_into<M: MajorSlices>(
 /// hardware's.
 ///
 /// For uniform slice density this sums to `nnz(selected)·(k + 1)`,
-/// matching the aggregate per-rank charge in `saco::dist::charges`
+/// matching the aggregate per-rank charge in `saco::charges`
 /// (`gram_flops = local_nnz·(width + 1)`): both account the upper
 /// triangle only — the paper's footnote-3 2× saving over the full
 /// `2·k·nnz` rectangular product.
@@ -949,8 +949,8 @@ mod tests {
         let csc = coo.to_csc();
         // sel = [2, 0, 1] → 2·5·1 + 2·2·2 + 2·3·3 = 10 + 8 + 18
         assert_eq!(gram_flops(&csc, &[2, 0, 1]), 36);
-        // Uniform-nnz aggregate matches local_nnz·(k+1), the dist-engine
-        // charge formula.
+        // Uniform-nnz aggregate matches local_nnz·(k+1), the virtual
+        // cluster's charge formula.
         let uni = random_sparse(40, 8, 1.0, 9).to_csc(); // dense => nnz 40 per col
         let sel: Vec<usize> = (0..8).collect();
         assert_eq!(gram_flops(&uni, &sel), 40 * 8 * (8 + 1));

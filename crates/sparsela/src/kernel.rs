@@ -18,7 +18,7 @@
 //! happen only in [`KernelCache::begin_epoch`], which the solver calls
 //! once per block in block order on every engine and in both overlap
 //! modes. Hit/miss patterns — and therefore every float that travels or
-//! is computed — are identical across `seq`/`sim`/`dist`/`net` and
+//! is computed — are identical across `seq`/`sim`/`net` and
 //! across both overlap schedules.
 
 use std::collections::{HashMap, VecDeque};

@@ -34,8 +34,8 @@
 //! runs (a NaN in a file is `InvalidData`, never a solver input), and a
 //! windowed rank view is that core's minor window — the function
 //! [`CscMatrix::row_block`] and [`CsrMatrix::col_block`] call — so the
-//! dist/net engines' streamed blocks are their in-memory blocks bit for
-//! bit, by construction.
+//! socket mesh's streamed blocks are its in-memory blocks bit for bit, by
+//! construction.
 //!
 //! # The pin contract and the lock-free read
 //!
@@ -947,7 +947,7 @@ impl CacheShared {
 ///
 /// A *windowed* view ([`Self::from_store`] with a proper sub-range)
 /// restricts the minor axis to `wlo..whi` with indices rebased — the
-/// per-rank view for the dist/net engines. Each view owns an independent cache and loader.
+/// per-rank view for the socket mesh. Each view owns an independent cache and loader.
 pub struct StreamingMatrix {
     shared: Arc<CacheShared>,
     loader: saco_par::BackgroundWorker,

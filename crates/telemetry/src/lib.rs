@@ -1,8 +1,8 @@
 //! saco-telemetry: structured observability for the SACO workspace.
 //!
-//! Zero-dependency metrics layer giving every engine (the thread-backed
-//! `ThreadMachine`, the analytic `VirtualCluster`, and the sequential
-//! solvers) one vocabulary for *where time went*:
+//! Zero-dependency metrics layer giving every engine (the sequential
+//! solvers, the analytic `VirtualCluster`, and the socket mesh) one
+//! vocabulary for *where time went*:
 //!
 //! * a deterministic [`Registry`] of counters, gauges and fixed-bucket
 //!   [`Histogram`]s, all `BTreeMap`-ordered so emitted bytes are
@@ -21,7 +21,7 @@
 //! `PhaseTable::comp_time()` (= comp + gram + prox + sampling) equals
 //! `CostCounters::comp_time` for the same run, and
 //! [`Registry::critical_rank`] picks the same rank as `mpisim`'s cost
-//! reports (`ThreadMachine::run`, `VirtualCluster::report`).
+//! reports (`VirtualCluster::report`).
 
 #![warn(missing_docs)]
 

@@ -1,18 +1,19 @@
 //! A miniature version of the paper's performance study. The engine is a
-//! loop variable: the same `RunSpec` runs on a real (thread-backed)
-//! message-passing machine and on the virtual cluster, comparing classical
-//! accCD with SA-accCD for several s and printing the modeled time and
-//! counter breakdown; then the virtual cluster repeats the comparison at
-//! paper-scale P, where OS threads cannot follow.
+//! loop variable: the same `RunSpec` runs on a real loopback socket mesh
+//! (measured) and on the virtual cluster (modeled), comparing classical
+//! accCD with SA-accCD for several s — the mesh's wall time, frames and
+//! bytes beside the model's time, messages and words; then the virtual
+//! cluster repeats the comparison at paper-scale P, where no host can
+//! run the ranks.
 //!
 //! ```sh
 //! cargo run --release -p saco --example scaling_study
 //! ```
 
 use datagen::{planted_regression, powerlaw_sparse};
-use mpisim::{CostModel, CostReport};
+use mpisim::CostModel;
 use saco::prox::Lasso;
-use saco::run::{run, Engine, Method, RunSpec, Source};
+use saco::run::{run, Engine, Method, RunOutcome, RunSpec, Source};
 use saco::LassoConfig;
 
 fn main() {
@@ -30,55 +31,48 @@ fn main() {
         ..Default::default()
     };
     let model = CostModel::cray_xc30();
-    let solve = |engine: Engine, s: usize| -> (f64, CostReport) {
+    let solve = |engine: Engine, s: usize| -> RunOutcome {
         let (reg, cfg, accel) = (&Lasso::new(lambda), &cfg_for(s), true);
         let method = Method::Lasso { reg, cfg, accel };
-        let out = run(&RunSpec::new(method, engine, Source::InMemory(&ds))).expect("run");
-        let report = out.report.expect("modeled engines report costs");
-        (out.result().final_value(), report)
+        run(&RunSpec::new(method, engine, Source::InMemory(&ds))).expect("run")
     };
-    let (p, balanced) = (8, true);
-    let thread_machine = Engine::Dist { p, model, balanced };
-    let engines = [
-        ("thread machine (real SPMD ranks)", thread_machine),
-        (
-            "virtual cluster (same charges, no threads)",
-            Engine::sim(p, model, balanced),
-        ),
-    ];
 
-    // --- Part 1: the same spec on two engines at P = 8 -------------------
+    // --- Part 1: the same spec measured on a mesh and modeled at P = 4 ---
+    let (p, balanced) = (4, true);
+    println!("P = {p}, H = 2000, µ = 1 (accCD family): socket mesh (measured)");
+    println!("beside the virtual cluster (modeled)\n");
+    println!("  s     wall time   frames    bytes   |  modeled time   messages   words");
     let mut base_final = None;
-    for (name, engine) in engines {
-        println!("{name}: P = {p}, H = 2000, µ = 1 (accCD family)\n");
-        println!("  s     simulated time   messages   words        flops (critical rank)");
-        for s in [1usize, 4, 16, 64, 256] {
-            let (f, report) = solve(engine, s);
-            let c = report.critical;
-            println!(
-                "  {s:>3}   {:>11.3} ms   {:>8}   {:>9}    {}",
-                report.running_time() * 1e3,
-                c.messages,
-                c.words,
-                c.flops
-            );
-            // every engine and every s agree with s = 1 numerically
-            let base = *base_final.get_or_insert(f);
+    for s in [1usize, 4, 16, 64, 256] {
+        let net = solve(Engine::Net { p, balanced }, s);
+        let sim = solve(Engine::sim(p, model, balanced), s);
+        let (t, report) = (&net.telemetry, sim.report.expect("sim reports costs"));
+        println!(
+            "  {s:>3}   {:>7.2} ms   {:>6}   {:>7}   |  {:>9.3} ms   {:>8}   {:>5}",
+            net.wall_secs * 1e3,
+            t.counter("net.solve.frames_tx"),
+            t.counter("net.solve.bytes_tx"),
+            report.running_time() * 1e3,
+            report.critical.messages,
+            report.critical.words,
+        );
+        // both engines and every s agree with s = 1 numerically
+        let base = *base_final.get_or_insert(sim.result().final_value());
+        for f in [net.result().final_value(), sim.result().final_value()] {
             assert!(
                 (f - base).abs() <= 1e-9 * base.abs(),
                 "SA changed the result: {f} vs {base}"
             );
         }
-        println!();
     }
-    println!("(the assertion just passed: every engine and every s gave the same objective)");
+    println!("\n(the assertion just passed: both engines and every s gave the same objective)");
 
     // --- Part 2: paper-scale virtual cluster ----------------------------
     println!("\nvirtual cluster: strong scaling at paper-scale P\n");
     println!("  P        accCD        SA-accCD s=32   speedup");
     for p in [768usize, 3072, 12_288] {
-        let (_, classic) = solve(Engine::sim(p, model, balanced), 1);
-        let (_, sa) = solve(Engine::sim(p, model, balanced), 32);
+        let report = |s| solve(Engine::sim(p, model, balanced), s).report.unwrap();
+        let (classic, sa) = (report(1), report(32));
         println!(
             "  {p:>6}   {:>8.2} ms   {:>11.2} ms   {:>6.2}×",
             classic.running_time() * 1e3,

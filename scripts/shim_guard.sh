@@ -2,10 +2,10 @@
 # Guard the execution-backend refactor: the solver recurrences live ONLY in
 # crates/core/src/exec/. `run.rs` binds a method to an engine and a data
 # source (it may name lasso_family/svm_family/kdcd_family — that is its
-# job); the seq/sim/dist/net/stream modules hold the paper-named wrappers,
+# job); the seq/sim/net/stream modules hold the paper-named wrappers,
 # the rank-data layouts and their docs. If an iteration loop or a
 # sampled-kernel call creeps into any of them, the
-# one-recurrence-four-engines invariant (and with it the cross-engine
+# one-recurrence-three-engines invariant (and with it the cross-engine
 # equivalence the engine matrix asserts) is gone. The same split holds one
 # layer down: crates/netcomm is a pure message/collective layer and must
 # never learn about the solvers it carries, and the CLI must stay a
@@ -30,7 +30,7 @@ patterns=(
 
 status=0
 for pat in "${patterns[@]}"; do
-    if hits=$(grep -rnE "$pat" crates/core/src/seq crates/core/src/sim crates/core/src/dist \
+    if hits=$(grep -rnE "$pat" crates/core/src/seq crates/core/src/sim \
             crates/core/src/net crates/core/src/stream.rs crates/core/src/run.rs); then
         echo "shim_guard: solver-loop pattern '$pat' found outside crates/core/src/exec/:" >&2
         echo "$hits" >&2
@@ -40,9 +40,9 @@ done
 
 # The run surface is one function over a value (`RunSpec`), not a function
 # per family × engine × source cell: the concatenated names must not grow
-# back. The only solver-named `pub fn`s allowed under sim/dist/net/stream
+# back. The only solver-named `pub fn`s allowed under sim/net/stream
 # are the two frozen wrappers the benchmark package compiles against.
-if hits=$(grep -rnE 'pub fn \w*(_sa_|_kdcd)\w*' crates/core/src/sim crates/core/src/dist \
+if hits=$(grep -rnE 'pub fn \w*(_sa_|_kdcd)\w*' crates/core/src/sim \
         crates/core/src/net crates/core/src/stream.rs \
         | grep -vE 'pub fn (net_sa_accbcd|stream_sa_accbcd)\b'); then
     echo "shim_guard: a family × engine shim is back — add a RunSpec cell, not a function:" >&2
@@ -54,7 +54,7 @@ fi
 # they may sweep λ and carry warm state, but the solver recurrence itself
 # (sampling, Gram tiles, Lipschitz steps, prox blocks) must never reappear
 # there. PR 10 fixed exactly this: path.rs hid a full hand-rolled SA-BCD
-# loop that silently escaped this guard because only seq/sim/dist/net were
+# loop that silently escaped this guard because only the engine modules were
 # scanned.
 warm_patterns=(
     'while h < cfg\.max_iters'
@@ -176,8 +176,8 @@ for pat in 'lasso_family' 'svm_family' 'kdcd_family' 'sampled_gram' 'sampled_cro
 done
 
 # mpisim accounts simulated time in exactly one place, the rank ledger:
-# both engines are a ledger (or a vector of them) plus their own way of
-# finding the latest entry clock. Pricing a kernel or a collective, or
+# the virtual cluster is a vector of ledgers plus a fold for the latest
+# entry clock. Pricing a kernel or a collective, or
 # writing a phase-table row, anywhere else in the crate is the second copy
 # of the accounting rules growing back (cost.rs holds the formulas
 # themselves; code under the first `#[cfg(test)]` and comments are free).
@@ -195,7 +195,7 @@ for f in crates/mpisim/src/*.rs; do
 done
 
 # Every switch means one thing (PR 20): the mesh has one allreduce (the
-# ring broke net ≡ dist and deadlocked once a chunk outgrew the socket
+# ring broke the tree's combine order and deadlocked once a chunk outgrew the socket
 # buffer), SACO_SIMD has two values (the wide dot/nrm2 builds lost to the
 # portable one at every length), and run reports have one writer
 # (telemetry's emitters had no caller). A fork growing back needs a
@@ -284,9 +284,19 @@ if hits=$(grep -rnE 'fn (cmd_lasso|cmd_svm|cmd_kdcd|cmd_simulate|engine_view|sim
     status=1
 fi
 
+# Three engines (seq, sim, net): the thread machine, its engine variant,
+# its backend and the vendored channel crate it alone used are gone. `net`
+# executes, `sim` prices; a third engine has to earn its place.
+if hits=$(grep -rnE 'ThreadMachine|Engine::Dist|DistBackend|RankComm::Thread|crossbeam' \
+        crates tests examples); then
+    echo "shim_guard: the thread machine is back (net executes, sim prices):" >&2
+    echo "$hits" >&2
+    status=1
+fi
+
 if [ "$status" -ne 0 ]; then
     echo "shim_guard: FAILED — move recurrence logic into crates/core/src/exec/" >&2
 else
-    echo "shim_guard: OK — one run surface, one rank ledger, one allreduce, netcomm/CLI are solver-free, inner loops live in sparsela::simd, one compressed-slice core, one CLI solve body"
+    echo "shim_guard: OK — one run surface, one rank ledger, one allreduce, netcomm/CLI are solver-free, inner loops live in sparsela::simd, one compressed-slice core, one CLI solve body, three engines"
 fi
 exit "$status"

@@ -9,18 +9,14 @@
 //! * the injected schedule and every `chaos.*` counter/gauge are
 //!   **identical across `SACO_THREADS` ∈ {1, 4}** (threads are a pure
 //!   throughput knob) and across overlap on/off (the draws are indexed by
-//!   collective program order, which both schedules share);
-//! * the **thread engine agrees with the virtual cluster**: same chaos
-//!   counters exactly, same injected times to round-off — the engine-
-//!   matrix guarantee extended to the perturbed timeline.
+//!   collective program order, which both schedules share).
 
 use datagen::{planted_regression, uniform_sparse};
 use mpisim::telemetry::Registry;
-use mpisim::{ChaosSpec, CostModel, ThreadMachine};
+use mpisim::{ChaosSpec, CostModel};
 use proptest::prelude::*;
-use saco::dist::LassoRankData;
 use saco::prox::Lasso;
-use saco::run::{run, run_rank, Engine, Method, RankComm, RankData, RunOutcome, RunSpec, Source};
+use saco::run::{run, Engine, Method, RunOutcome, RunSpec, Source};
 use saco::seq::sa_accbcd;
 use saco::{LassoConfig, SolveResult};
 use sparsela::io::Dataset;
@@ -153,74 +149,6 @@ fn chaos_preserves_numerics_across_threads_and_overlap() {
         assert_eq!(fp, first, "chaos schedule drifted at {what}");
         assert_close(*skew, *first_skew, &format!("skew time at {what}"));
     }
-}
-
-/// The thread engine under chaos: bitwise numerics on every rank, and the
-/// same injected schedule as the virtual cluster — counters exactly,
-/// injected times to round-off.
-#[test]
-fn thread_engine_chaos_matches_virtual_cluster() {
-    let ds = problem(6);
-    let lasso = Lasso::new(0.05);
-    let spec = full_spec();
-    let c = cfg(8, 96, true);
-    let p = 4;
-    let fixed = ChaosSpec {
-        fail: Some((2, 1)),
-        ..spec
-    };
-
-    let sim_reg = sim(&ds, &c, true, p, Some(fixed)).telemetry;
-
-    let (_, blocks) = LassoRankData::split(&ds, p, false);
-    let run_dist = |spec: Option<&ChaosSpec>| {
-        ThreadMachine::run(p, CostModel::cray_xc30(), |comm| {
-            if let Some(spec) = spec {
-                comm.enable_chaos(spec);
-            }
-            // `run` owns its communicators; a caller that must configure one
-            // first enters the same per-rank solve through `run_rank`.
-            let data = RankData::Lasso(&blocks[comm.rank()]);
-            let method = Method::Lasso {
-                reg: &lasso,
-                cfg: &c,
-                accel: true,
-            };
-            run_rank(&method, RankComm::Thread(comm), data)
-                .expect("row blocks are the Lasso layout")
-                .0
-        })
-    };
-    // At p > 1 the reduction tree re-associates sums, so dist matches seq
-    // only to round-off — the bitwise contract is chaos-on ≡ chaos-off
-    // *within* the engine, on every rank.
-    let (clean_results, _, _) = run_dist(None);
-    let (results, _, dist_reg) = run_dist(Some(&fixed));
-    for (r, (on, off)) in results.iter().zip(&clean_results).enumerate() {
-        assert_bitwise(on, off, &format!("dist rank {r}: chaos-on vs chaos-off"));
-    }
-    for (r, res) in results.iter().enumerate().skip(1) {
-        assert_bitwise(res, &results[0], &format!("dist rank {r} vs rank 0"));
-    }
-
-    assert_eq!(
-        schedule_fingerprint(&dist_reg),
-        schedule_fingerprint(&sim_reg),
-        "thread engine injected a different schedule than the virtual cluster"
-    );
-    assert_close(
-        skew_time(&dist_reg),
-        skew_time(&sim_reg),
-        "sim vs dist skew time",
-    );
-    let sim_rec = sim_reg.gauge("chaos.recovery_time").expect("sim recovery");
-    let dist_rec = dist_reg
-        .gauge("chaos.recovery_time")
-        .expect("dist recovery");
-    assert!(
-        (sim_rec - dist_rec).abs() < 1e-9,
-        "recovery time diverged: sim {sim_rec} vs dist {dist_rec}"
-    );
 }
 
 proptest! {

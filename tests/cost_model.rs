@@ -79,7 +79,7 @@ fn flops_grow_with_s_via_the_gram_term() {
     let h = 256usize;
     let f1 = run(&ds, 4, 1, h, 1).critical.flops;
     let f32 = run(&ds, 4, 32, h, 1).critical.flops;
-    let overhead_saved = (h as u64 - (h / 32) as u64) * saco::dist::charges::OUTER_OVERHEAD_FLOPS;
+    let overhead_saved = (h as u64 - (h / 32) as u64) * saco::charges::OUTER_OVERHEAD_FLOPS;
     let adjusted = f32 + overhead_saved;
     assert!(
         adjusted > f1 + f1 / 10,

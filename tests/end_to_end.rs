@@ -114,10 +114,9 @@ fn distributed_svm_runs_on_a_registry_dataset() {
         gap_tol: None,
         overlap: true,
     };
-    let (p, model, balanced) = (4, CostModel::cray_xc30(), true);
-    let engine = Engine::Dist { p, model, balanced };
+    let engine = Engine::sim(4, CostModel::cray_xc30(), true);
     let spec = RunSpec::new(Method::svm(&c), engine, Source::InMemory(&g.dataset));
-    let out = run(&spec).expect("dist run");
+    let out = run(&spec).expect("sim run");
     let gap0 = out.result().trace.initial_value();
     let gap_end = out.result().final_value();
     assert!(
@@ -125,7 +124,7 @@ fn distributed_svm_runs_on_a_registry_dataset() {
         "duality gap did not shrink: {gap0} -> {gap_end}"
     );
     // cost counters populated
-    let critical = out.report.expect("dist reports costs").critical;
+    let critical = out.report.expect("sim reports costs").critical;
     assert!(critical.messages > 0);
     assert!(critical.flops > 0);
 }

@@ -1,27 +1,22 @@
 //! The cross-engine equivalence matrix.
 //!
 //! Every solver family is one backend-generic recurrence
-//! (`exec::{lasso_family, svm_family}`) run on three engines, so the
-//! contract is testable as a matrix rather than pairwise:
+//! (`exec::{lasso_family, svm_family, kdcd_family}`) run on three
+//! engines, so the contract is testable as a matrix rather than pairwise:
 //!
 //! * seq ≡ sim **bitwise** (the virtual cluster runs the identical global
 //!   numerics and only attaches charges);
-//! * dist ≡ seq **bitwise at p = 1** (one rank holds the whole matrix and
-//!   the reduction is the identity), and to 1e-9/1e-10 at p > 1 (the
-//!   reduction tree re-associates sums);
-//! * all ranks of a dist run agree **bitwise** (replicated recurrences);
+//! * net ≡ seq **bitwise at p = 1** (one rank holds the whole matrix and
+//!   the reduction is the identity), and to 1e-9 at p > 1 (the reduction
+//!   tree re-associates sums);
+//! * all ranks of a net run agree **bitwise** (replicated recurrences);
 //! * overlap on ≡ overlap off **bitwise** (the overlap window only runs
 //!   work that depends on the replicated RNG stream and `A`);
-//! * sim and dist charge the *same* cost sequence: message/word/flop
-//!   counters equal exactly, simulated times to 1e-9 — in both overlap
-//!   modes (the shared-code-path guarantee of the backend refactor);
+//! * sim prices what net executes: its allreduces and payload words are
+//!   the frames and bytes the socket mesh sends, by the tree identity;
 //! * each SA method matches its classical counterpart along the whole
 //!   trace (the paper's exact-arithmetic claim, Table III);
-//! * net ≡ dist **bitwise at every p** (the socket mesh's tree allreduce
-//!   replicates the thread machine's combine order and the wire is
-//!   bit-lossless), hence net ≡ seq/sim bitwise at p = 1 and to 1e-9 at
-//!   p > 1 through the dist equivalences above; all net ranks agree
-//!   bitwise; overlap on ≡ off bitwise on the real wire too.
+//! * every cell's objective bits are pinned in `tests/goldens/cells.txt`.
 
 use datagen::{binary_classification, dense_gaussian, planted_regression, uniform_sparse};
 use datagen::{col_partition, shard_plan, slice_nnz, PaperDataset, Task};
@@ -41,11 +36,6 @@ use std::path::Path;
 
 fn sim(p: usize) -> Engine {
     Engine::sim(p, CostModel::cray_xc30(), false)
-}
-
-fn dist(p: usize) -> Engine {
-    let (model, balanced) = (CostModel::cray_xc30(), false);
-    Engine::Dist { p, model, balanced }
 }
 
 fn net(p: usize) -> Engine {
@@ -136,16 +126,6 @@ fn run_seq_lasso<R: Regularizer>(
     }
 }
 
-fn run_dist_lasso<R: Regularizer>(
-    ds: &Dataset,
-    reg: &R,
-    c: &LassoConfig,
-    accel: bool,
-    p: usize,
-) -> Vec<SolveResult> {
-    cell(lasso(reg, c, accel), dist(p), mem(ds)).results
-}
-
 fn run_net_lasso<R: Regularizer>(
     ds: &Dataset,
     reg: &R,
@@ -154,75 +134,6 @@ fn run_net_lasso<R: Regularizer>(
     p: usize,
 ) -> Vec<SolveResult> {
     cell(lasso(reg, c, accel), net(p), mem(ds)).results
-}
-
-/// The net column of the Lasso matrix: real loopback sockets, P thread-
-/// rank processes-in-miniature, {BCD, accBCD} × overlap {off, on} ×
-/// p {1, 2, 4}. The socket engine must agree with the thread machine
-/// **bitwise at every p** (shared tree association + lossless wire);
-/// p = 1 is then bitwise-equal to seq, and p > 1 inherits dist's 1e-9
-/// agreement with seq, both asserted explicitly. The second input
-/// (µ = 16, s = 32 at p = 2) is a 1 MB fused payload, several times a
-/// default socket buffer: the exchange must complete whatever the size.
-#[test]
-fn net_engine_matches_dist_bitwise_lasso() {
-    let ds = lasso_ds(1);
-    let reg = Lasso::new(0.05);
-    for accel in [false, true] {
-        for overlap in [false, true] {
-            for (mu, s, ranks) in [(4, 8, &[1usize, 2, 4][..]), (16, 32, &[2][..])] {
-                let c = lasso_cfg(mu, s, overlap);
-                let seq_res = run_seq_lasso(&ds, &reg, &c, accel);
-                for &p in ranks {
-                    let what = format!("accel={accel} overlap={overlap} µ={mu} s={s} p={p}");
-                    let dist = run_dist_lasso(&ds, &reg, &c, accel, p);
-                    let net = run_net_lasso(&ds, &reg, &c, accel, p);
-                    for r in &net[1..] {
-                        assert_eq!(r.x, net[0].x, "{what}: net ranks disagree");
-                    }
-                    for (rank, (n, d)) in net.iter().zip(&dist).enumerate() {
-                        assert_eq!(n.x, d.x, "{what} rank {rank}: net vs dist iterates");
-                        // Traced objective values reduce through the same
-                        // tree, so they are bitwise equal too (times differ:
-                        // wall-measured vs modeled).
-                        assert_eq!(n.trace.len(), d.trace.len(), "{what} rank {rank}");
-                        for (a, b) in n.trace.points().iter().zip(d.trace.points()) {
-                            assert_eq!(a.value, b.value, "{what} rank {rank}: trace values");
-                        }
-                    }
-                    if p == 1 {
-                        assert_eq!(net[0].x, seq_res.x, "{what}: net p=1 vs seq");
-                    } else {
-                        for (a, b) in net[0].x.iter().zip(&seq_res.x) {
-                            assert!((a - b).abs() < 1e-9, "{what}: net vs seq: {a} vs {b}");
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The net column for SVM: net ≡ dist bitwise (local `x` slices and the
-/// replicated gap trace) at p ∈ {1, 2, 4}, both overlap modes.
-#[test]
-fn net_engine_matches_dist_bitwise_svm() {
-    let ds = svm_ds(2);
-    for overlap in [false, true] {
-        let c = svm_cfg(SvmLoss::L1, 16, 71, 192, 48, overlap);
-        for p in [1usize, 2, 4] {
-            let what = format!("svm overlap={overlap} p={p}");
-            let dist = cell(Method::svm(&c), dist(p), mem(&ds)).results;
-            let net = cell(Method::svm(&c), net(p), mem(&ds)).results;
-            for (rank, (n, d)) in net.iter().zip(&dist).enumerate() {
-                assert_eq!(n.x, d.x, "{what} rank {rank}: local x slices");
-                assert_eq!(n.trace.len(), d.trace.len(), "{what} rank {rank}");
-                for (a, b) in n.trace.points().iter().zip(d.trace.points()) {
-                    assert_eq!(a.value, b.value, "{what} rank {rank}: gap trace");
-                }
-            }
-        }
-    }
 }
 
 /// Overlap must not perturb numerics on the real wire either: with
@@ -278,15 +189,15 @@ fn lasso_matrix_for_reg<R: Regularizer>(ds: &Dataset, reg: &R, reg_name: &str) {
                 "{what} overlap={overlap}: seq vs sim"
             );
             for p in [1usize, 4] {
-                let dist = run_dist_lasso(ds, reg, &c, accel, p);
+                let net = run_net_lasso(ds, reg, &c, accel, p);
                 // Replicated recurrences: all ranks agree bitwise.
-                for r in &dist[1..] {
-                    assert_eq!(r.x, dist[0].x, "{what} p={p}: ranks disagree");
+                for r in &net[1..] {
+                    assert_eq!(r.x, net[0].x, "{what} p={p}: ranks disagree");
                 }
                 if p == 1 {
-                    assert_eq!(dist[0].x, seq_res.x, "{what}: dist p=1 vs seq");
+                    assert_eq!(net[0].x, seq_res.x, "{what}: net p=1 vs seq");
                 } else {
-                    for (a, b) in dist[0].x.iter().zip(&seq_res.x) {
+                    for (a, b) in net[0].x.iter().zip(&seq_res.x) {
                         assert!(
                             (a - b).abs() < 1e-9,
                             "{what} p={p} overlap={overlap}: {a} vs {b}"
@@ -296,8 +207,8 @@ fn lasso_matrix_for_reg<R: Regularizer>(ds: &Dataset, reg: &R, reg_name: &str) {
             }
         }
         // Overlap must not perturb numerics in any engine.
-        let d_on = run_dist_lasso(ds, reg, &lasso_cfg(4, s, true), accel, 4);
-        let d_off = run_dist_lasso(ds, reg, &lasso_cfg(4, s, false), accel, 4);
+        let d_on = run_net_lasso(ds, reg, &lasso_cfg(4, s, true), accel, 4);
+        let d_off = run_net_lasso(ds, reg, &lasso_cfg(4, s, false), accel, 4);
         assert_eq!(d_on[0].x, d_off[0].x, "{what}: overlap changed iterates");
     }
 }
@@ -320,22 +231,22 @@ fn svm_engine_matrix() {
                 assert_eq!(seq_res.x, sim_out.result().x, "{what}: seq vs sim");
                 for p in [1usize, 4] {
                     let part = col_partition(&ds.a, p, false);
-                    let dist = cell(Method::svm(&c), dist(p), mem(&ds)).results;
+                    let net = cell(Method::svm(&c), net(p), mem(&ds)).results;
                     // The gap trace is replicated bitwise on every rank.
-                    for r in &dist[1..] {
-                        assert_eq!(r.trace.len(), dist[0].trace.len());
-                        for (a, b) in r.trace.points().iter().zip(dist[0].trace.points()) {
+                    for r in &net[1..] {
+                        assert_eq!(r.trace.len(), net[0].trace.len());
+                        for (a, b) in r.trace.points().iter().zip(net[0].trace.points()) {
                             assert_eq!(a.value, b.value, "{what} p={p}: gap not replicated");
                         }
                     }
                     // Concatenated local slices reproduce the global x.
                     let mut x_global = Vec::new();
-                    for (r, res) in dist.iter().enumerate() {
+                    for (r, res) in net.iter().enumerate() {
                         assert_eq!(res.x.len(), part.range(r).len());
                         x_global.extend_from_slice(&res.x);
                     }
                     if p == 1 {
-                        assert_eq!(x_global, seq_res.x, "{what}: dist p=1 vs seq");
+                        assert_eq!(x_global, seq_res.x, "{what}: net p=1 vs seq");
                     } else {
                         for (a, b) in x_global.iter().zip(&seq_res.x) {
                             assert!((a - b).abs() < 1e-9, "{what} p={p}: {a} vs {b}");
@@ -349,8 +260,8 @@ fn svm_engine_matrix() {
 
 /// `SACO_SIMD` must be unobservable end to end: the same solve run under
 /// the scalar and the auto (widest-ISA) microkernel builds yields
-/// bitwise-identical iterates on every engine — seq, the virtual cluster, the thread
-/// machine (p = 2) and the socket mesh (p = 2), in both overlap modes.
+/// bitwise-identical iterates on every engine — seq, the virtual cluster
+/// and the socket mesh (p = 2), in both overlap modes.
 /// The lane schedule, not the ISA, is the numerics contract; CI runs the
 /// whole matrix again under each `SACO_SIMD` value to pin the same
 /// property through the env-var path.
@@ -368,10 +279,9 @@ fn simd_mode_is_unobservable_across_engines() {
                 simd::set_mode(mode);
                 let seq = run_seq_lasso(&ds, &reg, &c, true);
                 let mut sim = cell(lasso(&reg, &c, true), sim(2), mem(&ds));
-                let dist = run_dist_lasso(&ds, &reg, &c, true, 2);
                 let net = run_net_lasso(&ds, &reg, &c, true, 2);
                 let sim_x = sim.results.swap_remove(0).x;
-                (seq.x, sim_x, dist[0].x.clone(), net[0].x.clone())
+                (seq.x, sim_x, net[0].x.clone())
             };
             let scalar = run(Mode::Scalar);
             let auto = run(Mode::Auto);
@@ -385,38 +295,75 @@ fn simd_mode_is_unobservable_across_engines() {
 }
 
 fn report(out: RunOutcome) -> CostReport {
-    out.report.expect("sim and dist report modeled costs")
+    out.report.expect("sim reports modeled costs")
 }
 
-fn lasso_reports(c: &LassoConfig, accel: bool, p: usize) -> (CostReport, CostReport) {
-    let ds = lasso_ds(3);
-    let reg = Lasso::new(c.lambda);
-    let thread_rep = report(cell(lasso(&reg, c, accel), dist(p), mem(&ds)));
-    let sim_rep = report(cell(lasso(&reg, c, accel), sim(p), mem(&ds)));
-    (thread_rep, sim_rep)
-}
-
-fn assert_reports_match(thread_rep: &CostReport, sim_rep: &CostReport, what: &str) {
-    let (t, v) = (&thread_rep.critical, &sim_rep.critical);
-    // Strict: the two engines charge through the same backend code path,
-    // so the counters are equal by construction, not approximately.
-    assert_eq!(t.messages, v.messages, "{what}: message counters diverge");
-    assert_eq!(t.words, v.words, "{what}: word counters diverge");
-    assert_eq!(t.flops, v.flops, "{what}: flop counters diverge");
-    let rel = (thread_rep.running_time() - sim_rep.running_time()).abs() / sim_rep.running_time();
+/// Strict: both runs charge through the same backend code path, so the
+/// counters are equal by construction, not approximately.
+fn assert_reports_match(a: &CostReport, b: &CostReport, what: &str) {
+    let (x, y) = (&a.critical, &b.critical);
+    assert_eq!(x.messages, y.messages, "{what}: message counters diverge");
+    assert_eq!(x.words, y.words, "{what}: word counters diverge");
+    assert_eq!(x.flops, y.flops, "{what}: flop counters diverge");
+    let rel = (a.running_time() - b.running_time()).abs() / b.running_time();
     assert!(
         rel < 1e-9,
-        "{what}: simulated times diverge: thread {} vs virtual {} (rel {rel})",
-        thread_rep.running_time(),
-        sim_rep.running_time()
+        "{what}: simulated times diverge: {} vs {} (rel {rel})",
+        a.running_time(),
+        b.running_time()
     );
 }
 
-/// The decisive cross-engine check, now strict and across the whole
-/// family: the thread machine and the virtual cluster must charge the
-/// identical cost sequence — in both overlap modes, accelerated and not.
+/// Table I on the wire: the virtual cluster's program-order allreduce
+/// and payload-word counts are what a socket mesh of the same size
+/// actually sends. Each allreduce of `w` words crosses the `2(P−1)` edges
+/// of the binomial tree (reduce up, broadcast down) as one frame of
+/// `HEADER_LEN + 8w` bytes, so over a solve
+/// `Σ frames = 2(P−1)·C` and `Σ bytes = 2(P−1)·(HEADER_LEN·C + 8·W)`.
+/// The mesh's own set-up traffic is named and left out: the handshake
+/// and the set-up barrier precede the `net.solve.*` window, and that
+/// barrier is the one extra collective each rank counts in
+/// `net.collectives`. A lone rank joins nothing on either engine.
+fn assert_wire_matches_sim(sim: &RunOutcome, net: &RunOutcome, p: usize, what: &str) {
+    let (s, n) = (&sim.telemetry, &net.telemetry);
+    let (c, w) = (
+        s.counter("collectives.allreduce"),
+        s.counter("comm.words_packed"),
+    );
+    let (p, edges) = (p as u64, 2 * (p as u64 - 1));
+    let header = netcomm::frame::HEADER_LEN as u64;
+    assert_eq!(
+        n.counter("net.solve.frames_tx"),
+        edges * c,
+        "{what}: frames"
+    );
+    let bytes = edges * (header * c + 8 * w);
+    assert_eq!(n.counter("net.solve.bytes_tx"), bytes, "{what}: bytes");
+    if p > 1 {
+        let setup_barrier = 1;
+        assert_eq!(
+            n.counter("net.collectives"),
+            p * (c + setup_barrier),
+            "{what}"
+        );
+    }
+}
+
+/// Run a cell on the virtual cluster and on the socket mesh at
+/// P ∈ {1, 2, 4} and hold the cluster's counts to the mesh's wire;
+/// returns the mesh runs.
+fn wire_check(run_on: impl Fn(Engine) -> RunOutcome, what: &str) -> Vec<RunOutcome> {
+    let check = |p| {
+        let (sim_out, net_out) = (run_on(sim(p)), run_on(net(p)));
+        assert_wire_matches_sim(&sim_out, &net_out, p, &format!("{what} p={p}"));
+        net_out
+    };
+    [1, 2, 4].map(check).into()
+}
+
 #[test]
-fn sim_and_dist_charges_agree_exactly_lasso() {
+fn sim_counts_match_net_wire_lasso() {
+    let ds = lasso_ds(3);
     for accel in [false, true] {
         for overlap in [false, true] {
             let c = LassoConfig {
@@ -430,21 +377,37 @@ fn sim_and_dist_charges_agree_exactly_lasso() {
                 overlap,
                 ..Default::default()
             };
-            let (thread_rep, sim_rep) = lasso_reports(&c, accel, 4);
+            let reg = Lasso::new(c.lambda);
             let what = format!("lasso accel={accel} overlap={overlap}");
-            assert_reports_match(&thread_rep, &sim_rep, &what);
+            wire_check(|e| cell(lasso(&reg, &c, accel), e, mem(&ds)), &what);
         }
     }
 }
 
 #[test]
-fn sim_and_dist_charges_agree_exactly_svm() {
+fn sim_counts_match_net_wire_svm() {
     let ds = svm_ds(4);
     for overlap in [false, true] {
         let c = svm_cfg(SvmLoss::L1, 8, 49, 64, 16, overlap);
-        let thread_rep = report(cell(Method::svm(&c), dist(4), mem(&ds)));
-        let sim_rep = report(cell(Method::svm(&c), sim(4), mem(&ds)));
-        assert_reports_match(&thread_rep, &sim_rep, &format!("svm overlap={overlap}"));
+        let what = format!("svm overlap={overlap}");
+        wire_check(|e| cell(Method::svm(&c), e, mem(&ds)), &what);
+    }
+}
+
+/// The kernel family's wire, all-hit rounds included: once every sampled
+/// row is cached a block skips its allreduce on every rank, on the
+/// cluster and on the mesh alike.
+#[test]
+fn sim_counts_match_net_wire_kdcd() {
+    let ds = kdcd_ds(8);
+    for (kernel, task, name) in kdcd_kernels() {
+        for overlap in [false, true] {
+            let c = kdcd_cfg(kernel, task, overlap);
+            let what = format!("kdcd {name} overlap={overlap}");
+            let nets = wire_check(|e| cell(Method::kdcd(&c), e, mem(&ds)), &what);
+            let skipped = nets[2].kdcd[0].exchange_skipped;
+            assert!(skipped > 0, "{what}: no all-hit round was exercised");
+        }
     }
 }
 
@@ -462,15 +425,14 @@ fn overlap_never_slows_the_simulated_run() {
             overlap,
             ..Default::default()
         };
-        lasso_reports(&c, true, 8)
+        let (ds, reg) = (lasso_ds(3), Lasso::new(c.lambda));
+        report(cell(lasso(&reg, &c, true), sim(8), mem(&ds)))
     };
-    let (t_on, v_on) = run(true);
-    let (t_off, v_off) = run(false);
+    let (v_on, v_off) = (run(true), run(false));
     // Same collectives and flops either way — overlap only hides time.
     assert_eq!(v_on.critical.messages, v_off.critical.messages);
     assert_eq!(v_on.critical.flops, v_off.critical.flops);
     assert!(v_on.running_time() <= v_off.running_time() + 1e-12);
-    assert!(t_on.running_time() <= t_off.running_time() + 1e-12);
 }
 
 #[test]
@@ -489,7 +451,7 @@ fn rank_count_does_not_change_results() {
     let reg = Lasso::new(cfg.lambda);
     let mut finals = Vec::new();
     for p in [1usize, 2, 3, 8] {
-        let out = cell(lasso(&reg, &cfg, true), dist(p), mem(&ds));
+        let out = cell(lasso(&reg, &cfg, true), net(p), mem(&ds));
         finals.push(out.result().final_value());
     }
     for f in &finals[1..] {
@@ -742,11 +704,12 @@ fn sa_solvers_with_s_1_are_bitwise_classical_shapes() {
 // Refactor guard: the family-spec driver must not move a single charge.
 // ---------------------------------------------------------------------------
 
-/// Byte-compare a deterministic `saco-telemetry/v1` report against a
-/// committed golden captured before the `exec/driver.rs` refactor. Any
-/// drift in counters, charge totals, collective counts, or trace-derived
-/// metadata is a behavior change the refactor promised not to make.
-/// Regenerate (only when a change is *intended*) with `SACO_BLESS=1`.
+/// Byte-compare a deterministic document — a `saco-telemetry/v1` report
+/// captured before the `exec/driver.rs` refactor, or the cell file —
+/// against its committed golden in `tests/goldens/`. Any drift is a
+/// behavior change: the failure lists every line that moved. Regenerate
+/// (only when a change is *intended*, naming what moved) with
+/// `SACO_BLESS=1`.
 fn golden_check(name: &str, doc: &str) {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../../tests/goldens")
@@ -758,10 +721,18 @@ fn golden_check(name: &str, doc: &str) {
     }
     let want = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("golden {name} unreadable ({e}); bless with SACO_BLESS=1"));
-    assert_eq!(
-        doc, want,
-        "{name}: registry report drifted from the pre-refactor golden"
-    );
+    if doc != want {
+        let moved: Vec<String> = (want.lines().zip(doc.lines()))
+            .filter(|(w, d)| w != d)
+            .map(|(w, d)| format!("  golden: {w}\n  now:    {d}"))
+            .collect();
+        let (a, b) = (want.lines().count(), doc.lines().count());
+        panic!(
+            "{name} drifted from its committed golden ({} lines moved, {a} → {b} lines):\n{}",
+            moved.len(),
+            moved.join("\n")
+        );
+    }
 }
 
 #[test]
@@ -796,11 +767,11 @@ fn registry_reports_match_pre_refactor_goldens() {
 // payload is *raw dot-product rows* (kernel transforms are nonlinear and
 // cannot be summed), so at p > 1 the allreduce tree re-associates the
 // feature sums and the transformed kernel entries carry last-ulp noise
-// into the iterate: dist ≡ seq is bitwise at p = 1 and 1e-9 at p > 1,
+// into the iterate: net ≡ seq is bitwise at p = 1 and 1e-9 at p > 1,
 // exactly like the linear families. Everything structural stays bitwise:
 // seq ≡ sim, all ranks replicated (iterates *and* cache counters — the
-// skip-the-collective decision rides on them), net ≡ dist at every p,
-// overlap on ≡ off, streamed ≡ in-memory, and the worker-thread count.
+// skip-the-collective decision rides on them), overlap on ≡ off,
+// streamed ≡ in-memory, and the worker-thread count.
 // ---------------------------------------------------------------------------
 
 fn kdcd_ds(seed: u64) -> Dataset {
@@ -865,19 +836,19 @@ fn kdcd_engine_matrix() {
                 assert_eq!(seq_res.x, sim_res.x, "{what}: seq vs sim");
                 assert_eq!(seq_stats.cache, sim_stats.cache, "{what}: cache streams");
                 for p in [1usize, 4] {
-                    let dist = run_kdcd(&c, dist(p), mem(&ds));
-                    for (rank, (res, stats)) in dist.iter().enumerate().skip(1) {
-                        assert_eq!(res.x, dist[0].0.x, "{what} p={p} rank {rank}");
-                        assert_eq!(stats.cache, dist[0].1.cache, "{what} p={p} rank {rank}");
+                    let net = run_kdcd(&c, net(p), mem(&ds));
+                    for (rank, (res, stats)) in net.iter().enumerate().skip(1) {
+                        assert_eq!(res.x, net[0].0.x, "{what} p={p} rank {rank}");
+                        assert_eq!(stats.cache, net[0].1.cache, "{what} p={p} rank {rank}");
                         assert_eq!(
-                            stats.exchange_skipped, dist[0].1.exchange_skipped,
+                            stats.exchange_skipped, net[0].1.exchange_skipped,
                             "{what} p={p} rank {rank}: skip decisions must replicate"
                         );
                     }
                     if p == 1 {
-                        assert_eq!(dist[0].0.x, seq_res.x, "{what}: dist p=1 vs seq");
+                        assert_eq!(net[0].0.x, seq_res.x, "{what}: net p=1 vs seq");
                     } else {
-                        for (a, b) in dist[0].0.x.iter().zip(&seq_res.x) {
+                        for (a, b) in net[0].0.x.iter().zip(&seq_res.x) {
                             assert!(
                                 (a - b).abs() <= 1e-9 * (1.0 + a.abs()),
                                 "{what} p={p}: {a} vs {b}"
@@ -896,84 +867,9 @@ fn kdcd_engine_matrix() {
     }
 }
 
-/// The net column for the kernel family: the socket mesh reduces the raw
-/// dot rows up the same tree as the thread machine, so net ≡ dist is
-/// bitwise at every p — iterates, the replicated objective trace, and the
-/// cache/exchange counters (the collective-skip schedule must agree or
-/// the mesh deadlocks; equality here is the strong form of that).
-#[test]
-fn net_engine_matches_dist_bitwise_kdcd() {
-    let ds = kdcd_ds(7);
-    for overlap in [false, true] {
-        let c = kdcd_cfg(
-            KernelFn::Rbf { gamma: 0.5 },
-            KdcdTask::Svm(SvmLoss::L1),
-            overlap,
-        );
-        let (seq_res, _) = kdcd(&ds, &c);
-        for p in [1usize, 2, 4] {
-            let what = format!("kdcd overlap={overlap} p={p}");
-            let dist = run_kdcd(&c, dist(p), mem(&ds));
-            let net = run_kdcd(&c, net(p), mem(&ds));
-            for (n, _) in &net[1..] {
-                assert_eq!(n.x, net[0].0.x, "{what}: net ranks disagree");
-            }
-            for (rank, ((n, ns), (d, dstats))) in net.iter().zip(&dist).enumerate() {
-                assert_eq!(n.x, d.x, "{what} rank {rank}: net vs dist iterates");
-                assert_eq!(n.trace.len(), d.trace.len(), "{what} rank {rank}");
-                for (a, b) in n.trace.points().iter().zip(d.trace.points()) {
-                    assert_eq!(a.value, b.value, "{what} rank {rank}: objective trace");
-                }
-                assert_eq!(ns.cache, dstats.cache, "{what} rank {rank}: cache streams");
-                assert_eq!(
-                    ns.exchange_skipped, dstats.exchange_skipped,
-                    "{what} rank {rank}: skip schedules"
-                );
-                assert_eq!(
-                    ns.exchange_words, dstats.exchange_words,
-                    "{what} rank {rank}: exchanged words"
-                );
-            }
-            if p == 1 {
-                assert_eq!(net[0].0.x, seq_res.x, "{what}: net p=1 vs seq");
-            } else {
-                for (a, b) in net[0].0.x.iter().zip(&seq_res.x) {
-                    assert!(
-                        (a - b).abs() <= 1e-9 * (1.0 + a.abs()),
-                        "{what}: net vs seq: {a} vs {b}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Strict charge agreement for the kernel family: the thread machine and
-/// the virtual cluster must charge the identical cost sequence — message,
-/// word, and flop counters exactly equal, times to 1e-9 — in both overlap
-/// modes and for both kernels. This pins the tile charge (2·misses·nnzᵣ
-/// per rank), the norms-pass charge, and the skip-the-collective rounds
-/// to one shared code path.
-#[test]
-fn sim_and_dist_charges_agree_exactly_kdcd() {
-    let ds = kdcd_ds(8);
-    for (kernel, task, name) in kdcd_kernels() {
-        for overlap in [false, true] {
-            let c = kdcd_cfg(kernel, task, overlap);
-            let thread_rep = report(cell(Method::kdcd(&c), dist(4), mem(&ds)));
-            let sim_rep = report(cell(Method::kdcd(&c), sim(4), mem(&ds)));
-            assert_reports_match(
-                &thread_rep,
-                &sim_rep,
-                &format!("kdcd {name} overlap={overlap}"),
-            );
-        }
-    }
-}
-
 /// The streamed column for the kernel family: a CSR shard directory on
-/// the sequential engine (and, windowed per rank, on the thread machine)
-/// is bitwise the in-memory run.
+/// the sequential engine (and, windowed per rank, on the socket mesh) is
+/// bitwise the in-memory run.
 #[test]
 fn streamed_kdcd_is_bitwise_in_memory() {
     let ds = kdcd_ds(9);
@@ -990,10 +886,10 @@ fn streamed_kdcd_is_bitwise_in_memory() {
             assert_eq!(st_stats.cache, mem_stats.cache, "{what}: cache streams");
 
             let p = 2;
-            let mem_dist = run_kdcd(&c, dist(p), mem(&ds));
-            let st_dist = run_kdcd(&c, dist(p), shards(&dir));
-            for (rank, ((sr, ss), (mr, ms))) in st_dist.iter().zip(&mem_dist).enumerate() {
-                assert_eq!(sr.x, mr.x, "{what} p={p} rank {rank}: streamed dist");
+            let mem_net = run_kdcd(&c, net(p), mem(&ds));
+            let st_net = run_kdcd(&c, net(p), shards(&dir));
+            for (rank, ((sr, ss), (mr, ms))) in st_net.iter().zip(&mem_net).enumerate() {
+                assert_eq!(sr.x, mr.x, "{what} p={p} rank {rank}: streamed net");
                 assert_eq!(ss.cache, ms.cache, "{what} p={p} rank {rank}");
             }
         }
@@ -1127,10 +1023,9 @@ enum Relation {
 /// to the reference at p = 1 and at p > 1.
 type EngineRow = (&'static str, fn(usize) -> Engine, Relation, Relation);
 
-const ENGINE_TABLE: [EngineRow; 4] = [
+const ENGINE_TABLE: [EngineRow; 3] = [
     ("seq", |_| Engine::Seq, Relation::Bitwise, Relation::Bitwise),
     ("sim", sim, Relation::Bitwise, Relation::Bitwise),
-    ("dist", dist, Relation::Bitwise, Relation::Close(1e-9)),
     ("net", net, Relation::Bitwise, Relation::Close(1e-9)),
 ];
 
@@ -1337,7 +1232,7 @@ fn product_walk_covers_streamed_net_kdcd_cells() {
 
     // The rest of the documented error surface.
     let accbcd = Family::Lasso { accel: true };
-    for engine in [sim(0), dist(0), net(0)] {
+    for engine in [sim(0), net(0)] {
         let err = try_cell(accbcd, true, engine, mem(&lasso_data));
         assert!(matches!(err, Err(RunError::ZeroRanks)), "{err:?}");
     }

@@ -35,14 +35,13 @@ fn run_instrumented(ds: &Dataset) -> (CostReport, Registry) {
     let cfg = config();
     let (reg, cfg, accel) = (&Lasso::new(cfg.lambda), &cfg, true);
     let method = Method::Lasso { reg, cfg, accel };
-    let (p, model, balanced) = (P, CostModel::cray_xc30(), false);
-    let engine = Engine::Dist { p, model, balanced };
-    let out = run(&RunSpec::new(method, engine, Source::InMemory(ds))).expect("dist run");
-    (out.report.expect("dist reports costs"), out.telemetry)
+    let engine = Engine::sim(P, CostModel::cray_xc30(), false);
+    let out = run(&RunSpec::new(method, engine, Source::InMemory(ds))).expect("sim run");
+    (out.report.expect("sim reports costs"), out.telemetry)
 }
 
 #[test]
-fn thread_machine_telemetry_reconciles_with_cost_report() {
+fn rank_telemetry_reconciles_with_cost_report() {
     let ds = dataset();
     let (rep, registry) = run_instrumented(&ds);
 
