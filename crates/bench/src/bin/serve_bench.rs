@@ -6,7 +6,7 @@
 //! * **Standalone** (default): boot an in-process server on a Unix
 //!   socket, train a resumable artifact, then fire concurrent clients at
 //!   it — score batches head-of-line, with train-delta and λ-path
-//!   requests interleaved so the single-worker consistency contract is
+//!   requests interleaved so the one-state-lock consistency contract is
 //!   exercised under contention. Chaos stragglers (`straggle = 0.15`,
 //!   up to 2 ms of injected sleep) make the p99/p50 gap a real number
 //!   rather than scheduler noise. Server-side `serve.*` gauges and the
@@ -110,7 +110,6 @@ fn drill(clients: usize, batches: usize) -> (ServeReport, Registry, Vec<f64>) {
     let listener = Listener::bind(&addr).expect("bind serve_bench socket");
     let scfg = ServeConfig {
         slo_ms: 50.0,
-        batch_max: 64,
         default_iters: 64,
         chaos: Some(ChaosSpec {
             seed: 4242,
@@ -199,9 +198,8 @@ fn main() {
 
     let g = |k: &str| registry.gauge(k).unwrap_or(0.0);
     println!(
-        "server: {} requests | {} batches | p50 {:.3} ms | p95 {:.3} ms | p99 {:.3} ms | {} SLO breaches | {} straggled",
+        "server: {} requests | p50 {:.3} ms | p95 {:.3} ms | p99 {:.3} ms | {} SLO breaches | {} straggled",
         report.requests,
-        registry.counter("serve.batches"),
         g("serve.latency.p50_ms"),
         g("serve.latency.p95_ms"),
         g("serve.latency.p99_ms"),

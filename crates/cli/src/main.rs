@@ -197,9 +197,9 @@ const SUBCOMMANDS: &[Subcommand] = &[
         name: "serve",
         about: "answer score/train-delta/λ-path requests for a trained
             --model artifact over a TCP/Unix socket (--listen), with
-            cost-model batching and serve.* SLO telemetry",
+            one thread per connection and serve.* SLO telemetry",
         synopsis: "--model m.saco --data train.svm --listen unix:/tmp/s.sock
-                [--slo-ms 250] [--batch-max 64] [--train-iters 512] [--chaos spec]
+                [--slo-ms 250] [--train-iters 512] [--chaos spec]
                 [--max-requests N] [--metrics report.json]",
         run: Run::Cmd(cmd_serve),
     },
@@ -1290,8 +1290,8 @@ fn cmd_cv(args: &Args) -> Result<(), ArgError> {
 
 /// `saco serve`: load a `saco-model/v1` artifact plus the dataset it was
 /// trained on, listen on `--listen`, and answer score/train-delta/λ-path
-/// requests until Shutdown (or `--max-requests`). Batching follows the
-/// Table-I α-β-γ cost model; `--chaos` injects deterministic admission
+/// requests until Shutdown (or `--max-requests`), each on its
+/// connection's own thread; `--chaos` injects deterministic admission
 /// stragglers for tail-latency drills.
 fn cmd_serve(args: &Args) -> Result<(), ArgError> {
     let mpath = args.require("model")?;
@@ -1302,16 +1302,14 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
     let addr = Addr::parse(listen).map_err(|e| ArgError(format!("--listen: {e}")))?;
     let scfg = ServeConfig {
         slo_ms: args.get_or("slo-ms", 250.0)?,
-        batch_max: args.get_or("batch-max", 64)?,
         default_iters: args.get_or("train-iters", 512)?,
-        cost: CostModel::cray_xc30(),
         chaos: parse_chaos(args)?,
         max_requests: args.get_opt("max-requests")?,
     };
     let listener =
         saco::serve::Listener::bind(&addr).map_err(|e| ArgError(format!("bind {listen}: {e}")))?;
     println!(
-        "serving {} model ({} × {}, λ = {:.6e}, {}) on {listen} — SLO {} ms, batch ≤ {}",
+        "serving {} model ({} × {}, λ = {:.6e}, {}) on {listen} — SLO {} ms",
         art.family,
         art.m,
         art.n,
@@ -1321,8 +1319,7 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
         } else {
             "score-only"
         },
-        scfg.slo_ms,
-        scfg.batch_max
+        scfg.slo_ms
     );
     let mut telemetry = Registry::new();
     let report = saco::serve::serve(&listener, &ds, art, &scfg, &mut telemetry)

@@ -740,7 +740,7 @@ fn helpful_errors() {
     assert!(err.contains("sim") && err.contains("net"), "{err}");
     assert!(!err.contains("panicked"), "{err}");
     // An option the subcommand does not read — retired (`--algo`,
-    // `--overlap`), misspelt (`--itres`) or another subcommand's
+    // `--overlap`, serve's `--batch-max`), misspelt (`--itres`) or another subcommand's
     // (`--engine` on lasso) — is an error naming it, raised before `--data`
     // is opened (the file named here does not exist) and before anything
     // is written.
@@ -751,6 +751,7 @@ fn helpful_errors() {
         ("simulate", "--overlap", "off"),
         ("lasso", "--itres", "5"),
         ("lasso", "--engine", "net"),
+        ("serve", "--batch-max", "64"),
     ] {
         let out = saco()
             .args([cmd, "--data", "/nonexistent/f.svm", "--metrics"])

@@ -1,5 +1,5 @@
-//! `saco serve`: a batched scoring/training service over the netcomm
-//! framed transport.
+//! `saco serve`: a scoring/training service over the netcomm framed
+//! transport.
 //!
 //! The serving story is three contracts stacked on the solver stack's
 //! determinism guarantees:
@@ -13,13 +13,13 @@
 //! 2. **Protocol** ([`Request`]/[`Response`]): one netcomm frame per
 //!    message, payloads as lossless `f64` bit patterns. Score batches,
 //!    train-deltas, λ-path points, stats, shutdown.
-//! 3. **Serving loop** ([`serve`], [`ServeConfig`]): reader threads feed
-//!    one worker through an admission queue; the batch target comes from
-//!    the Table-I α-β-γ cost model (amortize the per-dispatch α below
-//!    10% without blowing half the SLO); warm-start caches make path
-//!    point k seed point k+1 and exact-λ repeats free; every request is
-//!    clocked into the `serve.*` telemetry taxonomy (queue depth, batch
-//!    size, p50/p95/p99 latency, SLO breaches).
+//! 3. **Serving loop** ([`serve`], [`ServeConfig`]): each connection's
+//!    own thread decodes, answers and replies to its requests. Scores
+//!    read a published snapshot of the model; train-delta and path
+//!    segments take one state lock, whose order is the single mutation
+//!    order. Warm-start caches make path point k seed point k+1 and
+//!    exact-λ repeats free; every request is clocked into the `serve.*`
+//!    telemetry taxonomy (p50/p95/p99 latency, SLO breaches).
 //!
 //! Exactness contracts the tests pin down: scoring a row equals
 //! `CsrMatrix::spmv` on that row bitwise (both are the same serial dot

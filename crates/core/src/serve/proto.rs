@@ -108,13 +108,16 @@ fn push_str(words: &mut Vec<f64>, s: &str) {
 }
 
 fn pop_str(words: &[f64], at: &mut usize) -> Result<String, NetError> {
-    let len = take(words, at)? as usize;
-    let nwords = len.div_ceil(8);
-    let mut bytes = Vec::with_capacity(nwords * 8);
+    let len = take(words, at)?;
+    let nwords = room(words, *at, len.div_ceil(8), 1)?;
+    let cap = nwords
+        .checked_mul(8)
+        .ok_or_else(|| NetError::Protocol(format!("string length {len} overflows")))?;
+    let mut bytes = Vec::with_capacity(cap);
     for _ in 0..nwords {
         bytes.extend_from_slice(&next(words, at)?.to_le_bytes());
     }
-    bytes.truncate(len);
+    bytes.truncate(len as usize);
     String::from_utf8(bytes)
         .map_err(|_| NetError::Protocol("string payload is not UTF-8".to_string()))
 }
@@ -130,6 +133,25 @@ fn next(words: &[f64], at: &mut usize) -> Result<f64, NetError> {
 
 fn take(words: &[f64], at: &mut usize) -> Result<u64, NetError> {
     next(words, at).map(u)
+}
+
+/// A count read off the wire that announces `count` items of `per` words
+/// each, still to come after word `at`: refused unless the payload holds
+/// them, so no allocation is ever sized by a claim the bytes cannot back.
+fn room(words: &[f64], at: usize, count: u64, per: u64) -> Result<usize, NetError> {
+    let left = (words.len() - at) as u64;
+    match count.checked_mul(per) {
+        Some(need) if need <= left => Ok(count as usize),
+        _ => Err(NetError::Protocol(format!(
+            "count {count} overruns the {left} payload words left"
+        ))),
+    }
+}
+
+/// [`take`] a count of `per`-word items and bound it by [`room`].
+fn take_count(words: &[f64], at: &mut usize, per: u64) -> Result<usize, NetError> {
+    let count = take(words, at)?;
+    room(words, *at, count, per)
 }
 
 impl Request {
@@ -149,6 +171,7 @@ impl Request {
         let mut words = Vec::new();
         match self {
             Request::Score { rows } => {
+                words.reserve(1 + rows.iter().map(|(idx, _)| 1 + 2 * idx.len()).sum::<usize>());
                 words.push(w(rows.len() as u64));
                 for (idx, val) in rows {
                     assert_eq!(idx.len(), val.len(), "row indices/values mismatch");
@@ -178,19 +201,15 @@ impl Request {
         let at = &mut 0usize;
         let req = match f.tag {
             TAG_SCORE => {
-                let k = take(&words, at)? as usize;
+                // Each row is at least its length word; each entry is an
+                // index word and a value word.
+                let k = take_count(&words, at, 1)?;
                 let mut rows = Vec::with_capacity(k);
                 for _ in 0..k {
-                    let len = take(&words, at)? as usize;
-                    let mut idx = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        idx.push(take(&words, at)? as usize);
-                    }
-                    let mut val = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        val.push(next(&words, at)?);
-                    }
-                    rows.push((idx, val));
+                    let len = take_count(&words, at, 2)?;
+                    let (idx, val) = words[*at..*at + 2 * len].split_at(len);
+                    *at += 2 * len;
+                    rows.push((idx.iter().map(|&i| u(i) as usize).collect(), val.to_vec()));
                 }
                 Request::Score { rows }
             }
@@ -275,7 +294,7 @@ impl Response {
         let at = &mut 0usize;
         let resp = match f.tag {
             t if t == TAG_SCORE | RESP_BIT => {
-                let k = take(&words, at)? as usize;
+                let k = take_count(&words, at, 1)?;
                 let mut preds = Vec::with_capacity(k);
                 for _ in 0..k {
                     preds.push(next(&words, at)?);
@@ -369,5 +388,26 @@ mod tests {
         let mut f = Request::Stats.to_frame(0);
         f.bytes.extend_from_slice(&[0u8; 8]);
         assert!(Request::from_frame(&f).is_err());
+    }
+
+    #[test]
+    fn wire_counts_beyond_the_payload_are_refused_before_allocating() {
+        let words = |v: &[u64]| v.iter().map(|&x| w(x)).collect::<Vec<f64>>();
+        // One row claiming 2^40 entries (8 TiB of index words), a row
+        // count of 2^62, and a length whose doubling overflows u64.
+        for payload in [
+            words(&[1, 1 << 40]),
+            words(&[1 << 62, 0]),
+            words(&[1, u64::MAX, 0]),
+        ] {
+            let f = Frame::data(0, TAG_SCORE, 0, &payload);
+            assert!(Request::from_frame(&f).is_err());
+        }
+        let scores = Frame::data(0, TAG_SCORE | RESP_BIT, 0, &words(&[1 << 40, 0]));
+        assert!(Response::from_frame(&scores).is_err());
+        for len in [1u64 << 40, u64::MAX] {
+            let err = Frame::data(0, TAG_ERROR, 0, &words(&[len, 0]));
+            assert!(Response::from_frame(&err).is_err());
+        }
     }
 }

@@ -1,38 +1,40 @@
-//! The serving loop: concurrent connections, cost-model-driven batching,
-//! warm-start caches, and per-request SLO telemetry.
+//! The serving loop: one thread per connection, a published model
+//! snapshot for reads, one state lock for writes, and per-request SLO
+//! telemetry.
 //!
-//! Architecture: the accept loop hands each connection to a reader
-//! thread; readers decode frames into jobs on one shared admission queue;
-//! a single worker thread owns all solver state and drains the queue —
-//! batching consecutive score requests up to the admission target —
-//! and answers each job through its reply channel. One worker is not a
-//! bottleneck but the *consistency contract*: train-delta and path
-//! segments mutate warm state, and a single mutation order is what keeps
-//! a resumed chain bitwise reproducible.
-//!
-//! The admission target comes from the Table-I α-β-γ cost terms: a batch
-//! of `b` rows costs `α + b·(2·nnz/dot_rate + 16·nnz·β)` — one dispatch
-//! latency amortized over `b` row services — so the policy picks the
-//! smallest `b` that keeps the α share under 10%, clamped so a full batch
-//! still fits inside half the SLO. Scoring never waits for a batch to
-//! fill: the target caps how much queued work one dispatch drains.
+//! Architecture: the accept loop gives each connection its own thread,
+//! and that thread decodes, answers and replies to every request the
+//! connection sends, so no request crosses a thread on its way to its
+//! reply. A score clones the `Arc` of the published model `x` and runs
+//! the serial dot chain against it; reads never wait for training.
+//! Train-delta and path segments run under one `Mutex<SolverState>`. Its
+//! acquisition order is the single mutation order — the *consistency
+//! contract*, since both mutate warm state and one order is what keeps a
+//! resumed chain bitwise reproducible. A train delta publishes its new
+//! `x` before it releases that lock and before its reply is written, so
+//! a score that starts after any client has seen a train reply reads
+//! that `x`.
 
 use super::artifact::{dataset_fingerprint, ModelArtifact};
 use super::proto::{Request, Response};
 use crate::problem::lasso_objective_from_residual;
 use crate::prox::Lasso;
 use crate::workspace::KernelWorkspace;
-use mpisim::{ChaosSpec, CostModel};
+use mpisim::ChaosSpec;
 use netcomm::frame::{Frame, FrameKind};
-use netcomm::{Listener, NetError};
+use netcomm::{Listener, NetError, Stream};
 use saco_telemetry::Registry;
 use sparsela::io::Dataset;
 use sparsela::{CscMatrix, SparseSlice};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
+use std::io::{ErrorKind, Read};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use xrng::Rng;
+
+/// How often an idle connection and the accept loop look at the stop flag.
+const STOP_TICK: Duration = Duration::from_millis(10);
 
 /// Server policy knobs.
 #[derive(Clone, Debug)]
@@ -40,15 +42,10 @@ pub struct ServeConfig {
     /// Latency SLO per request, milliseconds; responses slower than this
     /// increment `serve.slo.breaches`.
     pub slo_ms: f64,
-    /// Hard cap on the score batch size (the cost-model target is
-    /// clamped to this).
-    pub batch_max: usize,
     /// Default per-segment iteration budget when a train/path request
     /// asks for 0 iterations.
     pub default_iters: u64,
-    /// α-β-γ machine model driving the admission/batching policy.
-    pub cost: CostModel,
-    /// Optional deterministic straggler injection: each admitted job
+    /// Optional deterministic straggler injection: each admitted request
     /// draws against `straggle`; stragglers sleep up to `jitter` seconds.
     pub chaos: Option<ChaosSpec>,
     /// Stop after this many requests (None = run until Shutdown).
@@ -59,9 +56,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             slo_ms: 250.0,
-            batch_max: 64,
             default_iters: 512,
-            cost: CostModel::cray_xc30(),
             chaos: None,
             max_requests: None,
         }
@@ -81,18 +76,9 @@ pub struct ServeReport {
     pub p99_ms: f64,
 }
 
-struct Job {
-    req: Request,
-    enqueued: Instant,
-    reply: mpsc::Sender<Response>,
-}
-
 #[derive(Default)]
 struct Stats {
     latencies_ms: Vec<f64>,
-    queue_depth_max: u64,
-    batch_size_max: u64,
-    batches: u64,
     rows_scored: u64,
     score: u64,
     train: u64,
@@ -105,31 +91,10 @@ struct Stats {
     straggled: u64,
 }
 
-struct Queue {
-    jobs: Mutex<VecDeque<Job>>,
-    ready: Condvar,
-    stop: AtomicBool,
-    admitted: AtomicU64,
-}
-
-impl Queue {
-    fn push(&self, job: Job, stats: &Mutex<Stats>) {
-        let mut q = self.jobs.lock().expect("queue lock");
-        q.push_back(job);
-        let depth = q.len() as u64;
-        drop(q);
-        let mut st = stats.lock().expect("stats lock");
-        st.queue_depth_max = st.queue_depth_max.max(depth);
-        drop(st);
-        self.ready.notify_one();
-    }
-}
-
-/// The worker-owned solver state: the scoring model plus the two warm
-/// chains (train resume, λ path) and their shared workspace.
+/// The lock-guarded solver state: the two warm chains (train resume, λ
+/// path) and their shared workspace.
 struct SolverState {
     csc: CscMatrix,
-    n: usize,
     artifact: ModelArtifact,
     ws: KernelWorkspace,
     // Train chain: restored from the artifact (iterate + residual bits +
@@ -151,10 +116,8 @@ struct SolverState {
 impl SolverState {
     fn new(ds: &Dataset, artifact: ModelArtifact) -> SolverState {
         let n = ds.a.cols();
-        let resumable = artifact.resumable();
-        let (train_x, train_residual, train_rng) = if resumable {
+        let (train_residual, train_rng) = if artifact.resumable() {
             (
-                artifact.x.clone(),
                 artifact.residual.clone(),
                 Some(crate::exec::replay_sampling(
                     artifact.seed,
@@ -165,12 +128,11 @@ impl SolverState {
                 )),
             )
         } else {
-            (artifact.x.clone(), Vec::new(), None)
+            (Vec::new(), None)
         };
         SolverState {
             csc: ds.a.to_csc(),
-            n,
-            train_x,
+            train_x: artifact.x.clone(),
             train_residual,
             train_rng,
             train_iters: artifact.iters as u64,
@@ -183,33 +145,16 @@ impl SolverState {
         }
     }
 
-    fn score(&self, idx: &[usize], val: &[f64]) -> Result<f64, String> {
-        if self.train_x.len() != self.n {
-            return Err(format!(
-                "family {:?} model has length {}, not the feature count {} — \
-                 it cannot be scored linearly",
-                self.artifact.family,
-                self.train_x.len(),
-                self.n
-            ));
-        }
-        if let Some(&j) = idx.last() {
-            if j >= self.n {
-                return Err(format!("feature index {j} out of range (n = {})", self.n));
-            }
-        }
-        let slice = SparseSlice {
-            indices: idx,
-            values: val,
-        };
-        Ok(slice.dot_dense(&self.train_x))
-    }
-
     fn train_delta(&mut self, lambda: f64, iters: u64) -> Result<Response, String> {
         let rng = self
             .train_rng
             .as_mut()
             .ok_or_else(|| format!("family {:?} is not resumable", self.artifact.family))?;
+        if !(lambda.is_finite() && lambda >= 0.0) {
+            return Err(format!(
+                "train lambda must be finite and nonnegative, got {lambda}"
+            ));
+        }
         let cfg = self.artifact.lasso_config(iters as usize);
         let reg = Lasso::new(lambda);
         crate::exec::lasso_family_warm(
@@ -273,21 +218,38 @@ impl SolverState {
     }
 }
 
-/// The Table-I admission target: smallest batch size whose α share is
-/// under 10%, clamped to `batch_max` and to half the SLO.
-fn batch_target(cfg: &ServeConfig, avg_row_nnz: f64) -> usize {
-    let alpha = cfg.cost.alpha;
-    let row_cost = 2.0 * avg_row_nnz / cfg.cost.dot_rate + 16.0 * avg_row_nnz * cfg.cost.beta;
-    // α ≤ 0.1 · b · row_cost  ⇒  b ≥ 10α / row_cost
-    let amortize = (10.0 * alpha / row_cost.max(1e-30)).ceil();
-    // α + b · row_cost ≤ slo/2  ⇒  b ≤ (slo/2 − α) / row_cost
-    let slo_s = cfg.slo_ms / 1e3;
-    let slo_cap = ((0.5 * slo_s - alpha) / row_cost.max(1e-30)).floor();
-    let b = amortize.min(slo_cap).max(1.0) as usize;
-    b.clamp(1, cfg.batch_max.max(1))
+/// Score `rows` against the model `x`. Each row's indices must strictly
+/// increase and stay below `x.len()`; the first row that breaks this
+/// refuses the whole request, naming the row and the index.
+fn score(x: &[f64], rows: &[(Vec<usize>, Vec<f64>)]) -> Result<Vec<f64>, String> {
+    rows.iter()
+        .enumerate()
+        .map(|(r, (idx, val))| {
+            let mut prev = None;
+            for &j in idx {
+                if j >= x.len() {
+                    return Err(format!(
+                        "row {r}: feature index {j} out of range (n = {})",
+                        x.len()
+                    ));
+                }
+                if let Some(p) = prev.filter(|&p| j <= p) {
+                    return Err(format!(
+                        "row {r}: feature index {j} does not follow {p} (indices must strictly increase)"
+                    ));
+                }
+                prev = Some(j);
+            }
+            let slice = SparseSlice {
+                indices: idx,
+                values: val,
+            };
+            Ok(slice.dot_dense(x))
+        })
+        .collect()
 }
 
-/// Deterministic straggler draw for admitted job number `k`: a pure
+/// Deterministic straggler draw for admitted request number `k`: a pure
 /// function of `(chaos.seed, k)`, so a replay injects the same stalls.
 fn straggle_delay(chaos: &ChaosSpec, k: u64) -> Option<Duration> {
     let mut rng =
@@ -300,15 +262,6 @@ fn straggle_delay(chaos: &ChaosSpec, k: u64) -> Option<Duration> {
     }
 }
 
-fn record_latency(stats: &Mutex<Stats>, slo_ms: f64, enqueued: Instant) {
-    let ms = enqueued.elapsed().as_secs_f64() * 1e3;
-    let mut st = stats.lock().expect("stats lock");
-    st.latencies_ms.push(ms);
-    if ms > slo_ms {
-        st.slo_breaches += 1;
-    }
-}
-
 fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -317,193 +270,157 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.min(sorted.len()) - 1]
 }
 
-fn worker_loop(queue: &Queue, stats: &Mutex<Stats>, cfg: &ServeConfig, mut state: SolverState) {
-    let avg_nnz = (state.csc.nnz() as f64 / state.csc.rows().max(1) as f64).max(1.0);
-    let target = batch_target(cfg, avg_nnz);
-    let mut admitted = 0u64;
-    loop {
-        let mut q = queue.jobs.lock().expect("queue lock");
-        while q.is_empty() && !queue.stop.load(Ordering::SeqCst) {
-            let (guard, _) = queue
-                .ready
-                .wait_timeout(q, Duration::from_millis(50))
-                .expect("queue wait");
-            q = guard;
+/// What every connection thread shares.
+struct Shared<'a> {
+    cfg: &'a ServeConfig,
+    /// Why the model cannot be scored linearly, if it cannot.
+    unscorable: Option<String>,
+    /// The published scoring model: replaced, never mutated, when a train
+    /// delta commits.
+    model: Mutex<Arc<Vec<f64>>>,
+    state: Mutex<SolverState>,
+    stats: Mutex<Stats>,
+    stop: AtomicBool,
+    /// Requests admitted so far; the straggle draw index and the
+    /// `max_requests` count.
+    admitted: AtomicU64,
+}
+
+impl Shared<'_> {
+    /// Answer one decoded request on the calling connection's thread.
+    fn answer(&self, req: &Request) -> Response {
+        let t0 = Instant::now();
+        let k = self.admitted.fetch_add(1, Ordering::SeqCst);
+        if self.stop.load(Ordering::SeqCst) || self.cfg.max_requests.is_some_and(|m| k >= m) {
+            return Response::Error("server shutting down".to_string());
         }
-        let Some(job) = q.pop_front() else {
-            if queue.stop.load(Ordering::SeqCst) {
-                return;
+        let straggle = self.cfg.chaos.as_ref().and_then(|c| straggle_delay(c, k));
+        if let Some(delay) = straggle {
+            std::thread::sleep(delay);
+        }
+        let iters = |i: u64| if i == 0 { self.cfg.default_iters } else { i };
+        let resp = match req {
+            Request::Score { rows } => match &self.unscorable {
+                Some(why) => Response::Error(why.clone()),
+                None => {
+                    let x = Arc::clone(&self.model.lock().expect("model lock"));
+                    score(&x, rows).map_or_else(Response::Error, Response::Scores)
+                }
+            },
+            Request::TrainDelta { lambda, iters: i } => {
+                let mut state = self.state.lock().expect("state lock");
+                let resp = state.train_delta(*lambda, iters(*i));
+                if resp.is_ok() {
+                    *self.model.lock().expect("model lock") = Arc::new(state.train_x.clone());
+                }
+                resp.unwrap_or_else(Response::Error)
             }
-            continue;
+            Request::PathPoint { lambda, iters: i } => self
+                .state
+                .lock()
+                .expect("state lock")
+                .path_point(*lambda, iters(*i))
+                .unwrap_or_else(Response::Error),
+            Request::Stats => {
+                let mut snapshot = Registry::new();
+                publish(
+                    &mut snapshot,
+                    &self.stats.lock().expect("stats lock"),
+                    self.cfg,
+                );
+                Response::Stats(saco_telemetry::run_report_json(&snapshot))
+            }
+            Request::Shutdown => {
+                self.stop.store(true, Ordering::SeqCst);
+                Response::Stats("bye".to_string())
+            }
         };
-        // Admission: drain queued score work behind a score head-of-line,
-        // up to the cost-model target — one dispatch, many rows.
-        let mut batch = vec![job];
-        if matches!(batch[0].req, Request::Score { .. }) {
-            while batch.len() < target {
-                match q.front() {
-                    Some(j) if matches!(j.req, Request::Score { .. }) => {
-                        batch.push(q.pop_front().expect("checked front"));
-                    }
-                    _ => break,
-                }
-            }
-        }
-        drop(q);
 
-        if let Some(chaos) = &cfg.chaos {
-            if let Some(delay) = straggle_delay(chaos, admitted) {
-                std::thread::sleep(delay);
-                stats.lock().expect("stats lock").straggled += 1;
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        let mut st = self.stats.lock().expect("stats lock");
+        match (req, &resp) {
+            (Request::Score { .. }, Response::Scores(p)) => {
+                st.score += 1;
+                st.rows_scored += p.len() as u64;
             }
+            (Request::Score { .. }, _) => st.score += 1,
+            (Request::TrainDelta { .. }, _) => st.train += 1,
+            (Request::PathPoint { .. }, Response::Path { cached, .. }) => {
+                st.path += 1;
+                if *cached {
+                    st.cache_hits += 1;
+                } else {
+                    st.cache_misses += 1;
+                }
+            }
+            (Request::PathPoint { .. }, _) => st.path += 1,
+            (Request::Stats, _) => st.stats_reqs += 1,
+            (Request::Shutdown, _) => {}
         }
-        admitted += 1;
+        if matches!(resp, Response::Error(_)) {
+            st.errors += 1;
+        }
+        st.straggled += u64::from(straggle.is_some());
+        st.latencies_ms.push(ms);
+        if ms > self.cfg.slo_ms {
+            st.slo_breaches += 1;
+        }
+        drop(st);
+        if self.cfg.max_requests.is_some_and(|m| k + 1 >= m) {
+            self.stop.store(true, Ordering::SeqCst);
+        }
+        resp
+    }
+}
 
-        {
-            let mut st = stats.lock().expect("stats lock");
-            st.batches += 1;
-            st.batch_size_max = st.batch_size_max.max(batch.len() as u64);
-        }
-        for job in batch {
-            let resp = match &job.req {
-                Request::Score { rows } => {
-                    let mut preds = Vec::with_capacity(rows.len());
-                    let mut err = None;
-                    for (idx, val) in rows {
-                        match state.score(idx, val) {
-                            Ok(p) => preds.push(p),
-                            Err(e) => {
-                                err = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                    let mut st = stats.lock().expect("stats lock");
-                    st.score += 1;
-                    st.rows_scored += preds.len() as u64;
-                    drop(st);
-                    match err {
-                        None => Response::Scores(preds),
-                        Some(e) => Response::Error(e),
-                    }
-                }
-                Request::TrainDelta { lambda, iters } => {
-                    stats.lock().expect("stats lock").train += 1;
-                    let iters = if *iters == 0 {
-                        cfg.default_iters
-                    } else {
-                        *iters
-                    };
-                    state
-                        .train_delta(*lambda, iters)
-                        .unwrap_or_else(Response::Error)
-                }
-                Request::PathPoint { lambda, iters } => {
-                    let iters = if *iters == 0 {
-                        cfg.default_iters
-                    } else {
-                        *iters
-                    };
-                    let resp = state
-                        .path_point(*lambda, iters)
-                        .unwrap_or_else(Response::Error);
-                    let mut st = stats.lock().expect("stats lock");
-                    st.path += 1;
-                    match resp {
-                        Response::Path { cached: true, .. } => st.cache_hits += 1,
-                        Response::Path { cached: false, .. } => st.cache_misses += 1,
-                        _ => {}
-                    }
-                    drop(st);
-                    resp
-                }
-                Request::Stats => {
-                    let mut snapshot = Registry::new();
-                    publish(&mut snapshot, &stats.lock().expect("stats lock"), cfg);
-                    stats.lock().expect("stats lock").stats_reqs += 1;
-                    Response::Stats(saco_telemetry::run_report_json(&snapshot))
-                }
-                Request::Shutdown => {
-                    queue.stop.store(true, Ordering::SeqCst);
-                    Response::Stats("bye".to_string())
-                }
-            };
-            if matches!(resp, Response::Error(_)) {
-                stats.lock().expect("stats lock").errors += 1;
+/// A connection's read side. Its socket timeout is only the stop tick:
+/// an expired wait is retried until the server stops, so a client that
+/// pauses in the middle of a frame resumes where it left off.
+struct Conn<'a> {
+    stream: Stream,
+    stop: &'a AtomicBool,
+}
+
+impl Read for Conn<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Err(e)
+                    if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+                        && !self.stop.load(Ordering::SeqCst) => {}
+                r => return r,
             }
-            record_latency(stats, cfg.slo_ms, job.enqueued);
-            let _ = job.reply.send(resp);
-            let done = queue.admitted.fetch_add(1, Ordering::SeqCst) + 1;
-            if let Some(max) = cfg.max_requests {
-                if done >= max {
-                    queue.stop.store(true, Ordering::SeqCst);
-                }
-            }
-        }
-        if queue.stop.load(Ordering::SeqCst) {
-            // Drain whatever is still queued so no client hangs, then exit.
-            let mut q = queue.jobs.lock().expect("queue lock");
-            while let Some(j) = q.pop_front() {
-                let _ = j
-                    .reply
-                    .send(Response::Error("server shutting down".to_string()));
-            }
-            return;
         }
     }
 }
 
-fn reader_loop(stream: netcomm::Stream, queue: &Queue, stats: &Mutex<Stats>) {
-    let _ = stream.set_io_timeout(Some(Duration::from_millis(100)));
-    let mut s = stream;
-    loop {
-        if queue.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let frame = match Frame::read_from(&mut s) {
+fn connection_loop(stream: Stream, sh: &Shared) {
+    let _ = stream.set_io_timeout(Some(STOP_TICK));
+    let mut conn = Conn {
+        stream,
+        stop: &sh.stop,
+    };
+    while !sh.stop.load(Ordering::SeqCst) {
+        let frame = match Frame::read_from(&mut conn) {
             Ok(Ok(f)) => f,
             Ok(Err(_)) => {
-                stats.lock().expect("stats lock").errors += 1;
+                sh.stats.lock().expect("stats lock").errors += 1;
                 return;
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => return, // EOF / reset: client left
+            Err(_) => return, // EOF / reset: client left, or the server stopped
         };
         if frame.kind == FrameKind::Bye {
             return;
         }
-        let seq = frame.seq;
-        match Request::from_frame(&frame) {
-            Ok(req) => {
-                let (tx, rx) = mpsc::channel();
-                queue.push(
-                    Job {
-                        req,
-                        enqueued: Instant::now(),
-                        reply: tx,
-                    },
-                    stats,
-                );
-                match rx.recv() {
-                    Ok(resp) => {
-                        if resp.to_frame(seq).write_to(&mut s).is_err() {
-                            return;
-                        }
-                    }
-                    Err(_) => return,
-                }
-            }
+        let resp = match Request::from_frame(&frame) {
+            Ok(req) => sh.answer(&req),
             Err(e) => {
-                stats.lock().expect("stats lock").errors += 1;
-                let _ = Response::Error(e.to_string())
-                    .to_frame(seq)
-                    .write_to(&mut s);
+                sh.stats.lock().expect("stats lock").errors += 1;
+                Response::Error(e.to_string())
             }
+        };
+        if resp.to_frame(frame.seq).write_to(&mut conn.stream).is_err() {
+            return;
         }
     }
 }
@@ -514,14 +431,11 @@ fn publish(reg: &mut Registry, st: &Stats, cfg: &ServeConfig) {
     reg.counter_add("serve.requests.path_point", st.path);
     reg.counter_add("serve.requests.stats", st.stats_reqs);
     reg.counter_add("serve.requests.errors", st.errors);
-    reg.counter_add("serve.batches", st.batches);
     reg.counter_add("serve.rows_scored", st.rows_scored);
     reg.counter_add("serve.slo.breaches", st.slo_breaches);
     reg.counter_add("serve.cache.hits", st.cache_hits);
     reg.counter_add("serve.cache.misses", st.cache_misses);
     reg.counter_add("serve.chaos.straggled", st.straggled);
-    reg.gauge_set("serve.queue.depth.max", st.queue_depth_max as f64);
-    reg.gauge_set("serve.batch.size.max", st.batch_size_max as f64);
     reg.gauge_set("serve.slo_ms", cfg.slo_ms);
     let mut sorted = st.latencies_ms.clone();
     sorted.sort_by(f64::total_cmp);
@@ -554,11 +468,11 @@ pub fn serve(
     cfg: &ServeConfig,
     registry: &mut Registry,
 ) -> Result<ServeReport, NetError> {
-    if artifact.n != ds.a.cols() {
+    let n = ds.a.cols();
+    if artifact.n != n {
         return Err(NetError::Protocol(format!(
-            "artifact is for n = {}, dataset has n = {}",
-            artifact.n,
-            ds.a.cols()
+            "artifact is for n = {}, dataset has n = {n}",
+            artifact.n
         )));
     }
     if artifact.resumable() && artifact.fingerprint != dataset_fingerprint(ds) {
@@ -567,48 +481,41 @@ pub fn serve(
                 .to_string(),
         ));
     }
-    let state = SolverState::new(ds, artifact);
-    let queue = Arc::new(Queue {
-        jobs: Mutex::new(VecDeque::new()),
-        ready: Condvar::new(),
+    let shared = Shared {
+        cfg,
+        unscorable: (artifact.x.len() != n).then(|| {
+            format!(
+                "family {:?} model has length {}, not the feature count {n} — \
+                 it cannot be scored linearly",
+                artifact.family,
+                artifact.x.len()
+            )
+        }),
+        model: Mutex::new(Arc::new(artifact.x.clone())),
+        state: Mutex::new(SolverState::new(ds, artifact)),
+        stats: Mutex::new(Stats::default()),
         stop: AtomicBool::new(false),
         admitted: AtomicU64::new(0),
-    });
-    let stats = Arc::new(Mutex::new(Stats::default()));
-
-    let worker = {
-        let queue = Arc::clone(&queue);
-        let stats = Arc::clone(&stats);
-        let cfg = cfg.clone();
-        std::thread::spawn(move || worker_loop(&queue, &stats, &cfg, state))
     };
 
-    let mut readers = Vec::new();
-    while !queue.stop.load(Ordering::SeqCst) {
-        match listener.accept_deadline(Instant::now() + Duration::from_millis(100)) {
-            Ok(stream) => {
-                let queue = Arc::clone(&queue);
-                let stats = Arc::clone(&stats);
-                readers.push(std::thread::spawn(move || {
-                    reader_loop(stream, &queue, &stats)
-                }));
-            }
-            Err(NetError::Timeout { .. }) => continue,
-            Err(e) => {
-                queue.stop.store(true, Ordering::SeqCst);
-                queue.ready.notify_all();
-                let _ = worker.join();
-                return Err(e);
+    std::thread::scope(|sc| {
+        while !shared.stop.load(Ordering::SeqCst) {
+            match listener.accept_deadline(Instant::now() + STOP_TICK) {
+                Ok(stream) => {
+                    let shared = &shared;
+                    sc.spawn(move || connection_loop(stream, shared));
+                }
+                Err(NetError::Timeout { .. }) => continue,
+                Err(e) => {
+                    shared.stop.store(true, Ordering::SeqCst);
+                    return Err(e);
+                }
             }
         }
-    }
-    queue.ready.notify_all();
-    let _ = worker.join();
-    for r in readers {
-        let _ = r.join();
-    }
+        Ok(())
+    })?;
 
-    let st = stats.lock().expect("stats lock");
+    let st = shared.stats.into_inner().expect("stats lock");
     publish(registry, &st, cfg);
     let mut sorted = st.latencies_ms.clone();
     sorted.sort_by(f64::total_cmp);
@@ -623,30 +530,6 @@ pub fn serve(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn cfg_with(alpha: f64, slo_ms: f64, batch_max: usize) -> ServeConfig {
-        let mut cost = CostModel::cray_xc30();
-        cost.alpha = alpha;
-        ServeConfig {
-            slo_ms,
-            batch_max,
-            cost,
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn batch_target_amortizes_alpha_under_the_slo() {
-        // Tiny α: no amortization pressure, batch of 1 is fine.
-        assert_eq!(batch_target(&cfg_with(1e-12, 100.0, 64), 100.0), 1);
-        // Large α: the 10% rule wants a big batch, the cap clamps it.
-        let b = batch_target(&cfg_with(1e-4, 100.0, 64), 100.0);
-        assert!(b > 1, "α must force batching, got {b}");
-        assert!(b <= 64);
-        // SLO so tight the batch shrinks back down.
-        let tight = batch_target(&cfg_with(1e-4, 0.5, 64), 1e6);
-        assert!(tight <= batch_target(&cfg_with(1e-4, 100.0, 64), 1e6));
-    }
 
     #[test]
     fn straggle_draws_are_deterministic_and_rate_bounded() {
