@@ -66,7 +66,7 @@ const URL: Shape = Shape {
     lambda_frac: 0.01,
     // s·µ = 512 keeps each outer block's sampled Gram (~131k column pairs)
     // heavy enough that the background loader has a genuine compute window
-    // to hide shard decodes behind — with a narrow block the window is
+    // to hide shard loads behind — with a narrow block the window is
     // sub-millisecond and `hidden_time` drowns in scheduler noise.
     mu: 4,
     s: 128,
@@ -327,7 +327,7 @@ fn run_quick(dir: &Path) {
     );
     let gen = generate_shards(dir, sh, true);
     let coo = gen.coo.expect("quick mode keeps the in-memory twin");
-    // Budget above the full decoded size: nothing evicts, so the miss
+    // Budget above the full loaded size: nothing evicts, so the miss
     // count below is exactly the first block's distinct shards.
     let budget = 4 * gen.manifest.disk_bytes();
 

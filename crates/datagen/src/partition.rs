@@ -137,6 +137,13 @@ pub fn col_partition(a: &sparsela::CsrMatrix, p: usize, balanced: bool) -> Parti
 /// strictly increasing, starting at 0, ending at `slice_nnz.len()`. Every
 /// shard holds at least one slice, so fewer than `nshards` shards come
 /// back only when there are fewer slices than that.
+///
+/// Slices are never split, so the balance holds only when no slice is
+/// heavier than the per-shard target `Σw/nshards`; each heavier one is a
+/// shard of its own. On `lasso_stream`'s power-law matrix (200 000
+/// columns, 4 096 shards, a target of 975 nnz and a head column of
+/// 91 608) 367 columns exceed the target, 2 476 of the 4 096 shards hold
+/// a single column, and the max/min shard nnz ratio is 889.
 pub fn shard_plan(slice_nnz: &[u64], nshards: usize) -> Vec<usize> {
     let n = slice_nnz.len();
     assert!(n > 0, "cannot shard an empty matrix");
@@ -176,8 +183,11 @@ pub fn shard_plan(slice_nnz: &[u64], nshards: usize) -> Vec<usize> {
 }
 
 /// Max/min shard-nnz ratio of a planned cut (1.0 = perfectly balanced;
-/// `inf` when some shard holds zero nnz) — the figure the ≤ 1.10 planner
-/// regression pins and the `shard.plan.imbalance` gauge reports.
+/// `inf` when some shard holds zero nnz) — the figure the
+/// `shard.plan.imbalance` gauge reports. The planner regressions pin it
+/// at ≤ 1.10 on inputs whose heaviest slice fits under the per-shard
+/// target; a slice over the target sets a floor no cut can lower (889 on
+/// `lasso_stream`'s plan, see [`shard_plan`]).
 pub fn shard_nnz_ratio(slice_nnz: &[u64], bounds: &[usize]) -> f64 {
     assert!(bounds.len() >= 2, "need at least one shard");
     let mut max_w = 0u64;
@@ -387,10 +397,11 @@ mod tests {
     fn shard_plan_balances_powerlaw_slices_within_ten_percent() {
         // The planner regression the out-of-core layer depends on:
         // power-law slice lengths must shard to a max/min nnz ratio ≤ 1.10
-        // whenever that is achievable at slice granularity — i.e. the
-        // heaviest slice is well under `total/p`. (A head slice holding more
-        // than a shard's share cannot be split, so no planner could do
-        // better; the exponent here keeps the head at ~1/4 of one shard.)
+        // whenever that is achievable at slice granularity — i.e. no slice
+        // exceeds the per-shard target `total/p`. The exponent here keeps
+        // the head at ~1/4 of one shard. A head slice over the target
+        // cannot be split, so no planner meets 1.10 there: `lasso_stream`'s
+        // plan reads 889, with 2 476 of its 4 096 shards a single column.
         let weights: Vec<u64> = (0..4096)
             .map(|i| (20_000.0 / (i as f64 + 1.0).powf(0.5)).ceil() as u64)
             .collect();

@@ -1,5 +1,5 @@
 //! The compressed-slice format under [`CsrMatrix`](crate::CsrMatrix),
-//! [`CscMatrix`](crate::CscMatrix), COO conversion and the shard files.
+//! [`CscMatrix`](crate::CscMatrix), COO conversion and the shard extents.
 //!
 //! The paper stores data as "Compressed Sparse Row (3-array variant)"
 //! (§IV-B). The primal methods sample columns of a row partition and the
@@ -8,7 +8,7 @@
 //! terms — `major` slices over a dense `minor` axis — and CSR and CSC only
 //! say which axis is which. Each decision about the arrays is one
 //! function: the invariant ([`check_slice`], behind every door a matrix
-//! enters through: `from_parts`, COO conversion, shard decode and the
+//! enters through: `from_parts`, COO conversion, shard load and the
 //! shard writer), the major range and the minor window, the transpose and
 //! the COO compression.
 
@@ -29,12 +29,44 @@ impl std::fmt::Display for Malformed {
 /// and below `minor`, every value finite. O(nnz), once per door; the
 /// kernels rely on it (a NaN would poison every objective, an unsorted
 /// index the full-slice test in [`gram`](crate::gram)).
+///
+/// A slice that passes costs one branch-free pass per array; only a slice
+/// that fails walks the checks again to say which one broke.
+#[inline]
 pub(crate) fn check_slice(
     k: usize,
     indices: &[usize],
     values: &[f64],
     minor: usize,
 ) -> Result<(), Malformed> {
+    if slice_ok(indices, values, minor) {
+        return Ok(());
+    }
+    slice_fault(k, indices, values, minor).map_or(Ok(()), Err)
+}
+
+/// [`check_slice`]'s four conditions as one `bool`, folded without early
+/// exit so the passes vectorize: lengths agree, every index is below its
+/// successor, the last (hence every) index is below `minor`, and no value
+/// has the all-ones exponent of NaN and ±inf.
+#[inline]
+fn slice_ok(indices: &[usize], values: &[f64], minor: usize) -> bool {
+    const EXP: u64 = 0x7ff0_0000_0000_0000;
+    let increasing = indices
+        .iter()
+        .zip(indices.iter().skip(1))
+        .fold(true, |ok, (a, b)| ok & (a < b));
+    let finite = values
+        .iter()
+        .fold(true, |ok, v| ok & (v.to_bits() & EXP != EXP));
+    let in_range = indices.last().is_none_or(|&i| i < minor);
+    (indices.len() == values.len()) & increasing & in_range & finite
+}
+
+/// The first condition slice `k` breaks, as its message; `None` when it
+/// breaks none, which is exactly when [`slice_ok`] accepts it.
+#[cold]
+fn slice_fault(k: usize, indices: &[usize], values: &[f64], minor: usize) -> Option<Malformed> {
     let what = if indices.len() != values.len() {
         format!("{} indices but {} values", indices.len(), values.len())
     } else if let Some(w) = indices.windows(2).find(|w| w[0] >= w[1]) {
@@ -44,9 +76,9 @@ pub(crate) fn check_slice(
     } else if let Some(v) = values.iter().find(|v| !v.is_finite()) {
         format!("non-finite value {v}")
     } else {
-        return Ok(());
+        return None;
     };
-    Err(Malformed(format!("slice {k}: {what}")))
+    Some(Malformed(format!("slice {k}: {what}")))
 }
 
 /// `major` slices over a `minor` axis: slice `k` is
@@ -329,6 +361,79 @@ mod tests {
             let got = csc.row_block(lo, hi);
             assert_eq!(got.0, want.0, "CSC rows {lo}..{hi}");
             assert_eq!(bits(&got.0), bits(&want.0));
+        }
+    }
+
+    /// `check_slice` as it was before the branch-free fast path, kept as
+    /// the reference for what passes and for every message.
+    fn check_slice_reference(
+        k: usize,
+        indices: &[usize],
+        values: &[f64],
+        minor: usize,
+    ) -> Result<(), String> {
+        let what = if indices.len() != values.len() {
+            format!("{} indices but {} values", indices.len(), values.len())
+        } else if let Some(w) = indices.windows(2).find(|w| w[0] >= w[1]) {
+            format!("indices not strictly increasing ({} then {})", w[0], w[1])
+        } else if let Some(i) = indices.last().filter(|&&i| i >= minor) {
+            format!("index {i} out of range (minor axis {minor})")
+        } else if let Some(v) = values.iter().find(|v| !v.is_finite()) {
+            format!("non-finite value {v}")
+        } else {
+            return Ok(());
+        };
+        Err(format!("slice {k}: {what}"))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+
+        /// The fast path accepts exactly the slices the message path
+        /// accepts, and a refused slice's message is the reference's byte
+        /// for byte: valid slices, and each failure class — a length
+        /// mismatch, a repeated or a decreasing index, an index at or past
+        /// `minor`, NaN, ±inf — alone, on top of another, or as raw bits.
+        #[test]
+        fn check_slice_fast_path_agrees_with_the_message_path(
+            seed in proptest::prelude::any::<u64>(),
+            classes in proptest::collection::vec(0usize..9, 1..3),
+        ) {
+            let mut rng = rng_from_seed(seed);
+            let minor = 2 + rng.next_index(48);
+            let density = rng.next_f64();
+            let mut indices: Vec<usize> = (0..minor).filter(|_| rng.next_bool(density)).collect();
+            if indices.len() < 2 {
+                indices = vec![0, minor - 1];
+            }
+            let mut values: Vec<f64> = indices.iter().map(|_| rng.next_gaussian()).collect();
+            let at = rng.next_index(indices.len() - 1);
+            for &class in &classes {
+                match class {
+                    1 if rng.next_bool(0.5) => values.truncate(values.len() - 1),
+                    1 => values.push(rng.next_gaussian()),
+                    2 => indices[at + 1] = indices[at],
+                    3 => indices.swap(at, at + 1),
+                    4 => *indices.last_mut().unwrap() = minor + rng.next_index(3),
+                    5 => {
+                        let nans = [f64::NAN, -f64::NAN, f64::from_bits(0x7ff0_0000_0000_0001)];
+                        values[at] = nans[rng.next_index(3)];
+                    }
+                    6 => values[at] = [f64::INFINITY, f64::NEG_INFINITY][rng.next_index(2)],
+                    7 => values.iter_mut().for_each(|v| *v = f64::from_bits(rng.next_u64())),
+                    _ => {}
+                }
+            }
+            let k = rng.next_index(1 << 20);
+            let want = check_slice_reference(k, &indices, &values, minor);
+            let got = check_slice(k, &indices, &values, minor).map_err(|m| m.to_string());
+            proptest::prop_assert_eq!(&got, &want);
+            proptest::prop_assert_eq!(slice_ok(&indices, &values, minor), want.is_ok());
+            // Two classes can cancel (a swap undone, a NaN overwritten); one
+            // alone always breaks the slice.
+            if let [class @ 1..=6] = classes[..] {
+                proptest::prop_assert!(want.is_err(), "class {} passed", class);
+            }
         }
     }
 }

@@ -8,14 +8,19 @@
 //! RAM can be solved from disk as long as the sampled shards are resident
 //! when the kernels run. This module provides:
 //!
-//! * the **shard directory format** (`saco-shard/v1`): one binary file per
-//!   contiguous major-axis chunk with a small versioned header, `u64`
-//!   little-endian structure arrays and **lossless `f64` bit-pattern
-//!   payloads** (values travel as `to_bits` words, so a write→read
-//!   round-trip is bitwise exact);
+//! * the **shard directory format** (`saco-shard/v2`): `manifest.txt`, the
+//!   `minor_nnz.bin` and `labels.bin` sidecars, and one data file,
+//!   `shards.bin`, holding every contiguous major-axis chunk as an
+//!   *extent* — a 56-byte header (magic and six `u64` fields), then the
+//!   `indptr`, index and value arrays as little-endian `u64` words, values
+//!   as their `to_bits` patterns so a write→read round-trip is bitwise
+//!   exact. Extents follow each other in shard order with no padding, so
+//!   shard `k` starts at the sum of the earlier shards'
+//!   [`ShardMeta::disk_bytes`];
 //! * [`ShardWriter`] / [`ShardStore`] — a streaming writer (slices appended
 //!   one at a time, so datasets can be *generated* out-of-core too) and a
-//!   pread-windowed reader that never maps more than the requested shard;
+//!   reader that opens `shards.bin` once and loads a shard with positioned
+//!   reads of its extent alone, straight into the typed arrays;
 //! * [`StreamingMatrix`] — a [`MajorSlices`]/[`SliceSource`] implementation
 //!   over a `ShardStore` with an epoch-pinned shard cache under a hard
 //!   resident-byte budget, backed by a `saco-par` background worker that
@@ -24,12 +29,12 @@
 //!
 //! # Determinism
 //!
-//! Decoded shards hand out exactly the index/value bytes that were written,
+//! Loaded shards hand out exactly the index/value bytes that were written,
 //! and the kernels in [`gram`](crate::gram) are generic over
 //! [`MajorSlices`] — so a streamed run computes with *the same bits* as an
 //! in-memory run on the same matrix: same sample → same kernel → same
 //! result, regardless of cache hits, prefetch races, or the memory budget.
-//! I/O timing changes; output bits never do. A decoded shard *is* the
+//! I/O timing changes; output bits never do. A loaded shard *is* the
 //! crate's compressed-slice core, validated by the check `from_parts`
 //! runs (a NaN in a file is `InvalidData`, never a solver input), and a
 //! windowed rank view is that core's minor window — the function
@@ -51,7 +56,7 @@
 //! `slice` reads through a per-shard table of atomically published
 //! pointers and takes no lock on a resident, pinned shard. Three rules,
 //! all enforced under the cache mutex, make that sound: a pointer is
-//! published only for a shard that is decoded *and* pinned; it is cleared
+//! published only for a shard that is loaded *and* pinned; it is cleared
 //! when the pin is released; and eviction takes victims only from the
 //! queue of unpinned shards — so no published pointer ever dangles. A
 //! `slice` that finds no pointer pins the shard for the current epoch
@@ -61,23 +66,87 @@ use crate::compressed::{check_slice, Compressed};
 use crate::gram::{MajorSlices, SliceSource};
 use crate::{CscMatrix, CsrMatrix, SparseSlice};
 use std::fs::File;
-use std::io;
+use std::io::{self, BufWriter, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Format magic for a shard payload file.
+/// Format magic opening each shard extent.
 const SHARD_MAGIC: &[u8; 8] = b"SACOSHD1";
 /// Format magic for the labels sidecar.
 const LABEL_MAGIC: &[u8; 8] = b"SACOLBL1";
 /// Format magic for the minor-axis nnz histogram sidecar.
 const MINOR_MAGIC: &[u8; 8] = b"SACOMNZ1";
 /// First line of `manifest.txt`.
-const MANIFEST_VERSION: &str = "saco-shard/v1";
-/// Fixed byte length of a shard file header (magic + six `u64` fields).
-const HEADER_LEN: u64 = 8 + 6 * 8;
+const MANIFEST_VERSION: &str = "saco-shard/v2";
+/// First line of a retired one-file-per-shard directory's manifest.
+const MANIFEST_V1: &str = "saco-shard/v1";
+/// The data file: every shard's extent, in shard order.
+const DATA_FILE: &str = "shards.bin";
+/// Words in an extent header: the magic, then axis, major, minor, lo, hi
+/// and nnz.
+const HEADER_WORDS: usize = 7;
+/// Fixed byte length of an extent header.
+const HEADER_LEN: u64 = 8 * HEADER_WORDS as u64;
+
+// A load reads the file's little-endian `u64` words straight into `usize`
+// and `f64` arrays, which is only the same bytes on a little-endian target
+// with a 64-bit `usize`.
+const _: () = assert!(cfg!(target_endian = "little") && std::mem::size_of::<usize>() == 8);
+
+/// An in-memory type that is one file word: eight bytes, no padding, and
+/// every bit pattern a valid value.
+///
+/// # Safety
+/// Implement only for types with exactly that layout.
+unsafe trait Word: Copy + Default {}
+// SAFETY: eight bytes each on the target the assert above admits, and
+// every bit pattern is a value.
+unsafe impl Word for u64 {}
+unsafe impl Word for usize {}
+unsafe impl Word for f64 {}
+
+/// The file bytes of `words`.
+fn bytes_of<T: Word>(words: &[T]) -> &[u8] {
+    // SAFETY: `Word` types have no padding, so every byte is initialized.
+    unsafe { std::slice::from_raw_parts(words.as_ptr().cast(), std::mem::size_of_val(words)) }
+}
+
+/// `words` as bytes a read can fill.
+fn bytes_of_mut<T: Word>(words: &mut [T]) -> &mut [u8] {
+    // SAFETY: as `bytes_of`, and any bytes written are a valid `T`.
+    unsafe {
+        std::slice::from_raw_parts_mut(words.as_mut_ptr().cast(), std::mem::size_of_val(words))
+    }
+}
+
+/// `len` words read from `f` at byte offset `at`. The caller bounds `len`
+/// by the file's length before calling.
+fn read_words<T: Word>(f: &File, len: usize, at: u64) -> io::Result<Vec<T>> {
+    let mut words = vec![T::default(); len];
+    f.read_exact_at(bytes_of_mut(&mut words), at)?;
+    Ok(words)
+}
+
+/// The header an extent of shard `meta` must start with.
+fn extent_header(
+    axis: ShardAxis,
+    major: usize,
+    minor: usize,
+    meta: &ShardMeta,
+) -> [u64; HEADER_WORDS] {
+    [
+        u64::from_le_bytes(*SHARD_MAGIC),
+        axis.tag(),
+        major as u64,
+        minor as u64,
+        meta.lo as u64,
+        meta.hi as u64,
+        meta.nnz,
+    ]
+}
 
 /// Which axis the shards chunk: the *major* axis is the sliced one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -115,7 +184,7 @@ impl ShardAxis {
 /// One shard's placement: major slices `lo..hi` with `nnz` stored entries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardMeta {
-    /// Shard index (file `shard-<index:05>.bin`).
+    /// Shard index: its extent is the `index`-th in `shards.bin`.
     pub index: usize,
     /// First major slice (inclusive).
     pub lo: usize,
@@ -126,9 +195,9 @@ pub struct ShardMeta {
 }
 
 impl ShardMeta {
-    /// Exact on-disk byte size of this shard's file; `u64::MAX` when the
-    /// counts overflow it, which no file matches, so
-    /// [`ShardStore::read_shard`] rejects such a shard before allocating.
+    /// Exact byte size of this shard's extent in `shards.bin`; `u64::MAX`
+    /// when the counts overflow it, which [`ShardStore::open`] refuses
+    /// before anything is sized from the manifest.
     pub fn disk_bytes(&self) -> u64 {
         let words = (self.hi as u64)
             .checked_sub(self.lo as u64)
@@ -158,8 +227,9 @@ pub struct ShardManifest {
 }
 
 impl ShardManifest {
-    /// Total on-disk bytes of all shard payload files (excluding sidecars),
-    /// saturating at `u64::MAX` like [`ShardMeta::disk_bytes`].
+    /// Total bytes of all shard extents — the length of `shards.bin`,
+    /// sidecars excluded — saturating at `u64::MAX` like
+    /// [`ShardMeta::disk_bytes`].
     pub fn disk_bytes(&self) -> u64 {
         let bytes = self.shards.iter().map(ShardMeta::disk_bytes);
         bytes.fold(0, u64::saturating_add)
@@ -179,21 +249,10 @@ fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-fn shard_path(dir: &Path, index: usize) -> PathBuf {
-    dir.join(format!("shard-{index:05}.bin"))
-}
-
-fn push_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Decode little-endian `u64` words straight into their in-memory type:
-/// one pass per array, no intermediate vector.
-fn decode_words<T>(bytes: &[u8], word: impl Fn(u64) -> T) -> Vec<T> {
-    bytes
-        .chunks_exact(8)
-        .map(|c| word(u64::from_le_bytes(c.try_into().expect("chunk of 8"))))
-        .collect()
+/// Write a sidecar: `magic`, the word count, then the words.
+fn write_sidecar<T: Word>(path: &Path, magic: &[u8; 8], words: &[T]) -> io::Result<()> {
+    let head = [u64::from_le_bytes(*magic), words.len() as u64];
+    std::fs::write(path, [bytes_of(&head), bytes_of(words)].concat())
 }
 
 // ---------------------------------------------------------------------------
@@ -201,9 +260,10 @@ fn decode_words<T>(bytes: &[u8], word: impl Fn(u64) -> T) -> Vec<T> {
 // ---------------------------------------------------------------------------
 
 /// Streaming shard-directory writer: slices are appended one at a time in
-/// major order and flushed to disk whenever a planned shard boundary is
-/// reached, so the full matrix never has to be resident (the 1:1-scale
-/// generators feed this column by column).
+/// major order and each shard's extent is appended to `shards.bin`
+/// whenever a planned shard boundary is reached, so the full matrix never
+/// has to be resident (the 1:1-scale generators feed this column by
+/// column).
 ///
 /// `bounds` are the planned cut points (`bounds[k]..bounds[k+1]` is shard
 /// `k`), normally from `datagen`'s nnz-aware planner. [`ShardWriter::finish`]
@@ -212,6 +272,8 @@ fn decode_words<T>(bytes: &[u8], word: impl Fn(u64) -> T) -> Vec<T> {
 #[derive(Debug)]
 pub struct ShardWriter {
     dir: PathBuf,
+    /// `shards.bin`, appended one extent per flushed shard.
+    data: BufWriter<File>,
     axis: ShardAxis,
     major: usize,
     minor: usize,
@@ -251,8 +313,12 @@ impl ShardWriter {
             return Err(bad("shard bounds must be strictly increasing"));
         }
         std::fs::create_dir_all(dir)?;
+        let data = File::create(dir.join(DATA_FILE))?;
         Ok(ShardWriter {
             dir: dir.to_path_buf(),
+            // Extents are small (16 KiB on average for 4 M nnz in 4 096
+            // shards): one write per MiB, not four per shard.
+            data: BufWriter::with_capacity(1 << 20, data),
             axis,
             major,
             minor,
@@ -272,7 +338,8 @@ impl ShardWriter {
     /// Append the next major slice (`indices` strictly increasing,
     /// `< minor`, values finite — the check every matrix constructor runs;
     /// a slice that fails it is `InvalidData` and nothing is written).
-    /// Flushes the current shard file when its planned boundary is reached.
+    /// Appends the current shard's extent when its planned boundary is
+    /// reached.
     pub fn append_slice(&mut self, indices: &[usize], values: &[f64]) -> io::Result<()> {
         if self.next_major >= self.major {
             return Err(bad(format!("more than {} slices appended", self.major)));
@@ -296,50 +363,28 @@ impl ShardWriter {
     /// Write the per-point label sidecar (`labels.bin`). Call once, any
     /// time before [`ShardWriter::finish`].
     pub fn write_labels(&mut self, labels: &[f64]) -> io::Result<()> {
-        let mut buf = Vec::with_capacity(16 + labels.len() * 8);
-        buf.extend_from_slice(LABEL_MAGIC);
-        push_u64(&mut buf, labels.len() as u64);
-        for v in labels {
-            push_u64(&mut buf, v.to_bits());
-        }
-        std::fs::write(self.dir.join("labels.bin"), buf)?;
+        write_sidecar(&self.dir.join("labels.bin"), LABEL_MAGIC, labels)?;
         self.has_labels = true;
         Ok(())
     }
 
     fn flush_shard(&mut self) -> io::Result<()> {
-        let lo = self.bounds[self.cur_shard];
-        let hi = self.bounds[self.cur_shard + 1];
-        let nnz = self.indices.len() as u64;
-        let mut buf =
-            Vec::with_capacity(HEADER_LEN as usize + self.indptr.len() * 8 + nnz as usize * 16);
-        buf.extend_from_slice(SHARD_MAGIC);
-        for v in [
-            self.axis.tag(),
-            self.major as u64,
-            self.minor as u64,
-            lo as u64,
-            hi as u64,
-            nnz,
-        ] {
-            push_u64(&mut buf, v);
-        }
-        for &p in &self.indptr {
-            push_u64(&mut buf, p);
-        }
-        for &i in &self.indices {
-            push_u64(&mut buf, i);
-        }
-        for &v in &self.value_bits {
-            push_u64(&mut buf, v);
-        }
-        std::fs::write(shard_path(&self.dir, self.cur_shard), buf)?;
-        self.metas.push(ShardMeta {
+        let meta = ShardMeta {
             index: self.cur_shard,
-            lo,
-            hi,
-            nnz,
-        });
+            lo: self.bounds[self.cur_shard],
+            hi: self.bounds[self.cur_shard + 1],
+            nnz: self.indices.len() as u64,
+        };
+        let head = extent_header(self.axis, self.major, self.minor, &meta);
+        for words in [
+            &head[..],
+            &self.indptr[..],
+            &self.indices[..],
+            &self.value_bits[..],
+        ] {
+            self.data.write_all(bytes_of(words))?;
+        }
+        self.metas.push(meta);
         self.cur_shard += 1;
         self.indptr.clear();
         self.indptr.push(0);
@@ -348,8 +393,9 @@ impl ShardWriter {
         Ok(())
     }
 
-    /// Flush sidecars and the manifest; returns the final manifest.
-    /// Errors if fewer slices were appended than planned.
+    /// Flush `shards.bin`, then write the sidecars and, last, the
+    /// manifest; returns the final manifest. Errors if fewer slices were
+    /// appended than planned.
     pub fn finish(self) -> io::Result<ShardManifest> {
         if self.next_major != self.major {
             return Err(bad(format!(
@@ -357,13 +403,14 @@ impl ShardWriter {
                 self.next_major, self.major
             )));
         }
-        let mut buf = Vec::with_capacity(16 + self.minor_nnz.len() * 8);
-        buf.extend_from_slice(MINOR_MAGIC);
-        push_u64(&mut buf, self.minor_nnz.len() as u64);
-        for &c in &self.minor_nnz {
-            push_u64(&mut buf, c);
-        }
-        std::fs::write(self.dir.join("minor_nnz.bin"), buf)?;
+        self.data
+            .into_inner()
+            .map_err(io::IntoInnerError::into_error)?;
+        write_sidecar(
+            &self.dir.join("minor_nnz.bin"),
+            MINOR_MAGIC,
+            &self.minor_nnz,
+        )?;
 
         let mut m = String::new();
         m.push_str(MANIFEST_VERSION);
@@ -434,10 +481,10 @@ pub fn write_csr(
 // Store (reader)
 // ---------------------------------------------------------------------------
 
-/// A fully decoded shard: the exact sub-CSR/CSC arrays that were written,
+/// A loaded shard: the exact sub-CSR/CSC arrays that were written,
 /// validated like any matrix, addressable by *global* major index.
 #[derive(Clone, Debug)]
-pub struct DecodedShard {
+pub struct LoadedShard {
     /// First global major slice held.
     pub lo: usize,
     /// One past the last global major slice held.
@@ -445,7 +492,7 @@ pub struct DecodedShard {
     slices: Compressed,
 }
 
-impl DecodedShard {
+impl LoadedShard {
     /// Borrow global slice `k` (`lo <= k < hi`).
     #[inline]
     pub fn slice(&self, k: usize) -> SparseSlice<'_> {
@@ -457,16 +504,17 @@ impl DecodedShard {
         self.slices.nnz()
     }
 
-    /// Approximate decoded heap footprint — what the cache budget charges:
+    /// Approximate heap footprint — what the cache budget charges:
     /// 8 bytes per `indptr` entry, 16 per stored entry.
     pub fn heap_bytes(&self) -> u64 {
         ((self.slices.major() + 1) * 8 + self.nnz() * 16) as u64
     }
 }
 
-/// Read-side handle on a shard directory: parses the manifest once, then
-/// serves pread-windowed shard decodes on demand. Cheap to clone behind an
-/// [`Arc`]; holds no file descriptors between reads.
+/// Read-side handle on a shard directory: parses the manifest and opens
+/// `shards.bin` once, then loads shards on demand by positioned reads of
+/// their extents. Clones (and so every windowed rank view) share the one
+/// open file through an [`Arc`].
 #[derive(Clone, Debug)]
 pub struct ShardStore {
     dir: PathBuf,
@@ -474,17 +522,27 @@ pub struct ShardStore {
     /// Each shard's `hi`, packed: what `shard_of` searches on every
     /// `slice` call.
     his: Vec<usize>,
+    /// Byte offset of each shard's extent in `shards.bin`.
+    offsets: Vec<u64>,
+    data: Arc<File>,
 }
 
 impl ShardStore {
-    /// Open `dir`, parsing and validating `manifest.txt`.
+    /// Open `dir`: parse and validate `manifest.txt`, and check that
+    /// `shards.bin` is exactly as long as the manifest's extents, so no
+    /// later load can size a buffer past the file.
     pub fn open(dir: &Path) -> io::Result<ShardStore> {
         let text = std::fs::read_to_string(dir.join("manifest.txt"))?;
         let mut lines = text.lines();
-        if lines.next() != Some(MANIFEST_VERSION) {
+        let version = lines.next();
+        if version != Some(MANIFEST_VERSION) {
+            let hint = match version {
+                Some(MANIFEST_V1) => " but v1, one file per shard; re-shard it with `saco shard`",
+                _ => "",
+            };
+            let dir = dir.display();
             return Err(bad(format!(
-                "{}: not a {MANIFEST_VERSION} directory",
-                dir.display()
+                "{dir}: not a {MANIFEST_VERSION} directory{hint}"
             )));
         }
         let mut axis = None;
@@ -537,9 +595,28 @@ impl ShardStore {
         if at != major || shards.iter().map(|s| s.nnz).sum::<u64>() != nnz {
             return Err(bad("manifest: shards do not tile the matrix"));
         }
+        let mut offsets = Vec::with_capacity(shards.len());
+        let mut end = 0u64;
+        for s in &shards {
+            offsets.push(end);
+            end = match s.disk_bytes() {
+                u64::MAX => None,
+                bytes => end.checked_add(bytes),
+            }
+            .ok_or_else(|| bad("manifest: shard extents overflow a file length"))?;
+        }
+        let data = File::open(dir.join(DATA_FILE))?;
+        let len = data.metadata()?.len();
+        if len != end {
+            return Err(bad(format!(
+                "{DATA_FILE}: file holds {len} bytes, its manifest's extents {end}"
+            )));
+        }
         Ok(ShardStore {
             dir: dir.to_path_buf(),
             his: shards.iter().map(|s| s.hi).collect(),
+            offsets,
+            data: Arc::new(data),
             manifest: ShardManifest {
                 axis,
                 major,
@@ -567,55 +644,47 @@ impl ShardStore {
         self.his.partition_point(|&hi| hi <= k)
     }
 
-    /// Decode shard `index` in full, validating header and invariants.
-    pub fn read_shard(&self, index: usize) -> io::Result<DecodedShard> {
-        let meta = self.manifest.shards[index];
-        let f = File::open(shard_path(&self.dir, index))?;
-        // Size nothing from the manifest until the file shows it holds that
-        // much: a header and manifest agreeing on a huge nnz must not drive
-        // the allocation below.
-        let (len, want) = (f.metadata()?.len(), meta.disk_bytes());
-        if len != want {
-            return Err(bad(format!(
-                "shard {index}: file holds {len} bytes, its manifest says {want}"
-            )));
-        }
-        // One pread for the whole file, header included: pread-windowed
-        // access means the window is this shard — never the rest of the
-        // dataset — and a decode stays at four system calls (open, fstat,
-        // pread, close); the loader pays them on every shard it fetches.
-        let mut bytes = vec![0u8; len as usize];
-        f.read_exact_at(&mut bytes, 0)?;
-        let (head, payload) = bytes.split_at(HEADER_LEN as usize);
-        if &head[..8] != SHARD_MAGIC {
+    /// Load shard `index` from its extent, validating header and
+    /// invariants. An index past the last shard is `InvalidInput`.
+    pub fn read_shard(&self, index: usize) -> io::Result<LoadedShard> {
+        let (Some(&meta), Some(&at)) = (self.manifest.shards.get(index), self.offsets.get(index))
+        else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("shard {index} of {}", self.offsets.len()),
+            ));
+        };
+        let man = &self.manifest;
+        // Positioned reads on the shared descriptor, each straight into
+        // its typed array: the header onto the stack, then `indptr`,
+        // indices and values. `open` checked that the file holds every
+        // extent, so the manifest's counts bound each buffer by the file.
+        let mut head = [0u64; HEADER_WORDS];
+        self.data.read_exact_at(bytes_of_mut(&mut head), at)?;
+        let expect = extent_header(man.axis, man.major, man.minor, &meta);
+        if head[0] != expect[0] {
             return Err(bad(format!("shard {index}: bad magic")));
         }
-        let fields = decode_words(&head[8..], |v| v);
-        let expect = [
-            self.manifest.axis.tag(),
-            self.manifest.major as u64,
-            self.manifest.minor as u64,
-            meta.lo as u64,
-            meta.hi as u64,
-            meta.nnz,
-        ];
-        if fields != expect {
+        if head != expect {
             return Err(bad(format!(
-                "shard {index}: header {fields:?} disagrees with manifest {expect:?}"
+                "shard {index}: header {:?} disagrees with manifest {:?}",
+                &head[1..],
+                &expect[1..]
             )));
         }
-        let nslices = meta.hi - meta.lo;
-        let indptr_end = (nslices + 1) * 8;
-        let indices_end = indptr_end + meta.nnz as usize * 8;
+        let (nslices, nnz) = (meta.hi - meta.lo, meta.nnz as usize);
+        let indptr_at = at + HEADER_LEN;
+        let indices_at = indptr_at + 8 * (nslices as u64 + 1);
+        let values_at = indices_at + 8 * meta.nnz;
         let slices = Compressed::new(
             nslices,
-            self.manifest.minor,
-            decode_words(&payload[..indptr_end], |v| v as usize),
-            decode_words(&payload[indptr_end..indices_end], |v| v as usize),
-            decode_words(&payload[indices_end..], f64::from_bits),
+            man.minor,
+            read_words(&self.data, nslices + 1, indptr_at)?,
+            read_words(&self.data, nnz, indices_at)?,
+            read_words(&self.data, nnz, values_at)?,
         )
         .map_err(|e| bad(format!("shard {index}: {e}")))?;
-        Ok(DecodedShard {
+        Ok(LoadedShard {
             lo: meta.lo,
             hi: meta.hi,
             slices,
@@ -623,28 +692,28 @@ impl ShardStore {
     }
 
     /// Read a sidecar file: magic, a `u64` word count, then the words.
-    fn sidecar<T>(
-        &self,
-        file: &str,
-        magic: &[u8; 8],
-        word: impl Fn(u64) -> T,
-    ) -> io::Result<Vec<T>> {
-        let bytes = std::fs::read(self.dir.join(file))?;
-        if bytes.len() < 16 || &bytes[..8] != magic {
+    fn sidecar<T: Word>(&self, file: &str, magic: &[u8; 8]) -> io::Result<Vec<T>> {
+        let f = File::open(self.dir.join(file))?;
+        let bytes = f.metadata()?.len();
+        if bytes < 16 {
             return Err(bad(format!("{file}: bad magic")));
         }
-        let len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-        if (bytes.len() as u64 - 16) / 8 != len || bytes.len() % 8 != 0 {
+        let mut head = [0u64; 2];
+        f.read_exact_at(bytes_of_mut(&mut head), 0)?;
+        if head[0] != u64::from_le_bytes(*magic) {
+            return Err(bad(format!("{file}: bad magic")));
+        }
+        if (bytes - 16) / 8 != head[1] || bytes % 8 != 0 {
             return Err(bad(format!("{file}: length mismatch")));
         }
-        Ok(decode_words(&bytes[16..], word))
+        read_words(&f, head[1] as usize, 16)
     }
 
     /// The minor-axis nnz histogram sidecar: entry `i` counts stored
     /// entries with minor index `i`. Lets rank planners and the
     /// simulator's `gap_nnz` tables be computed without scanning data.
     pub fn minor_nnz(&self) -> io::Result<Vec<u64>> {
-        let counts = self.sidecar("minor_nnz.bin", MINOR_MAGIC, |v| v)?;
+        let counts: Vec<u64> = self.sidecar("minor_nnz.bin", MINOR_MAGIC)?;
         if counts.len() != self.manifest.minor {
             return Err(bad("minor_nnz.bin: length mismatch"));
         }
@@ -653,7 +722,7 @@ impl ShardStore {
 
     /// Read the label sidecar (bitwise-exact `f64`s).
     pub fn read_labels(&self) -> io::Result<Vec<f64>> {
-        self.sidecar("labels.bin", LABEL_MAGIC, f64::from_bits)
+        self.sidecar("labels.bin", LABEL_MAGIC)
     }
 }
 
@@ -699,7 +768,7 @@ pub fn verify_store<M: MajorSlices>(store: &ShardStore, m: &M) -> io::Result<()>
 pub struct IoStats {
     /// Total payload bytes read from disk (foreground + background).
     pub bytes_read: u64,
-    /// Total seconds spent reading + decoding shards, on any thread.
+    /// Total seconds spent reading and checking shards, on any thread.
     pub read_secs: f64,
     /// Seconds the *main* thread was blocked on I/O: synchronous fault-ins
     /// plus waits on still-in-flight prefetches.
@@ -718,9 +787,9 @@ pub struct IoStats {
     pub prefetch_waits: u64,
     /// Unpinned shards dropped to stay under the resident budget.
     pub evictions: u64,
-    /// Shard decode operations (any thread, including transient scans).
+    /// Shard loads (any thread, including transient scans).
     pub shard_reads: u64,
-    /// Decoded bytes currently resident in the cache.
+    /// Loaded bytes currently resident in the cache.
     pub resident_bytes: u64,
     /// High-water mark of `resident_bytes`.
     pub resident_hwm_bytes: u64,
@@ -747,7 +816,7 @@ enum Slot {
     Absent,
     Loading,
     /// Boxed so the address published in [`CacheShared::slots`] is stable.
-    Ready(Box<DecodedShard>),
+    Ready(Box<LoadedShard>),
     Failed(String),
 }
 
@@ -816,15 +885,15 @@ struct CacheShared {
     store: ShardStore,
     /// The minor-axis window served (the full axis unless a rank view).
     window: (usize, usize),
-    /// Resident budget in decoded bytes.
+    /// Resident budget in loaded bytes.
     budget: u64,
     state: Mutex<CacheState>,
     loaded: Condvar,
     stats: StatCells,
     /// The lock-free read path (module docs): `slots[sid]` points at the
-    /// decoded shard exactly while its entry is `Ready` *and* pinned.
+    /// loaded shard exactly while its entry is `Ready` *and* pinned.
     /// Written only under `state`'s lock.
-    slots: Box<[AtomicPtr<DecodedShard>]>,
+    slots: Box<[AtomicPtr<LoadedShard>]>,
 }
 
 impl CacheShared {
@@ -832,11 +901,11 @@ impl CacheShared {
         self.state.lock().expect("shard cache poisoned")
     }
 
-    fn publish(&self, sid: usize, d: &DecodedShard) {
+    fn publish(&self, sid: usize, d: &LoadedShard) {
         // Release pairs with the Acquire load in `slice`: a reader that
-        // sees the pointer sees the fully decoded shard behind it.
+        // sees the pointer sees the fully loaded shard behind it.
         self.slots[sid].store(
-            d as *const DecodedShard as *mut DecodedShard,
+            d as *const LoadedShard as *mut LoadedShard,
             Ordering::Release,
         );
     }
@@ -867,10 +936,10 @@ impl CacheShared {
         }
     }
 
-    /// Decode shard `sid` (windowed for a rank view), charging the time to
+    /// Load shard `sid` (windowed for a rank view), charging the time to
     /// `nanos` — the foreground or background cell — and the byte/read
     /// counters.
-    fn decode(&self, sid: usize, nanos: &AtomicU64) -> io::Result<DecodedShard> {
+    fn fetch(&self, sid: usize, nanos: &AtomicU64) -> io::Result<LoadedShard> {
         let t0 = Instant::now();
         let (lo, hi) = self.window;
         let d = self.store.read_shard(sid).map(|mut d| {
@@ -889,7 +958,7 @@ impl CacheShared {
     /// Load shard `sid` — marked `Loading` and pinned by the caller, under
     /// the lock — and insert it, evicting unpinned shards over the budget.
     fn load(&self, sid: usize, nanos: &AtomicU64) {
-        let result = self.decode(sid, nanos).map(Box::new);
+        let result = self.fetch(sid, nanos).map(Box::new);
         let mut guard = self.lock();
         let st = &mut *guard;
         let evicted = match result {
@@ -919,7 +988,7 @@ impl CacheShared {
     /// the lock. Pinned shards are never touched — if the pinned set alone
     /// exceeds the budget, `prepare` panics with sizing advice instead.
     #[must_use]
-    fn evict_over_budget(&self, st: &mut CacheState) -> Vec<DecodedShard> {
+    fn evict_over_budget(&self, st: &mut CacheState) -> Vec<LoadedShard> {
         let mut evicted = Vec::new();
         // An empty queue means everything resident is pinned or in flight.
         while st.resident > self.budget && st.oldest != NIL {
@@ -940,7 +1009,7 @@ impl CacheShared {
 /// four engines run from disk with **bitwise-identical** results to the
 /// in-memory path.
 ///
-/// Shards are cached decoded under a hard `budget` (bytes); a `saco-par`
+/// Loaded shards are cached under a hard `budget` (bytes); a `saco-par`
 /// [`BackgroundWorker`](saco_par::BackgroundWorker) loads prefetched
 /// shards behind the solver's compute. See the module docs for the pin
 /// contract that makes `slice`'s lock-free borrows sound.
@@ -965,7 +1034,7 @@ impl std::fmt::Debug for StreamingMatrix {
 
 impl StreamingMatrix {
     /// Open a full-minor-axis view with a resident budget of
-    /// `budget_bytes` of decoded shard data.
+    /// `budget_bytes` of loaded shard data.
     pub fn open(dir: &Path, budget_bytes: u64) -> io::Result<StreamingMatrix> {
         let store = ShardStore::open(dir)?;
         let minor = store.manifest().minor;
@@ -1040,7 +1109,7 @@ impl StreamingMatrix {
     }
 
     /// Block until `sid` is `Ready`, charging wait time as stall.
-    fn wait_ready(&self, sid: usize) -> *const DecodedShard {
+    fn wait_ready(&self, sid: usize) -> *const LoadedShard {
         let mut st = self.shared.lock();
         loop {
             match &st.entries[sid].slot {
@@ -1061,7 +1130,7 @@ impl StreamingMatrix {
     /// epoch *before* handing it out, faulting it in synchronously on a
     /// miss, so the loader cannot evict it under the borrow.
     #[cold]
-    fn pin_now(&self, sid: usize) -> *const DecodedShard {
+    fn pin_now(&self, sid: usize) -> *const LoadedShard {
         let found = {
             let mut st = self.shared.lock();
             let epoch = st.epoch.max(1);
@@ -1076,12 +1145,12 @@ impl StreamingMatrix {
     }
 
     /// Visit every major slice by one bounded sequential pass over the
-    /// shards, decoding each transiently (never cached, never pinned).
+    /// shards, loading each transiently (never cached, never pinned).
     fn scan(&self, mut visit: impl FnMut(usize, SparseSlice<'_>)) {
         let shared = &*self.shared;
         for meta in &shared.store.manifest().shards {
             let d = shared
-                .decode(meta.index, &shared.stats.fg_read_nanos)
+                .fetch(meta.index, &shared.stats.fg_read_nanos)
                 .unwrap_or_else(|e| panic!("shard {} read failed: {e}", meta.index));
             for k in meta.lo..meta.hi {
                 visit(k, d.slice(k));
@@ -1104,7 +1173,7 @@ impl MajorSlices for StreamingMatrix {
     /// and one atomic load. Anything else goes through `pin_now`.
     ///
     /// The returned borrow is tied to `&self` but actually points into a
-    /// pinned [`DecodedShard`]; see the module docs for the contract under
+    /// pinned [`LoadedShard`]; see the module docs for the contract under
     /// which that is sound.
     fn slice(&self, k: usize) -> SparseSlice<'_> {
         let sid = self.shared.store.shard_of(k);
@@ -1112,7 +1181,7 @@ impl MajorSlices for StreamingMatrix {
         if shard.is_null() {
             shard = self.pin_now(sid);
         }
-        // SAFETY: `shard` points at the boxed DecodedShard owned by the
+        // SAFETY: `shard` points at the boxed LoadedShard owned by the
         // cache entry for `sid`, and that entry is pinned: a slot is only
         // published for a pinned `Ready` entry, and `pin_now` pins before
         // it returns. Eviction takes victims from the queue of unpinned
@@ -1234,7 +1303,7 @@ impl SliceSource for StreamingMatrix {
     }
 
     /// Row norms from one bounded sequential shard scan (same transient
-    /// decode discipline as [`SliceSource::major_spmv_into`]).
+    /// load discipline as [`SliceSource::major_spmv_into`]).
     fn major_norms_into(&self, y: &mut [f64]) {
         assert_eq!(y.len(), self.major_len(), "norms output length");
         self.scan(|k, s| y[k] = s.norm_sq());
@@ -1601,27 +1670,36 @@ mod tests {
         write_csc(&dir, &a, &[0, 1, 2, 8, 9], None).unwrap();
         let store = ShardStore::open(&dir).unwrap();
         verify_store(&store, &a).unwrap();
-        // Truncate a shard: open still works (manifest ok), read fails.
-        let p = shard_path(&dir, 2);
+        // Truncate the data file under an open store: the shards before
+        // the cut still load, the last one fails.
+        let p = dir.join(DATA_FILE);
         let bytes = std::fs::read(&p).unwrap();
         std::fs::write(&p, &bytes[..bytes.len() - 4]).unwrap();
-        assert!(store.read_shard(2).is_err());
+        assert!(store.read_shard(2).is_ok());
+        assert!(store.read_shard(3).is_err());
         // Break the manifest version line.
         std::fs::write(dir.join("manifest.txt"), "bogus/v9\n").unwrap();
         assert!(ShardStore::open(&dir).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Header and manifest agree on a huge nnz — 16 TiB of payload, or
+    /// more than `disk_bytes` can count — so only the data file's length
+    /// can tell, and `open` refuses the directory before any shard is
+    /// sized from the manifest.
     #[test]
     fn read_shard_allocates_no_more_than_the_file_holds() {
         let dir = tmp_dir("huge");
         let man = write_csc(&dir, &random_csc(20, 8, 0.3, 12), &[0, 4, 8], None).unwrap();
         let manifest = std::fs::read_to_string(dir.join("manifest.txt")).unwrap();
         let (nnz1, rest) = (man.shards[1].nnz, man.nnz - man.shards[1].nnz);
-        // Header and manifest agree on a huge nnz — 16 TiB of payload, or
-        // more than `disk_bytes` can count — so only the file length can
-        // tell.
-        for huge in [1u64 << 40, u64::MAX / 4] {
+        let data = std::fs::read(dir.join(DATA_FILE)).unwrap();
+        let at = man.shards[0].disk_bytes() as usize;
+        let cases = [
+            (1u64 << 40, "shards.bin: file holds"),
+            (u64::MAX / 4, "manifest: shard extents overflow"),
+        ];
+        for (huge, refusal) in cases {
             let edited = manifest
                 .replace(
                     &format!("nnz {}\n", man.nnz),
@@ -1632,14 +1710,97 @@ mod tests {
                     &format!("shard 1 4 8 {huge}\n"),
                 );
             std::fs::write(dir.join("manifest.txt"), edited).unwrap();
-            let mut bytes = std::fs::read(shard_path(&dir, 1)).unwrap();
-            bytes[48..56].copy_from_slice(&huge.to_le_bytes());
-            std::fs::write(shard_path(&dir, 1), bytes).unwrap();
-            let store = ShardStore::open(&dir).unwrap();
-            let e = store.read_shard(1).unwrap_err();
+            let mut bytes = data.clone();
+            bytes[at + 48..at + 56].copy_from_slice(&huge.to_le_bytes());
+            std::fs::write(dir.join(DATA_FILE), bytes).unwrap();
+            let e = ShardStore::open(&dir).unwrap_err();
             assert_eq!(e.kind(), io::ErrorKind::InvalidData);
-            assert!(e.to_string().starts_with("shard 1: file holds"), "{e}");
-            assert!(store.read_shard(0).is_ok());
+            assert!(e.to_string().starts_with(refusal), "{e}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Each malformed directory is a typed error and allocates nothing
+    /// beyond the file: a data file one byte short or long, a manifest
+    /// whose extents overflow a file length, a v1 directory, and a shard
+    /// index past the last.
+    #[test]
+    fn malformed_directories_are_typed_errors() {
+        let dir = tmp_dir("malformed");
+        let a = random_csc(20, 8, 0.3, 13);
+        write_csc(&dir, &a, &[0, 3, 8], None).unwrap();
+        let path = dir.join(DATA_FILE);
+        let data = std::fs::read(&path).unwrap();
+        for len in [data.len() - 1, data.len() + 1] {
+            let mut bytes = data.clone();
+            bytes.resize(len, 0);
+            std::fs::write(&path, bytes).unwrap();
+            let e = ShardStore::open(&dir).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(
+                e.to_string(),
+                format!(
+                    "shards.bin: file holds {len} bytes, its manifest's extents {}",
+                    data.len()
+                )
+            );
+        }
+        std::fs::write(&path, &data).unwrap();
+        let store = ShardStore::open(&dir).unwrap();
+        let e = store.read_shard(2).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(e.to_string(), "shard 2 of 2");
+        assert!(store.read_shard(usize::MAX).is_err());
+
+        let manifest = std::fs::read_to_string(dir.join("manifest.txt")).unwrap();
+        // Two shards of 2⁶⁰ empty slices: each extent (2⁶³ + 64 bytes)
+        // fits a u64, their sum does not.
+        let (half, major) = (1u64 << 60, 1u64 << 61);
+        let overflow = format!(
+            "saco-shard/v2\naxis csc\nmajor {major}\nminor 20\nnnz 0\nlabels 0\n\
+             shard 0 0 {half} 0\nshard 1 {half} {major} 0\n"
+        );
+        std::fs::write(dir.join("manifest.txt"), overflow).unwrap();
+        let e = ShardStore::open(&dir).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            e.to_string(),
+            "manifest: shard extents overflow a file length"
+        );
+
+        let v1 = manifest.replacen("saco-shard/v2", "saco-shard/v1", 1);
+        std::fs::write(dir.join("manifest.txt"), v1).unwrap();
+        let e = ShardStore::open(&dir).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            e.to_string().contains("re-shard it with `saco shard`"),
+            "{e}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The directory is the manifest, the two sidecars and one data file
+    /// whose extents sit back to back in shard order.
+    #[test]
+    fn a_directory_holds_one_data_file() {
+        let dir = tmp_dir("layout");
+        let a = random_csc(30, 12, 0.3, 14);
+        let man = write_csc(&dir, &a, &[0, 1, 5, 12], Some(&[0.5; 30])).unwrap();
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort_unstable();
+        assert_eq!(
+            names,
+            ["labels.bin", "manifest.txt", "minor_nnz.bin", "shards.bin"]
+        );
+        let data = std::fs::read(dir.join(DATA_FILE)).unwrap();
+        assert_eq!(data.len() as u64, man.disk_bytes());
+        let mut at = 0;
+        for meta in &man.shards {
+            assert_eq!(&data[at..at + 8], SHARD_MAGIC, "shard {}", meta.index);
+            at += meta.disk_bytes() as usize;
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -500,13 +500,18 @@ proptest! {
                 verify_store(&store, &csr).expect("csr store must match source bitwise");
             }
 
-            // The manifest's byte accounting is the truth on disk: every
-            // shard file is exactly meta.disk_bytes() long.
+            // The manifest's byte accounting is the truth on disk: extent
+            // k starts at Σ_{j<k} disk_bytes, with the extent magic there,
+            // and the data file is Σ disk_bytes long.
+            let data = std::fs::read(dir.join("shards.bin")).expect("data file exists");
+            let mut at = 0u64;
             for meta in &store.manifest().shards {
-                let f = dir.join(format!("shard-{:05}.bin", meta.index));
-                let len = std::fs::metadata(&f).expect("shard file exists").len();
-                prop_assert_eq!(len, meta.disk_bytes());
+                let magic = data.get(at as usize..at as usize + 8);
+                prop_assert_eq!(magic, Some(&b"SACOSHD1"[..]), "extent {}", meta.index);
+                at += meta.disk_bytes();
             }
+            prop_assert_eq!(data.len() as u64, at);
+            prop_assert_eq!(at, store.manifest().disk_bytes());
 
             // Label sidecar round-trips bitwise (and is absent when unwritten).
             match (&labels, store.read_labels()) {
@@ -564,11 +569,12 @@ proptest! {
         }
     }
 
-    /// Shard decode is a door a file walks through: one mutation of a
-    /// valid shard file — a random byte anywhere, or a whole `indptr`,
-    /// index or value word, value words including NaN and ±inf patterns —
-    /// reads back as `InvalidData` or as slices that pass the slice
-    /// invariant, and never panics. A non-finite value is always refused.
+    /// Shard load is a door a file walks through: one mutation inside one
+    /// extent of a valid `shards.bin` — a random byte anywhere in it, or a
+    /// whole `indptr`, index or value word, value words including NaN and
+    /// ±inf patterns — reads back as `InvalidData` or as slices that pass
+    /// the slice invariant, and never panics. A non-finite value is always
+    /// refused.
     #[test]
     fn mutated_shard_files_are_refused_or_valid(coo in sparse_matrix(), seed in any::<u64>()) {
         let csc = coo.to_csc();
@@ -584,11 +590,17 @@ proptest! {
         write_csc(&dir, &csc, &bounds, None).expect("write csc shards");
         let store = ShardStore::open(&dir).expect("open shard store");
         let meta = store.manifest().shards[rng.next_index(bounds.len() - 1)];
-        let path = dir.join(format!("shard-{:05}.bin", meta.index));
-        let mut bytes = std::fs::read(&path).expect("read shard file");
+        let path = dir.join("shards.bin");
+        let mut bytes = std::fs::read(&path).expect("read data file");
 
-        // Word offsets of the three arrays after the 56-byte header.
-        let indices_at = 56 + (meta.hi - meta.lo + 1) * 8;
+        // The extent's offset, then the three arrays' offsets after its
+        // 56-byte header.
+        let extent: usize = store.manifest().shards[..meta.index]
+            .iter()
+            .map(|m| m.disk_bytes() as usize)
+            .sum();
+        let indptr_at = extent + 56;
+        let indices_at = indptr_at + (meta.hi - meta.lo + 1) * 8;
         let values_at = indices_at + meta.nnz as usize * 8;
         let nnz = meta.nnz as usize;
         let mut word_at = |at: usize, rng: &mut xrng::Rng, patterns: &[u64]| {
@@ -605,7 +617,7 @@ proptest! {
         let mut non_finite = false;
         match rng.next_index(4) {
             1 => {
-                let at = 56 + 8 * rng.next_index(meta.hi - meta.lo + 1);
+                let at = indptr_at + 8 * rng.next_index(meta.hi - meta.lo + 1);
                 word_at(at, &mut rng, &[0, u64::MAX]);
             }
             2 if nnz > 0 => {
@@ -624,11 +636,11 @@ proptest! {
                 non_finite = !f64::from_bits(word_at(at, &mut rng, &patterns)).is_finite();
             }
             _ => {
-                let p = rng.next_index(bytes.len());
+                let p = extent + rng.next_index(meta.disk_bytes() as usize);
                 bytes[p] = rng.next_u64() as u8;
             }
         }
-        std::fs::write(&path, &bytes).expect("write mutated shard");
+        std::fs::write(&path, &bytes).expect("write mutated data file");
 
         match store.read_shard(meta.index) {
             Err(e) => prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{}", e),
