@@ -83,7 +83,6 @@ fn print_simulated_summary() {
             max_iters: 512,
             trace_every: 0,
             gap_tol: None,
-            overlap: true,
         };
         let [naive, bal] = [false, true].map(|balanced| {
             simulate(Method::svm(&svm_cfg), &svm_ds, 256, model, balanced)

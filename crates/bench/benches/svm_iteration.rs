@@ -22,7 +22,6 @@ fn cfg(loss: SvmLoss, s: usize, iters: usize) -> SvmConfig {
         max_iters: iters,
         trace_every: 0,
         gap_tol: None,
-        overlap: true,
     }
 }
 

@@ -30,7 +30,6 @@ fn main() {
             max_iters: iters,
             trace_every,
             gap_tol: None,
-            overlap: true,
         };
         eprintln!(
             "fig5: {name} (m={}, n={}, H={iters}, tol marker {tol:.0e})",

@@ -101,7 +101,6 @@ fn cfg(sh: &Shape, s: usize) -> KdcdConfig {
         seed: 97,
         max_iters: sh.iters,
         trace_every: 0,
-        overlap: true,
         cache_budget_bytes: 32 << 20,
     }
 }

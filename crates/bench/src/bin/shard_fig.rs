@@ -172,7 +172,6 @@ fn solver_cfg(sh: &Shape, lambda: f64) -> LassoConfig {
         trace_every: 0,
         rel_tol: None,
         sampling: BlockSampling::Coordinates,
-        overlap: true,
     }
 }
 

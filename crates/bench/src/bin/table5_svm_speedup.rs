@@ -54,7 +54,6 @@ fn main() {
                     max_iters: iters,
                     trace_every: (iters / 100).max(1),
                     gap_tol: Some(tol),
-                    overlap: true,
                 };
                 let model = CostModel::cray_xc30();
                 saco_bench::simulate(Method::svm(&cfg), &g.dataset, p, model, balanced)

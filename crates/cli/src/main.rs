@@ -18,7 +18,7 @@ use saco::run::{
     merge_rank_registries, net_rank_telemetry, open_store, run, run_rank, Engine, Method, RankData,
     RunError, RunOutcome, RunSpec, Source,
 };
-use saco::serve::{ModelArtifact, ServeConfig};
+use saco::serve::{ModelArtifact, ServeConfig, MAX_REQUEST_ITERS};
 use saco::{ConvergenceTrace, KdcdConfig, KdcdTask, LassoConfig, SolveResult, SvmConfig, SvmLoss};
 use sparsela::io::{read_libsvm, write_libsvm, Dataset};
 use sparsela::shard::{
@@ -644,7 +644,6 @@ impl Task {
                 max_iters,
                 trace_every,
                 gap_tol: args.get_opt("gap-tol")?,
-                ..Default::default()
             }),
             // `--kernel rbf:gamma=G | poly:d=D,gamma=G,coef0=C | linear`
             // (default `rbf:gamma=1`), parsed by `sparsela::KernelFn`.
@@ -663,7 +662,6 @@ impl Task {
                 cache_budget_bytes: parse_bytes(args.get("cache-budget").unwrap_or("64M"))
                     .map_err(|e| ArgError(format!("--cache-budget: {e}")))?
                     as usize,
-                ..Default::default()
             }),
         };
         let reg = Lasso::new(lambda);
@@ -1294,6 +1292,12 @@ fn cmd_cv(args: &Args) -> Result<(), ArgError> {
 /// connection's own thread; `--chaos` injects deterministic admission
 /// stragglers for tail-latency drills.
 fn cmd_serve(args: &Args) -> Result<(), ArgError> {
+    let default_iters = args.get_or("train-iters", 512)?;
+    if default_iters > MAX_REQUEST_ITERS {
+        return Err(ArgError(format!(
+            "--train-iters {default_iters} exceeds the per-request bound {MAX_REQUEST_ITERS}"
+        )));
+    }
     let mpath = args.require("model")?;
     let art = ModelArtifact::load(Path::new(mpath))
         .map_err(|e| ArgError(format!("load model {mpath}: {e}")))?;
@@ -1302,7 +1306,7 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
     let addr = Addr::parse(listen).map_err(|e| ArgError(format!("--listen: {e}")))?;
     let scfg = ServeConfig {
         slo_ms: args.get_or("slo-ms", 250.0)?,
-        default_iters: args.get_or("train-iters", 512)?,
+        default_iters,
         chaos: parse_chaos(args)?,
         max_requests: args.get_opt("max-requests")?,
     };

@@ -768,6 +768,22 @@ fn helpful_errors() {
         assert!(!err.contains("nonexistent"), "{cmd} opened --data: {err}");
         assert!(!written.exists(), "{cmd} {option} wrote a report");
     }
+    // A serve default budget above the per-request bound is refused
+    // before the model or the data is opened.
+    let too_many = (saco::serve::MAX_REQUEST_ITERS + 1).to_string();
+    let out = saco()
+        .args(["serve", "--model", "/nonexistent/m.model", "--data"])
+        .args(["/nonexistent/f.svm", "--listen", "unix:/nonexistent/s.sock"])
+        .args(["--train-iters", &too_many])
+        .output()
+        .expect("run");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains(&format!("--train-iters {too_many} exceeds")),
+        "{err}"
+    );
+    assert!(!err.contains("nonexistent"), "serve opened a file: {err}");
     // Non-finite data is rejected at the door, naming line and token — and
     // so is a feature index repeated within a line, which would otherwise
     // be summed (here into `inf`).

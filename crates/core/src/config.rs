@@ -70,13 +70,6 @@ pub struct LassoConfig {
     pub rel_tol: Option<f64>,
     /// Coordinate-sampling scheme (see [`BlockSampling`]).
     pub sampling: BlockSampling,
-    /// Overlap the in-flight fused allreduce with next-step sampling and
-    /// local Gram formation (double-buffered payload, nonblocking
-    /// `iallreduce`). Every run surface leaves this `true`; `false` is
-    /// the reference schedule for the equivalence tests: results are
-    /// bitwise identical either way, only the simulated comm/idle
-    /// timeline and the `comm.overlap_hidden_time` gauge change.
-    pub overlap: bool,
 }
 
 impl Default for LassoConfig {
@@ -90,7 +83,6 @@ impl Default for LassoConfig {
             trace_every: 10,
             rel_tol: None,
             sampling: BlockSampling::Coordinates,
-            overlap: true,
         }
     }
 }
@@ -152,11 +144,6 @@ pub struct SvmConfig {
     pub trace_every: usize,
     /// Optional termination on duality gap (Table V uses 1e-1).
     pub gap_tol: Option<f64>,
-    /// Overlap the in-flight fused allreduce with next-step sampling and
-    /// local Gram formation; `false` is the reference schedule for the
-    /// equivalence tests (see [`LassoConfig::overlap`]). Bitwise
-    /// identical either way.
-    pub overlap: bool,
 }
 
 impl Default for SvmConfig {
@@ -169,7 +156,6 @@ impl Default for SvmConfig {
             max_iters: 10_000,
             trace_every: 500,
             gap_tol: None,
-            overlap: true,
         }
     }
 }
@@ -222,11 +208,6 @@ pub struct KdcdConfig {
     /// Record the dual objective every this many iterations, rounded to
     /// block boundaries (0 = only first and last).
     pub trace_every: usize,
-    /// Overlap the in-flight fused allreduce of missed kernel rows with
-    /// next-block sampling and the local dot tile; `false` is the
-    /// reference schedule for the equivalence tests. Bitwise identical
-    /// either way (see [`LassoConfig::overlap`]).
-    pub overlap: bool,
     /// Byte budget for the kernel-row cache (`sparsela::KernelCache`);
     /// soft under pinning, at least one row.
     pub cache_budget_bytes: usize,
@@ -242,7 +223,6 @@ impl Default for KdcdConfig {
             seed: 42,
             max_iters: 10_000,
             trace_every: 500,
-            overlap: true,
             cache_budget_bytes: 64 << 20,
         }
     }

@@ -51,7 +51,7 @@ impl<'r> ExecBackend<'r> for SeqBackend<'r> {
         _ws: &mut KernelWorkspace,
         _payload: Payload,
         resid: Option<f64>,
-        _overlap: Option<F>,
+        _next_block: Option<F>,
     ) -> Option<f64> {
         // Single address space: the workspace blocks already are global.
         resid
@@ -215,7 +215,7 @@ impl<'r, 'a, M: MajorSlices + Sync> ExecBackend<'r> for SimBackend<'a, M> {
         ws: &mut KernelWorkspace,
         payload: Payload,
         resid: Option<f64>,
-        overlap: Option<F>,
+        next_block: Option<F>,
     ) -> Option<f64> {
         // Numerics are already global; only the cost of the fused payload
         // moves across the (virtual) wire — its word count comes from the
@@ -223,7 +223,7 @@ impl<'r, 'a, M: MajorSlices + Sync> ExecBackend<'r> for SimBackend<'a, M> {
         // measured wires cannot drift apart.
         self.cluster
             .iallreduce_start(payload.words(resid.is_some()) as u64);
-        if let Some(f) = overlap {
+        if let Some(f) = next_block {
             f(self, ws);
         }
         self.cluster.iallreduce_wait();

@@ -49,19 +49,18 @@ pub fn cross_flops(local_nnz: u64, nvecs: u64) -> u64 {
     2 * nvecs * local_nnz
 }
 
-/// Fixed per-inner-iteration CPU overhead in flop-equivalents: RNG draws,
-/// index bookkeeping, the proximal/projection control flow — work a real
-/// implementation pays per iteration regardless of s (≈12 µs at the vector
-/// rate). This is what caps the *total* SA speedup below the raw
-/// communication speedup, as in the paper's Fig. 4e–h.
+/// Fixed per-inner-iteration CPU overhead in flop-equivalents (≈12.5 µs at
+/// the vector rate), standing for RNG draws, bookkeeping and prox control
+/// flow. **Fitted to the paper's Fig. 4e–h, not measured** (with
+/// [`OUTER_OVERHEAD_FLOPS`]): it caps the *total* SA speedup below the raw
+/// communication speedup there. This code runs a *whole* iteration in
+/// 0.44–1.5 µs on the ledger's host (docs/SIMULATOR.md).
 pub const ITER_OVERHEAD_FLOPS: u64 = 25_000;
 
-/// Fixed per-communication-round CPU overhead in flop-equivalents: buffer
-/// packing/unpacking, kernel-call setup, MPI invocation (≈7 µs at the
-/// vector rate). SA methods pay this once per `s` iterations — the source
-/// of their *computation* speedup beyond the BLAS-3 Gram effect ("selecting
-/// s columns ... is more cache-efficient than computing s individual
-/// dot-products", §IV-B).
+/// Fixed per-communication-round CPU overhead in flop-equivalents (≈7.5 µs
+/// at the vector rate), standing for buffer packing, call setup and MPI
+/// invocation. SA methods pay it once per `s` iterations — the source of
+/// their modeled *computation* speedup. Fitted like [`ITER_OVERHEAD_FLOPS`].
 pub const OUTER_OVERHEAD_FLOPS: u64 = 15_000;
 
 /// Flops for the replicated per-iteration subproblem: λmax of a µ×µ block

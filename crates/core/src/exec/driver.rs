@@ -74,15 +74,14 @@ impl Payload {
     }
 }
 
-/// The outer-loop schedule: how many inner iterations total, how many per
-/// block, and whether the engine may hide the allreduce behind next-block
-/// work (`overlap: false` is the reference schedule for the equivalence
-/// tests).
+/// The outer-loop schedule: how many inner iterations total and how many
+/// per block. Whether an exchange overlaps the next block is not part of
+/// it: every engine that can hide the allreduce (`B::OVERLAPS`) does so
+/// whenever a next block exists.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Schedule {
     pub max_iters: usize,
     pub s: usize,
-    pub overlap: bool,
 }
 
 /// Position of the current block in the schedule: `h` inner iterations
@@ -224,7 +223,7 @@ where
     while h < sched.max_iters {
         let s_block = sched.s.min(sched.max_iters - h);
         let h_next = h + s_block;
-        let want_overlap = B::OVERLAPS && sched.overlap && h_next < sched.max_iters;
+        let want_overlap = B::OVERLAPS && h_next < sched.max_iters;
         let s_next = sched.s.min(sched.max_iters.saturating_sub(h_next));
         ws.begin_block(spec.deltas_len(s_block));
         if have_next {

@@ -22,9 +22,9 @@
 //! s-step schedule *mathematically identical* to classical sequential
 //! coordinate descent — the same claim the paper makes for Algorithms
 //! 2/4, carried to the kernel setting. `K(i_j, i_t)` is always read
-//! from row `i_j` (the fixed convention that keeps every engine and
-//! overlap mode bitwise identical; the two symmetric reads need not
-//! round identically).
+//! from row `i_j` (the fixed convention that keeps every engine bitwise
+//! identical, overlapped or not; the two symmetric reads need not round
+//! identically).
 
 use super::charges;
 use super::driver::{drive, Block, Cx, FamilySpec, Payload, Schedule};
@@ -120,9 +120,8 @@ where
     /// The kernel tile: open the cache epoch for this selection, then
     /// build each missed row's *local* dot products with one dense-row
     /// SpMV over this rank's feature block. Cache admission/eviction
-    /// happens here — once per block, in block order on every engine and
-    /// in both overlap modes, so cache state never depends on the
-    /// schedule.
+    /// happens here — once per block, in block order on every engine,
+    /// overlapped or not, so cache state never depends on the schedule.
     fn tile(&mut self, cx: Cx<'_, B, M>, _s_block: usize, next: bool) {
         let ws = &mut *cx.ws;
         let (sel, cross, miss) = if next {
@@ -338,7 +337,6 @@ pub(crate) fn kdcd_family<'r, B: ExecBackend<'r>, M: SliceSource + Sync>(
     let sched = Schedule {
         max_iters: cfg.max_iters,
         s: cfg.s,
-        overlap: cfg.overlap,
     };
     let h = drive(a, sched, &mut rng, &mut ws, backend, &mut spec);
 

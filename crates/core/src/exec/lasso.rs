@@ -493,7 +493,6 @@ pub(crate) fn lasso_family_warm<'r, B: ExecBackend<'r>, R: Regularizer, M: Slice
     let sched = Schedule {
         max_iters: cfg.max_iters,
         s: cfg.s,
-        overlap: cfg.overlap,
     };
     let h = drive(a, sched, rng, ws, backend, &mut spec);
     *x = spec.z;
@@ -570,7 +569,6 @@ pub(crate) fn lasso_family<'r, B: ExecBackend<'r>, R: Regularizer, M: SliceSourc
     let sched = Schedule {
         max_iters: cfg.max_iters,
         s: cfg.s,
-        overlap: cfg.overlap,
     };
     let h = drive(a, sched, &mut rng, &mut ws, backend, &mut spec);
 

@@ -76,8 +76,9 @@ pub(crate) trait ExecBackend<'r> {
     /// residual on the fused allreduce.
     const TRACE_INNER: bool;
 
-    /// Whether the engine can hide the fused allreduce behind next-block
-    /// sampling + local Gram formation (`cfg.overlap`).
+    /// Whether the engine hides the fused allreduce behind next-block
+    /// sampling + local Gram formation. The driver overlaps whenever
+    /// this holds and a next block exists; no config turns it off.
     const OVERLAPS: bool;
 
     /// Charge the local Gram formation over the sampled slices.
@@ -121,7 +122,7 @@ pub(crate) trait ExecBackend<'r> {
     /// The one synchronization of an outer iteration: make `ws.gram`
     /// (upper triangle) and `ws.cross` global per the family's
     /// [`Payload`] descriptor, reducing the optional traced residual
-    /// scalar alongside. `overlap`, when provided, runs while the payload
+    /// scalar alongside. `next_block`, when provided, runs while the payload
     /// is in flight and may only touch next-block state (`sel_next`,
     /// `gram_next`/`cross_next`, the gram scatter scratch) plus backend
     /// charges. Returns the reduced residual iff one was passed.
@@ -130,7 +131,7 @@ pub(crate) trait ExecBackend<'r> {
         ws: &mut KernelWorkspace,
         payload: Payload,
         resid: Option<f64>,
-        overlap: Option<F>,
+        next_block: Option<F>,
     ) -> Option<f64>;
 
     /// Sum one scalar across ranks (bookkeeping reductions: the initial

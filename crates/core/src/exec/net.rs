@@ -117,11 +117,11 @@ impl<'r, 'c> ExecBackend<'r> for NetBackend<'c> {
         ws: &mut KernelWorkspace,
         payload: Payload,
         resid: Option<f64>,
-        overlap: Option<F>,
+        next_block: Option<F>,
     ) -> Option<f64> {
         pack_fused(ws, payload, resid);
         let wire = std::mem::take(&mut ws.pack);
-        ws.pack = match overlap {
+        ws.pack = match next_block {
             Some(f) => {
                 // Start puts a reduce-leaf's partial on the wire; it and
                 // the peers' progress overlap with forming the next block.

@@ -201,7 +201,6 @@ pub(crate) fn svm_family<'r, B: ExecBackend<'r>, M: SliceSource + Sync>(
     let sched = Schedule {
         max_iters: cfg.max_iters,
         s: cfg.s,
-        overlap: cfg.overlap,
     };
     let h = drive(a, sched, &mut rng, &mut ws, backend, &mut spec);
 

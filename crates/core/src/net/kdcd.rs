@@ -39,7 +39,6 @@ mod tests {
             seed: 29,
             max_iters: 128,
             trace_every: 32,
-            overlap: true,
             cache_budget_bytes: 1 << 20,
         }
     }

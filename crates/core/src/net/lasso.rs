@@ -7,10 +7,10 @@
 //! the iterate `x`) and all scalars are replicated. One fused nonblocking
 //! allreduce per outer iteration carries the packed symmetric Gram
 //! triangle, the cross products, and (at trace boundaries) the piggybacked
-//! residual norm in a single contiguous buffer; with `cfg.overlap` the
-//! next block's sampling and local Gram formation execute while it is in
-//! flight (they depend only on the replicated RNG stream and `A`, so the
-//! iterates are bitwise identical with overlap on or off).
+//! residual norm in a single contiguous buffer, and the next block's
+//! sampling and local Gram formation execute while it is in flight (they
+//! depend only on the replicated RNG stream and `A`, so the iterates are
+//! bitwise those of the blocking seq schedule).
 //!
 //! The recurrence lives in `crate::exec::lasso_family`; [`crate::run`]
 //! binds a rank's local row block to the mesh. Every rank returns the

@@ -63,7 +63,7 @@ pub enum Method<'a, R: Regularizer = Lasso> {
     Lasso {
         /// The penalty `g`.
         reg: &'a R,
-        /// Block size, unrolling depth, budget, sampling, overlap.
+        /// Block size, unrolling depth, budget, sampling.
         cfg: &'a LassoConfig,
         /// Nesterov acceleration.
         accel: bool,

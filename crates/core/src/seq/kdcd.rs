@@ -42,7 +42,6 @@ mod tests {
             seed: 17,
             max_iters: 192,
             trace_every: 48,
-            overlap: true,
             cache_budget_bytes: 1 << 20,
         }
     }
@@ -102,21 +101,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn overlap_toggle_is_bitwise_invisible() {
-        let ds = problem(4);
-        let mut on = cfg(KdcdTask::Svm(SvmLoss::L1), KernelFn::Rbf { gamma: 0.5 }, 8);
-        let mut off = on.clone();
-        on.overlap = true;
-        off.overlap = false;
-        let (ron, son) = kdcd(&ds, &on);
-        let (roff, soff) = kdcd(&ds, &off);
-        assert_eq!(ron.x, roff.x);
-        // Cache admission order is block order on both schedules, so the
-        // hit/miss/eviction stream is identical too.
-        assert_eq!(son.cache, soff.cache);
     }
 
     #[test]

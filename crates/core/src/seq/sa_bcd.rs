@@ -143,7 +143,6 @@ mod aligned_group_tests {
             trace_every: 0,
             rel_tol: None,
             sampling: BlockSampling::AlignedGroups { group_size: 4 },
-            overlap: true,
         };
         let res = sa_bcd(&reg.dataset, &gl, &c);
         for g in 0..20 {
@@ -171,7 +170,6 @@ mod aligned_group_tests {
             trace_every: 40,
             rel_tol: None,
             sampling: BlockSampling::AlignedGroups { group_size: 4 },
-            overlap: true,
         };
         let classic = bcd(&reg.dataset, &gl, &c);
         let sa = sa_bcd(&reg.dataset, &gl, &c);
@@ -189,7 +187,6 @@ mod aligned_group_tests {
         let c = LassoConfig {
             mu: 6,
             sampling: BlockSampling::AlignedGroups { group_size: 4 },
-            overlap: true,
             ..Default::default()
         };
         let _ = sa_bcd(&reg.dataset, &GroupLasso::uniform(0.5, 64, 4), &c);

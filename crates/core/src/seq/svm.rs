@@ -61,7 +61,6 @@ mod tests {
             max_iters: iters,
             trace_every: 200,
             gap_tol: None,
-            overlap: true,
         }
     }
 

@@ -226,7 +226,6 @@ impl ModelArtifact {
             trace_every: 0,
             rel_tol: None,
             sampling: self.sampling,
-            ..LassoConfig::default()
         }
     }
 

@@ -36,5 +36,5 @@ mod server;
 pub use artifact::{dataset_fingerprint, ModelArtifact, ARTIFACT_MAGIC};
 pub use client::ServeClient;
 pub use netcomm::{Addr, Backoff, Listener, NetError};
-pub use proto::{Request, Response};
+pub use proto::{Request, Response, MAX_REQUEST_ITERS};
 pub use server::{serve, ServeConfig, ServeReport};

@@ -24,6 +24,15 @@ pub const TAG_PATH_POINT: u32 = 3;
 pub const TAG_STATS: u32 = 4;
 /// Ask the server to drain and exit.
 pub const TAG_SHUTDOWN: u32 = 5;
+/// The most inner iterations one `TrainDelta` or `PathPoint` may ask
+/// for; a larger count is refused at decode. A request runs its whole
+/// budget under the server's state lock, so an unbounded count off the
+/// wire (`u64::MAX`) would hold that lock for good and overflow the
+/// model's iteration total. 2^20 sits far above every real budget — the
+/// CLI's default `--train-iters 512` and the 64 the serve benchmark sends
+/// — so a bounded request still costs at most one long solve, never the
+/// server. `saco serve` refuses a `--train-iters` above it too.
+pub const MAX_REQUEST_ITERS: u64 = 1 << 20;
 /// Set on a response frame's tag.
 pub const RESP_BIT: u32 = 0x100;
 /// An error response (UTF-8 message payload).
@@ -216,6 +225,11 @@ impl Request {
             TAG_TRAIN_DELTA | TAG_PATH_POINT => {
                 let lambda = next(&words, at)?;
                 let iters = take(&words, at)?;
+                if iters > MAX_REQUEST_ITERS {
+                    return Err(NetError::Protocol(format!(
+                        "iters {iters} exceeds the per-request bound {MAX_REQUEST_ITERS}"
+                    )));
+                }
                 if f.tag == TAG_TRAIN_DELTA {
                     Request::TrainDelta { lambda, iters }
                 } else {

@@ -43,7 +43,8 @@ pub struct ServeConfig {
     /// increment `serve.slo.breaches`.
     pub slo_ms: f64,
     /// Default per-segment iteration budget when a train/path request
-    /// asks for 0 iterations.
+    /// asks for 0 iterations; `saco serve` keeps it at most
+    /// [`super::MAX_REQUEST_ITERS`], the bound on a request's own count.
     pub default_iters: u64,
     /// Optional deterministic straggler injection: each admitted request
     /// draws against `straggle`; stragglers sleep up to `jitter` seconds.
@@ -155,6 +156,10 @@ impl SolverState {
                 "train lambda must be finite and nonnegative, got {lambda}"
             ));
         }
+        let total_iters = self
+            .train_iters
+            .checked_add(iters)
+            .ok_or_else(|| format!("{iters} more iterations overflow the model's total"))?;
         let cfg = self.artifact.lasso_config(iters as usize);
         let reg = Lasso::new(lambda);
         crate::exec::lasso_family_warm(
@@ -167,7 +172,7 @@ impl SolverState {
             &mut self.train_x,
             &mut self.train_residual,
         );
-        self.train_iters += iters;
+        self.train_iters = total_iters;
         Ok(Response::Train {
             objective: lasso_objective_from_residual(&self.train_residual, &reg, &self.train_x),
             nonzeros: sparsela::vecops::nnz_count(&self.train_x, 1e-10) as u64,

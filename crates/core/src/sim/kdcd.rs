@@ -41,7 +41,6 @@ mod tests {
             seed: 23,
             max_iters: 160,
             trace_every: 40,
-            overlap: true,
             cache_budget_bytes: 1 << 20,
         }
     }

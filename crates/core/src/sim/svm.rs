@@ -32,7 +32,6 @@ mod tests {
             max_iters: iters,
             trace_every: 64,
             gap_tol: None,
-            overlap: true,
         }
     }
 

@@ -5,8 +5,8 @@
 //! [`StreamingMatrix`] keeps just those shards (plus the previous block's,
 //! per the two-epoch pin contract) resident under a hard byte budget while
 //! the background loader streams the *next* block's shards in behind the
-//! current block's compute (non-overlap engines) or behind the in-flight
-//! fused allreduce (`cfg.overlap` engines). The streaming hooks change
+//! current block's compute (seq) or behind the in-flight fused allreduce
+//! (the overlapping engines, sim and net). The streaming hooks change
 //! residency, never values, and the lookahead draws consume the replicated
 //! RNG stream in the same global order as the in-memory solvers — so a
 //! `Source::Shards` run returns **bitwise** the iterates of its
@@ -284,7 +284,6 @@ mod tests {
             max_iters: 128,
             trace_every: 32,
             gap_tol: None,
-            overlap: true,
         };
         let svm = |engine, source| {
             run(&RunSpec::new(Method::svm(&cfg), engine, source)).expect("svm run")

@@ -49,7 +49,7 @@ pub struct KernelWorkspace {
     /// Packed symmetric-Gram + cross allreduce payload (mesh ranks).
     pub(crate) pack: Vec<f64>,
     /// Double-buffered selection for the *next* outer iteration, sampled
-    /// while the current fused allreduce is in flight (`cfg.overlap`).
+    /// while the current fused allreduce is in flight (`B::OVERLAPS`).
     pub(crate) sel_next: Vec<usize>,
     /// Double-buffered local Gram for the next outer iteration, formed in
     /// the same overlap window and swapped into `gram` at block entry.

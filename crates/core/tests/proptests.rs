@@ -119,7 +119,6 @@ proptest! {
             trace_every: 0,
             rel_tol: None,
             sampling,
-            overlap: true,
         };
         let reg = Lasso::new(cfg.lambda);
         let classic = acc_bcd(&ds, &reg, &cfg);
@@ -151,7 +150,6 @@ proptest! {
             max_iters: 80,
             trace_every: 0,
             gap_tol: None,
-            overlap: true,
         };
         let classic = svm(&ds, &cfg);
         let sa = sa_svm(&ds, &cfg);
@@ -172,7 +170,6 @@ proptest! {
             max_iters: 120,
             trace_every: 20,
             gap_tol: None,
-            overlap: true,
         };
         let res = sa_svm(&ds, &cfg);
         let init = res.trace.initial_value();
@@ -195,7 +192,6 @@ proptest! {
             trace_every: 0,
             rel_tol: None,
             sampling: BlockSampling::Coordinates,
-            overlap: true,
         };
         let reg = Lasso::new(cfg.lambda);
         let res = sa_accbcd(&ds, &reg, &cfg);

@@ -141,7 +141,7 @@ impl VirtualCluster {
     /// Blocking form: [`iallreduce_start`](Self::iallreduce_start)
     /// immediately completed by [`iallreduce_wait`](Self::iallreduce_wait)
     /// — the reference schedule the overlapped one is tested against.
-    /// Identical wire format and charge; zero overlap: all ranks
+    /// Identical wire format and charge, nothing overlapped: all ranks
     /// synchronize to the latest participant, wait out stragglers, then
     /// pay the collective's cost.
     pub fn iallreduce(&mut self, words: u64) {
@@ -477,18 +477,18 @@ mod tests {
     fn overlap_saves_exactly_the_hidden_time() {
         let model = CostModel::cray_xc30();
         let p = 8;
-        let run = |overlap: bool| {
+        let run = |hide: bool| {
             let mut vc = VirtualCluster::new(p, model);
             for _ in 0..5 {
                 vc.charge(KernelClass::Dot, Phase::Comp, |r| {
                     ((r as u64 + 1) * 100_000, 64)
                 });
                 vc.iallreduce_start(16);
-                if !overlap {
+                if !hide {
                     vc.iallreduce_wait();
                 }
                 vc.charge(KernelClass::Vector, Phase::Comp, |_| (50_000, 64));
-                if overlap {
+                if hide {
                     vc.iallreduce_wait();
                 }
             }

@@ -1231,7 +1231,7 @@ impl SliceSource for StreamingMatrix {
         let mut guard = self.shared.lock();
         let st = &mut *guard;
         // Release pins two epochs old; the previous epoch's slices may
-        // still be borrowed (overlap mode computes the next Gram while
+        // still be borrowed (an overlapping engine computes the next Gram while
         // the current block is live), so only `cur` and `cur - 1` stay —
         // plus `cur + 1` while a prefetch is in flight. A released shard
         // leaves the lock-free read path *before* it becomes evictable.

@@ -50,7 +50,6 @@ fn main() {
                 max_iters: 200_000,
                 trace_every: 2_000,
                 gap_tol: Some(12.0), // 0.5% of the initial gap (λ·m = 2400)
-                overlap: true,
             };
             let prob = SvmProblem::new(loss, cfg.lambda);
             let res = if s == 1 {

@@ -294,9 +294,20 @@ if hits=$(grep -rnE 'ThreadMachine|Engine::Dist|DistBackend|RankComm::Thread|cro
     status=1
 fi
 
+# Overlap is the schedule, not a knob: sim and net always hide the fused
+# allreduce behind the next block, seq never does. The `overlap` field on
+# the three solver configs and `Schedule` had no caller outside tests, and
+# doubled every cell of the engine matrix.
+if hits=$(grep -rnE '\bpub overlap\b|\boverlap: *(bool|true|false)\b|sched\.overlap|cfg\.overlap' \
+        crates/*/src); then
+    echo "shim_guard: the overlap knob is back (overlap is the schedule, not a config field):" >&2
+    echo "$hits" >&2
+    status=1
+fi
+
 if [ "$status" -ne 0 ]; then
     echo "shim_guard: FAILED — move recurrence logic into crates/core/src/exec/" >&2
 else
-    echo "shim_guard: OK — one run surface, one rank ledger, one allreduce, netcomm/CLI are solver-free, inner loops live in sparsela::simd, one compressed-slice core, one CLI solve body, three engines"
+    echo "shim_guard: OK — one run surface, one rank ledger, one allreduce, netcomm/CLI are solver-free, inner loops live in sparsela::simd, one compressed-slice core, one CLI solve body, three engines, no overlap knob"
 fi
 exit "$status"

@@ -144,7 +144,6 @@ fn svm_duality_gap_converges_and_l2_is_smoother() {
             max_iters: 30_000,
             trace_every: 1000,
             gap_tol: None,
-            overlap: true,
         };
         svm(&g.dataset, &c)
     };
@@ -169,7 +168,6 @@ fn svm_classifier_beats_chance_comfortably() {
         max_iters: 20_000,
         trace_every: 2000,
         gap_tol: Some(1e-2),
-        overlap: true,
     };
     let res = sa_svm(&g.dataset, &c);
     let prob = SvmProblem::new(c.loss, c.lambda);

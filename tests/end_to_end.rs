@@ -44,7 +44,6 @@ fn every_registry_dataset_solves_at_small_scale() {
                     max_iters: 400,
                     trace_every: 100,
                     gap_tol: None,
-                    overlap: true,
                 };
                 let res = saco::seq::sa_svm(&g.dataset, &c);
                 assert!(
@@ -112,7 +111,6 @@ fn distributed_svm_runs_on_a_registry_dataset() {
         max_iters: 160,
         trace_every: 40,
         gap_tol: None,
-        overlap: true,
     };
     let engine = Engine::sim(4, CostModel::cray_xc30(), true);
     let spec = RunSpec::new(Method::svm(&c), engine, Source::InMemory(&g.dataset));

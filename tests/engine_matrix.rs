@@ -2,24 +2,33 @@
 //!
 //! Every solver family is one backend-generic recurrence
 //! (`exec::{lasso_family, svm_family, kdcd_family}`) run on three
-//! engines, so the contract is testable as a matrix rather than pairwise:
+//! engines, so the contract is testable as a matrix rather than pairwise.
+//! The product is one walk over a table of rows (`walk_product`), run
+//! once per test binary; one test per contract and family judges the
+//! cells it ran, and each cell holds:
 //!
 //! * seq ≡ sim **bitwise** (the virtual cluster runs the identical global
-//!   numerics and only attaches charges);
+//!   numerics and only attaches charges), and the seq cell is bitwise the
+//!   `seq::*` shim a user calls;
 //! * net ≡ seq **bitwise at p = 1** (one rank holds the whole matrix and
 //!   the reduction is the identity), and to 1e-9 at p > 1 (the reduction
 //!   tree re-associates sums);
-//! * all ranks of a net run agree **bitwise** (replicated recurrences);
-//! * overlap on ≡ overlap off **bitwise** (the overlap window only runs
-//!   work that depends on the replicated RNG stream and `A`);
+//! * all ranks of a net run agree **bitwise** (replicated recurrences and
+//!   traces);
 //! * sim prices what net executes: its allreduces and payload words are
 //!   the frames and bytes the socket mesh sends, by the tree identity;
-//! * each SA method matches its classical counterpart along the whole
-//!   trace (the paper's exact-arithmetic claim, Table III);
+//! * streamed ≡ in-memory **bitwise**, and on sim the two charge the same
+//!   counts;
 //! * every cell's objective bits are pinned in `tests/goldens/cells.txt`.
+//!
+//! Overlap is not an axis: sim and net always hide the fused allreduce
+//! behind the next block, seq never does, and seq ≡ sim ≡ net(p = 1)
+//! bitwise is the proof that the window moves no bit. The SA-equivalence
+//! tests hold each SA method to its classical counterpart along the whole
+//! trace (the paper's exact-arithmetic claim, Table III).
 
 use datagen::{binary_classification, dense_gaussian, planted_regression, uniform_sparse};
-use datagen::{col_partition, shard_plan, slice_nnz, PaperDataset, Task};
+use datagen::{shard_plan, slice_nnz, PaperDataset, Task};
 use mpisim::telemetry::Registry;
 use mpisim::{CostModel, CostReport};
 use saco::prox::{ElasticNet, GroupLasso, Lasso, Regularizer};
@@ -29,7 +38,8 @@ use saco::{KdcdConfig, KdcdStats, KdcdTask, LassoConfig, SolveResult, SvmConfig,
 use sparsela::io::Dataset;
 use sparsela::shard::{write_csc, write_csr};
 use sparsela::KernelFn;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 // The engine axis: every rank engine on the paper's machine model, by
 // count (`balanced = false`).
@@ -83,7 +93,7 @@ fn svm_ds(seed: u64) -> Dataset {
 
 /// An SVM config (λ = 1, no gap tolerance) with `iters` iterations traced
 /// every `trace` of them.
-fn svm_cfg(loss: SvmLoss, s: usize, seed: u64, iters: usize, trace: usize, on: bool) -> SvmConfig {
+fn svm_cfg(loss: SvmLoss, s: usize, seed: u64, iters: usize, trace: usize) -> SvmConfig {
     SvmConfig {
         loss,
         lambda: 1.0,
@@ -92,11 +102,10 @@ fn svm_cfg(loss: SvmLoss, s: usize, seed: u64, iters: usize, trace: usize, on: b
         max_iters: iters,
         trace_every: trace,
         gap_tol: None,
-        overlap: on,
     }
 }
 
-fn lasso_cfg(mu: usize, s: usize, overlap: bool) -> LassoConfig {
+fn lasso_cfg(mu: usize, s: usize) -> LassoConfig {
     LassoConfig {
         mu,
         s,
@@ -105,197 +114,37 @@ fn lasso_cfg(mu: usize, s: usize, overlap: bool) -> LassoConfig {
         max_iters: 96,
         trace_every: 24,
         rel_tol: None,
-        overlap,
         ..Default::default()
-    }
-}
-
-fn run_seq_lasso<R: Regularizer>(
-    ds: &Dataset,
-    reg: &R,
-    c: &LassoConfig,
-    accel: bool,
-) -> SolveResult {
-    // Route through the public entry points so the matrix exercises the
-    // shims users call, not the family directly.
-    match (accel, c.s) {
-        (true, 1) => acc_bcd(ds, reg, c),
-        (true, _) => sa_accbcd(ds, reg, c),
-        (false, 1) => bcd(ds, reg, c),
-        (false, _) => sa_bcd(ds, reg, c),
-    }
-}
-
-fn run_net_lasso<R: Regularizer>(
-    ds: &Dataset,
-    reg: &R,
-    c: &LassoConfig,
-    accel: bool,
-    p: usize,
-) -> Vec<SolveResult> {
-    cell(lasso(reg, c, accel), net(p), mem(ds)).results
-}
-
-/// Overlap must not perturb numerics on the real wire either: with
-/// overlap a leaf's partial is sent before the next block is formed and
-/// combined after it, and the bits must not care.
-#[test]
-fn net_overlap_does_not_change_iterates() {
-    let ds = lasso_ds(1);
-    let reg = Lasso::new(0.05);
-    let on = run_net_lasso(&ds, &reg, &lasso_cfg(4, 8, true), true, 4);
-    let off = run_net_lasso(&ds, &reg, &lasso_cfg(4, 8, false), true, 4);
-    assert_eq!(
-        on[0].x, off[0].x,
-        "overlap changed iterates on the socket mesh"
-    );
-    let c = |overlap| svm_cfg(SvmLoss::L2, 8, 72, 96, 24, overlap);
-    let svm_ds = svm_ds(2);
-    let on = cell(Method::svm(&c(true)), net(4), mem(&svm_ds)).results;
-    let off = cell(Method::svm(&c(false)), net(4), mem(&svm_ds)).results;
-    for (a, b) in on.iter().zip(&off) {
-        assert_eq!(a.x, b.x, "overlap changed SVM iterates on the socket mesh");
-    }
-}
-
-/// The full lasso-family matrix: {BCD, accBCD, SA-BCD, SA-accBCD} ×
-/// {Lasso, ElasticNet, GroupLasso} × overlap {on, off} × p {1, 4}.
-#[test]
-fn lasso_engine_matrix() {
-    let ds = lasso_ds(1);
-    // `Regularizer` is not dyn-compatible (`Self: Sized` bound), so the
-    // regularizer axis of the matrix is monomorphised per concrete type.
-    lasso_matrix_for_reg(&ds, &Lasso::new(0.05), "lasso");
-    lasso_matrix_for_reg(&ds, &ElasticNet::new(0.4), "enet");
-    lasso_matrix_for_reg(&ds, &GroupLasso::uniform(0.05, 60, 4), "glasso");
-}
-
-fn lasso_matrix_for_reg<R: Regularizer>(ds: &Dataset, reg: &R, reg_name: &str) {
-    for (variant, accel, s) in [
-        ("bcd", false, 1usize),
-        ("acc_bcd", true, 1),
-        ("sa_bcd", false, 8),
-        ("sa_accbcd", true, 8),
-    ] {
-        let what = format!("{reg_name}/{variant}");
-        for overlap in [false, true] {
-            let c = lasso_cfg(4, s, overlap);
-            let seq_res = run_seq_lasso(ds, reg, &c, accel);
-            // seq ≡ sim, bitwise.
-            let sim_out = cell(lasso(reg, &c, accel), sim(4), mem(ds));
-            assert_eq!(
-                seq_res.x,
-                sim_out.result().x,
-                "{what} overlap={overlap}: seq vs sim"
-            );
-            for p in [1usize, 4] {
-                let net = run_net_lasso(ds, reg, &c, accel, p);
-                // Replicated recurrences: all ranks agree bitwise.
-                for r in &net[1..] {
-                    assert_eq!(r.x, net[0].x, "{what} p={p}: ranks disagree");
-                }
-                if p == 1 {
-                    assert_eq!(net[0].x, seq_res.x, "{what}: net p=1 vs seq");
-                } else {
-                    for (a, b) in net[0].x.iter().zip(&seq_res.x) {
-                        assert!(
-                            (a - b).abs() < 1e-9,
-                            "{what} p={p} overlap={overlap}: {a} vs {b}"
-                        );
-                    }
-                }
-            }
-        }
-        // Overlap must not perturb numerics in any engine.
-        let d_on = run_net_lasso(ds, reg, &lasso_cfg(4, s, true), accel, 4);
-        let d_off = run_net_lasso(ds, reg, &lasso_cfg(4, s, false), accel, 4);
-        assert_eq!(d_on[0].x, d_off[0].x, "{what}: overlap changed iterates");
-    }
-}
-
-/// The SVM matrix: {classical (s = 1), SA (s = 16)} × {L1, L2} × p {1, 4}.
-#[test]
-fn svm_engine_matrix() {
-    let ds = svm_ds(2);
-    for loss in [SvmLoss::L1, SvmLoss::L2] {
-        for s in [1usize, 16] {
-            for overlap in [false, true] {
-                let c = svm_cfg(loss, s, 71, 192, 48, overlap);
-                let what = format!("{loss:?} s={s} overlap={overlap}");
-                let seq_res = if s == 1 {
-                    svm(&ds, &c)
-                } else {
-                    sa_svm(&ds, &c)
-                };
-                let sim_out = cell(Method::svm(&c), sim(4), mem(&ds));
-                assert_eq!(seq_res.x, sim_out.result().x, "{what}: seq vs sim");
-                for p in [1usize, 4] {
-                    let part = col_partition(&ds.a, p, false);
-                    let net = cell(Method::svm(&c), net(p), mem(&ds)).results;
-                    // The gap trace is replicated bitwise on every rank.
-                    for r in &net[1..] {
-                        assert_eq!(r.trace.len(), net[0].trace.len());
-                        for (a, b) in r.trace.points().iter().zip(net[0].trace.points()) {
-                            assert_eq!(a.value, b.value, "{what} p={p}: gap not replicated");
-                        }
-                    }
-                    // Concatenated local slices reproduce the global x.
-                    let mut x_global = Vec::new();
-                    for (r, res) in net.iter().enumerate() {
-                        assert_eq!(res.x.len(), part.range(r).len());
-                        x_global.extend_from_slice(&res.x);
-                    }
-                    if p == 1 {
-                        assert_eq!(x_global, seq_res.x, "{what}: net p=1 vs seq");
-                    } else {
-                        for (a, b) in x_global.iter().zip(&seq_res.x) {
-                            assert!((a - b).abs() < 1e-9, "{what} p={p}: {a} vs {b}");
-                        }
-                    }
-                }
-            }
-        }
     }
 }
 
 /// `SACO_SIMD` must be unobservable end to end: the same solve run under
 /// the scalar and the auto (widest-ISA) microkernel builds yields
 /// bitwise-identical iterates on every engine — seq, the virtual cluster
-/// and the socket mesh (p = 2), in both overlap modes.
-/// The lane schedule, not the ISA, is the numerics contract; CI runs the
-/// whole matrix again under each `SACO_SIMD` value to pin the same
-/// property through the env-var path.
+/// and the socket mesh (p = 2). The lane schedule, not the ISA, is the
+/// numerics contract; CI runs the whole matrix again under each
+/// `SACO_SIMD` value to pin the same property through the env-var path.
 #[test]
 fn simd_mode_is_unobservable_across_engines() {
     use sparsela::simd::{self, Mode};
-    let reg = Lasso::new(0.05);
+    let (reg, c) = (Lasso::new(0.05), lasso_cfg(4, 8));
     let ambient = simd::mode();
     // Sparse columns take the scatter lane block, dense ones the
     // full-slice block; each has its own AVX2 / AVX-512 builds.
     for ds in [lasso_ds(1), dense_lasso_ds(1)] {
-        for overlap in [false, true] {
-            let c = lasso_cfg(4, 8, overlap);
-            let run = |mode: Mode| {
-                simd::set_mode(mode);
-                let seq = run_seq_lasso(&ds, &reg, &c, true);
-                let mut sim = cell(lasso(&reg, &c, true), sim(2), mem(&ds));
-                let net = run_net_lasso(&ds, &reg, &c, true, 2);
-                let sim_x = sim.results.swap_remove(0).x;
-                (seq.x, sim_x, net[0].x.clone())
-            };
-            let scalar = run(Mode::Scalar);
-            let auto = run(Mode::Auto);
-            assert_eq!(
-                scalar, auto,
-                "overlap={overlap}: SACO_SIMD changed engine iterates"
-            );
-        }
+        let run = |mode: Mode| {
+            simd::set_mode(mode);
+            [Engine::Seq, sim(2), net(2)].map(|e| {
+                cell(lasso(&reg, &c, true), e, mem(&ds))
+                    .results
+                    .swap_remove(0)
+                    .x
+            })
+        };
+        let (scalar, auto) = (run(Mode::Scalar), run(Mode::Auto));
+        assert_eq!(scalar, auto, "SACO_SIMD changed engine iterates");
     }
     simd::set_mode(ambient);
-}
-
-fn report(out: RunOutcome) -> CostReport {
-    out.report.expect("sim reports modeled costs")
 }
 
 /// Strict: both runs charge through the same backend code path, so the
@@ -312,127 +161,6 @@ fn assert_reports_match(a: &CostReport, b: &CostReport, what: &str) {
         a.running_time(),
         b.running_time()
     );
-}
-
-/// Table I on the wire: the virtual cluster's program-order allreduce
-/// and payload-word counts are what a socket mesh of the same size
-/// actually sends. Each allreduce of `w` words crosses the `2(P−1)` edges
-/// of the binomial tree (reduce up, broadcast down) as one frame of
-/// `HEADER_LEN + 8w` bytes, so over a solve
-/// `Σ frames = 2(P−1)·C` and `Σ bytes = 2(P−1)·(HEADER_LEN·C + 8·W)`.
-/// The mesh's own set-up traffic is named and left out: the handshake
-/// and the set-up barrier precede the `net.solve.*` window, and that
-/// barrier is the one extra collective each rank counts in
-/// `net.collectives`. A lone rank joins nothing on either engine.
-fn assert_wire_matches_sim(sim: &RunOutcome, net: &RunOutcome, p: usize, what: &str) {
-    let (s, n) = (&sim.telemetry, &net.telemetry);
-    let (c, w) = (
-        s.counter("collectives.allreduce"),
-        s.counter("comm.words_packed"),
-    );
-    let (p, edges) = (p as u64, 2 * (p as u64 - 1));
-    let header = netcomm::frame::HEADER_LEN as u64;
-    assert_eq!(
-        n.counter("net.solve.frames_tx"),
-        edges * c,
-        "{what}: frames"
-    );
-    let bytes = edges * (header * c + 8 * w);
-    assert_eq!(n.counter("net.solve.bytes_tx"), bytes, "{what}: bytes");
-    if p > 1 {
-        let setup_barrier = 1;
-        assert_eq!(
-            n.counter("net.collectives"),
-            p * (c + setup_barrier),
-            "{what}"
-        );
-    }
-}
-
-/// Run a cell on the virtual cluster and on the socket mesh at
-/// P ∈ {1, 2, 4} and hold the cluster's counts to the mesh's wire;
-/// returns the mesh runs.
-fn wire_check(run_on: impl Fn(Engine) -> RunOutcome, what: &str) -> Vec<RunOutcome> {
-    let check = |p| {
-        let (sim_out, net_out) = (run_on(sim(p)), run_on(net(p)));
-        assert_wire_matches_sim(&sim_out, &net_out, p, &format!("{what} p={p}"));
-        net_out
-    };
-    [1, 2, 4].map(check).into()
-}
-
-#[test]
-fn sim_counts_match_net_wire_lasso() {
-    let ds = lasso_ds(3);
-    for accel in [false, true] {
-        for overlap in [false, true] {
-            let c = LassoConfig {
-                mu: 2,
-                s: 8,
-                lambda: 0.2,
-                seed: 48,
-                max_iters: 64,
-                trace_every: 16,
-                rel_tol: None,
-                overlap,
-                ..Default::default()
-            };
-            let reg = Lasso::new(c.lambda);
-            let what = format!("lasso accel={accel} overlap={overlap}");
-            wire_check(|e| cell(lasso(&reg, &c, accel), e, mem(&ds)), &what);
-        }
-    }
-}
-
-#[test]
-fn sim_counts_match_net_wire_svm() {
-    let ds = svm_ds(4);
-    for overlap in [false, true] {
-        let c = svm_cfg(SvmLoss::L1, 8, 49, 64, 16, overlap);
-        let what = format!("svm overlap={overlap}");
-        wire_check(|e| cell(Method::svm(&c), e, mem(&ds)), &what);
-    }
-}
-
-/// The kernel family's wire, all-hit rounds included: once every sampled
-/// row is cached a block skips its allreduce on every rank, on the
-/// cluster and on the mesh alike.
-#[test]
-fn sim_counts_match_net_wire_kdcd() {
-    let ds = kdcd_ds(8);
-    for (kernel, task, name) in kdcd_kernels() {
-        for overlap in [false, true] {
-            let c = kdcd_cfg(kernel, task, overlap);
-            let what = format!("kdcd {name} overlap={overlap}");
-            let nets = wire_check(|e| cell(Method::kdcd(&c), e, mem(&ds)), &what);
-            let skipped = nets[2].kdcd[0].exchange_skipped;
-            assert!(skipped > 0, "{what}: no all-hit round was exercised");
-        }
-    }
-}
-
-#[test]
-fn overlap_never_slows_the_simulated_run() {
-    let run = |overlap: bool| {
-        let c = LassoConfig {
-            mu: 2,
-            s: 16,
-            lambda: 0.2,
-            seed: 50,
-            max_iters: 128,
-            trace_every: 0,
-            rel_tol: None,
-            overlap,
-            ..Default::default()
-        };
-        let (ds, reg) = (lasso_ds(3), Lasso::new(c.lambda));
-        report(cell(lasso(&reg, &c, true), sim(8), mem(&ds)))
-    };
-    let (v_on, v_off) = (run(true), run(false));
-    // Same collectives and flops either way — overlap only hides time.
-    assert_eq!(v_on.critical.messages, v_off.critical.messages);
-    assert_eq!(v_on.critical.flops, v_off.critical.flops);
-    assert!(v_on.running_time() <= v_off.running_time() + 1e-12);
 }
 
 #[test]
@@ -543,7 +271,7 @@ fn svm_sa_equivalence_on_registry_structures() {
     ] {
         let g = ds.generate_for_task(Task::Classification, 0.1, 11);
         for loss in [SvmLoss::L1, SvmLoss::L2] {
-            let c = svm_cfg(loss, 48, 77, 960, 120, true);
+            let c = svm_cfg(loss, 48, 77, 960, 120);
             let classic = svm(&g.dataset, &c);
             let sa = sa_svm(&g.dataset, &c);
             assert_eq!(classic.trace.len(), sa.trace.len());
@@ -595,104 +323,13 @@ fn saco_lambda(ds: &Dataset) -> f64 {
     0.1 * sparsela::vecops::inf_norm(&atb)
 }
 
-// ---------------------------------------------------------------------------
-// The streamed column: an out-of-core shard directory is just another
-// `SliceSource`, so every engine that accepts one must produce **bitwise**
-// the in-memory run — iterates AND traced objectives — and, on the virtual
-// cluster, charge the identical cost sequence (the partition weights come
-// from the minor-nnz sidecar, integer-equal to the in-memory row scan).
-// ---------------------------------------------------------------------------
-
-fn shard_dir(tag: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("saco_matrix_shards_{}_{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
-
-fn assert_bitwise(streamed: &SolveResult, mem: &SolveResult, what: &str) {
-    assert_eq!(streamed.x, mem.x, "{what}: streamed vs in-memory iterates");
-    assert_eq!(
-        streamed.trace.len(),
-        mem.trace.len(),
-        "{what}: trace length"
-    );
-    for (s, m) in streamed.trace.points().iter().zip(mem.trace.points()) {
-        assert_eq!(s.value, m.value, "{what}: traced objective moved a bit");
-    }
-}
-
-#[test]
-fn streamed_lasso_is_bitwise_in_memory_on_seq_and_sim() {
-    let ds = lasso_ds(1);
-    let csc = ds.a.to_csc();
-    let dir = shard_dir("lasso");
-    let bounds = shard_plan(&slice_nnz(&csc), 7);
-    write_csc(&dir, &csc, &bounds, Some(&ds.b)).expect("write shard dir");
-    let reg = Lasso::new(0.05);
-    for accel in [false, true] {
-        for overlap in [false, true] {
-            let c = lasso_cfg(4, 8, overlap);
-            let what = format!("stream lasso accel={accel} overlap={overlap}");
-
-            // Sequential: lookahead prefetch behind compute, tight budget.
-            let seq_mem = run_seq_lasso(&ds, &reg, &c, accel);
-            let streamed = cell(lasso(&reg, &c, accel), Engine::Seq, shards(&dir));
-            assert_bitwise(streamed.result(), &seq_mem, &what);
-            let st = streamed.io[0];
-            assert!(
-                st.prefetch_hits + st.prefetch_waits > 0,
-                "{what}: lookahead prefetch never engaged"
-            );
-
-            // Virtual cluster: same iterates and the identical charges.
-            let sim_mem = cell(lasso(&reg, &c, accel), sim(4), mem(&ds));
-            let sim_st = cell(lasso(&reg, &c, accel), sim(4), shards(&dir));
-            assert_bitwise(sim_st.result(), sim_mem.result(), &format!("{what} (sim)"));
-            assert_reports_match(
-                &report(sim_st),
-                &report(sim_mem),
-                &format!("{what} (sim charges)"),
-            );
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn streamed_svm_is_bitwise_in_memory_on_seq_and_sim() {
-    let ds = svm_ds(2);
-    let dir = shard_dir("svm");
-    let bounds = shard_plan(&slice_nnz(&ds.a), 5);
-    write_csr(&dir, &ds.a, &bounds, Some(&ds.b)).expect("write shard dir");
-    for loss in [SvmLoss::L1, SvmLoss::L2] {
-        for overlap in [false, true] {
-            let c = svm_cfg(loss, 16, 71, 192, 48, overlap);
-            let what = format!("stream svm {loss:?} overlap={overlap}");
-
-            let seq_mem = sa_svm(&ds, &c);
-            let streamed = cell(Method::svm(&c), Engine::Seq, shards(&dir));
-            assert_bitwise(streamed.result(), &seq_mem, &what);
-
-            let sim_mem = cell(Method::svm(&c), sim(4), mem(&ds));
-            let sim_st = cell(Method::svm(&c), sim(4), shards(&dir));
-            assert_bitwise(sim_st.result(), sim_mem.result(), &format!("{what} (sim)"));
-            assert_reports_match(
-                &report(sim_st),
-                &report(sim_mem),
-                &format!("{what} (sim charges)"),
-            );
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 #[test]
 fn sa_solvers_with_s_1_are_bitwise_classical_shapes() {
     // s = 1 must agree with the classical solver at every traced point to
     // extremely tight tolerance (identical computation graph modulo benign
     // reassociation in the Gram kernel).
     let g = PaperDataset::Rcv1Binary.generate(0.05, 17);
-    let c = svm_cfg(SvmLoss::L1, 1, 5, 400, 50, true);
+    let c = svm_cfg(SvmLoss::L1, 1, 5, 400, 50);
     let a = svm(&g.dataset, &c);
     let b = sa_svm(&g.dataset, &c);
     for (p, q) in a.trace.points().iter().zip(b.trace.points()) {
@@ -741,37 +378,32 @@ fn registry_reports_match_pre_refactor_goldens() {
 
     let ds = lasso_ds(77);
     let reg = Lasso::new(0.05);
-    // Overlapped accelerated run: exercises the double-buffered block
-    // entry, the overlap closure, and the piggybacked trace scalar.
-    let t = cell(lasso(&reg, &lasso_cfg(2, 8, true), true), sim(8), mem(&ds)).telemetry;
+    // Accelerated run: exercises the double-buffered block entry, the
+    // overlap closure, and the piggybacked trace scalar.
+    let t = cell(lasso(&reg, &lasso_cfg(2, 8), true), sim(8), mem(&ds)).telemetry;
     golden_check("sim_lasso_report.json", &run_report_json(&t));
-    // Non-overlapped plain BCD: the sample-at-entry path and the
-    // single-sequence update charges.
+    // Plain BCD on a balanced partition: the single-sequence update
+    // charges.
     let balanced4 = Engine::sim(4, CostModel::cray_xc30(), true);
-    let t = cell(
-        lasso(&reg, &lasso_cfg(3, 4, false), false),
-        balanced4,
-        mem(&ds),
-    )
-    .telemetry;
+    let t = cell(lasso(&reg, &lasso_cfg(3, 4), false), balanced4, mem(&ds)).telemetry;
     golden_check("sim_bcd_report.json", &run_report_json(&t));
     let sds = svm_ds(78);
-    let sc = svm_cfg(SvmLoss::L2, 8, 5, 96, 24, true);
+    let sc = svm_cfg(SvmLoss::L2, 8, 5, 96, 24);
     let t = cell(Method::svm(&sc), sim(8), mem(&sds)).telemetry;
     golden_check("sim_svm_report.json", &run_report_json(&t));
 }
 
 // ---------------------------------------------------------------------------
 // The kernel column: K-DCD/K-BDCD is the third family through the same
-// driver, so it owes the same matrix — with one twist. The exchanged
-// payload is *raw dot-product rows* (kernel transforms are nonlinear and
-// cannot be summed), so at p > 1 the allreduce tree re-associates the
-// feature sums and the transformed kernel entries carry last-ulp noise
-// into the iterate: net ≡ seq is bitwise at p = 1 and 1e-9 at p > 1,
-// exactly like the linear families. Everything structural stays bitwise:
-// seq ≡ sim, all ranks replicated (iterates *and* cache counters — the
-// skip-the-collective decision rides on them), overlap on ≡ off,
-// streamed ≡ in-memory, and the worker-thread count.
+// driver, so its rows walk the same product — with one twist. The
+// exchanged payload is *raw dot-product rows* (kernel transforms are
+// nonlinear and cannot be summed), so at p > 1 the allreduce tree
+// re-associates the feature sums and the transformed kernel entries carry
+// last-ulp noise into the iterate: net ≡ seq is bitwise at p = 1 and 1e-9
+// at p > 1, exactly like the linear families. Everything structural stays
+// bitwise: seq ≡ sim, all ranks replicated (iterates *and* cache counters
+// — the skip-the-collective decision rides on them), streamed ≡
+// in-memory, and the worker-thread count.
 // ---------------------------------------------------------------------------
 
 fn kdcd_ds(seed: u64) -> Dataset {
@@ -797,7 +429,7 @@ fn kdcd_kernels() -> [(KernelFn, KdcdTask, &'static str); 2] {
     ]
 }
 
-fn kdcd_cfg(kernel: KernelFn, task: KdcdTask, overlap: bool) -> KdcdConfig {
+fn kdcd_cfg(kernel: KernelFn, task: KdcdTask) -> KdcdConfig {
     KdcdConfig {
         task,
         kernel,
@@ -806,95 +438,8 @@ fn kdcd_cfg(kernel: KernelFn, task: KdcdTask, overlap: bool) -> KdcdConfig {
         seed: 61,
         max_iters: 128,
         trace_every: 32,
-        overlap,
         cache_budget_bytes: 1 << 20,
     }
-}
-
-/// A kernel-family cell, unzipped into per-rank `(result, stats)` pairs.
-fn run_kdcd(c: &KdcdConfig, engine: Engine, source: Source<'_>) -> Vec<(SolveResult, KdcdStats)> {
-    let out = cell(Method::kdcd(c), engine, source);
-    out.results.into_iter().zip(out.kdcd).collect()
-}
-
-/// The full kernel-family matrix: {rbf × K-SVM, poly × K-BDCD ridge} ×
-/// overlap {off, on} × worker threads {1, 4} × p {1, 4}.
-#[test]
-fn kdcd_engine_matrix() {
-    let ds = kdcd_ds(6);
-    for (kernel, task, name) in kdcd_kernels() {
-        for overlap in [false, true] {
-            let c = kdcd_cfg(kernel, task, overlap);
-            let mut per_threads: Vec<Vec<f64>> = Vec::new();
-            for threads in [1usize, 4] {
-                saco_par::set_threads(threads);
-                let what = format!("{name} overlap={overlap} threads={threads}");
-                let (seq_res, seq_stats) = kdcd(&ds, &c);
-                // seq ≡ sim bitwise — iterates and the replicated
-                // hit/miss/eviction stream.
-                let (sim_res, sim_stats) = run_kdcd(&c, sim(4), mem(&ds)).remove(0);
-                assert_eq!(seq_res.x, sim_res.x, "{what}: seq vs sim");
-                assert_eq!(seq_stats.cache, sim_stats.cache, "{what}: cache streams");
-                for p in [1usize, 4] {
-                    let net = run_kdcd(&c, net(p), mem(&ds));
-                    for (rank, (res, stats)) in net.iter().enumerate().skip(1) {
-                        assert_eq!(res.x, net[0].0.x, "{what} p={p} rank {rank}");
-                        assert_eq!(stats.cache, net[0].1.cache, "{what} p={p} rank {rank}");
-                        assert_eq!(
-                            stats.exchange_skipped, net[0].1.exchange_skipped,
-                            "{what} p={p} rank {rank}: skip decisions must replicate"
-                        );
-                    }
-                    if p == 1 {
-                        assert_eq!(net[0].0.x, seq_res.x, "{what}: net p=1 vs seq");
-                    } else {
-                        for (a, b) in net[0].0.x.iter().zip(&seq_res.x) {
-                            assert!(
-                                (a - b).abs() <= 1e-9 * (1.0 + a.abs()),
-                                "{what} p={p}: {a} vs {b}"
-                            );
-                        }
-                    }
-                }
-                per_threads.push(seq_res.x);
-            }
-            saco_par::set_threads(1);
-            assert_eq!(
-                per_threads[0], per_threads[1],
-                "{name} overlap={overlap}: worker-thread count changed the bits"
-            );
-        }
-    }
-}
-
-/// The streamed column for the kernel family: a CSR shard directory on
-/// the sequential engine (and, windowed per rank, on the socket mesh) is
-/// bitwise the in-memory run.
-#[test]
-fn streamed_kdcd_is_bitwise_in_memory() {
-    let ds = kdcd_ds(9);
-    let dir = shard_dir("kdcd");
-    let bounds = shard_plan(&slice_nnz(&ds.a), 5);
-    write_csr(&dir, &ds.a, &bounds, Some(&ds.b)).expect("write shard dir");
-    for (kernel, task, name) in kdcd_kernels() {
-        for overlap in [false, true] {
-            let c = kdcd_cfg(kernel, task, overlap);
-            let what = format!("stream kdcd {name} overlap={overlap}");
-            let (seq_mem, mem_stats) = kdcd(&ds, &c);
-            let (streamed, st_stats) = run_kdcd(&c, Engine::Seq, shards(&dir)).remove(0);
-            assert_bitwise(&streamed, &seq_mem, &what);
-            assert_eq!(st_stats.cache, mem_stats.cache, "{what}: cache streams");
-
-            let p = 2;
-            let mem_net = run_kdcd(&c, net(p), mem(&ds));
-            let st_net = run_kdcd(&c, net(p), shards(&dir));
-            for (rank, ((sr, ss), (mr, ms))) in st_net.iter().zip(&mem_net).enumerate() {
-                assert_eq!(sr.x, mr.x, "{what} p={p} rank {rank}: streamed net");
-                assert_eq!(ss.cache, ms.cache, "{what} p={p} rank {rank}");
-            }
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -912,7 +457,7 @@ fn streamed_kdcd_is_bitwise_in_memory() {
 #[test]
 fn sim_path_matches_seq_path_bitwise() {
     let ds = lasso_ds(5);
-    let c = lasso_cfg(4, 8, true);
+    let c = lasso_cfg(4, 8);
     let seq_path = saco::path::lasso_path(&ds, &c, 8, 0.01, Lasso::new);
     let (sim_path, rep) = saco::sim::sim_lasso_path(
         &ds,
@@ -951,7 +496,7 @@ fn sim_path_matches_seq_path_bitwise() {
 #[test]
 fn cv_is_deterministic_across_worker_threads() {
     let ds = lasso_ds(6);
-    let c = lasso_cfg(2, 8, false);
+    let c = lasso_cfg(2, 8);
     let run = |threads: usize| {
         saco_par::set_threads(threads);
         saco::crossval::cross_validate_lasso(&ds, &c, 4, 6, 0.01, Lasso::new)
@@ -985,7 +530,7 @@ fn kdcd_converges_on_url_shape_subsample() {
     let g = PaperDataset::Url.generate_for_task(Task::Classification, 0.02, 19);
     let ds = &g.dataset;
     for (kernel, task, name) in kdcd_kernels() {
-        let mut c = kdcd_cfg(kernel, task, true);
+        let mut c = kdcd_cfg(kernel, task);
         c.max_iters = 256;
         c.trace_every = 64;
         let (res, stats) = kdcd(ds, &c);
@@ -1003,11 +548,18 @@ fn kdcd_converges_on_url_shape_subsample() {
     }
 }
 
+/// A fresh per-process scratch directory for one shard set.
+fn shard_dir(tag: &str) -> std::path::PathBuf {
+    let d = std::env::temp_dir().join(format!("saco_matrix_shards_{}_{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&d);
+    d
+}
+
 // ---------------------------------------------------------------------------
-// The product, stated once as data: every method × engine × source ×
-// overlap cell at p ∈ {1, 4} either matches the seq/in-memory reference
-// under its engine's relation, or returns the documented `RunError`. No
-// cell may panic.
+// The product, stated once as data: every row (family × regularizer /
+// loss / kernel × s × pool width) × engine × source cell at p ∈ {1, 2, 4}
+// either matches the seq/in-memory reference under its engine's relation,
+// or returns the documented `RunError`. No cell may panic.
 // ---------------------------------------------------------------------------
 
 /// How a cell must relate to the seq/in-memory reference iterate.
@@ -1029,17 +581,31 @@ const ENGINE_TABLE: [EngineRow; 3] = [
     ("net", net, Relation::Bitwise, Relation::Close(1e-9)),
 ];
 
-/// The iterate a cell computed, reassembled to the global vector: the
-/// linear SVM partitions `x` across ranks, everything else replicates it
-/// (and every replica must agree bitwise).
-fn global_x(out: &RunOutcome, partitioned: bool, what: &str) -> Vec<f64> {
-    if partitioned {
-        return out.results.iter().flat_map(|r| r.x.clone()).collect();
+/// A cell's solution, reassembled: the global iterate (the linear SVM
+/// partitions `x` across ranks, everything else replicates it and every
+/// replica must agree bitwise) and the traced objective's bits, which
+/// every rank must hold identically.
+fn solution(out: &RunOutcome, partitioned: bool, what: &str) -> (Vec<f64>, Vec<u64>) {
+    let trace_bits = |r: &SolveResult| -> Vec<u64> {
+        r.trace.points().iter().map(|p| p.value.to_bits()).collect()
+    };
+    let (first, rest) = (&out.results[0], &out.results[1..]);
+    for r in rest {
+        assert_eq!(
+            trace_bits(r),
+            trace_bits(first),
+            "{what}: trace not replicated"
+        );
+        if !partitioned {
+            assert_eq!(r.x, first.x, "{what}: ranks disagree");
+        }
     }
-    for r in &out.results[1..] {
-        assert_eq!(r.x, out.results[0].x, "{what}: ranks disagree");
-    }
-    out.results[0].x.clone()
+    let x = if partitioned {
+        out.results.iter().flat_map(|r| r.x.clone()).collect()
+    } else {
+        first.x.clone()
+    };
+    (x, trace_bits(first))
 }
 
 fn assert_related(x: &[f64], reference: &[f64], rel: Relation, what: &str) {
@@ -1057,31 +623,109 @@ fn assert_related(x: &[f64], reference: &[f64], rel: Relation, what: &str) {
     }
 }
 
-/// The method axis of the walk.
+/// The regularizer axis of the Lasso rows.
 #[derive(Clone, Copy, Debug)]
-enum Family {
-    Lasso { accel: bool },
-    Svm,
-    Kdcd(KernelFn, KdcdTask),
+enum Reg {
+    Lasso,
+    ElasticNet,
+    GroupLasso,
 }
 
-fn try_cell(
-    family: Family,
-    overlap: bool,
-    engine: Engine,
-    source: Source<'_>,
-) -> Result<RunOutcome, RunError> {
-    match family {
-        Family::Lasso { accel } => {
-            let (reg, c) = (Lasso::new(0.05), lasso_cfg(4, 8, overlap));
-            run(&RunSpec::new(lasso(&reg, &c, accel), engine, source))
+/// Bind `$r` to the row's regularizer over `$n` features and evaluate
+/// `$body`: `Regularizer` is not dyn-compatible (`Self: Sized`), so each
+/// concrete type gets its own arm.
+macro_rules! with_reg {
+    ($reg:expr, $n:expr, |$r:ident| $body:expr) => {
+        match $reg {
+            Reg::Lasso => {
+                let $r = &Lasso::new(0.05);
+                $body
+            }
+            Reg::ElasticNet => {
+                let $r = &ElasticNet::new(0.4);
+                $body
+            }
+            Reg::GroupLasso => {
+                let $r = &GroupLasso::uniform(0.05, $n, 4);
+                $body
+            }
         }
-        Family::Svm => {
-            let c = svm_cfg(SvmLoss::L1, 8, 71, 96, 24, overlap);
+    };
+}
+
+/// The method axis of the walk: a family with the knobs its rows turn.
+#[derive(Clone, Copy, Debug)]
+enum Family {
+    /// `s = 1` is the classical BCD / accBCD.
+    Lasso {
+        reg: Reg,
+        accel: bool,
+        s: usize,
+    },
+    Svm {
+        loss: SvmLoss,
+        s: usize,
+    },
+    /// `threads` is the kernel pool width every cell of the row runs at.
+    Kdcd {
+        kernel: KernelFn,
+        task: KdcdTask,
+        threads: usize,
+    },
+}
+
+fn walk_svm_cfg(loss: SvmLoss, s: usize) -> SvmConfig {
+    svm_cfg(loss, s, 71, 96, 24)
+}
+
+/// The reference: the family solved through the `seq::*` shim a user
+/// calls, with its kernel-cache counters for the K-DCD rows.
+fn shim(family: Family, ds: &Dataset) -> (SolveResult, Option<KdcdStats>) {
+    match family {
+        Family::Lasso { reg, accel, s } => {
+            let c = lasso_cfg(4, s);
+            let res = with_reg!(reg, ds.num_features(), |r| match (accel, s) {
+                (true, 1) => acc_bcd(ds, r, &c),
+                (true, _) => sa_accbcd(ds, r, &c),
+                (false, 1) => bcd(ds, r, &c),
+                (false, _) => sa_bcd(ds, r, &c),
+            });
+            (res, None)
+        }
+        Family::Svm { loss, s } => {
+            let c = walk_svm_cfg(loss, s);
+            (if s == 1 { svm(ds, &c) } else { sa_svm(ds, &c) }, None)
+        }
+        Family::Kdcd { kernel, task, .. } => {
+            let (res, stats) = kdcd(ds, &kdcd_cfg(kernel, task));
+            (res, Some(stats))
+        }
+    }
+}
+
+/// One cell through `run`, from memory or from the shard directory `dir`.
+fn try_cell<'a>(
+    family: Family,
+    ds: &'a Dataset,
+    engine: Engine,
+    dir: Option<&'a Path>,
+) -> Result<RunOutcome, RunError> {
+    let source = dir.map_or(mem(ds), shards);
+    match family {
+        Family::Lasso { reg, accel, s } => {
+            let c = lasso_cfg(4, s);
+            with_reg!(reg, ds.num_features(), |r| run(&RunSpec::new(
+                lasso(r, &c, accel),
+                engine,
+                source
+            )))
+        }
+        Family::Svm { loss, s } => {
+            let c = walk_svm_cfg(loss, s);
             run(&RunSpec::new(Method::svm(&c), engine, source))
         }
-        Family::Kdcd(kernel, task) => {
-            let c = kdcd_cfg(kernel, task, overlap);
+        Family::Kdcd { kernel, task, .. } => {
+            let c = kdcd_cfg(kernel, task);
             run(&RunSpec::new(Method::kdcd(&c), engine, source))
         }
     }
@@ -1092,7 +736,9 @@ fn try_cell(
 /// them on the ledger; the socket mesh's are inverted from the frames and
 /// bytes its ranks sent during the solve by the tree identity: an
 /// allreduce of `w` words crosses `2(P−1)` tree edges, each one frame of
-/// `HEADER_LEN + 8w` bytes. A lone rank sends nothing and counts none.
+/// `HEADER_LEN + 8w` bytes. The mesh's set-up barrier precedes the
+/// `net.solve.*` window and is the one extra collective each rank counts
+/// in `net.collectives`. A lone rank sends nothing and counts none.
 fn wire_counts(engine: Engine, t: &Registry) -> (u64, u64) {
     let Engine::Net { p, .. } = engine else {
         return (
@@ -1117,15 +763,21 @@ fn wire_counts(engine: Engine, t: &Registry) -> (u64, u64) {
         0,
         "{payload} payload bytes over {edges} edges"
     );
-    (frames / edges, payload / 8 / edges)
+    let (coll, words) = (frames / edges, payload / 8 / edges);
+    let setup_barrier = 1;
+    assert_eq!(
+        t.counter("net.collectives"),
+        p as u64 * (coll + setup_barrier)
+    );
+    (coll, words)
 }
 
-/// One line of `tests/goldens/cells.txt`: the cell, its objective's bits
-/// and iterations, and on the rank engines its [`wire_counts`].
-fn cell_line(what: &str, engine: Engine, out: &RunOutcome) -> String {
+/// The pinned part of a line of `tests/goldens/cells.txt`: the objective's
+/// bits and iterations, and on the rank engines its [`wire_counts`].
+fn cell_summary(engine: Engine, out: &RunOutcome) -> String {
     let r = out.result();
     let bits = r.final_value().to_bits();
-    let mut line = format!("{what} obj={bits:016x} iters={}", r.iters);
+    let mut line = format!("obj={bits:016x} iters={}", r.iters);
     if engine.ranks().is_some() {
         let (coll, words) = wire_counts(engine, &out.telemetry);
         line += &format!(" coll={coll} words={words}");
@@ -1133,63 +785,126 @@ fn cell_line(what: &str, engine: Engine, out: &RunOutcome) -> String {
     line
 }
 
-/// Walk one method over every engine × source × overlap × p, appending
-/// one [`cell_line`] per cell that runs to `lines`. Each shard directory
-/// is tagged with whether the method can stream it; the other one must be
-/// `RunError::WrongAxis` on every engine.
-fn walk_cells(
-    name: &str,
-    family: Family,
-    ds: &Dataset,
-    dirs: [(&Path, bool); 2],
-    lines: &mut Vec<String>,
-) {
-    // The linear SVM partitions `x` across ranks; the rest replicate it.
-    let partitioned = matches!(family, Family::Svm);
-    for overlap in [false, true] {
-        let reference = try_cell(family, overlap, Engine::Seq, mem(ds)).expect("reference cell");
-        let reference = global_x(&reference, false, "reference");
-        for (engine_name, engine, at_one, beyond) in ENGINE_TABLE {
-            for p in [1usize, 2, 4] {
-                if engine(p).ranks().is_none() && p > 1 {
-                    continue; // `seq` has no ranks: p = 1 is its one cell
-                }
-                let rel = if p == 1 { at_one } else { beyond };
-                let what = format!("{family:?} overlap={overlap} {engine_name} p={p}");
-                let cell_id = format!("{name} overlap={overlap} {engine_name} p={p}");
-                let in_memory = try_cell(family, overlap, engine(p), mem(ds)).expect(&what);
-                lines.push(cell_line(&format!("{cell_id} mem"), engine(p), &in_memory));
-                let split = partitioned && in_memory.results.len() > 1;
-                let x_mem = global_x(&in_memory, split, &what);
-                assert_related(&x_mem, &reference, rel, &what);
-                for (dir, streams) in dirs {
-                    let what = format!("{what} shard:{}", dir.display());
-                    match try_cell(family, overlap, engine(p), shards(dir)) {
-                        Ok(out) if streams => {
-                            // Streamed ≡ in-memory is bitwise on every
-                            // engine, whatever the engine's own relation
-                            // to seq.
-                            assert_eq!(global_x(&out, split, &what), x_mem, "{what}");
-                            assert_eq!(out.io.len(), out.results.len(), "{what}: io views");
-                            lines.push(cell_line(&format!("{cell_id} shard"), engine(p), &out));
-                        }
-                        Err(RunError::WrongAxis { .. }) if !streams => {}
-                        other => panic!("{what}: unexpected cell outcome {other:?}"),
-                    }
-                }
-            }
-        }
+/// The kernel family's replicated counters: every rank of every cell
+/// admits, hits and evicts exactly as the reference did, and skips the
+/// same all-hit collectives.
+fn assert_cache_replicated(out: &RunOutcome, reference: &KdcdStats, what: &str) {
+    for (rank, st) in out.kdcd.iter().enumerate() {
+        assert_eq!(
+            st.cache, reference.cache,
+            "{what} rank {rank}: cache stream"
+        );
+        assert_eq!(
+            st.exchange_skipped, out.kdcd[0].exchange_skipped,
+            "{what} rank {rank}: skip decisions must replicate"
+        );
     }
 }
 
-/// Every cell, including the ones no other test reaches: streamed SVM and
-/// streamed K-DCD on the socket mesh, streamed K-DCD on the virtual
-/// cluster, and every wrong-axis cell as a typed error. Every cell that
-/// runs is pinned in `tests/goldens/cells.txt`, so a change that moved
-/// the bits consistently across engines still fails here, naming the
-/// cells it moved.
-#[test]
-fn product_walk_covers_streamed_net_kdcd_cells() {
+/// One cell of a row: an engine at `p`, its in-memory run, and its run
+/// from each of the row's shard directories.
+struct Cell {
+    engine_name: &'static str,
+    engine: Engine,
+    p: usize,
+    /// The relation the cell must hold to the row's reference.
+    rel: Relation,
+    in_memory: Result<RunOutcome, RunError>,
+    /// `(dir, whether the method streams it, outcome)`: the directory
+    /// the method cannot stream must be `RunError::WrongAxis`.
+    from_shards: Vec<(PathBuf, bool, Result<RunOutcome, RunError>)>,
+}
+
+/// One row of the walk: its name in `tests/goldens/cells.txt`, its
+/// family, the `seq::*` shim's solve it is held to (with the shim's
+/// kernel-cache counters on the K-DCD rows), and every cell.
+struct Row {
+    name: String,
+    family: Family,
+    reference: SolveResult,
+    ref_stats: Option<KdcdStats>,
+    cells: Vec<Cell>,
+}
+
+impl Row {
+    /// The linear SVM partitions `x` across ranks; the rest replicate it.
+    fn partitioned(&self) -> bool {
+        matches!(self.family, Family::Svm { .. })
+    }
+
+    fn what(&self, cell: &Cell) -> String {
+        format!("{} {} p={}", self.name, cell.engine_name, cell.p)
+    }
+
+    /// The cell's in-memory run, which every cell of every row has.
+    fn ran<'a>(&self, cell: &'a Cell) -> &'a RunOutcome {
+        let what = self.what(cell);
+        cell.in_memory
+            .as_ref()
+            .unwrap_or_else(|e| panic!("{what}: {e:?}"))
+    }
+
+    /// The cell's reassembled solution: split across ranks only where the
+    /// run has more than one.
+    fn solved(&self, out: &RunOutcome, what: &str) -> (Vec<f64>, Vec<u64>) {
+        solution(out, self.partitioned() && out.results.len() > 1, what)
+    }
+
+    /// The cell on `engine_name` at `p`.
+    fn cell(&self, engine_name: &str, p: usize) -> &Cell {
+        let found = self
+            .cells
+            .iter()
+            .find(|c| c.engine_name == engine_name && c.p == p);
+        found.unwrap_or_else(|| panic!("{}: no {engine_name} p={p} cell", self.name))
+    }
+}
+
+/// Run one row over every engine × source × p. Nothing is asserted here:
+/// every outcome is kept for the contracts below to judge.
+fn walk_row(name: String, family: Family, ds: &Dataset, dirs: [(&Path, bool); 2]) -> Row {
+    let ambient = saco_par::threads();
+    if let Family::Kdcd { threads, .. } = family {
+        saco_par::set_threads(threads);
+    }
+    let (reference, ref_stats) = shim(family, ds);
+    let mut cells = Vec::new();
+    for (engine_name, engine, at_one, beyond) in ENGINE_TABLE {
+        for p in [1usize, 2, 4] {
+            let engine = engine(p);
+            if engine.ranks().is_none() && p > 1 {
+                continue; // `seq` has no ranks: p = 1 is its one cell
+            }
+            let in_memory = try_cell(family, ds, engine, None);
+            let from_shards = dirs
+                .iter()
+                .map(|&(dir, streams)| {
+                    let out = try_cell(family, ds, engine, Some(dir));
+                    (dir.to_path_buf(), streams, out)
+                })
+                .collect();
+            cells.push(Cell {
+                engine_name,
+                engine,
+                p,
+                rel: if p == 1 { at_one } else { beyond },
+                in_memory,
+                from_shards,
+            });
+        }
+    }
+    saco_par::set_threads(ambient);
+    Row {
+        name,
+        family,
+        reference,
+        ref_stats,
+        cells,
+    }
+}
+
+/// Every row of the product, in `tests/goldens/cells.txt` order.
+fn walk_product() -> Vec<Row> {
     let lasso_data = lasso_ds(11);
     let dual_data = kdcd_ds(12);
     let csc_dir = shard_dir("product_csc");
@@ -1208,46 +923,319 @@ fn product_walk_covers_streamed_net_kdcd_cells() {
     let for_duals = [(csc_dir.as_path(), false), (csr_dir.as_path(), true)];
     let for_dense = [(dense_dir.as_path(), true), (csr_dir.as_path(), false)];
 
-    let mut lines = Vec::new();
-    for (name, accel) in [("bcd", false), ("accbcd", true)] {
-        walk_cells(
-            name,
-            Family::Lasso { accel },
-            &lasso_data,
-            for_lasso,
-            &mut lines,
-        );
+    let mut rows = Vec::new();
+    for (reg, prefix) in [
+        (Reg::Lasso, ""),
+        (Reg::ElasticNet, "enet/"),
+        (Reg::GroupLasso, "glasso/"),
+    ] {
+        for (variant, accel, s) in [
+            ("bcd", false, 8),
+            ("accbcd", true, 8),
+            ("bcd-s1", false, 1),
+            ("accbcd-s1", true, 1),
+        ] {
+            let family = Family::Lasso { reg, accel, s };
+            let name = format!("{prefix}{variant}");
+            rows.push(walk_row(name, family, &lasso_data, for_lasso));
+        }
     }
     // Full slices through every cell. The dual families below already walk
     // them: `kdcd_ds` is `dense_gaussian(48, 16)`, every row full.
-    let dense = Family::Lasso { accel: true };
-    walk_cells("accbcd-dense", dense, &dense_data, for_dense, &mut lines);
-    walk_cells("svm-l1", Family::Svm, &dual_data, for_duals, &mut lines);
+    let dense = Family::Lasso {
+        reg: Reg::Lasso,
+        accel: true,
+        s: 8,
+    };
+    rows.push(walk_row(
+        "accbcd-dense".into(),
+        dense,
+        &dense_data,
+        for_dense,
+    ));
+    for (loss, name) in [(SvmLoss::L1, "svm-l1"), (SvmLoss::L2, "svm-l2")] {
+        for (s, suffix) in [(8, ""), (1, "-s1")] {
+            let family = Family::Svm { loss, s };
+            rows.push(walk_row(
+                format!("{name}{suffix}"),
+                family,
+                &dual_data,
+                for_duals,
+            ));
+        }
+    }
     for (kernel, task, name) in kdcd_kernels() {
-        let family = Family::Kdcd(kernel, task);
-        walk_cells(name, family, &dual_data, for_duals, &mut lines);
+        for (threads, suffix) in [(1, ""), (4, "-pool4")] {
+            let family = Family::Kdcd {
+                kernel,
+                task,
+                threads,
+            };
+            rows.push(walk_row(
+                format!("{name}{suffix}"),
+                family,
+                &dual_data,
+                for_duals,
+            ));
+        }
+    }
+    for dir in [csc_dir, csr_dir, dense_dir] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    rows
+}
+
+/// The product is walked once per test binary and each test below judges
+/// one contract on one family's rows, so a break names the contract and
+/// the family it broke. A run's telemetry holds a `RefCell`, so the
+/// shared rows sit behind a mutex; a failed assertion poisons it, and the
+/// other contracts read on.
+fn walked() -> MutexGuard<'static, Vec<Row>> {
+    static WALK: OnceLock<Mutex<Vec<Row>>> = OnceLock::new();
+    let walk = WALK.get_or_init(|| Mutex::new(walk_product()));
+    walk.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn is_lasso(f: &Family) -> bool {
+    matches!(f, Family::Lasso { .. })
+}
+
+fn is_svm(f: &Family) -> bool {
+    matches!(f, Family::Svm { .. })
+}
+
+fn is_kdcd(f: &Family) -> bool {
+    matches!(f, Family::Kdcd { .. })
+}
+
+/// The walked rows of one family; a contract over no row would pass
+/// vacuously, so there must be some.
+fn rows_of(rows: &[Row], family: fn(&Family) -> bool) -> Vec<&Row> {
+    let picked: Vec<&Row> = rows.iter().filter(|r| family(&r.family)).collect();
+    assert!(!picked.is_empty(), "the walk has no row of this family");
+    picked
+}
+
+/// Every in-memory cell of the family's rows relates to the seq shim under
+/// its engine's relation, with ranks replicated — iterates and traces,
+/// and on the K-DCD rows every rank's cache stream and skip decisions.
+fn assert_engine_relations(family: fn(&Family) -> bool) {
+    let rows = walked();
+    for row in rows_of(&rows, family) {
+        for cell in &row.cells {
+            let (what, out) = (row.what(cell), row.ran(cell));
+            let (x, _) = row.solved(out, &what);
+            assert_related(&x, &row.reference.x, cell.rel, &what);
+            if let Some(st) = &row.ref_stats {
+                assert_cache_replicated(out, st, &what);
+            }
+        }
+    }
+}
+
+/// Sim prices what net executes, cell for cell: net(p)'s frames and bytes
+/// invert to sim(p)'s allreduces and payload words at every p.
+fn assert_sim_prices_net(family: fn(&Family) -> bool) {
+    let rows = walked();
+    for row in rows_of(&rows, family) {
+        for p in [1, 2, 4] {
+            let (sim_cell, net_cell) = (row.cell("sim", p), row.cell("net", p));
+            let what = row.what(net_cell);
+            let sim_wire = wire_counts(sim_cell.engine, &row.ran(sim_cell).telemetry);
+            let net_wire = wire_counts(net_cell.engine, &row.ran(net_cell).telemetry);
+            assert_eq!(net_wire, sim_wire, "{what}: net wire vs sim counts");
+        }
+    }
+}
+
+/// Every cell that can stream its shard directory is bitwise its
+/// in-memory twin — iterates, traces and wire — on every engine, whatever
+/// the engine's own relation to seq; on sim the two charge the same
+/// counts. Returns how many shards seq's lookahead loaded ahead of their
+/// first `prepare`: seq prefetches the next block at block entry, sim
+/// never does (its overlap window prepares the next block in line), so
+/// each shard sim(1) loads synchronously and seq does not was claimed by
+/// the lookahead.
+fn assert_streamed_bitwise(family: fn(&Family) -> bool) -> u64 {
+    let rows = walked();
+    let mut ahead = 0;
+    for row in rows_of(&rows, family) {
+        for cell in &row.cells {
+            let in_memory = row.ran(cell);
+            let solved = row.solved(in_memory, &row.what(cell));
+            let summary = cell_summary(cell.engine, in_memory);
+            for (dir, _, out) in cell.from_shards.iter().filter(|(_, streams, _)| *streams) {
+                let what = format!("{} shard:{}", row.what(cell), dir.display());
+                let out = out.as_ref().unwrap_or_else(|e| panic!("{what}: {e:?}"));
+                assert_eq!(row.solved(out, &what), solved, "{what}");
+                assert_eq!(cell_summary(cell.engine, out), summary, "{what}");
+                assert_eq!(out.io.len(), out.results.len(), "{what}: io views");
+                if let Some(st) = &row.ref_stats {
+                    assert_cache_replicated(out, st, &what);
+                }
+                if let (Some(st), Some(im)) = (&out.report, &in_memory.report) {
+                    assert_reports_match(st, im, &format!("{what}: sim charges"));
+                }
+            }
+        }
+        let (seq, sim1) = (row.cell("seq", 1), row.cell("sim", 1));
+        let streamed = |c: &Cell| -> u64 {
+            let (_, _, out) = c
+                .from_shards
+                .iter()
+                .find(|(_, s, _)| *s)
+                .expect("a streamed dir");
+            out.as_ref().map_or(0, |o| o.io[0].prefetch_misses)
+        };
+        let (seq_misses, sim_misses) = (streamed(seq), streamed(sim1));
+        assert!(
+            seq_misses <= sim_misses,
+            "{}: seq loaded more in line than sim",
+            row.name
+        );
+        ahead += sim_misses - seq_misses;
+    }
+    ahead
+}
+
+/// {BCD, accBCD} × s ∈ {1, 8} × {Lasso, ElasticNet, GroupLasso}, plus
+/// accBCD on a dense matrix, on seq, sim and net at p ∈ {1, 2, 4}.
+#[test]
+fn lasso_engine_matrix() {
+    assert_engine_relations(is_lasso);
+}
+
+/// {L1, L2} × s ∈ {1, 8}: the gap trace replicates across ranks and the
+/// concatenated rank slices are the reference `x`.
+#[test]
+fn svm_engine_matrix() {
+    assert_engine_relations(is_svm);
+}
+
+/// {rbf × K-SVM, poly × K-BDCD ridge} × kernel pool width {1, 4}; the
+/// width must not move a bit.
+#[test]
+fn kdcd_engine_matrix() {
+    assert_engine_relations(is_kdcd);
+    let rows = walked();
+    let kdcd_rows = rows_of(&rows, is_kdcd);
+    let mut widths = 0;
+    for narrow in &kdcd_rows {
+        let wide_name = format!("{}-pool4", narrow.name);
+        if let Some(wide) = kdcd_rows.iter().find(|r| r.name == wide_name) {
+            assert_eq!(
+                wide.reference.x, narrow.reference.x,
+                "{}: worker-thread count changed the bits",
+                narrow.name
+            );
+            widths += 1;
+        }
+    }
+    assert_eq!(
+        widths,
+        kdcd_kernels().len(),
+        "every kernel walks both widths"
+    );
+}
+
+#[test]
+fn sim_counts_match_net_wire_lasso() {
+    assert_sim_prices_net(is_lasso);
+}
+
+#[test]
+fn sim_counts_match_net_wire_svm() {
+    assert_sim_prices_net(is_svm);
+}
+
+/// The kernel family's wire, all-hit rounds included: once every sampled
+/// row is cached a block skips its allreduce on every rank, on the
+/// cluster and on the mesh alike.
+#[test]
+fn sim_counts_match_net_wire_kdcd() {
+    assert_sim_prices_net(is_kdcd);
+    let rows = walked();
+    for row in rows_of(&rows, is_kdcd) {
+        let skipped = row.ran(row.cell("net", 4)).kdcd[0].exchange_skipped;
+        assert!(skipped > 0, "{}: no all-hit round was exercised", row.name);
+    }
+}
+
+/// Streamed Lasso-family cells are bitwise in memory, and seq's lookahead
+/// prefetch engages on the shards.
+#[test]
+fn streamed_lasso_is_bitwise_in_memory_on_seq_and_sim() {
+    let ahead = assert_streamed_bitwise(is_lasso);
+    assert!(
+        ahead > 0,
+        "seq's lookahead never loaded a shard ahead of its block"
+    );
+}
+
+/// Streamed SVM cells are bitwise in memory, and seq's lookahead
+/// prefetch engages on the row shards.
+#[test]
+fn streamed_svm_is_bitwise_in_memory_on_seq_and_sim() {
+    let ahead = assert_streamed_bitwise(is_svm);
+    assert!(
+        ahead > 0,
+        "seq's lookahead never loaded a shard ahead of its block"
+    );
+}
+
+/// Streamed K-DCD cells on every engine, cache streams included. The
+/// lookahead is not asserted: this walk's K-DCD rows load no shard ahead.
+#[test]
+fn streamed_kdcd_is_bitwise_in_memory() {
+    assert_streamed_bitwise(is_kdcd);
+}
+
+/// Every cell of every row, including the ones no other test reaches:
+/// streamed SVM and streamed K-DCD on the socket mesh, streamed K-DCD on
+/// the virtual cluster, and every wrong-axis cell as a typed error. Every
+/// cell that runs is pinned in `tests/goldens/cells.txt`, so a change
+/// that moved the bits consistently across engines still fails here,
+/// naming the cells it moved.
+#[test]
+fn product_walk_covers_streamed_net_kdcd_cells() {
+    let mut lines = Vec::new();
+    for row in walked().iter() {
+        for cell in &row.cells {
+            let what = row.what(cell);
+            let summary = cell_summary(cell.engine, row.ran(cell));
+            lines.push(format!("{what} mem {summary}"));
+            for (dir, streams, out) in &cell.from_shards {
+                let what = format!("{what} shard:{}", dir.display());
+                match out {
+                    Ok(out) if *streams => {
+                        let summary = cell_summary(cell.engine, out);
+                        lines.push(format!("{} shard {summary}", row.what(cell)));
+                    }
+                    Err(RunError::WrongAxis { .. }) if !streams => {}
+                    other => panic!("{what}: unexpected cell outcome {other:?}"),
+                }
+            }
+        }
     }
     lines.push(String::new());
     golden_check("cells.txt", &lines.join("\n"));
 
     // The rest of the documented error surface.
-    let accbcd = Family::Lasso { accel: true };
+    let lasso_data = lasso_ds(11);
+    let accbcd = Family::Lasso {
+        reg: Reg::Lasso,
+        accel: true,
+        s: 8,
+    };
     for engine in [sim(0), net(0)] {
-        let err = try_cell(accbcd, true, engine, mem(&lasso_data));
+        let err = try_cell(accbcd, &lasso_data, engine, None);
         assert!(matches!(err, Err(RunError::ZeroRanks)), "{err:?}");
     }
-    let (reg, zero_s) = (Lasso::new(0.05), lasso_cfg(4, 0, true));
+    let (reg, zero_s) = (Lasso::new(0.05), lasso_cfg(4, 0));
     let zero_s = RunSpec::new(lasso(&reg, &zero_s, true), Engine::Seq, mem(&lasso_data));
     let err = run(&zero_s);
     assert!(matches!(err, Err(RunError::Config(_))), "{err:?}");
-    let err = try_cell(
-        accbcd,
-        true,
-        sim(4),
-        shards(Path::new("/nonexistent/shards")),
-    );
+    let missing = Some(Path::new("/nonexistent/shards"));
+    let err = try_cell(accbcd, &lasso_data, sim(4), missing);
     assert!(matches!(err, Err(RunError::Io { .. })), "{err:?}");
-    for dir in [csc_dir, csr_dir, dense_dir] {
-        let _ = std::fs::remove_dir_all(dir);
-    }
 }

@@ -24,6 +24,7 @@ use saco::path::lasso_path;
 use saco::prox::Lasso;
 use saco::serve::{
     serve, Addr, Listener, ModelArtifact, Request, Response, ServeClient, ServeConfig, ServeReport,
+    MAX_REQUEST_ITERS,
 };
 use saco::LassoConfig;
 use saco_telemetry::Registry;
@@ -406,6 +407,67 @@ fn hostile_requests_get_typed_errors_and_spare_other_connections() {
         },
     );
     assert_eq!(report.protocol_errors, 5);
+}
+
+/// A train or path request may not ask for more than
+/// `MAX_REQUEST_ITERS` iterations: `u64::MAX` off the wire gets a typed
+/// error at decode instead of a solve that holds the state lock for good.
+/// The raw connection reads under a timeout, so a server that started
+/// that solve fails this test rather than hanging it.
+#[test]
+fn an_unbounded_iteration_count_is_refused_at_decode() {
+    let ds = problem();
+    let art = ModelArtifact::train_lasso(&ds, &Lasso::new(0.1), 0.1, &train_cfg());
+    let expect = ds.a.spmv(&art.x);
+    let rows = rows_of(&ds);
+    let ds_for_server = ds.clone();
+    let report = with_server(
+        "iters",
+        ds_for_server,
+        art,
+        ServeConfig::default(),
+        move |addr, client| {
+            let mut raw = raw_connect(addr);
+            raw.set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("read timeout");
+            let lambda = 0.1;
+            for (seq, req) in [
+                Request::TrainDelta {
+                    lambda,
+                    iters: u64::MAX,
+                },
+                Request::PathPoint {
+                    lambda,
+                    iters: MAX_REQUEST_ITERS + 1,
+                },
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                req.to_frame(seq as u64).write_to(&mut raw).expect("send");
+                let reply = Frame::read_from(&mut raw)
+                    .expect("an oversized iteration count must be answered")
+                    .expect("reply frame");
+                let Ok(Response::Error(msg)) = Response::from_frame(&reply) else {
+                    panic!("{req:?} must get a typed error, got {reply:?}");
+                };
+                assert!(msg.contains("per-request bound"), "{msg}");
+            }
+            // A second connection's scores stay exact, and the state lock
+            // is free: a bounded train delta still answers.
+            let mut fresh = ServeClient::connect_default(addr).expect("connect");
+            let preds = fresh.score(rows).expect("score");
+            assert_eq!(preds.len(), expect.len());
+            for (p, e) in preds.iter().zip(&expect) {
+                assert_eq!(p.to_bits(), e.to_bits());
+            }
+            fresh.bye();
+            client
+                .train_delta(lambda, 8)
+                .expect("a bounded train delta");
+        },
+    );
+    assert_eq!(report.protocol_errors, 2);
 }
 
 #[test]
