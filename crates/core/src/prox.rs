@@ -15,7 +15,17 @@
 /// operator, evaluated block-wise on sampled coordinates.
 pub trait Regularizer: Clone + Send + Sync {
     /// `g(x)` over the full vector (for objective reporting).
-    fn value(&self, x: &[f64]) -> f64;
+    fn value(&self, x: &[f64]) -> f64 {
+        self.value_iter(x.iter().copied())
+    }
+
+    /// `g(x)` with `x` given entry by entry in index order, so a caller
+    /// holding `x` implicitly (the accelerated solvers' `θ²y + z`) need
+    /// not form it. The same bits as [`Regularizer::value`] on the
+    /// collected vector: the same operations run in the same order.
+    fn value_iter<I>(&self, x: I) -> f64
+    where
+        I: Iterator<Item = f64> + Clone;
 
     /// Apply `prox_{η·g}` in place to the candidate values `v`, which are
     /// the entries of the iterate at the sampled coordinates `coords`
@@ -64,8 +74,8 @@ impl Lasso {
 }
 
 impl Regularizer for Lasso {
-    fn value(&self, x: &[f64]) -> f64 {
-        self.lambda * x.iter().map(|v| v.abs()).sum::<f64>()
+    fn value_iter<I: Iterator<Item = f64> + Clone>(&self, x: I) -> f64 {
+        self.lambda * x.map(f64::abs).sum::<f64>()
     }
 
     fn prox_block(&self, v: &mut [f64], _coords: &[usize], eta: f64) {
@@ -109,9 +119,9 @@ impl ElasticNet {
 }
 
 impl Regularizer for ElasticNet {
-    fn value(&self, x: &[f64]) -> f64 {
-        let l2: f64 = x.iter().map(|v| v * v).sum();
-        let l1: f64 = x.iter().map(|v| v.abs()).sum();
+    fn value_iter<I: Iterator<Item = f64> + Clone>(&self, x: I) -> f64 {
+        let l2: f64 = x.clone().map(|v| v * v).sum();
+        let l1: f64 = x.map(f64::abs).sum();
         self.strength * (self.lambda * l2 + (1.0 - self.lambda) * l1)
     }
 
@@ -201,9 +211,9 @@ impl GroupLasso {
 }
 
 impl Regularizer for GroupLasso {
-    fn value(&self, x: &[f64]) -> f64 {
+    fn value_iter<I: Iterator<Item = f64> + Clone>(&self, x: I) -> f64 {
         let mut norms_sq = vec![0.0f64; self.num_groups];
-        for (i, &v) in x.iter().enumerate() {
+        for (i, v) in x.enumerate() {
             norms_sq[self.group[i]] += v * v;
         }
         self.lambda * norms_sq.iter().map(|n| n.sqrt()).sum::<f64>()

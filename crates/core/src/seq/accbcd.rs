@@ -16,7 +16,9 @@ use crate::trace::SolveResult;
 use sparsela::io::Dataset;
 
 /// Evaluate the implicit iterate's objective from the maintained vectors:
-/// `Ax − b = θ²ỹ + z̃` and `x = θ²y + z`.
+/// `Ax − b = θ²ỹ + z̃` and `x = θ²y + z`, the latter fed to the
+/// regularizer entry by entry rather than formed, so a trace point
+/// allocates nothing.
 pub(crate) fn implicit_objective<R: Regularizer>(
     theta: f64,
     y: &[f64],
@@ -34,8 +36,7 @@ pub(crate) fn implicit_objective<R: Regularizer>(
             r * r
         })
         .sum();
-    let x: Vec<f64> = y.iter().zip(z).map(|(yi, zi)| t2 * yi + zi).collect();
-    0.5 * res_sq + reg.value(&x)
+    0.5 * res_sq + reg.value_iter(y.iter().zip(z).map(|(yi, zi)| t2 * yi + zi))
 }
 
 /// Solve `min_x ½‖Ax − b‖² + g(x)` with Algorithm 1 (accBCD; accCD for

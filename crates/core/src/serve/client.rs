@@ -1,15 +1,21 @@
 //! A blocking serve client: one connection, request/response in
-//! lockstep, sequence numbers checked end to end.
+//! lockstep, sequence numbers checked end to end. A call is one `write`
+//! of a frame encoded into the client's wire buffer and one buffered
+//! `read` of the reply, through buffers kept across calls.
 
 use super::proto::{Request, Response};
-use netcomm::frame::{Frame, FrameKind};
+use netcomm::frame::{Frame, FrameKind, FrameReader};
 use netcomm::transport::connect_retry;
 use netcomm::{Addr, Backoff, NetError, NetStats, Stream};
+use std::io::Write;
 use std::time::Duration;
 
 /// One client connection to a serve endpoint.
 pub struct ServeClient {
-    stream: Stream,
+    /// Replies are read through it; requests are written past it.
+    reader: FrameReader<Stream>,
+    /// The outgoing frame being encoded.
+    wire: Vec<u8>,
     seq: u64,
 }
 
@@ -18,7 +24,11 @@ impl ServeClient {
     pub fn connect(addr: &Addr, backoff: &Backoff) -> Result<ServeClient, NetError> {
         let stats = NetStats::default();
         let stream = connect_retry(addr, backoff, Duration::from_secs(2), &stats)?;
-        Ok(ServeClient { stream, seq: 0 })
+        Ok(ServeClient {
+            reader: FrameReader::new(stream),
+            wire: Vec::new(),
+            seq: 0,
+        })
     }
 
     /// Connect with the default backoff schedule.
@@ -30,18 +40,23 @@ impl ServeClient {
     pub fn call(&mut self, req: &Request) -> Result<Response, NetError> {
         let seq = self.seq;
         self.seq += 1;
-        req.to_frame(seq)
-            .write_to(&mut self.stream)
+        self.wire.clear();
+        req.encode_into(seq, &mut self.wire);
+        self.reader
+            .get_mut()
+            .write_all(&self.wire)
             .map_err(|e| io_err("send serve request", e))?;
-        let frame =
-            Frame::read_from(&mut self.stream).map_err(|e| io_err("read serve response", e))??;
+        let frame = self
+            .reader
+            .read_next()
+            .map_err(|e| io_err("read serve response", e))??;
         if frame.seq != seq {
             return Err(NetError::Protocol(format!(
                 "response seq {} for request seq {seq}",
                 frame.seq
             )));
         }
-        Response::from_frame(&frame)
+        Response::from_frame(frame)
     }
 
     /// Score a batch of sparse rows, unwrapping the prediction vector.
@@ -109,7 +124,7 @@ impl ServeClient {
             seq: self.seq,
             bytes: Vec::new(),
         };
-        let _ = bye.write_to(&mut self.stream);
+        let _ = bye.write_to(self.reader.get_mut());
     }
 }
 

@@ -10,8 +10,17 @@
 //! Request tags are small integers; a response reuses the request tag
 //! with [`RESP_BIT`] set, and [`TAG_ERROR`] carries a UTF-8 message for
 //! any request the server refuses.
+//!
+//! Both directions take one pass over a message. `encode_into` appends
+//! the frame header and then the payload to a caller-held buffer, sized
+//! once and filled 8 bytes at a time, ready for a single `write`.
+//! Decoding reads the words in place from the frame's bytes, and
+//! [`Request::decode_over`] refills a held score request's row buffers, so
+//! a connection that keeps one `Request` allocates nothing per row once
+//! warm. `to_frame` / `from_frame` are the same code with a fresh frame or
+//! request, not a second codec.
 
-use netcomm::frame::{Frame, FrameKind};
+use netcomm::frame::{self, Frame, FrameKind};
 use netcomm::NetError;
 
 /// Score a batch of sparse rows against the current model.
@@ -96,71 +105,201 @@ pub enum Response {
     Error(String),
 }
 
-#[inline]
-fn w(u: u64) -> f64 {
-    f64::from_bits(u)
+/// A message's payload, encoded in one pass: its word count is known
+/// before any byte is written, so the frame is sized once and filled.
+trait Payload {
+    fn tag(&self) -> u32;
+    fn words(&self) -> usize;
+    fn fill(&self, f: &mut Fill<'_>);
 }
 
-#[inline]
-fn u(v: f64) -> u64 {
-    v.to_bits()
+/// Append `msg` to `out` as one data frame: the header, then the payload
+/// bytes, sized once and filled 8 at a time.
+fn encode_into(msg: &impl Payload, seq: u64, out: &mut Vec<u8>) {
+    let words = msg.words();
+    frame::encode_header(out, FrameKind::Data, 0, msg.tag(), seq, 8 * words);
+    fill_payload(msg, words, out);
 }
 
-fn push_str(words: &mut Vec<f64>, s: &str) {
-    let bytes = s.as_bytes();
-    words.push(w(bytes.len() as u64));
-    for chunk in bytes.chunks(8) {
-        let mut b = [0u8; 8];
-        b[..chunk.len()].copy_from_slice(chunk);
-        words.push(f64::from_le_bytes(b));
+/// `msg` as a [`Frame`] whose bytes are exactly what [`encode_into`]
+/// writes after the header.
+fn to_frame(msg: &impl Payload, seq: u64) -> Frame {
+    let words = msg.words();
+    let mut bytes = Vec::new();
+    fill_payload(msg, words, &mut bytes);
+    Frame {
+        kind: FrameKind::Data,
+        rank: 0,
+        tag: msg.tag(),
+        seq,
+        bytes,
     }
 }
 
-fn pop_str(words: &[f64], at: &mut usize) -> Result<String, NetError> {
-    let len = take(words, at)?;
-    let nwords = room(words, *at, len.div_ceil(8), 1)?;
-    let cap = nwords
-        .checked_mul(8)
-        .ok_or_else(|| NetError::Protocol(format!("string length {len} overflows")))?;
-    let mut bytes = Vec::with_capacity(cap);
-    for _ in 0..nwords {
-        bytes.extend_from_slice(&next(words, at)?.to_le_bytes());
+fn fill_payload(msg: &impl Payload, words: usize, out: &mut Vec<u8>) {
+    let at = out.len();
+    out.resize(at + 8 * words, 0);
+    let mut f = Fill(&mut out[at..]);
+    msg.fill(&mut f);
+    debug_assert!(f.0.is_empty(), "payload word count and fill disagree");
+}
+
+/// The unwritten rest of a payload. Bytes it skips stay zero, which is
+/// a string's padding.
+struct Fill<'a>(&'a mut [u8]);
+
+impl<'a> Fill<'a> {
+    fn take(&mut self, words: usize) -> &'a mut [u8] {
+        let (head, rest) = std::mem::take(&mut self.0).split_at_mut(8 * words);
+        self.0 = rest;
+        head
     }
-    bytes.truncate(len as usize);
-    String::from_utf8(bytes)
-        .map_err(|_| NetError::Protocol("string payload is not UTF-8".to_string()))
-}
 
-fn next(words: &[f64], at: &mut usize) -> Result<f64, NetError> {
-    let v = words
-        .get(*at)
-        .copied()
-        .ok_or_else(|| NetError::Protocol("truncated serve payload".to_string()))?;
-    *at += 1;
-    Ok(v)
-}
+    fn word(&mut self, u: u64) {
+        self.take(1).copy_from_slice(&u.to_le_bytes());
+    }
 
-fn take(words: &[f64], at: &mut usize) -> Result<u64, NetError> {
-    next(words, at).map(u)
-}
+    fn f64s(&mut self, vals: &[f64]) {
+        frame::fill_words(self.take(vals.len()), vals.iter().map(|v| v.to_bits()));
+    }
 
-/// A count read off the wire that announces `count` items of `per` words
-/// each, still to come after word `at`: refused unless the payload holds
-/// them, so no allocation is ever sized by a claim the bytes cannot back.
-fn room(words: &[f64], at: usize, count: u64, per: u64) -> Result<usize, NetError> {
-    let left = (words.len() - at) as u64;
-    match count.checked_mul(per) {
-        Some(need) if need <= left => Ok(count as usize),
-        _ => Err(NetError::Protocol(format!(
-            "count {count} overruns the {left} payload words left"
-        ))),
+    fn indices(&mut self, idx: &[usize]) {
+        frame::fill_words(self.take(idx.len()), idx.iter().map(|&i| i as u64));
+    }
+
+    /// A length word, then the UTF-8 bytes zero-padded to whole words.
+    fn str(&mut self, s: &str) {
+        self.word(s.len() as u64);
+        self.take(s.len().div_ceil(8))[..s.len()].copy_from_slice(s.as_bytes());
     }
 }
 
-/// [`take`] a count of `per`-word items and bound it by [`room`].
-fn take_count(words: &[f64], at: &mut usize, per: u64) -> Result<usize, NetError> {
-    let count = take(words, at)?;
-    room(words, *at, count, per)
+/// The little-endian words of `bytes`, a whole number of them.
+fn le_words(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
+}
+
+/// A cursor over a data frame's payload words, read in place.
+struct Words<'a> {
+    bytes: &'a [u8],
+    /// Words consumed so far.
+    at: usize,
+}
+
+impl<'a> Words<'a> {
+    /// The payload of `f`, which must be a word-aligned data frame.
+    fn of(f: &'a Frame, what: &str) -> Result<Words<'a>, NetError> {
+        if f.kind != FrameKind::Data {
+            return Err(NetError::Protocol(format!(
+                "expected a Data {what} frame, got {:?}",
+                f.kind
+            )));
+        }
+        frame::word_count(&f.bytes)?;
+        Ok(Words {
+            bytes: &f.bytes,
+            at: 0,
+        })
+    }
+
+    fn left(&self) -> usize {
+        self.bytes.len() / 8 - self.at
+    }
+
+    fn next(&mut self) -> Result<u64, NetError> {
+        if self.left() == 0 {
+            return Err(NetError::Protocol("truncated serve payload".to_string()));
+        }
+        Ok(u64::from_le_bytes(
+            self.take(1).try_into().expect("8 bytes"),
+        ))
+    }
+
+    fn next_f64(&mut self) -> Result<f64, NetError> {
+        self.next().map(f64::from_bits)
+    }
+
+    /// The next `n` words' bytes; the caller has checked they are there.
+    fn take(&mut self, n: usize) -> &'a [u8] {
+        let bytes = &self.bytes[8 * self.at..8 * (self.at + n)];
+        self.at += n;
+        bytes
+    }
+
+    /// A count read off the wire that announces `count` items of `per`
+    /// words each, still to come: refused unless the payload holds them,
+    /// so no allocation is ever sized by a claim the bytes cannot back.
+    fn room(&self, count: u64, per: u64) -> Result<usize, NetError> {
+        let left = self.left() as u64;
+        match count.checked_mul(per) {
+            Some(need) if need <= left => Ok(count as usize),
+            _ => Err(NetError::Protocol(format!(
+                "count {count} overruns the {left} payload words left"
+            ))),
+        }
+    }
+
+    /// [`Words::next`] a count of `per`-word items and bound it by
+    /// [`Words::room`].
+    fn take_count(&mut self, per: u64) -> Result<usize, NetError> {
+        let count = self.next()?;
+        self.room(count, per)
+    }
+
+    fn string(&mut self) -> Result<String, NetError> {
+        let len = self.next()?;
+        let nwords = self.room(len.div_ceil(8), 1)?;
+        let bytes = &self.take(nwords)[..len as usize];
+        String::from_utf8(bytes.to_vec())
+            .map_err(|_| NetError::Protocol("string payload is not UTF-8".to_string()))
+    }
+
+    /// Refuse words left over after a complete message.
+    fn finish(&self, what: &str, tag: u32) -> Result<(), NetError> {
+        if self.left() != 0 {
+            return Err(NetError::Protocol(format!(
+                "trailing words in {what} tag {tag:#x}"
+            )));
+        }
+        Ok(())
+    }
+}
+
+impl Payload for Request {
+    fn tag(&self) -> u32 {
+        Request::tag(self)
+    }
+
+    fn words(&self) -> usize {
+        match self {
+            Request::Score { rows } => {
+                1 + rows.iter().map(|(idx, _)| 1 + 2 * idx.len()).sum::<usize>()
+            }
+            Request::TrainDelta { .. } | Request::PathPoint { .. } => 2,
+            Request::Stats | Request::Shutdown => 0,
+        }
+    }
+
+    fn fill(&self, f: &mut Fill<'_>) {
+        match self {
+            Request::Score { rows } => {
+                f.word(rows.len() as u64);
+                for (idx, val) in rows {
+                    assert_eq!(idx.len(), val.len(), "row indices/values mismatch");
+                    f.word(idx.len() as u64);
+                    f.indices(idx);
+                    f.f64s(val);
+                }
+            }
+            Request::TrainDelta { lambda, iters } | Request::PathPoint { lambda, iters } => {
+                f.f64s(&[*lambda]);
+                f.word(*iters);
+            }
+            Request::Stats | Request::Shutdown => {}
+        }
+    }
 }
 
 impl Request {
@@ -175,80 +314,121 @@ impl Request {
         }
     }
 
+    /// Append this request to `out` as one wire frame with sequence
+    /// number `seq`, header and payload written in one pass.
+    pub fn encode_into(&self, seq: u64, out: &mut Vec<u8>) {
+        encode_into(self, seq, out);
+    }
+
     /// Encode as a data frame with sequence number `seq`.
     pub fn to_frame(&self, seq: u64) -> Frame {
-        let mut words = Vec::new();
-        match self {
-            Request::Score { rows } => {
-                words.reserve(1 + rows.iter().map(|(idx, _)| 1 + 2 * idx.len()).sum::<usize>());
-                words.push(w(rows.len() as u64));
-                for (idx, val) in rows {
-                    assert_eq!(idx.len(), val.len(), "row indices/values mismatch");
-                    words.push(w(idx.len() as u64));
-                    words.extend(idx.iter().map(|&i| w(i as u64)));
-                    words.extend_from_slice(val);
-                }
-            }
-            Request::TrainDelta { lambda, iters } | Request::PathPoint { lambda, iters } => {
-                words.push(*lambda);
-                words.push(w(*iters));
-            }
-            Request::Stats | Request::Shutdown => {}
-        }
-        Frame::data(0, self.tag(), seq, &words)
+        to_frame(self, seq)
     }
 
     /// Decode a request frame.
     pub fn from_frame(f: &Frame) -> Result<Request, NetError> {
-        if f.kind != FrameKind::Data {
-            return Err(NetError::Protocol(format!(
-                "expected a Data request frame, got {:?}",
-                f.kind
-            )));
-        }
-        let words = f.payload_f64()?;
-        let at = &mut 0usize;
-        let req = match f.tag {
+        let mut req = Request::Stats;
+        req.decode_over(f)?;
+        Ok(req)
+    }
+
+    /// [`Request::from_frame`] into this request. A score decoded over a
+    /// score refills the old rows' buffers, so a connection that keeps
+    /// one `Request` allocates nothing per row once its buffers have
+    /// grown. On an error this request holds some valid request that
+    /// must not be answered.
+    pub fn decode_over(&mut self, f: &Frame) -> Result<(), NetError> {
+        let mut words = Words::of(f, "request")?;
+        match f.tag {
             TAG_SCORE => {
                 // Each row is at least its length word; each entry is an
                 // index word and a value word.
-                let k = take_count(&words, at, 1)?;
-                let mut rows = Vec::with_capacity(k);
-                for _ in 0..k {
-                    let len = take_count(&words, at, 2)?;
-                    let (idx, val) = words[*at..*at + 2 * len].split_at(len);
-                    *at += 2 * len;
-                    rows.push((idx.iter().map(|&i| u(i) as usize).collect(), val.to_vec()));
+                let k = words.take_count(1)?;
+                if !matches!(self, Request::Score { .. }) {
+                    *self = Request::Score {
+                        rows: Vec::with_capacity(k),
+                    };
                 }
-                Request::Score { rows }
+                let Request::Score { rows } = self else {
+                    unreachable!("just made a score request")
+                };
+                for r in 0..k {
+                    let len = words.take_count(2)?;
+                    let (idx, val) = words.take(2 * len).split_at(8 * len);
+                    if r == rows.len() {
+                        rows.push((Vec::with_capacity(len), Vec::with_capacity(len)));
+                    }
+                    let (row_idx, row_val) = &mut rows[r];
+                    row_idx.clear();
+                    row_idx.extend(le_words(idx).map(|i| i as usize));
+                    row_val.clear();
+                    row_val.extend(le_words(val).map(f64::from_bits));
+                }
+                rows.truncate(k);
             }
             TAG_TRAIN_DELTA | TAG_PATH_POINT => {
-                let lambda = next(&words, at)?;
-                let iters = take(&words, at)?;
+                let lambda = words.next_f64()?;
+                let iters = words.next()?;
                 if iters > MAX_REQUEST_ITERS {
                     return Err(NetError::Protocol(format!(
                         "iters {iters} exceeds the per-request bound {MAX_REQUEST_ITERS}"
                     )));
                 }
-                if f.tag == TAG_TRAIN_DELTA {
+                *self = if f.tag == TAG_TRAIN_DELTA {
                     Request::TrainDelta { lambda, iters }
                 } else {
                     Request::PathPoint { lambda, iters }
-                }
+                };
             }
-            TAG_STATS => Request::Stats,
-            TAG_SHUTDOWN => Request::Shutdown,
+            TAG_STATS => *self = Request::Stats,
+            TAG_SHUTDOWN => *self = Request::Shutdown,
             t => {
                 return Err(NetError::Protocol(format!("unknown request tag {t:#x}")));
             }
-        };
-        if *at != words.len() {
-            return Err(NetError::Protocol(format!(
-                "trailing words in request tag {:#x}",
-                f.tag
-            )));
         }
-        Ok(req)
+        words.finish("request", f.tag)
+    }
+}
+
+impl Payload for Response {
+    fn tag(&self) -> u32 {
+        Response::tag(self)
+    }
+
+    fn words(&self) -> usize {
+        match self {
+            Response::Scores(preds) => 1 + preds.len(),
+            Response::Train { .. } | Response::Path { .. } => 3,
+            Response::Stats(s) | Response::Error(s) => 1 + s.len().div_ceil(8),
+        }
+    }
+
+    fn fill(&self, f: &mut Fill<'_>) {
+        match self {
+            Response::Scores(preds) => {
+                f.word(preds.len() as u64);
+                f.f64s(preds);
+            }
+            Response::Train {
+                objective,
+                nonzeros,
+                total_iters,
+            } => {
+                f.f64s(&[*objective]);
+                f.word(*nonzeros);
+                f.word(*total_iters);
+            }
+            Response::Path {
+                objective,
+                nonzeros,
+                cached,
+            } => {
+                f.f64s(&[*objective]);
+                f.word(*nonzeros);
+                f.word(u64::from(*cached));
+            }
+            Response::Stats(s) | Response::Error(s) => f.str(s),
+        }
     }
 }
 
@@ -264,79 +444,42 @@ impl Response {
         }
     }
 
+    /// Append this response to `out` as one wire frame with sequence
+    /// number `seq`, header and payload written in one pass.
+    pub fn encode_into(&self, seq: u64, out: &mut Vec<u8>) {
+        encode_into(self, seq, out);
+    }
+
     /// Encode as a data frame with sequence number `seq`.
     pub fn to_frame(&self, seq: u64) -> Frame {
-        let mut words = Vec::new();
-        match self {
-            Response::Scores(preds) => {
-                words.push(w(preds.len() as u64));
-                words.extend_from_slice(preds);
-            }
-            Response::Train {
-                objective,
-                nonzeros,
-                total_iters,
-            } => {
-                words.push(*objective);
-                words.push(w(*nonzeros));
-                words.push(w(*total_iters));
-            }
-            Response::Path {
-                objective,
-                nonzeros,
-                cached,
-            } => {
-                words.push(*objective);
-                words.push(w(*nonzeros));
-                words.push(w(u64::from(*cached)));
-            }
-            Response::Stats(json) => push_str(&mut words, json),
-            Response::Error(msg) => push_str(&mut words, msg),
-        }
-        Frame::data(0, self.tag(), seq, &words)
+        to_frame(self, seq)
     }
 
     /// Decode a response frame.
     pub fn from_frame(f: &Frame) -> Result<Response, NetError> {
-        if f.kind != FrameKind::Data {
-            return Err(NetError::Protocol(format!(
-                "expected a Data response frame, got {:?}",
-                f.kind
-            )));
-        }
-        let words = f.payload_f64()?;
-        let at = &mut 0usize;
+        let mut words = Words::of(f, "response")?;
         let resp = match f.tag {
             t if t == TAG_SCORE | RESP_BIT => {
-                let k = take_count(&words, at, 1)?;
-                let mut preds = Vec::with_capacity(k);
-                for _ in 0..k {
-                    preds.push(next(&words, at)?);
-                }
-                Response::Scores(preds)
+                let k = words.take_count(1)?;
+                Response::Scores(le_words(words.take(k)).map(f64::from_bits).collect())
             }
             t if t == TAG_TRAIN_DELTA | RESP_BIT => Response::Train {
-                objective: next(&words, at)?,
-                nonzeros: take(&words, at)?,
-                total_iters: take(&words, at)?,
+                objective: words.next_f64()?,
+                nonzeros: words.next()?,
+                total_iters: words.next()?,
             },
             t if t == TAG_PATH_POINT | RESP_BIT => Response::Path {
-                objective: next(&words, at)?,
-                nonzeros: take(&words, at)?,
-                cached: take(&words, at)? != 0,
+                objective: words.next_f64()?,
+                nonzeros: words.next()?,
+                cached: words.next()? != 0,
             },
-            t if t == TAG_STATS | RESP_BIT => Response::Stats(pop_str(&words, at)?),
-            TAG_ERROR => Response::Error(pop_str(&words, at)?),
+            t if t == TAG_STATS | RESP_BIT => Response::Stats(words.string()?),
+            TAG_ERROR => Response::Error(words.string()?),
             t => {
                 return Err(NetError::Protocol(format!("unknown response tag {t:#x}")));
             }
         };
-        if *at != words.len() {
-            return Err(NetError::Protocol(format!(
-                "trailing words in response tag {:#x}",
-                f.tag
-            )));
-        }
+        words.finish("response", f.tag)?;
         Ok(resp)
     }
 }
@@ -406,7 +549,7 @@ mod tests {
 
     #[test]
     fn wire_counts_beyond_the_payload_are_refused_before_allocating() {
-        let words = |v: &[u64]| v.iter().map(|&x| w(x)).collect::<Vec<f64>>();
+        let words = |v: &[u64]| v.iter().map(|&x| f64::from_bits(x)).collect::<Vec<f64>>();
         // One row claiming 2^40 entries (8 TiB of index words), a row
         // count of 2^62, and a length whose doubling overflows u64.
         for payload in [

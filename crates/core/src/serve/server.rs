@@ -14,6 +14,12 @@
 //! `x` before it releases that lock and before its reply is written, so
 //! a score that starts after any client has seen a train reply reads
 //! that `x`.
+//!
+//! A connection keeps one netcomm `FrameReader`, one decoded `Request`
+//! and one wire buffer for its whole life. A score request therefore
+//! costs one `read` and one `write` on the server's side, and once the
+//! buffers have grown to the connection's largest request the only
+//! allocation it makes is the reply's score vector.
 
 use super::artifact::{dataset_fingerprint, ModelArtifact};
 use super::proto::{Request, Response};
@@ -21,13 +27,13 @@ use crate::problem::lasso_objective_from_residual;
 use crate::prox::Lasso;
 use crate::workspace::KernelWorkspace;
 use mpisim::ChaosSpec;
-use netcomm::frame::{Frame, FrameKind};
+use netcomm::frame::{FrameKind, FrameReader};
 use netcomm::{Listener, NetError, Stream};
 use saco_telemetry::Registry;
 use sparsela::io::Dataset;
 use sparsela::{CscMatrix, SparseSlice};
 use std::collections::BTreeMap;
-use std::io::{ErrorKind, Read};
+use std::io::{ErrorKind, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -401,12 +407,16 @@ impl Read for Conn<'_> {
 
 fn connection_loop(stream: Stream, sh: &Shared) {
     let _ = stream.set_io_timeout(Some(STOP_TICK));
-    let mut conn = Conn {
+    let mut reader = FrameReader::new(Conn {
         stream,
         stop: &sh.stop,
-    };
+    });
+    // The connection's decoded request (its row buffers are refilled in
+    // place) and its outgoing frame.
+    let mut req = Request::Stats;
+    let mut wire = Vec::new();
     while !sh.stop.load(Ordering::SeqCst) {
-        let frame = match Frame::read_from(&mut conn) {
+        let frame = match reader.read_next() {
             Ok(Ok(f)) => f,
             Ok(Err(_)) => {
                 sh.stats.lock().expect("stats lock").errors += 1;
@@ -417,14 +427,17 @@ fn connection_loop(stream: Stream, sh: &Shared) {
         if frame.kind == FrameKind::Bye {
             return;
         }
-        let resp = match Request::from_frame(&frame) {
-            Ok(req) => sh.answer(&req),
+        let seq = frame.seq;
+        let resp = match req.decode_over(frame) {
+            Ok(()) => sh.answer(&req),
             Err(e) => {
                 sh.stats.lock().expect("stats lock").errors += 1;
                 Response::Error(e.to_string())
             }
         };
-        if resp.to_frame(frame.seq).write_to(&mut conn.stream).is_err() {
+        wire.clear();
+        resp.encode_into(seq, &mut wire);
+        if reader.get_mut().stream.write_all(&wire).is_err() {
             return;
         }
     }

@@ -18,9 +18,18 @@
 //! promise *bitwise* agreement with its serial tree reference: the only
 //! arithmetic in a reduction is the summation itself, never the
 //! transport.
+//!
+//! A stream of frames is read through one [`FrameReader`]: a 64 KiB
+//! (`READ_CHUNK`) buffer in front of the socket and one frame whose
+//! payload buffer is reused from frame to frame. A frame that fits the
+//! buffer arrives with one `read` (header and payload together), several
+//! small frames sent in one `write` are all served from that one `read`,
+//! and a warm reader allocates nothing per frame. `OrderedLink`'s links
+//! and the serve server's connections and client read through it; only
+//! the mesh's one-off handshake frames use [`Frame::read_from`].
 
 use crate::NetError;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 
 /// Frame magic: rejects cross-talk from anything that is not a netcomm
 /// peer (e.g. a stray client poking the rendezvous port).
@@ -34,7 +43,7 @@ pub const HEADER_LEN: usize = 24;
 pub const MAX_PAYLOAD_BYTES: u32 = 1 << 28;
 
 /// How far a payload buffer may grow ahead of the bytes that have
-/// arrived, and the size of each link's read buffer.
+/// arrived, and the size of each [`FrameReader`]'s buffer.
 pub(crate) const READ_CHUNK: usize = 64 << 10;
 
 /// What a frame carries.
@@ -180,8 +189,57 @@ impl Frame {
     }
 }
 
+/// Reads a stream of frames: a `READ_CHUNK`-byte buffer in front of the
+/// stream and one [`Frame`] refilled in place, its payload buffer reused.
+/// Writes bypass it through [`FrameReader::get_mut`], so a request and
+/// its reply share one stream without a second handle.
+#[derive(Debug)]
+pub struct FrameReader<R> {
+    inner: BufReader<R>,
+    frame: Frame,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// Wrap `inner`; nothing is read until the first [`FrameReader::read_next`].
+    pub fn new(inner: R) -> FrameReader<R> {
+        FrameReader {
+            inner: BufReader::with_capacity(READ_CHUNK, inner),
+            frame: Frame::data(0, 0, 0, &[]),
+        }
+    }
+
+    /// Read the next frame into the reader's own frame and return it.
+    /// Errors as [`Frame::read_from`]: the raw `io::Error` outside, a
+    /// malformed header inside.
+    pub fn read_next(&mut self) -> std::io::Result<Result<&Frame, NetError>> {
+        Ok(self.frame.read_over(&mut self.inner)?.map(|()| &self.frame))
+    }
+
+    /// The frame last read.
+    pub fn frame(&self) -> &Frame {
+        &self.frame
+    }
+
+    /// The frame last read, for a caller that swaps in a frame it held
+    /// back (the reorder buffer's release path).
+    pub fn frame_mut(&mut self) -> &mut Frame {
+        &mut self.frame
+    }
+
+    /// The underlying stream.
+    pub fn get_ref(&self) -> &R {
+        self.inner.get_ref()
+    }
+
+    /// The underlying stream, for writes. Reading from it directly would
+    /// skip the bytes already buffered.
+    pub fn get_mut(&mut self) -> &mut R {
+        self.inner.get_mut()
+    }
+}
+
 /// Append the 24 header bytes of a frame with a `len`-byte payload.
-pub(crate) fn encode_header(
+pub fn encode_header(
     out: &mut Vec<u8>,
     kind: FrameKind,
     rank: u16,
@@ -198,23 +256,38 @@ pub(crate) fn encode_header(
     out.extend_from_slice(&(len as u32).to_le_bytes());
 }
 
-/// Append `vals` to `out` as `to_bits()` little-endian words.
+/// Append `vals` to `out` as `to_bits()` little-endian words: the bytes
+/// are sized once and filled 8 at a time.
 pub fn encode_f64s(vals: &[f64], out: &mut Vec<u8>) {
-    out.reserve(vals.len() * 8);
-    for v in vals {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
+    let at = out.len();
+    out.resize(at + vals.len() * 8, 0);
+    fill_words(&mut out[at..], vals.iter().map(|v| v.to_bits()));
+}
+
+/// Write `words` into `dst` as little-endian 8-byte chunks, one chunk per
+/// word, stopping at whichever runs out first.
+pub fn fill_words(dst: &mut [u8], words: impl IntoIterator<Item = u64>) {
+    for (chunk, w) in dst.chunks_exact_mut(8).zip(words) {
+        chunk.copy_from_slice(&w.to_le_bytes());
     }
 }
 
-/// Inverse of [`encode_f64s`]. Errors if the byte count is not a
-/// multiple of 8.
-pub fn decode_f64s(bytes: &[u8]) -> Result<Vec<f64>, NetError> {
+/// The number of 8-byte words in a payload; errors if the byte count is
+/// not a multiple of 8.
+pub fn word_count(bytes: &[u8]) -> Result<usize, NetError> {
     if !bytes.len().is_multiple_of(8) {
         return Err(NetError::Protocol(format!(
             "f64 payload of {} bytes is not word-aligned",
             bytes.len()
         )));
     }
+    Ok(bytes.len() / 8)
+}
+
+/// Inverse of [`encode_f64s`]. Errors if the byte count is not a
+/// multiple of 8.
+pub fn decode_f64s(bytes: &[u8]) -> Result<Vec<f64>, NetError> {
+    word_count(bytes)?;
     Ok(bytes
         .chunks_exact(8)
         .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
@@ -303,6 +376,44 @@ mod tests {
         big.encode_into(&mut wire);
         f.read_over(&mut wire.as_slice()).expect("io").expect("ok");
         assert_eq!(f, big);
+    }
+
+    #[test]
+    fn a_frame_reader_serves_back_to_back_frames_from_one_buffer() {
+        let frames = [
+            Frame::data(1, 5, 0, &[1.0, 2.0, 3.0]),
+            Frame::data(1, 5, 1, &[]),
+            Frame::data(1, 6, 2, &[-0.0]),
+            Frame {
+                kind: FrameKind::Bye,
+                ..Frame::data(1, u32::MAX, 3, &[])
+            },
+        ];
+        let mut wire = Vec::new();
+        for f in &frames {
+            f.encode_into(&mut wire);
+        }
+        let mut reader = FrameReader::new(wire.as_slice());
+        for f in &frames {
+            assert_eq!(reader.read_next().expect("io").expect("frame"), f);
+        }
+        assert_eq!(reader.frame(), &frames[3]);
+        let err = reader.read_next().expect_err("the stream is spent");
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn encode_f64s_appends_the_bit_patterns() {
+        let vals = [1.5, -0.0, f64::from_bits(0x7ff8_dead_beef_cafe)];
+        let mut out = vec![9u8];
+        encode_f64s(&vals, &mut out);
+        assert_eq!(out.len(), 1 + 8 * vals.len());
+        assert_eq!(out[0], 9);
+        for (c, v) in out[1..].chunks_exact(8).zip(vals) {
+            assert_eq!(c, v.to_bits().to_le_bytes());
+        }
+        assert_eq!(word_count(&out[1..]).expect("aligned"), 3);
+        assert!(word_count(&out).is_err());
     }
 
     #[test]

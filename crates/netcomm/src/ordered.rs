@@ -9,13 +9,17 @@
 //! silently mis-ordered reduction. That keeps the collectives layer
 //! deterministic over any transport that preserves frames at all — and
 //! loudly broken over one that does not.
+//!
+//! An [`OrderedLink`] reads its peer through the crate's one buffered
+//! reader, [`FrameReader`]: a frame the size of the read buffer or less
+//! is one `read`, and the payload buffer is reused from frame to frame.
 
-use crate::frame::{self, Frame, FrameKind, READ_CHUNK};
+use crate::frame::{self, Frame, FrameKind, FrameReader};
 use crate::transport::Stream;
 use crate::{NetError, NetStats};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::io::{BufReader, Write};
+use std::io::Write;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -94,9 +98,9 @@ impl Reorderer {
 /// the link keeps across frames.
 #[derive(Debug)]
 pub struct OrderedLink {
-    /// Reads go through a `READ_CHUNK` buffer, so the header and payload
-    /// of a small frame arrive together; writes go to the socket directly.
-    stream: BufReader<Stream>,
+    /// Reads go through the frame reader, whose frame is the one last
+    /// received; writes go to the socket directly.
+    reader: FrameReader<Stream>,
     /// The peer's rank.
     pub peer: usize,
     local_rank: u16,
@@ -104,8 +108,6 @@ pub struct OrderedLink {
     reorder: Reorderer,
     /// The outgoing frame being encoded.
     wire: Vec<u8>,
-    /// The frame last received.
-    frame: Frame,
     stats: Arc<NetStats>,
 }
 
@@ -118,13 +120,12 @@ impl OrderedLink {
         stats: Arc<NetStats>,
     ) -> OrderedLink {
         OrderedLink {
-            stream: BufReader::with_capacity(READ_CHUNK, stream),
+            reader: FrameReader::new(stream),
             peer,
             local_rank: local_rank as u16,
             send_seq: 0,
             reorder: Reorderer::new(),
             wire: Vec::new(),
-            frame: Frame::data(0, 0, 0, &[]),
             stats,
         }
     }
@@ -143,7 +144,7 @@ impl OrderedLink {
         let (rank, seq) = (self.local_rank, self.send_seq);
         frame::encode_header(&mut self.wire, kind, rank, tag, seq, payload.len() * 8);
         frame::encode_f64s(payload, &mut self.wire);
-        self.stream
+        self.reader
             .get_mut()
             .write_all(&self.wire)
             .map_err(|e| NetError::from_io(e, Some(self.peer), "send frame", t0.elapsed()))?;
@@ -155,27 +156,29 @@ impl OrderedLink {
         Ok(())
     }
 
-    /// Receive the next in-order frame into `self.frame`. Blocks at most
+    /// Receive the next in-order frame into the reader's frame. Blocks at most
     /// the stream's configured I/O timeout; a dead peer yields
     /// `Timeout`/`Closed`.
     fn recv(&mut self) -> Result<(), NetError> {
         loop {
             if let Some(f) = self.reorder.pop_ready() {
-                self.frame = f;
+                *self.reader.frame_mut() = f;
                 return Ok(());
             }
             let t0 = Instant::now();
-            self.frame
-                .read_over(&mut self.stream)
-                .map_err(|e| NetError::from_io(e, Some(self.peer), "recv frame", t0.elapsed()))??;
+            let peer = self.peer;
+            let f = self
+                .reader
+                .read_next()
+                .map_err(|e| NetError::from_io(e, Some(peer), "recv frame", t0.elapsed()))??;
             self.stats
                 .bytes_rx
-                .fetch_add(self.frame.wire_len() as u64, Ordering::Relaxed);
+                .fetch_add(f.wire_len() as u64, Ordering::Relaxed);
             self.stats.frames_rx.fetch_add(1, Ordering::Relaxed);
-            if self.reorder.passes(self.frame.seq) {
+            if self.reorder.passes(f.seq) {
                 return Ok(());
             }
-            let buffered = self.reorder.accept(self.frame.clone())?;
+            let buffered = self.reorder.accept(f.clone())?;
             self.stats.reordered.fetch_add(buffered, Ordering::Relaxed);
         }
     }
@@ -184,7 +187,7 @@ impl OrderedLink {
     /// to collective `tag`.
     fn recv_data(&mut self, tag: u32) -> Result<&[u8], NetError> {
         self.recv()?;
-        let f = &self.frame;
+        let f = self.reader.frame();
         if f.kind == FrameKind::Bye {
             return Err(NetError::Closed {
                 peer: Some(self.peer),
@@ -233,7 +236,7 @@ impl OrderedLink {
     /// Best-effort orderly close: send Bye, shut the socket down.
     pub fn close(&mut self) {
         let _ = self.send(FrameKind::Bye, u32::MAX, &[]);
-        self.stream.get_ref().shutdown();
+        self.reader.get_ref().shutdown();
     }
 }
 

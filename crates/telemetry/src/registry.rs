@@ -100,8 +100,8 @@ pub struct WallStat {
 /// Obtained from [`Registry::wall_span`]; holds only a shared borrow so
 /// the registry's deterministic sections stay usable inside the span.
 pub struct WallSpan<'a> {
-    sink: &'a RefCell<BTreeMap<String, WallStat>>,
-    name: String,
+    sink: &'a RefCell<BTreeMap<&'static str, WallStat>>,
+    name: &'static str,
     start: Instant,
 }
 
@@ -109,7 +109,7 @@ impl Drop for WallSpan<'_> {
     fn drop(&mut self) {
         let elapsed = self.start.elapsed().as_secs_f64();
         let mut wall = self.sink.borrow_mut();
-        let stat = wall.entry(std::mem::take(&mut self.name)).or_default();
+        let stat = wall.entry(self.name).or_default();
         stat.count += 1;
         stat.total_secs += elapsed;
     }
@@ -124,7 +124,9 @@ pub struct Registry {
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
     ranks: BTreeMap<usize, PhaseTable>,
-    wall: RefCell<BTreeMap<String, WallStat>>,
+    /// Keyed by the spans' static names, so a span allocates nothing once
+    /// its name has an entry.
+    wall: RefCell<BTreeMap<&'static str, WallStat>>,
 }
 
 impl Registry {
@@ -254,17 +256,18 @@ impl Registry {
 
     /// Start an RAII wall-clock span. The elapsed time lands in the wall
     /// section — never in the deterministic phase tables.
-    pub fn wall_span(&self, name: &str) -> WallSpan<'_> {
+    pub fn wall_span(&self, name: &'static str) -> WallSpan<'_> {
         WallSpan {
             sink: &self.wall,
-            name: name.to_string(),
+            name,
             start: Instant::now(),
         }
     }
 
     /// Snapshot of the wall section, ordered by span name.
     pub fn wall(&self) -> BTreeMap<String, WallStat> {
-        self.wall.borrow().clone()
+        let wall = self.wall.borrow();
+        wall.iter().map(|(&k, &v)| (k.to_string(), v)).collect()
     }
 
     /// Fold another registry into this one. Counters, histograms, phase
@@ -296,7 +299,7 @@ impl Registry {
         let other_wall = other.wall.borrow();
         let mut wall = self.wall.borrow_mut();
         for (k, stat) in other_wall.iter() {
-            let mine = wall.entry(k.clone()).or_default();
+            let mine = wall.entry(*k).or_default();
             mine.count += stat.count;
             mine.total_secs += stat.total_secs;
         }

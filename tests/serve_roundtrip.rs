@@ -19,7 +19,7 @@
 //! `Shutdown` stop the server, and nothing sent afterwards hangs.
 
 use datagen::{planted_regression, uniform_sparse};
-use netcomm::frame::Frame;
+use netcomm::frame::{Frame, FrameKind};
 use saco::path::lasso_path;
 use saco::prox::Lasso;
 use saco::serve::{
@@ -29,7 +29,7 @@ use saco::serve::{
 use saco::LassoConfig;
 use saco_telemetry::Registry;
 use sparsela::io::Dataset;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::mpsc;
 use std::thread::JoinHandle;
@@ -500,6 +500,98 @@ fn a_client_pausing_mid_frame_gets_its_exact_score() {
             for (p, e) in preds.iter().zip(&expect) {
                 assert_eq!(p.to_bits(), e.to_bits());
             }
+        },
+    );
+    assert_eq!(report.protocol_errors, 0);
+}
+
+/// Two requests sent in one `write` reach the server's read buffer
+/// together; each is answered, in order, under its own sequence number.
+#[test]
+fn two_requests_in_one_write_are_answered_in_order() {
+    let ds = problem();
+    let art = ModelArtifact::train_lasso(&ds, &Lasso::new(0.1), 0.1, &train_cfg());
+    let expect = ds.a.spmv(&art.x);
+    let rows = rows_of(&ds);
+    let ds_for_server = ds.clone();
+    let report = with_server(
+        "pipelined",
+        ds_for_server,
+        art,
+        ServeConfig::default(),
+        move |addr, _| {
+            let cut = 70;
+            let mut wire = Vec::new();
+            Request::Score {
+                rows: rows[..cut].to_vec(),
+            }
+            .encode_into(5, &mut wire);
+            Request::Score {
+                rows: rows[cut..].to_vec(),
+            }
+            .encode_into(6, &mut wire);
+            let mut raw = raw_connect(addr);
+            raw.set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("read timeout");
+            raw.write_all(&wire).expect("one write, two requests");
+            for (seq, want) in [(5, &expect[..cut]), (6, &expect[cut..])] {
+                let reply = Frame::read_from(&mut raw)
+                    .expect("read reply")
+                    .expect("reply frame");
+                assert_eq!(reply.seq, seq);
+                let Ok(Response::Scores(preds)) = Response::from_frame(&reply) else {
+                    panic!("request {seq} must get its scores, got {reply:?}");
+                };
+                assert_eq!(preds.len(), want.len());
+                for (p, e) in preds.iter().zip(want) {
+                    assert_eq!(p.to_bits(), e.to_bits());
+                }
+            }
+        },
+    );
+    assert_eq!(report.protocol_errors, 0);
+}
+
+/// A request and a `Bye` sent in one `write`: the request is answered,
+/// then the server closes the connection without counting an error.
+#[test]
+fn a_request_and_a_bye_in_one_write_are_answered_then_closed() {
+    let ds = problem();
+    let art = ModelArtifact::train_lasso(&ds, &Lasso::new(0.1), 0.1, &train_cfg());
+    let expect = ds.a.spmv(&art.x);
+    let rows = rows_of(&ds);
+    let ds_for_server = ds.clone();
+    let report = with_server(
+        "andbye",
+        ds_for_server,
+        art,
+        ServeConfig::default(),
+        move |addr, _| {
+            let mut wire = Vec::new();
+            Request::Score { rows }.encode_into(2, &mut wire);
+            Frame {
+                kind: FrameKind::Bye,
+                ..Frame::data(0, 0, 3, &[])
+            }
+            .encode_into(&mut wire);
+            let mut raw = raw_connect(addr);
+            raw.set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("read timeout");
+            raw.write_all(&wire).expect("request and bye in one write");
+            let reply = Frame::read_from(&mut raw)
+                .expect("read reply")
+                .expect("reply frame");
+            assert_eq!(reply.seq, 2);
+            let Ok(Response::Scores(preds)) = Response::from_frame(&reply) else {
+                panic!("the request before the bye must be answered, got {reply:?}");
+            };
+            for (p, e) in preds.iter().zip(&expect) {
+                assert_eq!(p.to_bits(), e.to_bits());
+            }
+            let mut rest = Vec::new();
+            raw.read_to_end(&mut rest)
+                .expect("the server closes the connection after the bye");
+            assert!(rest.is_empty(), "{} bytes after the bye", rest.len());
         },
     );
     assert_eq!(report.protocol_errors, 0);
