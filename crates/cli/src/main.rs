@@ -297,8 +297,8 @@ report gains `chaos.*` counters and gauges.
 `--data shard:<dir>` ({}) streams
 the solve out-of-core from a `saco shard` directory under a `--mem-budget`
 resident cap (default 256M; binary K/M/G suffixes). The sampler runs
-one block ahead so the loader prefetches behind compute; the iterates
-stay bitwise identical to the in-memory run.",
+blocks ahead, as many as the cap holds, so the loader prefetches behind
+compute; the iterates stay bitwise identical to the in-memory run.",
         naming("--model-out"),
         naming("--engine"),
         naming("shard:DIR"),

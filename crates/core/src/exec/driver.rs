@@ -12,9 +12,12 @@
 //! The skeleton owns everything engine-shaped so a family cannot get it
 //! wrong:
 //!
-//! * **block lookahead** — streaming sources get the next block's
-//!   selection drawn at block entry, right after `prepare` (same global
-//!   RNG order), and handed to the prefetcher before the Gram runs;
+//! * **block lookahead** — a streaming source without an overlap window
+//!   gets up to [`LOOKAHEAD`](crate::workspace::LOOKAHEAD) later blocks'
+//!   selections drawn at block entry, right after `prepare` (same global
+//!   RNG order), and offered to its prefetcher in block order before the
+//!   Gram runs; a selection the source's budget cannot hold yet stays
+//!   drawn and is offered again at the next block entry;
 //! * **the overlap double buffer** — next-block sampling + tile
 //!   formation run inside the in-flight allreduce, swapped in at the next
 //!   block entry;
@@ -31,9 +34,9 @@
 //! window) → `after_exchange` → `inner` → `end_block` → `checkpoint` —
 //! and a family must keep every RNG draw and every backend charge inside
 //! the hook the original loops made it from, or the engine matrix's
-//! bitwise/charge-equality checks fail. With block lookahead the next
-//! block's `sample` runs between this block's `sample` and `tile`, so
-//! `sample` may depend on nothing but the RNG and the family's shape.
+//! bitwise/charge-equality checks fail. With block lookahead the later
+//! blocks' `sample` calls run between this block's `prepare` and `tile`,
+//! so `sample` may depend on nothing but the RNG and the family's shape.
 
 use super::{ExecBackend, Stage};
 use crate::workspace::KernelWorkspace;
@@ -202,6 +205,47 @@ pub(crate) trait FamilySpec<'r, B: ExecBackend<'r>, M: SliceSource + Sync> {
     }
 }
 
+/// Keep the lookahead ring full: offer the drawn-ahead selections the
+/// source refused at an earlier block entry to its `prefetch` again,
+/// oldest first, then draw new ones while the ring has room and the
+/// schedule has blocks, offering each. The first refusal ends the call, so
+/// the source pins for blocks strictly in order. Only `sample` consumes
+/// the RNG and the draws never pass `max_iters`, so they land in the
+/// in-memory solver's global order and a solve leaves the RNG where the
+/// in-memory one does.
+fn draw_ahead<'r, B, M, S>(
+    a: &M,
+    sched: Schedule,
+    rng: &mut Rng,
+    ws: &mut KernelWorkspace,
+    spec: &mut S,
+) where
+    B: ExecBackend<'r>,
+    M: SliceSource + Sync,
+    S: FamilySpec<'r, B, M>,
+{
+    let ring = &mut ws.ahead;
+    while ring.prefetched < ring.len {
+        if !a.prefetch(ring.get(ring.prefetched)) {
+            return;
+        }
+        ring.prefetched += 1;
+    }
+    while ring.drawn < sched.max_iters {
+        let s_block = sched.s.min(sched.max_iters - ring.drawn);
+        let Some(sel) = ring.push() else {
+            return;
+        };
+        spec.sample(rng, s_block, sel);
+        let taken = a.prefetch(sel);
+        ring.drawn += s_block;
+        if !taken {
+            return;
+        }
+        ring.prefetched += 1;
+    }
+}
+
 /// Run the s-step outer loop to completion (or a family `Break`),
 /// returning the number of inner iterations performed.
 pub(crate) fn drive<'r, B, M, S>(
@@ -217,8 +261,11 @@ where
     M: SliceSource + Sync,
     S: FamilySpec<'r, B, M>,
 {
+    // Streaming without an overlap window: draw blocks ahead and prefetch
+    // their shards behind this block's whole compute (`draw_ahead`).
+    let stream_ahead = a.lookahead() && !B::OVERLAPS;
+    ws.ahead.reset();
     let mut have_next = false;
-    let mut have_sel = false;
     let mut h = 0usize;
     while h < sched.max_iters {
         let s_block = sched.s.min(sched.max_iters - h);
@@ -236,32 +283,19 @@ where
         } else {
             {
                 let _span = backend.span(Stage::Sampling);
-                if have_sel {
-                    // Drawn one block ahead (same RNG order — see the
-                    // lookahead below) so the shards could prefetch
-                    // behind the previous block's compute.
-                    std::mem::swap(&mut ws.sel, &mut ws.sel_next);
-                } else {
+                // Drawn ahead, in the same RNG order (see `draw_ahead`),
+                // so the shards could prefetch behind earlier compute.
+                if !ws.ahead.take_into(&mut ws.sel) {
                     spec.sample(rng, s_block, &mut ws.sel);
+                    ws.ahead.drawn = h_next;
                 }
             }
             // Residency barrier: pin this block's slices (no-op in
             // memory). Prefetched shards are hits; the rest load here.
             a.prepare(&ws.sel);
-            have_sel = a.lookahead() && !want_overlap && h_next < sched.max_iters;
-            if have_sel {
-                // Streaming without an overlap window: resolve the next
-                // block's selection now, at block entry, and hand it to
-                // the background loader, so the shards stream in behind
-                // this block's whole compute — Gram, cross products and
-                // inner iterations. Only `sample` consumes the RNG, so the
-                // draws land in the same global order as the in-memory
-                // solver's block-entry draws and the coordinate sequence
-                // is bitwise unchanged.
+            if stream_ahead {
                 let _span = backend.span(Stage::Sampling);
-                ws.sel_next.clear();
-                spec.sample(rng, s_next, &mut ws.sel_next);
-                a.prefetch(&ws.sel_next);
+                draw_ahead(a, sched, rng, ws, spec);
             }
             let _span = backend.span(Stage::Gram);
             spec.tile(Cx { bk: backend, a, ws }, s_block, false);
@@ -334,6 +368,7 @@ mod tests {
     use crate::config::LassoConfig;
     use crate::exec::{lasso_family, SeqBackend};
     use crate::prox::Lasso;
+    use crate::workspace::LOOKAHEAD;
     use sparsela::{CscMatrix, MajorSlices, SparseSlice};
     use std::sync::Mutex;
 
@@ -347,10 +382,29 @@ mod tests {
 
     /// A resident matrix that records the residency protocol it is driven
     /// through, and asks for lookahead (or not) like a streaming source.
+    /// It takes a prefetch only while fewer than `room` are unclaimed, as
+    /// a budget would.
     struct Recording<'a> {
         a: &'a CscMatrix,
         lookahead: bool,
+        room: usize,
         events: Mutex<Vec<Event>>,
+    }
+
+    impl Recording<'_> {
+        /// Prefetches not yet claimed by a `prepare`.
+        fn unclaimed(events: &[Event]) -> usize {
+            let fetched = events
+                .iter()
+                .filter(|e| matches!(e, Event::Prefetch(_)))
+                .count();
+            let prepared = events
+                .iter()
+                .filter(|e| matches!(e, Event::Prepare(_)))
+                .count();
+            // Every prepare after the first claims one prefetch.
+            fetched - prepared.saturating_sub(1).min(fetched)
+        }
     }
 
     impl MajorSlices for Recording<'_> {
@@ -376,11 +430,13 @@ mod tests {
                 .unwrap()
                 .push(Event::Prepare(sel.to_vec()));
         }
-        fn prefetch(&self, sel: &[usize]) {
-            self.events
-                .lock()
-                .unwrap()
-                .push(Event::Prefetch(sel.to_vec()));
+        fn prefetch(&self, sel: &[usize]) -> bool {
+            let mut events = self.events.lock().unwrap();
+            let taken = Self::unclaimed(&events) < self.room;
+            if taken {
+                events.push(Event::Prefetch(sel.to_vec()));
+            }
+            taken
         }
         fn lookahead(&self) -> bool {
             self.lookahead
@@ -401,19 +457,18 @@ mod tests {
             max_iters: 100,
             ..Default::default()
         };
-        let run = |lookahead: bool| {
+        let run = |lookahead: bool, room: usize| {
             let rec = Recording {
                 a: &csc,
                 lookahead,
+                room,
                 events: Mutex::new(Vec::new()),
             };
             let reg = Lasso::new(cfg.lambda);
             let res = lasso_family(&rec, &ds.b, &reg, &cfg, true, &mut SeqBackend::new());
             (rec.events.into_inner().unwrap(), res.final_value())
         };
-        let (streamed, f_streamed) = run(true);
-        let (resident, f_resident) = run(false);
-        assert_eq!(f_streamed.to_bits(), f_resident.to_bits());
+        let (resident, f_resident) = run(false, LOOKAHEAD);
 
         // The in-memory solver announces each block at its entry; those
         // selections, in order, are the global draw sequence.
@@ -427,17 +482,27 @@ mod tests {
         assert_eq!(blocks.len(), 13);
         assert!(!resident.iter().any(|e| matches!(e, Event::Prefetch(_))));
 
-        // Streamed, every block is: prepare(t), prefetch(t+1) — the whole
-        // block ahead of the first kernel — then the first slice.
-        let mut expect = Vec::new();
-        for (t, sel) in blocks.iter().enumerate() {
-            expect.push(Event::Prepare((*sel).clone()));
-            if let Some(next) = blocks.get(t + 1) {
-                expect.push(Event::Prefetch((*next).clone()));
+        // Streamed, every block is: prepare(t), then a prefetch of each
+        // block up to t + depth not yet prefetched, in block order — all
+        // before the first kernel — then the first slice. A source with
+        // room for the whole ring takes the first block's four followers
+        // at once and one block per entry after that; with room for one,
+        // it is the previous one-block lookahead.
+        for depth in [LOOKAHEAD, 2, 1] {
+            let (streamed, f_streamed) = run(true, depth);
+            assert_eq!(f_streamed.to_bits(), f_resident.to_bits(), "depth {depth}");
+            let mut expect = Vec::new();
+            let mut fetched = 1;
+            for (t, sel) in blocks.iter().enumerate() {
+                expect.push(Event::Prepare((*sel).clone()));
+                while fetched <= (t + depth).min(blocks.len() - 1) {
+                    expect.push(Event::Prefetch(blocks[fetched].clone()));
+                    fetched += 1;
+                }
+                expect.push(Event::Slice);
             }
-            expect.push(Event::Slice);
+            assert_eq!(streamed, expect, "depth {depth}");
         }
-        assert_eq!(streamed, expect);
     }
 
     #[test]

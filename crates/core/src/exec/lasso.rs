@@ -297,9 +297,9 @@ where
             let n = self.n;
             let f = if self.accel {
                 let t2 = self.theta * self.theta;
-                let x = implicit_x(&self.y, &self.z, t2);
                 cx.bk.charge_obj(2 * n as u64, n as u64);
-                0.5 * rg + self.reg.value(&x)
+                let x = self.y.iter().zip(&self.z).map(|(yi, zi)| t2 * yi + zi);
+                0.5 * rg + self.reg.value_iter(x)
             } else {
                 cx.bk.charge_obj(n as u64, n as u64);
                 0.5 * rg + self.reg.value(&self.z)

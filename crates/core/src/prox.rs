@@ -212,11 +212,18 @@ impl GroupLasso {
 
 impl Regularizer for GroupLasso {
     fn value_iter<I: Iterator<Item = f64> + Clone>(&self, x: I) -> f64 {
-        let mut norms_sq = vec![0.0f64; self.num_groups];
-        for (i, v) in x.enumerate() {
-            norms_sq[self.group[i]] += v * v;
-        }
-        self.lambda * norms_sq.iter().map(|n| n.sqrt()).sum::<f64>()
+        // Per-group squared norms in a held thread-local scratch, like
+        // `prox_block`'s: a traced solve evaluates this at every trace
+        // point. Zeroed, summed and reduced in group order as before.
+        GROUP_VALUE_SCRATCH.with(|cell| {
+            let mut norms_sq = cell.borrow_mut();
+            norms_sq.clear();
+            norms_sq.resize(self.num_groups, 0.0);
+            for (i, v) in x.enumerate() {
+                norms_sq[self.group[i]] += v * v;
+            }
+            self.lambda * norms_sq.iter().map(|n| n.sqrt()).sum::<f64>()
+        })
     }
 
     fn prox_block(&self, v: &mut [f64], coords: &[usize], eta: f64) {
@@ -263,6 +270,9 @@ std::thread_local! {
     /// Reusable `(group id, Σx²)` accumulator for [`GroupLasso::prox_block`]
     /// — grown once per thread, then allocation-free.
     static GROUP_NORM_SCRATCH: std::cell::RefCell<Vec<(usize, f64)>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+    /// Reusable per-group `Σx²` for [`GroupLasso`]'s `value_iter`, likewise.
+    static GROUP_VALUE_SCRATCH: std::cell::RefCell<Vec<f64>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 

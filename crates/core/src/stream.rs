@@ -4,9 +4,10 @@
 //! An s-step outer block touches only the `s·µ` sampled slices, so a
 //! [`StreamingMatrix`] keeps just those shards (plus the previous block's,
 //! per the two-epoch pin contract) resident under a hard byte budget while
-//! the background loader streams the *next* block's shards in behind the
-//! current block's compute (seq) or behind the in-flight fused allreduce
-//! (the overlapping engines, sim and net). The streaming hooks change
+//! the loader thread streams later blocks' shards in — as many blocks
+//! ahead as the budget holds — behind the current block's compute (seq),
+//! or the next block's behind the in-flight fused allreduce (the
+//! overlapping engines, sim and net). The streaming hooks change
 //! residency, never values, and the lookahead draws consume the replicated
 //! RNG stream in the same global order as the in-memory solvers — so a
 //! `Source::Shards` run returns **bitwise** the iterates of its
@@ -232,6 +233,40 @@ mod tests {
         let out = lasso(&cfg, Engine::Seq, Source::Shards { dir: &dir, budget });
         assert_eq!(out.result().x, seq_res.x);
         assert_eq!(out.telemetry.counter("io.bytes_read"), out.io[0].bytes_read);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Residency is decided in block order on the solver thread — the
+    /// loader only fills what a `prefetch` reserved — so which shards are
+    /// read and evicted depends on the selections and the budget alone,
+    /// never on how the loads race the solve.
+    #[test]
+    fn streamed_residency_repeats_exactly_under_an_evicting_budget() {
+        let ds = lasso_problem(6);
+        let dir = tmp_dir("residency");
+        shard_lasso(&ds, &dir, 90);
+        let cfg = LassoConfig {
+            s: 4,
+            max_iters: 480,
+            ..lasso_cfg(4)
+        };
+        let reg = Lasso::new(cfg.lambda);
+        let store = ShardStore::open(&dir).expect("open");
+        let heap: u64 = store.manifest().shards.iter().map(|m| m.heap_bytes()).sum();
+        let budget = heap * 2 / 5;
+        let reference = seq::sa_accbcd(&ds, &reg, &cfg);
+        let counts = |_| {
+            let a = StreamingMatrix::from_store(store.clone(), budget, (0, ds.a.rows()));
+            let res = stream_sa_accbcd(&a, &ds.b, &reg, &cfg);
+            assert_eq!(res.x, reference.x, "streamed iterate must be bitwise equal");
+            let s = a.io_stats();
+            (s.shard_reads, s.evictions, s.prefetch_misses)
+        };
+        let runs: Vec<_> = (0..5).map(counts).collect();
+        let (reads, evictions, _) = runs[0];
+        assert!(evictions > 0, "the budget must evict");
+        assert!(reads > 90, "evicted shards are read again");
+        assert!(runs.iter().all(|r| *r == runs[0]), "{runs:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

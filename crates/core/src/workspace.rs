@@ -57,6 +57,71 @@ pub struct KernelWorkspace {
     /// Double-buffered cross/tile block for the next outer iteration
     /// (kernel family: the missed kernel-row dots), same overlap window.
     pub(crate) cross_next: DenseMatrix,
+    /// Selections a streamed solve without an overlap window drew ahead
+    /// of the current block (`exec::driver`'s lookahead).
+    pub(crate) ahead: Lookahead,
+}
+
+/// The most selections a streamed solve without an overlap window draws
+/// ahead of the block it computes. One block of loads takes about as long
+/// as one block of compute, so a single block ahead turns any jitter into
+/// a stall; four absorb it. The resident budget usually sets the depth
+/// first: a selection whose shards do not fit beside the pinned set waits
+/// here, not prefetched, until they do or its block comes.
+pub(crate) const LOOKAHEAD: usize = 4;
+
+/// A ring of up to [`LOOKAHEAD`] drawn-ahead selections in held buffers,
+/// oldest first.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Lookahead {
+    sels: [Vec<usize>; LOOKAHEAD],
+    /// Slot of the oldest selection.
+    head: usize,
+    /// Selections drawn and not yet taken.
+    pub(crate) len: usize,
+    /// How many of them, oldest first, the source took for prefetch.
+    pub(crate) prefetched: usize,
+    /// Inner iterations covered by every block drawn so far.
+    pub(crate) drawn: usize,
+}
+
+impl Lookahead {
+    /// Forget every drawn selection (a solve that broke off early leaves
+    /// some behind).
+    pub(crate) fn reset(&mut self) {
+        (self.head, self.len, self.prefetched, self.drawn) = (0, 0, 0, 0);
+    }
+
+    /// Swap the oldest drawn selection into `sel`, which must be empty;
+    /// `false` when nothing is drawn.
+    pub(crate) fn take_into(&mut self, sel: &mut Vec<usize>) -> bool {
+        if self.len == 0 {
+            return false;
+        }
+        std::mem::swap(sel, &mut self.sels[self.head]);
+        self.head = (self.head + 1) % LOOKAHEAD;
+        self.len -= 1;
+        self.prefetched = self.prefetched.saturating_sub(1);
+        true
+    }
+
+    /// The `i`-th drawn selection, oldest first.
+    pub(crate) fn get(&self, i: usize) -> &[usize] {
+        debug_assert!(i < self.len);
+        &self.sels[(self.head + i) % LOOKAHEAD]
+    }
+
+    /// A cleared buffer behind the newest selection, counted as drawn;
+    /// `None` when the ring is full.
+    pub(crate) fn push(&mut self) -> Option<&mut Vec<usize>> {
+        if self.len == LOOKAHEAD {
+            return None;
+        }
+        let sel = &mut self.sels[(self.head + self.len) % LOOKAHEAD];
+        self.len += 1;
+        sel.clear();
+        Some(sel)
+    }
 }
 
 impl Default for KernelWorkspace {
@@ -84,6 +149,7 @@ impl KernelWorkspace {
             sel_next: Vec::new(),
             gram_next: DenseMatrix::zeros(0, 0),
             cross_next: DenseMatrix::zeros(0, 0),
+            ahead: Lookahead::default(),
         }
     }
 

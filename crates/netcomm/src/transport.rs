@@ -236,7 +236,9 @@ pub fn connect_retry(
     attempt_timeout: Duration,
     stats: &NetStats,
 ) -> Result<Stream, NetError> {
-    let mut last = String::new();
+    // The last error is formatted only if every attempt fails, so a
+    // retry allocates nothing.
+    let mut last = None;
     for attempt in 0..backoff.max_attempts {
         match connect_once(addr, attempt_timeout) {
             Ok(s) => {
@@ -245,7 +247,7 @@ pub fn connect_retry(
                 }
                 return Ok(s);
             }
-            Err(e) => last = e.to_string(),
+            Err(e) => last = Some(e),
         }
         match backoff.delay(attempt) {
             Some(d) => {
@@ -260,7 +262,7 @@ pub fn connect_retry(
     Err(NetError::ConnectFailed {
         addr: addr.to_string(),
         attempts: backoff.max_attempts,
-        last,
+        last: last.map(|e| e.to_string()).unwrap_or_default(),
     })
 }
 

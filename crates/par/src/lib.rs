@@ -332,78 +332,6 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Background worker
-// ---------------------------------------------------------------------------
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A single dedicated worker thread consuming `FnOnce` jobs from a queue —
-/// the pool primitive for work that must run *behind* the main thread
-/// rather than *with* it (shard prefetch I/O hiding behind solver
-/// compute, see `sparsela::shard`).
-///
-/// Unlike [`tiled_map`], jobs here are side-effecting and asynchronous:
-/// `submit` returns immediately and the job runs whenever the worker gets
-/// to it, in submission order. Nothing about solver *numerics* may ever
-/// flow through this type — it exists for I/O and cache warming, where
-/// only completion timing (never output bits) depends on the race.
-/// Dropping the worker drains the queue: every submitted job still runs
-/// before the worker thread is joined.
-pub struct BackgroundWorker {
-    tx: std::sync::Mutex<Option<std::sync::mpsc::Sender<Job>>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl BackgroundWorker {
-    /// Spawn the worker thread (named `name` for debuggers/`/proc`).
-    pub fn spawn(name: &str) -> BackgroundWorker {
-        let (tx, rx) = std::sync::mpsc::channel::<Job>();
-        let handle = std::thread::Builder::new()
-            .name(name.to_string())
-            .spawn(move || {
-                while let Ok(job) = rx.recv() {
-                    job();
-                }
-            })
-            .expect("saco-par: spawn background worker");
-        BackgroundWorker {
-            tx: std::sync::Mutex::new(Some(tx)),
-            handle: Some(handle),
-        }
-    }
-
-    /// Enqueue `job`; it runs on the worker thread after every previously
-    /// submitted job. Panics if called after the worker shut down (only
-    /// possible during `Drop`).
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        self.tx
-            .lock()
-            .expect("background worker sender poisoned")
-            .as_ref()
-            .expect("background worker already shut down")
-            .send(Box::new(job))
-            .expect("background worker thread died");
-    }
-}
-
-impl Drop for BackgroundWorker {
-    fn drop(&mut self) {
-        // Closing the channel ends the worker's recv loop after the queue
-        // drains; join so submitted I/O is never abandoned mid-write.
-        *self.tx.lock().expect("background worker sender poisoned") = None;
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl std::fmt::Debug for BackgroundWorker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BackgroundWorker").finish_non_exhaustive()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Schedule modelling
 // ---------------------------------------------------------------------------
 
@@ -596,21 +524,6 @@ mod tests {
         assert!(s.utilization(4) <= 1.0);
         reset_stats();
         assert_eq!(stats(), PoolStats::default());
-    }
-
-    #[test]
-    fn background_worker_runs_jobs_in_order_and_drains_on_drop() {
-        use std::sync::{Arc, Mutex};
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        {
-            let w = BackgroundWorker::spawn("test-bg");
-            for i in 0..32u32 {
-                let seen = Arc::clone(&seen);
-                w.submit(move || seen.lock().unwrap().push(i));
-            }
-            // Drop joins after the queue drains.
-        }
-        assert_eq!(*seen.lock().unwrap(), (0..32).collect::<Vec<u32>>());
     }
 
     #[test]

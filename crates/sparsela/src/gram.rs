@@ -160,12 +160,18 @@ pub trait SliceSource: MajorSlices {
     fn prepare(&self, _sel: &[usize]) {}
 
     /// Begin loading the slices in `sel` in the background, pinned for
-    /// the epoch that the matching `prepare` will open.
-    fn prefetch(&self, _sel: &[usize]) {}
+    /// the epoch after the last one pinned: prefetches are claimed by
+    /// `prepare` calls in the order they were made. Returns `false`, having
+    /// pinned nothing, when the source cannot hold `sel` beside what it
+    /// has pinned; the caller offers it again later or lets its `prepare`
+    /// load it.
+    fn prefetch(&self, _sel: &[usize]) -> bool {
+        true
+    }
 
-    /// Whether the solver should resolve its selection one block ahead
-    /// and call [`SliceSource::prefetch`] — true only for sources with
-    /// actual load latency to hide.
+    /// Whether the solver should resolve its selections blocks ahead and
+    /// call [`SliceSource::prefetch`] — true only for sources with actual
+    /// load latency to hide.
     fn lookahead(&self) -> bool {
         false
     }

@@ -23,9 +23,9 @@
 //!   reads of its extent alone, straight into the typed arrays;
 //! * [`StreamingMatrix`] — a [`MajorSlices`]/[`SliceSource`] implementation
 //!   over a `ShardStore` with an epoch-pinned shard cache under a hard
-//!   resident-byte budget, backed by a `saco-par` background worker that
-//!   prefetches the *next* block's shards behind the current block's
-//!   compute.
+//!   resident-byte budget, backed by a loader thread that reads the shards
+//!   of the blocks prefetched ahead — as many as the budget holds — behind
+//!   the current block's compute.
 //!
 //! # Determinism
 //!
@@ -49,9 +49,27 @@
 //! Borrowed [`SparseSlice`]s stay valid until the **second** `prepare`
 //! call after the one that pinned them — two live epochs, because the
 //! overlap path computes the *next* block's Gram (epoch `e+1`) while the
-//! current block's slices (epoch `e`) are still in use; a `prefetch` pins
-//! a third, `e+1`, while it is in flight. The budget must hold the two
-//! (see `docs/PERFORMANCE.md`, "Out-of-core streaming").
+//! current block's slices (epoch `e`) are still in use. A `prefetch` pins
+//! for a *look-ahead* epoch: the one after the last epoch pinned, the
+//! current one or an earlier prefetch's, so prefetches must be claimed by
+//! `prepare`s in the order they were made. The budget must hold the two
+//! live epochs (see `docs/PERFORMANCE.md`, "Out-of-core streaming"); a
+//! prefetch is refused, pinning nothing, unless the pinned set counted
+//! with it still fits, so the look-ahead is as deep as the budget allows.
+//!
+//! # Residency in block order
+//!
+//! Every decision about what is resident is made on the calling thread, in
+//! call order: a pin reserves an absent shard at its manifest size
+//! ([`ShardMeta::heap_bytes`], an upper bound for a windowed view) and
+//! evicts for that reservation right there; `prepare` releases old pins
+//! and trues its shards' reservations up to their loaded size. The loader
+//! thread only fills entries a `prefetch` reserved and frees what was
+//! evicted; it never evicts. So which shards are read and evicted — the
+//! `shard_reads`, `evictions` and `prefetch_misses` counts — depends on
+//! the calls and the budget alone, never on how the loads race the
+//! solver. (Whether a claimed shard was already in, a hit, or still
+//! loading, a wait, is timing.)
 //!
 //! `slice` reads through a per-shard table of atomically published
 //! pointers and takes no lock on a resident, pinned shard. Three rules,
@@ -65,12 +83,13 @@
 use crate::compressed::{check_slice, Compressed};
 use crate::gram::{MajorSlices, SliceSource};
 use crate::{CscMatrix, CsrMatrix, SparseSlice};
+use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Format magic opening each shard extent.
@@ -90,6 +109,8 @@ const DATA_FILE: &str = "shards.bin";
 const HEADER_WORDS: usize = 7;
 /// Fixed byte length of an extent header.
 const HEADER_LEN: u64 = 8 * HEADER_WORDS as u64;
+/// `log₂` of the majors per entry of a store's shard lookup table.
+const BUCKET_SHIFT: u32 = 5;
 
 // A load reads the file's little-endian `u64` words straight into `usize`
 // and `f64` arrays, which is only the same bytes on a little-endian target
@@ -205,6 +226,13 @@ impl ShardMeta {
         words
             .and_then(|w| w.checked_mul(8)?.checked_add(HEADER_LEN))
             .unwrap_or(u64::MAX)
+    }
+
+    /// What the loaded shard charges the cache budget
+    /// ([`LoadedShard::heap_bytes`]); an upper bound for a windowed load,
+    /// which keeps only the window's entries.
+    pub fn heap_bytes(&self) -> u64 {
+        ((self.hi - self.lo + 1) * 8) as u64 + self.nnz * 16
     }
 }
 
@@ -519,9 +547,13 @@ impl LoadedShard {
 pub struct ShardStore {
     dir: PathBuf,
     manifest: ShardManifest,
-    /// Each shard's `hi`, packed: what `shard_of` searches on every
-    /// `slice` call.
+    /// Each shard's `hi`, packed: what `shard_of` scans on every `slice`
+    /// call.
     his: Vec<usize>,
+    /// `first[b]` is the shard holding major `b << BUCKET_SHIFT`, where
+    /// `shard_of` starts its scan: every shard holds a major, so the scan
+    /// crosses at most a bucket's width of shard ends.
+    first: Vec<u32>,
     /// Byte offset of each shard's extent in `shards.bin`.
     offsets: Vec<u64>,
     data: Arc<File>,
@@ -595,6 +627,9 @@ impl ShardStore {
         if at != major || shards.iter().map(|s| s.nnz).sum::<u64>() != nnz {
             return Err(bad("manifest: shards do not tile the matrix"));
         }
+        if shards.len() > u32::MAX as usize {
+            return Err(bad("manifest: more shards than a u32 counts"));
+        }
         let mut offsets = Vec::with_capacity(shards.len());
         let mut end = 0u64;
         for s in &shards {
@@ -612,9 +647,16 @@ impl ShardStore {
                 "{DATA_FILE}: file holds {len} bytes, its manifest's extents {end}"
             )));
         }
+        // Sized from `major` only now that the file's eight bytes per
+        // major bound it.
+        let his: Vec<usize> = shards.iter().map(|s| s.hi).collect();
+        let first = (0..major.div_ceil(1 << BUCKET_SHIFT))
+            .map(|b| his.partition_point(|&hi| hi <= b << BUCKET_SHIFT) as u32)
+            .collect();
         Ok(ShardStore {
             dir: dir.to_path_buf(),
-            his: shards.iter().map(|s| s.hi).collect(),
+            his,
+            first,
             offsets,
             data: Arc::new(data),
             manifest: ShardManifest {
@@ -641,7 +683,11 @@ impl ShardStore {
     /// Index of the shard holding major slice `k`.
     pub fn shard_of(&self, k: usize) -> usize {
         debug_assert!(k < self.manifest.major);
-        self.his.partition_point(|&hi| hi <= k)
+        let mut sid = self.first[k >> BUCKET_SHIFT] as usize;
+        while self.his[sid] <= k {
+            sid += 1;
+        }
+        sid
     }
 
     /// Load shard `index` from its extent, validating header and
@@ -825,6 +871,10 @@ struct Entry {
     slot: Slot,
     /// Epoch this shard is pinned for (0 = unpinned, evictable).
     pin_epoch: u64,
+    /// Bytes this entry counts in [`CacheState::resident`]: the shard's
+    /// manifest size from the pin that reserved it, trued up to the loaded
+    /// size by the `prepare` that claims it, and 0 while absent.
+    charge: u64,
     /// Neighbours (older, newer) in the eviction queue; meaningful only
     /// while the shard is queued, i.e. unpinned and `Ready`.
     queue: (u32, u32),
@@ -844,8 +894,28 @@ struct CacheState {
     /// Shards with `pin_epoch != 0`: releasing old pins walks these, not
     /// every resident entry.
     pinned: Vec<usize>,
+    /// Charged bytes of the pinned set, in-flight reservations included.
+    pinned_bytes: u64,
     epoch: u64,
+    /// The epoch the latest accepted `prefetch` pinned for.
+    ahead: u64,
+    /// Charged bytes of every entry: reservations and loaded shards.
     resident: u64,
+    /// Shards reserved by a `prefetch` and not yet picked up by the
+    /// loader thread, in the order they were reserved.
+    loads: VecDeque<usize>,
+    /// Evicted shards for the loader thread to free, so the solver
+    /// thread spends no time returning their memory — boxes and all,
+    /// hence boxed here too.
+    #[allow(clippy::vec_box)]
+    evicted: Vec<Box<LoadedShard>>,
+    /// Set when the view is dropped: the loader thread exits.
+    closing: bool,
+    /// Whether the loader thread waits for work, so `queued` needs a
+    /// signal.
+    loader_idle: bool,
+    /// Threads waiting for a load, so a fill needs to signal `loaded`.
+    waiting: usize,
 }
 
 impl CacheState {
@@ -871,13 +941,21 @@ impl CacheState {
             n => self.entries[n as usize].queue.0 = older,
         }
     }
+
+    /// Wake the loader thread if it waits for work.
+    fn wake_loader(&self, queued: &Condvar) {
+        if self.loader_idle {
+            queued.notify_one();
+        }
+    }
 }
 
 /// What [`CacheShared::pin`] found.
 enum Pinned {
     Ready,
     Loading,
-    /// Was absent; now marked `Loading`, and the caller loads it.
+    /// Was absent; now reserved and marked `Loading`, and the caller
+    /// loads it or queues it for the loader.
     Absent,
 }
 
@@ -885,10 +963,17 @@ struct CacheShared {
     store: ShardStore,
     /// The minor-axis window served (the full axis unless a rank view).
     window: (usize, usize),
+    /// Whether `window` is a proper sub-range: a load then keeps fewer
+    /// entries than the manifest counts.
+    windowed: bool,
     /// Resident budget in loaded bytes.
     budget: u64,
     state: Mutex<CacheState>,
+    /// A load finished (`prepare` and `slice` wait on it).
     loaded: Condvar,
+    /// Loads were queued, shards evicted, or the view is closing (the
+    /// loader waits on it).
+    queued: Condvar,
     stats: StatCells,
     /// The lock-free read path (module docs): `slots[sid]` points at the
     /// loaded shard exactly while its entry is `Ready` *and* pinned.
@@ -910,16 +995,22 @@ impl CacheShared {
         );
     }
 
-    /// Pin `sid` through `epoch` (under the lock), marking an absent
-    /// shard `Loading` for the caller to load.
+    /// The sorted, distinct shards backing `sel`, into `sids`.
+    fn shard_ids(&self, sel: &[usize], sids: &mut Vec<usize>) {
+        sids.clear();
+        sids.extend(sel.iter().map(|&k| self.store.shard_of(k)));
+        sids.sort_unstable();
+        sids.dedup();
+    }
+
+    /// Pin `sid` through `epoch` (under the lock). An absent shard is
+    /// reserved at its manifest size and marked `Loading` for the caller
+    /// to load.
     fn pin(&self, st: &mut CacheState, sid: usize, epoch: u64) -> Pinned {
         let e = &mut st.entries[sid];
         let newly_pinned = e.pin_epoch == 0;
         e.pin_epoch = e.pin_epoch.max(epoch);
-        if newly_pinned {
-            st.pinned.push(sid);
-        }
-        match &e.slot {
+        let found = match &e.slot {
             Slot::Ready(d) => {
                 if newly_pinned {
                     self.publish(sid, d);
@@ -930,10 +1021,37 @@ impl CacheShared {
             Slot::Loading => Pinned::Loading,
             Slot::Absent => {
                 e.slot = Slot::Loading;
+                e.charge = self.store.manifest().shards[sid].heap_bytes();
+                st.resident += e.charge;
                 Pinned::Absent
             }
             Slot::Failed(msg) => panic!("shard {sid} load failed: {msg}"),
+        };
+        if newly_pinned {
+            st.pinned.push(sid);
+            st.pinned_bytes += st.entries[sid].charge;
         }
+        found
+    }
+
+    /// Unpin every shard pinned for an epoch before `epoch`. A released
+    /// shard leaves the lock-free read path *before* it becomes evictable.
+    fn release_before(&self, st: &mut CacheState, epoch: u64) {
+        let mut pinned = std::mem::take(&mut st.pinned);
+        pinned.retain(|&sid| {
+            let e = &mut st.entries[sid];
+            if e.pin_epoch >= epoch {
+                return true;
+            }
+            e.pin_epoch = 0;
+            st.pinned_bytes -= e.charge;
+            if let Slot::Ready(_) = e.slot {
+                self.slots[sid].store(std::ptr::null_mut(), Ordering::Release);
+                st.enqueue(sid);
+            }
+            false
+        });
+        st.pinned = pinned;
     }
 
     /// Load shard `sid` (windowed for a rank view), charging the time to
@@ -955,53 +1073,124 @@ impl CacheShared {
         d
     }
 
-    /// Load shard `sid` — marked `Loading` and pinned by the caller, under
-    /// the lock — and insert it, evicting unpinned shards over the budget.
-    fn load(&self, sid: usize, nanos: &AtomicU64) {
-        let result = self.fetch(sid, nanos).map(Box::new);
-        let mut guard = self.lock();
-        let st = &mut *guard;
-        let evicted = match result {
+    /// Fill the reserved entry `sid` with what its load returned, under
+    /// the lock, and wake the waiters. The reservation stays as charged:
+    /// a fill never changes `resident`, so it never evicts.
+    fn fill(&self, st: &mut CacheState, sid: usize, loaded: io::Result<Box<LoadedShard>>) {
+        st.entries[sid].slot = match loaded {
             Ok(d) => {
-                st.resident += d.heap_bytes();
-                let hwm = &self.stats.resident_hwm;
-                hwm.fetch_max(st.resident, Ordering::Relaxed);
                 match st.entries[sid].pin_epoch {
                     0 => st.enqueue(sid),
                     _ => self.publish(sid, &d),
                 }
-                st.entries[sid].slot = Slot::Ready(d);
-                self.evict_over_budget(st)
+                Slot::Ready(d)
             }
-            Err(e) => {
-                st.entries[sid].slot = Slot::Failed(e.to_string());
-                Vec::new()
-            }
+            Err(e) => Slot::Failed(e.to_string()),
         };
-        self.loaded.notify_all();
-        drop(guard);
-        drop(evicted);
+        if st.waiting > 0 {
+            self.loaded.notify_all();
+        }
+    }
+
+    /// Load the reserved shard `sid` on the calling thread.
+    fn load_now(&self, sid: usize) {
+        let loaded = self.fetch(sid, &self.stats.fg_read_nanos).map(Box::new);
+        self.fill(&mut self.lock(), sid, loaded);
+    }
+
+    /// Block until `sid` is `Ready`, charging wait time as stall.
+    fn wait_ready<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, CacheState>,
+        sid: usize,
+    ) -> MutexGuard<'a, CacheState> {
+        loop {
+            match &st.entries[sid].slot {
+                Slot::Ready(_) => return st,
+                Slot::Failed(e) => panic!("shard {sid} load failed: {e}"),
+                Slot::Absent => unreachable!("waited shard {sid} is pinned, so never evicted"),
+                Slot::Loading => {
+                    let (t0, waited) = (Instant::now(), &self.stats.wait_nanos);
+                    st.waiting += 1;
+                    st = self.loaded.wait(st).expect("shard cache poisoned");
+                    st.waiting -= 1;
+                    waited.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                }
+            }
+        }
+    }
+
+    /// Charge the `Ready` shard `sid` at its loaded size instead of its
+    /// reservation (equal unless the view is windowed).
+    fn true_up(&self, st: &mut CacheState, sid: usize) {
+        let e = &mut st.entries[sid];
+        if let Slot::Ready(d) = &e.slot {
+            let loaded = d.heap_bytes();
+            st.resident = st.resident - e.charge + loaded;
+            if e.pin_epoch != 0 {
+                st.pinned_bytes = st.pinned_bytes - e.charge + loaded;
+            }
+            e.charge = loaded;
+        }
     }
 
     /// Remove unpinned shards, least recently released first, until the
-    /// cache is under budget, returning them for the caller to free outside
-    /// the lock. Pinned shards are never touched — if the pinned set alone
-    /// exceeds the budget, `prepare` panics with sizing advice instead.
-    #[must_use]
-    fn evict_over_budget(&self, st: &mut CacheState) -> Vec<LoadedShard> {
-        let mut evicted = Vec::new();
+    /// cache is under budget, handing them to the loader thread to free.
+    /// Pinned shards and reservations are never touched — if the pinned
+    /// set alone exceeds the budget, `prepare` panics with sizing advice
+    /// instead.
+    fn evict_over_budget(&self, st: &mut CacheState) {
         // An empty queue means everything resident is pinned or in flight.
         while st.resident > self.budget && st.oldest != NIL {
             let sid = st.oldest as usize;
             st.dequeue(sid);
-            if let Slot::Ready(d) = std::mem::take(&mut st.entries[sid].slot) {
-                st.resident -= d.heap_bytes();
+            let e = &mut st.entries[sid];
+            if let Slot::Ready(d) = std::mem::take(&mut e.slot) {
+                st.resident -= std::mem::take(&mut e.charge);
                 self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-                evicted.push(*d);
+                st.evicted.push(d);
             }
         }
-        evicted
+        if !st.evicted.is_empty() {
+            st.wake_loader(&self.queued);
+        }
+        let hwm = &self.stats.resident_hwm;
+        hwm.fetch_max(st.resident, Ordering::Relaxed);
     }
+
+    /// The loader thread: free what was evicted, and take reserved shards
+    /// off the queue in order, reading each outside the lock and filling
+    /// its entry, until the view closes.
+    fn run_loader(&self) {
+        let mut freeing = Vec::new();
+        let mut st = self.lock();
+        while !st.closing {
+            if !st.evicted.is_empty() {
+                std::mem::swap(&mut freeing, &mut st.evicted);
+                drop(st);
+                freeing.clear();
+                st = self.lock();
+            } else if let Some(sid) = st.loads.pop_front() {
+                drop(st);
+                let loaded = self.fetch(sid, &self.stats.bg_read_nanos).map(Box::new);
+                st = self.lock();
+                self.fill(&mut st, sid, loaded);
+            } else {
+                st.loader_idle = true;
+                st = self.queued.wait(st).expect("shard cache poisoned");
+                st.loader_idle = false;
+            }
+        }
+    }
+}
+
+/// The solver thread's held buffers for `prepare` and `prefetch`, so a
+/// block's residency calls allocate nothing once warm.
+#[derive(Default)]
+struct Scratch {
+    sids: Vec<usize>,
+    misses: Vec<usize>,
+    in_flight: Vec<usize>,
 }
 
 /// A bounded-memory matrix view over a [`ShardStore`], implementing
@@ -1009,17 +1198,18 @@ impl CacheShared {
 /// four engines run from disk with **bitwise-identical** results to the
 /// in-memory path.
 ///
-/// Loaded shards are cached under a hard `budget` (bytes); a `saco-par`
-/// [`BackgroundWorker`](saco_par::BackgroundWorker) loads prefetched
-/// shards behind the solver's compute. See the module docs for the pin
-/// contract that makes `slice`'s lock-free borrows sound.
+/// Loaded shards are cached under a hard `budget` (bytes); a loader
+/// thread reads prefetched shards behind the solver's compute. See the
+/// module docs for the pin contract that makes `slice`'s lock-free
+/// borrows sound, and for the block-order residency rule.
 ///
 /// A *windowed* view ([`Self::from_store`] with a proper sub-range)
 /// restricts the minor axis to `wlo..whi` with indices rebased — the
 /// per-rank view for the socket mesh. Each view owns an independent cache and loader.
 pub struct StreamingMatrix {
     shared: Arc<CacheShared>,
-    loader: saco_par::BackgroundWorker,
+    loader: Option<std::thread::JoinHandle<()>>,
+    scratch: Mutex<Scratch>,
 }
 
 impl std::fmt::Debug for StreamingMatrix {
@@ -1029,6 +1219,25 @@ impl std::fmt::Debug for StreamingMatrix {
             .field("window", &self.shared.window)
             .field("budget", &self.shared.budget)
             .finish_non_exhaustive()
+    }
+}
+
+impl Drop for StreamingMatrix {
+    fn drop(&mut self) {
+        // Loads still queued are abandoned: nothing can claim them. A
+        // panic under the cache lock (a failed load) poisons it, and this
+        // runs while that panic unwinds, so it must not panic again.
+        let mut st = self
+            .shared
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        st.closing = true;
+        drop(st);
+        self.shared.queued.notify_one();
+        if let Some(loader) = self.loader.take() {
+            let _ = loader.join();
+        }
     }
 }
 
@@ -1048,24 +1257,42 @@ impl StreamingMatrix {
             window.0 <= window.1 && window.1 <= minor && shards < NIL as usize,
             "window (or shard count) out of range"
         );
-        StreamingMatrix {
-            shared: Arc::new(CacheShared {
-                store,
-                window,
-                budget: budget_bytes,
-                state: Mutex::new(CacheState {
-                    entries: (0..shards).map(|_| Entry::default()).collect(),
-                    oldest: NIL,
-                    newest: NIL,
-                    pinned: Vec::new(),
-                    epoch: 0,
-                    resident: 0,
-                }),
-                loaded: Condvar::new(),
-                stats: StatCells::default(),
-                slots: (0..shards).map(|_| AtomicPtr::default()).collect(),
+        let shared = Arc::new(CacheShared {
+            store,
+            window,
+            windowed: window != (0, minor),
+            budget: budget_bytes,
+            state: Mutex::new(CacheState {
+                entries: (0..shards).map(|_| Entry::default()).collect(),
+                oldest: NIL,
+                newest: NIL,
+                pinned: Vec::new(),
+                pinned_bytes: 0,
+                epoch: 0,
+                ahead: 0,
+                resident: 0,
+                loads: VecDeque::new(),
+                evicted: Vec::new(),
+                closing: false,
+                loader_idle: false,
+                waiting: 0,
             }),
-            loader: saco_par::BackgroundWorker::spawn("saco-shard-loader"),
+            loaded: Condvar::new(),
+            queued: Condvar::new(),
+            stats: StatCells::default(),
+            slots: (0..shards).map(|_| AtomicPtr::default()).collect(),
+        });
+        let loader = {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("saco-shard-loader".to_string())
+                .spawn(move || shared.run_loader())
+                .expect("spawn the shard loader thread")
+        };
+        StreamingMatrix {
+            shared,
+            loader: Some(loader),
+            scratch: Mutex::default(),
         }
     }
 
@@ -1100,48 +1327,35 @@ impl StreamingMatrix {
         }
     }
 
-    fn shard_ids(&self, sel: &[usize]) -> Vec<usize> {
-        let store = &self.shared.store;
-        let mut sids: Vec<usize> = sel.iter().map(|&k| store.shard_of(k)).collect();
-        sids.sort_unstable();
-        sids.dedup();
-        sids
-    }
-
-    /// Block until `sid` is `Ready`, charging wait time as stall.
-    fn wait_ready(&self, sid: usize) -> *const LoadedShard {
-        let mut st = self.shared.lock();
-        loop {
-            match &st.entries[sid].slot {
-                Slot::Ready(d) => return &**d,
-                Slot::Failed(e) => panic!("shard {sid} load failed: {e}"),
-                Slot::Absent => unreachable!("waited shard {sid} is pinned, so never evicted"),
-                Slot::Loading => {
-                    let (t0, waited) = (Instant::now(), &self.shared.stats.wait_nanos);
-                    st = self.shared.loaded.wait(st).expect("shard cache poisoned");
-                    waited.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                }
-            }
-        }
+    fn scratch(&self) -> MutexGuard<'_, Scratch> {
+        self.scratch.lock().expect("shard scratch poisoned")
     }
 
     /// The locked path of `slice`, for a shard that is not both resident
     /// and pinned (e.g. a scan outside `prepare`): pins it for the current
     /// epoch *before* handing it out, faulting it in synchronously on a
-    /// miss, so the loader cannot evict it under the borrow.
+    /// miss, so no eviction can take it under the borrow.
     #[cold]
     fn pin_now(&self, sid: usize) -> *const LoadedShard {
+        let shared = &*self.shared;
         let found = {
-            let mut st = self.shared.lock();
+            let mut st = shared.lock();
             let epoch = st.epoch.max(1);
-            self.shared.pin(&mut st, sid, epoch)
+            let found = shared.pin(&mut st, sid, epoch);
+            shared.evict_over_budget(&mut st);
+            found
         };
         if let Pinned::Absent = found {
-            let misses = &self.shared.stats.prefetch_misses;
+            let misses = &shared.stats.prefetch_misses;
             misses.fetch_add(1, Ordering::Relaxed);
-            self.shared.load(sid, &self.shared.stats.fg_read_nanos);
+            shared.load_now(sid);
         }
-        self.wait_ready(sid)
+        let mut st = shared.wait_ready(shared.lock(), sid);
+        shared.true_up(&mut st, sid);
+        match &st.entries[sid].slot {
+            Slot::Ready(d) => &**d,
+            _ => unreachable!("wait_ready returns on a ready shard"),
+        }
     }
 
     /// Visit every major slice by one bounded sequential pass over the
@@ -1195,97 +1409,110 @@ impl MajorSlices for StreamingMatrix {
 }
 
 impl SliceSource for StreamingMatrix {
-    /// Open the next epoch: fault in / claim every shard backing `sel`,
-    /// pin them, release pins two epochs old, evict over-budget unpinned
+    /// Open the next epoch: release pins two epochs old, fault in / claim
+    /// every shard backing `sel` and pin it, evict over-budget unpinned
     /// shards, and enforce the hard budget on the pinned set.
     fn prepare(&self, sel: &[usize]) {
-        let sids = self.shard_ids(sel);
-        let stats = &self.shared.stats;
-        let (mut need_sync, mut in_flight) = (Vec::new(), Vec::new());
-        let cur = {
-            let mut st = self.shared.lock();
+        let shared = &*self.shared;
+        let stats = &shared.stats;
+        let mut scratch = self.scratch();
+        let Scratch {
+            sids,
+            misses,
+            in_flight,
+        } = &mut *scratch;
+        shared.shard_ids(sel, sids);
+        let mut pinned_bytes = {
+            let mut guard = shared.lock();
+            let st = &mut *guard;
             st.epoch += 1;
             let cur = st.epoch;
-            for &sid in &sids {
-                let counter = match self.shared.pin(&mut st, sid, cur) {
+            // The previous epoch's slices may still be borrowed (an
+            // overlapping engine computes the next Gram while the current
+            // block is live), so only `cur - 1` and later stay pinned —
+            // with every epoch a prefetch pinned ahead.
+            shared.release_before(st, cur - 1);
+            for &sid in sids.iter() {
+                let counter = match shared.pin(st, sid, cur) {
                     Pinned::Ready => &stats.prefetch_hits,
                     Pinned::Loading => {
                         in_flight.push(sid);
                         &stats.prefetch_waits
                     }
                     Pinned::Absent => {
-                        need_sync.push(sid);
+                        misses.push(sid);
                         &stats.prefetch_misses
                     }
                 };
                 counter.fetch_add(1, Ordering::Relaxed);
             }
-            cur
+            shared.evict_over_budget(st);
+            st.pinned_bytes
         };
-        for sid in need_sync {
-            self.shared.load(sid, &stats.fg_read_nanos);
+        for sid in misses.drain(..) {
+            shared.load_now(sid);
+            in_flight.push(sid);
         }
-        for sid in in_flight {
-            let _ = self.wait_ready(sid);
-        }
-        let mut guard = self.shared.lock();
-        let st = &mut *guard;
-        // Release pins two epochs old; the previous epoch's slices may
-        // still be borrowed (an overlapping engine computes the next Gram while
-        // the current block is live), so only `cur` and `cur - 1` stay —
-        // plus `cur + 1` while a prefetch is in flight. A released shard
-        // leaves the lock-free read path *before* it becomes evictable.
-        let mut pinned_bytes = 0u64;
-        let mut pinned = std::mem::take(&mut st.pinned);
-        pinned.retain(|&sid| {
-            let e = &mut st.entries[sid];
-            let keep = e.pin_epoch + 2 > cur;
-            if !keep {
-                e.pin_epoch = 0;
+        // A full view's reservations are its loaded sizes already, so
+        // only a load to wait out or a windowed view takes the lock again.
+        if !in_flight.is_empty() || shared.windowed {
+            let mut st = shared.lock();
+            for sid in in_flight.drain(..) {
+                st = shared.wait_ready(st, sid);
             }
-            if let Slot::Ready(d) = &e.slot {
-                if keep {
-                    pinned_bytes += d.heap_bytes();
-                } else {
-                    self.shared.slots[sid].store(std::ptr::null_mut(), Ordering::Release);
-                    st.enqueue(sid);
+            if shared.windowed {
+                for &sid in sids.iter() {
+                    shared.true_up(&mut st, sid);
                 }
             }
-            keep
-        });
-        st.pinned = pinned;
-        let evicted = self.shared.evict_over_budget(st);
-        drop(guard);
-        drop(evicted);
+            pinned_bytes = st.pinned_bytes;
+        }
         assert!(
-            pinned_bytes <= self.shared.budget,
-            "pinned shard set ({pinned_bytes} B across two epochs) exceeds the \
-             resident budget ({} B); raise --mem-budget or re-shard with more, \
-             smaller shards (shards touched per block ≈ s·µ)",
-            self.shared.budget
+            pinned_bytes <= shared.budget,
+            "pinned shard set ({pinned_bytes} B across two epochs and the \
+             prefetched ones) exceeds the resident budget ({} B); raise \
+             --mem-budget or re-shard with more, smaller shards (shards \
+             touched per block ≈ s·µ)",
+            shared.budget
         );
     }
 
-    /// Queue background loads for the shards backing the *next* block's
-    /// selection, pinned one epoch ahead so they survive until their
-    /// `prepare` claims them. Returns immediately; the `saco-par`
-    /// background worker does the reads, in one job, behind compute.
-    fn prefetch(&self, sel: &[usize]) {
-        let mut to_load = self.shard_ids(sel);
-        {
-            let mut st = self.shared.lock();
-            let target = st.epoch + 1;
-            to_load.retain(|&sid| matches!(self.shared.pin(&mut st, sid, target), Pinned::Absent));
+    /// Reserve and pin the shards backing the selection of the epoch after
+    /// the last one pinned (the current one, or the last prefetch's), and
+    /// queue their loads for the loader thread. Returns immediately.
+    ///
+    /// Refused — `false`, nothing pinned — when the pinned set, counted
+    /// with this selection, would not fit the budget `prepare` asserts.
+    fn prefetch(&self, sel: &[usize]) -> bool {
+        let shared = &*self.shared;
+        let mut scratch = self.scratch();
+        let sids = &mut scratch.sids;
+        shared.shard_ids(sel, sids);
+        let mut guard = shared.lock();
+        let st = &mut *guard;
+        let adds: u64 = sids
+            .iter()
+            .map(|&sid| match &st.entries[sid] {
+                e if e.pin_epoch != 0 => 0,
+                Entry {
+                    slot: Slot::Absent, ..
+                } => shared.store.manifest().shards[sid].heap_bytes(),
+                e => e.charge,
+            })
+            .sum();
+        if st.pinned_bytes + adds > shared.budget {
+            return false;
         }
-        if to_load.is_empty() {
-            return;
-        }
-        let shared = Arc::clone(&self.shared);
-        self.loader.submit(move || {
-            for sid in to_load {
-                shared.load(sid, &shared.stats.bg_read_nanos);
+        let target = st.epoch.max(st.ahead) + 1;
+        st.ahead = target;
+        for &sid in sids.iter() {
+            if let Pinned::Absent = shared.pin(st, sid, target) {
+                st.loads.push_back(sid);
             }
-        });
+        }
+        shared.evict_over_budget(st);
+        st.wake_loader(&shared.queued);
+        true
     }
 
     fn lookahead(&self) -> bool {
@@ -1357,6 +1584,27 @@ mod tests {
                 .collect::<Vec<_>>(),
             b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The bucketed lookup agrees with the shard bounds on every major,
+    /// across buckets that hold many one-slice shards and shards that
+    /// span many buckets.
+    #[test]
+    fn shard_of_finds_every_major() {
+        let dir = tmp_dir("shard_of");
+        let a = random_csc(10, 200, 0.2, 12);
+        let mut bounds: Vec<usize> = (0..=40).collect();
+        bounds.extend([41, 75, 76, 140, 199, 200]);
+        write_csc(&dir, &a, &bounds, None).unwrap();
+        let store = ShardStore::open(&dir).unwrap();
+        for k in 0..200 {
+            let sid = store.shard_of(k);
+            assert!(
+                bounds[sid] <= k && k < bounds[sid + 1],
+                "major {k}: shard {sid}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1533,8 +1781,8 @@ mod tests {
 
     /// ≥ 200 driver-shaped blocks (`prepare`, `prefetch` the next, Gram +
     /// cross) under the tightest budget the pin contract allows — any two
-    /// consecutive blocks' shards, nothing more — so the loader evicts
-    /// behind every block. On some blocks a helper thread holds the cache
+    /// consecutive blocks' shards, nothing more — so blocks evict behind
+    /// every block, and most prefetches are refused. On some blocks a helper thread holds the cache
     /// mutex for the whole kernel call, which must still complete: `slice`
     /// takes no lock on a pinned resident shard.
     #[test]
@@ -1618,6 +1866,31 @@ mod tests {
             "resident high water {} beyond budget {budget} + 2 shards of {largest}",
             s.resident_hwm_bytes
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A shard that fails its load panics the `prepare` that needs it
+    /// with the reason, under the cache lock; dropping the view while that
+    /// panic unwinds must not panic again (which would abort).
+    #[test]
+    fn a_failed_load_panics_and_the_view_still_drops() {
+        let dir = tmp_dir("failed_load");
+        let a = random_csc(30, 12, 0.3, 14);
+        write_csc(&dir, &a, &[0, 6, 12], None).unwrap();
+        // The file's last word is the last shard's last value: make it NaN.
+        let path = dir.join(DATA_FILE);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = bytes.len() - 8;
+        bytes[at..].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+        std::fs::write(&path, bytes).unwrap();
+        let sm = StreamingMatrix::open(&dir, u64::MAX).unwrap();
+        sm.prepare(&[0]);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            sm.prepare(&[11]);
+        }))
+        .expect_err("a NaN in the file fails the load");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("shard 1 load failed"), "{msg}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

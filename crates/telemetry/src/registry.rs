@@ -168,7 +168,13 @@ impl Registry {
 
     /// Set a gauge to its latest value.
     pub fn gauge_set(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
+        // As `counter_add`: an existing key allocates no `String`.
+        match self.gauges.get_mut(name) {
+            Some(v) => *v = value,
+            None => {
+                self.gauges.insert(name.to_string(), value);
+            }
+        }
     }
 
     /// Current gauge value, if ever set.

@@ -16,7 +16,8 @@
 //! work, never linear.
 
 use datagen::{planted_regression, uniform_sparse};
-use saco::prox::Lasso;
+use mpisim::CostModel;
+use saco::prox::{GroupLasso, Lasso, Regularizer};
 use saco::run::{run, Engine, Method, RunSpec, Source};
 use saco::serve::{
     serve, Addr, Listener, ModelArtifact, Request, Response, ServeClient, ServeConfig,
@@ -76,38 +77,123 @@ fn lasso_ds() -> Dataset {
     planted_regression(a, 5, 0.05, 11).dataset
 }
 
+/// Allocations of one `run` of the walk's `accbcd` row (µ = 4, s = 8,
+/// traced every 24 iterations) at `blocks` blocks: this thread's, or the
+/// whole process's when `all` (the mesh's ranks are threads of their own).
+fn accbcd_allocs<R: Regularizer>(
+    reg: &R,
+    engine: Engine,
+    source: Source<'_>,
+    blocks: usize,
+    all: bool,
+) -> u64 {
+    let s = 8;
+    let cfg = LassoConfig {
+        mu: 4,
+        s,
+        lambda: 0.05,
+        seed: 93,
+        max_iters: blocks * s,
+        trace_every: 24,
+        rel_tol: None,
+        ..Default::default()
+    };
+    let method = Method::Lasso {
+        reg,
+        cfg: &cfg,
+        accel: true,
+    };
+    let count = || {
+        if all {
+            ALL_ALLOCS.load(Ordering::SeqCst)
+        } else {
+            thread_allocs()
+        }
+    };
+    let before = count();
+    let out = run(&RunSpec::new(method, engine, source));
+    let n = count() - before;
+    let out = out.expect("an accbcd cell");
+    assert!(out.results.iter().all(|r| r.iters == blocks * s));
+    n
+}
+
+/// The row allocates the same at 96 blocks as at 192, after one warm-up
+/// run. A process-wide count can only gain from the harness's own
+/// bookkeeping, so with `all` a pair is taken again before a difference
+/// counts.
+fn assert_flat_per_block<R: Regularizer>(reg: &R, engine: Engine, source: Source<'_>, all: bool) {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    accbcd_allocs(reg, engine, source, 48, all);
+    let mut pairs = Vec::new();
+    for _ in 0..if all { 3 } else { 1 } {
+        let pair = (
+            accbcd_allocs(reg, engine, source, 96, all),
+            accbcd_allocs(reg, engine, source, 192, all),
+        );
+        pairs.push(pair);
+        if pair.0 == pair.1 {
+            return;
+        }
+    }
+    panic!(
+        "{}: allocations at 96 blocks differ from those at 192: {pairs:?}",
+        engine.name()
+    );
+}
+
 #[test]
 fn a_seq_run_allocates_nothing_per_block() {
-    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let ds = lasso_ds();
-    let reg = Lasso::new(0.05);
-    let s = 8;
-    let allocs_at = |blocks: usize| {
-        // The walk's `accbcd` row: µ = 4, s = 8, traced every 24 iterations.
-        let cfg = LassoConfig {
-            mu: 4,
-            s,
-            lambda: 0.05,
-            seed: 93,
-            max_iters: blocks * s,
-            trace_every: 24,
-            rel_tol: None,
-            ..Default::default()
-        };
-        let method = Method::Lasso {
-            reg: &reg,
-            cfg: &cfg,
-            accel: true,
-        };
-        let before = thread_allocs();
-        let out = run(&RunSpec::new(method, Engine::Seq, Source::InMemory(&ds)));
-        let n = thread_allocs() - before;
-        assert!(out.expect("a seq cell").result().iters == blocks * s);
-        n
+    assert_flat_per_block(&Lasso::new(0.05), Engine::Seq, Source::InMemory(&ds), false);
+}
+
+/// Group-lasso trace points evaluate the penalty through held scratch.
+#[test]
+fn a_group_lasso_seq_run_allocates_nothing_per_block() {
+    let ds = lasso_ds();
+    let reg = GroupLasso::uniform(0.05, ds.num_features(), 4);
+    assert_flat_per_block(&reg, Engine::Seq, Source::InMemory(&ds), false);
+}
+
+/// The virtual cluster's traced objective reads the implicit accelerated
+/// iterate entry by entry, as seq's does.
+#[test]
+fn a_sim_run_allocates_nothing_per_block() {
+    let ds = lasso_ds();
+    let sim = Engine::sim(4, CostModel::cray_xc30(), false);
+    assert_flat_per_block(&Lasso::new(0.05), sim, Source::InMemory(&ds), false);
+}
+
+/// Every rank of a two-rank mesh, and its wires, counted together.
+#[test]
+fn a_net_run_allocates_nothing_per_block() {
+    let ds = lasso_ds();
+    let net = Engine::Net {
+        p: 2,
+        balanced: false,
     };
-    allocs_at(48);
-    let (h, h2) = (allocs_at(96), allocs_at(192));
-    assert_eq!(h, h2, "{h} allocations at 96 blocks, {h2} at 192");
+    assert_flat_per_block(&Lasso::new(0.05), net, Source::InMemory(&ds), true);
+}
+
+/// Streamed from shards under a budget that holds the whole store, the
+/// solver thread's residency calls use held buffers: once every shard is
+/// in, a block allocates nothing there. The loader thread's reads do
+/// allocate, and are not counted.
+#[test]
+fn a_streamed_seq_run_allocates_nothing_per_block_on_the_solver_thread() {
+    let ds = lasso_ds();
+    let dir = std::env::temp_dir().join(format!("saco-alloc-shards-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let csc = ds.a.to_csc();
+    let bounds: Vec<usize> = (0..=csc.cols()).step_by(4).collect();
+    sparsela::shard::write_csc(&dir, &csc, &bounds, Some(&ds.b)).expect("write shards");
+    let shards = Source::Shards {
+        dir: &dir,
+        budget: u64::MAX,
+    };
+    assert_flat_per_block(&Lasso::new(0.05), Engine::Seq, shards, false);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `(server, client)` allocations over `n` score requests, the pool

@@ -1,14 +1,19 @@
 //! Table I validation: the simulator's *measured* critical-path counters
-//! must scale exactly as the paper's closed forms predict, and the α-β
-//! trade-off must place the speedup optimum at a finite s.
+//! must scale exactly as the paper's closed forms predict, the socket
+//! mesh's frames and bytes must be exactly the closed forms' messages and
+//! words, and the α-β trade-off must place the speedup optimum at a
+//! finite s.
 
-use datagen::{planted_regression, uniform_sparse};
+use datagen::{binary_classification, dense_gaussian, planted_regression, uniform_sparse};
 use mpisim::{CostModel, CostReport};
+use netcomm::frame::HEADER_LEN;
 use saco::costmodel::{accbcd_costs, predicted_comm_speedup, sa_accbcd_costs, CostInputs};
 use saco::prox::Lasso;
-use saco::run::Method;
-use saco::LassoConfig;
+use saco::run::{Engine, Method, RunSpec, Source};
+use saco::{KdcdConfig, KdcdTask, LassoConfig, SvmLoss};
 use sparsela::io::Dataset;
+use sparsela::sympack::{packed_len, payload_words};
+use sparsela::KernelFn;
 
 fn problem() -> Dataset {
     let a = uniform_sparse(3000, 800, 0.02, 55);
@@ -184,4 +189,130 @@ fn closed_forms_reproduce_the_headline_ratios() {
     let sa = sa_accbcd_costs(&c);
     assert!((classic.latency / sa.latency - 32.0).abs() < 1e-9);
     assert!((sa.bandwidth / classic.bandwidth - 32.0).abs() < 1e-9);
+}
+
+/// The mesh's solve-phase wire, summed over ranks: `(frames, bytes)`.
+fn mesh_wire(method: Method<'_>, ds: &Dataset, p: usize) -> (u64, u64, Option<saco::KdcdStats>) {
+    let engine = Engine::Net { p, balanced: false };
+    let spec = RunSpec::new(method, engine, Source::InMemory(ds));
+    let out = saco::run::run(&spec).expect("a mesh run");
+    let t = &out.telemetry;
+    (
+        t.counter("net.solve.frames_tx"),
+        t.counter("net.solve.bytes_tx"),
+        out.kdcd.first().cloned(),
+    )
+}
+
+/// `⌈log₂P⌉`: the rounds of one tree allreduce on the critical path.
+fn rounds(p: usize) -> u64 {
+    u64::from(p.next_power_of_two().trailing_zeros())
+}
+
+/// Table I on the wire, closed-form side: at P ∈ {1, 2, 4} the mesh sends
+/// exactly `L / ⌈log₂P⌉ = H/s + 2` tree allreduces (one per block, plus
+/// the initial ½‖b‖² and the final objective), each `2(P−1)` frames of a
+/// 24-byte header and 8 B per word, and the words are `payload_words` per
+/// block — whose packed Gram is Table I's `W` halved, plus the diagonal.
+#[test]
+fn mesh_wire_matches_table_one_for_sa_accbcd() {
+    let ds = {
+        let a = uniform_sparse(600, 200, 0.05, 55);
+        planted_regression(a, 10, 0.1, 55).dataset
+    };
+    let (h, mu, s, te) = (192usize, 2usize, 8usize, 40usize);
+    let cfg = LassoConfig {
+        mu,
+        s,
+        lambda: 0.5,
+        seed: 3,
+        max_iters: h,
+        trace_every: te,
+        rel_tol: None,
+        ..Default::default()
+    };
+    let blocks = h / s;
+    // A block ships the trace scalar when it crosses a multiple of `te`.
+    let traced = (0..blocks)
+        .filter(|b| b * s / te != (b + 1) * s / te)
+        .count();
+    let words = blocks * payload_words(s * mu, 2, false) + traced + 2;
+    for p in [1usize, 2, 4] {
+        let method = Method::Lasso {
+            reg: &Lasso::new(0.5),
+            cfg: &cfg,
+            accel: true,
+        };
+        let (frames, bytes, _) = mesh_wire(method, &ds, p);
+        let colls = (blocks + 2) as u64;
+        let edges = 2 * (p as u64 - 1);
+        assert_eq!(frames, colls * edges, "P={p}: frames");
+        assert_eq!(
+            bytes,
+            edges * (colls * HEADER_LEN as u64 + 8 * words as u64),
+            "P={p}: bytes"
+        );
+        if p > 1 {
+            let table = sa_accbcd_costs(&CostInputs {
+                h: h as u64,
+                mu: mu as u64,
+                s: s as u64,
+                f: 0.05,
+                m: 600,
+                n: 200,
+                p: p as u64,
+            });
+            let lg = rounds(p);
+            assert_eq!(table.latency, ((blocks as u64) * lg) as f64, "P={p}: L");
+            assert_eq!(frames / edges * lg, table.latency as u64 + 2 * lg);
+            let gram = (blocks * packed_len(s * mu)) as f64;
+            assert_eq!(
+                2.0 * gram * lg as f64,
+                table.bandwidth + (h * mu) as f64 * lg as f64
+            );
+        }
+    }
+}
+
+/// The kernel family on the wire: a block whose sampled rows all hit the
+/// kernel cache skips its allreduce on every rank, so the mesh sends one
+/// tree allreduce per *missing* block plus the RBF norms pass, and the
+/// words are the missed kernel rows (`m` each) plus the `m` norms.
+#[test]
+fn mesh_wire_matches_table_one_for_kdcd_with_skipped_blocks() {
+    let ds = {
+        let a = dense_gaussian(48, 16, 12);
+        binary_classification(a, 0.05, 12).dataset
+    };
+    let m = ds.a.rows() as u64;
+    let cfg = KdcdConfig {
+        task: KdcdTask::Svm(SvmLoss::L1),
+        kernel: KernelFn::Rbf { gamma: 0.5 },
+        lambda: 0.5,
+        s: 8,
+        seed: 61,
+        max_iters: 256,
+        trace_every: 32,
+        cache_budget_bytes: 1 << 20,
+    };
+    let blocks = (cfg.max_iters / cfg.s) as u64;
+    for p in [1usize, 2, 4] {
+        let (frames, bytes, stats) = mesh_wire(Method::kdcd(&cfg), &ds, p);
+        let st = stats.expect("K-DCD stats");
+        assert!(st.exchange_skipped > 0, "P={p}: no all-hit block");
+        let colls = blocks - st.exchange_skipped + 1;
+        let words = st.exchange_words + m;
+        assert_eq!(
+            st.exchange_words,
+            st.tile_rows * m,
+            "P={p}: rows of m words"
+        );
+        let edges = 2 * (p as u64 - 1);
+        assert_eq!(frames, colls * edges, "P={p}: frames");
+        assert_eq!(
+            bytes,
+            edges * (colls * HEADER_LEN as u64 + 8 * words),
+            "P={p}: bytes"
+        );
+    }
 }
