@@ -240,9 +240,12 @@ fn bench_simd_modes(c: &mut Criterion) {
     let modes = [(simd::Mode::Scalar, "scalar"), (simd::Mode::Auto, "auto")];
     let ambient = simd::mode();
 
-    let csc = uniform_sparse(20_000, 4_000, 0.01, 42).to_csc();
-    let mut rng = rng_from_seed(43);
-    let sel = sample_without_replacement(&mut rng, 4_000, 64);
+    // Uniform 10 % columns take the scatter schedule, which has the wide
+    // builds; row intersection has one. `gram.rs`'s
+    // `the_data_picks_the_schedule` pins this shape and draw to scatter.
+    let csc = uniform_sparse(4_000, 1_000, 0.1, 37).to_csc();
+    let mut rng = rng_from_seed(44);
+    let sel = sample_without_replacement(&mut rng, 1_000, 64);
     let mut group = c.benchmark_group("simd_sampled_gram_64");
     for (mode, label) in modes {
         group.bench_function(label, |b| {

@@ -129,7 +129,7 @@ where
         } else {
             (&ws.sel, &mut ws.cross, &mut self.miss)
         };
-        *miss = self.cache.begin_epoch(sel);
+        self.cache.begin_epoch(sel, miss);
         cross.reshape_zeroed(miss.len(), self.m);
         for (r, &i) in miss.iter().enumerate() {
             let si = cx.a.slice(i);
@@ -175,11 +175,10 @@ where
         for (r, &i) in self.miss.iter().enumerate() {
             let ni = self.norms[i];
             let dots = cx.ws.cross.row(r);
-            let row: Vec<f64> = dots
+            let row = dots
                 .iter()
                 .zip(&self.norms)
-                .map(|(&d, &nl)| self.kernel.eval(d, ni, nl))
-                .collect();
+                .map(|(&d, &nl)| self.kernel.eval(d, ni, nl));
             self.cache.fill(i, row);
         }
         cx.bk.charge_obj(self.kernel.eval_flops() * misses * m, m);

@@ -18,43 +18,9 @@ use sparsela::SliceSource;
 use std::ops::ControlFlow;
 use xrng::{rng_from_seed, Rng};
 
-/// Duality gap through the backend's reduction: identical arithmetic to
-/// `SvmProblem::duality_gap` whether the [`SliceSource::major_spmv_into`]
-/// margins are already global or per-rank contributions fused with ‖x‖²
-/// in one buffer (and bitwise equal for in-memory and streamed sources).
-fn gap_of<'r, B: ExecBackend<'r>, M: SliceSource>(
-    backend: &mut B,
-    a: &M,
-    b: &[f64],
-    prob: &SvmProblem,
-    x: &[f64],
-    alpha: &[f64],
-) -> f64 {
-    let m = a.major_len();
-    let mut buf = vec![0.0; m];
-    a.major_spmv_into(x, &mut buf);
-    buf.push(sparsela::vecops::nrm2_sq(x));
-    backend.gap_reduce(&mut buf, m);
-    let x_sq = buf.pop().expect("norm element");
-    let loss_sum: f64 = buf
-        .iter()
-        .zip(b)
-        .map(|(margin, bi)| {
-            let xi = (1.0 - bi * margin).max(0.0);
-            match prob.loss {
-                SvmLoss::L1 => xi,
-                SvmLoss::L2 => xi * xi,
-            }
-        })
-        .sum();
-    let primal = 0.5 * x_sq + prob.lambda * loss_sum;
-    let dual =
-        0.5 * (x_sq + prob.gamma() * sparsela::vecops::nrm2_sq(alpha)) - alpha.iter().sum::<f64>();
-    primal + dual
-}
-
 /// Per-solve SVM state: the dual iterate, the primal accumulator `x`
-/// (local columns on the distributed engine), and the gap trace.
+/// (local columns on the distributed engine), the gap trace and its
+/// held reduction buffer.
 struct SvmSpec<'p> {
     b: &'p [f64],
     cfg: &'p SvmConfig,
@@ -63,6 +29,42 @@ struct SvmSpec<'p> {
     alpha: Vec<f64>,
     x: Vec<f64>,
     trace: ConvergenceTrace,
+    gap_buf: Vec<f64>,
+}
+
+impl SvmSpec<'_> {
+    /// Duality gap through the backend's reduction: identical arithmetic
+    /// to `SvmProblem::duality_gap` whether the
+    /// [`SliceSource::major_spmv_into`] margins are already global or
+    /// per-rank contributions fused with ‖x‖² in one buffer (and bitwise
+    /// equal for in-memory and streamed sources).
+    fn gap<'r, B: ExecBackend<'r>, M: SliceSource>(&mut self, backend: &mut B, a: &M) -> f64 {
+        let m = a.major_len();
+        let buf = &mut self.gap_buf;
+        buf.clear();
+        buf.resize(m, 0.0);
+        a.major_spmv_into(&self.x, buf);
+        buf.push(sparsela::vecops::nrm2_sq(&self.x));
+        backend.gap_reduce(buf, m);
+        let x_sq = buf.pop().expect("norm element");
+        let prob = &self.prob;
+        let loss_sum: f64 = buf
+            .iter()
+            .zip(self.b)
+            .map(|(margin, bi)| {
+                let xi = (1.0 - bi * margin).max(0.0);
+                match prob.loss {
+                    SvmLoss::L1 => xi,
+                    SvmLoss::L2 => xi * xi,
+                }
+            })
+            .sum();
+        let primal = 0.5 * x_sq + prob.lambda * loss_sum;
+        let alpha = &self.alpha;
+        let dual = 0.5 * (x_sq + prob.gamma() * sparsela::vecops::nrm2_sq(alpha))
+            - alpha.iter().sum::<f64>();
+        primal + dual
+    }
 }
 
 impl<'r, 'p, B, M> FamilySpec<'r, B, M> for SvmSpec<'p>
@@ -124,7 +126,7 @@ where
                 && ((cfg.trace_every > 0 && h.is_multiple_of(cfg.trace_every))
                     || *h == cfg.max_iters)
             {
-                let gap = gap_of(cx.bk, cx.a, self.b, &self.prob, &self.x, &self.alpha);
+                let gap = self.gap(cx.bk, cx.a);
                 self.trace.push(*h, gap, 0.0);
                 if let Some(tol) = cfg.gap_tol {
                     if gap <= tol {
@@ -142,7 +144,7 @@ where
             let traced = cfg.trace_every > 0
                 && ((h - blk.s) / cfg.trace_every != h / cfg.trace_every || h >= cfg.max_iters);
             if traced {
-                let gap = gap_of(cx.bk, cx.a, self.b, &self.prob, &self.x, &self.alpha);
+                let gap = self.gap(cx.bk, cx.a);
                 self.trace
                     .push_with_phases(h, gap, cx.bk.clock(), cx.bk.phases());
                 if let Some(tol) = cfg.gap_tol {
@@ -184,9 +186,10 @@ pub(crate) fn svm_family<'r, B: ExecBackend<'r>, M: SliceSource + Sync>(
         alpha: vec![0.0f64; m],
         x: vec![0.0f64; a.minor_len()],
         trace: ConvergenceTrace::new(),
+        gap_buf: Vec::with_capacity(m + 1),
     };
 
-    let gap0 = gap_of(backend, a, b, &spec.prob, &spec.x, &spec.alpha);
+    let gap0 = spec.gap(backend, a);
     if B::TRACE_INNER {
         spec.trace.push(0, gap0, 0.0);
     } else {
@@ -204,16 +207,12 @@ pub(crate) fn svm_family<'r, B: ExecBackend<'r>, M: SliceSource + Sync>(
     };
     let h = drive(a, sched, &mut rng, &mut ws, backend, &mut spec);
 
-    let SvmSpec {
-        prob,
-        alpha,
-        x,
-        mut trace,
-        ..
-    } = spec;
-    if !B::TRACE_INNER && (trace.len() < 2 || trace.points().last().expect("nonempty").iter < h) {
-        let gap = gap_of(backend, a, b, &prob, &x, &alpha);
-        trace.push_with_phases(h, gap, backend.clock(), backend.phases());
+    let last = spec.trace.points().last().expect("nonempty").iter;
+    if !B::TRACE_INNER && (spec.trace.len() < 2 || last < h) {
+        let gap = spec.gap(backend, a);
+        spec.trace
+            .push_with_phases(h, gap, backend.clock(), backend.phases());
     }
+    let SvmSpec { x, trace, .. } = spec;
     SolveResult { x, trace, iters: h }
 }

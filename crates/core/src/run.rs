@@ -705,8 +705,7 @@ pub fn merge_rank_registries<'a>(ranks: impl IntoIterator<Item = &'a Registry>) 
 }
 
 /// Record a solve's [`KdcdStats`] under the `kmethod.*` namespace (see
-/// OBSERVABILITY.md — distinct from the SIMD gauges under
-/// `kernel.simd.*`).
+/// OBSERVABILITY.md).
 fn record_kdcd_stats(registry: &mut Registry, stats: &KdcdStats) {
     registry.counter_add("kmethod.cache.hits", stats.cache.hits);
     registry.counter_add("kmethod.cache.misses", stats.cache.misses);

@@ -157,9 +157,9 @@ pub fn serial_region<T>(ntiles: usize, f: impl FnOnce() -> T) -> T {
 pub const MIN_DISPATCH_WORK: u64 = 1 << 20;
 
 /// Cached `available_parallelism` — the fan-out cap. On a single-CPU host
-/// pooled workers only contend (the committed baseline once recorded
-/// `kernel.sparse_gram.wall_t4 > wall_t1` for exactly this reason), so
-/// dispatch is pointless beyond the hardware width.
+/// pooled workers only contend (a 4-thread sparse Gram once ran slower
+/// than the serial one for exactly this reason), so dispatch is pointless
+/// beyond the hardware width.
 fn host_cpus() -> usize {
     static CPUS: AtomicUsize = AtomicUsize::new(0);
     match CPUS.load(Ordering::Relaxed) {
@@ -331,29 +331,6 @@ where
     })
 }
 
-// ---------------------------------------------------------------------------
-// Schedule modelling
-// ---------------------------------------------------------------------------
-
-/// Deterministic makespan bound for `weights` list-scheduled in order onto
-/// `workers` workers (each tile goes to the currently least-loaded worker,
-/// ties to the lowest index).
-///
-/// This models the pool's dynamic tile claiming without depending on host
-/// timing, so modeled parallel `comp_time` gauges derived from it are
-/// byte-stable run to run. For balanced tiles it approaches
-/// `total / workers`; it is never below `max(total/workers, max_weight)`'s
-/// greedy schedule.
-pub fn schedule_bound(weights: &[u64], workers: usize) -> u64 {
-    let w = workers.max(1);
-    let mut loads = vec![0u64; w];
-    for &weight in weights {
-        let argmin = (0..w).min_by_key(|&i| loads[i]).expect("w >= 1");
-        loads[argmin] += weight;
-    }
-    loads.into_iter().max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,25 +468,6 @@ mod tests {
         assert_eq!(out, vec![(0, 10), (1, 2), (2, 18), (3, 6)]);
         let empty: Vec<u64> = scoped_map(Vec::<u64>::new(), |_, v| v);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn schedule_bound_models_greedy_makespan() {
-        // Serial: everything on one worker.
-        assert_eq!(schedule_bound(&[3, 1, 4, 1, 5], 1), 14);
-        // Balanced tiles split evenly.
-        assert_eq!(schedule_bound(&[2, 2, 2, 2], 2), 4);
-        // A dominant tile lower-bounds the makespan.
-        assert_eq!(schedule_bound(&[10, 1, 1, 1], 4), 10);
-        // More workers never increase the bound.
-        let w = [7u64, 3, 9, 2, 8, 4, 6, 1];
-        let mut prev = u64::MAX;
-        for k in 1..=8 {
-            let b = schedule_bound(&w, k);
-            assert!(b <= prev, "workers={k}");
-            prev = b;
-        }
-        assert_eq!(schedule_bound(&[], 4), 0);
     }
 
     #[test]

@@ -480,21 +480,10 @@ impl Schedule {
 /// Cost: O(k · nnz(selected)) via a dense scatter workspace of minor length
 /// at worst, O(nnz(selected) + common-row pairs) on power-law data.
 /// Allocates the workspace and output; the SA hot loop should prefer
-/// [`sampled_gram_into`] (or [`sampled_gram_with_workspace`]) to reuse both.
+/// [`sampled_gram_into`] to reuse both.
 pub fn sampled_gram<M: MajorSlices>(m: &M, sel: &[usize]) -> DenseMatrix {
-    sampled_gram_with_workspace(m, sel, &mut GramWorkspace::new())
-}
-
-/// [`sampled_gram`] against a caller-owned [`GramWorkspace`], skipping the
-/// per-call `O(minor_len)` scatter-buffer zero-fill. Bitwise identical to
-/// [`sampled_gram`].
-pub fn sampled_gram_with_workspace<M: MajorSlices>(
-    m: &M,
-    sel: &[usize],
-    ws: &mut GramWorkspace,
-) -> DenseMatrix {
     let mut g = DenseMatrix::zeros(0, 0);
-    sampled_gram_into(m, sel, 1, ws, &mut g);
+    sampled_gram_into(m, sel, 1, &mut GramWorkspace::new(), &mut g);
     g
 }
 
@@ -1172,14 +1161,14 @@ mod tests {
         );
         let full = random_sparse(4, 30, 1.0, 43).to_csr();
         assert_eq!(pick(&full, &[0, 1, 2, 3]), Schedule::Full);
-        // kernel_speedup's scalar → auto gauge must time the scatter
-        // schedule: row intersection has one build.
-        let gauge = from_datagen!(datagen::uniform_sparse(4_000, 1_000, 0.1, 37)).to_csc();
+        // Criterion's `simd_sampled_gram_64` scalar → auto sweep must time
+        // the scatter schedule: row intersection has one build.
+        let sweep = from_datagen!(datagen::uniform_sparse(4_000, 1_000, 0.1, 37)).to_csc();
         let mut rng = rng_from_seed(44);
         for _ in 0..8 {
             let sel = xrng::sample_without_replacement(&mut rng, 1_000, 64);
-            let slices: Vec<_> = sel.iter().map(|&k| gauge.slice(k)).collect();
-            let schedule = Schedule::of(&slices, gauge.minor_len(), &mut rows);
+            let slices: Vec<_> = sel.iter().map(|&k| sweep.slice(k)).collect();
+            let schedule = Schedule::of(&slices, sweep.minor_len(), &mut rows);
             assert_eq!(schedule, Schedule::Scatter);
         }
     }
@@ -1358,7 +1347,8 @@ mod tests {
         // Reuse the same workspace across differently-shaped calls.
         for sel in [&sel_a, &sel_b, &sel_a] {
             let fresh = sampled_gram(&csc, sel);
-            let reused = sampled_gram_with_workspace(&csc, sel, &mut ws);
+            let mut reused = DenseMatrix::zeros(0, 0);
+            sampled_gram_into(&csc, sel, 1, &mut ws, &mut reused);
             assert_eq!(fresh.as_slice(), reused.as_slice());
         }
         // And the _into variant reuses the output allocation too.

@@ -20,8 +20,16 @@
 //! overlaps the exchange with the next block. Hit/miss patterns — and
 //! therefore every float that travels or is computed — are identical
 //! across `seq`/`sim`/`net`.
+//!
+//! # Allocation
+//!
+//! An evicted row's buffer is kept and the next [`KernelCache::fill`]
+//! writes into it, so once the cache has held its row budget a block
+//! allocates nothing, however many rows it misses. Spare buffers are kept
+//! only for promised rows, so the row storage held is exactly
+//! [`KernelCache::resident_bytes`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// A positive-definite kernel on sparse feature vectors, evaluated from
 /// the dot product `⟨aᵢ, aⱼ⟩` (and, for RBF, the squared norms `‖aᵢ‖²`,
@@ -164,52 +172,58 @@ pub struct KernelCache {
     m: usize,
     capacity_rows: usize,
     epoch: u64,
-    entries: HashMap<usize, Entry>,
+    /// Indexed by row: `m` slots, so admission never grows a table.
+    entries: Vec<Option<Entry>>,
     order: VecDeque<usize>,
+    /// Buffers of evicted rows, refilled by the next [`Self::fill`]s; at
+    /// most one per promised row.
+    spare: Vec<Vec<f64>>,
+    /// Admitted rows not yet filled.
+    promised: usize,
     stats: KernelCacheStats,
 }
 
 impl KernelCache {
-    /// A cache for length-`m` rows under `budget_bytes` of row storage
-    /// (at least one row).
+    /// A cache for the `m` rows (each of length `m`) of an `m × m` kernel
+    /// matrix under `budget_bytes` of row storage (at least one row).
     pub fn new(m: usize, budget_bytes: usize) -> Self {
         assert!(m > 0, "kernel rows must be non-empty");
         Self {
             m,
             capacity_rows: (budget_bytes / (8 * m)).max(1),
             epoch: 0,
-            entries: HashMap::new(),
+            entries: std::iter::repeat_with(|| None).take(m).collect(),
             order: VecDeque::new(),
+            spare: Vec::new(),
+            promised: 0,
             stats: KernelCacheStats::default(),
         }
     }
 
     /// Open the next epoch for the block selection `sel`: pin every
     /// distinct selected row, admit the absent ones as promised keys,
-    /// evict unpinned rows beyond the budget, and return the distinct
-    /// missing indices in first-occurrence order — the rows the caller
-    /// must build and [`Self::fill`].
-    pub fn begin_epoch(&mut self, sel: &[usize]) -> Vec<usize> {
+    /// evict unpinned rows beyond the budget, and write into `misses` the
+    /// distinct missing indices in first-occurrence order — the rows the
+    /// caller must build and [`Self::fill`].
+    pub fn begin_epoch(&mut self, sel: &[usize], misses: &mut Vec<usize>) {
         self.epoch += 1;
-        let mut misses = Vec::new();
+        misses.clear();
         for &i in sel {
-            match self.entries.get_mut(&i) {
+            match &mut self.entries[i] {
                 Some(e) => {
                     if e.pin_epoch < self.epoch {
                         self.stats.hits += 1;
                     }
                     e.pin_epoch = self.epoch;
                 }
-                None => {
+                absent => {
                     self.stats.misses += 1;
-                    self.entries.insert(
-                        i,
-                        Entry {
-                            slot: Slot::Promised,
-                            pin_epoch: self.epoch,
-                        },
-                    );
+                    *absent = Some(Entry {
+                        slot: Slot::Promised,
+                        pin_epoch: self.epoch,
+                    });
                     self.order.push_back(i);
+                    self.promised += 1;
                     misses.push(i);
                 }
             }
@@ -217,32 +231,44 @@ impl KernelCache {
         let mut k = 0;
         while self.order.len() > self.capacity_rows && k < self.order.len() {
             let i = self.order[k];
-            if self.entries[&i].pin_epoch + 2 > self.epoch {
+            let e = self.entries[i].as_ref().expect("ordered rows are resident");
+            if e.pin_epoch + 2 > self.epoch {
                 k += 1;
                 continue;
             }
             self.order.remove(k);
-            self.entries.remove(&i);
+            if let Some(Entry {
+                slot: Slot::Ready(row),
+                ..
+            }) = self.entries[i].take()
+            {
+                self.spare.push(row);
+            }
             self.stats.evictions += 1;
         }
-        misses
+        self.spare.truncate(self.promised);
     }
 
-    /// Fulfill a promise from `begin_epoch` with the transformed row.
-    pub fn fill(&mut self, i: usize, row: Vec<f64>) {
-        assert_eq!(row.len(), self.m, "kernel row length");
-        let e = self.entries.get_mut(&i).expect("fill of unpromised row");
+    /// Fulfill a promise from `begin_epoch` with the transformed row,
+    /// written in order into an evicted row's buffer when one is spare.
+    pub fn fill(&mut self, i: usize, row: impl IntoIterator<Item = f64>) {
+        let e = self.entries[i].as_mut().expect("fill of unpromised row");
         assert!(
             matches!(e.slot, Slot::Promised),
             "row {i} filled while already ready"
         );
-        e.slot = Slot::Ready(row);
+        let mut buf = self.spare.pop().unwrap_or_default();
+        buf.clear();
+        buf.extend(row);
+        assert_eq!(buf.len(), self.m, "kernel row length");
+        e.slot = Slot::Ready(buf);
+        self.promised -= 1;
     }
 
     /// Borrow the resident row `K(i, ·)`. Read-pure: no recency update,
     /// so lookups cannot perturb the admit-sequence determinism.
     pub fn row(&self, i: usize) -> &[f64] {
-        match self.entries.get(&i) {
+        match self.entries.get(i).and_then(Option::as_ref) {
             Some(Entry {
                 slot: Slot::Ready(r),
                 ..
@@ -267,6 +293,14 @@ impl KernelCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The distinct misses [`KernelCache::begin_epoch`] reports for `sel`,
+    /// written over a stale entry it must clear.
+    fn begin(c: &mut KernelCache, sel: &[usize]) -> Vec<usize> {
+        let mut misses = vec![usize::MAX];
+        c.begin_epoch(sel, &mut misses);
+        misses
+    }
 
     #[test]
     fn parse_specs() {
@@ -306,55 +340,72 @@ mod tests {
 
     #[test]
     fn cache_hits_misses_and_promises() {
-        let mut c = KernelCache::new(4, 8 * 4 * 16);
-        assert_eq!(c.begin_epoch(&[2, 5, 2]), vec![2, 5]);
-        c.fill(2, vec![0.0; 4]);
-        c.fill(5, vec![1.0; 4]);
-        assert_eq!(c.row(5), &[1.0; 4]);
+        let mut c = KernelCache::new(8, 8 * 8 * 16);
+        assert_eq!(begin(&mut c, &[2, 5, 2]), vec![2, 5]);
+        c.fill(2, vec![0.0; 8]);
+        c.fill(5, vec![1.0; 8]);
+        assert_eq!(c.row(5), &[1.0; 8]);
         // Second epoch: one hit (duplicates don't double-count), one miss.
-        assert_eq!(c.begin_epoch(&[5, 5, 7]), vec![7]);
-        c.fill(7, vec![2.0; 4]);
+        assert_eq!(begin(&mut c, &[5, 5, 7]), vec![7]);
+        c.fill(7, vec![2.0; 8]);
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.evictions), (1, 3, 0));
     }
 
     #[test]
     fn eviction_is_fifo_and_respects_two_epoch_pins() {
-        // Budget of 2 rows of length 2.
-        let mut c = KernelCache::new(2, 8 * 2 * 2);
-        assert_eq!(c.begin_epoch(&[0, 1]), vec![0, 1]);
-        c.fill(0, vec![0.0; 2]);
-        c.fill(1, vec![0.0; 2]);
+        // Budget of 2 rows of length 5.
+        let mut c = KernelCache::new(5, 8 * 5 * 2);
+        assert_eq!(begin(&mut c, &[0, 1]), vec![0, 1]);
+        c.fill(0, vec![0.0; 5]);
+        c.fill(1, vec![0.0; 5]);
         // Epoch 2 admits a third row; 0 and 1 are pinned from epoch 1, so
         // the budget is soft — nothing can be evicted yet.
-        assert_eq!(c.begin_epoch(&[3]), vec![3]);
-        c.fill(3, vec![0.0; 2]);
-        assert_eq!(c.resident_bytes(), 48);
+        assert_eq!(begin(&mut c, &[3]), vec![3]);
+        c.fill(3, vec![0.0; 5]);
+        assert_eq!(c.resident_bytes(), 3 * 8 * 5);
         assert_eq!(c.stats().evictions, 0);
         // Epoch 3: rows 0/1 (pinned in epoch 1) are now evictable; FIFO
         // drops row 0 first, then row 1, back down to the budget.
-        assert_eq!(c.begin_epoch(&[3]), Vec::<usize>::new());
+        assert_eq!(begin(&mut c, &[3]), Vec::<usize>::new());
         assert_eq!(c.stats().evictions, 1);
         c.row(3);
         c.row(1);
         // Epoch 4: new pressure; row 1 (pinned in epoch 1 — reads are
         // pin-neutral) is the next FIFO eviction.
-        assert_eq!(c.begin_epoch(&[4]), vec![4]);
+        assert_eq!(begin(&mut c, &[4]), vec![4]);
         assert_eq!(c.stats().evictions, 2);
-        assert_eq!(c.resident_bytes(), 32);
+        assert_eq!(c.resident_bytes(), 2 * 8 * 5);
+    }
+
+    #[test]
+    fn an_evicted_rows_buffer_takes_the_next_fill() {
+        // Budget of 1 row of length 3.
+        let mut c = KernelCache::new(3, 8 * 3);
+        begin(&mut c, &[0]);
+        c.fill(0, [1.0, 2.0, 3.0]);
+        let buf = c.row(0).as_ptr();
+        begin(&mut c, &[1]);
+        c.fill(1, [4.0, 5.0, 6.0]);
+        // Epoch 3: row 0 (pinned through epoch 2) goes, its buffer spare.
+        assert_eq!(begin(&mut c, &[2]), vec![2]);
+        assert_eq!(c.stats().evictions, 1);
+        c.fill(2, [7.0, 8.0, 9.0]);
+        assert_eq!(c.row(2), &[7.0, 8.0, 9.0]);
+        assert_eq!(c.row(2).as_ptr(), buf);
     }
 
     #[test]
     #[should_panic(expected = "not resident")]
     fn evicted_row_read_panics() {
-        let mut c = KernelCache::new(1, 8);
-        c.begin_epoch(&[0]);
-        c.fill(0, vec![0.0]);
-        c.begin_epoch(&[1]);
-        c.fill(1, vec![0.0]);
-        c.begin_epoch(&[2]);
-        c.fill(2, vec![0.0]);
-        c.begin_epoch(&[2]);
+        let mut c = KernelCache::new(3, 8 * 3);
+        begin(&mut c, &[0]);
+        c.fill(0, vec![0.0; 3]);
+        begin(&mut c, &[1]);
+        c.fill(1, vec![0.0; 3]);
+        begin(&mut c, &[2]);
+        c.fill(2, vec![0.0; 3]);
+        begin(&mut c, &[2]);
         c.row(0);
     }
 }

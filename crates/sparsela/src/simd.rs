@@ -166,18 +166,6 @@ fn sparse_isa() -> Isa {
     }
 }
 
-/// Hardware f64 lanes of the active ISA (2 for the portable SSE2
-/// baseline, 4 for AVX2, 8 for AVX-512) — recorded in `kernel.simd.*`
-/// gauges. Distinct from [`LANES`], the fixed *accumulator* lane count
-/// that defines the reduction order.
-pub fn effective_lanes() -> usize {
-    match active_isa() {
-        Isa::Portable => 2,
-        Isa::Avx2 => 4,
-        Isa::Avx512 => 8,
-    }
-}
-
 /// Defines a kernel once and re-compiles it behind AVX2/AVX-512 target
 /// features. The wrapper bodies are the portable function, so all three
 /// builds share one definition — wider builds cannot diverge.
@@ -651,9 +639,7 @@ mod tests {
         set_mode(Mode::Scalar);
         assert_eq!(mode_label(), "scalar");
         assert_eq!(active_isa(), Isa::Portable);
-        assert_eq!(effective_lanes(), 2);
         set_mode(Mode::Auto);
         assert_eq!(mode_label(), "auto");
-        assert!(effective_lanes() >= 2);
     }
 }

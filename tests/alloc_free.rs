@@ -1,9 +1,10 @@
 //! Steady state allocates nothing per unit of work, counted by a global
 //! allocator.
 //!
-//! * **Seq solve.** `run(Engine::Seq)` on a Lasso row of the engine walk
-//!   makes the same number of allocations at H and at 2H blocks: set-up
-//!   and results allocate, a block does not.
+//! * **Solves.** `run` on a row of the engine walk makes the same number
+//!   of allocations at H and at 2H blocks: set-up and results allocate, a
+//!   block does not. The Lasso rows run on seq, sim, net and from shards;
+//!   the SVM and K-DCD rows on seq.
 //! * **Serve.** With one server and one client in this process, a warm
 //!   score request allocates the same on each side whether the window
 //!   holds N or 2N requests: the reply's score vector and nothing else
@@ -15,16 +16,17 @@
 //! allocation and is not counted; amortized growth is logarithmic in the
 //! work, never linear.
 
-use datagen::{planted_regression, uniform_sparse};
+use datagen::{binary_classification, dense_gaussian, planted_regression, uniform_sparse};
 use mpisim::CostModel;
 use saco::prox::{GroupLasso, Lasso, Regularizer};
-use saco::run::{run, Engine, Method, RunSpec, Source};
+use saco::run::{run, Engine, Method, RunOutcome, RunSpec, Source};
 use saco::serve::{
     serve, Addr, Listener, ModelArtifact, Request, Response, ServeClient, ServeConfig,
 };
-use saco::LassoConfig;
+use saco::{KdcdConfig, KdcdTask, LassoConfig, SvmConfig, SvmLoss};
 use saco_telemetry::Registry;
 use sparsela::io::Dataset;
+use sparsela::KernelFn;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,32 +79,16 @@ fn lasso_ds() -> Dataset {
     planted_regression(a, 5, 0.05, 11).dataset
 }
 
-/// Allocations of one `run` of the walk's `accbcd` row (µ = 4, s = 8,
-/// traced every 24 iterations) at `blocks` blocks: this thread's, or the
-/// whole process's when `all` (the mesh's ranks are threads of their own).
-fn accbcd_allocs<R: Regularizer>(
-    reg: &R,
+/// Allocations of one `run` of `method` on `engine` that must run `iters`
+/// iterations, and its outcome: this thread's count, or the whole
+/// process's when `all` (the mesh's ranks are threads of their own).
+fn run_allocs<R: Regularizer>(
+    method: Method<'_, R>,
     engine: Engine,
     source: Source<'_>,
-    blocks: usize,
+    iters: usize,
     all: bool,
-) -> u64 {
-    let s = 8;
-    let cfg = LassoConfig {
-        mu: 4,
-        s,
-        lambda: 0.05,
-        seed: 93,
-        max_iters: blocks * s,
-        trace_every: 24,
-        rel_tol: None,
-        ..Default::default()
-    };
-    let method = Method::Lasso {
-        reg,
-        cfg: &cfg,
-        accel: true,
-    };
+) -> (u64, RunOutcome) {
     let count = || {
         if all {
             ALL_ALLOCS.load(Ordering::SeqCst)
@@ -113,33 +99,55 @@ fn accbcd_allocs<R: Regularizer>(
     let before = count();
     let out = run(&RunSpec::new(method, engine, source));
     let n = count() - before;
-    let out = out.expect("an accbcd cell");
-    assert!(out.results.iter().all(|r| r.iters == blocks * s));
-    n
+    let out = out.expect("a walked cell");
+    assert!(out.results.iter().all(|r| r.iters == iters));
+    (n, out)
 }
 
-/// The row allocates the same at 96 blocks as at 192, after one warm-up
-/// run. A process-wide count can only gain from the harness's own
+/// `allocs(blocks)` is the same at 96 blocks as at 192, after one warm-up
+/// run at 48. A process-wide count can only gain from the harness's own
 /// bookkeeping, so with `all` a pair is taken again before a difference
 /// counts.
-fn assert_flat_per_block<R: Regularizer>(reg: &R, engine: Engine, source: Source<'_>, all: bool) {
+fn assert_flat(cell: &str, all: bool, mut allocs: impl FnMut(usize) -> u64) {
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
-    accbcd_allocs(reg, engine, source, 48, all);
+    allocs(48);
     let mut pairs = Vec::new();
     for _ in 0..if all { 3 } else { 1 } {
-        let pair = (
-            accbcd_allocs(reg, engine, source, 96, all),
-            accbcd_allocs(reg, engine, source, 192, all),
-        );
+        let pair = (allocs(96), allocs(192));
         pairs.push(pair);
         if pair.0 == pair.1 {
             return;
         }
     }
-    panic!(
-        "{}: allocations at 96 blocks differ from those at 192: {pairs:?}",
-        engine.name()
-    );
+    panic!("{cell}: allocations at 96 blocks differ from those at 192: {pairs:?}");
+}
+
+/// The walk's `accbcd` row (µ = 4, s = 8, traced every 24 iterations).
+fn assert_flat_per_block<R: Regularizer>(reg: &R, engine: Engine, source: Source<'_>, all: bool) {
+    assert_flat(engine.name(), all, |blocks| {
+        let s = 8;
+        let cfg = LassoConfig {
+            mu: 4,
+            s,
+            lambda: 0.05,
+            seed: 93,
+            max_iters: blocks * s,
+            trace_every: 24,
+            rel_tol: None,
+            ..Default::default()
+        };
+        let method = Method::Lasso {
+            reg,
+            cfg: &cfg,
+            accel: true,
+        };
+        run_allocs(method, engine, source, blocks * s, all).0
+    });
+}
+
+/// The walk's data for the dual rows: 48 full rows of 16 features.
+fn dual_ds() -> Dataset {
+    binary_classification(dense_gaussian(48, 16, 12), 0.05, 12).dataset
 }
 
 #[test]
@@ -163,6 +171,72 @@ fn a_sim_run_allocates_nothing_per_block() {
     let ds = lasso_ds();
     let sim = Engine::sim(4, CostModel::cray_xc30(), false);
     assert_flat_per_block(&Lasso::new(0.05), sim, Source::InMemory(&ds), false);
+}
+
+/// The walk's `svm-l1` row (s = 8, traced every 24 iterations).
+#[test]
+fn an_svm_seq_run_allocates_nothing_per_block() {
+    let ds = dual_ds();
+    assert_flat("svm-l1", false, |blocks| {
+        let s = 8;
+        let cfg = SvmConfig {
+            loss: SvmLoss::L1,
+            lambda: 1.0,
+            s,
+            seed: 71,
+            max_iters: blocks * s,
+            trace_every: 24,
+            gap_tol: None,
+        };
+        let method = Method::svm(&cfg);
+        run_allocs(
+            method,
+            Engine::Seq,
+            Source::InMemory(&ds),
+            blocks * s,
+            false,
+        )
+        .0
+    });
+}
+
+/// The walk's `rbf/ksvm` row (s = 8, traced every 32 iterations) under a
+/// cache budget of half its 48 rows, so blocks keep missing and evicting
+/// long after the cache first fills (within the first 48 blocks): a
+/// missed row is transformed into an evicted row's buffer.
+#[test]
+fn a_kernel_svm_seq_run_allocates_nothing_per_missed_row() {
+    let ds = dual_ds();
+    let m = ds.num_points();
+    let mut evictions = Vec::new();
+    assert_flat("rbf/ksvm", false, |blocks| {
+        let s = 8;
+        let cfg = KdcdConfig {
+            task: KdcdTask::Svm(SvmLoss::L1),
+            kernel: KernelFn::Rbf { gamma: 0.5 },
+            lambda: 0.5,
+            s,
+            seed: 61,
+            max_iters: blocks * s,
+            trace_every: 32,
+            cache_budget_bytes: 8 * m * m / 2,
+        };
+        let method = Method::kdcd(&cfg);
+        let (n, out) = run_allocs(
+            method,
+            Engine::Seq,
+            Source::InMemory(&ds),
+            blocks * s,
+            false,
+        );
+        evictions.push(out.kdcd[0].cache.evictions);
+        n
+    });
+    // 48, 96 and 192 blocks: the cache keeps evicting after the warm-up.
+    assert!(
+        evictions[0] > 0 && evictions[1] > evictions[0] && evictions[2] > evictions[1],
+        "{evictions:?}"
+    );
 }
 
 /// Every rank of a two-rank mesh, and its wires, counted together.
