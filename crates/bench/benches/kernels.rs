@@ -60,6 +60,45 @@ fn bench_sampled_gram_full(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_sampled_gram_news20(c: &mut Criterion) {
+    // The two calls the benchmark's sparse solves make, on their data
+    // (news20 ×4, seed 808): `lasso_seq_sparse`'s k = 128 columns (16
+    // draws of µ = 8) and `lasso_net_sa`'s per-rank k = 32 columns (32
+    // draws of µ = 1 on rank 0's half of the rows). Both take row
+    // intersection; 64 selections are cycled so no one draw's lists stay
+    // cached. gram.rs's ignored `gram_phases_on_the_solver_shapes` splits
+    // the same calls into their phases.
+    let news20 = PaperDataset::News20.generate_matrix(4.0, 808);
+    let half = news20.row_block(0, news20.rows() / 2).to_csc();
+    let cols = news20.to_csc();
+    let mut group = c.benchmark_group("sampled_gram_news20");
+    for (name, m, mu, s) in [
+        ("lasso_seq_sparse_k128", &cols, 8, 16),
+        ("lasso_net_sa_rank0_k32", &half, 1, 32),
+    ] {
+        let mut rng = rng_from_seed(808);
+        let sels: Vec<Vec<usize>> = (0..64)
+            .map(|_| {
+                let mut sel = Vec::with_capacity(mu * s);
+                for _ in 0..s {
+                    xrng::sample_without_replacement_into(&mut rng, m.cols(), mu, &mut sel);
+                }
+                sel
+            })
+            .collect();
+        let (mut ws, mut out) = (GramWorkspace::new(), DenseMatrix::zeros(0, 0));
+        let mut next = sels.iter().cycle();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let sel = next.next().expect("cycled");
+                sampled_gram_into(m, sel, 1, &mut ws, &mut out);
+                black_box(out.get(0, 0))
+            });
+        });
+    }
+    group.finish();
+}
+
 fn bench_parallel_gram(c: &mut Criterion) {
     // Shared-memory within-rank parallelism: same bitwise result. Whether
     // threads help is a memory-bandwidth question — the scatter-dot kernel
@@ -277,6 +316,7 @@ criterion_group!(
     benches,
     bench_sampled_gram,
     bench_sampled_gram_full,
+    bench_sampled_gram_news20,
     bench_parallel_gram,
     bench_workspace_reuse,
     bench_group_prox,

@@ -17,7 +17,9 @@
 //!   selections drawn at block entry, right after `prepare` (same global
 //!   RNG order), and offered to its prefetcher in block order before the
 //!   Gram runs; a selection the source's budget cannot hold yet stays
-//!   drawn and is offered again at the next block entry;
+//!   drawn and is offered again at the next block entry, and a solve that
+//!   breaks off early withdraws the prefetches it will not claim
+//!   (`cancel_prefetches`);
 //! * **the overlap double buffer** — next-block sampling + tile
 //!   formation run inside the in-flight allreduce, swapped in at the next
 //!   block entry;
@@ -345,19 +347,25 @@ where
                 .inner(Cx { bk: backend, a, ws }, s_block, &mut h)
                 .is_break()
             {
-                return h;
+                break;
             }
         }
         if spec
             .end_block(Cx { bk: backend, a, ws }, Block { h, s: s_block })
             .is_break()
         {
-            return h;
+            break;
         }
         // Block boundary: the iterate is consistent on every rank, so
         // this is where a failed rank can recover from (no-op without
         // fault injection).
         backend.checkpoint();
+    }
+    // A solve that broke off early leaves prefetched blocks it will never
+    // prepare: withdraw them, so the source's next solve pins from its own
+    // epoch and budget.
+    if ws.ahead.prefetched > 0 {
+        a.cancel_prefetches();
     }
     h
 }
@@ -378,6 +386,7 @@ mod tests {
         Prefetch(Vec<usize>),
         /// The first `slice` after a residency call (later ones collapse).
         Slice,
+        Cancel,
     }
 
     /// A resident matrix that records the residency protocol it is driven
@@ -392,18 +401,15 @@ mod tests {
     }
 
     impl Recording<'_> {
-        /// Prefetches not yet claimed by a `prepare`.
+        /// Prefetches neither claimed by a `prepare` (each claims the
+        /// oldest, if any) nor withdrawn.
         fn unclaimed(events: &[Event]) -> usize {
-            let fetched = events
-                .iter()
-                .filter(|e| matches!(e, Event::Prefetch(_)))
-                .count();
-            let prepared = events
-                .iter()
-                .filter(|e| matches!(e, Event::Prepare(_)))
-                .count();
-            // Every prepare after the first claims one prefetch.
-            fetched - prepared.saturating_sub(1).min(fetched)
+            events.iter().fold(0, |n, e| match e {
+                Event::Prefetch(_) => n + 1,
+                Event::Prepare(_) => n.saturating_sub(1),
+                Event::Cancel => 0,
+                Event::Slice => n,
+            })
         }
     }
 
@@ -437,6 +443,9 @@ mod tests {
                 events.push(Event::Prefetch(sel.to_vec()));
             }
             taken
+        }
+        fn cancel_prefetches(&self) {
+            self.events.lock().unwrap().push(Event::Cancel);
         }
         fn lookahead(&self) -> bool {
             self.lookahead
@@ -503,6 +512,51 @@ mod tests {
             }
             assert_eq!(streamed, expect, "depth {depth}");
         }
+    }
+
+    #[test]
+    fn a_broken_off_solve_withdraws_its_prefetches() {
+        let a = datagen::powerlaw_sparse(160, 90, 0.08, 0.8, 3);
+        let ds = datagen::planted_regression(a, 6, 0.05, 3).dataset;
+        let csc = ds.a.to_csc();
+        let cfg = LassoConfig {
+            mu: 3,
+            s: 8,
+            lambda: 0.05,
+            seed: 13,
+            max_iters: 100,
+            ..Default::default()
+        };
+        // Any change passes the tolerance: the solve stops at its first
+        // trace point, h = 10, inside block 2, with the next two prefetched.
+        let stopped = LassoConfig {
+            seed: 14,
+            rel_tol: Some(f64::MAX),
+            ..cfg.clone()
+        };
+        let reg = Lasso::new(cfg.lambda);
+        let source = || Recording {
+            a: &csc,
+            lookahead: true,
+            room: 2,
+            events: Mutex::new(Vec::new()),
+        };
+        let solve = |rec: &Recording<'_>, cfg: &LassoConfig| {
+            let res = lasso_family(rec, &ds.b, &reg, cfg, true, &mut SeqBackend::new());
+            (res.iters, res.final_value().to_bits())
+        };
+        let reused = source();
+        assert_eq!(solve(&reused, &stopped).0, 10);
+        let first = reused.events.lock().unwrap().len();
+        assert_eq!(reused.events.lock().unwrap().last(), Some(&Event::Cancel));
+        let fresh = source();
+        assert_eq!(solve(&reused, &cfg), solve(&fresh, &cfg));
+        // The second solve on the reused source makes the same residency
+        // calls as on a fresh one: no stale prefetch holds its room.
+        let events = reused.events.into_inner().unwrap();
+        assert_eq!(events[first..], fresh.events.into_inner().unwrap()[..]);
+        // A solve that runs out claims everything it prefetched.
+        assert!(!events[first..].contains(&Event::Cancel));
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub struct ServeReport {
     pub p99_ms: f64,
 }
 
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Stats {
     latencies_ms: Vec<f64>,
     rows_scored: u64,
@@ -333,12 +333,11 @@ impl Shared<'_> {
                 .path_point(*lambda, iters(*i))
                 .unwrap_or_else(Response::Error),
             Request::Stats => {
+                // Copy under the lock, sort and publish after it: every
+                // other request's bookkeeping takes this lock.
+                let copy = self.stats.lock().expect("stats lock").clone();
                 let mut snapshot = Registry::new();
-                publish(
-                    &mut snapshot,
-                    &self.stats.lock().expect("stats lock"),
-                    self.cfg,
-                );
+                publish(&mut snapshot, copy, self.cfg);
                 Response::Stats(saco_telemetry::run_report_json(&snapshot))
             }
             Request::Shutdown => {
@@ -443,7 +442,9 @@ fn connection_loop(stream: Stream, sh: &Shared) {
     }
 }
 
-fn publish(reg: &mut Registry, st: &Stats, cfg: &ServeConfig) {
+/// Publish `st` into `reg` and return its p99 latency. It takes the
+/// copy it sorts.
+fn publish(reg: &mut Registry, mut st: Stats, cfg: &ServeConfig) -> f64 {
     reg.counter_add("serve.requests.score", st.score);
     reg.counter_add("serve.requests.train_delta", st.train);
     reg.counter_add("serve.requests.path_point", st.path);
@@ -455,15 +456,7 @@ fn publish(reg: &mut Registry, st: &Stats, cfg: &ServeConfig) {
     reg.counter_add("serve.cache.misses", st.cache_misses);
     reg.counter_add("serve.chaos.straggled", st.straggled);
     reg.gauge_set("serve.slo_ms", cfg.slo_ms);
-    let mut sorted = st.latencies_ms.clone();
-    sorted.sort_by(f64::total_cmp);
-    reg.gauge_set("serve.latency.p50_ms", percentile(&sorted, 50.0));
-    reg.gauge_set("serve.latency.p95_ms", percentile(&sorted, 95.0));
-    reg.gauge_set("serve.latency.p99_ms", percentile(&sorted, 99.0));
-    reg.gauge_set(
-        "serve.latency.max_ms",
-        sorted.last().copied().unwrap_or(0.0),
-    );
+    // Observed in arrival order, before the sort: the sum is a chain.
     reg.register_histogram(
         "serve.latency_ms",
         &[0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0],
@@ -471,6 +464,17 @@ fn publish(reg: &mut Registry, st: &Stats, cfg: &ServeConfig) {
     for &v in &st.latencies_ms {
         reg.observe("serve.latency_ms", v);
     }
+    let sorted = &mut st.latencies_ms;
+    sorted.sort_by(f64::total_cmp);
+    let p99 = percentile(sorted, 99.0);
+    reg.gauge_set("serve.latency.p50_ms", percentile(sorted, 50.0));
+    reg.gauge_set("serve.latency.p95_ms", percentile(sorted, 95.0));
+    reg.gauge_set("serve.latency.p99_ms", p99);
+    reg.gauge_set(
+        "serve.latency.max_ms",
+        sorted.last().copied().unwrap_or(0.0),
+    );
+    p99
 }
 
 /// Run the server until `Shutdown` (or `max_requests`), publishing the
@@ -534,14 +538,13 @@ pub fn serve(
     })?;
 
     let st = shared.stats.into_inner().expect("stats lock");
-    publish(registry, &st, cfg);
-    let mut sorted = st.latencies_ms.clone();
-    sorted.sort_by(f64::total_cmp);
+    let (requests, protocol_errors, slo_breaches) =
+        (st.latencies_ms.len() as u64, st.errors, st.slo_breaches);
     Ok(ServeReport {
-        requests: st.latencies_ms.len() as u64,
-        protocol_errors: st.errors,
-        slo_breaches: st.slo_breaches,
-        p99_ms: percentile(&sorted, 99.0),
+        requests,
+        protocol_errors,
+        slo_breaches,
+        p99_ms: publish(registry, st, cfg),
     })
 }
 
@@ -565,6 +568,33 @@ mod tests {
             .iter()
             .flatten()
             .all(|d| *d <= Duration::from_secs_f64(0.010)));
+    }
+
+    #[test]
+    fn published_latencies_are_the_exact_nearest_rank_percentiles() {
+        // Arrival order is not sorted order; 200 samples put p50, p95
+        // and p99 on distinct ranks.
+        let latencies: Vec<f64> = (0..200u32)
+            .map(|k| f64::from((k * 37) % 200) * 0.25 + 0.125)
+            .collect();
+        let st = Stats {
+            latencies_ms: latencies.clone(),
+            ..Stats::default()
+        };
+        let mut reg = Registry::new();
+        let p99 = publish(&mut reg, st, &ServeConfig::default());
+        // Nearest rank on the sorted samples: ⌈p·200/100⌉-th smallest.
+        let mut sorted = latencies.clone();
+        sorted.sort_by(f64::total_cmp);
+        for (p, key) in [(50, "p50"), (95, "p95"), (99, "p99")] {
+            let want = sorted[p * 2 - 1];
+            assert_eq!(reg.gauge(&format!("serve.latency.{key}_ms")), Some(want));
+        }
+        assert_eq!(p99, sorted[197]);
+        assert_eq!(reg.gauge("serve.latency.max_ms"), Some(sorted[199]));
+        let h = &reg.histograms()["serve.latency_ms"];
+        let sum = latencies.iter().fold(0.0, |acc, v| acc + v);
+        assert_eq!((h.total(), h.sum().to_bits()), (200, sum.to_bits()));
     }
 
     #[test]

@@ -270,6 +270,47 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A solve broken off by `rel_tol` withdraws the blocks it prefetched
+    /// ahead, so a second solve on the same view pins from its own epochs:
+    /// under a budget that evicts, it runs to the fresh view's bits, and
+    /// the two solves' reads and evictions repeat exactly.
+    #[test]
+    fn a_view_serves_a_second_solve_after_one_stopped_early() {
+        let ds = lasso_problem(6);
+        let dir = tmp_dir("reuse");
+        shard_lasso(&ds, &dir, 90);
+        let cfg = LassoConfig {
+            s: 4,
+            max_iters: 480,
+            ..lasso_cfg(4)
+        };
+        let stopped = LassoConfig {
+            seed: cfg.seed + 1,
+            rel_tol: Some(f64::MAX),
+            trace_every: 8,
+            ..cfg.clone()
+        };
+        let reg = Lasso::new(cfg.lambda);
+        let store = ShardStore::open(&dir).expect("open");
+        let heap: u64 = store.manifest().shards.iter().map(|m| m.heap_bytes()).sum();
+        let budget = heap * 2 / 5;
+        let view = || StreamingMatrix::from_store(store.clone(), budget, (0, ds.a.rows()));
+        let fresh = stream_sa_accbcd(&view(), &ds.b, &reg, &cfg);
+        let counts = |_| {
+            let a = view();
+            let first = stream_sa_accbcd(&a, &ds.b, &reg, &stopped);
+            assert_eq!(first.iters, 8, "stopped at its first trace point");
+            let res = stream_sa_accbcd(&a, &ds.b, &reg, &cfg);
+            assert_eq!(res.x, fresh.x, "second solve must match a fresh view's");
+            let s = a.io_stats();
+            (s.shard_reads, s.evictions, s.prefetch_misses)
+        };
+        let runs: Vec<_> = (0..3).map(counts).collect();
+        assert!(runs[0].1 > 0, "the budget must evict");
+        assert!(runs.iter().all(|r| *r == runs[0]), "{runs:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn streaming_sim_matches_in_memory_charges_exactly() {
         let ds = lasso_problem(2);

@@ -39,8 +39,9 @@
 //!   and `E` pairs of selected nonzeros sharing a row — so on power-law
 //!   data (news20, rcv1, url), where almost every product of the scatter
 //!   schedule multiplies a scattered zero, it is several times faster. No
-//!   lane blocks, no sort, no mirror pass; its scratch is 4 B per minor row
-//!   plus `O(N)` list nodes.
+//!   lane blocks, no sort, no mirror pass; its scratch is 8 B per minor row
+//!   (each row's newest node and node count, one entry read and written
+//!   once per push) plus 20 B per list node.
 //!
 //! **Why row intersection gives the same bits.** The lane blocks compute
 //! entry `(a, b)` as the chain itself: `x_b[i]·w_a[i]` added for every `i`
@@ -52,9 +53,11 @@
 //! slices store, in `b`'s ascending order. That is exactly the order in
 //! which row intersection delivers the addends of `(a, b)` (IEEE
 //! multiplication commutes), and both halves of `G` start at `+0.0` and
-//! receive the same addends, so they stay equal. The diagonal is never
-//! accumulated: it is `norm_sq` in every schedule, whose `.sum()` folds
-//! from `−0.0`, so an empty slice's diagonal is `−0.0`, not `+0.0`.
+//! receive the same addends, so they stay equal. The diagonal is `norm_sq`
+//! in every schedule, whose `.sum()` folds from `−0.0`, so an empty
+//! slice's diagonal is `−0.0`, not `+0.0`; row intersection sums that
+//! chain — the same squares in the same order, from `−0.0` — in the pass
+//! that builds the slice's nodes.
 //!
 //! **How the data chooses**, once per call: full slices take the
 //! full-slice schedule. Otherwise, from `nnz` values already known, the
@@ -169,6 +172,12 @@ pub trait SliceSource: MajorSlices {
         true
     }
 
+    /// Withdraw every prefetch no `prepare` has claimed: the caller will
+    /// not prepare those selections (a solve that broke off early). The
+    /// next `prefetch` pins for the epoch after the current one again.
+    /// The caller holds no slice borrowed from the withdrawn selections.
+    fn cancel_prefetches(&self) {}
+
     /// Whether the solver should resolve its selections blocks ahead and
     /// call [`SliceSource::prefetch`] — true only for sources with actual
     /// load latency to hide.
@@ -237,7 +246,7 @@ impl LaneBufs {
 const NO_NODE: u32 = u32::MAX;
 
 /// One selected nonzero on its row's list.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct Node {
     /// Position of its slice in the selection.
     slice: u32,
@@ -246,50 +255,97 @@ struct Node {
     value: f64,
 }
 
+/// A minor row's entry in [`RowLists`]: its newest node and how many
+/// nodes lie on it. Read and written once per node.
+#[derive(Clone, Copy, Debug)]
+struct Row {
+    newest: u32,
+    nodes: u32,
+}
+
+impl Row {
+    const EMPTY: Row = Row {
+        newest: NO_NODE,
+        nodes: 0,
+    };
+}
+
 /// The row-intersection schedule's scratch, grow-only: for each minor row,
 /// the list of selected slices that store it, newest first.
 #[derive(Clone, Debug, Default)]
 struct RowLists {
-    /// Per minor row, its newest node — trusted only when that node names
-    /// the row back (a sparse set), so no call ever clears it.
-    head: Vec<u32>,
-    /// Per node: its row, and how many older nodes lie on that row.
-    tag: Vec<(u32, u32)>,
+    /// Per minor row, its entry — [`Row::EMPTY`] between builds: a build
+    /// empties the rows it filled before it returns.
+    rows: Vec<Row>,
     /// Per node, in push order: slice by slice, each slice's rows
-    /// ascending.
+    /// ascending. Sized for the largest build so far; the current build's
+    /// nodes are the first `len`.
     nodes: Vec<Node>,
+    len: usize,
+    /// The nodes, in push order, that found an older node on their row —
+    /// the only ones the walk visits — then one spare slot: every node is
+    /// written at the cursor, which advances past it only if it has a
+    /// partner. The current build's are the first `met`.
+    partnered: Vec<u32>,
+    met: usize,
+    /// Per slice, its diagonal `norm_sq`, summed while its nodes are
+    /// pushed.
+    diag: Vec<f64>,
 }
 
 impl RowLists {
     /// Put every selected nonzero on its row's list and return the pairs
     /// of selected nonzeros that share a row — `Σᵢ rᵢ(rᵢ−1)/2`, the pair
-    /// updates [`Self::gram_into`] will make. The slices' `u32` fields must
-    /// fit ([`SparseCost::of`] rules out data where they would not).
+    /// updates [`Self::gram_into`] will make. Each node reads and writes
+    /// its row's entry once, with no test, and the same pass sums the
+    /// slice's diagonal. The slices' `u32` fields must fit
+    /// ([`SparseCost::of`] rules out data where they would not).
     fn build(&mut self, slices: &[SparseSlice<'_>], minor: usize) -> u64 {
-        if self.head.len() < minor {
-            self.head.resize(minor, NO_NODE);
+        if self.rows.len() < minor {
+            self.rows.resize(minor, Row::EMPTY);
         }
-        self.tag.clear();
-        self.nodes.clear();
-        let mut pairs = 0u64;
+        self.len = slices.iter().map(|s| s.nnz()).sum();
+        if self.nodes.len() < self.len {
+            self.nodes.resize(self.len, Node::default());
+        }
+        if self.partnered.len() <= self.len {
+            self.partnered.resize(self.len + 1, NO_NODE);
+        }
+        self.diag.clear();
+        let (rows, mut free) = (&mut self.rows[..minor], &mut self.nodes[..self.len]);
+        let partnered = &mut self.partnered[..=self.len];
+        let (mut pairs, mut id, mut met) = (0u64, 0u32, 0usize);
         for (b, s) in slices.iter().enumerate() {
-            for (&i, &value) in s.indices.iter().zip(s.values) {
-                let h = self.head[i];
-                // A head left by an earlier call names a node that is gone
-                // or lies on another row: had this call pushed a node on
-                // row `i`, that push would have rewritten the head.
-                let (older, depth) = match self.tag.get(h as usize) {
-                    Some(&(r, d)) if r as usize == i => (h, d + 1),
-                    _ => (NO_NODE, 0),
-                };
-                pairs += u64::from(depth);
-                self.head[i] = self.nodes.len() as u32;
-                self.tag.push((i as u32, depth));
-                self.nodes.push(Node {
+            let (mine, rest) = std::mem::take(&mut free).split_at_mut(s.nnz());
+            free = rest;
+            // `norm_sq`'s chain: the same products in the same order,
+            // folded from `−0.0` as `.sum()` folds.
+            let mut diag = -0.0;
+            for ((node, &i), &value) in mine.iter_mut().zip(s.indices).zip(s.values) {
+                let row = &mut rows[i];
+                pairs += u64::from(row.nodes);
+                partnered[met] = id;
+                met += usize::from(row.nodes != 0);
+                *node = Node {
                     slice: b as u32,
-                    older,
+                    older: row.newest,
                     value,
-                });
+                };
+                *row = Row {
+                    newest: id,
+                    nodes: row.nodes + 1,
+                };
+                id += 1;
+                diag += value * value;
+            }
+            self.diag.push(diag);
+        }
+        self.met = met;
+        // Empty what this build filled, so the next one starts clean
+        // whether or not this one's lists are walked.
+        for s in slices {
+            for &i in s.indices {
+                rows[i] = Row::EMPTY;
             }
         }
         pairs
@@ -305,14 +361,15 @@ impl RowLists {
     fn gram_into(&self, slices: &[SparseSlice<'_>], g: &mut [f64]) {
         let k = slices.len();
         debug_assert_eq!(
-            self.nodes.len(),
-            slices.iter().map(|s| s.nnz()).sum::<usize>(),
+            (self.len, self.diag.len()),
+            (slices.iter().map(|s| s.nnz()).sum::<usize>(), k),
             "lists built from other slices"
         );
-        for (b, s) in slices.iter().enumerate() {
-            g[b * k + b] = s.norm_sq();
+        for (b, &d) in self.diag.iter().enumerate() {
+            g[b * k + b] = d;
         }
-        for node in &self.nodes {
+        for &id in &self.partnered[..self.met] {
+            let node = self.nodes[id as usize];
             let b = node.slice as usize;
             let mut n = node.older;
             while n != NO_NODE {
@@ -393,12 +450,13 @@ impl GramWorkspace {
 /// The cost of one row-intersection step — a list push or a pair update,
 /// scattered scalar loads and stores — in scatter-schedule lane
 /// multiply-adds, which stream. Calibrated by the ignored test
-/// `calibrate_intersection_cost` (table in docs/PERFORMANCE.md §"Sparse
-/// slices"): per-shape fits spread 6–33, and 14 sits in the window where
-/// the choice picks the faster schedule on every shape measured (rcv1
-/// rows need more than 10.7, `lasso_net_sa`'s k = 32 columns less than
-/// 17). Either schedule gives the same bits, so this only decides speed.
-const INTERSECTION_COST: u64 = 14;
+/// `calibrate_intersection_cost` (tables in docs/PERFORMANCE.md §"Sparse
+/// slices" and §"Row lists, one entry per row"): per-shape fits spread
+/// 5–22, and 10 sits in the window where the choice picks the faster
+/// schedule on every shape measured (uniform 10 % columns need more than
+/// 8.4; rcv1 rows, where row intersection beats scatter, less than 10.8).
+/// Either schedule gives the same bits, so this only decides speed.
+const INTERSECTION_COST: u64 = 10;
 
 /// What the choice between the sparse schedules reads first, from the
 /// selected slices' `nnz` and the minor length alone.
@@ -1101,6 +1159,49 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+        /// Row intersection ≡ scatter ≡ the single-chain reference, bit for
+        /// bit, over a sequence of calls on one workspace: the minor length
+        /// changes from call to call, selections repeat slices and hold
+        /// empty ones (`−0.0` diagonals), and some calls first build the
+        /// lists of another selection and leave them unwalked, as a build
+        /// the exact pair count refuses is left.
+        #[test]
+        fn row_intersection_is_scatter_across_a_workspace_s_calls(
+            seed in proptest::prelude::any::<u64>(),
+            calls in 1usize..8,
+        ) {
+            let mut rng = rng_from_seed(seed);
+            let mut ws = GramWorkspace::new();
+            for call in 0..calls as u64 {
+                let (major, minor) = (1 + rng.next_index(60), 1 + rng.next_index(600));
+                let density = [0.002, 0.02, 0.1, 0.4][rng.next_index(4)];
+                let m = odd_values_csr(major, minor, density, seed ^ call);
+                let mut draw = |k: usize| -> Vec<usize> {
+                    (0..k).map(|_| rng.next_index(major)).collect()
+                };
+                let (sel, other) = (draw(1 + call as usize * 7), draw(20));
+                if call % 2 == 1 {
+                    let refused = ws.resolve(&m, &other);
+                    ws.rows.build(&refused, minor);
+                    ws.recycle(refused);
+                }
+                let slices = ws.resolve(&m, &sel);
+                let want = bits(&reference_gram(&slices, minor));
+                ws.rows.build(&slices, minor);
+                let mut got = DenseMatrix::zeros(0, 0);
+                for schedule in [Schedule::Intersection, Schedule::Scatter] {
+                    gram_by(schedule, &slices, minor, 1, &mut ws, &mut got);
+                    proptest::prop_assert_eq!(bits(&got), want, "call {} {:?}", call, schedule);
+                }
+                ws.recycle(slices);
+                sampled_gram_into(&m, &sel, 1, &mut ws, &mut got);
+                proptest::prop_assert_eq!(bits(&got), want, "call {} entry point", call);
+            }
+        }
+    }
+
     /// `datagen` builds its matrices against its own build of this crate,
     /// whose types these tests cannot name: copy one over, row by row.
     macro_rules! from_datagen {
@@ -1295,6 +1396,106 @@ mod tests {
         calibration_row("uniform 10 % cols", &uniform10, 64);
         let covtype = from_datagen!(PaperDataset::Covtype.generate_matrix(0.1, 808));
         calibration_row("covtype rows", &covtype, 128);
+    }
+
+    /// `s` blocks of `mu` distinct slices each, drawn as the Lasso solvers
+    /// draw one outer iteration's selection.
+    fn solver_draw(rng: &mut xrng::Rng, n: usize, mu: usize, s: usize) -> Vec<usize> {
+        let mut sel = Vec::with_capacity(mu * s);
+        for _ in 0..s {
+            xrng::sample_without_replacement_into(rng, n, mu, &mut sel);
+        }
+        sel
+    }
+
+    /// One row of [`gram_phases_on_the_solver_shapes`]: µs per call of
+    /// each phase of a row-intersection `sampled_gram_into`, best of three
+    /// passes over the same draws.
+    fn phase_row<M: MajorSlices>(name: &str, m: &M, mu: usize, s: usize) {
+        const CALLS: usize = 5_000;
+        let minor = m.minor_len();
+        let mut rng = rng_from_seed(808);
+        let sels: Vec<Vec<usize>> = (0..CALLS)
+            .map(|_| solver_draw(&mut rng, m.major_len(), mu, s))
+            .collect();
+        let (mut ws, mut out) = (GramWorkspace::new(), DenseMatrix::zeros(0, 0));
+        let (mut nodes, mut pairs, mut picks) = (0usize, 0u64, 0usize);
+        for sel in &sels {
+            let slices = ws.resolve(m, sel);
+            nodes += slices.iter().map(|sl| sl.nnz()).sum::<usize>();
+            pairs += ws.rows.build(&slices, minor);
+            let schedule = Schedule::of(&slices, minor, &mut ws.rows);
+            picks += usize::from(schedule == Schedule::Intersection);
+            ws.recycle(slices);
+        }
+        let mut best = [f64::INFINITY; 5];
+        for _ in 0..3 {
+            let mut sum = [0.0f64; 5];
+            for sel in &sels {
+                let t0 = std::time::Instant::now();
+                let slices = ws.resolve(m, sel);
+                let t1 = std::time::Instant::now();
+                ws.rows.build(&slices, minor);
+                let t2 = std::time::Instant::now();
+                out.reshape_zeroed(slices.len(), slices.len());
+                let t3 = std::time::Instant::now();
+                ws.rows.gram_into(&slices, out.as_mut_slice());
+                let t4 = std::time::Instant::now();
+                ws.recycle(slices);
+                std::hint::black_box(out.get(0, 0));
+                for (acc, (a, b)) in sum.iter_mut().zip([(t0, t1), (t1, t2), (t2, t3), (t3, t4)]) {
+                    *acc += (b - a).as_secs_f64();
+                }
+            }
+            let t0 = std::time::Instant::now();
+            for sel in &sels {
+                sampled_gram_into(m, sel, 1, &mut ws, &mut out);
+                std::hint::black_box(out.get(0, 0));
+            }
+            sum[4] = t0.elapsed().as_secs_f64();
+            for (b, s) in best.iter_mut().zip(sum) {
+                *b = b.min(s * 1e6 / CALLS as f64);
+            }
+        }
+        let [resolve, build, zero, walk, entry] = best;
+        let mean = |x: f64| x / CALLS as f64;
+        println!(
+            "| {name} | {} | {:.0} | {:.0} | {picks}/{CALLS} | {resolve:.2} | {build:.2} | {zero:.2} | {walk:.2} | {entry:.2} | {:.1} |",
+            mu * s,
+            mean(nodes as f64),
+            mean(pairs as f64),
+            build * 1e3 / mean(nodes as f64),
+        );
+    }
+
+    /// Where a row-intersection call's time goes on the solver calls that
+    /// take it (docs/PERFORMANCE.md §"Row lists, one entry per row"):
+    /// `lasso_seq_sparse`'s k = 128 call (16 draws of µ = 8 news20 ×4
+    /// columns), `lasso_net_sa`'s per-rank k = 32 call (32 draws of µ = 1
+    /// on rank 0's half of the rows) and `lasso_stream`'s k = 256 call (64
+    /// draws of µ = 4 on 100 000 rows). Per shape: mean nodes `N` and
+    /// pairs `E`, how many calls the entry point ran as row intersection,
+    /// and µs per call
+    /// of resolving the slices, building the lists (with the diagonal),
+    /// zero-filling `G`, the pair walk, and the entry point as a whole;
+    /// last, the build's ns per node. It measures walls, so it is not part
+    /// of the suite:
+    /// `cargo test --release -p sparsela --lib gram_phases -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "wall-clock phase table, run by hand"]
+    fn gram_phases_on_the_solver_shapes() {
+        use datagen::PaperDataset;
+        println!(
+            "\n| shape | k | N | E | intersection | resolve | build | zero-fill | walk | entry point | build ns/node |\n\
+             |---|---|---|---|---|---|---|---|---|---|---|"
+        );
+        let news20 = from_datagen!(PaperDataset::News20.generate_matrix(4.0, 808));
+        let half = news20.row_block(0, news20.rows() / 2).to_csc();
+        phase_row("lasso_seq_sparse: news20 ×4 cols", &news20.to_csc(), 8, 16);
+        phase_row("lasso_net_sa: rank-0 half cols", &half, 1, 32);
+        drop((news20, half));
+        let stream = from_datagen!(datagen::powerlaw_sparse(100_000, 200_000, 2e-4, 1.0, 808));
+        phase_row("lasso_stream: cols", &stream.to_csc(), 4, 64);
     }
 
     /// Counts `slice` calls on the matrix it wraps.

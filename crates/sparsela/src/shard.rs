@@ -56,6 +56,10 @@
 //! live epochs (see `docs/PERFORMANCE.md`, "Out-of-core streaming"); a
 //! prefetch is refused, pinning nothing, unless the pinned set counted
 //! with it still fits, so the look-ahead is as deep as the budget allows.
+//! A caller that will not prepare what it prefetched (a solve that broke
+//! off early) withdraws it with `cancel_prefetches`: the reserved loads
+//! finish, the shards pinned for look-ahead epochs alone are released,
+//! and the next prefetch pins for the epoch after the current one.
 //!
 //! # Residency in block order
 //!
@@ -871,6 +875,9 @@ struct Entry {
     slot: Slot,
     /// Epoch this shard is pinned for (0 = unpinned, evictable).
     pin_epoch: u64,
+    /// The latest epoch a `prepare` or a slice fault pinned it for;
+    /// `pin_epoch` is later while a prefetch holds it too.
+    live: u64,
     /// Bytes this entry counts in [`CacheState::resident`]: the shard's
     /// manifest size from the pin that reserved it, trued up to the loaded
     /// size by the `prepare` that claims it, and 0 while absent.
@@ -1003,13 +1010,17 @@ impl CacheShared {
         sids.dedup();
     }
 
-    /// Pin `sid` through `epoch` (under the lock). An absent shard is
+    /// Pin `sid` through `epoch` (under the lock) — a look-ahead epoch
+    /// for a prefetch (`ahead`), else the current one. An absent shard is
     /// reserved at its manifest size and marked `Loading` for the caller
     /// to load.
-    fn pin(&self, st: &mut CacheState, sid: usize, epoch: u64) -> Pinned {
+    fn pin(&self, st: &mut CacheState, sid: usize, epoch: u64, ahead: bool) -> Pinned {
         let e = &mut st.entries[sid];
         let newly_pinned = e.pin_epoch == 0;
         e.pin_epoch = e.pin_epoch.max(epoch);
+        if !ahead {
+            e.live = epoch;
+        }
         let found = match &e.slot {
             Slot::Ready(d) => {
                 if newly_pinned {
@@ -1049,6 +1060,30 @@ impl CacheShared {
                 self.slots[sid].store(std::ptr::null_mut(), Ordering::Release);
                 st.enqueue(sid);
             }
+            false
+        });
+        st.pinned = pinned;
+    }
+
+    /// Withdraw the pins of every epoch after the current one `cur`, the
+    /// unclaimed prefetches': a shard keeps the pin of its live epoch if
+    /// that is `cur − 1` or later, and is released otherwise. Its load must
+    /// have finished (the caller waits), so a released shard is `Ready`.
+    fn release_ahead(&self, st: &mut CacheState, cur: u64) {
+        let mut pinned = std::mem::take(&mut st.pinned);
+        pinned.retain(|&sid| {
+            let e = &mut st.entries[sid];
+            if e.pin_epoch <= cur {
+                return true;
+            }
+            if e.live != 0 && e.live + 1 >= cur {
+                e.pin_epoch = e.live;
+                return true;
+            }
+            e.pin_epoch = 0;
+            st.pinned_bytes -= e.charge;
+            self.slots[sid].store(std::ptr::null_mut(), Ordering::Release);
+            st.enqueue(sid);
             false
         });
         st.pinned = pinned;
@@ -1341,7 +1376,7 @@ impl StreamingMatrix {
         let found = {
             let mut st = shared.lock();
             let epoch = st.epoch.max(1);
-            let found = shared.pin(&mut st, sid, epoch);
+            let found = shared.pin(&mut st, sid, epoch, false);
             shared.evict_over_budget(&mut st);
             found
         };
@@ -1433,7 +1468,7 @@ impl SliceSource for StreamingMatrix {
             // with every epoch a prefetch pinned ahead.
             shared.release_before(st, cur - 1);
             for &sid in sids.iter() {
-                let counter = match shared.pin(st, sid, cur) {
+                let counter = match shared.pin(st, sid, cur, false) {
                     Pinned::Ready => &stats.prefetch_hits,
                     Pinned::Loading => {
                         in_flight.push(sid);
@@ -1506,13 +1541,40 @@ impl SliceSource for StreamingMatrix {
         let target = st.epoch.max(st.ahead) + 1;
         st.ahead = target;
         for &sid in sids.iter() {
-            if let Pinned::Absent = shared.pin(st, sid, target) {
+            if let Pinned::Absent = shared.pin(st, sid, target, true) {
                 st.loads.push_back(sid);
             }
         }
         shared.evict_over_budget(st);
         st.wake_loader(&shared.queued);
         true
+    }
+
+    /// Let every load a prefetch reserved finish — which shards are read
+    /// stays a function of the calls — then release the shards pinned for
+    /// look-ahead epochs alone, and pin the next prefetch for the epoch
+    /// after the current one.
+    fn cancel_prefetches(&self) {
+        let shared = &*self.shared;
+        let mut scratch = self.scratch();
+        let ahead = &mut scratch.in_flight;
+        let mut st = shared.lock();
+        let cur = st.epoch;
+        if st.ahead <= cur {
+            return;
+        }
+        st.ahead = cur;
+        ahead.extend(
+            st.pinned
+                .iter()
+                .copied()
+                .filter(|&sid| st.entries[sid].pin_epoch > cur),
+        );
+        for sid in ahead.drain(..) {
+            st = shared.wait_ready(st, sid);
+            shared.true_up(&mut st, sid);
+        }
+        shared.release_ahead(&mut st, cur);
     }
 
     fn lookahead(&self) -> bool {
@@ -1729,6 +1791,44 @@ mod tests {
             "resident high water {} beyond two pinned epochs + one incoming",
             s.resident_hwm_bytes
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cancelled_prefetches_release_their_pins_once_read() {
+        let dir = tmp_dir("cancel");
+        let a = random_csc(40, 32, 0.4, 7);
+        let bounds: Vec<usize> = (0..=8).map(|k| k * 4).collect();
+        write_csc(&dir, &a, &bounds, None).unwrap();
+        let store = ShardStore::open(&dir).unwrap();
+        let max_one = (0..8)
+            .map(|i| store.read_shard(i).unwrap().heap_bytes())
+            .max()
+            .unwrap();
+        // Three shards fit, whichever three.
+        let sm = StreamingMatrix::from_store(store, 3 * max_one, (0, 40));
+        sm.prepare(&[0]);
+        assert!(sm.prefetch(&[4]) && sm.prefetch(&[8]));
+        assert!(!sm.prefetch(&[12]), "a fourth pinned shard does not fit");
+        // A solve that stops here will not prepare shards 1 and 2. Their
+        // loads finish, so the reads are a function of the calls …
+        sm.cancel_prefetches();
+        assert_eq!(sm.io_stats().shard_reads, 3);
+        // … and their pins go: epoch 2 pins shard 3 beside epoch 1's
+        // shard 0 (four pinned shards would trip the budget assert), and
+        // the next prefetch pins for epoch 3, which claims it.
+        sm.prepare(&[12]);
+        assert!(sm.prefetch(&[16]));
+        sm.prepare(&[16]);
+        let s = sm.io_stats();
+        assert_eq!(
+            (s.prefetch_misses, s.prefetch_hits + s.prefetch_waits),
+            (2, 1)
+        );
+        assert_eq!(s.shard_reads, 5);
+        // Nothing is ahead now, so a second cancel changes nothing.
+        sm.cancel_prefetches();
+        assert!(sm.prefetch(&[20]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

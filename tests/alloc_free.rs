@@ -5,6 +5,8 @@
 //!   of allocations at H and at 2H blocks: set-up and results allocate, a
 //!   block does not. The Lasso rows run on seq, sim, net and from shards;
 //!   the SVM and K-DCD rows on seq.
+//! * **Kernels.** Warm row-intersection `sampled_gram_into` calls make
+//!   the same number of allocations at H and at 2H calls.
 //! * **Serve.** With one server and one client in this process, a warm
 //!   score request allocates the same on each side whether the window
 //!   holds N or 2N requests: the reply's score vector and nothing else
@@ -142,6 +144,37 @@ fn assert_flat_per_block<R: Regularizer>(reg: &R, engine: Engine, source: Source
             accel: true,
         };
         run_allocs(method, engine, source, blocks * s, all).0
+    });
+}
+
+/// Row intersection's lists, its diagonal and its partnered-node list
+/// live in the workspace and only grow: `calls` warm row-intersection
+/// `sampled_gram_into` calls allocate nothing per call, whatever each
+/// selection's node count. Columns of ~8 nonzeros on 4 000 rows at k = 128
+/// (16 draws of µ = 8) are the shape the choice sends to row
+/// intersection.
+#[test]
+fn a_row_intersection_gram_allocates_nothing_per_call() {
+    use sparsela::gram::sampled_gram_into;
+    use sparsela::{DenseMatrix, GramWorkspace};
+    let csc = uniform_sparse(4_000, 1_000, 0.002, 17).to_csc();
+    let mut rng = xrng::rng_from_seed(18);
+    let sels: Vec<Vec<usize>> = (0..192)
+        .map(|_| {
+            let mut sel = Vec::new();
+            for _ in 0..16 {
+                xrng::sample_without_replacement_into(&mut rng, 1_000, 8, &mut sel);
+            }
+            sel
+        })
+        .collect();
+    let (mut ws, mut g) = (GramWorkspace::new(), DenseMatrix::zeros(0, 0));
+    assert_flat("sampled_gram_into", false, |calls| {
+        let before = thread_allocs();
+        for sel in &sels[..calls] {
+            sampled_gram_into(&csc, sel, 1, &mut ws, &mut g);
+        }
+        thread_allocs() - before
     });
 }
 
