@@ -5,9 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use datagen::{dense_gaussian, powerlaw_sparse, uniform_sparse, PaperDataset};
-use sparsela::gram::{
-    gram_flops, sampled_cross, sampled_gram, sampled_gram_into, sampled_gram_parallel,
-};
+use sparsela::gram::{gram_flops, sampled_cross, sampled_gram, sampled_gram_into};
 use sparsela::{simd, vecops, DenseMatrix, GramWorkspace};
 use std::hint::black_box;
 use xrng::{rng_from_seed, sample_without_replacement};
@@ -109,9 +107,13 @@ fn bench_parallel_gram(c: &mut Criterion) {
     let sel = sample_without_replacement(&mut rng, 6_000, 256);
     let mut group = c.benchmark_group("sampled_gram_256");
     group.sample_size(10);
+    let (mut ws, mut out) = (GramWorkspace::new(), DenseMatrix::zeros(0, 0));
     for threads in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            b.iter(|| black_box(sampled_gram_parallel(&a, &sel, t)));
+            b.iter(|| {
+                sampled_gram_into(&a, &sel, t, &mut ws, &mut out);
+                black_box(out.get(0, 0))
+            });
         });
     }
     group.finish();

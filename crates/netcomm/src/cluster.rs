@@ -32,23 +32,31 @@ where
     assert!(p >= 1, "a mesh needs at least one rank");
     let dir = mesh_dir();
     std::fs::create_dir_all(&dir).expect("create mesh socket dir");
-    let configs: Vec<NetConfig> = (0..p)
-        .map(|r| {
-            let mut c = NetConfig::unix(r, p, &dir);
-            // Loopback between live threads: anything slower than this
-            // is a real bug, so fail fast instead of the 30 s default.
-            c.io_timeout = Duration::from_secs(10);
-            c
-        })
-        .collect();
-    let out = saco_par::scoped_map(configs, |rank, cfg| {
-        let mut comm = NetComm::establish(cfg)
-            .unwrap_or_else(|e| panic!("rank {rank}: failed to join mesh: {e}"));
-        let r = f(rank, &mut comm);
-        comm.shutdown();
-        r
+    // One thread per rank, never pooled: ranks block on each other.
+    let (dir, f) = (&dir, &f);
+    let out = std::thread::scope(|scope| {
+        let ranks: Vec<_> = (0..p)
+            .map(|rank| {
+                scope.spawn(move || {
+                    let mut cfg = NetConfig::unix(rank, p, dir);
+                    // Loopback between live threads: anything slower than
+                    // this is a real bug, so fail fast instead of the 30 s
+                    // default.
+                    cfg.io_timeout = Duration::from_secs(10);
+                    let mut comm = NetComm::establish(cfg)
+                        .unwrap_or_else(|e| panic!("rank {rank}: failed to join mesh: {e}"));
+                    let r = f(rank, &mut comm);
+                    comm.shutdown();
+                    r
+                })
+            })
+            .collect();
+        ranks
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(dir);
     out
 }
 

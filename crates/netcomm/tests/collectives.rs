@@ -251,10 +251,18 @@ fn tcp_loopback_mesh_reduces() {
     drop(probe);
     let hp = format!("127.0.0.1:{port}");
     let cfgs: Vec<NetConfig> = (0..2).map(|r| NetConfig::tcp(r, 2, &hp)).collect();
-    let outs = saco_par::scoped_map(cfgs, |rank, cfg| {
-        let mut c = NetComm::establish(cfg).unwrap_or_else(|e| panic!("rank {rank}: {e}"));
-        let out = c.allreduce_sum(vec![rank as f64 + 1.0]).expect("reduce");
-        (out, c.stats())
+    let outs: Vec<_> = std::thread::scope(|scope| {
+        let ranks: Vec<_> = (cfgs.into_iter().enumerate())
+            .map(|(rank, cfg)| {
+                scope.spawn(move || {
+                    let mut c =
+                        NetComm::establish(cfg).unwrap_or_else(|e| panic!("rank {rank}: {e}"));
+                    let out = c.allreduce_sum(vec![rank as f64 + 1.0]).expect("reduce");
+                    (out, c.stats())
+                })
+            })
+            .collect();
+        ranks.into_iter().map(|h| h.join().expect("rank")).collect()
     });
     for (out, stats) in &outs {
         assert_eq!(out, &vec![3.0]);

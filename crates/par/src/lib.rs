@@ -1,16 +1,17 @@
-//! `saco-par`: a zero-dependency scoped worker pool with a deterministic
-//! tiled-reduction API.
+//! `saco-par`: a zero-dependency scoped worker pool whose one primitive,
+//! [`for_each_tile`], runs tiles on disjoint chunks of a caller-owned
+//! slice.
 //!
 //! The SA solvers' equivalence guarantees (SA ≡ classical, seq ≡ virtual
 //! cluster, streamed ≡ in-memory) rest on *bitwise* reproducibility, so
-//! intra-rank parallelism must never perturb numerics. Every primitive here enforces
-//! the same contract:
+//! intra-rank parallelism must never perturb numerics. The primitive
+//! enforces one contract:
 //!
 //! 1. work is split into **tiles** whose per-entry arithmetic is exactly
 //!    the serial kernel's (no partial sums are ever combined across tiles
 //!    in scheduling order);
-//! 2. tile results are **merged in fixed tile order**, regardless of which
-//!    worker computed which tile or when it finished.
+//! 2. tile `i` **writes only chunk `i`** of the output, regardless of
+//!    which worker runs it or when it finishes.
 //!
 //! Under that contract the thread count is a pure throughput knob: any
 //! `nthreads` (including 1) produces byte-identical output, which is what
@@ -21,6 +22,7 @@
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -73,8 +75,8 @@ static WALL_NANOS: AtomicU64 = AtomicU64::new(0);
 /// into deterministic phase tables.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PoolStats {
-    /// Number of parallel regions executed (one per `tiled_map` call that
-    /// actually fanned out; serial fallbacks count too, with one worker).
+    /// Number of parallel regions executed (one per [`for_each_tile`] or
+    /// [`serial_region`] call, whether or not workers fanned out).
     pub regions: u64,
     /// Total tiles processed across all regions.
     pub tiles: u64,
@@ -122,9 +124,9 @@ fn record_region(tiles: usize, busy_nanos: u64, wall_nanos: u64) {
     WALL_NANOS.fetch_add(wall_nanos, Ordering::Relaxed);
 }
 
-/// Run `f` as a *serial* pool region: counted in [`stats`] (one region,
-/// `ntiles` tiles, busy == wall) exactly like [`tiled_map_weighted`]'s
-/// own serial fallback, without spawning anything. Pooled kernels whose
+/// Run `f` as a *serial* pool region: counted in [`stats`] as one region
+/// of `ntiles` tiles (busy == wall), as a [`for_each_tile`] region run in
+/// place is, without spawning anything. Pooled kernels whose
 /// sub-dispatch path is a different serial core — not the tiled closure
 /// on one worker — wrap it in this so `regions` keeps meaning "pooled
 /// kernel invocations", whether or not workers engaged.
@@ -137,11 +139,11 @@ pub fn serial_region<T>(ntiles: usize, f: impl FnOnce() -> T) -> T {
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic tiled reduction
+// Tiles on disjoint chunks
 // ---------------------------------------------------------------------------
 
 /// Minimum estimated work (inner-loop operations: flops, scatter writes,
-/// …) below which [`tiled_map_weighted`] skips pool dispatch entirely.
+/// …) below which [`for_each_tile`] skips pool dispatch entirely.
 ///
 /// Each region spawns its workers as scoped OS threads, which costs tens
 /// of microseconds; a workload smaller than this finishes serially before
@@ -174,161 +176,73 @@ fn host_cpus() -> usize {
     }
 }
 
-/// Worker count a tiled region will actually dispatch with, given the
-/// caller's thread budget, the tile count, and an estimated total `work`
-/// (in inner-loop operations; pass `u64::MAX` when unknown).
+/// Worker count a region of `ntiles` tiles and estimated `work`
+/// (inner-loop operations) dispatches with, out of a budget of `workers`
+/// and a host of `cpus`.
 ///
-/// Returns 1 (serial, no pool) when the host has a single CPU, when the
-/// work estimate is below [`MIN_DISPATCH_WORK`], or when fewer than two
-/// tiles exist. Purely a throughput decision: results are bitwise
-/// identical at every width by the pool's determinism contract.
-pub fn dispatch_width(nthreads: usize, ntiles: usize, work: u64) -> usize {
-    dispatch_width_for(nthreads, ntiles, work, host_cpus())
-}
-
-/// [`dispatch_width`] with an explicit host-CPU count (unit-testable).
-fn dispatch_width_for(nthreads: usize, ntiles: usize, work: u64, cpus: usize) -> usize {
+/// 1 (serial, no spawn) when the host has a single CPU, when the work is
+/// below [`MIN_DISPATCH_WORK`], or when fewer than two tiles exist. Purely
+/// a throughput decision: every width writes the same bits.
+fn dispatch_width_for(workers: usize, ntiles: usize, work: u64, cpus: usize) -> usize {
     if work < MIN_DISPATCH_WORK {
         return 1;
     }
-    nthreads.max(1).min(ntiles.max(1)).min(cpus.max(1))
+    workers.max(1).min(ntiles.max(1)).min(cpus.max(1))
 }
 
-/// Run `f` once per tile index in `0..ntiles` on up to `nthreads` scoped
-/// workers and return the results **in tile order**.
+/// Run `f(state, tile, chunk)` for every `chunk`-long tile of `data` (the
+/// last one ragged), tile `i` on `&mut data[i·chunk..]`'s chunk, on up to
+/// one worker per caller-held state in `states`.
 ///
-/// `init` builds one scratch state per worker (e.g. a scatter workspace)
-/// when the worker claims its first tile — a worker that loses the race
-/// for every tile builds nothing — reused across every tile that worker
-/// claims: per-worker state, never shared, so tiles cannot observe each
-/// other. Tiles are claimed dynamically (an atomic cursor) for load
-/// balance; determinism comes from the output being slotted by tile
-/// index, not completion order.
+/// Worker `w` owns `states[w]` for the whole region — never shared, so
+/// tiles cannot observe each other, and a worker that claims no tile
+/// leaves its state untouched. Tiles are claimed in order, each once;
+/// whichever worker runs a tile, it writes only its own chunk, so
+/// `data` ends up the same at every width. The first worker runs on the
+/// calling thread, the others on scoped threads spawned for the region.
 ///
-/// Falls back to a single in-place loop when `nthreads <= 1` or
-/// `ntiles <= 1` — the parallel and serial paths run the *same* `f`, so
-/// outputs are identical by construction. Callers that can estimate
-/// their total work should prefer [`tiled_map_weighted`], which also
-/// skips dispatch for workloads too small to amortize the spawn cost.
-pub fn tiled_map<T, S, I, F>(nthreads: usize, ntiles: usize, init: I, f: F) -> Vec<T>
+/// `work` (inner-loop operations; `u64::MAX` when unknown) steers the
+/// width: below [`MIN_DISPATCH_WORK`], on a single-CPU host, with one
+/// state or with one tile, every tile runs in place on `states[0]`.
+/// Either way the region and its tiles are counted in [`stats`].
+///
+/// # Panics
+///
+/// If `chunk` is 0, or `data` is not empty and `states` is.
+pub fn for_each_tile<T, S, F>(data: &mut [T], chunk: usize, work: u64, states: &mut [S], f: F)
 where
     T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
+    S: Send,
+    F: Fn(&mut S, usize, &mut [T]) + Sync,
 {
-    tiled_map_weighted(nthreads, ntiles, u64::MAX, init, f)
-}
-
-/// [`tiled_map`] with an estimated total `work` (inner-loop operations)
-/// steering the serial-fallback heuristic: regions smaller than
-/// [`MIN_DISPATCH_WORK`], or running on a single-CPU host, skip pool
-/// dispatch and run the same `f` in place. Output is bitwise identical
-/// to every other width — the hint is a pure throughput knob.
-pub fn tiled_map_weighted<T, S, I, F>(
-    nthreads: usize,
-    ntiles: usize,
-    work: u64,
-    init: I,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    let workers = dispatch_width(nthreads, ntiles, work);
-    if workers <= 1 || ntiles <= 1 {
-        let t0 = Instant::now();
-        let mut state = None;
-        let out: Vec<T> = (0..ntiles)
-            .map(|idx| f(state.get_or_insert_with(&init), idx))
-            .collect();
-        let el = t0.elapsed().as_nanos() as u64;
-        record_region(ntiles, el, el);
-        return out;
-    }
-
+    assert!(chunk > 0, "tiles of zero length");
+    let ntiles = data.len().div_ceil(chunk);
     let t0 = Instant::now();
-    let cursor = AtomicUsize::new(0);
-    let mut parts: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let w0 = Instant::now();
-                    let mut state = None;
-                    let mut mine = Vec::new();
-                    loop {
-                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                        if idx >= ntiles {
-                            break;
-                        }
-                        mine.push((idx, f(state.get_or_insert_with(&init), idx)));
-                    }
-                    (w0.elapsed().as_nanos() as u64, mine)
-                })
-            })
-            .collect();
-        let mut busy = 0u64;
-        let parts = handles
-            .into_iter()
-            .map(|h| {
-                let (b, part) = h.join().expect("saco-par worker panicked");
-                busy += b;
-                part
-            })
-            .collect();
-        record_region(ntiles, busy, t0.elapsed().as_nanos() as u64);
-        parts
-    });
-
-    // Merge in fixed tile order: slot every result by its tile index.
-    let mut slots: Vec<Option<T>> = (0..ntiles).map(|_| None).collect();
-    for part in &mut parts {
-        for (idx, value) in part.drain(..) {
-            debug_assert!(slots[idx].is_none(), "tile {idx} computed twice");
-            slots[idx] = Some(value);
+    let workers = dispatch_width_for(states.len(), ntiles, work, host_cpus()).min(states.len());
+    // The lock is held only to claim a tile, never while one runs.
+    let (tiles, busy) = (
+        Mutex::new(data.chunks_mut(chunk).enumerate()),
+        AtomicU64::new(0),
+    );
+    let run = &|state: &mut S| {
+        let w0 = Instant::now();
+        loop {
+            let claimed = tiles.lock().expect("claiming a tile never panics").next();
+            let Some((tile, rows)) = claimed else { break };
+            f(state, tile, rows);
         }
+        busy.fetch_add(w0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    };
+    match states[..workers].split_first_mut() {
+        Some((first, rest)) => std::thread::scope(|scope| {
+            for state in rest {
+                scope.spawn(move || run(state));
+            }
+            run(first);
+        }),
+        None => assert_eq!(ntiles, 0, "no worker state"),
     }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(idx, s)| s.unwrap_or_else(|| panic!("tile {idx} never computed")))
-        .collect()
-}
-
-/// Run `f(index, item)` on one dedicated scoped thread **per item** and
-/// return results in item order.
-///
-/// This is *not* pooled: every item gets its own OS thread, because the
-/// caller's items may block on each other (mpisim's SPMD ranks exchange
-/// messages through blocking channels — multiplexing them onto fewer
-/// workers would deadlock). Use [`tiled_map`] for compute tiles.
-pub fn scoped_map<I, T, F>(items: Vec<I>, f: F) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    F: Fn(usize, I) -> T + Sync,
-{
-    let n = items.len();
-    if n <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, it)| f(i, it))
-            .collect();
-    }
-    std::thread::scope(|scope| {
-        let fref = &f;
-        let handles: Vec<_> = items
-            .into_iter()
-            .enumerate()
-            .map(|(i, item)| scope.spawn(move || fref(i, item)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("saco-par scoped thread panicked"))
-            .collect()
-    })
+    record_region(ntiles, busy.into_inner(), t0.elapsed().as_nanos() as u64);
 }
 
 #[cfg(test)]
@@ -346,62 +260,101 @@ mod tests {
         GLOBALS.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    #[test]
-    fn tiled_map_preserves_tile_order_at_any_thread_count() {
-        let _globals = globals();
-        let serial = tiled_map(1, 40, || (), |_, i| i * i);
-        for threads in [2usize, 3, 4, 7, 16, 64] {
-            let par = tiled_map(threads, 40, || (), |_, i| i * i);
-            assert_eq!(par, serial, "threads={threads}");
-        }
-        assert_eq!(serial, (0..40).map(|i| i * i).collect::<Vec<_>>());
+    /// `ntiles` one-entry tiles through [`for_each_tile`] on `workers`
+    /// states built by `state`, each tile writing `f(state, tile)`.
+    fn run<S: Send, T: Send + Default + Clone>(
+        workers: usize,
+        ntiles: usize,
+        work: u64,
+        state: impl Fn() -> S,
+        f: impl Fn(&mut S, usize) -> T + Sync,
+    ) -> (Vec<T>, Vec<S>) {
+        let mut out = vec![T::default(); ntiles];
+        let mut states: Vec<S> = (0..workers).map(|_| state()).collect();
+        for_each_tile(&mut out, 1, work, &mut states, |s, tile, chunk| {
+            chunk[0] = f(s, tile)
+        });
+        (out, states)
     }
 
     #[test]
-    fn tiled_map_worker_state_is_private_and_reused() {
+    fn tiles_write_their_own_chunks_at_any_width() {
         let _globals = globals();
-        // Each worker counts the tiles it ran through its state; the sum
-        // over all tiles of "tiles seen so far by my worker" is only
-        // consistent if states are never shared between workers.
-        let counts = tiled_map(
+        // Three-entry chunks, the last one ragged: every entry names its
+        // tile and its place in the chunk.
+        let want: Vec<(usize, usize)> = (0..121).map(|i| (i / 3, i % 3)).collect();
+        for workers in [1usize, 2, 3, 4, 7, 16, 64] {
+            let mut out = vec![(usize::MAX, usize::MAX); 121];
+            for_each_tile(
+                &mut out,
+                3,
+                u64::MAX,
+                &mut vec![(); workers],
+                |_, tile, chunk| {
+                    assert!(chunk.len() == 3 || (tile == 40 && chunk.len() == 1));
+                    for (i, v) in chunk.iter_mut().enumerate() {
+                        *v = (tile, i);
+                    }
+                },
+            );
+            assert_eq!(out, want, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn worker_state_is_private_and_reused() {
+        let _globals = globals();
+        // Each worker counts the tiles it ran through its state; the
+        // counts restart at 1 once per worker that ran a tile, and the
+        // states sum to the tiles only if no two workers share one.
+        let (counts, states) = run(
             4,
             100,
+            u64::MAX,
             || 0usize,
             |seen, _| {
                 *seen += 1;
                 *seen
             },
         );
-        assert_eq!(counts.len(), 100);
-        // Every worker's sequence 1,2,3,… partitions the tiles.
-        let total: usize = counts.iter().filter(|&&c| c == 1).count();
+        let restarts = counts.iter().filter(|&&c| c == 1).count();
         assert!(
-            (1..=4).contains(&total),
-            "one restart per worker, got {total}"
+            (1..=4).contains(&restarts),
+            "one restart per worker, got {restarts}"
         );
+        assert_eq!(restarts, states.iter().filter(|&&s| s > 0).count());
+        assert_eq!(states.iter().sum::<usize>(), 100);
     }
 
     #[test]
     fn init_runs_only_for_workers_that_claim_a_tile() {
         let _globals = globals();
-        for (threads, ntiles) in [(4usize, 0usize), (4, 1), (4, 3), (2, 40), (64, 40)] {
+        // A state built lazily by its first tile, as the sampled Gram
+        // sizes a worker's buffers.
+        for (workers, ntiles) in [(4usize, 0usize), (4, 1), (4, 3), (2, 40), (64, 40)] {
             let built = AtomicUsize::new(0);
-            let out = tiled_map(
-                threads,
+            let (out, states) = run(
+                workers,
                 ntiles,
-                || built.fetch_add(1, Ordering::Relaxed),
-                |state, i| (i, *state),
+                u64::MAX,
+                || None,
+                |state, tile| {
+                    (
+                        tile,
+                        *state.get_or_insert_with(|| built.fetch_add(1, Ordering::Relaxed)),
+                    )
+                },
             );
-            // Results slot in tile order whichever state computed them.
-            let order: Vec<usize> = out.iter().map(|&(i, _)| i).collect();
+            let order: Vec<usize> = out.iter().map(|&(t, _)| t).collect();
             assert_eq!(order, (0..ntiles).collect::<Vec<_>>());
-            // No tiles, no scratch; never more states than workers or
-            // tiles; and every state built ran at least one tile.
+            // No tiles, no scratch; never more states built than workers
+            // or tiles; and every state built ran at least one tile.
             let built = built.into_inner();
             assert!(
-                built <= threads.min(ntiles),
+                built <= workers.min(ntiles),
                 "{built} inits, {ntiles} tiles"
             );
+            assert_eq!(states.iter().flatten().count(), built);
             let mut used: Vec<usize> = out.iter().map(|&(_, s)| s).collect();
             used.sort_unstable();
             used.dedup();
@@ -426,12 +379,12 @@ mod tests {
     }
 
     #[test]
-    fn tiled_map_weighted_matches_tiled_map_at_any_work_hint() {
+    fn output_is_the_same_at_any_work_hint() {
         let _globals = globals();
-        let serial = tiled_map(1, 24, || (), |_, i| 3 * i + 1);
+        let want: Vec<usize> = (0..24).map(|i| 3 * i + 1).collect();
         for work in [0, MIN_DISPATCH_WORK - 1, MIN_DISPATCH_WORK, u64::MAX] {
-            let out = tiled_map_weighted(4, 24, work, || (), |_, i| 3 * i + 1);
-            assert_eq!(out, serial, "work={work}");
+            let (out, _) = run(4, 24, work, || (), |_, i| 3 * i + 1);
+            assert_eq!(out, want, "work={work}");
         }
     }
 
@@ -439,9 +392,9 @@ mod tests {
     fn tiny_weighted_regions_run_on_one_worker() {
         let _globals = globals();
         // A below-threshold region must not fan out: every tile then flows
-        // through a single worker state, so the per-worker restart count
-        // (tiles that saw a fresh state) is exactly 1.
-        let counts = tiled_map_weighted(
+        // through the first state, in tile order, and the others stay
+        // untouched.
+        let (counts, states) = run(
             4,
             50,
             MIN_DISPATCH_WORK - 1,
@@ -452,29 +405,35 @@ mod tests {
             },
         );
         assert_eq!(counts, (1..=50).collect::<Vec<_>>());
+        assert_eq!(states, [50, 0, 0, 0]);
     }
 
     #[test]
-    fn tiled_map_handles_degenerate_sizes() {
+    fn tiles_handle_degenerate_sizes() {
         let _globals = globals();
-        assert!(tiled_map(4, 0, || (), |_, i| i).is_empty());
-        assert_eq!(tiled_map(0, 3, || (), |_, i| i), vec![0, 1, 2]);
-        assert_eq!(tiled_map(9, 1, || (), |_, i| i + 7), vec![7]);
-    }
-
-    #[test]
-    fn scoped_map_returns_in_item_order() {
-        let out = scoped_map(vec![5u64, 1, 9, 3], |i, v| (i, v * 2));
-        assert_eq!(out, vec![(0, 10), (1, 2), (2, 18), (3, 6)]);
-        let empty: Vec<u64> = scoped_map(Vec::<u64>::new(), |_, v| v);
-        assert!(empty.is_empty());
+        assert!(run(4, 0, u64::MAX, || (), |_, i| i).0.is_empty());
+        // No tiles need no state.
+        for_each_tile(
+            &mut [0u8; 0],
+            1,
+            u64::MAX,
+            &mut [(); 0],
+            |_, _, _| unreachable!(),
+        );
+        assert_eq!(run(9, 1, u64::MAX, || (), |_, i| i + 7).0, vec![7]);
+        // One chunk longer than the data is the whole of it.
+        let mut out = [0u8; 5];
+        for_each_tile(&mut out, 8, u64::MAX, &mut [(); 3], |_, tile, chunk| {
+            chunk.fill(tile as u8 + 1)
+        });
+        assert_eq!(out, [1; 5]);
     }
 
     #[test]
     fn stats_accumulate_and_reset() {
         let _globals = globals();
         reset_stats();
-        let _ = tiled_map(4, 32, || (), |_, i| i);
+        let _ = run(4, 32, u64::MAX, || (), |_, i| i);
         let s = stats();
         assert_eq!(s.regions, 1);
         assert_eq!(s.tiles, 32);

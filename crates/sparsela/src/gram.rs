@@ -76,10 +76,12 @@
 //! extra work. `c` is a constant, not an option: every engine, source and
 //! thread count decides alike, and it would not matter if they did not.
 //!
-//! The lane-block schedules have one body at every thread count: one thread
-//! runs the blocks in place; a `saco-par` pool claims them as tiles,
-//! heaviest first, one buffer of the caller's [`GramWorkspace`] per worker,
-//! bands merged in block order — same per-lane chains, **bitwise
+//! The lane-block schedules have one body at every thread count: lane
+//! block `t` is a tile that writes the upper entries of rows
+//! `8t..8t + 8` of `G` in place, its own chunk of the matrix, and one pass
+//! then mirrors the upper triangle. One thread runs the tiles in order; a
+//! `saco-par` pool claims them heaviest first, one set of the caller's
+//! [`GramWorkspace`] buffers per worker — same per-lane chains, **bitwise
 //! identical** by construction, ⌈k/LANES⌉ tiles wide
 //! (`docs/PERFORMANCE.md`). Row intersection has no tiles and always runs
 //! in place. The choice weighs it against the *one-thread* scatter cost:
@@ -93,8 +95,8 @@
 //! [`simd::FULL_PARTNERS`] slices: full ones run their `dot_dense` chains
 //! side by side.
 //!
-//! The `_with_workspace`/`_into` variants reuse caller-owned buffers so
-//! the SA hot loop allocates nothing per outer iteration.
+//! The `_into` variants reuse caller-owned buffers so the SA hot loop
+//! allocates nothing per outer iteration.
 
 use crate::{simd, CscMatrix, CsrMatrix, DenseMatrix, SparseSlice};
 
@@ -388,18 +390,17 @@ impl RowLists {
 /// *interleaved* buffers holding [`simd::SPARSE_LANES`] selected slices
 /// side by side, and the row-intersection lists. Creating them per call
 /// costs an `O(minor_len)` zero-fill *and* an allocation; holding them
-/// across calls makes repeated `sampled_gram` calls allocation-free at any
-/// thread count. It also carries the *resolved-slice* scratch: a kernel
-/// call looks each selected slice up once ([`MajorSlices::slice`] may cost
-/// a search on an out-of-core source) and the triangle runs on the
-/// borrowed slices alone.
+/// across calls makes repeated one-thread `sampled_gram` calls
+/// allocation-free. A pooled call allocates only what spawning its
+/// workers does — the same whatever its tile count. It also carries the
+/// *resolved-slice* scratch: a kernel call looks each selected slice up
+/// once ([`MajorSlices::slice`] may cost a search on an out-of-core
+/// source) and the triangle runs on the borrowed slices alone.
 #[derive(Clone, Debug, Default)]
 pub struct GramWorkspace {
-    /// The serial path's buffers and the pool's first worker's. Inline, so
-    /// that a one-thread solve allocates its buffer and nothing beside it.
-    interleaved: LaneBufs,
-    /// The further workers' buffers.
-    pooled: Vec<LaneBufs>,
+    /// One set of lane buffers per worker, indexed by worker; the first
+    /// serves the serial path too.
+    lanes: Vec<LaneBufs>,
     /// The row-intersection schedule's lists (it runs on one thread).
     rows: RowLists,
     /// Allocation for the resolved slices; empty between calls, so the
@@ -413,15 +414,13 @@ impl GramWorkspace {
         Self::default()
     }
 
-    /// One set of lane buffers per worker, grow-only. A worker sizes its
-    /// own with [`LaneBufs::work`] when it claims a tile.
-    fn worker_bufs(&mut self, workers: usize) -> impl Iterator<Item = &mut LaneBufs> {
-        if self.pooled.len() + 1 < workers {
-            self.pooled.resize_with(workers - 1, Default::default);
+    /// The first `workers` sets of lane buffers, grow-only. A worker sizes
+    /// its own with [`LaneBufs::work`] when it claims a tile.
+    fn worker_bufs(&mut self, workers: usize) -> &mut [LaneBufs] {
+        if self.lanes.len() < workers {
+            self.lanes.resize_with(workers, Default::default);
         }
-        std::iter::once(&mut self.interleaved)
-            .chain(&mut self.pooled)
-            .take(workers)
+        &mut self.lanes[..workers]
     }
 
     /// Look up every selected slice once — `sel.len()` calls to
@@ -647,37 +646,12 @@ fn full_lane_block(
     }
 }
 
-/// A pool tile: lane block `tile`'s band of the triangle — rows
-/// `a0..a0 + aw`, columns `a0..k`, row-major; below-diagonal slots unset.
-fn gram_tile(slices: &[SparseSlice<'_>], tile: usize, full: bool, work: &mut [f64]) -> Vec<f64> {
-    let a0 = tile * simd::SPARSE_LANES;
-    let w = slices.len() - a0;
-    let mut band = vec![0.0; w.min(simd::SPARSE_LANES) * w];
-    gram_lane_block(slices, a0, full, work, |a, b, v| {
-        band[(a - a0) * w + (b - a0)] = v
-    });
-    band
-}
-
-/// Mirror tile `tile`'s band into `out`. Bands cover disjoint entries, so
-/// the merged matrix does not depend on the order tiles finished in.
-fn merge_band(tile: usize, band: &[f64], out: &mut DenseMatrix) {
-    let a0 = tile * simd::SPARSE_LANES;
-    let w = out.rows() - a0;
-    for (l, row) in band.chunks_exact(w).enumerate() {
-        for b in a0 + l..a0 + w {
-            out.set(a0 + l, b, row[b - a0]);
-            out.set(b, a0 + l, row[b - a0]);
-        }
-    }
-}
-
 /// Fully workspace-reusing sampled Gram: writes into `out` (reshaped to
 /// `k×k` in place) and, when `nthreads > 1` and the data takes a lane-block
 /// schedule, hands the triangle's lane blocks to the `saco-par` pool as
-/// tiles — one interleaved buffer of `ws` per worker, bands merged in block
-/// order. Bitwise identical to [`sampled_gram`] at any thread count and on
-/// every schedule (module doc).
+/// tiles — one set of `ws`'s lane buffers per worker, each tile writing
+/// its own rows of `out`. Bitwise identical to [`sampled_gram`] at any
+/// thread count and on every schedule (module doc).
 pub fn sampled_gram_into<M: MajorSlices>(
     m: &M,
     sel: &[usize],
@@ -702,89 +676,70 @@ fn gram_by(
     ws: &mut GramWorkspace,
     out: &mut DenseMatrix,
 ) {
+    const L: usize = simd::SPARSE_LANES;
     let k = slices.len();
-    let ntiles = k.div_ceil(simd::SPARSE_LANES);
+    let ntiles = k.div_ceil(L);
     out.reshape_zeroed(k, k);
+    let g = out.as_mut_slice();
     let full = match schedule {
         Schedule::Full => true,
         Schedule::Scatter => false,
         Schedule::Intersection => {
-            let (rows, g) = (&ws.rows, out.as_mut_slice());
+            let rows = &ws.rows;
             if nthreads <= 1 {
                 rows.gram_into(slices, g);
             } else {
                 // No tiles: a pool request counts one serial region, as
-                // the lane blocks' own sub-dispatch fallback does, so
-                // `par.*` keep counting pooled-kernel invocations.
+                // the lane blocks' own in-place width does, so `par.*`
+                // keep counting pooled-kernel invocations.
                 saco_par::serial_region(ntiles, || rows.gram_into(slices, g));
             }
             return;
         }
     };
-    let mut serial = || {
-        let work = ws.interleaved.work(full, minor);
-        for a0 in (0..k).step_by(simd::SPARSE_LANES) {
-            gram_lane_block(slices, a0, full, work, |a, b, v| {
-                out.set(a, b, v);
-                out.set(b, a, v);
-            });
-        }
+    let tile = |bufs: &mut LaneBufs, t, rows: &mut [f64]| {
+        lane_tile(slices, t, full, bufs.work(full, minor), rows)
     };
+    let chunk = (L * k).max(1);
     if k < 4 || nthreads <= 1 {
-        return serial();
+        let bufs = &mut ws.worker_bufs(1)[0];
+        for (t, rows) in g.chunks_mut(chunk).enumerate() {
+            tile(bufs, t, rows);
+        }
+    } else {
+        // Block a0 costs its scatter plus one pass (~2·nnz_b) per partner
+        // b > a0, so the first tile is the heaviest and the pool's
+        // in-order claiming is longest-first. The suffix-sum estimate of
+        // the triangle's flops decides whether the Gram is cheaper than
+        // spawning workers — in which case the blocks run in place.
+        let (mut work, mut suffix) = (0u64, 0u64);
+        for s in slices.iter().rev() {
+            let nnz = s.nnz() as u64;
+            suffix += 2 * nnz;
+            work += nnz + suffix;
+        }
+        let bufs = ws.worker_bufs(nthreads.min(ntiles));
+        saco_par::for_each_tile(g, chunk, work, bufs, tile);
     }
-    // Block a0 costs its scatter plus one pass (~2·nnz_b) per partner
-    // b > a0, so the first tile is the heaviest and the pool's in-order
-    // dynamic claiming is longest-first. The suffix-sum estimate of the
-    // triangle's flops decides up front whether the Gram is cheaper than
-    // spawning workers — in which case the blocks run in place, without
-    // the pooled path's bands and merge copies.
-    let mut work = 0u64;
-    let mut suffix = 0u64;
-    for s in slices.iter().rev() {
-        let nnz = s.nnz() as u64;
-        suffix += 2 * nnz;
-        work += nnz + suffix;
-    }
-    let workers = saco_par::dispatch_width(nthreads, ntiles, work);
-    if workers <= 1 {
-        // Sub-dispatch-size with a pool requested: count the region, like
-        // tiled_map_weighted's own fallback, so `par.regions` keeps
-        // tracking pooled-kernel invocations.
-        return saco_par::serial_region(ntiles, serial);
-    }
-    // Each worker draws its buffer when it claims its first tile.
-    let bufs = std::sync::Mutex::new(ws.worker_bufs(workers));
-    let bands = saco_par::tiled_map_weighted(
-        nthreads,
-        ntiles,
-        work,
-        || {
-            let buf = bufs.lock().expect("no tile runs under this lock").next();
-            buf.expect("one buffer per worker").work(full, minor)
-        },
-        |buf, tile| gram_tile(slices, tile, full, buf),
-    );
-    for (tile, band) in bands.iter().enumerate() {
-        merge_band(tile, band, out);
-    }
+    mirror_upper(g, k);
 }
 
-/// Multi-threaded [`sampled_gram`] over the `saco-par` pool: the same
-/// lane-block kernel, tiles merged in fixed order, so the result is
-/// **bitwise identical** — threading here is free parallelism, not a
-/// numerics change.
-///
-/// This is the shared-memory, within-rank parallelism a production rank
-/// would use on a multicore node. On the 2-vCPU reference host two workers
-/// deliver 40 Gflop/s on full slices (`lasso_par_dense`, k = 128 columns of
-/// 12 500 stored entries; one worker 24–31) and the solve runs 1.2–1.3× the
-/// 1-thread one, whose cross products and recurrence stay serial —
-/// `docs/PERFORMANCE.md`.
-pub fn sampled_gram_parallel<M: MajorSlices>(m: &M, sel: &[usize], nthreads: usize) -> DenseMatrix {
-    let mut g = DenseMatrix::zeros(0, 0);
-    sampled_gram_into(m, sel, nthreads, &mut GramWorkspace::new(), &mut g);
-    g
+/// Tile `t` of a lane-block schedule, serial or pooled: lane block
+/// `a0 = t·LANES` writes the upper entries of rows `a0..a0 + LANES` of the
+/// `k×k` Gram into `rows`, those rows' chunk of it.
+fn lane_tile(slices: &[SparseSlice<'_>], t: usize, full: bool, work: &mut [f64], rows: &mut [f64]) {
+    let (k, a0) = (slices.len(), t * simd::SPARSE_LANES);
+    gram_lane_block(slices, a0, full, work, |a, b, v| rows[(a - a0) * k + b] = v);
+}
+
+/// Copy the upper triangle of the `k×k` row-major `g` onto the lower one,
+/// so every off-diagonal entry is computed once.
+fn mirror_upper(g: &mut [f64], k: usize) {
+    for a in 0..k {
+        for b in a + 1..k {
+            g[b * k + a] = g[a * k + b];
+        }
+    }
 }
 
 /// Cross product `C[a][j] = ⟨slice(sel[a]), vs[j]⟩` for a small set of dense
@@ -1034,10 +989,10 @@ mod tests {
         g.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Runs the pooled path's two halves by hand — no work heuristic, no
-    /// CPU clamp, no threads: every lane block through [`gram_tile`] on
-    /// one of three worker buffers, the bands through [`merge_band`] in a
-    /// shuffled completion order.
+    /// Runs the pooled path's tiles by hand — no work heuristic, no CPU
+    /// clamp, no threads: every lane block through [`lane_tile`] on its
+    /// chunk of `G`, on one of three worker buffers, in a shuffled order,
+    /// then [`mirror_upper`].
     fn tiles_and_merge_match_reference<M: MajorSlices>(m: &M, ws: &mut GramWorkspace, seed: u64) {
         let mut rng = rng_from_seed(seed);
         let minor = m.minor_len();
@@ -1050,29 +1005,27 @@ mod tests {
             let slices = ws.resolve(m, &sel);
             let want = reference_gram(&slices, minor);
             let full = slices.iter().all(|s| s.is_full(minor));
-            let mut bufs: Vec<_> = ws.worker_bufs(3).collect();
-            let mut bands: Vec<(usize, Vec<f64>)> = (0..k.div_ceil(simd::SPARSE_LANES))
-                .map(|t| {
-                    (
-                        t,
-                        gram_tile(&slices, t, full, bufs[t % 3].work(full, minor)),
-                    )
-                })
-                .collect();
-            xrng::shuffle(&mut rng, &mut bands);
             let mut got = DenseMatrix::zeros(k, k);
-            for (tile, band) in &bands {
-                merge_band(*tile, band, &mut got);
+            let mut tiles: Vec<_> = got
+                .as_mut_slice()
+                .chunks_mut(simd::SPARSE_LANES * k)
+                .enumerate()
+                .collect();
+            xrng::shuffle(&mut rng, &mut tiles);
+            let bufs = ws.worker_bufs(3);
+            for (t, rows) in tiles {
+                lane_tile(&slices, t, full, bufs[t % 3].work(full, minor), rows);
             }
-            assert_eq!(bits(&got), bits(&want), "k={k}: tiles + merge");
+            mirror_upper(got.as_mut_slice(), k);
+            assert_eq!(bits(&got), bits(&want), "k={k}: tiles + mirror");
             ws.recycle(slices);
             // The entry points run the same blocks; 4 threads at this
-            // size is the counted serial fallback.
+            // size is the counted in-place width.
             for threads in [1usize, 4] {
                 sampled_gram_into(m, &sel, threads, ws, &mut got);
                 assert_eq!(bits(&got), bits(&want), "k={k} threads={threads}");
             }
-            for (w, buf) in ws.worker_bufs(3).enumerate() {
+            for (w, buf) in ws.worker_bufs(3).iter().enumerate() {
                 assert!(
                     buf.scattered.as_slice().iter().all(|&v| v.to_bits() == 0),
                     "k={k}: worker buffer {w} not restored to zeros"
@@ -1101,9 +1054,12 @@ mod tests {
         // it and serve the sparse matrix again afterwards.
         let dense = random_sparse(37, 12, 1.0, 23).to_csc();
         tiles_and_merge_match_reference(&dense, &mut ws, 24);
-        assert_eq!(ws.interleaved.full.len(), simd::SPARSE_LANES * 37);
+        assert_eq!(ws.lanes[0].full.len(), simd::SPARSE_LANES * 37);
         tiles_and_merge_match_reference(&coo.to_csr(), &mut ws, 22);
-        assert_eq!(ws.pooled.len(), 2);
+        // The entry points' 4-thread calls ran in place: the fourth
+        // worker's buffers were never claimed, so never sized.
+        assert_eq!(ws.lanes.len(), 4);
+        assert!(ws.lanes[3].full.is_empty() && ws.lanes[3].scattered.is_empty());
     }
 
     /// `major` slices over `minor` coordinates, each coordinate stored with
@@ -1602,20 +1558,33 @@ mod parallel_tests {
         coo.to_csc()
     }
 
+    /// [`sampled_gram_into`] at `threads` on a held workspace and output.
+    fn pooled(
+        csc: &crate::CscMatrix,
+        sel: &[usize],
+        threads: usize,
+        ws: &mut GramWorkspace,
+    ) -> DenseMatrix {
+        let mut g = DenseMatrix::zeros(0, 0);
+        sampled_gram_into(csc, sel, threads, ws, &mut g);
+        g
+    }
+
     #[test]
     fn parallel_gram_is_bitwise_identical() {
         // Dense enough that the work estimate clears MIN_DISPATCH_WORK
         // (~2.6M estimated ops): on multi-core hosts the pool genuinely
-        // engages (on 1-CPU hosts dispatch_width still serializes — also
-        // a valid data point).
+        // engages (on 1-CPU hosts the pool still serializes — also a
+        // valid data point).
         // At density 1 every slice is full and the tiles are full-slice
         // lane blocks.
+        let mut ws = GramWorkspace::new();
         for density in [0.3, 1.0] {
             let csc = random_csc(600, 120, density, 41);
             let sel: Vec<usize> = (0..120).collect();
             let seq = sampled_gram(&csc, &sel);
             for threads in [1usize, 2, 3, 7, 64] {
-                let par = sampled_gram_parallel(&csc, &sel, threads);
+                let par = pooled(&csc, &sel, threads, &mut ws);
                 assert_eq!(
                     par.as_slice(),
                     seq.as_slice(),
@@ -1628,9 +1597,10 @@ mod parallel_tests {
     #[test]
     fn tiny_selections_fall_back_to_sequential() {
         let csc = random_csc(20, 10, 0.3, 42);
-        let g = sampled_gram_parallel(&csc, &[1, 5], 8);
+        let mut ws = GramWorkspace::new();
+        let g = pooled(&csc, &[1, 5], 8, &mut ws);
         assert_eq!(g.as_slice(), sampled_gram(&csc, &[1, 5]).as_slice());
-        let empty = sampled_gram_parallel(&csc, &[], 4);
+        let empty = pooled(&csc, &[], 4, &mut ws);
         assert_eq!((empty.rows(), empty.cols()), (0, 0));
     }
 }

@@ -4,9 +4,7 @@
 
 use proptest::prelude::*;
 use sparsela::eig::{jacobi_eigenvalues, max_eigenvalue};
-use sparsela::gram::{
-    sampled_cross, sampled_cross_into, sampled_gram, sampled_gram_into, sampled_gram_parallel,
-};
+use sparsela::gram::{sampled_cross, sampled_cross_into, sampled_gram, sampled_gram_into};
 use sparsela::io::{read_libsvm, write_libsvm, Dataset};
 use sparsela::shard::{verify_store, write_csc, write_csr, ShardStore, StreamingMatrix};
 use sparsela::{vecops, CooMatrix, CscMatrix, CsrMatrix, DenseMatrix, SparseSlice};
@@ -343,8 +341,8 @@ proptest! {
 
     /// The pooled sampled Gram is BITWISE identical to the serial kernel
     /// at every thread count — the determinism contract of `saco-par`
-    /// (tiles use exactly the serial per-entry arithmetic, merged in
-    /// fixed order). Exact `==`, not approximate.
+    /// (tiles use exactly the serial per-entry arithmetic, each writing
+    /// its own rows). Exact `==`, not approximate.
     #[test]
     fn parallel_sampled_gram_is_bitwise_serial(coo in sparse_matrix(), seed in any::<u64>()) {
         let csc = coo.to_csc();
@@ -353,14 +351,14 @@ proptest! {
         let k = 1 + rng.next_index(n.min(12));
         let sel: Vec<usize> = (0..k).map(|_| rng.next_index(n)).collect();
         let serial = sampled_gram(&csc, &sel);
+        let (mut fresh, mut held) = (sparsela::DenseMatrix::zeros(0, 0), sparsela::DenseMatrix::zeros(0, 0));
         let mut ws = GramWorkspace::new();
-        let mut out = sparsela::DenseMatrix::zeros(0, 0);
         for t in [1usize, 2, 4, 7] {
-            let par = sampled_gram_parallel(&csc, &sel, t);
-            prop_assert_eq!(par.as_slice(), serial.as_slice(), "threads = {}", t);
+            sampled_gram_into(&csc, &sel, t, &mut GramWorkspace::new(), &mut fresh);
+            prop_assert_eq!(fresh.as_slice(), serial.as_slice(), "threads = {}", t);
             // Workspace reuse across calls must not change a single bit.
-            sampled_gram_into(&csc, &sel, t, &mut ws, &mut out);
-            prop_assert_eq!(out.as_slice(), serial.as_slice(), "into, threads = {}", t);
+            sampled_gram_into(&csc, &sel, t, &mut ws, &mut held);
+            prop_assert_eq!(held.as_slice(), serial.as_slice(), "held, threads = {}", t);
         }
     }
 

@@ -4,9 +4,11 @@
 //! * **Solves.** `run` on a row of the engine walk makes the same number
 //!   of allocations at H and at 2H blocks: set-up and results allocate, a
 //!   block does not. The Lasso rows run on seq, sim, net and from shards;
-//!   the SVM and K-DCD rows on seq.
+//!   the SVM and K-DCD rows on seq, sim and net. The `seq::sa_accbcd`
+//!   and `seq::sa_svm` shims hold the same.
 //! * **Kernels.** Warm row-intersection `sampled_gram_into` calls make
-//!   the same number of allocations at H and at 2H calls.
+//!   the same number of allocations at H and at 2H calls; a warm pooled
+//!   call allocates the same whatever its tile count.
 //! * **Serve.** With one server and one client in this process, a warm
 //!   score request allocates the same on each side whether the window
 //!   holds N or 2N requests: the reply's score vector and nothing else
@@ -27,8 +29,10 @@ use saco::serve::{
 };
 use saco::{KdcdConfig, KdcdTask, LassoConfig, SvmConfig, SvmLoss};
 use saco_telemetry::Registry;
+use sparsela::gram::sampled_gram_into;
 use sparsela::io::Dataset;
 use sparsela::KernelFn;
+use sparsela::{DenseMatrix, GramWorkspace};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -75,6 +79,12 @@ fn thread_allocs() -> u64 {
 
 /// The process-wide count is read by one test at a time.
 static SERIAL: Mutex<()> = Mutex::new(());
+
+/// A two-rank mesh.
+const NET2: Engine = Engine::Net {
+    p: 2,
+    balanced: false,
+};
 
 fn lasso_ds() -> Dataset {
     let a = uniform_sparse(120, 60, 0.15, 11);
@@ -155,8 +165,6 @@ fn assert_flat_per_block<R: Regularizer>(reg: &R, engine: Engine, source: Source
 /// intersection.
 #[test]
 fn a_row_intersection_gram_allocates_nothing_per_call() {
-    use sparsela::gram::sampled_gram_into;
-    use sparsela::{DenseMatrix, GramWorkspace};
     let csc = uniform_sparse(4_000, 1_000, 0.002, 17).to_csc();
     let mut rng = xrng::rng_from_seed(18);
     let sels: Vec<Vec<usize>> = (0..192)
@@ -176,6 +184,40 @@ fn a_row_intersection_gram_allocates_nothing_per_call() {
         }
         thread_allocs() - before
     });
+}
+
+/// A warm pooled call allocates what starting its second worker does and
+/// nothing per tile: 8, 16 and 32 lane blocks (k = 64, 128 and 256 dense
+/// columns of 2 000 rows, full-slice schedule) on a pool of two make the
+/// same number of allocations in four calls. Counted process-wide, as
+/// the worker allocates on its own thread, and taken again before a
+/// difference counts. On a 1-CPU host the pool serializes and every call
+/// runs in place, so there this test cannot bite.
+#[test]
+fn a_pooled_gram_allocates_the_same_whatever_its_tile_count() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let csc = dense_gaussian(2_000, 256, 19).to_csc();
+    let (mut ws, mut g) = (GramWorkspace::new(), DenseMatrix::zeros(0, 0));
+    let mut per_call = |k: usize| {
+        let sel: Vec<usize> = (0..k).collect();
+        for _ in 0..3 {
+            sampled_gram_into(&csc, &sel, 2, &mut ws, &mut g);
+        }
+        let before = ALL_ALLOCS.load(Ordering::SeqCst);
+        for _ in 0..4 {
+            sampled_gram_into(&csc, &sel, 2, &mut ws, &mut g);
+        }
+        ALL_ALLOCS.load(Ordering::SeqCst) - before
+    };
+    let mut tries = Vec::new();
+    for _ in 0..3 {
+        let counts = [64, 128, 256].map(&mut per_call);
+        tries.push(counts);
+        if counts.iter().all(|&c| c == counts[0]) {
+            return;
+        }
+    }
+    panic!("allocations in four calls at k = 64, 128, 256 differ: {tries:?}");
 }
 
 /// The walk's data for the dual rows: 48 full rows of 16 features.
@@ -207,42 +249,52 @@ fn a_sim_run_allocates_nothing_per_block() {
 }
 
 /// The walk's `svm-l1` row (s = 8, traced every 24 iterations).
+fn svm_cfg(blocks: usize) -> SvmConfig {
+    let s = 8;
+    SvmConfig {
+        loss: SvmLoss::L1,
+        lambda: 1.0,
+        s,
+        seed: 71,
+        max_iters: blocks * s,
+        trace_every: 24,
+        gap_tol: None,
+    }
+}
+
+fn assert_svm_flat(engine: Engine, all: bool) {
+    let ds = dual_ds();
+    assert_flat("svm-l1", all, |blocks| {
+        let cfg = svm_cfg(blocks);
+        let source = Source::InMemory(&ds);
+        run_allocs(Method::svm(&cfg), engine, source, blocks * 8, all).0
+    });
+}
+
 #[test]
 fn an_svm_seq_run_allocates_nothing_per_block() {
-    let ds = dual_ds();
-    assert_flat("svm-l1", false, |blocks| {
-        let s = 8;
-        let cfg = SvmConfig {
-            loss: SvmLoss::L1,
-            lambda: 1.0,
-            s,
-            seed: 71,
-            max_iters: blocks * s,
-            trace_every: 24,
-            gap_tol: None,
-        };
-        let method = Method::svm(&cfg);
-        run_allocs(
-            method,
-            Engine::Seq,
-            Source::InMemory(&ds),
-            blocks * s,
-            false,
-        )
-        .0
-    });
+    assert_svm_flat(Engine::Seq, false);
+}
+
+#[test]
+fn an_svm_sim_run_allocates_nothing_per_block() {
+    assert_svm_flat(Engine::sim(4, CostModel::cray_xc30(), false), false);
+}
+
+#[test]
+fn an_svm_net_run_allocates_nothing_per_block() {
+    assert_svm_flat(NET2, true);
 }
 
 /// The walk's `rbf/ksvm` row (s = 8, traced every 32 iterations) under a
 /// cache budget of half its 48 rows, so blocks keep missing and evicting
 /// long after the cache first fills (within the first 48 blocks): a
 /// missed row is transformed into an evicted row's buffer.
-#[test]
-fn a_kernel_svm_seq_run_allocates_nothing_per_missed_row() {
+fn assert_ksvm_flat(engine: Engine, all: bool) {
     let ds = dual_ds();
     let m = ds.num_points();
     let mut evictions = Vec::new();
-    assert_flat("rbf/ksvm", false, |blocks| {
+    assert_flat("rbf/ksvm", all, |blocks| {
         let s = 8;
         let cfg = KdcdConfig {
             task: KdcdTask::Svm(SvmLoss::L1),
@@ -255,13 +307,7 @@ fn a_kernel_svm_seq_run_allocates_nothing_per_missed_row() {
             cache_budget_bytes: 8 * m * m / 2,
         };
         let method = Method::kdcd(&cfg);
-        let (n, out) = run_allocs(
-            method,
-            Engine::Seq,
-            Source::InMemory(&ds),
-            blocks * s,
-            false,
-        );
+        let (n, out) = run_allocs(method, engine, Source::InMemory(&ds), blocks * s, all);
         evictions.push(out.kdcd[0].cache.evictions);
         n
     });
@@ -272,15 +318,63 @@ fn a_kernel_svm_seq_run_allocates_nothing_per_missed_row() {
     );
 }
 
+#[test]
+fn a_kernel_svm_seq_run_allocates_nothing_per_missed_row() {
+    assert_ksvm_flat(Engine::Seq, false);
+}
+
+#[test]
+fn a_kernel_svm_sim_run_allocates_nothing_per_missed_row() {
+    assert_ksvm_flat(Engine::sim(4, CostModel::cray_xc30(), false), false);
+}
+
+#[test]
+fn a_kernel_svm_net_run_allocates_nothing_per_missed_row() {
+    assert_ksvm_flat(NET2, true);
+}
+
+/// The `seq::sa_accbcd` shim: the `accbcd` row through its own entry
+/// point, which converts the data once per solve.
+#[test]
+fn the_sa_accbcd_shim_allocates_nothing_per_block() {
+    let ds = lasso_ds();
+    assert_flat("seq::sa_accbcd", false, |blocks| {
+        let s = 8;
+        let cfg = LassoConfig {
+            mu: 4,
+            s,
+            lambda: 0.05,
+            seed: 93,
+            max_iters: blocks * s,
+            trace_every: 24,
+            rel_tol: None,
+            ..Default::default()
+        };
+        let before = thread_allocs();
+        let out = saco::seq::sa_accbcd(&ds, &Lasso::new(0.05), &cfg);
+        assert_eq!(out.iters, blocks * s);
+        thread_allocs() - before
+    });
+}
+
+/// The `seq::sa_svm` shim on the `svm-l1` row.
+#[test]
+fn the_sa_svm_shim_allocates_nothing_per_block() {
+    let ds = dual_ds();
+    assert_flat("seq::sa_svm", false, |blocks| {
+        let cfg = svm_cfg(blocks);
+        let before = thread_allocs();
+        let out = saco::seq::sa_svm(&ds, &cfg);
+        assert_eq!(out.iters, blocks * 8);
+        thread_allocs() - before
+    });
+}
+
 /// Every rank of a two-rank mesh, and its wires, counted together.
 #[test]
 fn a_net_run_allocates_nothing_per_block() {
     let ds = lasso_ds();
-    let net = Engine::Net {
-        p: 2,
-        balanced: false,
-    };
-    assert_flat_per_block(&Lasso::new(0.05), net, Source::InMemory(&ds), true);
+    assert_flat_per_block(&Lasso::new(0.05), NET2, Source::InMemory(&ds), true);
 }
 
 /// Streamed from shards under a budget that holds the whole store, the
