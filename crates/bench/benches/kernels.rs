@@ -5,7 +5,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use datagen::{dense_gaussian, powerlaw_sparse, uniform_sparse, PaperDataset};
-use sparsela::gram::{gram_flops, sampled_cross, sampled_gram, sampled_gram_into};
+use sparsela::gram::{
+    gram_flops, sampled_cross, sampled_cross_into, sampled_gram, sampled_gram_into,
+};
 use sparsela::{simd, vecops, DenseMatrix, GramWorkspace};
 use std::hint::black_box;
 use xrng::{rng_from_seed, sample_without_replacement};
@@ -56,6 +58,22 @@ fn bench_sampled_gram_full(c: &mut Criterion) {
         });
     }
     group.finish();
+    // The same block's cross product against one dense vector (the SVM
+    // family's `Yᵀx`): k chains of n multiply-adds each, beside the Gram
+    // of the same slices above.
+    let x: Vec<f64> = (0..1_500).map(|i| (i as f64 * 0.37).sin()).collect();
+    let mut group = c.benchmark_group("sampled_cross_full");
+    for k in [1usize, 16] {
+        let sel: Vec<usize> = (0..k).collect();
+        group.throughput(Throughput::Elements((2 * k * 1_500) as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(k), &sel, |b, sel| {
+            b.iter(|| {
+                sampled_cross_into(&a, sel, &[&x], &mut out);
+                black_box(out.get(0, 0))
+            });
+        });
+    }
+    group.finish();
 }
 
 fn bench_sampled_gram_news20(c: &mut Criterion) {
@@ -98,13 +116,16 @@ fn bench_sampled_gram_news20(c: &mut Criterion) {
 }
 
 fn bench_parallel_gram(c: &mut Criterion) {
-    // Shared-memory within-rank parallelism: same bitwise result. Whether
-    // threads help is a memory-bandwidth question — the scatter-dot kernel
-    // streams the selected columns' nonzeros, so on a bandwidth-saturated
-    // host extra threads buy little (measure, don't assume).
-    let a = uniform_sparse(40_000, 6_000, 0.01, 11).to_csc();
-    let mut rng = rng_from_seed(12);
-    let sel = sample_without_replacement(&mut rng, 6_000, 256);
+    // Shared-memory within-rank parallelism: same bitwise result at every
+    // width. Dense slices take the full-slice lane blocks, which the pool
+    // runs as its tiles (⌈256/8⌉ = 32 of them, each writing its rows of
+    // `G` in place); whether more threads help is then a question of the
+    // host's cores and memory bandwidth (measure, don't assume). A sparse
+    // shape would not do: row intersection, the schedule uniform 1 %
+    // columns take, has no tiles, so every width timed the same serial
+    // code.
+    let a = dense_gaussian(256, 2_000, 11);
+    let sel: Vec<usize> = (0..256).collect();
     let mut group = c.benchmark_group("sampled_gram_256");
     group.sample_size(10);
     let (mut ws, mut out) = (GramWorkspace::new(), DenseMatrix::zeros(0, 0));

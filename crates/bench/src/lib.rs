@@ -19,12 +19,14 @@
 //! | `table5_svm_speedup` | Table V (SA-SVM time-to-tolerance speedups) |
 //! | `words_guard` | CI check: fig4 `sa_best.words` vs committed baseline |
 //! | `ledger_check` | CI check: two `ledger/` trace files agree on every exact count |
+//! | `ledger_pair` | alternating parent/change benchmark pairs → `ledger/PR-<n>-pairs.json` |
 //! | `run_all` | everything above, in order |
 
 #![warn(missing_docs)]
 
 pub mod baseline;
 pub mod ledger;
+pub mod pairs;
 pub mod plot;
 
 use mpisim::{ChaosSpec, CostModel};

@@ -13,13 +13,14 @@
 //! wrong:
 //!
 //! * **block lookahead** — a streaming source without an overlap window
-//!   gets up to [`LOOKAHEAD`](crate::workspace::LOOKAHEAD) later blocks'
-//!   selections drawn at block entry, right after `prepare` (same global
-//!   RNG order), and offered to its prefetcher in block order before the
-//!   Gram runs; a selection the source's budget cannot hold yet stays
-//!   drawn and is offered again at the next block entry, and a solve that
-//!   breaks off early withdraws the prefetches it will not claim
-//!   (`cancel_prefetches`);
+//!   gets up to [`FORESIGHT`](crate::workspace::FORESIGHT) later
+//!   blocks' selections drawn at block entry, right after `prepare` (same
+//!   global RNG order), each announced once as it is drawn (`foresee`, so
+//!   the cache evicts by next use), and the oldest up to [`LOOKAHEAD`]
+//!   offered to its prefetcher in block order before the Gram runs; a selection the source's budget cannot
+//!   hold yet stays drawn and is offered again at the next block entry,
+//!   and a solve that breaks off early withdraws what it announced and
+//!   prefetched (`cancel_prefetches`);
 //! * **the overlap double buffer** — next-block sampling + tile
 //!   formation run inside the in-flight allreduce, swapped in at the next
 //!   block entry;
@@ -41,7 +42,7 @@
 //! so `sample` may depend on nothing but the RNG and the family's shape.
 
 use super::{ExecBackend, Stage};
-use crate::workspace::KernelWorkspace;
+use crate::workspace::{KernelWorkspace, LOOKAHEAD};
 use sparsela::gram::sampled_gram_into;
 use sparsela::{sympack, SliceSource};
 use std::ops::ControlFlow;
@@ -207,14 +208,15 @@ pub(crate) trait FamilySpec<'r, B: ExecBackend<'r>, M: SliceSource + Sync> {
     }
 }
 
-/// Keep the lookahead ring full: offer the drawn-ahead selections the
-/// source refused at an earlier block entry to its `prefetch` again,
-/// oldest first, then draw new ones while the ring has room and the
-/// schedule has blocks, offering each. The first refusal ends the call, so
-/// the source pins for blocks strictly in order. Only `sample` consumes
-/// the RNG and the draws never pass `max_iters`, so they land in the
-/// in-memory solver's global order and a solve leaves the RNG where the
-/// in-memory one does.
+/// Keep the lookahead ring full: draw new selections while the ring has
+/// room and the schedule has blocks, announcing each to the source
+/// (`foresee`) as it is drawn, then offer the oldest ones not yet
+/// prefetched to its `prefetch`, in block order, until [`LOOKAHEAD`] are
+/// pinned and unclaimed. The first refusal ends the call, so the source
+/// pins for blocks strictly in order; a refused selection is offered
+/// again at the next block entry. Only `sample` consumes the RNG and the
+/// draws never pass `max_iters`, so they land in the in-memory solver's
+/// global order and a solve leaves the RNG where the in-memory one does.
 fn draw_ahead<'r, B, M, S>(
     a: &M,
     sched: Schedule,
@@ -227,21 +229,17 @@ fn draw_ahead<'r, B, M, S>(
     S: FamilySpec<'r, B, M>,
 {
     let ring = &mut ws.ahead;
-    while ring.prefetched < ring.len {
-        if !a.prefetch(ring.get(ring.prefetched)) {
-            return;
-        }
-        ring.prefetched += 1;
-    }
     while ring.drawn < sched.max_iters {
         let s_block = sched.s.min(sched.max_iters - ring.drawn);
         let Some(sel) = ring.push() else {
-            return;
+            break;
         };
         spec.sample(rng, s_block, sel);
-        let taken = a.prefetch(sel);
+        a.foresee(sel);
         ring.drawn += s_block;
-        if !taken {
+    }
+    while ring.prefetched < ring.len.min(LOOKAHEAD) {
+        if !a.prefetch(ring.get(ring.prefetched)) {
             return;
         }
         ring.prefetched += 1;
@@ -361,10 +359,10 @@ where
         // fault injection).
         backend.checkpoint();
     }
-    // A solve that broke off early leaves prefetched blocks it will never
-    // prepare: withdraw them, so the source's next solve pins from its own
-    // epoch and budget.
-    if ws.ahead.prefetched > 0 {
+    // A solve that broke off early leaves drawn blocks it will never
+    // prepare, announced and maybe prefetched: withdraw them, so the
+    // source's next solve pins and announces from its own epoch.
+    if ws.ahead.len > 0 {
         a.cancel_prefetches();
     }
     h
@@ -376,7 +374,7 @@ mod tests {
     use crate::config::LassoConfig;
     use crate::exec::{lasso_family, SeqBackend};
     use crate::prox::Lasso;
-    use crate::workspace::LOOKAHEAD;
+    use crate::workspace::FORESIGHT;
     use sparsela::{CscMatrix, MajorSlices, SparseSlice};
     use std::sync::Mutex;
 
@@ -384,6 +382,7 @@ mod tests {
     enum Event {
         Prepare(Vec<usize>),
         Prefetch(Vec<usize>),
+        Foresee(Vec<usize>),
         /// The first `slice` after a residency call (later ones collapse).
         Slice,
         Cancel,
@@ -408,7 +407,7 @@ mod tests {
                 Event::Prefetch(_) => n + 1,
                 Event::Prepare(_) => n.saturating_sub(1),
                 Event::Cancel => 0,
-                Event::Slice => n,
+                Event::Slice | Event::Foresee(_) => n,
             })
         }
     }
@@ -444,6 +443,12 @@ mod tests {
             }
             taken
         }
+        fn foresee(&self, sel: &[usize]) {
+            self.events
+                .lock()
+                .unwrap()
+                .push(Event::Foresee(sel.to_vec()));
+        }
         fn cancel_prefetches(&self) {
             self.events.lock().unwrap().push(Event::Cancel);
         }
@@ -457,13 +462,14 @@ mod tests {
         let a = datagen::powerlaw_sparse(160, 90, 0.08, 0.8, 3);
         let ds = datagen::planted_regression(a, 6, 0.05, 3).dataset;
         let csc = ds.a.to_csc();
-        // 100 = 12 full blocks of s = 8 and a last one of 4.
+        // 300 = 37 full blocks of s = 8 and a last one of 4: more blocks
+        // than the foresight window holds.
         let cfg = LassoConfig {
             mu: 3,
             s: 8,
             lambda: 0.05,
             seed: 13,
-            max_iters: 100,
+            max_iters: 300,
             ..Default::default()
         };
         let run = |lookahead: bool, room: usize| {
@@ -488,29 +494,44 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(blocks.len(), 13);
-        assert!(!resident.iter().any(|e| matches!(e, Event::Prefetch(_))));
+        let n = blocks.len();
+        assert_eq!(n, 38);
+        assert!(FORESIGHT + 1 < n);
+        assert!(!resident
+            .iter()
+            .any(|e| matches!(e, Event::Prefetch(_) | Event::Foresee(_))));
 
-        // Streamed, every block is: prepare(t), then a prefetch of each
-        // block up to t + depth not yet prefetched, in block order — all
-        // before the first kernel — then the first slice. A source with
-        // room for the whole ring takes the first block's four followers
-        // at once and one block per entry after that; with room for one,
-        // it is the previous one-block lookahead.
-        for depth in [LOOKAHEAD, 2, 1] {
-            let (streamed, f_streamed) = run(true, depth);
-            assert_eq!(f_streamed.to_bits(), f_resident.to_bits(), "depth {depth}");
+        // Streamed, every block t is: prepare(t); a foresee of each block
+        // up to t + FORESIGHT not yet announced, in block order; a
+        // prefetch of each block up to t + depth not yet prefetched, in
+        // block order — all before the first kernel — then the first
+        // slice. The depth is the source's room, capped at LOOKAHEAD: a
+        // source with room for four takes the first block's four
+        // followers at once and one block per entry after that; with room
+        // for one, it is a one-block lookahead.
+        for (room, depth) in [
+            (LOOKAHEAD + 2, LOOKAHEAD),
+            (LOOKAHEAD, LOOKAHEAD),
+            (2, 2),
+            (1, 1),
+        ] {
+            let (streamed, f_streamed) = run(true, room);
+            assert_eq!(f_streamed.to_bits(), f_resident.to_bits(), "room {room}");
             let mut expect = Vec::new();
-            let mut fetched = 1;
+            let (mut announced, mut fetched) = (0, 0);
             for (t, sel) in blocks.iter().enumerate() {
                 expect.push(Event::Prepare((*sel).clone()));
-                while fetched <= (t + depth).min(blocks.len() - 1) {
-                    expect.push(Event::Prefetch(blocks[fetched].clone()));
+                while announced < (t + FORESIGHT).min(n - 1) {
+                    announced += 1;
+                    expect.push(Event::Foresee(blocks[announced].clone()));
+                }
+                while fetched < (t + depth).min(n - 1) {
                     fetched += 1;
+                    expect.push(Event::Prefetch(blocks[fetched].clone()));
                 }
                 expect.push(Event::Slice);
             }
-            assert_eq!(streamed, expect, "depth {depth}");
+            assert_eq!(streamed, expect, "room {room}");
         }
     }
 

@@ -270,6 +270,327 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A residency call a solve made.
+    #[derive(Clone, Debug)]
+    enum Call {
+        Prepare(Vec<usize>),
+        /// The selection and whether the view took it.
+        Prefetch(Vec<usize>, bool),
+        Foresee(Vec<usize>),
+        Cancel,
+    }
+
+    /// A streaming view that logs every residency call it forwards.
+    struct Logged<'a> {
+        a: &'a StreamingMatrix,
+        calls: std::sync::Mutex<Vec<Call>>,
+    }
+
+    impl Logged<'_> {
+        fn log(&self, call: Call) {
+            self.calls.lock().unwrap().push(call);
+        }
+    }
+
+    impl sparsela::MajorSlices for Logged<'_> {
+        fn major_len(&self) -> usize {
+            self.a.major_len()
+        }
+        fn minor_len(&self) -> usize {
+            self.a.minor_len()
+        }
+        fn slice(&self, k: usize) -> sparsela::SparseSlice<'_> {
+            self.a.slice(k)
+        }
+    }
+
+    impl sparsela::SliceSource for Logged<'_> {
+        fn prepare(&self, sel: &[usize]) {
+            self.log(Call::Prepare(sel.to_vec()));
+            self.a.prepare(sel);
+        }
+        fn prefetch(&self, sel: &[usize]) -> bool {
+            let taken = self.a.prefetch(sel);
+            self.log(Call::Prefetch(sel.to_vec(), taken));
+            taken
+        }
+        fn foresee(&self, sel: &[usize]) {
+            self.log(Call::Foresee(sel.to_vec()));
+            self.a.foresee(sel);
+        }
+        fn cancel_prefetches(&self) {
+            self.log(Call::Cancel);
+            self.a.cancel_prefetches();
+        }
+        fn lookahead(&self) -> bool {
+            self.a.lookahead()
+        }
+    }
+
+    /// The shard cache's policy replayed offline from a solve's residency
+    /// calls, by plain scans: manifest sizes against the budget; pins for
+    /// the two live epochs and for prefetches (which are refused unless
+    /// the pinned set still fits); eviction of the unpinned shard with no
+    /// announced use, least recently queued first, else of the one whose
+    /// next announced use is furthest, least recently queued first. Loads
+    /// finish at once; only the counts matter.
+    struct Model {
+        size: Vec<u64>,
+        budget: u64,
+        resident: Vec<bool>,
+        pin: Vec<u64>,
+        live: Vec<u64>,
+        /// When the shard last joined an eviction queue.
+        stamp: Vec<u64>,
+        uses: Vec<std::collections::VecDeque<u64>>,
+        pinned: Vec<usize>,
+        pinned_bytes: u64,
+        total: u64,
+        epoch: u64,
+        ahead: u64,
+        foreseen: u64,
+        clock: u64,
+        reads: u64,
+        evictions: u64,
+    }
+
+    impl Model {
+        fn new(store: &ShardStore, budget: u64) -> Model {
+            let size: Vec<u64> = store
+                .manifest()
+                .shards
+                .iter()
+                .map(|m| m.heap_bytes())
+                .collect();
+            let n = size.len();
+            Model {
+                size,
+                budget,
+                resident: vec![false; n],
+                pin: vec![0; n],
+                live: vec![0; n],
+                stamp: vec![0; n],
+                uses: vec![Default::default(); n],
+                pinned: Vec::new(),
+                pinned_bytes: 0,
+                total: 0,
+                epoch: 0,
+                ahead: 0,
+                foreseen: 0,
+                clock: 0,
+                reads: 0,
+                evictions: 0,
+            }
+        }
+
+        fn shards(store: &ShardStore, sel: &[usize]) -> Vec<usize> {
+            let mut sids: Vec<usize> = sel.iter().map(|&k| store.shard_of(k)).collect();
+            sids.sort_unstable();
+            sids.dedup();
+            sids
+        }
+
+        fn spend(&mut self, sid: usize) {
+            while self.uses[sid].front().is_some_and(|&e| e <= self.epoch) {
+                self.uses[sid].pop_front();
+            }
+        }
+
+        fn queue(&mut self, sid: usize) {
+            self.spend(sid);
+            self.stamp[sid] = self.clock;
+            self.clock += 1;
+        }
+
+        fn pin(&mut self, sid: usize, epoch: u64, ahead: bool) {
+            let newly = self.pin[sid] == 0;
+            self.pin[sid] = self.pin[sid].max(epoch);
+            if !ahead {
+                self.live[sid] = epoch;
+                self.spend(sid);
+            }
+            if !self.resident[sid] {
+                (self.resident[sid], self.reads) = (true, self.reads + 1);
+                self.total += self.size[sid];
+            }
+            if newly {
+                self.pinned.push(sid);
+                self.pinned_bytes += self.size[sid];
+            }
+        }
+
+        fn evict(&mut self) {
+            while self.total > self.budget {
+                let key = |sid: usize| match self.uses[sid].front() {
+                    None => (1, u64::MAX, std::cmp::Reverse(self.stamp[sid])),
+                    Some(&e) => (0, e, std::cmp::Reverse(self.stamp[sid])),
+                };
+                let queued = (0..self.size.len()).filter(|&s| self.resident[s] && self.pin[s] == 0);
+                let Some(sid) = queued.max_by_key(|&s| key(s)) else {
+                    break;
+                };
+                (self.resident[sid], self.evictions) = (false, self.evictions + 1);
+                self.total -= self.size[sid];
+            }
+        }
+
+        fn release(&mut self, keep: impl Fn(&mut Model, usize) -> bool) {
+            for sid in std::mem::take(&mut self.pinned) {
+                if keep(self, sid) {
+                    self.pinned.push(sid);
+                } else {
+                    self.pin[sid] = 0;
+                    self.pinned_bytes -= self.size[sid];
+                    self.queue(sid);
+                }
+            }
+        }
+
+        fn apply(&mut self, store: &ShardStore, call: &Call) {
+            match call {
+                Call::Prepare(sel) => {
+                    self.epoch += 1;
+                    let floor = self.epoch - 1;
+                    self.release(|m, sid| m.pin[sid] >= floor);
+                    for sid in Self::shards(store, sel) {
+                        self.pin(sid, self.epoch, false);
+                    }
+                    self.evict();
+                }
+                Call::Prefetch(sel, taken) => {
+                    let sids = Self::shards(store, sel);
+                    let adds: u64 = sids
+                        .iter()
+                        .filter(|&&s| self.pin[s] == 0)
+                        .map(|&s| self.size[s])
+                        .sum();
+                    assert_eq!(
+                        self.pinned_bytes + adds <= self.budget,
+                        *taken,
+                        "prefetch verdict"
+                    );
+                    if *taken {
+                        self.ahead = self.epoch.max(self.ahead) + 1;
+                        for sid in sids {
+                            self.pin(sid, self.ahead, true);
+                        }
+                        self.evict();
+                    }
+                }
+                Call::Foresee(sel) => {
+                    self.foreseen = self.epoch.max(self.foreseen) + 1;
+                    for sid in Self::shards(store, sel) {
+                        if self.uses[sid].is_empty() && self.resident[sid] && self.pin[sid] == 0 {
+                            self.queue(sid);
+                        }
+                        self.uses[sid].push_back(self.foreseen);
+                    }
+                }
+                Call::Cancel => {
+                    // Queued shards with announced uses move to the no-use
+                    // queue, the furthest-used first.
+                    let mut moved: Vec<usize> = (0..self.size.len())
+                        .filter(|&s| {
+                            self.resident[s] && self.pin[s] == 0 && !self.uses[s].is_empty()
+                        })
+                        .collect();
+                    moved.sort_by_key(|&s| (std::cmp::Reverse(self.uses[s][0]), self.stamp[s]));
+                    self.uses.iter_mut().for_each(|u| u.clear());
+                    for sid in moved {
+                        self.queue(sid);
+                    }
+                    self.foreseen = self.epoch;
+                    if self.ahead > self.epoch {
+                        self.ahead = self.epoch;
+                        let cur = self.epoch;
+                        self.release(|m, sid| {
+                            if m.pin[sid] <= cur {
+                                return true;
+                            }
+                            let live = m.live[sid];
+                            if live != 0 && live + 1 >= cur {
+                                m.pin[sid] = live;
+                                return true;
+                            }
+                            false
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    /// The model of the eviction policy is the cache: replaying a streamed
+    /// seq solve's residency calls through [`Model`] gives exactly the
+    /// view's reads and evictions — across a solve broken off early (its
+    /// announcements and prefetches withdrawn) and a full one on the same
+    /// view — and the same calls with the announcements dropped read more.
+    #[test]
+    fn an_offline_replay_of_the_eviction_policy_counts_the_reads_exactly() {
+        let ds = lasso_problem(6);
+        let dir = tmp_dir("replay");
+        shard_lasso(&ds, &dir, 90);
+        let cfg = LassoConfig {
+            s: 4,
+            max_iters: 480,
+            ..lasso_cfg(4)
+        };
+        let stopped = LassoConfig {
+            seed: cfg.seed + 1,
+            rel_tol: Some(f64::MAX),
+            trace_every: 8,
+            ..cfg.clone()
+        };
+        let reg = Lasso::new(cfg.lambda);
+        let store = ShardStore::open(&dir).expect("open");
+        let budget = store
+            .manifest()
+            .shards
+            .iter()
+            .map(|m| m.heap_bytes())
+            .sum::<u64>()
+            * 2
+            / 5;
+        let view = StreamingMatrix::from_store(store.clone(), budget, (0, ds.a.rows()));
+        let logged = Logged {
+            a: &view,
+            calls: Default::default(),
+        };
+        let first = lasso_family(&logged, &ds.b, &reg, &stopped, true, &mut SeqBackend::new());
+        assert!(first.iters < stopped.max_iters);
+        let res = lasso_family(&logged, &ds.b, &reg, &cfg, true, &mut SeqBackend::new());
+        assert_eq!(res.x, seq::sa_accbcd(&ds, &reg, &cfg).x);
+        let calls = logged.calls.into_inner().unwrap();
+        assert!(calls.iter().any(|c| matches!(c, Call::Cancel)));
+        assert!(
+            calls
+                .iter()
+                .filter(|c| matches!(c, Call::Foresee(_)))
+                .count()
+                > 100
+        );
+
+        let mut model = Model::new(&store, budget);
+        for call in &calls {
+            model.apply(&store, call);
+        }
+        let s = view.io_stats();
+        assert!(s.evictions > 0, "the budget must evict");
+        assert_eq!((model.reads, model.evictions), (s.shard_reads, s.evictions));
+
+        let mut lru = Model::new(&store, budget);
+        for call in calls.iter().filter(|c| !matches!(c, Call::Foresee(_))) {
+            lru.apply(&store, call);
+        }
+        assert!(
+            model.reads < lru.reads,
+            "{} reads by next use, {} by LRU",
+            model.reads,
+            lru.reads
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// A solve broken off by `rel_tol` withdraws the blocks it prefetched
     /// ahead, so a second solve on the same view pins from its own epochs:
     /// under a budget that evicts, it runs to the fresh view's bits, and

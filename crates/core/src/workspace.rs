@@ -63,21 +63,34 @@ pub struct KernelWorkspace {
 }
 
 /// The most selections a streamed solve without an overlap window draws
-/// ahead of the block it computes. One block of loads takes about as long
-/// as one block of compute, so a single block ahead turns any jitter into
-/// a stall; four absorb it. The resident budget usually sets the depth
-/// first: a selection whose shards do not fit beside the pinned set waits
-/// here, not prefetched, until they do or its block comes.
+/// ahead of the block it computes. Each is announced to the source once,
+/// when drawn (`SliceSource::foresee`), so a bounded shard cache evicts
+/// the shard whose next use is furthest away rather than the least
+/// recently used one. An offline model of `lasso_stream` (4 096 shards, a
+/// budget of a quarter of the disk bytes, s·µ = 256) puts the reads of a
+/// 16-block window at 24 592, of a 32-block one at 22 745 — what knowing
+/// the whole future gives — against LRU's 42 541 (docs/PERFORMANCE.md,
+/// "Out-of-core streaming"). The window costs 32 held selections.
+pub(crate) const FORESIGHT: usize = 32;
+
+/// The most drawn-ahead selections pinned by a prefetch and not yet
+/// claimed: the oldest of the [`FORESIGHT`] ring are offered to
+/// `SliceSource::prefetch`, in block order, up to this many. One block of
+/// loads takes about as long as one block of compute, so a single block
+/// ahead turns any jitter into a stall; four absorb it. The resident
+/// budget usually sets the depth first: a selection whose shards do not
+/// fit beside the pinned set waits in the ring, not prefetched, until
+/// they do or its block comes.
 pub(crate) const LOOKAHEAD: usize = 4;
 
-/// A ring of up to [`LOOKAHEAD`] drawn-ahead selections in held buffers,
+/// A ring of up to [`FORESIGHT`] drawn-ahead selections in held buffers,
 /// oldest first.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Lookahead {
-    sels: [Vec<usize>; LOOKAHEAD],
+    sels: [Vec<usize>; FORESIGHT],
     /// Slot of the oldest selection.
     head: usize,
-    /// Selections drawn and not yet taken.
+    /// Selections drawn (and announced) and not yet taken.
     pub(crate) len: usize,
     /// How many of them, oldest first, the source took for prefetch.
     pub(crate) prefetched: usize,
@@ -99,7 +112,7 @@ impl Lookahead {
             return false;
         }
         std::mem::swap(sel, &mut self.sels[self.head]);
-        self.head = (self.head + 1) % LOOKAHEAD;
+        self.head = (self.head + 1) % FORESIGHT;
         self.len -= 1;
         self.prefetched = self.prefetched.saturating_sub(1);
         true
@@ -108,16 +121,16 @@ impl Lookahead {
     /// The `i`-th drawn selection, oldest first.
     pub(crate) fn get(&self, i: usize) -> &[usize] {
         debug_assert!(i < self.len);
-        &self.sels[(self.head + i) % LOOKAHEAD]
+        &self.sels[(self.head + i) % FORESIGHT]
     }
 
     /// A cleared buffer behind the newest selection, counted as drawn;
     /// `None` when the ring is full.
     pub(crate) fn push(&mut self) -> Option<&mut Vec<usize>> {
-        if self.len == LOOKAHEAD {
+        if self.len == FORESIGHT {
             return None;
         }
-        let sel = &mut self.sels[(self.head + self.len) % LOOKAHEAD];
+        let sel = &mut self.sels[(self.head + self.len) % FORESIGHT];
         self.len += 1;
         sel.clear();
         Some(sel)

@@ -140,9 +140,10 @@ impl MajorSlices for CscMatrix {
 
 /// [`MajorSlices`] plus the residency protocol an *out-of-core* matrix
 /// needs: solvers announce each block's selection before touching its
-/// slices (`prepare`), may announce the *next* block's selection early
-/// (`prefetch`, served in the background), and can ask whether early
-/// announcement is worth anything (`lookahead`).
+/// slices (`prepare`), may announce later blocks' selections early
+/// (`foresee`, which only informs eviction, and `prefetch`, served in the
+/// background), and can ask whether early announcement is worth anything
+/// (`lookahead`).
 ///
 /// For resident matrices every hook is a no-op and `lookahead` is `false`,
 /// so the generic solver loops compile down to exactly the pre-streaming
@@ -174,10 +175,19 @@ pub trait SliceSource: MajorSlices {
         true
     }
 
-    /// Withdraw every prefetch no `prepare` has claimed: the caller will
-    /// not prepare those selections (a solve that broke off early). The
-    /// next `prefetch` pins for the epoch after the current one again.
-    /// The caller holds no slice borrowed from the withdrawn selections.
+    /// Announce the selection of the epoch after the last one announced
+    /// (or the current one), loading and pinning nothing: announcements
+    /// are claimed by `prepare` calls in the order they were made, like
+    /// prefetches, and tell a bounded cache which slices it will need
+    /// soonest. Each selection is announced once, before it is
+    /// prefetched.
+    fn foresee(&self, _sel: &[usize]) {}
+
+    /// Withdraw every prefetch and announcement no `prepare` has claimed:
+    /// the caller will not prepare those selections (a solve that broke
+    /// off early). The next `prefetch` or `foresee` is for the epoch
+    /// after the current one again. The caller holds no slice borrowed
+    /// from the withdrawn selections.
     fn cancel_prefetches(&self) {}
 
     /// Whether the solver should resolve its selections blocks ahead and

@@ -25,7 +25,8 @@
 //!   over a `ShardStore` with an epoch-pinned shard cache under a hard
 //!   resident-byte budget, backed by a loader thread that reads the shards
 //!   of the blocks prefetched ahead — as many as the budget holds — behind
-//!   the current block's compute.
+//!   the current block's compute, and an eviction order that spares the
+//!   shards the announced blocks need soonest.
 //!
 //! # Determinism
 //!
@@ -75,12 +76,32 @@
 //! solver. (Whether a claimed shard was already in, a hit, or still
 //! loading, a wait, is timing.)
 //!
+//! # Eviction by next use
+//!
+//! SA's replicated sampling fixes every future block, so a solver can
+//! announce selections before it needs them: [`SliceSource::foresee`]
+//! records, for each shard backing the selection, a use in the epoch after
+//! the last one announced (claimed by `prepare`s in order, like
+//! prefetches). Each entry keeps its announced epochs as a FIFO in a held
+//! pool of nodes, and the unpinned resident shards wait in two tiers of
+//! queues: one least-recently-released queue for the shards with no
+//! announced use, and one queue per epoch for the shards whose next use is
+//! that epoch. Eviction takes from the first, oldest first, then from the
+//! furthest epoch's — Belady's furthest-next-use rule over the announced
+//! window (L. A. Belady, IBM Systems Journal 5(2), 1966), a shard not seen
+//! in the window counting as furthest of all. Every queue operation is
+//! O(1); finding the furthest non-empty epoch is O(window). With no
+//! announcement every unpinned shard sits in the first queue, which is the
+//! plain LRU order. `cancel_prefetches` drops every announcement.
+//! Announcements, like pins, are calls in block order, so the counts stay
+//! functions of the calls and the budget.
+//!
 //! `slice` reads through a per-shard table of atomically published
 //! pointers and takes no lock on a resident, pinned shard. Three rules,
 //! all enforced under the cache mutex, make that sound: a pointer is
 //! published only for a shard that is loaded *and* pinned; it is cleared
 //! when the pin is released; and eviction takes victims only from the
-//! queue of unpinned shards — so no published pointer ever dangles. A
+//! queues of unpinned shards — so no published pointer ever dangles. A
 //! `slice` that finds no pointer pins the shard for the current epoch
 //! before borrowing from it.
 
@@ -882,22 +903,58 @@ struct Entry {
     /// manifest size from the pin that reserved it, trued up to the loaded
     /// size by the `prepare` that claims it, and 0 while absent.
     charge: u64,
-    /// Neighbours (older, newer) in the eviction queue; meaningful only
+    /// Neighbours (older, newer) in its eviction list; meaningful only
     /// while the shard is queued, i.e. unpinned and `Ready`.
     queue: (u32, u32),
+    /// First and last node of the shard's announced uses in
+    /// [`CacheState::uses`], earliest epoch first (`NIL` = none).
+    uses: (u32, u32),
 }
 
-/// "No shard" in the eviction queue's links.
+/// "No shard" in the eviction lists' links, "no node" in the use lists'.
 const NIL: u32 = u32::MAX;
+
+/// A doubly linked eviction list through `Entry::queue`, in the order its
+/// shards were queued.
+#[derive(Clone, Copy)]
+struct Queue {
+    oldest: u32,
+    newest: u32,
+}
+
+impl Queue {
+    const EMPTY: Queue = Queue {
+        oldest: NIL,
+        newest: NIL,
+    };
+}
+
+/// One announced use of a shard: the epoch a `foresee` expects it in, and
+/// the node of the shard's next later use.
+#[derive(Clone, Copy)]
+struct Use {
+    epoch: u64,
+    next: u32,
+}
 
 struct CacheState {
     /// One entry per shard, indexed by shard id.
     entries: Vec<Entry>,
-    /// The eviction queue: the unpinned `Ready` shards as a doubly linked
-    /// list through `Entry::queue`, in the order their pins were released
-    /// — least recently used first, every operation O(1).
-    oldest: u32,
-    newest: u32,
+    /// Queued shards with no announced use, in the order they were queued
+    /// — least recently used first. Without `foresee` calls every queued
+    /// shard is here, and this is the whole eviction order.
+    unseen: Queue,
+    /// Queued shards whose next announced use is epoch `next_base + i`, in
+    /// `next[i]`. Eviction takes from `unseen` first, then from the
+    /// furthest non-empty list here.
+    next: VecDeque<Queue>,
+    next_base: u64,
+    /// Held pool of announced-use nodes: the per-shard lists, and a free
+    /// list from `free_use`.
+    uses: Vec<Use>,
+    free_use: u32,
+    /// The epoch the latest `foresee` announced.
+    foreseen: u64,
     /// Shards with `pin_epoch != 0`: releasing old pins walks these, not
     /// every resident entry.
     pinned: Vec<usize>,
@@ -926,27 +983,182 @@ struct CacheState {
 }
 
 impl CacheState {
-    /// Queue `sid` for eviction as the most recently released.
-    fn enqueue(&mut self, sid: usize) {
-        let older = std::mem::replace(&mut self.newest, sid as u32);
-        self.entries[sid].queue = (older, NIL);
-        match older {
-            NIL => self.oldest = sid as u32,
-            o => self.entries[o as usize].queue.1 = sid as u32,
+    fn new(shards: usize) -> CacheState {
+        CacheState {
+            entries: (0..shards)
+                .map(|_| Entry {
+                    uses: (NIL, NIL),
+                    ..Entry::default()
+                })
+                .collect(),
+            unseen: Queue::EMPTY,
+            next: VecDeque::new(),
+            next_base: 1,
+            uses: Vec::new(),
+            free_use: NIL,
+            foreseen: 0,
+            pinned: Vec::new(),
+            pinned_bytes: 0,
+            epoch: 0,
+            ahead: 0,
+            resident: 0,
+            loads: VecDeque::new(),
+            evicted: Vec::new(),
+            closing: false,
+            loader_idle: false,
+            waiting: 0,
         }
     }
 
-    /// Take `sid` out of the queue: it is being pinned, or evicted.
+    /// The eviction list a queued `sid` belongs on: its next announced
+    /// use's, or `unseen`.
+    fn queue_of(&mut self, sid: usize) -> &mut Queue {
+        match self.entries[sid].uses.0 {
+            NIL => &mut self.unseen,
+            u => {
+                let at = self.uses[u as usize].epoch - self.next_base;
+                &mut self.next[at as usize]
+            }
+        }
+    }
+
+    /// Queue `sid` for eviction as the newest of its list, spending first
+    /// the uses announced for epochs already opened.
+    fn enqueue(&mut self, sid: usize) {
+        self.spend_uses(sid);
+        let sid32 = sid as u32;
+        let q = self.queue_of(sid);
+        let older = std::mem::replace(&mut q.newest, sid32);
+        if older == NIL {
+            q.oldest = sid32;
+        }
+        self.entries[sid].queue = (older, NIL);
+        if older != NIL {
+            self.entries[older as usize].queue.1 = sid32;
+        }
+    }
+
+    /// Take `sid` out of its list: it is being pinned, evicted, or moved.
     fn dequeue(&mut self, sid: usize) {
         let (older, newer) = self.entries[sid].queue;
-        match older {
-            NIL => self.oldest = newer,
-            o => self.entries[o as usize].queue.1 = newer,
+        let q = self.queue_of(sid);
+        if older == NIL {
+            q.oldest = newer;
         }
-        match newer {
-            NIL => self.newest = older,
-            n => self.entries[n as usize].queue.0 = older,
+        if newer == NIL {
+            q.newest = older;
         }
+        if older != NIL {
+            self.entries[older as usize].queue.1 = newer;
+        }
+        if newer != NIL {
+            self.entries[newer as usize].queue.0 = older;
+        }
+    }
+
+    /// The shard to evict next: the oldest with no announced use, else the
+    /// oldest of those whose next use is furthest away.
+    fn victim(&self) -> Option<usize> {
+        let q = std::iter::once(&self.unseen)
+            .chain(self.next.iter().rev())
+            .find(|q| q.oldest != NIL)?;
+        Some(q.oldest as usize)
+    }
+
+    /// Drop `sid`'s uses announced for epochs already opened.
+    fn spend_uses(&mut self, sid: usize) {
+        let (mut head, tail) = self.entries[sid].uses;
+        while head != NIL && self.uses[head as usize].epoch <= self.epoch {
+            let next = self.uses[head as usize].next;
+            self.uses[head as usize].next = self.free_use;
+            self.free_use = head;
+            head = next;
+        }
+        self.entries[sid].uses = if head == NIL {
+            (NIL, NIL)
+        } else {
+            (head, tail)
+        };
+    }
+
+    /// Announce a use of `sid` in `epoch`, later than any it has. A
+    /// queued shard whose first announced use this is moves from `unseen`
+    /// to that epoch's list.
+    fn announce(&mut self, sid: usize, epoch: u64) {
+        let node = Use { epoch, next: NIL };
+        let u = match self.free_use {
+            NIL => {
+                self.uses.push(node);
+                (self.uses.len() - 1) as u32
+            }
+            f => {
+                self.free_use = self.uses[f as usize].next;
+                self.uses[f as usize] = node;
+                f
+            }
+        };
+        let e = &self.entries[sid];
+        let (queued, uses) = (e.pin_epoch == 0 && matches!(e.slot, Slot::Ready(_)), e.uses);
+        match uses {
+            (NIL, _) => {
+                if queued {
+                    self.dequeue(sid);
+                }
+                self.entries[sid].uses = (u, u);
+                if queued {
+                    self.enqueue(sid);
+                }
+            }
+            (head, tail) => {
+                self.uses[tail as usize].next = u;
+                self.entries[sid].uses = (head, u);
+            }
+        }
+    }
+
+    /// Retire the use lists of every epoch opened so far. A shard still on
+    /// one (its announced selection opened without it) is queued again by
+    /// its next use.
+    fn retire_opened(&mut self) {
+        while self.next_base <= self.epoch {
+            let Some(stale) = self.next.pop_front() else {
+                break;
+            };
+            self.next_base += 1;
+            let mut sid = stale.oldest;
+            while sid != NIL {
+                let newer = self.entries[sid as usize].queue.1;
+                self.enqueue(sid as usize);
+                sid = newer;
+            }
+        }
+        if self.next.is_empty() {
+            self.next_base = self.epoch + 1;
+        }
+    }
+
+    /// Forget every announced use: queued shards move to `unseen`, the
+    /// furthest-used first, and the next `foresee` announces for the
+    /// epoch after the current one.
+    fn forget_uses(&mut self) {
+        if self.uses.is_empty() {
+            return;
+        }
+        for e in &mut self.entries {
+            e.uses = (NIL, NIL);
+        }
+        while let Some(q) = self.next.pop_back() {
+            let mut sid = q.oldest;
+            while sid != NIL {
+                let newer = self.entries[sid as usize].queue.1;
+                self.enqueue(sid as usize);
+                sid = newer;
+            }
+        }
+        self.uses.clear();
+        self.free_use = NIL;
+        self.next_base = self.epoch + 1;
+        self.foreseen = self.epoch;
     }
 
     /// Wake the loader thread if it waits for work.
@@ -1041,6 +1253,9 @@ impl CacheShared {
         if newly_pinned {
             st.pinned.push(sid);
             st.pinned_bytes += st.entries[sid].charge;
+        }
+        if !ahead {
+            st.spend_uses(sid);
         }
         found
     }
@@ -1169,15 +1384,18 @@ impl CacheShared {
         }
     }
 
-    /// Remove unpinned shards, least recently released first, until the
-    /// cache is under budget, handing them to the loader thread to free.
-    /// Pinned shards and reservations are never touched — if the pinned
-    /// set alone exceeds the budget, `prepare` panics with sizing advice
-    /// instead.
+    /// Remove unpinned shards until the cache is under budget, handing them
+    /// to the loader thread to free: first those with no announced use,
+    /// least recently released first, then those whose next announced use
+    /// is furthest away (`CacheState::victim`). Pinned shards and
+    /// reservations are never touched — if the pinned set alone exceeds
+    /// the budget, `prepare` panics with sizing advice instead.
     fn evict_over_budget(&self, st: &mut CacheState) {
-        // An empty queue means everything resident is pinned or in flight.
-        while st.resident > self.budget && st.oldest != NIL {
-            let sid = st.oldest as usize;
+        while st.resident > self.budget {
+            // No victim means everything resident is pinned or in flight.
+            let Some(sid) = st.victim() else {
+                break;
+            };
             st.dequeue(sid);
             let e = &mut st.entries[sid];
             if let Slot::Ready(d) = std::mem::take(&mut e.slot) {
@@ -1297,21 +1515,7 @@ impl StreamingMatrix {
             window,
             windowed: window != (0, minor),
             budget: budget_bytes,
-            state: Mutex::new(CacheState {
-                entries: (0..shards).map(|_| Entry::default()).collect(),
-                oldest: NIL,
-                newest: NIL,
-                pinned: Vec::new(),
-                pinned_bytes: 0,
-                epoch: 0,
-                ahead: 0,
-                resident: 0,
-                loads: VecDeque::new(),
-                evicted: Vec::new(),
-                closing: false,
-                loader_idle: false,
-                waiting: 0,
-            }),
+            state: Mutex::new(CacheState::new(shards)),
             loaded: Condvar::new(),
             queued: Condvar::new(),
             stats: StatCells::default(),
@@ -1433,7 +1637,7 @@ impl MajorSlices for StreamingMatrix {
         // SAFETY: `shard` points at the boxed LoadedShard owned by the
         // cache entry for `sid`, and that entry is pinned: a slot is only
         // published for a pinned `Ready` entry, and `pin_now` pins before
-        // it returns. Eviction takes victims from the queue of unpinned
+        // it returns. Eviction takes victims from the queues of unpinned
         // entries alone, and the one place a pin is released (`prepare`,
         // two epochs after it was taken) clears the slot first — by when
         // the solver contract (module docs) says no borrow from that
@@ -1481,6 +1685,7 @@ impl SliceSource for StreamingMatrix {
                 };
                 counter.fetch_add(1, Ordering::Relaxed);
             }
+            st.retire_opened();
             shared.evict_over_budget(st);
             st.pinned_bytes
         };
@@ -1550,16 +1755,41 @@ impl SliceSource for StreamingMatrix {
         true
     }
 
-    /// Let every load a prefetch reserved finish — which shards are read
-    /// stays a function of the calls — then release the shards pinned for
-    /// look-ahead epochs alone, and pin the next prefetch for the epoch
-    /// after the current one.
+    /// Record the next use of the shards backing `sel`: the epoch after
+    /// the last one announced (or the current one), so announcements, like
+    /// prefetches, are claimed by `prepare`s in the order they were made.
+    /// Eviction then spares the shards needed soonest.
+    fn foresee(&self, sel: &[usize]) {
+        let shared = &*self.shared;
+        let mut scratch = self.scratch();
+        let sids = &mut scratch.sids;
+        shared.shard_ids(sel, sids);
+        let mut guard = shared.lock();
+        let st = &mut *guard;
+        let target = st.epoch.max(st.foreseen) + 1;
+        st.foreseen = target;
+        if st.next.is_empty() {
+            st.next_base = st.epoch + 1;
+        }
+        while st.next_base + (st.next.len() as u64) <= target {
+            st.next.push_back(Queue::EMPTY);
+        }
+        for &sid in sids.iter() {
+            st.announce(sid, target);
+        }
+    }
+
+    /// Drop every announced use; then let every load a prefetch reserved
+    /// finish — which shards are read stays a function of the calls —
+    /// release the shards pinned for look-ahead epochs alone, and pin the
+    /// next prefetch for the epoch after the current one.
     fn cancel_prefetches(&self) {
         let shared = &*self.shared;
         let mut scratch = self.scratch();
         let ahead = &mut scratch.in_flight;
         let mut st = shared.lock();
         let cur = st.epoch;
+        st.forget_uses();
         if st.ahead <= cur {
             return;
         }
@@ -1829,6 +2059,183 @@ mod tests {
         // Nothing is ahead now, so a second cancel changes nothing.
         sm.cancel_prefetches();
         assert!(sm.prefetch(&[20]));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Drive `sm` through `blocks` as the streamed driver does: prepare
+    /// block t, announce every block up to t + `window` not yet announced,
+    /// prefetch up to `depth` blocks ahead in order (stopping at the first
+    /// refusal), then slice. Returns `(shard_reads, evictions,
+    /// prefetch_misses)`.
+    fn drive_calls(
+        sm: &StreamingMatrix,
+        blocks: &[Vec<usize>],
+        depth: usize,
+        window: usize,
+    ) -> (u64, u64, u64) {
+        let last = blocks.len() - 1;
+        let (mut announced, mut fetched) = (0, 0);
+        for (t, sel) in blocks.iter().enumerate() {
+            sm.prepare(sel);
+            while announced < (t + window).min(last) {
+                announced += 1;
+                sm.foresee(&blocks[announced]);
+            }
+            fetched = fetched.max(t);
+            while fetched < (t + depth).min(last) && sm.prefetch(&blocks[fetched + 1]) {
+                fetched += 1;
+            }
+            let _ = sm.slice(sel[0]);
+        }
+        let s = sm.io_stats();
+        (s.shard_reads, s.evictions, s.prefetch_misses)
+    }
+
+    /// `n` blocks of `k` majors drawn uniformly from `0..majors`.
+    fn random_blocks(n: usize, k: usize, majors: usize, seed: u64) -> Vec<Vec<usize>> {
+        let mut rng = rng_from_seed(seed);
+        (0..n)
+            .map(|_| (0..k).map(|_| rng.next_index(majors)).collect())
+            .collect()
+    }
+
+    /// With no `foresee` call the cache is the least-recently-released
+    /// queue it was before announcements existed: on a fixed store and
+    /// call sequence, the counts are the ones that queue gave.
+    #[test]
+    fn without_announcements_eviction_is_the_lru_queue() {
+        let dir = tmp_dir("lru");
+        let a = random_csc(40, 256, 0.3, 21);
+        let bounds: Vec<usize> = (0..=64).map(|k| k * 4).collect();
+        write_csc(&dir, &a, &bounds, None).unwrap();
+        let store = ShardStore::open(&dir).unwrap();
+        let budget = store.manifest().disk_bytes() / 4;
+        let blocks = random_blocks(150, 4, 256, 22);
+        let sm = StreamingMatrix::from_store(store.clone(), budget, (0, 40));
+        assert_eq!(drive_calls(&sm, &blocks, 4, 0), LRU_COUNTS);
+        let sm = StreamingMatrix::from_store(store.clone(), 2 * budget, (0, 40));
+        assert_eq!(drive_calls(&sm, &blocks, 2, 0), LRU_COUNTS_HALF);
+        // A rank view of the sim and net engines: windowed, prepared
+        // block by block, never told the future.
+        let sm = StreamingMatrix::from_store(store.clone(), budget / 2, (10, 30));
+        assert_eq!(drive_calls(&sm, &blocks, 0, 0), LRU_COUNTS_RANK_VIEW);
+        // Announcing the future spares the shards needed soonest.
+        let sm = StreamingMatrix::from_store(store, budget, (0, 40));
+        let (reads, ..) = drive_calls(&sm, &blocks, 4, 32);
+        assert!(reads < LRU_COUNTS.0, "{reads} reads with foresight");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `(shard_reads, evictions, prefetch_misses)` of the LRU queue on
+    /// `without_announcements_eviction_is_the_lru_queue`'s calls, as the
+    /// cache counted them before it took announcements: a budget of a
+    /// quarter of the disk bytes and four blocks of prefetch, then half
+    /// and two, then a windowed view with an eighth and none.
+    const LRU_COUNTS: (u64, u64, u64) = (423, 406, 4);
+    const LRU_COUNTS_HALF: (u64, u64, u64) = (265, 232, 4);
+    const LRU_COUNTS_RANK_VIEW: (u64, u64, u64) = (460, 447, 460);
+
+    /// Furthest-next-use eviction is optimal for shards of one size with
+    /// no prefetch pins (Belady's MIN), so announcing every block never
+    /// reads more than the LRU queue — on random traces of every budget
+    /// from two live epochs up.
+    #[test]
+    fn foresight_never_reads_more_than_lru_on_uniform_shards() {
+        let dir = tmp_dir("belady");
+        // Every column holds three entries, so every shard of four
+        // columns has one size.
+        let (rows, cols) = (30, 96);
+        let mut coo = CooMatrix::new(rows, cols);
+        let mut rng = rng_from_seed(31);
+        for j in 0..cols {
+            let r0 = rng.next_index(rows - 2);
+            for r in r0..r0 + 3 {
+                coo.push(r, j, rng.next_gaussian());
+            }
+        }
+        let bounds: Vec<usize> = (0..=cols / 4).map(|k| k * 4).collect();
+        write_csc(&dir, &coo.to_csc(), &bounds, None).unwrap();
+        let store = ShardStore::open(&dir).unwrap();
+        let size = store.manifest().shards[0].heap_bytes();
+        assert!(store
+            .manifest()
+            .shards
+            .iter()
+            .all(|m| m.heap_bytes() == size));
+        for case in 0..48u64 {
+            let k = 1 + (case % 3) as usize;
+            // Two live epochs of k shards always fit; up to 12 more.
+            let budget = (2 * k as u64 + case % 13) * size;
+            let blocks = random_blocks(120, k, cols, 100 + case);
+            let reads = |window| {
+                let sm = StreamingMatrix::from_store(store.clone(), budget, (0, rows));
+                drive_calls(&sm, &blocks, 0, window).0
+            };
+            let (lru, min) = (reads(0), reads(blocks.len()));
+            assert!(
+                min <= lru,
+                "case {case}: {min} reads by next use, {lru} by LRU"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `cancel_prefetches` drops every announced use, and the next
+    /// announcement is for the epoch after the current one.
+    #[test]
+    fn cancelling_leaves_no_announced_use_behind() {
+        let dir = tmp_dir("forget");
+        let a = random_csc(40, 128, 0.3, 41);
+        let bounds: Vec<usize> = (0..=32).map(|k| k * 4).collect();
+        write_csc(&dir, &a, &bounds, None).unwrap();
+        let store = ShardStore::open(&dir).unwrap();
+        let budget = store.manifest().disk_bytes() / 3;
+        let sm = StreamingMatrix::from_store(store, budget, (0, 40));
+        let blocks = random_blocks(40, 4, 128, 42);
+        let _ = drive_calls(&sm, &blocks[..20], 2, 8);
+        // A solve that breaks off here has announced eight more blocks and
+        // prefetched the first.
+        for sel in &blocks[20..28] {
+            sm.foresee(sel);
+        }
+        assert!(sm.prefetch(&blocks[20]));
+        {
+            let st = sm.shared.lock();
+            assert!(st.foreseen > st.epoch && !st.next.is_empty());
+            assert!(st.entries.iter().any(|e| e.uses.0 != NIL));
+            // Spent uses go back to the pool: it holds at most the nine
+            // blocks of four shards a window of eight keeps live, not the
+            // 28 blocks announced so far.
+            assert!(st.uses.len() <= 9 * 4, "{} use nodes", st.uses.len());
+        }
+        sm.cancel_prefetches();
+        {
+            let st = sm.shared.lock();
+            assert!(st.entries.iter().all(|e| e.uses == (NIL, NIL)));
+            assert!(st.next.is_empty() && st.uses.is_empty() && st.free_use == NIL);
+            assert_eq!((st.foreseen, st.ahead), (st.epoch, st.epoch));
+            // Every queued shard is on the no-use queue, oldest first.
+            let mut queued = 0;
+            let mut sid = st.unseen.oldest;
+            while sid != NIL {
+                queued += 1;
+                sid = st.entries[sid as usize].queue.1;
+            }
+            let ready_unpinned = st
+                .entries
+                .iter()
+                .filter(|e| e.pin_epoch == 0 && matches!(e.slot, Slot::Ready(_)))
+                .count();
+            assert_eq!(queued, ready_unpinned);
+        }
+        // The next announcement is for the next epoch, which claims it.
+        sm.foresee(&blocks[20]);
+        {
+            let st = sm.shared.lock();
+            assert_eq!(st.foreseen, st.epoch + 1);
+        }
+        sm.prepare(&blocks[20]);
+        assert!(sm.shared.lock().entries.iter().all(|e| e.uses.0 == NIL));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -378,9 +378,11 @@ fn a_net_run_allocates_nothing_per_block() {
 }
 
 /// Streamed from shards under a budget that holds the whole store, the
-/// solver thread's residency calls use held buffers: once every shard is
-/// in, a block allocates nothing there. The loader thread's reads do
-/// allocate, and are not counted.
+/// solver thread's residency calls — `prepare`, and the 32-deep ring's
+/// announcements (`foresee`, whose uses live in the cache's held node
+/// pool) and prefetches — use held buffers: once every shard is in, a
+/// block allocates nothing there. The loader thread's reads do allocate,
+/// and are not counted.
 #[test]
 fn a_streamed_seq_run_allocates_nothing_per_block_on_the_solver_thread() {
     let ds = lasso_ds();
