@@ -28,8 +28,7 @@ pub struct Baseline {
 impl Baseline {
     /// Open the baseline at `path`, seeding the registry with any meta,
     /// counters and gauges already recorded there (a missing or
-    /// unparseable file starts fresh). Stamps whether this contribution
-    /// ran in quick mode.
+    /// unparseable file starts fresh).
     pub fn load_or_new(path: PathBuf) -> Baseline {
         let mut registry = Registry::new();
         if let Ok(doc) = std::fs::read_to_string(&path) {
@@ -37,7 +36,6 @@ impl Baseline {
                 summary.apply_to(&mut registry);
             }
         }
-        registry.set_meta("quick_mode", crate::quick_mode());
         Baseline { registry, path }
     }
 
@@ -113,7 +111,7 @@ mod tests {
         assert_eq!(s.gauges["fig3.a.x"], 3.0);
         assert_eq!(s.gauges["fig3.a.y"], 2.0);
         assert_eq!(s.gauges["fig4.b.z"], 4.0);
-        assert!(s.meta.contains_key("quick_mode"));
+        assert!(s.meta.is_empty(), "a contribution stamps no meta");
         let _ = std::fs::remove_file(&path);
     }
 

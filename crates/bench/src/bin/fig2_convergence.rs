@@ -13,7 +13,8 @@ use datagen::PaperDataset;
 use saco::prox::Lasso;
 use saco::seq::{acc_bcd, bcd, sa_accbcd, sa_bcd};
 use saco::{LassoConfig, SolveResult};
-use saco_bench::{budget, lambda_quantile, print_table, Csv};
+use saco_bench::table::{head, Fmt::*, Table};
+use saco_bench::{budget, lambda_quantile, row};
 use sparsela::io::Dataset;
 
 struct Setup {
@@ -105,37 +106,20 @@ fn main() {
         );
         let runs = run_all(&g.dataset, lambda, iters, setup.s_cd, setup.s_bcd);
 
-        // CSV: iteration grid + one column per method.
-        let mut header: Vec<String> = vec!["iter".into()];
-        header.extend(runs.iter().map(|(n, _)| n.clone()));
-        let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-        let mut csv = Csv::create(&format!("fig2_{name}"), &header_refs);
-        let grid = runs[0].1.trace.points();
-        for (k, p) in grid.iter().enumerate() {
-            let mut row = vec![p.iter as f64];
-            for (_, r) in &runs {
-                row.push(r.trace.points()[k].value);
-            }
-            csv.row_f64(&row);
-        }
-        let path = csv.finish();
+        let series = Table::traces(format!("fig2_{name}"), &runs);
 
-        let rows: Vec<Vec<String>> = runs
-            .iter()
-            .map(|(n, r)| {
-                vec![
-                    n.clone(),
-                    format!("{:.6e}", r.trace.initial_value()),
-                    format!("{:.6e}", r.final_value()),
-                ]
-            })
-            .collect();
-        print_table(
-            &format!("Fig. 2 — {name}: objective after H = {iters} iterations"),
-            &["method", "initial objective", "final objective"],
-            &rows,
-        );
-        println!("series written to {}", path.display());
+        let title = format!("Fig. 2 — {name}: objective after H = {iters} iterations");
+        let cols = [
+            head("method", Plain),
+            head("initial objective", Sci(6)),
+            head("final objective", Sci(6)),
+        ];
+        let mut table = Table::new(title, cols);
+        for (n, r) in &runs {
+            table.row(row![n.as_str(), r.trace.initial_value(), r.final_value()]);
+        }
+        table.finish(None);
+        series.finish(None);
 
         // Sanity summaries mirroring the paper's reading of the figure.
         let get = |tag: &str| {

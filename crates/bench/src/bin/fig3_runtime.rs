@@ -15,7 +15,8 @@ use saco::prox::Lasso;
 use saco::run::Method;
 use saco::{LassoConfig, SolveResult};
 use saco_bench::baseline::{key_label, Baseline};
-use saco_bench::{budget, fmt_secs, lambda_quantile, print_table, simulate, Csv};
+use saco_bench::table::{csv, head, Fmt::*, Table};
+use saco_bench::{budget, lambda_quantile, row, simulate};
 use sparsela::io::Dataset;
 
 struct Panel {
@@ -128,11 +129,26 @@ fn main() {
             g.dataset.num_features(),
             panel.p
         );
-        let mut csv = Csv::create(
-            &format!("fig3_{name}"),
-            &["method", "iter", "time_s", "objective"],
+        let mut series = Table::series(
+            format!("fig3_{name}"),
+            [
+                csv("method", Plain),
+                csv("iter", Plain),
+                csv("time_s", Sci(6)),
+                csv("objective", Sci(9)),
+            ],
         );
-        let mut rows = Vec::new();
+        let title = format!(
+            "Fig. 3 — {name} (P = {}): simulated time to the classical method's final objective",
+            panel.p
+        );
+        let cols = [
+            head("method", Plain),
+            head("final objective", Sci(4)),
+            head("time to target", Secs).key("time_to_target"),
+            head("speedup vs classical", Times(2)).key("speedup"),
+        ];
+        let mut table = Table::new(title, cols);
         for (fam, acc, mu, s_values) in &panel.families {
             let iters = budget(if *mu == 1 {
                 panel.iters_cd
@@ -148,12 +164,7 @@ fn main() {
                 };
                 let res = run(&g.dataset, lambda, *acc, *mu, s, iters, panel.p);
                 for pt in res.trace.points() {
-                    csv.row(&[
-                        label.clone(),
-                        pt.iter.to_string(),
-                        format!("{:.6e}", pt.time),
-                        format!("{:.9e}", pt.value),
-                    ]);
+                    series.row(row![label.as_str(), pt.iter, pt.time, pt.value]);
                 }
                 family_results.push((label, res));
             }
@@ -168,25 +179,12 @@ fn main() {
             for (label, res) in &family_results {
                 let t = res.trace.time_to_value(target);
                 let key = format!("fig3.{name}.{}", key_label(label));
-                if let Some(t) = t {
-                    sink.set(&format!("{key}.time_to_target"), t);
-                    sink.set(&format!("{key}.speedup"), t_base / t);
-                }
-                rows.push(vec![
-                    label.clone(),
-                    format!("{:.4e}", res.final_value()),
-                    t.map_or("—".into(), fmt_secs),
-                    t.map_or("—".into(), |t| format!("{:.2}×", t_base / t)),
-                ]);
+                let speedup = t.map(|t| t_base / t);
+                table.keyed_row(key, row![label.as_str(), res.final_value(), t, speedup]);
             }
         }
-        let path = csv.finish();
-        print_table(
-            &format!("Fig. 3 — {name} (P = {}): simulated time to the classical method's final objective", panel.p),
-            &["method", "final objective", "time to target", "speedup vs classical"],
-            &rows,
-        );
-        println!("series written to {}", path.display());
+        table.finish(Some(&mut sink));
+        series.finish(None);
     }
     let path = sink.write();
     println!("baseline gauges merged into {}", path.display());

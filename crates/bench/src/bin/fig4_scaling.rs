@@ -10,10 +10,10 @@
 //! cache; total speedup peaks at a moderate s. Also prints the §VII
 //! communication-reduction factors (paper: 4.2×–10.9×).
 
-use datagen::PaperDataset;
 use mpisim::CostReport;
 use saco_bench::baseline::Baseline;
-use saco_bench::{budget, fig4_point, fmt_secs, lambda_quantile, print_table, Csv};
+use saco_bench::table::{csv, head, Fmt::*, Table};
+use saco_bench::{best_s, budget, fig4_point, fig4_problem, row, FIG4_PANELS, FIG4_S_SWEEP};
 use sparsela::io::Dataset;
 
 fn run(ds: &Dataset, lambda: f64, s: usize, iters: usize, p: usize) -> CostReport {
@@ -22,125 +22,67 @@ fn run(ds: &Dataset, lambda: f64, s: usize, iters: usize, p: usize) -> CostRepor
 }
 
 fn main() {
-    let panels: [(PaperDataset, f64, Vec<usize>, usize); 4] = [
-        (PaperDataset::News20, 1.0, vec![192, 384, 768], 20_000),
-        (PaperDataset::Covtype, 0.25, vec![768, 1536, 3072], 8_000),
-        (PaperDataset::Url, 1.0, vec![3072, 6144, 12_288], 20_000),
-        (PaperDataset::Epsilon, 0.5, vec![3072, 6144, 12_288], 8_000),
-    ];
-    let s_sweep = [2usize, 4, 8, 16, 32, 64, 128, 256, 512];
-
     let mut baseline = Baseline::load_repo();
-    for (ds, scale, p_values, iters_raw) in panels {
-        let name = ds.info().name;
-        let g = ds.generate(scale, 808);
-        let lambda = lambda_quantile(&g.dataset, 0.9);
-        let iters = budget(iters_raw);
+    for (dataset, scale, ps, iters) in FIG4_PANELS {
+        let name = dataset.info().name;
+        let (ds, lambda) = fig4_problem(dataset, scale);
+        let iters = budget(iters);
         eprintln!("fig4: {name} (H={iters}, λ={lambda:.3e})");
 
         // --- panels a–d: strong scaling, accCD vs best-s SA-accCD -------
-        let mut scaling_rows = Vec::new();
-        let mut csv_scaling = Csv::create(
-            &format!("fig4_scaling_{name}"),
-            &["p", "accCD_time", "sa_accCD_time", "best_s"],
-        );
+        let title =
+            format!("Fig. 4 (a–d) — {name}: strong scaling accCD vs SA-accCD (H = {iters})");
+        let cols = [
+            csv("p", Sci(9)).head("P", Plain),
+            csv("accCD_time", Sci(9)).head("accCD", Secs),
+            csv("sa_accCD_time", Sci(9)).head("SA-accCD (best s)", Secs),
+            csv("best_s", Sci(9)).head("best s", Plain).key("best_s"),
+            head("speedup", Times(2)),
+        ];
+        let mut scaling = Table::new(title, cols).csv(format!("fig4_scaling_{name}"));
         baseline.set(&format!("fig4.{name}.iters"), iters as f64);
-        for &p in &p_values {
-            let classic = run(&g.dataset, lambda, 1, iters, p);
-            // The running-time curve is flat near its optimum (neighbouring
-            // s within ~1% of each other), so a strict argmin would chase
-            // negligible gains into much larger s — and s-fold larger
-            // message volume and Gram memory. Pick the smallest s whose
-            // time is within 2% of the sweep minimum instead: same speed,
-            // least communication-hungry operating point.
-            let sweep: Vec<(usize, CostReport)> = s_sweep
+        for p in ps {
+            let classic = run(&ds, lambda, 1, iters, p);
+            let sweep: Vec<(usize, CostReport)> = FIG4_S_SWEEP
                 .iter()
-                .map(|&s| (s, run(&g.dataset, lambda, s, iters, p)))
+                .map(|&s| (s, run(&ds, lambda, s, iters, p)))
                 .collect();
-            let min_time = sweep
-                .iter()
-                .map(|(_, r)| r.running_time())
-                .fold(f64::INFINITY, f64::min);
-            let best: (usize, CostReport) = sweep
-                .into_iter()
-                .find(|(_, r)| r.running_time() <= min_time * 1.02)
-                .expect("nonempty s sweep");
-            let best_time = best.1.running_time();
+            let (s, best) = best_s(&sweep);
+            let (t_classic, t_best) = (classic.running_time(), best.running_time());
             let key = format!("fig4.{name}.p{p}");
             baseline.record_report(&format!("{key}.classic"), &classic);
-            baseline.record_report(&format!("{key}.sa_best"), &best.1);
-            baseline.set(&format!("{key}.best_s"), best.0 as f64);
-            csv_scaling.row_f64(&[p as f64, classic.running_time(), best_time, best.0 as f64]);
-            scaling_rows.push(vec![
-                p.to_string(),
-                fmt_secs(classic.running_time()),
-                fmt_secs(best_time),
-                best.0.to_string(),
-                format!("{:.2}×", classic.running_time() / best_time),
-            ]);
+            baseline.record_report(&format!("{key}.sa_best"), best);
+            let speedup = t_classic / t_best;
+            scaling.keyed_row(key, row![p, t_classic, t_best, *s, speedup]);
         }
-        let path = csv_scaling.finish();
-        print_table(
-            &format!("Fig. 4 (a–d) — {name}: strong scaling accCD vs SA-accCD (H = {iters})"),
-            &["P", "accCD", "SA-accCD (best s)", "best s", "speedup"],
-            &scaling_rows,
-        );
-        println!("series written to {}", path.display());
+        scaling.finish(Some(&mut baseline));
 
         // --- panels e–h: speedup breakdown vs s at the largest P --------
-        let p_max = *p_values.last().expect("nonempty P list");
-        let classic = run(&g.dataset, lambda, 1, iters, p_max);
+        let p_max = ps[2];
+        let classic = run(&ds, lambda, 1, iters, p_max);
         let c_comm = classic.critical.comm_time + classic.critical.idle_time;
         let c_comp = classic.critical.comp_time;
-        let mut csv_break = Csv::create(
-            &format!("fig4_speedup_{name}"),
-            &[
-                "s",
-                "total_speedup",
-                "comm_speedup",
-                "comp_speedup",
-                "words_ratio",
-            ],
-        );
-        let mut rows = Vec::new();
-        for &s in &s_sweep {
-            let sa = run(&g.dataset, lambda, s, iters, p_max);
+        let title = format!("Fig. 4 (e–h) — {name} at P = {p_max}: speedup breakdown vs s");
+        let cols = [
+            csv("s", Sci(9)).head("s", Plain),
+            csv("total_speedup", Sci(9)).head("total", Times(2)),
+            csv("comm_speedup", Sci(9)).head("communication", Times(2)),
+            csv("comp_speedup", Sci(9)).head("computation", Times(2)),
+            csv("words_ratio", Sci(9)),
+            head("latency reduction", Plain),
+        ];
+        let mut breakdown = Table::new(title, cols).csv(format!("fig4_speedup_{name}"));
+        for s in FIG4_S_SWEEP {
+            let sa = run(&ds, lambda, s, iters, p_max);
             let s_comm = sa.critical.comm_time + sa.critical.idle_time;
-            let s_comp = sa.critical.comp_time;
             let total = classic.running_time() / sa.running_time();
-            let comm = c_comm / s_comm;
-            let comp = c_comp / s_comp;
-            csv_break.row_f64(&[
-                s as f64,
-                total,
-                comm,
-                comp,
-                sa.critical.words as f64 / classic.critical.words as f64,
-            ]);
-            rows.push(vec![
-                s.to_string(),
-                format!("{total:.2}×"),
-                format!("{comm:.2}×"),
-                format!("{comp:.2}×"),
-                format!(
-                    "{:.1}× fewer msgs",
-                    classic.critical.messages as f64 / sa.critical.messages as f64
-                ),
-            ]);
+            let words = sa.critical.words as f64 / classic.critical.words as f64;
+            let msgs = classic.critical.messages as f64 / sa.critical.messages as f64;
+            let comp = c_comp / sa.critical.comp_time;
+            let fewer = format!("{msgs:.1}× fewer msgs");
+            breakdown.row(row![s, total, c_comm / s_comm, comp, words, fewer]);
         }
-        let path = csv_break.finish();
-        print_table(
-            &format!("Fig. 4 (e–h) — {name} at P = {p_max}: speedup breakdown vs s"),
-            &[
-                "s",
-                "total",
-                "communication",
-                "computation",
-                "latency reduction",
-            ],
-            &rows,
-        );
-        println!("series written to {}", path.display());
+        breakdown.finish(None);
     }
     let path = baseline.write();
     println!("baseline gauges merged into {}", path.display());

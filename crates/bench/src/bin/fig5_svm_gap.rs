@@ -8,7 +8,8 @@
 use datagen::{PaperDataset, Task};
 use saco::seq::{sa_svm, svm};
 use saco::{SvmConfig, SvmLoss};
-use saco_bench::{budget, print_table, Csv};
+use saco_bench::table::{head, Fmt::*, Table};
+use saco_bench::{budget, row};
 
 fn main() {
     // (dataset, iterations, paper's gap tolerance marker)
@@ -49,44 +50,27 @@ fn main() {
             ),
         ];
 
-        let mut header: Vec<String> = vec!["iter".into()];
-        header.extend(runs.iter().map(|(n, _)| n.clone()));
-        let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-        let mut csv = Csv::create(&format!("fig5_{}", name.replace('.', "_")), &header_refs);
-        let grid = runs[0].1.trace.points();
-        for (k, p) in grid.iter().enumerate() {
-            let mut row = vec![p.iter as f64];
-            for (_, r) in &runs {
-                row.push(r.trace.points()[k].value);
-            }
-            csv.row_f64(&row);
-        }
-        let path = csv.finish();
+        let series = Table::traces(format!("fig5_{}", name.replace('.', "_")), &runs);
 
-        let rows: Vec<Vec<String>> = runs
-            .iter()
-            .map(|(n, r)| {
-                vec![
-                    n.clone(),
-                    format!("{:.4e}", r.trace.initial_value()),
-                    format!("{:.4e}", r.final_value()),
-                    r.trace
-                        .iters_to_value(tol)
-                        .map_or("not reached".into(), |it| format!("{it}")),
-                ]
-            })
-            .collect();
-        print_table(
-            &format!("Fig. 5 — {name}: duality gap (λ = 1)"),
-            &[
-                "method",
-                "initial gap",
-                "final gap",
-                &format!("iters to gap ≤ {tol:.0e}"),
-            ],
-            &rows,
-        );
-        println!("series written to {}", path.display());
+        let cols = [
+            head("method", Plain),
+            head("initial gap", Sci(4)),
+            head("final gap", Sci(4)),
+            head(format!("iters to gap ≤ {tol:.0e}"), Plain),
+        ];
+        let mut table = Table::new(format!("Fig. 5 — {name}: duality gap (λ = 1)"), cols);
+        for (n, r) in &runs {
+            let reached = r.trace.iters_to_value(tol);
+            let reached = reached.map_or("not reached".into(), |it| it.to_string());
+            table.row(row![
+                n.as_str(),
+                r.trace.initial_value(),
+                r.final_value(),
+                reached
+            ]);
+        }
+        table.finish(None);
+        series.finish(None);
 
         // The SA ≡ classical check the figure makes visually (difference
         // normalized by the initial gap, since converged gaps sit at

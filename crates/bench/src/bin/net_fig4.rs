@@ -23,7 +23,8 @@ use saco::prox::Lasso;
 use saco::run::Method;
 use saco::LassoConfig;
 use saco_bench::baseline::Baseline;
-use saco_bench::{budget, fmt_secs, print_table, Csv};
+use saco_bench::table::{csv, Fmt::*, Table};
+use saco_bench::{budget, row};
 use sparsela::io::{read_libsvm, write_libsvm, Dataset};
 use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
@@ -146,18 +147,26 @@ fn main() {
 
     let mut baseline = Baseline::load_repo();
     baseline.set(&format!("net_fig4.{name}.iters"), iters as f64);
-    let mut csv = Csv::create(
-        &format!("net_fig4_{name}"),
-        &[
-            "p",
-            "classic_wall",
-            "sa_wall",
-            "best_s",
-            "measured_speedup",
-            "modeled_speedup",
-        ],
+    let title = format!(
+        "net_fig4 — {name}: measured multi-process scaling, accCD vs SA-accCD (H = {iters})"
     );
-    let mut rows = Vec::new();
+    let cols = [
+        csv("p", Sci(9)).head("P", Plain),
+        csv("classic_wall", Sci(9))
+            .head("accCD (measured)", Secs)
+            .key("classic.wall_secs"),
+        csv("sa_wall", Sci(9))
+            .head("SA-accCD (measured)", Secs)
+            .key("sa_best.wall_secs"),
+        csv("best_s", Sci(9)).head("best s", Plain).key("best_s"),
+        csv("measured_speedup", Sci(9))
+            .head("speedup (measured)", Times(2))
+            .key("speedup.measured"),
+        csv("modeled_speedup", Sci(9))
+            .head("speedup (modeled)", Times(2))
+            .key("speedup.modeled"),
+    ];
+    let mut table = Table::new(title, cols).csv(format!("net_fig4_{name}"));
     for p in [1usize, 2, 4] {
         let (classic_wall, classic_obj) = measured(&exe, &data, p, 1, iters, lambda);
         let (best_s, sa_wall, sa_obj) = s_sweep
@@ -172,48 +181,21 @@ fn main() {
             classic_obj.is_finite() && sa_obj.is_finite(),
             "p={p}: non-finite objective"
         );
-        let measured_speedup = classic_wall / sa_wall;
         let modeled_speedup = modeled(&g.dataset, lambda, 1, iters, p)
             / modeled(&g.dataset, lambda, best_s, iters, p);
         let key = format!("net_fig4.{name}.p{p}");
-        baseline.set(&format!("{key}.classic.wall_secs"), classic_wall);
-        baseline.set(&format!("{key}.sa_best.wall_secs"), sa_wall);
-        baseline.set(&format!("{key}.best_s"), best_s as f64);
-        baseline.set(&format!("{key}.speedup.measured"), measured_speedup);
-        baseline.set(&format!("{key}.speedup.modeled"), modeled_speedup);
-        csv.row_f64(&[
-            p as f64,
+        let measured_speedup = classic_wall / sa_wall;
+        let values = row![
+            p,
             classic_wall,
             sa_wall,
-            best_s as f64,
+            best_s,
             measured_speedup,
-            modeled_speedup,
-        ]);
-        rows.push(vec![
-            p.to_string(),
-            fmt_secs(classic_wall),
-            fmt_secs(sa_wall),
-            best_s.to_string(),
-            format!("{measured_speedup:.2}×"),
-            format!("{modeled_speedup:.2}×"),
-        ]);
+            modeled_speedup
+        ];
+        table.keyed_row(key, values);
     }
-    let path = csv.finish();
-    print_table(
-        &format!(
-            "net_fig4 — {name}: measured multi-process scaling, accCD vs SA-accCD (H = {iters})"
-        ),
-        &[
-            "P",
-            "accCD (measured)",
-            "SA-accCD (measured)",
-            "best s",
-            "speedup (measured)",
-            "speedup (modeled)",
-        ],
-        &rows,
-    );
-    println!("series written to {}", path.display());
+    table.finish(Some(&mut baseline));
     let path = baseline.write();
     println!("baseline gauges merged into {}", path.display());
     let _ = std::fs::remove_file(&data);

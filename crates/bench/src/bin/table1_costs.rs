@@ -8,7 +8,8 @@ use saco::costmodel::{accbcd_costs, sa_accbcd_costs, CostInputs};
 use saco::prox::Lasso;
 use saco::run::Method;
 use saco::LassoConfig;
-use saco_bench::{budget, print_table, Csv};
+use saco_bench::table::{csv, head, Fmt::*, Table};
+use saco_bench::{budget, row};
 
 fn main() {
     // --- The closed forms, evaluated at a representative point. ---------
@@ -21,52 +22,47 @@ fn main() {
         n: 100_000,
         p: 1024,
     };
-    let classic = accbcd_costs(&base);
-    let sa = sa_accbcd_costs(&base);
-    print_table(
-        "Table I — theoretical costs (H=10k, µ=8, s=32, f=1%, m=1M, n=100k, P=1024)",
-        &[
-            "algorithm",
-            "flops F",
-            "memory M",
-            "latency L",
-            "bandwidth W",
-        ],
-        &[
-            vec![
-                "accBCD".into(),
-                format!("{:.3e}", classic.flops),
-                format!("{:.3e}", classic.memory),
-                format!("{:.3e}", classic.latency),
-                format!("{:.3e}", classic.bandwidth),
-            ],
-            vec![
-                "SA-accBCD".into(),
-                format!("{:.3e}", sa.flops),
-                format!("{:.3e}", sa.memory),
-                format!("{:.3e}", sa.latency),
-                format!("{:.3e}", sa.bandwidth),
-            ],
-            vec![
-                "ratio SA/classic".into(),
-                format!("{:.2}", sa.flops / classic.flops),
-                format!("{:.2}", sa.memory / classic.memory),
-                format!("{:.4}", sa.latency / classic.latency),
-                format!("{:.2}", sa.bandwidth / classic.bandwidth),
-            ],
-        ],
-    );
+    let (classic, sa) = (accbcd_costs(&base), sa_accbcd_costs(&base));
+    let title = "Table I — theoretical costs (H=10k, µ=8, s=32, f=1%, m=1M, n=100k, P=1024)";
+    let cols = [
+        head("algorithm", Plain),
+        head("flops F", Sci(3)),
+        head("memory M", Sci(3)),
+        head("latency L", Sci(3)),
+        head("bandwidth W", Sci(3)),
+    ];
+    let mut table = Table::new(title, cols);
+    for (name, c) in [("accBCD", &classic), ("SA-accBCD", &sa)] {
+        table.row(row![name, c.flops, c.memory, c.latency, c.bandwidth]);
+    }
+    table.row(row![
+        "ratio SA/classic",
+        format!("{:.2}", sa.flops / classic.flops),
+        format!("{:.2}", sa.memory / classic.memory),
+        format!("{:.4}", sa.latency / classic.latency),
+        format!("{:.2}", sa.bandwidth / classic.bandwidth),
+    ]);
+    table.finish(None);
 
     // --- Measured counters from the simulator at a sweep of s. ----------
     let a = uniform_sparse(2000, 500, 0.02, 77);
     let ds = planted_regression(a, 10, 0.1, 77).dataset;
     let h = budget(1024);
     let p = 256;
-    let mut csv = Csv::create(
-        "table1_measured",
-        &["s", "messages", "words", "flops", "comm_time", "comp_time"],
-    );
-    let mut rows = Vec::new();
+    let title =
+        format!("Measured critical-path counters (H={h}, µ=4, P={p}) — expect L∝1/s, W∝s, F→s×");
+    let cols = [
+        csv("s", Sci(9)).head("s", Plain),
+        csv("messages", Sci(9)),
+        csv("words", Sci(9)),
+        csv("flops", Sci(9)),
+        csv("comm_time", Sci(9)),
+        csv("comp_time", Sci(9)),
+        head("messages L (vs s=1)", Plain),
+        head("words W (vs s=1)", Plain),
+        head("flops F (vs s=1)", Plain),
+    ];
+    let mut table = Table::new(title, cols).csv("table1_measured");
     let mut baseline: Option<(u64, u64, u64)> = None;
     for s in [1usize, 2, 4, 8, 16, 32] {
         let cfg = LassoConfig {
@@ -88,32 +84,19 @@ fn main() {
             .report
             .expect("sim reports costs");
         let c = rep.critical;
-        csv.row_f64(&[
-            s as f64,
-            c.messages as f64,
-            c.words as f64,
+        let b = baseline.get_or_insert((c.messages, c.words, c.flops));
+        let (msgs, words) = (c.messages as f64, c.words as f64);
+        table.row(row![
+            s,
+            msgs,
+            words,
             c.flops as f64,
             c.comm_time,
             c.comp_time,
-        ]);
-        let b = baseline.get_or_insert((c.messages, c.words, c.flops));
-        rows.push(vec![
-            format!("{s}"),
-            format!("{} ({:.3}×)", c.messages, c.messages as f64 / b.0 as f64),
-            format!("{} ({:.2}×)", c.words, c.words as f64 / b.1 as f64),
+            format!("{} ({:.3}×)", c.messages, msgs / b.0 as f64),
+            format!("{} ({:.2}×)", c.words, words / b.1 as f64),
             format!("{} ({:.2}×)", c.flops, c.flops as f64 / b.2 as f64),
         ]);
     }
-    let path = csv.finish();
-    print_table(
-        &format!("Measured critical-path counters (H={h}, µ=4, P={p}) — expect L∝1/s, W∝s, F→s×"),
-        &[
-            "s",
-            "messages L (vs s=1)",
-            "words W (vs s=1)",
-            "flops F (vs s=1)",
-        ],
-        &rows,
-    );
-    println!("series written to {}", path.display());
+    table.finish(None);
 }

@@ -3,37 +3,11 @@
 //! the substitution rationale).
 
 use datagen::{PaperDataset, Task};
-use saco_bench::print_table;
+use saco_bench::row;
+use saco_bench::table::{head, Fmt::Plain, Table};
 
 fn main() {
-    let mut lasso_rows = Vec::new();
-    let mut svm_rows = Vec::new();
-    for ds in PaperDataset::ALL {
-        let info = ds.info();
-        // Generate at default scale to report the *actual* achieved shape.
-        let g = ds.generate(1.0, 12345);
-        let nnz_pct = 100.0 * g.dataset.a.density();
-        let row = vec![
-            info.name.to_string(),
-            format!("{}", info.paper_features),
-            format!("{}", info.paper_points),
-            format!("{}", info.paper_nnz_pct),
-            format!("{}", g.dataset.num_features()),
-            format!("{}", g.dataset.num_points()),
-            format!("{nnz_pct:.4}"),
-            format!("{:?}", info.structure),
-            if info.density_note.is_empty() {
-                "—".to_string()
-            } else {
-                info.density_note.to_string()
-            },
-        ];
-        match info.task {
-            Task::Regression => lasso_rows.push(row),
-            Task::Classification => svm_rows.push(row),
-        }
-    }
-    let header = [
+    let cols = [
         "name",
         "paper features",
         "paper points",
@@ -43,16 +17,39 @@ fn main() {
         "repro nnz%",
         "structure",
         "note",
-    ];
-    print_table(
+    ]
+    .map(|name| head(name, Plain));
+    let mut lasso = Table::new(
         "Table II — Lasso datasets (paper vs reproduction)",
-        &header,
-        &lasso_rows,
+        cols.clone(),
     );
-    print_table(
-        "Table IV — SVM datasets (paper vs reproduction)",
-        &header,
-        &svm_rows,
-    );
+    let mut svm = Table::new("Table IV — SVM datasets (paper vs reproduction)", cols);
+    for ds in PaperDataset::ALL {
+        let info = ds.info();
+        // Generate at default scale to report the *actual* achieved shape.
+        let g = ds.generate(1.0, 12345);
+        let note = if info.density_note.is_empty() {
+            "—"
+        } else {
+            info.density_note
+        };
+        let table = match info.task {
+            Task::Regression => &mut lasso,
+            Task::Classification => &mut svm,
+        };
+        table.row(row![
+            info.name,
+            info.paper_features,
+            info.paper_points,
+            info.paper_nnz_pct,
+            g.dataset.num_features(),
+            g.dataset.num_points(),
+            format!("{:.4}", 100.0 * g.dataset.a.density()),
+            format!("{:?}", info.structure),
+            note,
+        ]);
+    }
+    lasso.finish(None);
+    svm.finish(None);
     println!("(leu is used for both tables; classification labels are generated on demand)");
 }

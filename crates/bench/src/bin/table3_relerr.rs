@@ -7,7 +7,8 @@ use datagen::PaperDataset;
 use saco::prox::Lasso;
 use saco::seq::{acc_bcd, bcd, sa_accbcd, sa_bcd};
 use saco::LassoConfig;
-use saco_bench::{budget, lambda_quantile, print_table, Csv};
+use saco_bench::table::{csv, head, Fmt::*, Table, Value};
+use saco_bench::{budget, lambda_quantile, row};
 
 fn main() {
     let setups = [
@@ -15,13 +16,17 @@ fn main() {
         (PaperDataset::Covtype, 0.05, 400, 200),
         (PaperDataset::News20, 0.5, 8000, 1000),
     ];
-    let mut rows: Vec<Vec<String>> = vec![
-        vec!["SA-accCD".into()],
-        vec!["SA-CD".into()],
-        vec!["SA-accBCD".into()],
-        vec!["SA-BCD".into()],
-    ];
-    let mut csv = Csv::create("table3_relerr", &["dataset", "method", "rel_err", "s"]);
+    let methods = ["SA-accCD", "SA-CD", "SA-accBCD", "SA-BCD"];
+    let mut rows: Vec<Vec<Value>> = methods.iter().map(|&m| row![m]).collect();
+    let mut series = Table::series(
+        "table3_relerr",
+        [
+            csv("dataset", Plain),
+            csv("method", Plain),
+            csv("rel_err", Sci(6)),
+            csv("s", Plain),
+        ],
+    );
     let mut names = Vec::new();
     for (ds, scale, iters_raw, s_cd) in setups {
         let name = ds.info().name;
@@ -70,26 +75,22 @@ fn main() {
         ];
         for (k, (method, classic, sa, s)) in pairs.into_iter().enumerate() {
             let rel = sa.relative_error_vs(&classic);
-            rows[k].push(format!("{rel:.4e}"));
-            csv.row(&[
-                name.to_string(),
-                method.to_string(),
-                format!("{rel:.6e}"),
-                s.to_string(),
-            ]);
+            rows[k].push(rel.into());
+            series.row(row![name, method, rel, s]);
             assert!(
                 rel < 1e-10,
                 "{name}/{method}: relative error {rel} is not at round-off level"
             );
         }
     }
-    let path = csv.finish();
-    let mut header = vec!["method"];
-    header.extend(names);
-    print_table(
-        "Table III — final relative objective error, SA vs non-SA (machine ε = 2.2e-16)",
-        &header,
-        &rows,
-    );
-    println!("series written to {}", path.display());
+    let title = "Table III — final relative objective error, SA vs non-SA (machine ε = 2.2e-16)";
+    let cols = std::iter::once("method")
+        .chain(names)
+        .map(|n| head(n, Sci(4)));
+    let mut table = Table::new(title, cols);
+    for r in rows {
+        table.row(r);
+    }
+    table.finish(None);
+    series.finish(None);
 }

@@ -13,7 +13,8 @@ use datagen::{PaperDataset, Task};
 use mpisim::CostModel;
 use saco::run::Method;
 use saco::{SvmConfig, SvmLoss};
-use saco_bench::{budget, fmt_secs, print_table, Csv};
+use saco_bench::table::{csv, head, Fmt::*, Table};
+use saco_bench::{budget, fmt_secs, row};
 
 fn main() {
     let setups = [
@@ -22,19 +23,22 @@ fn main() {
         (PaperDataset::Gisette, 3072, 128, 40_000),
     ];
     let tol = 1e-1;
-    let mut rows = Vec::new();
-    let mut csv = Csv::create(
-        "table5_svm",
-        &[
-            "dataset",
-            "p",
-            "s",
-            "balanced",
-            "time_classic",
-            "time_sa",
-            "speedup",
-        ],
-    );
+    let title =
+        "Table V — SA-SVM-L1 speedups at duality-gap tolerance 1e-1 (paper: 2.1× / 1.4× / 4×)";
+    let cols = [
+        csv("dataset", Plain).head("dataset", Plain),
+        csv("p", Plain),
+        csv("s", Plain),
+        csv("balanced", Plain),
+        csv("time_classic", Sci(6)),
+        csv("time_sa", Sci(6)),
+        head("ranks", Plain),
+        head("partition", Plain),
+        head("classic", Plain),
+        head("SA", Plain),
+        csv("speedup", Fixed(3)).head("speedup", Times(1)),
+    ];
+    let mut table = Table::new(title, cols).csv("table5_svm");
     for (ds, p, s, iters_raw) in setups {
         let name = ds.info().name;
         let g = ds.generate_for_task(Task::Classification, 1.0, 909);
@@ -67,35 +71,25 @@ fn main() {
                 .time_to_value(tol)
                 .unwrap_or(classic.trace.final_time());
             let t_sa = sa.trace.time_to_value(tol).unwrap_or(sa.trace.final_time());
-            let speedup = t_classic / t_sa;
-            csv.row(&[
-                name.to_string(),
-                p.to_string(),
-                s.to_string(),
+            let partition = if balanced {
+                "nnz-balanced"
+            } else {
+                "naive (paper-like)"
+            };
+            table.row(row![
+                name,
+                p,
+                s,
                 balanced.to_string(),
-                format!("{t_classic:.6e}"),
-                format!("{t_sa:.6e}"),
-                format!("{speedup:.3}"),
-            ]);
-            rows.push(vec![
-                name.to_string(),
+                t_classic,
+                t_sa,
                 format!("P = {p}"),
-                if balanced {
-                    "nnz-balanced".into()
-                } else {
-                    "naive (paper-like)".into()
-                },
+                partition,
                 format!("SVM-L1: {}", fmt_secs(t_classic)),
                 format!("SA-SVM-L1 (s={s}): {}", fmt_secs(t_sa)),
-                format!("{speedup:.1}×"),
+                t_classic / t_sa,
             ]);
         }
     }
-    let path = csv.finish();
-    print_table(
-        "Table V — SA-SVM-L1 speedups at duality-gap tolerance 1e-1 (paper: 2.1× / 1.4× / 4×)",
-        &["dataset", "ranks", "partition", "classic", "SA", "speedup"],
-        &rows,
-    );
-    println!("series written to {}", path.display());
+    table.finish(None);
 }

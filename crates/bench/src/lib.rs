@@ -1,26 +1,32 @@
 //! `saco-bench` — experiment harness.
 //!
 //! One binary per table/figure of the paper (see DESIGN.md §4 for the
-//! index); this library holds the shared plumbing: an output directory for
-//! CSV series, markdown table printing, and the λ-selection policy for the
-//! Lasso experiments.
+//! index); this library holds the shared plumbing: one [`table::Table`]
+//! type that writes a result set's CSV series, prints its markdown table
+//! and merges its gauges into the baseline, the Fig. 4 panels and s
+//! sweep, and the λ-selection policy for the Lasso experiments.
 //!
 //! Binaries (run with `cargo run --release -p saco-bench --bin <name>`):
 //!
 //! | binary | regenerates |
 //! |---|---|
-//! | `table1_costs` | Table I (analytic costs vs simulator counters) |
 //! | `table2_datasets` | Tables II & IV (dataset inventory, paper vs repro) |
+//! | `table1_costs` | Table I (analytic costs vs simulator counters) |
 //! | `fig2_convergence` | Fig. 2 (objective vs iteration, 8 methods) |
 //! | `table3_relerr` | Table III (SA vs non-SA final relative error) |
 //! | `fig3_runtime` | Fig. 3 (objective vs simulated running time) |
 //! | `fig4_scaling` | Fig. 4 (strong scaling + speedup breakdown) |
 //! | `fig5_svm_gap` | Fig. 5 (duality gap vs iteration) |
 //! | `table5_svm_speedup` | Table V (SA-SVM time-to-tolerance speedups) |
-//! | `words_guard` | CI check: fig4 `sa_best.words` vs committed baseline |
+//! | `plot_figures` | SVGs of Figs. 2–5 from the CSV series |
+//! | `run_all` | the nine rows above, in order |
+//! | `chaos_sweep` | Fig. 4's best s under injected collective jitter |
+//! | `net_fig4` | Fig. 4 measured on a real multi-process socket mesh |
+//! | `kdcd_fig` | s-step K-DCD and its kernel-cache skips on the virtual cluster |
+//! | `shard_fig` | an out-of-core solve from shards under a memory budget |
+//! | `serve_bench` | `saco serve` tail latency under chaos stragglers |
 //! | `ledger_check` | CI check: two `ledger/` trace files agree on every exact count |
 //! | `ledger_pair` | alternating parent/change benchmark pairs → `ledger/PR-<n>-pairs.json` |
-//! | `run_all` | everything above, in order |
 
 #![warn(missing_docs)]
 
@@ -28,12 +34,12 @@ pub mod baseline;
 pub mod ledger;
 pub mod pairs;
 pub mod plot;
+pub mod table;
 
-use mpisim::{ChaosSpec, CostModel};
+use datagen::PaperDataset;
+use mpisim::{ChaosSpec, CostModel, CostReport};
 use saco::run::{run, Engine, Method, RunOutcome, RunSpec, Source};
 use sparsela::io::Dataset;
-use std::fs::File;
-use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 
 /// Directory where experiment CSVs land: `target/experiments/`.
@@ -73,10 +79,46 @@ pub fn simulate<R: saco::Regularizer>(
     run(&RunSpec::new(method, engine, Source::InMemory(ds))).expect("simulated run")
 }
 
+/// The Fig. 4 panels, shared by `fig4_scaling` and `chaos_sweep`: a Lasso
+/// stand-in, its generator scale, the rank counts of panels a–d (the
+/// largest is also panels e–h's and the chaos sweep's), and the iteration
+/// budget before [`budget`].
+pub const FIG4_PANELS: [(PaperDataset, f64, [usize; 3], usize); 4] = [
+    (PaperDataset::News20, 1.0, [192, 384, 768], 20_000),
+    (PaperDataset::Covtype, 0.25, [768, 1536, 3072], 8_000),
+    (PaperDataset::Url, 1.0, [3072, 6144, 12_288], 20_000),
+    (PaperDataset::Epsilon, 0.5, [3072, 6144, 12_288], 8_000),
+];
+
+/// The s values every Fig. 4 sweep tries.
+pub const FIG4_S_SWEEP: [usize; 9] = [2, 4, 8, 16, 32, 64, 128, 256, 512];
+
+/// A Fig. 4 panel's data and its λ (the 0.9 quantile of `|Aᵀb|`).
+pub fn fig4_problem(ds: PaperDataset, scale: f64) -> (Dataset, f64) {
+    let ds = ds.generate(scale, 808).dataset;
+    let lambda = lambda_quantile(&ds, 0.9);
+    (ds, lambda)
+}
+
+/// The operating point of an s sweep: the smallest s whose running time
+/// is within 2 % of the sweep minimum. The curve is flat near its optimum,
+/// so a strict argmin would chase negligible gains into much larger s, and
+/// s-fold larger messages and Gram memory.
+pub fn best_s(sweep: &[(usize, CostReport)]) -> &(usize, CostReport) {
+    let min_time = sweep
+        .iter()
+        .map(|(_, r)| r.running_time())
+        .fold(f64::INFINITY, f64::min);
+    sweep
+        .iter()
+        .find(|(_, r)| r.running_time() <= min_time * 1.02)
+        .expect("nonempty s sweep")
+}
+
 /// One Fig. 4 point: (SA-)accCD (µ = 1, seed 4040, untraced) on `p`
 /// nnz-balanced virtual XC30 ranks, optionally under a chaos plan. Shared
-/// by `fig4_scaling`, `words_guard` and `chaos_sweep`, so the guard and
-/// the sweep re-simulate exactly the points the figure commits.
+/// by `fig4_scaling` and `chaos_sweep`, so the sweep's jitter-free rows
+/// are the figure's points.
 pub fn fig4_point(
     ds: &Dataset,
     lambda: f64,
@@ -105,53 +147,6 @@ pub fn fig4_point(
     };
     let method = Method::Lasso { reg, cfg, accel };
     run(&RunSpec::new(method, engine, Source::InMemory(ds))).expect("simulated run")
-}
-
-/// A tiny CSV writer (plain text; no quoting needed for numeric series).
-pub struct Csv {
-    w: BufWriter<File>,
-    path: PathBuf,
-}
-
-impl Csv {
-    /// Create `target/experiments/<name>.csv` with the given header row.
-    pub fn create(name: &str, header: &[&str]) -> Csv {
-        let path = experiments_dir().join(format!("{name}.csv"));
-        let mut w = BufWriter::new(File::create(&path).expect("create csv"));
-        writeln!(w, "{}", header.join(",")).expect("write header");
-        Csv { w, path }
-    }
-
-    /// Append one row of fields.
-    pub fn row(&mut self, fields: &[String]) {
-        writeln!(self.w, "{}", fields.join(",")).expect("write row");
-    }
-
-    /// Append one row of f64s.
-    pub fn row_f64(&mut self, fields: &[f64]) {
-        let strs: Vec<String> = fields.iter().map(|v| format!("{v:.9e}")).collect();
-        self.row(&strs);
-    }
-
-    /// Flush and report the path.
-    pub fn finish(mut self) -> PathBuf {
-        self.w.flush().expect("flush csv");
-        self.path
-    }
-}
-
-/// Print a markdown table to stdout.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n### {title}\n");
-    println!("| {} |", header.join(" | "));
-    println!(
-        "|{}|",
-        header.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-    );
-    for r in rows {
-        println!("| {} |", r.join(" | "));
-    }
-    println!();
 }
 
 /// Human-readable seconds.
@@ -201,7 +196,6 @@ pub fn lambda_quantile(ds: &Dataset, q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datagen::PaperDataset;
 
     #[test]
     fn lambda_is_positive_and_scales() {
@@ -210,16 +204,6 @@ mod tests {
         let l2 = lambda_for(&g.dataset, 0.2);
         assert!(l1 > 0.0);
         assert!((l2 / l1 - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn csv_writes_and_finishes() {
-        let mut csv = Csv::create("selftest", &["a", "b"]);
-        csv.row_f64(&[1.0, 2.0]);
-        let path = csv.finish();
-        let content = std::fs::read_to_string(path).expect("read back");
-        assert!(content.starts_with("a,b\n"));
-        assert!(content.contains("1.0"));
     }
 
     #[test]

@@ -322,9 +322,9 @@ pub(crate) fn kdcd_family<'r, B: ExecBackend<'r>, M: SliceSource + Sync>(
         z: vec![0.0; m],
         cache: KernelCache::new(m, cfg.cache_budget_bytes),
         dense: vec![0.0; a.minor_len()],
-        miss: Vec::new(),
-        miss_next: Vec::new(),
-        trace: ConvergenceTrace::new(),
+        miss: Vec::with_capacity(cfg.s),
+        miss_next: Vec::with_capacity(cfg.s),
+        trace: ConvergenceTrace::for_run(cfg.max_iters, cfg.trace_every),
         stats: KdcdStats::default(),
     };
     // α = 0 ⇒ both dual objectives start at exactly 0 on every engine.
@@ -333,6 +333,12 @@ pub(crate) fn kdcd_family<'r, B: ExecBackend<'r>, M: SliceSource + Sync>(
 
     let mut rng = rng_from_seed(cfg.seed);
     let mut ws = KernelWorkspace::new();
+    // A block misses at most its s sampled rows. Size the tiles for that
+    // once, so a later block with more distinct misses never regrows them.
+    ws.cross.reshape_zeroed(cfg.s, m);
+    if B::OVERLAPS {
+        ws.cross_next.reshape_zeroed(cfg.s, m);
+    }
     let sched = Schedule {
         max_iters: cfg.max_iters,
         s: cfg.s,

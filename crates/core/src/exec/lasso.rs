@@ -484,7 +484,7 @@ pub(crate) fn lasso_family_warm<'r, B: ExecBackend<'r>, R: Regularizer, M: Slice
         z: std::mem::take(x),
         ytilde: Vec::new(),
         ztilde: std::mem::take(residual),
-        trace: ConvergenceTrace::new(),
+        trace: ConvergenceTrace::for_run(cfg.max_iters, cfg.trace_every),
         last_traced: 0.0,
     };
     // The rel_tol baseline is the warm objective (trace pushes inside the
@@ -535,7 +535,7 @@ pub(crate) fn lasso_family<'r, B: ExecBackend<'r>, R: Regularizer, M: SliceSourc
         z: vec![0.0; n],
         ytilde: vec![0.0; if accel { b.len() } else { 0 }],
         ztilde: b.iter().map(|v| -v).collect(),
-        trace: ConvergenceTrace::new(),
+        trace: ConvergenceTrace::for_run(cfg.max_iters, cfg.trace_every),
         last_traced: 0.0,
     };
 

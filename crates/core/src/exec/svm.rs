@@ -185,7 +185,7 @@ pub(crate) fn svm_family<'r, B: ExecBackend<'r>, M: SliceSource + Sync>(
         m,
         alpha: vec![0.0f64; m],
         x: vec![0.0f64; a.minor_len()],
-        trace: ConvergenceTrace::new(),
+        trace: ConvergenceTrace::for_run(cfg.max_iters, cfg.trace_every),
         gap_buf: Vec::with_capacity(m + 1),
     };
 

@@ -233,31 +233,31 @@ impl SolverState {
 /// increase and stay below `x.len()`; the first row that breaks this
 /// refuses the whole request, naming the row and the index.
 fn score(x: &[f64], rows: &[(Vec<usize>, Vec<f64>)]) -> Result<Vec<f64>, String> {
-    rows.iter()
-        .enumerate()
-        .map(|(r, (idx, val))| {
-            let mut prev = None;
-            for &j in idx {
-                if j >= x.len() {
-                    return Err(format!(
-                        "row {r}: feature index {j} out of range (n = {})",
-                        x.len()
-                    ));
-                }
-                if let Some(p) = prev.filter(|&p| j <= p) {
-                    return Err(format!(
-                        "row {r}: feature index {j} does not follow {p} (indices must strictly increase)"
-                    ));
-                }
-                prev = Some(j);
+    // Sized up front: collecting into a `Result` would regrow it.
+    let mut scores = Vec::with_capacity(rows.len());
+    for (r, (idx, val)) in rows.iter().enumerate() {
+        let mut prev = None;
+        for &j in idx {
+            if j >= x.len() {
+                return Err(format!(
+                    "row {r}: feature index {j} out of range (n = {})",
+                    x.len()
+                ));
             }
-            let slice = SparseSlice {
-                indices: idx,
-                values: val,
-            };
-            Ok(slice.dot_dense(x))
-        })
-        .collect()
+            if let Some(p) = prev.filter(|&p| j <= p) {
+                return Err(format!(
+                    "row {r}: feature index {j} does not follow {p} (indices must strictly increase)"
+                ));
+            }
+            prev = Some(j);
+        }
+        let slice = SparseSlice {
+            indices: idx,
+            values: val,
+        };
+        scores.push(slice.dot_dense(x));
+    }
+    Ok(scores)
 }
 
 /// Deterministic straggler draw for admitted request number `k`: a pure

@@ -51,6 +51,17 @@ impl ConvergenceTrace {
         Self::default()
     }
 
+    /// Empty trace with room for every point of a run of `max_iters`
+    /// iterations traced every `trace_every` (0: untraced): the start, one
+    /// per multiple and the end, up to 4096 points. Within that, tracing
+    /// never regrows the trace mid-run.
+    pub fn for_run(max_iters: usize, trace_every: usize) -> Self {
+        let points = max_iters.checked_div(trace_every).unwrap_or(0) + 2;
+        ConvergenceTrace {
+            points: Vec::with_capacity(points.min(4096)),
+        }
+    }
+
     /// Append a point.
     ///
     /// # Panics

@@ -220,12 +220,6 @@ impl<R: Read> FrameReader<R> {
         &self.frame
     }
 
-    /// The frame last read, for a caller that swaps in a frame it held
-    /// back (the reorder buffer's release path).
-    pub fn frame_mut(&mut self) -> &mut Frame {
-        &mut self.frame
-    }
-
     /// The underlying stream.
     pub fn get_ref(&self) -> &R {
         self.inner.get_ref()

@@ -17,11 +17,10 @@
 //!   send/recv timeouts that surface as typed [`NetError`]s — a dead peer
 //!   produces an `Err`, never a hang.
 //! * [`ordered`] — per-peer ordered delivery: every frame on a link is
-//!   stamped with a sequence number and a [`ordered::Reorderer`] releases
-//!   frames strictly in order (stream sockets already guarantee order;
-//!   the sequence layer turns any violation — a bug, a proxy, a future
-//!   datagram transport — into a deterministic reorder or a protocol
-//!   error instead of silent corruption).
+//!   stamped with a sequence number and a frame out of sequence is a
+//!   protocol error (stream sockets already guarantee order; the check
+//!   turns any violation — a bug, a proxy — into a typed error instead of
+//!   silent corruption, and buffers nothing).
 //! * [`mesh`] — rendezvous (rank 0 collects every rank's listener address
 //!   and broadcasts the table), full-mesh link formation, and the one
 //!   deterministic allreduce: a binomial tree with one fixed combine
@@ -205,9 +204,6 @@ pub struct NetStats {
     /// once the solver has nothing left to overlap with it — receives,
     /// combines, the remaining sends, and all the blocking in between.
     pub wait_nanos: AtomicU64,
-    /// Frames that arrived ahead of sequence and were buffered for
-    /// in-order release.
-    pub reordered: AtomicU64,
 }
 
 impl NetStats {
@@ -232,7 +228,7 @@ impl NetStats {
             collectives: Self::get(&self.collectives),
             comm_secs: Self::get(&self.comm_nanos) as f64 * 1e-9,
             wait_secs: Self::get(&self.wait_nanos) as f64 * 1e-9,
-            reordered: Self::get(&self.reordered),
+            reordered: 0,
         }
     }
 }
@@ -259,6 +255,8 @@ pub struct StatsSnapshot {
     pub comm_secs: f64,
     /// The wait part of `comm_secs`.
     pub wait_secs: f64,
-    /// Frames buffered for in-order release.
+    /// Always 0: a frame out of sequence is a protocol error, never
+    /// buffered. Kept so the `net.reordered` key and the struct's shape
+    /// stay as consumers know them.
     pub reordered: u64,
 }

@@ -1,98 +1,27 @@
 //! Per-peer ordered delivery.
 //!
-//! Stream sockets already deliver bytes in order, so on a healthy link the
-//! [`Reorderer`] is a zero-cost pass-through. Its job is to make the
-//! ordering guarantee *checked* rather than assumed: every frame carries a
-//! per-link sequence number, frames ahead of sequence are buffered and
-//! released in order (counted in `NetStats::reordered`), and a duplicate
-//! or rewound sequence number is a [`NetError::Protocol`] instead of a
-//! silently mis-ordered reduction. That keeps the collectives layer
-//! deterministic over any transport that preserves frames at all — and
-//! loudly broken over one that does not.
+//! Stream sockets deliver bytes in order, so a healthy link never sees a
+//! frame out of sequence. Every frame carries a per-link sequence number
+//! all the same, to make the ordering guarantee *checked* rather than
+//! assumed: a frame whose sequence is not the next one expected —
+//! duplicated, rewound or ahead — is a [`NetError::Protocol`] instead of
+//! a silently mis-ordered reduction. Nothing is buffered, so a peer that
+//! runs ahead cannot grow this rank's memory.
 //!
 //! An [`OrderedLink`] reads its peer through the crate's one buffered
 //! reader, [`FrameReader`]: a frame the size of the read buffer or less
 //! is one `read`, and the payload buffer is reused from frame to frame.
 
-use crate::frame::{self, Frame, FrameKind, FrameReader};
+use crate::frame::{self, FrameKind, FrameReader};
 use crate::transport::Stream;
 use crate::{NetError, NetStats};
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Reassembles a per-link frame stream into strict sequence order.
-#[derive(Debug, Default)]
-pub struct Reorderer {
-    next: u64,
-    pending: BTreeMap<u64, Frame>,
-    ready: VecDeque<Frame>,
-}
-
-impl Reorderer {
-    /// A reorderer expecting sequence 0 first.
-    pub fn new() -> Reorderer {
-        Reorderer::default()
-    }
-
-    /// Accept one frame off the wire. Returns the number of frames that
-    /// had to be buffered out-of-order (0 on the fast path), or a
-    /// protocol error for a duplicate/rewound sequence number.
-    pub fn accept(&mut self, f: Frame) -> Result<u64, NetError> {
-        if f.seq < self.next || self.pending.contains_key(&f.seq) {
-            return Err(NetError::Protocol(format!(
-                "duplicate or rewound sequence {} from rank {} (expected ≥ {})",
-                f.seq, f.rank, self.next
-            )));
-        }
-        if f.seq == self.next {
-            self.ready.push_back(f);
-            self.advance();
-            Ok(0)
-        } else {
-            self.pending.insert(f.seq, f);
-            Ok(1)
-        }
-    }
-
-    /// Step past the expected sequence number and release any earlier
-    /// arrivals that are now contiguous.
-    fn advance(&mut self) {
-        self.next += 1;
-        while let Some(g) = self.pending.remove(&self.next) {
-            self.next += 1;
-            self.ready.push_back(g);
-        }
-    }
-
-    /// The healthy-link fast path: `true` if `seq` is the frame expected
-    /// next and nothing is queued ahead of it, in which case it counts as
-    /// delivered and the caller keeps its payload where it is. Otherwise
-    /// nothing changes and the frame must go through [`Reorderer::accept`].
-    pub(crate) fn passes(&mut self, seq: u64) -> bool {
-        let in_order = seq == self.next && self.ready.is_empty();
-        if in_order {
-            self.advance();
-        }
-        in_order
-    }
-
-    /// Next in-order frame, if one is ready.
-    pub fn pop_ready(&mut self) -> Option<Frame> {
-        self.ready.pop_front()
-    }
-
-    /// Frames buffered ahead of sequence (0 on a healthy stream link).
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-}
-
 /// One fully-formed link to a peer rank: a stream plus send-side sequence
-/// stamping and receive-side order checking, with every byte accounted to
+/// stamping and receive-side sequence checking, with every byte accounted to
 /// the shared [`NetStats`]. A data frame costs one `write` going out and
 /// (up to the read buffer's size) one `read` coming in, through buffers
 /// the link keeps across frames.
@@ -105,7 +34,8 @@ pub struct OrderedLink {
     pub peer: usize,
     local_rank: u16,
     send_seq: u64,
-    reorder: Reorderer,
+    /// The sequence number the next received frame must carry.
+    recv_seq: u64,
     /// The outgoing frame being encoded.
     wire: Vec<u8>,
     stats: Arc<NetStats>,
@@ -124,7 +54,7 @@ impl OrderedLink {
             peer,
             local_rank: local_rank as u16,
             send_seq: 0,
-            reorder: Reorderer::new(),
+            recv_seq: 0,
             wire: Vec::new(),
             stats,
         }
@@ -156,31 +86,28 @@ impl OrderedLink {
         Ok(())
     }
 
-    /// Receive the next in-order frame into the reader's frame. Blocks at most
-    /// the stream's configured I/O timeout; a dead peer yields
-    /// `Timeout`/`Closed`.
+    /// Receive the next frame into the reader's frame and check that it
+    /// is the one expected next. Blocks at most the stream's configured
+    /// I/O timeout; a dead peer yields `Timeout`/`Closed`.
     fn recv(&mut self) -> Result<(), NetError> {
-        loop {
-            if let Some(f) = self.reorder.pop_ready() {
-                *self.reader.frame_mut() = f;
-                return Ok(());
-            }
-            let t0 = Instant::now();
-            let peer = self.peer;
-            let f = self
-                .reader
-                .read_next()
-                .map_err(|e| NetError::from_io(e, Some(peer), "recv frame", t0.elapsed()))??;
-            self.stats
-                .bytes_rx
-                .fetch_add(f.wire_len() as u64, Ordering::Relaxed);
-            self.stats.frames_rx.fetch_add(1, Ordering::Relaxed);
-            if self.reorder.passes(f.seq) {
-                return Ok(());
-            }
-            let buffered = self.reorder.accept(f.clone())?;
-            self.stats.reordered.fetch_add(buffered, Ordering::Relaxed);
+        let t0 = Instant::now();
+        let peer = self.peer;
+        let f = self
+            .reader
+            .read_next()
+            .map_err(|e| NetError::from_io(e, Some(peer), "recv frame", t0.elapsed()))??;
+        self.stats
+            .bytes_rx
+            .fetch_add(f.wire_len() as u64, Ordering::Relaxed);
+        self.stats.frames_rx.fetch_add(1, Ordering::Relaxed);
+        if f.seq != self.recv_seq {
+            return Err(NetError::Protocol(format!(
+                "sequence {} from rank {} out of order (expected {})",
+                f.seq, f.rank, self.recv_seq
+            )));
         }
+        self.recv_seq += 1;
+        Ok(())
     }
 
     /// The wire bytes of the next in-order data frame, checked to belong
@@ -243,60 +170,62 @@ impl OrderedLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::os::unix::net::UnixStream;
 
-    fn data(seq: u64) -> Frame {
-        Frame::data(1, 0, seq, &[seq as f64])
+    /// Two links over a socketpair, rank 0 → rank 1, sharing one stats.
+    fn pair() -> (OrderedLink, OrderedLink, Arc<NetStats>) {
+        let (a, b) = UnixStream::pair().expect("socketpair");
+        let stats = Arc::new(NetStats::default());
+        let la = OrderedLink::new(Stream::Unix(a), 0, 1, Arc::clone(&stats));
+        let lb = OrderedLink::new(Stream::Unix(b), 1, 0, Arc::clone(&stats));
+        (la, lb, stats)
     }
 
     #[test]
     fn in_order_stream_passes_through() {
-        let mut r = Reorderer::new();
+        let (mut la, mut lb, _) = pair();
         for s in 0..5 {
-            assert_eq!(r.accept(data(s)).expect("in order"), 0);
-            assert_eq!(r.pop_ready().expect("ready").seq, s);
+            la.send_f64(3, &[s as f64]).expect("send");
         }
-        assert_eq!(r.pending_len(), 0);
+        for s in 0..5 {
+            assert_eq!(lb.recv_f64(3).expect("in order"), vec![s as f64]);
+        }
+        assert_eq!(lb.recv_seq, 5);
     }
 
     #[test]
-    fn out_of_order_arrivals_are_released_in_order() {
-        let mut r = Reorderer::new();
-        // Arrivals: 2, 0, 3, 1 → releases must be 0, 1, 2, 3.
-        assert_eq!(r.accept(data(2)).expect("buffer"), 1);
-        assert!(r.pop_ready().is_none(), "2 must wait for 0 and 1");
-        assert_eq!(r.accept(data(0)).expect("head"), 0);
-        assert_eq!(r.accept(data(3)).expect("buffer"), 1);
-        assert_eq!(r.accept(data(1)).expect("fills the gap"), 0);
-        let order: Vec<u64> = std::iter::from_fn(|| r.pop_ready())
-            .map(|f| f.seq)
-            .collect();
-        assert_eq!(order, vec![0, 1, 2, 3]);
-        assert_eq!(r.pending_len(), 0);
+    fn a_frame_ahead_of_sequence_is_a_protocol_error() {
+        let (mut la, mut lb, _) = pair();
+        la.send_f64(3, &[0.0]).expect("send");
+        la.send_seq = 2; // sequence 1 never goes out
+        la.send_f64(3, &[2.0]).expect("send");
+        assert_eq!(lb.recv_f64(3).expect("in order"), vec![0.0]);
+        assert!(
+            matches!(lb.recv_f64(3), Err(NetError::Protocol(_))),
+            "a frame ahead of sequence is not buffered"
+        );
     }
 
     #[test]
     fn duplicate_and_rewound_sequences_are_protocol_errors() {
-        let mut r = Reorderer::new();
-        r.accept(data(0)).expect("first");
-        r.pop_ready().expect("ready");
-        assert!(
-            matches!(r.accept(data(0)), Err(NetError::Protocol(_))),
-            "replayed frame"
-        );
-        r.accept(data(5)).expect("buffered");
-        assert!(
-            matches!(r.accept(data(5)), Err(NetError::Protocol(_))),
-            "duplicate in pending"
-        );
+        for replay in [0, 1] {
+            let (mut la, mut lb, _) = pair();
+            la.send_f64(3, &[0.0]).expect("send");
+            la.send_f64(3, &[1.0]).expect("send");
+            la.send_seq = replay;
+            la.send_f64(3, &[replay as f64]).expect("send");
+            lb.recv_f64(3).expect("first");
+            lb.recv_f64(3).expect("second");
+            assert!(
+                matches!(lb.recv_f64(3), Err(NetError::Protocol(_))),
+                "sequence {replay} again after 1"
+            );
+        }
     }
 
     #[test]
     fn links_over_a_real_socketpair_roundtrip_and_count() {
-        use std::os::unix::net::UnixStream;
-        let (a, b) = UnixStream::pair().expect("socketpair");
-        let stats = Arc::new(NetStats::default());
-        let mut la = OrderedLink::new(Stream::Unix(a), 0, 1, Arc::clone(&stats));
-        let mut lb = OrderedLink::new(Stream::Unix(b), 1, 0, Arc::clone(&stats));
+        let (mut la, mut lb, stats) = pair();
         la.send_f64(7, &[1.0, -2.5]).expect("send");
         la.send_f64(7, &[3.0]).expect("send");
         assert_eq!(lb.recv_f64(7).expect("first"), vec![1.0, -2.5]);

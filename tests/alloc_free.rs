@@ -14,11 +14,11 @@
 //!   holds N or 2N requests: the reply's score vector and nothing else
 //!   (no per-frame buffer, no per-row vector).
 //!
-//! The allocator counts fresh allocations (`alloc`, `alloc_zeroed`) in a
+//! The allocator counts fresh allocations (`alloc`, `alloc_zeroed`) and
+//! growing reallocations (`realloc` to a larger size) in a
 //! const-initialized thread-local, so counting never allocates, and in
-//! one process-wide total. Growing a held buffer (`realloc`) is not a new
-//! allocation and is not counted; amortized growth is logarithmic in the
-//! work, never linear.
+//! one process-wide total. A held buffer that keeps growing with the
+//! work therefore shows between H and 2H; shrinking one is not counted.
 
 use datagen::{binary_classification, dense_gaussian, planted_regression, uniform_sparse};
 use mpisim::CostModel;
@@ -66,6 +66,9 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if new_size > layout.size() {
+            count();
+        }
         System.realloc(ptr, layout, new_size)
     }
 }

@@ -816,11 +816,12 @@ struct Cell {
 }
 
 /// One row of the walk: its name in `tests/goldens/cells.txt`, its
-/// family, the `seq::*` shim's solve it is held to (with the shim's
-/// kernel-cache counters on the K-DCD rows), and every cell.
+/// family and data, the `seq::*` shim's solve it is held to (with the
+/// shim's kernel-cache counters on the K-DCD rows), and every cell.
 struct Row {
     name: String,
     family: Family,
+    data: Dataset,
     reference: SolveResult,
     ref_stats: Option<KdcdStats>,
     cells: Vec<Cell>,
@@ -897,6 +898,7 @@ fn walk_row(name: String, family: Family, ds: &Dataset, dirs: [(&Path, bool); 2]
     Row {
         name,
         family,
+        data: ds.clone(),
         reference,
         ref_stats,
         cells,
@@ -1103,6 +1105,40 @@ fn assert_streamed_bitwise(family: fn(&Family) -> bool) -> u64 {
 #[test]
 fn lasso_engine_matrix() {
     assert_engine_relations(is_lasso);
+}
+
+/// The reported final objective is the objective of the returned `x`:
+/// ½‖Ax − b‖² + g(x) recomputed from `x` agrees with it to a few ε
+/// relative on every in-memory Lasso cell (the worst, `bcd net p=2`, is
+/// 5.4 ε). The accelerated rows report the implicit objective of their
+/// recurrences and never read `x`, and `cells.txt` pins only the
+/// reported bits.
+#[test]
+fn reported_lasso_objective_is_the_objective_of_x() {
+    let rows = walked();
+    for row in rows_of(&rows, is_lasso) {
+        let Family::Lasso { reg, .. } = row.family else {
+            unreachable!("a Lasso row")
+        };
+        let (a, b) = (&row.data.a, &row.data.b);
+        for cell in &row.cells {
+            let what = row.what(cell);
+            let r = &row.ran(cell).results[0];
+            let fit: f64 = a
+                .spmv(&r.x)
+                .iter()
+                .zip(b)
+                .map(|(p, y)| (p - y) * (p - y))
+                .sum();
+            let f = 0.5 * fit + with_reg!(reg, r.x.len(), |g| g.value(&r.x));
+            let rel = (f - r.final_value()).abs() / f.abs();
+            assert!(
+                rel <= 8.0 * f64::EPSILON,
+                "{what}: reported {:e}, from x {f:e} (relative {rel:.2e})",
+                r.final_value()
+            );
+        }
+    }
 }
 
 /// {L1, L2} × s ∈ {1, 8}: the gap trace replicates across ranks and the
