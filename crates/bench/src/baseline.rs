@@ -16,7 +16,7 @@ use std::path::PathBuf;
 
 /// Location of the committed baseline: `<repo root>/BENCH_baseline.json`.
 pub fn repo_baseline_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_baseline.json")
+    crate::workspace_root().join("BENCH_baseline.json")
 }
 
 /// An accumulating sink over the baseline file.

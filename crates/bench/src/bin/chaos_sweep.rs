@@ -20,7 +20,7 @@ use mpisim::{ChaosSpec, CostReport};
 use saco::run::RunOutcome;
 use saco_bench::baseline::Baseline;
 use saco_bench::table::{csv, Fmt::*, Table};
-use saco_bench::{best_s, budget, fig4_point, fig4_problem, row, FIG4_PANELS, FIG4_S_SWEEP};
+use saco_bench::{best_s, budget, fig4_point, fig4_problem, row, shown, FIG4_PANELS, FIG4_S_SWEEP};
 use sparsela::io::Dataset;
 
 /// Jitter amplitudes in seconds, spanning "quiet fabric" to "noisy cloud"
@@ -98,5 +98,5 @@ fn main() {
         table.finish(Some(&mut baseline));
     }
     let path = baseline.write();
-    println!("baseline gauges merged into {}", path.display());
+    println!("baseline gauges merged into {}", shown(&path));
 }

@@ -16,7 +16,7 @@ use saco::run::Method;
 use saco::{LassoConfig, SolveResult};
 use saco_bench::baseline::{key_label, Baseline};
 use saco_bench::table::{csv, head, Fmt::*, Table};
-use saco_bench::{budget, lambda_quantile, row, simulate};
+use saco_bench::{budget, lambda_quantile, row, shown, simulate};
 use sparsela::io::Dataset;
 
 struct Panel {
@@ -187,5 +187,5 @@ fn main() {
         series.finish(None);
     }
     let path = sink.write();
-    println!("baseline gauges merged into {}", path.display());
+    println!("baseline gauges merged into {}", shown(&path));
 }

@@ -13,7 +13,7 @@
 use mpisim::CostReport;
 use saco_bench::baseline::Baseline;
 use saco_bench::table::{csv, head, Fmt::*, Table};
-use saco_bench::{best_s, budget, fig4_point, fig4_problem, row, FIG4_PANELS, FIG4_S_SWEEP};
+use saco_bench::{best_s, budget, fig4_point, fig4_problem, row, shown, FIG4_PANELS, FIG4_S_SWEEP};
 use sparsela::io::Dataset;
 
 fn run(ds: &Dataset, lambda: f64, s: usize, iters: usize, p: usize) -> CostReport {
@@ -85,5 +85,5 @@ fn main() {
         breakdown.finish(None);
     }
     let path = baseline.write();
-    println!("baseline gauges merged into {}", path.display());
+    println!("baseline gauges merged into {}", shown(&path));
 }

@@ -29,7 +29,7 @@ use saco::run::Method;
 use saco::seq::kdcd;
 use saco::{KdcdConfig, KdcdTask, SvmLoss};
 use saco_bench::baseline::Baseline;
-use saco_bench::{fmt_secs, quick_mode, simulate};
+use saco_bench::{fmt_secs, quick_mode, shown, simulate};
 use sparsela::io::Dataset;
 use sparsela::KernelFn;
 
@@ -179,5 +179,5 @@ fn main() {
         }
     }
     let path = base.write();
-    println!("baseline updated: {}", path.display());
+    println!("baseline updated: {}", shown(&path));
 }

@@ -24,7 +24,7 @@ use saco::run::Method;
 use saco::LassoConfig;
 use saco_bench::baseline::Baseline;
 use saco_bench::table::{csv, Fmt::*, Table};
-use saco_bench::{budget, row};
+use saco_bench::{budget, row, shown};
 use sparsela::io::{read_libsvm, write_libsvm, Dataset};
 use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
@@ -197,6 +197,6 @@ fn main() {
     }
     table.finish(Some(&mut baseline));
     let path = baseline.write();
-    println!("baseline gauges merged into {}", path.display());
+    println!("baseline gauges merged into {}", shown(&path));
     let _ = std::fs::remove_file(&data);
 }

@@ -8,8 +8,8 @@
 //!
 //! Output: `target/experiments/*.svg`.
 
-use saco_bench::experiments_dir;
 use saco_bench::plot::{Chart, Scale};
+use saco_bench::{experiments_dir, shown};
 use std::path::Path;
 
 /// Minimal CSV reader for the harness's own numeric output.
@@ -26,7 +26,7 @@ fn read_csv(path: &Path) -> Option<(Vec<String>, Vec<Vec<String>>)> {
 fn save(chart: &Chart, name: &str) {
     let path = experiments_dir().join(format!("{name}.svg"));
     std::fs::write(&path, chart.render_svg()).expect("write svg");
-    println!("wrote {}", path.display());
+    println!("wrote {}", shown(&path));
 }
 
 /// Figure 2 / Figure 5 CSVs are wide: first column is the iteration, every

@@ -35,7 +35,8 @@ fn main() {
         println!("[{bin} finished in {:.1} s]", t.elapsed().as_secs_f64());
     }
     println!(
-        "\nall experiments regenerated in {:.1} s; CSV series in target/experiments/",
-        t_all.elapsed().as_secs_f64()
+        "\nall experiments regenerated in {:.1} s; CSV series in {}/",
+        t_all.elapsed().as_secs_f64(),
+        saco_bench::shown(&saco_bench::experiments_dir())
     );
 }

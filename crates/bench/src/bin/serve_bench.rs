@@ -26,7 +26,7 @@ use saco::prox::Lasso;
 use saco::serve::{serve, Addr, Listener, ModelArtifact, ServeClient, ServeConfig, ServeReport};
 use saco::LassoConfig;
 use saco_bench::baseline::Baseline;
-use saco_bench::quick_mode;
+use saco_bench::{quick_mode, shown};
 use saco_telemetry::Registry;
 use std::time::Instant;
 
@@ -233,5 +233,5 @@ fn main() {
         registry.counter("serve.rows_scored") as f64,
     );
     let path = base.write();
-    println!("baseline updated: {}", path.display());
+    println!("baseline updated: {}", shown(&path));
 }

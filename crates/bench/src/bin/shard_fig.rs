@@ -25,7 +25,7 @@ use saco::prox::Lasso;
 use saco::seq::sa_accbcd;
 use saco::stream::{stream_sa_accbcd, IoStats, ShardManifest, StreamingMatrix};
 use saco_bench::baseline::Baseline;
-use saco_bench::{fmt_secs, quick_mode};
+use saco_bench::{fmt_secs, quick_mode, shown};
 use sparsela::io::Dataset;
 use sparsela::shard::{verify_store, ShardAxis, ShardWriter};
 use sparsela::CooMatrix;
@@ -234,7 +234,7 @@ fn run_full(dir: &Path) {
         sh.rows,
         sh.cols,
         sh.density * 100.0,
-        dir.display()
+        shown(dir)
     );
     let gen = generate_shards(dir, sh, false);
     let disk = gen.manifest.disk_bytes();
@@ -313,7 +313,7 @@ fn run_full(dir: &Path) {
     base.set(&format!("{key}.objective.final"), res.trace.final_value());
     record_io(&mut base, &key, &st);
     let path = base.write();
-    println!("  baseline updated: {}", path.display());
+    println!("  baseline updated: {}", shown(&path));
 }
 
 /// Quick mode (CI): bitwise streamed-vs-in-memory proof plus the
@@ -391,7 +391,7 @@ fn run_quick(dir: &Path) {
     base.set("shard_fig.quick.bitwise", 1.0);
     base.set("shard_fig.quick.hidden_time", st.hidden_secs);
     let path = base.write();
-    println!("  baseline updated: {}", path.display());
+    println!("  baseline updated: {}", shown(&path));
     let _ = std::fs::remove_dir_all(dir);
 }
 

@@ -40,13 +40,36 @@ use datagen::PaperDataset;
 use mpisim::{ChaosSpec, CostModel, CostReport};
 use saco::run::{run, Engine, Method, RunOutcome, RunSpec, Source};
 use sparsela::io::Dataset;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-/// Directory where experiment CSVs land: `target/experiments/`.
+/// The workspace this crate was built in: where the committed files it
+/// merges into (`BENCH_baseline.json`) live.
+pub fn workspace_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels below the workspace root")
+}
+
+/// Directory where experiment CSVs land: `experiments/` in cargo's target
+/// directory, read when the bin runs — `$CARGO_TARGET_DIR` if set (a
+/// relative one from the working directory, as cargo reads it), else the
+/// workspace's `target/`.
 pub fn experiments_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments");
+    let target = std::env::var_os("CARGO_TARGET_DIR")
+        .map_or_else(|| workspace_root().join("target"), PathBuf::from);
+    let dir = target.join("experiments");
     std::fs::create_dir_all(&dir).expect("create experiments dir");
     dir
+}
+
+/// `path` as the bins print it: relative to the workspace root when it
+/// lies inside, so two checkouts print the same lines.
+pub fn shown(path: &Path) -> String {
+    path.strip_prefix(workspace_root())
+        .unwrap_or(path)
+        .display()
+        .to_string()
 }
 
 /// Quick mode: set `SACO_QUICK=1` to shrink every experiment (~10×) for
@@ -196,6 +219,18 @@ pub fn lambda_quantile(ds: &Dataset, q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn paths_inside_the_workspace_print_relative_to_it() {
+        let csv = workspace_root().join("target/experiments/fig3_leu.csv");
+        assert_eq!(shown(&csv), "target/experiments/fig3_leu.csv");
+        assert_eq!(
+            shown(&workspace_root().join("BENCH_baseline.json")),
+            "BENCH_baseline.json"
+        );
+        let outside = Path::new("/elsewhere/experiments/fig3_leu.csv");
+        assert_eq!(shown(outside), "/elsewhere/experiments/fig3_leu.csv");
+    }
 
     #[test]
     fn lambda_is_positive_and_scales() {

@@ -4,7 +4,7 @@
 //! prints the markdown table and merges the gauges into the baseline.
 
 use crate::baseline::Baseline;
-use crate::{experiments_dir, fmt_secs};
+use crate::{experiments_dir, fmt_secs, shown};
 use saco::SolveResult;
 use std::path::PathBuf;
 
@@ -227,7 +227,7 @@ impl Table {
             println!();
         }
         if let Some(path) = path {
-            println!("series written to {}", path.display());
+            println!("series written to {}", shown(&path));
         }
         let mut baseline = baseline;
         for (key, values) in self.rows.iter().filter_map(|(k, v)| Some((k.as_ref()?, v))) {

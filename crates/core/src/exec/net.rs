@@ -123,8 +123,10 @@ impl<'r, 'c> ExecBackend<'r> for NetBackend<'c> {
         let wire = std::mem::take(&mut ws.pack);
         ws.pack = match next_block {
             Some(f) => {
-                // Start puts a reduce-leaf's partial on the wire; it and
-                // the peers' progress overlap with forming the next block.
+                // Start puts the partial of a reduce-leaf, or of a
+                // top-swap root with nothing to receive first, on the
+                // wire; it and the peers' progress overlap with forming
+                // the next block.
                 let pending = match self.comm.iallreduce_start(wire) {
                     Ok(p) => p,
                     Err(e) => self.fail("fused allreduce start", e),

@@ -74,24 +74,38 @@ mod tests {
         }
     }
 
+    /// At P = 3 the tree's top swap is 0 ↔ 2, not 0 ↔ 1: rank 0 touches
+    /// two tree edges, ranks 1 and 2 one each, and each edge carries one
+    /// frame each way per collective.
     #[test]
     fn clean_meshes_report_zero_reconnects() {
         let snaps = run_local(3, |rank, comm| {
+            let before = comm.stats();
             let _ = comm.allreduce_scalar(rank as f64).expect("reduce");
             comm.barrier().expect("barrier");
-            comm.stats()
+            (before, comm.stats())
         });
-        for (rank, s) in snaps.iter().enumerate() {
+        let edges = [2, 1, 1];
+        for (rank, (before, s)) in snaps.iter().enumerate() {
             assert_eq!(s.reconnects, 0, "rank {rank} reconnected on loopback");
-            assert_eq!(
-                s.reordered, 0,
-                "rank {rank} saw reordering on a stream socket"
-            );
             // establish's barrier + scalar + barrier.
             assert_eq!(s.collectives, 3, "rank {rank}");
-            assert!(
-                s.bytes_tx > 0 && s.bytes_rx > 0,
-                "rank {rank} moved no bytes"
+            // A 1-word and an empty frame per edge.
+            let header = crate::frame::HEADER_LEN as u64;
+            assert_eq!(
+                s.frames_tx - before.frames_tx,
+                2 * edges[rank],
+                "rank {rank}"
+            );
+            assert_eq!(
+                s.frames_rx - before.frames_rx,
+                2 * edges[rank],
+                "rank {rank}"
+            );
+            assert_eq!(
+                s.bytes_tx - before.bytes_tx,
+                (2 * header + 8) * edges[rank],
+                "rank {rank}"
             );
         }
     }

@@ -43,8 +43,9 @@ pub const HEADER_LEN: usize = 24;
 pub const MAX_PAYLOAD_BYTES: u32 = 1 << 28;
 
 /// How far a payload buffer may grow ahead of the bytes that have
-/// arrived, and the size of each [`FrameReader`]'s buffer.
-pub(crate) const READ_CHUNK: usize = 64 << 10;
+/// arrived, the size of each [`FrameReader`]'s buffer, and the widest
+/// frame the allreduce's top swap takes (`mesh`'s module doc).
+pub const READ_CHUNK: usize = 64 << 10;
 
 /// What a frame carries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -24,11 +24,12 @@
 //! * [`mesh`] — rendezvous (rank 0 collects every rank's listener address
 //!   and broadcasts the table), full-mesh link formation, and the one
 //!   deterministic allreduce: a binomial tree with one fixed combine
-//!   order (so the net engine is bitwise reproducible at any rank count,
+//!   order, whose two subtree roots swap partials at the top (so the net engine is bitwise reproducible at any rank count,
 //!   and bitwise equal to the serial `tree_reference` of
 //!   `tests/collectives.rs`).
 //!   Collectives run on the calling thread: the nonblocking allreduce
-//!   does at `start` what needs no peer (a reduce-leaf's send) and the
+//!   does at `start` what needs no peer (the send of a reduce-leaf, or
+//!   of a root of the top swap with nothing to receive first) and the
 //!   rest at `wait`, so what a solver's
 //!   overlap window hides is the time its partial spends in the socket
 //!   buffer and its peers spend getting to their own `wait`.

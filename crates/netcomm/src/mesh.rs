@@ -20,23 +20,44 @@
 //! Floating-point addition is not associative, so fixing the association
 //! is what makes a net run bitwise reproducible at every rank count (and
 //! bitwise a serial replay of the same tree, `tests/collectives.rs`'s
-//! `tree_reference`). It is the only allreduce: on
-//! every tree edge one side sends while the other receives, so no payload
-//! size can block both ends of a link in `send`.
+//! `tree_reference`). It is the only allreduce.
+//!
+//! At the top of the tree the two subtree roots, rank 0 and rank
+//! h = `P.next_power_of_two() / 2`, *swap* partials instead of sending
+//! one up and the total back down: each sends its subtree's partial as
+//! soon as it is complete, then receives the other's, and each adds the
+//! two in the same operand order, rank 0's partial first, so both hold
+//! the reference total bit for bit. Each then broadcasts down its own
+//! half. Every rank sends exactly the frames and bytes of the plain tree,
+//! and the critical path is `2⌈log₂P⌉ − 1` message hops instead of
+//! `2⌈log₂P⌉` — one at P = 2.
+//!
+//! On every other tree edge one side sends while the other receives. The
+//! swap is the one place where both ends of a link write before either
+//! reads, so it is taken only for frames that fit one `READ_CHUNK` read
+//! (`HEADER_LEN + 8w ≤ 64 KiB`, `w` the payload's words); a larger frame keeps the plain top edge, and both roots know
+//! `w`, so they agree. The swap rests on the kernel buffering one such
+//! frame per direction with no reader: AF_UNIX's default send buffer
+//! (`net.core.wmem_default`, 208 KiB on the reference host) and TCP's
+//! default receive buffer (`tcp_rmem`, 128 KiB) both exceed it. Under
+//! that assumption no payload size can block both ends of a link in
+//! `send`.
 //!
 //! Collectives run on the thread that calls them — no thread is spawned
 //! and nothing is handed off. [`NetComm::iallreduce_start`] runs the tree
 //! up to its first receive, which for a reduce-leaf means writing its
-//! partial to its parent; [`NetComm::iallreduce_wait`] runs the rest. A
-//! blocking allreduce is start-then-wait over the same code. What overlaps
-//! with the solver's next block is therefore the kernel's socket buffer
-//! and the peers' own progress, not a local helper: a leaf's data is
-//! already at its parent when the parent reaches `wait`, while an interior
-//! rank makes no progress between `start` and `wait`. One collective is
-//! in flight per rank at a time; starting a second is a protocol error.
+//! partial to its parent and for a swapping root with no children (both
+//! ranks at P = 2) writing its partial to the other root;
+//! [`NetComm::iallreduce_wait`] runs the rest. A blocking allreduce is
+//! start-then-wait over the same code. What overlaps with the solver's
+//! next block is therefore the kernel's socket buffer and the peers' own
+//! progress, not a local helper: a leaf's data is already at its parent
+//! when the parent reaches `wait`, while an interior rank makes no
+//! progress between `start` and `wait`. One collective is in flight per
+//! rank at a time; starting a second is a protocol error.
 
 use crate::backoff::Backoff;
-use crate::frame::{Frame, FrameKind};
+use crate::frame::{Frame, FrameKind, HEADER_LEN, READ_CHUNK};
 use crate::ordered::OrderedLink;
 use crate::transport::{self, Addr, Listener, Stream};
 use crate::{NetError, NetStats, StatsSnapshot};
@@ -110,11 +131,13 @@ struct Links {
 }
 
 /// Where an allreduce stands between start and wait: the tree resumes at
-/// reduce distance `at`.
+/// reduce distance `at`, and `swapped` records that this rank's partial
+/// has already crossed the top exchange and only the peer's is awaited.
 #[derive(Debug)]
 struct Progress {
     tag: u32,
     at: usize,
+    swapped: bool,
 }
 
 impl Links {
@@ -131,42 +154,81 @@ impl Links {
         let tag = self.next_tag;
         self.next_tag = self.next_tag.wrapping_add(1);
         let t0 = Instant::now();
-        let at = self.tree_allreduce(tag, buf, 1, false);
+        let from = Progress {
+            tag,
+            at: 1,
+            swapped: false,
+        };
+        let progress = self.tree_allreduce(from, buf, false);
         NetStats::add_nanos(&self.stats.comm_nanos, t0.elapsed());
-        Ok(Progress { tag, at: at? })
+        progress
     }
 
     /// Run a started collective to completion, timed into both
     /// `stats.comm_nanos` and `stats.wait_nanos`.
     fn finish(&mut self, p: Progress, buf: &mut [f64]) -> Result<(), NetError> {
         let t0 = Instant::now();
-        let out = self.tree_allreduce(p.tag, buf, p.at, true).map(drop);
+        let out = self.tree_allreduce(p, buf, true).map(drop);
         let spent = t0.elapsed();
         NetStats::add_nanos(&self.stats.comm_nanos, spent);
         NetStats::add_nanos(&self.stats.wait_nanos, spent);
         out
     }
 
-    /// Binomial-tree reduce-to-0 + broadcast in one fixed combine order:
-    /// at distance d the receiving rank (`rank % 2d == 0`) adds its
+    /// Binomial-tree reduce + broadcast in one fixed combine order: at
+    /// distance d the receiving rank (`rank % 2d == 0`) adds its
     /// partner's partial **after** its own.
     ///
-    /// Resumable at a receive: entered at reduce distance `from`, and
-    /// with `may_wait` false it returns the distance it stopped at instead
-    /// of receiving. A rank with nothing to receive before its send up
-    /// (every odd rank) has then already sent; resuming from the returned
-    /// distance with `may_wait` true runs the remaining steps.
+    /// At the top distance `h` (half of P rounded up to a power of two)
+    /// ranks 0 and h *swap* their subtrees' partials when the frame fits
+    /// one `READ_CHUNK` read: each sends, then receives, and rank h
+    /// adds the other way round (`v + b`), so both roots evaluate rank
+    /// 0's partial plus rank h's, operand for operand. Each then
+    /// broadcasts down its own half of the mirror tree. A larger frame
+    /// keeps the plain top edge: h sends up, 0 broadcasts back down.
+    ///
+    /// Resumable at a receive: entered at `from`, and with `may_wait`
+    /// false it returns where it stopped instead of receiving. A rank
+    /// with nothing to receive before its send (every odd rank, and a
+    /// swapping root without children) has then already sent; resuming
+    /// from the returned progress with `may_wait` true runs the rest.
     fn tree_allreduce(
         &mut self,
-        tag: u32,
+        from: Progress,
         buf: &mut [f64],
-        from: usize,
         may_wait: bool,
-    ) -> Result<usize, NetError> {
-        let (rank, size) = (self.rank, self.size);
-        // Reduce toward rank 0.
-        let mut d = from;
+    ) -> Result<Progress, NetError> {
+        let (rank, size, tag) = (self.rank, self.size, from.tag);
+        let half = size.next_power_of_two() / 2;
+        let swap = HEADER_LEN + 8 * buf.len() <= READ_CHUNK;
+        let mut swapped = from.swapped;
+        // Reduce toward rank 0 (and, swapping, toward rank h too).
+        let mut d = from.at;
         while d < size {
+            if swap && d == half && (rank == 0 || rank == half) {
+                let peer = rank ^ half;
+                if !swapped {
+                    self.link(peer)?.send_f64(tag, buf)?;
+                    swapped = true;
+                }
+                if !may_wait {
+                    return Ok(Progress {
+                        tag,
+                        at: d,
+                        swapped,
+                    });
+                }
+                let link = self.link(peer)?;
+                if rank == 0 {
+                    link.recv_f64_with(tag, buf, |b, v| *b += v)?;
+                } else {
+                    // Rank 0's partial stays the left operand.
+                    #[allow(clippy::assign_op_pattern)]
+                    link.recv_f64_with(tag, buf, |b, v| *b = v + *b)?;
+                }
+                d = size;
+                break;
+            }
             if rank % (2 * d) == d {
                 self.link(rank - d)?.send_f64(tag, buf)?;
                 d = size; // this rank's partial has been absorbed upstream
@@ -174,7 +236,11 @@ impl Links {
             }
             if rank % (2 * d) == 0 && rank + d < size {
                 if !may_wait {
-                    return Ok(d);
+                    return Ok(Progress {
+                        tag,
+                        at: d,
+                        swapped,
+                    });
                 }
                 self.link(rank + d)?
                     .recv_f64_with(tag, buf, |b, v| *b += v)?;
@@ -182,18 +248,22 @@ impl Links {
             d *= 2;
         }
         if !may_wait {
-            return Ok(d);
+            return Ok(Progress {
+                tag,
+                at: d,
+                swapped,
+            });
         }
-        // Broadcast the total down the mirror tree.
-        if rank != 0 {
+        // Broadcast the total down the mirror tree; a swapping root
+        // already holds it and sends down its own half only.
+        if rank != 0 && !swapped {
             let parent = rank & (rank - 1);
             self.link(parent)?.recv_f64_with(tag, buf, |b, v| *b = v)?;
         }
-        let top = size.next_power_of_two();
-        let lowest = if rank == 0 {
-            top
-        } else {
-            rank & rank.wrapping_neg()
+        let lowest = match rank {
+            0 if swapped => half,
+            0 => 2 * half,
+            _ => rank & rank.wrapping_neg(),
         };
         let mut down = lowest / 2;
         while down >= 1 {
@@ -202,7 +272,11 @@ impl Links {
             }
             down /= 2;
         }
-        Ok(d)
+        Ok(Progress {
+            tag,
+            at: d,
+            swapped,
+        })
     }
 
     /// Bye every link and drop it; a collective after this is `Closed`.
@@ -559,6 +633,7 @@ fn form_mesh(cfg: &NetConfig, stats: &Arc<NetStats>) -> Result<Vec<Option<Ordere
 mod tests {
     use super::*;
     use std::os::unix::net::UnixStream;
+    use std::sync::mpsc::{Receiver, Sender};
 
     impl Links {
         /// One in-place blocking allreduce (sum) over all ranks.
@@ -568,37 +643,43 @@ mod tests {
         }
     }
 
-    /// A size-2 `Links` pair over a real socketpair, bypassing rendezvous
-    /// — lets the collectives be unit-tested without process spawning.
+    /// A size-2 `Links` pair over two connected streams, bypassing
+    /// rendezvous — lets the collectives be unit-tested without process
+    /// spawning.
+    fn links_over(a: Stream, b: Stream) -> (Links, Links) {
+        for s in [&a, &b] {
+            s.set_io_timeout(Some(Duration::from_secs(5))).unwrap();
+        }
+        let rank = |rank: usize, s: Stream| {
+            let stats = Arc::new(NetStats::default());
+            let mut links = vec![None, None];
+            links[1 - rank] = Some(OrderedLink::new(s, rank, 1 - rank, Arc::clone(&stats)));
+            Links {
+                rank,
+                size: 2,
+                links,
+                next_tag: 1,
+                stats,
+            }
+        };
+        (rank(0, a), rank(1, b))
+    }
+
+    /// Over a Unix socketpair.
     fn pair() -> (Links, Links) {
         let (a, b) = UnixStream::pair().expect("socketpair");
+        links_over(Stream::Unix(a), Stream::Unix(b))
+    }
+
+    /// Over TCP loopback, Nagle off as on a real mesh link.
+    fn tcp_pair() -> (Links, Links) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let a = std::net::TcpStream::connect(listener.local_addr().expect("addr")).expect("dial");
+        let (b, _) = listener.accept().expect("accept");
         for s in [&a, &b] {
-            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            s.set_write_timeout(Some(Duration::from_secs(5))).unwrap();
+            s.set_nodelay(true).expect("nodelay");
         }
-        let stats0 = Arc::new(NetStats::default());
-        let stats1 = Arc::new(NetStats::default());
-        let l0 = Links {
-            rank: 0,
-            size: 2,
-            links: vec![
-                None,
-                Some(OrderedLink::new(Stream::Unix(a), 0, 1, Arc::clone(&stats0))),
-            ],
-            next_tag: 1,
-            stats: stats0,
-        };
-        let l1 = Links {
-            rank: 1,
-            size: 2,
-            links: vec![
-                Some(OrderedLink::new(Stream::Unix(b), 1, 0, Arc::clone(&stats1))),
-                None,
-            ],
-            next_tag: 1,
-            stats: stats1,
-        };
-        (l0, l1)
+        links_over(Stream::Tcp(a), Stream::Tcp(b))
     }
 
     fn run_pair(x0: Vec<f64>, x1: Vec<f64>) -> (Vec<f64>, Vec<f64>) {
@@ -628,6 +709,98 @@ mod tests {
         let (a, b) = run_pair(vec![0.1], vec![0.2]);
         assert_eq!(a[0].to_bits(), (0.1f64 + 0.2f64).to_bits());
         assert_eq!(a, b);
+    }
+
+    /// The widest payload the top swap takes: header and words fill one
+    /// `READ_CHUNK` read exactly.
+    const SWAP_WORDS: usize = (READ_CHUNK - HEADER_LEN) / 8;
+
+    /// Both ranks `start` — each writes its whole frame — and only then
+    /// does either `wait`: no write may need the peer to read first. A
+    /// blocked write would hold its rank off the hand-over until the 5 s
+    /// I/O timeout, so the run finishing quickly and exactly is the proof.
+    /// Three rounds, so a round's frame can sit unread beside the next.
+    fn both_start_before_either_waits(links: (Links, Links)) {
+        let t0 = Instant::now();
+        let (l0, l1) = links;
+        let (tx0, rx1) = std::sync::mpsc::channel();
+        let (tx1, rx0) = std::sync::mpsc::channel();
+        // A rank that fails drops its sender, so its peer fails too.
+        let run = |mut l: Links, started: Sender<()>, peer_started: Receiver<()>| {
+            let mut outs = Vec::new();
+            for round in 0..3 {
+                let mut buf: Vec<f64> = (0..SWAP_WORDS)
+                    .map(|i| 0.1 * (l.rank + 1) as f64 + 1e-3 * (i + round) as f64)
+                    .collect();
+                let p = l.start(&mut buf).expect("start");
+                assert!(p.swapped, "rank {}: the top swap sends at start", l.rank);
+                assert_eq!(l.stats.snapshot().frames_tx, round as u64 + 1);
+                started.send(()).expect("peer alive");
+                peer_started
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("peer started");
+                l.finish(p, &mut buf).expect("wait");
+                outs.push(buf);
+            }
+            outs
+        };
+        let (a, b) = std::thread::scope(|sc| {
+            let h = sc.spawn(|| run(l1, tx1, rx1));
+            (run(l0, tx0, rx0), h.join().expect("rank 1 thread"))
+        });
+        for (round, (a, b)) in a.iter().zip(&b).enumerate() {
+            for (i, (x, y)) in a.iter().zip(b).enumerate() {
+                let expect = (0.1 + 1e-3 * (i + round) as f64) + (0.2 + 1e-3 * (i + round) as f64);
+                assert_eq!(x.to_bits(), expect.to_bits(), "round {round} word {i}");
+                assert_eq!(x.to_bits(), y.to_bits(), "round {round} word {i}");
+            }
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(2),
+            "took {:?}",
+            t0.elapsed()
+        );
+    }
+
+    #[test]
+    fn widest_swap_completes_with_both_ranks_sending_first_over_unix() {
+        both_start_before_either_waits(pair());
+    }
+
+    #[test]
+    fn widest_swap_completes_with_both_ranks_sending_first_over_tcp() {
+        both_start_before_either_waits(tcp_pair());
+    }
+
+    /// One word past the guard the top edge is the plain tree again: at
+    /// `start` rank 1 sends up and rank 0 sends nothing; the broadcast
+    /// then brings the frame counts level.
+    #[test]
+    fn frames_past_the_swap_guard_take_the_tree_edge() {
+        for (words, swaps) in [(SWAP_WORDS, true), (SWAP_WORDS + 1, false)] {
+            let (mut l0, mut l1) = pair();
+            let t = std::thread::spawn(move || {
+                let mut b = vec![2.0; words];
+                let p = l1.start(&mut b).expect("rank 1 start");
+                assert_eq!(p.swapped, swaps);
+                assert_eq!(l1.stats.snapshot().frames_tx, 1);
+                l1.finish(p, &mut b).expect("rank 1 wait");
+                (b, l1.stats.snapshot())
+            });
+            let mut a = vec![1.0; words];
+            let p = l0.start(&mut a).expect("rank 0 start");
+            assert_eq!(p.swapped, swaps, "{words} words");
+            assert_eq!(l0.stats.snapshot().frames_tx, u64::from(swaps));
+            l0.finish(p, &mut a).expect("rank 0 wait");
+            let (b, s1) = t.join().expect("rank 1 thread");
+            let s0 = l0.stats.snapshot();
+            assert_eq!(a, vec![3.0; words]);
+            assert_eq!(a, b);
+            for s in [s0, s1] {
+                assert_eq!((s.frames_tx, s.frames_rx), (1, 1), "{words} words");
+                assert_eq!(s.bytes_tx, (HEADER_LEN + 8 * words) as u64);
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! helper thread.
 
 use netcomm::cluster::run_local;
-use netcomm::frame::Frame;
+use netcomm::frame::{Frame, HEADER_LEN, READ_CHUNK};
 use netcomm::mesh::{NetComm, NetConfig};
 use netcomm::{Addr, Backoff, Listener, NetError, PendingReduce};
 use proptest::prelude::*;
@@ -96,32 +96,80 @@ fn allreduce_matches_serial_reduction_bitwise_for_all_block_sizes() {
     }
 }
 
+/// The widest payload whose frame fits one `READ_CHUNK` read, the
+/// largest the top of the tree swaps; one word more keeps the plain edge.
+const SWAP_WORDS: usize = (READ_CHUNK - HEADER_LEN) / 8;
+
 /// With non-exact values the association is observable; the wire tree
 /// must match the serial binomial-tree reference bit for bit at every
-/// rank count, and every rank must hold identical bits.
+/// rank count, and every rank must hold identical bits — for payloads the
+/// top swap takes and for payloads past its guard.
 #[test]
 fn tree_allreduce_reproduces_mpisim_association_bitwise() {
-    let n = 33;
-    for &p in &[1usize, 2, 3, 4, 5, 8] {
-        let partials: Vec<Vec<f64>> = (0..p)
-            .map(|r| {
-                (0..n)
-                    .map(|i| 0.1 * (r as f64 + 1.0) + i as f64 * 0.3)
-                    .collect()
-            })
-            .collect();
-        let expect = tree_reference(&partials);
-        let outs = run_local(p, |rank, comm| {
-            comm.allreduce_sum(partials[rank].clone()).expect("reduce")
-        });
-        for (rank, got) in outs.iter().enumerate() {
-            assert_eq!(got.len(), expect.len());
-            for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
-                assert_eq!(
-                    g.to_bits(),
-                    e.to_bits(),
-                    "p={p} rank={rank} word {i}: {g:e} vs reference {e:e}"
-                );
+    for &n in &[33, SWAP_WORDS, SWAP_WORDS + 1] {
+        for &p in &[1usize, 2, 3, 4, 5, 8] {
+            let partials: Vec<Vec<f64>> = (0..p)
+                .map(|r| {
+                    (0..n)
+                        .map(|i| 0.1 * (r as f64 + 1.0) + (i % 41) as f64 * 0.3)
+                        .collect()
+                })
+                .collect();
+            let expect = tree_reference(&partials);
+            let outs = run_local(p, |rank, comm| {
+                comm.allreduce_sum(partials[rank].clone()).expect("reduce")
+            });
+            for (rank, got) in outs.iter().enumerate() {
+                assert_eq!(got.len(), expect.len());
+                for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        e.to_bits(),
+                        "n={n} p={p} rank={rank} word {i}: {g:e} vs reference {e:e}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Every edge of the binomial tree carries one frame each way per
+/// collective — a partial up and the total down, or at the top a swap
+/// of partials — so a rank sends, and receives, one frame per tree edge
+/// it touches: the plain tree's counts, whichever way the top goes.
+#[test]
+fn each_rank_sends_one_frame_per_tree_edge() {
+    const ROUNDS: u64 = 3;
+    for &p in &[2usize, 3, 4] {
+        let mut degree = vec![0u64; p];
+        let mut d = 1;
+        while d < p {
+            for r in (0..p - d).step_by(2 * d) {
+                degree[r] += 1;
+                degree[r + d] += 1;
+            }
+            d *= 2;
+        }
+        for &n in &[1, SWAP_WORDS, SWAP_WORDS + 1] {
+            let deltas = run_local(p, |rank, comm| {
+                let before = comm.stats();
+                for k in 0..ROUNDS {
+                    let mine = vec![(rank as u64 + k) as f64; n];
+                    comm.allreduce_sum(mine).expect("reduce");
+                }
+                let after = comm.stats();
+                (
+                    after.frames_tx - before.frames_tx,
+                    after.frames_rx - before.frames_rx,
+                    after.bytes_tx - before.bytes_tx,
+                )
+            });
+            let frame = (HEADER_LEN + 8 * n) as u64;
+            for (rank, &(tx, rx, bytes)) in deltas.iter().enumerate() {
+                let case = format!("p={p} n={n} rank={rank}");
+                assert_eq!(tx, ROUNDS * degree[rank], "{case}: frames sent");
+                assert_eq!(rx, tx, "{case}: frames received");
+                assert_eq!(bytes, tx * frame, "{case}: bytes sent");
             }
         }
     }
