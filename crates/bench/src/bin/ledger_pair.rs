@@ -4,7 +4,8 @@
 //! ledger_pair --parent BIN --change BIN --workloads W[,W…] --seeds N[,N…]
 //!             --pairs K [--seconds S] [--parent-commit C] [--change-commit C]
 //!             --out ledger/PR-<n>-pairs.json [--markdown]
-//! ledger_pair --check FILE…          hold pairs files to their shape
+//! ledger_pair [--markdown] --check FILE…
+//!                                    hold pairs files to their shape
 //! ```
 //!
 //! For each seed and pair, every workload runs once on each binary as
@@ -16,7 +17,8 @@
 //! ratio, the pairs the change won, every sample, the first run's host
 //! fingerprint and every run's `host.spin_s` (`saco_bench::pairs`);
 //! `--markdown` then prints the table. `--check` asserts the schema and
-//! the file's own arithmetic, no wall.
+//! the file's own arithmetic, no wall; with `--markdown` before it, it
+//! also prints each committed file's table.
 
 use saco_bench::pairs::{self, Cell, Header, RunResult, METRICS};
 use std::path::PathBuf;
@@ -89,9 +91,15 @@ fn main() {
     }
     if !check.is_empty() {
         for file in &check {
-            match pairs::check_shape(&read(file)) {
+            let doc = read(file);
+            match pairs::check_shape(&doc) {
                 Ok(n) => println!("ledger_pair: {file}: {n} cells, shape ok"),
                 Err(e) => fail(&format!("{file}: {e}")),
+            }
+            if show {
+                let (h, cells) =
+                    pairs::read(&doc).unwrap_or_else(|e| fail(&format!("{file}: {e}")));
+                print!("{}", pairs::markdown(&h, &cells));
             }
         }
         return;

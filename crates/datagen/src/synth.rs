@@ -165,21 +165,13 @@ pub fn powerlaw_column_into(
     values.extend(indices.iter().map(|_| rng.next_gaussian()));
 }
 
-/// Fully dense Gaussian matrix in CSR form (epsilon/gisette/leu/duke class).
+/// Fully dense Gaussian matrix in CSR form (epsilon/gisette/leu/duke class),
+/// drawn row by row straight into the values it is stored as (a draw of
+/// exactly zero, 2⁻⁵³ likely, would be dropped like any zero).
 pub fn dense_gaussian(rows: usize, cols: usize, seed: u64) -> CsrMatrix {
     let mut rng = rng_from_seed(seed);
-    let mut indptr = Vec::with_capacity(rows + 1);
-    let mut indices = Vec::with_capacity(rows * cols);
-    let mut values = Vec::with_capacity(rows * cols);
-    indptr.push(0);
-    for _ in 0..rows {
-        for j in 0..cols {
-            indices.push(j);
-            values.push(rng.next_gaussian());
-        }
-        indptr.push(indices.len());
-    }
-    CsrMatrix::from_parts(rows, cols, indptr, indices, values)
+    let values = (0..rows * cols).map(|_| rng.next_gaussian()).collect();
+    CsrMatrix::from_row_major(rows, cols, values)
 }
 
 /// Planted sparse regression: `b = A x⋆ + σ·noise` with `support`-sparse

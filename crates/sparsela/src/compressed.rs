@@ -11,6 +11,13 @@
 //! enters through: `from_parts`, COO conversion, shard load and the
 //! shard writer), the major range and the minor window, the transpose and
 //! the COO compression.
+//!
+//! The layout rule is written once too: a matrix whose every slice is
+//! full keeps its values and one `0..minor` index run that every slice
+//! borrows (a dense dataset then costs 8 B per entry, not 16, and its
+//! transpose moves values only); every other matrix keeps an index per
+//! value. Either way a slice reads as the same indices and values, so no
+//! kernel can tell the layouts apart.
 
 use crate::SparseSlice;
 
@@ -82,16 +89,37 @@ fn slice_fault(k: usize, indices: &[usize], values: &[f64], minor: usize) -> Opt
 }
 
 /// `major` slices over a `minor` axis: slice `k` is
-/// `indices/values[indptr[k]..indptr[k+1]]`. Every value of this type
-/// passed [`Compressed::new`] or was derived from one that did.
+/// `values[indptr[k]..indptr[k+1]]` with its indices. Every value of this
+/// type passed [`Compressed::new`] or was derived from one that did.
+///
+/// The layout follows the content and nothing else: a matrix whose every
+/// slice is full (at least one entry, `nnz == major·minor`) stores no
+/// per-entry index and every slice borrows one `0..minor` run; any other
+/// matrix stores an index beside every value. [`Compressed::assemble`],
+/// which every constructor ends in, is the one place the choice is made,
+/// so equal matrices have equal layouts and the derived `PartialEq` is
+/// equality of the matrices.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct Compressed {
     major: usize,
     minor: usize,
     indptr: Vec<usize>,
-    indices: Vec<usize>,
+    index: Index,
     values: Vec<f64>,
 }
+
+/// Where a slice's indices live.
+#[derive(Clone, Debug, PartialEq)]
+enum Index {
+    /// One index per stored value, slice `k`'s at `indptr[k]..indptr[k+1]`.
+    PerEntry(Vec<usize>),
+    /// Every slice is full: `0..minor`, borrowed whole by each of them.
+    Shared(Vec<usize>),
+}
+
+/// Edge of the square tiles the full transpose moves: 32 × 32 values read
+/// and written are 16 KiB, inside any L1 the kernels run on.
+const TILE: usize = 32;
 
 impl Compressed {
     /// Validate and assemble: `indptr` holds `major + 1` monotone offsets
@@ -123,13 +151,65 @@ impl Compressed {
             let r = indptr[k]..indptr[k + 1];
             check_slice(k, &indices[r.clone()], &values[r], minor)?;
         }
-        Ok(Self {
+        Ok(Self::assemble(major, minor, indptr, indices, values))
+    }
+
+    /// The matrix whose slice `k` is `values[k·minor..(k+1)·minor]`, entry
+    /// by entry, with its zeros dropped (±0 alike, by [`Self::compress`]).
+    /// Without a zero no index array is ever built.
+    ///
+    /// # Panics
+    /// Panics unless `values` holds exactly `major·minor` entries.
+    pub(crate) fn from_full(
+        major: usize,
+        minor: usize,
+        values: Vec<f64>,
+    ) -> Result<Self, Malformed> {
+        assert_eq!(
+            major.checked_mul(minor),
+            Some(values.len()),
+            "{major}×{minor} values expected"
+        );
+        if values.contains(&0.0) {
+            let triplets = (values.iter().enumerate())
+                .map(|(p, &v)| (p / minor, p % minor, v))
+                .collect();
+            return Self::compress(major, minor, triplets);
+        }
+        let indptr = (0..=major).map(|k| k * minor).collect();
+        let m = Self::assemble(major, minor, indptr, Vec::new(), values);
+        for k in 0..major {
+            let s = m.slice(k);
+            check_slice(k, s.indices, s.values, minor)?;
+        }
+        Ok(m)
+    }
+
+    /// The one place a layout is picked (see [`Compressed`]). The caller
+    /// has validated or derived the arrays; `indices` is read only when
+    /// some slice is not full, and a caller that knows every slice is full
+    /// passes an empty vector.
+    fn assemble(
+        major: usize,
+        minor: usize,
+        indptr: Vec<usize>,
+        indices: Vec<usize>,
+        values: Vec<f64>,
+    ) -> Self {
+        let full = !values.is_empty() && major.checked_mul(minor) == Some(values.len());
+        let index = if full {
+            Index::Shared((0..minor).collect())
+        } else {
+            debug_assert_eq!(indices.len(), values.len());
+            Index::PerEntry(indices)
+        };
+        Self {
             major,
             minor,
             indptr,
-            indices,
+            index,
             values,
-        })
+        }
     }
 
     /// Compress `(k, i, v)` triplets — slice `k`, minor index `i` — stably
@@ -187,12 +267,22 @@ impl Compressed {
         }
     }
 
+    /// Whether every slice borrows the one shared index run.
+    #[cfg(test)]
+    pub(crate) fn shares_index(&self) -> bool {
+        matches!(self.index, Index::Shared(_))
+    }
+
     /// Borrow slice `k`.
     #[inline]
     pub(crate) fn slice(&self, k: usize) -> SparseSlice<'_> {
         let (lo, hi) = (self.indptr[k], self.indptr[k + 1]);
+        let indices = match &self.index {
+            Index::PerEntry(indices) => &indices[lo..hi],
+            Index::Shared(run) => &run[..],
+        };
         SparseSlice {
-            indices: &self.indices[lo..hi],
+            indices,
             values: &self.values[lo..hi],
         }
     }
@@ -223,34 +313,59 @@ impl Compressed {
         y
     }
 
-    /// The same matrix sliced along the other axis, by counting sort in
-    /// O(nnz + minor): CSR → CSC and back.
+    /// The same matrix sliced along the other axis: CSR → CSC and back.
+    /// Sparse, by counting sort in O(nnz + minor); full, by moving the
+    /// values tile by tile, with no index to count or scatter.
     pub(crate) fn transpose(&self) -> Self {
+        let (major, minor) = (self.minor, self.major);
+        let indices = match &self.index {
+            Index::PerEntry(indices) => indices,
+            Index::Shared(_) => {
+                let indptr = (0..=major).map(|k| k * minor).collect();
+                let values = self.transpose_full();
+                return Self::assemble(major, minor, indptr, Vec::new(), values);
+            }
+        };
         let mut next = vec![0usize; self.minor + 1];
-        for &i in &self.indices {
+        for &i in indices {
             next[i + 1] += 1;
         }
         for i in 0..self.minor {
             next[i + 1] += next[i];
         }
         let indptr = next.clone();
-        let mut indices = vec![0usize; self.nnz()];
+        let mut t_indices = vec![0usize; self.nnz()];
         let mut values = vec![0.0; self.nnz()];
         for k in 0..self.major {
             let s = self.slice(k);
             for (&i, &v) in s.indices.iter().zip(s.values) {
-                indices[next[i]] = k;
+                t_indices[next[i]] = k;
                 values[next[i]] = v;
                 next[i] += 1;
             }
         }
-        Self {
-            major: self.minor,
-            minor: self.major,
-            indptr,
-            indices,
-            values,
+        Self::assemble(major, minor, indptr, t_indices, values)
+    }
+
+    /// A full matrix's values sliced along the minor axis: entry `(k, i)`
+    /// moves from `k·minor + i` to `i·major + k`, in [`TILE`]-square tiles
+    /// so the strided side stays in cache.
+    fn transpose_full(&self) -> Vec<f64> {
+        let (m, n) = (self.major, self.minor);
+        let mut out = vec![0.0; self.nnz()];
+        for k0 in (0..m).step_by(TILE) {
+            let ks = k0..(k0 + TILE).min(m);
+            for i0 in (0..n).step_by(TILE) {
+                let is = i0..(i0 + TILE).min(n);
+                for k in ks.clone() {
+                    let row = &self.values[k * n..][is.clone()];
+                    for (i, &v) in is.clone().zip(row) {
+                        out[i * m + k] = v;
+                    }
+                }
+            }
         }
+        out
     }
 
     /// Slices `lo..hi` as a matrix of their own.
@@ -263,13 +378,17 @@ impl Compressed {
             "slice range {lo}..{hi} out of range"
         );
         let (a, b) = (self.indptr[lo], self.indptr[hi]);
-        Self {
-            major: hi - lo,
-            minor: self.minor,
-            indptr: self.indptr[lo..=hi].iter().map(|p| p - a).collect(),
-            indices: self.indices[a..b].to_vec(),
-            values: self.values[a..b].to_vec(),
-        }
+        let indices = match &self.index {
+            Index::PerEntry(indices) => indices[a..b].to_vec(),
+            Index::Shared(_) => Vec::new(),
+        };
+        Self::assemble(
+            hi - lo,
+            self.minor,
+            self.indptr[lo..=hi].iter().map(|p| p - a).collect(),
+            indices,
+            self.values[a..b].to_vec(),
+        )
     }
 
     /// Every slice restricted to minor indices `lo..hi`, rebased by `-lo`.
@@ -283,6 +402,8 @@ impl Compressed {
             lo <= hi && hi <= self.minor,
             "window {lo}..{hi} out of range"
         );
+        // A window of a full matrix is full or empty: no index to keep.
+        let per_entry = matches!(self.index, Index::PerEntry(_));
         let mut indptr = Vec::with_capacity(self.major + 1);
         let (mut indices, mut values) = (Vec::new(), Vec::new());
         indptr.push(0);
@@ -290,24 +411,21 @@ impl Compressed {
             let s = self.slice(k);
             let a = s.indices.partition_point(|&i| i < lo);
             let b = s.indices.partition_point(|&i| i < hi);
-            indices.extend(s.indices[a..b].iter().map(|&i| i - lo));
+            if per_entry {
+                indices.extend(s.indices[a..b].iter().map(|&i| i - lo));
+            }
             values.extend_from_slice(&s.values[a..b]);
-            indptr.push(indices.len());
+            indptr.push(values.len());
         }
-        Self {
-            major: self.major,
-            minor: hi - lo,
-            indptr,
-            indices,
-            values,
-        }
+        Self::assemble(self.major, hi - lo, indptr, indices, values)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CooMatrix, CsrMatrix};
+    use crate::gram::{sampled_cross, sampled_gram};
+    use crate::{CooMatrix, CscMatrix, CsrMatrix, DenseMatrix};
     use xrng::rng_from_seed;
 
     /// The column block as `CsrMatrix::col_block` computed it before the
@@ -433,6 +551,125 @@ mod tests {
             // alone always breaks the slice.
             if let [class @ 1..=6] = classes[..] {
                 proptest::prop_assert!(want.is_err(), "class {} passed", class);
+            }
+        }
+    }
+
+    /// `m` with one index stored per value whatever its content — the
+    /// arrays every matrix had before full matrices shared one run —
+    /// bypassing [`Compressed::assemble`]. Operations on it run the
+    /// per-entry code: the counting-sort transpose, copied index ranges.
+    fn per_entry(m: &Compressed) -> Compressed {
+        let indices = (0..m.major)
+            .flat_map(|k| m.slice(k).indices.to_vec())
+            .collect();
+        Compressed {
+            index: Index::PerEntry(indices),
+            ..m.clone()
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The same matrix in the same layout, its values bit for bit.
+    fn assert_same(got: &Compressed, want: &Compressed, what: &str) {
+        assert_eq!(got, want, "{what}");
+        assert_eq!(bits(&got.values), bits(&want.values), "{what}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
+
+        /// A matrix with every entry stored — general, 1×n, n×1 and 0×n
+        /// shapes — answers every operation bitwise as its per-entry
+        /// reference does, and so does the same matrix one entry short,
+        /// which must stay per-entry.
+        #[test]
+        fn the_shared_run_answers_as_the_per_entry_arrays_do(
+            seed in proptest::prelude::any::<u64>(),
+            shape in 0usize..4,
+            short in proptest::prelude::any::<bool>(),
+        ) {
+            let mut rng = rng_from_seed(seed);
+            let (r, c) = (1 + rng.next_index(9), 1 + rng.next_index(9));
+            let (rows, cols) = [(r, c), (1, c), (r, 1), (0, c)][shape];
+            let dense: Vec<f64> = (0..rows * cols)
+                .map(|_| match rng.next_index(6) {
+                    0 => f64::from_bits(1 + rng.next_index(1 << 20) as u64),
+                    1 => -f64::from_bits(1 + rng.next_index(1 << 20) as u64),
+                    _ => rng.next_gaussian(),
+                })
+                .collect();
+            let mut d = DenseMatrix::from_vec(rows, cols, dense);
+            let full = rows * cols > 0 && !short;
+            if rows * cols > 0 && short {
+                d.set(rng.next_index(rows), rng.next_index(cols), 0.0);
+            }
+            let csr = CsrMatrix::from_dense(&d);
+            proptest::prop_assert_eq!(csr.0.shares_index(), full);
+            let reference = CsrMatrix(per_entry(&csr.0));
+
+            // Every door builds the same matrix: explicit arrays, triplets,
+            // row-major values.
+            let mut coo = CooMatrix::new(rows, cols);
+            let (mut indptr, mut indices, mut values) = (vec![0], vec![], vec![]);
+            for i in 0..rows {
+                for j in 0..cols {
+                    let v = d.get(i, j);
+                    if v != 0.0 {
+                        coo.push(i, j, v);
+                        indices.push(j);
+                        values.push(v);
+                    }
+                }
+                indptr.push(values.len());
+            }
+            assert_same(&CsrMatrix::from_parts(rows, cols, indptr, indices, values).0, &csr.0, "from_parts");
+            assert_same(&coo.to_csr().0, &csr.0, "COO");
+            assert_same(&CsrMatrix::from_row_major(rows, cols, d.as_slice().to_vec()).0, &csr.0, "row-major");
+
+            for i in 0..rows {
+                for j in 0..cols {
+                    proptest::prop_assert_eq!(csr.get(i, j).to_bits(), reference.get(i, j).to_bits());
+                }
+            }
+            let x: Vec<f64> = (0..cols).map(|_| rng.next_gaussian()).collect();
+            let y: Vec<f64> = (0..rows).map(|_| rng.next_gaussian()).collect();
+            proptest::prop_assert_eq!(bits(&csr.spmv(&x)), bits(&reference.spmv(&x)));
+            proptest::prop_assert_eq!(bits(&csr.spmv_t(&y)), bits(&reference.spmv_t(&y)));
+            proptest::prop_assert_eq!(bits(csr.to_dense().as_slice()), bits(d.as_slice()));
+
+            let csc = csr.to_csc();
+            let csc_reference = reference.to_csc();
+            assert_same(&csc.0, &csc_reference.0, "to_csc");
+            assert_same(&CscMatrix::from_dense(&d).0, &csc.0, "CscMatrix::from_dense");
+            assert_same(&csc.to_csr().0, &csr.0, "to_csr");
+            assert_same(&CscMatrix(per_entry(&csc.0)).to_csr().0, &csr.0, "per-entry to_csr");
+            proptest::prop_assert_eq!(bits(&csc.spmv(&x)), bits(&csr.spmv(&x)));
+            proptest::prop_assert_eq!(bits(&csc.spmv_t(&y)), bits(&csr.spmv_t(&y)));
+            proptest::prop_assert_eq!(bits(csc.to_dense().as_slice()), bits(d.as_slice()));
+
+            let hi = rng.next_index(rows + 1);
+            let lo = rng.next_index(hi + 1);
+            assert_same(&csr.row_block(lo, hi).0, &reference.row_block(lo, hi).0, "row_block");
+            assert_same(&csc.row_block(lo, hi).0, &CscMatrix(per_entry(&csc.0)).row_block(lo, hi).0, "CSC row_block");
+            let hi = rng.next_index(cols + 1);
+            let lo = rng.next_index(hi + 1);
+            assert_same(&csr.col_block(lo, hi).0, &reference.col_block(lo, hi).0, "col_block");
+
+            if cols > 0 {
+                let sel: Vec<usize> = (0..1 + rng.next_index(2 * cols)).map(|_| rng.next_index(cols)).collect();
+                let per_entry_csc = CscMatrix(per_entry(&csc.0));
+                proptest::prop_assert_eq!(
+                    bits(sampled_gram(&csc, &sel).as_slice()),
+                    bits(sampled_gram(&per_entry_csc, &sel).as_slice())
+                );
+                proptest::prop_assert_eq!(
+                    bits(sampled_cross(&csc, &sel, &[&y, &y]).as_slice()),
+                    bits(sampled_cross(&per_entry_csc, &sel, &[&y, &y]).as_slice())
+                );
             }
         }
     }

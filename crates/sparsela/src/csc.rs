@@ -8,7 +8,8 @@
 //! The arrays are the crate's compressed-slice core, the same as
 //! [`CsrMatrix`]'s with the axes swapped: slices are columns, the minor
 //! axis is rows. The two types share every operation, so a CSC and the
-//! CSR of the same matrix agree bitwise wherever their results meet.
+//! CSR of the same matrix agree bitwise wherever their results meet, and
+//! a full matrix keeps one shared row run in either.
 
 use crate::compressed::Compressed;
 use crate::{CsrMatrix, DenseMatrix, SparseSlice};

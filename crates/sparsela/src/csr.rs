@@ -10,12 +10,18 @@
 //! crate's compressed-slice core, shared with [`CscMatrix`] and the shard
 //! files; this type names the axes — slices are rows, the minor axis is
 //! columns.
+//!
+//! A matrix whose every row is full (a dense dataset such as epsilon or
+//! gisette) stores its values and one `0..cols` run that every row
+//! borrows; any other matrix stores a column id beside every value. Which
+//! one follows from the entries alone, so it never changes a result.
 
 use crate::compressed::Compressed;
-use crate::{CooMatrix, CscMatrix, DenseMatrix, SparseSlice};
+use crate::{CscMatrix, DenseMatrix, SparseSlice};
 
 /// A sparse matrix in CSR format: `indptr` (length `rows+1`), `indices`
-/// (column ids, strictly increasing within a row), finite `values`.
+/// (column ids, strictly increasing within a row), finite `values`; a
+/// matrix with every entry stored keeps one shared `indices` run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CsrMatrix(pub(crate) Compressed);
 
@@ -46,14 +52,25 @@ impl CsrMatrix {
     }
 
     /// Build from a dense matrix, dropping zeros.
+    ///
+    /// # Panics
+    /// Panics, naming the row as `slice i`, if a value is not finite.
     pub fn from_dense(d: &DenseMatrix) -> Self {
-        let mut coo = CooMatrix::new(d.rows(), d.cols());
-        for i in 0..d.rows() {
-            for j in 0..d.cols() {
-                coo.push(i, j, d.get(i, j));
-            }
-        }
-        coo.to_csr()
+        Self::from_row_major(d.rows(), d.cols(), d.as_slice().to_vec())
+    }
+
+    /// Build from `rows·cols` values in row-major order, dropping zeros.
+    /// The values are kept, not copied: without a zero the matrix is
+    /// stored as exactly these values and one shared column run.
+    ///
+    /// # Panics
+    /// Panics if `values.len() != rows·cols` or, naming the row as
+    /// `slice i`, if a value is not finite.
+    pub fn from_row_major(rows: usize, cols: usize, values: Vec<f64>) -> Self {
+        Self(
+            Compressed::from_full(rows, cols, values)
+                .unwrap_or_else(|e| panic!("CsrMatrix::from_row_major: {e}")),
+        )
     }
 
     /// Number of rows.

@@ -558,7 +558,9 @@ impl LoadedShard {
     }
 
     /// Approximate heap footprint — what the cache budget charges:
-    /// 8 bytes per `indptr` entry, 16 per stored entry.
+    /// 8 bytes per `indptr` entry, 16 per stored entry. A shard of full
+    /// slices holds 8 per entry (its values share one index run) and is
+    /// charged the same 16, so a budget buys the same shards either way.
     pub fn heap_bytes(&self) -> u64 {
         ((self.slices.major() + 1) * 8 + self.nnz() * 16) as u64
     }
@@ -1852,6 +1854,28 @@ mod tests {
             }
         }
         coo.to_csc()
+    }
+
+    /// A shard of full columns decodes into the shared-run layout, so it
+    /// equals the same columns cut from the in-memory matrix; a rank's
+    /// row window of it stays full, and its byte charge keeps 16 B/nnz.
+    #[test]
+    fn full_shards_decode_into_the_shared_run() {
+        let dir = tmp_dir("full");
+        let a = random_csc(19, 11, 1.0, 4);
+        assert!(a.0.shares_index());
+        write_csc(&dir, &a, &[0, 4, 11], None).unwrap();
+        let store = ShardStore::open(&dir).unwrap();
+        verify_store(&store, &a).unwrap();
+        let d = store.read_shard(1).unwrap();
+        assert!(d.slices.shares_index());
+        assert_eq!(d.slices, a.0.major_range(4, 11));
+        assert_eq!(
+            d.slices.minor_window(3, 9),
+            a.row_block(3, 9).0.major_range(4, 11)
+        );
+        assert_eq!(d.heap_bytes(), (8 * 8 + 7 * 19 * 16) as u64);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
